@@ -71,7 +71,7 @@ type Sweep struct {
 
 // ProxyBench is one HTTP-proxy throughput measurement: a closed-loop load
 // run at fixed concurrency against a static-expert proxy whose cache engine
-// uses the given shard count (1 = the legacy global-lock data plane).
+// uses the given shard count (1 = the single-lock data plane).
 type ProxyBench struct {
 	Name string `json:"name"`
 	// GOMAXPROCS is the scheduler parallelism the arm ran under (matrix arms
@@ -680,32 +680,40 @@ func bestOf(arms []func() (ProxyBench, error)) ([]ProxyBench, error) {
 	return best, nil
 }
 
-// benchProxyOnce measures end-to-end proxy throughput for a static-expert
-// decider over a cache engine with the given shard count: shards=1 is the
-// legacy global-lock data plane (a single-shard engine serializes exactly
-// like the old proxy mutex), shards=N stripes the object space. Latencies
-// are zeroed so lock contention — not injected delay — bounds throughput.
-// Every call builds a fresh proxy and cache; repetition is bestOf's job.
+// benchNode builds one edge node as cmd/darwin-proxy deploys it — a
+// static-expert decider over a sharded engine with batched publication (the
+// bench measures the deployed fast path, not the publish-every-request debug
+// setting), behind the one proxy constructor with DefaultResilience and the
+// given overload stages. Every arm below builds through it, so every arm
+// times the pipeline that ships.
+func benchNode(originURL string, shards int, ov server.Overload) (*server.Proxy, error) {
+	dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20},
+		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20}, shards)
+	if err != nil {
+		return nil, err
+	}
+	dec.Engine().(*cache.Sharded).SetPublishEvery(32)
+	return server.NewOverloadProxy(dec, originURL, 0, server.DefaultResilience(), ov), nil
+}
+
+// benchProxyOnce measures end-to-end throughput of the deployed proxy for a
+// static-expert decider over a cache engine with the given shard count:
+// shards=1 is the single-lock data plane, shards=N stripes the object space.
+// Latencies are zeroed so lock contention — not injected delay — bounds
+// throughput. Every call builds a fresh proxy and cache; repetition is
+// bestOf's job.
 func benchProxyOnce(shards, concurrency int) (ProxyBench, error) {
 	tr, err := exp.SyntheticMix(50, 30_000, 11)
 	if err != nil {
 		return ProxyBench{}, err
 	}
-	dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20}, shards)
-	if err != nil {
-		return ProxyBench{}, err
-	}
-	// Batched publication, as cmd/darwin-proxy configures it: the bench
-	// measures the deployed fast path, not the publish-every-request debug
-	// setting.
-	if sh, ok := dec.Engine().(*cache.Sharded); ok {
-		sh.SetPublishEvery(32)
-	}
 	origin := &server.Origin{}
 	originSrv := httptest.NewServer(origin)
 	defer originSrv.Close()
-	proxy := server.NewProxy(dec, originSrv.URL, 0)
+	proxy, err := benchNode(originSrv.URL, shards, server.DefaultOverload())
+	if err != nil {
+		return ProxyBench{}, err
+	}
 	proxySrv := httptest.NewServer(proxy)
 	defer proxySrv.Close()
 	res, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
@@ -764,38 +772,32 @@ func benchProxyMatrixArms() []func() (ProxyBench, error) {
 	return arms
 }
 
-// benchOverloadProxy measures the overload-protection layer's happy-path tax:
+// benchOverloadProxy measures the overload-protection stages' happy-path tax:
 // the same deadline-carrying closed-loop load against a healthy origin, with
-// the full stack (breaker accounting, admission, deadline propagation,
-// hedging arming) either off (retry-only, the PR 1 data plane) or on. With a
-// healthy origin the two should be within noise of each other — protection
-// must be ~free until faults make it earn its keep. Repetition is bestOf's
-// job, so the tax comparison is best-vs-best instead of one noise sample
-// against another.
+// the overload stages (breaker accounting, admission, deadline propagation,
+// hedging arming) either absent (retry-only) or present. With a healthy
+// origin the two should be within noise of each other — protection must be
+// ~free until faults make it earn its keep. Repetition is bestOf's job, so
+// the tax comparison is best-vs-best instead of one noise sample against
+// another.
 func benchOverloadProxyOnce(shards, concurrency int, protected bool) (ProxyBench, error) {
 	tr, err := exp.SyntheticMix(50, 30_000, 11)
 	if err != nil {
 		return ProxyBench{}, err
 	}
-	dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20}, shards)
-	if err != nil {
-		return ProxyBench{}, err
-	}
-	if sh, ok := dec.Engine().(*cache.Sharded); ok {
-		sh.SetPublishEvery(32)
-	}
 	origin := &server.Origin{}
 	originSrv := httptest.NewServer(origin)
 	defer originSrv.Close()
-	res := server.DefaultResilience()
 	ov := server.Overload{}
 	name := "proxy-overload/retry-only"
 	if protected {
 		ov = server.DefaultOverload()
 		name = "proxy-overload/protected"
 	}
-	proxy := server.NewOverloadProxy(dec, originSrv.URL, 0, res, ov)
+	proxy, err := benchNode(originSrv.URL, shards, ov)
+	if err != nil {
+		return ProxyBench{}, err
+	}
 	proxySrv := httptest.NewServer(proxy)
 	defer proxySrv.Close()
 	lr, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
@@ -826,8 +828,7 @@ func benchOverloadProxyOnce(shards, concurrency int, protected bool) (ProxyBench
 // the degenerate cluster — one backend, no peers — so the delta to nodes=3
 // prices the cluster machinery (ring routing, one relay hop, sibling probes)
 // against its payoff (aggregate cache capacity, peer fills replacing origin
-// hops). Each node runs the deployed data plane: sharded engine, batched
-// publication, the resilient origin path.
+// hops). Each node runs the deployed pipeline (benchNode).
 func benchClusterOnce(nodes, shards, concurrency int) (ProxyBench, error) {
 	tr, err := exp.SyntheticMix(50, 30_000, 11)
 	if err != nil {
@@ -840,15 +841,10 @@ func benchClusterOnce(nodes, shards, concurrency int) (ProxyBench, error) {
 	proxies := make([]*server.Proxy, nodes)
 	urls := make([]string, nodes)
 	for i := 0; i < nodes; i++ {
-		dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-			cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20}, shards)
+		proxies[i], err = benchNode(originSrv.URL, shards, server.DefaultOverload())
 		if err != nil {
 			return ProxyBench{}, err
 		}
-		if sh, ok := dec.Engine().(*cache.Sharded); ok {
-			sh.SetPublishEvery(32)
-		}
-		proxies[i] = server.NewResilientProxy(dec, originSrv.URL, 0, server.DefaultResilience())
 		srv := httptest.NewServer(proxies[i])
 		defer srv.Close()
 		urls[i] = srv.URL

@@ -86,7 +86,43 @@ func main() {
 	if *shards <= 0 {
 		*shards = cache.AutoShards()
 	}
-
+	// Outside input is checked once, here, before a model is trained or a
+	// listener opened (-self/-peers by SetPeers below, also before listening).
+	res := server.Resilience{
+		MaxAttempts:  *retries,
+		FetchTimeout: *fetchTimeout,
+		BackoffBase:  *backoff,
+		BackoffMax:   *backoffMax,
+		Coalesce:     *coalesce,
+		ServeStale:   *serveStale,
+		Seed:         1,
+	}
+	ov := server.Overload{
+		Enabled: true,
+		Breaker: breaker.Config{
+			Window:           *brkWindow,
+			FailureThreshold: *brkThreshold,
+			MinRequests:      *brkMinRequests,
+			OpenFor:          *brkOpenFor,
+			HalfOpenProbes:   *brkProbes,
+		},
+		MaxInFlight:       *maxInflight,
+		PropagateDeadline: *propagateDL,
+		MinFetchBudget:    *minFetchBudget,
+		Hedge:             *hedge,
+		RetryBudget:       *retryBudget,
+	}
+	if err := errors.Join(res.Validate(), ov.Validate()); err != nil {
+		fatal(err)
+	}
+	// Switching a layer off passes its zero config: the same pipeline with
+	// those stages absent.
+	if !*resilient {
+		res = server.Resilience{}
+	}
+	if !*overload {
+		ov = server.Overload{}
+	}
 	var (
 		dec server.Decider
 		err error
@@ -170,31 +206,6 @@ func main() {
 	// through SyncMetrics, so learning and reporting still see exact counts.
 	shEng.SetPublishEvery(*pubEvery)
 
-	res := server.Resilience{
-		Enabled:      *resilient,
-		MaxAttempts:  *retries,
-		FetchTimeout: *fetchTimeout,
-		BackoffBase:  *backoff,
-		BackoffMax:   *backoffMax,
-		Coalesce:     *coalesce,
-		ServeStale:   *serveStale,
-		Seed:         1,
-	}
-	ov := server.Overload{
-		Enabled: *overload,
-		Breaker: breaker.Config{
-			Window:           *brkWindow,
-			FailureThreshold: *brkThreshold,
-			MinRequests:      *brkMinRequests,
-			OpenFor:          *brkOpenFor,
-			HalfOpenProbes:   *brkProbes,
-		},
-		MaxInFlight:       *maxInflight,
-		PropagateDeadline: *propagateDL,
-		MinFetchBudget:    *minFetchBudget,
-		Hedge:             *hedge,
-		RetryBudget:       *retryBudget,
-	}
 	proxy := server.NewOverloadProxy(dec, *origin, *dcLatency, res, ov)
 	clustered := *peers != ""
 	if clustered {

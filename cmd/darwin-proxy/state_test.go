@@ -117,7 +117,7 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 
 		// Inheritor: a fresh proxy serving the real /state endpoint.
 		inhCtrl, inhEng := newHandoffController(t, model)
-		proxy := server.NewProxy(inhCtrl, "http://127.0.0.1:9", 0)
+		proxy := server.NewOverloadProxy(inhCtrl, "http://127.0.0.1:9", 0, server.Resilience{}, server.Overload{})
 		proxy.EnableStateHandoff(server.StateHandoff{
 			Provide: handoffProvider(inhEng, inhCtrl, model),
 			Accept:  handoffAcceptor(inhEng, inhCtrl),

@@ -247,11 +247,11 @@ var ImageDownloadMix = tracegen.ImageDownloadMix
 // (consistent hashing with bounded loads and periodic re-evaluation).
 type LoadBalancerConfig = lb.Config
 
-// LoadBalancer routes requests to server indices.
-type LoadBalancer = lb.Balancer
+// LoadBalancer routes object ids to server indices (Route(id)).
+type LoadBalancer = lb.Ring
 
 // NewLoadBalancer builds a cluster balancer.
-var NewLoadBalancer = lb.New
+var NewLoadBalancer = lb.NewRing
 
 // SplitTrace routes a global trace through a load balancer and returns each
 // server's sub-trace — the mechanism that imposes per-server traffic-mix
@@ -264,8 +264,17 @@ type Origin = server.Origin
 // Proxy is the prototype's CDN caching proxy.
 type Proxy = server.Proxy
 
-// NewProxy builds a proxy around a cache decider.
-var NewProxy = server.NewProxy
+// NewProxy builds a proxy around a concurrency-safe cache decider (one over
+// NewShardedCache); its last two arguments gate the request pipeline's
+// fault-tolerance and overload-protection stages.
+var NewProxy = server.NewOverloadProxy
+
+// DefaultResilience and DefaultOverload return the stage settings
+// cmd/darwin-proxy deploys, for NewProxy.
+var (
+	DefaultResilience = server.DefaultResilience
+	DefaultOverload   = server.DefaultOverload
+)
 
 // LoadConfig configures the prototype load generator.
 type LoadConfig = server.LoadConfig

@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	proxy := darwin.NewProxy(ctrl, originSrv.URL, time.Millisecond)
+	proxy := darwin.NewProxy(ctrl, originSrv.URL, time.Millisecond, darwin.DefaultResilience(), darwin.DefaultOverload())
 	proxySrv := httptest.NewServer(proxy)
 	defer proxySrv.Close()
 	fmt.Printf("origin %s (5ms), proxy %s (1ms disk, %d shards)\n", originSrv.URL, proxySrv.URL, eng.Shards())

@@ -63,10 +63,9 @@ func newHierarchy(cfg cache.EvalConfig, e cache.Expert) (*cache.Hierarchy, error
 
 // Static is the fixed-expert baseline. It runs over any cache.Engine: the
 // serial Hierarchy for trace replay (NewStatic) or a Sharded engine for the
-// concurrent proxy data plane (NewStaticSharded). The other baselines keep
-// their serial single-hierarchy form — behind the proxy they are wrapped in
-// its global serializing adapter, which is the paper's original
-// one-lock-per-HOC arrangement.
+// concurrent proxy data plane (NewStaticSharded; one shard is the paper's
+// original one-lock-per-HOC arrangement). The other baselines keep their
+// serial single-hierarchy form and run in the simulator only.
 type Static struct {
 	eng  cache.Engine
 	name string
@@ -106,20 +105,15 @@ func (s *Static) Name() string { return s.name }
 // Serve implements Server.
 func (s *Static) Serve(r trace.Request) cache.Result { return s.eng.Serve(r) }
 
-// Lookup probes residency without mutating cache state (server.Lookuper).
+// Lookup probes residency without mutating cache state (server.Decider).
 func (s *Static) Lookup(id uint64) cache.Result { return s.eng.Lookup(id) }
 
-// SyncMetrics forces publication of any batched shard counters so a
-// following Metrics read is exact, not trailing by up to a publication batch.
-// No-op for engines without deferred publication.
-func (s *Static) SyncMetrics() {
-	if e, ok := s.eng.(interface{ SyncMetrics() }); ok {
-		e.SyncMetrics()
-	}
+// Metrics implements Server. Batched shard counters are published first, so
+// the read is exact rather than trailing by up to a publication batch.
+func (s *Static) Metrics() cache.Metrics {
+	s.eng.SyncMetrics()
+	return s.eng.Metrics()
 }
-
-// Metrics implements Server.
-func (s *Static) Metrics() cache.Metrics { return s.eng.Metrics() }
 
 // ResetMetrics implements Server.
 func (s *Static) ResetMetrics() { s.eng.ResetMetrics() }
@@ -131,7 +125,4 @@ func (s *Static) Engine() cache.Engine { return s.eng }
 // Concurrent reports whether this server may be driven from multiple
 // goroutines at once — true exactly when the underlying engine is
 // concurrency-safe (built by NewStaticSharded).
-func (s *Static) Concurrent() bool {
-	ce, ok := s.eng.(cache.ConcurrentEngine)
-	return ok && ce.Concurrent()
-}
+func (s *Static) Concurrent() bool { return s.eng.Concurrent() }

@@ -97,7 +97,10 @@ type Config struct {
 	Clock func() time.Time
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every unset (<= 0, nil) field replaced by its
+// documented default. New applies it; callers that derive other settings
+// from the breaker's (e.g. a retry budget from HalfOpenProbes) apply it first.
+func (c Config) WithDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = time.Second
 	}
@@ -189,7 +192,7 @@ type Breaker struct {
 
 // New builds a breaker in the Closed state.
 func New(cfg Config) *Breaker {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	b := &Breaker{
 		cfg:     cfg,
 		width:   cfg.Window / time.Duration(cfg.Buckets),

@@ -7,6 +7,8 @@ import "darwin/internal/trace"
 // pluggable expert admission. The serial Hierarchy implements it for
 // single-goroutine replay; Sharded implements it for the concurrent proxy
 // data plane by partitioning the object space across lock-striped shards.
+// The interface is total — every engine answers Concurrent and SyncMetrics —
+// so no caller discovers a capability by type assertion.
 type Engine interface {
 	// Serve processes one request and returns where it was served from.
 	Serve(r trace.Request) Result
@@ -15,6 +17,10 @@ type Engine interface {
 	Lookup(id uint64) Result
 	// Metrics returns a snapshot of the accumulated counters.
 	Metrics() Metrics
+	// SyncMetrics publishes any counters whose publication is batched, so the
+	// next Metrics read is exact (a no-op for engines that publish per
+	// request).
+	SyncMetrics()
 	// ResetMetrics zeroes the counters without disturbing cache contents.
 	ResetMetrics()
 	// SetExpert swaps the HOC admission expert (broadcast to every shard in
@@ -22,22 +28,19 @@ type Engine interface {
 	SetExpert(e Expert)
 	// Expert returns the currently deployed admission expert.
 	Expert() Expert
-}
-
-// A ConcurrentEngine is an Engine that is additionally safe for concurrent
-// callers without external locking. Sharded implements it (per-shard
-// mutexes); the bare Hierarchy deliberately does not — callers that share a
-// Hierarchy across goroutines must serialize it themselves, which is exactly
-// the legacy global-lock data plane the sharded seam replaces.
-type ConcurrentEngine interface {
-	Engine
-	// Concurrent is the marker: it reports whether the engine may be driven
-	// from multiple goroutines at once.
+	// Concurrent reports whether the engine may be driven from multiple
+	// goroutines at once without external locking: true for Sharded
+	// (per-shard mutexes), false for the bare Hierarchy. The HTTP proxy
+	// refuses a decider whose engine answers false.
 	Concurrent() bool
 }
 
+// ConcurrentEngine is the name benchmark/spans.go still compiles against;
+// remove it once that file names Engine.
+type ConcurrentEngine = Engine
+
 // Compile-time seam checks.
 var (
-	_ Engine           = (*Hierarchy)(nil)
-	_ ConcurrentEngine = (*Sharded)(nil)
+	_ Engine = (*Hierarchy)(nil)
+	_ Engine = (*Sharded)(nil)
 )

@@ -313,6 +313,13 @@ func (h *Hierarchy) Play(tr *trace.Trace) {
 // Metrics returns a snapshot of the accumulated counters.
 func (h *Hierarchy) Metrics() Metrics { return h.m }
 
+// SyncMetrics implements Engine: the serial hierarchy publishes every
+// request, so there is nothing to flush.
+func (h *Hierarchy) SyncMetrics() {}
+
+// Concurrent implements Engine: a Hierarchy is single-goroutine only.
+func (h *Hierarchy) Concurrent() bool { return false }
+
 // ResetMetrics zeroes the counters without disturbing cache contents — used
 // to exclude warm-up requests from reported results, as the paper does with
 // the first 1M requests of every trace.

@@ -169,7 +169,8 @@ func (s *Sharded) SyncMetrics() {
 	}
 }
 
-// Concurrent marks Sharded safe for concurrent callers (ConcurrentEngine).
+// Concurrent implements Engine: per-shard mutexes make Sharded safe for
+// concurrent callers.
 func (s *Sharded) Concurrent() bool { return true }
 
 // route maps an object id to its owning shard index. It is on the request

@@ -220,22 +220,17 @@ func (c *Controller) Engine() cache.Engine { return c.eng }
 // Concurrent reports whether the controller may be driven from multiple
 // goroutines at once: true when the underlying engine is concurrency-safe
 // (the state machine itself always serializes under the controller mutex).
-func (c *Controller) Concurrent() bool {
-	ce, ok := c.eng.(cache.ConcurrentEngine)
-	return ok && ce.Concurrent()
-}
+func (c *Controller) Concurrent() bool { return c.eng.Concurrent() }
 
 // Name implements the baselines.Server naming convention.
 func (c *Controller) Name() string { return "darwin" }
 
 // syncedMetrics returns the engine's metrics, first forcing publication of
-// any batched counters (engines with deferred seqlock publication, e.g. a
-// Sharded with publishEvery > 1, expose SyncMetrics). Round boundaries and
-// external reads need exact counts, not counts trailing by up to a batch.
+// any batched counters (a Sharded with publishEvery > 1 defers its seqlock
+// publication). Round boundaries and external reads need exact counts, not
+// counts trailing by up to a batch.
 func (c *Controller) syncedMetrics() cache.Metrics {
-	if s, ok := c.eng.(interface{ SyncMetrics() }); ok {
-		s.SyncMetrics()
-	}
+	c.eng.SyncMetrics()
 	return c.eng.Metrics()
 }
 
@@ -246,7 +241,7 @@ func (c *Controller) Metrics() cache.Metrics { return c.syncedMetrics() }
 func (c *Controller) ResetMetrics() { c.eng.ResetMetrics() }
 
 // Lookup probes residency without mutating cache or controller state
-// (server.Lookuper): the controller's state machine advances only on
+// (server.Decider): the controller's state machine advances only on
 // committed Serve calls, so failed origin fetches never consume warm-up or
 // round budget.
 func (c *Controller) Lookup(id uint64) cache.Result { return c.eng.Lookup(id) }

@@ -24,7 +24,7 @@ type ChaosConfig struct {
 	// Faults is the origin fault schedule (rates + outage windows).
 	Faults faults.Config
 	// Resilience is the hardened proxy's configuration; the control row
-	// always runs with the zero (legacy) Resilience.
+	// always runs with the zero Resilience (the same pipeline, stages absent).
 	Resilience server.Resilience
 	// Expert and Eval fix the static decider driving both rows, so the two
 	// arms differ only in the data plane.
@@ -72,7 +72,7 @@ func chaosRun(cc ChaosConfig, res server.Resilience, tr *trace.Trace) (server.Lo
 	injector := faults.New(cc.Faults)
 	originSrv := httptest.NewServer(injector.Wrap(origin))
 	defer originSrv.Close()
-	proxy := server.NewResilientProxy(dec, originSrv.URL, cc.Prototype.DCLatency, res)
+	proxy := server.NewOverloadProxy(dec, originSrv.URL, cc.Prototype.DCLatency, res, server.Overload{})
 	proxySrv := httptest.NewServer(proxy)
 	defer proxySrv.Close()
 
@@ -92,10 +92,10 @@ func chaosRun(cc ChaosConfig, res server.Resilience, tr *trace.Trace) (server.Lo
 }
 
 // ChaosReport runs the chaos experiment twice under an identical fault
-// schedule — once with the legacy happy-path proxy (the pre-hardening
-// control) and once with the resilience layer — and tabulates client-visible
-// error rate, error classes, degraded serves, OHR, and p99 first-byte
-// latency. The hardened row should keep the client error rate well under the
+// schedule — once through the bare pipeline (every resilience stage absent:
+// the control) and once with the resilience stages — and tabulates
+// client-visible error rate, error classes, degraded serves, OHR, and p99
+// first-byte latency. The hardened row should keep the client error rate well under the
 // injected fault rate: retries absorb transient errors, coalescing shrinks
 // the origin's blast radius, and serve-stale covers outage windows.
 func ChaosReport(cc ChaosConfig) (*Report, error) {

@@ -16,9 +16,9 @@ import (
 
 // OverloadConfig sizes the overload chaos experiment: a flash-crowd arrival
 // schedule replayed against a browned-out origin (stalls + errors + one hard
-// outage), comparing the PR 1 retry-only data plane with the full overload-
-// protection stack (circuit breaker, admission control, deadline propagation,
-// hedging, retry budget). The regime the paper's §6.4 testbed never enters —
+// outage), comparing the retry-only pipeline (server.Overload{}: the overload
+// stages absent) with the full overload-protection stack (circuit breaker,
+// admission control, deadline propagation, hedging, retry budget). The regime the paper's §6.4 testbed never enters —
 // and the one where retries alone make things worse, not better.
 type OverloadConfig struct {
 	// Prototype carries the testbed latencies and client concurrency.
@@ -115,8 +115,8 @@ func overloadRun(oc OverloadConfig, ov server.Overload, tr *trace.Trace) (server
 }
 
 // OverloadReport runs the flash-crowd brownout twice under an identical
-// fault and arrival schedule — once with the PR 1 retry-only proxy and once
-// with the overload-protection stack — and tabulates goodput, tail latency,
+// fault and arrival schedule — once through the retry-only pipeline and once
+// with the overload-protection stages — and tabulates goodput, tail latency,
 // and the error budget. The protected arm should win on both headline
 // numbers: deadline-bounded attempts and hedging turn origin stalls into
 // fast answers instead of slow ones, and the breaker converts the outage

@@ -69,11 +69,13 @@ func PrototypeScale(sc Scale) Scale {
 }
 
 // startProxy spins up an origin+proxy pair around the given decider and
-// returns the proxy URL and a shutdown func.
+// returns the proxy URL and a shutdown func. The paper's testbed never faults
+// its origin, so the proxy is the bare pipeline: every resilience and
+// overload stage absent.
 func startProxy(dec server.Decider, pc PrototypeConfig) (string, func()) {
 	origin := &server.Origin{Latency: pc.OriginLatency}
 	originSrv := httptest.NewServer(origin)
-	proxy := server.NewProxy(dec, originSrv.URL, pc.DCLatency)
+	proxy := server.NewOverloadProxy(dec, originSrv.URL, pc.DCLatency, server.Resilience{}, server.Overload{})
 	proxySrv := httptest.NewServer(proxy)
 	return proxySrv.URL, func() {
 		proxySrv.Close()

@@ -70,12 +70,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Balancer routes requests to server indices: a thin adapter that drives a
-// Ring with the lazy full-window cadence (every RebalanceEvery requests).
-type Balancer struct {
-	ring *Ring
-}
-
 type ringEntry struct {
 	hash   uint64
 	server int
@@ -83,24 +77,6 @@ type ringEntry struct {
 
 func sortRingEntries(ring []ringEntry) {
 	sort.Slice(ring, func(i, j int) bool { return ring[i].hash < ring[j].hash })
-}
-
-// New builds a balancer.
-func New(cfg Config) (*Balancer, error) {
-	r, err := NewRing(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Balancer{ring: r}, nil
-}
-
-// Window returns the current rebalance window index.
-func (b *Balancer) Window() int { return b.ring.Window() }
-
-// Route returns the server index for one request and advances the balancer's
-// load accounting.
-func (b *Balancer) Route(r trace.Request) int {
-	return b.ring.Route(r.ID)
 }
 
 // Split routes an entire trace through a ring and returns each server's

@@ -5,37 +5,36 @@ import (
 	"time"
 
 	"darwin/internal/breaker"
-	"darwin/internal/trace"
 	"darwin/internal/tracegen"
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Servers: 0}); err == nil {
+	if _, err := NewRing(Config{Servers: 0}); err == nil {
 		t.Error("zero servers accepted")
 	}
-	if _, err := New(Config{Servers: 2, Weights: []float64{1}}); err == nil {
+	if _, err := NewRing(Config{Servers: 2, Weights: []float64{1}}); err == nil {
 		t.Error("weight/server mismatch accepted")
 	}
 }
 
 func TestRouteDeterministicByObject(t *testing.T) {
-	b, err := New(Config{Servers: 4, RebalanceEvery: 1 << 30})
+	b, err := NewRing(Config{Servers: 4, RebalanceEvery: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Within one window (no spilling pressure), the same object routes to
 	// the same server: content-affinity is the point of CDN load balancing.
-	first := b.Route(trace.Request{ID: 42, Size: 1})
+	first := b.Route(42)
 	for i := 0; i < 50; i++ {
-		b.Route(trace.Request{ID: uint64(1000 + i), Size: 1})
+		b.Route(uint64(1000 + i))
 	}
-	if got := b.Route(trace.Request{ID: 42, Size: 1}); got != first {
+	if got := b.Route(42); got != first {
 		t.Fatalf("object 42 moved from server %d to %d without load pressure", first, got)
 	}
 }
 
 func TestRouteBalancesLoad(t *testing.T) {
-	b, err := New(Config{Servers: 4, LoadFactor: 0.25, RebalanceEvery: 8000})
+	b, err := NewRing(Config{Servers: 4, LoadFactor: 0.25, RebalanceEvery: 8000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +44,7 @@ func TestRouteBalancesLoad(t *testing.T) {
 	}
 	counts := make([]int, 4)
 	for _, r := range tr.Requests {
-		counts[b.Route(r)]++
+		counts[b.Route(r.ID)]++
 	}
 	// Bounded loads: no server may exceed (1+ε)·N/servers (plus the final
 	// overflow fallback, which should be rare).
@@ -76,13 +75,13 @@ func TestWeightsShiftTraffic(t *testing.T) {
 			return []float64{0.1, 1, 1}
 		},
 	}
-	b, err := New(cfg)
+	b, err := NewRing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var w0, w1 int // server 0's load in window 0 and 1
 	for i, r := range tr.Requests {
-		s := b.Route(r)
+		s := b.Route(r.ID)
 		if s == 0 {
 			if i < 10000 {
 				w0++
@@ -193,7 +192,7 @@ func TestReadinessShedsRingWeight(t *testing.T) {
 			return 1
 		},
 	}
-	b, err := New(cfg)
+	b, err := NewRing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +213,7 @@ func TestReadinessShedsRingWeight(t *testing.T) {
 				t.Fatalf("breaker did not trip: state %v", brk.State())
 			}
 		}
-		if b.Route(r) == 1 {
+		if b.Route(r.ID) == 1 {
 			if i < 5000 {
 				w0++
 			} else {

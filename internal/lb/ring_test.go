@@ -133,7 +133,7 @@ func (b *legacyBalancer) route(id uint64) int {
 	return target
 }
 
-// TestRouteBitIdenticalToLegacy drives the refactored Balancer and the
+// TestRouteBitIdenticalToLegacy drives the Ring and the
 // golden legacy implementation over the same skewed stream — weight
 // schedule, readiness scaling, multiple windows, and a partial final window
 // — and requires identical routing decisions at every step.
@@ -160,7 +160,7 @@ func TestRouteBitIdenticalToLegacy(t *testing.T) {
 			return 1
 		},
 	}
-	b, err := New(cfg)
+	b, err := NewRing(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestRouteBitIdenticalToLegacy(t *testing.T) {
 		if i%3 == 0 {
 			id = 7 // hot object to force bounded-loads spills
 		}
-		got := b.Route(trace.Request{ID: id})
+		got := b.Route(id)
 		want := legacy.route(id)
 		if got != want {
 			t.Fatalf("request %d (id %d): ring routed to %d, legacy to %d", i, id, got, want)

@@ -14,12 +14,19 @@ import (
 // and reports allocation hazards inside reachable bodies — fmt calls,
 // non-constant string concatenation, closures capturing outer variables, and
 // any use of container/list.
+//
+// Where a hot path stops being hot the walk stops too. The configured cold
+// functions (a root's miss and shed exits, round-boundary learning) are not
+// entered. And a failure is never the hot path: fmt.Errorf builds an error,
+// and a call of the built-in error interface's Error method reports one, so
+// the first is not a hazard and the second is not followed.
 func runHotPath(cfg *Config, prog *Program) []Diagnostic {
 	g := newCallGraph(prog)
 	roots := resolveRoots(prog, g, cfg.HotPathRoots)
 	if len(roots) == 0 {
 		return nil
 	}
+	cold := resolveRoots(prog, g, cfg.HotPathCold)
 
 	// BFS; via[f] names the root that first reached f, for diagnostics.
 	via := make(map[*types.Func]string)
@@ -35,6 +42,9 @@ func runHotPath(cfg *Config, prog *Program) []Diagnostic {
 		queue = queue[1:]
 		for _, callee := range g.edges[f] {
 			if _, ok := via[callee]; ok {
+				continue
+			}
+			if _, ok := cold[callee]; ok {
 				continue
 			}
 			via[callee] = via[f]
@@ -69,7 +79,7 @@ func hotPathViolations(prog *Program, pkg *Package, fd *ast.FuncDecl, f *types.F
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch node := n.(type) {
 		case *ast.CallExpr:
-			if path, name, ok := pkgFuncCall(pkg, node); ok && path == "fmt" {
+			if path, name, ok := pkgFuncCall(pkg, node); ok && path == "fmt" && name != "Errorf" {
 				report(node.Pos(), "fmt.%s allocates", name)
 			}
 		case *ast.Ident:
@@ -188,6 +198,9 @@ func (g *callGraph) callees(pkg *Package, call *ast.CallExpr) []*types.Func {
 				return nil // func-typed field: dynamically dispatched
 			}
 			if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				if f.Pkg() == nil {
+					return nil // error.Error: reporting a failure, not followed
+				}
 				return g.implementations(recv.Type(), f.Name())
 			}
 			return []*types.Func{f}

@@ -73,6 +73,10 @@ type Config struct {
 	// written "pkgpath.Func" or "pkgpath.Type.Method"
 	// (e.g. "darwin/internal/cache.Hierarchy.Serve").
 	HotPathRoots []string
+	// HotPathCold are functions, written like roots, that the hot-path walk
+	// does not enter: the exits a root takes once the request has stopped
+	// being a fast-path one (a miss, a shed), and round-boundary learning.
+	HotPathCold []string
 	// ErrcheckPkgs are packages where discarding an error return is an error.
 	ErrcheckPkgs []string
 	// CtxFirstPkgs are packages whose exported blocking functions must take a
@@ -122,11 +126,22 @@ func DefaultConfig() Config {
 			"darwin/internal/cache.Hierarchy.Serve",
 			"darwin/internal/cache.Sharded.Serve",
 			"darwin/internal/cache.Eviction.Hit",
-			"darwin/internal/server.Proxy.serveLocal",
+			// The proxy pipeline's hit path: ServeHTTP up to and including the
+			// Lookup-hit commit (its miss and shed exits are HotPathCold).
+			"darwin/internal/server.Proxy.ServeHTTP",
 			"darwin/internal/server.Proxy.fetchPeer",
 			"darwin/internal/server.writeBody",
 			"darwin/internal/lb.Ring.RouteReplicated",
 			"darwin/internal/server.Front.pick",
+		},
+		HotPathCold: []string{
+			"darwin/internal/server.Proxy.serveMiss",
+			"darwin/internal/server.Proxy.shed",
+			// §6.4: learning runs at warm-up end and round boundaries, off the
+			// request fast path.
+			"darwin/internal/core.Controller.finishWarmupLocked",
+			"darwin/internal/core.Controller.finishRoundLocked",
+			"darwin/internal/core.Controller.finishEpochLocked",
 		},
 		ErrcheckPkgs: []string{
 			"darwin/internal/breaker",
@@ -184,7 +199,10 @@ func FixtureConfig(name string) Config {
 	case "determinism", "suppress":
 		return Config{DeterminismPkgs: []string{path}}
 	case "hotpath":
-		return Config{HotPathRoots: []string{path + ".H.Serve", path + ".Ev.Hit"}}
+		return Config{
+			HotPathRoots: []string{path + ".H.Serve", path + ".Ev.Hit"},
+			HotPathCold:  []string{path + ".slowExit"},
+		}
 	case "sharding":
 		// The sharded-engine fixture: per-shard guarded-by locking plus the
 		// shard-routing Serve path under the hot-path allocation rule.

@@ -1,6 +1,7 @@
 // Package hotpath is a darwinlint golden fixture for the hot-path allocation
 // rule: the configured roots are H.Serve and the Ev.Hit interface method, so
-// every function below except cold() is on the hot path.
+// every function below is on the hot path except cold() (unreachable) and
+// slowExit() (reachable, but configured cold).
 package hotpath
 
 import (
@@ -36,6 +37,12 @@ func (h *H) Serve(id uint64) string {
 	if h.ev.Hit(id) {
 		return describe(id)
 	}
+	if err := check(id); err != nil {
+		return err.Error() // reporting a failure: Error is not followed
+	}
+	if id == 0 {
+		return slowExit(id)
+	}
 	get := func() int { return h.n } /* want "closure captures h" */
 	_ = get()
 	return "miss:" + suffix(id) /* want "string concatenation allocates" */
@@ -49,6 +56,24 @@ func suffix(id uint64) string {
 	s := "x"
 	s += "y" /* want "string concatenation allocates" */
 	return s
+}
+
+// check builds an error: leaving the hot path, not a hazard on it.
+func check(id uint64) error {
+	if id > 1<<40 {
+		return fmt.Errorf("id %d out of range", id)
+	}
+	return nil
+}
+
+// badID would be flagged if error.Error calls fanned out to it.
+type badID uint64
+
+func (b badID) Error() string { return fmt.Sprintf("bad id %d", uint64(b)) }
+
+// slowExit is configured cold: the walk does not enter it.
+func slowExit(id uint64) string {
+	return fmt.Sprintf("slow-%d", id)
 }
 
 // cold is not reachable from any root; its allocations are fine.

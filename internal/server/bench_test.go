@@ -2,36 +2,8 @@ package server
 
 import (
 	"net/http/httptest"
-	"sync"
 	"testing"
-
-	"darwin/internal/baselines"
-	"darwin/internal/cache"
 )
-
-// mutexCounter is the pre-hardening Origin accounting (mutex-guarded ints),
-// kept here so the benchmark pair below documents the contention win of the
-// atomic counters now used by Origin.
-type mutexCounter struct {
-	mu              sync.Mutex
-	requests, bytes int64
-}
-
-func (m *mutexCounter) account(size int64) {
-	m.mu.Lock()
-	m.requests++
-	m.bytes += size
-	m.mu.Unlock()
-}
-
-func BenchmarkOriginAccountMutex(b *testing.B) {
-	var c mutexCounter
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			c.account(1000)
-		}
-	})
-}
 
 func BenchmarkOriginAccountAtomic(b *testing.B) {
 	var o Origin
@@ -46,12 +18,8 @@ func BenchmarkOriginAccountAtomic(b *testing.B) {
 // parallel load: the decider call is the only serialized section; header and
 // body writes run outside the lock.
 func BenchmarkProxyHOCHit(b *testing.B) {
-	dec, err := baselines.NewStatic(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	proxy := NewResilientProxy(dec, "http://unused", 0, DefaultResilience())
+	dec := staticDecider(b, 1)
+	proxy := NewOverloadProxy(dec, "http://unused", 0, DefaultResilience(), DefaultOverload())
 	origin := httptest.NewServer(&Origin{})
 	defer origin.Close()
 	proxy.OriginURL = origin.URL

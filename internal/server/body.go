@@ -14,12 +14,12 @@ import (
 // This file is the serving fast path's allocation discipline: the static
 // body chunk every response is written from (zero copies into per-request
 // buffers), a sync.Pool of owned buffers for the few paths that genuinely
-// need their own bytes (origin stream relay, loadgen client reads), pooled
+// need their own bytes (the front tier's relay, loadgen client reads), pooled
 // origin-URL builders, and pre-serialized hot response headers (X-Cache
 // values and Content-Length strings for recently served sizes). Together
 // they make the hit-serving path — request parse → decider → body written —
 // 0 allocs/op above net/http's own internals; the darwinlint hotpath
-// analyzer roots Proxy.serveLocal and writeBody here to keep it that way.
+// analyzer roots Proxy.ServeHTTP and writeBody to keep it that way.
 
 // pattern is the repeated content block served for every object: one static
 // read-only 64 KiB slice shared by every response. writeBody slices it,
@@ -53,8 +53,8 @@ func writeBody(w io.Writer, size int64) error {
 const copyBufSize = 64 << 10
 
 // copyBufPool hands out 64 KiB buffers for paths that must own their bytes:
-// the origin stream relay (io.CopyBuffer when the ResponseWriter has no
-// ReadFrom fast path) and the load generator's per-worker body reads. The
+// the front tier's backend relay (io.CopyBuffer when the ResponseWriter has
+// no ReadFrom fast path) and the load generator's per-worker body reads. The
 // pool is process-wide so an idle proxy holds no per-connection buffers.
 var copyBufPool = sync.Pool{
 	New: func() any {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"darwin/internal/baselines"
 	"darwin/internal/cache"
 )
 
@@ -31,21 +30,13 @@ func (w *nullRW) WriteHeader(int) {}
 // hitProxy builds a proxy over a sharded static decider with batched counter
 // publication (the deployed configuration), warms object 1 into the HOC
 // (miss → dc-hit → hoc-hit takes three serves), and returns it.
-func hitProxy(t testing.TB, resilient bool) *Proxy {
+func hitProxy(t testing.TB, res Resilience, ov Overload) *Proxy {
 	t.Helper()
-	dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := staticDecider(t, 4)
 	dec.Engine().(*cache.Sharded).SetPublishEvery(32)
 	origin := httptest.NewServer(&Origin{})
 	t.Cleanup(origin.Close)
-	res := Resilience{}
-	if resilient {
-		res = DefaultResilience()
-	}
-	proxy := NewResilientProxy(dec, origin.URL, 0, res)
+	proxy := NewOverloadProxy(dec, origin.URL, 0, res, ov)
 	for i := 0; i < 3; i++ {
 		w := httptest.NewRecorder()
 		proxy.ServeHTTP(w, httptest.NewRequest("GET", "/obj/1?size=4096", nil))
@@ -56,21 +47,22 @@ func hitProxy(t testing.TB, resilient bool) *Proxy {
 	return proxy
 }
 
-// TestServeHitZeroAllocs is the committed form of the PR's headline claim:
-// the serve-hit path — URL parse, decider call (including batched counter
-// publication), pre-serialized headers, static-chunk body — performs zero
-// heap allocations per request above net/http, on both the legacy and the
-// resilient data planes.
+// TestServeHitZeroAllocs is the committed form of the fast path's headline
+// claim: the pipeline's hit path — URL parse, admission, Lookup, decider
+// commit (including batched counter publication), pre-serialized headers,
+// static-chunk body — performs zero heap allocations per request above
+// net/http, with every optional stage absent and with every one present.
 func TestServeHitZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		resilient bool
+		name string
+		res  Resilience
+		ov   Overload
 	}{
-		{"legacy", false},
-		{"resilient", true},
+		{"bare", Resilience{}, Overload{}},
+		{"deployed", DefaultResilience(), DefaultOverload()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			proxy := hitProxy(t, tc.resilient)
+			proxy := hitProxy(t, tc.res, tc.ov)
 			w := &nullRW{h: make(http.Header, 4)}
 			req := httptest.NewRequest("GET", "/obj/1?size=4096", nil)
 			allocs := testing.AllocsPerRun(1000, func() {
@@ -97,7 +89,7 @@ func TestServeHitZeroAllocs(t *testing.T) {
 // transport (direct handler call on a discarding ResponseWriter); ReportAllocs
 // keeps the 0 allocs/op claim visible in `make microbench` output.
 func BenchmarkProxyServeHitDirect(b *testing.B) {
-	proxy := hitProxy(b, true)
+	proxy := hitProxy(b, DefaultResilience(), DefaultOverload())
 	w := &nullRW{h: make(http.Header, 4)}
 	req := httptest.NewRequest("GET", "/obj/1?size=4096", nil)
 	b.ReportAllocs()

@@ -6,8 +6,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"darwin/internal/baselines"
-	"darwin/internal/cache"
 	"darwin/internal/lb"
 )
 
@@ -15,12 +13,8 @@ import (
 // proxy at /obj/ plus its health surface at /readyz.
 func frontBackend(t *testing.T, originURL string) (*Proxy, *Health, *httptest.Server) {
 	t.Helper()
-	dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := NewResilientProxy(dec, originURL, 0, fastResilience())
+	dec := staticDecider(t, 2)
+	proxy := NewOverloadProxy(dec, originURL, 0, fastResilience(), Overload{})
 	health := NewHealth()
 	mux := http.NewServeMux()
 	mux.Handle("/obj/", proxy)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"darwin/internal/breaker"
-	"darwin/internal/cache"
 	"darwin/internal/trace"
 )
 
@@ -24,14 +23,15 @@ const DeadlineHeader = "X-Darwin-Deadline-Ms"
 // serves issued on a shed path. The value names the shed reason.
 const ShedHeader = "X-Darwin-Shed"
 
-// Overload configures the proxy's overload-protection layer: circuit
+// Overload configures the pipeline's overload-protection stages: circuit
 // breaking on the origin path, bounded-in-flight admission control,
 // client-deadline propagation with doomed-work shedding, hedged fetches, and
-// a rolling-window retry budget. The zero value disables all of it,
-// reproducing the PR 1 retry-only data plane.
+// a rolling-window retry budget. Each field gates its own stage; the zero
+// value leaves none of them in the pipeline.
 type Overload struct {
-	// Enabled turns the overload layer on. Enabling it also enables the
-	// resilient miss path (retries/coalescing/serve-stale ride below it).
+	// Enabled puts the origin circuit breaker and the retry budget in the
+	// pipeline. It is the one presence bit: Breaker's zero value already
+	// means "breaker defaults", so it cannot also mean "no breaker".
 	Enabled bool
 	// Breaker parameterises the origin circuit breaker; the zero value
 	// selects breaker defaults (1s window, 50% threshold, 250ms cool-off,
@@ -42,7 +42,7 @@ type Overload struct {
 	// queueing. 0 means unlimited.
 	MaxInFlight int64
 	// PropagateDeadline honors the client's DeadlineHeader, deriving the
-	// request context deadline every fetch attempt inherits.
+	// context deadline every fetch attempt of a miss inherits.
 	PropagateDeadline bool
 	// MinFetchBudget is the remaining-deadline floor below which a miss is
 	// shed rather than fetched: a fetch that cannot possibly finish in time
@@ -80,50 +80,28 @@ func DefaultOverload() Overload {
 	}
 }
 
-// withDefaults fills the derived knobs that need the breaker config.
-func (ov Overload) withDefaults() Overload {
-	if !ov.Enabled {
-		return ov
+// Validate checks an Overload assembled from outside input and names the
+// first value no operator can have meant. Zero keeps each field's documented
+// meaning (stage absent, or the default).
+func (ov Overload) Validate() error {
+	b := ov.Breaker
+	switch {
+	case ov.MaxInFlight < 0:
+		return fmt.Errorf("server: negative MaxInFlight %d", ov.MaxInFlight)
+	case ov.MinFetchBudget < 0:
+		return fmt.Errorf("server: negative MinFetchBudget %v", ov.MinFetchBudget)
+	case ov.Hedge < 0:
+		return fmt.Errorf("server: negative Hedge %v", ov.Hedge)
+	case ov.RetryBudgetWindow < 0:
+		return fmt.Errorf("server: negative RetryBudgetWindow %v", ov.RetryBudgetWindow)
+	case ov.RetryAfter < 0:
+		return fmt.Errorf("server: negative RetryAfter %v", ov.RetryAfter)
+	case b.FailureThreshold < 0 || b.FailureThreshold > 1:
+		return fmt.Errorf("server: breaker FailureThreshold %v, want in (0,1] (0 = default)", b.FailureThreshold)
+	case b.Window < 0 || b.OpenFor < 0:
+		return fmt.Errorf("server: negative breaker Window %v or OpenFor %v", b.Window, b.OpenFor)
 	}
-	if ov.MinFetchBudget <= 0 {
-		ov.MinFetchBudget = 50 * time.Millisecond
-	}
-	if ov.RetryAfter <= 0 {
-		ov.RetryAfter = time.Second
-	}
-	return ov
-}
-
-// NewOverloadProxy builds a proxy with both the fault-tolerance layer and
-// the overload-protection layer. Enabling overload protection forces the
-// resilient data plane on (with MaxAttempts 1 if the caller left resilience
-// off), because shedding decisions hang off the probe-then-commit miss path.
-func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration, res Resilience, ov Overload) *Proxy {
-	ov = ov.withDefaults()
-	if ov.Enabled && !res.Enabled {
-		res.Enabled = true
-		res.MaxAttempts = 1
-	}
-	p := NewResilientProxy(decider, originURL, dcLatency, res)
-	p.ov = ov
-	if ov.Enabled {
-		p.brk = breaker.New(ov.Breaker)
-		if ov.RetryBudget >= 0 {
-			max := ov.RetryBudget
-			if max == 0 {
-				max = ov.Breaker.HalfOpenProbes
-				if max <= 0 {
-					max = 3 // the breaker default for HalfOpenProbes
-				}
-			}
-			window := ov.RetryBudgetWindow
-			if window <= 0 {
-				window = ov.Breaker.Window
-			}
-			p.retryBudget = breaker.NewBudget(max, window, ov.Breaker.Clock)
-		}
-	}
-	return p
+	return nil
 }
 
 // Ready reports whether the proxy is fit to receive new traffic: false while
@@ -135,7 +113,7 @@ func (p *Proxy) Ready() bool {
 }
 
 // BreakerSnapshot returns the circuit breaker's coherent counter snapshot,
-// and whether overload protection is active at all.
+// and whether the pipeline has a breaker at all.
 func (p *Proxy) BreakerSnapshot() (breaker.Snapshot, bool) {
 	if p.brk == nil {
 		return breaker.Snapshot{}, false
@@ -143,62 +121,27 @@ func (p *Proxy) BreakerSnapshot() (breaker.Snapshot, bool) {
 	return p.brk.SnapshotNow(), true
 }
 
-// admit runs the overload admission decision for one request; callers must
-// pair a true return with a release of the in-flight slot (the caller's
-// defer). A false return means the request was already answered (shed).
-func (p *Proxy) admit(w http.ResponseWriter, req trace.Request, n int64) bool {
-	if p.ov.MaxInFlight > 0 && n > p.ov.MaxInFlight {
-		p.shed(w, req, "inflight")
-		return false
-	}
-	return true
-}
-
-// deadlineCtx derives the request context carrying the client's propagated
-// deadline, if the header is present and well-formed.
-func (p *Proxy) deadlineCtx(r *http.Request) (context.Context, context.CancelFunc) {
+// clientDeadline returns the end-to-end deadline the client propagated in
+// DeadlineHeader, or 0 when the stage is off or the header is absent or
+// malformed.
+func (p *Proxy) clientDeadline(r *http.Request) time.Duration {
 	if !p.ov.PropagateDeadline {
-		return r.Context(), nil
+		return 0
 	}
-	v := r.Header.Get(DeadlineHeader)
-	if v == "" {
-		return r.Context(), nil
-	}
-	ms, err := strconv.ParseInt(v, 10, 64)
+	ms, err := strconv.ParseInt(r.Header.Get(DeadlineHeader), 10, 64)
 	if err != nil || ms <= 0 {
-		return r.Context(), nil
+		return 0
 	}
-	return context.WithTimeout(r.Context(), time.Duration(ms)*time.Millisecond)
+	return time.Duration(ms) * time.Millisecond
 }
 
-// doomed reports whether a miss is not worth fetching: the remaining client
-// deadline is below the minimum fetch budget, so the fetch would be cancelled
-// mid-flight and the client would see a slow failure instead of a fast shed.
-func (p *Proxy) doomed(ctx context.Context) bool {
-	if !p.ov.Enabled {
-		return false
-	}
-	dl, ok := ctx.Deadline()
-	if !ok {
-		return false
-	}
-	return time.Until(dl) < p.ov.MinFetchBudget
-}
-
-// shed answers a request the overload layer refuses to do full work for:
-// from the stale store when possible (a fast, degraded success), otherwise a
-// cheap 503 with Retry-After — never by queueing behind a sick origin.
+// shed answers a request the overload stages refuse to do full work for:
+// from the stale store when possible, otherwise a cheap 503 with Retry-After
+// — never by queueing behind a sick origin.
 func (p *Proxy) shed(w http.ResponseWriter, req trace.Request, reason string) {
 	p.stats.Add(req.ID, psShed, 1)
-	if p.res.ServeStale {
-		if _, ok := p.staleHas(req.ID); ok {
-			p.stats.Add(req.ID, psStaleServes, 1)
-			w.Header().Set("X-Cache", "stale")
-			w.Header().Set(ShedHeader, reason)
-			w.Header().Set("Warning", `110 darwin-proxy "response is stale"`)
-			p.serveLocal(w, cache.HOCHit, req.Size)
-			return
-		}
+	if p.serveStale(w, req, reason) {
+		return
 	}
 	p.stats.Add(req.ID, psErrors, 1)
 	w.Header().Set(ShedHeader, reason)

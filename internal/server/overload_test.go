@@ -10,9 +10,7 @@ import (
 	"testing"
 	"time"
 
-	"darwin/internal/baselines"
 	"darwin/internal/breaker"
-	"darwin/internal/cache"
 	"darwin/internal/faults"
 	"darwin/internal/trace"
 )
@@ -28,11 +26,7 @@ func overloadTestbed(t *testing.T, res Resilience, ov Overload, wrap func(http.H
 	}
 	originSrv := httptest.NewServer(h)
 	t.Cleanup(originSrv.Close)
-	dec, err := baselines.NewStatic(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := staticDecider(t, 1)
 	proxy := NewOverloadProxy(dec, originSrv.URL, 0, res, ov)
 	proxySrv := httptest.NewServer(proxy)
 	t.Cleanup(proxySrv.Close)

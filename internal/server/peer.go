@@ -228,7 +228,8 @@ func isPeerProbe(r *http.Request) bool {
 // the decider (the served request enters this node's books and traffic mix,
 // exactly like client traffic) and streams from memory; anything else is an
 // immediate 404 — no origin fetch, no further peer hops. This is the
-// cluster's serving fast path (a darwinlint hotpath root): a probe costs a
+// cluster's serving fast path (on the darwinlint hotpath, under the
+// ServeHTTP root): a probe costs a
 // residency check plus the zero-allocation local serve. Probes also gossip:
 // the sibling's piggybacked digest merges in, and the answer — hit or 404 —
 // carries this node's fresh digest back.
@@ -237,14 +238,10 @@ func (p *Proxy) servePeerProbe(w http.ResponseWriter, r *http.Request, req trace
 		ps.mergeGossip(r.Header)
 		w.Header()[GossipHeader] = []string{ps.gossipValue()}
 	}
-	if p.lk != nil {
-		if probe := p.lk.Lookup(req.ID); probe != cache.Miss {
-			res := p.serve(req)
-			p.stats.Add(req.ID, psPeerServed, 1)
-			setXCache(w.Header(), res)
-			p.serveLocal(w, res, req.Size)
-			return
-		}
+	if p.decider.Lookup(req.ID) != cache.Miss {
+		p.stats.Add(req.ID, psPeerServed, 1)
+		p.commit(w, req)
+		return
 	}
 	w.WriteHeader(http.StatusNotFound)
 }
@@ -256,7 +253,7 @@ func (p *Proxy) servePeerProbe(w http.ResponseWriter, r *http.Request, req trace
 // holders. Siblings the gossip layer grades Dead are skipped outright (no
 // point spending a probe timeout on a corpse), and each probe still respects
 // the sibling's breaker. Returns false when no holder had the object — the
-// caller falls through to the resilient origin path.
+// caller falls through to the origin fetch.
 func (p *Proxy) fetchPeer(ctx context.Context, id uint64, size int64) bool {
 	ps := p.peers
 	var dst [lb.MaxReplicas]int

@@ -7,8 +7,6 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"darwin/internal/baselines"
-	"darwin/internal/cache"
 	"darwin/internal/lb"
 )
 
@@ -17,12 +15,8 @@ import (
 func peerPair(t *testing.T, originURL string) (a, b *Proxy, aSrv, bSrv *httptest.Server) {
 	t.Helper()
 	mk := func() *Proxy {
-		dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-			cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20}, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewResilientProxy(dec, originURL, 0, fastResilience())
+		dec := staticDecider(t, 2)
+		return NewOverloadProxy(dec, originURL, 0, fastResilience(), Overload{})
 	}
 	a, b = mk(), mk()
 	aSrv = httptest.NewServer(a)

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -37,15 +38,93 @@ func resilientTestbed(t *testing.T, res Resilience, wrap func(http.Handler) http
 	}
 	originSrv := httptest.NewServer(h)
 	t.Cleanup(originSrv.Close)
-	dec, err := baselines.NewStatic(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := NewResilientProxy(dec, originSrv.URL, 0, res)
+	dec := staticDecider(t, 1)
+	proxy := NewOverloadProxy(dec, originSrv.URL, 0, res, Overload{})
 	proxySrv := httptest.NewServer(proxy)
 	t.Cleanup(proxySrv.Close)
 	return origin, proxySrv, proxy, dec
+}
+
+// TestBackoffNeverOverflows: the doubling saturates at BackoffMax (or at the
+// Duration range when uncapped) for every retry count, where the unchecked
+// shift went negative at retry 42 with the default 5 ms base and panicked in
+// the jitter draw.
+func TestBackoffNeverOverflows(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		base, max time.Duration
+	}{
+		{"default", 5 * time.Millisecond, 250 * time.Millisecond},
+		{"uncapped", 5 * time.Millisecond, 0},
+		{"huge-cap", time.Hour, 1<<63 - 1},
+		{"base-above-cap", time.Second, time.Millisecond},
+		{"no-backoff", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			proxy := NewOverloadProxy(staticDecider(t, 1), "http://unused", 0,
+				Resilience{MaxAttempts: 101, BackoffBase: tc.base, BackoffMax: tc.max}, Overload{})
+			ceil := tc.max
+			if ceil <= 0 {
+				ceil = 1<<63 - 1
+			}
+			var prev time.Duration
+			for retry := 1; retry <= 100; retry++ {
+				// Equal jitter: the delay lies in [d/2, d] for the pre-jitter d.
+				d := proxy.backoff(retry)
+				if d < 0 || d > ceil {
+					t.Fatalf("retry %d: backoff %v outside [0, %v]", retry, d, ceil)
+				}
+				if tc.base > 0 && d < min(tc.base, ceil)/2 {
+					t.Fatalf("retry %d: backoff %v below half the base", retry, d)
+				}
+				if d < prev/2 {
+					t.Fatalf("retry %d: backoff %v fell from %v (overflow?)", retry, d, prev)
+				}
+				prev = d
+			}
+		})
+	}
+}
+
+// TestValidateRejectsOutsideGarbage: the defaults validate, and each value no
+// operator can have meant is named.
+func TestValidateRejectsOutsideGarbage(t *testing.T) {
+	if err := DefaultResilience().Validate(); err != nil {
+		t.Errorf("DefaultResilience: %v", err)
+	}
+	if err := DefaultOverload().Validate(); err != nil {
+		t.Errorf("DefaultOverload: %v", err)
+	}
+	badRes := map[string]func(*Resilience){
+		"MaxAttempts":  func(r *Resilience) { r.MaxAttempts = 0 },
+		"FetchTimeout": func(r *Resilience) { r.FetchTimeout = -time.Second },
+		"BackoffBase":  func(r *Resilience) { r.BackoffBase = -1 },
+		"BackoffMax":   func(r *Resilience) { r.BackoffMax = -1 },
+		"StaleCap":     func(r *Resilience) { r.StaleCap = -1 },
+	}
+	for field, mutate := range badRes {
+		r := DefaultResilience()
+		mutate(&r)
+		if err := r.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("bad %s: Validate() = %v, want an error naming it", field, err)
+		}
+	}
+	badOv := map[string]func(*Overload){
+		"MaxInFlight":       func(o *Overload) { o.MaxInFlight = -1 },
+		"MinFetchBudget":    func(o *Overload) { o.MinFetchBudget = -1 },
+		"Hedge":             func(o *Overload) { o.Hedge = -1 },
+		"RetryBudgetWindow": func(o *Overload) { o.RetryBudgetWindow = -1 },
+		"RetryAfter":        func(o *Overload) { o.RetryAfter = -1 },
+		"FailureThreshold":  func(o *Overload) { o.Breaker.FailureThreshold = 1.5 },
+		"Window":            func(o *Overload) { o.Breaker.Window = -1 },
+	}
+	for field, mutate := range badOv {
+		o := DefaultOverload()
+		mutate(&o)
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("bad %s: Validate() = %v, want an error naming it", field, err)
+		}
+	}
 }
 
 func TestParseObjectURLEdgeCases(t *testing.T) {
@@ -263,34 +342,37 @@ func truncatingOrigin() http.Handler {
 	})
 }
 
-func TestLegacyProxySurfacesTruncatedOrigin(t *testing.T) {
-	originSrv := httptest.NewServer(truncatingOrigin())
-	defer originSrv.Close()
-	dec, err := baselines.NewStatic(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
+// TestBarePipelineNoPhantomAdmit: with every resilience and overload stage
+// absent the pipeline still fetches before it commits, so an origin that
+// fails or truncates yields a clean 502 — never a short 200 — and leaves no
+// trace in the decider: no request, no miss, no admission.
+func TestBarePipelineNoPhantomAdmit(t *testing.T) {
+	origins := map[string]http.Handler{
+		"500": http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "origin broken", http.StatusInternalServerError)
+		}),
+		"truncated": truncatingOrigin(),
 	}
-	proxy := NewProxy(dec, originSrv.URL, 0)
-	proxySrv := httptest.NewServer(proxy)
-	defer proxySrv.Close()
+	for name, origin := range origins {
+		t.Run(name, func(t *testing.T) {
+			originSrv := httptest.NewServer(origin)
+			defer originSrv.Close()
+			dec := staticDecider(t, 1)
+			proxy := NewOverloadProxy(dec, originSrv.URL, 0, Resilience{}, Overload{})
+			proxySrv := httptest.NewServer(proxy)
+			defer proxySrv.Close()
 
-	resp, err := http.Get(fmt.Sprintf("%s/obj/3?size=10000", proxySrv.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, rerr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	// The miss response must declare the origin's Content-Length so the
-	// short body is a client-visible error, not a silent short 200.
-	if cl := resp.Header.Get("Content-Length"); cl != "10000" {
-		t.Fatalf("Content-Length = %q, want 10000", cl)
-	}
-	if rerr == nil {
-		t.Fatalf("truncated origin body read cleanly: %d bytes", len(body))
-	}
-	if st := proxy.Stats(); st.Errors != 1 {
-		t.Fatalf("stats = %+v, want the copy error surfaced", st)
+			resp, _ := get(t, proxySrv.URL, 3, 10000)
+			if resp.StatusCode != http.StatusBadGateway {
+				t.Fatalf("status = %d, want 502", resp.StatusCode)
+			}
+			if st := proxy.Stats(); st.Errors != 1 || st.OriginFetches != 1 {
+				t.Fatalf("stats = %+v, want one fetch and one proxy error", st)
+			}
+			if m := dec.Metrics(); m != (cache.Metrics{}) {
+				t.Fatalf("phantom accounting after failed fetch: %+v", m)
+			}
+		})
 	}
 }
 
@@ -302,12 +384,8 @@ func TestResilientProxyRetriesTruncatedOrigin(t *testing.T) {
 	res.ServeStale = false
 	originSrv := httptest.NewServer(truncatingOrigin())
 	defer originSrv.Close()
-	dec, err := baselines.NewStatic(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := NewResilientProxy(dec, originSrv.URL, 0, res)
+	dec := staticDecider(t, 1)
+	proxy := NewOverloadProxy(dec, originSrv.URL, 0, res, Overload{})
 	proxySrv := httptest.NewServer(proxy)
 	defer proxySrv.Close()
 

@@ -1,31 +1,44 @@
 // Package server is the reproduction's ATS-like prototype (§5): an HTTP
 // caching proxy whose Hot Object Cache admission is driven by a pluggable
-// decider (a static expert, any baseline, or Darwin's online controller), an
-// origin server with injected WAN latency, and a closed-loop load generator
-// measuring first-byte latency and application throughput (§6.4).
+// decider (a static expert or Darwin's online controller), an origin server
+// with injected WAN latency, and a closed-loop load generator measuring
+// first-byte latency and application throughput (§6.4).
 //
 // The request path mirrors the paper's testbed shape: an HOC hit is served
 // straight from memory; a DC hit pays a configurable disk-access latency; a
 // miss pays a round trip to the origin, which itself delays each response by
 // the injected origin RTT. Cache-state concurrency is the decider's problem:
-// a concurrency-safe decider (one backed by the sharded cache engine, which
-// stripes the object space across per-shard mutexes) runs shard-parallel,
-// while any other decider is transparently wrapped in a single global mutex —
-// the HOC lock contention the paper observes at high concurrency, kept as the
-// comparison arm. Either way the critical sections cover only decider calls,
-// never body writes or origin I/O, and the proxy's own data-plane counters
-// live in lock-striped cells so Stats reads are coherent and lock-free.
+// the proxy takes only deciders over a concurrency-safe engine (the sharded
+// cache engine stripes the object space across per-shard mutexes; one shard
+// is the single HOC lock whose contention the paper observes). The critical
+// sections cover only decider calls, never body writes or origin I/O, and
+// the proxy's own data-plane counters live in lock-striped cells so Stats
+// reads are coherent and lock-free.
 //
-// The proxy has two data-plane modes. The legacy mode (NewProxy) reproduces
-// the paper's happy-path testbed: one origin fetch per miss, streamed to the
-// client. The resilient mode (NewResilientProxy) hardens the same path for a
-// faulty origin: per-request context deadlines, retried fetches with
-// exponential backoff and jitter, single-flight coalescing so concurrent
-// misses for one object cost one origin fetch, and graceful degradation —
-// when the origin stays down the proxy serves a previously-seen object stale
-// (the serve-stale analogue) and only then answers 502. A failed fetch is
-// accounted as a proxy error, never as a cache admission, so origin faults
-// cannot corrupt the decider's view of what is resident.
+// Proxy is one request pipeline. Every request crosses the same stages in
+// the same order; a stage whose own configuration value is zero is absent,
+// it does not select another path:
+//
+//  1. parse /obj/<id>?size=<n>;
+//  2. peer-probe guard — a sibling's probe is answered from memory or 404
+//     and goes no further (SetPeers);
+//  3. admit — bounded in-flight budget (Overload.MaxInFlight);
+//  4. Lookup — a residency probe that mutates nothing; a hit commits;
+//  5. on a miss: client deadline (Overload.PropagateDeadline) and the
+//     doomed-work shed, then peer fill (SetPeers), then the origin fetch —
+//     coalesce (Resilience.Coalesce) → retry with backoff (MaxAttempts > 1)
+//     → circuit breaker and retry budget (Overload.Enabled) → hedge
+//     (Overload.Hedge), each attempt validated against the full body;
+//  6. commit through the decider's Serve, only now that the bytes are known
+//     good — a failed fetch is a proxy error (shed, stale serve under
+//     Resilience.ServeStale, or 502), never a cache admission, so origin
+//     faults cannot corrupt the decider's view of what is resident;
+//  7. respond from the shared static body.
+//
+// Resilience{} with Overload{} is therefore the bare happy-path testbed (one
+// fetch per miss, 502 on failure) and the experiments' control arm;
+// DefaultResilience() with DefaultOverload() is what cmd/darwin-proxy
+// deploys. Both run the same code.
 package server
 
 import (
@@ -33,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -141,88 +155,51 @@ func sizeParam(rawQuery string) string {
 }
 
 // Decider is the cache-management brain plugged into the proxy: a static
-// expert, a learned baseline, or Darwin's online controller.
+// expert or Darwin's online controller, over a concurrency-safe cache engine.
 type Decider interface {
+	Lookuper
 	// Serve accounts one request and decides where it is served from.
 	Serve(r trace.Request) cache.Result
-	// Metrics exposes accumulated cache metrics.
+	// Metrics exposes accumulated cache metrics, exact as of the call (any
+	// batched counter publication is flushed first).
 	Metrics() cache.Metrics
 	// Name labels the scheme.
 	Name() string
+	// Concurrent reports whether the decider may be driven from multiple
+	// goroutines at once. NewOverloadProxy refuses one that answers false.
+	Concurrent() bool
 }
 
-// Lookuper is an optional Decider extension: a residency probe that mutates
-// no cache state, metrics, or frequency tracking. The resilient proxy probes
-// before an origin fetch and commits the request through Serve only after
-// the fetch succeeds, so a failed fetch cannot leave a phantom admission in
-// the cache (the decider believing an object is DC-resident whose bytes
-// never arrived).
+// Lookuper is the residency probe every Decider carries: it mutates no cache
+// state, metrics, or frequency tracking. The pipeline probes before fetching
+// and commits the request through Serve only after the bytes are known good,
+// so a failed fetch cannot leave a phantom admission in the cache (the
+// decider believing an object is DC-resident whose bytes never arrived).
 type Lookuper interface {
 	Lookup(id uint64) cache.Result
 }
 
-// serializedDecider adapts a decider that is not safe for concurrent callers
-// (anything that does not advertise Concurrent() == true, e.g. a baseline
-// over a bare Hierarchy) by serializing every call under one global mutex —
-// the legacy proxy data plane, preserved verbatim as the sharded engine's
-// comparison arm.
-type serializedDecider struct {
-	mu sync.Mutex
-	// dec is the wrapped decider; guarded by mu.
-	dec Decider
-	// lk is dec's probe seam, nil if dec has none; guarded by mu.
-	lk Lookuper
-}
-
-func newSerializedDecider(dec Decider) *serializedDecider {
-	lk, _ := dec.(Lookuper)
-	return &serializedDecider{dec: dec, lk: lk}
-}
-
-func (s *serializedDecider) Serve(r trace.Request) cache.Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dec.Serve(r)
-}
-
-func (s *serializedDecider) Lookup(id uint64) cache.Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lk.Lookup(id)
-}
-
-func (s *serializedDecider) Metrics() cache.Metrics {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dec.Metrics()
-}
-
-func (s *serializedDecider) Name() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dec.Name()
-}
-
-// Resilience configures the proxy's fault-tolerance layer. The zero value
-// disables it, reproducing the legacy happy-path data plane.
+// Resilience configures the origin-fetch stages of the pipeline. Each field
+// gates its own stage; the zero value leaves a single unretried, uncoalesced
+// fetch per miss and 502 on failure.
 type Resilience struct {
-	// Enabled turns the resilient miss path on.
-	Enabled bool
-	// MaxAttempts is the total origin fetch attempts per miss (1 = no retry).
+	// MaxAttempts is the total origin fetch attempts per miss (<= 1 = no
+	// retry stage).
 	MaxAttempts int
-	// FetchTimeout bounds each attempt (headers + full body).
+	// FetchTimeout bounds each attempt, headers and full body (0 = no
+	// per-attempt deadline).
 	FetchTimeout time.Duration
 	// BackoffBase is the pre-jitter backoff before the first retry; it
-	// doubles per retry up to BackoffMax.
+	// doubles per retry up to BackoffMax (0 = retry immediately).
 	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff.
+	// BackoffMax caps the exponential backoff (0 = uncapped).
 	BackoffMax time.Duration
 	// Coalesce enables single-flight coalescing of concurrent misses.
 	Coalesce bool
 	// ServeStale enables degraded mode: when the origin stays down after
 	// retries, a previously-served object is answered stale instead of 502.
 	ServeStale bool
-	// StaleCap bounds the remembered-object set (default 64k entries).
+	// StaleCap bounds the remembered-object set (0 = 64k entries).
 	StaleCap int
 	// Seed drives the backoff jitter.
 	Seed int64
@@ -233,7 +210,6 @@ type Resilience struct {
 // backoff capped at 250 ms, coalescing and serve-stale on.
 func DefaultResilience() Resilience {
 	return Resilience{
-		Enabled:      true,
 		MaxAttempts:  4,
 		FetchTimeout: 2 * time.Second,
 		BackoffBase:  5 * time.Millisecond,
@@ -243,6 +219,26 @@ func DefaultResilience() Resilience {
 		StaleCap:     64 << 10,
 		Seed:         1,
 	}
+}
+
+// Validate checks a Resilience assembled from outside input (flags, config
+// files) and names the first value no operator can have meant. It is stricter
+// than the constructor about MaxAttempts: code may leave it zero to say "no
+// retry stage", but an operator who types 0 attempts has asked for nothing.
+func (r Resilience) Validate() error {
+	switch {
+	case r.MaxAttempts < 1:
+		return fmt.Errorf("server: MaxAttempts %d, want >= 1 (1 = no retry)", r.MaxAttempts)
+	case r.FetchTimeout < 0:
+		return fmt.Errorf("server: negative FetchTimeout %v", r.FetchTimeout)
+	case r.BackoffBase < 0:
+		return fmt.Errorf("server: negative BackoffBase %v", r.BackoffBase)
+	case r.BackoffMax < 0:
+		return fmt.Errorf("server: negative BackoffMax %v", r.BackoffMax)
+	case r.StaleCap < 0:
+		return fmt.Errorf("server: negative StaleCap %d", r.StaleCap)
+	}
+	return nil
 }
 
 // Stripe-cell indexes for the proxy's data-plane counters.
@@ -291,7 +287,7 @@ type ProxyStats struct {
 	StaleServes int64
 	// Errors counts client-visible 5xx responses issued by this proxy.
 	Errors int64
-	// Shed counts requests the overload layer refused to do full work for
+	// Shed counts requests the overload stages refused to do full work for
 	// (admission, breaker, or deadline sheds — answered stale or 503).
 	Shed int64
 	// DeadlineSheds counts misses shed because the client's remaining
@@ -327,17 +323,10 @@ type ProxyStats struct {
 
 // Proxy is the CDN edge server.
 type Proxy struct {
-	// decider drives HOC/DC decisions. It is always safe for concurrent
-	// callers: deciders advertising Concurrent() == true (the sharded cache
-	// engine and the online controller over it) are used directly and run
-	// shard-parallel; anything else is wrapped in a serializedDecider at
-	// construction. The critical sections cover only decider calls, never
-	// origin I/O or body writes.
+	// decider drives HOC/DC decisions and is safe for concurrent callers (the
+	// constructor refuses one that is not). Its critical sections cover only
+	// decider calls, never origin I/O or body writes.
 	decider Decider
-	// lk is the decider's residency-probe seam, nil when the underlying
-	// decider offers none (then the resilient path falls back to
-	// decide-first ordering).
-	lk Lookuper
 
 	// OriginURL is the origin base URL (e.g. http://127.0.0.1:9000).
 	OriginURL string
@@ -347,13 +336,12 @@ type Proxy struct {
 	Client *http.Client
 
 	res     Resilience
+	ov      Overload
 	flights flightGroup
 
-	// ov is the overload-protection layer (zero = disabled); brk gates
-	// origin fetch attempts and retryBudget caps the backoff path when it
-	// is enabled. Both publish through seqlock cells, so readiness and
-	// stats reads never touch the data plane's locks.
-	ov          Overload
+	// brk gates origin fetch attempts and retryBudget caps the backoff path;
+	// both are nil unless ov.Enabled. They publish through seqlock cells, so
+	// readiness and stats reads never touch the data plane's locks.
 	brk         *breaker.Breaker
 	retryBudget *breaker.Budget
 	// inflight gauges admitted requests for the bounded-in-flight budget.
@@ -363,7 +351,7 @@ type Proxy struct {
 	// res.StaleCap — the prototype's serve-stale store (bodies are
 	// deterministic, so only membership must be remembered).
 	staleMu sync.Mutex
-	stale   map[uint64]int64 // guarded by staleMu
+	stale   map[uint64]struct{} // guarded by staleMu
 
 	// peers is the cluster's peer-fill layer (peer.go); nil outside a
 	// cluster. Immutable after SetPeers.
@@ -384,66 +372,66 @@ type Proxy struct {
 	start time.Time
 }
 
-// NewProxy builds a proxy with the legacy happy-path data plane (no retries,
-// no coalescing, no degraded mode) — the pre-hardening behavior, kept as the
-// chaos experiment's control arm.
-func NewProxy(decider Decider, originURL string, dcLatency time.Duration) *Proxy {
-	return NewResilientProxy(decider, originURL, dcLatency, Resilience{})
-}
-
-// NewResilientProxy builds a proxy with the given fault-tolerance layer.
-func NewResilientProxy(decider Decider, originURL string, dcLatency time.Duration, res Resilience) *Proxy {
-	if res.Enabled {
-		if res.MaxAttempts <= 0 {
-			res.MaxAttempts = 1
-		}
-		if res.BackoffBase <= 0 {
-			res.BackoffBase = 5 * time.Millisecond
-		}
-		if res.StaleCap <= 0 {
-			res.StaleCap = 64 << 10
-		}
+// NewOverloadProxy builds the proxy: one request pipeline whose resilience
+// and overload stages are each present or absent by their own field in res
+// and ov. Resilience{} with Overload{} is the bare pipeline (one fetch per
+// miss, 502 on failure); DefaultResilience() with DefaultOverload() is what
+// cmd/darwin-proxy deploys.
+//
+// It panics if decider.Concurrent() is false: handlers call the decider from
+// many goroutines. A single-lock data plane is cache.NewSharded(cfg, 1) or
+// baselines.NewStaticSharded(e, cfg, 1), bit-identical to the serial
+// Hierarchy.
+func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration, res Resilience, ov Overload) *Proxy {
+	if !decider.Concurrent() {
+		panic(fmt.Sprintf("server: decider %q is not safe for concurrent callers; build it over cache.NewSharded(cfg, 1) or baselines.NewStaticSharded(e, cfg, 1)", decider.Name()))
 	}
-	dec := decider
-	if c, ok := decider.(interface{ Concurrent() bool }); !ok || !c.Concurrent() {
-		// Not advertised concurrency-safe: serialize it under one global
-		// mutex (the legacy data plane).
-		dec = newSerializedDecider(decider)
-	}
-	// The probe seam must come from the original decider — the serialized
-	// wrapper always has a Lookup method, but it panics when the wrapped
-	// decider has none.
-	var lk Lookuper
-	if orig, ok := decider.(Lookuper); ok {
-		if dec == decider {
-			lk = orig
-		} else {
-			lk = dec.(Lookuper)
-		}
-	}
-	return &Proxy{
-		decider:   dec,
-		lk:        lk,
+	res, ov = withDefaults(res, ov)
+	p := &Proxy{
+		decider:   decider,
 		OriginURL: originURL,
 		DCLatency: dcLatency,
 		Client:    &http.Client{Timeout: 30 * time.Second},
 		res:       res,
+		ov:        ov,
 		rng:       rand.New(rand.NewSource(res.Seed)),
 		stats:     stripe.New(proxyStatStripes, psWidth),
 		start:     time.Now(),
 	}
+	if ov.Enabled {
+		p.brk = breaker.New(ov.Breaker)
+		if ov.RetryBudget > 0 {
+			p.retryBudget = breaker.NewBudget(ov.RetryBudget, ov.RetryBudgetWindow, ov.Breaker.Clock)
+		}
+	}
+	return p
 }
 
-// Metrics returns the decider's cache metrics (thread-safe: the decider is
-// either concurrency-safe itself — sharded engines answer from lock-free
-// per-shard snapshots — or wrapped in the serializing adapter). Deciders with
-// deferred counter publication are synced first so the read is exact.
-func (p *Proxy) Metrics() cache.Metrics {
-	if s, ok := p.decider.(interface{ SyncMetrics() }); ok {
-		s.SyncMetrics()
+// withDefaults is the one place a zero field is read as "the default" rather
+// than "stage absent": the stale store's cap, the doomed-fetch floor, the
+// advertised Retry-After, and the breaker-derived retry budget.
+func withDefaults(res Resilience, ov Overload) (Resilience, Overload) {
+	if res.StaleCap <= 0 {
+		res.StaleCap = 64 << 10
 	}
-	return p.decider.Metrics()
+	if ov.MinFetchBudget <= 0 {
+		ov.MinFetchBudget = 50 * time.Millisecond
+	}
+	if ov.RetryAfter <= 0 {
+		ov.RetryAfter = time.Second
+	}
+	ov.Breaker = ov.Breaker.WithDefaults()
+	if ov.RetryBudget == 0 {
+		ov.RetryBudget = ov.Breaker.HalfOpenProbes
+	}
+	if ov.RetryBudgetWindow <= 0 {
+		ov.RetryBudgetWindow = ov.Breaker.Window
+	}
+	return res, ov
 }
+
+// Metrics returns the decider's cache metrics, exact as of the call.
+func (p *Proxy) Metrics() cache.Metrics { return p.decider.Metrics() }
 
 // Stats returns a coherent snapshot of the proxy's data-plane counters:
 // every stripe is observed at one consistent instant, so counters bumped
@@ -478,14 +466,9 @@ func (p *Proxy) Stats() ProxyStats {
 	}
 }
 
-// serve runs the decider for one request. Concurrency is the decider's: a
-// sharded engine serializes only within the owning shard, the wrapper
-// serializes globally.
-func (p *Proxy) serve(req trace.Request) cache.Result {
-	return p.decider.Serve(req)
-}
-
-// ServeHTTP implements http.Handler for GET /obj/<id>?size=<n>.
+// ServeHTTP implements http.Handler for GET /obj/<id>?size=<n>: the pipeline
+// from parse to the Lookup-hit commit. Everything below a Lookup miss is
+// serveMiss.
 func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	id, size, err := parseObjectURL(r)
 	if err != nil {
@@ -493,63 +476,54 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req := trace.Request{ID: id, Size: size, Time: time.Since(p.start).Microseconds()}
-	if p.peers != nil && isPeerProbe(r) {
-		// A sibling's probe: answered from memory or 404, before the
-		// overload machinery — the probe path is strictly cheaper than the
-		// admission work that would guard it, and must never recurse into
-		// peer or origin fetches (loop guard).
-		p.servePeerProbe(w, r, req)
-		return
-	}
 	if p.peers != nil {
+		if isPeerProbe(r) {
+			// A sibling's probe: answered from memory or 404, before
+			// admission — the probe path is strictly cheaper than the
+			// admission work that would guard it, and must never recurse
+			// into peer or origin fetches (loop guard).
+			p.servePeerProbe(w, r, req)
+			return
+		}
 		// Client traffic feeds the replication tracker (probes don't: the
 		// prober already counted the request), so the designated-holder map
 		// mirrors what the front tier's replicator sees.
 		p.peers.observe(id)
 	}
-	if p.ov.Enabled {
-		// Admission control runs before any cache or origin work: a request
-		// over the in-flight budget is shed for pennies (stale or 503) so
-		// overload never turns into an unbounded queue of doomed work.
+	if p.ov.MaxInFlight > 0 {
+		// Admission runs before any cache or origin work: a request over the
+		// in-flight budget is shed for pennies (stale or 503) so overload
+		// never turns into an unbounded queue of doomed work.
 		n := p.inflight.Add(1)
 		defer p.inflight.Add(-1)
-		if !p.admit(w, req, n) {
+		if n > p.ov.MaxInFlight {
+			p.shed(w, req, "inflight")
 			return
 		}
-		if ctx, cancel := p.deadlineCtx(r); cancel != nil {
-			defer cancel()
-			r = r.WithContext(ctx)
-		}
 	}
-	if p.res.Enabled {
-		p.serveResilient(w, r, req)
+	if p.decider.Lookup(id) != cache.Miss {
+		p.commit(w, req)
 		return
 	}
-
-	// Legacy happy-path data plane: decide first (a miss is accounted — and
-	// possibly admitted — before the origin fetch is known to succeed).
-	res := p.serve(req)
-	setXCache(w.Header(), res)
-	if res == cache.Miss {
-		headerSent, err := p.fetchOriginStream(w, r, id, size)
-		if err != nil {
-			p.stats.Add(id, psErrors, 1)
-			if !headerSent {
-				http.Error(w, err.Error(), http.StatusBadGateway)
-			}
-			// After the header is out the short body itself signals the
-			// failure: the connection closes below the declared length.
-		}
-		return
-	}
-	p.serveLocal(w, res, size)
+	p.serveMiss(w, r, req)
 }
 
-// serveLocal answers a request from the proxy itself (cache hits, committed
-// misses, stale serves), paying the DC delay for disk hits. It is the
-// serve-hit fast path (a darwinlint hotpath root): pre-serialized headers
-// and the shared static body chunk keep it at zero allocations per request
-// above net/http's own internals.
+// commit is the pipeline's one exit for a request whose bytes are in hand —
+// a residency hit, a validated peer fill, or a successful origin fetch. Only
+// here does the request enter the decider's books: Serve accounts it (and
+// reports a hit if a coalesced sibling request already admitted the object),
+// the response is written, and the object is remembered for degraded mode.
+func (p *Proxy) commit(w http.ResponseWriter, req trace.Request) {
+	res := p.decider.Serve(req)
+	setXCache(w.Header(), res)
+	p.serveLocal(w, res, req.Size)
+	p.rememberStale(req.ID)
+}
+
+// serveLocal writes a response body from the proxy itself (commits and stale
+// serves), paying the DC delay for disk hits. Pre-serialized headers and the
+// shared static body chunk keep it at zero allocations per request above
+// net/http's own internals.
 func (p *Proxy) serveLocal(w http.ResponseWriter, res cache.Result, size int64) {
 	if res == cache.DCHit && p.DCLatency > 0 {
 		time.Sleep(p.DCLatency)
@@ -561,118 +535,72 @@ func (p *Proxy) serveLocal(w http.ResponseWriter, res cache.Result, size int64) 
 	_ = writeBody(w, size) // client went away; nothing useful to do with the error
 }
 
-// serveResilient is the hardened miss path: probe residency without mutating
-// the cache, fetch (coalesced + retried) on a miss, and commit the request
-// through the decider only once the bytes are known good.
-func (p *Proxy) serveResilient(w http.ResponseWriter, r *http.Request, req trace.Request) {
-	canProbe := p.lk != nil
-	if canProbe {
-		if probe := p.lk.Lookup(req.ID); probe != cache.Miss {
-			res := p.serve(req)
-			setXCache(w.Header(), res)
-			p.serveLocal(w, res, req.Size)
-			p.rememberStale(req.ID, req.Size)
-			return
-		}
-	} else {
-		// No probe seam: fall back to decide-first ordering. Retries and
-		// coalescing still apply, but a failed fetch leaves the decider's
-		// miss accounting behind (documented phantom-admission caveat).
-		res := p.serve(req)
-		if res != cache.Miss {
-			setXCache(w.Header(), res)
-			p.serveLocal(w, res, req.Size)
-			p.rememberStale(req.ID, req.Size)
-			return
-		}
+// serveMiss is the pipeline below a Lookup miss: client deadline → doomed
+// shed → peer fill → origin fetch (fetchOrigin's stages) → commit, or on
+// failure shed / stale / 502. The request is committed only once its bytes
+// are known good, so a failure here is a proxy error, never a cache
+// admission.
+func (p *Proxy) serveMiss(w http.ResponseWriter, r *http.Request, req trace.Request) {
+	ctx := r.Context()
+	if d := p.clientDeadline(r); d > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, d)
+		defer cancel()
 	}
-
-	// Deadline-aware shedding: a miss whose remaining client deadline cannot
-	// cover a fetch is doomed work — answer it cheaply now (stale or 503)
-	// instead of queueing a fetch the client will never see complete.
-	if p.doomed(r.Context()) {
+	// A miss whose remaining client deadline cannot cover a fetch is doomed
+	// work — answer it cheaply now (stale or 503) instead of queueing a fetch
+	// the client will never see complete.
+	dl, hasDeadline := ctx.Deadline()
+	if hasDeadline && time.Until(dl) < p.ov.MinFetchBudget {
 		p.stats.Add(req.ID, psDeadlineSheds, 1)
 		p.shed(w, req, "deadline")
 		return
 	}
-
 	// Peer fill: before paying the origin hop, ask the ring siblings the
-	// front tier would have routed this object to. A validated sibling copy
-	// commits through the decider exactly like a successful origin fetch —
-	// the admit is journaled and the object becomes locally resident.
-	// (Requests carrying the probe header never reach this path, so a
-	// two-node cycle terminates after one hop.)
-	if p.peers != nil {
-		if p.fetchPeer(r.Context(), req.ID, req.Size) {
-			res := cache.Miss
-			if canProbe {
-				res = p.serve(req)
-			}
-			w.Header()[PeerHeader] = peerFillValue
-			setXCache(w.Header(), res)
-			p.serveLocal(w, res, req.Size)
-			p.rememberStale(req.ID, req.Size)
-			return
-		}
-	}
-
-	err := p.fetchResilient(r.Context(), req.ID, req.Size)
-	if err == nil {
-		res := cache.Miss
-		if canProbe {
-			// Commit only now: the fetch succeeded, so the miss (and any
-			// admission) enters the decider's books. A coalesced peer may
-			// have admitted the object already, in which case Serve reports
-			// the hit it found.
-			res = p.serve(req)
-		}
-		setXCache(w.Header(), res)
-		p.serveLocal(w, res, req.Size)
-		p.rememberStale(req.ID, req.Size)
+	// front tier would have routed this object to. (Requests carrying the
+	// probe header never reach this path, so a two-node cycle terminates
+	// after one hop.)
+	if p.peers != nil && p.fetchPeer(ctx, req.ID, req.Size) {
+		w.Header()[PeerHeader] = peerFillValue
+		p.commit(w, req)
 		return
 	}
-
-	// Shed outcomes: an open breaker or an expired client deadline is not an
-	// origin failure to 502 on, it is load the overload layer refused — shed
-	// it (stale or 503+Retry-After) so the client backs off instead of
-	// retrying into the same wall.
-	if p.ov.Enabled {
-		switch {
-		case errors.Is(err, breaker.ErrOpen):
-			p.shed(w, req, "breaker")
-			return
-		case errors.Is(err, context.DeadlineExceeded):
-			p.stats.Add(req.ID, psDeadlineSheds, 1)
-			p.shed(w, req, "deadline")
-			return
-		}
+	err := p.fetchOrigin(ctx, req.ID, req.Size)
+	if err == nil {
+		p.commit(w, req)
+		return
 	}
-
+	// An open breaker or an expired client deadline is not an origin failure
+	// to 502 on, it is load the pipeline refused — shed it (stale or
+	// 503+Retry-After) so the client backs off instead of retrying into the
+	// same wall.
+	if errors.Is(err, breaker.ErrOpen) {
+		p.shed(w, req, "breaker")
+		return
+	}
+	if hasDeadline && errors.Is(err, context.DeadlineExceeded) {
+		p.stats.Add(req.ID, psDeadlineSheds, 1)
+		p.shed(w, req, "deadline")
+		return
+	}
 	// Degraded mode: the origin is down and retries are exhausted. Serve the
 	// object stale if this proxy has ever served it, else surface the 502.
-	// The request is accounted as a proxy error, not as a cache admission.
-	if p.res.ServeStale {
-		if _, ok := p.staleHas(req.ID); ok {
-			p.stats.Add(req.ID, psStaleServes, 1)
-			w.Header()["X-Cache"] = xcacheStale
-			w.Header().Set("Warning", `110 darwin-proxy "response is stale"`)
-			p.serveLocal(w, cache.HOCHit, req.Size)
-			return
-		}
+	if p.serveStale(w, req, "") {
+		return
 	}
 	p.stats.Add(req.ID, psErrors, 1)
 	http.Error(w, fmt.Sprintf("server: origin unavailable: %v", err), http.StatusBadGateway)
 }
 
 // rememberStale records a successfully served object for degraded mode.
-func (p *Proxy) rememberStale(id uint64, size int64) {
+func (p *Proxy) rememberStale(id uint64) {
 	if !p.res.ServeStale {
 		return
 	}
 	p.staleMu.Lock()
 	defer p.staleMu.Unlock()
 	if p.stale == nil {
-		p.stale = make(map[uint64]int64)
+		p.stale = make(map[uint64]struct{})
 	}
 	if _, ok := p.stale[id]; !ok && len(p.stale) >= p.res.StaleCap {
 		for k := range p.stale { // evict an arbitrary entry to stay bounded
@@ -680,35 +608,51 @@ func (p *Proxy) rememberStale(id uint64, size int64) {
 			break
 		}
 	}
-	p.stale[id] = size
+	p.stale[id] = struct{}{}
 }
 
-// staleHas reports whether the proxy has served id before.
-func (p *Proxy) staleHas(id uint64) (int64, bool) {
+// serveStale answers req from the stale store — a fast, degraded success —
+// if ServeStale is on and this proxy has served the object before; it
+// reports whether it did. A non-empty shed reason marks the response as one
+// the overload stages refused full work for.
+func (p *Proxy) serveStale(w http.ResponseWriter, req trace.Request, shed string) bool {
+	if !p.res.ServeStale {
+		return false
+	}
 	p.staleMu.Lock()
-	defer p.staleMu.Unlock()
-	size, ok := p.stale[id]
-	return size, ok
+	_, ok := p.stale[req.ID]
+	p.staleMu.Unlock()
+	if !ok {
+		return false
+	}
+	p.stats.Add(req.ID, psStaleServes, 1)
+	h := w.Header()
+	h["X-Cache"] = xcacheStale
+	if shed != "" {
+		h.Set(ShedHeader, shed)
+	}
+	h.Set("Warning", `110 darwin-proxy "response is stale"`)
+	p.serveLocal(w, cache.HOCHit, req.Size)
+	return true
 }
 
-// fetchResilient fetches one object with coalescing and retries. Coalesced
-// fetches run under a detached context: their outcome is shared by every
-// waiter, so they must not die with the leader's client connection. Under
-// overload protection the detached fetch keeps the leader's *deadline* (but
-// not its cancellation), so a doomed shared fetch is still cut short, and
-// waiters stop waiting when their own deadline expires.
-func (p *Proxy) fetchResilient(ctx context.Context, id uint64, size int64) error {
+// fetchOrigin fetches one object from the origin through the coalesce →
+// retry/backoff → breaker → hedge stages. Coalesced fetches run under a
+// detached context: their outcome is shared by every waiter, so they must
+// not die with the leader's client connection. The detached fetch keeps the
+// leader's *deadline* (but not its cancellation), so a doomed shared fetch
+// is still cut short, and waiters stop waiting when their own deadline
+// expires.
+func (p *Proxy) fetchOrigin(ctx context.Context, id uint64, size int64) error {
 	if !p.res.Coalesce {
 		return p.fetchRetry(ctx, id, size)
 	}
 	err, shared := p.flights.do(ctx, flightKey{id: id, size: size}, func() error {
 		fctx := context.Background()
-		if p.ov.Enabled {
-			if dl, ok := ctx.Deadline(); ok {
-				dctx, cancel := context.WithDeadline(fctx, dl)
-				defer cancel()
-				fctx = dctx
-			}
+		if dl, ok := ctx.Deadline(); ok {
+			var cancel context.CancelFunc
+			fctx, cancel = context.WithDeadline(fctx, dl)
+			defer cancel()
 		}
 		return p.fetchRetry(fctx, id, size)
 	})
@@ -719,24 +663,14 @@ func (p *Proxy) fetchResilient(ctx context.Context, id uint64, size int64) error
 }
 
 // fetchRetry runs up to MaxAttempts origin fetches with exponential backoff
-// and jitter between attempts. Under overload protection every attempt must
-// pass the circuit breaker (an open breaker fails the miss immediately with
-// ErrOpen) and every attempt beyond the first must win a token from the
-// rolling-window retry budget — the cap that keeps the backoff path from
-// probing a sick origin harder than the breaker's half-open budget.
+// and jitter between attempts. With a breaker present every attempt must
+// pass it (an open breaker fails the miss immediately with ErrOpen), and
+// with a retry budget every attempt beyond the first must win a token from
+// it — the cap that keeps the backoff path from probing a sick origin harder
+// than the breaker's half-open budget.
 func (p *Proxy) fetchRetry(ctx context.Context, id uint64, size int64) error {
 	var lastErr error
-	for attempt := 0; attempt < p.res.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if p.retryBudget != nil && !p.retryBudget.Allow() {
-				p.stats.Add(id, psRetryBudgetDenied, 1)
-				break
-			}
-			p.stats.Add(id, psRetries, 1)
-			if err := sleepCtx(ctx, p.backoff(attempt)); err != nil {
-				break
-			}
-		}
+	for attempt := 1; ; attempt++ {
 		if p.brk != nil && !p.brk.Allow() {
 			p.stats.Add(id, psBreakerRejects, 1)
 			lastErr = breaker.ErrOpen
@@ -747,26 +681,49 @@ func (p *Proxy) fetchRetry(ctx context.Context, id uint64, size int64) error {
 		if p.brk != nil {
 			p.brk.Record(err == nil)
 		}
-		if err != nil {
-			lastErr = err
-			if ctx.Err() != nil {
-				break
-			}
-			continue
+		if err == nil {
+			return nil
 		}
-		return nil
+		lastErr = err
+		if ctx.Err() != nil || attempt >= p.res.MaxAttempts {
+			break
+		}
+		if p.retryBudget != nil && !p.retryBudget.Allow() {
+			p.stats.Add(id, psRetryBudgetDenied, 1)
+			break
+		}
+		p.stats.Add(id, psRetries, 1)
+		if sleepCtx(ctx, p.backoff(attempt)) != nil {
+			break
+		}
 	}
 	p.stats.Add(id, psFetchFailures, 1)
 	return lastErr
 }
 
-// backoff returns the pre-retry delay for the given attempt (1-based):
-// exponential with "equal jitter" (half fixed, half uniform) so synchronized
-// retry storms against a recovering origin desynchronize.
-func (p *Proxy) backoff(attempt int) time.Duration {
-	d := p.res.BackoffBase << (attempt - 1)
-	if p.res.BackoffMax > 0 && d > p.res.BackoffMax {
-		d = p.res.BackoffMax
+// backoff returns the delay before the given retry (1-based): exponential
+// with "equal jitter" (half fixed, half uniform) so synchronized retry storms
+// against a recovering origin desynchronize. The doubling saturates at
+// BackoffMax (uncapped: at the Duration range) instead of shifting past it,
+// so no retry count can overflow it negative.
+func (p *Proxy) backoff(retry int) time.Duration {
+	ceil := p.res.BackoffMax
+	if ceil <= 0 {
+		ceil = math.MaxInt64
+	}
+	d := p.res.BackoffBase
+	for i := 1; i < retry && 0 < d && d < ceil; i++ {
+		if d > ceil/2 {
+			d = ceil
+		} else {
+			d *= 2
+		}
+	}
+	if d > ceil {
+		d = ceil
+	}
+	if d <= 0 {
+		return 0
 	}
 	p.rngMu.Lock()
 	j := time.Duration(p.rng.Int63n(int64(d)/2 + 1))
@@ -821,44 +778,4 @@ func (p *Proxy) fetchDiscard(ctx context.Context, id uint64, size int64) error {
 		return fmt.Errorf("server: origin body truncated: %d/%d bytes", n, size)
 	}
 	return nil
-}
-
-// fetchOriginStream streams the object from the origin to the client — the
-// legacy miss path. Origin response headers (Content-Length) are propagated
-// before the status line, so a truncated origin body surfaces to the client
-// as a short read instead of a silent short 200. headerSent tells the caller
-// whether a 502 can still be written.
-func (p *Proxy) fetchOriginStream(w http.ResponseWriter, r *http.Request, id uint64, size int64) (headerSent bool, err error) {
-	p.stats.Add(id, psOriginFetches, 1)
-	hreq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, originURL(p.OriginURL, id, size), nil)
-	if err != nil {
-		return false, fmt.Errorf("server: origin request: %w", err)
-	}
-	resp, err := p.Client.Do(hreq)
-	if err != nil {
-		return false, fmt.Errorf("server: origin fetch: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.CopyN(io.Discard, resp.Body, 1<<10) // best-effort drain so the connection can be reused
-		return false, fmt.Errorf("server: origin status %d", resp.StatusCode)
-	}
-	h := w.Header()
-	setContentType(h)
-	if cl, ok := resp.Header["Content-Length"]; ok && len(cl) > 0 && cl[0] != "" {
-		h["Content-Length"] = cl
-	} else {
-		setContentLength(h, size)
-	}
-	w.WriteHeader(http.StatusOK)
-	// The relay is the one proxy path that must own bytes in flight: copy
-	// through a pooled buffer (ResponseWriters with a ReadFrom fast path
-	// still take it; the buffer then goes back unused but unharmed).
-	buf := getCopyBuf()
-	n, err := io.CopyBuffer(w, resp.Body, *buf)
-	putCopyBuf(buf)
-	if err != nil {
-		return true, fmt.Errorf("server: origin copy after %d/%d bytes: %w", n, size, err)
-	}
-	return true, nil
 }

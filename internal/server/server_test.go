@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,17 +16,27 @@ import (
 	"darwin/internal/tracegen"
 )
 
-// testbed spins up an origin and a proxy around a static expert.
-func testbed(t *testing.T, e cache.Expert, originLatency, dcLatency time.Duration) (*httptest.Server, *httptest.Server, *Proxy) {
+// staticDecider builds the static-expert decider the package's tests share,
+// over a sharded engine with the given shard count (1 = one lock, the serial
+// hierarchy's behaviour).
+func staticDecider(t testing.TB, shards int) *baselines.Static {
+	t.Helper()
+	dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20},
+		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20}, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec
+}
+
+// testbed spins up an origin and a bare-pipeline proxy around a static expert.
+func testbed(t *testing.T, originLatency, dcLatency time.Duration) (*httptest.Server, *httptest.Server, *Proxy) {
 	t.Helper()
 	origin := &Origin{Latency: originLatency}
 	originSrv := httptest.NewServer(origin)
 	t.Cleanup(originSrv.Close)
-	dec, err := baselines.NewStatic(e, cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	proxy := NewProxy(dec, originSrv.URL, dcLatency)
+	dec := staticDecider(t, 1)
+	proxy := NewOverloadProxy(dec, originSrv.URL, dcLatency, Resilience{}, Overload{})
 	proxySrv := httptest.NewServer(proxy)
 	t.Cleanup(proxySrv.Close)
 	return originSrv, proxySrv, proxy
@@ -78,7 +89,7 @@ func TestOriginRejectsBadURL(t *testing.T) {
 }
 
 func TestProxyCacheTransitions(t *testing.T) {
-	_, proxySrv, _ := testbed(t, cache.Expert{Freq: 1, MaxSize: 1 << 20}, 0, 0)
+	_, proxySrv, _ := testbed(t, 0, 0)
 	// Same object four times: miss, miss(->DC), dc-hit(->HOC), hoc-hit.
 	want := []string{"miss", "miss", "dc-hit", "hoc-hit"}
 	for i, w := range want {
@@ -93,7 +104,7 @@ func TestProxyCacheTransitions(t *testing.T) {
 }
 
 func TestProxyMidgressDropsWithCaching(t *testing.T) {
-	_, proxySrv, _ := testbed(t, cache.Expert{Freq: 1, MaxSize: 1 << 20}, 0, 0)
+	_, proxySrv, _ := testbed(t, 0, 0)
 	for i := 0; i < 10; i++ {
 		get(t, proxySrv.URL, 99, 1000)
 	}
@@ -108,7 +119,7 @@ func TestProxyLatencyOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("latency injection test")
 	}
-	_, proxySrv, _ := testbed(t, cache.Expert{Freq: 1, MaxSize: 1 << 20}, 30*time.Millisecond, 10*time.Millisecond)
+	_, proxySrv, _ := testbed(t, 30*time.Millisecond, 10*time.Millisecond)
 	timeGet := func() (time.Duration, string) {
 		start := time.Now()
 		resp, _ := get(t, proxySrv.URL, 5, 2000)
@@ -126,8 +137,78 @@ func TestProxyLatencyOrdering(t *testing.T) {
 	}
 }
 
+// TestConstructorRefusesSerialDecider: the proxy calls its decider from many
+// goroutines, so a decider over a bare Hierarchy is refused at construction
+// with a message naming the one-shard replacement.
+func TestConstructorRefusesSerialDecider(t *testing.T) {
+	dec, err := baselines.NewStatic(cache.Expert{Freq: 1, MaxSize: 1 << 20},
+		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"not safe for concurrent callers", "NewSharded(cfg, 1)", "NewStaticSharded(e, cfg, 1)"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not mention %q", msg, want)
+			}
+		}
+	}()
+	NewOverloadProxy(dec, "http://unused", 0, Resilience{}, Overload{})
+	t.Fatal("constructor accepted a decider with Concurrent() == false")
+}
+
+// TestStageMatrixInvisibleWhenIdle: a stage with nothing to do changes
+// nothing. The same 2k-request script against a fault-free origin, one
+// request at a time, yields identical X-Cache sequences and identical decider
+// metrics whether the pipeline is bare, carries the resilience stages, or
+// carries the whole deployed stack.
+func TestStageMatrixInvisibleWhenIdle(t *testing.T) {
+	tr, err := tracegen.ImageDownloadMix(50, 2000, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	originSrv := httptest.NewServer(&Origin{})
+	defer originSrv.Close()
+	run := func(res Resilience, ov Overload) (string, cache.Metrics) {
+		dec := staticDecider(t, 1)
+		proxy := NewOverloadProxy(dec, originSrv.URL, 0, res, ov)
+		var seq strings.Builder
+		for _, r := range tr.Requests {
+			w := httptest.NewRecorder()
+			proxy.ServeHTTP(w, httptest.NewRequest("GET", originURL("", r.ID, r.Size), nil))
+			if w.Code != http.StatusOK {
+				t.Fatalf("object %d: status %d", r.ID, w.Code)
+			}
+			seq.WriteString(w.Header().Get("X-Cache"))
+			seq.WriteByte('\n')
+		}
+		return seq.String(), dec.Metrics()
+	}
+	wantSeq, wantM := run(Resilience{}, Overload{})
+	if wantM.Requests != 2000 || wantM.HOCHits == 0 || wantM.DCHits == 0 || wantM.Misses == 0 {
+		t.Fatalf("script does not exercise every outcome: %+v", wantM)
+	}
+	for _, arm := range []struct {
+		name string
+		res  Resilience
+		ov   Overload
+	}{
+		{"resilient", DefaultResilience(), Overload{}},
+		{"deployed", DefaultResilience(), DefaultOverload()},
+	} {
+		seq, m := run(arm.res, arm.ov)
+		if seq != wantSeq {
+			t.Errorf("%s: X-Cache sequence differs from the bare pipeline's", arm.name)
+		}
+		if m != wantM {
+			t.Errorf("%s: decider metrics %+v, bare pipeline %+v", arm.name, m, wantM)
+		}
+	}
+}
+
 func TestProxyMetrics(t *testing.T) {
-	_, proxySrv, proxy := testbed(t, cache.Expert{Freq: 1, MaxSize: 1 << 20}, 0, 0)
+	_, proxySrv, proxy := testbed(t, 0, 0)
 	for i := 0; i < 4; i++ {
 		get(t, proxySrv.URL, 3, 1000)
 	}
@@ -138,7 +219,7 @@ func TestProxyMetrics(t *testing.T) {
 }
 
 func TestRunLoadBasics(t *testing.T) {
-	_, proxySrv, _ := testbed(t, cache.Expert{Freq: 1, MaxSize: 1 << 20}, 0, 0)
+	_, proxySrv, _ := testbed(t, 0, 0)
 	tr, err := tracegen.ImageDownloadMix(50, 300, 71)
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +293,11 @@ func TestLoadResultZero(t *testing.T) {
 }
 
 func TestProxyBadGatewayOnOriginFailure(t *testing.T) {
-	dec, err := baselines.NewStatic(cache.Expert{Freq: 1, MaxSize: 1 << 20}, cache.EvalConfig{HOCBytes: 1 << 20, DCBytes: 1 << 24})
+	dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20}, cache.EvalConfig{HOCBytes: 1 << 20, DCBytes: 1 << 24}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proxy := NewProxy(dec, "http://127.0.0.1:1", 0) // nothing listening
+	proxy := NewOverloadProxy(dec, "http://127.0.0.1:1", 0, Resilience{}, Overload{}) // nothing listening
 	srv := httptest.NewServer(proxy)
 	defer srv.Close()
 	resp, _ := get(t, srv.URL, 1, 100)

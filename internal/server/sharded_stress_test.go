@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"darwin/internal/baselines"
 	"darwin/internal/cache"
 	"darwin/internal/faults"
 	"darwin/internal/tracegen"
@@ -25,11 +24,7 @@ func TestShardedProxyStress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := staticDecider(t, 4)
 	if !dec.Concurrent() {
 		t.Fatal("sharded static decider must advertise Concurrent()")
 	}
@@ -37,7 +32,7 @@ func TestShardedProxyStress(t *testing.T) {
 	injector := faults.New(faults.Config{Seed: 9, ErrorRate: 0.05, SpikeRate: 0.02, Spike: time.Millisecond})
 	originSrv := httptest.NewServer(injector.Wrap(origin))
 	defer originSrv.Close()
-	proxy := NewResilientProxy(dec, originSrv.URL, 0, fastResilience())
+	proxy := NewOverloadProxy(dec, originSrv.URL, 0, fastResilience(), Overload{})
 	proxySrv := httptest.NewServer(proxy)
 	defer proxySrv.Close()
 
