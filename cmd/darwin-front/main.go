@@ -1,8 +1,10 @@
 // Command darwin-front runs the cluster's content-aware front tier (§2.1's
 // balancer, live): a consistent-hash ring with bounded loads over N
-// darwin-proxy backends, with /readyz-driven weight shedding, per-backend
-// circuit breakers with in-request failover, and popularity-adaptive
-// replication of hot objects over ring successors.
+// darwin-proxy backends, with weight shedding driven by one graded
+// membership view (/gossip digests; /readyz answers feed the same detector
+// for backends that do not serve /gossip), per-backend circuit breakers with
+// in-request failover, and popularity-adaptive replication of hot objects
+// over ring successors.
 //
 // Usage:
 //
@@ -11,63 +13,65 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"darwin/internal/lb"
 	"darwin/internal/server"
 )
 
+// options is what the flags set: the two values main consumes itself and,
+// bound in place, the config NewFront already takes.
+type options struct {
+	addr  string
+	drain time.Duration
+	front server.FrontConfig
+}
+
+// registerFlags declares darwin-front's flags on fs. Every tuning default
+// comes from FrontConfig.WithDefaults — the flag shows it, nothing here
+// repeats it.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{front: server.FrontConfig{}.WithDefaults()}
+	c := &o.front
+	fs.StringVar(&o.addr, "addr", ":8070", "listen address")
+	fs.Func("backends", "comma-separated darwin-proxy base `URLs` (required; same order as the proxies' -peers)", func(s string) error {
+		c.Backends = strings.Split(s, ",")
+		return nil
+	})
+
+	fs.IntVar(&c.VirtualNodes, "vnodes", c.VirtualNodes, "virtual nodes per backend on the ring")
+	fs.Float64Var(&c.LoadFactor, "load-factor", c.LoadFactor, "bounded-loads ε: per-window budget headroom before spilling")
+	fs.IntVar(&c.RebalanceEvery, "rebalance-every", c.RebalanceEvery, "requests per rebalance window (weights, budgets, replication factors refresh at boundaries)")
+	fs.IntVar(&c.Attempts, "attempts", c.Attempts, "max distinct backends tried per request (failover)")
+	fs.DurationVar(&c.ProbeEvery, "probe-every", c.ProbeEvery, "health poll period (/gossip digest exchange; /readyz for backends that do not serve it)")
+
+	fs.IntVar(&c.Replication.TopK, "rep-top-k", c.Replication.TopK, "max hot objects holding extra replicas per window")
+	fs.IntVar(&c.Replication.MaxFactor, "rep-max-factor", c.Replication.MaxFactor, "replication factor cap per object")
+	fs.Float64Var(&c.Replication.HotShare, "rep-hot-share", c.Replication.HotShare, "request share granting one extra replica")
+
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful shutdown drain deadline")
+	return o
+}
+
 func main() {
-	var (
-		addr     = flag.String("addr", ":8070", "listen address")
-		backends = flag.String("backends", "", "comma-separated darwin-proxy base URLs (required; same order as the proxies' -peers)")
-
-		vnodes     = flag.Int("vnodes", 64, "virtual nodes per backend on the ring")
-		loadFactor = flag.Float64("load-factor", 0.25, "bounded-loads ε: per-window budget headroom before spilling")
-		rebalance  = flag.Int("rebalance-every", 10_000, "requests per rebalance window (weights, budgets, replication factors refresh at boundaries)")
-		attempts   = flag.Int("attempts", 3, "max distinct backends tried per request (failover)")
-		probeEvery = flag.Duration("probe-every", 250*time.Millisecond, "readiness poll period")
-		gossipOn   = flag.Bool("gossip", true, "graded membership via /gossip digests (falls back to binary /readyz per backend)")
-
-		repTopK  = flag.Int("rep-top-k", 16, "max hot objects holding extra replicas per window")
-		repMax   = flag.Int("rep-max-factor", 3, "replication factor cap per object")
-		repShare = flag.Float64("rep-hot-share", 0.02, "request share granting one extra replica")
-
-		drain = flag.Duration("drain", 10*time.Second, "graceful shutdown drain deadline")
-	)
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	if *backends == "" {
+	nodes := o.front.Backends
+	if len(nodes) == 0 {
 		fatal(fmt.Errorf("-backends is required"))
 	}
-	nodes := strings.Split(*backends, ",")
-
-	front, err := server.NewFront(server.FrontConfig{
-		Backends:       nodes,
-		VirtualNodes:   *vnodes,
-		LoadFactor:     *loadFactor,
-		RebalanceEvery: *rebalance,
-		Attempts:       *attempts,
-		ProbeEvery:     *probeEvery,
-		DisableGossip:  !*gossipOn,
-		Replication: lb.ReplicationConfig{
-			TopK:      *repTopK,
-			MaxFactor: *repMax,
-			HotShare:  *repShare,
-		},
-	})
+	front, err := server.NewFront(o.front)
 	if err != nil {
 		fatal(err)
 	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	// The prober outlives the drain: it stops when main returns.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	front.Start(ctx)
 
 	health := server.NewHealth()
@@ -82,15 +86,11 @@ func main() {
 		for i, wt := range front.Weights() {
 			fmt.Fprintf(w, "backend_weight{node=%d} %g\n", i, wt)
 		}
+		memb := front.Membership()
 		for i := range nodes {
 			timeouts, refused := front.ProbeStats(i)
-			fmt.Fprintf(w, "backend_status{node=%d} %s\nprobe_timeout{node=%d} %d\nprobe_refused{node=%d} %d\n",
-				i, front.MembershipStatus(i), i, timeouts, i, refused)
-		}
-		if memb := front.Membership(); memb != nil {
-			for i := range nodes {
-				fmt.Fprintf(w, "gossip_phi{node=%d} %.3f\n", i, memb.Phi(i))
-			}
+			fmt.Fprintf(w, "backend_status{node=%d} %s\nprobe_timeout{node=%d} %d\nprobe_refused{node=%d} %d\ngossip_phi{node=%d} %.3f\n",
+				i, front.MembershipStatus(i), i, timeouts, i, refused, i, memb.Phi(i))
 		}
 		var rs [lb.RsWidth]int64
 		front.ReplicationStats(rs[:])
@@ -98,43 +98,13 @@ func main() {
 			rs[lb.RsObserved], rs[lb.RsHotObjects], rs[lb.RsExtraReplicas], rs[lb.RsMaxFactor])
 	})
 
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	fmt.Fprintf(os.Stderr, "darwin-front: listening on %s over %d backends (%s)\n", *addr, len(nodes), *backends)
-	if err := runServer(ctx, srv, *drain, health); err != nil {
+	fmt.Fprintf(os.Stderr, "darwin-front: listening on %s over %d backends (%s)\n", o.addr, len(nodes), strings.Join(nodes, ","))
+	if err := server.Run(ctx, &http.Server{Addr: o.addr, Handler: mux}, health, 0, o.drain); err != nil {
 		fatal(err)
 	}
 	st := front.Stats()
 	fmt.Fprintf(os.Stderr, "darwin-front: %d requests, %d relayed, %d failovers, %d no-backend\n",
 		st.Requests, st.Relayed, st.Failovers, st.NoBackend)
-}
-
-// runServer serves until SIGINT/SIGTERM, then runs the health-gated drain:
-// /readyz flips to 503 first, then in-flight connections drain.
-func runServer(ctx context.Context, srv *http.Server, drain time.Duration, health *server.Health) error {
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	health.StartDrain()
-	fmt.Fprintln(os.Stderr, "darwin-front: draining (readyz now 503), shutting down...")
-	sctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
 }
 
 func fatal(err error) {

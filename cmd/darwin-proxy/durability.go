@@ -42,23 +42,14 @@ type durability struct {
 // openDurability opens (or creates) the data directory's journal and reads
 // any checkpoint. A corrupt checkpoint is never fatal: the proxy logs it and
 // recovers from the journal alone.
-func openDurability(dir, policy string, batch int, segBytes int64, interval time.Duration) (*durability, error) {
-	pol, err := diskcache.ParseSyncPolicy(policy)
-	if err != nil {
-		return nil, err
-	}
-	store, err := diskcache.Open(diskcache.Config{
-		Dir:          dir,
-		SegmentBytes: segBytes,
-		Sync:         pol,
-		BatchEvery:   batch,
-	})
+func openDurability(cfg diskcache.Config, interval time.Duration) (*durability, error) {
+	store, err := diskcache.Open(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("opening disk cache journal: %w", err)
 	}
 	d := &durability{
 		store:    store,
-		ckptPath: filepath.Join(dir, checkpointFile),
+		ckptPath: filepath.Join(cfg.Dir, checkpointFile),
 		interval: interval,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),

@@ -18,110 +18,118 @@ import (
 	"net/http"
 	_ "net/http/pprof" // side-listener profiling endpoints, gated by -pprof
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
 	"time"
 
 	"darwin/internal/baselines"
 	"darwin/internal/breaker"
 	"darwin/internal/cache"
 	"darwin/internal/core"
+	"darwin/internal/diskcache"
 	"darwin/internal/exp"
 	"darwin/internal/server"
 )
 
+// options is what the flags set: the values main consumes itself and, bound
+// in place, the configs the constructors already take.
+type options struct {
+	addr, origin, mode, objective string
+	pprofAddr, modelPath          string
+	dcLatency, ckptEvery          time.Duration
+	drain, lameDuck               time.Duration
+	expert                        cache.Expert
+	hoc, dc                       int64
+	shards, pubEvery              int
+	resilient, overload           bool
+
+	store diskcache.Config
+	res   server.Resilience
+	ov    server.Overload
+	peer  server.PeerConfig
+}
+
+// registerFlags declares darwin-proxy's flags on fs. Every tuning default
+// comes from the package that owns the setting — the flag shows it, nothing
+// here repeats it.
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{
+		store: diskcache.Config{}.WithDefaults(),
+		res:   server.DefaultResilience(),
+		ov:    server.DefaultOverload(),
+		peer:  server.PeerConfig{}.WithDefaults(),
+	}
+	o.ov.Breaker = breaker.Config{}.WithDefaults()
+
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.origin, "origin", "http://127.0.0.1:9000", "origin base URL")
+	fs.DurationVar(&o.dcLatency, "dc-latency", 2*time.Millisecond, "injected disk-read delay")
+	fs.StringVar(&o.mode, "mode", "darwin", "darwin | static")
+	fs.IntVar(&o.expert.Freq, "f", 2, "static expert frequency threshold")
+	fs.Int64Var(&o.expert.MaxSize, "s", 10<<10, "static expert size threshold (bytes)")
+	fs.Int64Var(&o.hoc, "hoc", 2<<20, "HOC bytes")
+	fs.Int64Var(&o.dc, "dc", 200<<20, "DC bytes")
+	fs.StringVar(&o.objective, "objective", "ohr", "darwin objective: ohr | bmr | combined")
+	fs.IntVar(&o.shards, "shards", 0, "cache engine shard count (0 = auto from GOMAXPROCS, 1 = serial/global-lock data plane)")
+	fs.IntVar(&o.pubEvery, "publish-every", 32, "requests per shard between metric-mirror publications (1 = publish every request)")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "pprof listen address (e.g. localhost:6060; empty = disabled)")
+	fs.StringVar(&o.modelPath, "model", "", "pre-trained model file from darwin-train (skips startup training)")
+
+	fs.StringVar(&o.store.Dir, "data-dir", "", "durable state directory: DC journal + learned-state checkpoints (empty = in-memory only)")
+	fs.Var(&o.store.Sync, "fsync", "journal fsync `policy`: batch (default) | always | off")
+	fs.IntVar(&o.store.BatchEvery, "fsync-batch", o.store.BatchEvery, "journal appends per fsync under -fsync=batch")
+	fs.Int64Var(&o.store.SegmentBytes, "segment-bytes", o.store.SegmentBytes, "journal segment size before rotation (bytes)")
+	fs.DurationVar(&o.ckptEvery, "checkpoint-interval", 30*time.Second, "learned-state checkpoint period (0 = checkpoint only at shutdown)")
+
+	fs.BoolVar(&o.resilient, "resilient", true, "enable the fault-tolerance layer (retries, coalescing, serve-stale)")
+	fs.IntVar(&o.res.MaxAttempts, "retries", o.res.MaxAttempts, "total origin fetch attempts per miss (1 = no retry)")
+	fs.DurationVar(&o.res.FetchTimeout, "fetch-timeout", o.res.FetchTimeout, "per-attempt origin fetch deadline")
+	fs.DurationVar(&o.res.BackoffBase, "backoff", o.res.BackoffBase, "base retry backoff (doubles per retry, jittered)")
+	fs.DurationVar(&o.res.BackoffMax, "backoff-max", o.res.BackoffMax, "retry backoff cap")
+	fs.BoolVar(&o.res.Coalesce, "coalesce", o.res.Coalesce, "single-flight coalescing of concurrent misses")
+	fs.BoolVar(&o.res.ServeStale, "serve-stale", o.res.ServeStale, "serve previously-seen objects stale when the origin is down")
+	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful shutdown drain deadline")
+	fs.DurationVar(&o.lameDuck, "lame-duck", 300*time.Millisecond, "keep serving after readyz/gossip flip to 503 so probers observe the drain verdict before the listener closes")
+
+	fs.Func("peers", "comma-separated cluster node base `URLs` (enables peer cache fill, gossip membership and drain handoff; must include -self)", func(s string) error {
+		o.peer.Nodes = strings.Split(s, ",")
+		return nil
+	})
+	fs.StringVar(&o.peer.Self, "self", "", "this node's own entry in -peers")
+	fs.IntVar(&o.peer.Fanout, "peer-fanout", o.peer.Fanout, "max ring siblings probed per miss")
+	fs.DurationVar(&o.peer.FetchTimeout, "peer-timeout", o.peer.FetchTimeout, "per-sibling probe deadline")
+
+	fs.BoolVar(&o.overload, "overload", true, "enable the overload-protection layer (breaker, admission, deadlines, hedging)")
+	fs.Int64Var(&o.ov.MaxInFlight, "max-inflight", o.ov.MaxInFlight, "admission control: max concurrently admitted requests (0 = unlimited)")
+	fs.BoolVar(&o.ov.PropagateDeadline, "propagate-deadline", o.ov.PropagateDeadline, "honor the client X-Darwin-Deadline-Ms header")
+	fs.DurationVar(&o.ov.MinFetchBudget, "min-fetch-budget", o.ov.MinFetchBudget, "shed misses whose remaining deadline is below this floor")
+	fs.DurationVar(&o.ov.Hedge, "hedge", o.ov.Hedge, "hedged second origin fetch delay (0 = no hedging)")
+	fs.Int64Var(&o.ov.RetryBudget, "retry-budget", o.ov.RetryBudget, "max retries per window (0 = breaker half-open probe budget, <0 = uncapped)")
+	fs.DurationVar(&o.ov.Breaker.Window, "brk-window", o.ov.Breaker.Window, "circuit breaker rolling window")
+	fs.Float64Var(&o.ov.Breaker.FailureThreshold, "brk-threshold", o.ov.Breaker.FailureThreshold, "circuit breaker failure-ratio trip threshold")
+	fs.Int64Var(&o.ov.Breaker.MinRequests, "brk-min-requests", o.ov.Breaker.MinRequests, "circuit breaker volume floor before tripping")
+	fs.DurationVar(&o.ov.Breaker.OpenFor, "brk-open-for", o.ov.Breaker.OpenFor, "circuit breaker cool-off before half-open")
+	fs.Int64Var(&o.ov.Breaker.HalfOpenProbes, "brk-probes", o.ov.Breaker.HalfOpenProbes, "circuit breaker half-open probe budget")
+	return o
+}
+
 func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		origin    = flag.String("origin", "http://127.0.0.1:9000", "origin base URL")
-		dcLatency = flag.Duration("dc-latency", 2*time.Millisecond, "injected disk-read delay")
-		mode      = flag.String("mode", "darwin", "darwin | static")
-		f         = flag.Int("f", 2, "static expert frequency threshold")
-		s         = flag.Int64("s", 10<<10, "static expert size threshold (bytes)")
-		hoc       = flag.Int64("hoc", 2<<20, "HOC bytes")
-		dc        = flag.Int64("dc", 200<<20, "DC bytes")
-		objective = flag.String("objective", "ohr", "darwin objective: ohr | bmr | combined")
-		shards    = flag.Int("shards", 0, "cache engine shard count (0 = auto from GOMAXPROCS, 1 = serial/global-lock data plane)")
-		pubEvery  = flag.Int("publish-every", 32, "requests per shard between metric-mirror publications (1 = publish every request)")
-		pprofAddr = flag.String("pprof", "", "pprof listen address (e.g. localhost:6060; empty = disabled)")
-		modelPath = flag.String("model", "", "pre-trained model file from darwin-train (skips startup training)")
-
-		dataDir    = flag.String("data-dir", "", "durable state directory: DC journal + learned-state checkpoints (empty = in-memory only)")
-		fsyncPol   = flag.String("fsync", "batch", "journal fsync policy: batch | always | off")
-		fsyncBatch = flag.Int("fsync-batch", 256, "journal appends per fsync under -fsync=batch")
-		segBytes   = flag.Int64("segment-bytes", 16<<20, "journal segment size before rotation (bytes)")
-		ckptEvery  = flag.Duration("checkpoint-interval", 30*time.Second, "learned-state checkpoint period (0 = checkpoint only at shutdown)")
-
-		resilient    = flag.Bool("resilient", true, "enable the fault-tolerance layer (retries, coalescing, serve-stale)")
-		retries      = flag.Int("retries", 4, "total origin fetch attempts per miss (1 = no retry)")
-		fetchTimeout = flag.Duration("fetch-timeout", 2*time.Second, "per-attempt origin fetch deadline")
-		backoff      = flag.Duration("backoff", 5*time.Millisecond, "base retry backoff (doubles per retry, jittered)")
-		backoffMax   = flag.Duration("backoff-max", 250*time.Millisecond, "retry backoff cap")
-		coalesce     = flag.Bool("coalesce", true, "single-flight coalescing of concurrent misses")
-		serveStale   = flag.Bool("serve-stale", true, "serve previously-seen objects stale when the origin is down")
-		drain        = flag.Duration("drain", 10*time.Second, "graceful shutdown drain deadline")
-		lameDuck     = flag.Duration("lame-duck", 300*time.Millisecond, "keep serving after readyz/gossip flip to 503 so probers observe the drain verdict before the listener closes")
-
-		peers       = flag.String("peers", "", "comma-separated cluster node base URLs (enables peer cache fill; must include -self)")
-		self        = flag.String("self", "", "this node's own entry in -peers")
-		peerFanout  = flag.Int("peer-fanout", 2, "max ring siblings probed per miss")
-		peerTimeout = flag.Duration("peer-timeout", 150*time.Millisecond, "per-sibling probe deadline")
-		gossipOn    = flag.Bool("gossip", true, "SWIM-style membership: piggyback heartbeat digests on peer probes and serve /gossip")
-		handoffOn   = flag.Bool("handoff", true, "serve /state and push learned state to the ring successor on drain")
-
-		overload       = flag.Bool("overload", true, "enable the overload-protection layer (breaker, admission, deadlines, hedging)")
-		maxInflight    = flag.Int64("max-inflight", 512, "admission control: max concurrently admitted requests (0 = unlimited)")
-		propagateDL    = flag.Bool("propagate-deadline", true, "honor the client X-Darwin-Deadline-Ms header")
-		minFetchBudget = flag.Duration("min-fetch-budget", 50*time.Millisecond, "shed misses whose remaining deadline is below this floor")
-		hedge          = flag.Duration("hedge", 25*time.Millisecond, "hedged second origin fetch delay (0 = no hedging)")
-		retryBudget    = flag.Int64("retry-budget", 0, "max retries per window (0 = breaker half-open probe budget, <0 = uncapped)")
-		brkWindow      = flag.Duration("brk-window", time.Second, "circuit breaker rolling window")
-		brkThreshold   = flag.Float64("brk-threshold", 0.5, "circuit breaker failure-ratio trip threshold")
-		brkMinRequests = flag.Int64("brk-min-requests", 10, "circuit breaker volume floor before tripping")
-		brkOpenFor     = flag.Duration("brk-open-for", 250*time.Millisecond, "circuit breaker cool-off before half-open")
-		brkProbes      = flag.Int64("brk-probes", 3, "circuit breaker half-open probe budget")
-	)
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	if *shards <= 0 {
-		*shards = cache.AutoShards()
+	if o.shards <= 0 {
+		o.shards = cache.AutoShards()
 	}
 	// Outside input is checked once, here, before a model is trained or a
 	// listener opened (-self/-peers by SetPeers below, also before listening).
-	res := server.Resilience{
-		MaxAttempts:  *retries,
-		FetchTimeout: *fetchTimeout,
-		BackoffBase:  *backoff,
-		BackoffMax:   *backoffMax,
-		Coalesce:     *coalesce,
-		ServeStale:   *serveStale,
-		Seed:         1,
-	}
-	ov := server.Overload{
-		Enabled: true,
-		Breaker: breaker.Config{
-			Window:           *brkWindow,
-			FailureThreshold: *brkThreshold,
-			MinRequests:      *brkMinRequests,
-			OpenFor:          *brkOpenFor,
-			HalfOpenProbes:   *brkProbes,
-		},
-		MaxInFlight:       *maxInflight,
-		PropagateDeadline: *propagateDL,
-		MinFetchBudget:    *minFetchBudget,
-		Hedge:             *hedge,
-		RetryBudget:       *retryBudget,
-	}
-	if err := errors.Join(res.Validate(), ov.Validate()); err != nil {
+	if err := errors.Join(o.res.Validate(), o.ov.Validate()); err != nil {
 		fatal(err)
 	}
 	// Switching a layer off passes its zero config: the same pipeline with
 	// those stages absent.
-	if !*resilient {
-		res = server.Resilience{}
+	if !o.resilient {
+		o.res = server.Resilience{}
 	}
-	if !*overload {
-		ov = server.Overload{}
+	if !o.overload {
+		o.ov = server.Overload{}
 	}
 	var (
 		dec server.Decider
@@ -131,8 +139,8 @@ func main() {
 	// building engines, so both plug into the construction below.
 	var dur *durability
 	var dclog cache.DCLog
-	if *dataDir != "" {
-		dur, err = openDurability(*dataDir, *fsyncPol, *fsyncBatch, *segBytes, *ckptEvery)
+	if o.store.Dir != "" {
+		dur, err = openDurability(o.store, o.ckptEvery)
 		if err != nil {
 			fatal(err)
 		}
@@ -143,23 +151,23 @@ func main() {
 		ctrl  *core.Controller
 		model *core.Model
 	)
-	switch *mode {
+	switch o.mode {
 	case "static":
 		var st *baselines.Static
-		st, err = baselines.NewStaticSharded(cache.Expert{Freq: *f, MaxSize: *s},
-			cache.EvalConfig{HOCBytes: *hoc, DCBytes: *dc, DCLog: dclog}, *shards)
+		st, err = baselines.NewStaticSharded(o.expert,
+			cache.EvalConfig{HOCBytes: o.hoc, DCBytes: o.dc, DCLog: dclog}, o.shards)
 		if err == nil {
 			dec = st
 			shEng = st.Engine().(*cache.Sharded)
 		}
 	case "darwin":
 		sc := exp.Default()
-		sc.Eval.HOCBytes = *hoc
-		sc.Eval.DCBytes = *dc
+		sc.Eval.HOCBytes = o.hoc
+		sc.Eval.DCBytes = o.dc
 		switch {
-		case *modelPath != "":
+		case o.modelPath != "":
 			var fd *os.File
-			fd, err = os.Open(*modelPath)
+			fd, err = os.Open(o.modelPath)
 			if err == nil {
 				model, err = core.ReadModel(fd)
 				fd.Close()
@@ -172,7 +180,7 @@ func main() {
 		default:
 			fmt.Fprintln(os.Stderr, "darwin-proxy: training offline model on a synthetic corpus...")
 			var c *exp.Corpus
-			c, err = exp.BuildCorpus(sc, *objective)
+			c, err = exp.BuildCorpus(sc, o.objective)
 			if err == nil {
 				model = c.Model
 			}
@@ -182,7 +190,7 @@ func main() {
 				sc.Online.Warmup = model.FeatureWindow
 			}
 			var eng *cache.Sharded
-			eng, err = cache.NewSharded(cache.Config{HOCBytes: *hoc, DCBytes: *dc, DCLog: dclog}, *shards)
+			eng, err = cache.NewSharded(cache.Config{HOCBytes: o.hoc, DCBytes: o.dc, DCLog: dclog}, o.shards)
 			if err == nil {
 				ctrl, err = core.NewController(model, eng, sc.Online)
 				if err == nil {
@@ -192,7 +200,7 @@ func main() {
 			}
 		}
 	default:
-		err = fmt.Errorf("unknown mode %q", *mode)
+		err = fmt.Errorf("unknown mode %q", o.mode)
 	}
 	if err != nil {
 		fatal(err)
@@ -204,33 +212,14 @@ func main() {
 	// publish the whole consistent block every K requests, keeping the seqlock
 	// fences off the per-request path. Round-boundary and /metrics reads go
 	// through SyncMetrics, so learning and reporting still see exact counts.
-	shEng.SetPublishEvery(*pubEvery)
+	shEng.SetPublishEvery(o.pubEvery)
 
-	proxy := server.NewOverloadProxy(dec, *origin, *dcLatency, res, ov)
-	clustered := *peers != ""
-	if clustered {
-		if err := proxy.SetPeers(server.PeerConfig{
-			Self:          *self,
-			Nodes:         strings.Split(*peers, ","),
-			Fanout:        *peerFanout,
-			FetchTimeout:  *peerTimeout,
-			DisableGossip: !*gossipOn,
-		}); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "darwin-proxy: peer fill over %s (self %s, gossip=%v)\n", *peers, *self, *gossipOn)
-		if *handoffOn && shEng != nil {
-			proxy.EnableStateHandoff(server.StateHandoff{
-				Provide: handoffProvider(shEng, ctrl, model),
-				Accept:  handoffAcceptor(shEng, ctrl),
-			})
-		}
-	}
+	proxy := server.NewOverloadProxy(dec, o.origin, o.dcLatency, o.res, o.ov)
 	gates := []server.Gate{{Name: "breaker", Ready: proxy.Ready}}
 	if dur != nil {
 		// The proxy serves during recovery (cache misses are correct, just
-		// cold), but /readyz holds 503 so balancers don't route to a
-		// still-warming instance.
+		// cold), but the health verdict holds 503 so balancers don't route to
+		// a still-warming instance.
 		gates = append(gates, server.Gate{Name: "recovery", Ready: dur.recovered.Load})
 	}
 	health := server.NewHealth(gates...)
@@ -238,17 +227,20 @@ func main() {
 	mux.Handle("/obj/", proxy)
 	mux.HandleFunc("/healthz", health.Healthz)
 	mux.HandleFunc("/readyz", health.Readyz)
+	clustered := len(o.peer.Nodes) > 0
 	if clustered {
-		// /gossip is drain-gated: a draining node answers 503, which the
-		// front tier reads as an explicit "stop routing here" — immediate
-		// weight shed, no waiting for phi to accrue.
-		mux.HandleFunc("/gossip", func(w http.ResponseWriter, r *http.Request) {
-			if health.Draining() {
-				http.Error(w, "draining", http.StatusServiceUnavailable)
-				return
-			}
-			proxy.ServeGossip(w, r)
+		if err := proxy.SetPeers(o.peer); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "darwin-proxy: peer fill over %s (self %s)\n", strings.Join(o.peer.Nodes, ","), o.peer.Self)
+		proxy.EnableStateHandoff(server.StateHandoff{
+			Provide: handoffProvider(shEng, ctrl, model),
+			Accept:  handoffAcceptor(shEng, ctrl),
 		})
+		// /gossip answers from the same verdict as /readyz: a draining or
+		// gated node's 503 is what the front tier reads as an explicit "stop
+		// routing here" — immediate weight shed, no waiting for phi to accrue.
+		mux.HandleFunc("/gossip", health.Gated(proxy.ServeGossip))
 		mux.HandleFunc("/state", proxy.ServeState)
 	}
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -264,12 +256,13 @@ func main() {
 			st.PeerProbes, st.PeerFills, st.PeerErrors, st.PeerRejects, st.PeerServed)
 		fmt.Fprintf(w, "peer_skips_dead %d\ngossip_exchanges %d\nstate_merges %d\nstate_rejects %d\nstate_pushes %d\n",
 			st.PeerSkipsDead, st.GossipExchanges, st.StateMerges, st.StateRejects, st.StatePushes)
-		if memb := proxy.Membership(); memb != nil {
+		if clustered {
+			memb := proxy.Membership()
 			for i := 0; i < memb.Nodes(); i++ {
 				if i == memb.Self() {
 					continue
 				}
-				fmt.Fprintf(w, "gossip_peer_status{node=%d} %d\ngossip_peer_phi{node=%d} %.3f\n",
+				fmt.Fprintf(w, "gossip_peer_status{node=%d} %s\ngossip_peer_phi{node=%d} %.3f\n",
 					i, memb.Status(i), i, memb.Phi(i))
 			}
 		}
@@ -283,36 +276,27 @@ func main() {
 				boolToInt(dur.recovered.Load()), ds.LiveObjects, ds.LiveBytes, ds.LogBytes, ds.Segments, ds.Syncs, ds.Compactions, ds.DroppedOps, ds.RecoveredPuts)
 		}
 	})
-	if *pprofAddr != "" {
+	if o.pprofAddr != "" {
 		// Profiling runs on its own listener so /debug/pprof is never exposed
 		// on the serving address. net/http/pprof registers its handlers on
 		// http.DefaultServeMux.
 		//lint:ignore goctx the pprof side listener intentionally lives for the whole process; it holds no connections the drain path must quiesce
 		go func() {
-			fmt.Fprintf(os.Stderr, "darwin-proxy: pprof on http://%s/debug/pprof/\n", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			fmt.Fprintf(os.Stderr, "darwin-proxy: pprof on http://%s/debug/pprof/\n", o.pprofAddr)
+			if err := http.ListenAndServe(o.pprofAddr, nil); err != nil {
 				fmt.Fprintln(os.Stderr, "darwin-proxy: pprof listener:", err)
 			}
 		}()
 	}
-	// Timeouts close slowloris-style connections that trickle headers or
-	// hold sockets idle; graceful shutdown drains in-flight requests.
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
-	fmt.Fprintf(os.Stderr, "darwin-proxy: %s mode, listening on %s, origin %s (shards=%d, resilient=%v, overload=%v)\n", *mode, *addr, *origin, *shards, *resilient, *overload)
-	if err := runServer(srv, *drain, *lameDuck, health); err != nil {
+	fmt.Fprintf(os.Stderr, "darwin-proxy: %s mode, listening on %s, origin %s (shards=%d, resilient=%v, overload=%v)\n", o.mode, o.addr, o.origin, o.shards, o.resilient, o.overload)
+	if err := server.Run(context.Background(), &http.Server{Addr: o.addr, Handler: mux}, health, o.lameDuck, o.drain); err != nil {
 		fatal(err)
 	}
-	if clustered && *handoffOn && shEng != nil {
+	if clustered {
 		// The server has drained, so the state below is quiesced — hand it to
 		// the ring successor (the node inheriting this keyspace). Best
 		// effort: a dead or refusing successor just starts cold, as before.
-		hctx, hcancel := context.WithTimeout(context.Background(), *drain)
+		hctx, hcancel := context.WithTimeout(context.Background(), o.drain)
 		if succ, err := proxy.PushStateToSuccessor(hctx, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "darwin-proxy: state handoff skipped: %v\n", err)
 		} else {
@@ -335,39 +319,6 @@ func boolToInt(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// runServer serves until SIGINT/SIGTERM, then runs the health-gated drain:
-// /readyz and /gossip flip to 503 first, the lame-duck window keeps the
-// listener open so probers actually observe that explicit verdict (an
-// immediate Shutdown would close the listener and make a graceful drain look
-// like a crash — refused probes — which the graded membership layer
-// deliberately sheds slowly), and only then are in-flight connections
-// drained for up to the given deadline.
-func runServer(srv *http.Server, drain, lameDuck time.Duration, health *server.Health) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	health.StartDrain()
-	fmt.Fprintln(os.Stderr, "darwin-proxy: draining (readyz now 503), shutting down...")
-	if lameDuck > 0 {
-		time.Sleep(lameDuck)
-	}
-	sctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -15,13 +15,10 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"net/http"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"darwin/internal/faults"
@@ -80,17 +77,8 @@ func main() {
 	mux.HandleFunc("/healthz", health.Healthz)
 	mux.HandleFunc("/readyz", health.Readyz)
 
-	// Timeouts close slowloris-style connections that trickle headers or
-	// hold sockets idle; ListenAndServe's zero-value server never would.
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           mux,
-		ReadHeaderTimeout: 5 * time.Second,
-		ReadTimeout:       30 * time.Second,
-		IdleTimeout:       60 * time.Second,
-	}
 	fmt.Fprintf(os.Stderr, "origin: listening on %s with %v injected latency\n", *addr, *latency)
-	if err := runServer(srv, *drain, health); err != nil {
+	if err := server.Run(context.Background(), &http.Server{Addr: *addr, Handler: mux}, health, 0, *drain); err != nil {
 		fatal(err)
 	}
 	if injector != nil {
@@ -100,32 +88,6 @@ func main() {
 	}
 	reqs, bytes := origin.Stats()
 	fmt.Fprintf(os.Stderr, "origin: served %d requests, %d bytes\n", reqs, bytes)
-}
-
-// runServer serves until SIGINT/SIGTERM, then runs the health-gated drain:
-// /readyz flips to 503 first, and only then are in-flight connections
-// drained for up to the given deadline.
-func runServer(srv *http.Server, drain time.Duration, health *server.Health) error {
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	health.StartDrain()
-	fmt.Fprintln(os.Stderr, "origin: draining (readyz now 503), shutting down...")
-	sctx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
 }
 
 func fatal(err error) {

@@ -70,6 +70,12 @@ func (p SyncPolicy) String() string {
 	return "unknown"
 }
 
+// Set implements flag.Value, so -fsync binds straight onto Config.Sync.
+func (p *SyncPolicy) Set(s string) (err error) {
+	*p, err = ParseSyncPolicy(s)
+	return err
+}
+
 // ParseSyncPolicy parses the -fsync flag values "batch", "always", "off".
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch s {
@@ -98,7 +104,10 @@ type Config struct {
 	GCFraction float64
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every unset or out-of-range tuning field
+// replaced by its documented default. Open applies it; darwin-proxy seeds
+// its journal flags from it.
+func (c Config) WithDefaults() Config {
 	if c.SegmentBytes <= 0 {
 		c.SegmentBytes = 16 << 20
 	}
@@ -219,7 +228,7 @@ func parseSegmentName(name string) (uint64, bool) {
 // corrupt record tails are truncated and counted, never fatal; only real
 // I/O errors (unreadable directory, failed truncate) fail the open.
 func Open(cfg Config) (*Store, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if cfg.Dir == "" {
 		return nil, errors.New("diskcache: Config.Dir is required")
 	}

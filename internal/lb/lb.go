@@ -57,7 +57,10 @@ func (c Config) validate() error {
 	return nil
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every unset (<= 0) tuning field replaced by
+// its documented default. NewRing applies it; the serving tier's configs
+// (server.FrontConfig, server.PeerConfig) take their ring defaults from it.
+func (c Config) WithDefaults() Config {
 	if c.VirtualNodes <= 0 {
 		c.VirtualNodes = 64
 	}

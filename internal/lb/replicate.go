@@ -40,7 +40,10 @@ type ReplicationConfig struct {
 	HotShare float64
 }
 
-func (c ReplicationConfig) withDefaults() ReplicationConfig {
+// WithDefaults returns c with every unset (<= 0) field replaced by its
+// documented default. NewReplicator applies it; darwin-front seeds its
+// -rep-* flags from it.
+func (c ReplicationConfig) WithDefaults() ReplicationConfig {
 	if c.TopK <= 0 {
 		c.TopK = 16
 	}
@@ -82,7 +85,7 @@ type Replicator struct {
 // NewReplicator builds a tracker with no hot objects.
 func NewReplicator(cfg ReplicationConfig) *Replicator {
 	r := &Replicator{
-		cfg:    cfg.withDefaults(),
+		cfg:    cfg.WithDefaults(),
 		counts: make(map[uint64]int64),
 		stats:  stripe.NewCell(RsWidth),
 	}

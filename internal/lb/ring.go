@@ -105,7 +105,7 @@ func NewRing(cfg Config) (*Ring, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	r := &Ring{
 		cfg:     cfg,
 		ring:    make([]ringEntry, 0, cfg.Servers*cfg.VirtualNodes),

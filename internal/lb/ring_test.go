@@ -54,7 +54,7 @@ type legacyBalancer struct {
 }
 
 func newLegacy(cfg Config) *legacyBalancer {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	b := &legacyBalancer{cfg: cfg, loads: make([]int, cfg.Servers)}
 	for s := 0; s < cfg.Servers; s++ {
 		for v := 0; v < cfg.VirtualNodes; v++ {

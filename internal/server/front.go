@@ -6,10 +6,20 @@ package server
 // (§2.1's DNS-TTL balancer, re-evaluated every RebalanceEvery requests).
 // Three feedback loops close over the ring each window:
 //
-//   - readiness: a prober polls each backend's /readyz; an unready or
-//     breaker-open backend sheds its ring weight at the next window boundary
-//     and the bounded-loads spill redistributes its share to ring successors
-//     (a SIGTERM drain empties a node's weight within one window).
+//   - health: one source, the gossip.Membership view. A prober exchanges
+//     digests with each backend's /gossip; a backend that does not serve it
+//     (404/405) is polled on /readyz instead and its 200 is fed into the
+//     same detector as a heartbeat the front numbers itself — a one-member
+//     digest. Either endpoint's poll has one of three outcomes, applied in
+//     one place (ProbeOnce): answered OK (proof of life, verdict cleared),
+//     declined (an explicit non-200: a drain or a failing gate said "stop" —
+//     weight 0 at the next window boundary), or silent (the phi-accrual
+//     detector grades the gap: alive 1, suspect ½, dead 0). Two rules cover
+//     the detector's blind spots: a Front that has never probed keeps every
+//     weight at 1, and a backend that has never been heard — no heartbeat
+//     history for phi to accrue on — is declined by its first silent probe
+//     until its first OK. A zero weight's share spills to ring successors
+//     under bounded loads.
 //   - replication: an lb.Replicator observes per-object request share and
 //     widens hot objects over ring successors, so a viral object's traffic
 //     spreads instead of saturating its primary — and the successors it
@@ -62,21 +72,37 @@ type FrontConfig struct {
 	// Attempts bounds failover: how many distinct ring candidates one
 	// request may try (default 3, capped at len(Backends)).
 	Attempts int
-	// ProbeEvery is the readiness poll period (default 250 ms).
+	// ProbeEvery is the health poll period (default 250 ms).
 	ProbeEvery time.Duration
-	// ProbeTimeout bounds each readiness poll (default ProbeEvery).
+	// ProbeTimeout bounds each health poll (default ProbeEvery).
 	ProbeTimeout time.Duration
 	// Client relays requests; nil builds a pooled default.
 	Client *http.Client
-	// DisableGossip reverts the prober to the binary /readyz verdict. The
-	// zero value probes /gossip first: backends that answer it get the
-	// graded phi-accrual weight (alive 1, suspect ½, dead 0), and backends
-	// that 404/405 it fall back to binary /readyz permanently.
-	DisableGossip bool
 	// Gossip tunes the failure detector (thresholds, dwell, clock). Nodes
 	// and Self (-1: the front is an observer) are overwritten; a nil Clock
 	// means time.Now, and HeartbeatEvery defaults to ProbeEvery.
 	Gossip gossip.Config
+}
+
+// WithDefaults returns c with every unset (<= 0) tuning field replaced by
+// its documented default. ProbeTimeout and Gossip.HeartbeatEvery stay unset:
+// they follow ProbeEvery, in NewFront. NewFront applies it and darwin-front
+// seeds its flags from it, so each default is spelled once — here, or in lb
+// for the ring's and the replicator's.
+func (c FrontConfig) WithDefaults() FrontConfig {
+	ring := lb.Config{VirtualNodes: c.VirtualNodes, LoadFactor: c.LoadFactor, RebalanceEvery: c.RebalanceEvery}.WithDefaults()
+	c.VirtualNodes, c.LoadFactor, c.RebalanceEvery = ring.VirtualNodes, ring.LoadFactor, ring.RebalanceEvery
+	c.Replication = c.Replication.WithDefaults()
+	if c.Breaker.Window <= 0 {
+		c.Breaker = DefaultPeerBreaker()
+	}
+	if c.Attempts <= 0 {
+		c.Attempts = 3
+	}
+	if c.ProbeEvery <= 0 {
+		c.ProbeEvery = 250 * time.Millisecond
+	}
+	return c
 }
 
 // Front-tier stat indexes (stripe counters, same idiom as the proxy's ps*).
@@ -117,22 +143,11 @@ type Front struct {
 	ring *lb.Ring
 	rep  *lb.Replicator
 
-	// ready mirrors each backend's last binary probe answer; written by the
-	// prober, read (atomically) by the ring's readiness hook at window
-	// boundaries. In gossip mode it only matters for backends the detector
-	// has never heard from (a backend dead at boot emits no heartbeats, so
-	// phi stays 0 and only the binary verdict can shed it).
-	ready []atomic.Bool
-
-	// memb is the graded membership view (nil when DisableGossip). The
-	// prober feeds it from /gossip answers; the readiness hook reads its
-	// weights. gossipOK tracks which backends speak /gossip — a 404/405
-	// flips a backend to the binary /readyz path permanently. declined
-	// marks a backend whose last probe was an explicit non-200 answer (a
-	// drain 503): an answer is a verdict, and sheds immediately, while a
-	// transport silence degrades gradually through the detector.
+	// memb is the graded membership view, the one health source: the prober
+	// feeds it, the readiness hook reads its weights. declined marks a
+	// backend whose last answer was an explicit non-200, or that has never
+	// answered at all (see the package comment).
 	memb     *gossip.Membership
-	gossipOK []atomic.Bool
 	declined []atomic.Bool
 
 	// probeTimeouts / probeRefused classify failed probes per backend: a
@@ -149,58 +164,44 @@ type Front struct {
 }
 
 // NewFront builds a front tier over the given backends. Call Start to run
-// the readiness prober, or drive ProbeOnce manually (tests do).
+// the health prober, or drive ProbeOnce manually (tests do).
 func NewFront(cfg FrontConfig) (*Front, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("server: front tier needs at least one backend")
 	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = 3
-	}
+	cfg = cfg.WithDefaults()
 	if cfg.Attempts > len(cfg.Backends) {
 		cfg.Attempts = len(cfg.Backends)
-	}
-	if cfg.ProbeEvery <= 0 {
-		cfg.ProbeEvery = 250 * time.Millisecond
 	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = cfg.ProbeEvery
 	}
-	if cfg.Breaker.Window <= 0 {
-		cfg.Breaker = DefaultPeerBreaker()
+	gcfg := cfg.Gossip
+	gcfg.Nodes = len(cfg.Backends)
+	gcfg.Self = -1 // the front observes; it emits no heartbeats
+	if gcfg.Clock == nil {
+		gcfg.Clock = time.Now
+	}
+	if gcfg.HeartbeatEvery <= 0 {
+		gcfg.HeartbeatEvery = cfg.ProbeEvery
+	}
+	memb, err := gossip.New(gcfg)
+	if err != nil {
+		return nil, err
 	}
 	f := &Front{
 		cfg:           cfg,
 		nodes:         cfg.Backends,
 		rep:           lb.NewReplicator(cfg.Replication),
-		ready:         make([]atomic.Bool, len(cfg.Backends)),
-		gossipOK:      make([]atomic.Bool, len(cfg.Backends)),
+		memb:          memb,
 		declined:      make([]atomic.Bool, len(cfg.Backends)),
 		probeTimeouts: make([]atomic.Int64, len(cfg.Backends)),
 		probeRefused:  make([]atomic.Int64, len(cfg.Backends)),
 		brks:          make([]*breaker.Breaker, len(cfg.Backends)),
 		stats:         stripe.New(proxyStatStripes, fsWidth),
 	}
-	if !cfg.DisableGossip {
-		gcfg := cfg.Gossip
-		gcfg.Nodes = len(cfg.Backends)
-		gcfg.Self = -1 // the front observes; it emits no heartbeats
-		if gcfg.Clock == nil {
-			gcfg.Clock = time.Now
-		}
-		if gcfg.HeartbeatEvery <= 0 {
-			gcfg.HeartbeatEvery = cfg.ProbeEvery
-		}
-		m, err := gossip.New(gcfg)
-		if err != nil {
-			return nil, err
-		}
-		f.memb = m
-	}
 	for i := range f.brks {
 		f.brks[i] = breaker.New(cfg.Breaker)
-		f.ready[i].Store(true)    // optimistic until the first probe says otherwise
-		f.gossipOK[i].Store(true) // try /gossip first; 404/405 flips to /readyz
 	}
 	ring, err := lb.NewRing(lb.Config{
 		Servers:        len(cfg.Backends),
@@ -224,31 +225,19 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 }
 
 // readiness is the ring's per-window weight hook. An open breaker always
-// sheds everything — live relay failures outrank any probe. Past that, a
-// backend the gossip detector has heard from gets the graded verdict: zero
-// if its last probe was an explicit non-200 answer (an answer is a verdict —
-// a draining backend said "stop"), otherwise the phi-accrual weight (alive
-// 1, suspect SuspectWeight, dead 0) — so one slow probe costs a slice of
-// ring weight, never the whole keyspace. Backends outside the detector's
-// view (gossip disabled, unsupported, or never heard from) get the binary
-// /readyz verdict, as before.
+// sheds everything — live relay failures outrank any probe. So does a
+// decline (an answer is a verdict — a draining backend said "stop"). Past
+// that the weight is the membership view's: alive 1 (also every backend of a
+// Front that has never probed), suspect SuspectWeight, dead 0 — so one slow
+// probe costs a slice of ring weight, never the whole keyspace.
 func (f *Front) readiness(window, server int) float64 {
-	if f.brks[server].State() == breaker.Open {
+	if f.brks[server].State() == breaker.Open || f.declined[server].Load() {
 		return 0
 	}
-	if f.memb != nil && f.gossipOK[server].Load() && f.memb.Heard(server) {
-		if f.declined[server].Load() {
-			return 0
-		}
-		return f.memb.Weight(server)
-	}
-	if !f.ready[server].Load() {
-		return 0
-	}
-	return 1
+	return f.memb.Weight(server)
 }
 
-// Start runs the readiness prober until ctx is cancelled.
+// Start runs the health prober until ctx is cancelled.
 func (f *Front) Start(ctx context.Context) {
 	go func() {
 		t := time.NewTicker(f.cfg.ProbeEvery)
@@ -264,96 +253,52 @@ func (f *Front) Start(ctx context.Context) {
 	}()
 }
 
-// ProbeOnce polls every backend once and updates the readiness state: a
-// /gossip exchange for gossip-speaking backends (digest out, digest in,
-// graded verdict), /readyz for the rest. Exported so tests (and the drain
-// experiment) can drive probing deterministically instead of racing a
-// ticker.
+// ProbeOnce polls every backend once and applies the outcome to the one
+// health state. Exported so tests (and the drain experiment) can drive
+// probing deterministically instead of racing a ticker.
 func (f *Front) ProbeOnce(ctx context.Context) {
 	for i, n := range f.nodes {
-		if f.memb != nil && f.gossipOK[i].Load() {
-			switch f.probeGossip(ctx, i, n) {
-			case probeOK:
-				f.ready[i].Store(true)
-				f.declined[i].Store(false)
-			case probeDeclined:
-				f.ready[i].Store(false)
-				f.declined[i].Store(true)
-			case probeSilent:
-				// No answer says nothing new: the graded detector handles
-				// silence, and an earlier explicit decline stays in force (a
-				// drained node that then exits must not climb back to
-				// suspect weight just because refusals replaced 503s).
-				f.ready[i].Store(false)
-			case probeUnsupported:
-				// The backend answered but doesn't serve /gossip (older
-				// build or gossip disabled): binary probing from here on.
-				f.gossipOK[i].Store(false)
-				f.ready[i].Store(f.probeReadyz(ctx, i, n))
-			}
-			continue
+		v := f.probe(ctx, i, n)
+		// Silence says nothing new about a backend once heard: the detector
+		// grades the gap, and an earlier decline stays in force (a drained
+		// node that then exits must not climb back to suspect weight just
+		// because refusals replaced 503s). A backend never heard has no gap
+		// to grade, so its silence is read as a decline.
+		if v != probeSilent || !f.memb.Heard(i) {
+			f.declined[i].Store(v != probeOK)
 		}
-		f.ready[i].Store(f.probeReadyz(ctx, i, n))
 	}
 }
 
-// classifyProbeFailure sorts a probe's transport error into the per-backend
-// timeout/refused counters: deadline-style failures mean the backend exists
-// but is slow or wedged; anything else (connection refused, reset, DNS) is
-// counted as a refusal.
-func (f *Front) classifyProbeFailure(backend int, err error) {
-	var ne net.Error
-	if errors.Is(err, context.DeadlineExceeded) || (errors.As(err, &ne) && ne.Timeout()) {
-		f.probeTimeouts[backend].Add(1)
-	} else {
-		f.probeRefused[backend].Add(1)
-	}
-}
-
-// probeVerdict is one gossip probe's outcome.
+// probeVerdict is one health poll's outcome, whichever endpoint answered.
 type probeVerdict int
 
 const (
-	// probeOK: a clean 200 digest exchange — proof of life, verdict cleared.
+	// probeOK: a clean 200 — proof of life, fed to the detector.
 	probeOK probeVerdict = iota
-	// probeDeclined: an explicit non-200 answer (a drain 503) — an answer is
-	// a verdict, and sheds the backend immediately.
+	// probeDeclined: an explicit non-200 answer (a drain or failing-gate
+	// 503) — an answer is a verdict, and sheds the backend immediately.
 	probeDeclined
 	// probeSilent: no (usable) answer at all — the graded detector decides.
 	probeSilent
-	// probeUnsupported: the backend answered 404/405 — it doesn't speak
-	// /gossip; fall back to binary /readyz probing.
-	probeUnsupported
 )
 
-// probeGossip runs one digest exchange with a backend: POST the front's
-// observer digest (relaying everything it has heard — the indirect-heartbeat
-// path that keeps partitioned-but-alive nodes alive in everyone's view) and
-// merge the backend's digest from the answer.
-func (f *Front) probeGossip(ctx context.Context, backend int, node string) probeVerdict {
+// probe polls one backend's health. The exchange is /gossip: POST the
+// front's observer digest (relaying everything it has heard — the
+// indirect-heartbeat path that keeps partitioned-but-alive nodes alive in
+// everyone's view) and merge the backend's digest from the answer. A backend
+// that answers 404/405 does not serve /gossip; its /readyz is polled
+// instead, and a 200 there is the same proof of life — a heartbeat for that
+// one backend, numbered by the front.
+func (f *Front) probe(ctx context.Context, backend int, node string) probeVerdict {
 	ctx, cancel := context.WithTimeout(ctx, f.cfg.ProbeTimeout)
 	defer cancel()
 	out := gossip.AppendDigest(nil, -1, f.memb.Digest(nil))
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, node+"/gossip", bytes.NewReader(out))
-	if err != nil {
-		return probeSilent
-	}
-	hreq.Header["Content-Type"] = octetStreamValue
-	resp, err := f.client.Do(hreq)
-	if err != nil {
-		f.classifyProbeFailure(backend, err)
-		return probeSilent
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
+	status, body := f.poll(ctx, backend, http.MethodPost, node+"/gossip", out)
+	switch status {
 	case http.StatusOK:
-		body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxGossipBytes))
-		if rerr != nil {
-			f.classifyProbeFailure(backend, rerr)
-			return probeSilent
-		}
-		sender, entries, derr := gossip.DecodeDigest(body, nil)
-		if derr != nil {
+		sender, entries, err := gossip.DecodeDigest(body, nil)
+		if err != nil {
 			// Answered garbage: no proof of life, but not a refusal either —
 			// let the detector's phi make the call.
 			return probeSilent
@@ -361,31 +306,43 @@ func (f *Front) probeGossip(ctx context.Context, backend int, node string) probe
 		f.memb.Merge(sender, entries)
 		return probeOK
 	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		_, _ = io.CopyN(io.Discard, resp.Body, 1<<10)
-		return probeUnsupported
-	default:
-		_, _ = io.CopyN(io.Discard, resp.Body, 1<<10)
-		return probeDeclined
+		status, _ = f.poll(ctx, backend, http.MethodGet, node+"/readyz", nil)
+		if status == http.StatusOK {
+			f.memb.Heartbeat(backend, f.memb.Seq(backend)+1)
+			return probeOK
+		}
 	}
+	if status == 0 {
+		return probeSilent
+	}
+	return probeDeclined
 }
 
-// probeReadyz reports whether one backend answers /readyz with 200, feeding
-// the per-backend failure classification on the way.
-func (f *Front) probeReadyz(ctx context.Context, backend int, node string) bool {
-	ctx, cancel := context.WithTimeout(ctx, f.cfg.ProbeTimeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, node+"/readyz", nil)
+// poll issues one health request and returns the answer's status and
+// (bounded) body. Status 0 means no answer, sorted into the backend's
+// failure counters: deadline-style failures mean the backend exists but is
+// slow or wedged; anything else (connection refused, reset, DNS) is counted
+// as a refusal.
+func (f *Front) poll(ctx context.Context, backend int, method, url string, digest []byte) (int, []byte) {
+	hreq, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(digest))
 	if err != nil {
-		return false
+		return 0, nil
 	}
 	resp, err := f.client.Do(hreq)
-	if err != nil {
-		f.classifyProbeFailure(backend, err)
-		return false
+	if err == nil {
+		defer resp.Body.Close()
+		var body []byte
+		if body, err = io.ReadAll(io.LimitReader(resp.Body, maxGossipBytes)); err == nil {
+			return resp.StatusCode, body
+		}
 	}
-	defer resp.Body.Close()
-	_, _ = io.CopyN(io.Discard, resp.Body, 1<<10) // best-effort drain so the connection can be reused
-	return resp.StatusCode == http.StatusOK
+	var ne net.Error
+	if errors.Is(err, context.DeadlineExceeded) || (errors.As(err, &ne) && ne.Timeout()) {
+		f.probeTimeouts[backend].Add(1)
+	} else {
+		f.probeRefused[backend].Add(1)
+	}
+	return 0, nil
 }
 
 // pick routes one request: the ring's bounded-loads choice over the object's
@@ -443,8 +400,7 @@ func (f *Front) ReplicationStats(dst []int64) {
 	f.rep.Stats(dst)
 }
 
-// Membership exposes the front's graded view of the cluster (nil when
-// gossip is disabled).
+// Membership exposes the front's graded view of the cluster.
 func (f *Front) Membership() *gossip.Membership { return f.memb }
 
 // ProbeStats returns backend's cumulative probe-failure classification:
@@ -458,24 +414,17 @@ func (f *Front) ProbeStats(backend int) (timeouts, refused int64) {
 	return f.probeTimeouts[backend].Load(), f.probeRefused[backend].Load()
 }
 
-// MembershipStatus names backend's current standing for metrics: the graded
-// gossip status ("alive", "suspect", "dead"), "declined" when its last probe
-// was an explicit non-200 answer, or "binary-ready"/"binary-unready" for
-// backends outside the detector's view.
+// MembershipStatus names backend's current standing for metrics: "declined"
+// when its last answer was an explicit non-200 (or it has never answered),
+// otherwise the graded status ("alive", "suspect", "dead").
 func (f *Front) MembershipStatus(backend int) string {
 	if backend < 0 || backend >= len(f.nodes) {
 		return "invalid"
 	}
-	if f.memb != nil && f.gossipOK[backend].Load() && f.memb.Heard(backend) {
-		if f.declined[backend].Load() {
-			return "declined"
-		}
-		return f.memb.Status(backend).String()
+	if f.declined[backend].Load() {
+		return "declined"
 	}
-	if f.ready[backend].Load() {
-		return "binary-ready"
-	}
-	return "binary-unready"
+	return f.memb.Status(backend).String()
 }
 
 // ServeHTTP routes one client request to a backend and streams the response

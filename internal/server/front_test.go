@@ -4,133 +4,268 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"darwin/internal/gossip"
 	"darwin/internal/lb"
 )
 
-// frontBackend is one cluster node as the front tier sees it: the caching
-// proxy at /obj/ plus its health surface at /readyz.
-func frontBackend(t *testing.T, originURL string) (*Proxy, *Health, *httptest.Server) {
-	t.Helper()
-	dec := staticDecider(t, 2)
-	proxy := NewOverloadProxy(dec, originURL, 0, fastResilience(), Overload{})
-	health := NewHealth()
-	mux := http.NewServeMux()
-	mux.Handle("/obj/", proxy)
-	mux.HandleFunc("/readyz", health.Readyz)
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return proxy, health, srv
+// backendKinds are the two ways a backend presents its health to the front
+// tier: the deployed darwin-proxy serves /gossip behind its health verdict;
+// anything else (an older build, a foreign server) has only /readyz. The
+// front must grade both through the same membership view.
+var backendKinds = []string{"gossip", "readyz"}
+
+// frontNode is one cluster node as the front tier sees it: the caching proxy
+// at /obj/ plus its health surface, with a "recovery" gate the test can shut.
+type frontNode struct {
+	health    *Health
+	recovered atomic.Bool
+	srv       *httptest.Server
 }
 
-// TestFrontDrainShedsWeightWithinOneWindow is the satellite requirement: a
-// backend whose /readyz starts failing (SIGTERM drain) loses its entire ring
-// weight at the next window boundary, and every subsequent request routes to
-// the survivors.
-func TestFrontDrainShedsWeightWithinOneWindow(t *testing.T) {
-	origin := &Origin{}
-	originSrv := httptest.NewServer(origin)
-	defer originSrv.Close()
-	_, h0, b0 := frontBackend(t, originSrv.URL)
-	_, _, b1 := frontBackend(t, originSrv.URL)
+// frontBackend builds n cluster nodes of the given kind over one origin and
+// returns them with their base URLs in cluster order. Gossip-speaking nodes
+// are wired into one peer cluster (SetPeers needs every URL, so the
+// listeners exist before any node serves).
+func frontBackend(t *testing.T, kind string, n int) ([]*frontNode, []string) {
+	t.Helper()
+	originSrv := httptest.NewServer(&Origin{})
+	t.Cleanup(originSrv.Close)
+	nodes := make([]*frontNode, n)
+	proxies := make([]*Proxy, n)
+	urls := make([]string, n)
+	for i := range nodes {
+		node := &frontNode{}
+		node.recovered.Store(true)
+		node.health = NewHealth(Gate{Name: "recovery", Ready: node.recovered.Load})
+		proxies[i] = NewOverloadProxy(staticDecider(t, 2), originSrv.URL, 0, fastResilience(), Overload{})
+		mux := http.NewServeMux()
+		mux.Handle("/obj/", proxies[i])
+		mux.HandleFunc("/readyz", node.health.Readyz)
+		if kind == "gossip" {
+			mux.HandleFunc("/gossip", node.health.Gated(proxies[i].ServeGossip))
+		}
+		node.srv = httptest.NewUnstartedServer(mux)
+		t.Cleanup(node.srv.Close)
+		nodes[i], urls[i] = node, "http://"+node.srv.Listener.Addr().String()
+	}
+	for i, node := range nodes {
+		if kind == "gossip" {
+			if err := proxies[i].SetPeers(PeerConfig{Self: urls[i], Nodes: urls}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		node.srv.Start()
+	}
+	return nodes, urls
+}
 
+// simFront builds a front tier over urls whose failure detector runs on a
+// simulated clock, returned with the function that advances it.
+func simFront(t *testing.T, urls []string) (*Front, func(time.Duration)) {
+	t.Helper()
+	now := time.Unix(1_700_000_000, 0)
 	f, err := NewFront(FrontConfig{
-		Backends:       []string{b0.URL, b1.URL},
+		Backends:       urls,
 		RebalanceEvery: 100,
+		Gossip:         gossip.Config{Clock: func() time.Time { return now }},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	f.ProbeOnce(ctx)
-	w := f.Weights()
-	if w[0] != 1 || w[1] != 1 {
-		t.Fatalf("healthy cluster weights %v, want [1 1]", w)
-	}
+	return f, func(d time.Duration) { now = now.Add(d) }
+}
 
-	// Backend 0 starts draining: readyz flips to 503 immediately.
-	h0.StartDrain()
-	f.ProbeOnce(ctx)
+// weightsAfterWindow routes one full window so the ring re-reads every
+// backend's readiness, and returns the weights the new window runs on.
+func weightsAfterWindow(f *Front) []float64 {
+	w := f.Window()
+	for i := 0; f.Window() == w; i++ {
+		f.pick(uint64(w)<<32 | uint64(i))
+	}
+	return f.Weights()
+}
 
-	// Route one full window: the boundary must strip backend 0's weight.
-	saw0 := false
-	for i := 0; i < 100; i++ {
-		if s, _ := f.pick(uint64(i)); s == 0 {
-			saw0 = true // window 0 weights predate the drain; both legal
-		}
+func wantWeights(t *testing.T, when string, got []float64, want ...float64) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: weights %v, want %v", when, got, want)
 	}
-	for i := 100; i < 200; i++ {
-		if s, _ := f.pick(uint64(1_000_000 + i)); s == 0 {
-			t.Fatalf("request %d routed to the draining backend after the boundary", i)
-		}
+}
+
+// TestFrontDrainShedsWeightWithinOneWindow is the satellite requirement: a
+// backend whose health verdict starts failing (SIGTERM drain) loses its
+// entire ring weight at the next window boundary, and every subsequent
+// request routes to the survivors — whichever endpoint carried the verdict.
+func TestFrontDrainShedsWeightWithinOneWindow(t *testing.T) {
+	for _, kind := range backendKinds {
+		t.Run(kind, func(t *testing.T) {
+			nodes, urls := frontBackend(t, kind, 2)
+			f, err := NewFront(FrontConfig{Backends: urls, RebalanceEvery: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			f.ProbeOnce(ctx)
+			wantWeights(t, "healthy cluster", f.Weights(), 1, 1)
+
+			// Backend 0 starts draining: its verdict flips to 503 immediately.
+			nodes[0].health.StartDrain()
+			f.ProbeOnce(ctx)
+
+			// Route one full window (its weights predate the drain, so either
+			// backend is legal): the boundary must strip backend 0's weight.
+			wantWeights(t, "post-drain", weightsAfterWindow(f), 0, 1)
+			for i := 0; i < 100; i++ {
+				if s, _ := f.pick(uint64(1_000_000 + i)); s == 0 {
+					t.Fatalf("request %d routed to the draining backend after the boundary", i)
+				}
+			}
+			if got := f.MembershipStatus(0); got != "declined" {
+				t.Fatalf("draining backend status %q, want declined", got)
+			}
+		})
 	}
-	if got := f.Weights(); got[0] != 0 || got[1] != 1 {
-		t.Fatalf("post-drain weights %v, want [0 1]", got)
-	}
-	if f.Window() == 0 {
-		t.Fatal("window never advanced")
-	}
-	_ = saw0
 }
 
 // TestFrontFailoverOnDeadBackend: a backend that dies without draining
 // (transport errors, not 503s) is failed over within the same request, its
 // breaker opens, and clients keep getting 200s.
 func TestFrontFailoverOnDeadBackend(t *testing.T) {
-	origin := &Origin{}
-	originSrv := httptest.NewServer(origin)
-	defer originSrv.Close()
-	_, _, b0 := frontBackend(t, originSrv.URL)
-	_, _, b1 := frontBackend(t, originSrv.URL)
+	for _, kind := range backendKinds {
+		t.Run(kind, func(t *testing.T) {
+			nodes, urls := frontBackend(t, kind, 2)
+			f, err := NewFront(FrontConfig{
+				Backends:       urls,
+				RebalanceEvery: 1 << 30, // no boundary: failover alone must cope
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frontSrv := httptest.NewServer(f)
+			defer frontSrv.Close()
 
-	f, err := NewFront(FrontConfig{
-		Backends:       []string{b0.URL, b1.URL},
-		RebalanceEvery: 1 << 30, // no boundary: failover alone must cope
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frontSrv := httptest.NewServer(f)
-	defer frontSrv.Close()
+			if resp := mustGet(t, frontSrv.URL+"/obj/1?size=500", nil); resp.StatusCode != http.StatusOK {
+				t.Fatalf("healthy cluster: status %d", resp.StatusCode)
+			}
 
-	if resp := mustGet(t, frontSrv.URL+"/obj/1?size=500", nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthy cluster: status %d", resp.StatusCode)
+			nodes[0].srv.Close() // node 0 dies hard
+			for i := 0; i < 40; i++ {
+				resp := mustGet(t, frontSrv.URL+"/obj/"+string(rune('0'+i%10))+"?size=500", nil)
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("request %d after backend death: status %d", i, resp.StatusCode)
+				}
+			}
+			st := f.Stats()
+			if st.Failovers == 0 {
+				t.Fatal("no failovers recorded despite a dead backend")
+			}
+			if st.BreakerRejects == 0 {
+				t.Fatal("dead backend's breaker never opened")
+			}
+			if st.NoBackend != 0 {
+				t.Fatalf("%d requests found no backend with a live survivor", st.NoBackend)
+			}
+		})
+	}
+}
+
+// TestFrontSilenceIsGraded: both kinds of backend are graded by the same
+// detector. Once a backend has been heard, a silent probe costs it the
+// suspect slice, never the full weight; only an overwhelming gap held for
+// the dwell reaches zero, and the first answer starts the walk back.
+func TestFrontSilenceIsGraded(t *testing.T) {
+	for _, kind := range backendKinds {
+		t.Run(kind, func(t *testing.T) {
+			nodes, urls := frontBackend(t, kind, 2)
+			f, advance := simFront(t, urls)
+			probe := func(beats int) { // one probe per 250 ms cadence tick
+				for i := 0; i < beats; i++ {
+					advance(250 * time.Millisecond)
+					f.ProbeOnce(context.Background())
+				}
+			}
+			probe(5)
+			if seq := f.Membership().Seq(0); seq < 5 {
+				t.Fatalf("backend 0 heartbeat sequence %d after 5 answered probes", seq)
+			}
+			wantWeights(t, "answering on cadence", weightsAfterWindow(f), 1, 1)
+
+			// Backend 0 falls silent (its listener closes: refused probes).
+			// Backend 1 keeps answering, so only 0's gap grows.
+			nodes[0].srv.Close()
+			probe(4)
+			wantWeights(t, "one missed second", weightsAfterWindow(f), 0.5, 1)
+			if got := f.MembershipStatus(0); got != "suspect" {
+				t.Fatalf("silent backend status %q, want suspect", got)
+			}
+			if _, refused := f.ProbeStats(0); refused != 4 {
+				t.Fatalf("%d refused probes classified, want 4", refused)
+			}
+
+			probe(40) // phi far past PhiDead, dwell long served
+			wantWeights(t, "silent for 11 s", weightsAfterWindow(f), 0, 1)
+			if got := f.MembershipStatus(0); got != "dead" {
+				t.Fatalf("long-silent backend status %q, want dead", got)
+			}
+		})
+	}
+}
+
+// TestFrontGateShedsGossipBackend: a gossip-speaking node whose readiness
+// gate is shut (journal recovery, origin breaker open) answers /gossip 503
+// just as it answers /readyz 503, and the front declines it at the next
+// window; the gate opening restores it. (At the parent commit only a drain
+// gated /gossip, so such a node kept its full weight.)
+func TestFrontGateShedsGossipBackend(t *testing.T) {
+	nodes, urls := frontBackend(t, "gossip", 2)
+	f, _ := simFront(t, urls)
+	ctx := context.Background()
+	f.ProbeOnce(ctx)
+	wantWeights(t, "healthy cluster", weightsAfterWindow(f), 1, 1)
+
+	nodes[0].recovered.Store(false)
+	f.ProbeOnce(ctx)
+	wantWeights(t, "recovery gate shut", weightsAfterWindow(f), 0, 1)
+	if got := f.MembershipStatus(0); got != "declined" {
+		t.Fatalf("gated backend status %q, want declined", got)
 	}
 
-	b0.Close() // node 0 dies hard
-	for i := 0; i < 40; i++ {
-		resp := mustGet(t, frontSrv.URL+"/obj/"+string(rune('0'+i%10))+"?size=500", nil)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d after backend death: status %d", i, resp.StatusCode)
-		}
+	nodes[0].recovered.Store(true)
+	f.ProbeOnce(ctx)
+	wantWeights(t, "recovery gate open", weightsAfterWindow(f), 1, 1)
+}
+
+// TestFrontNeverHeardAndNeverProbed pins the two rules that cover the
+// detector's blind spots: a backend dead since boot (never heard, so phi has
+// nothing to accrue on) loses its weight at its first silent probe, while a
+// Front on which ProbeOnce has never run keeps every weight at 1.
+func TestFrontNeverHeardAndNeverProbed(t *testing.T) {
+	nodes, urls := frontBackend(t, "gossip", 3)
+	nodes[2].srv.Close() // dead before the front ever looks
+
+	unprobed, _ := simFront(t, urls)
+	for i := 0; i < 3; i++ {
+		wantWeights(t, "never probed", weightsAfterWindow(unprobed), 1, 1, 1)
 	}
-	st := f.Stats()
-	if st.Failovers == 0 {
-		t.Fatal("no failovers recorded despite a dead backend")
-	}
-	if st.BreakerRejects == 0 {
-		t.Fatal("dead backend's breaker never opened")
-	}
-	if st.NoBackend != 0 {
-		t.Fatalf("%d requests found no backend with a live survivor", st.NoBackend)
+
+	f, _ := simFront(t, urls)
+	f.ProbeOnce(context.Background())
+	wantWeights(t, "dead since boot", weightsAfterWindow(f), 1, 1, 0)
+	if got := f.MembershipStatus(2); got != "declined" {
+		t.Fatalf("never-heard backend status %q, want declined", got)
 	}
 }
 
 // TestFrontReplicatesHotObject: after one observed window, a dominant object
 // routes with a widened replica set and the stats surface says so.
 func TestFrontReplicatesHotObject(t *testing.T) {
-	origin := &Origin{}
-	originSrv := httptest.NewServer(origin)
-	defer originSrv.Close()
-	_, _, b0 := frontBackend(t, originSrv.URL)
-	_, _, b1 := frontBackend(t, originSrv.URL)
-	_, _, b2 := frontBackend(t, originSrv.URL)
-
-	f, err := NewFront(FrontConfig{
-		Backends:       []string{b0.URL, b1.URL, b2.URL},
-		RebalanceEvery: 1000,
-	})
+	_, urls := frontBackend(t, "gossip", 3)
+	f, err := NewFront(FrontConfig{Backends: urls, RebalanceEvery: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

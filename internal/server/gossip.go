@@ -8,7 +8,8 @@ package server
 //     fresh digest to the request, the probed sibling merges it and attaches
 //     its own to the response (even a 404 answer gossips).
 //   - /gossip is the explicit exchange endpoint: POST a digest, get the
-//     node's digest back. The front tier polls it instead of /readyz and —
+//     node's digest back. Mount it behind Health.Gated, so it answers 503
+//     whenever /readyz would. The front tier polls it and —
 //     because its observer digest carries everything it has heard from every
 //     backend — acts as a relay hub, so a node unreachable on one cluster
 //     edge stays alive in everyone's view as long as the front can reach it
@@ -36,7 +37,7 @@ const GossipHeader = "X-Darwin-Gossip"
 const maxGossipBytes = 64 << 10
 
 // Membership exposes the proxy's gossip view of its cluster (nil before
-// SetPeers, or when the peer config disabled gossip).
+// SetPeers).
 func (p *Proxy) Membership() *gossip.Membership {
 	if p.peers == nil {
 		return nil
@@ -63,7 +64,7 @@ func (ps *peerSet) gossipValue() string {
 // by the probe outcome, not the trimming.
 func (ps *peerSet) mergeGossip(h http.Header) {
 	v := h[GossipHeader]
-	if ps.memb == nil || len(v) == 0 {
+	if len(v) == 0 {
 		return
 	}
 	raw, err := base64.StdEncoding.DecodeString(v[0])
@@ -83,7 +84,7 @@ func (ps *peerSet) mergeGossip(h http.Header) {
 // so each poll both relays its observer view and collects the node's.
 func (p *Proxy) ServeGossip(w http.ResponseWriter, r *http.Request) {
 	ps := p.peers
-	if ps == nil || ps.memb == nil {
+	if ps == nil {
 		http.Error(w, "gossip: no cluster membership", http.StatusNotFound)
 		return
 	}

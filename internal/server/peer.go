@@ -77,10 +77,6 @@ type PeerConfig struct {
 	// RebalanceEvery is the replication observation window in requests
 	// (default 10_000, matching the front tier's routing window).
 	RebalanceEvery int
-	// DisableGossip turns the membership layer off: probes carry no digests,
-	// /gossip answers 404, and fetchPeer skips no one. The zero value keeps
-	// gossip on.
-	DisableGossip bool
 	// Gossip tunes the failure detector (thresholds, dwell, clock). Nodes
 	// and Self are overwritten with the cluster's values; a nil Clock means
 	// time.Now.
@@ -102,10 +98,27 @@ func DefaultPeerBreaker() breaker.Config {
 	}
 }
 
+// WithDefaults returns c with every unset (<= 0) tuning field replaced by
+// its documented default. SetPeers applies it; darwin-proxy seeds its flags
+// from it, so each default is spelled here and nowhere else.
+func (c PeerConfig) WithDefaults() PeerConfig {
+	if c.Fanout <= 0 {
+		c.Fanout = 2
+	}
+	if c.FetchTimeout <= 0 {
+		c.FetchTimeout = 150 * time.Millisecond
+	}
+	if c.Breaker.Window <= 0 {
+		c.Breaker = DefaultPeerBreaker()
+	}
+	c.RebalanceEvery = lb.Config{RebalanceEvery: c.RebalanceEvery}.WithDefaults().RebalanceEvery
+	return c
+}
+
 // peerSet is the proxy's view of its cluster: the shared ring, sibling
-// breakers, the probe client, and (unless disabled) the gossip membership
-// view plus the local replication tracker. The struct is immutable after
-// SetPeers; memb and rep are internally synchronized.
+// breakers, the probe client, the gossip membership view and the local
+// replication tracker. The struct is immutable after SetPeers; memb and rep
+// are internally synchronized.
 type peerSet struct {
 	ring    *lb.Ring
 	self    int
@@ -116,8 +129,8 @@ type peerSet struct {
 	brks    []*breaker.Breaker
 	client  *http.Client
 
-	// memb is the gossip membership view (nil when DisableGossip): probes
-	// piggyback digests on it, and fetchPeer skips siblings it grades Dead.
+	// memb is the gossip membership view: probes piggyback digests on it,
+	// and fetchPeer skips siblings it grades Dead.
 	memb *gossip.Membership
 	// rep approximates the front tier's replication placement from this
 	// node's own request stream; repEvery requests close an observation
@@ -142,17 +155,9 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 	if self < 0 {
 		return fmt.Errorf("server: peer Self %q not in Nodes", cfg.Self)
 	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = 2
-	}
+	cfg = cfg.WithDefaults()
 	if cfg.Fanout > len(cfg.Nodes)-1 {
 		cfg.Fanout = len(cfg.Nodes) - 1
-	}
-	if cfg.FetchTimeout <= 0 {
-		cfg.FetchTimeout = 150 * time.Millisecond
-	}
-	if cfg.Breaker.Window <= 0 {
-		cfg.Breaker = DefaultPeerBreaker()
 	}
 	ring, err := lb.NewRing(lb.Config{
 		Servers:      len(cfg.Nodes),
@@ -168,9 +173,6 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 	if width > lb.MaxReplicas {
 		width = lb.MaxReplicas
 	}
-	if cfg.RebalanceEvery <= 0 {
-		cfg.RebalanceEvery = 10_000
-	}
 	brks := make([]*breaker.Breaker, len(cfg.Nodes))
 	for i := range brks {
 		brks[i] = breaker.New(cfg.Breaker)
@@ -179,19 +181,15 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 	if client == nil {
 		client = &http.Client{Timeout: cfg.FetchTimeout}
 	}
-	var memb *gossip.Membership
-	if !cfg.DisableGossip {
-		gcfg := cfg.Gossip
-		gcfg.Nodes = len(cfg.Nodes)
-		gcfg.Self = self
-		if gcfg.Clock == nil {
-			gcfg.Clock = time.Now
-		}
-		m, err := gossip.New(gcfg)
-		if err != nil {
-			return err
-		}
-		memb = m
+	gcfg := cfg.Gossip
+	gcfg.Nodes = len(cfg.Nodes)
+	gcfg.Self = self
+	if gcfg.Clock == nil {
+		gcfg.Clock = time.Now
+	}
+	memb, err := gossip.New(gcfg)
+	if err != nil {
+		return err
 	}
 	p.peers = &peerSet{
 		ring:     ring,
@@ -234,10 +232,8 @@ func isPeerProbe(r *http.Request) bool {
 // the sibling's piggybacked digest merges in, and the answer — hit or 404 —
 // carries this node's fresh digest back.
 func (p *Proxy) servePeerProbe(w http.ResponseWriter, r *http.Request, req trace.Request) {
-	if ps := p.peers; ps.memb != nil {
-		ps.mergeGossip(r.Header)
-		w.Header()[GossipHeader] = []string{ps.gossipValue()}
-	}
+	p.peers.mergeGossip(r.Header)
+	w.Header()[GossipHeader] = []string{p.peers.gossipValue()}
 	if p.decider.Lookup(req.ID) != cache.Miss {
 		p.stats.Add(req.ID, psPeerServed, 1)
 		p.commit(w, req)
@@ -271,7 +267,7 @@ func (p *Proxy) fetchPeer(ctx context.Context, id uint64, size int64) bool {
 		if node == ps.self {
 			continue
 		}
-		if ps.memb != nil && ps.memb.Dead(node) {
+		if ps.memb.Dead(node) {
 			p.stats.Add(id, psPeerSkipsDead, 1)
 			continue
 		}
@@ -311,9 +307,7 @@ func (ps *peerSet) probe(ctx context.Context, node int, id uint64, size int64) (
 		return false, false
 	}
 	hreq.Header[PeerHopHeader] = peerHopValue
-	if ps.memb != nil {
-		hreq.Header[GossipHeader] = []string{ps.gossipValue()}
-	}
+	hreq.Header[GossipHeader] = []string{ps.gossipValue()}
 	resp, err := ps.client.Do(hreq)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
@@ -322,9 +316,7 @@ func (ps *peerSet) probe(ctx context.Context, node int, id uint64, size int64) (
 		return false, false
 	}
 	defer resp.Body.Close()
-	if ps.memb != nil {
-		ps.mergeGossip(resp.Header)
-	}
+	ps.mergeGossip(resp.Header)
 	switch resp.StatusCode {
 	case http.StatusOK:
 		n, err := io.Copy(io.Discard, resp.Body)
