@@ -37,6 +37,8 @@ race:
 	$(GO) test -race ./internal/server ./internal/lb ./internal/cluster ./internal/cache ./internal/stripe ./internal/par ./internal/core ./internal/exp ./internal/bloom ./internal/bandit ./internal/breaker ./internal/diskcache ./internal/persist ./internal/gossip
 
 # fuzz runs each fuzz target briefly: URL parsing on the proxy/origin seam,
+# the upstream client's response-head parser (a backend's bytes are outside
+# input),
 # the Bloom filter's uint64/string hash-identity invariants, the durability
 # decoders (persist frames, journal records/segments, checkpoint and
 # neural-weight payloads) — corrupted on-disk bytes must produce typed
@@ -44,6 +46,7 @@ race:
 # (//lint:ignore directives and guarded-by comments).
 fuzz:
 	$(GO) test ./internal/server -fuzz FuzzParseObjectURL -fuzztime 10s
+	$(GO) test ./internal/server -fuzz FuzzUpstreamHead -fuzztime 10s
 	$(GO) test ./internal/bloom -fuzz FuzzHashIdentity -fuzztime 10s
 	$(GO) test ./internal/bloom -fuzz FuzzFilterU64StringIdentity -fuzztime 10s
 	$(GO) test ./internal/bloom -fuzz FuzzCountingU64StringIdentity -fuzztime 10s

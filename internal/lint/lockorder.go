@@ -260,6 +260,10 @@ func directBlockReason(pkg *Package, n ast.Node) (string, bool) {
 					case rp == "net/http" && rn == "Client" &&
 						(m == "Do" || m == "Get" || m == "Post" || m == "PostForm" || m == "Head"):
 						return "http.Client round-trip", true
+					case rp == "net" && (rn == "Conn" || rn == "TCPConn") && (m == "Read" || m == "Write"):
+						// A hand-written round trip (server.upstream) blocks on
+						// the socket exactly as http.Client.Do does.
+						return "net.Conn " + m, true
 					}
 				}
 			}

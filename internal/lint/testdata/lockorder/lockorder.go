@@ -5,6 +5,7 @@
 package lockorder
 
 import (
+	"net"
 	"sync"
 	"time"
 )
@@ -50,6 +51,40 @@ func (s *S) doubleLock() {
 	s.mu.Lock()
 	s.mu.Lock() // want "locked while already held"
 	s.mu.Unlock()
+}
+
+// A hand-written socket round trip blocks like http.Client.Do: the write
+// directly, and a function that wraps the exchange transitively.
+type client struct {
+	mu   sync.Mutex
+	conn net.Conn
+	buf  []byte
+}
+
+func (c *client) writeUnderLock() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, _ = c.conn.Write(c.buf) // want "held across net.Conn Write"
+}
+
+func (c *client) roundTripUnderLock() {
+	c.mu.Lock()
+	c.roundTrip() // want "held across call to roundTrip, which blocks"
+	c.mu.Unlock()
+}
+
+func (c *client) roundTrip() {
+	_, _ = c.conn.Write(c.buf)
+	_, _ = c.conn.Read(c.buf)
+}
+
+// pooledRoundTrip is clean: the lock covers taking the connection, not using
+// it (the upstream client's idle stack).
+func (c *client) pooledRoundTrip() {
+	c.mu.Lock()
+	conn := c.conn
+	c.mu.Unlock()
+	_, _ = conn.Read(c.buf)
 }
 
 // unlockThenBlock is clean: the walker must see the unlock before the

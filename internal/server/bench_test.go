@@ -19,10 +19,9 @@ func BenchmarkOriginAccountAtomic(b *testing.B) {
 // body writes run outside the lock.
 func BenchmarkProxyHOCHit(b *testing.B) {
 	dec := staticDecider(b, 1)
-	proxy := NewOverloadProxy(dec, "http://unused", 0, DefaultResilience(), DefaultOverload())
 	origin := httptest.NewServer(&Origin{})
 	defer origin.Close()
-	proxy.OriginURL = origin.URL
+	proxy := NewOverloadProxy(dec, origin.URL, 0, DefaultResilience(), DefaultOverload())
 	// Promote object 1 into the HOC: miss, miss → DC, dc-hit → HOC.
 	for i := 0; i < 3; i++ {
 		w := httptest.NewRecorder()

@@ -14,9 +14,9 @@ import (
 // This file is the serving fast path's allocation discipline: the static
 // body chunk every response is written from (zero copies into per-request
 // buffers), a sync.Pool of owned buffers for the few paths that genuinely
-// need their own bytes (the front tier's relay, loadgen client reads), pooled
-// origin-URL builders, and pre-serialized hot response headers (X-Cache
-// values and Content-Length strings for recently served sizes). Together
+// need their own bytes (the upstream client's body reads, loadgen client
+// reads), and pre-serialized hot response headers (X-Cache values and
+// Content-Length strings for recently served sizes). Together
 // they make the hit-serving path — request parse → decider → body written —
 // 0 allocs/op above net/http's own internals; the darwinlint hotpath
 // analyzer roots Proxy.ServeHTTP and writeBody to keep it that way.
@@ -53,8 +53,8 @@ func writeBody(w io.Writer, size int64) error {
 const copyBufSize = 64 << 10
 
 // copyBufPool hands out 64 KiB buffers for paths that must own their bytes:
-// the front tier's backend relay (io.CopyBuffer when the ResponseWriter has
-// no ReadFrom fast path) and the load generator's per-worker body reads. The
+// the upstream client (validating an origin or peer body, relaying a
+// backend's) and the load generator's per-worker body reads. The
 // pool is process-wide so an idle proxy holds no per-connection buffers.
 var copyBufPool = sync.Pool{
 	New: func() any {
@@ -68,31 +68,6 @@ func getCopyBuf() *[]byte { return copyBufPool.Get().(*[]byte) }
 
 // putCopyBuf returns a buffer borrowed with getCopyBuf.
 func putCopyBuf(b *[]byte) { copyBufPool.Put(b) }
-
-// urlBufPool pools the byte builders behind originURL so miss-path URL
-// construction costs one string allocation (the URL itself), not a fmt state
-// machine plus intermediates.
-var urlBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 128)
-		return &b
-	},
-}
-
-// originURL builds "<base>/obj/<id>?size=<n>" from a pooled builder using
-// strconv appends.
-func originURL(base string, id uint64, size int64) string {
-	bp := urlBufPool.Get().(*[]byte)
-	b := append((*bp)[:0], base...)
-	b = append(b, "/obj/"...)
-	b = strconv.AppendUint(b, id, 10)
-	b = append(b, "?size="...)
-	b = strconv.AppendInt(b, size, 10)
-	u := string(b)
-	*bp = b
-	urlBufPool.Put(bp)
-	return u
-}
 
 // Pre-serialized X-Cache header values: shared read-only []string slices
 // assigned directly into the response header map, so no per-request value

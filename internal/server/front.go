@@ -31,7 +31,9 @@ package server
 //
 // The routing step (pick) is serialized under one mutex — the ring's window
 // state is deliberately single-writer — and is allocation-free, a darwinlint
-// hotpath root. Relaying streams through the shared pooled copy buffers.
+// hotpath root. Relaying goes through the backend's upstream client
+// (upstream.go): the handler's own goroutine writes the request, parses the
+// head and streams the body through a pooled copy buffer.
 
 import (
 	"bytes"
@@ -76,7 +78,9 @@ type FrontConfig struct {
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds each health poll (default ProbeEvery).
 	ProbeTimeout time.Duration
-	// Client relays requests; nil builds a pooled default.
+	// Client issues the health polls (/gossip, /readyz) and nothing else —
+	// requests are relayed through each backend's upstream client; nil
+	// builds a default.
 	Client *http.Client
 	// Gossip tunes the failure detector (thresholds, dwell, clock). Nodes
 	// and Self (-1: the front is an observer) are overwritten; a nil Clock
@@ -158,7 +162,9 @@ type Front struct {
 	probeTimeouts []atomic.Int64
 	probeRefused  []atomic.Int64
 
-	brks   []*breaker.Breaker
+	brks []*breaker.Breaker
+	// ups relays to each backend; client only polls their health.
+	ups    []*upstream
 	client *http.Client
 	stats  *stripe.Counters
 }
@@ -198,10 +204,15 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		probeTimeouts: make([]atomic.Int64, len(cfg.Backends)),
 		probeRefused:  make([]atomic.Int64, len(cfg.Backends)),
 		brks:          make([]*breaker.Breaker, len(cfg.Backends)),
+		ups:           make([]*upstream, len(cfg.Backends)),
 		stats:         stripe.New(proxyStatStripes, fsWidth),
 	}
-	for i := range f.brks {
+	for i, b := range cfg.Backends {
 		f.brks[i] = breaker.New(cfg.Breaker)
+		f.ups[i] = newUpstream(b, relayHeaders...)
+		if err := f.ups[i].err; err != nil {
+			return nil, err
+		}
 	}
 	ring, err := lb.NewRing(lb.Config{
 		Servers:        len(cfg.Backends),
@@ -216,10 +227,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	f.ring = ring
 	f.client = cfg.Client
 	if f.client == nil {
-		f.client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 256,
-			DisableCompression:  true,
-		}}
+		f.client = &http.Client{Transport: &http.Transport{}}
 	}
 	return f, nil
 }
@@ -486,40 +494,35 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 // relay forwards the request to one backend and, if the backend answers
 // HTTP at all, streams the response to the client. Returns false only on
-// transport-level failure (connection refused/reset, deadline), in which
-// case nothing has been written and the caller may fail over.
+// transport-level failure (connection refused/reset, an unparsable head,
+// deadline), in which case nothing has been written and the caller may fail
+// over.
 func (f *Front) relay(w http.ResponseWriter, r *http.Request, node int, id uint64, size int64) bool {
-	hreq, err := http.NewRequestWithContext(r.Context(), http.MethodGet, originURL(f.nodes[node], id, size), nil)
-	if err != nil {
-		f.brks[node].Record(false)
-		return false
-	}
 	// Propagate the client's deadline advertisement so backend deadline
 	// shedding still works behind the front tier.
+	var hdr []string
 	if dl := r.Header[DeadlineHeader]; len(dl) > 0 {
-		hreq.Header[DeadlineHeader] = dl
+		hdr = []string{DeadlineHeader, dl[0]}
 	}
-	resp, err := f.client.Do(hreq)
+	c, err := f.ups[node].get(r.Context(), id, size, hdr...)
 	if err != nil {
 		f.brks[node].Record(false)
 		return false
 	}
-	defer resp.Body.Close()
+	defer c.release()
 	// Any HTTP answer means the backend is alive: a 502 is the shared
 	// origin's trouble and a shed 503 is deliberate — neither should charge
 	// this backend's breaker. Only a 500 (the backend itself broke) does.
-	f.brks[node].Record(resp.StatusCode != http.StatusInternalServerError)
+	f.brks[node].Record(c.head.status != http.StatusInternalServerError)
 
 	h := w.Header()
-	for _, key := range relayHeaders {
-		if v := resp.Header[key]; len(v) > 0 {
-			h[key] = v
+	for i, key := range relayHeaders {
+		if v, ok := c.header(i); ok {
+			h[key] = relayValue(key, v, c.head.length)
 		}
 	}
-	w.WriteHeader(resp.StatusCode)
-	buf := getCopyBuf()
-	_, _ = io.CopyBuffer(w, resp.Body, *buf) // client went away; nothing useful to do with the error
-	putCopyBuf(buf)
+	w.WriteHeader(c.head.status)
+	c.writeTo(w)
 	return true
 }
 
@@ -533,4 +536,33 @@ var relayHeaders = []string{
 	ShedHeader,
 	"Warning",
 	"Retry-After",
+}
+
+// relayValue returns a backend header value as a header-map entry. The values
+// every healthy answer carries are interned onto the pre-serialized slices the
+// backends themselves send from (body.go), so relaying a hit allocates no
+// header strings; anything else (an error page's type, a shed's reason) is
+// copied out of the connection's buffer.
+func relayValue(key string, v []byte, length int64) []string {
+	switch key {
+	case "Content-Type":
+		if string(v) == contentTypeOctet[0] {
+			return contentTypeOctet
+		}
+	case "Content-Length":
+		if cl := contentLengthValue(length); string(v) == cl[0] {
+			return cl
+		}
+	case "X-Cache":
+		for _, known := range [...][]string{xcacheHOC, xcacheDC, xcacheMiss, xcacheStale} {
+			if string(v) == known[0] {
+				return known
+			}
+		}
+	case PeerHeader:
+		if string(v) == peerFillValue[0] {
+			return peerFillValue
+		}
+	}
+	return []string{string(v)}
 }

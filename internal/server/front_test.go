@@ -1,10 +1,15 @@
 package server
 
 import (
+	"bufio"
 	"context"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -172,6 +177,54 @@ func TestFrontFailoverOnDeadBackend(t *testing.T) {
 			}
 		})
 	}
+
+	// A backend that accepts, then resets the connection in the middle of its
+	// response head, is a transport failure like any other: nothing of its
+	// answer reaches the client, and the request fails over.
+	t.Run("reset-mid-head", func(t *testing.T) {
+		bad := newRawBackend(t, func(c net.Conn, _ int) {
+			if readRequest(bufio.NewReader(c)) {
+				_, _ = io.WriteString(c, "HTTP/1.1 200 OK\r\nX-Cache: hoc-hit\r\nContent-Le")
+				_ = c.(*net.TCPConn).SetLinger(0) // close with a reset, not a FIN
+			}
+		})
+		_, urls := frontBackend(t, "readyz", 1)
+		f, err := NewFront(FrontConfig{Backends: []string{bad.url, urls[0]}, RebalanceEvery: 1 << 30})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &spyWriter{h: http.Header{}}
+		if f.relay(w, httptest.NewRequest("GET", "/obj/1?size=500", nil), 0, 1, 500) {
+			t.Fatal("relay reported an answer from a backend that reset mid-head")
+		}
+		if w.calls != 0 || len(w.h) != 0 {
+			t.Fatalf("failed relay wrote to the client: %d calls, headers %v", w.calls, w.h)
+		}
+		frontSrv := httptest.NewServer(f)
+		defer frontSrv.Close()
+		for i := 0; i < 40; i++ {
+			resp := mustGet(t, fmt.Sprintf("%s/obj/%d?size=500", frontSrv.URL, i%10), nil)
+			if resp.StatusCode != http.StatusOK || resp.ContentLength != 500 {
+				t.Fatalf("request %d: status %d, length %d", i, resp.StatusCode, resp.ContentLength)
+			}
+		}
+		if st := f.Stats(); st.Failovers == 0 || st.BreakerRejects == 0 || st.NoBackend != 0 {
+			t.Fatalf("stats %+v, want failovers, an open breaker and no dropped request", st)
+		}
+	})
+}
+
+// spyWriter counts what a handler does to its ResponseWriter.
+type spyWriter struct {
+	h     http.Header
+	calls int
+}
+
+func (w *spyWriter) Header() http.Header { return w.h }
+func (w *spyWriter) WriteHeader(int)     { w.calls++ }
+func (w *spyWriter) Write(p []byte) (int, error) {
+	w.calls++
+	return len(p), nil
 }
 
 // TestFrontSilenceIsGraded: both kinds of backend are graded by the same
@@ -288,5 +341,89 @@ func TestFrontReplicatesHotObject(t *testing.T) {
 	}
 	if len(servers) < 2 {
 		t.Fatalf("replicated hot object stayed on %d server(s)", len(servers))
+	}
+}
+
+// TestFrontRelayMatchesDirectFetch is the relay's differential test: for
+// every kind of answer a backend gives, what a client sees through the front
+// tier — status, the seven relayed headers, body — is what a net/http client
+// fetching from the backend directly sees.
+func TestFrontRelayMatchesDirectFetch(t *testing.T) {
+	answers := []struct {
+		name   string
+		status int
+		header http.Header
+		body   string
+	}{
+		{"hit", 200, http.Header{"X-Cache": xcacheHOC, "Content-Type": contentTypeOctet}, strings.Repeat("h", 70_000)},
+		{"dc-hit", 200, http.Header{"X-Cache": xcacheDC, "Content-Type": contentTypeOctet}, "d"},
+		{"miss", 200, http.Header{"X-Cache": xcacheMiss, "Content-Type": contentTypeOctet}, strings.Repeat("m", 5_000)},
+		{"empty", 200, http.Header{"X-Cache": xcacheMiss, "Content-Type": contentTypeOctet}, ""},
+		{"peer-fill", 200, http.Header{"X-Cache": xcacheMiss, PeerHeader: peerFillValue, "Content-Type": contentTypeOctet}, "pp"},
+		{"stale", 200, http.Header{"X-Cache": xcacheStale, "Warning": {`110 darwin-proxy "response is stale"`}, "Content-Type": contentTypeOctet}, "ss"},
+		{"shed-stale", 200, http.Header{"X-Cache": xcacheStale, ShedHeader: {"breaker"}, "Warning": {`110 darwin-proxy "response is stale"`}}, "ss"},
+		{"not-found", 404, http.Header{"Content-Type": {"text/plain; charset=utf-8"}}, "404 page not found\n"},
+		{"bad-gateway", 502, http.Header{"Content-Type": {"text/plain; charset=utf-8"}}, "server: origin unavailable\n"},
+		{"shed", 503, http.Header{ShedHeader: {"deadline"}, "Retry-After": {"1"}, "Content-Type": {"text/plain; charset=utf-8"}}, "server: overloaded (deadline)\n"},
+		{"internal-error", 500, http.Header{}, "boom"},
+		{"unsized", 200, http.Header{"X-Cache": {"revalidated"}, "Content-Type": {"image/png"}}, strings.Repeat("c", 10_000)}, // flushed before the handler returns: chunked
+	}
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id, _, err := parseObjectURL(r)
+		if err != nil || id >= uint64(len(answers)) {
+			http.Error(w, "bad test request", http.StatusBadRequest)
+			return
+		}
+		a := answers[id]
+		for k, v := range a.header {
+			w.Header()[k] = v
+		}
+		if a.name != "unsized" {
+			setContentLength(w.Header(), int64(len(a.body)))
+		}
+		w.WriteHeader(a.status)
+		_, _ = io.WriteString(w, a.body)
+	}))
+	defer backend.Close()
+	f, err := NewFront(FrontConfig{Backends: []string{backend.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontSrv := httptest.NewServer(f)
+	defer frontSrv.Close()
+
+	fetch := func(base string, id int) (int, http.Header, string) {
+		resp, err := http.Get(fmt.Sprintf("%s/obj/%d?size=1", base, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relayed := http.Header{}
+		for _, k := range relayHeaders {
+			if v := resp.Header[k]; len(v) > 0 {
+				relayed[k] = v
+			}
+		}
+		return resp.StatusCode, relayed, string(body)
+	}
+	for round := 0; round < 2; round++ { // the second round runs on kept-alive connections
+		for id, a := range answers {
+			wantStatus, wantHeader, wantBody := fetch(backend.URL, id)
+			if wantStatus != a.status || wantBody != a.body {
+				t.Fatalf("%s: the backend itself answered %d with %d body bytes", a.name, wantStatus, len(wantBody))
+			}
+			status, header, body := fetch(frontSrv.URL, id)
+			if status != wantStatus || !reflect.DeepEqual(header, wantHeader) || body != wantBody {
+				t.Errorf("%s through the front: %d %v (%d body bytes)\ndirect: %d %v (%d body bytes)",
+					a.name, status, header, len(body), wantStatus, wantHeader, len(wantBody))
+			}
+		}
+	}
+	if st := f.Stats(); st.Relayed != int64(2*len(answers)) || st.Failovers != 0 {
+		t.Fatalf("stats %+v, want every request relayed by the one backend", st)
 	}
 }

@@ -63,11 +63,14 @@ func (ps *peerSet) gossipValue() string {
 // sibling with a corrupt frame still answered HTTP — its liveness is judged
 // by the probe outcome, not the trimming.
 func (ps *peerSet) mergeGossip(h http.Header) {
-	v := h[GossipHeader]
-	if len(v) == 0 {
-		return
+	if v := h[GossipHeader]; len(v) > 0 {
+		ps.mergeGossipValue(v[0])
 	}
-	raw, err := base64.StdEncoding.DecodeString(v[0])
+}
+
+// mergeGossipValue is mergeGossip for one header value.
+func (ps *peerSet) mergeGossipValue(v string) {
+	raw, err := base64.StdEncoding.DecodeString(v)
 	if err != nil {
 		return
 	}

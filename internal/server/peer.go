@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"sync/atomic"
 	"time"
@@ -43,11 +42,9 @@ const PeerHopHeader = "X-Darwin-Peer-Hop"
 // sibling instead of the origin.
 const PeerHeader = "X-Darwin-Peer"
 
-// Pre-serialized header values (see body.go for the idiom).
-var (
-	peerHopValue  = []string{"1"}
-	peerFillValue = []string{"fill"}
-)
+// peerFillValue is PeerHeader's pre-serialized value (see body.go for the
+// idiom).
+var peerFillValue = []string{"fill"}
 
 // PeerConfig wires a proxy into a cluster of siblings.
 type PeerConfig struct {
@@ -66,8 +63,6 @@ type PeerConfig struct {
 	// Breaker configures the per-sibling circuit breaker; zero means
 	// DefaultPeerBreaker.
 	Breaker breaker.Config
-	// Client issues probes; nil builds one with the probe timeout.
-	Client *http.Client
 	// Replication configures the local hot-object tracker that approximates
 	// the front tier's placement (zero = defaults). fetchPeer probes only an
 	// object's designated holders — its first Factor(id) ring successors —
@@ -116,7 +111,7 @@ func (c PeerConfig) WithDefaults() PeerConfig {
 }
 
 // peerSet is the proxy's view of its cluster: the shared ring, sibling
-// breakers, the probe client, the gossip membership view and the local
+// breakers and probe clients, the gossip membership view and the local
 // replication tracker. The struct is immutable after SetPeers; memb and rep
 // are internally synchronized.
 type peerSet struct {
@@ -127,7 +122,7 @@ type peerSet struct {
 	width   int // successors to walk: enough to cover any replica set
 	timeout time.Duration
 	brks    []*breaker.Breaker
-	client  *http.Client
+	ups     []*upstream // probe clients, by node; wants GossipHeader back
 
 	// memb is the gossip membership view: probes piggyback digests on it,
 	// and fetchPeer skips siblings it grades Dead.
@@ -174,12 +169,13 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 		width = lb.MaxReplicas
 	}
 	brks := make([]*breaker.Breaker, len(cfg.Nodes))
-	for i := range brks {
+	ups := make([]*upstream, len(cfg.Nodes))
+	for i, n := range cfg.Nodes {
 		brks[i] = breaker.New(cfg.Breaker)
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.FetchTimeout}
+		ups[i] = newUpstream(n, GossipHeader)
+		if err := ups[i].err; err != nil {
+			return err
+		}
 	}
 	gcfg := cfg.Gossip
 	gcfg.Nodes = len(cfg.Nodes)
@@ -199,7 +195,7 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 		width:    width,
 		timeout:  cfg.FetchTimeout,
 		brks:     brks,
-		client:   client,
+		ups:      ups,
 		memb:     memb,
 		rep:      lb.NewReplicator(cfg.Replication),
 		repEvery: int64(cfg.RebalanceEvery),
@@ -302,33 +298,22 @@ func (p *Proxy) fetchPeer(ctx context.Context, id uint64, size int64) bool {
 func (ps *peerSet) probe(ctx context.Context, node int, id uint64, size int64) (hit, healthy bool) {
 	ctx, cancel := context.WithTimeout(ctx, ps.timeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, originURL(ps.nodes[node], id, size), nil)
+	c, err := ps.ups[node].get(ctx, id, size, PeerHopHeader, "1", GossipHeader, ps.gossipValue())
 	if err != nil {
-		return false, false
+		return false, errors.Is(err, context.Canceled)
 	}
-	hreq.Header[PeerHopHeader] = peerHopValue
-	hreq.Header[GossipHeader] = []string{ps.gossipValue()}
-	resp, err := ps.client.Do(hreq)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			return false, true
-		}
-		return false, false
+	defer c.release()
+	if v, ok := c.header(0); ok {
+		ps.mergeGossipValue(string(v))
 	}
-	defer resp.Body.Close()
-	ps.mergeGossip(resp.Header)
-	switch resp.StatusCode {
+	switch c.head.status {
 	case http.StatusOK:
-		n, err := io.Copy(io.Discard, resp.Body)
-		if err != nil || n != size {
-			return false, false
-		}
-		return true, true
+		n, err := c.discard()
+		whole := err == nil && n == size
+		return whole, whole
 	case http.StatusNotFound:
-		_, _ = io.CopyN(io.Discard, resp.Body, 1<<10) // best-effort drain so the connection can be reused
 		return false, true
 	default:
-		_, _ = io.CopyN(io.Discard, resp.Body, 1<<10) // best-effort drain so the connection can be reused
 		return false, false
 	}
 }

@@ -45,7 +45,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -328,12 +327,11 @@ type Proxy struct {
 	// decider calls, never origin I/O or body writes.
 	decider Decider
 
-	// OriginURL is the origin base URL (e.g. http://127.0.0.1:9000).
-	OriginURL string
+	// origin fetches misses from the origin base URL the proxy was built
+	// with (e.g. http://127.0.0.1:9000).
+	origin *upstream
 	// DCLatency is the injected disk-read delay for DC hits.
 	DCLatency time.Duration
-	// Client issues origin fetches.
-	Client *http.Client
 
 	res     Resilience
 	ov      Overload
@@ -378,6 +376,9 @@ type Proxy struct {
 // miss, 502 on failure); DefaultResilience() with DefaultOverload() is what
 // cmd/darwin-proxy deploys.
 //
+// An originURL that is not http://host[:port] is not refused here (the
+// signature has no error): every origin fetch fails with the reason.
+//
 // It panics if decider.Concurrent() is false: handlers call the decider from
 // many goroutines. A single-lock data plane is cache.NewSharded(cfg, 1) or
 // baselines.NewStaticSharded(e, cfg, 1), bit-identical to the serial
@@ -389,9 +390,8 @@ func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration
 	res, ov = withDefaults(res, ov)
 	p := &Proxy{
 		decider:   decider,
-		OriginURL: originURL,
+		origin:    newUpstream(originURL),
 		DCLatency: dcLatency,
-		Client:    &http.Client{Timeout: 30 * time.Second},
 		res:       res,
 		ov:        ov,
 		rng:       rand.New(rand.NewSource(res.Seed)),
@@ -746,31 +746,32 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
+// originBackstop bounds an origin fetch no deadline reaches: the bare
+// pipeline has no per-attempt FetchTimeout, and a fetch must not outlive a
+// wedged origin forever. A variable so a test can shorten it.
+var originBackstop = 30 * time.Second
+
 // fetchDiscard performs one origin fetch under a per-attempt deadline,
 // consuming and validating the full body without buffering it: bodies are
 // deterministic, so the proxy regenerates them for clients. A non-200
 // status, a transport error, or a short body (mid-stream truncation) all
 // count as a failed attempt and are retried.
 func (p *Proxy) fetchDiscard(ctx context.Context, id uint64, size int64) error {
+	timeout := originBackstop
 	if p.res.FetchTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.res.FetchTimeout)
-		defer cancel()
+		timeout = p.res.FetchTimeout
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, originURL(p.OriginURL, id, size), nil)
-	if err != nil {
-		return fmt.Errorf("server: origin request: %w", err)
-	}
-	resp, err := p.Client.Do(hreq)
+	ctx, cancel := context.WithTimeout(ctx, timeout) // an earlier deadline on ctx stays in force
+	defer cancel()
+	c, err := p.origin.get(ctx, id, size)
 	if err != nil {
 		return fmt.Errorf("server: origin fetch: %w", err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.CopyN(io.Discard, resp.Body, 1<<10) // best-effort drain so the connection can be reused
-		return fmt.Errorf("server: origin status %d", resp.StatusCode)
+	defer c.release()
+	if c.head.status != http.StatusOK {
+		return fmt.Errorf("server: origin status %d", c.head.status)
 	}
-	n, err := io.Copy(io.Discard, resp.Body)
+	n, err := c.discard()
 	if err != nil {
 		return fmt.Errorf("server: origin body after %d/%d bytes: %w", n, size, err)
 	}

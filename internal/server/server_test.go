@@ -176,7 +176,7 @@ func TestStageMatrixInvisibleWhenIdle(t *testing.T) {
 		var seq strings.Builder
 		for _, r := range tr.Requests {
 			w := httptest.NewRecorder()
-			proxy.ServeHTTP(w, httptest.NewRequest("GET", originURL("", r.ID, r.Size), nil))
+			proxy.ServeHTTP(w, httptest.NewRequest("GET", fmt.Sprintf("/obj/%d?size=%d", r.ID, r.Size), nil))
 			if w.Code != http.StatusOK {
 				t.Fatalf("object %d: status %d", r.ID, w.Code)
 			}
