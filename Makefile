@@ -1,11 +1,14 @@
 # Development targets. `make tier1` is the PR gate: build + vet + the
 # repo's own static analyzers (cmd/darwinlint) + full test suite. `make race`
 # adds the race detector on the concurrency-heavy packages and `make fuzz`
-# runs short fuzzing sessions over the parsing and hashing seams.
+# runs short fuzzing sessions over the parsing and hashing seams. Numbers come
+# from three places only: `go run ./cmd/experiments` regenerates the paper's
+# tables, `make bench` prices the system, `make microbench` prices a function;
+# the `chaos*` targets run one fault experiment plus its real-process test.
 
 GO ?= go
 
-.PHONY: tier1 vet build test lint lint-audit race fuzz bench microbench profile chaos chaos-crash chaos-cluster chaos-flap
+.PHONY: tier1 vet build test lint lint-audit race fuzz bench microbench chaos chaos-crash chaos-cluster chaos-flap
 
 tier1: build vet lint test
 
@@ -59,19 +62,16 @@ fuzz:
 	$(GO) test ./internal/lint -fuzz FuzzParseIgnoreDirective -fuzztime 10s
 	$(GO) test ./internal/lint -fuzz FuzzParseGuardedBy -fuzztime 10s
 
-# bench runs the reproducible performance harness (hot-path micro benchmarks,
-# durability journal/recovery costs, serial-vs-parallel sweep timings) and
-# writes BENCH_<date>.json.
+# bench prices the system: the four BENCHMARK.json workloads on the deployed
+# plane, medians with quartiles, per-layer self times (benchmark/README.md).
 bench:
-	$(GO) run ./cmd/bench
+	bash benchmark/run.sh
 
+# microbench prices single functions: every package-level Benchmark* (engine
+# serve, feature observe, Bloom, trackers, ring route, gossip digest codec,
+# journal put and recovery, proxy serve-hit), with allocs/op.
 microbench:
-	$(GO) test -bench . -run xxx -benchtime 0.5s ./internal/server
-
-# profile captures CPU and heap profiles of the proxy-throughput sections
-# (no JSON written); inspect with `go tool pprof cpu.pprof` / `heap.pprof`.
-profile:
-	$(GO) run ./cmd/bench -only proxy,matrix -cpuprofile cpu.pprof -memprofile heap.pprof -out -
+	$(GO) test -run xxx -bench . -benchmem ./internal/...
 
 chaos:
 	$(GO) run ./cmd/experiments -only chaos

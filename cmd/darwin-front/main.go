@@ -24,17 +24,19 @@ import (
 	"darwin/internal/server"
 )
 
-// options is what the flags set: the two values main consumes itself and,
-// bound in place, the config NewFront already takes.
+// options is what the flags set: the listen address and, bound in place, the
+// config NewFront already takes.
 type options struct {
 	addr  string
-	drain time.Duration
 	front server.FrontConfig
 }
 
+// drain is the graceful-shutdown deadline.
+const drain = 10 * time.Second
+
 // registerFlags declares darwin-front's flags on fs. Every tuning default
 // comes from FrontConfig.WithDefaults — the flag shows it, nothing here
-// repeats it.
+// repeats it — and a config field without a flag runs at that default.
 func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{front: server.FrontConfig{}.WithDefaults()}
 	c := &o.front
@@ -43,18 +45,8 @@ func registerFlags(fs *flag.FlagSet) *options {
 		c.Backends = strings.Split(s, ",")
 		return nil
 	})
-
-	fs.IntVar(&c.VirtualNodes, "vnodes", c.VirtualNodes, "virtual nodes per backend on the ring")
-	fs.Float64Var(&c.LoadFactor, "load-factor", c.LoadFactor, "bounded-loads ε: per-window budget headroom before spilling")
 	fs.IntVar(&c.RebalanceEvery, "rebalance-every", c.RebalanceEvery, "requests per rebalance window (weights, budgets, replication factors refresh at boundaries)")
-	fs.IntVar(&c.Attempts, "attempts", c.Attempts, "max distinct backends tried per request (failover)")
 	fs.DurationVar(&c.ProbeEvery, "probe-every", c.ProbeEvery, "health poll period (/gossip digest exchange; /readyz for backends that do not serve it)")
-
-	fs.IntVar(&c.Replication.TopK, "rep-top-k", c.Replication.TopK, "max hot objects holding extra replicas per window")
-	fs.IntVar(&c.Replication.MaxFactor, "rep-max-factor", c.Replication.MaxFactor, "replication factor cap per object")
-	fs.Float64Var(&c.Replication.HotShare, "rep-hot-share", c.Replication.HotShare, "request share granting one extra replica")
-
-	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful shutdown drain deadline")
 	return o
 }
 
@@ -99,7 +91,7 @@ func main() {
 	})
 
 	fmt.Fprintf(os.Stderr, "darwin-front: listening on %s over %d backends (%s)\n", o.addr, len(nodes), strings.Join(nodes, ","))
-	if err := server.Run(ctx, &http.Server{Addr: o.addr, Handler: mux}, health, 0, o.drain); err != nil {
+	if err := server.Run(ctx, &http.Server{Addr: o.addr, Handler: mux}, health, 0, drain); err != nil {
 		fatal(err)
 	}
 	st := front.Stats()

@@ -29,30 +29,14 @@ func TestFlagsDocumentedAndDefaultsDeclaredOnce(t *testing.T) {
 		}
 	})
 
-	res, ov, brk := server.DefaultResilience(), server.DefaultOverload(), breaker.Config{}.WithDefaults()
-	peer, store := server.PeerConfig{}.WithDefaults(), diskcache.Config{}.WithDefaults()
+	res, brk := server.DefaultResilience(), breaker.Config{}.WithDefaults()
+	store := diskcache.Config{}.WithDefaults()
 	for name, want := range map[string]any{
-		"retries":            res.MaxAttempts,
-		"fetch-timeout":      res.FetchTimeout,
-		"backoff":            res.BackoffBase,
-		"backoff-max":        res.BackoffMax,
-		"coalesce":           res.Coalesce,
-		"serve-stale":        res.ServeStale,
-		"max-inflight":       ov.MaxInFlight,
-		"propagate-deadline": ov.PropagateDeadline,
-		"min-fetch-budget":   ov.MinFetchBudget,
-		"hedge":              ov.Hedge,
-		"retry-budget":       ov.RetryBudget,
-		"brk-window":         brk.Window,
-		"brk-threshold":      brk.FailureThreshold,
-		"brk-min-requests":   brk.MinRequests,
-		"brk-open-for":       brk.OpenFor,
-		"brk-probes":         brk.HalfOpenProbes,
-		"peer-fanout":        peer.Fanout,
-		"peer-timeout":       peer.FetchTimeout,
-		"fsync":              store.Sync,
-		"fsync-batch":        store.BatchEvery,
-		"segment-bytes":      store.SegmentBytes,
+		"retries":       res.MaxAttempts,
+		"backoff":       res.BackoffBase,
+		"brk-threshold": brk.FailureThreshold,
+		"brk-open-for":  brk.OpenFor,
+		"fsync":         store.Sync,
 	} {
 		f := fs.Lookup(name)
 		if f == nil {
@@ -61,9 +45,20 @@ func TestFlagsDocumentedAndDefaultsDeclaredOnce(t *testing.T) {
 			t.Errorf("flag -%s defaults to %s, its config struct to %v", name, f.DefValue, want)
 		}
 	}
-	for _, gone := range []string{"gossip", "handoff"} {
+	// Removed flags stay removed. -gossip / -handoff: membership and handoff
+	// are simply on when -peers is set. The rest were flags no test, example,
+	// Makefile target or documented command line ever set to a non-default
+	// value, so they are their config struct's defaults now.
+	for _, gone := range []string{
+		"gossip", "handoff",
+		"publish-every", "fsync-batch", "segment-bytes",
+		"fetch-timeout", "backoff-max", "coalesce", "serve-stale",
+		"peer-fanout", "peer-timeout",
+		"max-inflight", "propagate-deadline", "min-fetch-budget", "hedge", "retry-budget",
+		"brk-window", "brk-min-requests", "brk-probes",
+	} {
 		if fs.Lookup(gone) != nil {
-			t.Errorf("flag -%s is back: membership and handoff are simply on when -peers is set", gone)
+			t.Errorf("flag -%s is back", gone)
 		}
 	}
 }

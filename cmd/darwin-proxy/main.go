@@ -39,7 +39,7 @@ type options struct {
 	drain, lameDuck               time.Duration
 	expert                        cache.Expert
 	hoc, dc                       int64
-	shards, pubEvery              int
+	shards                        int
 	resilient, overload           bool
 
 	store diskcache.Config
@@ -50,7 +50,7 @@ type options struct {
 
 // registerFlags declares darwin-proxy's flags on fs. Every tuning default
 // comes from the package that owns the setting — the flag shows it, nothing
-// here repeats it.
+// here repeats it — and a config field without a flag runs at that default.
 func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{
 		store: diskcache.Config{}.WithDefaults(),
@@ -70,23 +70,16 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Int64Var(&o.dc, "dc", 200<<20, "DC bytes")
 	fs.StringVar(&o.objective, "objective", "ohr", "darwin objective: ohr | bmr | combined")
 	fs.IntVar(&o.shards, "shards", 0, "cache engine shard count (0 = auto from GOMAXPROCS, 1 = serial/global-lock data plane)")
-	fs.IntVar(&o.pubEvery, "publish-every", 32, "requests per shard between metric-mirror publications (1 = publish every request)")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "pprof listen address (e.g. localhost:6060; empty = disabled)")
 	fs.StringVar(&o.modelPath, "model", "", "pre-trained model file from darwin-train (skips startup training)")
 
 	fs.StringVar(&o.store.Dir, "data-dir", "", "durable state directory: DC journal + learned-state checkpoints (empty = in-memory only)")
 	fs.Var(&o.store.Sync, "fsync", "journal fsync `policy`: batch (default) | always | off")
-	fs.IntVar(&o.store.BatchEvery, "fsync-batch", o.store.BatchEvery, "journal appends per fsync under -fsync=batch")
-	fs.Int64Var(&o.store.SegmentBytes, "segment-bytes", o.store.SegmentBytes, "journal segment size before rotation (bytes)")
 	fs.DurationVar(&o.ckptEvery, "checkpoint-interval", 30*time.Second, "learned-state checkpoint period (0 = checkpoint only at shutdown)")
 
-	fs.BoolVar(&o.resilient, "resilient", true, "enable the fault-tolerance layer (retries, coalescing, serve-stale)")
+	fs.BoolVar(&o.resilient, "resilient", true, "enable the fault-tolerance layer (retries, coalescing, serve-stale; server.DefaultResilience)")
 	fs.IntVar(&o.res.MaxAttempts, "retries", o.res.MaxAttempts, "total origin fetch attempts per miss (1 = no retry)")
-	fs.DurationVar(&o.res.FetchTimeout, "fetch-timeout", o.res.FetchTimeout, "per-attempt origin fetch deadline")
 	fs.DurationVar(&o.res.BackoffBase, "backoff", o.res.BackoffBase, "base retry backoff (doubles per retry, jittered)")
-	fs.DurationVar(&o.res.BackoffMax, "backoff-max", o.res.BackoffMax, "retry backoff cap")
-	fs.BoolVar(&o.res.Coalesce, "coalesce", o.res.Coalesce, "single-flight coalescing of concurrent misses")
-	fs.BoolVar(&o.res.ServeStale, "serve-stale", o.res.ServeStale, "serve previously-seen objects stale when the origin is down")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful shutdown drain deadline")
 	fs.DurationVar(&o.lameDuck, "lame-duck", 300*time.Millisecond, "keep serving after readyz/gossip flip to 503 so probers observe the drain verdict before the listener closes")
 
@@ -95,20 +88,10 @@ func registerFlags(fs *flag.FlagSet) *options {
 		return nil
 	})
 	fs.StringVar(&o.peer.Self, "self", "", "this node's own entry in -peers")
-	fs.IntVar(&o.peer.Fanout, "peer-fanout", o.peer.Fanout, "max ring siblings probed per miss")
-	fs.DurationVar(&o.peer.FetchTimeout, "peer-timeout", o.peer.FetchTimeout, "per-sibling probe deadline")
 
-	fs.BoolVar(&o.overload, "overload", true, "enable the overload-protection layer (breaker, admission, deadlines, hedging)")
-	fs.Int64Var(&o.ov.MaxInFlight, "max-inflight", o.ov.MaxInFlight, "admission control: max concurrently admitted requests (0 = unlimited)")
-	fs.BoolVar(&o.ov.PropagateDeadline, "propagate-deadline", o.ov.PropagateDeadline, "honor the client X-Darwin-Deadline-Ms header")
-	fs.DurationVar(&o.ov.MinFetchBudget, "min-fetch-budget", o.ov.MinFetchBudget, "shed misses whose remaining deadline is below this floor")
-	fs.DurationVar(&o.ov.Hedge, "hedge", o.ov.Hedge, "hedged second origin fetch delay (0 = no hedging)")
-	fs.Int64Var(&o.ov.RetryBudget, "retry-budget", o.ov.RetryBudget, "max retries per window (0 = breaker half-open probe budget, <0 = uncapped)")
-	fs.DurationVar(&o.ov.Breaker.Window, "brk-window", o.ov.Breaker.Window, "circuit breaker rolling window")
+	fs.BoolVar(&o.overload, "overload", true, "enable the overload-protection layer (breaker, admission, deadlines, hedging; server.DefaultOverload)")
 	fs.Float64Var(&o.ov.Breaker.FailureThreshold, "brk-threshold", o.ov.Breaker.FailureThreshold, "circuit breaker failure-ratio trip threshold")
-	fs.Int64Var(&o.ov.Breaker.MinRequests, "brk-min-requests", o.ov.Breaker.MinRequests, "circuit breaker volume floor before tripping")
 	fs.DurationVar(&o.ov.Breaker.OpenFor, "brk-open-for", o.ov.Breaker.OpenFor, "circuit breaker cool-off before half-open")
-	fs.Int64Var(&o.ov.Breaker.HalfOpenProbes, "brk-probes", o.ov.Breaker.HalfOpenProbes, "circuit breaker half-open probe budget")
 	return o
 }
 
@@ -209,10 +192,10 @@ func main() {
 		dur.attach(shEng, ctrl, model)
 	}
 	// Batched counter publication: shards accumulate metric deltas locally and
-	// publish the whole consistent block every K requests, keeping the seqlock
+	// publish the whole consistent block every 32 requests, keeping the seqlock
 	// fences off the per-request path. Round-boundary and /metrics reads go
 	// through SyncMetrics, so learning and reporting still see exact counts.
-	shEng.SetPublishEvery(o.pubEvery)
+	shEng.SetPublishEvery(32)
 
 	proxy := server.NewOverloadProxy(dec, o.origin, o.dcLatency, o.res, o.ov)
 	gates := []server.Gate{{Name: "breaker", Ready: proxy.Ready}}

@@ -9,6 +9,8 @@
 //	experiments -scale default  # the fuller scaled operating point
 //	experiments -only fig4a,table2
 //	experiments -only crash     # SIGKILL crash-recovery chaos arm
+//
+// An id that names no experiment is a usage error listing the valid ids.
 package main
 
 import (
@@ -16,13 +18,200 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
 	"darwin/internal/exp"
 	"darwin/internal/features"
 	"darwin/internal/par"
+	"darwin/internal/trace"
 )
+
+// experiment is one -only id: it returns its reports in print order.
+type experiment struct {
+	id  string
+	run func(sc exp.Scale, shards int) ([]*exp.Report, error)
+}
+
+// one adapts a single-report function's results to experiment.run's.
+func one(r *exp.Report, err error) ([]*exp.Report, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []*exp.Report{r}, nil
+}
+
+// onCorpus adapts an experiment over the scale's OHR-trained corpus.
+func onCorpus(f func(c *exp.Corpus) ([]*exp.Report, error)) func(exp.Scale, int) ([]*exp.Report, error) {
+	return func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+		c, err := exp.CachedCorpus(sc, "ohr")
+		if err != nil {
+			return nil, err
+		}
+		return f(c)
+	}
+}
+
+// prototype builds the corpus, config and replay trace fig4c and fig7 share.
+func prototype(sc exp.Scale, shards int) (*exp.Corpus, exp.PrototypeConfig, *trace.Trace, error) {
+	pc := exp.DefaultPrototypeConfig()
+	pc.Shards = shards
+	c, err := exp.CachedCorpus(exp.PrototypeScale(sc), "ohr")
+	if err != nil {
+		return nil, pc, nil, err
+	}
+	tr, err := exp.PrototypeTrace(c, pc.TraceLen)
+	return c, pc, tr, err
+}
+
+// experiments is every experiment in run order.
+var experiments = []experiment{
+	{"table1", func(exp.Scale, int) ([]*exp.Report, error) { return []*exp.Report{exp.Table1()}, nil }},
+	{"fig2", func(sc exp.Scale, _ int) ([]*exp.Report, error) { return exp.Fig2Suite(sc) }},
+	{"fig4a", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
+		rep, _, diags, err := exp.Fig4Compare(c, "Figure 4a: Darwin vs baselines (simulation)")
+		if err != nil {
+			return nil, err
+		}
+		return []*exp.Report{rep, exp.Fig5dBanditRounds(diags)}, nil
+	})},
+	{"fig4b", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+		c, err := exp.ScaledCorpus(sc, 5)
+		if err != nil {
+			return nil, err
+		}
+		rep, _, _, err := exp.Fig4Compare(c, "Figure 4b: Darwin vs baselines (5x scaled cache)")
+		return one(rep, err)
+	}},
+	{"fig4c", func(sc exp.Scale, shards int) ([]*exp.Report, error) {
+		c, pc, tr, err := prototype(sc, shards)
+		if err != nil {
+			return nil, err
+		}
+		return one(exp.Fig4cPrototypeOHR(c, pc, tr))
+	}},
+	{"fig5a", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+		train, _, err := exp.BuildTraces(sc)
+		if err != nil {
+			return nil, err
+		}
+		return one(exp.Fig5aFeatureConvergence(train, features.DefaultConfig(),
+			[]float64{0.01, 0.03, 0.1, 0.3, 0.5, 0.9}))
+	}},
+	{"fig5b", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
+		return one(exp.Fig5bClusterReduction(c.Dataset, c.Scale.NumClusters, []float64{1, 2, 5}, c.Scale.Seed))
+	})},
+	{"fig5c", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
+		return one(exp.Fig5cPredictorAccuracy(c.Model, c.Dataset.Records, []float64{1, 2, 5}))
+	})},
+	{"fig10", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
+		return one(exp.Fig10OutOfDistribution(c, []float64{1, 2, 5}))
+	})},
+	{"fig6a", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+		return one(exp.Fig6Objective(sc, "bmr", "Figure 6a: HOC byte miss ratio objective"))
+	}},
+	{"fig6b", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+		return one(exp.Fig6Objective(sc, "combined", "Figure 6b: OHR - disk-write objective"))
+	}},
+	{"fig7", func(sc exp.Scale, shards int) ([]*exp.Report, error) {
+		c, pc, tr, err := prototype(sc, shards)
+		if err != nil {
+			return nil, err
+		}
+		lat, err := exp.Fig7aLatency(c, pc, tr)
+		if err != nil {
+			return nil, err
+		}
+		tput, err := exp.Fig7bThroughput(c, pc, tr)
+		if err != nil {
+			return nil, err
+		}
+		return []*exp.Report{lat, tput}, nil
+	}},
+	{"table2", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) { return one(exp.Table2(c)) })},
+	{"fig11", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+		return one(exp.Fig11ThreeKnob(sc, []float64{1, 5}))
+	}},
+	{"overhead", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
+		return one(exp.OverheadReport(c, c.Test[0]))
+	})},
+	{"chaos", func(_ exp.Scale, shards int) ([]*exp.Report, error) {
+		cc := exp.DefaultChaosConfig()
+		cc.Prototype.Shards = shards
+		return one(exp.ChaosReport(cc))
+	}},
+	{"crash", func(sc exp.Scale, shards int) ([]*exp.Report, error) {
+		cc := exp.DefaultCrashConfig()
+		cc.Scale = sc
+		cc.Shards = shards
+		return one(exp.CrashRecoveryReport(cc))
+	}},
+	{"cluster", func(exp.Scale, int) ([]*exp.Report, error) {
+		return one(exp.ClusterReport(exp.DefaultClusterConfig()))
+	}},
+	{"flap", func(exp.Scale, int) ([]*exp.Report, error) {
+		return one(exp.FlapReport(exp.DefaultFlapConfig()))
+	}},
+	{"overload", func(_ exp.Scale, shards int) ([]*exp.Report, error) {
+		oc := exp.DefaultOverloadConfig()
+		oc.Prototype.Shards = shards
+		return one(exp.OverloadReport(oc))
+	}},
+	{"ablations", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+		var reps []*exp.Report
+		for _, f := range []func() (*exp.Report, error){
+			func() (*exp.Report, error) { return exp.AblationSideInfo(sc) },
+			func() (*exp.Report, error) { return exp.AblationRoundsVsK([]int{4, 8, 16}) },
+			func() (*exp.Report, error) { return exp.AblationStopping(sc) },
+			func() (*exp.Report, error) {
+				return exp.AblationRoundLength(sc, []int{sc.Online.Round / 2, sc.Online.Round, sc.Online.Round * 2})
+			},
+			func() (*exp.Report, error) { return exp.AblationPredictorFeatures(sc) },
+			func() (*exp.Report, error) { return exp.AblationEviction(sc) },
+		} {
+			rep, err := f()
+			if err != nil {
+				return nil, err
+			}
+			reps = append(reps, rep)
+		}
+		return reps, nil
+	}},
+	{"future", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+		return one(exp.FutureEvictionSelection(sc))
+	}},
+}
+
+// selectExperiments resolves -only's comma-separated ids against the table,
+// in table order; empty selects everything. An id that names no experiment
+// is an error listing the valid ones — a typo must not run nothing and exit 0.
+func selectExperiments(only string) ([]experiment, error) {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	want := map[string]bool{}
+	for _, id := range strings.Split(only, ",") {
+		if id = strings.TrimSpace(id); id == "" {
+			continue
+		}
+		if !slices.Contains(ids, id) {
+			return nil, fmt.Errorf("unknown experiment id %q; valid ids: %s", id, strings.Join(ids, ","))
+		}
+		want[id] = true
+	}
+	if len(want) == 0 {
+		return experiments, nil
+	}
+	var sel []experiment
+	for _, e := range experiments {
+		if want[e.id] {
+			sel = append(sel, e)
+		}
+	}
+	return sel, nil
+}
 
 func main() {
 	var (
@@ -43,263 +232,24 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown scale %q", *scaleName))
 	}
-
-	want := map[string]bool{}
-	for _, id := range strings.Split(*only, ",") {
-		if id = strings.TrimSpace(id); id != "" {
-			want[id] = true
-		}
-	}
-	selected := func(id string) bool { return len(want) == 0 || want[id] }
-
-	type experiment struct {
-		id  string
-		run func() error
-	}
-	experiments := []experiment{
-		{"table1", func() error { emit(exp.Table1()); return nil }},
-		{"fig2", func() error {
-			reps, err := exp.Fig2Suite(sc)
-			if err != nil {
-				return err
-			}
-			for _, r := range reps {
-				emit(r)
-			}
-			return nil
-		}},
-		{"fig4a", func() error {
-			c, err := exp.CachedCorpus(sc, "ohr")
-			if err != nil {
-				return err
-			}
-			rep, _, diags, err := exp.Fig4Compare(c, "Figure 4a: Darwin vs baselines (simulation)")
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			emit(exp.Fig5dBanditRounds(diags))
-			return nil
-		}},
-		{"fig4b", func() error {
-			c, err := exp.ScaledCorpus(sc, 5)
-			if err != nil {
-				return err
-			}
-			rep, _, _, err := exp.Fig4Compare(c, "Figure 4b: Darwin vs baselines (5x scaled cache)")
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"fig4c", func() error {
-			c, err := exp.CachedCorpus(exp.PrototypeScale(sc), "ohr")
-			if err != nil {
-				return err
-			}
-			pc := exp.DefaultPrototypeConfig()
-			pc.Shards = *shards
-			tr, err := exp.PrototypeTrace(c, pc.TraceLen)
-			if err != nil {
-				return err
-			}
-			rep, err := exp.Fig4cPrototypeOHR(c, pc, tr)
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"fig5a", func() error {
-			train, _, err := exp.BuildTraces(sc)
-			if err != nil {
-				return err
-			}
-			rep, err := exp.Fig5aFeatureConvergence(train, features.DefaultConfig(),
-				[]float64{0.01, 0.03, 0.1, 0.3, 0.5, 0.9})
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"fig5b", func() error {
-			c, err := exp.CachedCorpus(sc, "ohr")
-			if err != nil {
-				return err
-			}
-			rep, err := exp.Fig5bClusterReduction(c.Dataset, sc.NumClusters, []float64{1, 2, 5}, sc.Seed)
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"fig5c", func() error {
-			c, err := exp.CachedCorpus(sc, "ohr")
-			if err != nil {
-				return err
-			}
-			rep, err := exp.Fig5cPredictorAccuracy(c.Model, c.Dataset.Records, []float64{1, 2, 5})
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"fig6a", func() error {
-			rep, err := exp.Fig6Objective(sc, "bmr", "Figure 6a: HOC byte miss ratio objective")
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"fig6b", func() error {
-			rep, err := exp.Fig6Objective(sc, "combined", "Figure 6b: OHR - disk-write objective")
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"fig7", func() error {
-			c, err := exp.CachedCorpus(exp.PrototypeScale(sc), "ohr")
-			if err != nil {
-				return err
-			}
-			pc := exp.DefaultPrototypeConfig()
-			pc.Shards = *shards
-			tr, err := exp.PrototypeTrace(c, pc.TraceLen)
-			if err != nil {
-				return err
-			}
-			rep, err := exp.Fig7aLatency(c, pc, tr)
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			rep, err = exp.Fig7bThroughput(c, pc, tr)
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"table2", func() error {
-			c, err := exp.CachedCorpus(sc, "ohr")
-			if err != nil {
-				return err
-			}
-			rep, err := exp.Table2(c)
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"fig11", func() error {
-			rep, err := exp.Fig11ThreeKnob(sc, []float64{1, 5})
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"overhead", func() error {
-			c, err := exp.CachedCorpus(sc, "ohr")
-			if err != nil {
-				return err
-			}
-			rep, err := exp.OverheadReport(c, c.Test[0])
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"chaos", func() error {
-			cc := exp.DefaultChaosConfig()
-			cc.Prototype.Shards = *shards
-			rep, err := exp.ChaosReport(cc)
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"crash", func() error {
-			cc := exp.DefaultCrashConfig()
-			cc.Scale = sc
-			cc.Shards = *shards
-			rep, err := exp.CrashRecoveryReport(cc)
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"cluster", func() error {
-			rep, err := exp.ClusterReport(exp.DefaultClusterConfig())
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"flap", func() error {
-			rep, err := exp.FlapReport(exp.DefaultFlapConfig())
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"overload", func() error {
-			oc := exp.DefaultOverloadConfig()
-			oc.Prototype.Shards = *shards
-			rep, err := exp.OverloadReport(oc)
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
-		{"ablations", func() error {
-			for _, f := range []func(exp.Scale) (*exp.Report, error){
-				exp.AblationSideInfo,
-				exp.AblationStopping,
-			} {
-				rep, err := f(sc)
-				if err != nil {
-					return err
-				}
-				emit(rep)
-			}
-			rep, err := exp.AblationRoundLength(sc, []int{sc.Online.Round / 2, sc.Online.Round, sc.Online.Round * 2})
-			if err != nil {
-				return err
-			}
-			emit(rep)
-			return nil
-		}},
+	selected, err := selectExperiments(*only)
+	if err != nil {
+		fatal(err)
 	}
 
-	for _, e := range experiments {
-		if !selected(e.id) {
-			continue
-		}
+	for _, e := range selected {
 		start := time.Now()
 		fmt.Printf("--- running %s ---\n", e.id)
-		if err := e.run(); err != nil {
+		reps, err := e.run(sc, *shards)
+		if err != nil {
 			fatal(fmt.Errorf("%s: %w", e.id, err))
+		}
+		for _, r := range reps {
+			fmt.Println(r.String())
 		}
 		fmt.Printf("--- %s done in %v ---\n\n", e.id, time.Since(start).Round(time.Millisecond))
 	}
 }
-
-func emit(r *exp.Report) { fmt.Println(r.String()) }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "experiments:", err)

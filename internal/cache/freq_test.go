@@ -1,6 +1,10 @@
 package cache
 
-import "testing"
+import (
+	"testing"
+
+	"darwin/internal/tracegen"
+)
 
 func TestExactTracker(t *testing.T) {
 	tr := NewExactTracker()
@@ -50,5 +54,29 @@ func TestApproxTrackerBoundedLastSeen(t *testing.T) {
 	}
 	if n := len(tr.lastSeen); n > 17 {
 		t.Fatalf("lastSeen grew to %d entries, bound is ~16", n)
+	}
+}
+
+// BenchmarkTracker prices one Observe on the 50:50 mix for the exact
+// (simulator default) and the Bloom-backed approximate tracker.
+func BenchmarkTracker(b *testing.B) {
+	tr, err := tracegen.ImageDownloadMix(50, 100_000, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := tr.Requests
+	for _, arm := range []struct {
+		name    string
+		tracker FrequencyTracker
+	}{
+		{"exact", NewExactTracker()},
+		{"approx", NewApproxTracker(1 << 16)},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				arm.tracker.Observe(reqs[i%len(reqs)].ID, int64(i))
+			}
+		})
 	}
 }

@@ -114,9 +114,8 @@ func NewSharded(cfg Config, shards int) (*Sharded, error) {
 
 // AutoShards picks a shard count for the current process when the operator
 // does not: 1 under GOMAXPROCS == 1 — the serial engine, since sharding
-// there only adds routing and extra-mutex overhead (the 1-CPU regression
-// measured in BENCH_2026-08-05) — otherwise GOMAXPROCS rounded up to the
-// next power of two so shard routing is a single AND.
+// there only adds routing and extra-mutex overhead — otherwise GOMAXPROCS
+// rounded up to the next power of two so shard routing is a single AND.
 func AutoShards() int {
 	n := runtime.GOMAXPROCS(0)
 	if n <= 1 {

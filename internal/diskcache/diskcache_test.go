@@ -230,3 +230,77 @@ func TestOpenCleansTempFiles(t *testing.T) {
 func TestStoreImplementsDCLog(t *testing.T) {
 	var _ cache.DCLog = (*Store)(nil)
 }
+
+// TestPutAllocFree: a journal append at fsync=off — the DC admission's
+// hot-path cost — does not allocate once the index and write buffer are warm.
+func TestPutAllocFree(t *testing.T) {
+	s := open(t, t.TempDir())
+	defer s.Close()
+	for id := uint64(0); id < 64; id++ {
+		s.Put(id, 4096)
+	}
+	id := uint64(0)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.Put(id%64, 4096)
+		id++
+	}); allocs != 0 {
+		t.Fatalf("Put allocates %.1f/op at fsync=off, want 0", allocs)
+	}
+}
+
+// BenchmarkJournalPut prices a durable DC admission under each fsync policy.
+func BenchmarkJournalPut(b *testing.B) {
+	for _, pol := range []SyncPolicy{SyncOff, SyncBatch, SyncAlways} {
+		b.Run("fsync="+pol.String(), func(b *testing.B) {
+			s, err := Open(Config{Dir: b.TempDir(), Sync: pol})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Put(uint64(i), 4096)
+			}
+			b.StopTimer()
+			if err := s.Close(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkJournalRecovery prices a restart: Open replaying a 200k-record
+// journal (puts with a delete tail) into the index.
+func BenchmarkJournalRecovery(b *testing.B) {
+	const records = 200_000
+	dir := b.TempDir()
+	s, err := Open(Config{Dir: dir, Sync: SyncOff})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < records*9/10; i++ {
+		s.Put(uint64(i), 4096)
+	}
+	for i := 0; i < records/10; i++ {
+		s.Remove(uint64(i))
+	}
+	if err := s.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r, err := Open(Config{Dir: dir, Sync: SyncOff})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if st := r.Stats(); st.RecoveredPuts+st.RecoveredDeletes != records {
+			b.Fatalf("replayed %d records, want %d", st.RecoveredPuts+st.RecoveredDeletes, records)
+		}
+		if err := r.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(records*float64(b.N)/b.Elapsed().Seconds(), "records/s")
+}

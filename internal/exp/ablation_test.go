@@ -64,21 +64,68 @@ func TestAblationRoundLength(t *testing.T) {
 }
 
 func TestAblationPredictorFeatures(t *testing.T) {
-	c := tinyCorpus(t)
-	rep, err := AblationPredictorFeatures(tiny(), c.Dataset.Records)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := sameTwice(t, func() (*Report, error) { return AblationPredictorFeatures(tiny()) })
 	if len(rep.Rows) != 2 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
-	// nil test records default to the training records.
-	rep2, err := AblationPredictorFeatures(tiny(), nil)
+	// The full-feature variant retrains the corpus's own model and scores it
+	// on the same held-out records as Figure 10, so the two must agree.
+	fig10, err := Fig10OutOfDistribution(tinyCorpus(t), []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep2.Rows) != 2 {
-		t.Fatal("nil records variant failed")
+	if got, want := rep.Rows[0][1], fig10.Rows[0][1]; got != want {
+		t.Fatalf("base + size distribution accuracy %s, Figure 10 mean at 1%% proximity %s", got, want)
+	}
+}
+
+func TestAblationRoundsVsK(t *testing.T) {
+	rep := sameTwice(t, func() (*Report, error) { return AblationRoundsVsK([]int{4, 16}) })
+	if len(rep.Rows) != 2 || rep.Rows[1][0] != "16" {
+		t.Fatalf("rows = %v", rep.Rows)
+	}
+	// Theorem 2: side information never needs more rounds than standard
+	// feedback on the same environments.
+	if side, std := parseFloat(rep.Rows[1][1]), parseFloat(rep.Rows[1][3]); side > std {
+		t.Fatalf("K=16: side-info rounds %.1f > standard rounds %.1f", side, std)
+	}
+}
+
+func TestAblationEviction(t *testing.T) {
+	sc := tiny()
+	rep := sameTwice(t, func() (*Report, error) { return AblationEviction(sc) })
+	if len(rep.Rows) != 4 || rep.Rows[0][0] != "lru" {
+		t.Fatalf("rows = %v", rep.Rows)
+	}
+	// LRU is the paper's (and EvalConfig's) default HOC eviction: the lru row
+	// is the unablated evaluation.
+	tr, err := SyntheticMix(50, sc.OnlineTraceLen, sc.Seed+77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := cache.Evaluate(tr, cache.Expert{Freq: 2, MaxSize: 50 << 10}, sc.Eval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Rows[0][1] != f4(m.OHR()) {
+		t.Fatalf("lru row OHR %s, default-eviction OHR %s", rep.Rows[0][1], f4(m.OHR()))
+	}
+}
+
+func TestFutureEvictionSelection(t *testing.T) {
+	rep := sameTwice(t, func() (*Report, error) { return FutureEvictionSelection(tiny()) })
+	if len(rep.Rows) != 5 {
+		t.Fatalf("rows = %v", rep.Rows)
+	}
+	// Exploration rounds cost the selector the best fixed policy's OHR;
+	// converging keeps it above the worst.
+	lo, hi := 1.0, 0.0
+	for _, row := range rep.Rows[:4] {
+		v := parseFloat(row[1])
+		lo, hi = min(lo, v), max(hi, v)
+	}
+	if sel := parseFloat(rep.Rows[4][1]); sel < lo || sel > hi {
+		t.Fatalf("selector OHR %.4f outside the fixed policies' [%.4f, %.4f]:\n%s", sel, lo, hi, rep)
 	}
 }
 

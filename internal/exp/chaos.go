@@ -99,7 +99,7 @@ func chaosRun(cc ChaosConfig, res server.Resilience, tr *trace.Trace) (server.Lo
 // injected fault rate: retries absorb transient errors, coalescing shrinks
 // the origin's blast radius, and serve-stale covers outage windows.
 func ChaosReport(cc ChaosConfig) (*Report, error) {
-	tr, err := tracegenMix(cc.Mix, cc.Prototype.TraceLen, cc.Seed)
+	tr, err := SyntheticMix(cc.Mix, cc.Prototype.TraceLen, cc.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -170,7 +170,7 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 	if cc.DrainNode < 0 || cc.DrainNode >= cc.Nodes {
 		return nil, fmt.Errorf("exp: drain node %d out of range [0,%d)", cc.DrainNode, cc.Nodes)
 	}
-	tr, err := tracegenMix(cc.Mix, cc.TraceLen, cc.Seed)
+	tr, err := SyntheticMix(cc.Mix, cc.TraceLen, cc.Seed)
 	if err != nil {
 		return nil, err
 	}

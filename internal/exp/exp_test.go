@@ -242,6 +242,39 @@ func TestFig5cAccuracy(t *testing.T) {
 	}
 }
 
+// sameTwice runs a report function twice and requires byte-identical output:
+// every report is deterministic per seed.
+func sameTwice(t *testing.T, f func() (*Report, error)) *Report {
+	t.Helper()
+	a, err := f()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := f()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("report not reproducible:\n%s\n---\n%s", a, b)
+	}
+	return a
+}
+
+func TestFig10OutOfDistribution(t *testing.T) {
+	c := tinyCorpus(t)
+	rep := sameTwice(t, func() (*Report, error) { return Fig10OutOfDistribution(c, []float64{1, 2, 5}) })
+	if !strings.HasPrefix(rep.Title, "Figure 10") || len(rep.Rows) != 3 {
+		t.Fatalf("title %q, %d rows", rep.Title, len(rep.Rows))
+	}
+	// A pair within the proximity counts as correct, so mean accuracy cannot
+	// fall as the proximity widens.
+	for i := 1; i < len(rep.Rows); i++ {
+		if parseFloat(rep.Rows[i][1]) < parseFloat(rep.Rows[i-1][1]) {
+			t.Fatalf("mean accuracy falls with proximity:\n%s", rep)
+		}
+	}
+}
+
 func TestFig5dRounds(t *testing.T) {
 	diags := []core.EpochDiag{
 		{SetSize: 3, Rounds: 5, StopReason: "stability"},

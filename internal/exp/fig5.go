@@ -146,6 +146,37 @@ func Fig5cPredictorAccuracy(m *core.Model, test []*core.TraceRecord, proximities
 	return rep, nil
 }
 
+// heldOutRecords evaluates the corpus's expert grid on its held-out test
+// traces: records drawn from a different distribution than the training set
+// the model was fitted on.
+func heldOutRecords(c *Corpus) ([]*core.TraceRecord, error) {
+	ds, err := core.BuildDataset(c.Test, core.DatasetConfig{
+		Experts:       c.Scale.Experts,
+		Eval:          c.Scale.Eval,
+		FeatureWindow: c.Scale.Online.Warmup,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ds.Records, nil
+}
+
+// Fig10OutOfDistribution reproduces Figure 10: Figure 5c's accuracy CDF with
+// the predictors scored on the held-out test traces instead of the records
+// they were trained on.
+func Fig10OutOfDistribution(c *Corpus, proximities []float64) (*Report, error) {
+	test, err := heldOutRecords(c)
+	if err != nil {
+		return nil, err
+	}
+	rep, err := Fig5cPredictorAccuracy(c.Model, test, proximities)
+	if err != nil {
+		return nil, err
+	}
+	rep.Title = "Figure 10: out-of-distribution " + rep.Title
+	return rep, nil
+}
+
 // Fig5dBanditRounds reproduces Figure 5d: the CDF of bandit rounds needed
 // before the best expert is identified, from Darwin's epoch diagnostics.
 func Fig5dBanditRounds(diags []core.EpochDiag) *Report {

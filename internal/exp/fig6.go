@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 
+	"darwin/internal/bandit"
+	"darwin/internal/cache"
 	"darwin/internal/core"
 	"darwin/internal/par"
 	"darwin/internal/stats"
@@ -147,6 +149,84 @@ func AblationSideInfo(sc Scale) (*Report, error) {
 	return rep, nil
 }
 
+// AblationRoundsVsK demonstrates the Theorem-2 scaling claim on synthetic
+// Gaussian environments: mean rounds to identify the best of K arms, and how
+// often the identified arm is the true best, with side information vs
+// standard feedback. Arm means step down by 0.04 from 0.5; every variance is
+// 0.02; each cell averages 20 seeded trials.
+func AblationRoundsVsK(ks []int) (*Report, error) {
+	rep := &Report{
+		Title:  "Ablation: rounds to identify vs number of experts K (synthetic)",
+		Header: []string{"K", "side-info rounds", "side-info acc", "standard rounds", "standard acc"},
+	}
+	const trials = 20
+	for _, k := range ks {
+		mu := make([]float64, k)
+		own := make([]float64, k)
+		side := make([][]float64, k)
+		for i := range side {
+			mu[i] = 0.5 - 0.04*float64(i)
+			own[i] = 0.02
+			side[i] = make([]float64, k)
+			for j := range side[i] {
+				side[i][j] = 0.02
+			}
+		}
+		row := []string{strconv.Itoa(k)}
+		for _, sigma2 := range [][][]float64{side, bandit.StandardSigma2(own)} {
+			total, correct := 0, 0
+			for t := 0; t < trials; t++ {
+				env, err := bandit.NewEnv(mu, sigma2, int64(100*k+t))
+				if err != nil {
+					return nil, err
+				}
+				alg, err := bandit.New(bandit.DefaultConfig(sigma2))
+				if err != nil {
+					return nil, err
+				}
+				best, rounds, err := bandit.Run(alg, env, 5000)
+				if err != nil {
+					return nil, err
+				}
+				total += rounds
+				if best == 0 {
+					correct++
+				}
+			}
+			row = append(row,
+				fmt.Sprintf("%.1f", float64(total)/trials),
+				fmt.Sprintf("%.2f", float64(correct)/trials))
+		}
+		rep.AddRow(row...)
+	}
+	return rep, nil
+}
+
+// AblationEviction is the DESIGN.md design-choice ablation: the paper
+// evaluates with LRU at both levels; how much does the HOC eviction policy
+// matter under the best static expert on a 50:50 mix?
+func AblationEviction(sc Scale) (*Report, error) {
+	tr, err := SyntheticMix(50, sc.OnlineTraceLen, sc.Seed+77)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{
+		Title:  "Ablation: HOC eviction policy under the best static expert",
+		Header: []string{"eviction", "OHR", "BMR"},
+	}
+	e := cache.Expert{Freq: 2, MaxSize: 50 << 10}
+	for _, name := range []string{"lru", "s4lru", "lfu", "fifo"} {
+		cfg := sc.Eval
+		cfg.HOCEviction = name
+		m, err := cache.Evaluate(tr, e, cfg)
+		if err != nil {
+			return nil, err
+		}
+		rep.AddRow(name, f4(m.OHR()), f4(m.BMR()))
+	}
+	return rep, nil
+}
+
 // AblationStopping compares the practical stability stop against the
 // Theorem-1 threshold-only stop.
 func AblationStopping(sc Scale) (*Report, error) {
@@ -217,14 +297,15 @@ func intStr(n int) string { return strconv.Itoa(n) }
 // AblationPredictorFeatures reproduces the §4.1 feature claim: cross-expert
 // predictors trained with the bucketised size distribution appended to the
 // base features vs. base features only, compared by mean order-prediction
-// accuracy (1% proximity) on the given records.
-func AblationPredictorFeatures(sc Scale, test []*core.TraceRecord) (*Report, error) {
+// accuracy (1% proximity) on the held-out test traces.
+func AblationPredictorFeatures(sc Scale) (*Report, error) {
 	c, err := CachedCorpus(sc, "ohr")
 	if err != nil {
 		return nil, err
 	}
-	if test == nil {
-		test = c.Dataset.Records
+	test, err := heldOutRecords(c)
+	if err != nil {
+		return nil, err
 	}
 	rep := &Report{
 		Title:  "Ablation: predictor features with vs without size distribution",

@@ -228,7 +228,7 @@ func runFlapArm(fc FlapConfig) (graded, binary FlapDetectorOutcome, err error) {
 // scheme (graded gossip weights or the binary probe verdict).
 func runPartitionArm(fc FlapConfig, useGossip bool) (PartitionOutcome, error) {
 	var out PartitionOutcome
-	tr, err := tracegenMix(fc.Mix, fc.PrefaultReqs+fc.FaultReqs, fc.Seed)
+	tr, err := SyntheticMix(fc.Mix, fc.PrefaultReqs+fc.FaultReqs, fc.Seed)
 	if err != nil {
 		return out, err
 	}
@@ -395,7 +395,7 @@ func runPartitionArm(fc FlapConfig, useGossip bool) (PartitionOutcome, error) {
 func runHandoffArm(fc FlapConfig) (HandoffOutcome, error) {
 	var out HandoffOutcome
 	total := (fc.WarmWindows + fc.ReplayWindows) * fc.WindowLen
-	tr, err := tracegenMix(fc.Mix, total, fc.Seed+1)
+	tr, err := SyntheticMix(fc.Mix, total, fc.Seed+1)
 	if err != nil {
 		return out, err
 	}

@@ -122,7 +122,7 @@ func overloadRun(oc OverloadConfig, ov server.Overload, tr *trace.Trace) (server
 // fast answers instead of slow ones, and the breaker converts the outage
 // window into cheap stale serves instead of doomed fetches.
 func OverloadReport(oc OverloadConfig) (*Report, error) {
-	tr, err := tracegenMix(oc.Mix, oc.Prototype.TraceLen, oc.Seed)
+	tr, err := SyntheticMix(oc.Mix, oc.Prototype.TraceLen, oc.Seed)
 	if err != nil {
 		return nil, err
 	}

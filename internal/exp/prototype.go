@@ -235,15 +235,11 @@ func PrototypeTrace(c *Corpus, totalLen int) (*trace.Trace, error) {
 	segLen := totalLen / 4
 	var segs []*trace.Trace
 	for i, pct := range []int{100, 0, 75, 25} {
-		tr, err := segmentTrace(c, pct, segLen, c.Scale.Seed+int64(900+i))
+		tr, err := SyntheticMix(pct, segLen, c.Scale.Seed+int64(900+i))
 		if err != nil {
 			return nil, err
 		}
 		segs = append(segs, tr)
 	}
 	return trace.Concat("prototype-concat", segs...), nil
-}
-
-func segmentTrace(c *Corpus, pct, n int, seed int64) (*trace.Trace, error) {
-	return tracegenMix(pct, n, seed)
 }

@@ -1,8 +1,7 @@
 // Package exp is the experiment harness: it rebuilds every table and figure
 // of the Darwin paper's evaluation (§6, Appendix A.3) at a configurable
 // scale, printing the same rows/series the paper reports. Each experiment is
-// exposed as a function returning a Report; the root bench_test.go and
-// cmd/experiments drive them.
+// exposed as a function returning a Report; cmd/experiments prints them.
 package exp
 
 import (

@@ -384,3 +384,57 @@ func FuzzDecodeDigest(f *testing.F) {
 		}
 	})
 }
+
+// benchEntries is a 16-node digest with live sequences: the size the three
+// benchmarks below price, since one digest rides every peer probe and
+// /gossip answer.
+func benchEntries() []Entry {
+	entries := make([]Entry, 16)
+	for i := range entries {
+		entries[i] = Entry{Node: uint16(i), Seq: uint64(1000 + i), Status: uint8(Alive)}
+	}
+	return entries
+}
+
+func BenchmarkDigestAppend(b *testing.B) {
+	entries := benchEntries()
+	buf := AppendDigest(nil, 0, entries)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendDigest(buf[:0], 0, entries)
+	}
+}
+
+func BenchmarkDigestDecode(b *testing.B) {
+	entries := benchEntries()
+	wire := AppendDigest(nil, 0, entries)
+	dst := make([]Entry, 0, len(entries))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := DecodeDigest(wire, dst[:0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDigestMerge folds a decoded digest into a membership: the detector
+// bookkeeping per probe (sequence advance + phi sample push per node).
+func BenchmarkDigestMerge(b *testing.B) {
+	entries := benchEntries()
+	clk := &simClock{now: time.Unix(0, 0)}
+	memb, err := New(Config{Nodes: len(entries), Self: -1, Clock: clk.clock()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range entries {
+			entries[j].Seq++
+		}
+		clk.advance(250 * time.Millisecond)
+		memb.Merge(0, entries)
+	}
+}

@@ -91,14 +91,15 @@ func (r LoadResult) GoodputRate() float64 {
 	return float64(r.OnTime) / float64(total)
 }
 
-// LatencyPercentile returns the p-th percentile first-byte latency.
+// LatencyPercentile returns the p-th percentile first-byte latency; p is
+// clamped to [0, 100].
 func (r LoadResult) LatencyPercentile(p float64) time.Duration {
 	if len(r.FirstByte) == 0 {
 		return 0
 	}
 	sorted := append([]time.Duration(nil), r.FirstByte...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p / 100 * float64(len(sorted)-1))
+	idx := int(min(max(p, 0), 100) / 100 * float64(len(sorted)-1))
 	return sorted[idx]
 }
 

@@ -290,6 +290,16 @@ func TestLoadResultZero(t *testing.T) {
 	if r.ThroughputBps() != 0 || r.LatencyPercentile(99) != 0 {
 		t.Fatal("zero result should yield zeros")
 	}
+	// Out-of-range percentiles clamp to the extremes; they used to index out
+	// of bounds (101 samples make p = -1 and p = 101 land one slot outside).
+	for i := 101; i >= 1; i-- {
+		r.FirstByte = append(r.FirstByte, time.Duration(i))
+	}
+	for p, want := range map[float64]time.Duration{-1: 1, 0: 1, 100: 101, 101: 101} {
+		if got := r.LatencyPercentile(p); got != want {
+			t.Errorf("LatencyPercentile(%v) = %v, want %v", p, got, want)
+		}
+	}
 }
 
 func TestProxyBadGatewayOnOriginFailure(t *testing.T) {
