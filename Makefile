@@ -37,7 +37,7 @@ lint-audit:
 	$(GO) run ./cmd/darwinlint -audit ./...
 
 race:
-	$(GO) test -race ./internal/server ./internal/lb ./internal/cluster ./internal/cache ./internal/stripe ./internal/par ./internal/core ./internal/exp ./internal/bloom ./internal/bandit ./internal/breaker ./internal/diskcache ./internal/persist ./internal/gossip
+	$(GO) test -race ./internal/server ./internal/node ./internal/lb ./internal/cluster ./internal/cache ./internal/stripe ./internal/par ./internal/core ./internal/exp ./internal/bloom ./internal/bandit ./internal/breaker ./internal/diskcache ./internal/persist ./internal/gossip
 
 # fuzz runs each fuzz target briefly: URL parsing on the proxy/origin seam,
 # the upstream client's response-head parser (a backend's bytes are outside
@@ -52,7 +52,6 @@ fuzz:
 	$(GO) test ./internal/server -fuzz FuzzUpstreamHead -fuzztime 10s
 	$(GO) test ./internal/bloom -fuzz FuzzHashIdentity -fuzztime 10s
 	$(GO) test ./internal/bloom -fuzz FuzzFilterU64StringIdentity -fuzztime 10s
-	$(GO) test ./internal/bloom -fuzz FuzzCountingU64StringIdentity -fuzztime 10s
 	$(GO) test ./internal/persist -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzDecodeRecord -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzOpenSegment -fuzztime 10s
@@ -68,7 +67,7 @@ bench:
 	bash benchmark/run.sh
 
 # microbench prices single functions: every package-level Benchmark* (engine
-# serve, feature observe, Bloom, trackers, ring route, gossip digest codec,
+# serve, feature observe, Bloom, tracker, ring route, gossip digest codec,
 # journal put and recovery, proxy serve-hit), with allocs/op.
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/...
@@ -76,8 +75,9 @@ microbench:
 chaos:
 	$(GO) run ./cmd/experiments -only chaos
 
-# chaos-crash is the crash-recovery suite: the in-process experiment (SIGKILL
-# simulated by abandoning the journal) and the real-process test that
+# chaos-crash is the crash-recovery suite: the in-process experiment (a
+# deployed node dropped without Close, a second built on its directory) and
+# the real-process test that
 # SIGKILLs a durable darwin-proxy binary mid-traffic and asserts the restart
 # recovers the DC from the journal.
 chaos-crash:
@@ -85,7 +85,8 @@ chaos-crash:
 	DARWIN_CRASH_PROC=1 $(GO) test ./cmd/darwin-proxy -run TestCrashRecoveryProcess -v
 
 # chaos-cluster is the distributed-edge suite: the deterministic in-process
-# cluster drain experiment, then the real-process test that runs a 3-node
+# drain experiment on the deployed front and nodes, then the real-process
+# test that runs a 3-node
 # peer-filled cluster behind darwin-front, SIGTERM-drains one node mid-flood,
 # and asserts zero client-visible failures while the survivors absorb the load.
 chaos-cluster:
@@ -93,7 +94,8 @@ chaos-cluster:
 	DARWIN_CLUSTER_PROC=1 $(GO) test ./cmd/darwin-front -run TestClusterDrainProcess -v
 
 # chaos-flap is the self-healing membership suite: the deterministic flap /
-# asymmetric-partition / drain-handoff experiment on simulated clocks, then
+# asymmetric-partition / drain-handoff experiment on the deployed front and
+# nodes under a simulated clock, then
 # the real-process test that SIGTERM-drains a 2-node cluster's donor and
 # asserts its ring successor inherits the working set through POST /state.
 chaos-flap:

@@ -1,8 +1,7 @@
-// Package bloom implements the probabilistic set membership filters used by
+// Package bloom implements the probabilistic set membership filter used by
 // the CDN cache substrate: a classic Bloom filter for the disk cache's
 // "one-hit wonder" admission rule (admit only on the second request, §2.2 of
-// the Darwin paper), and a counting variant used to track per-object request
-// frequencies for the HOC admission experts.
+// the Darwin paper).
 package bloom
 
 import (
@@ -162,87 +161,3 @@ func (f *Filter) Reset() {
 
 // Bits returns the filter size in bits (for overhead accounting).
 func (f *Filter) Bits() uint64 { return f.m }
-
-// Counting is a counting Bloom filter: an approximate per-key counter with
-// bounded memory, used to track object request frequencies. Increment raises
-// k counters; Estimate returns the minimum (a count–min sketch style bound
-// that can only over-estimate).
-type Counting struct {
-	counters []uint32
-	m        uint64
-	k        int
-}
-
-// NewCounting creates a counting filter sized for n expected distinct keys at
-// the given per-key over-count probability.
-func NewCounting(n int, fp float64) *Counting {
-	base := New(n, fp)
-	return &Counting{counters: make([]uint32, base.m), m: base.m, k: base.k}
-}
-
-// Increment adds one to key's count and returns the new estimate.
-func (c *Counting) Increment(key string) uint32 {
-	h1, h2 := hash2(key)
-	min := uint32(math.MaxUint32)
-	for i := 0; i < c.k; i++ {
-		pos := (h1 + uint64(i)*h2) % c.m
-		if c.counters[pos] != math.MaxUint32 {
-			c.counters[pos]++
-		}
-		if c.counters[pos] < min {
-			min = c.counters[pos]
-		}
-	}
-	return min
-}
-
-// IncrementU64 adds one to a uint64 key's count without allocating and
-// returns the new estimate. Equivalent to Increment on the key's 8
-// little-endian bytes.
-func (c *Counting) IncrementU64(id uint64) uint32 {
-	h1, h2 := hash2U64(id)
-	min := uint32(math.MaxUint32)
-	for i := 0; i < c.k; i++ {
-		pos := (h1 + uint64(i)*h2) % c.m
-		if c.counters[pos] != math.MaxUint32 {
-			c.counters[pos]++
-		}
-		if c.counters[pos] < min {
-			min = c.counters[pos]
-		}
-	}
-	return min
-}
-
-// EstimateU64 returns an upper bound on a uint64 key's count, allocation-free.
-func (c *Counting) EstimateU64(id uint64) uint32 {
-	h1, h2 := hash2U64(id)
-	min := uint32(math.MaxUint32)
-	for i := 0; i < c.k; i++ {
-		pos := (h1 + uint64(i)*h2) % c.m
-		if c.counters[pos] < min {
-			min = c.counters[pos]
-		}
-	}
-	return min
-}
-
-// Estimate returns an upper bound on how many times key was incremented.
-func (c *Counting) Estimate(key string) uint32 {
-	h1, h2 := hash2(key)
-	min := uint32(math.MaxUint32)
-	for i := 0; i < c.k; i++ {
-		pos := (h1 + uint64(i)*h2) % c.m
-		if c.counters[pos] < min {
-			min = c.counters[pos]
-		}
-	}
-	return min
-}
-
-// Reset clears all counters.
-func (c *Counting) Reset() {
-	for i := range c.counters {
-		c.counters[i] = 0
-	}
-}

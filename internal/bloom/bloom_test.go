@@ -82,54 +82,6 @@ func TestNewClampsArguments(t *testing.T) {
 	}
 }
 
-func TestCountingMonotoneUpperBound(t *testing.T) {
-	c := NewCounting(1000, 0.01)
-	truth := map[string]uint32{}
-	for i := 0; i < 300; i++ {
-		key := fmt.Sprintf("obj-%d", i%60)
-		truth[key]++
-		c.Increment(key)
-	}
-	for key, want := range truth {
-		if got := c.Estimate(key); got < want {
-			t.Fatalf("Estimate(%s) = %d < true count %d (underestimate impossible)", key, got, want)
-		}
-	}
-}
-
-func TestCountingIncrementReturnsEstimate(t *testing.T) {
-	c := NewCounting(100, 0.01)
-	if got := c.Increment("a"); got < 1 {
-		t.Fatalf("Increment returned %d, want >= 1", got)
-	}
-	if got := c.Increment("a"); got < 2 {
-		t.Fatalf("second Increment returned %d, want >= 2", got)
-	}
-}
-
-func TestCountingReset(t *testing.T) {
-	c := NewCounting(100, 0.01)
-	c.Increment("a")
-	c.Reset()
-	if got := c.Estimate("a"); got != 0 {
-		t.Fatalf("Estimate after Reset = %d, want 0", got)
-	}
-}
-
-func TestCountingExactWhenSparse(t *testing.T) {
-	// With very few keys and a large filter, estimates should be exact.
-	c := NewCounting(100000, 0.001)
-	for i := 0; i < 5; i++ {
-		c.Increment("solo")
-	}
-	if got := c.Estimate("solo"); got != 5 {
-		t.Fatalf("Estimate = %d, want exactly 5", got)
-	}
-	if got := c.Estimate("other"); got != 0 {
-		t.Fatalf("Estimate(other) = %d, want 0", got)
-	}
-}
-
 func BenchmarkFilterAdd(b *testing.B) {
 	f := New(1<<20, 0.01)
 	keys := make([]string, 1024)
@@ -139,18 +91,6 @@ func BenchmarkFilterAdd(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f.Add(keys[i%len(keys)])
-	}
-}
-
-func BenchmarkCountingIncrement(b *testing.B) {
-	c := NewCounting(1<<20, 0.01)
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key-%d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Increment(keys[i%len(keys)])
 	}
 }
 
@@ -201,23 +141,6 @@ func TestFilterU64MatchesString(t *testing.T) {
 		fu2.AddU64(i)
 		if !fu2.ContainsU64(i) {
 			t.Fatalf("AddU64 then ContainsU64(%d) = false", i)
-		}
-	}
-}
-
-func TestCountingU64MatchesString(t *testing.T) {
-	cs := NewCounting(1<<12, 0.01)
-	cu := NewCounting(1<<12, 0.01)
-	for round := 0; round < 3; round++ {
-		for i := uint64(0); i < 300; i++ {
-			if got, want := cu.IncrementU64(i), cs.Increment(leKey(i)); got != want {
-				t.Fatalf("IncrementU64(%d) = %d, want %d", i, got, want)
-			}
-		}
-	}
-	for i := uint64(0); i < 300; i++ {
-		if got, want := cu.EstimateU64(i), cs.Estimate(leKey(i)); got != want {
-			t.Fatalf("EstimateU64(%d) = %d, want %d", i, got, want)
 		}
 	}
 }

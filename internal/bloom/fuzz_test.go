@@ -58,31 +58,3 @@ func FuzzFilterU64StringIdentity(f *testing.F) {
 		}
 	})
 }
-
-// FuzzCountingU64StringIdentity checks the same identity for the counting
-// filter: increments through either API must be observable through both.
-func FuzzCountingU64StringIdentity(f *testing.F) {
-	f.Add(uint64(3), uint8(2))
-	f.Add(uint64(0), uint8(1))
-	f.Add(^uint64(0), uint8(5))
-	f.Fuzz(func(t *testing.T, id uint64, n uint8) {
-		reps := int(n%8) + 1
-		c := NewCounting(128, 0.01)
-		for i := 0; i < reps; i++ {
-			c.IncrementU64(id)
-		}
-		// Counting filters can overestimate, never underestimate.
-		if got := c.Estimate(le8(id)); got < uint32(reps) {
-			t.Fatalf("Estimate(le8(%#x)) = %d after %d IncrementU64", id, got, reps)
-		}
-		if got := c.EstimateU64(id); got < uint32(reps) {
-			t.Fatalf("EstimateU64(%#x) = %d after %d IncrementU64", id, got, reps)
-		}
-		// And the string-increment path must be visible to the uint64 view.
-		c2 := NewCounting(128, 0.01)
-		c2.Increment(le8(id))
-		if got := c2.EstimateU64(id); got < 1 {
-			t.Fatalf("EstimateU64(%#x) = %d after Increment(le8)", id, got)
-		}
-	})
-}

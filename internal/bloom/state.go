@@ -44,39 +44,3 @@ func FilterFromState(st FilterState) (*Filter, error) {
 	}
 	return &Filter{bits: bits, m: st.M, k: st.K, count: st.Count}, nil
 }
-
-// CountingState is the serialisable form of a Counting filter. Counters is
-// the little-endian byte image of the uint32 counter array.
-type CountingState struct {
-	M        uint64 `json:"m"`
-	K        int    `json:"k"`
-	Counters []byte `json:"counters"`
-}
-
-// State snapshots the counting filter for checkpointing.
-func (c *Counting) State() CountingState {
-	ctr := make([]byte, len(c.counters)*4)
-	for i, v := range c.counters {
-		binary.LittleEndian.PutUint32(ctr[i*4:], v)
-	}
-	return CountingState{M: c.m, K: c.k, Counters: ctr}
-}
-
-// CountingFromState rebuilds a Counting filter from a snapshot with the same
-// validation discipline as FilterFromState.
-func CountingFromState(st CountingState) (*Counting, error) {
-	if st.M < 64 {
-		return nil, fmt.Errorf("bloom: counting state has %d counters, need >= 64", st.M)
-	}
-	if st.K < 1 || st.K > 16 {
-		return nil, fmt.Errorf("bloom: counting state has k=%d, need 1..16", st.K)
-	}
-	if uint64(len(st.Counters)) != st.M*4 {
-		return nil, fmt.Errorf("bloom: counting state has %d counter-image bytes, want %d for m=%d", len(st.Counters), st.M*4, st.M)
-	}
-	counters := make([]uint32, st.M)
-	for i := range counters {
-		counters[i] = binary.LittleEndian.Uint32(st.Counters[i*4:])
-	}
-	return &Counting{counters: counters, m: st.M, k: st.K}, nil
-}

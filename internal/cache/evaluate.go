@@ -80,83 +80,3 @@ func EvaluateAllParallel(tr *trace.Trace, experts []Expert, cfg EvalConfig, para
 	}
 	return out, nil
 }
-
-// JointStats are the pairwise hit/miss co-occurrence counts of two experts on
-// the same trace, the ground truth used to train the cross-expert predictors
-// M_{i,j} (§4.1): conditional probabilities P(E_j hit | E_i hit) and
-// P(E_j hit | E_i miss).
-type JointStats struct {
-	Requests                int64
-	IHitJHit, IHitJMiss     int64
-	IMissJHit, IMissJMiss   int64
-	IHitRate, JHitRate      float64
-	PJHitGivenIHit          float64
-	PJHitGivenIMiss         float64
-	VarJHitGivenIHit        float64 // p(1-p) under E_i hits
-	VarJHitGivenIMiss       float64 // p(1-p) under E_i misses
-	SideInformationVariance float64 // σ²_ij = P(i hit)·V_hit + P(i miss)·V_miss
-}
-
-// EvaluateJoint runs experts i and j on parallel hierarchies over tr and
-// gathers their HOC hit co-occurrence statistics.
-func EvaluateJoint(tr *trace.Trace, ei, ej Expert, cfg EvalConfig) (JointStats, error) {
-	mk := func(e Expert) (*Hierarchy, error) {
-		return New(Config{
-			HOCBytes:    cfg.HOCBytes,
-			DCBytes:     cfg.DCBytes,
-			HOCEviction: cfg.HOCEviction,
-			DCEviction:  cfg.DCEviction,
-			Expert:      e,
-		})
-	}
-	hi, err := mk(ei)
-	if err != nil {
-		return JointStats{}, err
-	}
-	hj, err := mk(ej)
-	if err != nil {
-		return JointStats{}, err
-	}
-	warm := int(float64(tr.Len()) * cfg.WarmupFrac)
-	var js JointStats
-	for i, r := range tr.Requests {
-		ri := hi.Serve(r)
-		rj := hj.Serve(r)
-		if i < warm {
-			continue
-		}
-		js.Requests++
-		switch {
-		case ri == HOCHit && rj == HOCHit:
-			js.IHitJHit++
-		case ri == HOCHit:
-			js.IHitJMiss++
-		case rj == HOCHit:
-			js.IMissJHit++
-		default:
-			js.IMissJMiss++
-		}
-	}
-	js.finalize()
-	return js, nil
-}
-
-func (js *JointStats) finalize() {
-	if js.Requests == 0 {
-		return
-	}
-	iHits := js.IHitJHit + js.IHitJMiss
-	iMisses := js.IMissJHit + js.IMissJMiss
-	js.IHitRate = float64(iHits) / float64(js.Requests)
-	js.JHitRate = float64(js.IHitJHit+js.IMissJHit) / float64(js.Requests)
-	if iHits > 0 {
-		js.PJHitGivenIHit = float64(js.IHitJHit) / float64(iHits)
-	}
-	if iMisses > 0 {
-		js.PJHitGivenIMiss = float64(js.IMissJHit) / float64(iMisses)
-	}
-	js.VarJHitGivenIHit = js.PJHitGivenIHit * (1 - js.PJHitGivenIHit)
-	js.VarJHitGivenIMiss = js.PJHitGivenIMiss * (1 - js.PJHitGivenIMiss)
-	js.SideInformationVariance = js.IHitRate*js.VarJHitGivenIHit +
-		(1-js.IHitRate)*js.VarJHitGivenIMiss
-}

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"math"
 	"strings"
 	"testing"
 
@@ -58,46 +57,6 @@ func TestEvaluateRejectsBadConfig(t *testing.T) {
 	}
 }
 
-func TestEvaluateJointConsistency(t *testing.T) {
-	tr, err := tracegen.ImageDownloadMix(30, 20000, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ei := Expert{Freq: 2, MaxSize: 10 << 10}
-	ej := Expert{Freq: 4, MaxSize: 2 << 10}
-	cfg := DefaultEvalConfig()
-	js, err := EvaluateJoint(tr, ei, ej, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if js.Requests != js.IHitJHit+js.IHitJMiss+js.IMissJHit+js.IMissJMiss {
-		t.Fatal("joint counts do not partition the requests")
-	}
-	// Marginals from the joint run must match independent evaluations.
-	mi, err := Evaluate(tr, ei, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mj, err := Evaluate(tr, ej, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(js.IHitRate-mi.OHR()) > 1e-12 {
-		t.Fatalf("IHitRate %.6f != independent OHR %.6f", js.IHitRate, mi.OHR())
-	}
-	if math.Abs(js.JHitRate-mj.OHR()) > 1e-12 {
-		t.Fatalf("JHitRate %.6f != independent OHR %.6f", js.JHitRate, mj.OHR())
-	}
-	// Law of total probability: P(j hit) = P(i hit)P(j|i hit)+P(i miss)P(j|i miss).
-	reconstructed := js.IHitRate*js.PJHitGivenIHit + (1-js.IHitRate)*js.PJHitGivenIMiss
-	if math.Abs(reconstructed-js.JHitRate) > 1e-9 {
-		t.Fatalf("total probability violated: %.6f vs %.6f", reconstructed, js.JHitRate)
-	}
-	if js.SideInformationVariance < 0 || js.SideInformationVariance > 0.25 {
-		t.Fatalf("sigma^2 = %v outside [0, 0.25]", js.SideInformationVariance)
-	}
-}
-
 func TestCorrelatedExpertsShareHits(t *testing.T) {
 	// Experts sharing a structure should be positively correlated (§4.1):
 	// P(j hit | i hit) > P(j hit | i miss) for nested thresholds.
@@ -105,15 +64,31 @@ func TestCorrelatedExpertsShareHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	js, err := EvaluateJoint(tr,
-		Expert{Freq: 2, MaxSize: 10 << 10},
-		Expert{Freq: 3, MaxSize: 5 << 10}, DefaultEvalConfig())
-	if err != nil {
-		t.Fatal(err)
+	cfg := DefaultEvalConfig()
+	var hs [2]*Hierarchy
+	for k, e := range []Expert{{Freq: 2, MaxSize: 10 << 10}, {Freq: 3, MaxSize: 5 << 10}} {
+		if hs[k], err = New(Config{HOCBytes: cfg.HOCBytes, DCBytes: cfg.DCBytes, Expert: e}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if js.PJHitGivenIHit <= js.PJHitGivenIMiss {
-		t.Fatalf("expected positive correlation: P(j|i hit)=%.4f P(j|i miss)=%.4f",
-			js.PJHitGivenIHit, js.PJHitGivenIMiss)
+	var iHit, iMiss, jGivenIHit, jGivenIMiss float64
+	for _, r := range tr.Requests {
+		ri, rj := hs[0].Serve(r), hs[1].Serve(r)
+		switch {
+		case ri == HOCHit && rj == HOCHit:
+			iHit++
+			jGivenIHit++
+		case ri == HOCHit:
+			iHit++
+		case rj == HOCHit:
+			iMiss++
+			jGivenIMiss++
+		default:
+			iMiss++
+		}
+	}
+	if pHit, pMiss := jGivenIHit/iHit, jGivenIMiss/iMiss; pHit <= pMiss {
+		t.Fatalf("expected positive correlation: P(j|i hit)=%.4f P(j|i miss)=%.4f", pHit, pMiss)
 	}
 }
 

@@ -1,23 +1,9 @@
 package cache
 
-import "darwin/internal/bloom"
-
-// FrequencyTracker counts per-object requests and remembers each object's
-// previous request index so the recency knob can be evaluated.
-type FrequencyTracker interface {
-	// Observe records a request for id arriving as request number idx
-	// (0-based, monotonically increasing) and returns the total observed
-	// count including this request, and the object's age: the number of
-	// requests since its previous request, or -1 if this is the first.
-	Observe(id uint64, idx int64) (count int, age int64)
-	// Reset clears all state (used at epoch boundaries if desired).
-	Reset()
-}
-
-// ExactTracker keeps exact per-object counts and last-seen indices. Both live
-// in one map so the per-request Observe costs a single lookup plus a single
-// store. This is the simulator default; production deployments would use the
-// bounded-memory ApproxTracker.
+// ExactTracker counts per-object requests and remembers each object's
+// previous request index so the recency knob can be evaluated. Counts and
+// last-seen indices live in one map so the per-request Observe costs a single
+// lookup plus a single store.
 type ExactTracker struct {
 	objects map[uint64]exactEntry
 }
@@ -32,7 +18,10 @@ func NewExactTracker() *ExactTracker {
 	return &ExactTracker{objects: make(map[uint64]exactEntry)}
 }
 
-// Observe implements FrequencyTracker.
+// Observe records a request for id arriving as request number idx (0-based,
+// monotonically increasing) and returns the total observed count including
+// this request, and the object's age: the number of requests since its
+// previous request, or -1 if this is the first.
 func (t *ExactTracker) Observe(id uint64, idx int64) (int, int64) {
 	e, ok := t.objects[id]
 	age := int64(-1)
@@ -45,53 +34,10 @@ func (t *ExactTracker) Observe(id uint64, idx int64) (int, int64) {
 	return e.count, age
 }
 
-// Reset implements FrequencyTracker.
+// Reset clears all state.
 func (t *ExactTracker) Reset() {
 	t.objects = make(map[uint64]exactEntry)
 }
 
 // Count returns the exact observed count for id.
 func (t *ExactTracker) Count(id uint64) int { return t.objects[id].count }
-
-// ApproxTracker bounds memory with a counting Bloom filter for counts and a
-// fixed-size last-seen table (random-replacement). Counts can only be
-// over-estimated, matching production frequency-admission filters.
-type ApproxTracker struct {
-	counting *bloom.Counting
-	lastSeen map[uint64]int64
-	maxLast  int
-}
-
-// NewApproxTracker sizes the tracker for n expected distinct objects.
-func NewApproxTracker(n int) *ApproxTracker {
-	return &ApproxTracker{
-		counting: bloom.NewCounting(n, 0.01),
-		lastSeen: make(map[uint64]int64, n),
-		maxLast:  n,
-	}
-}
-
-// Observe implements FrequencyTracker.
-func (t *ApproxTracker) Observe(id uint64, idx int64) (int, int64) {
-	c := t.counting.IncrementU64(id)
-	age := int64(-1)
-	if prev, ok := t.lastSeen[id]; ok {
-		age = idx - prev
-	}
-	if len(t.lastSeen) >= t.maxLast {
-		// Evict one arbitrary entry to stay bounded; Go map iteration order
-		// provides the randomness.
-		for k := range t.lastSeen {
-			delete(t.lastSeen, k)
-			break
-		}
-	}
-	t.lastSeen[id] = idx
-	return int(c), age
-}
-
-// Reset implements FrequencyTracker.
-func (t *ApproxTracker) Reset() {
-	t.counting.Reset()
-	t.lastSeen = make(map[uint64]int64, t.maxLast)
-}

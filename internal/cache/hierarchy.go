@@ -109,7 +109,7 @@ type Config struct {
 	// Expert is the initial HOC admission expert.
 	Expert Expert
 	// Tracker counts object frequencies; nil selects NewExactTracker.
-	Tracker FrequencyTracker
+	Tracker *ExactTracker
 	// BloomObjects sizes the DC one-hit-wonder filter; 0 selects a default
 	// of one million expected objects.
 	BloomObjects int
@@ -124,19 +124,19 @@ type Config struct {
 // into the HOC subject to the current admission expert; a miss admits the
 // object into the DC only on its second request (Bloom filter).
 type Hierarchy struct {
-	hoc, dc          Eviction
-	hocCap, dcCap    int64
-	hocName, dcName  string
-	expert           Expert
-	admission        AdmissionFunc
-	tracker          FrequencyTracker
-	seen             *bloom.Filter
-	seenObjects      int
-	dclog            DCLog
-	admitOnMiss      bool
-	reqIdx           int64
-	m                Metrics
-	expertSwitches   int64
+	hoc, dc         Eviction
+	hocCap, dcCap   int64
+	hocName, dcName string
+	expert          Expert
+	admission       AdmissionFunc
+	tracker         *ExactTracker
+	seen            *bloom.Filter
+	seenObjects     int
+	dclog           DCLog
+	admitOnMiss     bool
+	reqIdx          int64
+	m               Metrics
+	expertSwitches  int64
 }
 
 // AdmissionFunc is a custom HOC admission predicate. It receives the

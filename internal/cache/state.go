@@ -13,24 +13,18 @@ import (
 // deployed expert — exports to a plain serialisable struct and restores with
 // full validation before any live field is mutated (never half-apply).
 
-// TrackerState is the serialisable form of a FrequencyTracker. Kind selects
-// the variant; exact trackers use the parallel IDs/Counts/LastSeen arrays
-// (sorted by id), approx trackers the counting-filter image plus the
-// IDs/LastSeen last-seen table.
+// TrackerState is the serialisable form of an ExactTracker: the parallel
+// IDs/Counts/LastSeen arrays, sorted by id. Kind is always "exact"; restore
+// rejects anything else before touching live state.
 type TrackerState struct {
-	Kind     string               `json:"kind"`
-	IDs      []uint64             `json:"ids,omitempty"`
-	Counts   []int                `json:"counts,omitempty"`
-	LastSeen []int64              `json:"last_seen,omitempty"`
-	Counting *bloom.CountingState `json:"counting,omitempty"`
-	MaxLast  int                  `json:"max_last,omitempty"`
+	Kind     string   `json:"kind"`
+	IDs      []uint64 `json:"ids,omitempty"`
+	Counts   []int    `json:"counts,omitempty"`
+	LastSeen []int64  `json:"last_seen,omitempty"`
 }
 
-// Tracker kinds.
-const (
-	trackerExact  = "exact"
-	trackerApprox = "approx"
-)
+// trackerExact is the one tracker kind the checkpoint format carries.
+const trackerExact = "exact"
 
 // State snapshots the exact tracker, sorted by id for deterministic output.
 func (t *ExactTracker) State() *TrackerState {
@@ -54,71 +48,27 @@ func (t *ExactTracker) State() *TrackerState {
 	return st
 }
 
-// State snapshots the approx tracker: the counting-filter image plus the
-// bounded last-seen table, sorted by id.
-func (t *ApproxTracker) State() *TrackerState {
-	st := &TrackerState{Kind: trackerApprox, MaxLast: t.maxLast}
-	cs := t.counting.State()
-	st.Counting = &cs
-	ids := make([]uint64, 0, len(t.lastSeen))
-	for id := range t.lastSeen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	st.IDs = make([]uint64, 0, len(ids))
-	st.LastSeen = make([]int64, 0, len(ids))
-	for _, id := range ids {
-		st.IDs = append(st.IDs, id)
-		st.LastSeen = append(st.LastSeen, t.lastSeen[id])
-	}
-	return st
-}
-
-// trackerFromState rebuilds a FrequencyTracker, validating the arrays before
+// trackerFromState rebuilds an ExactTracker, validating the arrays before
 // constructing anything.
-func trackerFromState(st *TrackerState) (FrequencyTracker, error) {
+func trackerFromState(st *TrackerState) (*ExactTracker, error) {
 	if st == nil {
 		return nil, fmt.Errorf("cache: nil tracker state")
 	}
-	switch st.Kind {
-	case trackerExact:
-		if len(st.IDs) != len(st.Counts) || len(st.IDs) != len(st.LastSeen) {
-			return nil, fmt.Errorf("cache: exact tracker state arrays disagree (%d/%d/%d)",
-				len(st.IDs), len(st.Counts), len(st.LastSeen))
-		}
-		t := NewExactTracker()
-		for i, id := range st.IDs {
-			if st.Counts[i] <= 0 {
-				return nil, fmt.Errorf("cache: exact tracker state has count %d for id %d", st.Counts[i], id)
-			}
-			t.objects[id] = exactEntry{count: st.Counts[i], lastSeen: st.LastSeen[i]}
-		}
-		return t, nil
-	case trackerApprox:
-		if st.Counting == nil {
-			return nil, fmt.Errorf("cache: approx tracker state missing counting filter")
-		}
-		if len(st.IDs) != len(st.LastSeen) {
-			return nil, fmt.Errorf("cache: approx tracker state arrays disagree (%d/%d)", len(st.IDs), len(st.LastSeen))
-		}
-		if st.MaxLast <= 0 || len(st.IDs) > st.MaxLast {
-			return nil, fmt.Errorf("cache: approx tracker state has %d last-seen entries for bound %d", len(st.IDs), st.MaxLast)
-		}
-		counting, err := bloom.CountingFromState(*st.Counting)
-		if err != nil {
-			return nil, err
-		}
-		t := &ApproxTracker{
-			counting: counting,
-			lastSeen: make(map[uint64]int64, st.MaxLast),
-			maxLast:  st.MaxLast,
-		}
-		for i, id := range st.IDs {
-			t.lastSeen[id] = st.LastSeen[i]
-		}
-		return t, nil
+	if st.Kind != trackerExact {
+		return nil, fmt.Errorf("cache: unknown tracker kind %q", st.Kind)
 	}
-	return nil, fmt.Errorf("cache: unknown tracker kind %q", st.Kind)
+	if len(st.IDs) != len(st.Counts) || len(st.IDs) != len(st.LastSeen) {
+		return nil, fmt.Errorf("cache: exact tracker state arrays disagree (%d/%d/%d)",
+			len(st.IDs), len(st.Counts), len(st.LastSeen))
+	}
+	t := NewExactTracker()
+	for i, id := range st.IDs {
+		if st.Counts[i] <= 0 {
+			return nil, fmt.Errorf("cache: exact tracker state has count %d for id %d", st.Counts[i], id)
+		}
+		t.objects[id] = exactEntry{count: st.Counts[i], lastSeen: st.LastSeen[i]}
+	}
+	return t, nil
 }
 
 // HierarchyState is the serialisable form of one Hierarchy (one shard). HOC
@@ -139,19 +89,8 @@ type HierarchyState struct {
 	Switches    int64             `json:"expert_switches"`
 }
 
-// State snapshots the hierarchy for checkpointing. It fails only when the
-// installed frequency tracker is a custom type the checkpoint format cannot
-// represent.
-func (h *Hierarchy) State() (*HierarchyState, error) {
-	var ts *TrackerState
-	switch t := h.tracker.(type) {
-	case *ExactTracker:
-		ts = t.State()
-	case *ApproxTracker:
-		ts = t.State()
-	default:
-		return nil, fmt.Errorf("cache: tracker %T is not checkpointable", h.tracker)
-	}
+// State snapshots the hierarchy for checkpointing.
+func (h *Hierarchy) State() *HierarchyState {
 	return &HierarchyState{
 		HOCBytes:    h.hocCap,
 		DCBytes:     h.dcCap,
@@ -160,12 +99,12 @@ func (h *Hierarchy) State() (*HierarchyState, error) {
 		HOC:         h.hoc.Entries(),
 		DC:          h.dc.Entries(),
 		Seen:        h.seen.State(),
-		Tracker:     ts,
+		Tracker:     h.tracker.State(),
 		Expert:      h.expert,
 		ReqIdx:      h.reqIdx,
 		Metrics:     h.m,
 		Switches:    h.expertSwitches,
-	}, nil
+	}
 }
 
 // restoredParts holds a fully validated restore, built before any live field
@@ -173,7 +112,7 @@ func (h *Hierarchy) State() (*HierarchyState, error) {
 type restoredParts struct {
 	hoc, dc Eviction
 	seen    *bloom.Filter
-	tracker FrequencyTracker
+	tracker *ExactTracker
 }
 
 // prepareRestoreState validates st against this hierarchy's configuration
@@ -345,19 +284,15 @@ type ShardedState struct {
 // State snapshots every shard. Each shard is captured under its own lock;
 // the aggregate is per-shard consistent (the same consistency Metrics
 // provides), which is exactly what a restart needs.
-func (s *Sharded) State() (*ShardedState, error) {
+func (s *Sharded) State() *ShardedState {
 	st := &ShardedState{Shards: make([]*HierarchyState, len(s.shards))}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		hs, err := sh.h.State()
+		st.Shards[i] = sh.h.State()
 		sh.mu.Unlock()
-		if err != nil {
-			return nil, fmt.Errorf("cache: shard %d: %w", i, err)
-		}
-		st.Shards[i] = hs
 	}
-	return st, nil
+	return st
 }
 
 // RestoreState restores every shard from a snapshot taken with the same

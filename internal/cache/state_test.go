@@ -41,10 +41,7 @@ func TestHierarchyStateRoundTrip(t *testing.T) {
 	}
 	serveSynthetic(t, orig, 20_000, 0x9e3779b97f4a7c15)
 
-	st, err := orig.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := orig.State()
 	// Serialise through JSON, as the checkpoint file does.
 	blob, err := json.Marshal(st)
 	if err != nil {
@@ -92,47 +89,12 @@ func TestHierarchyStateRoundTrip(t *testing.T) {
 	}
 
 	// Snapshot-of-restore equals snapshot-of-original (bit-identical state).
-	stA, err := orig.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stB, err := restored.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	stA := orig.State()
+	stB := restored.State()
 	blobA, _ := json.Marshal(stA)
 	blobB, _ := json.Marshal(stB)
 	if string(blobA) != string(blobB) {
 		t.Fatal("re-snapshot after restore is not bit-identical")
-	}
-}
-
-func TestHierarchyStateApproxTracker(t *testing.T) {
-	cfg := newStateTestConfig()
-	cfg.Tracker = NewApproxTracker(1 << 10)
-	orig, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveSynthetic(t, orig, 5_000, 42)
-	st, err := orig.State()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Tracker.Kind != "approx" {
-		t.Fatalf("tracker kind = %q", st.Tracker.Kind)
-	}
-	cfg2 := newStateTestConfig()
-	cfg2.Tracker = NewApproxTracker(1 << 10)
-	restored, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	if restored.Metrics() != orig.Metrics() {
-		t.Fatal("metrics diverge for approx tracker restore")
 	}
 }
 
@@ -145,10 +107,7 @@ func TestHierarchyRestoreRejectsCorruptState(t *testing.T) {
 		t.Fatal(err)
 	}
 	serveSynthetic(t, donor, 5_000, 7)
-	good, err := donor.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := donor.State()
 
 	corrupt := []struct {
 		name string
@@ -172,10 +131,7 @@ func TestHierarchyRestoreRejectsCorruptState(t *testing.T) {
 				t.Fatal(err)
 			}
 			serveSynthetic(t, target, 1_000, 99)
-			before, err := target.State()
-			if err != nil {
-				t.Fatal(err)
-			}
+			before := target.State()
 			blobBefore, _ := json.Marshal(before)
 
 			// Deep-copy the good snapshot via JSON, then corrupt it.
@@ -188,10 +144,7 @@ func TestHierarchyRestoreRejectsCorruptState(t *testing.T) {
 			if err := target.RestoreState(&bad); err == nil {
 				t.Fatal("corrupt state accepted")
 			}
-			after, err := target.State()
-			if err != nil {
-				t.Fatal(err)
-			}
+			after := target.State()
 			blobAfter, _ := json.Marshal(after)
 			if string(blobBefore) != string(blobAfter) {
 				t.Fatal("failed restore mutated the hierarchy (half-applied state)")
@@ -208,10 +161,7 @@ func TestShardedStateRoundTrip(t *testing.T) {
 	}
 	serveSynthetic(t, orig, 30_000, 0xabcdef)
 
-	st, err := orig.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := orig.State()
 	restored, err := NewSharded(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -337,10 +287,7 @@ func TestMergeDC(t *testing.T) {
 	serveSynthetic(t, donor, 20_000, 0x9e3779b97f4a7c15)
 	serveSynthetic(t, inheritor, 20_000, 0x123456789abcdef)
 
-	st, err := donor.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := donor.State()
 	entries := append(append([]ResidentObject{}, st.HOC...), st.DC...)
 	if len(entries) == 0 {
 		t.Fatal("donor has no residents to merge")
@@ -412,10 +359,7 @@ func TestShardedMergeDC(t *testing.T) {
 	}
 	serveSynthetic(t, donor, 20_000, 0x9e3779b97f4a7c15)
 
-	st, err := donor.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := donor.State()
 	var entries []ResidentObject
 	for _, sh := range st.Shards {
 		entries = append(entries, sh.HOC...)

@@ -51,10 +51,7 @@ func resume(t *testing.T, ck *Checkpoint) *Controller {
 
 func checkpointOf(t *testing.T, c *Controller, eng *cache.Sharded, m *Model) *Checkpoint {
 	t.Helper()
-	es, err := eng.State()
-	if err != nil {
-		t.Fatal(err)
-	}
+	es := eng.State()
 	return &Checkpoint{Model: m, Engine: es, Controller: c.CheckpointState()}
 }
 

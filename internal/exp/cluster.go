@@ -1,28 +1,25 @@
 package exp
 
-// Cluster chaos: the distributed-edge experiment. A seeded trace floods a
-// simulated N-node edge cluster — each node a full HOC+DC hierarchy — routed
-// by the same consistent-hash ring with bounded loads, readiness
-// re-weighting, and adaptive replication that server.Front runs live, with
-// the peer-fill path modeled as a sibling residency probe before the origin
-// hop. Mid-flood one node drains (SIGTERM: stops accepting, drops out of
-// peer fill, sheds its ring weight at the next window boundary) and the
-// report tracks per-window, per-node OHR through the dip and recovery:
-// replication has pre-warmed the hot set on ring successors and peer fill
-// re-warms the survivors from each other, so cluster OHR climbs back toward
-// its pre-drain level without the drained node ever returning.
+// Cluster chaos: the distributed-edge experiment (§2.1: a balancer
+// re-weighting servers shifts every survivor's mix). A seeded trace floods a
+// deployed server.Front over N deployed, peer-filling nodes on the rig
+// (rig.go). Mid-flood one node drains exactly as a SIGTERM drains it — the
+// verdict flips to 503, the listener stays up for the lame-duck window, then
+// closes, then the node hands its learned state to its ring successor — and
+// the report tracks per-window, per-node OHR through the dip and recovery:
+// replication has pre-warmed the hot set on ring successors, peer fill
+// re-warms the survivors from each other, and the successor inherits the
+// drained node's residency, so cluster OHR climbs back toward its pre-drain
+// level without the drained node ever returning.
 //
-// Unlike the prototype/chaos/overload experiments this one runs no HTTP and
-// reads no clock: routing, caching, and the latency model are all
-// deterministic functions of the seeded trace, so the report is
-// byte-reproducible run to run (the determinism lint rule holds with no
-// carve-outs here).
+// Routing, failover, peer fill, membership grading and the handoff are the
+// deployed code's; this file only schedules and counts.
 
 import (
 	"fmt"
-	"time"
 
 	"darwin/internal/cache"
+	"darwin/internal/gossip"
 	"darwin/internal/lb"
 )
 
@@ -30,22 +27,14 @@ import (
 type ClusterConfig struct {
 	// Nodes is the cluster size (default 3).
 	Nodes int
-	// WindowLen is the rebalance window length in requests: weights, budgets,
-	// and replication factors refresh at each boundary.
+	// WindowLen is the rebalance window length in requests: the front's
+	// weights, budgets and replication factors — and the nodes' own
+	// replication trackers — refresh at each boundary.
 	WindowLen int
-	// VirtualNodes and LoadFactor parameterise the ring.
-	VirtualNodes int
-	LoadFactor   float64
-	// Replication parameterises the popularity tracker.
-	Replication lb.ReplicationConfig
-	// PeerFanout is how many ring successors a missing node probes before
-	// the origin hop (the darwin-proxy -peer-fanout knob).
-	PeerFanout int
-	// DrainNode drains (stops accepting requests and answering peer probes)
-	// at request index DrainAt — mid-window, so the tail of that window shows
-	// in-request failover before the boundary strips the node's weight.
-	DrainNode int
-	DrainAt   int
+	// Node 0 starts draining at request index DrainAt — mid-window, so the
+	// tail of that window shows in-request failover before the boundary
+	// strips the node's weight.
+	DrainAt int
 	// Expert and Eval fix each node's admission expert and level capacities.
 	Expert cache.Expert
 	Eval   cache.EvalConfig
@@ -53,80 +42,40 @@ type ClusterConfig struct {
 	Mix      int
 	TraceLen int
 	Seed     int64
-	// Modeled service latencies: a local cache hit, a peer fill (one extra
-	// intra-cluster hop), and an origin fetch (the WAN hop). Goodput counts
-	// requests served within Deadline.
-	HitLatency    time.Duration
-	PeerLatency   time.Duration
-	OriginLatency time.Duration
-	Deadline      time.Duration
 }
 
 // DefaultClusterConfig returns the benchmark-scale cluster schedule: 3 nodes,
-// 12 windows of 2000 requests, node 0 draining mid-window 5, and a latency
-// model where only origin fetches blow the client deadline.
+// 12 windows of 2000 requests, node 0 draining mid-window 5.
 func DefaultClusterConfig() ClusterConfig {
 	return ClusterConfig{
-		Nodes:         3,
-		WindowLen:     2000,
-		VirtualNodes:  64,
-		LoadFactor:    0.25,
-		Replication:   lb.ReplicationConfig{TopK: 16, MaxFactor: 3, HotShare: 0.02},
-		PeerFanout:    2,
-		DrainNode:     0,
-		DrainAt:       11_000,
-		Expert:        cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		Eval:          cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20},
-		Mix:           50,
-		TraceLen:      24_000,
-		Seed:          7,
-		HitLatency:    1 * time.Millisecond,
-		PeerLatency:   2 * time.Millisecond,
-		OriginLatency: 10 * time.Millisecond,
-		Deadline:      5 * time.Millisecond,
+		Nodes:     3,
+		WindowLen: 2000,
+		DrainAt:   11_000,
+		Expert:    cache.Expert{Freq: 1, MaxSize: 1 << 20},
+		Eval:      cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20},
+		Mix:       50,
+		TraceLen:  24_000,
+		Seed:      7,
 	}
-}
-
-func (c ClusterConfig) withDefaults() ClusterConfig {
-	d := DefaultClusterConfig()
-	if c.Nodes <= 1 {
-		c.Nodes = d.Nodes
-	}
-	if c.WindowLen <= 0 {
-		c.WindowLen = d.WindowLen
-	}
-	if c.PeerFanout <= 0 {
-		c.PeerFanout = d.PeerFanout
-	}
-	if c.TraceLen <= 0 {
-		c.TraceLen = d.TraceLen
-	}
-	if c.Eval.HOCBytes <= 0 {
-		c.Eval = d.Eval
-	}
-	if c.Expert == (cache.Expert{}) {
-		c.Expert = d.Expert
-	}
-	if c.HitLatency <= 0 {
-		c.HitLatency, c.PeerLatency, c.OriginLatency, c.Deadline =
-			d.HitLatency, d.PeerLatency, d.OriginLatency, d.Deadline
-	}
-	return c
 }
 
 // clusterWindow accumulates one rebalance window's cluster outcome.
 type clusterWindow struct {
 	reqs      int
-	local     int // served from the routed node's HOC or DC
-	peerFills int // origin-bound misses filled from a ring sibling
-	origin    int // true origin fetches
-	failovers int // requests re-routed off the draining node mid-window
-	onTime    int // modeled latency within the client deadline
+	local     int   // client saw a hit in the answering node's HOC or DC
+	peerFills int   // client saw a miss filled from a ring sibling
+	errors    int   // client saw anything but a 200
+	origin    int64 // requests the origin served
+	failovers int64 // relay attempts beyond a request's first, plus candidates skipped on an open breaker
 
-	nodeReqs []int // per routed node
-	nodeHits []int
+	// drainWeight is the ring weight the front gave node 0 for this window.
+	drainWeight float64
+	// nodeReqs / nodeHits are each node's own books (client requests plus the
+	// sibling probes it answered with a hit).
+	nodeReqs []int64
+	nodeHits []int64
 
-	hotObjects int // replication stats at the window's close
+	hotObjects int // the front's replication stats at the window's close
 	maxFactor  int
 }
 
@@ -135,13 +84,6 @@ func (w clusterWindow) ohr() float64 {
 		return 0
 	}
 	return float64(w.local+w.peerFills) / float64(w.reqs)
-}
-
-func (w clusterWindow) goodput() float64 {
-	if w.reqs == 0 {
-		return 0
-	}
-	return float64(w.onTime) / float64(w.reqs)
 }
 
 // ClusterResult is the full windowed trajectory plus the recovery headline.
@@ -153,6 +95,9 @@ type ClusterResult struct {
 	PreDrainOHR float64
 	FinalOHR    float64
 	DrainWindow int
+	// StateMerges counts handoff frames the drained node's ring successors
+	// accepted on /state (1: the drain pushed, the inheritor merged).
+	StateMerges int64
 }
 
 // Recovery returns FinalOHR / PreDrainOHR (0 when the pre-drain OHR is 0).
@@ -163,154 +108,88 @@ func (r *ClusterResult) Recovery() float64 {
 	return r.FinalOHR / r.PreDrainOHR
 }
 
-// RunCluster replays the seeded trace through the simulated cluster and
+// RunCluster replays the seeded trace through the deployed cluster and
 // returns the windowed trajectory.
 func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
-	cc = cc.withDefaults()
-	if cc.DrainNode < 0 || cc.DrainNode >= cc.Nodes {
-		return nil, fmt.Errorf("exp: drain node %d out of range [0,%d)", cc.DrainNode, cc.Nodes)
-	}
 	tr, err := SyntheticMix(cc.Mix, cc.TraceLen, cc.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	nodes := make([]*cache.Hierarchy, cc.Nodes)
-	for i := range nodes {
-		nodes[i], err = cache.New(cache.Config{
-			HOCBytes: cc.Eval.HOCBytes,
-			DCBytes:  cc.Eval.DCBytes,
-			Expert:   cc.Expert,
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	// ready mirrors the front tier's /readyz view; the ring's readiness hook
-	// reads it at each window boundary, so a mid-window drain keeps its stale
-	// weight until the boundary and relies on failover in between — exactly
-	// the live system's exposure window.
-	ready := make([]bool, cc.Nodes)
-	for i := range ready {
-		ready[i] = true
-	}
-	ring, err := lb.NewRing(lb.Config{
-		Servers:        cc.Nodes,
-		VirtualNodes:   cc.VirtualNodes,
-		LoadFactor:     cc.LoadFactor,
-		RebalanceEvery: cc.WindowLen,
-		Readiness: func(window, s int) float64 {
-			if !ready[s] {
-				return 0
-			}
-			return 1
-		},
-	})
+	r := newRig()
+	defer r.close()
+	nodes, err := r.startNodes(cc.Nodes, r.nodeConfig(cc.Expert, cc.Eval), cc.WindowLen)
 	if err != nil {
 		return nil, err
 	}
-	rep := lb.NewReplicator(cc.Replication)
-
-	width := cc.PeerFanout + 1
-	if width > cc.Nodes {
-		width = cc.Nodes
+	if err := r.startFront(nodes, cc.WindowLen, gossip.Config{}); err != nil {
+		return nil, err
 	}
-	if width > lb.MaxReplicas {
-		width = lb.MaxReplicas
-	}
-	var succ [lb.MaxReplicas]int
-	var repStats [lb.RsWidth]int64
 
+	probeEvery := rigProbeStride()
+	departAt := cc.DrainAt + int(rigLameDuck/rigPerRequest)
 	res := &ClusterResult{DrainWindow: cc.DrainAt / cc.WindowLen}
-	reqs := tr.Requests
-	for start, window := 0, 0; start < len(reqs); start, window = start+cc.WindowLen, window+1 {
-		end := start + cc.WindowLen
-		if end > len(reqs) {
-			end = len(reqs)
+	var cw *clusterWindow
+	var lastOrigin int64
+	lastFront := r.front.Stats()
+	lastNode := make([]cache.Metrics, cc.Nodes)
+	closeWindow := func() {
+		if cw == nil {
+			return
 		}
-		// Eager cadence, like lb.Split: exact window lengths so the final
-		// partial window's budgets match its actual traffic.
-		ring.BeginWindow(window, end-start)
-
-		cw := clusterWindow{
-			nodeReqs: make([]int, cc.Nodes),
-			nodeHits: make([]int, cc.Nodes),
+		originReqs, _ := r.origin.Stats()
+		cw.origin, lastOrigin = originReqs-lastOrigin, originReqs
+		fs := r.front.Stats()
+		cw.failovers = (fs.Failovers - lastFront.Failovers) + (fs.BreakerRejects - lastFront.BreakerRejects)
+		lastFront = fs
+		for n, rn := range nodes {
+			m := rn.Proxy.Metrics()
+			d := m.Sub(lastNode[n])
+			lastNode[n] = m
+			cw.nodeReqs[n], cw.nodeHits[n] = d.Requests, d.HOCHits+d.DCHits
 		}
-		for i := start; i < end; i++ {
-			if i == cc.DrainAt {
-				ready[cc.DrainNode] = false
-			}
-			req := reqs[i]
-			cw.reqs++
-
-			s := ring.RouteReplicated(req.ID, rep.Factor(req.ID))
-			rep.Observe(req.ID)
-			if !ready[s] {
-				// In-request failover: the first ready ring successor takes
-				// it (the front tier's transport-error path).
-				cw.failovers++
-				k := ring.Successors(req.ID, succ[:width])
-				s = -1
-				for j := 0; j < k; j++ {
-					if ready[succ[j]] {
-						s = succ[j]
-						break
-					}
-				}
-				if s < 0 {
-					for n := range nodes {
-						if ready[n] {
-							s = n
-							break
-						}
-					}
-				}
-				if s < 0 {
-					return nil, fmt.Errorf("exp: no ready node at request %d", i)
-				}
-			}
-
-			cw.nodeReqs[s]++
-			lat := cc.OriginLatency
-			if r := nodes[s].Serve(req); r != cache.Miss {
-				cw.local++
-				cw.nodeHits[s]++
-				lat = cc.HitLatency
-			} else {
-				// Origin-bound: probe ready ring siblings for residency
-				// before the WAN hop (the proxy's peer-fill seam). The
-				// primary's Serve above has already journaled the miss, so a
-				// fill admits on the primary exactly like the live path.
-				k := ring.Successors(req.ID, succ[:width])
-				for j := 0; j < k; j++ {
-					p := succ[j]
-					if p == s || !ready[p] {
-						continue
-					}
-					if nodes[p].Lookup(req.ID) != cache.Miss {
-						nodes[p].Serve(req) // the sibling serves the bytes: recency touch
-						cw.peerFills++
-						lat = cc.PeerLatency
-						break
-					}
-				}
-				if lat == cc.OriginLatency {
-					cw.origin++
-				}
-			}
-			if lat <= cc.Deadline {
-				cw.onTime++
-			}
-		}
-
-		rep.Rebalance()
-		rep.Stats(repStats[:])
-		cw.hotObjects = int(repStats[lb.RsHotObjects])
-		cw.maxFactor = int(repStats[lb.RsMaxFactor])
-		res.Windows = append(res.Windows, cw)
+		var rs [lb.RsWidth]int64
+		r.front.ReplicationStats(rs[:])
+		cw.hotObjects, cw.maxFactor = int(rs[lb.RsHotObjects]), int(rs[lb.RsMaxFactor])
+		res.Windows = append(res.Windows, *cw)
 	}
+	for i, req := range tr.Requests {
+		switch i {
+		case cc.DrainAt:
+			nodes[0].Health.StartDrain()
+		case departAt:
+			nodes[0].depart()
+		}
+		if i%probeEvery == 0 {
+			r.probe()
+		}
+		if i%cc.WindowLen == 0 {
+			closeWindow()
+			cw = &clusterWindow{nodeReqs: make([]int64, cc.Nodes), nodeHits: make([]int64, cc.Nodes)}
+		}
+		s, err := r.get(r.frontSrv.URL, req)
+		if err != nil {
+			return nil, fmt.Errorf("exp: request %d: %w", i, err)
+		}
+		if i%cc.WindowLen == 0 {
+			// The window's first request made the ring re-read every
+			// backend's readiness; these are the weights it runs on.
+			cw.drainWeight = r.front.Weights()[0]
+		}
+		cw.reqs++
+		switch {
+		case s.status != 200:
+			cw.errors++
+		case s.local():
+			cw.local++
+		case s.peer:
+			cw.peerFills++
+		}
+	}
+	closeWindow()
 
+	for _, rn := range nodes[1:] {
+		res.StateMerges += rn.Proxy.Stats().StateMerges
+	}
 	if res.DrainWindow > 0 && res.DrainWindow <= len(res.Windows) {
 		res.PreDrainOHR = res.Windows[res.DrainWindow-1].ohr()
 	}
@@ -321,23 +200,22 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 }
 
 // ClusterReport runs the cluster chaos schedule and tabulates the per-window
-// trajectory: per-node OHR, cluster OHR, goodput, peer fills, origin fetches,
-// failovers, and the replication surface.
+// trajectory: per-node OHR, cluster OHR, peer fills, origin fetches,
+// failovers, the drain node's ring weight, and the replication surface.
 func ClusterReport(cc ClusterConfig) (*Report, error) {
-	cc = cc.withDefaults()
 	cr, err := RunCluster(cc)
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{
-		Title: fmt.Sprintf("Cluster chaos: %d-node edge, node %d drains at request %d (window %d)",
-			cc.Nodes, cc.DrainNode, cc.DrainAt, cr.DrainWindow),
+		Title: fmt.Sprintf("Cluster chaos: %d-node edge behind the front tier, node 0 drains at request %d (window %d)",
+			cc.Nodes, cc.DrainAt, cr.DrainWindow),
 	}
 	rep.Header = []string{"window"}
 	for n := 0; n < cc.Nodes; n++ {
 		rep.Header = append(rep.Header, fmt.Sprintf("n%d-ohr", n))
 	}
-	rep.Header = append(rep.Header, "ohr", "goodput", "peerfill", "origin", "failover", "hot", "maxR")
+	rep.Header = append(rep.Header, "ohr", "peerfill", "origin", "failover", "errors", "n0-wt", "hot", "maxR")
 	for w, cw := range cr.Windows {
 		row := []string{fmt.Sprint(w)}
 		for n := 0; n < cc.Nodes; n++ {
@@ -347,18 +225,16 @@ func ClusterReport(cc ClusterConfig) (*Report, error) {
 			}
 			row = append(row, f4(float64(cw.nodeHits[n])/float64(cw.nodeReqs[n])))
 		}
-		row = append(row, f4(cw.ohr()), f4(cw.goodput()),
-			fmt.Sprint(cw.peerFills), fmt.Sprint(cw.origin), fmt.Sprint(cw.failovers),
-			fmt.Sprint(cw.hotObjects), fmt.Sprint(cw.maxFactor))
+		row = append(row, f4(cw.ohr()),
+			fmt.Sprint(cw.peerFills), fmt.Sprint(cw.origin), fmt.Sprint(cw.failovers), fmt.Sprint(cw.errors),
+			fmt.Sprint(cw.drainWeight), fmt.Sprint(cw.hotObjects), fmt.Sprint(cw.maxFactor))
 		rep.AddRow(row...)
 	}
 	rep.AddNote("pre-drain OHR %s (window %d), final OHR %s, recovery %.0f%% (bar: 90%%)",
 		f4(cr.PreDrainOHR), cr.DrainWindow-1, f4(cr.FinalOHR), 100*cr.Recovery())
-	rep.AddNote("drain: node %d stops accepting and leaves peer fill at request %d; its ring weight drops to 0 at the window-%d boundary (failovers cover the gap)",
-		cc.DrainNode, cc.DrainAt, cr.DrainWindow+1)
-	rep.AddNote("peer fill probes %d ring successors before the origin hop; replication pre-warms the hot set on successors (hot/maxR columns)",
-		cc.PeerFanout)
-	rep.AddNote("goodput: modeled latencies hit=%v peer=%v origin=%v against a %v deadline — only origin hops are late",
-		cc.HitLatency, cc.PeerLatency, cc.OriginLatency, cc.Deadline)
+	rep.AddNote("drain: node 0's verdict flips to 503 at request %d, its listener closes %v later and it pushes its state to its ring successor (%d frame merged); its ring weight is 0 from the window-%d boundary (failovers cover the gap)",
+		cc.DrainAt, rigLameDuck, cr.StateMerges, cr.DrainWindow+1)
+	rep.AddNote("ohr counts what the client saw: X-Cache hits plus X-Darwin-Peer fills; n*-ohr are each node's own books (client requests plus sibling probes it answered)")
+	rep.AddNote("deployed server.Front over deployed nodes on loopback; %v simulated per request, front probed every %d requests", rigPerRequest, rigProbeStride())
 	return rep, nil
 }

@@ -3,21 +3,19 @@ package exp
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"darwin/internal/cache"
-	"darwin/internal/core"
 	"darwin/internal/diskcache"
-	"darwin/internal/persist"
 )
 
-// CrashConfig sizes the crash-recovery experiment: a darwin controller over a
-// journaled disk cache is killed mid-flood (no shutdown path runs — exactly a
-// SIGKILL's view of the world), restarted from checkpoint + journal, and
-// raced against a cold-started control on the remainder of the trace.
+// CrashConfig sizes the crash-recovery experiment: a deployed node (rig.go)
+// over a journaled disk cache is killed mid-flood (no shutdown path runs —
+// exactly a SIGKILL's view of the world), a second node is built on the same
+// data directory and recovers from checkpoint + journal, and it is raced
+// against a cold-started control on the remainder of the trace.
 type CrashConfig struct {
-	// Scale fixes corpus, cache sizes, and the online configuration.
+	// Scale fixes the trace and cache sizes.
 	Scale Scale
 	// Shards is the engine shard count.
 	Shards int
@@ -25,190 +23,148 @@ type CrashConfig struct {
 	CrashFrac float64
 	// Window is the OHR trajectory window in requests.
 	Window int
-	// CkptEvery is the checkpoint cadence in requests — the crash always
-	// loses the tail since the last checkpoint, as in production.
+	// CkptEvery is the checkpoint cadence in requests — the crash loses the
+	// tail since the last checkpoint, as in production.
 	CkptEvery int
 	// Sync is the journal fsync policy during the flood.
 	Sync diskcache.SyncPolicy
-	// OutFile, when set, receives the per-window recovery trajectory as TSV
-	// (written atomically).
-	OutFile string
 }
 
 // DefaultCrashConfig returns the benchmark-scale crash schedule: crash at
-// half-trace, 2k-request windows, checkpoint every 5k requests.
+// half-trace, 2k-request windows, checkpoint every 6k requests (so the crash
+// loses a 2k-request tail the journal must make good).
 func DefaultCrashConfig() CrashConfig {
 	return CrashConfig{
 		Scale:     Small(),
 		Shards:    1,
 		CrashFrac: 0.5,
 		Window:    2_000,
-		CkptEvery: 5_000,
+		CkptEvery: 6_000,
 		Sync:      diskcache.SyncBatch,
 	}
 }
 
+// crashExpert is the nodes' static admission expert: darwin-proxy's -f / -s
+// defaults. The learner stays out so that ServeHTTP's wall-clock request
+// timestamps never reach a cell.
+var crashExpert = cache.Expert{Freq: 2, MaxSize: 10 << 10}
+
 // crashArm is one post-crash contender.
 type crashArm struct {
 	name string
-	ctrl *core.Controller
-	last cache.Metrics
+	node *rigNode
 	traj []float64 // windowed total OHR per window
 	hoc  []float64 // windowed HOC OHR per window
 }
 
 // CrashRecoveryReport runs the crash-recovery chaos experiment and tabulates
 // recovery time, recovered state, and how many requests each arm needs to
-// regain the pre-crash hit rate. The recovered arm should be back within
-// roughly a warm-up budget; the cold arm must re-earn the whole cache.
+// regain the pre-crash hit rate. The recovered arm should be back in its
+// first window; the cold arm must re-earn the whole cache.
 func CrashRecoveryReport(cc CrashConfig) (*Report, error) {
 	if cc.Window <= 0 || cc.CrashFrac <= 0 || cc.CrashFrac >= 1 {
 		return nil, fmt.Errorf("exp: bad crash config %+v", cc)
 	}
-	c, err := CachedCorpus(cc.Scale, "ohr")
+	_, test, err := BuildTraces(cc.Scale)
 	if err != nil {
 		return nil, err
 	}
-	tr := c.Test[0]
+	tr := test[0]
 	dir, err := os.MkdirTemp("", "darwin-crash-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	ckptPath := filepath.Join(dir, "darwin.ckpt")
 
-	shards := cc.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	store, err := diskcache.Open(diskcache.Config{Dir: dir, Sync: cc.Sync})
-	if err != nil {
-		return nil, err
-	}
-	eng, err := cache.NewSharded(cache.Config{
-		HOCBytes: cc.Scale.Eval.HOCBytes, DCBytes: cc.Scale.Eval.DCBytes, DCLog: store,
-	}, shards)
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := core.NewController(c.Model, eng, cc.Scale.Online)
+	r := newRig()
+	defer r.close()
+	cold := r.nodeConfig(crashExpert, cc.Scale.Eval)
+	cold.Shards = cc.Shards
+	durable := cold
+	durable.Store = diskcache.Config{Dir: dir, Sync: cc.Sync}
+	victim, err := r.startNode(durable)
 	if err != nil {
 		return nil, err
 	}
 
 	// Phase 1: flood until the crash point, checkpointing on cadence.
 	crashAt := int(float64(tr.Len()) * cc.CrashFrac)
-	saveCkpt := func() error {
-		es, err := eng.State()
-		if err != nil {
-			return err
-		}
-		return core.SaveCheckpoint(ckptPath, &core.Checkpoint{Engine: es, Controller: ctrl.CheckpointState()})
-	}
-	var preWindow cache.Metrics
+	var preHOC, preAny int
 	for i := 0; i < crashAt; i++ {
-		ctrl.Serve(tr.Requests[i])
+		s, err := r.get(victim.url, tr.Requests[i])
+		if err != nil {
+			return nil, err
+		}
+		if i >= crashAt-cc.Window {
+			if s.hoc {
+				preHOC++
+			}
+			if s.local() {
+				preAny++
+			}
+		}
 		if cc.CkptEvery > 0 && (i+1)%cc.CkptEvery == 0 {
-			if err := saveCkpt(); err != nil {
+			if err := victim.Checkpoint(); err != nil {
 				return nil, err
 			}
 		}
-		if i == crashAt-cc.Window-1 {
-			preWindow = eng.Metrics()
-		}
 	}
-	pre := eng.Metrics().Sub(preWindow)
-	preOHR, preTotal := pre.OHR(), pre.TotalOHR()
+	preOHR, preTotal := float64(preHOC)/float64(cc.Window), float64(preAny)/float64(cc.Window)
 	lostSinceCkpt := crashAt
 	if cc.CkptEvery > 0 {
 		lostSinceCkpt = crashAt % cc.CkptEvery
 	}
 
-	// The crash: the store is abandoned — no Close, no final checkpoint, no
-	// pending-batch flush. Only what an fsync already made durable survives.
-	store = nil
-	eng = nil
-	ctrl = nil
+	// The crash: the listener goes and the node is dropped without Close — no
+	// handoff, no final checkpoint, no pending-batch flush, no journal close.
+	victim.srv.Close()
 
-	// Phase 2a: recovery — reopen the journal, load the checkpoint, rebuild.
+	// Phase 2a: recovery — a second node on the same directory, timed from
+	// construction until its recovery gate opens /readyz.
 	//lint:ignore determinism recovery wall time is a reported measurement, not replay state
 	recoverStart := time.Now()
-	store2, err := diskcache.Open(diskcache.Config{Dir: dir, Sync: cc.Sync})
+	recovered, err := r.startNode(durable)
 	if err != nil {
 		return nil, err
-	}
-	defer store2.Close()
-	ck, err := core.LoadCheckpoint(ckptPath)
-	if err != nil {
-		return nil, err
-	}
-	eng2, err := cache.NewSharded(cache.Config{
-		HOCBytes: cc.Scale.Eval.HOCBytes, DCBytes: cc.Scale.Eval.DCBytes, DCLog: store2,
-	}, shards)
-	if err != nil {
-		return nil, err
-	}
-	ctrl2, err := core.NewController(c.Model, eng2, cc.Scale.Online)
-	if err != nil {
-		return nil, err
-	}
-	if ck != nil {
-		if err := eng2.RestoreState(ck.Engine); err != nil {
-			return nil, fmt.Errorf("exp: engine restore: %w", err)
-		}
-		if err := ctrl2.RestoreState(ck.Controller); err != nil {
-			return nil, fmt.Errorf("exp: controller restore: %w", err)
-		}
-	}
-	live := store2.Live()
-	if err := eng2.RestoreDC(live); err != nil {
-		return nil, fmt.Errorf("exp: DC reconcile: %w", err)
 	}
 	//lint:ignore determinism recovery wall time is a reported measurement, not replay state
 	recoveryTime := time.Since(recoverStart)
-
-	// Phase 2b: cold control — same model, nothing restored.
-	eng3, err := cache.NewSharded(cache.Config{
-		HOCBytes: cc.Scale.Eval.HOCBytes, DCBytes: cc.Scale.Eval.DCBytes,
-	}, shards)
+	defer recovered.depart()
+	liveObjs, err := r.metric(recovered.url, "journal_live_objects")
 	if err != nil {
 		return nil, err
 	}
-	ctrl3, err := core.NewController(c.Model, eng3, cc.Scale.Online)
+	recoveredPuts, err := r.metric(recovered.url, "recovered_puts")
+	if err != nil {
+		return nil, err
+	}
+
+	// Phase 2b: cold control — same configuration, no data directory.
+	control, err := r.startNode(cold)
 	if err != nil {
 		return nil, err
 	}
 
 	arms := []*crashArm{
-		{name: "recovered", ctrl: ctrl2, last: eng2.Metrics()},
-		{name: "cold-start", ctrl: ctrl3},
+		{name: "recovered", node: recovered},
+		{name: "cold-start", node: control},
 	}
-	for i := crashAt; i < tr.Len(); i++ {
-		for _, a := range arms {
-			a.ctrl.Serve(tr.Requests[i])
-		}
-		if (i-crashAt+1)%cc.Window == 0 {
-			for _, a := range arms {
-				m := a.ctrl.Metrics()
-				d := m.Sub(a.last)
-				a.last = m
-				a.traj = append(a.traj, d.TotalOHR())
-				a.hoc = append(a.hoc, d.OHR())
-			}
+	for _, a := range arms {
+		if a.hoc, a.traj, err = r.replay(a.node.url, tr.Requests[crashAt:], cc.Window); err != nil {
+			return nil, err
 		}
 	}
 
 	rep := &Report{
-		Title: fmt.Sprintf("Crash recovery: SIGKILL mid-flood at request %d (crash loses %d journal-covered requests since last checkpoint)", crashAt, lostSinceCkpt),
+		Title: fmt.Sprintf("Crash recovery: deployed node SIGKILLed mid-flood at request %d (crash loses %d journal-covered requests since last checkpoint)", crashAt, lostSinceCkpt),
 		Header: []string{"arm", "recovery-ms", "dc-objs-recovered", "reqs-to-95%-ohr",
 			"reqs-to-95%-tohr", "first-window-tohr", "final-window-tohr"},
 	}
-	st := store2.Stats()
 	for _, a := range arms {
 		recMS, objs := "-", "-"
 		if a.name == "recovered" {
 			recMS = fmt.Sprintf("%.1f", float64(recoveryTime.Microseconds())/1000)
-			objs = fmt.Sprint(len(live))
+			objs = fmt.Sprint(liveObjs)
 		}
 		first, final := 0.0, 0.0
 		if len(a.traj) > 0 {
@@ -219,16 +175,10 @@ func CrashRecoveryReport(cc CrashConfig) (*Report, error) {
 			windowsToRecover(a.traj, preTotal, cc.Window),
 			f4(first), f4(final))
 	}
-	rep.AddNote("pre-crash windowed OHR %.4f, total OHR %.4f (window=%d requests, warmup budget=%d)",
-		preOHR, preTotal, cc.Window, cc.Scale.Online.Warmup)
-	rep.AddNote("journal recovery: %d puts / %d deletes replayed, %d B truncated as torn; fsync policy %s",
-		st.RecoveredPuts, st.RecoveredDeletes, st.TruncatedBytes, cc.Sync)
-	if cc.OutFile != "" {
-		if err := writeTrajectory(cc.OutFile, cc.Window, crashAt, arms); err != nil {
-			return nil, err
-		}
-		rep.AddNote("trajectory written to %s", cc.OutFile)
-	}
+	rep.AddNote("pre-crash windowed OHR %.4f, total OHR %.4f (window=%d requests, static expert %s)",
+		preOHR, preTotal, cc.Window, crashExpert)
+	rep.AddNote("journal recovery: %d puts replayed; fsync policy %s; recovery-ms runs from node construction to /readyz 200",
+		recoveredPuts, cc.Sync)
 	return rep, nil
 }
 
@@ -238,42 +188,8 @@ func windowsToRecover(traj []float64, pre float64, window int) string {
 	if pre <= 0 {
 		return "0"
 	}
-	for w, v := range traj {
-		if v >= 0.95*pre {
-			return fmt.Sprint((w + 1) * window)
-		}
+	if w := windowsTo(traj, 0.95*pre); w > 0 {
+		return fmt.Sprint(w * window)
 	}
 	return "never"
-}
-
-// writeTrajectory emits the per-window recovery trajectories as TSV via an
-// atomic temp-then-rename write, so a crash mid-report never leaves a torn
-// figure input behind.
-func writeTrajectory(path string, window, crashAt int, arms []*crashArm) error {
-	buf := []byte("request")
-	for _, a := range arms {
-		buf = append(buf, '\t')
-		buf = append(buf, a.name...)
-		buf = append(buf, "_tohr"...)
-	}
-	buf = append(buf, '\n')
-	n := 0
-	for _, a := range arms {
-		if len(a.traj) > n {
-			n = len(a.traj)
-		}
-	}
-	for w := 0; w < n; w++ {
-		buf = append(buf, fmt.Sprintf("%d", crashAt+(w+1)*window)...)
-		for _, a := range arms {
-			buf = append(buf, '\t')
-			if w < len(a.traj) {
-				buf = append(buf, fmt.Sprintf("%.4f", a.traj[w])...)
-			} else {
-				buf = append(buf, '-')
-			}
-		}
-		buf = append(buf, '\n')
-	}
-	return persist.WriteFileAtomic(path, buf, 0o644)
 }

@@ -1,23 +1,23 @@
 package exp
 
-// Flap chaos: the self-healing membership experiment. Three arms, all driven
-// on a simulated clock at the gossip.Membership level — no HTTP, no wall
-// clock — so the report is byte-reproducible run to run (the determinism lint
-// rule holds with no carve-outs):
+// Flap chaos: the self-healing membership experiment, three arms on the rig
+// (rig.go) — deployed nodes behind a deployed server.Front, time on the
+// simulated clock — so the report is byte-reproducible run to run:
 //
-//  1. Flap detector: a node cycling 1 s up / 1 s down under the graded
-//     phi-accrual detector versus the binary /readyz verdict. The graded arm
-//     must shed full ring weight zero times (hysteresis: a flap costs at most
-//     the suspect slice); the binary arm sheds once per down phase.
+//  1. Flap detector: the front's probe path to one node cycles 1 s up / 1 s
+//     down. Under the deployed detector tuning the front must never shed the
+//     node's full ring weight (hysteresis: a flap costs at most the suspect
+//     slice); the contrast arm runs the same front with the hysteresis tuned
+//     out (one threshold, no dwell) and sheds once per down phase.
 //  2. Asymmetric partition: the front's probe path to one node is severed
-//     while the node keeps gossiping with its peers. Relayed heartbeat
-//     digests keep the partitioned node alive at the front, so the cluster
-//     retains its object hit ratio; the binary arm sheds the node and pays
-//     the redistribution cold-start.
-//  3. Drain handoff: a drained node's cache residency (the DRWNCKPT payload,
-//     here the in-process state) merges into its ring successor, which then
-//     reaches the donor's steady hit ratio within one window; a cold
-//     inheritor needs several.
+//     while the node keeps serving and keeps gossiping with its peers over
+//     the peer-probe path. Whatever heartbeats the peers relay are all the
+//     front hears of it. The contrast arm deploys the same nodes without
+//     -peers: no /gossip, no relay, the front polls /readyz and the detector
+//     walks the silent node to dead.
+//  3. Drain handoff: a warmed node drains and pushes its DRWNCKPT frame
+//     through its ring successor's /state; the successor then replays the
+//     donor's traffic. The contrast arm drains a donor that never served.
 
 import (
 	"fmt"
@@ -25,40 +25,24 @@ import (
 
 	"darwin/internal/cache"
 	"darwin/internal/gossip"
-	"darwin/internal/lb"
+	"darwin/internal/trace"
 )
-
-// simClock is the experiment's injected time source: it only moves when the
-// simulation advances it.
-type simClock struct{ now time.Time }
-
-func newSimClock() *simClock { return &simClock{now: time.Unix(0, 0)} }
-
-func (c *simClock) Now() time.Time          { return c.now }
-func (c *simClock) Advance(d time.Duration) { c.now = c.now.Add(d) }
 
 // FlapConfig sizes the three arms.
 type FlapConfig struct {
-	// ProbeEvery is the front tier's probe cadence (default 250 ms), shared
-	// by all arms as the heartbeat period.
-	ProbeEvery time.Duration
-
-	// Arm 1: the watched node cycles FlapUp up then FlapDown down, for
-	// FlapCycles cycles (defaults 1 s / 1 s / 15).
+	// Arm 1: the probe path to node 0 cycles FlapUp up then FlapDown down,
+	// for FlapCycles cycles (defaults 1 s / 1 s / 15).
 	FlapUp, FlapDown time.Duration
 	FlapCycles       int
 
-	// Arm 2: Nodes-node cluster (default 3); the front's probe path to
-	// PartitionNode is severed after PrefaultReqs requests and stays severed
-	// for FaultReqs requests. PerRequest is the simulated inter-request gap.
-	Nodes         int
-	PartitionNode int
-	PrefaultReqs  int
-	FaultReqs     int
-	PerRequest    time.Duration
+	// Arm 2: the front's probe path to the last of the flapNodes nodes is
+	// severed after PrefaultReqs requests and stays severed for FaultReqs
+	// requests.
+	PrefaultReqs int
+	FaultReqs    int
 
-	// Arm 3: the donor runs WarmWindows windows of WindowLen requests, then
-	// drains; warm and cold inheritors replay ReplayWindows more.
+	// Arm 3: the donor serves WarmWindows windows of WindowLen requests, then
+	// drains; its successor replays ReplayWindows more.
 	WindowLen     int
 	WarmWindows   int
 	ReplayWindows int
@@ -71,18 +55,18 @@ type FlapConfig struct {
 	Seed int64
 }
 
+// flapNodes is the cluster size of arms 1 and 2 (arm 3 is a donor and its
+// successor).
+const flapNodes = 3
+
 // DefaultFlapConfig returns the benchmark-scale flap schedule.
 func DefaultFlapConfig() FlapConfig {
 	return FlapConfig{
-		ProbeEvery:    250 * time.Millisecond,
 		FlapUp:        1 * time.Second,
 		FlapDown:      1 * time.Second,
 		FlapCycles:    15,
-		Nodes:         3,
-		PartitionNode: 2,
 		PrefaultReqs:  12_000,
 		FaultReqs:     12_000,
-		PerRequest:    1 * time.Millisecond,
 		WindowLen:     2000,
 		WarmWindows:   6,
 		ReplayWindows: 8,
@@ -93,72 +77,28 @@ func DefaultFlapConfig() FlapConfig {
 	}
 }
 
-func (c FlapConfig) withDefaults() FlapConfig {
-	d := DefaultFlapConfig()
-	if c.ProbeEvery <= 0 {
-		c.ProbeEvery = d.ProbeEvery
-	}
-	if c.FlapUp <= 0 || c.FlapDown <= 0 {
-		c.FlapUp, c.FlapDown = d.FlapUp, d.FlapDown
-	}
-	if c.FlapCycles <= 0 {
-		c.FlapCycles = d.FlapCycles
-	}
-	if c.Nodes <= 1 {
-		c.Nodes = d.Nodes
-	}
-	if c.PartitionNode <= 0 || c.PartitionNode >= c.Nodes {
-		c.PartitionNode = c.Nodes - 1
-	}
-	if c.PrefaultReqs <= 0 || c.FaultReqs <= 0 {
-		c.PrefaultReqs, c.FaultReqs = d.PrefaultReqs, d.FaultReqs
-	}
-	if c.PerRequest <= 0 {
-		c.PerRequest = d.PerRequest
-	}
-	if c.WindowLen <= 0 {
-		c.WindowLen = d.WindowLen
-	}
-	if c.WarmWindows <= 0 || c.ReplayWindows <= 0 {
-		c.WarmWindows, c.ReplayWindows = d.WarmWindows, d.ReplayWindows
-	}
-	if c.Eval.HOCBytes <= 0 {
-		c.Eval = d.Eval
-	}
-	if c.Expert == (cache.Expert{}) {
-		c.Expert = d.Expert
-	}
-	if c.Mix <= 0 {
-		c.Mix = d.Mix
-	}
-	if c.Seed == 0 {
-		c.Seed = d.Seed
-	}
-	return c
-}
-
-// FlapDetectorOutcome is arm 1's result for one detector.
+// FlapDetectorOutcome is arm 1's result for one detector tuning.
 type FlapDetectorOutcome struct {
-	// FullSheds counts transitions to zero ring weight.
+	// FullSheds counts the flapping node's transitions to Dead at the front
+	// (zero ring weight).
 	FullSheds int
-	// SuspectSpells counts entries into the graded Suspect state (always 0
-	// for the binary detector, which has no intermediate grade).
+	// SuspectSpells counts its entries into Suspect.
 	SuspectSpells int
 	// PeakPhi is the highest suspicion level the flap ever reached.
 	PeakPhi float64
 }
 
-// PartitionOutcome is arm 2's result for one readiness scheme.
+// PartitionOutcome is arm 2's result for one deployment.
 type PartitionOutcome struct {
-	// PreOHR and FaultOHR are the cluster hit ratios over the steady half of
-	// the pre-fault phase and the whole fault phase; Retention is their
-	// ratio (the acceptance bar is >= 0.9 for the gossip arm).
+	// PreOHR and FaultOHR are the client-observed hit ratios over the steady
+	// half of the pre-fault phase and the whole fault phase; Retention is
+	// their ratio (the acceptance bar is >= 0.9 for the gossip arm).
 	PreOHR, FaultOHR, Retention float64
-	// Client5xx counts requests routed to a node that could not serve them.
+	// Client5xx counts 5xx answers the client saw.
 	Client5xx int
-	// ShedWindows counts routing windows in which the partitioned node held
-	// zero weight at the front.
-	ShedWindows int
+	// ShedWindows / SuspectWindows count fault-phase routing windows in which
+	// the partitioned node held zero / partial weight at the front.
+	ShedWindows, SuspectWindows int
 }
 
 // HandoffOutcome is arm 3's result.
@@ -174,198 +114,109 @@ type HandoffOutcome struct {
 
 // FlapResult aggregates all three arms.
 type FlapResult struct {
-	Graded, Binary FlapDetectorOutcome
-	Gossip, Readyz PartitionOutcome
-	Handoff        HandoffOutcome
+	Graded, NoHysteresis FlapDetectorOutcome
+	Gossip, Readyz       PartitionOutcome
+	Handoff              HandoffOutcome
 }
 
-// runFlapArm drives arm 1: one watched node flapping on a fixed duty cycle,
-// graded and binary detectors observing the same probe outcomes.
-func runFlapArm(fc FlapConfig) (graded, binary FlapDetectorOutcome, err error) {
-	clk := newSimClock()
-	memb, err := gossip.New(gossip.Config{
-		Nodes:          1,
-		Self:           -1,
-		HeartbeatEvery: fc.ProbeEvery,
-		Clock:          clk.Now,
-		OnChange: func(node int, from, to gossip.Status) {
-			switch to {
-			case gossip.Dead:
-				graded.FullSheds++
-			case gossip.Suspect:
-				graded.SuspectSpells++
-			}
-		},
-	})
+// noHysteresis is arm 1's contrast tuning of the deployed detector: suspect
+// and dead share one threshold a single missed probe crosses, and the dwell
+// is a nanosecond.
+var noHysteresis = gossip.Config{PhiSuspect: 0.5, PhiDead: 0.5, MinDwell: 1}
+
+// runFlapArm drives arm 1: the front's probe path to node 0 flapping on a
+// fixed duty cycle, graded by the front's detector under the given tuning.
+func runFlapArm(fc FlapConfig, detector gossip.Config) (FlapDetectorOutcome, error) {
+	var out FlapDetectorOutcome
+	r := newRig()
+	defer r.close()
+	nodes, err := r.startNodes(flapNodes, r.nodeConfig(fc.Expert, fc.Eval), fc.WindowLen)
 	if err != nil {
-		return graded, binary, err
+		return out, err
 	}
+	detector.OnChange = func(node int, from, to gossip.Status) {
+		if node != 0 {
+			return
+		}
+		switch to {
+		case gossip.Dead:
+			out.FullSheds++
+		case gossip.Suspect:
+			out.SuspectSpells++
+		}
+	}
+	if err := r.startFront(nodes, fc.WindowLen, detector); err != nil {
+		return out, err
+	}
+	tick := time.Duration(rigProbeStride()) * rigPerRequest
 	period := fc.FlapUp + fc.FlapDown
-	total := time.Duration(fc.FlapCycles) * period
-	var seq uint64
-	binaryUp := true
-	for t := time.Duration(0); t < total; t += fc.ProbeEvery {
-		up := t%period < fc.FlapUp
-		if up {
-			seq++
-			memb.Heartbeat(0, seq)
+	for t := time.Duration(0); t < time.Duration(fc.FlapCycles)*period; t += tick {
+		r.severed = ""
+		if t%period >= fc.FlapUp {
+			r.severed = nodes[0].url
 		}
-		if phi := memb.Phi(0); phi > graded.PeakPhi {
-			graded.PeakPhi = phi
+		r.probe() // every probe round also grades every backend
+		if phi := r.front.Membership().Phi(0); phi > out.PeakPhi {
+			out.PeakPhi = phi
 		}
-		memb.Status(0) // drive the graded state machine every probe tick
-		if binaryUp && !up {
-			binary.FullSheds++ // the binary verdict sheds on the first missed probe
-		}
-		binaryUp = up
-		clk.Advance(fc.ProbeEvery)
+		r.clk.Advance(tick)
 	}
-	return graded, binary, nil
+	return out, nil
 }
 
 // runPartitionArm drives arm 2 once: a cluster under an asymmetric partition
-// of the front's probe path to one node, routed by the given readiness
-// scheme (graded gossip weights or the binary probe verdict).
-func runPartitionArm(fc FlapConfig, useGossip bool) (PartitionOutcome, error) {
+// of the front's probe path to one node. peered deploys the nodes as one
+// cluster (-peers: /gossip, peer fill, relayed heartbeats); otherwise each
+// node stands alone and the front can only poll its /readyz.
+func runPartitionArm(fc FlapConfig, peered bool) (PartitionOutcome, error) {
 	var out PartitionOutcome
 	tr, err := SyntheticMix(fc.Mix, fc.PrefaultReqs+fc.FaultReqs, fc.Seed)
 	if err != nil {
 		return out, err
 	}
-
-	clk := newSimClock()
-	nodes := make([]*cache.Hierarchy, fc.Nodes)
-	membs := make([]*gossip.Membership, fc.Nodes)
-	for i := range nodes {
-		nodes[i], err = cache.New(cache.Config{
-			HOCBytes: fc.Eval.HOCBytes, DCBytes: fc.Eval.DCBytes, Expert: fc.Expert,
-		})
-		if err != nil {
-			return out, err
-		}
-		membs[i], err = gossip.New(gossip.Config{
-			Nodes: fc.Nodes, Self: i, HeartbeatEvery: fc.ProbeEvery, Clock: clk.Now,
-		})
-		if err != nil {
-			return out, err
-		}
-	}
-	front, err := gossip.New(gossip.Config{
-		Nodes: fc.Nodes, Self: -1, HeartbeatEvery: fc.ProbeEvery, Clock: clk.Now,
-	})
-	if err != nil {
-		return out, err
-	}
-
-	// weights is the front's routing view, refreshed at every probe round.
-	weights := make([]float64, fc.Nodes)
-	for i := range weights {
-		weights[i] = 1
-	}
-	binaryReady := make([]bool, fc.Nodes)
-	for i := range binaryReady {
-		binaryReady[i] = true
-	}
-
-	// probeRound runs one probe tick: full-mesh peer digest exchange (the
-	// partition never touches node-to-node edges), then the front probing
-	// each node it can reach. Digest answers from reachable peers relay the
-	// partitioned node's rising sequence — the indirect heartbeat.
-	var scratch []gossip.Entry
-	probeRound := func(faultActive bool) {
-		for i := 0; i < fc.Nodes; i++ {
-			for j := i + 1; j < fc.Nodes; j++ {
-				membs[i].Beat()
-				scratch = membs[i].Digest(scratch[:0])
-				membs[j].Merge(i, scratch)
-				membs[j].Beat()
-				scratch = membs[j].Digest(scratch[:0])
-				membs[i].Merge(j, scratch)
-			}
-		}
-		for j := 0; j < fc.Nodes; j++ {
-			reachable := !(faultActive && j == fc.PartitionNode)
-			if reachable {
-				membs[j].Beat()
-				scratch = membs[j].Digest(scratch[:0])
-				front.Merge(j, scratch)
-			}
-			binaryReady[j] = reachable
-		}
-		for j := 0; j < fc.Nodes; j++ {
-			if useGossip {
-				weights[j] = front.Weight(j)
-			} else if binaryReady[j] {
-				weights[j] = 1
-			} else {
-				weights[j] = 0
-			}
-		}
-	}
-
-	reqsPerProbe := int(fc.ProbeEvery / fc.PerRequest)
-	if reqsPerProbe < 1 {
-		reqsPerProbe = 1
-	}
-	ring, err := lb.NewRing(lb.Config{
-		Servers:        fc.Nodes,
-		VirtualNodes:   64,
-		LoadFactor:     0.25,
-		RebalanceEvery: reqsPerProbe,
-		Readiness: func(window, s int) float64 {
-			return weights[s]
-		},
-	})
-	if err != nil {
-		return out, err
-	}
-
-	var succ [lb.MaxReplicas]int
-	width := fc.Nodes
-	if width > lb.MaxReplicas {
-		width = lb.MaxReplicas
-	}
-	preHits, preReqs := 0, 0
-	faultHits, faultReqs := 0, 0
+	stride := rigProbeStride()
+	r := newRig()
+	defer r.close()
 	window := 0
+	if peered {
+		window = stride
+	}
+	nodes, err := r.startNodes(flapNodes, r.nodeConfig(fc.Expert, fc.Eval), window)
+	if err != nil {
+		return out, err
+	}
+	// One routing window per probe round, so every probe verdict reaches the
+	// ring at once.
+	if err := r.startFront(nodes, stride, gossip.Config{}); err != nil {
+		return out, err
+	}
+	var preHits, preReqs, faultHits, faultReqs int
 	for i, req := range tr.Requests {
-		faultActive := i >= fc.PrefaultReqs
-		if i%reqsPerProbe == 0 {
-			probeRound(faultActive)
-			end := i + reqsPerProbe
-			if end > len(tr.Requests) {
-				end = len(tr.Requests)
+		fault := i >= fc.PrefaultReqs
+		if i%stride == 0 {
+			r.severed = ""
+			if fault {
+				r.severed = nodes[flapNodes-1].url
 			}
-			ring.BeginWindow(window, end-i)
-			if faultActive && weights[fc.PartitionNode] == 0 {
+			r.probe()
+		}
+		s, err := r.get(r.frontSrv.URL, req)
+		if err != nil {
+			return out, fmt.Errorf("exp: request %d: %w", i, err)
+		}
+		if fault && i%stride == 0 {
+			switch w := r.front.Weights()[flapNodes-1]; {
+			case w == 0:
 				out.ShedWindows++
-			}
-			window++
-		}
-		clk.Advance(fc.PerRequest)
-
-		s := ring.RouteReplicated(req.ID, 1)
-		if weights[s] == 0 {
-			// In-request failover off a zero-weight node (stale mid-window
-			// routing): first positive-weight ring successor takes it.
-			k := ring.Successors(req.ID, succ[:width])
-			s = -1
-			for j := 0; j < k; j++ {
-				if weights[succ[j]] > 0 {
-					s = succ[j]
-					break
-				}
-			}
-			if s < 0 {
-				out.Client5xx++
-				continue
+			case w < 1:
+				out.SuspectWindows++
 			}
 		}
-		// The partition is control-plane only: every node is actually up, so
-		// a routed request always gets served — 5xx would require routing to
-		// a node with no healthy path at all.
-		hit := nodes[s].Serve(req) != cache.Miss
-		if faultActive {
+		if s.status >= 500 {
+			out.Client5xx++
+		}
+		hit := s.local() || s.peer
+		if fault {
 			faultReqs++
 			if hit {
 				faultHits++
@@ -390,88 +241,63 @@ func runPartitionArm(fc FlapConfig, useGossip bool) (PartitionOutcome, error) {
 	return out, nil
 }
 
-// runHandoffArm drives arm 3: donor warms, drains, and its residency merges
-// into a warm inheritor; a cold inheritor replays the same windows bare.
+// runHandoff drives arm 3 once on a two-node cluster: node 0 (the donor)
+// serves the warm windows when warm is set, then drains — its listener
+// closes and it pushes its checkpoint frame through node 1's /state — and
+// node 1, its ring successor, replays the remaining windows. Returns the
+// donor's and the inheritor's per-window hit ratios.
+func runHandoff(fc FlapConfig, tr *trace.Trace, warm bool) (donor, heir []float64, err error) {
+	r := newRig()
+	defer r.close()
+	nodes, err := r.startNodes(2, r.nodeConfig(fc.Expert, fc.Eval), fc.WindowLen)
+	if err != nil {
+		return nil, nil, err
+	}
+	warmLen := fc.WarmWindows * fc.WindowLen
+	if warm {
+		if _, donor, err = r.replay(nodes[0].url, tr.Requests[:warmLen], fc.WindowLen); err != nil {
+			return nil, nil, err
+		}
+	}
+	nodes[0].Health.StartDrain()
+	nodes[0].depart()
+	if st := nodes[1].Proxy.Stats(); st.StateMerges != 1 || st.StateRejects != 0 {
+		return nil, nil, fmt.Errorf("exp: inheritor merged %d frames and rejected %d, want 1 and 0", st.StateMerges, st.StateRejects)
+	}
+	_, heir, err = r.replay(nodes[1].url, tr.Requests[warmLen:], fc.WindowLen)
+	return donor, heir, err
+}
+
+// runHandoffArm drives arm 3: the inheritor of a warmed donor against the
+// inheritor of a donor that never served.
 func runHandoffArm(fc FlapConfig) (HandoffOutcome, error) {
 	var out HandoffOutcome
-	total := (fc.WarmWindows + fc.ReplayWindows) * fc.WindowLen
-	tr, err := SyntheticMix(fc.Mix, total, fc.Seed+1)
+	tr, err := SyntheticMix(fc.Mix, (fc.WarmWindows+fc.ReplayWindows)*fc.WindowLen, fc.Seed+1)
 	if err != nil {
 		return out, err
 	}
-	mk := func() (*cache.Hierarchy, error) {
-		return cache.New(cache.Config{
-			HOCBytes: fc.Eval.HOCBytes, DCBytes: fc.Eval.DCBytes, Expert: fc.Expert,
-		})
-	}
-	donor, err := mk()
+	donor, warm, err := runHandoff(fc, tr, true)
 	if err != nil {
 		return out, err
 	}
-
-	warmLen := fc.WarmWindows * fc.WindowLen
-	hits := 0
-	for i := 0; i < warmLen; i++ {
-		if i%fc.WindowLen == 0 {
-			hits = 0
-		}
-		if donor.Serve(tr.Requests[i]) != cache.Miss {
-			hits++
-		}
-	}
-	out.DonorOHR = float64(hits) / float64(fc.WindowLen)
-
-	// The drain handoff: donor residency (DC first, HOC last so the hot core
-	// lands most-protected) merges into the warm inheritor's DC — the
-	// in-process equivalent of the DRWNCKPT frame POSTed to /state.
-	st, err := donor.State()
+	_, cold, err := runHandoff(fc, tr, false)
 	if err != nil {
 		return out, err
 	}
-	entries := append(append([]cache.ResidentObject(nil), st.DC...), st.HOC...)
-	warm, err := mk()
-	if err != nil {
-		return out, err
-	}
-	if _, err := warm.MergeDC(entries); err != nil {
-		return out, err
-	}
-	cold, err := mk()
-	if err != nil {
-		return out, err
-	}
-
-	target := 0.95 * out.DonorOHR
-	replay := func(h *cache.Hierarchy) (firstOHR float64, windows int) {
-		for w := 0; w < fc.ReplayWindows; w++ {
-			start := warmLen + w*fc.WindowLen
-			hits := 0
-			for i := start; i < start+fc.WindowLen; i++ {
-				if h.Serve(tr.Requests[i]) != cache.Miss {
-					hits++
-				}
-			}
-			ohr := float64(hits) / float64(fc.WindowLen)
-			if w == 0 {
-				firstOHR = ohr
-			}
-			if windows == 0 && ohr >= target {
-				windows = w + 1
-			}
-		}
-		return firstOHR, windows
-	}
-	out.WarmFirstOHR, out.WarmWindows = replay(warm)
-	out.ColdFirstOHR, out.ColdWindows = replay(cold)
+	out.DonorOHR = donor[len(donor)-1]
+	out.WarmFirstOHR, out.WarmWindows = warm[0], windowsTo(warm, 0.95*out.DonorOHR)
+	out.ColdFirstOHR, out.ColdWindows = cold[0], windowsTo(cold, 0.95*out.DonorOHR)
 	return out, nil
 }
 
 // RunFlap drives all three arms and returns the aggregate result.
 func RunFlap(fc FlapConfig) (*FlapResult, error) {
-	fc = fc.withDefaults()
 	res := &FlapResult{}
 	var err error
-	if res.Graded, res.Binary, err = runFlapArm(fc); err != nil {
+	if res.Graded, err = runFlapArm(fc, gossip.Config{}); err != nil {
+		return nil, err
+	}
+	if res.NoHysteresis, err = runFlapArm(fc, noHysteresis); err != nil {
 		return nil, err
 	}
 	if res.Gossip, err = runPartitionArm(fc, true); err != nil {
@@ -489,23 +315,23 @@ func RunFlap(fc FlapConfig) (*FlapResult, error) {
 // FlapReport runs the flap schedule and tabulates all three arms against
 // their acceptance bars.
 func FlapReport(fc FlapConfig) (*Report, error) {
-	fc = fc.withDefaults()
 	res, err := RunFlap(fc)
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{
-		Title: fmt.Sprintf("Flap chaos: graded membership vs binary readiness (%d nodes, probe %v)",
-			fc.Nodes, fc.ProbeEvery),
+		Title: fmt.Sprintf("Flap chaos: graded membership on the deployed front and nodes (%d nodes, probe %v)",
+			flapNodes, time.Duration(rigProbeStride())*rigPerRequest),
 		Header: []string{"arm", "metric", "value", "bar"},
 	}
 	rep.AddRow("flap/graded", "full-weight sheds", fmt.Sprint(res.Graded.FullSheds), "0")
 	rep.AddRow("flap/graded", "suspect spells", fmt.Sprint(res.Graded.SuspectSpells), "-")
 	rep.AddRow("flap/graded", "peak phi", f2(res.Graded.PeakPhi), fmt.Sprintf("< %g (dead)", 8.0))
-	rep.AddRow("flap/binary", "full-weight sheds", fmt.Sprint(res.Binary.FullSheds), ">= 3")
+	rep.AddRow("flap/no-hysteresis", "full-weight sheds", fmt.Sprint(res.NoHysteresis.FullSheds), ">= 3")
 	rep.AddRow("partition/gossip", "ohr retention", f4(res.Gossip.Retention), ">= 0.9")
 	rep.AddRow("partition/gossip", "client 5xx", fmt.Sprint(res.Gossip.Client5xx), "0")
 	rep.AddRow("partition/gossip", "shed windows", fmt.Sprint(res.Gossip.ShedWindows), "0")
+	rep.AddRow("partition/gossip", "suspect windows", fmt.Sprint(res.Gossip.SuspectWindows), "-")
 	rep.AddRow("partition/readyz", "ohr retention", f4(res.Readyz.Retention), "(contrast)")
 	rep.AddRow("partition/readyz", "shed windows", fmt.Sprint(res.Readyz.ShedWindows), "(contrast)")
 	rep.AddRow("handoff/donor", "steady ohr", f4(res.Handoff.DonorOHR), "-")
@@ -513,11 +339,11 @@ func FlapReport(fc FlapConfig) (*Report, error) {
 	rep.AddRow("handoff/warm", "first-window ohr", f4(res.Handoff.WarmFirstOHR), "-")
 	rep.AddRow("handoff/cold", "windows to 95%", fmt.Sprint(res.Handoff.ColdWindows), ">= 4 (or never)")
 	rep.AddRow("handoff/cold", "first-window ohr", f4(res.Handoff.ColdFirstOHR), "-")
-	rep.AddNote("flap: node cycles %v up / %v down for %d cycles; hysteresis holds the flapper at suspect weight, never dead",
-		fc.FlapUp, fc.FlapDown, fc.FlapCycles)
-	rep.AddNote("partition: front cannot probe node %d for %d requests; peers relay its heartbeats, so gossip keeps it routable",
-		fc.PartitionNode, fc.FaultReqs)
-	rep.AddNote("handoff: donor residency merges into the inheritor's DC (DC then HOC, hot core most protected) before replay")
-	rep.AddNote("all arms run on a simulated clock: the report is byte-reproducible")
+	rep.AddNote("flap: the front's probe path to node 0 cycles %v up / %v down for %d cycles; no-hysteresis is the same front with PhiSuspect = PhiDead = %g and a %v dwell",
+		fc.FlapUp, fc.FlapDown, fc.FlapCycles, noHysteresis.PhiDead, noHysteresis.MinDwell)
+	rep.AddNote("partition: the front cannot probe node %d for %d requests; gossip nodes relay its heartbeats on their peer probes, readyz nodes run without -peers",
+		flapNodes-1, fc.FaultReqs)
+	rep.AddNote("handoff: the donor's DRWNCKPT frame goes through its ring successor's /state (DC then HOC, hot core most protected) before replay; cold is a donor that never served")
+	rep.AddNote("deployed server.Front and nodes on loopback, %v simulated per request: the report is byte-reproducible", rigPerRequest)
 	return rep, nil
 }

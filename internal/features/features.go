@@ -220,18 +220,6 @@ func FromTrace(tr *trace.Trace, cfg Config) ([]float64, error) {
 	return ex.Vector(), nil
 }
 
-// ExtendedFromTrace extracts the extended vector (features + size buckets).
-func ExtendedFromTrace(tr *trace.Trace, cfg Config) ([]float64, error) {
-	ex, err := NewExtractor(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range tr.Requests {
-		ex.Observe(r)
-	}
-	return ex.Extended(), nil
-}
-
 // RelativeError returns the mean element-wise relative error |a−b| / |b|
 // between a candidate vector a and a reference b, skipping entries where the
 // reference is 0 (used for the Figure 5a feature-convergence study).

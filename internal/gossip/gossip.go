@@ -24,7 +24,6 @@ package gossip
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 )
@@ -433,23 +432,4 @@ func (m *Membership) Seq(node int) uint64 {
 		return m.self
 	}
 	return m.peers[node].seq
-}
-
-// MeanInterval returns node's current estimated heartbeat inter-arrival
-// (the configured cadence until MinSamples accrue) — an observability
-// surface for metrics and the flap report.
-func (m *Membership) MeanInterval(node int) time.Duration {
-	if node < 0 || node >= m.cfg.Nodes {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	p := &m.peers[node]
-	mean := m.cfg.HeartbeatEvery.Seconds()
-	if p.count >= m.cfg.MinSamples {
-		if observed := p.sum / float64(p.count); observed > mean {
-			mean = observed
-		}
-	}
-	return time.Duration(math.Round(mean * float64(time.Second)))
 }

@@ -109,13 +109,6 @@ func (r *Replicator) Factor(id uint64) int {
 	return 1
 }
 
-// Factors returns the current hot set — object id to replication factor for
-// every object with factor > 1. The map is the live read-only snapshot;
-// callers must not mutate it.
-func (r *Replicator) Factors() map[uint64]int {
-	return r.factors.Load().(map[uint64]int)
-}
-
 // Stats fills dst (len >= RsWidth) with a coherent snapshot of the last
 // completed window's replication row.
 func (r *Replicator) Stats(dst []int64) {
@@ -146,7 +139,7 @@ func (s byCountDesc) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
 // count are granted factors from their request share, the snapshot read by
 // Factor is swapped, window stats publish, and counting restarts. Call at
 // every rebalance boundary (typically right after Ring.BeginWindow). Returns
-// the new hot set (read-only, same map Factors returns).
+// the new hot set (read-only).
 func (r *Replicator) Rebalance() map[uint64]int {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -129,9 +129,6 @@ func (r *Ring) Servers() int { return r.cfg.Servers }
 // Window returns the current rebalance window index.
 func (r *Ring) Window() int { return r.window }
 
-// Routed returns how many requests have been routed in the current window.
-func (r *Ring) Routed() int { return r.n }
-
 // Weights returns a copy of the current window's effective weights (after
 // the weight schedule and readiness scaling).
 func (r *Ring) Weights() []float64 {

@@ -153,6 +153,7 @@ func DefaultConfig() Config {
 			"darwin/internal/server",
 		},
 		CtxFirstPkgs: []string{
+			"darwin/internal/node",
 			"darwin/internal/par",
 			"darwin/internal/server",
 		},
@@ -178,6 +179,7 @@ func DefaultConfig() Config {
 			"darwin/internal/gossip",
 			"darwin/internal/lb",
 			"darwin/internal/cluster",
+			"darwin/internal/node",
 			"darwin/cmd/darwin-proxy",
 			"darwin/cmd/darwin-front",
 			"darwin/cmd/origin",

@@ -89,9 +89,6 @@ func readModulePath(gomod string) (string, error) {
 // Fset returns the loader's shared FileSet.
 func (l *Loader) Fset() *token.FileSet { return l.fset }
 
-// ModulePath returns the module path from go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // Import implements types.Importer, routing module-local paths to the module
 // tree and everything else to the stdlib source importer.
 func (l *Loader) Import(path string) (*types.Package, error) {

@@ -1,8 +1,7 @@
-package main
+package node
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync/atomic"
 	"time"
@@ -15,9 +14,9 @@ import (
 // checkpointFile is the checkpoint's name inside the data directory.
 const checkpointFile = "darwin.ckpt"
 
-// durability owns a proxy's on-disk state: the append-only DC journal and the
-// periodic learned-state checkpoint. It is inert (nil) unless -data-dir is
-// set.
+// durability owns a node's on-disk state: the append-only DC journal and the
+// periodic learned-state checkpoint. It is absent (nil) unless Config.Store.Dir
+// is set.
 //
 // Recovery model: the journal is written synchronously on every DC admission
 // and eviction, so after a crash it is always fresher than the last periodic
@@ -56,19 +55,23 @@ func openDurability(cfg diskcache.Config, interval time.Duration) (*durability, 
 	}
 	ck, err := core.LoadCheckpoint(d.ckptPath)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "darwin-proxy: checkpoint unreadable (%v); recovering from journal only\n", err)
+		logf("checkpoint unreadable (%v); recovering from journal only", err)
 	}
 	d.loaded = ck
 	return d, nil
 }
 
 // attach binds the engine (and, in darwin mode, the controller and model)
-// once they exist, then starts recovery and the periodic checkpointer in the
-// background. The /readyz recovery gate stays unready until restore finishes.
+// once they exist.
 func (d *durability) attach(eng *cache.Sharded, ctrl *core.Controller, model *core.Model) {
 	d.eng = eng
 	d.ctrl = ctrl
 	d.model = model
+}
+
+// start runs recovery and then the periodic checkpointer in the background.
+// The /readyz recovery gate stays unready until restore finishes.
+func (d *durability) start() {
 	go d.run()
 }
 
@@ -80,12 +83,12 @@ func (d *durability) recover() {
 	if ck := d.loaded; ck != nil {
 		if ck.Engine != nil {
 			if err := d.eng.RestoreState(ck.Engine); err != nil {
-				fmt.Fprintf(os.Stderr, "darwin-proxy: engine state not restored (%v); continuing cold\n", err)
+				logf("engine state not restored (%v); continuing cold", err)
 			}
 		}
 		if d.ctrl != nil && ck.Controller != nil {
 			if err := d.ctrl.RestoreState(ck.Controller); err != nil {
-				fmt.Fprintf(os.Stderr, "darwin-proxy: controller state not restored (%v); re-warming\n", err)
+				logf("controller state not restored (%v); re-warming", err)
 			}
 		}
 	}
@@ -93,25 +96,17 @@ func (d *durability) recover() {
 	// live set (oldest-first, so the newest objects land most protected).
 	live := d.store.Live()
 	if err := d.eng.RestoreDC(live); err != nil {
-		fmt.Fprintf(os.Stderr, "darwin-proxy: DC journal not applied (%v); continuing cold\n", err)
+		logf("DC journal not applied (%v); continuing cold", err)
 	}
 	d.recovered.Store(true)
 	st := d.store.Stats()
-	fmt.Fprintf(os.Stderr, "darwin-proxy: recovered %d DC objects (%d B) from %d segments in %s (checkpoint=%v, truncated=%dB)\n",
+	logf("recovered %d DC objects (%d B) from %d segments in %s (checkpoint=%v, truncated=%dB)",
 		len(live), st.LiveBytes, st.Segments, time.Since(start).Round(time.Millisecond), d.loaded != nil, st.TruncatedBytes)
 }
 
 // checkpoint captures and atomically persists the full learned state.
 func (d *durability) checkpoint() error {
-	es, err := d.eng.State()
-	if err != nil {
-		return err
-	}
-	ck := &core.Checkpoint{Model: d.model, Engine: es}
-	if d.ctrl != nil {
-		ck.Controller = d.ctrl.CheckpointState()
-	}
-	if err := core.SaveCheckpoint(d.ckptPath, ck); err != nil {
+	if err := core.SaveCheckpoint(d.ckptPath, snapshot(d.eng, d.ctrl, d.model)); err != nil {
 		return err
 	}
 	return d.store.Sync()
@@ -132,7 +127,7 @@ func (d *durability) run() {
 		select {
 		case <-tick.C:
 			if err := d.checkpoint(); err != nil {
-				fmt.Fprintf(os.Stderr, "darwin-proxy: checkpoint failed: %v\n", err)
+				logf("checkpoint failed: %v", err)
 			}
 		case <-d.stop:
 			return
@@ -146,9 +141,9 @@ func (d *durability) close() {
 	close(d.stop)
 	<-d.done
 	if err := d.checkpoint(); err != nil {
-		fmt.Fprintf(os.Stderr, "darwin-proxy: final checkpoint failed: %v\n", err)
+		logf("final checkpoint failed: %v", err)
 	}
 	if err := d.store.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "darwin-proxy: closing journal: %v\n", err)
+		logf("closing journal: %v", err)
 	}
 }

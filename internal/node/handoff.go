@@ -1,4 +1,4 @@
-package main
+package node
 
 // Drain-time state handoff: the glue between the server layer's /state
 // endpoint and the checkpoint codec. A draining node provides its full
@@ -29,16 +29,18 @@ import (
 // checkpoint frame of the node's current state.
 func handoffProvider(eng *cache.Sharded, ctrl *core.Controller, model *core.Model) func() ([]byte, error) {
 	return func() ([]byte, error) {
-		es, err := eng.State()
-		if err != nil {
-			return nil, err
-		}
-		ck := &core.Checkpoint{Model: model, Engine: es}
-		if ctrl != nil {
-			ck.Controller = ctrl.CheckpointState()
-		}
-		return core.EncodeCheckpointFrame(ck)
+		return core.EncodeCheckpointFrame(snapshot(eng, ctrl, model))
 	}
+}
+
+// snapshot captures the node's full learned state: what a checkpoint file and
+// a handoff frame both carry.
+func snapshot(eng *cache.Sharded, ctrl *core.Controller, model *core.Model) *core.Checkpoint {
+	ck := &core.Checkpoint{Model: model, Engine: eng.State()}
+	if ctrl != nil {
+		ck.Controller = ctrl.CheckpointState()
+	}
+	return ck
 }
 
 // donorResidents flattens a donor engine snapshot into one resident-object

@@ -1,4 +1,4 @@
-package main
+package node
 
 // Property test for the drain-time state handoff: a donor controller's
 // learned state — bandit posteriors above all — must round-trip through the
@@ -159,10 +159,7 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 
 		// Corruption: flipping any byte must yield a 400 and zero mutation.
 		before := inhCtrl.CheckpointState()
-		engBefore, err := inhEng.State()
-		if err != nil {
-			t.Fatal(err)
-		}
+		engBefore := inhEng.State()
 		for _, pos := range []int{0, len(frame) / 3, len(frame) / 2, len(frame) - 1} {
 			bad := append([]byte(nil), frame...)
 			bad[pos] ^= 0x41
@@ -179,10 +176,7 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(inhCtrl.CheckpointState(), before) {
 			t.Fatalf("seed %d: corrupt frames mutated the inheritor's controller", seed)
 		}
-		engAfter, err := inhEng.State()
-		if err != nil {
-			t.Fatal(err)
-		}
+		engAfter := inhEng.State()
 		if !reflect.DeepEqual(engAfter, engBefore) {
 			t.Fatalf("seed %d: corrupt frames mutated the inheritor's engine", seed)
 		}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -313,5 +314,29 @@ func TestProxyBadGatewayOnOriginFailure(t *testing.T) {
 	resp, _ := get(t, srv.URL, 1, 100)
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("status = %d, want 502", resp.StatusCode)
+	}
+}
+
+// TestStatsCopiesEveryCounter: a proxy counter lives in three hand-kept lists
+// (the ps* index, the ProxyStats field, the copy in Stats). Bumping every
+// index by a distinct amount must surface every amount in exactly one field.
+func TestStatsCopiesEveryCounter(t *testing.T) {
+	_, _, proxy := testbed(t, 0, 0)
+	for i := 0; i < psWidth; i++ {
+		proxy.stats.Add(0, i, int64(1000+i))
+	}
+	v := reflect.ValueOf(proxy.Stats())
+	if v.NumField() != psWidth {
+		t.Fatalf("ProxyStats has %d fields for %d ps* counters", v.NumField(), psWidth)
+	}
+	seen := make(map[int64]string)
+	for i := 0; i < v.NumField(); i++ {
+		name, got := v.Type().Field(i).Name, v.Field(i).Int()
+		if got < 1000 || got >= 1000+psWidth {
+			t.Errorf("ProxyStats.%s = %d: Stats copies no counter into it", name, got)
+		} else if other, dup := seen[got]; dup {
+			t.Errorf("ProxyStats.%s and .%s are copied from the same counter", name, other)
+		}
+		seen[got] = name
 	}
 }
