@@ -1,19 +1,24 @@
-# Development targets. `make tier1` is the PR gate: build + vet + the
+# Development targets. `make tier1` is the PR gate: build + vet + gofmt + the
 # repo's own static analyzers (cmd/darwinlint) + full test suite. `make race`
 # adds the race detector on the concurrency-heavy packages and `make fuzz`
-# runs short fuzzing sessions over the parsing and hashing seams. Numbers come
-# from three places only: `go run ./cmd/experiments` regenerates the paper's
-# tables, `make bench` prices the system, `make microbench` prices a function;
-# the `chaos*` targets run one fault experiment plus its real-process test.
+# runs short fuzzing sessions over the parsing, hashing and indexing seams.
+# Numbers come from three places only: `go run ./cmd/experiments` regenerates
+# the paper's tables, `make bench` prices the system, `make microbench` prices
+# a function; the `chaos*` targets run one fault experiment plus its
+# real-process test.
 
 GO ?= go
 
-.PHONY: tier1 vet build test lint lint-audit race fuzz bench microbench chaos chaos-crash chaos-cluster chaos-flap
+.PHONY: tier1 vet fmt build test lint lint-audit race fuzz bench microbench chaos chaos-crash chaos-cluster chaos-flap
 
-tier1: build vet lint test
+tier1: build vet fmt lint test
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, naming the files, when gofmt would rewrite any.
+fmt:
+	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then echo "gofmt -l is not empty:"; echo "$$files"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -42,7 +47,8 @@ race:
 # fuzz runs each fuzz target briefly: URL parsing on the proxy/origin seam,
 # the upstream client's response-head parser (a backend's bytes are outside
 # input),
-# the Bloom filter's uint64/string hash-identity invariants, the durability
+# the Bloom filter's uint64/string hash-identity invariants, the engine's id
+# table against the built-in map it replaced, the durability
 # decoders (persist frames, journal records/segments, checkpoint and
 # neural-weight payloads) — corrupted on-disk bytes must produce typed
 # errors, never panics — and darwinlint's own annotation parsers
@@ -52,6 +58,7 @@ fuzz:
 	$(GO) test ./internal/server -fuzz FuzzUpstreamHead -fuzztime 10s
 	$(GO) test ./internal/bloom -fuzz FuzzHashIdentity -fuzztime 10s
 	$(GO) test ./internal/bloom -fuzz FuzzFilterU64StringIdentity -fuzztime 10s
+	$(GO) test ./internal/cache -fuzz FuzzIDTable -fuzztime 10s
 	$(GO) test ./internal/persist -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzDecodeRecord -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzOpenSegment -fuzztime 10s
@@ -67,8 +74,9 @@ bench:
 	bash benchmark/run.sh
 
 # microbench prices single functions: every package-level Benchmark* (engine
-# serve, feature observe, Bloom, tracker, ring route, gossip digest codec,
-# journal put and recovery, proxy serve-hit), with allocs/op.
+# serve, controller serve, id table, feature observe, Bloom, tracker, ring
+# route, gossip digest codec, journal put and recovery, proxy serve-hit), with
+# allocs/op.
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/...
 

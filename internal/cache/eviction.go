@@ -55,20 +55,22 @@ type ResidentObject struct {
 type LRU struct {
 	arena *nodeArena
 	list  int32 // sentinel: front = most recent
-	index map[uint64]int32
+	index idTable[int32]
 	bytes int64
 }
 
 // NewLRU returns an empty LRU policy.
 func NewLRU() *LRU {
 	a := newNodeArena(64)
-	return &LRU{arena: a, list: a.newList(), index: make(map[uint64]int32)}
+	return &LRU{arena: a, list: a.newList()}
 }
 
 // Insert implements Eviction. Inserting an existing id refreshes its recency
 // and updates its size.
 func (l *LRU) Insert(id uint64, size int64) {
-	if i, ok := l.index[id]; ok {
+	p, resident := l.index.upsert(id)
+	if resident {
+		i := *p
 		l.bytes += size - l.arena.nodes[i].size
 		l.arena.nodes[i].size = size
 		l.arena.moveToFront(l.list, i)
@@ -76,24 +78,21 @@ func (l *LRU) Insert(id uint64, size int64) {
 	}
 	i := l.arena.alloc(id, size)
 	l.arena.pushFront(l.list, i)
-	l.index[id] = i
+	*p = i
 	l.bytes += size
 }
 
 // Touch implements Eviction.
-func (l *LRU) Touch(id uint64) {
-	if i, ok := l.index[id]; ok {
-		l.arena.moveToFront(l.list, i)
-	}
-}
+func (l *LRU) Touch(id uint64) { l.Hit(id) }
 
 // Hit implements Eviction.
 func (l *LRU) Hit(id uint64) bool {
-	i, ok := l.index[id]
-	if ok {
-		l.arena.moveToFront(l.list, i)
+	p := l.index.get(id)
+	if p == nil {
+		return false
 	}
-	return ok
+	l.arena.moveToFront(l.list, *p)
+	return true
 }
 
 // Victim implements Eviction.
@@ -107,60 +106,60 @@ func (l *LRU) Victim() (uint64, int64, bool) {
 
 // Remove implements Eviction.
 func (l *LRU) Remove(id uint64) {
-	if i, ok := l.index[id]; ok {
+	if i, ok := l.index.delete(id); ok {
 		l.bytes -= l.arena.nodes[i].size
 		l.arena.unlink(i)
 		l.arena.release(i)
-		delete(l.index, id)
 	}
 }
 
 // Contains implements Eviction.
-func (l *LRU) Contains(id uint64) bool { _, ok := l.index[id]; return ok }
+func (l *LRU) Contains(id uint64) bool { return l.index.get(id) != nil }
 
 // Size implements Eviction.
 func (l *LRU) Size(id uint64) int64 {
-	if i, ok := l.index[id]; ok {
-		return l.arena.nodes[i].size
+	if p := l.index.get(id); p != nil {
+		return l.arena.nodes[*p].size
 	}
 	return 0
 }
 
 // Len implements Eviction.
-func (l *LRU) Len() int { return len(l.index) }
+func (l *LRU) Len() int { return l.index.len() }
 
 // Bytes implements Eviction.
 func (l *LRU) Bytes() int64 { return l.bytes }
 
 // Entries implements Eviction (victim-first: LRU tail first).
 func (l *LRU) Entries() []ResidentObject {
-	return l.arena.appendVictimFirst(l.list, make([]ResidentObject, 0, len(l.index)))
+	return l.arena.appendVictimFirst(l.list, make([]ResidentObject, 0, l.index.len()))
 }
 
 // FIFO evicts in insertion order, ignoring hits.
 type FIFO struct {
 	arena *nodeArena
 	list  int32
-	index map[uint64]int32
+	index idTable[int32]
 	bytes int64
 }
 
 // NewFIFO returns an empty FIFO policy.
 func NewFIFO() *FIFO {
 	a := newNodeArena(64)
-	return &FIFO{arena: a, list: a.newList(), index: make(map[uint64]int32)}
+	return &FIFO{arena: a, list: a.newList()}
 }
 
 // Insert implements Eviction.
 func (f *FIFO) Insert(id uint64, size int64) {
-	if i, ok := f.index[id]; ok {
-		f.bytes += size - f.arena.nodes[i].size
-		f.arena.nodes[i].size = size
+	p, resident := f.index.upsert(id)
+	if resident {
+		f.bytes += size - f.arena.nodes[*p].size
+		f.arena.nodes[*p].size = size
 		return
 	}
 	i := f.arena.alloc(id, size)
 	f.arena.pushFront(f.list, i)
-	f.index[id] = i
+	*p = i
 	f.bytes += size
 }
 
@@ -168,7 +167,7 @@ func (f *FIFO) Insert(id uint64, size int64) {
 func (f *FIFO) Touch(uint64) {}
 
 // Hit implements Eviction; FIFO only reports presence.
-func (f *FIFO) Hit(id uint64) bool { _, ok := f.index[id]; return ok }
+func (f *FIFO) Hit(id uint64) bool { return f.index.get(id) != nil }
 
 // Victim implements Eviction.
 func (f *FIFO) Victim() (uint64, int64, bool) {
@@ -181,34 +180,33 @@ func (f *FIFO) Victim() (uint64, int64, bool) {
 
 // Remove implements Eviction.
 func (f *FIFO) Remove(id uint64) {
-	if i, ok := f.index[id]; ok {
+	if i, ok := f.index.delete(id); ok {
 		f.bytes -= f.arena.nodes[i].size
 		f.arena.unlink(i)
 		f.arena.release(i)
-		delete(f.index, id)
 	}
 }
 
 // Contains implements Eviction.
-func (f *FIFO) Contains(id uint64) bool { _, ok := f.index[id]; return ok }
+func (f *FIFO) Contains(id uint64) bool { return f.index.get(id) != nil }
 
 // Size implements Eviction.
 func (f *FIFO) Size(id uint64) int64 {
-	if i, ok := f.index[id]; ok {
-		return f.arena.nodes[i].size
+	if p := f.index.get(id); p != nil {
+		return f.arena.nodes[*p].size
 	}
 	return 0
 }
 
 // Len implements Eviction.
-func (f *FIFO) Len() int { return len(f.index) }
+func (f *FIFO) Len() int { return f.index.len() }
 
 // Bytes implements Eviction.
 func (f *FIFO) Bytes() int64 { return f.bytes }
 
 // Entries implements Eviction (victim-first: oldest insert first).
 func (f *FIFO) Entries() []ResidentObject {
-	return f.arena.appendVictimFirst(f.list, make([]ResidentObject, 0, len(f.index)))
+	return f.arena.appendVictimFirst(f.list, make([]ResidentObject, 0, f.index.len()))
 }
 
 // LFU evicts the least frequently used object, breaking ties by insertion
@@ -216,7 +214,7 @@ func (f *FIFO) Entries() []ResidentObject {
 // removed entries are pooled and reused so churn does not allocate.
 type LFU struct {
 	h     lfuHeap
-	index map[uint64]*lfuEntry
+	index idTable[*lfuEntry]
 	pool  []*lfuEntry
 	bytes int64
 	seq   uint64
@@ -260,15 +258,17 @@ func (h *lfuHeap) Pop() any {
 
 // NewLFU returns an empty LFU policy.
 func NewLFU() *LFU {
-	return &LFU{index: make(map[uint64]*lfuEntry)}
+	return &LFU{}
 }
 
 // Insert implements Eviction.
 func (l *LFU) Insert(id uint64, size int64) {
-	if e, ok := l.index[id]; ok {
+	p, resident := l.index.upsert(id)
+	if resident {
+		e := *p
 		l.bytes += size - e.size
 		e.size = size
-		l.Touch(id)
+		l.bump(e)
 		return
 	}
 	l.seq++
@@ -280,27 +280,28 @@ func (l *LFU) Insert(id uint64, size int64) {
 		e = new(lfuEntry)
 	}
 	*e = lfuEntry{id: id, size: size, seq: l.seq}
-	l.index[id] = e
+	*p = e
 	heap.Push(&l.h, e)
 	l.bytes += size
 }
 
 // Touch implements Eviction.
-func (l *LFU) Touch(id uint64) {
-	if e, ok := l.index[id]; ok {
-		e.hits++
-		heap.Fix(&l.h, e.index)
-	}
-}
+func (l *LFU) Touch(id uint64) { l.Hit(id) }
 
 // Hit implements Eviction.
 func (l *LFU) Hit(id uint64) bool {
-	e, ok := l.index[id]
-	if ok {
-		e.hits++
-		heap.Fix(&l.h, e.index)
+	p := l.index.get(id)
+	if p == nil {
+		return false
 	}
-	return ok
+	l.bump(*p)
+	return true
+}
+
+// bump records one more request for a resident entry and re-sorts it.
+func (l *LFU) bump(e *lfuEntry) {
+	e.hits++
+	heap.Fix(&l.h, e.index)
 }
 
 // Victim implements Eviction.
@@ -313,21 +314,20 @@ func (l *LFU) Victim() (uint64, int64, bool) {
 
 // Remove implements Eviction.
 func (l *LFU) Remove(id uint64) {
-	if e, ok := l.index[id]; ok {
+	if e, ok := l.index.delete(id); ok {
 		l.bytes -= e.size
 		heap.Remove(&l.h, e.index)
-		delete(l.index, id)
 		l.pool = append(l.pool, e)
 	}
 }
 
 // Contains implements Eviction.
-func (l *LFU) Contains(id uint64) bool { _, ok := l.index[id]; return ok }
+func (l *LFU) Contains(id uint64) bool { return l.index.get(id) != nil }
 
 // Size implements Eviction.
 func (l *LFU) Size(id uint64) int64 {
-	if e, ok := l.index[id]; ok {
-		return e.size
+	if p := l.index.get(id); p != nil {
+		return (*p).size
 	}
 	return 0
 }

@@ -2,10 +2,10 @@ package cache
 
 // ExactTracker counts per-object requests and remembers each object's
 // previous request index so the recency knob can be evaluated. Counts and
-// last-seen indices live in one map so the per-request Observe costs a single
-// lookup plus a single store.
+// last-seen indices live in one table entry, so the per-request Observe is a
+// single find-or-insert probe and an in-place update.
 type ExactTracker struct {
-	objects map[uint64]exactEntry
+	objects idTable[exactEntry]
 }
 
 type exactEntry struct {
@@ -15,7 +15,7 @@ type exactEntry struct {
 
 // NewExactTracker returns an empty exact tracker.
 func NewExactTracker() *ExactTracker {
-	return &ExactTracker{objects: make(map[uint64]exactEntry)}
+	return &ExactTracker{}
 }
 
 // Observe records a request for id arriving as request number idx (0-based,
@@ -23,21 +23,25 @@ func NewExactTracker() *ExactTracker {
 // this request, and the object's age: the number of requests since its
 // previous request, or -1 if this is the first.
 func (t *ExactTracker) Observe(id uint64, idx int64) (int, int64) {
-	e, ok := t.objects[id]
+	e, seen := t.objects.upsert(id)
 	age := int64(-1)
-	if ok {
+	if seen {
 		age = idx - e.lastSeen
 	}
 	e.count++
 	e.lastSeen = idx
-	t.objects[id] = e
 	return e.count, age
 }
 
 // Reset clears all state.
 func (t *ExactTracker) Reset() {
-	t.objects = make(map[uint64]exactEntry)
+	t.objects = idTable[exactEntry]{}
 }
 
 // Count returns the exact observed count for id.
-func (t *ExactTracker) Count(id uint64) int { return t.objects[id].count }
+func (t *ExactTracker) Count(id uint64) int {
+	if e := t.objects.get(id); e != nil {
+		return e.count
+	}
+	return 0
+}

@@ -10,7 +10,7 @@ import "container/heap"
 // a further eviction ablation beyond the paper's LRU default.
 type GDSF struct {
 	h     gdsfHeap
-	index map[uint64]*gdsfEntry
+	index idTable[*gdsfEntry]
 	pool  []*gdsfEntry
 	bytes int64
 	l     float64 // inflation
@@ -56,7 +56,7 @@ func (h *gdsfHeap) Pop() any {
 
 // NewGDSF returns an empty GDSF policy.
 func NewGDSF() *GDSF {
-	return &GDSF{index: make(map[uint64]*gdsfEntry)}
+	return &GDSF{}
 }
 
 func (g *GDSF) priority(freq float64, size int64) float64 {
@@ -68,10 +68,11 @@ func (g *GDSF) priority(freq float64, size int64) float64 {
 
 // Insert implements Eviction.
 func (g *GDSF) Insert(id uint64, size int64) {
-	if e, ok := g.index[id]; ok {
-		g.bytes += size - e.size
-		e.size = size
-		g.Touch(id)
+	p, resident := g.index.upsert(id)
+	if resident {
+		g.bytes += size - (*p).size
+		(*p).size = size
+		g.bump(*p)
 		return
 	}
 	g.seq++
@@ -84,29 +85,29 @@ func (g *GDSF) Insert(id uint64, size int64) {
 	}
 	*e = gdsfEntry{id: id, size: size, freq: 1, seq: g.seq}
 	e.prio = g.priority(e.freq, size)
-	g.index[id] = e
+	*p = e
 	heap.Push(&g.h, e)
 	g.bytes += size
 }
 
 // Touch implements Eviction.
-func (g *GDSF) Touch(id uint64) {
-	if e, ok := g.index[id]; ok {
-		e.freq++
-		e.prio = g.priority(e.freq, e.size)
-		heap.Fix(&g.h, e.index)
-	}
-}
+func (g *GDSF) Touch(id uint64) { g.Hit(id) }
 
 // Hit implements Eviction.
 func (g *GDSF) Hit(id uint64) bool {
-	e, ok := g.index[id]
-	if ok {
-		e.freq++
-		e.prio = g.priority(e.freq, e.size)
-		heap.Fix(&g.h, e.index)
+	p := g.index.get(id)
+	if p == nil {
+		return false
 	}
-	return ok
+	g.bump(*p)
+	return true
+}
+
+// bump records one more request for a resident entry and re-sorts it.
+func (g *GDSF) bump(e *gdsfEntry) {
+	e.freq++
+	e.prio = g.priority(e.freq, e.size)
+	heap.Fix(&g.h, e.index)
 }
 
 // Victim implements Eviction.
@@ -120,7 +121,7 @@ func (g *GDSF) Victim() (uint64, int64, bool) {
 // Remove implements Eviction; evicting the current minimum advances the
 // inflation value L (the greedy-dual aging mechanism).
 func (g *GDSF) Remove(id uint64) {
-	e, ok := g.index[id]
+	e, ok := g.index.delete(id)
 	if !ok {
 		return
 	}
@@ -129,23 +130,22 @@ func (g *GDSF) Remove(id uint64) {
 	}
 	g.bytes -= e.size
 	heap.Remove(&g.h, e.index)
-	delete(g.index, id)
 	g.pool = append(g.pool, e)
 }
 
 // Contains implements Eviction.
-func (g *GDSF) Contains(id uint64) bool { _, ok := g.index[id]; return ok }
+func (g *GDSF) Contains(id uint64) bool { return g.index.get(id) != nil }
 
 // Size implements Eviction.
 func (g *GDSF) Size(id uint64) int64 {
-	if e, ok := g.index[id]; ok {
-		return e.size
+	if p := g.index.get(id); p != nil {
+		return (*p).size
 	}
 	return 0
 }
 
 // Len implements Eviction.
-func (g *GDSF) Len() int { return len(g.index) }
+func (g *GDSF) Len() int { return g.index.len() }
 
 // Bytes implements Eviction.
 func (g *GDSF) Bytes() int64 { return g.bytes }

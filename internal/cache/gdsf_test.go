@@ -46,7 +46,7 @@ func TestGDSFInflationAges(t *testing.T) {
 	g.Insert(3, 100)
 	// Object 3 enters at L + 1/100, not at 1/100: aging protects it from
 	// being starved behind historical high-frequency objects forever.
-	e3 := g.index[3]
+	e3 := *g.index.get(3)
 	if e3.prio <= 1.0/100 {
 		t.Fatalf("newcomer priority %v not inflated", e3.prio)
 	}

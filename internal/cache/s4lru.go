@@ -12,7 +12,7 @@ package cache
 type S4LRU struct {
 	arena *nodeArena
 	segs  [4]int32 // sentinel per segment; index 0 = lowest; front = most recent
-	index map[uint64]s4Pos
+	index idTable[s4Pos]
 	bytes int64
 	// segBytes tracks per-segment resident bytes; each segment is balanced
 	// to at most 1/4 of total bytes on insertion/promotion.
@@ -30,7 +30,7 @@ type s4Pos struct {
 // bytes to capHint/4; a zero hint disables segment balancing (segments then
 // only bound each other through demotion on eviction pressure).
 func NewS4LRU(capHint int64) *S4LRU {
-	s := &S4LRU{arena: newNodeArena(64), index: make(map[uint64]s4Pos), capHint: capHint}
+	s := &S4LRU{arena: newNodeArena(64), capHint: capHint}
 	for i := range s.segs {
 		s.segs[i] = s.arena.newList()
 	}
@@ -39,7 +39,8 @@ func NewS4LRU(capHint int64) *S4LRU {
 
 // Insert implements Eviction: new objects enter segment 0.
 func (s *S4LRU) Insert(id uint64, size int64) {
-	if p, ok := s.index[id]; ok {
+	p, resident := s.index.upsert(id)
+	if resident {
 		old := s.arena.nodes[p.node].size
 		s.bytes += size - old
 		s.segBytes[p.seg] += size - old
@@ -49,7 +50,7 @@ func (s *S4LRU) Insert(id uint64, size int64) {
 	}
 	i := s.arena.alloc(id, size)
 	s.arena.pushFront(s.segs[0], i)
-	s.index[id] = s4Pos{node: i, seg: 0}
+	*p = s4Pos{node: i, seg: 0}
 	s.bytes += size
 	s.segBytes[0] += size
 	s.balance(0)
@@ -60,8 +61,8 @@ func (s *S4LRU) Touch(id uint64) { s.Hit(id) }
 
 // Hit implements Eviction.
 func (s *S4LRU) Hit(id uint64) bool {
-	p, ok := s.index[id]
-	if !ok {
+	p := s.index.get(id)
+	if p == nil {
 		return false
 	}
 	target := p.seg
@@ -73,7 +74,7 @@ func (s *S4LRU) Hit(id uint64) bool {
 	s.segBytes[p.seg] -= size
 	s.arena.pushFront(s.segs[target], p.node)
 	s.segBytes[target] += size
-	s.index[id] = s4Pos{node: p.node, seg: target}
+	p.seg = target
 	s.balance(int(target))
 	return true
 }
@@ -95,7 +96,7 @@ func (s *S4LRU) balance(from int) {
 			s.segBytes[seg] -= size
 			s.arena.pushFront(s.segs[seg-1], i)
 			s.segBytes[seg-1] += size
-			s.index[id] = s4Pos{node: i, seg: int8(seg - 1)}
+			s.index.get(id).seg = int8(seg - 1)
 		}
 	}
 }
@@ -112,7 +113,7 @@ func (s *S4LRU) Victim() (uint64, int64, bool) {
 
 // Remove implements Eviction.
 func (s *S4LRU) Remove(id uint64) {
-	p, ok := s.index[id]
+	p, ok := s.index.delete(id)
 	if !ok {
 		return
 	}
@@ -121,29 +122,28 @@ func (s *S4LRU) Remove(id uint64) {
 	s.arena.release(p.node)
 	s.segBytes[p.seg] -= size
 	s.bytes -= size
-	delete(s.index, id)
 }
 
 // Contains implements Eviction.
-func (s *S4LRU) Contains(id uint64) bool { _, ok := s.index[id]; return ok }
+func (s *S4LRU) Contains(id uint64) bool { return s.index.get(id) != nil }
 
 // Size implements Eviction.
 func (s *S4LRU) Size(id uint64) int64 {
-	if p, ok := s.index[id]; ok {
+	if p := s.index.get(id); p != nil {
 		return s.arena.nodes[p.node].size
 	}
 	return 0
 }
 
 // Len implements Eviction.
-func (s *S4LRU) Len() int { return len(s.index) }
+func (s *S4LRU) Len() int { return s.index.len() }
 
 // Bytes implements Eviction.
 func (s *S4LRU) Bytes() int64 { return s.bytes }
 
 // Entries implements Eviction (victim-first: lowest segment tails first).
 func (s *S4LRU) Entries() []ResidentObject {
-	out := make([]ResidentObject, 0, len(s.index))
+	out := make([]ResidentObject, 0, s.index.len())
 	for _, list := range s.segs {
 		out = s.arena.appendVictimFirst(list, out)
 	}

@@ -329,7 +329,9 @@ func (s *Sharded) SetAdmission(f AdmissionFunc) {
 }
 
 // HOCBytes returns resident HOC bytes summed across shards.
-func (s *Sharded) HOCBytes() int64 { return s.sumLevel(func(h *Hierarchy) int64 { return h.HOCBytes() }) }
+func (s *Sharded) HOCBytes() int64 {
+	return s.sumLevel(func(h *Hierarchy) int64 { return h.HOCBytes() })
+}
 
 // DCBytes returns resident DC bytes summed across shards.
 func (s *Sharded) DCBytes() int64 { return s.sumLevel(func(h *Hierarchy) int64 { return h.DCBytes() }) }

@@ -26,24 +26,23 @@ type TrackerState struct {
 // trackerExact is the one tracker kind the checkpoint format carries.
 const trackerExact = "exact"
 
-// State snapshots the exact tracker, sorted by id for deterministic output.
+// State snapshots the exact tracker, sorted by id for deterministic output
+// (the table's slot order is an artefact of its growth history).
 func (t *ExactTracker) State() *TrackerState {
+	n := t.objects.len()
+	ids := make([]uint64, 0, n)
+	t.objects.each(func(id uint64, _ *exactEntry) { ids = append(ids, id) })
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	st := &TrackerState{
 		Kind:     trackerExact,
-		IDs:      make([]uint64, 0, len(t.objects)),
-		Counts:   make([]int, 0, len(t.objects)),
-		LastSeen: make([]int64, 0, len(t.objects)),
+		IDs:      ids,
+		Counts:   make([]int, n),
+		LastSeen: make([]int64, n),
 	}
-	ids := make([]uint64, 0, len(t.objects))
-	for id := range t.objects {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		e := t.objects[id]
-		st.IDs = append(st.IDs, id)
-		st.Counts = append(st.Counts, e.count)
-		st.LastSeen = append(st.LastSeen, e.lastSeen)
+	for i, id := range ids {
+		e := t.objects.get(id)
+		st.Counts[i] = e.count
+		st.LastSeen[i] = e.lastSeen
 	}
 	return st
 }
@@ -66,7 +65,8 @@ func trackerFromState(st *TrackerState) (*ExactTracker, error) {
 		if st.Counts[i] <= 0 {
 			return nil, fmt.Errorf("cache: exact tracker state has count %d for id %d", st.Counts[i], id)
 		}
-		t.objects[id] = exactEntry{count: st.Counts[i], lastSeen: st.LastSeen[i]}
+		e, _ := t.objects.upsert(id)
+		*e = exactEntry{count: st.Counts[i], lastSeen: st.LastSeen[i]}
 	}
 	return t, nil
 }

@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"reflect"
+	"sort"
 	"testing"
 
 	"darwin/internal/trace"
@@ -381,6 +384,51 @@ func TestShardedMergeDC(t *testing.T) {
 	for id := range unique {
 		if inheritor.Lookup(id) == Miss {
 			t.Fatalf("donor object %d not resident after sharded merge", id)
+		}
+	}
+}
+
+// statePins are the SHA-256 digests of the JSON checkpoint state, per
+// eviction policy, recorded at commit da7068a — the last one whose per-object
+// indexes were built-in maps. Same history, same bytes: the snapshot must not
+// start depending on how the index lays its entries out.
+var statePins = map[string]string{
+	"lru":   "efcb76cb1832ae44f0eaab2b3851b94bfd3545d019b7e06c180833dae17b32fc",
+	"fifo":  "89866b4db9d3b29b607289a5c292abf815fdf76a4330b93389b7c0f28fcb9406",
+	"lfu":   "5ad4d0b651d4126425b929c4bf6b8e116277097548544438dc23b98f6424f2e8",
+	"s4lru": "3737a97db02790149af21dd05381e737792d3ebc685622d2863ff301dcb54c7d",
+	"gdsf":  "5ee1fc45fa6b307f975037a00dda814dc8ccaf76d582ababd6b82d266c121465",
+}
+
+func TestStateBytesPinned(t *testing.T) {
+	for _, policy := range []string{"lru", "fifo", "lfu", "s4lru", "gdsf"} {
+		cfg := newStateTestConfig()
+		cfg.HOCEviction, cfg.DCEviction = policy, policy
+		eng, err := NewSharded(cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := uint64(0x9e3779b97f4a7c15)
+		for i := 0; i < 30_000; i++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			id := x % 3000 * (x%7 + 1) // 3000 hot ids and a long tail: the tracker grows, the levels churn
+			eng.Serve(trace.Request{ID: id, Size: int64(1024 + id*13%15360)})
+		}
+		st := eng.State()
+		for i, sh := range st.Shards {
+			if ids := sh.Tracker.IDs; !sort.SliceIsSorted(ids, func(a, b int) bool { return ids[a] < ids[b] }) {
+				t.Errorf("%s: shard %d tracker ids are not sorted", policy, i)
+			}
+		}
+		blob, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		if got := hex.EncodeToString(sum[:]); got != statePins[policy] {
+			t.Errorf("%s: state digest %s, pinned %s (%d bytes)", policy, got, statePins[policy], len(blob))
 		}
 	}
 }

@@ -57,13 +57,13 @@ func (c *Controller) CheckpointState() *ControllerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := &ControllerState{
-		Phase:      c.phase.String(),
-		Epoch:      c.epoch,
-		EpochReqs:  c.epochReqs,
-		RoundReqs:  c.roundReqs,
-		ClusterID:  c.clusterID,
-		Set:        append([]int(nil), c.set...),
-		Extended:   append([]float64(nil), c.extended...),
+		Phase:     c.phase.String(),
+		Epoch:     c.epoch,
+		EpochReqs: c.epochServesLocked(),
+		RoundReqs: c.roundReqs,
+		ClusterID: c.clusterID,
+		Set:       append([]int(nil), c.set...),
+		Extended:  append([]float64(nil), c.extended...),
 		Prof: SizeProfile{
 			Fractions: append([]float64(nil), c.prof.Fractions...),
 			Sizes:     append([]float64(nil), c.prof.Sizes...),
@@ -181,12 +181,17 @@ func (c *Controller) commitRestoreLocked(plan restorePlan) {
 	c.diags = append([]EpochDiag(nil), st.Diags...)
 	c.learningNS = st.LearningNS
 	c.extractor.Reset()
-	if plan.phase == PhaseWarmup {
+	left := 0 // only exploit counts lock-free
+	switch plan.phase {
+	case PhaseWarmup:
 		// Mid-warmup feature state is not recoverable: re-enter this epoch's
 		// warm-up from its start, keeping the engine's deployed expert.
 		c.epochReqs = 0
 		c.roundReqs = 0
+	case PhaseExploit:
+		left = c.cfg.Epoch - c.epochReqs
 	}
+	c.exploitLeft.Store(int64(left))
 	if plan.setExpert {
 		c.eng.SetExpert(c.model.Experts[c.set[c.curArm]])
 	}

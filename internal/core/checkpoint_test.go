@@ -5,10 +5,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"darwin/internal/cache"
 	"darwin/internal/persist"
+	"darwin/internal/trace"
 )
 
 // newShardedController builds the proxy-shaped stack: controller over a
@@ -117,6 +119,69 @@ func TestCheckpointResumeMidIdentify(t *testing.T) {
 		if da[i] != db[i] {
 			t.Fatalf("diag %d diverges: %+v vs %+v", i, da[i], db[i])
 		}
+	}
+}
+
+// TestCheckpointResumeMidExploit: in exploit the epoch position lives in the
+// lock-free countdown, not in epochReqs — a counter that froze at exploit
+// entry passes the identify and warm-up tests. A snapshot taken k requests
+// into exploit must carry the exact position, and the resumed controller must
+// roll the epoch on the same request as the uninterrupted one.
+func TestCheckpointResumeMidExploit(t *testing.T) {
+	m := trainedModel(t)
+	c, eng := newShardedController(t, m)
+	traces := testTraces(t)
+	reqs := append(append([]trace.Request(nil), traces[3].Requests...), traces[4].Requests...)
+	cfg := onlineCfg()
+
+	i := 0
+	for ; c.Phase() != PhaseExploit; i++ {
+		if i == cfg.Epoch-200 {
+			t.Fatal("first epoch never reached exploit with room to spare")
+		}
+		c.Serve(reqs[i])
+	}
+	for k := 0; k < 137; k++ {
+		c.Serve(reqs[i])
+		i++
+	}
+
+	ck := checkpointOf(t, c, eng, m)
+	if ck.Controller.Phase != "exploit" || ck.Controller.EpochReqs != i {
+		t.Fatalf("snapshot after %d serves says %s at %d", i, ck.Controller.Phase, ck.Controller.EpochReqs)
+	}
+	payload, err := EncodeCheckpoint(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeCheckpoint(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := resume(t, decoded)
+	if got := r.CheckpointState(); got.Phase != "exploit" || got.EpochReqs != i {
+		t.Fatalf("resumed controller is in %s at %d, want exploit at %d", got.Phase, got.EpochReqs, i)
+	}
+
+	rolledAt := -1
+	for ; i < len(reqs); i++ {
+		if a, b := c.Serve(reqs[i]), r.Serve(reqs[i]); a != b {
+			t.Fatalf("request %d: results diverge (%v vs %v)", i, a, b)
+		}
+		sa, sb := c.CheckpointState(), r.CheckpointState()
+		if sa.Phase != sb.Phase || sa.Epoch != sb.Epoch || sa.EpochReqs != sb.EpochReqs {
+			t.Fatalf("request %d: positions diverge: %s %d/%d vs %s %d/%d", i,
+				sa.Phase, sa.Epoch, sa.EpochReqs, sb.Phase, sb.Epoch, sb.EpochReqs)
+		}
+		if rolledAt < 0 && sb.Epoch == 1 {
+			rolledAt = i
+		}
+	}
+	if rolledAt != cfg.Epoch-1 {
+		t.Fatalf("epoch rolled on request %d, want %d", rolledAt, cfg.Epoch-1)
+	}
+	if da, db := c.Diags(), r.Diags(); !reflect.DeepEqual(da, db) || len(da) < 2 {
+		t.Fatalf("diags diverge or second epoch undecided:\n%+v\n%+v", da, db)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"darwin/internal/bandit"
@@ -134,30 +135,48 @@ type EpochDiag struct {
 // Controller drives Darwin's online phase over a cache engine — the serial
 // Hierarchy in simulation, or a Sharded engine behind the concurrent proxy.
 // The cache Serve itself runs at the engine's concurrency (shard-parallel for
-// Sharded); only the small per-request state-machine update serializes under
-// the controller mutex, and expert deployments at warm-up, round, and epoch
+// Sharded). What the controller adds per request depends on the phase: during
+// warm-up and identification the state machine advances under mu; in
+// PhaseExploit — the rest of the epoch, most of it — a request is one atomic
+// decrement of exploitLeft and touches mu only if it is the one that
+// completes the epoch. Expert deployments at warm-up, round, and epoch
 // boundaries broadcast to every shard through Engine.SetExpert.
 type Controller struct {
 	model *Model
 	eng   cache.Engine
 	cfg   OnlineConfig
 
-	// mu serializes the online state machine; the fields below are all
-	// guarded by mu.
-	mu         sync.Mutex
-	phase      Phase
-	epoch      int
-	epochReqs  int
-	extractor  *features.Extractor
-	set        []int
-	alg        *bandit.Algorithm
-	curArm     int
-	roundStart cache.Metrics
-	roundReqs  int
-	extended   []float64
-	prof       SizeProfile
-	clusterID  int
-	diags      []EpochDiag
+	// exploitLeft is the steady state's only per-request word: how many more
+	// serves the current epoch takes while the phase is PhaseExploit. It is
+	// stored (positive) under mu when exploit is entered or restored, and
+	// decremented without mu by Serve; a decrement that leaves it positive
+	// has counted that serve into the epoch and is done. Zero or less means
+	// "take mu": either the phase is not exploit, or every serve of the epoch
+	// but its last is counted and the next holder of mu is that last one.
+	exploitLeft atomic.Int64
+
+	// mu serializes the online state machine: everything below it.
+	mu    sync.Mutex
+	phase Phase // guarded by mu
+	epoch int   // 0-based epoch number; guarded by mu
+	// epochReqs counts this epoch's serves through warm-up and
+	// identification and stands still in exploit, where exploitLeft carries
+	// the count (epochServesLocked reads either); guarded by mu.
+	epochReqs int
+	extractor *features.Extractor // warm-up feature estimator; guarded by mu
+	// The identification run: the cluster's expert set, the bandit over it,
+	// the deployed arm and the open round.
+	set        []int             // guarded by mu
+	alg        *bandit.Algorithm // guarded by mu
+	curArm     int               // guarded by mu
+	roundStart cache.Metrics     // guarded by mu
+	roundReqs  int               // guarded by mu
+	// What warm-up learned.
+	extended  []float64   // guarded by mu
+	prof      SizeProfile // guarded by mu
+	clusterID int         // guarded by mu
+	diags     []EpochDiag // per-epoch decision log; guarded by mu
+	// learningNS is cumulative boundary learning time; guarded by mu.
 	learningNS int64
 }
 
@@ -219,7 +238,7 @@ func (c *Controller) Engine() cache.Engine { return c.eng }
 
 // Concurrent reports whether the controller may be driven from multiple
 // goroutines at once: true when the underlying engine is concurrency-safe
-// (the state machine itself always serializes under the controller mutex).
+// (the state machine itself is: an atomic count in exploit, mu elsewhere).
 func (c *Controller) Concurrent() bool { return c.eng.Concurrent() }
 
 // Name implements the baselines.Server naming convention.
@@ -247,12 +266,40 @@ func (c *Controller) ResetMetrics() { c.eng.ResetMetrics() }
 func (c *Controller) Lookup(id uint64) cache.Result { return c.eng.Lookup(id) }
 
 // Serve processes one request through the cache and advances the controller
-// state machine. The cache access runs at the engine's own concurrency; only
-// the state-machine bookkeeping holds the controller mutex.
+// state machine. The cache access runs at the engine's own concurrency. In
+// PhaseExploit the bookkeeping is the single atomic decrement below; every
+// other request — warm-up, identification, and the one that completes an
+// epoch — goes through serveLocked.
+//
+// Under any interleaving every Serve is counted into exactly one epoch and
+// an epoch is exactly cfg.Epoch serves: exploit is entered with exploitLeft =
+// cfg.Epoch − serves so far, all but one of that many decrements come back
+// positive, and each of those is a serve of this epoch; any other decrement
+// counted nothing, and its serve is counted under mu — the first of them as
+// the epoch's last (exploit does not look at the request, so which serve
+// that is does not matter), the rest into the next epoch.
 func (c *Controller) Serve(r trace.Request) cache.Result {
 	res := c.eng.Serve(r)
+	if c.exploitLeft.Add(-1) <= 0 {
+		c.serveLocked(r)
+	}
+	return res
+}
+
+// serveLocked is every Serve that is not a steady-state exploit serve.
+func (c *Controller) serveLocked(r trace.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.phase == PhaseExploit {
+		// Exploit may have been entered (or restored) while this serve
+		// waited for mu: then it joins the epoch the way the lock-free path
+		// does. Otherwise the count was already spent, and this serve is the
+		// one the epoch is waiting for.
+		if c.exploitLeft.Add(-1) > 0 {
+			return
+		}
+		c.epochReqs = c.cfg.Epoch - 1
+	}
 	c.epochReqs++
 	switch c.phase {
 	case PhaseWarmup:
@@ -270,10 +317,24 @@ func (c *Controller) Serve(r trace.Request) cache.Result {
 			c.learningNS += time.Since(start).Nanoseconds()
 		}
 	}
-	if c.epochReqs >= c.cfg.Epoch {
+	switch {
+	case c.epochReqs >= c.cfg.Epoch:
 		c.finishEpochLocked()
+	case c.phase == PhaseExploit:
+		// Exploit was just entered: the rest of the epoch is counted
+		// lock-free.
+		c.exploitLeft.Store(int64(c.cfg.Epoch - c.epochReqs))
 	}
-	return res
+}
+
+// epochServesLocked returns how many serves the current epoch has counted.
+// In exploit that is never the whole epoch: the last serve counts itself
+// under mu and rolls the epoch in the same critical section.
+func (c *Controller) epochServesLocked() int {
+	if c.phase != PhaseExploit {
+		return c.epochReqs
+	}
+	return c.cfg.Epoch - int(max(c.exploitLeft.Load(), 1))
 }
 
 // Play serves an entire trace.

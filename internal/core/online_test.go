@@ -1,11 +1,13 @@
 package core
 
 import (
+	"sync"
+	"sync/atomic"
+	"testing"
 	"time"
 
-	"testing"
-
 	"darwin/internal/cache"
+	"darwin/internal/trace"
 	"darwin/internal/tracegen"
 )
 
@@ -21,7 +23,7 @@ func onlineCfg() OnlineConfig {
 	}
 }
 
-func trainedModel(t *testing.T) *Model {
+func trainedModel(t testing.TB) *Model {
 	t.Helper()
 	ds := testDataset(t)
 	m, err := Train(ds, TrainConfig{NumClusters: 3, Seed: 1})
@@ -284,4 +286,125 @@ func TestLearningDurationAccounting(t *testing.T) {
 	if d > time.Second {
 		t.Fatalf("learning time %v implausibly large for a %d-request trace", d, tr.Len())
 	}
+}
+
+// TestControllerConcurrentEpochs drives one controller over a sharded engine
+// from several goroutines across many epochs. Goroutines serve in waves
+// shorter than an epoch and misaligned with it, so every epoch boundary falls
+// inside a wave with all of them racing for it; between waves the position
+// must be exact — total serves == epochs·Epoch + position in the open epoch —
+// which pins every single epoch at exactly cfg.Epoch serves and rules out a
+// serve counted twice or dropped at a boundary. A poller reads the engine's
+// lock-free metrics and the controller's checkpoint throughout.
+func TestControllerConcurrentEpochs(t *testing.T) {
+	m := trainedModel(t)
+	ec := testEval()
+	eng, err := cache.NewSharded(cache.Config{HOCBytes: ec.HOCBytes, DCBytes: ec.DCBytes}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := onlineCfg()
+	cfg.Epoch, cfg.Warmup, cfg.Round = 2000, 300, 100
+	c, err := NewController(m, eng, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := testTraces(t)[5]
+
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if m := eng.Metrics(); m.HOCHits+m.DCHits+m.Misses != m.Requests {
+				t.Errorf("snapshot: hits+misses %d != requests %d", m.HOCHits+m.DCHits+m.Misses, m.Requests)
+				return
+			}
+			if st := c.CheckpointState(); st.EpochReqs < 0 || st.EpochReqs >= cfg.Epoch {
+				t.Errorf("checkpoint mid-run: %s at %d of %d", st.Phase, st.EpochReqs, cfg.Epoch)
+				return
+			}
+		}
+	}()
+
+	const workers, perWave, waves = 4, 131, 160 // 524 per wave; 83840 serves, 41 epochs
+	total, sawExploit := 0, false
+	for w := 0; w < waves; w++ {
+		var wg sync.WaitGroup
+		for g := 0; g < workers; g++ {
+			wg.Add(1)
+			go func(first int) {
+				defer wg.Done()
+				for i := first; i < first+perWave; i++ {
+					c.Serve(tr.Requests[i%tr.Len()])
+				}
+			}(total + g*perWave)
+		}
+		wg.Wait()
+		total += workers * perWave
+		st := c.CheckpointState()
+		if got := st.Epoch*cfg.Epoch + st.EpochReqs; got != total {
+			t.Fatalf("after %d serves the controller has counted %d (epoch %d + %d, %s)",
+				total, got, st.Epoch, st.EpochReqs, st.Phase)
+		}
+		if req := c.Metrics().Requests; req != int64(total) {
+			t.Fatalf("after %d serves the engine has counted %d", total, req)
+		}
+		sawExploit = sawExploit || st.Phase == "exploit"
+	}
+	close(stop)
+	<-polled
+	if !sawExploit {
+		t.Fatal("no wave ended in exploit: the lock-free path never ran")
+	}
+	if got, want := len(c.Diags()), total/cfg.Epoch; got < want {
+		t.Fatalf("%d epoch decisions recorded over %d complete epochs", got, want)
+	}
+}
+
+// BenchmarkControllerServe prices what the controller adds to an engine
+// serve in the steady state (PhaseExploit), from one goroutine and from
+// GOMAXPROCS of them.
+func BenchmarkControllerServe(b *testing.B) {
+	exploiting := func(b *testing.B) (*Controller, []trace.Request) {
+		ec := testEval()
+		eng, err := cache.NewSharded(cache.Config{HOCBytes: ec.HOCBytes, DCBytes: ec.DCBytes}, cache.AutoShards())
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := onlineCfg()
+		cfg.Epoch = 1 << 40 // the timed loop never meets a boundary
+		c, err := NewController(trainedModel(b), eng, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		reqs := testTraces(b)[5].Requests
+		for i := 0; c.Phase() != PhaseExploit; i++ {
+			c.Serve(reqs[i%len(reqs)])
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		return c, reqs
+	}
+	b.Run("serial", func(b *testing.B) {
+		c, reqs := exploiting(b)
+		for i := 0; i < b.N; i++ {
+			c.Serve(reqs[i%len(reqs)])
+		}
+	})
+	b.Run("parallel", func(b *testing.B) {
+		c, reqs := exploiting(b)
+		var next atomic.Int64
+		b.RunParallel(func(pb *testing.PB) {
+			i := int(next.Add(1)) * 4099 // each goroutine starts elsewhere in the trace
+			for pb.Next() {
+				c.Serve(reqs[i%len(reqs)])
+				i++
+			}
+		})
+	})
 }

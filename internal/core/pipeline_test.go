@@ -26,7 +26,7 @@ func testExperts() []cache.Expert {
 	return cache.Grid([]int{1, 3, 5}, []int64{2 << 10, 20 << 10, 200 << 10})
 }
 
-func testTraces(t *testing.T) []*trace.Trace {
+func testTraces(t testing.TB) []*trace.Trace {
 	t.Helper()
 	var out []*trace.Trace
 	for _, pct := range []int{0, 25, 50, 75, 100} {
@@ -41,7 +41,7 @@ func testTraces(t *testing.T) []*trace.Trace {
 	return out
 }
 
-func testDataset(t *testing.T) *Dataset {
+func testDataset(t testing.TB) *Dataset {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		fixtureDS, fixtureErr = BuildDataset(testTraces(t), DatasetConfig{

@@ -24,9 +24,9 @@ const (
 	opPut    = 1
 	opDelete = 2
 
-	recordHeader = 8             // length + crc32
-	putPayload   = 1 + 8 + 8     // op + id + size
-	delPayload   = 1 + 8         // op + id
+	recordHeader = 8         // length + crc32
+	putPayload   = 1 + 8 + 8 // op + id + size
+	delPayload   = 1 + 8     // op + id
 	putRecord    = recordHeader + putPayload
 	delRecord    = recordHeader + delPayload
 	recordMax    = putRecord

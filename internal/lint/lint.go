@@ -126,6 +126,9 @@ func DefaultConfig() Config {
 			"darwin/internal/cache.Hierarchy.Serve",
 			"darwin/internal/cache.Sharded.Serve",
 			"darwin/internal/cache.Eviction.Hit",
+			// The decider's per-request step: the engine serve plus one atomic
+			// decrement in exploit (its boundary work is HotPathCold).
+			"darwin/internal/core.Controller.Serve",
 			// The proxy pipeline's hit path: ServeHTTP up to and including the
 			// Lookup-hit commit (its miss and shed exits are HotPathCold).
 			"darwin/internal/server.Proxy.ServeHTTP",

@@ -25,8 +25,8 @@ func WriteFileAtomic(path string, data []byte, perm fs.FileMode) error {
 	tmpName := tmp.Name()
 	// Any failure below removes the temp file; the destination is untouched.
 	fail := func(op string, err error) error {
-		_ = tmp.Close()          // already failing; surface the first error
-		_ = os.Remove(tmpName)   // best-effort cleanup of the orphaned temp
+		_ = tmp.Close()        // already failing; surface the first error
+		_ = os.Remove(tmpName) // best-effort cleanup of the orphaned temp
 		return fmt.Errorf("persist: %s for %s: %w", op, path, err)
 	}
 	if _, err := tmp.Write(data); err != nil {
