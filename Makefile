@@ -28,8 +28,7 @@ test:
 
 # lint runs the project's own stdlib-only static-analysis suite: determinism,
 # hot-path allocation, locking, error-hygiene, context-propagation, lock-order,
-# seqlock-publication, atomic-mixing, durable-IO, and goroutine-termination
-# rules (see internal/lint and the README's "Static analysis & verification").
+# atomic-mixing, durable-IO, and goroutine-termination rules (see internal/lint and the README's "Static analysis & verification").
 # The content-hash cache makes warm runs (no .go/go.mod/config change) replay
 # the stored result without type-checking; timing for both paths prints to
 # stderr.

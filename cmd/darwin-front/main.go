@@ -20,7 +20,6 @@ import (
 	"strings"
 	"time"
 
-	"darwin/internal/lb"
 	"darwin/internal/server"
 )
 
@@ -84,10 +83,9 @@ func main() {
 			fmt.Fprintf(w, "backend_status{node=%d} %s\nprobe_timeout{node=%d} %d\nprobe_refused{node=%d} %d\ngossip_phi{node=%d} %.3f\n",
 				i, front.MembershipStatus(i), i, timeouts, i, refused, i, memb.Phi(i))
 		}
-		var rs [lb.RsWidth]int64
-		front.ReplicationStats(rs[:])
+		rs := front.ReplicationStats()
 		fmt.Fprintf(w, "rep_observed %d\nrep_hot_objects %d\nrep_extra_replicas %d\nrep_max_factor %d\n",
-			rs[lb.RsObserved], rs[lb.RsHotObjects], rs[lb.RsExtraReplicas], rs[lb.RsMaxFactor])
+			rs.Observed, rs.HotObjects, rs.ExtraReplicas, rs.MaxFactor)
 	})
 
 	fmt.Fprintf(os.Stderr, "darwin-front: listening on %s over %d backends (%s)\n", o.addr, len(nodes), strings.Join(nodes, ","))

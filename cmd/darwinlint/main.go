@@ -1,7 +1,7 @@
 // Command darwinlint runs the repository's custom static-analysis suite (see
 // internal/lint): the determinism, hot-path allocation, locking, error-hygiene
 // and context-propagation rules, plus the whole-program concurrency and
-// durability analyzers (lockorder, seqlockpub, atomicmix, persistio, goctx),
+// durability analyzers (lockorder, atomicmix, persistio, goctx),
 // built only on the standard library's go/ast and go/types.
 //
 // Usage:

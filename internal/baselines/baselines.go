@@ -108,12 +108,8 @@ func (s *Static) Serve(r trace.Request) cache.Result { return s.eng.Serve(r) }
 // Lookup probes residency without mutating cache state (server.Decider).
 func (s *Static) Lookup(id uint64) cache.Result { return s.eng.Lookup(id) }
 
-// Metrics implements Server. Batched shard counters are published first, so
-// the read is exact rather than trailing by up to a publication batch.
-func (s *Static) Metrics() cache.Metrics {
-	s.eng.SyncMetrics()
-	return s.eng.Metrics()
-}
+// Metrics implements Server.
+func (s *Static) Metrics() cache.Metrics { return s.eng.Metrics() }
 
 // ResetMetrics implements Server.
 func (s *Static) ResetMetrics() { s.eng.ResetMetrics() }

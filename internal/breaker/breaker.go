@@ -25,20 +25,16 @@
 // the injected clock, so tests (and the overload chaos experiment) drive the
 // breaker with a fake clock and get bit-identical transition traces.
 //
-// Concurrency: mutations are serialized under one mutex, and after every
-// mutation the full state — current state, windowed counts, cumulative
-// transition and admission counters — is published into a stripe.Cell
-// (seqlock). State and Snapshot read the cell without taking the mutex, so
-// health/readiness probes and experiment reporters never contend with the
-// data plane.
+// Concurrency: one mutex serializes mutations and reads alike. State and
+// SnapshotNow take it for a copy and change nothing — neither the window nor
+// the open→half-open timer advances on a read — so health/readiness probes
+// and experiment reporters see exactly what the last Allow or Record left.
 package breaker
 
 import (
 	"errors"
 	"sync"
 	"time"
-
-	"darwin/internal/stripe"
 )
 
 // ErrOpen is returned by callers that found the breaker open: the fetch was
@@ -125,24 +121,9 @@ func (c Config) WithDefaults() Config {
 	return c
 }
 
-// Cell indexes for the published state mirror.
-const (
-	cState = iota
-	cWindowRequests
-	cWindowFailures
-	cOpens
-	cHalfOpens
-	cReopens
-	cCloses
-	cAllowed
-	cDenied
-	cProbes
-	cWidth
-)
-
-// Snapshot is a coherent point-in-time copy of the breaker's published
-// state: the windowed counts and every cumulative transition/admission
-// counter observed at one instant (seqlock read, never torn).
+// Snapshot is a coherent point-in-time copy of the breaker's state: the
+// windowed counts and every cumulative transition/admission counter
+// observed at one instant (read under the breaker mutex, never torn).
 type Snapshot struct {
 	// State is the breaker position at the snapshot instant.
 	State State
@@ -181,13 +162,8 @@ type Breaker struct {
 	// probes/probeOKs track the current half-open episode; guarded by mu.
 	probes, probeOKs int64
 	// opens, halfOpens, reopens, closes, allowed, denied, probesTotal are the
-	// cumulative counters mirrored into cell; guarded by mu.
+	// cumulative counters SnapshotNow reports; guarded by mu.
 	opens, halfOpens, reopens, closes, allowed, denied, probesTotal int64
-
-	// cell mirrors the guarded state for lock-free State/Snapshot reads; its
-	// writes happen inside mu's critical sections (the seqlock's external
-	// writer serialization).
-	cell *stripe.Cell
 }
 
 // New builds a breaker in the Closed state.
@@ -197,11 +173,9 @@ func New(cfg Config) *Breaker {
 		cfg:     cfg,
 		width:   cfg.Window / time.Duration(cfg.Buckets),
 		buckets: make([]bucket, cfg.Buckets),
-		cell:    stripe.NewCell(cWidth),
 	}
 	b.mu.Lock()
 	b.curStart = cfg.Clock()
-	b.publishLocked()
 	b.mu.Unlock()
 	return b
 }
@@ -219,7 +193,6 @@ func (b *Breaker) Allow() bool {
 	if b.state == Open {
 		if now.Sub(b.openedAt) < b.cfg.OpenFor {
 			b.denied++
-			b.publishLocked()
 			return false
 		}
 		// The cool-off elapsed: this call race-free transitions to half-open
@@ -231,14 +204,12 @@ func (b *Breaker) Allow() bool {
 	if b.state == HalfOpen {
 		if b.probes >= b.cfg.HalfOpenProbes {
 			b.denied++
-			b.publishLocked()
 			return false
 		}
 		b.probes++
 		b.probesTotal++
 	}
 	b.allowed++
-	b.publishLocked()
 	return true
 }
 
@@ -287,31 +258,34 @@ func (b *Breaker) Record(ok bool) {
 			}
 		}
 	}
-	b.publishLocked()
 }
 
-// State returns the current state via the lock-free mirror.
+// State returns the current state: what the last Allow or Record left. A
+// read never moves the breaker, so an Open whose cool-off has elapsed still
+// reads Open until the next Allow makes the half-open transition.
 func (b *Breaker) State() State {
-	return b.SnapshotNow().State
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
 }
 
-// SnapshotNow returns a coherent snapshot of the published state without
-// taking the breaker mutex (seqlock read), so reporters and readiness probes
-// never stall the data plane.
+// SnapshotNow returns a coherent snapshot of the state under the breaker
+// mutex, without advancing the window or the open→half-open timer.
 func (b *Breaker) SnapshotNow() Snapshot {
-	var v [cWidth]int64
-	b.cell.Snapshot(v[:])
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	reqs, fails := b.windowTotalsLocked()
 	return Snapshot{
-		State:          State(v[cState]),
-		WindowRequests: v[cWindowRequests],
-		WindowFailures: v[cWindowFailures],
-		Opens:          v[cOpens],
-		HalfOpens:      v[cHalfOpens],
-		Reopens:        v[cReopens],
-		Closes:         v[cCloses],
-		Allowed:        v[cAllowed],
-		Denied:         v[cDenied],
-		Probes:         v[cProbes],
+		State:          b.state,
+		WindowRequests: reqs,
+		WindowFailures: fails,
+		Opens:          b.opens,
+		HalfOpens:      b.halfOpens,
+		Reopens:        b.reopens,
+		Closes:         b.closes,
+		Allowed:        b.allowed,
+		Denied:         b.denied,
+		Probes:         b.probesTotal,
 	}
 }
 
@@ -350,21 +324,4 @@ func (b *Breaker) windowTotalsLocked() (reqs, fails int64) {
 		fails += bk.fail
 	}
 	return reqs, fails
-}
-
-// publishLocked mirrors the guarded state into the seqlock cell.
-func (b *Breaker) publishLocked() {
-	reqs, fails := b.windowTotalsLocked()
-	b.cell.Begin()
-	b.cell.Set(cState, int64(b.state))
-	b.cell.Set(cWindowRequests, reqs)
-	b.cell.Set(cWindowFailures, fails)
-	b.cell.Set(cOpens, b.opens)
-	b.cell.Set(cHalfOpens, b.halfOpens)
-	b.cell.Set(cReopens, b.reopens)
-	b.cell.Set(cCloses, b.closes)
-	b.cell.Set(cAllowed, b.allowed)
-	b.cell.Set(cDenied, b.denied)
-	b.cell.Set(cProbes, b.probesTotal)
-	b.cell.End()
 }

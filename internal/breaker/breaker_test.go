@@ -235,8 +235,8 @@ func TestBudget(t *testing.T) {
 
 // TestHalfOpenProbeRace hammers a half-open breaker from many goroutines and
 // asserts the probe budget is never exceeded: exactly HalfOpenProbes callers
-// win admission per episode, no matter how many race for it. Run under -race
-// this also exercises the seqlock mirror against concurrent snapshots.
+// win admission per episode, no matter how many race for it, with snapshot
+// reads interleaved.
 func TestHalfOpenProbeRace(t *testing.T) {
 	clock := newFakeClock()
 	cfg := testConfig(clock)
@@ -262,7 +262,7 @@ func TestHalfOpenProbeRace(t *testing.T) {
 			if b.Allow() {
 				admitted.Add(1)
 			}
-			_ = b.SnapshotNow() // concurrent lock-free reads
+			_ = b.SnapshotNow()
 		}()
 	}
 	close(start)
@@ -301,5 +301,118 @@ func TestBudgetRace(t *testing.T) {
 	wg.Wait()
 	if got := admitted.Load(); got != 5 {
 		t.Fatalf("admitted %d, want exactly 5", got)
+	}
+}
+
+// TestReadsDoNotAdvance pins that State and SnapshotNow report what the last
+// Allow or Record left and move nothing: an open breaker whose cool-off has
+// elapsed reads Open, with its window intact, until the next Allow makes the
+// transition — the front tier's readiness hook and the overload / flap
+// reports depend on reads being pure. The budget's window behaves the same.
+func TestReadsDoNotAdvance(t *testing.T) {
+	clock := newFakeClock()
+	cfg := testConfig(clock)
+	b := New(cfg)
+	for i := 0; i < 4; i++ {
+		b.Record(false)
+	}
+	clock.Advance(cfg.OpenFor + 2*cfg.Window)
+	for i := 0; i < 3; i++ {
+		s := b.SnapshotNow()
+		if b.State() != Open || s.State != Open || s.HalfOpens != 0 {
+			t.Fatalf("read %d after the cool-off elapsed: State() = %v, snapshot %+v, want Open and no half-open", i, b.State(), s)
+		}
+		if s.WindowRequests != 4 || s.WindowFailures != 4 {
+			t.Fatalf("read %d rolled the window: %+v, want 4 of 4 failed", i, s)
+		}
+	}
+	if !b.Allow() {
+		t.Fatal("first Allow after the cool-off was denied, want a half-open probe")
+	}
+	if s := b.SnapshotNow(); s.State != HalfOpen || s.HalfOpens != 1 || s.WindowRequests != 0 {
+		t.Fatalf("after Allow: %+v, want HalfOpen, one half-open, an aged-out window", s)
+	}
+
+	g := NewBudget(2, 100*time.Millisecond, clock.Now)
+	g.Allow()
+	clock.Advance(time.Second)
+	if s := g.SnapshotNow(); s.Used != 1 {
+		t.Fatalf("budget read rolled the window: %+v, want used 1 until the next Allow", s)
+	}
+	g.Allow()
+	if s := g.SnapshotNow(); s.Used != 1 || s.Allowed != 2 {
+		t.Fatalf("after Allow in a new window: %+v, want used 1, allowed 2", s)
+	}
+}
+
+// TestSnapshotsCoherentUnderTraffic runs State and SnapshotNow against
+// concurrent Allow / Record traffic that also advances the clock, so the
+// breaker trips, cools off, probes, reopens and closes throughout.
+// Every snapshot is one instant under the breaker mutex: its counters obey
+// the state machine's bookkeeping identities, the admission total never runs
+// backwards, and once traffic stops it equals the number of Allow calls.
+func TestSnapshotsCoherentUnderTraffic(t *testing.T) {
+	clock := newFakeClock()
+	b := New(testConfig(clock))
+	g := NewBudget(3, 20*time.Millisecond, clock.Now)
+
+	const workers, iters = 4, 4_000
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				clock.Advance(time.Millisecond)
+				g.Allow()
+				if b.Allow() {
+					// The origin is sick and healthy in alternating 400ms
+					// phases of fake time: trips and reopens, then a close.
+					b.Record(clock.Now().UnixMilli()/400%2 == 1)
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(done) }()
+
+	var lastCalls, lastBudget int64
+	check := func() {
+		t.Helper()
+		s := b.SnapshotNow()
+		// Every half-open episode was entered from an open or a reopen and
+		// ends in exactly one close or reopen; only the current one is open.
+		ended := s.Closes + s.Reopens
+		if s.State == HalfOpen {
+			ended++
+		}
+		if s.HalfOpens != ended || s.HalfOpens > s.Opens+s.Reopens {
+			t.Fatalf("torn transition counters: %+v", s)
+		}
+		if s.Probes > s.Allowed || s.WindowFailures > s.WindowRequests {
+			t.Fatalf("torn admission or window counters: %+v", s)
+		}
+		gs := g.SnapshotNow()
+		calls, budget := s.Allowed+s.Denied, gs.Allowed+gs.Denied
+		if calls < lastCalls || budget < lastBudget || gs.Used > 3 {
+			t.Fatalf("admissions ran backwards or over budget: breaker %d after %d, budget %+v after %d", calls, lastCalls, gs, lastBudget)
+		}
+		lastCalls, lastBudget = calls, budget
+		b.State() // no assertion possible mid-traffic; here for the race detector
+	}
+	for {
+		check()
+		select {
+		case <-done:
+			check()
+			if lastCalls != workers*iters || lastBudget != workers*iters {
+				t.Fatalf("final admissions: breaker %d, budget %d, want %d each", lastCalls, lastBudget, workers*iters)
+			}
+			if s := b.SnapshotNow(); s.Reopens == 0 || s.Closes == 0 {
+				t.Errorf("traffic never took the breaker through a reopen and a close: %+v", s)
+			}
+			return
+		default:
+		}
 	}
 }

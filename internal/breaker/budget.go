@@ -3,8 +3,6 @@ package breaker
 import (
 	"sync"
 	"time"
-
-	"darwin/internal/stripe"
 )
 
 // Budget is a fixed-window token budget for auxiliary work — the proxy uses
@@ -13,8 +11,8 @@ import (
 // half-open budget would: retries stop amplifying exactly when amplification
 // starts to matter.
 //
-// Like the Breaker it is deterministic under an injected clock and publishes
-// its counters through a seqlock cell so Snapshot reads are lock-free.
+// Like the Breaker it is deterministic under an injected clock, and a
+// SnapshotNow read takes the mutex for a copy without rolling the window.
 type Budget struct {
 	max    int64
 	window time.Duration
@@ -27,19 +25,7 @@ type Budget struct {
 	used int64
 	// allowed and denied are cumulative admission counters; guarded by mu.
 	allowed, denied int64
-
-	// cell mirrors the guarded counters for lock-free snapshots; written
-	// only inside mu's critical sections.
-	cell *stripe.Cell
 }
-
-// Budget cell indexes.
-const (
-	bUsed = iota
-	bAllowed
-	bDenied
-	bWidth
-)
 
 // BudgetSnapshot is a coherent copy of a Budget's counters.
 type BudgetSnapshot struct {
@@ -63,11 +49,9 @@ func NewBudget(max int64, window time.Duration, clock func() time.Time) *Budget 
 		max:    max,
 		window: window,
 		clock:  clock,
-		cell:   stripe.NewCell(bWidth),
 	}
 	g.mu.Lock()
 	g.winStart = clock()
-	g.publishLocked()
 	g.mu.Unlock()
 	return g
 }
@@ -91,22 +75,12 @@ func (g *Budget) Allow() bool {
 	} else {
 		g.denied++
 	}
-	g.publishLocked()
 	return ok
 }
 
-// SnapshotNow returns a coherent counter snapshot without taking the mutex.
+// SnapshotNow returns a coherent counter snapshot: what the last Allow left.
 func (g *Budget) SnapshotNow() BudgetSnapshot {
-	var v [bWidth]int64
-	g.cell.Snapshot(v[:])
-	return BudgetSnapshot{Used: v[bUsed], Allowed: v[bAllowed], Denied: v[bDenied]}
-}
-
-// publishLocked mirrors the guarded counters into the seqlock cell.
-func (g *Budget) publishLocked() {
-	g.cell.Begin()
-	g.cell.Set(bUsed, g.used)
-	g.cell.Set(bAllowed, g.allowed)
-	g.cell.Set(bDenied, g.denied)
-	g.cell.End()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return BudgetSnapshot{Used: g.used, Allowed: g.allowed, Denied: g.denied}
 }

@@ -8,56 +8,14 @@ import (
 	"darwin/internal/tracegen"
 )
 
-// TestShardedBatchedTrailAndSync pins the deterministic staleness contract of
-// batched publication on a single shard: lock-free Metrics reads trail the
-// data plane by at most publishEvery-1 requests, a batch boundary publishes
-// immediately, SyncMetrics makes any read exact, and SetPublishEvery(1)
-// flushes pending deltas and restores per-request publication.
-func TestShardedBatchedTrailAndSync(t *testing.T) {
-	tr, err := tracegen.ImageDownloadMix(50, 100, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := cache.NewSharded(cache.Config{HOCBytes: 64 << 10, DCBytes: 1 << 20}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetPublishEvery(8)
-	serve := func(n int) {
-		for i := 0; i < n; i++ {
-			s.Serve(tr.Requests[i%len(tr.Requests)])
-		}
-	}
-	serve(7)
-	if got := s.Metrics().Requests; got != 0 {
-		t.Fatalf("7 serves under publishEvery=8: mirror shows %d requests, want 0 (trailing)", got)
-	}
-	serve(1)
-	if got := s.Metrics().Requests; got != 8 {
-		t.Fatalf("batch boundary: mirror shows %d requests, want 8", got)
-	}
-	serve(3)
-	if got := s.Metrics().Requests; got != 8 {
-		t.Fatalf("3 pending serves: mirror shows %d requests, want 8", got)
-	}
-	s.SyncMetrics()
-	if got := s.Metrics().Requests; got != 11 {
-		t.Fatalf("after SyncMetrics: %d requests, want 11", got)
-	}
-	s.SetPublishEvery(1)
-	serve(1)
-	if got := s.Metrics().Requests; got != 12 {
-		t.Fatalf("publishEvery=1: mirror shows %d requests, want 12 (exact)", got)
-	}
-}
-
-// TestShardedBatchedPublicationCoherence hammers a batched 4-shard engine
-// from concurrent writers while a reader polls lock-free aggregates, and
-// asserts the cross-counter invariants hold in every observed snapshot:
-// batching defers publication but always publishes the whole consistent
-// block, so hits+misses == requests and the byte-sum identity can never be
-// seen broken — the snapshots merely trail. After the writers drain,
-// SyncMetrics must surface the exact totals.
+// TestShardedBatchedPublicationCoherence hammers a 4-shard engine from
+// concurrent writers while a reader polls Metrics and ShardMetrics, and
+// asserts on every observed snapshot: each shard is read under the mutex
+// its writer holds, so hits+misses == requests and the byte-sum identity
+// can never be seen broken, and Requests never runs backwards. After the
+// writers drain, a plain Metrics read must equal the number served exactly.
+// (The name dates from a batched metrics mirror; kept so the suite's
+// history stays comparable.)
 func TestShardedBatchedPublicationCoherence(t *testing.T) {
 	tr, err := tracegen.ImageDownloadMix(50, 40_000, 13)
 	if err != nil {
@@ -67,7 +25,6 @@ func TestShardedBatchedPublicationCoherence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetPublishEvery(8)
 
 	const workers = 4
 	var wg sync.WaitGroup
@@ -84,28 +41,32 @@ func TestShardedBatchedPublicationCoherence(t *testing.T) {
 	}
 	go func() { wg.Wait(); close(done) }()
 
-	polls := 0
-	for {
-		m := s.Metrics()
+	coherent := func(what string, m cache.Metrics) {
+		t.Helper()
 		if m.HOCHits+m.DCHits+m.Misses != m.Requests {
-			t.Fatalf("torn aggregate: hits %d+%d + misses %d != requests %d",
-				m.HOCHits, m.DCHits, m.Misses, m.Requests)
+			t.Fatalf("torn %s: hits %d+%d + misses %d != requests %d",
+				what, m.HOCHits, m.DCHits, m.Misses, m.Requests)
 		}
 		if m.HOCHitBytes+m.DCHitBytes+m.MissBytes != m.Bytes {
-			t.Fatalf("torn byte aggregate: %d+%d+%d != %d",
-				m.HOCHitBytes, m.DCHitBytes, m.MissBytes, m.Bytes)
+			t.Fatalf("torn %s bytes: %d+%d+%d != %d",
+				what, m.HOCHitBytes, m.DCHitBytes, m.MissBytes, m.Bytes)
 		}
-		polls++
+	}
+	var last int64
+	for polls := 0; ; polls++ {
+		m := s.Metrics()
+		coherent("aggregate", m)
+		if m.Requests < last {
+			t.Fatalf("requests ran backwards: %d after %d", m.Requests, last)
+		}
+		last = m.Requests
+		coherent("shard", s.ShardMetrics(polls%s.Shards()))
 		select {
 		case <-done:
-			s.SyncMetrics()
 			m := s.Metrics()
-			want := int64(workers * per)
-			if m.Requests != want {
-				t.Fatalf("after SyncMetrics: %d requests, want %d", m.Requests, want)
-			}
-			if m.HOCHits+m.DCHits+m.Misses != m.Requests {
-				t.Fatalf("final aggregate torn: %+v", m)
+			coherent("final aggregate", m)
+			if want := int64(workers * per); m.Requests != want {
+				t.Fatalf("final read: %d requests, want %d", m.Requests, want)
 			}
 			if polls < 10 {
 				t.Logf("only %d coherence polls overlapped the run", polls)

@@ -7,20 +7,18 @@ import "darwin/internal/trace"
 // pluggable expert admission. The serial Hierarchy implements it for
 // single-goroutine replay; Sharded implements it for the concurrent proxy
 // data plane by partitioning the object space across lock-striped shards.
-// The interface is total — every engine answers Concurrent and SyncMetrics —
-// so no caller discovers a capability by type assertion.
+// The interface is total — every engine answers Concurrent and Lookup — so
+// no caller discovers a capability by type assertion.
 type Engine interface {
 	// Serve processes one request and returns where it was served from.
 	Serve(r trace.Request) Result
 	// Lookup probes residency without mutating cache state, metrics, or
 	// frequency tracking (the proxy's fetch-before-commit seam).
 	Lookup(id uint64) Result
-	// Metrics returns a snapshot of the accumulated counters.
+	// Metrics returns a snapshot of the accumulated counters: coherent
+	// (hits+misses == requests) and covering every request served before
+	// the call.
 	Metrics() Metrics
-	// SyncMetrics publishes any counters whose publication is batched, so the
-	// next Metrics read is exact (a no-op for engines that publish per
-	// request).
-	SyncMetrics()
 	// ResetMetrics zeroes the counters without disturbing cache contents.
 	ResetMetrics()
 	// SetExpert swaps the HOC admission expert (broadcast to every shard in

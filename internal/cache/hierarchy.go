@@ -100,6 +100,21 @@ func (m Metrics) Sub(prev Metrics) Metrics {
 	}
 }
 
+// add folds o into m field by field (the sharded engine's aggregate).
+func (m *Metrics) add(o Metrics) {
+	m.Requests += o.Requests
+	m.Bytes += o.Bytes
+	m.HOCHits += o.HOCHits
+	m.HOCHitBytes += o.HOCHitBytes
+	m.DCHits += o.DCHits
+	m.DCHitBytes += o.DCHitBytes
+	m.Misses += o.Misses
+	m.MissBytes += o.MissBytes
+	m.DCWrites += o.DCWrites
+	m.DCWriteBytes += o.DCWriteBytes
+	m.HOCAdmits += o.HOCAdmits
+}
+
 // Config parameterises a Hierarchy.
 type Config struct {
 	// HOCBytes and DCBytes are the level capacities.
@@ -312,10 +327,6 @@ func (h *Hierarchy) Play(tr *trace.Trace) {
 
 // Metrics returns a snapshot of the accumulated counters.
 func (h *Hierarchy) Metrics() Metrics { return h.m }
-
-// SyncMetrics implements Engine: the serial hierarchy publishes every
-// request, so there is nothing to flush.
-func (h *Hierarchy) SyncMetrics() {}
 
 // Concurrent implements Engine: a Hierarchy is single-goroutine only.
 func (h *Hierarchy) Concurrent() bool { return false }

@@ -9,25 +9,6 @@ import (
 	"darwin/internal/trace"
 )
 
-// Mirror-cell counter indexes: the per-shard stripe.Cell publishes the
-// shard hierarchy's Metrics fields (plus the expert-switch count) in this
-// fixed order so aggregate snapshots are lock-free.
-const (
-	mcRequests = iota
-	mcBytes
-	mcHOCHits
-	mcHOCHitBytes
-	mcDCHits
-	mcDCHitBytes
-	mcMisses
-	mcMissBytes
-	mcDCWrites
-	mcDCWriteBytes
-	mcHOCAdmits
-	mcExpertSwitches
-	mcWidth
-)
-
 // Sharded is the concurrent cache engine: N independent Hierarchy shards,
 // each owning 1/N of the capacity, Bloom filter budget, frequency tracking,
 // and metrics, with requests routed to their owning shard by an id hash.
@@ -41,11 +22,9 @@ const (
 // over a bare Hierarchy is the mutex, making it the drop-in "global lock"
 // arm of throughput comparisons.
 //
-// Metrics snapshots are lock-free: each shard publishes its counters into a
-// seqlock cell inside the shard critical section, and Metrics sums
-// per-shard-consistent snapshots without touching any shard mutex — a
-// reader can poll aggregate OHR at any rate without slowing the data plane,
-// and never observes a single request's counters torn across fields.
+// Metrics reads take each shard's mutex in turn and sum: every shard is
+// seen at one instant, so a single request's counters are never observed
+// torn across fields, and a read reflects every request served before it.
 type Sharded struct {
 	shards []engineShard
 	// mask is len(shards)-1 when the shard count is a power of two, enabling
@@ -54,25 +33,14 @@ type Sharded struct {
 	mask uint64
 }
 
-// engineShard pairs one serial hierarchy with its mutex and its lock-free
-// metrics mirror. The struct is padded so neighbouring shards' mutexes do
-// not false-share a cache line.
+// engineShard pairs one serial hierarchy with its mutex. The struct is
+// padded so neighbouring shards' mutexes do not false-share a cache line.
 type engineShard struct {
 	mu sync.Mutex
 	// h is the shard's serial hierarchy — its capacities, Bloom filter,
 	// frequency tracker, and metrics cover only this shard's ids; guarded by mu.
 	h *Hierarchy
-	// mirror publishes h's counters for lock-free snapshots; written only
-	// inside Begin/End sections while mu is held, read without any lock.
-	mirror *stripe.Cell
-	// publishEvery is the counter-publication batch: the mirror is pushed
-	// after this many serves instead of on every request, amortizing the
-	// seqlock write fences. 1 = publish per request (exact mirrors, the
-	// bit-identical replay mode); guarded by mu.
-	publishEvery int
-	// pending counts serves since the last mirror publication; guarded by mu.
-	pending int
-	_       [24]byte
+	_ [48]byte
 }
 
 // NewSharded builds a sharded engine from cfg, splitting the HOC and DC
@@ -107,7 +75,7 @@ func NewSharded(cfg Config, shards int) (*Sharded, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.shards[i] = engineShard{h: h, mirror: stripe.NewCell(mcWidth), publishEvery: 1}
+		s.shards[i] = engineShard{h: h}
 	}
 	return s, nil
 }
@@ -131,42 +99,14 @@ func AutoShards() int {
 // Shards returns the shard count (for report headers and capacity math).
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// SetPublishEvery sets the counter-publication batch size: each shard
-// pushes its seqlock metrics mirror after k serves instead of after every
-// request, amortizing the publication write fences across the batch. k <= 1
-// restores per-request publication (exact mirrors). Any pending deltas are
-// published immediately, and lock-free Metrics reads stay coherent — they
-// just trail the data plane by at most k-1 requests per shard until the
-// next publication or SyncMetrics call.
-func (s *Sharded) SetPublishEvery(k int) {
-	if k < 1 {
-		k = 1
-	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.publishEvery = k
-		sh.publishLocked()
-		sh.mu.Unlock()
-	}
-}
+// SetPublishEvery and SyncMetrics do nothing: there is no batched mirror to
+// size or flush. They remain only because benchmark/ is frozen and still
+// calls them (benchmark/topology.go:46, benchmark/spans.go:287); the next
+// benchmark/ change deletes both (ROADMAP pay-rent leftover iv).
+func (s *Sharded) SetPublishEvery(int) {}
 
-// SyncMetrics publishes every shard's pending batched counters into the
-// seqlock mirrors, so the next Metrics aggregate reflects every request
-// served before this call. The online controller invokes it at round
-// boundaries (reward computation needs exact counters); monitoring readers
-// don't need it — their lock-free snapshots are coherent, merely trailing
-// by less than one publication batch.
-func (s *Sharded) SyncMetrics() {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		if sh.pending > 0 {
-			sh.publishLocked()
-		}
-		sh.mu.Unlock()
-	}
-}
+// SyncMetrics does nothing; see SetPublishEvery.
+func (s *Sharded) SyncMetrics() {}
 
 // Concurrent implements Engine: per-shard mutexes make Sharded safe for
 // concurrent callers.
@@ -186,16 +126,11 @@ func (s *Sharded) route(id uint64) int {
 	return int(stripe.Mix64(id) % uint64(n))
 }
 
-// Serve processes one request on the owning shard and publishes the shard's
-// updated counters for lock-free aggregation — immediately when
-// publishEvery is 1, else once per batch.
+// Serve processes one request on the owning shard.
 func (s *Sharded) Serve(r trace.Request) Result {
 	sh := &s.shards[s.route(r.ID)]
 	sh.mu.Lock()
 	res := sh.h.Serve(r)
-	if sh.pending++; sh.pending >= sh.publishEvery {
-		sh.publishLocked()
-	}
 	sh.mu.Unlock()
 	return res
 }
@@ -209,68 +144,24 @@ func (s *Sharded) Lookup(id uint64) Result {
 	return res
 }
 
-// publishLocked mirrors the shard hierarchy's counters into the seqlock
-// cell as one bulk write section and clears the pending-batch counter. The
-// caller holds the shard mutex, making it the cell's sole writer. The whole
-// Metrics block is always published together, so every lock-free snapshot —
-// batched or not — satisfies the cross-counter invariants
-// (hits+misses == requests) at any instant.
-func (sh *engineShard) publishLocked() {
-	m := sh.h.m
-	var v [mcWidth]int64
-	v[mcRequests] = m.Requests
-	v[mcBytes] = m.Bytes
-	v[mcHOCHits] = m.HOCHits
-	v[mcHOCHitBytes] = m.HOCHitBytes
-	v[mcDCHits] = m.DCHits
-	v[mcDCHitBytes] = m.DCHitBytes
-	v[mcMisses] = m.Misses
-	v[mcMissBytes] = m.MissBytes
-	v[mcDCWrites] = m.DCWrites
-	v[mcDCWriteBytes] = m.DCWriteBytes
-	v[mcHOCAdmits] = m.HOCAdmits
-	v[mcExpertSwitches] = sh.h.expertSwitches
-	sh.mirror.Store(v[:])
-	sh.pending = 0
-}
-
-// metricsFromCounters rebuilds a Metrics struct from mirror-cell order.
-func metricsFromCounters(v []int64) Metrics {
-	return Metrics{
-		Requests:     v[mcRequests],
-		Bytes:        v[mcBytes],
-		HOCHits:      v[mcHOCHits],
-		HOCHitBytes:  v[mcHOCHitBytes],
-		DCHits:       v[mcDCHits],
-		DCHitBytes:   v[mcDCHitBytes],
-		Misses:       v[mcMisses],
-		MissBytes:    v[mcMissBytes],
-		DCWrites:     v[mcDCWrites],
-		DCWriteBytes: v[mcDCWriteBytes],
-		HOCAdmits:    v[mcHOCAdmits],
-	}
-}
-
-// Metrics returns the aggregate counters summed across shards. It takes no
-// shard mutex: each shard contributes a consistent seqlock snapshot, so a
-// single request's counters are never observed torn across fields.
+// Metrics returns the aggregate counters summed across shards, each shard
+// read under its mutex: hits+misses == requests holds in every read.
 func (s *Sharded) Metrics() Metrics {
-	var buf, sum [mcWidth]int64
+	var sum Metrics
 	for i := range s.shards {
-		s.shards[i].mirror.Snapshot(buf[:])
-		for j, v := range buf {
-			sum[j] += v
-		}
+		sum.add(s.ShardMetrics(i))
 	}
-	return metricsFromCounters(sum[:])
+	return sum
 }
 
-// ShardMetrics returns one shard's counters (a consistent lock-free
-// snapshot), for tests and per-partition diagnostics.
+// ShardMetrics returns one shard's counters, for tests and per-partition
+// diagnostics.
 func (s *Sharded) ShardMetrics(i int) Metrics {
-	var buf [mcWidth]int64
-	s.shards[i].mirror.Snapshot(buf[:])
-	return metricsFromCounters(buf[:])
+	sh := &s.shards[i]
+	sh.mu.Lock()
+	m := sh.h.Metrics()
+	sh.mu.Unlock()
+	return m
 }
 
 // ResetMetrics zeroes every shard's counters without disturbing cache
@@ -280,7 +171,6 @@ func (s *Sharded) ResetMetrics() {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.h.ResetMetrics()
-		sh.publishLocked()
 		sh.mu.Unlock()
 	}
 }
@@ -293,7 +183,6 @@ func (s *Sharded) SetExpert(e Expert) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.h.SetExpert(e)
-		sh.publishLocked()
 		sh.mu.Unlock()
 	}
 }
@@ -312,9 +201,11 @@ func (s *Sharded) Expert() Expert {
 // Broadcasts reach every shard together, so shard 0's count is the logical
 // switch count.
 func (s *Sharded) ExpertSwitches() int64 {
-	var buf [mcWidth]int64
-	s.shards[0].mirror.Snapshot(buf[:])
-	return buf[mcExpertSwitches]
+	sh := &s.shards[0]
+	sh.mu.Lock()
+	n := sh.h.ExpertSwitches()
+	sh.mu.Unlock()
+	return n
 }
 
 // SetAdmission broadcasts a custom HOC admission predicate (nil restores

@@ -320,7 +320,6 @@ func (s *Sharded) RestoreState(st *ShardedState) error {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		sh.h.commitRestoreState(st.Shards[i], parts[i])
-		sh.publishLocked()
 		sh.mu.Unlock()
 	}
 	return nil
@@ -346,9 +345,6 @@ func (s *Sharded) MergeDC(entries []ResidentObject) (int, error) {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		n, err := sh.h.MergeDC(perShard[i])
-		if err == nil {
-			sh.publishLocked()
-		}
 		sh.mu.Unlock()
 		if err != nil {
 			return added, fmt.Errorf("cache: shard %d: %w", i, err)

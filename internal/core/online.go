@@ -244,17 +244,8 @@ func (c *Controller) Concurrent() bool { return c.eng.Concurrent() }
 // Name implements the baselines.Server naming convention.
 func (c *Controller) Name() string { return "darwin" }
 
-// syncedMetrics returns the engine's metrics, first forcing publication of
-// any batched counters (a Sharded with publishEvery > 1 defers its seqlock
-// publication). Round boundaries and external reads need exact counts, not
-// counts trailing by up to a batch.
-func (c *Controller) syncedMetrics() cache.Metrics {
-	c.eng.SyncMetrics()
-	return c.eng.Metrics()
-}
-
 // Metrics returns the engine's accumulated metrics.
-func (c *Controller) Metrics() cache.Metrics { return c.syncedMetrics() }
+func (c *Controller) Metrics() cache.Metrics { return c.eng.Metrics() }
 
 // ResetMetrics clears the engine's counters (warm-up exclusion).
 func (c *Controller) ResetMetrics() { c.eng.ResetMetrics() }
@@ -387,7 +378,7 @@ func (c *Controller) finishWarmupLocked() {
 	c.alg = alg
 	c.curArm = alg.NextArm()
 	c.eng.SetExpert(c.model.Experts[c.set[c.curArm]])
-	c.roundStart = c.syncedMetrics()
+	c.roundStart = c.eng.Metrics()
 	c.roundReqs = 0
 	c.phase = PhaseIdentify
 }
@@ -450,7 +441,7 @@ func buildSigma(model *Model, cfg OnlineConfig, set []int, clusterID int, extend
 // generates fictitious samples for the other arms, and advances or stops the
 // bandit.
 func (c *Controller) finishRoundLocked() {
-	delta := c.syncedMetrics().Sub(c.roundStart)
+	delta := c.eng.Metrics().Sub(c.roundStart)
 	obsOHR := delta.OHR()
 	obsReward := c.model.Objective.Reward(delta)
 	n := len(c.set)
@@ -480,7 +471,7 @@ func (c *Controller) finishRoundLocked() {
 	}
 	c.curArm = c.alg.NextArm()
 	c.eng.SetExpert(c.model.Experts[c.set[c.curArm]])
-	c.roundStart = c.syncedMetrics()
+	c.roundStart = c.eng.Metrics()
 	c.roundReqs = 0
 }
 

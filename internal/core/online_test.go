@@ -295,7 +295,7 @@ func TestLearningDurationAccounting(t *testing.T) {
 // must be exact — total serves == epochs·Epoch + position in the open epoch —
 // which pins every single epoch at exactly cfg.Epoch serves and rules out a
 // serve counted twice or dropped at a boundary. A poller reads the engine's
-// lock-free metrics and the controller's checkpoint throughout.
+// metrics and the controller's checkpoint throughout.
 func TestControllerConcurrentEpochs(t *testing.T) {
 	m := trainedModel(t)
 	ec := testEval()

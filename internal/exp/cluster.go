@@ -20,7 +20,6 @@ import (
 
 	"darwin/internal/cache"
 	"darwin/internal/gossip"
-	"darwin/internal/lb"
 )
 
 // ClusterConfig sizes the cluster chaos experiment.
@@ -147,9 +146,8 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 			lastNode[n] = m
 			cw.nodeReqs[n], cw.nodeHits[n] = d.Requests, d.HOCHits+d.DCHits
 		}
-		var rs [lb.RsWidth]int64
-		r.front.ReplicationStats(rs[:])
-		cw.hotObjects, cw.maxFactor = int(rs[lb.RsHotObjects]), int(rs[lb.RsMaxFactor])
+		rs := r.front.ReplicationStats()
+		cw.hotObjects, cw.maxFactor = int(rs.HotObjects), int(rs.MaxFactor)
 		res.Windows = append(res.Windows, *cw)
 	}
 	for i, req := range tr.Requests {

@@ -13,16 +13,13 @@ package lb
 // Concurrency: Observe and Rebalance serialize on an internal mutex (the
 // routing tier calls them under its own routing lock, so the mutex is
 // uncontended there); Factor is lock-free on an atomically swapped read-only
-// snapshot so data-plane readers never block, and the per-window aggregate
-// stats publish through a stripe.Cell for coherent lock-free scraping by
-// /metrics and reports.
+// snapshot so data-plane readers never block; the last window's aggregate
+// row sits beside the counts under the same mutex for /metrics and reports.
 
 import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"darwin/internal/stripe"
 )
 
 // ReplicationConfig parameterises the popularity tracker.
@@ -59,15 +56,14 @@ func (c ReplicationConfig) WithDefaults() ReplicationConfig {
 	return c
 }
 
-// Replication stats indexes for the []int64 published per rebalance window;
-// read a coherent row with Replicator.Stats.
-const (
-	RsObserved      = iota // requests observed in the last completed window
-	RsHotObjects           // objects granted extra replicas
-	RsExtraReplicas        // sum of (factor-1) over hot objects
-	RsMaxFactor            // largest factor granted (0 when nothing is hot)
-	RsWidth
-)
+// ReplicationStats is the last completed rebalance window's replication row;
+// read one with Replicator.Stats.
+type ReplicationStats struct {
+	Observed      int64 // requests observed in the window
+	HotObjects    int64 // objects granted extra replicas
+	ExtraReplicas int64 // sum of (factor-1) over hot objects
+	MaxFactor     int64 // largest factor granted (0 when nothing is hot)
+}
 
 // Replicator tracks per-object popularity per rebalance window and derives
 // replication factors for the next window.
@@ -77,9 +73,9 @@ type Replicator struct {
 	mu     sync.Mutex
 	counts map[uint64]int64 // guarded by mu: current window's per-object hits
 	total  int64            // guarded by mu: current window's request count
+	last   ReplicationStats // guarded by mu: the window Rebalance last closed
 
 	factors atomic.Value // map[uint64]int: read-only snapshot, swapped whole
-	stats   *stripe.Cell
 }
 
 // NewReplicator builds a tracker with no hot objects.
@@ -87,7 +83,6 @@ func NewReplicator(cfg ReplicationConfig) *Replicator {
 	r := &Replicator{
 		cfg:    cfg.WithDefaults(),
 		counts: make(map[uint64]int64),
-		stats:  stripe.NewCell(RsWidth),
 	}
 	r.factors.Store(map[uint64]int{})
 	return r
@@ -109,10 +104,11 @@ func (r *Replicator) Factor(id uint64) int {
 	return 1
 }
 
-// Stats fills dst (len >= RsWidth) with a coherent snapshot of the last
-// completed window's replication row.
-func (r *Replicator) Stats(dst []int64) {
-	r.stats.Snapshot(dst)
+// Stats returns the last completed window's replication row.
+func (r *Replicator) Stats() ReplicationStats {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.last
 }
 
 // hotCandidate pairs an object with its window hit count for top-K sorting.
@@ -137,9 +133,9 @@ func (s byCountDesc) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
 
 // Rebalance closes the current observation window: the top-K objects by hit
 // count are granted factors from their request share, the snapshot read by
-// Factor is swapped, window stats publish, and counting restarts. Call at
-// every rebalance boundary (typically right after Ring.BeginWindow). Returns
-// the new hot set (read-only).
+// Factor is swapped, the window's stats row is kept, and counting restarts.
+// Call at every rebalance boundary (typically right after
+// Ring.BeginWindow). Returns the new hot set (read-only).
 func (r *Replicator) Rebalance() map[uint64]int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -154,7 +150,7 @@ func (r *Replicator) Rebalance() map[uint64]int {
 	}
 
 	hot := make(map[uint64]int)
-	var extra, maxFactor int64
+	last := ReplicationStats{Observed: r.total}
 	for _, c := range cand {
 		share := float64(c.count) / float64(r.total)
 		f := 1 + int(share/r.cfg.HotShare)
@@ -165,13 +161,14 @@ func (r *Replicator) Rebalance() map[uint64]int {
 			continue
 		}
 		hot[c.id] = f
-		extra += int64(f - 1)
-		if int64(f) > maxFactor {
-			maxFactor = int64(f)
+		last.HotObjects++
+		last.ExtraReplicas += int64(f - 1)
+		if int64(f) > last.MaxFactor {
+			last.MaxFactor = int64(f)
 		}
 	}
 	r.factors.Store(hot)
-	r.stats.Store([]int64{r.total, int64(len(hot)), extra, maxFactor})
+	r.last = last
 
 	r.counts = make(map[uint64]int64)
 	r.total = 0

@@ -378,11 +378,8 @@ func TestReplicatorFactors(t *testing.T) {
 	if len(hot) != 2 {
 		t.Fatalf("hot set size %d, want 2", len(hot))
 	}
-	stats := make([]int64, RsWidth)
-	rep.Stats(stats)
-	if stats[RsObserved] != 1000 || stats[RsHotObjects] != 2 ||
-		stats[RsExtraReplicas] != 3 || stats[RsMaxFactor] != 3 {
-		t.Fatalf("stats row %v, want [1000 2 3 3]", stats)
+	if stats, want := rep.Stats(), (ReplicationStats{Observed: 1000, HotObjects: 2, ExtraReplicas: 3, MaxFactor: 3}); stats != want {
+		t.Fatalf("stats row %+v, want %+v", stats, want)
 	}
 	// An empty follow-up window clears the hot set.
 	rep.Rebalance()

@@ -16,13 +16,12 @@ import (
 //     racy, torn, or stale views that the race detector only catches when a
 //     test happens to interleave them;
 //   - structs that embed synchronization state (sync.Mutex/RWMutex/
-//     WaitGroup/Cond, sync/atomic value types, or a stripe.Cell/Counters
-//     seqlock) must not be copied by value: the copy forks the lock or the
-//     sequence number, silently splitting the critical section. This extends
-//     vet's copylocks to the repo's seqlock cells, whose state is plain
-//     integers vet cannot see. Checked copy sites are assignments and var
-//     initializers reading an existing value, by-value range over such
-//     element types, and by-value call arguments.
+//     WaitGroup/Cond, sync/atomic value types, or a stripe.Counters) must
+//     not be copied by value: the copy forks the lock, silently splitting
+//     the critical section. This extends vet's copylocks to sync/atomic
+//     value types and the repo's striped counters. Checked copy sites are
+//     assignments and var initializers reading an existing value, by-value
+//     range over such element types, and by-value call arguments.
 func runAtomicMix(cfg *Config, prog *Program) []Diagnostic {
 	if len(cfg.AtomicMixPkgs) == 0 {
 		return nil
@@ -207,7 +206,7 @@ func lockComponent(t types.Type, visited map[types.Type]bool) (string, bool) {
 				return "sync." + name, true
 			case path == "sync/atomic":
 				return "atomic." + name, true
-			case pathIsStripe(path) && (name == "Cell" || name == "Counters"):
+			case pathIsStripe(path) && name == "Counters":
 				return "stripe." + name, true
 			}
 		}
@@ -226,7 +225,7 @@ func lockComponent(t types.Type, visited map[types.Type]bool) (string, bool) {
 	return "", false
 }
 
-// pathIsStripe matches the seqlock package under any module prefix.
+// pathIsStripe matches the stripe package under any module prefix.
 func pathIsStripe(path string) bool {
 	return path == "internal/stripe" || strings.HasSuffix(path, "/internal/stripe")
 }

@@ -18,11 +18,8 @@
 //   - lockorder: no mutex held across a blocking operation (origin fetch,
 //     channel op, fsync, time.Sleep), no double-lock of one mutex, and no
 //     lock-order cycles between lock classes;
-//   - seqlockpub: stripe.Cell writer calls run inside a critical section and
-//     bracket updates with Begin/End (or the bulk Store), so the
-//     hits+misses==requests snapshot coherence invariant holds;
 //   - atomicmix: no field accessed both through sync/atomic and plainly, and
-//     no value copies of structs containing mutexes or seqlock cells;
+//     no value copies of structs containing mutexes or atomics;
 //   - persistio: durable file emission outside the persistence layer routes
 //     through persist.WriteFileAtomic, and decoder packages never panic on
 //     bad input;
@@ -50,8 +47,7 @@ type Diagnostic struct {
 	// Pos locates the finding.
 	Pos token.Position
 	// Rule names the analyzer (determinism, hotpath, locking, errcheck,
-	// ctxfirst, lockorder, seqlockpub, atomicmix, persistio, goctx,
-	// directive).
+	// ctxfirst, lockorder, atomicmix, persistio, goctx, directive).
 	Rule string
 	// Msg describes the violation.
 	Msg string
@@ -85,14 +81,9 @@ type Config struct {
 	// LockOrderPkgs are packages whose mutex regions are checked for blocking
 	// calls under a held lock, double-locks, and lock-order cycles.
 	LockOrderPkgs []string
-	// SeqlockPkgs are packages where stripe.Cell writer-protocol use
-	// (Begin/End bracketing inside a critical section) is enforced. The
-	// package declaring Cell itself is always exempt — it is the protocol's
-	// implementation.
-	SeqlockPkgs []string
 	// AtomicMixPkgs are packages checked for fields accessed both through
 	// sync/atomic and plainly, and for value copies of structs containing
-	// mutexes or seqlock cells.
+	// mutexes or atomics.
 	AtomicMixPkgs []string
 	// PersistIOPkgs are packages whose durable file emission must route
 	// through persist.WriteFileAtomic; PersistIOExempt carves out the
@@ -161,9 +152,8 @@ func DefaultConfig() Config {
 			"darwin/internal/server",
 		},
 		// The concurrency rules hold module-wide: every mutex region, every
-		// seqlock publication, every atomic field.
+		// atomic field.
 		LockOrderPkgs: []string{"darwin"},
-		SeqlockPkgs:   []string{"darwin"},
 		AtomicMixPkgs: []string{"darwin"},
 		// Durable emission goes through persist.WriteFileAtomic everywhere
 		// except the two packages that implement the durability layer and
@@ -218,8 +208,6 @@ func FixtureConfig(name string) Config {
 		return Config{CtxFirstPkgs: []string{path}}
 	case "lockorder":
 		return Config{LockOrderPkgs: []string{path}}
-	case "seqlockpub":
-		return Config{SeqlockPkgs: []string{path}}
 	case "atomicmix":
 		return Config{AtomicMixPkgs: []string{path}}
 	case "persistio":
@@ -245,7 +233,6 @@ func analyzers() []analyzer {
 		{"errcheck", runErrcheck},
 		{"ctxfirst", runCtxFirst},
 		{"lockorder", runLockOrder},
-		{"seqlockpub", runSeqlockPub},
 		{"atomicmix", runAtomicMix},
 		{"persistio", runPersistIO},
 		{"goctx", runGoCtx},
@@ -262,7 +249,6 @@ var knownRules = map[string]bool{
 	"errcheck":    true,
 	"ctxfirst":    true,
 	"lockorder":   true,
-	"seqlockpub":  true,
 	"atomicmix":   true,
 	"persistio":   true,
 	"goctx":       true,

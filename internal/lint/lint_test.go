@@ -35,7 +35,7 @@ var wantRe = regexp.MustCompile(`want "((?:[^"\\]|\\.)*)"`)
 func TestFixtures(t *testing.T) {
 	fixtures := []string{
 		"determinism", "hotpath", "locking", "errcheck", "ctxfirst", "suppress", "sharding",
-		"lockorder", "seqlockpub", "atomicmix", "persistio", "goctx",
+		"lockorder", "atomicmix", "persistio", "goctx",
 	}
 	for _, name := range fixtures {
 		t.Run(name, func(t *testing.T) {

@@ -25,13 +25,6 @@ import (
 	"darwin/internal/server"
 )
 
-// publishEvery batches shard counter publication: shards accumulate metric
-// deltas locally and publish the whole consistent block every 32 requests,
-// keeping the seqlock fences off the per-request path. Round-boundary and
-// /metrics reads go through SyncMetrics, so learning and reporting still see
-// exact counts.
-const publishEvery = 32
-
 // Config is everything that distinguishes one node from another.
 type Config struct {
 	// Expert is the static HOC admission expert, deployed when neither Model
@@ -148,7 +141,6 @@ func build(cfg Config) (*Node, error) {
 		}
 		dec, n.eng, n.ctrl = ctrl, eng, ctrl
 	}
-	n.eng.SetPublishEvery(publishEvery)
 	if n.dur != nil {
 		n.dur.attach(n.eng, n.ctrl, model)
 	}

@@ -6,8 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"testing"
-
-	"darwin/internal/cache"
 )
 
 // nullRW is a ResponseWriter with a pre-allocated header map and a discarding
@@ -27,13 +25,11 @@ func (w *nullRW) Write(p []byte) (int, error) {
 
 func (w *nullRW) WriteHeader(int) {}
 
-// hitProxy builds a proxy over a sharded static decider with batched counter
-// publication (the deployed configuration), warms object 1 into the HOC
-// (miss → dc-hit → hoc-hit takes three serves), and returns it.
+// hitProxy builds a proxy over a sharded static decider, warms object 1 into
+// the HOC (miss → dc-hit → hoc-hit takes three serves), and returns it.
 func hitProxy(t testing.TB, res Resilience, ov Overload) *Proxy {
 	t.Helper()
 	dec := staticDecider(t, 4)
-	dec.Engine().(*cache.Sharded).SetPublishEvery(32)
 	origin := httptest.NewServer(&Origin{})
 	t.Cleanup(origin.Close)
 	proxy := NewOverloadProxy(dec, origin.URL, 0, res, ov)

@@ -402,11 +402,8 @@ func (f *Front) Stats() FrontStats {
 	}
 }
 
-// ReplicationStats fills dst (len >= lb.RsWidth) with the replicator's last
-// completed window row.
-func (f *Front) ReplicationStats(dst []int64) {
-	f.rep.Stats(dst)
-}
+// ReplicationStats returns the replicator's last completed window row.
+func (f *Front) ReplicationStats() lb.ReplicationStats { return f.rep.Stats() }
 
 // Membership exposes the front's graded view of the cluster.
 func (f *Front) Membership() *gossip.Membership { return f.memb }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"darwin/internal/gossip"
-	"darwin/internal/lb"
 )
 
 // backendKinds are the two ways a backend presents its health to the front
@@ -334,10 +333,8 @@ func TestFrontReplicatesHotObject(t *testing.T) {
 			servers[s] = true
 		}
 	}
-	var rs [lb.RsWidth]int64
-	f.ReplicationStats(rs[:])
-	if rs[lb.RsHotObjects] == 0 || rs[lb.RsMaxFactor] < 2 {
-		t.Fatalf("hot object never widened: stats %v", rs)
+	if rs := f.ReplicationStats(); rs.HotObjects == 0 || rs.MaxFactor < 2 {
+		t.Fatalf("hot object never widened: stats %+v", rs)
 	}
 	if len(servers) < 2 {
 		t.Fatalf("replicated hot object stayed on %d server(s)", len(servers))

@@ -12,8 +12,8 @@
 // cache engine stripes the object space across per-shard mutexes; one shard
 // is the single HOC lock whose contention the paper observes). The critical
 // sections cover only decider calls, never body writes or origin I/O, and
-// the proxy's own data-plane counters live in lock-striped cells so Stats
-// reads are coherent and lock-free.
+// the proxy's own data-plane counters are lock-striped (stripe.Counters) so
+// handlers for unrelated objects never contend and Stats reads are coherent.
 //
 // Proxy is one request pipeline. Every request crosses the same stages in
 // the same order; a stage whose own configuration value is zero is absent,
@@ -338,8 +338,8 @@ type Proxy struct {
 	flights flightGroup
 
 	// brk gates origin fetch attempts and retryBudget caps the backoff path;
-	// both are nil unless ov.Enabled. They publish through seqlock cells, so
-	// readiness and stats reads never touch the data plane's locks.
+	// both are nil unless ov.Enabled. Readiness and stats reads take their
+	// mutexes for a copy, a few times a second at most.
 	brk         *breaker.Breaker
 	retryBudget *breaker.Budget
 	// inflight gauges admitted requests for the bounded-in-flight budget.
@@ -436,7 +436,7 @@ func (p *Proxy) Metrics() cache.Metrics { return p.decider.Metrics() }
 // Stats returns a coherent snapshot of the proxy's data-plane counters:
 // every stripe is observed at one consistent instant, so counters bumped
 // together for one request (e.g. a fetch failure and its final retry) are
-// never seen torn. The read is lock-free and never stalls handlers.
+// never seen torn. The read holds one stripe mutex at a time, for a copy.
 func (p *Proxy) Stats() ProxyStats {
 	var v [psWidth]int64
 	p.stats.Snapshot(v[:])

@@ -17,7 +17,7 @@ import (
 // origin (transient errors + latency spikes), mixed hit/miss/fault traffic
 // from a concurrency-32 closed-loop load run, and a poller goroutine reading
 // Stats/Metrics snapshots throughout. Run under -race this exercises every
-// new seam at once: shard routing, per-shard locks, seqlock metric mirrors,
+// new seam at once: shard routing, per-shard locks, metrics reads under them,
 // striped proxy counters, coalescing, and retries.
 func TestShardedProxyStress(t *testing.T) {
 	tr, err := tracegen.ImageDownloadMix(50, 1_500, 17)

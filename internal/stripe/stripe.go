@@ -1,110 +1,25 @@
-// Package stripe provides lock-striped counter blocks with coherent,
-// lock-free snapshots — the accounting layer under the sharded cache data
-// plane.
+// Package stripe provides lock-striped counter blocks — the accounting
+// layer for call sites that bump counters from many goroutines and have no
+// natural owner lock (the HTTP proxy's and the front tier's data-plane
+// stats).
 //
-// The problem it solves: a hot path that increments counters from many
-// goroutines wants neither a global mutex (serializes the data plane) nor a
-// bag of independent atomics (readers see torn cross-counter snapshots — a
-// "requests" value from one instant paired with an "errors" value from
-// another). A stripe.Cell is a fixed-width block of int64 counters published
-// under a sequence number: exactly one writer at a time (serialized
-// externally, e.g. by a shard mutex), any number of readers that never block
-// the writer and always observe the block at one consistent point in time.
-// stripe.Counters adds key-hashed striping with per-stripe writer mutexes
-// for call sites that have no natural owner lock.
+// A hot path that increments counters from many goroutines wants neither a
+// global mutex (serializes the data plane) nor a bag of independent atomics
+// (readers see torn cross-counter snapshots — a "requests" value from one
+// instant paired with an "errors" value from another). Counters hashes each
+// update's key to a stripe and runs it under that stripe's mutex, so
+// unrelated keys never contend; a reader takes the same mutexes, one stripe
+// at a time, for the few nanoseconds a copy takes.
 package stripe
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
-// Cell is a fixed-width block of int64 counters guarded by a sequence
-// number (a seqlock). Writers must be externally serialized — callers hold a
-// shard mutex or are a single goroutine — and bracket their updates with
-// Begin/End. Readers call Snapshot, which never blocks the writer and
-// retries until it observes a quiescent block, so every snapshot is a
-// consistent point-in-time copy of the whole cell.
-type Cell struct {
-	// seq is even when the cell is quiescent and odd while a write is in
-	// progress; it increments twice per write section.
-	seq  atomic.Uint64
-	vals []atomic.Int64
-}
-
-// NewCell builds a cell with width counters, all zero.
-func NewCell(width int) *Cell {
-	return &Cell{vals: make([]atomic.Int64, width)}
-}
-
-// Width returns the number of counters in the cell.
-func (c *Cell) Width() int { return len(c.vals) }
-
-// Begin opens a write section. Snapshot retries while one is open, so the
-// counter stores between Begin and End become visible atomically as a group.
-// The caller must be the cell's only writer (hold the owning mutex).
-func (c *Cell) Begin() { c.seq.Add(1) }
-
-// End closes the write section opened by Begin.
-func (c *Cell) End() { c.seq.Add(1) }
-
-// Add adds delta to counter i. Call between Begin and End.
-func (c *Cell) Add(i int, delta int64) { c.vals[i].Add(delta) }
-
-// Set stores v into counter i. Call between Begin and End.
-func (c *Cell) Set(i int, v int64) { c.vals[i].Store(v) }
-
-// Store publishes a whole counter block in one write section: Begin, one
-// store per value, End. It is the batched-publication primitive — a writer
-// that accumulates deltas locally (e.g. a cache shard batching K requests)
-// pays the two seqlock fences once per publication instead of once per
-// counter update. len(vals) must equal Width; the caller must be the cell's
-// only writer.
-func (c *Cell) Store(vals []int64) {
-	// Plain panic string: Store sits on the serving hot path (reachable from
-	// Sharded.Serve), where the lint forbids fmt formatting even on the
-	// can't-happen branch.
-	if len(vals) != len(c.vals) {
-		panic("stripe: store width != cell width")
-	}
-	c.seq.Add(1)
-	for i, v := range vals {
-		c.vals[i].Store(v)
-	}
-	c.seq.Add(1)
-}
-
-// Snapshot copies every counter into dst (len(dst) must equal Width) at one
-// consistent point in time: if the writer is mid-section, the read retries
-// until it observes the same even sequence number on both sides of the copy.
-// It takes no lock and never blocks the writer.
-func (c *Cell) Snapshot(dst []int64) {
-	if len(dst) != len(c.vals) {
-		panic(fmt.Sprintf("stripe: snapshot width %d != cell width %d", len(dst), len(c.vals)))
-	}
-	for {
-		s1 := c.seq.Load()
-		if s1&1 == 0 {
-			for i := range c.vals {
-				dst[i] = c.vals[i].Load()
-			}
-			if c.seq.Load() == s1 {
-				return
-			}
-		}
-		// A write section is (or was) in flight; yield and retry. Sections
-		// are a handful of atomic stores, so retries are short-lived.
-		runtime.Gosched()
-	}
-}
-
-// Counters is a set of key-striped cells for counters updated from many
-// goroutines with no natural owner lock (e.g. the HTTP proxy's data-plane
-// stats). Updates hash their key to a stripe and run under that stripe's
-// mutex, so unrelated keys never contend; Snapshot sums per-stripe
-// consistent snapshots without taking any stripe mutex.
+// Counters is a set of key-striped blocks of int64 counters. Updates hash
+// their key to a stripe and run under that stripe's mutex; Snapshot locks
+// each stripe in turn and sums.
 //
 // Coherence contract: each stripe is observed at one consistent instant, so
 // two counters bumped under the same key in one critical section are never
@@ -118,11 +33,11 @@ type Counters struct {
 }
 
 // paddedStripe pads each stripe past a cache line so neighbouring stripes'
-// mutexes and sequence numbers never false-share.
+// mutexes never false-share.
 type paddedStripe struct {
 	mu   sync.Mutex
-	cell Cell
-	_    [24]byte
+	vals []int64 // guarded by mu
+	_    [32]byte
 }
 
 // New builds a Counters with the given stripe count (rounded up to a power
@@ -134,7 +49,7 @@ func New(stripes, width int) *Counters {
 	}
 	c := &Counters{width: width, stripes: make([]paddedStripe, n)}
 	for i := range c.stripes {
-		c.stripes[i].cell.vals = make([]atomic.Int64, width)
+		c.stripes[i] = paddedStripe{vals: make([]int64, width)}
 	}
 	return c
 }
@@ -146,14 +61,12 @@ func (c *Counters) Width() int { return c.width }
 func (c *Counters) Add(key uint64, idx int, delta int64) {
 	s := &c.stripes[Mix64(key)&uint64(len(c.stripes)-1)]
 	s.mu.Lock()
-	s.cell.Begin()
-	s.cell.Add(idx, delta)
-	s.cell.End()
+	s.vals[idx] += delta
 	s.mu.Unlock()
 }
 
-// Snapshot sums a consistent snapshot of every stripe into dst (len(dst)
-// must equal Width). It takes no stripe mutex.
+// Snapshot sums every stripe, each read under its mutex, into dst (len(dst)
+// must equal Width).
 func (c *Counters) Snapshot(dst []int64) {
 	if len(dst) != c.width {
 		panic(fmt.Sprintf("stripe: snapshot width %d != counters width %d", len(dst), c.width))
@@ -161,12 +74,13 @@ func (c *Counters) Snapshot(dst []int64) {
 	for i := range dst {
 		dst[i] = 0
 	}
-	buf := make([]int64, c.width)
 	for i := range c.stripes {
-		c.stripes[i].cell.Snapshot(buf)
-		for j, v := range buf {
+		s := &c.stripes[i]
+		s.mu.Lock()
+		for j, v := range s.vals {
 			dst[j] += v
 		}
+		s.mu.Unlock()
 	}
 }
 

@@ -5,92 +5,19 @@ import (
 	"testing"
 )
 
-func TestCellSnapshotConsistency(t *testing.T) {
-	// A single writer keeps the invariant vals[1] == 2*vals[0] inside every
-	// write section; concurrent readers must never observe it broken.
-	c := NewCell(2)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := int64(1); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			c.Begin()
-			c.Set(0, i)
-			c.Set(1, 2*i)
-			c.End()
-		}
-	}()
-	buf := make([]int64, 2)
-	for i := 0; i < 20_000; i++ {
-		c.Snapshot(buf)
-		if buf[1] != 2*buf[0] {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("torn snapshot: vals = %v", buf)
-		}
-	}
-	close(stop)
-	wg.Wait()
-}
-
-func TestCellStoreBulkPublication(t *testing.T) {
-	// Store publishes a whole block in one write section; readers must see
-	// either the previous block or the new one in full, never a mix. The
-	// writer maintains vals[1] == 2*vals[0] in every published block.
-	c := NewCell(2)
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		block := make([]int64, 2)
-		for i := int64(1); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			block[0], block[1] = i, 2*i
-			c.Store(block)
-		}
-	}()
-	buf := make([]int64, 2)
-	for i := 0; i < 20_000; i++ {
-		c.Snapshot(buf)
-		if buf[1] != 2*buf[0] {
-			close(stop)
-			wg.Wait()
-			t.Fatalf("torn bulk publication: vals = %v", buf)
-		}
-	}
-	close(stop)
-	wg.Wait()
-
-	// Width mismatch is a programming error and must panic.
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Store with wrong width did not panic")
-		}
-	}()
-	c.Store(make([]int64, 3))
-}
-
-func TestCountersTotalsAndOrdering(t *testing.T) {
-	// Each worker bumps counter 0 then counter 1 under its own key. Within a
-	// stripe the pair is ordered, and every stripe is snapshotted
-	// consistently, so any aggregate must satisfy sum0 >= sum1 — and the
-	// final totals must be exact.
-	const workers, iters = 8, 5_000
+// hammerPairs runs one writer per key, each bumping counter 0 then counter 1
+// under its key, while the caller's goroutine polls Snapshot. Every stripe
+// is read at one instant, so in any aggregate counter 0 leads counter 1 by
+// at most the writers that are between their two Adds — never negative,
+// never more than the writer count — and the final totals are exact.
+func hammerPairs(t *testing.T, keys []uint64) {
+	t.Helper()
+	const iters = 5_000
+	writers := int64(len(keys))
 	c := New(16, 2)
 	var wg sync.WaitGroup
 	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
+	for _, key := range keys {
 		wg.Add(1)
 		go func(key uint64) {
 			defer wg.Done()
@@ -98,25 +25,41 @@ func TestCountersTotalsAndOrdering(t *testing.T) {
 				c.Add(key, 0, 1)
 				c.Add(key, 1, 1)
 			}
-		}(uint64(w) * 7919)
+		}(key)
 	}
 	go func() { wg.Wait(); close(done) }()
 	buf := make([]int64, 2)
 	for {
 		c.Snapshot(buf)
-		if buf[0] < buf[1] {
-			t.Fatalf("aggregate saw counter 1 ahead of counter 0: %v", buf)
+		if lead := buf[0] - buf[1]; lead < 0 || lead > writers {
+			t.Fatalf("torn snapshot: counter 0 leads counter 1 by %d (vals %v), want 0..%d", lead, buf, writers)
 		}
 		select {
 		case <-done:
 			c.Snapshot(buf)
-			if buf[0] != workers*iters || buf[1] != workers*iters {
-				t.Fatalf("totals = %v, want %d each", buf, workers*iters)
+			if buf[0] != writers*iters || buf[1] != writers*iters {
+				t.Fatalf("totals = %v, want %d each", buf, writers*iters)
 			}
 			return
 		default:
 		}
 	}
+}
+
+// TestCountersTotalsAndOrdering spreads the writers over distinct keys, so
+// the aggregate is a sum of stripes read at different instants.
+func TestCountersTotalsAndOrdering(t *testing.T) {
+	keys := make([]uint64, 8)
+	for w := range keys {
+		keys[w] = uint64(w) * 7919
+	}
+	hammerPairs(t, keys)
+}
+
+// TestCountersSameKeyNeverTorn has every writer share one key — one stripe,
+// one mutex — so the two counters are read in one critical section.
+func TestCountersSameKeyNeverTorn(t *testing.T) {
+	hammerPairs(t, []uint64{42, 42, 42, 42})
 }
 
 func TestNewRoundsStripesUp(t *testing.T) {
