@@ -41,7 +41,7 @@ lint-audit:
 	$(GO) run ./cmd/darwinlint -audit ./...
 
 race:
-	$(GO) test -race ./internal/server ./internal/node ./internal/lb ./internal/cluster ./internal/cache ./internal/stripe ./internal/par ./internal/core ./internal/exp ./internal/bloom ./internal/bandit ./internal/breaker ./internal/diskcache ./internal/persist ./internal/gossip
+	$(GO) test -race ./internal/server ./internal/node ./internal/lb ./internal/cluster ./internal/cache ./internal/par ./internal/core ./internal/exp ./internal/bloom ./internal/bandit ./internal/breaker ./internal/diskcache ./internal/persist ./internal/gossip
 
 # fuzz runs each fuzz target briefly: URL parsing on the proxy/origin seam,
 # the upstream client's response-head parser (a backend's bytes are outside

@@ -70,23 +70,7 @@ func main() {
 	mux.Handle("/obj/", front)
 	mux.HandleFunc("/healthz", health.Healthz)
 	mux.HandleFunc("/readyz", health.Readyz)
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		st := front.Stats()
-		fmt.Fprintf(w, "requests %d\nrelayed %d\nfailovers %d\nbreaker_rejects %d\nno_backend %d\nreplicated %d\nwindow %d\n",
-			st.Requests, st.Relayed, st.Failovers, st.BreakerRejects, st.NoBackend, st.Replicated, front.Window())
-		for i, wt := range front.Weights() {
-			fmt.Fprintf(w, "backend_weight{node=%d} %g\n", i, wt)
-		}
-		memb := front.Membership()
-		for i := range nodes {
-			timeouts, refused := front.ProbeStats(i)
-			fmt.Fprintf(w, "backend_status{node=%d} %s\nprobe_timeout{node=%d} %d\nprobe_refused{node=%d} %d\ngossip_phi{node=%d} %.3f\n",
-				i, front.MembershipStatus(i), i, timeouts, i, refused, i, memb.Phi(i))
-		}
-		rs := front.ReplicationStats()
-		fmt.Fprintf(w, "rep_observed %d\nrep_hot_objects %d\nrep_extra_replicas %d\nrep_max_factor %d\n",
-			rs.Observed, rs.HotObjects, rs.ExtraReplicas, rs.MaxFactor)
-	})
+	mux.HandleFunc("/metrics", front.ServeMetrics)
 
 	fmt.Fprintf(os.Stderr, "darwin-front: listening on %s over %d backends (%s)\n", o.addr, len(nodes), strings.Join(nodes, ","))
 	if err := server.Run(ctx, &http.Server{Addr: o.addr, Handler: mux}, health, 0, drain); err != nil {

@@ -10,9 +10,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strconv"
-	"strings"
 	"testing"
 	"time"
+
+	"darwin/internal/server"
 )
 
 // TestCrashRecoveryProcess is the real-process chaos test: it SIGKILLs a
@@ -162,20 +163,13 @@ func metric(t *testing.T, base, name string) int {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	m, err := server.ReadMetrics(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(string(body), "\n") {
-		fields := strings.Fields(line)
-		if len(fields) == 2 && fields[0] == name {
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				t.Fatalf("metric %s = %q", name, fields[1])
-			}
-			return v
-		}
+	v, err := m.Int(name)
+	if err != nil {
+		t.Fatalf("%s/metrics: %v", base, err)
 	}
-	t.Fatalf("metric %s not found in:\n%s", name, body)
-	return 0
+	return int(v)
 }

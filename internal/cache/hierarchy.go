@@ -45,7 +45,7 @@ type Metrics struct {
 	Misses       int64
 	MissBytes    int64
 	DCWrites     int64 // objects admitted to the DC
-	DCWriteBytes int64 // bytes written to the DC (SSD endurance driver, §2.2)
+	DCWriteBytes int64 `metric:"disk_write_bytes"` // bytes written to the DC (SSD endurance driver, §2.2)
 	HOCAdmits    int64 // promotions into the HOC
 }
 

@@ -3,8 +3,6 @@ package cache
 import (
 	"math/bits"
 	"math/rand/v2"
-
-	"darwin/internal/stripe"
 )
 
 // idTable is the package's one per-object index: an open-addressing hash
@@ -55,7 +53,7 @@ func newIDSeed() uint64 {
 }
 
 // home returns id's preferred slot.
-func (t *idTable[V]) home(id uint64) uint64 { return stripe.Mix64(id^idSeed) >> t.shift }
+func (t *idTable[V]) home(id uint64) uint64 { return Mix64(id^idSeed) >> t.shift }
 
 // len returns the number of entries.
 func (t *idTable[V]) len() int { return t.n }

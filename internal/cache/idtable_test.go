@@ -8,8 +8,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	"darwin/internal/stripe"
 )
 
 // The built-in map is idTable's oracle: every test below runs the same
@@ -134,7 +132,7 @@ func endOfSliceIDs(size, n int) []uint64 {
 func oneShardIDs(n int) []uint64 {
 	ids := make([]uint64, 0, n)
 	for id := uint64(0); len(ids) < n; id++ {
-		if stripe.Mix64(id)&7 == 0 {
+		if Mix64(id)&7 == 0 {
 			ids = append(ids, id)
 		}
 	}
@@ -153,7 +151,7 @@ func pinIDSeed(tb testing.TB, seed uint64) {
 	tb.Cleanup(func() { idSeed = old })
 }
 
-// unmix64 inverts stripe.Mix64 (a xor-shift by 33 is its own inverse; the
+// unmix64 inverts Mix64 (a xor-shift by 33 is its own inverse; the
 // multipliers are odd, so Newton's iteration finds their inverses mod 2^64).
 func unmix64(x uint64) uint64 {
 	inv := func(a uint64) uint64 {
@@ -336,7 +334,7 @@ func TestIDTableHashFlood(t *testing.T) {
 	const n = 4096 // fills 8192 slots to load 1/2
 	ids := floodIDs(n)
 	for _, id := range ids[:8] {
-		if got := stripe.Mix64(id) >> 40; got != 0xC0FFEE {
+		if got := Mix64(id) >> 40; got != 0xC0FFEE {
 			t.Fatalf("unmix64 does not invert Mix64: id %#x hashes to top bits %#x", id, got)
 		}
 	}

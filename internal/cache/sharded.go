@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sync"
 
-	"darwin/internal/stripe"
 	"darwin/internal/trace"
 )
 
@@ -117,13 +116,25 @@ func (s *Sharded) Concurrent() bool { return true }
 // mask when the shard count is a power of two (the AutoShards default).
 func (s *Sharded) route(id uint64) int {
 	if s.mask != 0 {
-		return int(stripe.Mix64(id) & s.mask)
+		return int(Mix64(id) & s.mask)
 	}
 	n := len(s.shards)
 	if n == 1 {
 		return 0
 	}
-	return int(stripe.Mix64(id) % uint64(n))
+	return int(Mix64(id) % uint64(n))
+}
+
+// Mix64 is a SplitMix64-style finalizer: a cheap, allocation-free bijective
+// mix spreading adjacent keys across the id space. Shard routing, the id
+// table's home slots and the server's stat striping all derive from it.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
 }
 
 // Serve processes one request on the owning shard.

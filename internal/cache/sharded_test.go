@@ -190,3 +190,18 @@ func TestNewShardedRejects(t *testing.T) {
 		t.Errorf("shards<=0 should clamp to 1, got %d", s.Shards())
 	}
 }
+
+func TestMix64Bijective(t *testing.T) {
+	// Distinct small ids must spread across shards rather than collapse.
+	seen := map[uint64]bool{}
+	for i := uint64(0); i < 1000; i++ {
+		h := cache.Mix64(i)
+		if seen[h] {
+			t.Fatalf("Mix64 collision at %d", i)
+		}
+		seen[h] = true
+	}
+	if cache.Mix64(0) == 0 && cache.Mix64(1) == 1 {
+		t.Fatal("Mix64 looks like identity")
+	}
+}

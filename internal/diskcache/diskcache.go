@@ -129,7 +129,8 @@ type Stats struct {
 	// Appends, Syncs, Rotations, Compactions count physical log activity.
 	Appends, Syncs, Rotations, Compactions int64
 	// RecoveredPuts and RecoveredDeletes count records replayed by Open.
-	RecoveredPuts, RecoveredDeletes int64
+	RecoveredPuts    int64 `metric:"recovered_puts"`
+	RecoveredDeletes int64
 	// TruncatedSegments and TruncatedBytes describe torn tails discarded by
 	// Open's recovery scan.
 	TruncatedSegments, TruncatedBytes int64

@@ -26,7 +26,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -312,16 +311,11 @@ func (r *rig) metric(base, name string) (int64, error) {
 		return 0, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	m, err := server.ReadMetrics(resp.Body)
 	if err != nil {
 		return 0, err
 	}
-	for _, line := range strings.Split(string(body), "\n") {
-		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			return strconv.ParseInt(v, 10, 64)
-		}
-	}
-	return 0, fmt.Errorf("exp: %s/metrics has no %s", base, name)
+	return m.Int(name)
 }
 
 // depart finishes a drain (Health.StartDrain flipped the verdict; the

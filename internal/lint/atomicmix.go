@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"strings"
 )
 
 // runAtomicMix enforces two memory-discipline invariants module-wide:
@@ -16,12 +15,12 @@ import (
 //     racy, torn, or stale views that the race detector only catches when a
 //     test happens to interleave them;
 //   - structs that embed synchronization state (sync.Mutex/RWMutex/
-//     WaitGroup/Cond, sync/atomic value types, or a stripe.Counters) must
-//     not be copied by value: the copy forks the lock, silently splitting
-//     the critical section. This extends vet's copylocks to sync/atomic
-//     value types and the repo's striped counters. Checked copy sites are
-//     assignments and var initializers reading an existing value, by-value
-//     range over such element types, and by-value call arguments.
+//     WaitGroup/Cond or sync/atomic value types) must not be copied by
+//     value: the copy forks the lock, silently splitting the critical
+//     section. This extends vet's copylocks to sync/atomic value types.
+//     Checked copy sites are assignments and var initializers reading an
+//     existing value, by-value range over such element types, and by-value
+//     call arguments.
 func runAtomicMix(cfg *Config, prog *Program) []Diagnostic {
 	if len(cfg.AtomicMixPkgs) == 0 {
 		return nil
@@ -206,8 +205,6 @@ func lockComponent(t types.Type, visited map[types.Type]bool) (string, bool) {
 				return "sync." + name, true
 			case path == "sync/atomic":
 				return "atomic." + name, true
-			case pathIsStripe(path) && name == "Counters":
-				return "stripe." + name, true
 			}
 		}
 		return lockComponent(named.Underlying(), visited)
@@ -223,9 +220,4 @@ func lockComponent(t types.Type, visited map[types.Type]bool) (string, bool) {
 		return lockComponent(u.Elem(), visited)
 	}
 	return "", false
-}
-
-// pathIsStripe matches the stripe package under any module prefix.
-func pathIsStripe(path string) bool {
-	return path == "internal/stripe" || strings.HasSuffix(path, "/internal/stripe")
 }

@@ -16,7 +16,7 @@ import (
 
 // cacheVersion invalidates every stored cache when the analyzer set or the
 // cache format changes; bump it alongside any analyzer semantics change.
-const cacheVersion = "darwinlint-cache-v2"
+const cacheVersion = "darwinlint-cache-v3"
 
 // The cache is whole-tree and all-or-nothing: the whole-program analyzers
 // (hotpath's call graph, lockorder's blocking propagation, goctx) make

@@ -12,7 +12,6 @@ package node
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -232,12 +231,13 @@ func (n *Node) Close(ctx context.Context) {
 	}
 }
 
-// serveMetrics is the /metrics exposition.
+// serveMetrics is the /metrics exposition: a line per field of the cache
+// metrics, ProxyStats, breaker_* and journal_*, plus the lines no struct holds.
 func (n *Node) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	m := n.Proxy.Metrics()
-	fmt.Fprintf(w, "requests %d\nhoc_hits %d\ndc_hits %d\nmisses %d\nohr %.4f\nbmr %.4f\ndisk_write_bytes %d\n",
-		m.Requests, m.HOCHits, m.DCHits, m.Misses, m.OHR(), m.BMR(), m.DCWriteBytes)
-	writeProxyStats(w, n.Proxy.Stats())
+	server.WriteMetrics(w, "", m)
+	fmt.Fprintf(w, "ohr %.4f\nbmr %.4f\n", m.OHR(), m.BMR())
+	server.WriteMetrics(w, "", n.Proxy.Stats())
 	if memb := n.Proxy.Membership(); memb != nil {
 		for i := 0; i < memb.Nodes(); i++ {
 			if i == memb.Self() {
@@ -248,30 +248,16 @@ func (n *Node) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if bs, ok := n.Proxy.BreakerSnapshot(); ok {
-		fmt.Fprintf(w, "breaker_state %s\nbreaker_opens %d\nbreaker_half_opens %d\nbreaker_reopens %d\nbreaker_closes %d\nbreaker_denied %d\nbreaker_probes %d\n",
-			bs.State, bs.Opens, bs.HalfOpens, bs.Reopens, bs.Closes, bs.Denied, bs.Probes)
+		server.WriteMetrics(w, "breaker_", bs)
 	}
 	if n.dur != nil {
 		recovered := 0
 		if n.dur.recovered.Load() {
 			recovered = 1
 		}
-		ds := n.dur.store.Stats()
-		fmt.Fprintf(w, "recovered %d\njournal_live_objects %d\njournal_live_bytes %d\njournal_log_bytes %d\njournal_segments %d\njournal_syncs %d\njournal_compactions %d\njournal_dropped_ops %d\nrecovered_puts %d\n",
-			recovered, ds.LiveObjects, ds.LiveBytes, ds.LogBytes, ds.Segments, ds.Syncs, ds.Compactions, ds.DroppedOps, ds.RecoveredPuts)
+		fmt.Fprintf(w, "recovered %d\n", recovered)
+		server.WriteMetrics(w, "journal_", n.dur.store.Stats())
 	}
-}
-
-// writeProxyStats renders every server.ProxyStats counter, one line each.
-func writeProxyStats(w io.Writer, st server.ProxyStats) {
-	fmt.Fprintf(w, "origin_fetches %d\nretries %d\nfetch_failures %d\ncoalesced %d\nstale_serves %d\nproxy_errors %d\n",
-		st.OriginFetches, st.Retries, st.FetchFailures, st.Coalesced, st.StaleServes, st.Errors)
-	fmt.Fprintf(w, "shed %d\ndeadline_sheds %d\nbreaker_rejects %d\nhedges %d\nhedge_wins %d\nretry_budget_denied %d\n",
-		st.Shed, st.DeadlineSheds, st.BreakerRejects, st.Hedges, st.HedgeWins, st.RetryBudgetDenied)
-	fmt.Fprintf(w, "peer_probes %d\npeer_fills %d\npeer_errors %d\npeer_rejects %d\npeer_served %d\n",
-		st.PeerProbes, st.PeerFills, st.PeerErrors, st.PeerRejects, st.PeerServed)
-	fmt.Fprintf(w, "peer_skips_dead %d\ngossip_exchanges %d\nstate_merges %d\nstate_rejects %d\nstate_pushes %d\n",
-		st.PeerSkipsDead, st.GossipExchanges, st.StateMerges, st.StateRejects, st.StatePushes)
 }
 
 // logf prints one diagnostic line to standard error, prefixed with the

@@ -229,9 +229,9 @@ func TestRunClosesNodeWhenDrainOverruns(t *testing.T) {
 	}
 }
 
-// TestMetricsListsEveryProxyStat: the /metrics exposition is hand-written, so
-// a counter added to server.ProxyStats can be forgotten in it. Every field
-// must appear on exactly one line.
+// TestMetricsListsEveryProxyStat: every server.ProxyStats field must appear on
+// exactly one line of the rendering /metrics uses, and every one of those
+// lines must be in a live node's /metrics.
 func TestMetricsListsEveryProxyStat(t *testing.T) {
 	var st server.ProxyStats
 	v := reflect.ValueOf(&st).Elem()
@@ -239,8 +239,9 @@ func TestMetricsListsEveryProxyStat(t *testing.T) {
 		v.Field(i).SetInt(int64(1000 + i))
 	}
 	var buf bytes.Buffer
-	writeProxyStats(&buf, st)
+	server.WriteMetrics(&buf, "", st)
 	seen := make(map[string]int)
+	var names []string
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	for _, line := range lines {
 		name, value, ok := strings.Cut(line, " ")
@@ -248,6 +249,7 @@ func TestMetricsListsEveryProxyStat(t *testing.T) {
 			t.Fatalf("malformed metrics line %q", line)
 		}
 		seen[value]++
+		names = append(names, name)
 	}
 	for i := 0; i < v.NumField(); i++ {
 		if n := seen[fmt.Sprint(1000+i)]; n != 1 {
@@ -256,5 +258,22 @@ func TestMetricsListsEveryProxyStat(t *testing.T) {
 	}
 	if len(lines) != v.NumField() {
 		t.Errorf("%d lines for %d ProxyStats fields", len(lines), v.NumField())
+	}
+
+	n, err := New(Config{HOCBytes: 1 << 20, DCBytes: 8 << 20, Shards: 1, Origin: testOrigin(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close(context.Background()) })
+	rec := httptest.NewRecorder()
+	n.serveMetrics(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	exp, err := server.ReadMetrics(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if _, ok := exp[name]; !ok {
+			t.Errorf("/metrics has no %s line", name)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"darwin/internal/cache"
-	"darwin/internal/stripe"
 )
 
 // This file is the serving fast path's allocation discipline: the static
@@ -123,7 +122,7 @@ var clCache [clCacheSlots]atomic.Pointer[clEntry]
 // contentLengthValue returns the shared header value slice for size,
 // serializing and caching it on first sight.
 func contentLengthValue(size int64) []string {
-	slot := &clCache[stripe.Mix64(uint64(size))&(clCacheSlots-1)]
+	slot := &clCache[cache.Mix64(uint64(size))&(clCacheSlots-1)]
 	if e := slot.Load(); e != nil && e.size == size {
 		return e.val
 	}

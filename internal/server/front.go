@@ -50,7 +50,6 @@ import (
 	"darwin/internal/breaker"
 	"darwin/internal/gossip"
 	"darwin/internal/lb"
-	"darwin/internal/stripe"
 )
 
 // FrontConfig parameterises the front tier.
@@ -109,18 +108,8 @@ func (c FrontConfig) WithDefaults() FrontConfig {
 	return c
 }
 
-// Front-tier stat indexes (stripe counters, same idiom as the proxy's ps*).
-const (
-	fsRequests       = iota // requests routed
-	fsRelayed               // responses streamed back from a backend
-	fsFailovers             // relay attempts beyond the first per request
-	fsBreakerRejects        // candidates skipped on an open breaker
-	fsNoBackend             // requests that exhausted every candidate (502)
-	fsReplicated            // requests routed over a widened replica set
-	fsWidth
-)
-
-// FrontStats is a coherent snapshot of the front tier's counters.
+// FrontStats is the front tier's counters: the striped storage, the snapshot
+// Stats returns, and (by field name) the front's /metrics lines.
 type FrontStats struct {
 	// Requests counts routed requests; Relayed counts responses streamed
 	// back (Requests - Relayed - NoBackend requests are in flight).
@@ -166,7 +155,7 @@ type Front struct {
 	// ups relays to each backend; client only polls their health.
 	ups    []*upstream
 	client *http.Client
-	stats  *stripe.Counters
+	stats  *counters[FrontStats]
 }
 
 // NewFront builds a front tier over the given backends. Call Start to run
@@ -205,7 +194,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		probeRefused:  make([]atomic.Int64, len(cfg.Backends)),
 		brks:          make([]*breaker.Breaker, len(cfg.Backends)),
 		ups:           make([]*upstream, len(cfg.Backends)),
-		stats:         stripe.New(proxyStatStripes, fsWidth),
+		stats:         newCounters[FrontStats](),
 	}
 	for i, b := range cfg.Backends {
 		f.brks[i] = breaker.New(cfg.Breaker)
@@ -389,18 +378,7 @@ func (f *Front) Weights() []float64 {
 }
 
 // Stats returns a coherent snapshot of the front tier's counters.
-func (f *Front) Stats() FrontStats {
-	var v [fsWidth]int64
-	f.stats.Snapshot(v[:])
-	return FrontStats{
-		Requests:       v[fsRequests],
-		Relayed:        v[fsRelayed],
-		Failovers:      v[fsFailovers],
-		BreakerRejects: v[fsBreakerRejects],
-		NoBackend:      v[fsNoBackend],
-		Replicated:     v[fsReplicated],
-	}
-}
+func (f *Front) Stats() FrontStats { return f.stats.snapshot() }
 
 // ReplicationStats returns the replicator's last completed window row.
 func (f *Front) ReplicationStats() lb.ReplicationStats { return f.rep.Stats() }
@@ -432,6 +410,23 @@ func (f *Front) MembershipStatus(backend int) string {
 	return f.memb.Status(backend).String()
 }
 
+// ServeMetrics is the front tier's /metrics exposition: the FrontStats
+// counters, the routing window, each backend's weight, standing and probe
+// failures, and the replicator's last window (rep_*).
+func (f *Front) ServeMetrics(w http.ResponseWriter, r *http.Request) {
+	WriteMetrics(w, "", f.Stats())
+	_, _ = fmt.Fprintf(w, "window %d\n", f.Window()) // as WriteMetrics, errors are dropped
+	for i, wt := range f.Weights() {
+		_, _ = fmt.Fprintf(w, "backend_weight{node=%d} %g\n", i, wt)
+	}
+	for i := range f.nodes {
+		timeouts, refused := f.ProbeStats(i)
+		_, _ = fmt.Fprintf(w, "backend_status{node=%d} %s\nprobe_timeout{node=%d} %d\nprobe_refused{node=%d} %d\ngossip_phi{node=%d} %.3f\n",
+			i, f.MembershipStatus(i), i, timeouts, i, refused, i, f.memb.Phi(i))
+	}
+	WriteMetrics(w, "rep_", f.ReplicationStats())
+}
+
 // ServeHTTP routes one client request to a backend and streams the response
 // back. The ring's pick goes first; on transport failure the request fails
 // over to the next distinct ring candidate (at most Attempts), recording
@@ -445,9 +440,10 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	primary, replicas := f.pick(id)
-	f.stats.Add(id, fsRequests, 1)
 	if replicas > 1 {
-		f.stats.Add(id, fsReplicated, 1)
+		f.stats.add(id, func(s *FrontStats) { s.Requests++; s.Replicated++ })
+	} else {
+		f.stats.add(id, func(s *FrontStats) { s.Requests++ })
 	}
 
 	// Failover order: the routed backend first, then the object's remaining
@@ -473,19 +469,19 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if !f.brks[node].Allow() {
-			f.stats.Add(id, fsBreakerRejects, 1)
+			f.stats.add(id, func(s *FrontStats) { s.BreakerRejects++ })
 			continue
 		}
 		if tried > 0 {
-			f.stats.Add(id, fsFailovers, 1)
+			f.stats.add(id, func(s *FrontStats) { s.Failovers++ })
 		}
 		tried++
 		if f.relay(w, r, node, id, size) {
-			f.stats.Add(id, fsRelayed, 1)
+			f.stats.add(id, func(s *FrontStats) { s.Relayed++ })
 			return
 		}
 	}
-	f.stats.Add(id, fsNoBackend, 1)
+	f.stats.add(id, func(s *FrontStats) { s.NoBackend++ })
 	http.Error(w, "front: no backend available", http.StatusBadGateway)
 }
 

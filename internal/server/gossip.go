@@ -111,7 +111,7 @@ func (p *Proxy) ServeGossip(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "gossip: GET or POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	p.stats.Add(uint64(ps.self), psGossipExchanges, 1)
+	p.stats.add(uint64(ps.self), func(s *ProxyStats) { s.GossipExchanges++ })
 	w.Header()["Content-Type"] = octetStreamValue
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(ps.digestBytes())

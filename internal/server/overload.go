@@ -137,13 +137,25 @@ func (p *Proxy) clientDeadline(r *http.Request) time.Duration {
 
 // shed answers a request the overload stages refuse to do full work for:
 // from the stale store when possible, otherwise a cheap 503 with Retry-After
-// — never by queueing behind a sick origin.
+// — never by queueing behind a sick origin. The shed, a deadline reason and
+// the answer are counted in one update, so no snapshot sees DeadlineSheds
+// lead Shed or a shed 503 without its error.
 func (p *Proxy) shed(w http.ResponseWriter, req trace.Request, reason string) {
-	p.stats.Add(req.ID, psShed, 1)
-	if p.serveStale(w, req, reason) {
+	stale := p.servedBefore(req.ID)
+	switch deadline := reason == "deadline"; {
+	case deadline && stale:
+		p.stats.add(req.ID, func(s *ProxyStats) { s.Shed++; s.DeadlineSheds++; s.StaleServes++ })
+	case deadline:
+		p.stats.add(req.ID, func(s *ProxyStats) { s.Shed++; s.DeadlineSheds++; s.Errors++ })
+	case stale:
+		p.stats.add(req.ID, func(s *ProxyStats) { s.Shed++; s.StaleServes++ })
+	default:
+		p.stats.add(req.ID, func(s *ProxyStats) { s.Shed++; s.Errors++ })
+	}
+	if stale {
+		p.serveStale(w, req.Size, reason)
 		return
 	}
-	p.stats.Add(req.ID, psErrors, 1)
 	w.Header().Set(ShedHeader, reason)
 	w.Header().Set("Retry-After", strconv.Itoa(int((p.ov.RetryAfter+time.Second-1)/time.Second)))
 	http.Error(w, fmt.Sprintf("server: overloaded (%s)", reason), http.StatusServiceUnavailable)
@@ -178,8 +190,7 @@ func (p *Proxy) fetchMaybeHedged(ctx context.Context, id uint64, size int64) err
 	hedge := func() {
 		hedgeFired = true
 		outstanding++
-		p.stats.Add(id, psHedges, 1)
-		p.stats.Add(id, psOriginFetches, 1)
+		p.stats.add(id, func(s *ProxyStats) { s.Hedges++; s.OriginFetches++ })
 		go launch(true)
 	}
 	var firstErr error
@@ -189,7 +200,7 @@ func (p *Proxy) fetchMaybeHedged(ctx context.Context, id uint64, size int64) err
 			outstanding--
 			if res.err == nil {
 				if res.hedged {
-					p.stats.Add(id, psHedgeWins, 1)
+					p.stats.add(id, func(s *ProxyStats) { s.HedgeWins++ })
 				}
 				return nil // deferred cancel reaps the loser
 			}

@@ -5,7 +5,7 @@ package server
 // node in a cluster shares the same ordered node list, so each builds an
 // identical consistent-hash ring (lb.Ring) and agrees on which siblings are
 // an object's primary and replica successors. On a DC/origin-bound miss the
-// proxy probes up to Fanout siblings — the nodes most likely to hold the
+// proxy probes up to peerFanout siblings — the nodes most likely to hold the
 // object under front-tier routing — and on a 200 commits the request through
 // the decider exactly like an origin fetch, so the peer fill is journaled as
 // an admit and the object becomes locally resident for the next request.
@@ -53,8 +53,6 @@ type PeerConfig struct {
 	// Nodes lists every cluster node's base URL in the same order on every
 	// node — the shared ring coordinates.
 	Nodes []string
-	// Fanout is the maximum siblings probed per miss (default 2).
-	Fanout int
 	// FetchTimeout bounds each probe (default 150 ms: a peer hop is only
 	// worth taking when it is much cheaper than the origin).
 	FetchTimeout time.Duration
@@ -97,9 +95,6 @@ func DefaultPeerBreaker() breaker.Config {
 // its documented default. SetPeers applies it; darwin-proxy seeds its flags
 // from it, so each default is spelled here and nowhere else.
 func (c PeerConfig) WithDefaults() PeerConfig {
-	if c.Fanout <= 0 {
-		c.Fanout = 2
-	}
 	if c.FetchTimeout <= 0 {
 		c.FetchTimeout = 150 * time.Millisecond
 	}
@@ -109,6 +104,10 @@ func (c PeerConfig) WithDefaults() PeerConfig {
 	c.RebalanceEvery = lb.Config{RebalanceEvery: c.RebalanceEvery}.WithDefaults().RebalanceEvery
 	return c
 }
+
+// peerFanout is the maximum siblings probed per miss (fewer in a cluster of
+// fewer siblings).
+const peerFanout = 2
 
 // peerSet is the proxy's view of its cluster: the shared ring, sibling
 // breakers and probe clients, the gossip membership view and the local
@@ -151,9 +150,6 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 		return fmt.Errorf("server: peer Self %q not in Nodes", cfg.Self)
 	}
 	cfg = cfg.WithDefaults()
-	if cfg.Fanout > len(cfg.Nodes)-1 {
-		cfg.Fanout = len(cfg.Nodes) - 1
-	}
 	ring, err := lb.NewRing(lb.Config{
 		Servers:      len(cfg.Nodes),
 		VirtualNodes: cfg.VirtualNodes,
@@ -191,7 +187,7 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 		ring:     ring,
 		self:     self,
 		nodes:    cfg.Nodes,
-		fanout:   cfg.Fanout,
+		fanout:   min(peerFanout, len(cfg.Nodes)-1),
 		width:    width,
 		timeout:  cfg.FetchTimeout,
 		brks:     brks,
@@ -231,7 +227,7 @@ func (p *Proxy) servePeerProbe(w http.ResponseWriter, r *http.Request, req trace
 	p.peers.mergeGossip(r.Header)
 	w.Header()[GossipHeader] = []string{p.peers.gossipValue()}
 	if p.decider.Lookup(req.ID) != cache.Miss {
-		p.stats.Add(req.ID, psPeerServed, 1)
+		p.stats.add(req.ID, func(s *ProxyStats) { s.PeerServed++ })
 		p.commit(w, req)
 		return
 	}
@@ -241,7 +237,7 @@ func (p *Proxy) servePeerProbe(w http.ResponseWriter, r *http.Request, req trace
 // fetchPeer tries to fill a miss from the object's designated holders — its
 // first Factor(id) ring successors, the exact nodes front-tier routing and
 // replication place it on. A cold object (factor 1) costs at most one probe
-// to its primary; a hot replicated object may probe up to Fanout of its
+// to its primary; a hot replicated object may probe up to peerFanout of its
 // holders. Siblings the gossip layer grades Dead are skipped outright (no
 // point spending a probe timeout on a corpse), and each probe still respects
 // the sibling's breaker. Returns false when no holder had the object — the
@@ -264,23 +260,23 @@ func (p *Proxy) fetchPeer(ctx context.Context, id uint64, size int64) bool {
 			continue
 		}
 		if ps.memb.Dead(node) {
-			p.stats.Add(id, psPeerSkipsDead, 1)
+			p.stats.add(id, func(s *ProxyStats) { s.PeerSkipsDead++ })
 			continue
 		}
 		tried++
 		brk := ps.brks[node]
 		if !brk.Allow() {
-			p.stats.Add(id, psPeerRejects, 1)
+			p.stats.add(id, func(s *ProxyStats) { s.PeerRejects++ })
 			continue
 		}
-		p.stats.Add(id, psPeerProbes, 1)
+		p.stats.add(id, func(s *ProxyStats) { s.PeerProbes++ })
 		hit, healthy := ps.probe(ctx, node, id, size)
 		brk.Record(healthy)
 		if !healthy {
-			p.stats.Add(id, psPeerErrors, 1)
+			p.stats.add(id, func(s *ProxyStats) { s.PeerErrors++ })
 		}
 		if hit {
-			p.stats.Add(id, psPeerFills, 1)
+			p.stats.add(id, func(s *ProxyStats) { s.PeerFills++ })
 			return true
 		}
 	}

@@ -12,8 +12,9 @@
 // cache engine stripes the object space across per-shard mutexes; one shard
 // is the single HOC lock whose contention the paper observes). The critical
 // sections cover only decider calls, never body writes or origin I/O, and
-// the proxy's own data-plane counters are lock-striped (stripe.Counters) so
-// handlers for unrelated objects never contend and Stats reads are coherent.
+// the proxy's own data-plane counters are lock-striped (counters[ProxyStats],
+// metrics.go) so handlers for unrelated objects never contend and Stats reads
+// are coherent.
 //
 // Proxy is one request pipeline. Every request crosses the same stages in
 // the same order; a stage whose own configuration value is zero is absent,
@@ -57,7 +58,6 @@ import (
 
 	"darwin/internal/breaker"
 	"darwin/internal/cache"
-	"darwin/internal/stripe"
 	"darwin/internal/trace"
 )
 
@@ -240,39 +240,8 @@ func (r Resilience) Validate() error {
 	return nil
 }
 
-// Stripe-cell indexes for the proxy's data-plane counters.
-const (
-	psOriginFetches = iota
-	psRetries
-	psFetchFailures
-	psCoalesced
-	psStaleServes
-	psErrors
-	psShed
-	psDeadlineSheds
-	psBreakerRejects
-	psHedges
-	psHedgeWins
-	psRetryBudgetDenied
-	psPeerProbes
-	psPeerFills
-	psPeerErrors
-	psPeerRejects
-	psPeerServed
-	psPeerSkipsDead
-	psGossipExchanges
-	psStateMerges
-	psStateRejects
-	psStatePushes
-	psWidth
-)
-
-// proxyStatStripes is the stripe count for the proxy counters: enough to
-// keep unrelated objects off each other's mutex at high concurrency, small
-// enough that a Stats snapshot stays a handful of cache lines.
-const proxyStatStripes = 32
-
-// ProxyStats is a snapshot of the proxy's data-plane counters.
+// ProxyStats is the proxy's data-plane counters: the striped storage, the
+// snapshot Stats returns, and (by field name) the node's /metrics lines.
 type ProxyStats struct {
 	// OriginFetches counts fetch attempts sent to the origin.
 	OriginFetches int64
@@ -285,7 +254,7 @@ type ProxyStats struct {
 	// StaleServes counts degraded-mode responses.
 	StaleServes int64
 	// Errors counts client-visible 5xx responses issued by this proxy.
-	Errors int64
+	Errors int64 `metric:"proxy_errors"`
 	// Shed counts requests the overload stages refused to do full work for
 	// (admission, breaker, or deadline sheds — answered stale or 503).
 	Shed int64
@@ -362,10 +331,10 @@ type Proxy struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand // guarded by rngMu; retry jitter only
 
-	// stats holds the data-plane counters (ps* indexes), striped by object
-	// id so concurrent handlers never contend on one counter line and Stats
+	// stats holds the data-plane counters, striped by object id so
+	// concurrent handlers never contend on one counter line and Stats
 	// snapshots are coherent without a global lock.
-	stats *stripe.Counters
+	stats *counters[ProxyStats]
 
 	start time.Time
 }
@@ -395,7 +364,7 @@ func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration
 		res:       res,
 		ov:        ov,
 		rng:       rand.New(rand.NewSource(res.Seed)),
-		stats:     stripe.New(proxyStatStripes, psWidth),
+		stats:     newCounters[ProxyStats](),
 		start:     time.Now(),
 	}
 	if ov.Enabled {
@@ -434,37 +403,10 @@ func withDefaults(res Resilience, ov Overload) (Resilience, Overload) {
 func (p *Proxy) Metrics() cache.Metrics { return p.decider.Metrics() }
 
 // Stats returns a coherent snapshot of the proxy's data-plane counters:
-// every stripe is observed at one consistent instant, so counters bumped
-// together for one request (e.g. a fetch failure and its final retry) are
+// every stripe is observed at one consistent instant, so counters bumped in
+// one update (a deadline shed and its shed, a hedge and its origin fetch) are
 // never seen torn. The read holds one stripe mutex at a time, for a copy.
-func (p *Proxy) Stats() ProxyStats {
-	var v [psWidth]int64
-	p.stats.Snapshot(v[:])
-	return ProxyStats{
-		OriginFetches:     v[psOriginFetches],
-		Retries:           v[psRetries],
-		FetchFailures:     v[psFetchFailures],
-		Coalesced:         v[psCoalesced],
-		StaleServes:       v[psStaleServes],
-		Errors:            v[psErrors],
-		Shed:              v[psShed],
-		DeadlineSheds:     v[psDeadlineSheds],
-		BreakerRejects:    v[psBreakerRejects],
-		Hedges:            v[psHedges],
-		HedgeWins:         v[psHedgeWins],
-		RetryBudgetDenied: v[psRetryBudgetDenied],
-		PeerProbes:        v[psPeerProbes],
-		PeerFills:         v[psPeerFills],
-		PeerErrors:        v[psPeerErrors],
-		PeerRejects:       v[psPeerRejects],
-		PeerServed:        v[psPeerServed],
-		PeerSkipsDead:     v[psPeerSkipsDead],
-		GossipExchanges:   v[psGossipExchanges],
-		StateMerges:       v[psStateMerges],
-		StateRejects:      v[psStateRejects],
-		StatePushes:       v[psStatePushes],
-	}
-}
+func (p *Proxy) Stats() ProxyStats { return p.stats.snapshot() }
 
 // ServeHTTP implements http.Handler for GET /obj/<id>?size=<n>: the pipeline
 // from parse to the Lookup-hit commit. Everything below a Lookup miss is
@@ -552,7 +494,6 @@ func (p *Proxy) serveMiss(w http.ResponseWriter, r *http.Request, req trace.Requ
 	// the client will never see complete.
 	dl, hasDeadline := ctx.Deadline()
 	if hasDeadline && time.Until(dl) < p.ov.MinFetchBudget {
-		p.stats.Add(req.ID, psDeadlineSheds, 1)
 		p.shed(w, req, "deadline")
 		return
 	}
@@ -579,16 +520,17 @@ func (p *Proxy) serveMiss(w http.ResponseWriter, r *http.Request, req trace.Requ
 		return
 	}
 	if hasDeadline && errors.Is(err, context.DeadlineExceeded) {
-		p.stats.Add(req.ID, psDeadlineSheds, 1)
 		p.shed(w, req, "deadline")
 		return
 	}
 	// Degraded mode: the origin is down and retries are exhausted. Serve the
 	// object stale if this proxy has ever served it, else surface the 502.
-	if p.serveStale(w, req, "") {
+	if p.servedBefore(req.ID) {
+		p.stats.add(req.ID, func(s *ProxyStats) { s.StaleServes++ })
+		p.serveStale(w, req.Size, "")
 		return
 	}
-	p.stats.Add(req.ID, psErrors, 1)
+	p.stats.add(req.ID, func(s *ProxyStats) { s.Errors++ })
 	http.Error(w, fmt.Sprintf("server: origin unavailable: %v", err), http.StatusBadGateway)
 }
 
@@ -611,29 +553,29 @@ func (p *Proxy) rememberStale(id uint64) {
 	p.stale[id] = struct{}{}
 }
 
-// serveStale answers req from the stale store — a fast, degraded success —
-// if ServeStale is on and this proxy has served the object before; it
-// reports whether it did. A non-empty shed reason marks the response as one
-// the overload stages refused full work for.
-func (p *Proxy) serveStale(w http.ResponseWriter, req trace.Request, shed string) bool {
+// servedBefore reports whether the stale store may answer id: ServeStale is
+// on and this proxy has served the object before.
+func (p *Proxy) servedBefore(id uint64) bool {
 	if !p.res.ServeStale {
 		return false
 	}
 	p.staleMu.Lock()
-	_, ok := p.stale[req.ID]
+	_, ok := p.stale[id]
 	p.staleMu.Unlock()
-	if !ok {
-		return false
-	}
-	p.stats.Add(req.ID, psStaleServes, 1)
+	return ok
+}
+
+// serveStale answers from the stale store — a fast, degraded success — an
+// object servedBefore vouched for. A non-empty shed reason marks the response
+// as one the overload stages refused full work for.
+func (p *Proxy) serveStale(w http.ResponseWriter, size int64, shed string) {
 	h := w.Header()
 	h["X-Cache"] = xcacheStale
 	if shed != "" {
 		h.Set(ShedHeader, shed)
 	}
 	h.Set("Warning", `110 darwin-proxy "response is stale"`)
-	p.serveLocal(w, cache.HOCHit, req.Size)
-	return true
+	p.serveLocal(w, cache.HOCHit, size)
 }
 
 // fetchOrigin fetches one object from the origin through the coalesce →
@@ -657,7 +599,7 @@ func (p *Proxy) fetchOrigin(ctx context.Context, id uint64, size int64) error {
 		return p.fetchRetry(fctx, id, size)
 	})
 	if shared {
-		p.stats.Add(id, psCoalesced, 1)
+		p.stats.add(id, func(s *ProxyStats) { s.Coalesced++ })
 	}
 	return err
 }
@@ -672,11 +614,11 @@ func (p *Proxy) fetchRetry(ctx context.Context, id uint64, size int64) error {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if p.brk != nil && !p.brk.Allow() {
-			p.stats.Add(id, psBreakerRejects, 1)
+			p.stats.add(id, func(s *ProxyStats) { s.BreakerRejects++ })
 			lastErr = breaker.ErrOpen
 			break
 		}
-		p.stats.Add(id, psOriginFetches, 1)
+		p.stats.add(id, func(s *ProxyStats) { s.OriginFetches++ })
 		err := p.fetchMaybeHedged(ctx, id, size)
 		if p.brk != nil {
 			p.brk.Record(err == nil)
@@ -689,15 +631,15 @@ func (p *Proxy) fetchRetry(ctx context.Context, id uint64, size int64) error {
 			break
 		}
 		if p.retryBudget != nil && !p.retryBudget.Allow() {
-			p.stats.Add(id, psRetryBudgetDenied, 1)
+			p.stats.add(id, func(s *ProxyStats) { s.RetryBudgetDenied++ })
 			break
 		}
-		p.stats.Add(id, psRetries, 1)
+		p.stats.add(id, func(s *ProxyStats) { s.Retries++ })
 		if sleepCtx(ctx, p.backoff(attempt)) != nil {
 			break
 		}
 	}
-	p.stats.Add(id, psFetchFailures, 1)
+	p.stats.add(id, func(s *ProxyStats) { s.FetchFailures++ })
 	return lastErr
 }
 

@@ -317,26 +317,24 @@ func TestProxyBadGatewayOnOriginFailure(t *testing.T) {
 	}
 }
 
-// TestStatsCopiesEveryCounter: a proxy counter lives in three hand-kept lists
-// (the ps* index, the ProxyStats field, the copy in Stats). Bumping every
-// index by a distinct amount must surface every amount in exactly one field.
+// TestStatsCopiesEveryCounter: Stats sums every ProxyStats field over the
+// stripes. Bumping every field by a distinct amount, split over two keys, must
+// surface every amount in exactly its own field.
 func TestStatsCopiesEveryCounter(t *testing.T) {
 	_, _, proxy := testbed(t, 0, 0)
-	for i := 0; i < psWidth; i++ {
-		proxy.stats.Add(0, i, int64(1000+i))
+	n := reflect.TypeFor[ProxyStats]().NumField()
+	for i := 0; i < n; i++ {
+		for key, amount := range []int64{1000, int64(i)} {
+			proxy.stats.add(uint64(2*i+key), func(s *ProxyStats) {
+				f := reflect.ValueOf(s).Elem().Field(i)
+				f.SetInt(f.Int() + amount)
+			})
+		}
 	}
 	v := reflect.ValueOf(proxy.Stats())
-	if v.NumField() != psWidth {
-		t.Fatalf("ProxyStats has %d fields for %d ps* counters", v.NumField(), psWidth)
-	}
-	seen := make(map[int64]string)
-	for i := 0; i < v.NumField(); i++ {
-		name, got := v.Type().Field(i).Name, v.Field(i).Int()
-		if got < 1000 || got >= 1000+psWidth {
-			t.Errorf("ProxyStats.%s = %d: Stats copies no counter into it", name, got)
-		} else if other, dup := seen[got]; dup {
-			t.Errorf("ProxyStats.%s and .%s are copied from the same counter", name, other)
+	for i := 0; i < n; i++ {
+		if got := v.Field(i).Int(); got != int64(1000+i) {
+			t.Errorf("ProxyStats.%s = %d, want %d", v.Type().Field(i).Name, got, 1000+i)
 		}
-		seen[got] = name
 	}
 }

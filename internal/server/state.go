@@ -72,11 +72,11 @@ func (p *Proxy) ServeState(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := h.Accept(data); err != nil {
-			p.stats.Add(0, psStateRejects, 1)
+			p.stats.add(0, func(s *ProxyStats) { s.StateRejects++ })
 			http.Error(w, "state: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		p.stats.Add(0, psStateMerges, 1)
+		p.stats.add(0, func(s *ProxyStats) { s.StateMerges++ })
 		w.WriteHeader(http.StatusNoContent)
 	default:
 		http.Error(w, "state: GET or POST only", http.StatusMethodNotAllowed)
@@ -126,6 +126,6 @@ func (p *Proxy) PushStateToSuccessor(ctx context.Context, client *http.Client) (
 		return succ, fmt.Errorf("state: successor %s answered %d: %s", ps.nodes[succ], resp.StatusCode, bytes.TrimSpace(body))
 	}
 	_, _ = io.CopyN(io.Discard, resp.Body, 1<<10) // best-effort drain so the connection can be reused
-	p.stats.Add(0, psStatePushes, 1)
+	p.stats.add(0, func(s *ProxyStats) { s.StatePushes++ })
 	return succ, nil
 }
