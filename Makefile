@@ -47,7 +47,8 @@ race:
 # the upstream client's response-head parser (a backend's bytes are outside
 # input),
 # the Bloom filter's uint64/string hash-identity invariants, the engine's id
-# table against the built-in map it replaced, the durability
+# table against the built-in map it replaced, the hierarchy's per-object
+# records against both levels' contents under random op sequences, the durability
 # decoders (persist frames, journal records/segments, checkpoint and
 # neural-weight payloads) — corrupted on-disk bytes must produce typed
 # errors, never panics — and darwinlint's own annotation parsers
@@ -58,6 +59,7 @@ fuzz:
 	$(GO) test ./internal/bloom -fuzz FuzzHashIdentity -fuzztime 10s
 	$(GO) test ./internal/bloom -fuzz FuzzFilterU64StringIdentity -fuzztime 10s
 	$(GO) test ./internal/cache -fuzz FuzzIDTable -fuzztime 10s
+	$(GO) test ./internal/cache -fuzz FuzzHierarchy -fuzztime 10s
 	$(GO) test ./internal/persist -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzDecodeRecord -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzOpenSegment -fuzztime 10s
@@ -73,7 +75,7 @@ bench:
 	bash benchmark/run.sh
 
 # microbench prices single functions: every package-level Benchmark* (engine
-# serve, controller serve, id table, feature observe, Bloom, tracker, ring
+# serve per eviction policy, controller serve, id table, feature observe, Bloom, ring
 # route, gossip digest codec, journal put and recovery, proxy serve-hit), with
 # allocs/op.
 microbench:

@@ -11,14 +11,14 @@ import (
 // (cited there as a frequency-admission scheme [17], Einziger et al., ACM
 // ToS'17): a candidate object is admitted into the HOC only if its observed
 // request frequency exceeds that of the object the eviction policy would
-// displace. Frequencies come from a window-reset counter (the reproduction's
-// stand-in for TinyLFU's halving sketch); admission is evaluated on every
-// request, including the miss path, like AdaptSize.
+// displace. Frequencies are the hierarchy's own request counts, reset every
+// window (the reproduction's stand-in for TinyLFU's halving sketch);
+// admission is evaluated on every request, including the miss path, like
+// AdaptSize.
 type TinyLFU struct {
-	hier    *cache.Hierarchy
-	tracker *cache.ExactTracker
-	window  int
-	n       int
+	hier   *cache.Hierarchy
+	window int
+	n      int
 }
 
 // TinyLFUConfig configures the baseline.
@@ -34,29 +34,26 @@ func NewTinyLFU(cfg TinyLFUConfig) (*TinyLFU, error) {
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("baselines: tinylfu window must be > 0")
 	}
-	tracker := cache.NewExactTracker()
 	h, err := cache.New(cache.Config{
 		HOCBytes:    cfg.Eval.HOCBytes,
 		DCBytes:     cfg.Eval.DCBytes,
 		HOCEviction: cfg.Eval.HOCEviction,
 		DCEviction:  cfg.Eval.DCEviction,
-		Tracker:     tracker,
 	})
 	if err != nil {
 		return nil, err
 	}
-	t := &TinyLFU{hier: h, tracker: tracker, window: cfg.Window}
-	h.SetAdmission(func(count int, size int64, _ int64) bool {
+	h.SetAdmission(func(count int, _ int64, _ int64) bool {
 		vid, _, ok := h.HOCVictim()
 		if !ok {
 			return true // empty HOC: admit freely
 		}
 		// Admit only when the candidate is (strictly) more frequent than the
 		// incumbent victim — TinyLFU's core comparison.
-		return count > t.tracker.Count(vid)
+		return count > h.Count(vid)
 	})
 	h.SetAdmitOnMiss(true)
-	return t, nil
+	return &TinyLFU{hier: h, window: cfg.Window}, nil
 }
 
 // Name implements Server.
@@ -68,7 +65,7 @@ func (t *TinyLFU) Serve(r trace.Request) cache.Result {
 	t.n++
 	if t.n >= t.window {
 		// Window aging: reset the frequency view (halving in real TinyLFU).
-		t.tracker.Reset()
+		t.hier.ResetCounts()
 		t.n = 0
 	}
 	return res

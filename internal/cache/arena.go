@@ -9,7 +9,9 @@ package cache
 //
 // Lists are circular with a sentinel node: newList returns the sentinel's
 // index, and an empty list is one whose sentinel links to itself. Several
-// lists (e.g. S4LRU's four segments) can share one arena.
+// lists (e.g. S4LRU's four segments) can share one arena. A node's index is
+// the list policies' Eviction handle; the first list's sentinel takes index
+// 0, so no resident object ever has handle 0 (noHandle).
 type nodeArena struct {
 	nodes []listNode
 	free  int32 // head of the free list, linked through next; nilNode = empty
@@ -26,11 +28,11 @@ type listNode struct {
 const nilNode = int32(-1)
 
 // newNodeArena returns an arena with room for hint nodes before regrowing.
-func newNodeArena(hint int) *nodeArena {
+func newNodeArena(hint int) nodeArena {
 	if hint < 8 {
 		hint = 8
 	}
-	return &nodeArena{nodes: make([]listNode, 0, hint), free: nilNode}
+	return nodeArena{nodes: make([]listNode, 0, hint), free: nilNode}
 }
 
 // newList allocates a sentinel and returns its index (the list handle).

@@ -8,40 +8,43 @@
 // ablations.
 package cache
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
-// Eviction is a byte-capacity-aware victim-selection policy. Implementations
-// track resident objects and answer which object should be evicted next.
+// Eviction is a byte-capacity-aware victim-selection policy. It keeps only
+// its ordering structure (an arena list or a heap) and no index: Insert hands
+// back an int32 handle for the admitted object, and every later call names
+// the object by that handle. The caller — Hierarchy's per-object record —
+// is what maps an id to its handle. A handle is valid from its Insert until
+// its Remove, and is never noHandle.
 type Eviction interface {
-	// Insert registers a newly admitted object.
-	Insert(id uint64, size int64)
-	// Touch records a hit on a resident object.
-	Touch(id uint64)
-	// Hit is the combined Contains+Touch fast path of the request loop: it
-	// touches id if resident and reports whether it was resident, with a
-	// single index lookup.
-	Hit(id uint64) bool
+	// Insert admits an object that is not resident and returns its handle.
+	Insert(id uint64, size int64) int32
+	// Hit records a request for the resident object h (the request loop's
+	// only per-hit call into the policy).
+	Hit(h int32)
 	// Victim returns the next object to evict without removing it.
 	// ok is false when the policy tracks no objects.
-	Victim() (id uint64, size int64, ok bool)
-	// Remove deletes an object (evicted or invalidated) from the policy.
-	Remove(id uint64)
-	// Contains reports residency.
-	Contains(id uint64) bool
-	// Size returns the resident size of id, or 0 if absent.
-	Size(id uint64) int64
+	Victim() (h int32, ok bool)
+	// Remove deletes the resident object h (evicted or invalidated).
+	Remove(h int32)
+	// ID returns the object id behind handle h.
+	ID(h int32) uint64
+	// Size returns the resident size of h.
+	Size(h int32) int64
 	// Len returns the number of resident objects.
 	Len() int
 	// Bytes returns the total resident bytes.
 	Bytes() int64
 	// Entries lists resident objects in eviction order where the policy has
-	// one (victim-first for list-based policies; unspecified for heap-based
-	// ones). Used to migrate state when the policy is swapped at runtime.
+	// one (victim-first for list-based policies; heap-array order for
+	// heap-based ones). Used to migrate state when the policy is swapped at
+	// runtime, and as the checkpoint's level contents.
 	Entries() []ResidentObject
 }
+
+// noHandle is the handle of no object: what a record holds for a level the
+// object is not resident in.
+const noHandle int32 = 0
 
 // ResidentObject is one (id, size) pair resident in an eviction policy.
 type ResidentObject struct {
@@ -49,304 +52,234 @@ type ResidentObject struct {
 	Size int64
 }
 
-// LRU evicts the least recently used object. Resident objects live in a
-// slab-backed intrusive list (see nodeArena), so steady-state churn is
-// allocation-free.
-type LRU struct {
-	arena *nodeArena
-	list  int32 // sentinel: front = most recent
-	index idTable[int32]
+// listLevel is the arena-backed list LRU, FIFO and S4LRU share: resident
+// objects are nodes of an intrusive list (front = most recent), the handle
+// is the node index, and steady-state churn is allocation-free.
+type listLevel struct {
+	arena nodeArena
+	list  int32 // sentinel; index 0, so noHandle is never a resident node
+	n     int
 	bytes int64
 }
 
-// NewLRU returns an empty LRU policy.
-func NewLRU() *LRU {
-	a := newNodeArena(64)
-	return &LRU{arena: a, list: a.newList()}
+func newListLevel() listLevel {
+	l := listLevel{arena: newNodeArena(64)}
+	l.list = l.arena.newList()
+	return l
 }
 
-// Insert implements Eviction. Inserting an existing id refreshes its recency
-// and updates its size.
-func (l *LRU) Insert(id uint64, size int64) {
-	p, resident := l.index.upsert(id)
-	if resident {
-		i := *p
-		l.bytes += size - l.arena.nodes[i].size
-		l.arena.nodes[i].size = size
-		l.arena.moveToFront(l.list, i)
-		return
-	}
+// Insert implements Eviction.
+func (l *listLevel) Insert(id uint64, size int64) int32 {
 	i := l.arena.alloc(id, size)
 	l.arena.pushFront(l.list, i)
-	*p = i
+	l.n++
 	l.bytes += size
+	return i
 }
 
-// Touch implements Eviction.
-func (l *LRU) Touch(id uint64) { l.Hit(id) }
-
-// Hit implements Eviction.
-func (l *LRU) Hit(id uint64) bool {
-	p := l.index.get(id)
-	if p == nil {
-		return false
-	}
-	l.arena.moveToFront(l.list, *p)
-	return true
-}
-
-// Victim implements Eviction.
-func (l *LRU) Victim() (uint64, int64, bool) {
+// Victim implements Eviction: the list's tail.
+func (l *listLevel) Victim() (int32, bool) {
 	i := l.arena.back(l.list)
-	if i == nilNode {
-		return 0, 0, false
-	}
-	return l.arena.nodes[i].id, l.arena.nodes[i].size, true
+	return i, i != nilNode
 }
 
 // Remove implements Eviction.
-func (l *LRU) Remove(id uint64) {
-	if i, ok := l.index.delete(id); ok {
-		l.bytes -= l.arena.nodes[i].size
-		l.arena.unlink(i)
-		l.arena.release(i)
-	}
+func (l *listLevel) Remove(h int32) {
+	l.bytes -= l.arena.nodes[h].size
+	l.n--
+	l.arena.unlink(h)
+	l.arena.release(h)
 }
 
-// Contains implements Eviction.
-func (l *LRU) Contains(id uint64) bool { return l.index.get(id) != nil }
+// ID implements Eviction.
+func (l *listLevel) ID(h int32) uint64 { return l.arena.nodes[h].id }
 
 // Size implements Eviction.
-func (l *LRU) Size(id uint64) int64 {
-	if p := l.index.get(id); p != nil {
-		return l.arena.nodes[*p].size
-	}
-	return 0
-}
+func (l *listLevel) Size(h int32) int64 { return l.arena.nodes[h].size }
 
 // Len implements Eviction.
-func (l *LRU) Len() int { return l.index.len() }
+func (l *listLevel) Len() int { return l.n }
 
 // Bytes implements Eviction.
-func (l *LRU) Bytes() int64 { return l.bytes }
+func (l *listLevel) Bytes() int64 { return l.bytes }
 
-// Entries implements Eviction (victim-first: LRU tail first).
-func (l *LRU) Entries() []ResidentObject {
-	return l.arena.appendVictimFirst(l.list, make([]ResidentObject, 0, l.index.len()))
+// Entries implements Eviction (victim-first: tail first).
+func (l *listLevel) Entries() []ResidentObject {
+	return l.arena.appendVictimFirst(l.list, make([]ResidentObject, 0, l.n))
 }
+
+// LRU evicts the least recently used object.
+type LRU struct{ listLevel }
+
+// NewLRU returns an empty LRU policy.
+func NewLRU() *LRU { return &LRU{newListLevel()} }
+
+// Hit implements Eviction: the object becomes the most recent.
+func (l *LRU) Hit(h int32) { l.arena.moveToFront(l.list, h) }
 
 // FIFO evicts in insertion order, ignoring hits.
-type FIFO struct {
-	arena *nodeArena
-	list  int32
-	index idTable[int32]
-	bytes int64
-}
+type FIFO struct{ listLevel }
 
 // NewFIFO returns an empty FIFO policy.
-func NewFIFO() *FIFO {
-	a := newNodeArena(64)
-	return &FIFO{arena: a, list: a.newList()}
-}
+func NewFIFO() *FIFO { return &FIFO{newListLevel()} }
 
-// Insert implements Eviction.
-func (f *FIFO) Insert(id uint64, size int64) {
-	p, resident := f.index.upsert(id)
-	if resident {
-		f.bytes += size - f.arena.nodes[*p].size
-		f.arena.nodes[*p].size = size
-		return
-	}
-	i := f.arena.alloc(id, size)
-	f.arena.pushFront(f.list, i)
-	*p = i
-	f.bytes += size
-}
-
-// Touch implements Eviction; FIFO ignores hits.
-func (f *FIFO) Touch(uint64) {}
-
-// Hit implements Eviction; FIFO only reports presence.
-func (f *FIFO) Hit(id uint64) bool { return f.index.get(id) != nil }
-
-// Victim implements Eviction.
-func (f *FIFO) Victim() (uint64, int64, bool) {
-	i := f.arena.back(f.list)
-	if i == nilNode {
-		return 0, 0, false
-	}
-	return f.arena.nodes[i].id, f.arena.nodes[i].size, true
-}
-
-// Remove implements Eviction.
-func (f *FIFO) Remove(id uint64) {
-	if i, ok := f.index.delete(id); ok {
-		f.bytes -= f.arena.nodes[i].size
-		f.arena.unlink(i)
-		f.arena.release(i)
-	}
-}
-
-// Contains implements Eviction.
-func (f *FIFO) Contains(id uint64) bool { return f.index.get(id) != nil }
-
-// Size implements Eviction.
-func (f *FIFO) Size(id uint64) int64 {
-	if p := f.index.get(id); p != nil {
-		return f.arena.nodes[*p].size
-	}
-	return 0
-}
-
-// Len implements Eviction.
-func (f *FIFO) Len() int { return f.index.len() }
-
-// Bytes implements Eviction.
-func (f *FIFO) Bytes() int64 { return f.bytes }
-
-// Entries implements Eviction (victim-first: oldest insert first).
-func (f *FIFO) Entries() []ResidentObject {
-	return f.arena.appendVictimFirst(f.list, make([]ResidentObject, 0, f.index.len()))
-}
+// Hit implements Eviction; FIFO ignores hits.
+func (f *FIFO) Hit(int32) {}
 
 // LFU evicts the least frequently used object, breaking ties by insertion
-// order (older first). Implemented as a min-heap keyed by (hits, seq);
-// removed entries are pooled and reused so churn does not allocate.
-type LFU struct {
-	h     lfuHeap
-	index idTable[*lfuEntry]
-	pool  []*lfuEntry
+// order (older first): a min-heap keyed by (hits, insertion sequence).
+type LFU struct{ pqueue }
+
+// NewLFU returns an empty LFU policy.
+func NewLFU() *LFU { return &LFU{newPQueue()} }
+
+// Insert implements Eviction: a new object starts at zero hits.
+func (l *LFU) Insert(id uint64, size int64) int32 { return l.push(id, size, 0, 0) }
+
+// Hit implements Eviction.
+func (l *LFU) Hit(h int32) {
+	l.e[h].key++
+	l.fix(h)
+}
+
+// pqueue is the pooled min-heap LFU and GDSF share; it implements every
+// Eviction method but Insert and Hit. Entries live in one slice and the
+// handle is the entry's index (entry 0 is reserved, so noHandle is never
+// resident); the heap orders handles by (key, seq), and freed entries are
+// reused, so churn does not allocate. up, down, fix and Remove are
+// container/heap's algorithms step for step: the heap array's order, which
+// Entries exports, depends on the exact sequence of swaps.
+type pqueue struct {
+	e     []pqEntry
+	heap  []int32
+	free  []int32
 	bytes int64
 	seq   uint64
 }
 
-type lfuEntry struct {
-	id    uint64
-	size  int64
-	hits  uint64
-	seq   uint64
-	index int // heap index
+type pqEntry struct {
+	id   uint64
+	size int64
+	key  float64 // LFU: hits; GDSF: priority H
+	freq float64 // GDSF's frequency term
+	seq  uint64  // insertion sequence: the tie-break, older first
+	pos  int32   // index in heap
 }
 
-type lfuHeap []*lfuEntry
+func newPQueue() pqueue { return pqueue{e: make([]pqEntry, 1, 64)} }
 
-func (h lfuHeap) Len() int { return len(h) }
-func (h lfuHeap) Less(i, j int) bool {
-	if h[i].hits != h[j].hits {
-		return h[i].hits < h[j].hits
-	}
-	return h[i].seq < h[j].seq
-}
-func (h lfuHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *lfuHeap) Push(x any) {
-	e := x.(*lfuEntry)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *lfuHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-// NewLFU returns an empty LFU policy.
-func NewLFU() *LFU {
-	return &LFU{}
-}
-
-// Insert implements Eviction.
-func (l *LFU) Insert(id uint64, size int64) {
-	p, resident := l.index.upsert(id)
-	if resident {
-		e := *p
-		l.bytes += size - e.size
-		e.size = size
-		l.bump(e)
-		return
-	}
-	l.seq++
-	var e *lfuEntry
-	if n := len(l.pool); n > 0 {
-		e = l.pool[n-1]
-		l.pool = l.pool[:n-1]
+// push admits a new entry and returns its handle.
+func (q *pqueue) push(id uint64, size int64, key, freq float64) int32 {
+	q.seq++
+	var h int32
+	if n := len(q.free); n > 0 {
+		h = q.free[n-1]
+		q.free = q.free[:n-1]
 	} else {
-		e = new(lfuEntry)
+		q.e = append(q.e, pqEntry{})
+		h = int32(len(q.e) - 1)
 	}
-	*e = lfuEntry{id: id, size: size, seq: l.seq}
-	*p = e
-	heap.Push(&l.h, e)
-	l.bytes += size
+	q.e[h] = pqEntry{id: id, size: size, key: key, freq: freq, seq: q.seq, pos: int32(len(q.heap))}
+	q.heap = append(q.heap, h)
+	q.up(len(q.heap) - 1)
+	q.bytes += size
+	return h
 }
 
-// Touch implements Eviction.
-func (l *LFU) Touch(id uint64) { l.Hit(id) }
-
-// Hit implements Eviction.
-func (l *LFU) Hit(id uint64) bool {
-	p := l.index.get(id)
-	if p == nil {
-		return false
+// fix restores heap order after h's key changed.
+func (q *pqueue) fix(h int32) {
+	if i := int(q.e[h].pos); !q.down(i, len(q.heap)) {
+		q.up(i)
 	}
-	l.bump(*p)
-	return true
 }
 
-// bump records one more request for a resident entry and re-sorts it.
-func (l *LFU) bump(e *lfuEntry) {
-	e.hits++
-	heap.Fix(&l.h, e.index)
-}
-
-// Victim implements Eviction.
-func (l *LFU) Victim() (uint64, int64, bool) {
-	if len(l.h) == 0 {
-		return 0, 0, false
+// Victim implements Eviction: the heap's root.
+func (q *pqueue) Victim() (int32, bool) {
+	if len(q.heap) == 0 {
+		return noHandle, false
 	}
-	return l.h[0].id, l.h[0].size, true
+	return q.heap[0], true
 }
 
 // Remove implements Eviction.
-func (l *LFU) Remove(id uint64) {
-	if e, ok := l.index.delete(id); ok {
-		l.bytes -= e.size
-		heap.Remove(&l.h, e.index)
-		l.pool = append(l.pool, e)
+func (q *pqueue) Remove(h int32) {
+	i, n := int(q.e[h].pos), len(q.heap)-1
+	if n != i {
+		q.swap(i, n)
+		if !q.down(i, n) {
+			q.up(i)
+		}
 	}
+	q.heap = q.heap[:n]
+	q.bytes -= q.e[h].size
+	q.free = append(q.free, h)
 }
 
-// Contains implements Eviction.
-func (l *LFU) Contains(id uint64) bool { return l.index.get(id) != nil }
+// ID implements Eviction.
+func (q *pqueue) ID(h int32) uint64 { return q.e[h].id }
 
 // Size implements Eviction.
-func (l *LFU) Size(id uint64) int64 {
-	if p := l.index.get(id); p != nil {
-		return (*p).size
-	}
-	return 0
-}
+func (q *pqueue) Size(h int32) int64 { return q.e[h].size }
 
 // Len implements Eviction.
-func (l *LFU) Len() int { return len(l.h) }
+func (q *pqueue) Len() int { return len(q.heap) }
 
 // Bytes implements Eviction.
-func (l *LFU) Bytes() int64 { return l.bytes }
+func (q *pqueue) Bytes() int64 { return q.bytes }
 
 // Entries implements Eviction (heap-array order: deterministic for a given
-// insertion history, so policy migrations replay identically — map iteration
-// here would make SetHOCEviction nondeterministic).
-func (l *LFU) Entries() []ResidentObject {
-	out := make([]ResidentObject, 0, len(l.h))
-	for _, e := range l.h {
-		out = append(out, ResidentObject{ID: e.id, Size: e.size})
+// history, so policy migrations and checkpoints replay identically).
+func (q *pqueue) Entries() []ResidentObject {
+	out := make([]ResidentObject, len(q.heap))
+	for i, h := range q.heap {
+		out[i] = ResidentObject{ID: q.e[h].id, Size: q.e[h].size}
 	}
 	return out
+}
+
+func (q *pqueue) less(i, j int) bool {
+	a, b := &q.e[q.heap[i]], &q.e[q.heap[j]]
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.seq < b.seq
+}
+
+func (q *pqueue) swap(i, j int) {
+	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
+	q.e[q.heap[i]].pos = int32(i)
+	q.e[q.heap[j]].pos = int32(j)
+}
+
+func (q *pqueue) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		j = i
+	}
+}
+
+func (q *pqueue) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !q.less(j, i) {
+			break
+		}
+		q.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // NewEviction constructs a policy by name ("lru", "fifo", "lfu", "s4lru",

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,111 +9,192 @@ import (
 
 func policies() map[string]func() Eviction {
 	return map[string]func() Eviction{
-		"lru":  func() Eviction { return NewLRU() },
-		"fifo": func() Eviction { return NewFIFO() },
-		"lfu":  func() Eviction { return NewLFU() },
+		"lru":   func() Eviction { return NewLRU() },
+		"fifo":  func() Eviction { return NewFIFO() },
+		"lfu":   func() Eviction { return NewLFU() },
+		"s4lru": func() Eviction { return NewS4LRU(1000) },
+		"gdsf":  func() Eviction { return NewGDSF() },
 	}
+}
+
+// byID drives an Eviction by object id for the tests, keeping the
+// id → handle map that Hierarchy's records keep in the engine.
+type byID struct {
+	Eviction
+	h map[uint64]int32
+}
+
+func drive(p Eviction) *byID { return &byID{p, map[uint64]int32{}} }
+
+// insert admits id; a resident id is removed first, so the policy sees a
+// fresh admission at the new size.
+func (b *byID) insert(id uint64, size int64) {
+	b.remove(id)
+	b.h[id] = b.Insert(id, size)
+}
+
+// touch is a request for id: a Hit when resident, nothing otherwise.
+func (b *byID) touch(id uint64) {
+	if h, ok := b.h[id]; ok {
+		b.Hit(h)
+	}
+}
+
+func (b *byID) remove(id uint64) {
+	if h, ok := b.h[id]; ok {
+		b.Remove(h)
+		delete(b.h, id)
+	}
+}
+
+func (b *byID) contains(id uint64) bool { _, ok := b.h[id]; return ok }
+
+func (b *byID) size(id uint64) int64 {
+	if h, ok := b.h[id]; ok {
+		return b.Size(h)
+	}
+	return 0
+}
+
+func (b *byID) victim() (uint64, bool) {
+	h, ok := b.Victim()
+	if !ok {
+		return 0, false
+	}
+	return b.ID(h), true
+}
+
+// consistent checks the handle contract against the id map: every handle
+// names its id, no handle is noHandle, Len and Bytes agree, and Entries
+// lists exactly the resident ids.
+func (b *byID) consistent() error {
+	var bytes int64
+	for id, h := range b.h {
+		if h == noHandle || b.ID(h) != id {
+			return fmt.Errorf("id %d: handle %d names id %d", id, h, b.ID(h))
+		}
+		bytes += b.Size(h)
+	}
+	if b.Len() != len(b.h) || b.Bytes() != bytes {
+		return fmt.Errorf("Len %d Bytes %d, want %d %d", b.Len(), b.Bytes(), len(b.h), bytes)
+	}
+	entries := b.Entries()
+	seen := map[uint64]bool{}
+	for _, e := range entries {
+		if !b.contains(e.ID) || seen[e.ID] || b.size(e.ID) != e.Size {
+			return fmt.Errorf("Entries lists %+v", e)
+		}
+		seen[e.ID] = true
+	}
+	if len(seen) != len(b.h) {
+		return fmt.Errorf("Entries lists %d objects, %d resident", len(seen), len(b.h))
+	}
+	return nil
 }
 
 func TestEvictionCommonBehaviour(t *testing.T) {
 	for name, mk := range policies() {
 		t.Run(name, func(t *testing.T) {
-			p := mk()
-			if _, _, ok := p.Victim(); ok {
+			p := drive(mk())
+			if _, ok := p.Victim(); ok {
 				t.Fatal("empty policy has a victim")
 			}
-			p.Insert(1, 100)
-			p.Insert(2, 200)
+			p.insert(1, 100)
+			p.insert(2, 200)
 			if p.Len() != 2 || p.Bytes() != 300 {
 				t.Fatalf("Len=%d Bytes=%d", p.Len(), p.Bytes())
 			}
-			if !p.Contains(1) || p.Contains(3) {
-				t.Fatal("Contains wrong")
+			for id, h := range p.h {
+				if h == noHandle || p.ID(h) != id {
+					t.Fatalf("handle %d of id %d names id %d", h, id, p.ID(h))
+				}
 			}
-			if p.Size(2) != 200 || p.Size(3) != 0 {
+			if p.size(2) != 200 {
 				t.Fatal("Size wrong")
 			}
-			p.Remove(1)
-			if p.Len() != 1 || p.Bytes() != 200 || p.Contains(1) {
+			p.remove(1)
+			if p.Len() != 1 || p.Bytes() != 200 {
 				t.Fatal("Remove wrong")
 			}
-			p.Remove(42) // absent: no-op
-			if p.Len() != 1 {
-				t.Fatal("Remove of absent id changed state")
+			if err := p.consistent(); err != nil {
+				t.Fatal(err)
+			}
+			p.remove(2)
+			if _, ok := p.Victim(); ok || p.Len() != 0 || p.Bytes() != 0 {
+				t.Fatal("policy not empty after removing everything")
 			}
 		})
 	}
 }
 
+// TestEvictionReinsertUpdatesSize: an object evicted and admitted again is a
+// fresh entry at its new size, and its handle names it.
 func TestEvictionReinsertUpdatesSize(t *testing.T) {
 	for name, mk := range policies() {
 		t.Run(name, func(t *testing.T) {
 			p := mk()
-			p.Insert(1, 100)
-			p.Insert(1, 150)
-			if p.Len() != 1 || p.Bytes() != 150 {
-				t.Fatalf("Len=%d Bytes=%d after reinsert", p.Len(), p.Bytes())
+			p.Remove(p.Insert(1, 100))
+			h := p.Insert(1, 150)
+			if p.Len() != 1 || p.Bytes() != 150 || p.Size(h) != 150 || p.ID(h) != 1 {
+				t.Fatalf("Len=%d Bytes=%d Size=%d ID=%d after reinsert", p.Len(), p.Bytes(), p.Size(h), p.ID(h))
 			}
 		})
 	}
 }
 
 func TestLRUOrder(t *testing.T) {
-	p := NewLRU()
-	p.Insert(1, 1)
-	p.Insert(2, 1)
-	p.Insert(3, 1)
-	if id, _, _ := p.Victim(); id != 1 {
+	p := drive(NewLRU())
+	p.insert(1, 1)
+	p.insert(2, 1)
+	p.insert(3, 1)
+	if id, _ := p.victim(); id != 1 {
 		t.Fatalf("victim = %d, want 1", id)
 	}
-	p.Touch(1) // 2 now oldest
-	if id, _, _ := p.Victim(); id != 2 {
+	p.touch(1) // 2 now oldest
+	if id, _ := p.victim(); id != 2 {
 		t.Fatalf("victim after touch = %d, want 2", id)
-	}
-	p.Touch(99) // absent: no-op
-	if id, _, _ := p.Victim(); id != 2 {
-		t.Fatal("touching absent id changed order")
 	}
 }
 
 func TestFIFOIgnoresTouch(t *testing.T) {
-	p := NewFIFO()
-	p.Insert(1, 1)
-	p.Insert(2, 1)
-	p.Touch(1)
-	if id, _, _ := p.Victim(); id != 1 {
+	p := drive(NewFIFO())
+	p.insert(1, 1)
+	p.insert(2, 1)
+	p.touch(1)
+	if id, _ := p.victim(); id != 1 {
 		t.Fatalf("victim = %d, want 1 (FIFO ignores hits)", id)
 	}
 }
 
 func TestLFUOrder(t *testing.T) {
-	p := NewLFU()
-	p.Insert(1, 1)
-	p.Insert(2, 1)
-	p.Insert(3, 1)
-	p.Touch(1)
-	p.Touch(1)
-	p.Touch(2)
+	p := drive(NewLFU())
+	p.insert(1, 1)
+	p.insert(2, 1)
+	p.insert(3, 1)
+	p.touch(1)
+	p.touch(1)
+	p.touch(2)
 	// hits: 1→2, 2→1, 3→0
-	if id, _, _ := p.Victim(); id != 3 {
+	if id, _ := p.victim(); id != 3 {
 		t.Fatalf("victim = %d, want 3", id)
 	}
-	p.Remove(3)
-	if id, _, _ := p.Victim(); id != 2 {
+	p.remove(3)
+	if id, _ := p.victim(); id != 2 {
 		t.Fatalf("victim = %d, want 2", id)
 	}
 }
 
 func TestLFUTieBreaksByAge(t *testing.T) {
-	p := NewLFU()
-	p.Insert(5, 1)
-	p.Insert(6, 1)
-	if id, _, _ := p.Victim(); id != 5 {
+	p := drive(NewLFU())
+	p.insert(5, 1)
+	p.insert(6, 1)
+	if id, _ := p.victim(); id != 5 {
 		t.Fatalf("victim = %d, want older insert 5", id)
 	}
 }
 
-// TestEvictionBytesInvariant: Bytes always equals the sum of resident sizes.
+// TestEvictionBytesInvariant: Bytes always equals the sum of resident sizes,
+// and every handle keeps naming its object through any churn.
 func TestEvictionBytesInvariant(t *testing.T) {
 	type op struct {
 		Kind uint8
@@ -122,26 +204,19 @@ func TestEvictionBytesInvariant(t *testing.T) {
 	for name, mk := range policies() {
 		t.Run(name, func(t *testing.T) {
 			f := func(ops []op) bool {
-				p := mk()
-				ref := map[uint64]int64{}
+				p := drive(mk())
 				for _, o := range ops {
 					id := uint64(o.ID % 16)
 					switch o.Kind % 3 {
 					case 0:
-						size := int64(o.Size%1000) + 1
-						p.Insert(id, size)
-						ref[id] = size
+						p.insert(id, int64(o.Size%1000)+1)
 					case 1:
-						p.Touch(id)
+						p.touch(id)
 					case 2:
-						p.Remove(id)
-						delete(ref, id)
+						p.remove(id)
 					}
-					var want int64
-					for _, s := range ref {
-						want += s
-					}
-					if p.Bytes() != want || p.Len() != len(ref) {
+					if err := p.consistent(); err != nil {
+						t.Log(err)
 						return false
 					}
 				}
@@ -155,30 +230,25 @@ func TestEvictionBytesInvariant(t *testing.T) {
 }
 
 func TestLFUHeapStress(t *testing.T) {
-	p := NewLFU()
+	p := drive(NewLFU())
 	rng := rand.New(rand.NewSource(3))
-	live := map[uint64]bool{}
 	for i := 0; i < 5000; i++ {
 		id := uint64(rng.Intn(100))
 		switch rng.Intn(4) {
 		case 0:
-			p.Insert(id, int64(rng.Intn(100)+1))
-			live[id] = true
+			p.insert(id, int64(rng.Intn(100)+1))
 		case 1:
-			p.Touch(id)
+			p.touch(id)
 		case 2:
-			p.Remove(id)
-			delete(live, id)
+			p.remove(id)
 		case 3:
-			if vid, _, ok := p.Victim(); ok {
-				if !live[vid] {
-					t.Fatalf("victim %d is not live", vid)
-				}
+			if vid, ok := p.victim(); ok && !p.contains(vid) {
+				t.Fatalf("victim %d is not live", vid)
 			}
 		}
 	}
-	if p.Len() != len(live) {
-		t.Fatalf("Len=%d, want %d", p.Len(), len(live))
+	if err := p.consistent(); err != nil {
+		t.Fatal(err)
 	}
 }
 

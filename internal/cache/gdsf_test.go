@@ -15,40 +15,40 @@ func TestGDSFImplementsEviction(t *testing.T) {
 }
 
 func TestGDSFPrefersSmallFrequent(t *testing.T) {
-	g := NewGDSF()
-	g.Insert(1, 10)   // small
-	g.Insert(2, 1000) // large, same frequency → lower priority
-	if id, _, _ := g.Victim(); id != 2 {
+	g := drive(NewGDSF())
+	g.insert(1, 10)   // small
+	g.insert(2, 1000) // large, same frequency → lower priority
+	if id, _ := g.victim(); id != 2 {
 		t.Fatalf("victim = %d, want the large object", id)
 	}
 	// Touch the large object repeatedly: frequency can overcome size.
 	for i := 0; i < 200; i++ {
-		g.Touch(2)
+		g.touch(2)
 	}
-	if id, _, _ := g.Victim(); id != 1 {
+	if id, _ := g.victim(); id != 1 {
 		t.Fatalf("victim = %d, want the now-cold small object", id)
 	}
 }
 
 func TestGDSFInflationAges(t *testing.T) {
-	g := NewGDSF()
-	g.Insert(1, 100)
+	p := NewGDSF()
+	g := drive(p)
+	g.insert(1, 100)
 	for i := 0; i < 50; i++ {
-		g.Touch(1) // high priority
+		g.touch(1) // high priority
 	}
 	// Evict something to raise L, then a fresh insert competes fairly.
-	g.Insert(2, 100)
-	vid, _, _ := g.Victim()
+	g.insert(2, 100)
+	vid, _ := g.victim()
 	if vid != 2 {
 		t.Fatalf("victim = %d, want cold newcomer", vid)
 	}
-	g.Remove(2) // advances L to 2's priority
-	g.Insert(3, 100)
+	g.remove(2) // advances L to 2's priority
+	g.insert(3, 100)
 	// Object 3 enters at L + 1/100, not at 1/100: aging protects it from
 	// being starved behind historical high-frequency objects forever.
-	e3 := *g.index.get(3)
-	if e3.prio <= 1.0/100 {
-		t.Fatalf("newcomer priority %v not inflated", e3.prio)
+	if prio := p.e[g.h[3]].key; prio <= 1.0/100 {
+		t.Fatalf("newcomer priority %v not inflated", prio)
 	}
 }
 
@@ -59,26 +59,18 @@ func TestGDSFBytesInvariant(t *testing.T) {
 		Size uint16
 	}
 	f := func(ops []op) bool {
-		g := NewGDSF()
-		ref := map[uint64]int64{}
+		g := drive(NewGDSF())
 		for _, o := range ops {
 			id := uint64(o.ID % 16)
 			switch o.Kind % 3 {
 			case 0:
-				size := int64(o.Size%1000) + 1
-				g.Insert(id, size)
-				ref[id] = size
+				g.insert(id, int64(o.Size%1000)+1)
 			case 1:
-				g.Touch(id)
+				g.touch(id)
 			case 2:
-				g.Remove(id)
-				delete(ref, id)
+				g.remove(id)
 			}
-			var want int64
-			for _, s := range ref {
-				want += s
-			}
-			if g.Bytes() != want || g.Len() != len(ref) {
+			if g.consistent() != nil {
 				return false
 			}
 		}

@@ -123,8 +123,6 @@ type Config struct {
 	HOCEviction, DCEviction string
 	// Expert is the initial HOC admission expert.
 	Expert Expert
-	// Tracker counts object frequencies; nil selects NewExactTracker.
-	Tracker *ExactTracker
 	// BloomObjects sizes the DC one-hit-wonder filter; 0 selects a default
 	// of one million expected objects.
 	BloomObjects int
@@ -139,12 +137,15 @@ type Config struct {
 // into the HOC subject to the current admission expert; a miss admits the
 // object into the DC only on its second request (Bloom filter).
 type Hierarchy struct {
+	// objs is the one per-object index: every object served since the last
+	// ResetCounts (or restored with a count), and every resident one, has
+	// exactly one record.
+	objs            idTable[objRec]
 	hoc, dc         Eviction
 	hocCap, dcCap   int64
 	hocName, dcName string
 	expert          Expert
 	admission       AdmissionFunc
-	tracker         *ExactTracker
 	seen            *bloom.Filter
 	seenObjects     int
 	dclog           DCLog
@@ -154,11 +155,22 @@ type Hierarchy struct {
 	expertSwitches  int64
 }
 
+// objRec is everything the hierarchy knows about one object: the frequency
+// and recency knobs' inputs, and where it is resident. count 0 means "no
+// request seen" (a record kept only for residency); hoc and dc are the
+// levels' Eviction handles, noHandle when not resident there.
+type objRec struct {
+	count    int
+	lastSeen int64 // request index of the latest request; meaningful when count > 0
+	hoc, dc  int32
+}
+
 // AdmissionFunc is a custom HOC admission predicate. It receives the
 // object's observed request count (including the current request), its size,
 // and its age in requests since the previous request (-1 when first seen).
 // Baselines with non-threshold admission rules (e.g. AdaptSize's
-// probabilistic size filter) install one via SetAdmission.
+// probabilistic size filter) install one via SetAdmission. It runs inside
+// Serve and may read the hierarchy (Count, HOCVictim) but not change it.
 type AdmissionFunc func(count int, size int64, age int64) bool
 
 // New builds a Hierarchy from cfg.
@@ -174,10 +186,6 @@ func New(cfg Config) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	tracker := cfg.Tracker
-	if tracker == nil {
-		tracker = NewExactTracker()
-	}
 	nBloom := cfg.BloomObjects
 	if nBloom <= 0 {
 		nBloom = 1 << 20
@@ -190,7 +198,6 @@ func New(cfg Config) (*Hierarchy, error) {
 		hocName:     cfg.HOCEviction,
 		dcName:      cfg.DCEviction,
 		expert:      cfg.Expert,
-		tracker:     tracker,
 		seen:        bloom.New(nBloom, 0.01),
 		seenObjects: nBloom,
 		dclog:       cfg.DCLog,
@@ -229,31 +236,47 @@ func (h *Hierarchy) ExpertSwitches() int64 { return h.expertSwitches }
 // only after the fetch succeeds, so failed fetches never produce phantom
 // admissions.
 func (h *Hierarchy) Lookup(id uint64) Result {
-	if h.hoc.Contains(id) {
+	switch rec := h.objs.get(id); {
+	case rec == nil:
+		return Miss
+	case rec.hoc != noHandle:
 		return HOCHit
-	}
-	if h.dc.Contains(id) {
+	case rec.dc != noHandle:
 		return DCHit
 	}
 	return Miss
 }
 
-// Serve processes one request and returns where it was served from.
+// Serve processes one request and returns where it was served from. Its
+// one table probe is the upsert of the object's record: count, age and both
+// levels' residency come from it.
 func (h *Hierarchy) Serve(r trace.Request) Result {
 	idx := h.reqIdx
 	h.reqIdx++
-	count, age := h.tracker.Observe(r.ID, idx)
+	// rec stays valid for the whole call: nothing below inserts into h.objs
+	// (an evicted victim's record is found with get and cleared in place),
+	// so the slot array does not move under it.
+	rec, _ := h.objs.upsert(r.ID)
+	age := int64(-1)
+	if rec.count > 0 {
+		age = idx - rec.lastSeen
+	}
+	rec.count++
+	rec.lastSeen = idx
+	count := rec.count
 
 	h.m.Requests++
 	h.m.Bytes += r.Size
 
-	if h.hoc.Hit(r.ID) {
+	if rec.hoc != noHandle {
+		h.hoc.Hit(rec.hoc)
 		h.m.HOCHits++
 		h.m.HOCHitBytes += r.Size
 		return HOCHit
 	}
 
-	if h.dc.Hit(r.ID) {
+	if rec.dc != noHandle {
+		h.dc.Hit(rec.dc)
 		h.m.DCHits++
 		h.m.DCHitBytes += r.Size
 		// Promotion into the HOC is governed by the deployed expert (or a
@@ -263,7 +286,7 @@ func (h *Hierarchy) Serve(r trace.Request) Result {
 			admit = h.admission(count, r.Size, age)
 		}
 		if admit {
-			h.admitHOC(r.ID, r.Size)
+			h.admitHOC(rec, r.ID, r.Size)
 		}
 		return DCHit
 	}
@@ -272,50 +295,82 @@ func (h *Hierarchy) Serve(r trace.Request) Result {
 	// admitting only objects previously recorded in the Bloom filter (§2.2).
 	h.m.Misses++
 	h.m.MissBytes += r.Size
-	if h.seen.TestAndAddU64(r.ID) {
-		h.admitDC(r.ID, r.Size)
+	if h.seen.TestAndAddU64(r.ID) && h.admitDC(rec, r.ID, r.Size) {
+		h.m.DCWrites++
+		h.m.DCWriteBytes += r.Size
 	}
 	if h.admitOnMiss && h.admission != nil && h.admission(count, r.Size, age) {
-		h.admitHOC(r.ID, r.Size)
+		h.admitHOC(rec, r.ID, r.Size)
 	}
 	return Miss
 }
 
-func (h *Hierarchy) admitHOC(id uint64, size int64) {
+// admitHOC inserts id, whose record is rec and which is not HOC-resident,
+// evicting HOC victims until it fits. Victims' records are cleared through
+// get, never deleted: rec (and any record pointer the caller holds) stays
+// valid.
+func (h *Hierarchy) admitHOC(rec *objRec, id uint64, size int64) {
 	if size > h.hocCap {
 		return
 	}
 	for h.hoc.Bytes()+size > h.hocCap {
-		vid, _, ok := h.hoc.Victim()
+		v, ok := h.hoc.Victim()
 		if !ok {
 			return
 		}
-		h.hoc.Remove(vid)
+		h.objs.get(h.hoc.ID(v)).hoc = noHandle
+		h.hoc.Remove(v)
 	}
-	h.hoc.Insert(id, size)
+	rec.hoc = h.hoc.Insert(id, size)
 	h.m.HOCAdmits++
 }
 
-func (h *Hierarchy) admitDC(id uint64, size int64) {
+// admitDC is admitHOC for the DC, journaling every eviction and the
+// admission; it reports whether id was admitted. It charges no metrics
+// (MergeDC admits through it too).
+func (h *Hierarchy) admitDC(rec *objRec, id uint64, size int64) bool {
 	if size > h.dcCap {
-		return
+		return false
 	}
 	for h.dc.Bytes()+size > h.dcCap {
-		vid, _, ok := h.dc.Victim()
+		v, ok := h.dc.Victim()
 		if !ok {
-			return
+			return false
 		}
-		h.dc.Remove(vid)
+		vid := h.dc.ID(v)
+		h.objs.get(vid).dc = noHandle
+		h.dc.Remove(v)
 		if h.dclog != nil {
 			h.dclog.Remove(vid)
 		}
 	}
-	h.dc.Insert(id, size)
+	rec.dc = h.dc.Insert(id, size)
 	if h.dclog != nil {
 		h.dclog.Put(id, size)
 	}
-	h.m.DCWrites++
-	h.m.DCWriteBytes += size
+	return true
+}
+
+// Count returns id's request count since the last ResetCounts (0 when none).
+func (h *Hierarchy) Count(id uint64) int {
+	if rec := h.objs.get(id); rec != nil {
+		return rec.count
+	}
+	return 0
+}
+
+// ResetCounts forgets every object's request history — TinyLFU's window
+// aging. Records survive only for resident objects, with count 0, which
+// the next Serve reads exactly as a first request: count 1, age -1.
+func (h *Hierarchy) ResetCounts() {
+	var objs idTable[objRec]
+	h.objs.each(func(id uint64, rec *objRec) {
+		if rec.hoc != noHandle || rec.dc != noHandle {
+			r, _ := objs.upsert(id)
+			*r = objRec{hoc: rec.hoc, dc: rec.dc}
+		}
+	})
+	h.objs = objs
 }
 
 // Play serves every request in tr.
@@ -349,29 +404,35 @@ func (h *Hierarchy) HOCLen() int { return h.hoc.Len() }
 func (h *Hierarchy) DCLen() int { return h.dc.Len() }
 
 // HOCContains reports HOC residency (prototype fast path).
-func (h *Hierarchy) HOCContains(id uint64) bool { return h.hoc.Contains(id) }
+func (h *Hierarchy) HOCContains(id uint64) bool { return h.Lookup(id) == HOCHit }
 
 // HOCVictim returns the object the HOC eviction policy would evict next —
 // used by admission filters (e.g. TinyLFU) that compare a candidate against
 // the incumbent victim.
-func (h *Hierarchy) HOCVictim() (id uint64, size int64, ok bool) { return h.hoc.Victim() }
+func (h *Hierarchy) HOCVictim() (id uint64, size int64, ok bool) {
+	v, ok := h.hoc.Victim()
+	if !ok {
+		return 0, 0, false
+	}
+	return h.hoc.ID(v), h.hoc.Size(v), true
+}
 
 // SetHOCEviction swaps the HOC eviction policy at runtime, migrating the
 // resident objects into the new policy (in the old policy's victim-first
-// order, so relative protection is approximately preserved). This supports
-// the §7 future-work extension — learning eviction decisions with the same
-// expert-selection machinery.
+// order, so relative protection is approximately preserved) and re-pointing
+// their records at the new handles. This supports the §7 future-work
+// extension — learning eviction decisions with the same expert-selection
+// machinery.
 func (h *Hierarchy) SetHOCEviction(name string) error {
 	next, err := NewEvictionWithCapacity(name, h.hocCap)
 	if err != nil {
 		return err
 	}
-	entries := h.hoc.Entries()
 	// Insert most-protected objects last so list-based policies place them
 	// nearest the MRU end.
-	for _, e := range entries {
-		next.Insert(e.ID, e.Size)
+	for _, e := range h.hoc.Entries() {
+		h.objs.get(e.ID).hoc = next.Insert(e.ID, e.Size)
 	}
-	h.hoc = next
+	h.hoc, h.hocName = next, name
 	return nil
 }

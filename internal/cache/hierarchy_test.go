@@ -240,17 +240,145 @@ func TestResultString(t *testing.T) {
 	}
 }
 
+// evictionPolicies names every policy NewEvictionWithCapacity builds.
+var evictionPolicies = []string{"lru", "fifo", "lfu", "s4lru", "gdsf"}
+
+// TestServeCountAndAge pins the frequency and recency knobs' inputs as Serve
+// hands them to admission — count including this request, age in requests
+// since the previous one, -1 when first seen — and what ResetCounts does to
+// them: a resident object's next request reads as its first again, and it
+// stays resident.
+func TestServeCountAndAge(t *testing.T) {
+	h := mustHierarchy(t, 1000, 10000, Expert{})
+	var count int
+	var age int64
+	h.SetAdmission(func(c int, _ int64, a int64) bool { count, age = c, a; return false })
+	h.SetAdmitOnMiss(true) // admission sees every request: nothing reaches the HOC
+	serve := func(id uint64, wantCount int, wantAge int64) Result {
+		t.Helper()
+		res := h.Serve(req(id, 100))
+		if count != wantCount || age != wantAge {
+			t.Fatalf("serve %d: (count, age) = (%d, %d), want (%d, %d)", id, count, age, wantCount, wantAge)
+		}
+		return res
+	}
+	serve(1, 1, -1) // request 0
+	serve(9, 1, -1) // 1: seen once, never resident
+	serve(2, 1, -1) // 2
+	serve(2, 2, 1)  // 3: second request, DC admission
+	serve(1, 2, 4)  // 4: DC admission
+	if got := serve(1, 3, 1); got != DCHit {
+		t.Fatalf("request 5 = %v, want DCHit", got)
+	}
+	if h.Count(1) != 3 || h.Count(2) != 2 || h.Count(9) != 1 || h.Count(7) != 0 {
+		t.Fatalf("Count = %d %d %d %d", h.Count(1), h.Count(2), h.Count(9), h.Count(7))
+	}
+
+	h.ResetCounts()
+	if h.Count(1) != 0 || h.Count(9) != 0 || h.Lookup(1) != DCHit || h.Lookup(2) != DCHit {
+		t.Fatal("ResetCounts must zero counts and keep residency")
+	}
+	if got := serve(1, 1, -1); got != DCHit { // resident, but counted as first seen
+		t.Fatalf("after ResetCounts = %v, want DCHit", got)
+	}
+	serve(9, 1, -1)
+	serve(1, 2, 2)
+	if ids := h.State().Tracker.IDs; len(ids) != 2 || ids[0] != 1 || ids[1] != 9 {
+		t.Fatalf("tracker state after ResetCounts lists %v, want [1 9]", ids)
+	}
+}
+
+// TestSetHOCEvictionRelabelsState: after an eviction switch the snapshot
+// names the policy its HOC entries are ordered by, so it restores only into
+// a hierarchy running that policy.
+func TestSetHOCEvictionRelabelsState(t *testing.T) {
+	cfg := newStateTestConfig()
+	h, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveSynthetic(t, h, 5_000, 3)
+	if err := h.SetHOCEviction("lfu"); err != nil {
+		t.Fatal(err)
+	}
+	st := h.State()
+	if st.HOCEviction != "lfu" {
+		t.Fatalf("State().HOCEviction = %q after switching to lfu", st.HOCEviction)
+	}
+	lru, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lru.RestoreState(st); err == nil {
+		t.Fatal("an lfu-ordered HOC restored into an lru hierarchy")
+	}
+	cfg.HOCEviction = "lfu"
+	lfu, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lfu.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	checkRecords(t, lfu)
+}
+
+// TestServeZeroAllocs pins the request path at zero allocations for every
+// policy, on the bare hierarchy and through a shard lock, once the record
+// table and the policies' pools have reached the trace's high-water mark.
+func TestServeZeroAllocs(t *testing.T) {
+	tr, err := tracegen.ImageDownloadMix(50, 20_000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, policy := range evictionPolicies {
+		t.Run(policy, func(t *testing.T) {
+			cfg := Config{HOCBytes: 256 << 10, DCBytes: 8 << 20, HOCEviction: policy, DCEviction: policy,
+				Expert: Expert{Freq: 2, MaxSize: 10 << 10}}
+			h, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := NewSharded(cfg, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range []Engine{h, s} {
+				for _, r := range tr.Requests {
+					e.Serve(r)
+				}
+				i := 0
+				allocs := testing.AllocsPerRun(len(tr.Requests), func() {
+					e.Serve(tr.Requests[i%len(tr.Requests)])
+					i++
+				})
+				if allocs != 0 {
+					t.Fatalf("%T.Serve: %v allocs per request", e, allocs)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkServe prices one Hierarchy.Serve on the 50:50 mix, per policy
+// (both levels run the same one).
 func BenchmarkServe(b *testing.B) {
 	tr, err := tracegen.ImageDownloadMix(50, 100000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	h, err := New(Config{HOCBytes: 2 << 20, DCBytes: 200 << 20, Expert: Expert{Freq: 2, MaxSize: 10 << 10}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Serve(tr.Requests[i%tr.Len()])
+	for _, policy := range evictionPolicies {
+		b.Run(policy, func(b *testing.B) {
+			h, err := New(Config{HOCBytes: 2 << 20, DCBytes: 200 << 20, HOCEviction: policy, DCEviction: policy,
+				Expert: Expert{Freq: 2, MaxSize: 10 << 10}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Serve(tr.Requests[i%tr.Len()])
+			}
+		})
 	}
 }

@@ -6,12 +6,13 @@ import (
 )
 
 // idTable is the package's one per-object index: an open-addressing hash
-// table from object id to V with linear probing, a power-of-two slot count,
-// and backward-shift deletion (a delete closes the gap it leaves, so there
-// are no tombstones and a probe stops at the first empty slot). It replaces
-// the built-in map at every per-request site — the frequency tracker and the
-// residency index of each eviction policy — where the generic map's hashing,
-// bucket walk and separate lookup + assign were half the cost of a request.
+// table from object id to V with linear probing and a power-of-two slot
+// count. It holds Hierarchy's per-object records, so a request's frequency,
+// recency and residency are one probe; the built-in map it replaced cost
+// half of a request in hashing, bucket walks and separate lookup + assign.
+// Entries are never removed one at a time (a table is replaced whole, as
+// ResetCounts and restore do), so there are no tombstones and a probe stops
+// at the first empty slot.
 //
 // The home slot is the high bits of Mix64(id ^ idSeed). High, because
 // Sharded.route has already consumed the low bits of Mix64(id) to pick the
@@ -26,7 +27,8 @@ import (
 // golden-ratio multiply.
 //
 // The zero value is an empty table. Pointers returned by get and upsert are
-// into the slot array: valid until the next upsert or delete.
+// into the slot array: valid until the next upsert that inserts (get never
+// moves an entry).
 type idTable[V any] struct {
 	slots []idSlot[V]
 	n     int
@@ -94,35 +96,6 @@ func (t *idTable[V]) upsert(id uint64) (v *V, existed bool) {
 			return &s.val, true
 		}
 	}
-}
-
-// delete removes id and returns the value it held, if it was present. The
-// entries that follow in the same probe run are shifted back over the gap
-// whenever that keeps them reachable from their home slot, so lookups never
-// need a tombstone to keep walking.
-func (t *idTable[V]) delete(id uint64) (v V, ok bool) {
-	if t.n == 0 {
-		return v, false
-	}
-	mask := uint64(len(t.slots) - 1)
-	i := t.home(id)
-	for ; t.slots[i].key != id || !t.slots[i].used; i = (i + 1) & mask {
-		if !t.slots[i].used {
-			return v, false
-		}
-	}
-	v = t.slots[i].val
-	for j := (i + 1) & mask; t.slots[j].used; j = (j + 1) & mask {
-		// The entry at j may move to the gap at i only if its home is at or
-		// before i on the (cyclic) way to j.
-		if (j-t.home(t.slots[j].key))&mask >= (j-i)&mask {
-			t.slots[i] = t.slots[j]
-			i = j
-		}
-	}
-	t.slots[i] = idSlot[V]{}
-	t.n--
-	return v, true
 }
 
 // grow doubles the slot array and re-places every entry.

@@ -15,7 +15,7 @@ import (
 
 // tableOp is one step of a differential run.
 type tableOp struct {
-	kind uint8 // 0 get, 1 upsert (+ write), 2 delete
+	kind uint8 // parity: 0 get, 1 upsert (+ write)
 	id   uint64
 	val  int64
 }
@@ -28,14 +28,13 @@ func runTableOps(t testing.TB, ops []tableOp, checkEvery int) *idTable[int64] {
 	var tab idTable[int64]
 	ref := make(map[uint64]int64)
 	for n, op := range ops {
-		switch op.kind % 3 {
-		case 0:
+		if op.kind%2 == 0 {
 			got := tab.get(op.id)
 			want, ok := ref[op.id]
 			if (got != nil) != ok || (ok && *got != want) {
 				t.Fatalf("op %d: get(%d) = %v, map has (%d, %v)", n, op.id, got, want, ok)
 			}
-		case 1:
+		} else {
 			v, existed := tab.upsert(op.id)
 			want, ok := ref[op.id]
 			if existed != ok || *v != want { // a fresh slot must read as the zero V
@@ -43,12 +42,6 @@ func runTableOps(t testing.TB, ops []tableOp, checkEvery int) *idTable[int64] {
 			}
 			*v = op.val
 			ref[op.id] = op.val
-		case 2:
-			got, had := tab.delete(op.id)
-			if want, ok := ref[op.id]; had != ok || got != want {
-				t.Fatalf("op %d: delete(%d) = (%d, %v), map has (%d, %v)", n, op.id, got, had, want, ok)
-			}
-			delete(ref, op.id)
 		}
 		if tab.len() != len(ref) {
 			t.Fatalf("op %d: len %d, map %d", n, tab.len(), len(ref))
@@ -63,7 +56,7 @@ func runTableOps(t testing.TB, ops []tableOp, checkEvery int) *idTable[int64] {
 
 // compareTable checks contents against the oracle and the invariants lookups
 // rely on: power-of-two size, load ≤ 3/4, and no empty slot between an
-// entry's home and where it sits (what backward-shift deletion must keep).
+// entry's home and where it sits (what a lookup walks to find it).
 func compareTable(t testing.TB, tab *idTable[int64], ref map[uint64]int64) {
 	t.Helper()
 	seen := 0
@@ -186,13 +179,12 @@ func TestIDTableMatchesMap(t *testing.T) {
 		if tab.get(0) != nil || tab.len() != 0 {
 			t.Fatal("empty table is not empty")
 		}
-		tab.delete(0) // must not touch the nil slot array
 		tab.each(func(uint64, *int64) { t.Fatal("empty table has an entry") })
 	})
 
 	t.Run("extreme-keys", func(t *testing.T) {
 		// 0 and MaxUint64 are legal ids: occupancy must not be encoded in
-		// the key. Mix them with neighbours through growth and deletion.
+		// the key. Mix them with neighbours through growth.
 		keys := []uint64{0, math.MaxUint64, 1, math.MaxUint64 - 1, 1 << 63, 1<<63 - 1}
 		var ops []tableOp
 		for round := int64(0); round < 4; round++ {
@@ -202,8 +194,8 @@ func TestIDTableMatchesMap(t *testing.T) {
 			for i := uint64(0); i < 40; i++ { // force two doublings around them
 				ops = append(ops, tableOp{1, 1000 + i, int64(i)})
 			}
-			for _, k := range keys[:3] {
-				ops = append(ops, tableOp{2, k, 0}, tableOp{0, k, 0})
+			for _, k := range keys {
+				ops = append(ops, tableOp{0, k, 0})
 			}
 		}
 		runTableOps(t, ops, 1)
@@ -211,19 +203,19 @@ func TestIDTableMatchesMap(t *testing.T) {
 
 	t.Run("wrap-around", func(t *testing.T) {
 		// Five ids homed on the last two of eight slots: the run occupies
-		// slots 6,7,0,1,2. Delete from its head and middle, look everything
-		// up, re-insert — every shift crosses the slice end.
-		ids := endOfSliceIDs(8, 5)
+		// slots 6,7,0,1,2. Look each up, update each in place, and look up a
+		// sixth id homed there too, absent — its probe walks the whole run
+		// across the slice end to the empty slot 3.
+		ids := endOfSliceIDs(8, 6)
 		var ops []tableOp
-		for i, id := range ids {
+		for i, id := range ids[:5] {
 			ops = append(ops, tableOp{1, id, int64(i + 1)})
 		}
-		for _, victim := range []int{0, 2, 4, 1, 3} {
-			ops = append(ops, tableOp{2, ids[victim], 0})
+		for _, i := range []int{0, 2, 4, 1, 3} {
 			for _, id := range ids {
 				ops = append(ops, tableOp{0, id, 0})
 			}
-			ops = append(ops, tableOp{1, ids[victim], 99})
+			ops = append(ops, tableOp{1, ids[i], 99})
 		}
 		tab := runTableOps(t, ops, 1)
 		if len(tab.slots) != 8 {
@@ -232,14 +224,18 @@ func TestIDTableMatchesMap(t *testing.T) {
 	})
 
 	t.Run("sequential", func(t *testing.T) {
-		// Insert 0..n-1, delete the odd ones, re-check, insert them back.
+		// Insert the even ids of 0..n-1, look every id up, insert the odd
+		// ones, update every id.
 		const n = 3000
 		var ops []tableOp
-		for i := uint64(0); i < n; i++ {
+		for i := uint64(0); i < n; i += 2 {
 			ops = append(ops, tableOp{1, i, int64(i)})
 		}
+		for i := uint64(0); i < n; i++ {
+			ops = append(ops, tableOp{0, i, 0})
+		}
 		for i := uint64(1); i < n; i += 2 {
-			ops = append(ops, tableOp{2, i, 0})
+			ops = append(ops, tableOp{1, i, int64(i)})
 		}
 		for i := uint64(0); i < n; i++ {
 			ops = append(ops, tableOp{0, i, 0}, tableOp{1, i, int64(2 * i)})
@@ -247,9 +243,9 @@ func TestIDTableMatchesMap(t *testing.T) {
 		runTableOps(t, ops, 500)
 	})
 
-	// Random mixes over a key space small enough that gets hit, upserts find
-	// existing keys and deletes remove real entries, with growth happening
-	// mid-sequence (the table starts empty and ends several doublings on).
+	// Random mixes over a key space small enough that gets hit and upserts
+	// find existing keys, with growth happening mid-sequence (the table
+	// starts empty and ends several doublings on).
 	for _, tc := range []struct {
 		name string
 		keys func(r *rand.Rand) uint64
@@ -267,12 +263,7 @@ func TestIDTableMatchesMap(t *testing.T) {
 				r := rand.New(rand.NewSource(seed))
 				ops := make([]tableOp, 20_000)
 				for i := range ops {
-					// Upsert-heavy first so the table grows, then churn.
-					kind := uint8(r.Intn(3))
-					if i < 2000 && kind == 2 {
-						kind = 1
-					}
-					ops[i] = tableOp{kind, tc.keys(r), r.Int63()}
+					ops[i] = tableOp{uint8(r.Intn(2)), tc.keys(r), r.Int63()}
 				}
 				runTableOps(t, ops, 997)
 			}
@@ -381,25 +372,24 @@ func FuzzIDTable(f *testing.F) {
 	alphabet := append(endOfSliceIDs(8, 6), endOfSliceIDs(16, 6)...)
 	alphabet = append(alphabet, 0, math.MaxUint64, 1, 2, 3, 1<<40, 2<<40, 3<<40)
 	alphabet = append(alphabet, oneShardIDs(12)...)
-	// The corpus: (kind, key selector) pairs; kinds are 0 get, 1 upsert, 2 delete.
-	// A run that wraps the end of eight slots, deleted from head and middle.
-	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 3, 1, 4, 2, 0, 0, 1, 0, 4, 2, 2, 0, 3, 0, 4, 1, 0, 0, 0})
-	// The extreme keys, in and out.
-	f.Add([]byte{1, 12, 1, 13, 0, 12, 0, 13, 2, 12, 0, 13, 0, 12, 2, 13, 0, 13, 1, 12})
-	// Three doublings (24 keys), then every other key deleted and all looked up.
+	// The corpus: (kind, key selector) pairs; a kind byte's parity picks
+	// 0 get, 1 upsert.
+	// A run that wraps the end of eight slots, looked up from head to tail,
+	// then an absent key homed in it.
+	f.Add([]byte{1, 0, 1, 1, 1, 2, 1, 3, 1, 4, 0, 0, 0, 1, 0, 4, 0, 2, 0, 3, 0, 5, 1, 0, 0, 0})
+	// The extreme keys, in and updated.
+	f.Add([]byte{1, 12, 1, 13, 0, 12, 0, 13, 1, 12, 0, 13, 0, 12, 1, 13, 0, 13, 1, 12})
+	// Three doublings (24 keys), then all looked up.
 	grow := []byte{}
 	for k := byte(8); k < 32; k++ {
 		grow = append(grow, 1, k)
-	}
-	for k := byte(8); k < 32; k += 2 {
-		grow = append(grow, 2, k)
 	}
 	for k := byte(8); k < 32; k++ {
 		grow = append(grow, 0, k)
 	}
 	f.Add(grow)
-	// Delete of an absent key inside someone else's run, and of the only key.
-	f.Add([]byte{1, 0, 1, 1, 2, 2, 0, 0, 0, 1, 2, 0, 2, 1, 2, 1, 0, 0})
+	// Lookups of absent keys inside someone else's run, then of the keys.
+	f.Add([]byte{1, 0, 1, 1, 0, 2, 0, 5, 0, 0, 0, 1, 0, 3, 1, 1, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := make([]tableOp, 0, len(data)/2)
 		for i := 0; i+1 < len(data); i += 2 {
@@ -409,7 +399,7 @@ func FuzzIDTable(f *testing.F) {
 	})
 }
 
-// BenchmarkIDTable prices the four per-request operations at a small and a
+// BenchmarkIDTable prices the three per-request operations at a small and a
 // large resident set, with the built-in map as the reference arm (here only:
 // no non-test code keeps a map beside the table). Keys are one shard's view
 // of a sequential id space, as in the deployed engine.
@@ -459,16 +449,11 @@ func BenchmarkIDTable(b *testing.B) {
 		arm("upsert-existing",
 			func(i int) { v, _ := tab.upsert(resident[i]); *v++ },
 			func(i int) { ref[resident[i]]++ })
-		// Churn: admit an absent id, evict it again — the table's size and
-		// load stay put, every op is an insert plus a backward-shift delete.
-		arm("insert+delete",
-			func(i int) { v, _ := tab.upsert(absent[i]); *v = 1; tab.delete(absent[i]) },
-			func(i int) { ref[absent[i]] = 1; delete(ref, absent[i]) })
 		_ = sink
 	}
 }
 
-// BenchmarkIDTableGrow fills a tracker-shaped table to a million entries and
+// BenchmarkIDTableGrow fills a record table to a million entries and
 // reports, beside the amortised ns per insert, the largest single doubling of
 // a fill: its median over the benchmark's fills, and the worst seen. Growth
 // runs inside whatever critical section the insert is in (the shard lock, for
@@ -481,7 +466,7 @@ func BenchmarkIDTableGrow(b *testing.B) {
 	largest := make([]time.Duration, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var tab idTable[exactEntry]
+		var tab idTable[objRec]
 		var worst time.Duration
 		for _, id := range ids {
 			if tab.len() < len(tab.slots)/4*3 { // not a doubling insert: leave the clock alone

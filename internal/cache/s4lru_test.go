@@ -15,70 +15,77 @@ func TestS4LRUImplementsEviction(t *testing.T) {
 }
 
 func TestS4LRUBasics(t *testing.T) {
-	s := NewS4LRU(0)
-	if _, _, ok := s.Victim(); ok {
+	s := drive(NewS4LRU(0))
+	if _, ok := s.Victim(); ok {
 		t.Fatal("empty policy has victim")
 	}
-	s.Insert(1, 100)
-	s.Insert(2, 200)
+	s.insert(1, 100)
+	s.insert(2, 200)
 	if s.Len() != 2 || s.Bytes() != 300 {
 		t.Fatalf("Len=%d Bytes=%d", s.Len(), s.Bytes())
 	}
-	if !s.Contains(1) || s.Size(2) != 200 {
+	if s.size(2) != 200 {
 		t.Fatal("lookup broken")
 	}
-	s.Remove(1)
+	s.remove(1)
 	if s.Len() != 1 || s.Bytes() != 200 {
 		t.Fatal("remove broken")
 	}
-	s.Remove(42) // absent
-	s.Touch(42)  // absent
-	if s.Len() != 1 {
-		t.Fatal("absent ops changed state")
-	}
-	s.Insert(2, 250) // reinsert updates size
+	s.insert(2, 250) // re-admission at a new size
 	if s.Bytes() != 250 || s.Len() != 1 {
 		t.Fatalf("reinsert: Len=%d Bytes=%d", s.Len(), s.Bytes())
+	}
+	if err := s.consistent(); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestS4LRUPromotedSurvivesColdInserts(t *testing.T) {
 	// A once-hit object sits in segment 1; cold objects flood segment 0 and
 	// must be evicted before it.
-	s := NewS4LRU(0)
-	s.Insert(1, 1)
-	s.Touch(1) // promote to segment 1
+	s := drive(NewS4LRU(0))
+	s.insert(1, 1)
+	s.touch(1) // promote to segment 1
 	for id := uint64(100); id < 110; id++ {
-		s.Insert(id, 1)
+		s.insert(id, 1)
 	}
 	for i := 0; i < 10; i++ {
-		vid, _, ok := s.Victim()
+		vid, ok := s.victim()
 		if !ok {
 			t.Fatal("no victim")
 		}
 		if vid == 1 {
 			t.Fatalf("promoted object evicted before %d cold objects", 10-i)
 		}
-		s.Remove(vid)
+		s.remove(vid)
 	}
-	if !s.Contains(1) {
+	if !s.contains(1) {
 		t.Fatal("promoted object lost")
 	}
 }
 
 func TestS4LRUBalancingDemotes(t *testing.T) {
 	// With a capacity hint, an over-full upper segment demotes its tail.
-	s := NewS4LRU(40) // per-segment budget 10
+	p := NewS4LRU(40) // per-segment budget 10
+	s := drive(p)
 	for id := uint64(1); id <= 4; id++ {
-		s.Insert(id, 5)
-		s.Touch(id) // everything lands in segment 1 (20 bytes > 10 budget)
+		s.insert(id, 5)
+		s.touch(id) // everything lands in segment 1 (20 bytes > 10 budget)
 	}
 	// The balance pass must have demoted some objects back to segment 0.
-	if s.segBytes[1] > 10 {
-		t.Fatalf("segment 1 holds %d bytes, budget 10", s.segBytes[1])
+	if p.segBytes[1] > 10 {
+		t.Fatalf("segment 1 holds %d bytes, budget 10", p.segBytes[1])
 	}
 	if s.Bytes() != 20 || s.Len() != 4 {
 		t.Fatalf("totals wrong: %d/%d", s.Bytes(), s.Len())
+	}
+	// Every node's recorded segment is the list it sits on.
+	for seg, list := range p.segs {
+		for i := p.arena.nodes[list].next; i != list; i = p.arena.nodes[i].next {
+			if int(p.seg[i]) != seg {
+				t.Fatalf("node %d sits in segment %d but records %d", i, seg, p.seg[i])
+			}
+		}
 	}
 }
 
@@ -89,26 +96,19 @@ func TestS4LRUBytesInvariant(t *testing.T) {
 		Size uint16
 	}
 	f := func(ops []op) bool {
-		s := NewS4LRU(1000)
-		ref := map[uint64]int64{}
+		p := NewS4LRU(1000)
+		s := drive(p)
 		for _, o := range ops {
 			id := uint64(o.ID % 16)
 			switch o.Kind % 3 {
 			case 0:
-				size := int64(o.Size%100) + 1
-				s.Insert(id, size)
-				ref[id] = size
+				s.insert(id, int64(o.Size%100)+1)
 			case 1:
-				s.Touch(id)
+				s.touch(id)
 			case 2:
-				s.Remove(id)
-				delete(ref, id)
+				s.remove(id)
 			}
-			var want int64
-			for _, sz := range ref {
-				want += sz
-			}
-			if s.Bytes() != want || s.Len() != len(ref) {
+			if s.consistent() != nil || p.segBytes[0]+p.segBytes[1]+p.segBytes[2]+p.segBytes[3] != s.Bytes() {
 				return false
 			}
 		}

@@ -9,7 +9,7 @@ import (
 )
 
 // Sharded is the concurrent cache engine: N independent Hierarchy shards,
-// each owning 1/N of the capacity, Bloom filter budget, frequency tracking,
+// each owning 1/N of the capacity, Bloom filter budget, per-object records,
 // and metrics, with requests routed to their owning shard by an id hash.
 // Admission, eviction, and frequency tracking are all keyed on object id, so
 // shards never need to coordinate on the request path — two requests for
@@ -37,22 +37,17 @@ type Sharded struct {
 type engineShard struct {
 	mu sync.Mutex
 	// h is the shard's serial hierarchy — its capacities, Bloom filter,
-	// frequency tracker, and metrics cover only this shard's ids; guarded by mu.
+	// record table, and metrics cover only this shard's ids; guarded by mu.
 	h *Hierarchy
 	_ [48]byte
 }
 
 // NewSharded builds a sharded engine from cfg, splitting the HOC and DC
 // capacities and the Bloom filter budget evenly across shards. shards <= 0
-// selects 1, which reproduces the serial Hierarchy exactly. A custom
-// Tracker instance cannot be split across shards; leave cfg.Tracker nil
-// (each shard builds its own exact tracker) when shards > 1.
+// selects 1, which reproduces the serial Hierarchy exactly.
 func NewSharded(cfg Config, shards int) (*Sharded, error) {
 	if shards <= 0 {
 		shards = 1
-	}
-	if cfg.Tracker != nil && shards > 1 {
-		return nil, fmt.Errorf("cache: a Tracker instance cannot be shared across %d shards; leave Tracker nil", shards)
 	}
 	if cfg.HOCBytes < int64(shards) || cfg.DCBytes < int64(shards) {
 		return nil, fmt.Errorf("cache: capacities (hoc=%d dc=%d) too small to split across %d shards", cfg.HOCBytes, cfg.DCBytes, shards)

@@ -175,13 +175,6 @@ func TestNewShardedRejects(t *testing.T) {
 	if _, err := cache.NewSharded(cache.Config{HOCBytes: 4, DCBytes: 1 << 20}, 8); err == nil {
 		t.Error("want error for capacity smaller than shard count")
 	}
-	tk := cache.NewExactTracker()
-	if _, err := cache.NewSharded(cache.Config{HOCBytes: 1 << 20, DCBytes: 1 << 20, Tracker: tk}, 2); err == nil {
-		t.Error("want error for shared Tracker with shards > 1")
-	}
-	if _, err := cache.NewSharded(cache.Config{HOCBytes: 1 << 20, DCBytes: 1 << 20, Tracker: tk}, 1); err != nil {
-		t.Errorf("shards=1 with a Tracker should be allowed: %v", err)
-	}
 	s, err := cache.NewSharded(cache.Config{HOCBytes: 1 << 20, DCBytes: 1 << 20}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -9,13 +9,14 @@ import (
 
 // This file is the cache engine's checkpoint/restore seam: every piece of
 // per-shard learned and resident state — HOC/DC contents in eviction order,
-// the one-hit-wonder Bloom filter, the frequency tracker, metrics, and the
+// the one-hit-wonder Bloom filter, the request counts, metrics, and the
 // deployed expert — exports to a plain serialisable struct and restores with
 // full validation before any live field is mutated (never half-apply).
 
-// TrackerState is the serialisable form of an ExactTracker: the parallel
-// IDs/Counts/LastSeen arrays, sorted by id. Kind is always "exact"; restore
-// rejects anything else before touching live state.
+// TrackerState is the serialisable form of the request counts: parallel
+// IDs/Counts/LastSeen arrays over every record with count > 0, sorted by
+// id. Kind is always "exact"; restore rejects anything else before touching
+// live state.
 type TrackerState struct {
 	Kind     string   `json:"kind"`
 	IDs      []uint64 `json:"ids,omitempty"`
@@ -26,49 +27,30 @@ type TrackerState struct {
 // trackerExact is the one tracker kind the checkpoint format carries.
 const trackerExact = "exact"
 
-// State snapshots the exact tracker, sorted by id for deterministic output
-// (the table's slot order is an artefact of its growth history).
-func (t *ExactTracker) State() *TrackerState {
-	n := t.objects.len()
-	ids := make([]uint64, 0, n)
-	t.objects.each(func(id uint64, _ *exactEntry) { ids = append(ids, id) })
+// trackerState snapshots the request counts, sorted by id for deterministic
+// output (the table's slot order is an artefact of its seed and growth
+// history). Records with count 0 hold residency only and are not exported:
+// HOC and DC carry them.
+func (h *Hierarchy) trackerState() *TrackerState {
+	ids := make([]uint64, 0, h.objs.len())
+	h.objs.each(func(id uint64, rec *objRec) {
+		if rec.count > 0 {
+			ids = append(ids, id)
+		}
+	})
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	st := &TrackerState{
 		Kind:     trackerExact,
 		IDs:      ids,
-		Counts:   make([]int, n),
-		LastSeen: make([]int64, n),
+		Counts:   make([]int, len(ids)),
+		LastSeen: make([]int64, len(ids)),
 	}
 	for i, id := range ids {
-		e := t.objects.get(id)
-		st.Counts[i] = e.count
-		st.LastSeen[i] = e.lastSeen
+		rec := h.objs.get(id)
+		st.Counts[i] = rec.count
+		st.LastSeen[i] = rec.lastSeen
 	}
 	return st
-}
-
-// trackerFromState rebuilds an ExactTracker, validating the arrays before
-// constructing anything.
-func trackerFromState(st *TrackerState) (*ExactTracker, error) {
-	if st == nil {
-		return nil, fmt.Errorf("cache: nil tracker state")
-	}
-	if st.Kind != trackerExact {
-		return nil, fmt.Errorf("cache: unknown tracker kind %q", st.Kind)
-	}
-	if len(st.IDs) != len(st.Counts) || len(st.IDs) != len(st.LastSeen) {
-		return nil, fmt.Errorf("cache: exact tracker state arrays disagree (%d/%d/%d)",
-			len(st.IDs), len(st.Counts), len(st.LastSeen))
-	}
-	t := NewExactTracker()
-	for i, id := range st.IDs {
-		if st.Counts[i] <= 0 {
-			return nil, fmt.Errorf("cache: exact tracker state has count %d for id %d", st.Counts[i], id)
-		}
-		e, _ := t.objects.upsert(id)
-		*e = exactEntry{count: st.Counts[i], lastSeen: st.LastSeen[i]}
-	}
-	return t, nil
 }
 
 // HierarchyState is the serialisable form of one Hierarchy (one shard). HOC
@@ -99,7 +81,7 @@ func (h *Hierarchy) State() *HierarchyState {
 		HOC:         h.hoc.Entries(),
 		DC:          h.dc.Entries(),
 		Seen:        h.seen.State(),
-		Tracker:     h.tracker.State(),
+		Tracker:     h.trackerState(),
 		Expert:      h.expert,
 		ReqIdx:      h.reqIdx,
 		Metrics:     h.m,
@@ -110,13 +92,14 @@ func (h *Hierarchy) State() *HierarchyState {
 // restoredParts holds a fully validated restore, built before any live field
 // is touched so a bad snapshot can never half-apply.
 type restoredParts struct {
+	objs    idTable[objRec]
 	hoc, dc Eviction
 	seen    *bloom.Filter
-	tracker *ExactTracker
 }
 
 // prepareRestoreState validates st against this hierarchy's configuration
-// and builds the replacement structures without mutating anything.
+// and builds the replacement structures — a fresh record table from the
+// tracker, HOC and DC state, and both levels — without mutating anything.
 func (h *Hierarchy) prepareRestoreState(st *HierarchyState) (restoredParts, error) {
 	var parts restoredParts
 	if st == nil {
@@ -130,32 +113,54 @@ func (h *Hierarchy) prepareRestoreState(st *HierarchyState) (restoredParts, erro
 		return parts, fmt.Errorf("cache: snapshot eviction policies (%q/%q) do not match engine (%q/%q)",
 			st.HOCEviction, st.DCEviction, h.hocName, h.dcName)
 	}
-	hoc, err := rebuildLevel(h.hocName, h.hocCap, st.HOC)
-	if err != nil {
+	if err := restoreCounts(&parts.objs, st.Tracker); err != nil {
+		return parts, err
+	}
+	var err error
+	if parts.hoc, err = rebuildLevel(&parts.objs, h.hocName, h.hocCap, st.HOC, false); err != nil {
 		return parts, fmt.Errorf("cache: restoring HOC: %w", err)
 	}
-	dc, err := rebuildLevel(h.dcName, h.dcCap, st.DC)
-	if err != nil {
+	if parts.dc, err = rebuildLevel(&parts.objs, h.dcName, h.dcCap, st.DC, true); err != nil {
 		return parts, fmt.Errorf("cache: restoring DC: %w", err)
 	}
-	seen, err := bloom.FilterFromState(st.Seen)
-	if err != nil {
+	if parts.seen, err = bloom.FilterFromState(st.Seen); err != nil {
 		return parts, err
 	}
-	tracker, err := trackerFromState(st.Tracker)
-	if err != nil {
-		return parts, err
-	}
-	parts = restoredParts{hoc: hoc, dc: dc, seen: seen, tracker: tracker}
 	return parts, nil
+}
+
+// restoreCounts validates a tracker snapshot and writes its counts into
+// objs.
+func restoreCounts(objs *idTable[objRec], st *TrackerState) error {
+	if st == nil {
+		return fmt.Errorf("cache: nil tracker state")
+	}
+	if st.Kind != trackerExact {
+		return fmt.Errorf("cache: unknown tracker kind %q", st.Kind)
+	}
+	if len(st.IDs) != len(st.Counts) || len(st.IDs) != len(st.LastSeen) {
+		return fmt.Errorf("cache: exact tracker state arrays disagree (%d/%d/%d)",
+			len(st.IDs), len(st.Counts), len(st.LastSeen))
+	}
+	for i, id := range st.IDs {
+		if st.Counts[i] <= 0 {
+			return fmt.Errorf("cache: exact tracker state has count %d for id %d", st.Counts[i], id)
+		}
+		rec, existed := objs.upsert(id)
+		if existed {
+			return fmt.Errorf("cache: exact tracker state lists id %d twice", id)
+		}
+		*rec = objRec{count: st.Counts[i], lastSeen: st.LastSeen[i]}
+	}
+	return nil
 }
 
 // commitRestoreState installs a prepared restore.
 func (h *Hierarchy) commitRestoreState(st *HierarchyState, parts restoredParts) {
+	h.objs = parts.objs
 	h.hoc = parts.hoc
 	h.dc = parts.dc
 	h.seen = parts.seen
-	h.tracker = parts.tracker
 	h.expert = st.Expert
 	h.reqIdx = st.ReqIdx
 	h.m = st.Metrics
@@ -177,27 +182,32 @@ func (h *Hierarchy) RestoreState(st *HierarchyState) error {
 }
 
 // rebuildLevel reconstructs one eviction policy from a victim-first entry
-// list, rejecting malformed entries and capacity overflow.
-func rebuildLevel(name string, capBytes int64, entries []ResidentObject) (Eviction, error) {
+// list, pointing each entry's record in objs (the DC's handle when dc is
+// set, else the HOC's) at it, and rejecting malformed entries, an id listed
+// twice, and capacity overflow.
+func rebuildLevel(objs *idTable[objRec], name string, capBytes int64, entries []ResidentObject, dc bool) (Eviction, error) {
 	ev, err := NewEvictionWithCapacity(name, capBytes)
 	if err != nil {
 		return nil, err
 	}
 	var total int64
-	seen := make(map[uint64]bool, len(entries))
 	for _, e := range entries {
 		if e.Size <= 0 {
 			return nil, fmt.Errorf("object %d has size %d", e.ID, e.Size)
 		}
-		if seen[e.ID] {
+		rec, _ := objs.upsert(e.ID)
+		handle := &rec.hoc
+		if dc {
+			handle = &rec.dc
+		}
+		if *handle != noHandle {
 			return nil, fmt.Errorf("object %d appears twice", e.ID)
 		}
-		seen[e.ID] = true
 		total += e.Size
 		if total > capBytes {
 			return nil, fmt.Errorf("entries total %d bytes, capacity %d", total, capBytes)
 		}
-		ev.Insert(e.ID, e.Size)
+		*handle = ev.Insert(e.ID, e.Size)
 	}
 	return ev, nil
 }
@@ -207,7 +217,8 @@ func rebuildLevel(name string, capBytes int64, entries []ResidentObject) (Evicti
 // runs), the oldest entries are dropped and the most recently admitted
 // objects are kept. Used to reconcile the DC against the disk log after a
 // checkpoint restore — the log is always at least as fresh as the
-// checkpoint. No metrics are charged and nothing is journaled.
+// checkpoint. No metrics are charged and nothing is journaled. An id the
+// kept suffix lists twice is restored once, at its first position.
 func (h *Hierarchy) RestoreDC(entries []ResidentObject) error {
 	dc, err := NewEvictionWithCapacity(h.dcName, h.dcCap)
 	if err != nil {
@@ -226,8 +237,11 @@ func (h *Hierarchy) RestoreDC(entries []ResidentObject) error {
 		total += entries[i].Size
 		start = i
 	}
+	h.objs.each(func(_ uint64, rec *objRec) { rec.dc = noHandle })
 	for _, e := range entries[start:] {
-		dc.Insert(e.ID, e.Size)
+		if rec, _ := h.objs.upsert(e.ID); rec.dc == noHandle {
+			rec.dc = dc.Insert(e.ID, e.Size)
+		}
 	}
 	h.dc = dc
 	return nil
@@ -250,27 +264,13 @@ func (h *Hierarchy) MergeDC(entries []ResidentObject) (int, error) {
 	}
 	added := 0
 	for _, e := range entries {
-		if e.Size > h.dcCap || h.hoc.Contains(e.ID) || h.dc.Contains(e.ID) {
+		if e.Size > h.dcCap {
 			continue
 		}
-		for h.dc.Bytes()+e.Size > h.dcCap {
-			vid, _, ok := h.dc.Victim()
-			if !ok {
-				break
-			}
-			h.dc.Remove(vid)
-			if h.dclog != nil {
-				h.dclog.Remove(vid)
-			}
+		rec, _ := h.objs.upsert(e.ID)
+		if rec.hoc == noHandle && rec.dc == noHandle && h.admitDC(rec, e.ID, e.Size) {
+			added++
 		}
-		if h.dc.Bytes()+e.Size > h.dcCap {
-			continue
-		}
-		h.dc.Insert(e.ID, e.Size)
-		if h.dclog != nil {
-			h.dclog.Put(e.ID, e.Size)
-		}
-		added++
 	}
 	return added, nil
 }

@@ -126,6 +126,7 @@ func TestHierarchyRestoreRejectsCorruptState(t *testing.T) {
 		{"tracker-nil", func(st *HierarchyState) { st.Tracker = nil }},
 		{"tracker-kind", func(st *HierarchyState) { st.Tracker.Kind = "quantum" }},
 		{"tracker-arrays", func(st *HierarchyState) { st.Tracker.Counts = st.Tracker.Counts[:1] }},
+		{"tracker-duplicate-id", func(st *HierarchyState) { st.Tracker.IDs[1] = st.Tracker.IDs[0] }},
 	}
 	for _, tc := range corrupt {
 		t.Run(tc.name, func(t *testing.T) {
@@ -401,7 +402,7 @@ var statePins = map[string]string{
 }
 
 func TestStateBytesPinned(t *testing.T) {
-	for _, policy := range []string{"lru", "fifo", "lfu", "s4lru", "gdsf"} {
+	for _, policy := range evictionPolicies {
 		cfg := newStateTestConfig()
 		cfg.HOCEviction, cfg.DCEviction = policy, policy
 		eng, err := NewSharded(cfg, 2)

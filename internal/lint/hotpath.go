@@ -184,12 +184,16 @@ func newCallGraph(prog *Program) *callGraph {
 	return g
 }
 
-// callees resolves one call site to zero or more declared functions.
+// callees resolves one call site to zero or more declared functions. A call
+// of a generic type's method (or a generic function) resolves to the
+// declaration: the instantiated method object the type checker records at
+// the call site is a different *types.Func from the one the body is
+// declared under, and an edge to it would end the walk there.
 func (g *callGraph) callees(pkg *Package, call *ast.CallExpr) []*types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		if f, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return []*types.Func{f}
+			return []*types.Func{f.Origin()}
 		}
 	case *ast.SelectorExpr:
 		if sel, ok := pkg.Info.Selections[fun]; ok {
@@ -203,10 +207,10 @@ func (g *callGraph) callees(pkg *Package, call *ast.CallExpr) []*types.Func {
 				}
 				return g.implementations(recv.Type(), f.Name())
 			}
-			return []*types.Func{f}
+			return []*types.Func{f.Origin()}
 		}
 		if f, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return []*types.Func{f}
+			return []*types.Func{f.Origin()}
 		}
 	}
 	return nil

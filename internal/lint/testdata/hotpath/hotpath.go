@@ -26,14 +26,27 @@ func (e *ListEv) Hit(id uint64) bool {
 	return true
 }
 
+// table mirrors the cache's generic id table: the walk must enter the
+// declared body of an instantiated type's method.
+type table[V any] struct {
+	v V
+}
+
+func (t *table[V]) get(id uint64) *V {
+	_ = fmt.Sprint(id) /* want "fmt.Sprint allocates" */
+	return &t.v
+}
+
 // H mirrors the Hierarchy shape.
 type H struct {
 	ev Ev
+	t  table[int]
 	n  int
 }
 
 // Serve is a configured hot-path root.
 func (h *H) Serve(id uint64) string {
+	h.n += *h.t.get(id)
 	if h.ev.Hit(id) {
 		return describe(id)
 	}
