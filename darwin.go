@@ -91,6 +91,7 @@ const (
 	HOCHit = cache.HOCHit
 	DCHit  = cache.DCHit
 	Miss   = cache.Miss
+	Seen   = cache.Seen
 )
 
 // NewCache builds a two-level cache.

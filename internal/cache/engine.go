@@ -13,7 +13,8 @@ type Engine interface {
 	// Serve processes one request and returns where it was served from.
 	Serve(r trace.Request) Result
 	// Lookup probes residency without mutating cache state, metrics, or
-	// frequency tracking (the proxy's fetch-before-commit seam).
+	// frequency tracking (the proxy's fetch-before-commit seam). A
+	// non-resident object the engine holds a record of answers Seen.
 	Lookup(id uint64) Result
 	// Metrics returns a snapshot of the accumulated counters: coherent
 	// (hits+misses == requests) and covering every request served before

@@ -18,6 +18,10 @@ const (
 	DCHit
 	// Miss: fetched from the origin over the WAN.
 	Miss
+	// Seen is Lookup's answer for an object the hierarchy holds a record of
+	// but has resident at neither level: a miss, but one it has served (or
+	// restored) before. Serve never returns it.
+	Seen
 )
 
 // String implements fmt.Stringer.
@@ -29,6 +33,8 @@ func (r Result) String() string {
 		return "dc-hit"
 	case Miss:
 		return "miss"
+	case Seen:
+		return "seen"
 	}
 	return fmt.Sprintf("Result(%d)", int(r))
 }
@@ -231,10 +237,12 @@ func (h *Hierarchy) SetAdmitOnMiss(v bool) { h.admitOnMiss = v }
 func (h *Hierarchy) ExpertSwitches() int64 { return h.expertSwitches }
 
 // Lookup reports where id would be served from right now, mutating no cache
-// state, metrics, or frequency tracking. The HTTP proxy probes residency
-// with Lookup before an origin fetch and commits the request through Serve
-// only after the fetch succeeds, so failed fetches never produce phantom
-// admissions.
+// state, metrics, or frequency tracking: HOCHit or DCHit when resident, Seen
+// when id has a record but no residency, Miss when it has no record. The HTTP
+// proxy probes residency with Lookup before an origin fetch and commits the
+// request through Serve only after the fetch succeeds, so failed fetches never
+// produce phantom admissions; Seen is what lets it serve stale when the
+// origin is down.
 func (h *Hierarchy) Lookup(id uint64) Result {
 	switch rec := h.objs.get(id); {
 	case rec == nil:
@@ -244,7 +252,7 @@ func (h *Hierarchy) Lookup(id uint64) Result {
 	case rec.dc != noHandle:
 		return DCHit
 	}
-	return Miss
+	return Seen
 }
 
 // Serve processes one request and returns where it was served from. Its

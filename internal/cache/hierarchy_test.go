@@ -232,7 +232,7 @@ func TestCapacityInvariantUnderLoad(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	if HOCHit.String() != "hoc-hit" || DCHit.String() != "dc-hit" || Miss.String() != "miss" {
+	if HOCHit.String() != "hoc-hit" || DCHit.String() != "dc-hit" || Miss.String() != "miss" || Seen.String() != "seen" {
 		t.Fatal("Result strings wrong")
 	}
 	if Result(9).String() == "" {

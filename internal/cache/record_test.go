@@ -90,10 +90,14 @@ func FuzzHierarchy(f *testing.F) {
 					h.Serve(trace.Request{ID: id, Size: fuzzSize(id, arg/24)})
 				case 3:
 					want := Miss
-					if rec := h.objs.get(uint64(arg % 24)); rec != nil && rec.hoc != noHandle {
+					switch rec := h.objs.get(uint64(arg % 24)); {
+					case rec == nil:
+					case rec.hoc != noHandle:
 						want = HOCHit
-					} else if rec != nil && rec.dc != noHandle {
+					case rec.dc != noHandle:
 						want = DCHit
+					default:
+						want = Seen
 					}
 					if got := h.Lookup(uint64(arg % 24)); got != want {
 						t.Fatalf("Lookup = %v, records say %v", got, want)

@@ -214,7 +214,7 @@ func TestRestoreDCKeepsNewestSuffix(t *testing.T) {
 	if err := h.RestoreDC(entries); err != nil {
 		t.Fatal(err)
 	}
-	if h.Lookup(1) != Miss {
+	if resident(h.Lookup(1)) {
 		t.Fatal("oldest entry should have been dropped")
 	}
 	if h.Lookup(2) != DCHit || h.Lookup(3) != DCHit {
@@ -227,6 +227,10 @@ func TestRestoreDCKeepsNewestSuffix(t *testing.T) {
 		t.Fatal("zero-size journal entry accepted")
 	}
 }
+
+// resident reports whether a Lookup answer is a hit at either level: Seen (a
+// record without residency) is not.
+func resident(r Result) bool { return r == HOCHit || r == DCHit }
 
 // fakeDCLog records journal calls for hook-order assertions.
 type fakeDCLog struct {
@@ -318,7 +322,7 @@ func TestMergeDC(t *testing.T) {
 		if e.Size > cfg.DCBytes {
 			continue
 		}
-		if inheritor.Lookup(e.ID) == Miss {
+		if !resident(inheritor.Lookup(e.ID)) {
 			// Capacity pressure may have evicted the least-protected; the
 			// donor's most-protected tail (end of the victim-first list) must
 			// survive.
@@ -327,7 +331,7 @@ func TestMergeDC(t *testing.T) {
 	}
 	// The most-protected donor DC resident is resident on the inheritor.
 	if n := len(st.DC); n > 0 {
-		if inheritor.Lookup(st.DC[n-1].ID) == Miss {
+		if !resident(inheritor.Lookup(st.DC[n-1].ID)) {
 			t.Fatalf("most-protected donor object %d not resident after merge", st.DC[n-1].ID)
 		}
 	}
@@ -383,7 +387,7 @@ func TestShardedMergeDC(t *testing.T) {
 		t.Fatalf("cold inheritor admitted %d entries, want %d unique", added, len(unique))
 	}
 	for id := range unique {
-		if inheritor.Lookup(id) == Miss {
+		if !resident(inheritor.Lookup(id)) {
 			t.Fatalf("donor object %d not resident after sharded merge", id)
 		}
 	}

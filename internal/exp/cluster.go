@@ -27,8 +27,7 @@ type ClusterConfig struct {
 	// Nodes is the cluster size (default 3).
 	Nodes int
 	// WindowLen is the rebalance window length in requests: the front's
-	// weights, budgets and replication factors — and the nodes' own
-	// replication trackers — refresh at each boundary.
+	// weights, budgets and replication factors refresh at each boundary.
 	WindowLen int
 	// Node 0 starts draining at request index DrainAt — mid-window, so the
 	// tail of that window shows in-request failover before the boundary
@@ -116,7 +115,7 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 	}
 	r := newRig()
 	defer r.close()
-	nodes, err := r.startNodes(cc.Nodes, r.nodeConfig(cc.Expert, cc.Eval), cc.WindowLen)
+	nodes, err := r.startNodes(cc.Nodes, r.nodeConfig(cc.Expert, cc.Eval), true)
 	if err != nil {
 		return nil, err
 	}

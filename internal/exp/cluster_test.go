@@ -78,9 +78,10 @@ func smallCluster() ClusterConfig {
 }
 
 // TestClusterReportDeterministic pins byte-reproducibility: the rig runs real
-// HTTP between real goroutines, yet two runs of the report render identically.
+// HTTP between real goroutines, yet two runs of the report render identically,
+// and identically to testdata/cluster.golden.
 func TestClusterReportDeterministic(t *testing.T) {
-	rep := sameTwice(t, func() (*Report, error) { return ClusterReport(smallCluster()) })
+	rep := sameTwiceGolden(t, "cluster", func() (*Report, error) { return ClusterReport(smallCluster()) })
 	for _, want := range []string{"recovery", "peerfill", "failover", "maxR"} {
 		if !strings.Contains(rep.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)

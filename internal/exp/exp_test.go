@@ -1,6 +1,9 @@
 package exp
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -258,6 +261,32 @@ func sameTwice(t *testing.T, f func() (*Report, error)) *Report {
 		t.Fatalf("report not reproducible:\n%s\n---\n%s", a, b)
 	}
 	return a
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this run's reports")
+
+// sameTwiceGolden is sameTwice pinned to testdata/<name>.golden: the first
+// render must also match the committed bytes, so a change that moves a
+// deterministic report shows as a golden diff. -update rewrites the file.
+func sameTwiceGolden(t *testing.T, name string, f func() (*Report, error)) *Report {
+	t.Helper()
+	rep := sameTwice(t, f)
+	path := filepath.Join("testdata", name+".golden")
+	got := rep.String()
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with go test ./internal/exp -update)", err)
+	}
+	if got != string(want) {
+		t.Fatalf("report differs from %s (regenerate with -update if intended):\n%s\n--- want\n%s", path, got, want)
+	}
+	return rep
 }
 
 func TestFig10OutOfDistribution(t *testing.T) {

@@ -130,7 +130,7 @@ func runFlapArm(fc FlapConfig, detector gossip.Config) (FlapDetectorOutcome, err
 	var out FlapDetectorOutcome
 	r := newRig()
 	defer r.close()
-	nodes, err := r.startNodes(flapNodes, r.nodeConfig(fc.Expert, fc.Eval), fc.WindowLen)
+	nodes, err := r.startNodes(flapNodes, r.nodeConfig(fc.Expert, fc.Eval), true)
 	if err != nil {
 		return out, err
 	}
@@ -177,11 +177,7 @@ func runPartitionArm(fc FlapConfig, peered bool) (PartitionOutcome, error) {
 	stride := rigProbeStride()
 	r := newRig()
 	defer r.close()
-	window := 0
-	if peered {
-		window = stride
-	}
-	nodes, err := r.startNodes(flapNodes, r.nodeConfig(fc.Expert, fc.Eval), window)
+	nodes, err := r.startNodes(flapNodes, r.nodeConfig(fc.Expert, fc.Eval), peered)
 	if err != nil {
 		return out, err
 	}
@@ -249,7 +245,7 @@ func runPartitionArm(fc FlapConfig, peered bool) (PartitionOutcome, error) {
 func runHandoff(fc FlapConfig, tr *trace.Trace, warm bool) (donor, heir []float64, err error) {
 	r := newRig()
 	defer r.close()
-	nodes, err := r.startNodes(2, r.nodeConfig(fc.Expert, fc.Eval), fc.WindowLen)
+	nodes, err := r.startNodes(2, r.nodeConfig(fc.Expert, fc.Eval), true)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -87,9 +87,10 @@ func smallFlap() FlapConfig {
 }
 
 // TestFlapReportDeterministic pins byte-reproducibility: two runs of all
-// three arms over real HTTP render identically.
+// three arms over real HTTP render identically, and identically to
+// testdata/flap.golden.
 func TestFlapReportDeterministic(t *testing.T) {
-	rep := sameTwice(t, func() (*Report, error) { return FlapReport(smallFlap()) })
+	rep := sameTwiceGolden(t, "flap", func() (*Report, error) { return FlapReport(smallFlap()) })
 	for _, want := range []string{"full-weight sheds", "ohr retention", "windows to 95%", "client 5xx"} {
 		if !strings.Contains(rep.String(), want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)

@@ -117,18 +117,17 @@ func (r *rig) nodeConfig(e cache.Expert, eval cache.EvalConfig) node.Config {
 // startNode deploys one node on a fresh listener and waits for its recovery
 // gate.
 func (r *rig) startNode(cfg node.Config) (*rigNode, error) {
-	ns, err := r.startNodes(1, cfg, 0)
+	ns, err := r.startNodes(1, cfg, false)
 	if err != nil {
 		return nil, err
 	}
 	return ns[0], nil
 }
 
-// startNodes deploys n nodes. With window > 0 they form one peer cluster
-// (darwin-proxy's -peers/-self) whose replication window is window requests;
-// the listeners exist before any node is built because every node's peer list
-// names them all.
-func (r *rig) startNodes(n int, cfg node.Config, window int) ([]*rigNode, error) {
+// startNodes deploys n nodes. When peered they form one peer cluster
+// (darwin-proxy's -peers/-self); the listeners exist before any node is built
+// because every node's peer list names them all.
+func (r *rig) startNodes(n int, cfg node.Config, peered bool) ([]*rigNode, error) {
 	nodes := make([]*rigNode, n)
 	urls := make([]string, n)
 	for i := range nodes {
@@ -138,16 +137,15 @@ func (r *rig) startNodes(n int, cfg node.Config, window int) ([]*rigNode, error)
 		r.nodes = append(r.nodes, nodes[i])
 	}
 	for i, rn := range nodes {
-		if window > 0 {
+		if peered {
 			brk := server.DefaultPeerBreaker()
 			brk.Clock = r.clk.Now
 			cfg.Peer = server.PeerConfig{
-				Self:           urls[i],
-				Nodes:          urls,
-				FetchTimeout:   rigDeadline,
-				Breaker:        brk,
-				RebalanceEvery: window,
-				Gossip:         gossip.Config{Clock: r.clk.Now},
+				Self:         urls[i],
+				Nodes:        urls,
+				FetchTimeout: rigDeadline,
+				Breaker:      brk,
+				Gossip:       gossip.Config{Clock: r.clk.Now},
 			}
 		}
 		var err error

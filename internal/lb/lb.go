@@ -58,8 +58,8 @@ func (c Config) validate() error {
 }
 
 // WithDefaults returns c with every unset (<= 0) tuning field replaced by
-// its documented default. NewRing applies it; the serving tier's configs
-// (server.FrontConfig, server.PeerConfig) take their ring defaults from it.
+// its documented default. NewRing applies it; server.FrontConfig takes its
+// RebalanceEvery default from it.
 func (c Config) WithDefaults() Config {
 	if c.VirtualNodes <= 0 {
 		c.VirtualNodes = 64

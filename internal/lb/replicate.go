@@ -38,8 +38,7 @@ type ReplicationConfig struct {
 }
 
 // WithDefaults returns c with every unset (<= 0) field replaced by its
-// documented default. NewReplicator applies it; darwin-front seeds its
-// -rep-* flags from it.
+// documented default. NewReplicator applies it.
 func (c ReplicationConfig) WithDefaults() ReplicationConfig {
 	if c.TopK <= 0 {
 		c.TopK = 16

@@ -125,7 +125,7 @@ func TestKilledNodeRecovers(t *testing.T) {
 		t.Fatalf("journal held %d live objects at the kill, want >= 120", len(journaled))
 	}
 	for _, obj := range journaled {
-		if second.eng.Lookup(obj.ID) == cache.Miss {
+		if r := second.eng.Lookup(obj.ID); r != cache.HOCHit && r != cache.DCHit {
 			t.Fatalf("journaled object %d is not resident after recovery", obj.ID)
 		}
 	}

@@ -22,9 +22,10 @@ package server
 //     under bounded loads.
 //   - replication: an lb.Replicator observes per-object request share and
 //     widens hot objects over ring successors, so a viral object's traffic
-//     spreads instead of saturating its primary — and the successors it
-//     lands on are exactly the siblings the backends' peer-fill layer
-//     probes, so the copies are warm.
+//     spreads instead of saturating its primary. The relay tells the backend
+//     the object's replica count (ReplicasHeader), so the successors it
+//     lands on are exactly the siblings the backend's peer-fill layer
+//     probes, and the copies are warm.
 //   - breakers: each backend has a rolling circuit breaker fed by relay
 //     outcomes; transport failures fail over to the next distinct ring
 //     candidate within the same request.
@@ -57,22 +58,14 @@ type FrontConfig struct {
 	// Backends are the darwin-proxy base URLs, in the cluster's shared node
 	// order (the same order backends pass to their -peers flag).
 	Backends []string
-	// VirtualNodes per backend on the ring (default 64).
-	VirtualNodes int
-	// LoadFactor is the bounded-loads ε (default 0.25).
-	LoadFactor float64
 	// RebalanceEvery is the routing window length in requests (default
 	// 10_000): weights, budgets, and replication factors refresh at every
-	// window boundary.
+	// window boundary. The ring's other tuning and the replicator's are lb's
+	// defaults.
 	RebalanceEvery int
-	// Replication configures the hot-object tracker (zero = defaults).
-	Replication lb.ReplicationConfig
 	// Breaker configures the per-backend circuit breaker; zero means
 	// DefaultPeerBreaker.
 	Breaker breaker.Config
-	// Attempts bounds failover: how many distinct ring candidates one
-	// request may try (default 3, capped at len(Backends)).
-	Attempts int
 	// ProbeEvery is the health poll period (default 250 ms).
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds each health poll (default ProbeEvery).
@@ -91,22 +84,21 @@ type FrontConfig struct {
 // its documented default. ProbeTimeout and Gossip.HeartbeatEvery stay unset:
 // they follow ProbeEvery, in NewFront. NewFront applies it and darwin-front
 // seeds its flags from it, so each default is spelled once — here, or in lb
-// for the ring's and the replicator's.
+// for the ring's.
 func (c FrontConfig) WithDefaults() FrontConfig {
-	ring := lb.Config{VirtualNodes: c.VirtualNodes, LoadFactor: c.LoadFactor, RebalanceEvery: c.RebalanceEvery}.WithDefaults()
-	c.VirtualNodes, c.LoadFactor, c.RebalanceEvery = ring.VirtualNodes, ring.LoadFactor, ring.RebalanceEvery
-	c.Replication = c.Replication.WithDefaults()
+	c.RebalanceEvery = lb.Config{RebalanceEvery: c.RebalanceEvery}.WithDefaults().RebalanceEvery
 	if c.Breaker.Window <= 0 {
 		c.Breaker = DefaultPeerBreaker()
-	}
-	if c.Attempts <= 0 {
-		c.Attempts = 3
 	}
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 250 * time.Millisecond
 	}
 	return c
 }
+
+// frontAttempts bounds failover: how many distinct ring candidates one
+// request may try (fewer in a smaller cluster).
+const frontAttempts = 3
 
 // FrontStats is the front tier's counters: the striped storage, the snapshot
 // Stats returns, and (by field name) the front's /metrics lines.
@@ -165,9 +157,6 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		return nil, fmt.Errorf("server: front tier needs at least one backend")
 	}
 	cfg = cfg.WithDefaults()
-	if cfg.Attempts > len(cfg.Backends) {
-		cfg.Attempts = len(cfg.Backends)
-	}
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = cfg.ProbeEvery
 	}
@@ -187,7 +176,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	f := &Front{
 		cfg:           cfg,
 		nodes:         cfg.Backends,
-		rep:           lb.NewReplicator(cfg.Replication),
+		rep:           lb.NewReplicator(lb.ReplicationConfig{}),
 		memb:          memb,
 		declined:      make([]atomic.Bool, len(cfg.Backends)),
 		probeTimeouts: make([]atomic.Int64, len(cfg.Backends)),
@@ -205,8 +194,6 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	}
 	ring, err := lb.NewRing(lb.Config{
 		Servers:        len(cfg.Backends),
-		VirtualNodes:   cfg.VirtualNodes,
-		LoadFactor:     cfg.LoadFactor,
 		RebalanceEvery: cfg.RebalanceEvery,
 		Readiness:      f.readiness,
 	})
@@ -429,7 +416,7 @@ func (f *Front) ServeMetrics(w http.ResponseWriter, r *http.Request) {
 
 // ServeHTTP routes one client request to a backend and streams the response
 // back. The ring's pick goes first; on transport failure the request fails
-// over to the next distinct ring candidate (at most Attempts), recording
+// over to the next distinct ring candidate (at most frontAttempts), recording
 // each outcome in the backend's breaker. An HTTP response of any status is
 // relayed — a 502 or shed 503 from a live backend is an answer, not a
 // routing failure.
@@ -449,16 +436,10 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Failover order: the routed backend first, then the object's remaining
 	// ring successors (distinct by construction).
 	var cand [lb.MaxReplicas]int
-	width := f.cfg.Attempts + 1
-	if width > len(f.nodes) {
-		width = len(f.nodes)
-	}
-	if width > lb.MaxReplicas {
-		width = lb.MaxReplicas
-	}
-	k := f.ring.Successors(id, cand[:width])
+	attempts := min(frontAttempts, len(f.nodes))
+	k := f.ring.Successors(id, cand[:min(attempts+1, len(f.nodes), lb.MaxReplicas)])
 	tried := 0
-	for i := -1; i < k && tried < f.cfg.Attempts; i++ {
+	for i := -1; i < k && tried < attempts; i++ {
 		var node int
 		if i < 0 {
 			node = primary
@@ -476,7 +457,7 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			f.stats.add(id, func(s *FrontStats) { s.Failovers++ })
 		}
 		tried++
-		if f.relay(w, r, node, id, size) {
+		if f.relay(w, r, node, id, size, replicas) {
 			f.stats.add(id, func(s *FrontStats) { s.Relayed++ })
 			return
 		}
@@ -490,12 +471,18 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // transport-level failure (connection refused/reset, an unparsable head,
 // deadline), in which case nothing has been written and the caller may fail
 // over.
-func (f *Front) relay(w http.ResponseWriter, r *http.Request, node int, id uint64, size int64) bool {
+func (f *Front) relay(w http.ResponseWriter, r *http.Request, node int, id uint64, size int64, replicas int) bool {
 	// Propagate the client's deadline advertisement so backend deadline
-	// shedding still works behind the front tier.
-	var hdr []string
+	// shedding still works behind the front tier, and a replicated object's
+	// replica count so the backend's peer fill probes the holders this
+	// routing placed it on.
+	var buf [4]string
+	hdr := buf[:0]
 	if dl := r.Header[DeadlineHeader]; len(dl) > 0 {
-		hdr = []string{DeadlineHeader, dl[0]}
+		hdr = append(hdr, DeadlineHeader, dl[0])
+	}
+	if replicas > 1 {
+		hdr = append(hdr, ReplicasHeader, replicaDigits[replicas:replicas+1])
 	}
 	c, err := f.ups[node].get(r.Context(), id, size, hdr...)
 	if err != nil {

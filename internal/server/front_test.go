@@ -193,7 +193,7 @@ func TestFrontFailoverOnDeadBackend(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := &spyWriter{h: http.Header{}}
-		if f.relay(w, httptest.NewRequest("GET", "/obj/1?size=500", nil), 0, 1, 500) {
+		if f.relay(w, httptest.NewRequest("GET", "/obj/1?size=500", nil), 0, 1, 500, 1) {
 			t.Fatal("relay reported an answer from a backend that reset mid-head")
 		}
 		if w.calls != 0 || len(w.h) != 0 {

@@ -119,6 +119,7 @@ func TestMetricsExposition(t *testing.T) {
 		"state_merges":               st.StateMerges,
 		"state_rejects":              st.StateRejects,
 		"state_pushes":               st.StatePushes,
+		"commit_raced":               st.CommitRaced,
 		"gossip_peer_status{node=1}": memb.Status(1),
 		"gossip_peer_phi{node=1}":    fmt.Sprintf("%.3f", memb.Phi(1)),
 		"breaker_state":              bs.State,

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -122,24 +123,25 @@ func (p *Proxy) BreakerSnapshot() (breaker.Snapshot, bool) {
 }
 
 // clientDeadline returns the end-to-end deadline the client propagated in
-// DeadlineHeader, or 0 when the stage is off or the header is absent or
-// malformed.
+// DeadlineHeader, or 0 when the stage is off or the header is absent,
+// malformed, or too large for a time.Duration (the header is outside input:
+// a value that would wrap must not turn into a tiny or negative deadline).
 func (p *Proxy) clientDeadline(r *http.Request) time.Duration {
 	if !p.ov.PropagateDeadline {
 		return 0
 	}
 	ms, err := strconv.ParseInt(r.Header.Get(DeadlineHeader), 10, 64)
-	if err != nil || ms <= 0 {
+	if err != nil || ms <= 0 || ms > math.MaxInt64/int64(time.Millisecond) {
 		return 0
 	}
 	return time.Duration(ms) * time.Millisecond
 }
 
 // shed answers a request the overload stages refuse to do full work for:
-// from the stale store when possible, otherwise a cheap 503 with Retry-After
-// — never by queueing behind a sick origin. The shed, a deadline reason and
-// the answer are counted in one update, so no snapshot sees DeadlineSheds
-// lead Shed or a shed 503 without its error.
+// stale when possible, otherwise a cheap 503 with Retry-After — never by
+// queueing behind a sick origin. The shed, a deadline reason and the answer
+// are counted in one update, so no snapshot sees DeadlineSheds lead Shed or a
+// shed 503 without its error.
 func (p *Proxy) shed(w http.ResponseWriter, req trace.Request, reason string) {
 	stale := p.servedBefore(req.ID)
 	switch deadline := reason == "deadline"; {

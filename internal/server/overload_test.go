@@ -113,7 +113,7 @@ func TestAdmissionShedsOverBudget(t *testing.T) {
 		})
 	})
 
-	// Warm object 1 so the stale store can cover it later.
+	// Warm object 1 so it can be served stale later.
 	if resp := getDeadline(t, proxySrv.URL, 1, 1000, 0); resp.StatusCode != http.StatusOK {
 		t.Fatalf("warmup status %d", resp.StatusCode)
 	}
@@ -326,5 +326,37 @@ func TestOverloadSheddingStress(t *testing.T) {
 	}
 	if snap, ok := proxy.BreakerSnapshot(); !ok || snap.Allowed == 0 {
 		t.Fatalf("breaker snapshot %+v ok=%v, want breaker engaged", snap, ok)
+	}
+}
+
+// TestClientDeadlineRejectsWrappingValues: DeadlineHeader is outside input. A
+// value in range sets the miss's deadline — 300 ms is under this proxy's fetch
+// floor, so the miss is shed as doomed work — while zero, negative, malformed
+// and too-large values set none: a millisecond count whose product with
+// time.Millisecond wraps must not become a tiny or negative deadline.
+func TestClientDeadlineRejectsWrappingValues(t *testing.T) {
+	ov := Overload{PropagateDeadline: true, MinFetchBudget: time.Hour}
+	_, proxy := overloadTestbed(t, Resilience{}, ov, nil)
+	for i, tc := range []struct {
+		header string
+		shed   bool
+	}{
+		{"300", true},
+		{"0", false},
+		{"-5", false},
+		{"x", false},
+		{"18446744073710", false}, // wraps to ≈448 µs
+		{"9223372036855", false},  // wraps negative
+		{"9223372036854", false},  // the largest accepted value: ≈292 years
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/obj/"+strconv.Itoa(100+i)+"?size=100", nil)
+		r.Header.Set(DeadlineHeader, tc.header)
+		w := httptest.NewRecorder()
+		proxy.ServeHTTP(w, r)
+		if shed := w.Header().Get(ShedHeader) == "deadline"; shed != tc.shed {
+			t.Errorf("%s %q: deadline shed %v, want %v (status %d)", DeadlineHeader, tc.header, shed, tc.shed, w.Code)
+		} else if !tc.shed && w.Code != http.StatusOK {
+			t.Errorf("%s %q: status %d, want 200", DeadlineHeader, tc.header, w.Code)
+		}
 	}
 }

@@ -5,8 +5,9 @@ package server
 // node in a cluster shares the same ordered node list, so each builds an
 // identical consistent-hash ring (lb.Ring) and agrees on which siblings are
 // an object's primary and replica successors. On a DC/origin-bound miss the
-// proxy probes up to peerFanout siblings — the nodes most likely to hold the
-// object under front-tier routing — and on a 200 commits the request through
+// proxy probes up to peerFanout of the object's designated holders — its
+// first n ring successors, n being the replica count the front tier routed it
+// with (ReplicasHeader) — and on a 200 commits the request through
 // the decider exactly like an origin fetch, so the peer fill is journaled as
 // an admit and the object becomes locally resident for the next request.
 //
@@ -23,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"darwin/internal/breaker"
@@ -37,6 +37,15 @@ import (
 // guard: the receiving node answers from its own cache or 404s, and never
 // initiates further peer or origin fetches for it.
 const PeerHopHeader = "X-Darwin-Peer-Hop"
+
+// ReplicasHeader carries the front tier's replica count for the object a
+// relayed request names, when it is above 1: the one source of the node's
+// designated-holder set for peer fill.
+const ReplicasHeader = "X-Darwin-Replicas"
+
+// replicaDigits renders ReplicasHeader's values: a count is one digit, which
+// holds while lb.MaxReplicas stays below 10.
+const replicaDigits = "0123456789"
 
 // PeerHeader marks a client response whose miss was filled from a ring
 // sibling instead of the origin.
@@ -56,20 +65,9 @@ type PeerConfig struct {
 	// FetchTimeout bounds each probe (default 150 ms: a peer hop is only
 	// worth taking when it is much cheaper than the origin).
 	FetchTimeout time.Duration
-	// VirtualNodes per node on the shared ring (default 64).
-	VirtualNodes int
 	// Breaker configures the per-sibling circuit breaker; zero means
 	// DefaultPeerBreaker.
 	Breaker breaker.Config
-	// Replication configures the local hot-object tracker that approximates
-	// the front tier's placement (zero = defaults). fetchPeer probes only an
-	// object's designated holders — its first Factor(id) ring successors —
-	// so cold siblings are never disturbed for objects routing would not
-	// have placed on them.
-	Replication lb.ReplicationConfig
-	// RebalanceEvery is the replication observation window in requests
-	// (default 10_000, matching the front tier's routing window).
-	RebalanceEvery int
 	// Gossip tunes the failure detector (thresholds, dwell, clock). Nodes
 	// and Self are overwritten with the cluster's values; a nil Clock means
 	// time.Now.
@@ -101,7 +99,6 @@ func (c PeerConfig) WithDefaults() PeerConfig {
 	if c.Breaker.Window <= 0 {
 		c.Breaker = DefaultPeerBreaker()
 	}
-	c.RebalanceEvery = lb.Config{RebalanceEvery: c.RebalanceEvery}.WithDefaults().RebalanceEvery
 	return c
 }
 
@@ -110,9 +107,8 @@ func (c PeerConfig) WithDefaults() PeerConfig {
 const peerFanout = 2
 
 // peerSet is the proxy's view of its cluster: the shared ring, sibling
-// breakers and probe clients, the gossip membership view and the local
-// replication tracker. The struct is immutable after SetPeers; memb and rep
-// are internally synchronized.
+// breakers and probe clients, and the gossip membership view. The struct is
+// immutable after SetPeers; memb is internally synchronized.
 type peerSet struct {
 	ring    *lb.Ring
 	self    int
@@ -126,12 +122,6 @@ type peerSet struct {
 	// memb is the gossip membership view: probes piggyback digests on it,
 	// and fetchPeer skips siblings it grades Dead.
 	memb *gossip.Membership
-	// rep approximates the front tier's replication placement from this
-	// node's own request stream; repEvery requests close an observation
-	// window (reqs counts them).
-	rep      *lb.Replicator
-	repEvery int64
-	reqs     atomic.Int64
 }
 
 // SetPeers wires the proxy into a peer cluster. Call once before serving
@@ -150,16 +140,13 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 		return fmt.Errorf("server: peer Self %q not in Nodes", cfg.Self)
 	}
 	cfg = cfg.WithDefaults()
-	ring, err := lb.NewRing(lb.Config{
-		Servers:      len(cfg.Nodes),
-		VirtualNodes: cfg.VirtualNodes,
-	})
+	ring, err := lb.NewRing(lb.Config{Servers: len(cfg.Nodes)})
 	if err != nil {
 		return err
 	}
 	// The walk must cover the widest possible replica set (plus self, which
 	// the walk may pass through), not just the probe fanout: designated
-	// holders are the first Factor(id) successors.
+	// holders are the first replicas(r) successors.
 	width := len(cfg.Nodes)
 	if width > lb.MaxReplicas {
 		width = lb.MaxReplicas
@@ -184,29 +171,31 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 		return err
 	}
 	p.peers = &peerSet{
-		ring:     ring,
-		self:     self,
-		nodes:    cfg.Nodes,
-		fanout:   min(peerFanout, len(cfg.Nodes)-1),
-		width:    width,
-		timeout:  cfg.FetchTimeout,
-		brks:     brks,
-		ups:      ups,
-		memb:     memb,
-		rep:      lb.NewReplicator(cfg.Replication),
-		repEvery: int64(cfg.RebalanceEvery),
+		ring:    ring,
+		self:    self,
+		nodes:   cfg.Nodes,
+		fanout:  min(peerFanout, len(cfg.Nodes)-1),
+		width:   width,
+		timeout: cfg.FetchTimeout,
+		brks:    brks,
+		ups:     ups,
+		memb:    memb,
 	}
 	return nil
 }
 
-// observe feeds one client request into the replication tracker, closing the
-// observation window every repEvery requests so the designated-holder map
-// tracks the live traffic mix on the same cadence as the front tier.
-func (ps *peerSet) observe(id uint64) {
-	ps.rep.Observe(id)
-	if ps.reqs.Add(1)%ps.repEvery == 0 {
-		ps.rep.Rebalance()
+// replicas returns the replica count the front tier relayed r with. The
+// header is outside input: only a single digit 1…lb.MaxReplicas on a single
+// header line is accepted; anything else, or no header, means 1.
+func replicas(r *http.Request) int {
+	v := r.Header[ReplicasHeader]
+	if len(v) != 1 || len(v[0]) != 1 {
+		return 1
 	}
+	if n := int(v[0][0]) - '0'; n >= 1 && n <= lb.MaxReplicas {
+		return n
+	}
+	return 1
 }
 
 // isPeerProbe reports whether r is a sibling's probe (loop-guard header set).
@@ -226,33 +215,28 @@ func isPeerProbe(r *http.Request) bool {
 func (p *Proxy) servePeerProbe(w http.ResponseWriter, r *http.Request, req trace.Request) {
 	p.peers.mergeGossip(r.Header)
 	w.Header()[GossipHeader] = []string{p.peers.gossipValue()}
-	if p.decider.Lookup(req.ID) != cache.Miss {
+	if res := p.decider.Lookup(req.ID); res == cache.HOCHit || res == cache.DCHit {
 		p.stats.add(req.ID, func(s *ProxyStats) { s.PeerServed++ })
-		p.commit(w, req)
+		p.commit(w, req, res)
 		return
 	}
 	w.WriteHeader(http.StatusNotFound)
 }
 
 // fetchPeer tries to fill a miss from the object's designated holders — its
-// first Factor(id) ring successors, the exact nodes front-tier routing and
-// replication place it on. A cold object (factor 1) costs at most one probe
-// to its primary; a hot replicated object may probe up to peerFanout of its
-// holders. Siblings the gossip layer grades Dead are skipped outright (no
+// first holders ring successors, where holders is the replica count the front
+// tier routed the request with (replicas): the exact nodes front-tier routing
+// and replication place it on. A cold object (count 1) costs at most one
+// probe to its primary; a hot replicated object may probe up to peerFanout of
+// its holders. Siblings the gossip layer grades Dead are skipped outright (no
 // point spending a probe timeout on a corpse), and each probe still respects
 // the sibling's breaker. Returns false when no holder had the object — the
 // caller falls through to the origin fetch.
-func (p *Proxy) fetchPeer(ctx context.Context, id uint64, size int64) bool {
+func (p *Proxy) fetchPeer(ctx context.Context, id uint64, size int64, holders int) bool {
 	ps := p.peers
 	var dst [lb.MaxReplicas]int
 	k := ps.ring.Successors(id, dst[:ps.width])
-	holders := ps.rep.Factor(id)
-	if holders < 1 {
-		holders = 1
-	}
-	if holders > k {
-		holders = k
-	}
+	holders = min(holders, k)
 	tried := 0
 	for i := 0; i < holders && tried < ps.fanout; i++ {
 		node := dst[i]

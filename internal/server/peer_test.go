@@ -202,3 +202,110 @@ func TestPeerBreakerStopsProbingDeadSibling(t *testing.T) {
 		t.Fatal("sibling breaker never opened: no probe rejects recorded")
 	}
 }
+
+// TestReplicasHeaderParse: X-Darwin-Replicas is outside input, so only a
+// single digit 1…lb.MaxReplicas on one header line is a replica count;
+// anything else reads as 1.
+func TestReplicasHeaderParse(t *testing.T) {
+	if lb.MaxReplicas >= len(replicaDigits) {
+		t.Fatalf("lb.MaxReplicas %d no longer renders as one digit", lb.MaxReplicas)
+	}
+	for _, tc := range []struct {
+		name string
+		vals []string
+		want int
+	}{
+		{"absent", nil, 1},
+		{"zero", []string{"0"}, 1},
+		{"one", []string{"1"}, 1},
+		{"three", []string{"3"}, 3},
+		{"max", []string{replicaDigits[lb.MaxReplicas : lb.MaxReplicas+1]}, lb.MaxReplicas},
+		{"above max", []string{"9"}, 1},
+		{"not a digit", []string{"x"}, 1},
+		{"list", []string{"2,3"}, 1},
+		{"two lines", []string{"2", "3"}, 1},
+	} {
+		r := httptest.NewRequest(http.MethodGet, "/obj/1?size=1", nil)
+		if tc.vals != nil {
+			r.Header[ReplicasHeader] = tc.vals
+		}
+		if got := replicas(r); got != tc.want {
+			t.Errorf("%s %q: replicas = %d, want %d", tc.name, tc.vals, got, tc.want)
+		}
+	}
+}
+
+// TestPeerFillProbesFrontDesignatedHolders: a node's peer fill probes the
+// holders the front routed with. Object x is made hot at a Front over three
+// peered proxies (factor 3: every node holds it), is resident only on its
+// third holder, and its next request lands on the second holder, which must
+// probe the primary (404) and then the third holder (fill) — not stop at the
+// primary as a node guessing factor 1 would.
+func TestPeerFillProbesFrontDesignatedHolders(t *testing.T) {
+	originSrv := httptest.NewServer(&Origin{})
+	defer originSrv.Close()
+	const n = 3
+	proxies := make([]*Proxy, n)
+	urls := make([]string, n)
+	for i := range proxies {
+		proxies[i] = NewOverloadProxy(staticDecider(t, 2), originSrv.URL, 0, fastResilience(), Overload{})
+		srv := httptest.NewServer(proxies[i])
+		defer srv.Close()
+		urls[i] = srv.URL
+	}
+	for i, p := range proxies {
+		if err := p.SetPeers(PeerConfig{Self: urls[i], Nodes: urls}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const window = 20
+	f, err := NewFront(FrontConfig{Backends: urls, RebalanceEvery: window})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frontSrv := httptest.NewServer(f)
+	defer frontSrv.Close()
+
+	ring, err := lb.NewRing(lb.Config{Servers: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const x = 1 // the smallest id: first among equal counts in the top-K cut
+	var holders [n]int
+	ring.Successors(x, holders[:])
+	primary, second, third := holders[0], holders[1], holders[2]
+	objURL := func(base string, id uint64) string { return fmt.Sprintf("%s/obj/%d?size=1000", base, id) }
+
+	// Window 0: x once (5% of the window: factor 3) and cold filler. x stays
+	// non-resident on its primary: one request only records it.
+	mustGet(t, objURL(frontSrv.URL, x), nil)
+	for id := uint64(100); id < 100+window-1; id++ {
+		mustGet(t, objURL(frontSrv.URL, id), nil)
+	}
+	// Make x resident on its third holder only (direct requests, no front).
+	for i := 0; i < 2; i++ {
+		mustGet(t, objURL(urls[third], x), nil)
+	}
+	if resp := mustGet(t, objURL(urls[third], x), nil); resp.Header.Get("X-Cache") == "miss" {
+		t.Fatalf("x not resident on its third holder (node %d)", third)
+	}
+	// Window 1 opens with an object whose primary is x's primary, so the
+	// least-loaded holder of x, in ring order, is its second.
+	mustGet(t, objURL(frontSrv.URL, peerObjectID(t, n, primary, 1000)), nil)
+	if got := f.rep.Factor(x); got != n {
+		t.Fatalf("front replication factor of x = %d, want %d", got, n)
+	}
+
+	before := proxies[second].Stats()
+	resp := mustGet(t, objURL(frontSrv.URL, x), nil)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get(PeerHeader) != "fill" {
+		t.Fatalf("x on its second holder: status %d, %s %q, want a peer fill", resp.StatusCode, PeerHeader, resp.Header.Get(PeerHeader))
+	}
+	after := proxies[second].Stats()
+	if probes, fills := after.PeerProbes-before.PeerProbes, after.PeerFills-before.PeerFills; probes != 2 || fills != 1 {
+		t.Fatalf("second holder (node %d): %d probes, %d fills, want 2 (primary 404, third holder) and 1", second, probes, fills)
+	}
+	if st := f.Stats(); st.Replicated == 0 {
+		t.Fatalf("front stats %+v: no replicated request", st)
+	}
+}

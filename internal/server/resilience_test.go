@@ -100,7 +100,6 @@ func TestValidateRejectsOutsideGarbage(t *testing.T) {
 		"FetchTimeout": func(r *Resilience) { r.FetchTimeout = -time.Second },
 		"BackoffBase":  func(r *Resilience) { r.BackoffBase = -1 },
 		"BackoffMax":   func(r *Resilience) { r.BackoffMax = -1 },
-		"StaleCap":     func(r *Resilience) { r.StaleCap = -1 },
 	}
 	for field, mutate := range badRes {
 		r := DefaultResilience()
@@ -488,5 +487,38 @@ func TestProxyConcurrentMixedLoad(t *testing.T) {
 	}
 	if m := dec.Metrics(); m.Requests != workers*perWorker {
 		t.Fatalf("accounted %d requests, want %d", m.Requests, workers*perWorker)
+	}
+}
+
+// TestServeStaleCoversEveryRecord: serve-stale reads the engine's record, so
+// it has no cap of its own. 65,537 distinct objects — one more than the 64k
+// set the proxy once kept beside the engine — are each served once, the
+// origin goes away, and every one of them is answered stale; an object never
+// served still gets 502.
+func TestServeStaleCoversEveryRecord(t *testing.T) {
+	const n = 64<<10 + 1
+	originSrv := httptest.NewServer(&Origin{})
+	proxy := NewOverloadProxy(staticDecider(t, 1), originSrv.URL, 0, Resilience{ServeStale: true}, Overload{})
+	serve := func(id uint64) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		proxy.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/obj/"+strconv.FormatUint(id, 10)+"?size=10", nil))
+		return w
+	}
+	for id := uint64(1); id <= n; id++ {
+		if w := serve(id); w.Code != http.StatusOK {
+			t.Fatalf("object %d with the origin up: status %d", id, w.Code)
+		}
+	}
+	originSrv.Close()
+	for id := uint64(1); id <= n; id++ {
+		if w := serve(id); w.Code != http.StatusOK || w.Header().Get("X-Cache") != "stale" {
+			t.Fatalf("object %d with the origin down: status %d, X-Cache %q, want a stale 200", id, w.Code, w.Header().Get("X-Cache"))
+		}
+	}
+	if st := proxy.Stats(); st.StaleServes != n {
+		t.Fatalf("stale serves %d, want %d", st.StaleServes, n)
+	}
+	if w := serve(n + 1); w.Code != http.StatusBadGateway {
+		t.Fatalf("never-served object with the origin down: status %d, want 502", w.Code)
 	}
 }

@@ -173,7 +173,8 @@ type Decider interface {
 // state, metrics, or frequency tracking. The pipeline probes before fetching
 // and commits the request through Serve only after the bytes are known good,
 // so a failed fetch cannot leave a phantom admission in the cache (the
-// decider believing an object is DC-resident whose bytes never arrived).
+// decider believing an object is DC-resident whose bytes never arrived). Any
+// answer but cache.Miss also makes the object eligible for a stale serve.
 type Lookuper interface {
 	Lookup(id uint64) cache.Result
 }
@@ -196,10 +197,9 @@ type Resilience struct {
 	// Coalesce enables single-flight coalescing of concurrent misses.
 	Coalesce bool
 	// ServeStale enables degraded mode: when the origin stays down after
-	// retries, a previously-served object is answered stale instead of 502.
+	// retries, an object the engine holds a record of (Lookup answers other
+	// than Miss) is answered stale instead of 502.
 	ServeStale bool
-	// StaleCap bounds the remembered-object set (0 = 64k entries).
-	StaleCap int
 	// Seed drives the backoff jitter.
 	Seed int64
 }
@@ -215,7 +215,6 @@ func DefaultResilience() Resilience {
 		BackoffMax:   250 * time.Millisecond,
 		Coalesce:     true,
 		ServeStale:   true,
-		StaleCap:     64 << 10,
 		Seed:         1,
 	}
 }
@@ -234,8 +233,6 @@ func (r Resilience) Validate() error {
 		return fmt.Errorf("server: negative BackoffBase %v", r.BackoffBase)
 	case r.BackoffMax < 0:
 		return fmt.Errorf("server: negative BackoffMax %v", r.BackoffMax)
-	case r.StaleCap < 0:
-		return fmt.Errorf("server: negative StaleCap %d", r.StaleCap)
 	}
 	return nil
 }
@@ -287,6 +284,11 @@ type ProxyStats struct {
 	// state was untouched); StatePushes counts drain-time frames this node
 	// delivered to its ring successor.
 	StateMerges, StateRejects, StatePushes int64
+	// CommitRaced counts commits whose Serve disagreed with the residency
+	// the request was routed on: routed as a hit but evicted before the
+	// commit, or routed as a miss but admitted first by another request (a
+	// coalesced one included). The request is served either way.
+	CommitRaced int64
 }
 
 // Proxy is the CDN edge server.
@@ -313,12 +315,6 @@ type Proxy struct {
 	retryBudget *breaker.Budget
 	// inflight gauges admitted requests for the bounded-in-flight budget.
 	inflight atomic.Int64
-
-	// stale remembers objects the proxy has successfully served, bounded by
-	// res.StaleCap — the prototype's serve-stale store (bodies are
-	// deterministic, so only membership must be remembered).
-	staleMu sync.Mutex
-	stale   map[uint64]struct{} // guarded by staleMu
 
 	// peers is the cluster's peer-fill layer (peer.go); nil outside a
 	// cluster. Immutable after SetPeers.
@@ -356,7 +352,7 @@ func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration
 	if !decider.Concurrent() {
 		panic(fmt.Sprintf("server: decider %q is not safe for concurrent callers; build it over cache.NewSharded(cfg, 1) or baselines.NewStaticSharded(e, cfg, 1)", decider.Name()))
 	}
-	res, ov = withDefaults(res, ov)
+	ov = ov.withDefaults()
 	p := &Proxy{
 		decider:   decider,
 		origin:    newUpstream(originURL),
@@ -377,12 +373,9 @@ func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration
 }
 
 // withDefaults is the one place a zero field is read as "the default" rather
-// than "stage absent": the stale store's cap, the doomed-fetch floor, the
+// than "stage absent" (no Resilience field is): the doomed-fetch floor, the
 // advertised Retry-After, and the breaker-derived retry budget.
-func withDefaults(res Resilience, ov Overload) (Resilience, Overload) {
-	if res.StaleCap <= 0 {
-		res.StaleCap = 64 << 10
-	}
+func (ov Overload) withDefaults() Overload {
 	if ov.MinFetchBudget <= 0 {
 		ov.MinFetchBudget = 50 * time.Millisecond
 	}
@@ -396,7 +389,7 @@ func withDefaults(res Resilience, ov Overload) (Resilience, Overload) {
 	if ov.RetryBudgetWindow <= 0 {
 		ov.RetryBudgetWindow = ov.Breaker.Window
 	}
-	return res, ov
+	return ov
 }
 
 // Metrics returns the decider's cache metrics, exact as of the call.
@@ -427,10 +420,6 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			p.servePeerProbe(w, r, req)
 			return
 		}
-		// Client traffic feeds the replication tracker (probes don't: the
-		// prober already counted the request), so the designated-holder map
-		// mirrors what the front tier's replicator sees.
-		p.peers.observe(id)
 	}
 	if p.ov.MaxInFlight > 0 {
 		// Admission runs before any cache or origin work: a request over the
@@ -443,23 +432,27 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if p.decider.Lookup(id) != cache.Miss {
-		p.commit(w, req)
+	if res := p.decider.Lookup(id); res == cache.HOCHit || res == cache.DCHit {
+		p.commit(w, req, res)
 		return
 	}
 	p.serveMiss(w, r, req)
 }
 
 // commit is the pipeline's one exit for a request whose bytes are in hand —
-// a residency hit, a validated peer fill, or a successful origin fetch. Only
+// a residency hit, a validated peer fill, or a successful origin fetch; routed
+// is the residency the request took that path on (Miss for a fetch). Only
 // here does the request enter the decider's books: Serve accounts it (and
 // reports a hit if a coalesced sibling request already admitted the object),
-// the response is written, and the object is remembered for degraded mode.
-func (p *Proxy) commit(w http.ResponseWriter, req trace.Request) {
+// a Serve that disagrees with routed is counted as CommitRaced, and the
+// response is written.
+func (p *Proxy) commit(w http.ResponseWriter, req trace.Request, routed cache.Result) {
 	res := p.decider.Serve(req)
+	if (res == cache.Miss) != (routed == cache.Miss) {
+		p.stats.add(req.ID, func(s *ProxyStats) { s.CommitRaced++ })
+	}
 	setXCache(w.Header(), res)
 	p.serveLocal(w, res, req.Size)
-	p.rememberStale(req.ID)
 }
 
 // serveLocal writes a response body from the proxy itself (commits and stale
@@ -501,14 +494,14 @@ func (p *Proxy) serveMiss(w http.ResponseWriter, r *http.Request, req trace.Requ
 	// front tier would have routed this object to. (Requests carrying the
 	// probe header never reach this path, so a two-node cycle terminates
 	// after one hop.)
-	if p.peers != nil && p.fetchPeer(ctx, req.ID, req.Size) {
+	if p.peers != nil && p.fetchPeer(ctx, req.ID, req.Size, replicas(r)) {
 		w.Header()[PeerHeader] = peerFillValue
-		p.commit(w, req)
+		p.commit(w, req, cache.Miss)
 		return
 	}
 	err := p.fetchOrigin(ctx, req.ID, req.Size)
 	if err == nil {
-		p.commit(w, req)
+		p.commit(w, req, cache.Miss)
 		return
 	}
 	// An open breaker or an expired client deadline is not an origin failure
@@ -524,7 +517,7 @@ func (p *Proxy) serveMiss(w http.ResponseWriter, r *http.Request, req trace.Requ
 		return
 	}
 	// Degraded mode: the origin is down and retries are exhausted. Serve the
-	// object stale if this proxy has ever served it, else surface the 502.
+	// object stale if the engine holds its record, else surface the 502.
 	if p.servedBefore(req.ID) {
 		p.stats.add(req.ID, func(s *ProxyStats) { s.StaleServes++ })
 		p.serveStale(w, req.Size, "")
@@ -534,39 +527,16 @@ func (p *Proxy) serveMiss(w http.ResponseWriter, r *http.Request, req trace.Requ
 	http.Error(w, fmt.Sprintf("server: origin unavailable: %v", err), http.StatusBadGateway)
 }
 
-// rememberStale records a successfully served object for degraded mode.
-func (p *Proxy) rememberStale(id uint64) {
-	if !p.res.ServeStale {
-		return
-	}
-	p.staleMu.Lock()
-	defer p.staleMu.Unlock()
-	if p.stale == nil {
-		p.stale = make(map[uint64]struct{})
-	}
-	if _, ok := p.stale[id]; !ok && len(p.stale) >= p.res.StaleCap {
-		for k := range p.stale { // evict an arbitrary entry to stay bounded
-			delete(p.stale, k)
-			break
-		}
-	}
-	p.stale[id] = struct{}{}
-}
-
-// servedBefore reports whether the stale store may answer id: ServeStale is
-// on and this proxy has served the object before.
+// servedBefore reports whether id may be answered stale: ServeStale is on and
+// the engine holds id's record — every object this node committed, restored
+// from its checkpoint or journal, or merged from a drain handoff. Bodies are
+// deterministic, so the record is all a stale serve needs.
 func (p *Proxy) servedBefore(id uint64) bool {
-	if !p.res.ServeStale {
-		return false
-	}
-	p.staleMu.Lock()
-	_, ok := p.stale[id]
-	p.staleMu.Unlock()
-	return ok
+	return p.res.ServeStale && p.decider.Lookup(id) != cache.Miss
 }
 
-// serveStale answers from the stale store — a fast, degraded success — an
-// object servedBefore vouched for. A non-empty shed reason marks the response
+// serveStale answers stale — a fast, degraded success — an object
+// servedBefore vouched for. A non-empty shed reason marks the response
 // as one the overload stages refused full work for.
 func (p *Proxy) serveStale(w http.ResponseWriter, size int64, shed string) {
 	h := w.Header()

@@ -338,3 +338,44 @@ func TestStatsCopiesEveryCounter(t *testing.T) {
 		}
 	}
 }
+
+// racingDecider answers Lookup and Serve from fixed values: the two sides of
+// a commit race, forced.
+type racingDecider struct{ lookup, serve cache.Result }
+
+func (d racingDecider) Lookup(uint64) cache.Result       { return d.lookup }
+func (d racingDecider) Serve(trace.Request) cache.Result { return d.serve }
+func (d racingDecider) Metrics() cache.Metrics           { return cache.Metrics{} }
+func (d racingDecider) Name() string                     { return "racing" }
+func (d racingDecider) Concurrent() bool                 { return true }
+
+// TestCommitRaced: a commit whose Serve disagrees with the residency the
+// request was routed on is counted — evicted between Lookup and Serve, or
+// admitted by another request before this one's commit — and served anyway.
+// Agreement, including HOC against DC, is not a race.
+func TestCommitRaced(t *testing.T) {
+	originSrv := httptest.NewServer(&Origin{})
+	defer originSrv.Close()
+	for _, tc := range []struct {
+		lookup, serve cache.Result
+		raced         int64
+	}{
+		{cache.HOCHit, cache.Miss, 1},  // evicted in between
+		{cache.DCHit, cache.Miss, 1},   // evicted in between
+		{cache.Miss, cache.DCHit, 1},   // admitted first by another request
+		{cache.Seen, cache.HOCHit, 1},  // admitted first by another request
+		{cache.DCHit, cache.HOCHit, 0}, // still a hit
+		{cache.Miss, cache.Miss, 0},
+		{cache.Seen, cache.Miss, 0},
+	} {
+		proxy := NewOverloadProxy(racingDecider{tc.lookup, tc.serve}, originSrv.URL, 0, Resilience{}, Overload{})
+		w := httptest.NewRecorder()
+		proxy.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/obj/1?size=100", nil))
+		if w.Code != http.StatusOK || w.Header().Get("X-Cache") != tc.serve.String() {
+			t.Errorf("Lookup %v, Serve %v: status %d, X-Cache %q, want 200 %v", tc.lookup, tc.serve, w.Code, w.Header().Get("X-Cache"), tc.serve)
+		}
+		if got := proxy.Stats().CommitRaced; got != tc.raced {
+			t.Errorf("Lookup %v, Serve %v: CommitRaced %d, want %d", tc.lookup, tc.serve, got, tc.raced)
+		}
+	}
+}
