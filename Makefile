@@ -46,9 +46,10 @@ race:
 # fuzz runs each fuzz target briefly: URL parsing on the proxy/origin seam,
 # the upstream client's response-head parser (a backend's bytes are outside
 # input),
-# the Bloom filter's uint64/string hash-identity invariants, the engine's id
-# table against the built-in map it replaced, the hierarchy's per-object
-# records against both levels' contents under random op sequences, the durability
+# the Bloom filter against its string-keyed oracle, the engine's id table
+# against the built-in map it replaced, the hierarchy's per-object records
+# against both levels' contents and the filter under random op sequences, the
+# controller's batched replay against per-request serving, the durability
 # decoders (persist frames, journal records/segments, checkpoint and
 # neural-weight payloads) — corrupted on-disk bytes must produce typed
 # errors, never panics — and darwinlint's own annotation parsers
@@ -57,9 +58,10 @@ fuzz:
 	$(GO) test ./internal/server -fuzz FuzzParseObjectURL -fuzztime 10s
 	$(GO) test ./internal/server -fuzz FuzzUpstreamHead -fuzztime 10s
 	$(GO) test ./internal/bloom -fuzz FuzzHashIdentity -fuzztime 10s
-	$(GO) test ./internal/bloom -fuzz FuzzFilterU64StringIdentity -fuzztime 10s
+	$(GO) test ./internal/bloom -fuzz FuzzFilterMatchesStringOracle -fuzztime 10s
 	$(GO) test ./internal/cache -fuzz FuzzIDTable -fuzztime 10s
 	$(GO) test ./internal/cache -fuzz FuzzHierarchy -fuzztime 10s
+	$(GO) test ./internal/core -fuzz FuzzControllerPlay -fuzztime 10s
 	$(GO) test ./internal/persist -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzDecodeRecord -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzOpenSegment -fuzztime 10s
@@ -75,9 +77,9 @@ bench:
 	bash benchmark/run.sh
 
 # microbench prices single functions: every package-level Benchmark* (engine
-# serve per eviction policy, controller serve, id table, feature observe, Bloom, ring
-# route, gossip digest codec, journal put and recovery, proxy serve-hit), with
-# allocs/op.
+# serve per eviction policy, controller serve and play, id table, feature
+# observe, Bloom, ring route, gossip digest codec, journal put and recovery,
+# proxy serve-hit), with allocs/op.
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/...
 

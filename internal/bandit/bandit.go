@@ -263,7 +263,8 @@ func (a *Algorithm) Recommendation() int { return argmax(a.mu) }
 func Phi(nu []float64, alpha []float64, sigma2 [][]float64) float64 {
 	k := len(nu)
 	star := argmax(nu)
-	w := weights(alpha, sigma2)
+	w := make([]float64, k)
+	weights(w, alpha, sigma2)
 	best := math.Inf(1)
 	for j := 0; j < k; j++ {
 		if j == star {
@@ -287,10 +288,11 @@ func Phi(nu []float64, alpha []float64, sigma2 [][]float64) float64 {
 	return best
 }
 
-// weights computes w_k = Σ_i α_i / σ²_{ik}.
-func weights(alpha []float64, sigma2 [][]float64) []float64 {
+// weights computes w_k = Σ_i α_i / σ²_{ik} into w, which is len(alpha)
+// long.
+func weights(w, alpha []float64, sigma2 [][]float64) {
 	k := len(alpha)
-	w := make([]float64, k)
+	clear(w)
 	for i := 0; i < k; i++ {
 		if alpha[i] == 0 {
 			continue
@@ -303,7 +305,6 @@ func weights(alpha []float64, sigma2 [][]float64) []float64 {
 			w[j] += alpha[i] / s2
 		}
 	}
-	return w
 }
 
 // SolveAlpha numerically solves Equation (3): the allocation over the
@@ -328,8 +329,9 @@ func SolveAlpha(nu []float64, sigma2 [][]float64) []float64 {
 		return alpha // degenerate ties: uniform
 	}
 	grad := make([]float64, k)
+	w := make([]float64, k)
 	for iter := 1; iter <= 300; iter++ {
-		w := weights(alpha, sigma2)
+		weights(w, alpha, sigma2)
 		// Active (minimising) alternative arm.
 		minJ, minF := -1, math.Inf(1)
 		for j := 0; j < k; j++ {

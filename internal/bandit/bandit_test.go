@@ -165,6 +165,66 @@ func TestSolveAlphaImprovesOverUniform(t *testing.T) {
 	}
 }
 
+// solveAlphaCases are three fixed (ν, Σ) inputs: full side information,
+// standard bandit feedback (+Inf off the diagonal), and six arms with some
+// pairs unobserved.
+func solveAlphaCases() []struct {
+	nu     []float64
+	sigma2 [][]float64
+} {
+	six := make([][]float64, 6)
+	for i := range six {
+		six[i] = make([]float64, 6)
+		for j := range six[i] {
+			switch {
+			case i == j:
+				six[i][j] = 0.01 + 0.002*float64(i)
+			case (i+j)%3 == 0:
+				six[i][j] = math.Inf(1)
+			default:
+				six[i][j] = 0.02 + 0.005*float64(i*j%5)
+			}
+		}
+	}
+	return []struct {
+		nu     []float64
+		sigma2 [][]float64
+	}{
+		{[]float64{0.30, 0.25, 0.10}, [][]float64{{0.01, 0.02, 0.05}, {0.03, 0.01, 0.02}, {0.04, 0.02, 0.01}}},
+		{[]float64{0.40, 0.38, 0.20, 0.39}, StandardSigma2([]float64{0.01, 0.02, 0.015, 0.03})},
+		{[]float64{0.21, 0.35, 0.34, 0.05, 0.30, 0.349}, six},
+	}
+}
+
+// TestSolveAlphaGolden pins SolveAlpha's output bits on solveAlphaCases to
+// values recorded when each of its 300 iterations still allocated its own
+// weight vector: reusing one buffer must not move a bit.
+func TestSolveAlphaGolden(t *testing.T) {
+	golden := [][]uint64{
+		{0x3fe50699e7301252, 0x3fd598b2825a2f62, 0x3f76866bd16afe85},
+		{0x3fd5ec21cc5f41c2, 0x3fb18b7f90626b01, 0x3f569162b256c255, 0x3fe2cd36766ae65e},
+		{0x3fe96f1679026f60, 0x3fb38e9b6b817716, 0x3f80d1ea28998f01, 0x3fbcac115378833a, 0x3f3824eecc26f4f6, 0x3f80d1ea28998f01},
+	}
+	for c, in := range solveAlphaCases() {
+		alpha := SolveAlpha(in.nu, in.sigma2)
+		for i, want := range golden[c] {
+			if got := math.Float64bits(alpha[i]); got != want {
+				t.Fatalf("case %d: alpha[%d] = %v (%#x), want %v (%#x)", c, i, alpha[i], got, math.Float64frombits(want), want)
+			}
+		}
+	}
+}
+
+// TestSolveAlphaAllocs bounds a solve at three allocations — the result,
+// the gradient and the weights — however many iterations it runs.
+func TestSolveAlphaAllocs(t *testing.T) {
+	for c, in := range solveAlphaCases() {
+		if allocs := testing.AllocsPerRun(10, func() { SolveAlpha(in.nu, in.sigma2) }); allocs > 3 {
+			t.Fatalf("case %d: SolveAlpha made %v allocations, want at most 3", c, allocs)
+		}
+	}
+}
+
 func TestSolveAlphaDegenerateTies(t *testing.T) {
 	alpha := SolveAlpha([]float64{0.5, 0.5}, uniformSigma(2, 0.1))
 	if math.Abs(alpha[0]-0.5) > 1e-9 {

@@ -4,18 +4,17 @@
 // the Darwin paper).
 package bloom
 
-import (
-	"hash/fnv"
-	"math"
-)
+import "math"
 
-// Filter is a standard Bloom filter with double hashing.
-// The zero value is unusable; construct with New.
+// Filter is a standard Bloom filter with double hashing over uint64 keys.
+// No method clears a bit: once TestAndAddU64 has inserted an id, every
+// later test of it answers true. The zero value is unusable; construct with
+// New.
 type Filter struct {
 	bits  []uint64
 	m     uint64 // number of bits
 	k     int    // number of hash functions
-	count uint64 // number of Add calls (approximate element count)
+	count uint64 // number of TestAndAddU64 calls (approximate element count)
 }
 
 // New creates a Bloom filter sized for n expected elements at the given
@@ -42,28 +41,18 @@ func New(n int, fp float64) *Filter {
 	return &Filter{bits: make([]uint64, (m+63)/64), m: m, k: k}
 }
 
-// hash2 derives two independent 64-bit hashes of key using FNV-1a over the
-// key bytes and a seeded variant; double hashing g_i = h1 + i*h2 gives the k
-// probe positions (Kirsch–Mitzenmacher).
-func hash2(key string) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	h1 := h.Sum64()
-	h.Write([]byte{0x9e, 0x37, 0x79, 0xb9})
-	h2 := h.Sum64() | 1 // force odd so probes cycle through all positions
-	return h1, h2
-}
-
 // FNV-1a constants (hash/fnv), inlined for the allocation-free uint64 path.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
 
-// hash2U64 is hash2 over the 8 little-endian bytes of id, computed inline so
-// the cache's per-request probes allocate nothing. It is bit-identical to
-// hash2(string(le8(id))), which the simulator hot path used to call — the
-// probe positions, and therefore every recorded metric, are unchanged.
+// hash2U64 derives two 64-bit hashes of id: FNV-1a over its 8 little-endian
+// bytes, then the same state continued over four more bytes; double hashing
+// g_i = h1 + i*h2 gives the k probe positions (Kirsch–Mitzenmacher). It is
+// bit-identical to the string-keyed filter this package once had, applied
+// to the id's 8 bytes: the probe positions, and with them every checkpointed
+// filter image and recorded metric, are unchanged.
 func hash2U64(id uint64) (uint64, uint64) {
 	h := uint64(fnvOffset64)
 	for i := 0; i < 64; i += 8 {
@@ -75,51 +64,11 @@ func hash2U64(id uint64) (uint64, uint64) {
 		h ^= b
 		h *= fnvPrime64
 	}
-	return h1, h | 1
+	return h1, h | 1 // h2 odd, so probes cycle through all positions
 }
 
-// Add inserts key into the filter.
-func (f *Filter) Add(key string) {
-	h1, h2 := hash2(key)
-	for i := 0; i < f.k; i++ {
-		pos := (h1 + uint64(i)*h2) % f.m
-		f.bits[pos/64] |= 1 << (pos % 64)
-	}
-	f.count++
-}
-
-// Contains reports whether key may have been added (false positives possible,
-// false negatives impossible).
-func (f *Filter) Contains(key string) bool {
-	h1, h2 := hash2(key)
-	for i := 0; i < f.k; i++ {
-		pos := (h1 + uint64(i)*h2) % f.m
-		if f.bits[pos/64]&(1<<(pos%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// TestAndAdd reports whether key was (probably) present and inserts it.
-func (f *Filter) TestAndAdd(key string) bool {
-	present := f.Contains(key)
-	f.Add(key)
-	return present
-}
-
-// AddU64 inserts a uint64 key without allocating. Equivalent to Add on the
-// key's 8 little-endian bytes.
-func (f *Filter) AddU64(id uint64) {
-	h1, h2 := hash2U64(id)
-	for i := 0; i < f.k; i++ {
-		pos := (h1 + uint64(i)*h2) % f.m
-		f.bits[pos/64] |= 1 << (pos % 64)
-	}
-	f.count++
-}
-
-// ContainsU64 reports membership of a uint64 key without allocating.
+// ContainsU64 reports whether id may have been inserted (false positives
+// possible, false negatives impossible).
 func (f *Filter) ContainsU64(id uint64) bool {
 	h1, h2 := hash2U64(id)
 	for i := 0; i < f.k; i++ {
@@ -131,9 +80,17 @@ func (f *Filter) ContainsU64(id uint64) bool {
 	return true
 }
 
-// TestAndAddU64 reports whether the uint64 key was (probably) present and
-// inserts it, computing the probe positions once.
-func (f *Filter) TestAndAddU64(id uint64) bool {
+// TestAndAddU64 reports whether id was (probably) present and inserts it,
+// computing the probe positions once. known is the caller's word that id
+// already went through TestAndAddU64 on this filter: since no bit is ever
+// cleared, the probes would all find their bits set, so the call only counts
+// itself and answers true — the filter's state is exactly what probing would
+// have left.
+func (f *Filter) TestAndAddU64(id uint64, known bool) bool {
+	f.count++
+	if known {
+		return true
+	}
 	h1, h2 := hash2U64(id)
 	present := true
 	for i := 0; i < f.k; i++ {
@@ -144,20 +101,5 @@ func (f *Filter) TestAndAddU64(id uint64) bool {
 			f.bits[word] |= bit
 		}
 	}
-	f.count++
 	return present
 }
-
-// ApproxCount returns the number of Add calls made.
-func (f *Filter) ApproxCount() uint64 { return f.count }
-
-// Reset clears the filter in place.
-func (f *Filter) Reset() {
-	for i := range f.bits {
-		f.bits[i] = 0
-	}
-	f.count = 0
-}
-
-// Bits returns the filter size in bits (for overhead accounting).
-func (f *Filter) Bits() uint64 { return f.m }

@@ -146,14 +146,13 @@ type Hierarchy struct {
 	// objs is the one per-object index: every object served since the last
 	// ResetCounts (or restored with a count), and every resident one, has
 	// exactly one record.
-	objs            idTable[objRec]
+	objs            idTable
 	hoc, dc         Eviction
 	hocCap, dcCap   int64
 	hocName, dcName string
 	expert          Expert
 	admission       AdmissionFunc
 	seen            *bloom.Filter
-	seenObjects     int
 	dclog           DCLog
 	admitOnMiss     bool
 	reqIdx          int64
@@ -162,13 +161,23 @@ type Hierarchy struct {
 }
 
 // objRec is everything the hierarchy knows about one object: the frequency
-// and recency knobs' inputs, and where it is resident. count 0 means "no
-// request seen" (a record kept only for residency); hoc and dc are the
-// levels' Eviction handles, noHandle when not resident there.
+// and recency knobs' inputs, where it is resident, and whether its id is in
+// the one-hit-wonder filter. count 0 means "no request seen" (a record kept
+// only for residency); hoc and dc are the levels' Eviction handles, noHandle
+// when not resident there. It is also the id table's slot: key and used are
+// the table's.
 type objRec struct {
+	key      uint64
 	count    int
 	lastSeen int64 // request index of the latest request; meaningful when count > 0
 	hoc, dc  int32
+	used     bool
+	// inFilter is set once the id has gone through TestAndAddU64 on h.seen.
+	// No filter bit is ever cleared, so a later miss is answered "present"
+	// without the probes. It is transient: a checkpoint does not carry it,
+	// and every table a restore or ResetCounts builds starts without it,
+	// which is always exact (the miss just probes again).
+	inFilter bool
 }
 
 // AdmissionFunc is a custom HOC admission predicate. It receives the
@@ -197,16 +206,15 @@ func New(cfg Config) (*Hierarchy, error) {
 		nBloom = 1 << 20
 	}
 	return &Hierarchy{
-		hoc:         hoc,
-		dc:          dc,
-		hocCap:      cfg.HOCBytes,
-		dcCap:       cfg.DCBytes,
-		hocName:     cfg.HOCEviction,
-		dcName:      cfg.DCEviction,
-		expert:      cfg.Expert,
-		seen:        bloom.New(nBloom, 0.01),
-		seenObjects: nBloom,
-		dclog:       cfg.DCLog,
+		hoc:     hoc,
+		dc:      dc,
+		hocCap:  cfg.HOCBytes,
+		dcCap:   cfg.DCBytes,
+		hocName: cfg.HOCEviction,
+		dcName:  cfg.DCEviction,
+		expert:  cfg.Expert,
+		seen:    bloom.New(nBloom, 0.01),
+		dclog:   cfg.DCLog,
 	}, nil
 }
 
@@ -301,9 +309,12 @@ func (h *Hierarchy) Serve(r trace.Request) Result {
 
 	// Full miss: fetch from origin. DC admission sheds one-hit wonders by
 	// admitting only objects previously recorded in the Bloom filter (§2.2).
+	// A record that has been through the filter skips its probes.
 	h.m.Misses++
 	h.m.MissBytes += r.Size
-	if h.seen.TestAndAddU64(r.ID) && h.admitDC(rec, r.ID, r.Size) {
+	known := rec.inFilter
+	rec.inFilter = true
+	if h.seen.TestAndAddU64(r.ID, known) && h.admitDC(rec, r.ID, r.Size) {
 		h.m.DCWrites++
 		h.m.DCWriteBytes += r.Size
 	}
@@ -369,13 +380,14 @@ func (h *Hierarchy) Count(id uint64) int {
 
 // ResetCounts forgets every object's request history — TinyLFU's window
 // aging. Records survive only for resident objects, with count 0, which
-// the next Serve reads exactly as a first request: count 1, age -1.
+// the next Serve reads exactly as a first request: count 1, age -1. The
+// filter is kept, and the records' inFilter marks are dropped.
 func (h *Hierarchy) ResetCounts() {
-	var objs idTable[objRec]
+	var objs idTable
 	h.objs.each(func(id uint64, rec *objRec) {
 		if rec.hoc != noHandle || rec.dc != noHandle {
 			r, _ := objs.upsert(id)
-			*r = objRec{hoc: rec.hoc, dc: rec.dc}
+			r.hoc, r.dc = rec.hoc, rec.dc
 		}
 	})
 	h.objs = objs

@@ -6,11 +6,13 @@ import (
 )
 
 // idTable is the package's one per-object index: an open-addressing hash
-// table from object id to V with linear probing and a power-of-two slot
-// count. It holds Hierarchy's per-object records, so a request's frequency,
-// recency and residency are one probe; the built-in map it replaced cost
-// half of a request in hashing, bucket walks and separate lookup + assign.
-// Entries are never removed one at a time (a table is replaced whole, as
+// table of Hierarchy's per-object records keyed by object id, with linear
+// probing and a power-of-two slot count, so a request's frequency, recency
+// and residency are one probe; the built-in map it replaced cost half of a
+// request in hashing, bucket walks and separate lookup + assign. A slot is
+// the record itself (objRec: key, occupancy and a flag share what would
+// otherwise be a separate slot's padding, so a slot is 40 bytes). Entries
+// are never removed one at a time (a table is replaced whole, as
 // ResetCounts and restore do), so there are no tombstones and a probe stops
 // at the first empty slot.
 //
@@ -28,17 +30,12 @@ import (
 //
 // The zero value is an empty table. Pointers returned by get and upsert are
 // into the slot array: valid until the next upsert that inserts (get never
-// moves an entry).
-type idTable[V any] struct {
-	slots []idSlot[V]
+// moves an entry). Callers write a record's fields, never a whole objRec:
+// key and used belong to the table.
+type idTable struct {
+	slots []objRec
 	n     int
 	shift uint // 64 − log2(len(slots)): home = hash >> shift
-}
-
-type idSlot[V any] struct {
-	key  uint64
-	val  V
-	used bool // every uint64 is a legal id, so occupancy cannot hide in key
 }
 
 // idMinSlots is the first allocation; a table never shrinks.
@@ -55,13 +52,13 @@ func newIDSeed() uint64 {
 }
 
 // home returns id's preferred slot.
-func (t *idTable[V]) home(id uint64) uint64 { return Mix64(id^idSeed) >> t.shift }
+func (t *idTable) home(id uint64) uint64 { return Mix64(id^idSeed) >> t.shift }
 
 // len returns the number of entries.
-func (t *idTable[V]) len() int { return t.n }
+func (t *idTable) len() int { return t.n }
 
-// get returns a pointer to id's value, or nil when id is absent.
-func (t *idTable[V]) get(id uint64) *V {
+// get returns a pointer to id's record, or nil when id is absent.
+func (t *idTable) get(id uint64) *objRec {
 	if t.n == 0 {
 		return nil
 	}
@@ -72,15 +69,15 @@ func (t *idTable[V]) get(id uint64) *V {
 			return nil
 		}
 		if s.key == id {
-			return &s.val
+			return s
 		}
 	}
 }
 
-// upsert finds id or inserts it with the zero V, in one probe, and reports
+// upsert finds id or inserts a zero record for it, in one probe, and reports
 // whether it was already present. The table doubles before it would pass 3/4
 // full, so a probe always meets an empty slot.
-func (t *idTable[V]) upsert(id uint64) (v *V, existed bool) {
+func (t *idTable) upsert(id uint64) (rec *objRec, existed bool) {
 	if t.n >= len(t.slots)/4*3 {
 		t.grow()
 	}
@@ -90,22 +87,22 @@ func (t *idTable[V]) upsert(id uint64) (v *V, existed bool) {
 		if !s.used {
 			s.key, s.used = id, true
 			t.n++
-			return &s.val, false
+			return s, false
 		}
 		if s.key == id {
-			return &s.val, true
+			return s, true
 		}
 	}
 }
 
 // grow doubles the slot array and re-places every entry.
-func (t *idTable[V]) grow() {
+func (t *idTable) grow() {
 	old := t.slots
 	size := 2 * len(old)
 	if size < idMinSlots {
 		size = idMinSlots
 	}
-	t.slots = make([]idSlot[V], size)
+	t.slots = make([]objRec, size)
 	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
 	mask := uint64(size - 1)
 	for k := range old {
@@ -122,10 +119,10 @@ func (t *idTable[V]) grow() {
 
 // each calls f for every entry, in slot order — which depends on idSeed, so
 // callers that export state sort by id.
-func (t *idTable[V]) each(f func(id uint64, v *V)) {
+func (t *idTable) each(f func(id uint64, rec *objRec)) {
 	for i := range t.slots {
 		if t.slots[i].used {
-			f(t.slots[i].key, &t.slots[i].val)
+			f(t.slots[i].key, &t.slots[i])
 		}
 	}
 }

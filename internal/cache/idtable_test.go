@@ -8,10 +8,12 @@ import (
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // The built-in map is idTable's oracle: every test below runs the same
-// operations on both and requires the same answers.
+// operations on both and requires the same answers. The value the map holds
+// is a record's lastSeen.
 
 // tableOp is one step of a differential run.
 type tableOp struct {
@@ -20,27 +22,37 @@ type tableOp struct {
 	val  int64
 }
 
+// TestIDSlotSize pins a slot — a record — at 40 bytes: the table's key and
+// occupancy and the filter mark live in what would otherwise be padding, so
+// adding the mark cost no memory and no cache-line share.
+func TestIDSlotSize(t *testing.T) {
+	if got := unsafe.Sizeof(objRec{}); got != 40 {
+		t.Fatalf("objRec is %d bytes, want 40", got)
+	}
+}
+
 // runTableOps runs ops against an idTable and a map and fails on the first
 // disagreement; every checkEvery ops (and at the end) it also compares the
 // full contents and the table's structural invariants.
-func runTableOps(t testing.TB, ops []tableOp, checkEvery int) *idTable[int64] {
+func runTableOps(t testing.TB, ops []tableOp, checkEvery int) *idTable {
 	t.Helper()
-	var tab idTable[int64]
+	var tab idTable
 	ref := make(map[uint64]int64)
 	for n, op := range ops {
 		if op.kind%2 == 0 {
 			got := tab.get(op.id)
 			want, ok := ref[op.id]
-			if (got != nil) != ok || (ok && *got != want) {
-				t.Fatalf("op %d: get(%d) = %v, map has (%d, %v)", n, op.id, got, want, ok)
+			if (got != nil) != ok || (ok && got.lastSeen != want) {
+				t.Fatalf("op %d: get(%d) = %+v, map has (%d, %v)", n, op.id, got, want, ok)
 			}
 		} else {
 			v, existed := tab.upsert(op.id)
 			want, ok := ref[op.id]
-			if existed != ok || *v != want { // a fresh slot must read as the zero V
-				t.Fatalf("op %d: upsert(%d) = (%d, %v), map has (%d, %v)", n, op.id, *v, existed, want, ok)
+			dirty := !existed && *v != (objRec{key: op.id, used: true}) // a new record is zero but for the table's fields
+			if existed != ok || v.lastSeen != want || dirty {
+				t.Fatalf("op %d: upsert(%d) = (%+v, %v), map has (%d, %v)", n, op.id, *v, existed, want, ok)
 			}
-			*v = op.val
+			v.lastSeen = op.val
 			ref[op.id] = op.val
 		}
 		if tab.len() != len(ref) {
@@ -57,21 +69,21 @@ func runTableOps(t testing.TB, ops []tableOp, checkEvery int) *idTable[int64] {
 // compareTable checks contents against the oracle and the invariants lookups
 // rely on: power-of-two size, load ≤ 3/4, and no empty slot between an
 // entry's home and where it sits (what a lookup walks to find it).
-func compareTable(t testing.TB, tab *idTable[int64], ref map[uint64]int64) {
+func compareTable(t testing.TB, tab *idTable, ref map[uint64]int64) {
 	t.Helper()
 	seen := 0
-	tab.each(func(id uint64, v *int64) {
+	tab.each(func(id uint64, v *objRec) {
 		seen++
-		if want, ok := ref[id]; !ok || want != *v {
-			t.Fatalf("table holds (%d, %d), map has (%d, %v)", id, *v, want, ok)
+		if want, ok := ref[id]; !ok || want != v.lastSeen || v.key != id {
+			t.Fatalf("table holds (%d, %+v), map has (%d, %v)", id, *v, want, ok)
 		}
 	})
 	if seen != len(ref) || tab.len() != len(ref) {
 		t.Fatalf("table walks %d entries, len %d, map %d", seen, tab.len(), len(ref))
 	}
 	for id, want := range ref {
-		if got := tab.get(id); got == nil || *got != want {
-			t.Fatalf("get(%d) = %v, map has %d", id, got, want)
+		if got := tab.get(id); got == nil || got.lastSeen != want {
+			t.Fatalf("get(%d) = %+v, map has %d", id, got, want)
 		}
 	}
 	size := len(tab.slots)
@@ -92,7 +104,7 @@ func compareTable(t testing.TB, tab *idTable[int64], ref map[uint64]int64) {
 }
 
 // longestProbe returns the most slots any resident id's lookup inspects.
-func longestProbe[V any](tab *idTable[V]) int {
+func longestProbe(tab *idTable) int {
 	mask := uint64(len(tab.slots) - 1)
 	worst := 0
 	for i := range tab.slots {
@@ -109,7 +121,7 @@ func longestProbe[V any](tab *idTable[V]) int {
 // size, is one of the last two slots — so their probe runs wrap around the
 // slice end, and deleting among them shifts entries back across it.
 func endOfSliceIDs(size, n int) []uint64 {
-	tab := idTable[int64]{shift: uint(64 - bits.TrailingZeros(uint(size)))}
+	tab := idTable{shift: uint(64 - bits.TrailingZeros(uint(size)))}
 	var ids []uint64
 	for id := uint64(1); len(ids) < n; id++ {
 		if h := tab.home(id); h >= uint64(size-2) {
@@ -175,11 +187,11 @@ func floodIDs(n int) []uint64 {
 
 func TestIDTableMatchesMap(t *testing.T) {
 	t.Run("zero-value", func(t *testing.T) {
-		var tab idTable[int64]
+		var tab idTable
 		if tab.get(0) != nil || tab.len() != 0 {
 			t.Fatal("empty table is not empty")
 		}
-		tab.each(func(uint64, *int64) { t.Fatal("empty table has an entry") })
+		tab.each(func(uint64, *objRec) { t.Fatal("empty table has an entry") })
 	})
 
 	t.Run("extreme-keys", func(t *testing.T) {
@@ -298,7 +310,7 @@ func TestIDTableProbeBound(t *testing.T) {
 			ids := tc.ids()
 			for _, seed := range append([]uint64{0}, testSeeds...) {
 				pinIDSeed(t, seed)
-				var tab idTable[int32]
+				var tab idTable
 				for _, id := range ids {
 					tab.upsert(id)
 				}
@@ -330,7 +342,7 @@ func TestIDTableHashFlood(t *testing.T) {
 		}
 	}
 	fill := func() int {
-		var tab idTable[int32]
+		var tab idTable
 		for _, id := range ids {
 			tab.upsert(id)
 		}
@@ -410,14 +422,14 @@ func BenchmarkIDTable(b *testing.B) {
 		r := rand.New(rand.NewSource(1))
 		r.Shuffle(len(resident), func(i, j int) { resident[i], resident[j] = resident[j], resident[i] })
 
-		var tab idTable[int32]
-		ref := make(map[uint64]int32)
+		var tab idTable
+		ref := make(map[uint64]int)
 		for i, id := range resident {
 			v, _ := tab.upsert(id)
-			*v = int32(i)
-			ref[id] = int32(i)
+			v.count = i
+			ref[id] = i
 		}
-		var sink int32
+		var sink int
 		arm := func(name string, table, builtin func(i int)) {
 			b.Run(fmt.Sprintf("%s/n=%d/table", name, n), func(b *testing.B) {
 				b.ReportAllocs()
@@ -433,7 +445,7 @@ func BenchmarkIDTable(b *testing.B) {
 			})
 		}
 		arm("hit",
-			func(i int) { sink += *tab.get(resident[i]) },
+			func(i int) { sink += tab.get(resident[i]).count },
 			func(i int) { sink += ref[resident[i]] })
 		arm("miss",
 			func(i int) {
@@ -447,7 +459,7 @@ func BenchmarkIDTable(b *testing.B) {
 				}
 			})
 		arm("upsert-existing",
-			func(i int) { v, _ := tab.upsert(resident[i]); *v++ },
+			func(i int) { v, _ := tab.upsert(resident[i]); v.count++ },
 			func(i int) { ref[resident[i]]++ })
 		_ = sink
 	}
@@ -466,7 +478,7 @@ func BenchmarkIDTableGrow(b *testing.B) {
 	largest := make([]time.Duration, 0, b.N)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var tab idTable[objRec]
+		var tab idTable
 		var worst time.Duration
 		for _, id := range ids {
 			if tab.len() < len(tab.slots)/4*3 { // not a doubling insert: leave the clock alone

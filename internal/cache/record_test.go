@@ -7,14 +7,19 @@ import (
 	"darwin/internal/trace"
 )
 
-// checkRecords asserts the record table's contract with the two levels:
-// every handle a record holds names that record's id, each level holds
-// exactly the objects whose records hold a handle for it, no resident
-// object lacks a record, and neither level is over capacity.
+// checkRecords asserts the record table's contract with the two levels and
+// the filter: every handle a record holds names that record's id, each
+// level holds exactly the objects whose records hold a handle for it, no
+// resident object lacks a record, neither level is over capacity, and every
+// record marked inFilter has its id in the filter (else a miss skipping the
+// probes would answer differently from one that probed).
 func checkRecords(t testing.TB, h *Hierarchy) {
 	t.Helper()
 	var inHOC, inDC int
 	h.objs.each(func(id uint64, rec *objRec) {
+		if rec.inFilter && !h.seen.ContainsU64(id) {
+			t.Fatalf("record %d is marked inFilter, but the filter does not hold it", id)
+		}
 		if rec.hoc != noHandle {
 			inHOC++
 			if got := h.hoc.ID(rec.hoc); got != id {
@@ -142,6 +147,102 @@ func FuzzHierarchy(f *testing.F) {
 			}
 		}
 	})
+}
+
+// filterTestHierarchy has a DC of ten 100-byte objects, admits nothing to
+// the HOC (the zero expert's size threshold is 0), and sizes its filter so
+// that a false positive among the few dozen ids a test serves is out of the
+// question.
+func filterTestHierarchy(t *testing.T) *Hierarchy {
+	t.Helper()
+	h, err := New(Config{HOCBytes: 1000, DCBytes: 1000, BloomObjects: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// evictFromDC admits fresh 100-byte ids above *next, each served twice,
+// until id is no longer DC-resident.
+func evictFromDC(h *Hierarchy, id uint64, next *uint64) {
+	for h.Lookup(id) == DCHit {
+		*next++
+		h.Serve(req(*next, 100))
+		h.Serve(req(*next, 100))
+	}
+}
+
+// TestPlacedRecordMissProbesFilter: an object placed in the DC by RestoreDC
+// or MergeDC never went through the filter. Hit once, evicted and missed,
+// it has count 2 — yet the filter does not hold it, so that miss must probe
+// and not admit, exactly as before misses could skip the probes. (A rule
+// of "count > 1 means already in the filter" admits it here.) Its next miss
+// is its second trip through the filter and admits it.
+func TestPlacedRecordMissProbesFilter(t *testing.T) {
+	const id = 7
+	for _, tc := range []struct {
+		name  string
+		place func(h *Hierarchy, e []ResidentObject) error
+	}{
+		{"RestoreDC", func(h *Hierarchy, e []ResidentObject) error { return h.RestoreDC(e) }},
+		{"MergeDC", func(h *Hierarchy, e []ResidentObject) error { _, err := h.MergeDC(e); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := filterTestHierarchy(t)
+			if err := tc.place(h, []ResidentObject{{ID: id, Size: 100}}); err != nil {
+				t.Fatal(err)
+			}
+			if got := h.Serve(req(id, 100)); got != DCHit {
+				t.Fatalf("first request of a placed object = %v, want DCHit", got)
+			}
+			next := uint64(1000)
+			evictFromDC(h, id, &next)
+			writes := h.Metrics().DCWrites
+			if got := h.Serve(req(id, 100)); got != Miss || h.Count(id) != 2 {
+				t.Fatalf("after eviction: %v at count %d, want a miss at count 2", got, h.Count(id))
+			}
+			if h.Lookup(id) != Seen || h.Metrics().DCWrites != writes {
+				t.Fatal("admitted to the DC on its first trip through the filter")
+			}
+			checkRecords(t, h)
+			h.Serve(req(id, 100))
+			if h.Lookup(id) != DCHit {
+				t.Fatalf("second miss left %v, want DC admission", h.Lookup(id))
+			}
+		})
+	}
+}
+
+// TestRestoreStateMissProbesFilter: RestoreState installs the snapshot's
+// filter and builds every record unmarked, so a restored object's first
+// miss probes the filter it restored. The snapshot here holds a counted id
+// its filter lacks (built by clearing the image; a RestoreDC'd object hit
+// once and checkpointed is the same situation): the miss must not admit it,
+// and must insert it.
+func TestRestoreStateMissProbesFilter(t *testing.T) {
+	const id = 7
+	h := filterTestHierarchy(t)
+	h.Serve(req(id, 2000)) // larger than the DC: never resident
+	h.Serve(req(id, 2000)) // counted twice, through the filter twice
+	if rec := h.objs.get(id); rec == nil || !rec.inFilter {
+		t.Fatal("a missed record is not marked inFilter")
+	}
+	st := h.State()
+	clear(st.Seen.Bits)
+	r := filterTestHierarchy(t)
+	if err := r.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	if rec := r.objs.get(id); rec == nil || rec.count != 2 || rec.inFilter {
+		t.Fatalf("restored record = %+v, want count 2 and no inFilter mark", rec)
+	}
+	if got := r.Serve(req(id, 100)); got != Miss || r.Lookup(id) != Seen {
+		t.Fatalf("first miss after restore: %v, then %v; want a miss that does not admit", got, r.Lookup(id))
+	}
+	if !r.seen.ContainsU64(id) {
+		t.Fatal("the first miss after restore did not insert into the filter")
+	}
+	checkRecords(t, r)
 }
 
 // roundTripIsFixedPoint reports whether restoring st and snapshotting again

@@ -92,7 +92,7 @@ func (h *Hierarchy) State() *HierarchyState {
 // restoredParts holds a fully validated restore, built before any live field
 // is touched so a bad snapshot can never half-apply.
 type restoredParts struct {
-	objs    idTable[objRec]
+	objs    idTable
 	hoc, dc Eviction
 	seen    *bloom.Filter
 }
@@ -131,7 +131,7 @@ func (h *Hierarchy) prepareRestoreState(st *HierarchyState) (restoredParts, erro
 
 // restoreCounts validates a tracker snapshot and writes its counts into
 // objs.
-func restoreCounts(objs *idTable[objRec], st *TrackerState) error {
+func restoreCounts(objs *idTable, st *TrackerState) error {
 	if st == nil {
 		return fmt.Errorf("cache: nil tracker state")
 	}
@@ -150,7 +150,7 @@ func restoreCounts(objs *idTable[objRec], st *TrackerState) error {
 		if existed {
 			return fmt.Errorf("cache: exact tracker state lists id %d twice", id)
 		}
-		*rec = objRec{count: st.Counts[i], lastSeen: st.LastSeen[i]}
+		rec.count, rec.lastSeen = st.Counts[i], st.LastSeen[i]
 	}
 	return nil
 }
@@ -185,7 +185,7 @@ func (h *Hierarchy) RestoreState(st *HierarchyState) error {
 // list, pointing each entry's record in objs (the DC's handle when dc is
 // set, else the HOC's) at it, and rejecting malformed entries, an id listed
 // twice, and capacity overflow.
-func rebuildLevel(objs *idTable[objRec], name string, capBytes int64, entries []ResidentObject, dc bool) (Eviction, error) {
+func rebuildLevel(objs *idTable, name string, capBytes int64, entries []ResidentObject, dc bool) (Eviction, error) {
 	ev, err := NewEvictionWithCapacity(name, capBytes)
 	if err != nil {
 		return nil, err

@@ -139,8 +139,10 @@ type EpochDiag struct {
 // warm-up and identification the state machine advances under mu; in
 // PhaseExploit — the rest of the epoch, most of it — a request is one atomic
 // decrement of exploitLeft and touches mu only if it is the one that
-// completes the epoch. Expert deployments at warm-up, round, and epoch
-// boundaries broadcast to every shard through Engine.SetExpert.
+// completes the epoch. Play, the serial replay, pays that once per run of
+// requests rather than once per request. Expert deployments at warm-up,
+// round, and epoch boundaries broadcast to every shard through
+// Engine.SetExpert.
 type Controller struct {
 	model *Model
 	eng   cache.Engine
@@ -149,10 +151,11 @@ type Controller struct {
 	// exploitLeft is the steady state's only per-request word: how many more
 	// serves the current epoch takes while the phase is PhaseExploit. It is
 	// stored (positive) under mu when exploit is entered or restored, and
-	// decremented without mu by Serve; a decrement that leaves it positive
-	// has counted that serve into the epoch and is done. Zero or less means
-	// "take mu": either the phase is not exploit, or every serve of the epoch
-	// but its last is counted and the next holder of mu is that last one.
+	// decremented without mu by Serve (and by Play, a run at a time); a
+	// decrement that leaves it positive has counted that serve into the
+	// epoch and is done. Zero or less means "take mu": either the phase is
+	// not exploit, or every serve of the epoch but its last is counted and
+	// the next holder of mu is that last one.
 	exploitLeft atomic.Int64
 
 	// mu serializes the online state machine: everything below it.
@@ -281,6 +284,13 @@ func (c *Controller) Serve(r trace.Request) cache.Result {
 func (c *Controller) serveLocked(r trace.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.stepLocked(r)
+}
+
+// stepLocked advances the state machine by one serve of r, already served
+// by the engine, that did not count itself lock-free: Serve's and Play's one
+// step function.
+func (c *Controller) stepLocked(r trace.Request) {
 	if c.phase == PhaseExploit {
 		// Exploit may have been entered (or restored) while this serve
 		// waited for mu: then it joins the epoch the way the lock-free path
@@ -328,11 +338,57 @@ func (c *Controller) epochServesLocked() int {
 	return c.cfg.Epoch - int(max(c.exploitLeft.Load(), 1))
 }
 
-// Play serves an entire trace.
+// Play serves an entire trace: exactly what Serve on each request in order
+// does, in runs. An exploit run reserves its serves with one
+// compare-and-swap and then calls only the engine; any other run holds mu
+// and steps the state machine per request, until the trace ends or exploit
+// is entered with more than one serve left.
 func (c *Controller) Play(tr *trace.Trace) {
-	for _, r := range tr.Requests {
-		c.Serve(r)
+	for reqs := tr.Requests; len(reqs) > 0; {
+		if k := c.reserveExploit(len(reqs)); k > 0 {
+			for _, r := range reqs[:k] {
+				c.eng.Serve(r)
+			}
+			reqs = reqs[k:]
+			continue
+		}
+		reqs = reqs[c.playLocked(reqs):]
 	}
+}
+
+// reserveExploit counts up to n serves into the current exploit epoch at
+// once, and returns how many. It is Serve's decrement taken k times in one
+// step: all k come back positive, and the epoch's last serve is never among
+// them, so that one still rolls the epoch under mu. 0 means "take mu".
+func (c *Controller) reserveExploit(n int) int {
+	for {
+		left := c.exploitLeft.Load()
+		k := min(int64(n), left-1)
+		if k <= 0 {
+			return 0
+		}
+		if c.exploitLeft.CompareAndSwap(left, left-k) {
+			return int(k)
+		}
+	}
+}
+
+// playLocked serves reqs under mu, stepping the state machine after each,
+// and returns how many it served: at least one, and it stops early once
+// exploit is entered with more than one serve left, so mu is held for at
+// most one warm-up or identification run. The engine serves under mu,
+// which is the mu → shard-mutex order SetExpert and Metrics already take.
+func (c *Controller) playLocked(reqs []trace.Request) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, r := range reqs {
+		c.eng.Serve(r)
+		c.stepLocked(r)
+		if c.phase == PhaseExploit && c.exploitLeft.Load() > 1 {
+			return i + 1
+		}
+	}
+	return len(reqs)
 }
 
 // finishWarmupLocked performs cluster lookup and starts identification.

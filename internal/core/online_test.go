@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -294,8 +296,9 @@ func TestLearningDurationAccounting(t *testing.T) {
 // inside a wave with all of them racing for it; between waves the position
 // must be exact — total serves == epochs·Epoch + position in the open epoch —
 // which pins every single epoch at exactly cfg.Epoch serves and rules out a
-// serve counted twice or dropped at a boundary. A poller reads the engine's
-// metrics and the controller's checkpoint throughout.
+// serve counted twice or dropped at a boundary. One goroutine plays its
+// slice with Play, so run reservations race per-request serves. A poller
+// reads the engine's metrics and the controller's checkpoint throughout.
 func TestControllerConcurrentEpochs(t *testing.T) {
 	m := trainedModel(t)
 	ec := testEval()
@@ -337,12 +340,20 @@ func TestControllerConcurrentEpochs(t *testing.T) {
 		var wg sync.WaitGroup
 		for g := 0; g < workers; g++ {
 			wg.Add(1)
-			go func(first int) {
+			go func(g, first int) {
 				defer wg.Done()
+				if g == 0 {
+					slice := make([]trace.Request, perWave)
+					for i := range slice {
+						slice[i] = tr.Requests[(first+i)%tr.Len()]
+					}
+					c.Play(&trace.Trace{Requests: slice})
+					return
+				}
 				for i := first; i < first+perWave; i++ {
 					c.Serve(tr.Requests[i%tr.Len()])
 				}
-			}(total + g*perWave)
+			}(g, total+g*perWave)
 		}
 		wg.Wait()
 		total += workers * perWave
@@ -366,38 +377,52 @@ func TestControllerConcurrentEpochs(t *testing.T) {
 	}
 }
 
+// exploiting returns a controller over eng that has reached PhaseExploit in
+// an epoch too long for any caller to finish, and the trace it was driven
+// with.
+func exploiting(tb testing.TB, eng cache.Engine) (*Controller, []trace.Request) {
+	tb.Helper()
+	cfg := onlineCfg()
+	cfg.Epoch = 1 << 40 // the timed loop never meets a boundary
+	c, err := NewController(trainedModel(tb), eng, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	reqs := testTraces(tb)[5].Requests
+	for i := 0; c.Phase() != PhaseExploit; i++ {
+		c.Serve(reqs[i%len(reqs)])
+	}
+	return c, reqs
+}
+
+// autoSharded is the deployed engine at the test sizes.
+func autoSharded(tb testing.TB) *cache.Sharded {
+	ec := testEval()
+	eng, err := cache.NewSharded(cache.Config{HOCBytes: ec.HOCBytes, DCBytes: ec.DCBytes}, cache.AutoShards())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng
+}
+
 // BenchmarkControllerServe prices what the controller adds to an engine
 // serve in the steady state (PhaseExploit), from one goroutine and from
 // GOMAXPROCS of them.
 func BenchmarkControllerServe(b *testing.B) {
-	exploiting := func(b *testing.B) (*Controller, []trace.Request) {
-		ec := testEval()
-		eng, err := cache.NewSharded(cache.Config{HOCBytes: ec.HOCBytes, DCBytes: ec.DCBytes}, cache.AutoShards())
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg := onlineCfg()
-		cfg.Epoch = 1 << 40 // the timed loop never meets a boundary
-		c, err := NewController(trainedModel(b), eng, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		reqs := testTraces(b)[5].Requests
-		for i := 0; c.Phase() != PhaseExploit; i++ {
-			c.Serve(reqs[i%len(reqs)])
-		}
+	start := func(b *testing.B) (*Controller, []trace.Request) {
+		c, reqs := exploiting(b, autoSharded(b))
 		b.ReportAllocs()
 		b.ResetTimer()
 		return c, reqs
 	}
 	b.Run("serial", func(b *testing.B) {
-		c, reqs := exploiting(b)
+		c, reqs := start(b)
 		for i := 0; i < b.N; i++ {
 			c.Serve(reqs[i%len(reqs)])
 		}
 	})
 	b.Run("parallel", func(b *testing.B) {
-		c, reqs := exploiting(b)
+		c, reqs := start(b)
 		var next atomic.Int64
 		b.RunParallel(func(pb *testing.PB) {
 			i := int(next.Add(1)) * 4099 // each goroutine starts elsewhere in the trace
@@ -406,5 +431,174 @@ func BenchmarkControllerServe(b *testing.B) {
 				i++
 			}
 		})
+	})
+}
+
+// BenchmarkControllerPlay prices a serial exploit replay per request: Play
+// over the trace in 1000-request batches, the batch sim-shift times.
+func BenchmarkControllerPlay(b *testing.B) {
+	c, reqs := exploiting(b, autoSharded(b))
+	tr := &trace.Trace{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n, i := b.N, 0; n > 0; {
+		k := min(n, 1000, len(reqs)-i)
+		tr.Requests = reqs[i : i+k]
+		c.Play(tr)
+		n, i = n-k, (i+k)%len(reqs)
+	}
+}
+
+// TestPlayZeroAllocs pins an exploit batch's replay at zero allocations,
+// over the bare hierarchy and the sharded engine, once the engine has met
+// the trace's high-water mark.
+func TestPlayZeroAllocs(t *testing.T) {
+	for _, eng := range []cache.Engine{newHier(t), autoSharded(t)} {
+		c, reqs := exploiting(t, eng)
+		c.Play(&trace.Trace{Requests: reqs})
+		batch := &trace.Trace{Requests: reqs[:1000]}
+		if allocs := testing.AllocsPerRun(20, func() { c.Play(batch) }); allocs != 0 {
+			t.Fatalf("%T: Play of an exploit batch made %v allocations", eng, allocs)
+		}
+		if c.Phase() != PhaseExploit {
+			t.Fatalf("%T: left exploit", eng)
+		}
+	}
+}
+
+// playCfg puts every kind of boundary inside a batch and on batch edges:
+// warm-up ends at 300, rounds every 100 after it, exploit wherever
+// identification stops, epochs every 2000.
+func playCfg() OnlineConfig {
+	cfg := onlineCfg()
+	cfg.Epoch, cfg.Warmup, cfg.Round = 2000, 300, 100
+	return cfg
+}
+
+// playTrace is two 12k-request traces of different mixes back to back, so
+// the twelve epochs do not all match one cluster.
+func playTrace(tb testing.TB) []trace.Request {
+	trs := testTraces(tb)
+	return append(append([]trace.Request(nil), trs[1].Requests...), trs[8].Requests...)
+}
+
+// playEngine builds the serial hierarchy (shards 0) or a sharded engine.
+func playEngine(tb testing.TB, shards int) cache.Engine {
+	tb.Helper()
+	ec := testEval()
+	cfg := cache.Config{HOCBytes: ec.HOCBytes, DCBytes: ec.DCBytes}
+	var eng cache.Engine
+	var err error
+	if shards == 0 {
+		eng, err = cache.New(cfg)
+	} else {
+		eng, err = cache.NewSharded(cfg, shards)
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng
+}
+
+// replayOutcome is everything a replay decided, in comparable form.
+type replayOutcome struct {
+	metrics    cache.Metrics
+	diags      []EpochDiag
+	switches   int64
+	checkpoint string
+}
+
+func outcomeOf(tb testing.TB, c *Controller) replayOutcome {
+	tb.Helper()
+	st := c.CheckpointState()
+	st.LearningNS = 0 // wall time: the one field two identical replays differ in
+	blob, err := json.Marshal(st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return replayOutcome{
+		metrics:    c.Metrics(),
+		diags:      c.Diags(),
+		switches:   c.Engine().(interface{ ExpertSwitches() int64 }).ExpertSwitches(),
+		checkpoint: string(blob),
+	}
+}
+
+// replay drives a fresh controller over eng: per-request Serve when cuts is
+// nil, else Play over consecutive batches of the given lengths (the rest in
+// one batch).
+func replay(tb testing.TB, m *Model, eng cache.Engine, reqs []trace.Request, cuts []int) replayOutcome {
+	tb.Helper()
+	c, err := NewController(m, eng, playCfg())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if cuts == nil {
+		for _, r := range reqs {
+			c.Serve(r)
+		}
+		return outcomeOf(tb, c)
+	}
+	for _, k := range cuts {
+		k = min(k, len(reqs))
+		c.Play(&trace.Trace{Requests: reqs[:k]})
+		reqs = reqs[k:]
+	}
+	c.Play(&trace.Trace{Requests: reqs})
+	return outcomeOf(tb, c)
+}
+
+// evenCuts cuts n requests into batches of size k.
+func evenCuts(n, k int) []int {
+	cuts := make([]int, 0, n/k+1)
+	for ; n > 0; n -= k {
+		cuts = append(cuts, k)
+	}
+	return cuts
+}
+
+// TestPlayMatchesServe: Play, however the trace is cut into batches,
+// decides exactly what Serve on each request does — engine metrics, epoch
+// decisions, expert switches and the controller's checkpoint — over the
+// serial hierarchy and a four-shard engine.
+func TestPlayMatchesServe(t *testing.T) {
+	m := trainedModel(t)
+	reqs := playTrace(t)
+	for _, shards := range []int{0, 4} {
+		want := replay(t, m, playEngine(t, shards), reqs, nil)
+		identified := false
+		for _, d := range want.diags {
+			identified = identified || d.Rounds > 0
+		}
+		if len(want.diags) < 10 || !identified {
+			t.Fatalf("shards %d: %d epoch decisions, identification ran: %v — the replay misses the boundaries it is meant to cross",
+				shards, len(want.diags), identified)
+		}
+		for _, k := range []int{1, 7, 500, 1000, len(reqs)} {
+			if got := replay(t, m, playEngine(t, shards), reqs, evenCuts(len(reqs), k)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("shards %d, batches of %d: Play decided\n%+v\nper-request Serve\n%+v", shards, k, got, want)
+			}
+		}
+	}
+}
+
+// FuzzControllerPlay cuts one replay into batches at fuzzed positions — one
+// byte per batch, small bytes short batches, up to ~8k requests — and
+// requires the outcome of per-request Serve.
+func FuzzControllerPlay(f *testing.F) {
+	m := trainedModel(f)
+	reqs := playTrace(f)[:8000]
+	want := replay(f, m, playEngine(f, 0), reqs, nil)
+	f.Add([]byte{0, 1, 2, 3, 255, 17, 90})
+	f.Add([]byte{100, 100, 100, 100, 100, 100, 100, 100})
+	f.Add([]byte{17, 0, 0, 0, 0, 0, 0, 0, 0, 200, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cuts := make([]int, len(data))
+		for i, b := range data {
+			cuts[i] = 1 + int(b)*int(b)/8
+		}
+		if got := replay(t, m, playEngine(t, 0), reqs, cuts); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cuts %v: Play decided\n%+v\nper-request Serve\n%+v", cuts, got, want)
+		}
 	})
 }

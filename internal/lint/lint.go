@@ -120,6 +120,9 @@ func DefaultConfig() Config {
 			// The decider's per-request step: the engine serve plus one atomic
 			// decrement in exploit (its boundary work is HotPathCold).
 			"darwin/internal/core.Controller.Serve",
+			// The serial replay: engine serves per run, the state machine
+			// stepped once per run in exploit and per request elsewhere.
+			"darwin/internal/core.Controller.Play",
 			// The proxy pipeline's hit path: ServeHTTP up to and including the
 			// Lookup-hit commit (its miss and shed exits are HotPathCold).
 			"darwin/internal/server.Proxy.ServeHTTP",
