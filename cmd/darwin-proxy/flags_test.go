@@ -30,13 +30,12 @@ func TestFlagsDocumentedAndDefaultsDeclaredOnce(t *testing.T) {
 	})
 
 	res, brk := server.DefaultResilience(), breaker.Config{}.WithDefaults()
-	store := diskcache.Config{}.WithDefaults()
 	for name, want := range map[string]any{
 		"retries":       res.MaxAttempts,
 		"backoff":       res.BackoffBase,
 		"brk-threshold": brk.FailureThreshold,
 		"brk-open-for":  brk.OpenFor,
-		"fsync":         store.Sync,
+		"fsync":         diskcache.Config{}.Sync,
 	} {
 		f := fs.Lookup(name)
 		if f == nil {

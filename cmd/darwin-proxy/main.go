@@ -23,7 +23,6 @@ import (
 
 	"darwin/internal/breaker"
 	"darwin/internal/core"
-	"darwin/internal/diskcache"
 	"darwin/internal/exp"
 	"darwin/internal/node"
 	"darwin/internal/server"
@@ -45,10 +44,8 @@ type options struct {
 // here repeats it — and a config field without a flag runs at that default.
 func registerFlags(fs *flag.FlagSet) *options {
 	o := &options{node: node.Config{
-		Store:      diskcache.Config{}.WithDefaults(),
 		Resilience: server.DefaultResilience(),
 		Overload:   server.DefaultOverload(),
-		Peer:       server.PeerConfig{}.WithDefaults(),
 	}}
 	n := &o.node
 	n.Overload.Breaker = breaker.Config{}.WithDefaults()

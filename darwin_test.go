@@ -112,11 +112,23 @@ func TestPublicExpertGrid(t *testing.T) {
 	}
 }
 
+// goneIdents are deleted config fields and their helpers: the documents may
+// not name them as if they were settable.
+var goneIdents = []string{
+	"Resilience.Seed", "BackoffMax", "StaleCap",
+	"RetryBudget", "RetryBudgetWindow", "RetryAfter", "BudgetSnapshot",
+	"PeerConfig.Breaker", "PeerConfig.Gossip", "FrontConfig.Breaker", "DefaultPeerBreaker",
+	"SuspectWeight", "MinSamples",
+	"VirtualNodes", "ReplicationConfig",
+	"SegmentBytes", "BatchEvery", "GCFraction",
+}
+
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a
 // `cmd/<name>`, `make <target>`, `go run ./<path>` or `Benchmark<X>` named in
-// a Markdown file or the Makefile must exist in the tree. The one way to
-// mention something gone is a paragraph that says so — "historical" or
-// "deleted" — and cites the commit that still has it.
+// a Markdown file or the Makefile must exist in the tree, and no goneIdents
+// entry may be named at all. The one way to mention something gone is a
+// paragraph that says so — "historical" or "deleted" — and cites the commit
+// that still has it.
 func TestDocsNameLiveCommands(t *testing.T) {
 	skip := map[string]bool{
 		"CHANGES.md":  true, // the log of past PRs: it names what each one deleted
@@ -172,6 +184,10 @@ func TestDocsNameLiveCommands(t *testing.T) {
 		st, err := os.Stat(p)
 		return err == nil && st.IsDir()
 	}
+	gone := make([]string, len(goneIdents))
+	for i, id := range goneIdents {
+		gone[i] = regexp.QuoteMeta(id)
+	}
 	checks := []struct {
 		re   *regexp.Regexp
 		live func(name string) bool
@@ -180,6 +196,7 @@ func TestDocsNameLiveCommands(t *testing.T) {
 		{regexp.MustCompile("`make ([a-z][\\w-]*)"), func(n string) bool { return targets[n] }},
 		{regexp.MustCompile(`go run \./([\w/.-]+)`), func(n string) bool { return isDir(n) }},
 		{regexp.MustCompile(`\b(Benchmark[A-Z]\w*)`), func(n string) bool { return benchmarks[n] }},
+		{regexp.MustCompile(`\b(` + strings.Join(gone, "|") + `)\b`), func(string) bool { return false }},
 	}
 	historical := regexp.MustCompile("(?is)(historical|deleted).*`[0-9a-f]{7,40}`|`[0-9a-f]{7,40}`.*(historical|deleted)")
 	for path, text := range docs {

@@ -6,13 +6,14 @@ import (
 )
 
 // Budget is a fixed-window token budget for auxiliary work — the proxy uses
-// one to cap total retry attempts per window, so the PR 1 backoff path can
-// never inject more probe load against a sick origin than the breaker's own
+// one to cap total retry attempts per window, so the backoff path can never
+// inject more probe load against a sick origin than the breaker's own
 // half-open budget would: retries stop amplifying exactly when amplification
 // starts to matter.
 //
-// Like the Breaker it is deterministic under an injected clock, and a
-// SnapshotNow read takes the mutex for a copy without rolling the window.
+// Like the Breaker it is deterministic under an injected clock. Its only
+// surface is Allow: the proxy counts the denials it acts on
+// (ProxyStats.RetryBudgetDenied).
 type Budget struct {
 	max    int64
 	window time.Duration
@@ -23,16 +24,6 @@ type Budget struct {
 	winStart time.Time
 	// used counts tokens consumed this window; guarded by mu.
 	used int64
-	// allowed and denied are cumulative admission counters; guarded by mu.
-	allowed, denied int64
-}
-
-// BudgetSnapshot is a coherent copy of a Budget's counters.
-type BudgetSnapshot struct {
-	// Used is the tokens consumed in the current window.
-	Used int64
-	// Allowed/Denied are cumulative admission decisions.
-	Allowed, Denied int64
 }
 
 // NewBudget builds a budget of max tokens per window. A nil clock selects
@@ -68,19 +59,9 @@ func (g *Budget) Allow() bool {
 		g.winStart = g.winStart.Add(steps * g.window)
 		g.used = 0
 	}
-	ok := g.used < g.max
-	if ok {
-		g.used++
-		g.allowed++
-	} else {
-		g.denied++
+	if g.used >= g.max {
+		return false
 	}
-	return ok
-}
-
-// SnapshotNow returns a coherent counter snapshot: what the last Allow left.
-func (g *Budget) SnapshotNow() BudgetSnapshot {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return BudgetSnapshot{Used: g.used, Allowed: g.allowed, Denied: g.denied}
+	g.used++
+	return true
 }

@@ -13,11 +13,11 @@
 //     torn tail — trailing corruption is tolerated, never fatal;
 //   - a sparse in-memory index (id → size, insertion order) is rebuilt on
 //     Open by replaying the segments in sequence order;
-//   - the fsync policy is configurable: per-append (SyncAlways), every
-//     BatchEvery appends (SyncBatch, the default), or left to the OS
-//     (SyncOff) — the durability/throughput trade-off measured in BENCH;
-//   - segments rotate at SegmentBytes, and rotation triggers a full
-//     compaction when more than GCFraction of the logged bytes are dead
+//   - the fsync policy is configurable: per-append (SyncAlways), every 256
+//     appends (SyncBatch, the default), or left to the OS (SyncOff) — the
+//     durability/throughput trade-off;
+//   - segments rotate at 16 MiB, and rotation triggers a full compaction
+//     when more than half of the logged bytes are dead
 //     (superseded puts and delete records), reclaiming space with a
 //     crash-safe write-temp-then-rename of the surviving live set;
 //   - I/O failures are sticky: the store drops (and counts) subsequent
@@ -46,7 +46,7 @@ type SyncPolicy int
 
 // Fsync policies, cheapest first.
 const (
-	// SyncBatch fsyncs every Config.BatchEvery appends (default): bounded
+	// SyncBatch fsyncs every 256 appends (default): bounded
 	// loss window, near-SyncOff throughput.
 	SyncBatch SyncPolicy = iota
 	// SyncAlways fsyncs after every append: no loss window, every DC write
@@ -93,29 +93,31 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 type Config struct {
 	// Dir is the segment directory, created if absent.
 	Dir string
-	// SegmentBytes rotates the active segment past this size (default 16 MiB).
-	SegmentBytes int64
 	// Sync is the fsync policy.
 	Sync SyncPolicy
-	// BatchEvery is the SyncBatch flush interval in appends (default 256).
-	BatchEvery int
-	// GCFraction triggers compaction at rotation when the dead fraction of
-	// logged bytes exceeds it (default 0.5).
-	GCFraction float64
+
+	// The log's tuning is fixed; only this package's tests shrink it. A zero
+	// field takes the default Open fills in.
+	//
+	// segmentBytes rotates the active segment past this size (16 MiB).
+	segmentBytes int64
+	// batchEvery is the SyncBatch flush interval in appends (256).
+	batchEvery int
+	// gcFraction triggers compaction at rotation when the dead fraction of
+	// logged bytes exceeds it (0.5).
+	gcFraction float64
 }
 
-// WithDefaults returns c with every unset or out-of-range tuning field
-// replaced by its documented default. Open applies it; darwin-proxy seeds
-// its journal flags from it.
-func (c Config) WithDefaults() Config {
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 16 << 20
+// withDefaults returns c with every unset tuning field at its default.
+func (c Config) withDefaults() Config {
+	if c.segmentBytes <= 0 {
+		c.segmentBytes = 16 << 20
 	}
-	if c.BatchEvery <= 0 {
-		c.BatchEvery = 256
+	if c.batchEvery <= 0 {
+		c.batchEvery = 256
 	}
-	if c.GCFraction <= 0 || c.GCFraction >= 1 {
-		c.GCFraction = 0.5
+	if c.gcFraction <= 0 {
+		c.gcFraction = 0.5
 	}
 	return c
 }
@@ -229,7 +231,7 @@ func parseSegmentName(name string) (uint64, bool) {
 // corrupt record tails are truncated and counted, never fatal; only real
 // I/O errors (unreadable directory, failed truncate) fail the open.
 func Open(cfg Config) (*Store, error) {
-	cfg = cfg.WithDefaults()
+	cfg = cfg.withDefaults()
 	if cfg.Dir == "" {
 		return nil, errors.New("diskcache: Config.Dir is required")
 	}
@@ -384,7 +386,7 @@ func (s *Store) Remove(id uint64) {
 // appendLocked writes the record staged in s.buf[:n] to the active segment,
 // rotating first if the segment is full, then applies the fsync policy.
 func (s *Store) appendLocked(n int) {
-	if s.segBytes+int64(n) > s.cfg.SegmentBytes && s.segBytes > 0 {
+	if s.segBytes+int64(n) > s.cfg.segmentBytes && s.segBytes > 0 {
 		s.rotateLocked()
 		if s.err != nil {
 			return
@@ -402,7 +404,7 @@ func (s *Store) appendLocked(n int) {
 	case SyncAlways:
 		s.syncLocked()
 	case SyncBatch:
-		if s.pending >= s.cfg.BatchEvery {
+		if s.pending >= s.cfg.batchEvery {
 			s.syncLocked()
 		}
 	}
@@ -422,7 +424,7 @@ func (s *Store) syncLocked() {
 }
 
 // rotateLocked closes the full active segment, compacts the log when its
-// dead fraction exceeds GCFraction, and opens a fresh active segment.
+// dead fraction exceeds gcFraction, and opens a fresh active segment.
 func (s *Store) rotateLocked() {
 	s.syncLocked()
 	if s.err != nil {
@@ -435,7 +437,7 @@ func (s *Store) rotateLocked() {
 	s.seg = nil
 	s.stats.Rotations++
 	dead := s.logBytes - int64(len(s.live))*putRecord
-	if s.logBytes > 0 && float64(dead) > s.cfg.GCFraction*float64(s.logBytes) {
+	if s.logBytes > 0 && float64(dead) > s.cfg.gcFraction*float64(s.logBytes) {
 		s.compactLocked()
 		if s.err != nil {
 			return

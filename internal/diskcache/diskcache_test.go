@@ -10,7 +10,7 @@ import (
 
 func open(t *testing.T, dir string, mut ...func(*Config)) *Store {
 	t.Helper()
-	cfg := Config{Dir: dir, SegmentBytes: 1 << 20, Sync: SyncOff}
+	cfg := Config{Dir: dir, segmentBytes: 1 << 20, Sync: SyncOff}
 	for _, m := range mut {
 		m(&cfg)
 	}
@@ -123,8 +123,8 @@ func TestRecoveryStopsAtBitFlip(t *testing.T) {
 func TestRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, func(c *Config) {
-		c.SegmentBytes = 10 * putRecord
-		c.GCFraction = 0.3
+		c.segmentBytes = 10 * putRecord
+		c.gcFraction = 0.3
 	})
 	// Churn one hot id so almost all records are dead.
 	for i := 0; i < 100; i++ {
@@ -156,7 +156,7 @@ func TestSyncPolicies(t *testing.T) {
 	for _, pol := range []SyncPolicy{SyncAlways, SyncBatch, SyncOff} {
 		t.Run(pol.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			s := open(t, dir, func(c *Config) { c.Sync = pol; c.BatchEvery = 4 })
+			s := open(t, dir, func(c *Config) { c.Sync = pol; c.batchEvery = 4 })
 			for i := uint64(0); i < 10; i++ {
 				s.Put(i, 1)
 			}

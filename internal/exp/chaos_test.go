@@ -24,7 +24,6 @@ func fastChaos() ChaosConfig {
 	}
 	cc.Resilience = server.DefaultResilience()
 	cc.Resilience.BackoffBase = 1 * time.Millisecond
-	cc.Resilience.BackoffMax = 5 * time.Millisecond
 	return cc
 }
 

@@ -33,7 +33,6 @@ func fastOverload() OverloadConfig {
 	oc.Burst = server.Burst{Seed: 11, Gap: 200 * time.Microsecond, Every: 200, Len: 50}
 	oc.Resilience = server.DefaultResilience()
 	oc.Resilience.BackoffBase = 1 * time.Millisecond
-	oc.Resilience.BackoffMax = 5 * time.Millisecond
 	return oc
 }
 

@@ -138,14 +138,11 @@ func (r *rig) startNodes(n int, cfg node.Config, peered bool) ([]*rigNode, error
 	}
 	for i, rn := range nodes {
 		if peered {
-			brk := server.DefaultPeerBreaker()
-			brk.Clock = r.clk.Now
 			cfg.Peer = server.PeerConfig{
 				Self:         urls[i],
 				Nodes:        urls,
 				FetchTimeout: rigDeadline,
-				Breaker:      brk,
-				Gossip:       gossip.Config{Clock: r.clk.Now},
+				Clock:        r.clk.Now,
 			}
 		}
 		var err error
@@ -167,12 +164,9 @@ func (r *rig) startNodes(n int, cfg node.Config, peered bool) ([]*rigNode, error
 // and detector tuning. Its breakers and detector run on the rig's clock, and
 // its health polls go through the severable transport.
 func (r *rig) startFront(nodes []*rigNode, window int, detector gossip.Config) error {
-	brk := server.DefaultPeerBreaker()
-	brk.Clock = r.clk.Now
 	detector.Clock = r.clk.Now
 	fc := server.FrontConfig{
 		RebalanceEvery: window,
-		Breaker:        brk,
 		ProbeTimeout:   rigDeadline,
 		Client:         &http.Client{Transport: severable{r, &http.Transport{}}},
 		Gossip:         detector,

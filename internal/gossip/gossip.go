@@ -36,7 +36,7 @@ const (
 	// is presumed alive until evidence accrues against it).
 	Alive Status = iota
 	// Suspect: the current heartbeat gap is unusual (phi >= PhiSuspect).
-	// A suspect node keeps SuspectWeight of its ring weight.
+	// A suspect node keeps suspectWeight (half) of its ring weight.
 	Suspect
 	// Dead: the gap is overwhelming (phi >= PhiDead) and the node dwelt in
 	// suspicion for at least MinDwell. Zero ring weight.
@@ -88,15 +88,6 @@ type Config struct {
 	// weight slice for MinDwell — never a full weight shed — and a
 	// recovering node cannot flap the ring at probe frequency.
 	MinDwell time.Duration
-	// SuspectWeight is the ring weight of a suspect node in [0,1)
-	// (default 0.5).
-	SuspectWeight float64
-	// Window is how many inter-arrival samples the per-node estimator keeps
-	// (default 32).
-	Window int
-	// MinSamples is how many samples must accrue before the observed mean
-	// replaces HeartbeatEvery as the phi basis (default 3).
-	MinSamples int
 	// Clock supplies the current time. Mandatory — the package never reads
 	// the wall clock itself; live callers pass time.Now, experiments pass a
 	// simulated clock.
@@ -119,17 +110,20 @@ func (c Config) withDefaults() Config {
 	if c.MinDwell <= 0 {
 		c.MinDwell = 2 * time.Second
 	}
-	if c.SuspectWeight <= 0 || c.SuspectWeight >= 1 {
-		c.SuspectWeight = 0.5
-	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 3
-	}
 	return c
 }
+
+// The detector's fixed tuning.
+const (
+	// suspectWeight is the ring weight of a suspect node.
+	suspectWeight = 0.5
+	// sampleWindow is how many inter-arrival samples the per-node estimator
+	// keeps.
+	sampleWindow = 32
+	// minSamples is how many samples must accrue before the observed mean
+	// replaces HeartbeatEvery as the phi basis.
+	minSamples = 3
+)
 
 // peer is one node's detector state.
 type peer struct {
@@ -170,7 +164,7 @@ func New(cfg Config) (*Membership, error) {
 	cfg = cfg.withDefaults()
 	peers := make([]peer, cfg.Nodes)
 	for i := range peers {
-		peers[i].samples = make([]float64, cfg.Window)
+		peers[i].samples = make([]float64, sampleWindow)
 	}
 	return &Membership{cfg: cfg, peers: peers}, nil
 }
@@ -313,7 +307,7 @@ func (m *Membership) phiLocked(node int, now time.Time) float64 {
 		return 0
 	}
 	mean := m.cfg.HeartbeatEvery.Seconds()
-	if p.count >= m.cfg.MinSamples {
+	if p.count >= minSamples {
 		if observed := p.sum / float64(p.count); observed > mean {
 			mean = observed
 		}
@@ -395,13 +389,13 @@ func (m *Membership) Status(node int) Status {
 }
 
 // Weight maps node's status to a ring weight: Alive 1, Suspect
-// SuspectWeight, Dead 0.
+// suspectWeight, Dead 0.
 func (m *Membership) Weight(node int) float64 {
 	switch m.Status(node) {
 	case Alive:
 		return 1
 	case Suspect:
-		return m.cfg.SuspectWeight
+		return suspectWeight
 	}
 	return 0
 }

@@ -22,7 +22,6 @@ func newTestMembership(t *testing.T, clk *simClock, self int) *Membership {
 		PhiSuspect:     1.5,
 		PhiDead:        8,
 		MinDwell:       2 * time.Second,
-		SuspectWeight:  0.5,
 		Clock:          clk.clock(),
 	})
 	if err != nil {

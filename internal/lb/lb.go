@@ -21,8 +21,6 @@ import (
 type Config struct {
 	// Servers is the cluster size.
 	Servers int
-	// VirtualNodes per server on the hash ring (default 64).
-	VirtualNodes int
 	// LoadFactor is the bounded-loads ε: within one rebalance window a
 	// server accepts at most (1+ε)·(window requests / servers)·weight
 	// requests before spilling to its ring successor (default 0.25).
@@ -30,12 +28,10 @@ type Config struct {
 	// RebalanceEvery is the window length in requests between load resets —
 	// the small-TTL DNS re-evaluation of §2.1 (default 10_000).
 	RebalanceEvery int
-	// Weights scales each server's capacity share; nil means uniform. A
-	// WeightSchedule (if set) overrides Weights per window.
-	Weights []float64
 	// WeightSchedule, when non-nil, returns the capacity weights for a given
 	// rebalance window — modelling drains, flash crowds, and capacity
-	// changes that shift traffic mixes between servers.
+	// changes that shift traffic mixes between servers (static weights are
+	// a schedule that ignores its argument). nil means uniform.
 	WeightSchedule func(window int) []float64
 	// Readiness, when non-nil, scales each server's effective weight by its
 	// health at every rebalance boundary: 1 for a fully ready server, 0 for
@@ -51,19 +47,16 @@ func (c Config) validate() error {
 	if c.Servers <= 0 {
 		return fmt.Errorf("lb: Servers must be > 0, got %d", c.Servers)
 	}
-	if c.Weights != nil && len(c.Weights) != c.Servers {
-		return fmt.Errorf("lb: %d weights for %d servers", len(c.Weights), c.Servers)
-	}
 	return nil
 }
+
+// virtualNodes is the number of ring entries per server.
+const virtualNodes = 64
 
 // WithDefaults returns c with every unset (<= 0) tuning field replaced by
 // its documented default. NewRing applies it; server.FrontConfig takes its
 // RebalanceEvery default from it.
 func (c Config) WithDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
 	if c.LoadFactor <= 0 {
 		c.LoadFactor = 0.25
 	}

@@ -12,9 +12,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := NewRing(Config{Servers: 0}); err == nil {
 		t.Error("zero servers accepted")
 	}
-	if _, err := NewRing(Config{Servers: 2, Weights: []float64{1}}); err == nil {
-		t.Error("weight/server mismatch accepted")
-	}
 }
 
 func TestRouteDeterministicByObject(t *testing.T) {

@@ -22,38 +22,19 @@ import (
 	"sync/atomic"
 )
 
-// ReplicationConfig parameterises the popularity tracker.
-type ReplicationConfig struct {
-	// TopK bounds how many objects may hold extra replicas at once
-	// (default 16).
-	TopK int
-	// MaxFactor caps any object's replication factor (default 3, hard
-	// ceiling MaxReplicas).
-	MaxFactor int
-	// HotShare is the request share granting one extra replica: an object
-	// with share s gets factor 1 + floor(s / HotShare), so a 2%-share object
-	// at the default 0.02 gets one extra copy and a 6%-share object gets
-	// three (subject to MaxFactor). Default 0.02.
-	HotShare float64
-}
-
-// WithDefaults returns c with every unset (<= 0) field replaced by its
-// documented default. NewReplicator applies it.
-func (c ReplicationConfig) WithDefaults() ReplicationConfig {
-	if c.TopK <= 0 {
-		c.TopK = 16
-	}
-	if c.MaxFactor <= 0 {
-		c.MaxFactor = 3
-	}
-	if c.MaxFactor > MaxReplicas {
-		c.MaxFactor = MaxReplicas
-	}
-	if c.HotShare <= 0 {
-		c.HotShare = 0.02
-	}
-	return c
-}
+// The replicator's tuning, which no deployment has varied.
+const (
+	// replTopK bounds how many objects may hold extra replicas at once.
+	replTopK = 16
+	// replMaxFactor caps any object's replication factor (at most
+	// MaxReplicas).
+	replMaxFactor = 3
+	// replHotShare is the request share granting one extra replica: an
+	// object with share s gets factor 1 + floor(s / replHotShare), so a
+	// 2%-share object gets one extra copy and a 6%-share object three
+	// (subject to replMaxFactor).
+	replHotShare = 0.02
+)
 
 // ReplicationStats is the last completed rebalance window's replication row;
 // read one with Replicator.Stats.
@@ -67,8 +48,6 @@ type ReplicationStats struct {
 // Replicator tracks per-object popularity per rebalance window and derives
 // replication factors for the next window.
 type Replicator struct {
-	cfg ReplicationConfig
-
 	mu     sync.Mutex
 	counts map[uint64]int64 // guarded by mu: current window's per-object hits
 	total  int64            // guarded by mu: current window's request count
@@ -78,11 +57,8 @@ type Replicator struct {
 }
 
 // NewReplicator builds a tracker with no hot objects.
-func NewReplicator(cfg ReplicationConfig) *Replicator {
-	r := &Replicator{
-		cfg:    cfg.WithDefaults(),
-		counts: make(map[uint64]int64),
-	}
+func NewReplicator() *Replicator {
+	r := &Replicator{counts: make(map[uint64]int64)}
 	r.factors.Store(map[uint64]int{})
 	return r
 }
@@ -144,18 +120,15 @@ func (r *Replicator) Rebalance() map[uint64]int {
 		cand = append(cand, hotCandidate{id: id, count: n})
 	}
 	sort.Sort(byCountDesc(cand))
-	if len(cand) > r.cfg.TopK {
-		cand = cand[:r.cfg.TopK]
+	if len(cand) > replTopK {
+		cand = cand[:replTopK]
 	}
 
 	hot := make(map[uint64]int)
 	last := ReplicationStats{Observed: r.total}
 	for _, c := range cand {
 		share := float64(c.count) / float64(r.total)
-		f := 1 + int(share/r.cfg.HotShare)
-		if f > r.cfg.MaxFactor {
-			f = r.cfg.MaxFactor
-		}
+		f := min(1+int(share/replHotShare), replMaxFactor)
 		if f <= 1 {
 			continue
 		}

@@ -108,13 +108,13 @@ func NewRing(cfg Config) (*Ring, error) {
 	cfg = cfg.WithDefaults()
 	r := &Ring{
 		cfg:     cfg,
-		ring:    make([]ringEntry, 0, cfg.Servers*cfg.VirtualNodes),
+		ring:    make([]ringEntry, 0, cfg.Servers*virtualNodes),
 		loads:   make([]int64, cfg.Servers),
 		weights: make([]float64, cfg.Servers),
 		budgets: make([]float64, cfg.Servers),
 	}
 	for s := 0; s < cfg.Servers; s++ {
-		for v := 0; v < cfg.VirtualNodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			r.ring = append(r.ring, ringEntry{hash: vnodeHash(s, v), server: s})
 		}
 	}
@@ -161,11 +161,8 @@ func (r *Ring) BeginWindow(window, expect int) {
 		r.loads[i] = 0
 	}
 	var w []float64
-	switch {
-	case r.cfg.WeightSchedule != nil:
+	if r.cfg.WeightSchedule != nil {
 		w = r.cfg.WeightSchedule(window)
-	case r.cfg.Weights != nil:
-		w = r.cfg.Weights
 	}
 	total := 0.0
 	for i := range r.weights {

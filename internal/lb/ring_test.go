@@ -57,7 +57,7 @@ func newLegacy(cfg Config) *legacyBalancer {
 	cfg = cfg.WithDefaults()
 	b := &legacyBalancer{cfg: cfg, loads: make([]int, cfg.Servers)}
 	for s := 0; s < cfg.Servers; s++ {
-		for v := 0; v < cfg.VirtualNodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			h := fnv.New64a()
 			fmt.Fprintf(h, "server-%d-vnode-%d", s, v)
 			b.ring = append(b.ring, ringEntry{hash: h.Sum64(), server: s})
@@ -70,11 +70,8 @@ func newLegacy(cfg Config) *legacyBalancer {
 
 func (b *legacyBalancer) windowWeights(window int) []float64 {
 	var w []float64
-	switch {
-	case b.cfg.WeightSchedule != nil:
+	if b.cfg.WeightSchedule != nil {
 		w = b.cfg.WeightSchedule(window)
-	case b.cfg.Weights != nil:
-		w = b.cfg.Weights
 	}
 	out := make([]float64, b.cfg.Servers)
 	for i := range out {
@@ -140,7 +137,6 @@ func (b *legacyBalancer) route(id uint64) int {
 func TestRouteBitIdenticalToLegacy(t *testing.T) {
 	cfg := Config{
 		Servers:        5,
-		VirtualNodes:   32,
 		LoadFactor:     0.2,
 		RebalanceEvery: 1000,
 		WeightSchedule: func(window int) []float64 {
@@ -341,10 +337,10 @@ func TestSplitExactFinalWindow(t *testing.T) {
 	}
 }
 
-// TestReplicatorFactors covers the share→factor mapping, the TopK and
-// MaxFactor caps, the stats row, and window reset.
+// TestReplicatorFactors covers the share→factor mapping (2% share per extra
+// replica), the factor cap of 3, the stats row, and window reset.
 func TestReplicatorFactors(t *testing.T) {
-	rep := NewReplicator(ReplicationConfig{TopK: 4, MaxFactor: 3, HotShare: 0.02})
+	rep := NewReplicator()
 	// 1000 observations: id 1 has 50% share (capped at factor 3), id 2 has
 	// 3% (factor 2), id 3 has 1% (cold), remainder unique.
 	for i := 0; i < 500; i++ {
@@ -364,7 +360,7 @@ func TestReplicatorFactors(t *testing.T) {
 	}
 	hot := rep.Rebalance()
 	if f := rep.Factor(1); f != 3 {
-		t.Fatalf("50%%-share object factor = %d, want 3 (MaxFactor cap)", f)
+		t.Fatalf("50%%-share object factor = %d, want 3 (the factor cap)", f)
 	}
 	if f := rep.Factor(2); f != 2 {
 		t.Fatalf("3%%-share object factor = %d, want 2", f)
@@ -389,18 +385,19 @@ func TestReplicatorFactors(t *testing.T) {
 }
 
 func TestReplicatorTopK(t *testing.T) {
-	rep := NewReplicator(ReplicationConfig{TopK: 4, MaxFactor: 3, HotShare: 0.01})
-	// 20 objects, every one above HotShare; only the 4 biggest may replicate.
+	rep := NewReplicator()
+	// 20 objects, every one above 4% share; only the 16 biggest may
+	// replicate.
 	for id := uint64(0); id < 20; id++ {
 		for i := 0; i < 100-int(id); i++ {
 			rep.Observe(id)
 		}
 	}
 	hot := rep.Rebalance()
-	if len(hot) != 4 {
-		t.Fatalf("hot set size %d, want TopK=4", len(hot))
+	if len(hot) != replTopK {
+		t.Fatalf("hot set size %d, want %d", len(hot), replTopK)
 	}
-	for id := uint64(0); id < 4; id++ {
+	for id := uint64(0); id < replTopK; id++ {
 		if hot[id] <= 1 {
 			t.Fatalf("top object %d not replicated: %v", id, hot)
 		}
@@ -415,7 +412,7 @@ func TestRouteReplicatedSpreadsHotObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := NewReplicator(ReplicationConfig{})
+	rep := NewReplicator()
 	const hot = uint64(7)
 	mix := func(i int) uint64 {
 		if i%2 == 0 {

@@ -65,21 +65,13 @@ func (gc *goCtx) resolveSpawn(pkg *Package, enclosing *ast.FuncDecl, call *ast.C
 	case *ast.FuncLit:
 		return pkg, fun.Body
 	case *ast.Ident:
-		switch obj := pkg.Info.Uses[fun].(type) {
-		case *types.Func:
-			if db, ok := gc.decls[obj]; ok {
-				return db.pkg, db.body
-			}
-		case *types.Var:
-			return pkg, localFuncLit(pkg, enclosing, obj)
+		if v, ok := pkg.Info.Uses[fun].(*types.Var); ok {
+			return pkg, localFuncLit(pkg, enclosing, v)
 		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[fun]; ok {
-			if f, ok := sel.Obj().(*types.Func); ok {
-				if db, ok := gc.decls[f]; ok {
-					return db.pkg, db.body
-				}
-			}
+	}
+	for _, f := range callees(pkg, call, nil) {
+		if db, ok := gc.decls[f]; ok {
+			return db.pkg, db.body
 		}
 	}
 	return nil, nil
@@ -153,7 +145,7 @@ func (gc *goCtx) nodeTerminates(pkg *Package, node ast.Node, depth int) bool {
 				break
 			}
 			if depth < maxSpawnDepth {
-				for _, callee := range staticCallees(pkg, e) {
+				for _, callee := range callees(pkg, e, nil) {
 					if gc.funcTerminates(callee, depth+1) {
 						found = true
 						break

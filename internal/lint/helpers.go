@@ -27,6 +27,49 @@ func pkgFuncCall(pkg *Package, call *ast.CallExpr) (path, name string, ok bool) 
 	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
+// callees is the analyzers' one call-site resolver: it maps a call to the
+// declared module functions it may run. A generic function or a generic
+// type's method resolves to its declaration (Origin): the instantiated object
+// the type checker records at the call site is a different *types.Func from
+// the one the body is declared under, and a walk keyed on it would stop
+// there. An interface method call fans out through fanout (every
+// implementation, for hotpath), or is not followed when fanout is nil, and
+// neither is the built-in error's Error. A call through a func-typed value is
+// dynamically dispatched and resolves to nothing.
+func callees(pkg *Package, call *ast.CallExpr, fanout func(iface types.Type, name string) []*types.Func) []*types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch inst := fun.(type) { // explicit instantiation: f[T](...)
+	case *ast.IndexExpr:
+		fun = inst.X
+	case *ast.IndexListExpr:
+		fun = inst.X
+	}
+	switch fun := fun.(type) {
+	case *ast.Ident:
+		if f, ok := pkg.Info.Uses[fun].(*types.Func); ok {
+			return []*types.Func{f.Origin()}
+		}
+	case *ast.SelectorExpr:
+		if sel, ok := pkg.Info.Selections[fun]; ok {
+			f, ok := sel.Obj().(*types.Func)
+			if !ok {
+				return nil // func-typed field: dynamically dispatched
+			}
+			if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				if fanout == nil || f.Pkg() == nil {
+					return nil
+				}
+				return fanout(recv.Type(), f.Name())
+			}
+			return []*types.Func{f.Origin()}
+		}
+		if f, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
+			return []*types.Func{f.Origin()}
+		}
+	}
+	return nil
+}
+
 // rootObject strips selectors, indexing, stars and parens down to the base
 // identifier of expr and returns its object (nil when the base is not a
 // resolved identifier).

@@ -176,44 +176,12 @@ func newCallGraph(prog *Program) *callGraph {
 				if !ok {
 					return true
 				}
-				g.edges[caller] = append(g.edges[caller], g.callees(pkg, call)...)
+				g.edges[caller] = append(g.edges[caller], callees(pkg, call, g.implementations)...)
 				return true
 			})
 		}
 	}
 	return g
-}
-
-// callees resolves one call site to zero or more declared functions. A call
-// of a generic type's method (or a generic function) resolves to the
-// declaration: the instantiated method object the type checker records at
-// the call site is a different *types.Func from the one the body is
-// declared under, and an edge to it would end the walk there.
-func (g *callGraph) callees(pkg *Package, call *ast.CallExpr) []*types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return []*types.Func{f.Origin()}
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[fun]; ok {
-			f, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return nil // func-typed field: dynamically dispatched
-			}
-			if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				if f.Pkg() == nil {
-					return nil // error.Error: reporting a failure, not followed
-				}
-				return g.implementations(recv.Type(), f.Name())
-			}
-			return []*types.Func{f.Origin()}
-		}
-		if f, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return []*types.Func{f.Origin()}
-		}
-	}
-	return nil
 }
 
 // implementations returns the concrete method name on every module type that

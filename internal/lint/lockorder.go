@@ -123,33 +123,6 @@ func funcBodies(pkg *Package) []*ast.BlockStmt {
 	return out
 }
 
-// staticCallees resolves one call site to declared functions without
-// interface fan-out: interface-method and func-value calls return nil (their
-// target is dynamic and not propagated).
-func staticCallees(pkg *Package, call *ast.CallExpr) []*types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		if f, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return []*types.Func{f}
-		}
-	case *ast.SelectorExpr:
-		if sel, ok := pkg.Info.Selections[fun]; ok {
-			f, ok := sel.Obj().(*types.Func)
-			if !ok {
-				return nil // func-typed field: dynamically dispatched
-			}
-			if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				return nil // interface method: dynamically dispatched
-			}
-			return []*types.Func{f}
-		}
-		if f, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return []*types.Func{f}
-		}
-	}
-	return nil
-}
-
 // mutexClass resolves the receiver of a Lock/Unlock call to the declared
 // mutex object (a struct field or package var of type sync.Mutex/RWMutex).
 // The field object is the lock *class*: s.shards[i].mu and s.shards[j].mu
@@ -199,7 +172,7 @@ func (lo *lockOrder) blockingReason(f *types.Func) string {
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			for _, callee := range staticCallees(db.pkg, call) {
+			for _, callee := range callees(db.pkg, call, nil) {
 				if r := lo.blockingReason(callee); r != "" {
 					reason = fmt.Sprintf("call to %s (%s)", callee.Name(), r)
 					return false
@@ -507,7 +480,7 @@ func (w *loWalker) scanBlocking(node ast.Node, held map[string]heldLock) {
 			return true
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			for _, callee := range staticCallees(w.pkg, call) {
+			for _, callee := range callees(w.pkg, call, nil) {
 				if r := w.lo.blockingReason(callee); r != "" {
 					w.report(call.Pos(), "%s held across call to %s, which blocks (%s)", heldNames(held), callee.Name(), r)
 				}
@@ -556,7 +529,7 @@ func (lo *lockOrder) acquiresOf(f *types.Func) map[types.Object]bool {
 				return true
 			}
 		}
-		for _, callee := range staticCallees(db.pkg, call) {
+		for _, callee := range callees(db.pkg, call, nil) {
 			for class := range lo.acquiresOf(callee) {
 				acq[class] = true
 			}

@@ -53,6 +53,36 @@ func Drain(ch chan int) {
 	}()
 }
 
+// A generic type's methods resolve to their declarations: a spawned generic
+// method is checked like any other, and one whose body waits on a channel
+// terminates.
+type queue[T any] struct {
+	items chan T
+}
+
+func (q *queue[T]) spin() {
+	for {
+		work()
+	}
+}
+
+func (q *queue[T]) drain() {
+	for range q.items {
+		work()
+	}
+}
+
+func LeakGeneric(q *queue[int]) {
+	go q.spin() // want "no termination path"
+}
+
+// DrainGeneric is clean: the spawned body reaches q.drain's channel range.
+func DrainGeneric(q *queue[int]) {
+	go func() {
+		q.drain()
+	}()
+}
+
 // Tracked is clean: the WaitGroup ties the goroutine to a join point.
 func Tracked(wg *sync.WaitGroup) {
 	wg.Add(1)

@@ -109,6 +109,38 @@ func (s *S) earlyReturn(fast bool) {
 	<-s.ready
 }
 
+// A generic type's method is walked through its declaration: the call site
+// names an instantiation, whose *types.Func is not the declared one.
+type box[T any] struct {
+	v T
+}
+
+func (b *box[T]) slow() {
+	time.Sleep(time.Millisecond)
+}
+
+func stall[T any](T) {
+	time.Sleep(time.Millisecond)
+}
+
+type holder struct {
+	mu sync.Mutex
+	b  box[int]
+}
+
+func (h *holder) genericMethodUnderLock() {
+	h.mu.Lock()
+	h.b.slow() // want "held across call to slow, which blocks"
+	h.mu.Unlock()
+}
+
+func (h *holder) genericFuncUnderLock() {
+	h.mu.Lock()
+	stall(h.b.v)      // want "held across call to stall, which blocks"
+	stall[int](h.b.v) // want "held across call to stall, which blocks"
+	h.mu.Unlock()
+}
+
 type Pair struct {
 	a sync.Mutex
 	b sync.Mutex

@@ -78,8 +78,9 @@ var (
 	xcacheStale = []string{"stale"}
 )
 
-// contentTypeOctet is the shared Content-Type value for every body the proxy
-// and origin serve. Declaring it explicitly matters beyond the allocation:
+// contentTypeOctet is the shared Content-Type value for every binary body the
+// package sends: objects, gossip digests and state frames. Declaring it
+// explicitly matters beyond the allocation:
 // a response without Content-Type makes net/http sniff the first 512 body
 // bytes per response (http.DetectContentType showed up in CPU profiles of
 // the serving path).

@@ -56,16 +56,14 @@ import (
 // FrontConfig parameterises the front tier.
 type FrontConfig struct {
 	// Backends are the darwin-proxy base URLs, in the cluster's shared node
-	// order (the same order backends pass to their -peers flag).
+	// order (the same order backends pass to their -peers flag). An entry may
+	// appear once.
 	Backends []string
 	// RebalanceEvery is the routing window length in requests (default
 	// 10_000): weights, budgets, and replication factors refresh at every
 	// window boundary. The ring's other tuning and the replicator's are lb's
 	// defaults.
 	RebalanceEvery int
-	// Breaker configures the per-backend circuit breaker; zero means
-	// DefaultPeerBreaker.
-	Breaker breaker.Config
 	// ProbeEvery is the health poll period (default 250 ms).
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds each health poll (default ProbeEvery).
@@ -76,7 +74,8 @@ type FrontConfig struct {
 	Client *http.Client
 	// Gossip tunes the failure detector (thresholds, dwell, clock). Nodes
 	// and Self (-1: the front is an observer) are overwritten; a nil Clock
-	// means time.Now, and HeartbeatEvery defaults to ProbeEvery.
+	// means time.Now, and HeartbeatEvery defaults to ProbeEvery. The
+	// per-backend circuit breakers run on the same clock.
 	Gossip gossip.Config
 }
 
@@ -87,9 +86,6 @@ type FrontConfig struct {
 // for the ring's.
 func (c FrontConfig) WithDefaults() FrontConfig {
 	c.RebalanceEvery = lb.Config{RebalanceEvery: c.RebalanceEvery}.WithDefaults().RebalanceEvery
-	if c.Breaker.Window <= 0 {
-		c.Breaker = DefaultPeerBreaker()
-	}
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = 250 * time.Millisecond
 	}
@@ -156,6 +152,9 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("server: front tier needs at least one backend")
 	}
+	if b, ok := repeated(cfg.Backends); ok {
+		return nil, fmt.Errorf("server: front backend %q listed twice in Backends", b)
+	}
 	cfg = cfg.WithDefaults()
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = cfg.ProbeEvery
@@ -176,7 +175,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	f := &Front{
 		cfg:           cfg,
 		nodes:         cfg.Backends,
-		rep:           lb.NewReplicator(lb.ReplicationConfig{}),
+		rep:           lb.NewReplicator(),
 		memb:          memb,
 		declined:      make([]atomic.Bool, len(cfg.Backends)),
 		probeTimeouts: make([]atomic.Int64, len(cfg.Backends)),
@@ -186,7 +185,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		stats:         newCounters[FrontStats](),
 	}
 	for i, b := range cfg.Backends {
-		f.brks[i] = breaker.New(cfg.Breaker)
+		f.brks[i] = breaker.New(defaultPeerBreaker(gcfg.Clock))
 		f.ups[i] = newUpstream(b, relayHeaders...)
 		if err := f.ups[i].err; err != nil {
 			return nil, err
@@ -212,7 +211,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 // sheds everything — live relay failures outrank any probe. So does a
 // decline (an answer is a verdict — a draining backend said "stop"). Past
 // that the weight is the membership view's: alive 1 (also every backend of a
-// Front that has never probed), suspect SuspectWeight, dead 0 — so one slow
+// Front that has never probed), suspect ½, dead 0 — so one slow
 // probe costs a slice of ring weight, never the whole keyspace.
 func (f *Front) readiness(window, server int) float64 {
 	if f.brks[server].State() == breaker.Open || f.declined[server].Load() {

@@ -112,10 +112,7 @@ func (p *Proxy) ServeGossip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.stats.add(uint64(ps.self), func(s *ProxyStats) { s.GossipExchanges++ })
-	w.Header()["Content-Type"] = octetStreamValue
+	setContentType(w.Header())
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(ps.digestBytes())
 }
-
-// octetStreamValue is the pre-allocated Content-Type for binary answers.
-var octetStreamValue = []string{"application/octet-stream"}

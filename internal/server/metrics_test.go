@@ -56,7 +56,7 @@ func TestMetricsExposition(t *testing.T) {
 	srv := httptest.NewUnstartedServer(nil)
 	defer srv.Close()
 	self := "http://" + srv.Listener.Addr().String()
-	cfg.Peer = server.PeerConfig{Self: self, Nodes: []string{self, deadPeer}, Gossip: gossip.Config{Clock: clock}}
+	cfg.Peer = server.PeerConfig{Self: self, Nodes: []string{self, deadPeer}, Clock: clock}
 	n, err := node.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -65,12 +65,9 @@ func TestMetricsExposition(t *testing.T) {
 	srv.Config.Handler = n.Handler()
 	srv.Start()
 	waitReady(t, n.Handler())
-	brk := server.DefaultPeerBreaker()
-	brk.Clock = clock
 	front, err := server.NewFront(server.FrontConfig{
 		Backends:       []string{self, deadPeer},
 		RebalanceEvery: 4,
-		Breaker:        brk,
 		Gossip:         gossip.Config{Clock: clock},
 	})
 	if err != nil {

@@ -54,22 +54,15 @@ type Overload struct {
 	// cancelled. Pick a slow-percentile latency (e.g. ~p95 of healthy
 	// fetches) so hedges fire only on straggler attempts.
 	Hedge time.Duration
-	// RetryBudget caps total retry attempts (attempts beyond a miss's first)
-	// per RetryBudgetWindow across the whole proxy, so the backoff path can
-	// never probe a sick origin harder than the breaker's half-open budget.
-	// 0 selects the breaker's HalfOpenProbes; < 0 disables the cap.
-	RetryBudget int64
-	// RetryBudgetWindow is the retry budget's reset period (default: the
-	// breaker window).
-	RetryBudgetWindow time.Duration
-	// RetryAfter is the advertised Retry-After on shed 503s (default 1s).
-	RetryAfter time.Duration
 }
+
+// retryAfterSeconds is the Retry-After every shed 503 advertises.
+const retryAfterSeconds = "1"
 
 // DefaultOverload returns the hardened defaults used by cmd/darwin-proxy and
 // the overload chaos experiment: breaker defaults, 512 in-flight requests,
-// deadline propagation with a 50ms fetch floor, a 25ms hedge, and a retry
-// budget equal to the breaker's half-open probe budget per window.
+// deadline propagation with a 50ms fetch floor and a 25ms hedge. Enabled
+// also caps retries at the breaker's half-open probe budget per window.
 func DefaultOverload() Overload {
 	return Overload{
 		Enabled:           true,
@@ -77,7 +70,6 @@ func DefaultOverload() Overload {
 		PropagateDeadline: true,
 		MinFetchBudget:    50 * time.Millisecond,
 		Hedge:             25 * time.Millisecond,
-		RetryAfter:        time.Second,
 	}
 }
 
@@ -93,10 +85,6 @@ func (ov Overload) Validate() error {
 		return fmt.Errorf("server: negative MinFetchBudget %v", ov.MinFetchBudget)
 	case ov.Hedge < 0:
 		return fmt.Errorf("server: negative Hedge %v", ov.Hedge)
-	case ov.RetryBudgetWindow < 0:
-		return fmt.Errorf("server: negative RetryBudgetWindow %v", ov.RetryBudgetWindow)
-	case ov.RetryAfter < 0:
-		return fmt.Errorf("server: negative RetryAfter %v", ov.RetryAfter)
 	case b.FailureThreshold < 0 || b.FailureThreshold > 1:
 		return fmt.Errorf("server: breaker FailureThreshold %v, want in (0,1] (0 = default)", b.FailureThreshold)
 	case b.Window < 0 || b.OpenFor < 0:
@@ -159,7 +147,7 @@ func (p *Proxy) shed(w http.ResponseWriter, req trace.Request, reason string) {
 		return
 	}
 	w.Header().Set(ShedHeader, reason)
-	w.Header().Set("Retry-After", strconv.Itoa(int((p.ov.RetryAfter+time.Second-1)/time.Second)))
+	w.Header().Set("Retry-After", retryAfterSeconds)
 	http.Error(w, fmt.Sprintf("server: overloaded (%s)", reason), http.StatusServiceUnavailable)
 }
 

@@ -59,11 +59,13 @@ func getDeadline(t *testing.T, base string, id uint64, size int64, deadline time
 // retry storm that blows through the deadline N more times.
 func TestDeadlineShedNotRetry(t *testing.T) {
 	res := fastResilience() // MaxAttempts 4: plenty of retries available
+	// The retry budget (3 per second) would allow the retries a deadline
+	// that stopped nothing would let through, so Retries == 0 below is the
+	// deadline's doing.
 	ov := Overload{
 		Enabled:           true,
 		PropagateDeadline: true,
 		MinFetchBudget:    5 * time.Millisecond,
-		RetryBudget:       -1, // uncapped: prove the deadline alone stops retries
 	}
 	proxySrv, proxy := overloadTestbed(t, res, ov, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -102,7 +104,7 @@ func TestDeadlineShedNotRetry(t *testing.T) {
 // never queued behind the slow work that is hogging the budget.
 func TestAdmissionShedsOverBudget(t *testing.T) {
 	res := fastResilience()
-	ov := Overload{Enabled: true, MaxInFlight: 1, RetryBudget: -1}
+	ov := Overload{Enabled: true, MaxInFlight: 1}
 	var slow atomic.Bool
 	proxySrv, proxy := overloadTestbed(t, res, ov, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -163,7 +165,7 @@ func TestAdmissionShedsOverBudget(t *testing.T) {
 // overtaken by the hedged second, and the client sees a fast success.
 func TestHedgeRescuesStalledFetch(t *testing.T) {
 	res := fastResilience()
-	ov := Overload{Enabled: true, Hedge: 10 * time.Millisecond, RetryBudget: -1}
+	ov := Overload{Enabled: true, Hedge: 10 * time.Millisecond}
 	var n atomic.Int64
 	proxySrv, proxy := overloadTestbed(t, res, ov, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

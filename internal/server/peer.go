@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"darwin/internal/breaker"
@@ -60,25 +61,21 @@ type PeerConfig struct {
 	// Self is this node's own entry in Nodes (probes never target it).
 	Self string
 	// Nodes lists every cluster node's base URL in the same order on every
-	// node — the shared ring coordinates.
+	// node — the shared ring coordinates. An entry may appear once.
 	Nodes []string
 	// FetchTimeout bounds each probe (default 150 ms: a peer hop is only
 	// worth taking when it is much cheaper than the origin).
 	FetchTimeout time.Duration
-	// Breaker configures the per-sibling circuit breaker; zero means
-	// DefaultPeerBreaker.
-	Breaker breaker.Config
-	// Gossip tunes the failure detector (thresholds, dwell, clock). Nodes
-	// and Self are overwritten with the cluster's values; a nil Clock means
-	// time.Now.
-	Gossip gossip.Config
+	// Clock drives the sibling breakers and the gossip failure detector
+	// (default time.Now); experiments pass a simulated clock.
+	Clock func() time.Time
 }
 
-// DefaultPeerBreaker returns the per-sibling breaker configuration: trip on
-// a 50% failure rate over a 2 s window and retry a probe after 1 s — fast
-// enough that a SIGTERM-drained sibling stops costing probe timeouts within
-// a couple of windows.
-func DefaultPeerBreaker() breaker.Config {
+// defaultPeerBreaker is the breaker configuration for every sibling (and
+// every front-tier backend): trip on a 50% failure rate over a 2 s window and
+// retry a probe after 1 s — fast enough that a SIGTERM-drained sibling stops
+// costing probe timeouts within a couple of windows.
+func defaultPeerBreaker(clock func() time.Time) breaker.Config {
 	return breaker.Config{
 		Window:           2 * time.Second,
 		Buckets:          8,
@@ -86,20 +83,20 @@ func DefaultPeerBreaker() breaker.Config {
 		MinRequests:      4,
 		OpenFor:          time.Second,
 		HalfOpenProbes:   2,
+		Clock:            clock,
 	}
 }
 
-// WithDefaults returns c with every unset (<= 0) tuning field replaced by
-// its documented default. SetPeers applies it; darwin-proxy seeds its flags
-// from it, so each default is spelled here and nowhere else.
-func (c PeerConfig) WithDefaults() PeerConfig {
-	if c.FetchTimeout <= 0 {
-		c.FetchTimeout = 150 * time.Millisecond
+// repeated returns the first entry of urls that appears twice. A cluster's
+// node list is outside input (-peers, -backends): a repeated node would be
+// probed as its own sibling, or take a double share of the ring.
+func repeated(urls []string) (string, bool) {
+	for i, u := range urls {
+		if slices.Contains(urls[:i], u) {
+			return u, true
+		}
 	}
-	if c.Breaker.Window <= 0 {
-		c.Breaker = DefaultPeerBreaker()
-	}
-	return c
+	return "", false
 }
 
 // peerFanout is the maximum siblings probed per miss (fewer in a cluster of
@@ -130,16 +127,19 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 	if len(cfg.Nodes) < 2 {
 		return fmt.Errorf("server: peer cluster needs >= 2 nodes, got %d", len(cfg.Nodes))
 	}
-	self := -1
-	for i, n := range cfg.Nodes {
-		if n == cfg.Self {
-			self = i
-		}
+	if n, ok := repeated(cfg.Nodes); ok {
+		return fmt.Errorf("server: peer node %q listed twice in Nodes", n)
 	}
+	self := slices.Index(cfg.Nodes, cfg.Self)
 	if self < 0 {
 		return fmt.Errorf("server: peer Self %q not in Nodes", cfg.Self)
 	}
-	cfg = cfg.WithDefaults()
+	if cfg.FetchTimeout <= 0 {
+		cfg.FetchTimeout = 150 * time.Millisecond
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = time.Now
+	}
 	ring, err := lb.NewRing(lb.Config{Servers: len(cfg.Nodes)})
 	if err != nil {
 		return err
@@ -154,19 +154,13 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 	brks := make([]*breaker.Breaker, len(cfg.Nodes))
 	ups := make([]*upstream, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
-		brks[i] = breaker.New(cfg.Breaker)
+		brks[i] = breaker.New(defaultPeerBreaker(cfg.Clock))
 		ups[i] = newUpstream(n, GossipHeader)
 		if err := ups[i].err; err != nil {
 			return err
 		}
 	}
-	gcfg := cfg.Gossip
-	gcfg.Nodes = len(cfg.Nodes)
-	gcfg.Self = self
-	if gcfg.Clock == nil {
-		gcfg.Clock = time.Now
-	}
-	memb, err := gossip.New(gcfg)
+	memb, err := gossip.New(gossip.Config{Nodes: len(cfg.Nodes), Self: self, Clock: cfg.Clock})
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"darwin/internal/lb"
@@ -200,6 +201,37 @@ func TestPeerBreakerStopsProbingDeadSibling(t *testing.T) {
 	}
 	if st.PeerRejects == 0 {
 		t.Fatal("sibling breaker never opened: no probe rejects recorded")
+	}
+}
+
+// TestRepeatedNodeRejected: a cluster node list is outside input (-peers,
+// -backends), and a URL named twice is refused with an error naming it.
+// SetPeers would otherwise take one copy as Self and probe the other over
+// HTTP as a sibling; NewFront would give the repeated backend a double share
+// of the ring.
+func TestRepeatedNodeRejected(t *testing.T) {
+	const a, b, c = "http://127.0.0.1:18001", "http://127.0.0.1:18002", "http://127.0.0.1:18003"
+	p := NewOverloadProxy(staticDecider(t, 1), "http://unused", 0, Resilience{}, Overload{})
+	for _, tc := range []struct {
+		nodes []string
+		dup   string
+	}{
+		{[]string{a, b, a}, a}, // Self repeated
+		{[]string{a, b, b}, b}, // a sibling repeated
+		{[]string{c, a, b, c}, c},
+	} {
+		if err := p.SetPeers(PeerConfig{Self: a, Nodes: tc.nodes}); err == nil || !strings.Contains(err.Error(), tc.dup) {
+			t.Errorf("SetPeers(%v) = %v, want an error naming %s", tc.nodes, err, tc.dup)
+		}
+		if _, err := NewFront(FrontConfig{Backends: tc.nodes}); err == nil || !strings.Contains(err.Error(), tc.dup) {
+			t.Errorf("NewFront(%v) = %v, want an error naming %s", tc.nodes, err, tc.dup)
+		}
+	}
+	if p.Membership() != nil {
+		t.Fatal("a refused SetPeers left the proxy clustered")
+	}
+	if err := p.SetPeers(PeerConfig{Self: a, Nodes: []string{a, b, c}}); err != nil {
+		t.Fatalf("distinct nodes refused: %v", err)
 	}
 }
 

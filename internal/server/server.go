@@ -46,7 +46,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/url"
@@ -190,32 +189,33 @@ type Resilience struct {
 	// per-attempt deadline).
 	FetchTimeout time.Duration
 	// BackoffBase is the pre-jitter backoff before the first retry; it
-	// doubles per retry up to BackoffMax (0 = retry immediately).
+	// doubles per retry up to backoffCap (0 = retry immediately).
 	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff (0 = uncapped).
-	BackoffMax time.Duration
 	// Coalesce enables single-flight coalescing of concurrent misses.
 	Coalesce bool
 	// ServeStale enables degraded mode: when the origin stays down after
 	// retries, an object the engine holds a record of (Lookup answers other
 	// than Miss) is answered stale instead of 502.
 	ServeStale bool
-	// Seed drives the backoff jitter.
-	Seed int64
 }
+
+// backoffCap caps the exponential retry backoff, and jitterSeed seeds its
+// jitter: values no deployment or experiment ever varied.
+const (
+	backoffCap = 250 * time.Millisecond
+	jitterSeed = 1
+)
 
 // DefaultResilience returns the hardened defaults used by cmd/darwin-proxy
 // and the chaos experiment: 4 attempts, 2 s per-attempt deadline, 5 ms base
-// backoff capped at 250 ms, coalescing and serve-stale on.
+// backoff (capped at backoffCap), coalescing and serve-stale on.
 func DefaultResilience() Resilience {
 	return Resilience{
 		MaxAttempts:  4,
 		FetchTimeout: 2 * time.Second,
 		BackoffBase:  5 * time.Millisecond,
-		BackoffMax:   250 * time.Millisecond,
 		Coalesce:     true,
 		ServeStale:   true,
-		Seed:         1,
 	}
 }
 
@@ -231,8 +231,6 @@ func (r Resilience) Validate() error {
 		return fmt.Errorf("server: negative FetchTimeout %v", r.FetchTimeout)
 	case r.BackoffBase < 0:
 		return fmt.Errorf("server: negative BackoffBase %v", r.BackoffBase)
-	case r.BackoffMax < 0:
-		return fmt.Errorf("server: negative BackoffMax %v", r.BackoffMax)
 	}
 	return nil
 }
@@ -359,36 +357,29 @@ func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration
 		DCLatency: dcLatency,
 		res:       res,
 		ov:        ov,
-		rng:       rand.New(rand.NewSource(res.Seed)),
+		rng:       rand.New(rand.NewSource(jitterSeed)),
 		stats:     newCounters[ProxyStats](),
 		start:     time.Now(),
 	}
 	if ov.Enabled {
-		p.brk = breaker.New(ov.Breaker)
-		if ov.RetryBudget > 0 {
-			p.retryBudget = breaker.NewBudget(ov.RetryBudget, ov.RetryBudgetWindow, ov.Breaker.Clock)
-		}
+		// The retry budget is the breaker's half-open probe budget per
+		// breaker window: the backoff path never probes a sick origin harder
+		// than the breaker itself would.
+		b := ov.Breaker
+		p.brk = breaker.New(b)
+		p.retryBudget = breaker.NewBudget(b.HalfOpenProbes, b.Window, b.Clock)
 	}
 	return p
 }
 
 // withDefaults is the one place a zero field is read as "the default" rather
-// than "stage absent" (no Resilience field is): the doomed-fetch floor, the
-// advertised Retry-After, and the breaker-derived retry budget.
+// than "stage absent" (no Resilience field is): the doomed-fetch floor and
+// the breaker's tuning, which the retry budget derives from.
 func (ov Overload) withDefaults() Overload {
 	if ov.MinFetchBudget <= 0 {
 		ov.MinFetchBudget = 50 * time.Millisecond
 	}
-	if ov.RetryAfter <= 0 {
-		ov.RetryAfter = time.Second
-	}
 	ov.Breaker = ov.Breaker.WithDefaults()
-	if ov.RetryBudget == 0 {
-		ov.RetryBudget = ov.Breaker.HalfOpenProbes
-	}
-	if ov.RetryBudgetWindow <= 0 {
-		ov.RetryBudgetWindow = ov.Breaker.Window
-	}
 	return ov
 }
 
@@ -615,25 +606,14 @@ func (p *Proxy) fetchRetry(ctx context.Context, id uint64, size int64) error {
 
 // backoff returns the delay before the given retry (1-based): exponential
 // with "equal jitter" (half fixed, half uniform) so synchronized retry storms
-// against a recovering origin desynchronize. The doubling saturates at
-// BackoffMax (uncapped: at the Duration range) instead of shifting past it,
-// so no retry count can overflow it negative.
+// against a recovering origin desynchronize. The doubling stops at
+// backoffCap, so no retry count can overflow it negative.
 func (p *Proxy) backoff(retry int) time.Duration {
-	ceil := p.res.BackoffMax
-	if ceil <= 0 {
-		ceil = math.MaxInt64
-	}
 	d := p.res.BackoffBase
-	for i := 1; i < retry && 0 < d && d < ceil; i++ {
-		if d > ceil/2 {
-			d = ceil
-		} else {
-			d *= 2
-		}
+	for i := 1; i < retry && 0 < d && d < backoffCap; i++ {
+		d *= 2
 	}
-	if d > ceil {
-		d = ceil
-	}
+	d = min(d, backoffCap)
 	if d <= 0 {
 		return 0
 	}

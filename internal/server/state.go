@@ -62,7 +62,7 @@ func (p *Proxy) ServeState(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "state: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
-		w.Header()["Content-Type"] = octetStreamValue
+		setContentType(w.Header())
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(data)
 	case http.MethodPost:
@@ -110,7 +110,7 @@ func (p *Proxy) PushStateToSuccessor(ctx context.Context, client *http.Client) (
 	if err != nil {
 		return succ, err
 	}
-	hreq.Header["Content-Type"] = octetStreamValue
+	setContentType(hreq.Header)
 	if client == nil {
 		// Not the probe client: a state frame is far larger than a probe and
 		// deserves the context's deadline, not the 150 ms probe timeout.
