@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"slices"
@@ -239,16 +240,24 @@ func main() {
 
 	for _, e := range selected {
 		start := time.Now()
-		fmt.Printf("--- running %s ---\n", e.id)
-		reps, err := e.run(sc, *shards)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", e.id, err))
-		}
-		for _, r := range reps {
-			fmt.Println(r.String())
+		if err := e.print(os.Stdout, sc, *shards); err != nil {
+			fatal(err)
 		}
 		fmt.Printf("--- %s done in %v ---\n\n", e.id, time.Since(start).Round(time.Millisecond))
 	}
+}
+
+// print runs e and writes its header line and reports to w.
+func (e experiment) print(w io.Writer, sc exp.Scale, shards int) error {
+	fmt.Fprintf(w, "--- running %s ---\n", e.id)
+	reps, err := e.run(sc, shards)
+	if err != nil {
+		return fmt.Errorf("%s: %w", e.id, err)
+	}
+	for _, r := range reps {
+		fmt.Fprintln(w, r.String())
+	}
+	return nil
 }
 
 func fatal(err error) {
