@@ -174,7 +174,7 @@ type (
 var ObjectiveByName = core.ObjectiveByName
 
 // OnlineConfig parameterises the online selection loop (N_e, N_warmup,
-// N_round, δ, ...).
+// N_round, the stability stop; δ is fixed at 0.05).
 type OnlineConfig = core.OnlineConfig
 
 // DefaultOnlineConfig returns the scaled online defaults.

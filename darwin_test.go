@@ -46,7 +46,7 @@ func TestEndToEndPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl, err := darwin.NewController(model, hier, darwin.OnlineConfig{
-		Epoch: 12000, Warmup: 800, Round: 300, Delta: 0.05, StabilityRounds: 3,
+		Epoch: 12000, Warmup: 800, Round: 300, StabilityRounds: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,6 +121,17 @@ var goneIdents = []string{
 	"SuspectWeight", "MinSamples",
 	"VirtualNodes", "ReplicationConfig",
 	"SegmentBytes", "BatchEvery", "GCFraction",
+	"OnlineConfig.Delta", "OnlineConfig.MaxRounds", "Neff", "VarFloor", "InitialExpert", "UniformBandit",
+	"bandit.Config.M", "bandit.Config.C", "bandit.Config.Uniform",
+	"EvictionSelectorConfig.Policies", "EvictionSelectorConfig.Delta",
+	"EvictionSelectorConfig.StabilityRounds", "RewardVariance", "EvictionSelectorConfig.Objective",
+	"PredictorHidden", "PredictorTrainer", "TrainAllPairs",
+	"DatasetConfig.Features", "DatasetConfig.Parallelism",
+	"MaxIter", "cluster.Config.Restarts", "cluster.DefaultConfig",
+	"Trainer.LR", "Momentum", "BatchSize", "Trainer.L2",
+	"FreqPct", "SizePct", "DeltaF", "MinFreq", "HillClimbingConfig.MinSize",
+	"AdaptSizeConfig.Candidates", "InitialC",
+	"ErrorStatus", "TruncateFrac", "BloomObjects",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

@@ -55,7 +55,7 @@ func main() {
 			log.Fatal(err)
 		}
 		ctrl, err := darwin.NewController(model, hier, darwin.OnlineConfig{
-			Epoch: 60_000, Warmup: warmup, Round: 600, Delta: 0.05, StabilityRounds: 5,
+			Epoch: 60_000, Warmup: warmup, Round: 600, StabilityRounds: 5,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -65,7 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ctrl, err := darwin.NewController(model, eng, darwin.OnlineConfig{
-		Epoch: 20_000, Warmup: warmup, Round: 500, Delta: 0.05, StabilityRounds: 5,
+		Epoch: 20_000, Warmup: warmup, Round: 500, StabilityRounds: 5,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -63,7 +63,6 @@ func main() {
 		Epoch:           60_000,
 		Warmup:          warmup,
 		Round:           600,
-		Delta:           0.05,
 		StabilityRounds: 5,
 	})
 	if err != nil {

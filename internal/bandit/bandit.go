@@ -32,25 +32,25 @@ type Config struct {
 	Sigma2 [][]float64
 	// Delta is the failure probability δ for the δ-sound stopping rule.
 	Delta float64
-	// M bounds rewards: |Y| <= M with probability >= 1-δ/2 (hit rates: 1).
-	M float64
-	// C is the concentration constant in β_t(δ, Σ) (Theorem 1).
-	C float64
 	// StabilityRounds stops when the same arm has been empirically best for
 	// this many consecutive rounds (the paper's practical criterion, §6.2,
 	// Figure 5d). 0 disables the practical rule.
 	StabilityRounds int
-	// Uniform selects round-robin deployment instead of D-tracking (an
-	// ablation baseline).
-	Uniform bool
 	// MaxRounds force-stops after this many rounds; 0 means unbounded.
 	MaxRounds int
 }
 
-// DefaultConfig returns the reproduction defaults: δ=0.05, M=1, C=100, the
-// paper's 5-round stability rule.
+// The constants of the threshold β_t(δ, Σ) (Theorem 1): rewards are hit
+// rates, so |Y| ≤ rewardBound, and concentration is the C of the bound.
+const (
+	rewardBound   = 1
+	concentration = 100
+)
+
+// DefaultConfig returns the reproduction defaults: δ=0.05 and the paper's
+// 5-round stability rule.
 func DefaultConfig(sigma2 [][]float64) Config {
-	return Config{Sigma2: sigma2, Delta: 0.05, M: 1, C: 100, StabilityRounds: 5}
+	return Config{Sigma2: sigma2, Delta: 0.05, StabilityRounds: 5}
 }
 
 // Algorithm is the mutable state of one identification run.
@@ -90,12 +90,6 @@ func New(cfg Config) (*Algorithm, error) {
 	if cfg.Delta <= 0 || cfg.Delta >= 1 {
 		return nil, fmt.Errorf("bandit: Delta must be in (0,1), got %v", cfg.Delta)
 	}
-	if cfg.M <= 0 {
-		cfg.M = 1
-	}
-	if cfg.C <= 0 {
-		cfg.C = 100
-	}
 	return &Algorithm{
 		cfg:   cfg,
 		k:     k,
@@ -126,9 +120,6 @@ func (a *Algorithm) NextArm() int {
 		if p == 0 {
 			return i
 		}
-	}
-	if a.cfg.Uniform {
-		return a.t % a.k
 	}
 	// Forced exploration (D-tracking): keep every arm's count above
 	// sqrt(t) - K/2 so estimates cannot starve.
@@ -239,7 +230,7 @@ func (a *Algorithm) Beta() float64 {
 	t := float64(a.t)
 	k := float64(a.k)
 	return k*t/(2*kappa) +
-		k*a.cfg.M*a.cfg.M/(2*s2min*kappa*math.Sqrt(a.cfg.C))*
+		k*rewardBound*rewardBound/(2*s2min*kappa*math.Sqrt(concentration))*
 			math.Sqrt(t*math.Log(2/a.cfg.Delta))
 }
 

@@ -308,12 +308,11 @@ func TestSideInfoFasterThanStandard(t *testing.T) {
 
 func TestStabilityStopReason(t *testing.T) {
 	sigma2 := uniformSigma(2, 0.05)
-	env, err := NewEnv([]float64{0.8, 0.2}, sigma2, 4)
+	env, err := NewEnv([]float64{0.7, 0.4}, sigma2, 4) // a gap the threshold cannot resolve in 5 rounds
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(sigma2)
-	cfg.C = 1e-9 // make the theoretical threshold unreachable
 	cfg.StabilityRounds = 5
 	alg, err := New(cfg)
 	if err != nil {

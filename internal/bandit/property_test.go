@@ -103,7 +103,6 @@ func TestEstimatorOrderInvariance(t *testing.T) {
 		run := func(order []int) []float64 {
 			cfg := DefaultConfig(sigma2)
 			cfg.StabilityRounds = 0
-			cfg.C = 1e-12
 			alg, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)

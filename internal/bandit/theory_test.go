@@ -34,7 +34,7 @@ func TestTheorem1Soundness(t *testing.T) {
 			t.Fatal(err)
 		}
 		alg, err := New(Config{
-			Sigma2: sigma2, Delta: delta, M: 1, C: 100,
+			Sigma2: sigma2, Delta: delta,
 			StabilityRounds: 0, MaxRounds: 500,
 		})
 		if err != nil {
@@ -143,7 +143,6 @@ func TestEstimatorConsistency(t *testing.T) {
 	}
 	cfg := DefaultConfig(sigma2)
 	cfg.StabilityRounds = 0
-	cfg.C = 1e-12 // never stop via threshold either
 	cfg.MaxRounds = 0
 	alg, err := New(cfg)
 	if err != nil {

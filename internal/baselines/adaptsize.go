@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"darwin/internal/cache"
 	"darwin/internal/trace"
@@ -38,31 +37,25 @@ type cheObj struct {
 type AdaptSizeConfig struct {
 	// Window is the re-tuning period in requests.
 	Window int
-	// Candidates are the candidate values of c in bytes; empty selects a
-	// geometric grid from 1 KB to 1 MB.
-	Candidates []float64
-	// InitialC is the starting size parameter (default 64 KB).
-	InitialC float64
 	// Eval sizes the cache.
 	Eval cache.EvalConfig
 	// Seed drives the admission coin flips.
 	Seed int64
 }
 
+// initialC is the size parameter c before the first re-tuning; each
+// re-tuning picks c from the doubling grid 1 KB, 2 KB, …, 1 MB.
+const (
+	initialC = 64 << 10
+	minC     = 1 << 10
+	maxC     = 1 << 20
+)
+
 // NewAdaptSize builds the baseline.
 func NewAdaptSize(cfg AdaptSizeConfig) (*AdaptSize, error) {
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("baselines: adaptsize window must be > 0")
 	}
-	if cfg.InitialC <= 0 {
-		cfg.InitialC = 64 << 10
-	}
-	if len(cfg.Candidates) == 0 {
-		for c := 1024.0; c <= 1<<20; c *= 2 {
-			cfg.Candidates = append(cfg.Candidates, c)
-		}
-	}
-	sort.Float64s(cfg.Candidates)
 	// The expert thresholds are irrelevant once the admission override is
 	// installed; use a permissive placeholder.
 	h, err := newHierarchy(cfg.Eval, cache.Expert{Freq: 0, MaxSize: math.MaxInt64})
@@ -73,7 +66,7 @@ func NewAdaptSize(cfg AdaptSizeConfig) (*AdaptSize, error) {
 		hier:   h,
 		cfg:    cfg,
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		c:      cfg.InitialC,
+		c:      initialC,
 		counts: make(map[uint64]int),
 		osize:  make(map[uint64]int64),
 	}
@@ -111,7 +104,7 @@ func (as *AdaptSize) retune() {
 		objs = append(objs, cheObj{lambda: float64(cnt) / total, size: float64(as.osize[id])})
 	}
 	bestC, bestOHR := as.c, -1.0
-	for _, cand := range as.cfg.Candidates {
+	for cand := float64(minC); cand <= maxC; cand *= 2 {
 		ohr := modelOHR(objs, cand, float64(as.cfg.Eval.HOCBytes))
 		if ohr > bestOHR {
 			bestC, bestOHR = cand, ohr

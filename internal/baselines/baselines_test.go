@@ -97,7 +97,6 @@ func TestHillClimbingValidation(t *testing.T) {
 func TestHillClimbingMoves(t *testing.T) {
 	hc, err := NewHillClimbing(HillClimbingConfig{
 		Initial: cache.Expert{Freq: 5, MaxSize: 2 << 10},
-		DeltaF:  1,
 		DeltaS:  10 << 10,
 		Window:  2000,
 		Eval:    evalCfg(),
@@ -121,8 +120,6 @@ func TestHillClimbingFloors(t *testing.T) {
 	hc, err := NewHillClimbing(HillClimbingConfig{
 		Initial: cache.Expert{Freq: 1, MaxSize: 1 << 10},
 		Window:  500,
-		MinFreq: 1,
-		MinSize: 1 << 10,
 		Eval:    evalCfg(),
 	})
 	if err != nil {
@@ -163,7 +160,7 @@ func TestAdaptSizeRetunes(t *testing.T) {
 
 func TestAdaptSizeAdmissionIsSizeBiased(t *testing.T) {
 	// Small objects should be admitted far more often than huge ones.
-	as, err := NewAdaptSize(AdaptSizeConfig{Window: 1 << 30, Eval: evalCfg(), Seed: 2, InitialC: 8 << 10})
+	as, err := NewAdaptSize(AdaptSizeConfig{Window: 1 << 30, Eval: evalCfg(), Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

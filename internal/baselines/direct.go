@@ -85,7 +85,7 @@ func TrainDirectMapping(ds *core.Dataset, obj core.Objective, seed int64) (*neur
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if _, err := (neural.Trainer{LR: 0.1, Epochs: 200, BatchSize: 8, Seed: seed}).Train(net, xs, ys); err != nil {
+	if _, err := (neural.Trainer{Epochs: 200, Seed: seed}).Train(net, xs, ys); err != nil {
 		return nil, nil, nil, err
 	}
 	return net, mean, std, nil

@@ -32,35 +32,29 @@ type HillClimbing struct {
 type HillClimbingConfig struct {
 	// Initial is the starting expert.
 	Initial cache.Expert
-	// DeltaF and DeltaS are the probe step sizes (paper: Δf=1,
-	// Δs ∈ {1KB, 10KB}).
-	DeltaF int
+	// DeltaS is the size probe step (paper: 1KB or 10KB; default 1KB).
 	DeltaS int64
 	// Window is N, the comparison period in requests (paper: 0.5M).
 	Window int
-	// MinFreq and MinSize floor the thresholds (defaults 1 and 1KB).
-	MinFreq int
-	MinSize int64
 	// Eval sizes the caches.
 	Eval cache.EvalConfig
 }
+
+// The frequency probe step (paper: Δf = 1) and the floors no probe goes
+// below: frequency 1 and 1KB.
+const (
+	deltaF  = 1
+	minFreq = 1
+	minSize = 1 << 10
+)
 
 // NewHillClimbing builds the baseline with warmed-up probe state.
 func NewHillClimbing(cfg HillClimbingConfig) (*HillClimbing, error) {
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("baselines: hill climbing window must be > 0")
 	}
-	if cfg.DeltaF <= 0 {
-		cfg.DeltaF = 1
-	}
 	if cfg.DeltaS <= 0 {
 		cfg.DeltaS = 1 << 10
-	}
-	if cfg.MinFreq <= 0 {
-		cfg.MinFreq = 1
-	}
-	if cfg.MinSize <= 0 {
-		cfg.MinSize = 1 << 10
 	}
 	main, err := newHierarchy(cfg.Eval, cfg.Initial)
 	if err != nil {
@@ -81,18 +75,12 @@ func NewHillClimbing(cfg HillClimbingConfig) (*HillClimbing, error) {
 
 // probeExperts returns the two probe experts for the current direction.
 func (hc *HillClimbing) probeExperts() [2]cache.Expert {
-	df, ds := hc.cfg.DeltaF, hc.cfg.DeltaS
+	df, ds := deltaF, hc.cfg.DeltaS
 	if !hc.up {
 		df, ds = -df, -ds
 	}
-	f2 := hc.f + df
-	if f2 < hc.cfg.MinFreq {
-		f2 = hc.cfg.MinFreq
-	}
-	s2 := hc.s + ds
-	if s2 < hc.cfg.MinSize {
-		s2 = hc.cfg.MinSize
-	}
+	f2 := max(hc.f+df, minFreq)
+	s2 := max(hc.s+ds, minSize)
 	return [2]cache.Expert{
 		{Freq: f2, MaxSize: hc.s},
 		{Freq: hc.f, MaxSize: s2},

@@ -10,15 +10,13 @@ import (
 
 // Percentile re-estimates the empirical distributions of object request
 // frequencies and request sizes over N-request windows and, for the next
-// window, deploys the grid expert whose (f, s) lies closest to the chosen
-// frequency/size percentiles (paper §6: 60th and 90th, N = 100K requests at
-// paper scale).
+// window, deploys the grid expert whose (f, s) lies closest to the
+// frequency and size percentiles freqPct and sizePct (paper §6: N = 100K
+// requests at paper scale).
 type Percentile struct {
 	hier    *cache.Hierarchy
 	experts []cache.Expert
 	window  int
-	fPct    float64
-	sPct    float64
 
 	n      int
 	counts map[uint64]int
@@ -31,11 +29,16 @@ type PercentileConfig struct {
 	Experts []cache.Expert
 	// Window is N, the re-estimation period in requests.
 	Window int
-	// FreqPct and SizePct are the deployed percentiles (defaults 60, 90).
-	FreqPct, SizePct float64
 	// Eval sizes the cache.
 	Eval cache.EvalConfig
 }
+
+// The deployed percentiles of object request frequency and request size, as
+// the paper runs the baseline (§6).
+const (
+	freqPct = 60
+	sizePct = 90
+)
 
 // NewPercentile builds the baseline, deploying Experts[0] initially.
 func NewPercentile(cfg PercentileConfig) (*Percentile, error) {
@@ -45,12 +48,6 @@ func NewPercentile(cfg PercentileConfig) (*Percentile, error) {
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("baselines: percentile window must be > 0")
 	}
-	if cfg.FreqPct <= 0 {
-		cfg.FreqPct = 60
-	}
-	if cfg.SizePct <= 0 {
-		cfg.SizePct = 90
-	}
 	h, err := newHierarchy(cfg.Eval, cfg.Experts[0])
 	if err != nil {
 		return nil, err
@@ -59,8 +56,6 @@ func NewPercentile(cfg PercentileConfig) (*Percentile, error) {
 		hier:    h,
 		experts: cfg.Experts,
 		window:  cfg.Window,
-		fPct:    cfg.FreqPct,
-		sPct:    cfg.SizePct,
 		counts:  make(map[uint64]int),
 	}, nil
 }
@@ -85,8 +80,8 @@ func (p *Percentile) redeploy() {
 	for _, c := range p.counts {
 		freqs = append(freqs, float64(c))
 	}
-	f := stats.Percentile(freqs, p.fPct)
-	s := stats.Percentile(p.sizes, p.sPct)
+	f := stats.Percentile(freqs, freqPct)
+	s := stats.Percentile(p.sizes, sizePct)
 	p.hier.SetExpert(cache.Nearest(p.experts, f, s))
 	p.n = 0
 	p.counts = make(map[uint64]int)

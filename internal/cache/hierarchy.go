@@ -129,9 +129,10 @@ type Config struct {
 	HOCEviction, DCEviction string
 	// Expert is the initial HOC admission expert.
 	Expert Expert
-	// BloomObjects sizes the DC one-hit-wonder filter; 0 selects a default
-	// of one million expected objects.
-	BloomObjects int
+	// bloomObjects sizes the DC one-hit-wonder filter; 0 selects a default
+	// of one million expected objects. Only NewSharded's per-shard split and
+	// the package's tests set it.
+	bloomObjects int
 	// DCLog, when non-nil, receives every DC admission and eviction so a
 	// durable store can rebuild the DC after a crash. Nil (the default)
 	// keeps the hierarchy fully in-memory with an unchanged hot path.
@@ -201,7 +202,7 @@ func New(cfg Config) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	nBloom := cfg.BloomObjects
+	nBloom := cfg.bloomObjects
 	if nBloom <= 0 {
 		nBloom = 1 << 20
 	}

@@ -82,7 +82,7 @@ func FuzzHierarchy(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, policy := range evictionPolicies {
 			cfg := Config{HOCBytes: 400, DCBytes: 1600, HOCEviction: policy, DCEviction: policy,
-				Expert: Expert{Freq: 1, MaxSize: 300}, BloomObjects: 256}
+				Expert: Expert{Freq: 1, MaxSize: 300}, bloomObjects: 256}
 			h, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -155,7 +155,7 @@ func FuzzHierarchy(f *testing.F) {
 // question.
 func filterTestHierarchy(t *testing.T) *Hierarchy {
 	t.Helper()
-	h, err := New(Config{HOCBytes: 1000, DCBytes: 1000, BloomObjects: 1 << 16})
+	h, err := New(Config{HOCBytes: 1000, DCBytes: 1000, bloomObjects: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,11 +55,11 @@ func NewSharded(cfg Config, shards int) (*Sharded, error) {
 	per := cfg
 	per.HOCBytes = cfg.HOCBytes / int64(shards)
 	per.DCBytes = cfg.DCBytes / int64(shards)
-	nb := cfg.BloomObjects
+	nb := cfg.bloomObjects
 	if nb <= 0 {
 		nb = 1 << 20 // the Hierarchy default, split across shards below
 	}
-	per.BloomObjects = (nb + shards - 1) / shards
+	per.bloomObjects = (nb + shards - 1) / shards
 	s := &Sharded{shards: make([]engineShard, shards)}
 	if shards > 1 && shards&(shards-1) == 0 {
 		s.mask = uint64(shards - 1)

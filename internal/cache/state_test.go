@@ -29,7 +29,7 @@ func newStateTestConfig() Config {
 		HOCBytes:     64 << 10,
 		DCBytes:      1 << 20,
 		Expert:       Expert{Freq: 1, MaxSize: 32 << 10},
-		BloomObjects: 1 << 12,
+		bloomObjects: 1 << 12,
 	}
 }
 

@@ -27,20 +27,19 @@ type Model struct {
 type Config struct {
 	// K is the number of clusters (paper: 52 over its offline set).
 	K int
-	// MaxIter bounds Lloyd iterations.
-	MaxIter int
 	// Seed makes fitting deterministic.
 	Seed int64
-	// Restarts runs k-means++ this many times and keeps the best inertia.
-	Restarts int
 }
 
-// DefaultConfig returns sensible fitting parameters.
-func DefaultConfig(k int) Config {
-	return Config{K: k, MaxIter: 100, Seed: 1, Restarts: 4}
-}
+// Fit's search: restarts k-means++ seedings, each followed by at most maxIter
+// Lloyd iterations.
+const (
+	restarts = 4
+	maxIter  = 100
+)
 
-// Fit clusters the given feature vectors.
+// Fit clusters the given feature vectors, keeping the restart with the least
+// inertia.
 func Fit(points [][]float64, cfg Config) (*Model, error) {
 	if len(points) == 0 {
 		return nil, fmt.Errorf("cluster: no points")
@@ -57,12 +56,6 @@ func Fit(points [][]float64, cfg Config) (*Model, error) {
 	if cfg.K > len(points) {
 		cfg.K = len(points)
 	}
-	if cfg.MaxIter <= 0 {
-		cfg.MaxIter = 100
-	}
-	if cfg.Restarts <= 0 {
-		cfg.Restarts = 1
-	}
 
 	mean, std := standardiseParams(points)
 	z := make([][]float64, len(points))
@@ -72,11 +65,11 @@ func Fit(points [][]float64, cfg Config) (*Model, error) {
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var best *Model
-	for r := 0; r < cfg.Restarts; r++ {
+	for r := 0; r < restarts; r++ {
 		cents := seedPlusPlus(z, cfg.K, rng)
 		assign := make([]int, len(z))
 		var inertia float64
-		for iter := 0; iter < cfg.MaxIter; iter++ {
+		for iter := 0; iter < maxIter; iter++ {
 			changed := false
 			inertia = 0
 			for i, p := range z {

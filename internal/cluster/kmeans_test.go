@@ -26,7 +26,7 @@ func blobs(centers [][]float64, n int, noise float64, seed int64) ([][]float64, 
 func TestFitSeparatesBlobs(t *testing.T) {
 	centers := [][]float64{{0, 0}, {10, 10}, {-10, 10}}
 	pts, labels := blobs(centers, 50, 0.5, 3)
-	m, err := Fit(pts, DefaultConfig(3))
+	m, err := Fit(pts, Config{K: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +54,11 @@ func TestFitSeparatesBlobs(t *testing.T) {
 
 func TestFitDeterministic(t *testing.T) {
 	pts, _ := blobs([][]float64{{0, 0}, {5, 5}}, 30, 1, 9)
-	a, err := Fit(pts, DefaultConfig(2))
+	a, err := Fit(pts, Config{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Fit(pts, DefaultConfig(2))
+	b, err := Fit(pts, Config{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFitDeterministic(t *testing.T) {
 
 func TestAssignMatchesTrainingAssignments(t *testing.T) {
 	pts, _ := blobs([][]float64{{0, 0}, {8, 8}}, 40, 0.3, 5)
-	m, err := Fit(pts, DefaultConfig(2))
+	m, err := Fit(pts, Config{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +83,10 @@ func TestAssignMatchesTrainingAssignments(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit(nil, DefaultConfig(2)); err == nil {
+	if _, err := Fit(nil, Config{K: 2, Seed: 1}); err == nil {
 		t.Error("empty points accepted")
 	}
-	if _, err := Fit([][]float64{{1}, {1, 2}}, DefaultConfig(2)); err == nil {
+	if _, err := Fit([][]float64{{1}, {1, 2}}, Config{K: 2, Seed: 1}); err == nil {
 		t.Error("ragged points accepted")
 	}
 	if _, err := Fit([][]float64{{1}}, Config{K: 0}); err == nil {
@@ -96,7 +96,7 @@ func TestFitErrors(t *testing.T) {
 
 func TestKClampedToPoints(t *testing.T) {
 	pts := [][]float64{{1, 2}, {3, 4}}
-	m, err := Fit(pts, DefaultConfig(10))
+	m, err := Fit(pts, Config{K: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestKClampedToPoints(t *testing.T) {
 func TestConstantDimensionHandled(t *testing.T) {
 	// Second dimension constant: std=0 must not divide by zero.
 	pts := [][]float64{{0, 5}, {1, 5}, {10, 5}, {11, 5}}
-	m, err := Fit(pts, DefaultConfig(2))
+	m, err := Fit(pts, Config{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestConstantDimensionHandled(t *testing.T) {
 
 func TestIdenticalPoints(t *testing.T) {
 	pts := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}}
-	m, err := Fit(pts, DefaultConfig(2))
+	m, err := Fit(pts, Config{K: 2, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestIdenticalPoints(t *testing.T) {
 
 func TestInertiaImprovesWithMoreClusters(t *testing.T) {
 	pts, _ := blobs([][]float64{{0, 0}, {10, 0}, {0, 10}, {10, 10}}, 25, 1, 8)
-	m1, err := Fit(pts, DefaultConfig(1))
+	m1, err := Fit(pts, Config{K: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	m4, err := Fit(pts, DefaultConfig(4))
+	m4, err := Fit(pts, Config{K: 4, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

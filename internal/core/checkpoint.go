@@ -148,7 +148,7 @@ func (c *Controller) prepareRestoreLocked(st *ControllerState) (restorePlan, err
 		return plan, fmt.Errorf("core: round position %d out of range", st.RoundReqs)
 	}
 	sigma2 := buildSigma(c.model, c.cfg, st.Set, st.ClusterID, st.Extended)
-	alg, err := bandit.New(banditConfig(c.cfg, sigma2, c.cfg.Warmup))
+	alg, err := bandit.New(banditConfig(c.cfg, sigma2))
 	if err != nil {
 		return plan, fmt.Errorf("core: rebuilding bandit: %w", err)
 	}

@@ -50,8 +50,6 @@ type DatasetConfig struct {
 	Experts []cache.Expert
 	// Eval configures the simulated cache (default cache.DefaultEvalConfig()).
 	Eval cache.EvalConfig
-	// Features configures extraction (default features.DefaultConfig()).
-	Features features.Config
 	// FeatureWindow caps feature extraction to the first N requests of each
 	// trace (0 = whole trace). Setting it to the online phase's N_warmup
 	// aligns offline training features with what the online controller can
@@ -59,9 +57,6 @@ type DatasetConfig struct {
 	// censored by the observation window, so mixing window lengths between
 	// training and deployment systematically shifts cluster assignment.
 	FeatureWindow int
-	// Parallelism bounds concurrent trace evaluations; <= 0 selects the
-	// engine default (par.Default(), i.e. NumCPU or the -parallelism flag).
-	Parallelism int
 }
 
 func (c DatasetConfig) withDefaults() DatasetConfig {
@@ -71,30 +66,25 @@ func (c DatasetConfig) withDefaults() DatasetConfig {
 	if c.Eval == (cache.EvalConfig{}) {
 		c.Eval = cache.DefaultEvalConfig()
 	}
-	if c.Features == (features.Config{}) {
-		c.Features = features.DefaultConfig()
-	}
 	return c
 }
 
 // BuildDataset evaluates every expert on every trace (with pairwise joint
-// statistics) and extracts features. This is the expensive offline step; it
-// parallelises across traces.
+// statistics) and extracts the paper's features (features.DefaultConfig).
+// This is the expensive offline step; it parallelises across traces, as
+// wide as par.Default().
 func BuildDataset(traces []*trace.Trace, cfg DatasetConfig) (*Dataset, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("core: no traces")
 	}
 	cfg = cfg.withDefaults()
-	if err := cfg.Features.Validate(); err != nil {
-		return nil, err
-	}
 	if len(cfg.Experts) == 0 {
 		return nil, fmt.Errorf("core: empty expert grid")
 	}
 
 	ds := &Dataset{
 		Experts:       cfg.Experts,
-		FeatureCfg:    cfg.Features,
+		FeatureCfg:    features.DefaultConfig(),
 		Eval:          cfg.Eval,
 		FeatureWindow: cfg.FeatureWindow,
 		Records:       make([]*TraceRecord, len(traces)),
@@ -102,8 +92,8 @@ func BuildDataset(traces []*trace.Trace, cfg DatasetConfig) (*Dataset, error) {
 	// Fan out over the shared engine: one task per trace, results written to
 	// Records[ti] so ordering matches the input; failures are aggregated with
 	// trace identity rather than fail-fast.
-	err := par.ForEach(len(traces), cfg.Parallelism, func(ti int) error {
-		rec, err := evaluateTrace(traces[ti], cfg)
+	err := par.ForEach(len(traces), 0, func(ti int) error {
+		rec, err := evaluateTrace(traces[ti], cfg, ds.FeatureCfg)
 		if err != nil {
 			return fmt.Errorf("core: trace %s: %w", traces[ti].Name, err)
 		}
@@ -118,7 +108,7 @@ func BuildDataset(traces []*trace.Trace, cfg DatasetConfig) (*Dataset, error) {
 
 // evaluateTrace runs all experts over one trace in lockstep, accumulating
 // marginal and pairwise hit counts after warm-up, and extracts features.
-func evaluateTrace(tr *trace.Trace, cfg DatasetConfig) (*TraceRecord, error) {
+func evaluateTrace(tr *trace.Trace, cfg DatasetConfig, fc features.Config) (*TraceRecord, error) {
 	k := len(cfg.Experts)
 	hier := make([]*cache.Hierarchy, k)
 	for i, e := range cfg.Experts {
@@ -134,7 +124,7 @@ func evaluateTrace(tr *trace.Trace, cfg DatasetConfig) (*TraceRecord, error) {
 		}
 		hier[i] = h
 	}
-	ex, err := features.NewExtractor(cfg.Features)
+	ex, err := features.NewExtractor(fc)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +173,7 @@ func evaluateTrace(tr *trace.Trace, cfg DatasetConfig) (*TraceRecord, error) {
 		Name:     tr.Name,
 		Features: ex.Vector(),
 		Extended: ex.Extended(),
-		Profile:  NewSizeProfile(ex.SizeDistribution(), cfg.Features.MinSize, cfg.Features.MaxSize),
+		Profile:  NewSizeProfile(ex.SizeDistribution(), fc.MinSize, fc.MaxSize),
 		Metrics:  make([]cache.Metrics, k),
 		CondHit:  make([][]float64, k),
 		CondMiss: make([][]float64, k),

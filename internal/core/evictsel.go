@@ -21,9 +21,8 @@ import (
 // variances), which the paper's framework also supports. A systematic
 // eviction-side predictor is exactly what the paper defers to future work.
 type EvictionSelector struct {
-	hier      *cache.Hierarchy
-	cfg       EvictionSelectorConfig
-	objective Objective
+	hier *cache.Hierarchy
+	cfg  EvictionSelectorConfig
 
 	alg        *bandit.Algorithm
 	curArm     int
@@ -36,61 +35,28 @@ type EvictionSelector struct {
 
 // EvictionSelectorConfig parameterises the selector.
 type EvictionSelectorConfig struct {
-	// Policies are the candidate HOC eviction policies (default
-	// {"lru","s4lru","lfu","gdsf"}).
-	Policies []string
 	// Epoch, Round mirror the admission controller's online knobs.
 	Epoch, Round int
-	// Delta is the bandit failure probability.
-	Delta float64
-	// StabilityRounds is the practical stop (default 5).
-	StabilityRounds int
-	// RewardVariance is the assumed per-round reward variance (default
-	// 0.25/50, matching the admission controller's Neff scaling of a
-	// worst-case Bernoulli round).
-	RewardVariance float64
-	// Objective is the reward (default OHRObjective).
-	Objective Objective
 }
 
-func (c EvictionSelectorConfig) withDefaults() EvictionSelectorConfig {
-	if len(c.Policies) == 0 {
-		c.Policies = []string{"lru", "s4lru", "lfu", "gdsf"}
-	}
-	if c.Delta <= 0 {
-		c.Delta = 0.05
-	}
-	if c.StabilityRounds == 0 {
-		c.StabilityRounds = 5
-	}
-	if c.RewardVariance <= 0 {
-		c.RewardVariance = 0.25 / 50
-	}
-	if c.Objective == nil {
-		c.Objective = OHRObjective{}
-	}
-	return c
-}
+// evictionArms are the selector's arms, the HOC eviction policies it chooses
+// among. Its reward is OHR, whose per-round variance it takes to be a
+// worst-case Bernoulli round's 0.25 scaled by neff, as the admission
+// controller scales its own.
+var evictionArms = []string{"lru", "s4lru", "lfu", "gdsf"}
+
+const evictionRewardVariance = 0.25 / neff
 
 // NewEvictionSelector wires a selector to a hierarchy.
 func NewEvictionSelector(hier *cache.Hierarchy, cfg EvictionSelectorConfig) (*EvictionSelector, error) {
 	if hier == nil {
 		return nil, fmt.Errorf("core: nil hierarchy")
 	}
-	cfg = cfg.withDefaults()
-	if len(cfg.Policies) < 2 {
-		return nil, fmt.Errorf("core: need at least 2 eviction policies")
-	}
-	if cfg.Epoch <= 0 || cfg.Round <= 0 || cfg.Round*(len(cfg.Policies)+1) > cfg.Epoch {
+	if cfg.Epoch <= 0 || cfg.Round <= 0 || cfg.Round*(len(evictionArms)+1) > cfg.Epoch {
 		return nil, fmt.Errorf("core: epoch %d too short for %d policies at round %d",
-			cfg.Epoch, len(cfg.Policies), cfg.Round)
+			cfg.Epoch, len(evictionArms), cfg.Round)
 	}
-	for _, p := range cfg.Policies {
-		if _, err := cache.NewEviction(p); err != nil {
-			return nil, err
-		}
-	}
-	s := &EvictionSelector{hier: hier, cfg: cfg, objective: cfg.Objective}
+	s := &EvictionSelector{hier: hier, cfg: cfg}
 	if err := s.startEpoch(); err != nil {
 		return nil, err
 	}
@@ -99,16 +65,14 @@ func NewEvictionSelector(hier *cache.Hierarchy, cfg EvictionSelectorConfig) (*Ev
 
 // startEpoch (re)initialises the bandit with standard feedback.
 func (s *EvictionSelector) startEpoch() error {
-	own := make([]float64, len(s.cfg.Policies))
+	own := make([]float64, len(evictionArms))
 	for i := range own {
-		own[i] = s.cfg.RewardVariance
+		own[i] = evictionRewardVariance
 	}
 	alg, err := bandit.New(bandit.Config{
 		Sigma2:          bandit.StandardSigma2(own),
-		Delta:           s.cfg.Delta,
-		M:               1,
-		C:               100,
-		StabilityRounds: s.cfg.StabilityRounds,
+		Delta:           delta,
+		StabilityRounds: stabilityRounds,
 		MaxRounds:       s.cfg.Epoch/s.cfg.Round - 1,
 	})
 	if err != nil {
@@ -119,7 +83,7 @@ func (s *EvictionSelector) startEpoch() error {
 	s.epochReqs = 0
 	s.roundReqs = 0
 	s.curArm = alg.NextArm()
-	if err := s.hier.SetHOCEviction(s.cfg.Policies[s.curArm]); err != nil {
+	if err := s.hier.SetHOCEviction(evictionArms[s.curArm]); err != nil {
 		return err
 	}
 	s.roundStart = s.hier.Metrics()
@@ -138,29 +102,29 @@ func (s *EvictionSelector) Serve(r trace.Request) cache.Result {
 	}
 	if s.epochReqs >= s.cfg.Epoch {
 		s.choices = append(s.choices, s.Deployed())
-		_ = s.startEpoch() // policies already validated; cannot fail
+		_ = s.startEpoch() // the arms are valid policy names; cannot fail
 	}
 	return res
 }
 
 func (s *EvictionSelector) finishRound() {
-	delta := s.hier.Metrics().Sub(s.roundStart)
-	rewards := make([]float64, len(s.cfg.Policies))
-	rewards[s.curArm] = s.objective.Reward(delta)
+	round := s.hier.Metrics().Sub(s.roundStart)
+	rewards := make([]float64, len(evictionArms))
+	rewards[s.curArm] = OHRObjective{}.Reward(round)
 	if err := s.alg.Update(s.curArm, rewards); err != nil {
 		s.exploiting = true
 		return
 	}
 	if s.alg.Stopped() {
 		best := s.alg.Recommendation()
-		_ = s.hier.SetHOCEviction(s.cfg.Policies[best])
+		_ = s.hier.SetHOCEviction(evictionArms[best])
 		s.curArm = best
 		s.exploiting = true
 		return
 	}
 	next := s.alg.NextArm()
 	if next != s.curArm {
-		_ = s.hier.SetHOCEviction(s.cfg.Policies[next])
+		_ = s.hier.SetHOCEviction(evictionArms[next])
 		s.curArm = next
 	}
 	s.roundStart = s.hier.Metrics()
@@ -168,7 +132,7 @@ func (s *EvictionSelector) finishRound() {
 }
 
 // Deployed returns the currently deployed eviction policy name.
-func (s *EvictionSelector) Deployed() string { return s.cfg.Policies[s.curArm] }
+func (s *EvictionSelector) Deployed() string { return evictionArms[s.curArm] }
 
 // Exploiting reports whether identification has finished for this epoch.
 func (s *EvictionSelector) Exploiting() bool { return s.exploiting }

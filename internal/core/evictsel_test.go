@@ -22,24 +22,14 @@ func TestEvictionSelectorValidation(t *testing.T) {
 	if _, err := NewEvictionSelector(nil, EvictionSelectorConfig{Epoch: 1000, Round: 100}); err == nil {
 		t.Error("nil hierarchy accepted")
 	}
-	if _, err := NewEvictionSelector(h, EvictionSelectorConfig{Policies: []string{"lru"}, Epoch: 1000, Round: 100}); err == nil {
-		t.Error("single policy accepted")
-	}
 	if _, err := NewEvictionSelector(h, EvictionSelectorConfig{Epoch: 100, Round: 100}); err == nil {
 		t.Error("epoch too short accepted")
-	}
-	if _, err := NewEvictionSelector(h, EvictionSelectorConfig{
-		Policies: []string{"lru", "belady"}, Epoch: 10000, Round: 100,
-	}); err == nil {
-		t.Error("unknown policy accepted")
 	}
 }
 
 func TestEvictionSelectorIdentifies(t *testing.T) {
 	h := evictHier(t)
-	s, err := NewEvictionSelector(h, EvictionSelectorConfig{
-		Epoch: 20000, Round: 500, StabilityRounds: 3,
-	})
+	s, err := NewEvictionSelector(h, EvictionSelectorConfig{Epoch: 20000, Round: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +60,7 @@ func TestEvictionSelectorIdentifies(t *testing.T) {
 
 func TestEvictionSelectorEpochRollover(t *testing.T) {
 	h := evictHier(t)
-	s, err := NewEvictionSelector(h, EvictionSelectorConfig{
-		Epoch: 6000, Round: 300, StabilityRounds: 2,
-	})
+	s, err := NewEvictionSelector(h, EvictionSelectorConfig{Epoch: 6000, Round: 300})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,15 +22,6 @@ type TrainConfig struct {
 	// default 1): an expert joins a trace's best set when its reward is
 	// within θ% of the trace's best reward.
 	ThetaPct float64
-	// PredictorHidden is the hidden width of the cross-expert nets; 0 trains
-	// the paper's single fully-connected layer (logistic regression).
-	PredictorHidden int
-	// PredictorTrainer holds SGD hyper-parameters (defaults applied).
-	PredictorTrainer neural.Trainer
-	// TrainAllPairs trains predictors for every ordered expert pair instead
-	// of only pairs co-occurring in some cluster set (needed for the Fig 5c
-	// study over all 1260 predictors).
-	TrainAllPairs bool
 	// SkipPredictors skips step 1b entirely — used by θ-sweep studies that
 	// only need clustering and expert sets (Figures 5b, 9, 11).
 	SkipPredictors bool
@@ -56,11 +47,15 @@ func (c TrainConfig) withDefaults(numTraces int) TrainConfig {
 	if c.ThetaPct <= 0 {
 		c.ThetaPct = 1
 	}
-	if c.PredictorTrainer.Epochs == 0 {
-		c.PredictorTrainer = neural.Trainer{LR: 0.1, Epochs: 120, BatchSize: 8, Seed: c.Seed}
-	}
 	return c
 }
+
+// predictorEpochs is how many SGD passes each cross-expert net M_{i,j}
+// trains for. The nets are the paper's single fully-connected layer
+// (logistic regression, no hidden layer), and a net is trained only for an
+// ordered pair that shares some cluster's expert set: those are the only
+// pairs the controller ever asks about.
+const predictorEpochs = 120
 
 // Model is Darwin's trained offline state: the clustering, the per-cluster
 // promising expert sets, the per-cluster mean rewards (σ priors and
@@ -128,9 +123,7 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 	for i, r := range ds.Records {
 		points[i] = r.Features
 	}
-	cm, err := cluster.Fit(points, cluster.Config{
-		K: cfg.NumClusters, MaxIter: 100, Seed: cfg.Seed, Restarts: 4,
-	})
+	cm, err := cluster.Fit(points, cluster.Config{K: cfg.NumClusters, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -201,20 +194,10 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 	for i := range need {
 		need[i] = make([]bool, k)
 	}
-	if cfg.TrainAllPairs {
-		for i := 0; i < k; i++ {
-			for j := 0; j < k; j++ {
+	for _, set := range m.ExpertSets {
+		for _, i := range set {
+			for _, j := range set {
 				need[i][j] = i != j
-			}
-		}
-	} else {
-		for _, set := range m.ExpertSets {
-			for _, i := range set {
-				for _, j := range set {
-					if i != j {
-						need[i][j] = true
-					}
-				}
 			}
 		}
 	}
@@ -249,10 +232,7 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 	for ri, rec := range ds.Records {
 		xs[ri] = m.scale(rec.Extended)
 	}
-	var hidden []int
-	if cfg.PredictorHidden > 0 {
-		hidden = []int{cfg.PredictorHidden}
-	}
+	trainer := neural.Trainer{Epochs: predictorEpochs, Seed: cfg.Seed}
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
 			if !need[i][j] {
@@ -264,14 +244,13 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 			}
 			net, err := neural.New(neural.Config{
 				Inputs:  inDim,
-				Hidden:  hidden,
 				Outputs: 2,
 				Seed:    cfg.Seed + int64(i)*1000 + int64(j),
 			})
 			if err != nil {
 				return nil, err
 			}
-			if _, err := cfg.PredictorTrainer.Train(net, xs, ys); err != nil {
+			if _, err := trainer.Train(net, xs, ys); err != nil {
 				return nil, err
 			}
 			m.Predictors[i][j] = net

@@ -48,30 +48,28 @@ type OnlineConfig struct {
 	Warmup int
 	// Round is N_round, the requests per bandit round.
 	Round int
-	// Delta is the bandit failure probability δ.
-	Delta float64
 	// StabilityRounds is the practical stop (same best arm this many
 	// consecutive rounds); 0 disables it.
 	StabilityRounds int
-	// MaxRounds caps the identification phase (safety; the epoch budget also
-	// caps it). 0 derives a cap from the epoch length.
-	MaxRounds int
-	// Neff is the effective number of independent reward samples per round,
-	// used to scale the per-request indicator variances σ²_ij down to
-	// round-level sample variances. Consecutive requests are correlated
-	// through the cache state, so Neff ≪ Round (default 50).
-	Neff float64
-	// VarFloor keeps all variances positive (default 1e-4).
-	VarFloor float64
-	// InitialExpert is deployed during the first warm-up; zero value selects
-	// the model's first expert.
-	InitialExpert cache.Expert
-	// UniformBandit switches the bandit to round-robin deployment (ablation).
-	UniformBandit bool
 	// DisableSideInfo replaces cross-expert fictitious samples with standard
 	// bandit feedback (ablation): only the deployed arm's reward is used.
 	DisableSideInfo bool
 }
+
+// The learner's fixed constants. Both bandits (the admission controller's
+// and the EvictionSelector's) run at failure probability delta, and stop on
+// the paper's practical rule after stabilityRounds rounds with one best arm
+// unless OnlineConfig.StabilityRounds says otherwise. neff is the effective
+// number of independent reward samples per round: consecutive requests are
+// correlated through the cache state, so neff ≪ N_round, and the per-request
+// indicator variances σ²_ij are divided by it to give round-level sample
+// variances; varFloor keeps every variance positive.
+const (
+	delta           = 0.05
+	neff            = 50
+	varFloor        = 1e-4
+	stabilityRounds = 5
+)
 
 // DefaultOnlineConfig returns the scaled defaults of DESIGN.md §5:
 // N_e=200k, N_warmup=6k (3%), N_round=1k (0.5%).
@@ -80,10 +78,7 @@ func DefaultOnlineConfig() OnlineConfig {
 		Epoch:           200_000,
 		Warmup:          6_000,
 		Round:           1_000,
-		Delta:           0.05,
-		StabilityRounds: 5,
-		Neff:            50,
-		VarFloor:        1e-4,
+		StabilityRounds: stabilityRounds,
 	}
 }
 
@@ -94,23 +89,7 @@ func (c OnlineConfig) validate() error {
 	if c.Warmup+2*c.Round > c.Epoch {
 		return fmt.Errorf("core: epoch %d too short for warmup %d + 2 rounds of %d", c.Epoch, c.Warmup, c.Round)
 	}
-	if c.Delta <= 0 || c.Delta >= 1 {
-		return fmt.Errorf("core: delta %v outside (0,1)", c.Delta)
-	}
 	return nil
-}
-
-func (c OnlineConfig) withDefaults() OnlineConfig {
-	if c.Neff <= 0 {
-		c.Neff = 50
-	}
-	if c.VarFloor <= 0 {
-		c.VarFloor = 1e-4
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = (c.Epoch - c.Warmup) / c.Round
-	}
-	return c
 }
 
 // EpochDiag records one epoch's online decisions for the component studies
@@ -192,16 +171,12 @@ func NewController(model *Model, eng cache.Engine, cfg OnlineConfig) (*Controlle
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults()
 	ex, err := features.NewExtractor(model.FeatureCfg)
 	if err != nil {
 		return nil, err
 	}
-	init := cfg.InitialExpert
-	if init == (cache.Expert{}) {
-		init = model.Experts[0]
-	}
-	eng.SetExpert(init)
+	// The first warm-up runs under the grid's first expert.
+	eng.SetExpert(model.Experts[0])
 	return &Controller{
 		model:     model,
 		eng:       eng,
@@ -412,7 +387,7 @@ func (c *Controller) finishWarmupLocked() {
 	}
 
 	sigma2 := c.buildSigmaLocked()
-	alg, err := bandit.New(banditConfig(c.cfg, sigma2, c.epochReqs))
+	alg, err := bandit.New(banditConfig(c.cfg, sigma2))
 	if err != nil {
 		// Degenerate side information; fall back to the cluster's best mean
 		// expert for the epoch.
@@ -447,22 +422,16 @@ func (c *Controller) buildSigmaLocked() [][]float64 {
 }
 
 // banditConfig derives the identification run's bandit configuration from
-// the online config and the requests already consumed this epoch. Checkpoint
-// restore reuses it (with epochReqs = Warmup, the value at warm-up end) so a
-// restored run is governed by exactly the constants of the original.
-func banditConfig(cfg OnlineConfig, sigma2 [][]float64, epochReqs int) bandit.Config {
-	maxRounds := cfg.MaxRounds
-	if budget := (cfg.Epoch - epochReqs) / cfg.Round; budget < maxRounds {
-		maxRounds = budget
-	}
+// the online config: identification starts at warm-up end, so it can run at
+// most the epoch's remaining (Epoch − Warmup) / Round rounds. Checkpoint
+// restore reuses it so a restored run is governed by exactly the constants
+// of the original.
+func banditConfig(cfg OnlineConfig, sigma2 [][]float64) bandit.Config {
 	return bandit.Config{
 		Sigma2:          sigma2,
-		Delta:           cfg.Delta,
-		M:               1,
-		C:               100,
+		Delta:           delta,
 		StabilityRounds: cfg.StabilityRounds,
-		Uniform:         cfg.UniformBandit,
-		MaxRounds:       maxRounds,
+		MaxRounds:       (cfg.Epoch - cfg.Warmup) / cfg.Round,
 	}
 }
 
@@ -487,7 +456,7 @@ func buildSigma(model *Model, cfg OnlineConfig, set []int, clusterID int, extend
 				sigma2[a][b] = math.Inf(1)
 				continue
 			}
-			sigma2[a][b] = v/cfg.Neff + cfg.VarFloor
+			sigma2[a][b] = v/neff + varFloor
 		}
 	}
 	return sigma2
@@ -497,9 +466,9 @@ func buildSigma(model *Model, cfg OnlineConfig, set []int, clusterID int, extend
 // generates fictitious samples for the other arms, and advances or stops the
 // bandit.
 func (c *Controller) finishRoundLocked() {
-	delta := c.eng.Metrics().Sub(c.roundStart)
-	obsOHR := delta.OHR()
-	obsReward := c.model.Objective.Reward(delta)
+	round := c.eng.Metrics().Sub(c.roundStart)
+	obsOHR := round.OHR()
+	obsReward := c.model.Objective.Reward(round)
 	n := len(c.set)
 	rewards := make([]float64, n)
 	deployed := c.set[c.curArm]

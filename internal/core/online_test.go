@@ -18,10 +18,7 @@ func onlineCfg() OnlineConfig {
 		Epoch:           12000,
 		Warmup:          1500,
 		Round:           400,
-		Delta:           0.05,
 		StabilityRounds: 3,
-		Neff:            50,
-		VarFloor:        1e-4,
 	}
 }
 
@@ -58,11 +55,6 @@ func TestNewControllerValidation(t *testing.T) {
 	bad.Epoch = bad.Warmup // no room for rounds
 	if _, err := NewController(m, h, bad); err == nil {
 		t.Error("epoch shorter than warmup+rounds accepted")
-	}
-	bad2 := onlineCfg()
-	bad2.Delta = 1.5
-	if _, err := NewController(m, h, bad2); err == nil {
-		t.Error("bad delta accepted")
 	}
 }
 
@@ -253,22 +245,6 @@ func TestControllerWithoutPredictors(t *testing.T) {
 	}
 	if len(c.Diags()) == 0 {
 		t.Fatal("no diagnostics")
-	}
-}
-
-func TestControllerUniformBanditAblation(t *testing.T) {
-	m := trainedModel(t)
-	h := newHier(t)
-	cfg := onlineCfg()
-	cfg.UniformBandit = true
-	c, err := NewController(m, h, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := testTraces(t)[4]
-	c.Play(tr)
-	if len(c.Diags()) == 0 {
-		t.Fatal("uniform-bandit run recorded nothing")
 	}
 }
 

@@ -257,10 +257,10 @@ func TestPredictCondBounds(t *testing.T) {
 }
 
 func TestPredictorOrderAccuracy(t *testing.T) {
-	// Fig 5c behaviour: for most pairs, the trained predictors order expert
+	// Fig 5c behaviour: for most trained pairs, the predictors order expert
 	// hit rates correctly (or the pair is proximal).
 	ds := testDataset(t)
-	m, err := Train(ds, TrainConfig{NumClusters: 3, TrainAllPairs: true, Seed: 1})
+	m, err := Train(ds, TrainConfig{NumClusters: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestPredictorOrderAccuracy(t *testing.T) {
 				ohrJ := rec.Metrics[j].OHR()
 				est, ok := m.EstimateReward(i, j, ohrI, rec.Extended, rec.Profile)
 				if !ok {
-					t.Fatalf("missing predictor (%d,%d) with TrainAllPairs", i, j)
+					continue // the pair shares no cluster's expert set
 				}
 				total++
 				if math.Abs(ohrI-ohrJ) < proximal {
@@ -289,7 +289,12 @@ func TestPredictorOrderAccuracy(t *testing.T) {
 			}
 		}
 	}
-	if acc := float64(correct) / float64(total); acc < 0.7 {
+	if total == 0 {
+		t.Fatal("no trained predictor pairs")
+	}
+	acc := float64(correct) / float64(total)
+	t.Logf("in-sample order accuracy %.2f over %d trained-pair evaluations", acc, total)
+	if acc < 0.7 {
 		t.Fatalf("in-sample order accuracy %.2f too low", acc)
 	}
 }

@@ -72,13 +72,20 @@ func modelToJSON(m *Model) (modelJSON, error) {
 }
 
 // modelFromJSON validates a decoded modelJSON and rebuilds the Model. Shared
-// by ReadModel and the checkpoint decoder.
+// by ReadModel and the checkpoint decoder. Every length the controller
+// indexes by is checked here, so a decoded model cannot panic it later.
 func modelFromJSON(mj modelJSON) (*Model, error) {
 	if mj.Version != modelVersion {
 		return nil, fmt.Errorf("core: model version %d, want %d", mj.Version, modelVersion)
 	}
 	if len(mj.Experts) == 0 || mj.Clusters == nil {
 		return nil, fmt.Errorf("core: model missing experts or clustering")
+	}
+	if err := mj.FeatureCfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: model feature config: %w", err)
+	}
+	if err := checkShapes(mj); err != nil {
+		return nil, err
 	}
 	var obj Objective
 	switch mj.Objective {
@@ -90,20 +97,6 @@ func modelFromJSON(mj modelJSON) (*Model, error) {
 		obj = CombinedObjective{K: mj.CombinedK}
 	default:
 		return nil, fmt.Errorf("core: unknown objective %q", mj.Objective)
-	}
-	k := len(mj.Experts)
-	if len(mj.ExpertSets) != mj.Clusters.K() || len(mj.MeanReward) != mj.Clusters.K() || len(mj.MeanOHR) != mj.Clusters.K() {
-		return nil, fmt.Errorf("core: per-cluster slices do not match %d clusters", mj.Clusters.K())
-	}
-	for c, set := range mj.ExpertSets {
-		for _, ei := range set {
-			if ei < 0 || ei >= k {
-				return nil, fmt.Errorf("core: cluster %d references expert %d of %d", c, ei, k)
-			}
-		}
-	}
-	if len(mj.Predictors) != k {
-		return nil, fmt.Errorf("core: predictor matrix is %dx?, want %dx%d", len(mj.Predictors), k, k)
 	}
 	return &Model{
 		Experts:         mj.Experts,
@@ -119,6 +112,60 @@ func modelFromJSON(mj modelJSON) (*Model, error) {
 		PredictorInputs: mj.PredictorInputs,
 		FeatureWindow:   mj.FeatureWindow,
 	}, nil
+}
+
+// checkShapes checks the dimensions the controller relies on: the clustering
+// over the base feature vector, per-cluster rows and the predictor matrix
+// over the expert grid, and every predictor and the scaler over the
+// PredictorInputs leading entries of the extended vector.
+func checkShapes(mj modelJSON) error {
+	k, nc := len(mj.Experts), mj.Clusters.K()
+	dim := mj.FeatureCfg.VectorLen()
+	if nc == 0 || len(mj.Clusters.Mean) != dim || len(mj.Clusters.Std) != dim {
+		return fmt.Errorf("core: clustering has %d centroids over %d/%d moments, want ≥ 1 over %d",
+			nc, len(mj.Clusters.Mean), len(mj.Clusters.Std), dim)
+	}
+	for c, cent := range mj.Clusters.Centroids {
+		if len(cent) != dim {
+			return fmt.Errorf("core: centroid %d has %d entries, want %d", c, len(cent), dim)
+		}
+	}
+	if len(mj.ExpertSets) != nc || len(mj.MeanReward) != nc || len(mj.MeanOHR) != nc {
+		return fmt.Errorf("core: per-cluster slices do not match %d clusters", nc)
+	}
+	for c, set := range mj.ExpertSets {
+		if len(mj.MeanReward[c]) != k || len(mj.MeanOHR[c]) != k {
+			return fmt.Errorf("core: cluster %d has %d mean rewards and %d mean OHRs, want %d",
+				c, len(mj.MeanReward[c]), len(mj.MeanOHR[c]), k)
+		}
+		for _, ei := range set {
+			if ei < 0 || ei >= k {
+				return fmt.Errorf("core: cluster %d references expert %d of %d", c, ei, k)
+			}
+		}
+	}
+	in := mj.PredictorInputs
+	if in < 0 || in > dim+mj.FeatureCfg.SizeBuckets {
+		return fmt.Errorf("core: %d predictor inputs outside the %d-entry extended vector", in, dim+mj.FeatureCfg.SizeBuckets)
+	}
+	if len(mj.ScalerMean) != in || len(mj.ScalerStd) != in {
+		return fmt.Errorf("core: scaler has %d/%d entries, want %d", len(mj.ScalerMean), len(mj.ScalerStd), in)
+	}
+	if len(mj.Predictors) != k {
+		return fmt.Errorf("core: predictor matrix is %dx?, want %dx%d", len(mj.Predictors), k, k)
+	}
+	for i, row := range mj.Predictors {
+		if len(row) != k {
+			return fmt.Errorf("core: predictor row %d has %d entries, want %d", i, len(row), k)
+		}
+		for j, net := range row {
+			if net != nil && (net.Inputs() != in || net.Outputs() != 2) {
+				return fmt.Errorf("core: predictor (%d,%d) maps %d inputs to %d outputs, want %d to 2",
+					i, j, net.Inputs(), net.Outputs(), in)
+			}
+		}
+	}
+	return nil
 }
 
 // WriteModel serialises a trained model: a persist frame (magic, format

@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+
+	"darwin/internal/neural"
 )
 
 func TestModelRoundTrip(t *testing.T) {
@@ -58,6 +63,29 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 }
 
+// TestModelBytesPinned pins the bytes of a trained model file: clustering,
+// expert sets, mean rewards, scaler and every predictor weight. Offline
+// training is deterministic per seed, so any drift in it — a changed SGD step,
+// a reordered sum — moves this digest. Recorded on amd64; architectures that
+// may fuse multiply-adds round differently.
+func TestModelBytesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digest recorded on amd64")
+	}
+	m, err := Train(testDataset(t), TrainConfig{NumClusters: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteModel(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	const want = "ba4211946ff4554db094ae39313b8ceb4968853c8cc5427c6e7dd289ce12a31b"
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
+		t.Fatalf("model bytes moved: sha256 %s, want %s", got, want)
+	}
+}
+
 func TestModelRoundTripCombinedObjective(t *testing.T) {
 	ds := testDataset(t)
 	m, err := Train(ds, TrainConfig{NumClusters: 2, Seed: 1, Objective: CombinedObjective{K: 1.5}})
@@ -105,6 +133,77 @@ func TestReadModelRejectsOutOfRangeExpertSet(t *testing.T) {
 	}
 	if _, err := ReadModel(&buf); err == nil {
 		t.Fatal("out-of-range expert index accepted")
+	}
+}
+
+// TestDecodeRejectsMisshapenModel holds the decoder to every shape the
+// controller indexes: each of these used to decode without error and then
+// panic inside Controller.Play (a short mean or predictor row, a short
+// scaler) or build a controller over a feature shape no extractor accepts.
+func TestDecodeRejectsMisshapenModel(t *testing.T) {
+	ds := testDataset(t)
+	otherNet := func(in, out int) *neural.Net {
+		n, err := neural.New(neural.Config{Inputs: in, Outputs: out, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	cases := []struct {
+		name  string
+		frame bool // decode through DecodeCheckpointFrame instead of ReadModel
+		bend  func(m *Model)
+	}{
+		{"short mean_ohr row", false, func(m *Model) { m.MeanOHR[1] = m.MeanOHR[1][:2] }},
+		{"short mean_reward row", false, func(m *Model) { m.MeanReward[0] = m.MeanReward[0][:1] }},
+		{"long mean_reward row", false, func(m *Model) { m.MeanReward[2] = append(m.MeanReward[2], 1) }},
+		{"short predictors row", false, func(m *Model) { m.Predictors[4] = m.Predictors[4][:3] }},
+		{"short scaler_std", false, func(m *Model) { m.ScalerStd = m.ScalerStd[:len(m.ScalerStd)-1] }},
+		{"short scaler_mean", false, func(m *Model) { m.ScalerMean = m.ScalerMean[:3] }},
+		{"net with too few inputs", false, func(m *Model) { m.Predictors[0][1] = otherNet(m.PredictorInputs-1, 2) }},
+		{"net with three outputs", false, func(m *Model) { m.Predictors[1][0] = otherNet(m.PredictorInputs, 3) }},
+		{"predictor inputs beyond the feature shape", false, func(m *Model) {
+			n := m.FeatureCfg.VectorLen() + m.FeatureCfg.SizeBuckets + 1
+			m.PredictorInputs = n
+			m.ScalerMean, m.ScalerStd = make([]float64, n), make([]float64, n)
+			for i := range m.Predictors {
+				for j := range m.Predictors[i] {
+					if m.Predictors[i][j] != nil {
+						m.Predictors[i][j] = otherNet(n, 2)
+					}
+				}
+			}
+		}},
+		{"invalid feature config", false, func(m *Model) { m.FeatureCfg.MinSize = 0 }},
+		{"short cluster centroid", false, func(m *Model) { m.Clusters.Centroids[0] = m.Clusters.Centroids[0][:4] }},
+		{"short cluster std", false, func(m *Model) { m.Clusters.Std = m.Clusters.Std[:4] }},
+		{"checkpoint: short mean_ohr row", true, func(m *Model) { m.MeanOHR[0] = nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := Train(ds, TrainConfig{NumClusters: 3, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.bend(m)
+			if tc.frame {
+				frame, err := EncodeCheckpointFrame(&Checkpoint{Model: m})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := DecodeCheckpointFrame(frame); err == nil {
+					t.Fatal("checkpoint with a misshapen model decoded")
+				}
+				return
+			}
+			var buf bytes.Buffer
+			if err := WriteModel(&buf, m); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadModel(&buf); err == nil {
+				t.Fatal("misshapen model decoded")
+			}
+		})
 	}
 }
 

@@ -26,10 +26,7 @@ func tiny() Scale {
 			Epoch:           16_000,
 			Warmup:          800,
 			Round:           300,
-			Delta:           0.05,
 			StabilityRounds: 3,
-			Neff:            50,
-			VarFloor:        1e-4,
 		},
 		Experts:     cache.Grid([]int{1, 3, 5}, []int64{2 << 10, 20 << 10, 200 << 10}),
 		NumClusters: 3,

@@ -65,7 +65,6 @@ func NewBaseline(name string, c *Corpus) (baselines.Server, error) {
 		}
 		return baselines.NewHillClimbing(baselines.HillClimbingConfig{
 			Initial: sc.Experts[len(sc.Experts)/2],
-			DeltaF:  1,
 			DeltaS:  ds,
 			Window:  hcWindow,
 			Eval:    sc.Eval,

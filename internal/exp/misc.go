@@ -161,7 +161,7 @@ func FutureEvictionSelection(sc Scale) (*Report, error) {
 	// One epoch spans the whole trace: the selector identifies once and then
 	// exploits, as the admission controller does within an epoch.
 	sel, err := core.NewEvictionSelector(h, core.EvictionSelectorConfig{
-		Epoch: sc.OnlineTraceLen + 1, Round: sc.Online.Round, StabilityRounds: 5,
+		Epoch: sc.OnlineTraceLen + 1, Round: sc.Online.Round,
 	})
 	if err != nil {
 		return nil, err

@@ -47,10 +47,7 @@ func Small() Scale {
 			Epoch:           40_000,
 			Warmup:          1_200,
 			Round:           500,
-			Delta:           0.05,
 			StabilityRounds: 5,
-			Neff:            50,
-			VarFloor:        1e-4,
 		},
 		Experts:     cache.Grid([]int{1, 2, 3, 5, 7}, []int64{2 << 10, 10 << 10, 50 << 10, 200 << 10, 1 << 20}),
 		NumClusters: 4,

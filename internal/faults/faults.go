@@ -73,10 +73,9 @@ func ParseOutages(s string) ([]Window, error) {
 type Config struct {
 	// Seed makes the per-request fault draws deterministic.
 	Seed int64
-	// ErrorRate is the probability of an immediate hard error response.
+	// ErrorRate is the probability of an immediate hard error response (a
+	// 500).
 	ErrorRate float64
-	// ErrorStatus is the hard-error status code (default 500).
-	ErrorStatus int
 	// SpikeRate is the probability of an added latency spike.
 	SpikeRate float64
 	// Spike is the injected spike duration.
@@ -86,11 +85,8 @@ type Config struct {
 	// Stall is the injected stall duration.
 	Stall time.Duration
 	// TruncateRate is the probability the response body is cut short after
-	// TruncateFrac of its declared length.
+	// half of its declared length.
 	TruncateRate float64
-	// TruncateFrac is the fraction of the body delivered before the cut
-	// (default 0.5).
-	TruncateFrac float64
 	// Outages are hard outage windows relative to the injector epoch.
 	Outages []Window
 }
@@ -117,12 +113,6 @@ type Injector struct {
 
 // New builds an Injector whose outage clock starts now.
 func New(cfg Config) *Injector {
-	if cfg.ErrorStatus == 0 {
-		cfg.ErrorStatus = http.StatusInternalServerError
-	}
-	if cfg.TruncateFrac <= 0 || cfg.TruncateFrac >= 1 {
-		cfg.TruncateFrac = 0.5
-	}
 	return &Injector{
 		cfg:   cfg,
 		rng:   rand.New(rand.NewSource(cfg.Seed)),
@@ -198,7 +188,7 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 		d := in.roll()
 		if d.err {
 			in.errors.Add(1)
-			http.Error(w, "faults: injected origin error", in.cfg.ErrorStatus)
+			http.Error(w, "faults: injected origin error", http.StatusInternalServerError)
 			return
 		}
 		if d.spike {
@@ -217,7 +207,7 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 		}
 		if d.truncate {
 			in.truncations.Add(1)
-			fw.truncateFrac = in.cfg.TruncateFrac
+			fw.truncate = true
 		}
 		next.ServeHTTP(fw, r)
 	})
@@ -230,22 +220,25 @@ func (in *Injector) Wrap(next http.Handler) http.Handler {
 // EOF mid-download — the mid-stream truncation failure mode.
 type faultWriter struct {
 	http.ResponseWriter
-	stall        time.Duration
-	truncateFrac float64
-	truncateAt   int64 // -1: no cut; set from Content-Length at WriteHeader
-	written      int64
-	stalled      bool
-	wroteHeader  bool
+	stall       time.Duration
+	truncate    bool
+	truncateAt  int64 // -1: no cut; set from Content-Length at WriteHeader
+	written     int64
+	stalled     bool
+	wroteHeader bool
 }
+
+// truncateFrac is the fraction of a truncated body that is delivered.
+const truncateFrac = 0.5
 
 func (f *faultWriter) WriteHeader(code int) {
 	if f.wroteHeader {
 		return
 	}
 	f.wroteHeader = true
-	if f.truncateFrac > 0 {
+	if f.truncate {
 		if cl, err := strconv.ParseInt(f.Header().Get("Content-Length"), 10, 64); err == nil && cl > 0 {
-			f.truncateAt = int64(float64(cl) * f.truncateFrac)
+			f.truncateAt = int64(float64(cl) * truncateFrac)
 		}
 	}
 	if f.stall > 0 && !f.stalled {

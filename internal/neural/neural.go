@@ -3,7 +3,7 @@
 // a trace's extended feature vector to the conditional hit probabilities
 // P(E_j hit | E_i hit) and P(E_j hit | E_i miss) — and the multi-class
 // DirectMapping baseline (§4). Only the Go standard library is used: layers
-// are plain matrices, training is mini-batch SGD with momentum, and all
+// are plain matrices, training is plain mini-batch SGD, and all
 // randomness is seeded for reproducibility.
 package neural
 
@@ -92,8 +92,6 @@ type layer struct {
 	W    [][]float64
 	B    []float64
 	Act  Activation
-	vW   [][]float64 // momentum buffers
-	vB   []float64
 	in   []float64 // cached forward input
 	preA []float64 // cached activation output
 }
@@ -155,12 +153,9 @@ func New(cfg Config) (*Net, error) {
 			W:   make([][]float64, out),
 			B:   make([]float64, out),
 			Act: act,
-			vW:  make([][]float64, out),
-			vB:  make([]float64, out),
 		}
 		for o := 0; o < out; o++ {
 			ly.W[o] = make([]float64, in)
-			ly.vW[o] = make([]float64, in)
 			for i := 0; i < in; i++ {
 				ly.W[o][i] = (rng.Float64()*2 - 1) * lim
 			}
@@ -239,36 +234,20 @@ func (n *Net) backward(delta []float64, gW [][][]float64, gB [][]float64) {
 	}
 }
 
-// Trainer holds SGD hyper-parameters.
+// SGD step constants: every net in the system trains with this learning rate
+// over mini-batches of this size.
+const (
+	learningRate = 0.1
+	batchSize    = 8
+)
+
+// Trainer runs plain mini-batch SGD (no momentum, no weight decay) at
+// learningRate over batches of batchSize.
 type Trainer struct {
-	// LR is the learning rate (default 0.05).
-	LR float64
-	// Momentum is the classical momentum coefficient (default 0.9).
-	Momentum float64
-	// Epochs is the number of passes over the data (default 50).
+	// Epochs is the number of passes over the data; it must be positive.
 	Epochs int
-	// BatchSize is the mini-batch size (default 16).
-	BatchSize int
 	// Seed shuffles mini-batches deterministically.
 	Seed int64
-	// L2 is optional weight decay.
-	L2 float64
-}
-
-func (t Trainer) withDefaults() Trainer {
-	if t.LR <= 0 {
-		t.LR = 0.05
-	}
-	if t.Momentum < 0 || t.Momentum >= 1 {
-		t.Momentum = 0.9
-	}
-	if t.Epochs <= 0 {
-		t.Epochs = 50
-	}
-	if t.BatchSize <= 0 {
-		t.BatchSize = 16
-	}
-	return t
 }
 
 // Train fits the network to (xs, ys) and returns the final average loss.
@@ -282,7 +261,9 @@ func (t Trainer) Train(n *Net, xs, ys [][]float64) (float64, error) {
 				i, len(xs[i]), len(ys[i]), n.cfg.Inputs, n.cfg.Outputs)
 		}
 	}
-	t = t.withDefaults()
+	if t.Epochs <= 0 {
+		return 0, fmt.Errorf("neural: epochs must be positive, got %d", t.Epochs)
+	}
 	rng := rand.New(rand.NewSource(t.Seed))
 	idx := make([]int, len(xs))
 	for i := range idx {
@@ -301,11 +282,8 @@ func (t Trainer) Train(n *Net, xs, ys [][]float64) (float64, error) {
 
 	for epoch := 0; epoch < t.Epochs; epoch++ {
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		for start := 0; start < len(idx); start += t.BatchSize {
-			end := start + t.BatchSize
-			if end > len(idx) {
-				end = len(idx)
-			}
+		for start := 0; start < len(idx); start += batchSize {
+			end := min(start+batchSize, len(idx))
 			for l := range gW {
 				for o := range gW[l] {
 					for i := range gW[l][o] {
@@ -319,15 +297,13 @@ func (t Trainer) Train(n *Net, xs, ys [][]float64) (float64, error) {
 				delta := n.outputDelta(out, ys[s])
 				n.backward(delta, gW, gB)
 			}
-			scale := t.LR / float64(end-start)
+			scale := learningRate / float64(end-start)
 			for l, ly := range n.layers {
 				for o := range ly.W {
 					for i := range ly.W[o] {
-						ly.vW[o][i] = t.Momentum*ly.vW[o][i] - scale*(gW[l][o][i]+t.L2*ly.W[o][i])
-						ly.W[o][i] += ly.vW[o][i]
+						ly.W[o][i] -= scale * gW[l][o][i]
 					}
-					ly.vB[o] = t.Momentum*ly.vB[o] - scale*gB[l][o]
-					ly.B[o] += ly.vB[o]
+					ly.B[o] -= scale * gB[l][o]
 				}
 			}
 		}

@@ -80,7 +80,7 @@ func TestTrainXOR(t *testing.T) {
 	}
 	xs := [][]float64{{0, 0}, {0, 1}, {1, 0}, {1, 1}}
 	ys := [][]float64{{0}, {1}, {1}, {0}}
-	loss, err := Trainer{LR: 0.5, Epochs: 3000, BatchSize: 4, Seed: 1}.Train(n, xs, ys)
+	loss, err := Trainer{Epochs: 15000, Seed: 1}.Train(n, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestTrainRegressionProbability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loss, err := Trainer{LR: 0.2, Epochs: 200, BatchSize: 32, Seed: 2}.Train(n, xs, ys)
+	loss, err := Trainer{Epochs: 200, Seed: 2}.Train(n, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestTrainClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (Trainer{LR: 0.1, Epochs: 150, BatchSize: 16, Seed: 3}).Train(n, xs, ys); err != nil {
+	if _, err := (Trainer{Epochs: 150, Seed: 3}).Train(n, xs, ys); err != nil {
 		t.Fatal(err)
 	}
 	correct := 0
@@ -164,6 +164,9 @@ func TestTrainValidation(t *testing.T) {
 	if _, err := (Trainer{}).Train(n, [][]float64{{1}}, [][]float64{{1}}); err == nil {
 		t.Error("wrong input dim accepted")
 	}
+	if _, err := (Trainer{}).Train(n, [][]float64{{1, 2}}, [][]float64{{1}}); err == nil {
+		t.Error("zero epochs accepted")
+	}
 }
 
 func TestLinearModelNoHidden(t *testing.T) {
@@ -178,7 +181,7 @@ func TestLinearModelNoHidden(t *testing.T) {
 		xs = append(xs, []float64{x})
 		ys = append(ys, []float64{2*x + 1})
 	}
-	loss, err := Trainer{LR: 0.1, Epochs: 500, BatchSize: 8, Seed: 1}.Train(n, xs, ys)
+	loss, err := Trainer{Epochs: 500, Seed: 1}.Train(n, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}

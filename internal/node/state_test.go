@@ -66,10 +66,7 @@ func handoffOnlineCfg() core.OnlineConfig {
 		Epoch:           600,
 		Warmup:          100,
 		Round:           50,
-		Delta:           0.05,
 		StabilityRounds: 8,
-		Neff:            50,
-		VarFloor:        1e-4,
 	}
 }
 
