@@ -147,6 +147,10 @@ func (c *Controller) prepareRestoreLocked(st *ControllerState) (restorePlan, err
 	if st.RoundReqs < 0 || st.RoundReqs >= c.cfg.Round {
 		return plan, fmt.Errorf("core: round position %d out of range", st.RoundReqs)
 	}
+	if fc := c.model.FeatureCfg; len(st.Extended) != fc.VectorLen()+fc.SizeBuckets {
+		return plan, fmt.Errorf("core: identify snapshot has %d features, want %d",
+			len(st.Extended), fc.VectorLen()+fc.SizeBuckets)
+	}
 	sigma2 := buildSigma(c.model, c.cfg, st.Set, st.ClusterID, st.Extended)
 	alg, err := bandit.New(banditConfig(c.cfg, sigma2))
 	if err != nil {

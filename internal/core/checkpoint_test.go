@@ -237,6 +237,7 @@ func TestControllerRestoreRejectsInvalid(t *testing.T) {
 		{"identify-no-bandit", !identify, func(st *ControllerState) { st.Bandit = nil }},
 		{"identify-bad-arm", !identify, func(st *ControllerState) { st.CurArm = 99 }},
 		{"identify-bandit-mismatch", !identify, func(st *ControllerState) { st.Bandit.Plays = st.Bandit.Plays[:1] }},
+		{"identify-short-features", !identify, func(st *ControllerState) { st.Extended = st.Extended[:3] }},
 		{"profile-mismatch", false, func(st *ControllerState) { st.Prof.Sizes = append(st.Prof.Sizes, 1) }},
 	}
 	for _, tc := range cases {

@@ -93,17 +93,12 @@ type Model struct {
 }
 
 // scale standardises (and, under the NoSizeDistribution ablation, truncates)
-// an extended feature vector with the training moments.
+// an extended feature vector with the training moments. Train, and the
+// decoder's shape check, guarantee PredictorInputs scaler entries and an
+// extended vector at least that long.
 func (m *Model) scale(extended []float64) []float64 {
-	n := m.PredictorInputs
-	if n <= 0 || n > len(extended) {
-		n = len(extended)
-	}
-	if len(m.ScalerMean) < n {
-		n = len(m.ScalerMean)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
+	out := make([]float64, m.PredictorInputs)
+	for i := range out {
 		out[i] = (extended[i] - m.ScalerMean[i]) / m.ScalerStd[i]
 	}
 	return out
