@@ -1,5 +1,5 @@
 # Development targets. `make tier1` is the PR gate: build + vet + gofmt + the
-# repo's own static analyzers (cmd/darwinlint) + full test suite. `make race`
+# repo's own static analyzers (internal/lint) + full test suite. `make race`
 # adds the race detector on the concurrency-heavy packages and `make fuzz`
 # runs short fuzzing sessions over the parsing, hashing and indexing seams.
 # Numbers come from three places only: `go run ./cmd/experiments` regenerates
@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: tier1 vet fmt build test lint lint-audit race fuzz bench microbench chaos chaos-crash chaos-cluster chaos-flap
+.PHONY: tier1 vet fmt build test lint race fuzz bench microbench chaos chaos-crash chaos-cluster chaos-flap
 
 tier1: build vet fmt lint test
 
@@ -26,19 +26,12 @@ build:
 test:
 	$(GO) test ./...
 
-# lint runs the project's own stdlib-only static-analysis suite: determinism,
-# hot-path allocation, locking, error-hygiene, context-propagation, lock-order,
-# atomic-mixing, durable-IO, and goroutine-termination rules (see internal/lint and the README's "Static analysis & verification").
-# The content-hash cache makes warm runs (no .go/go.mod/config change) replay
-# the stored result without type-checking; timing for both paths prints to
-# stderr.
+# lint runs the project's own stdlib-only static-analysis suite — the
+# determinism, locking and lock-order rules (see internal/lint and the README's
+# "Static analysis & verification") — over the whole module, stale
+# //lint:ignore directives included. `make test` runs the same test.
 lint:
-	$(GO) run ./cmd/darwinlint -cache .darwinlint.cache ./...
-
-# lint-audit additionally flags stale //lint:ignore directives that no longer
-# suppress anything. Audit runs bypass the cache.
-lint-audit:
-	$(GO) run ./cmd/darwinlint -audit ./...
+	$(GO) test ./internal/lint
 
 race:
 	$(GO) test -race ./internal/server ./internal/node ./internal/lb ./internal/cluster ./internal/cache ./internal/par ./internal/core ./internal/exp ./internal/bloom ./internal/bandit ./internal/breaker ./internal/diskcache ./internal/persist ./internal/gossip
@@ -52,7 +45,7 @@ race:
 # controller's batched replay against per-request serving, the durability
 # decoders (persist frames, journal records/segments, checkpoint and
 # neural-weight payloads) — corrupted on-disk bytes must produce typed
-# errors, never panics — and darwinlint's own annotation parsers
+# errors, never panics — and internal/lint's own annotation parsers
 # (//lint:ignore directives and guarded-by comments).
 fuzz:
 	$(GO) test ./internal/server -fuzz FuzzParseObjectURL -fuzztime 10s

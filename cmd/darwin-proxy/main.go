@@ -145,7 +145,6 @@ func main() {
 		// Profiling runs on its own listener so /debug/pprof is never exposed
 		// on the serving address. net/http/pprof registers its handlers on
 		// http.DefaultServeMux.
-		//lint:ignore goctx the pprof side listener intentionally lives for the whole process; it holds no connections the drain path must quiesce
 		go func() {
 			fmt.Fprintf(os.Stderr, "darwin-proxy: pprof on http://%s/debug/pprof/\n", o.pprofAddr)
 			if err := http.ListenAndServe(o.pprofAddr, nil); err != nil {

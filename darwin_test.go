@@ -112,8 +112,9 @@ func TestPublicExpertGrid(t *testing.T) {
 	}
 }
 
-// goneIdents are deleted config fields and their helpers: the documents may
-// not name them as if they were settable.
+// goneIdents are deleted config fields, flags, make targets and their
+// helpers: the documents may not name them as if they were settable. An entry
+// may start with "-", for a flag.
 var goneIdents = []string{
 	"Resilience.Seed", "BackoffMax", "StaleCap",
 	"RetryBudget", "RetryBudgetWindow", "RetryAfter", "BudgetSnapshot",
@@ -132,6 +133,10 @@ var goneIdents = []string{
 	"FreqPct", "SizePct", "DeltaF", "MinFreq", "HillClimbingConfig.MinSize",
 	"AdaptSizeConfig.Candidates", "InitialC",
 	"ErrorStatus", "TruncateFrac", "BloomObjects",
+	"lint-audit", "-audit", "-sarif", "-fixture", "darwinlint.cache",
+	"HotPathRoots", "HotPathCold", "ErrcheckPkgs", "CtxFirstPkgs", "LockOrderPkgs",
+	"AtomicMixPkgs", "PersistIOPkgs", "PersistIOExempt", "DecoderPkgs", "GoCtxPkgs",
+	"FixtureConfig", "RunAudit", "RenderJSON", "RenderSARIF",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a
@@ -207,7 +212,7 @@ func TestDocsNameLiveCommands(t *testing.T) {
 		{regexp.MustCompile("`make ([a-z][\\w-]*)"), func(n string) bool { return targets[n] }},
 		{regexp.MustCompile(`go run \./([\w/.-]+)`), func(n string) bool { return isDir(n) }},
 		{regexp.MustCompile(`\b(Benchmark[A-Z]\w*)`), func(n string) bool { return benchmarks[n] }},
-		{regexp.MustCompile(`\b(` + strings.Join(gone, "|") + `)\b`), func(string) bool { return false }},
+		{regexp.MustCompile(`(?:^|[^\w-])(` + strings.Join(gone, "|") + `)\b`), func(string) bool { return false }},
 	}
 	historical := regexp.MustCompile("(?is)(historical|deleted).*`[0-9a-f]{7,40}`|`[0-9a-f]{7,40}`.*(historical|deleted)")
 	for path, text := range docs {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"darwin/internal/cache"
 	"darwin/internal/trace"
@@ -96,12 +97,19 @@ func (as *AdaptSize) Serve(r trace.Request) cache.Result {
 }
 
 // retune picks the candidate c maximising the Che-approximation OHR model
-// over the window's observed objects.
+// over the window's observed objects. The model sums floats over them, so
+// they are taken in id order: map order would make the sums, and through the
+// bisection the chosen c, differ between runs.
 func (as *AdaptSize) retune() {
-	objs := make([]cheObj, 0, len(as.counts))
+	ids := make([]uint64, 0, len(as.counts))
+	for id := range as.counts {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	objs := make([]cheObj, len(ids))
 	total := float64(as.n)
-	for id, cnt := range as.counts {
-		objs = append(objs, cheObj{lambda: float64(cnt) / total, size: float64(as.osize[id])})
+	for i, id := range ids {
+		objs[i] = cheObj{lambda: float64(as.counts[id]) / total, size: float64(as.osize[id])}
 	}
 	bestC, bestOHR := as.c, -1.0
 	for cand := float64(minC); cand <= maxC; cand *= 2 {

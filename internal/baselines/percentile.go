@@ -2,6 +2,7 @@ package baselines
 
 import (
 	"fmt"
+	"sort"
 
 	"darwin/internal/cache"
 	"darwin/internal/stats"
@@ -80,7 +81,8 @@ func (p *Percentile) redeploy() {
 	for _, c := range p.counts {
 		freqs = append(freqs, float64(c))
 	}
-	f := stats.Percentile(freqs, freqPct)
+	sort.Float64s(freqs)
+	f := stats.PercentileSorted(freqs, freqPct)
 	s := stats.Percentile(p.sizes, sizePct)
 	p.hier.SetExpert(cache.Nearest(p.experts, f, s))
 	p.n = 0

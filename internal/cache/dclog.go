@@ -10,8 +10,8 @@ package cache
 // methods return nothing, and implementations are expected to make I/O
 // errors sticky internally (drop-and-count) rather than panic. Both methods
 // are called from Serve under the owning shard's lock, so they execute in
-// the hot path — implementations must respect the darwinlint hot-path rules
-// (no fmt, no string concatenation, no closures).
+// the hot path — implementations must not allocate per call (the journal's
+// Put is pinned by diskcache's TestPutAllocFree).
 type DCLog interface {
 	// Put records that id (with the given size) is now DC-resident.
 	// Re-putting a resident id refreshes its size.

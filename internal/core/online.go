@@ -281,15 +281,19 @@ func (c *Controller) stepLocked(r trace.Request) {
 	case PhaseWarmup:
 		c.extractor.Observe(r)
 		if c.epochReqs >= c.cfg.Warmup {
+			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
 			start := time.Now()
 			c.finishWarmupLocked()
+			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
 			c.learningNS += time.Since(start).Nanoseconds()
 		}
 	case PhaseIdentify:
 		c.roundReqs++
 		if c.roundReqs >= c.cfg.Round {
+			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
 			start := time.Now()
 			c.finishRoundLocked()
+			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
 			c.learningNS += time.Since(start).Nanoseconds()
 		}
 	}

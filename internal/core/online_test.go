@@ -425,9 +425,32 @@ func BenchmarkControllerPlay(b *testing.B) {
 	}
 }
 
+// TestServeZeroAllocs pins the decider's steady-state step, an exploit
+// Serve, at zero allocations over the bare hierarchy and the sharded engine,
+// once the engine has met the trace's high-water mark. One run serves the
+// whole trace, so an allocation on any request fails it.
+func TestServeZeroAllocs(t *testing.T) {
+	for _, eng := range []cache.Engine{newHier(t), autoSharded(t)} {
+		c, reqs := exploiting(t, eng)
+		c.Play(&trace.Trace{Requests: reqs})
+		if allocs := testing.AllocsPerRun(1, func() {
+			for _, r := range reqs {
+				c.Serve(r)
+			}
+		}); allocs != 0 {
+			t.Fatalf("%T: exploit Serves made %v allocations over a pass of the trace", eng, allocs)
+		}
+		if c.Phase() != PhaseExploit {
+			t.Fatalf("%T: left exploit", eng)
+		}
+	}
+}
+
 // TestPlayZeroAllocs pins an exploit batch's replay at zero allocations,
 // over the bare hierarchy and the sharded engine, once the engine has met
-// the trace's high-water mark.
+// the trace's high-water mark; and an identification batch that ends inside
+// a round, over ids warm-up already served. Warm-up itself is not pinned:
+// its feature extractor grows a map per new id.
 func TestPlayZeroAllocs(t *testing.T) {
 	for _, eng := range []cache.Engine{newHier(t), autoSharded(t)} {
 		c, reqs := exploiting(t, eng)
@@ -438,6 +461,27 @@ func TestPlayZeroAllocs(t *testing.T) {
 		}
 		if c.Phase() != PhaseExploit {
 			t.Fatalf("%T: left exploit", eng)
+		}
+	}
+	for _, eng := range []cache.Engine{newHier(t), autoSharded(t)} {
+		cfg := onlineCfg()
+		c, err := NewController(trainedModel(t), eng, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := testTraces(t)[5].Requests
+		c.Play(&trace.Trace{Requests: reqs[:cfg.Warmup]})
+		if c.Phase() != PhaseIdentify {
+			t.Fatalf("%T: phase %v after warm-up, want identify", eng, c.Phase())
+		}
+		// 11 runs of 30 stay inside the first 400-request round.
+		batch := &trace.Trace{Requests: reqs[:30]}
+		before := c.roundReqs
+		if allocs := testing.AllocsPerRun(10, func() { c.Play(batch) }); allocs != 0 {
+			t.Fatalf("%T: Play of an identification batch made %v allocations", eng, allocs)
+		}
+		if c.Phase() != PhaseIdentify || c.roundReqs != before+11*30 {
+			t.Fatalf("%T: the batches crossed a round boundary (round at %d, was %d)", eng, c.roundReqs, before)
 		}
 	}
 }

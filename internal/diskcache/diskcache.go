@@ -25,14 +25,16 @@
 //     must degrade recovery, not serving.
 //
 // Put and Remove are reachable from the cache engine's Serve hot path via
-// the cache.DCLog seam, so they follow the hot-path rules darwinlint
-// enforces: no fmt, no string concatenation, no closures.
+// the cache.DCLog seam, so they must not allocate per call: TestPutAllocFree
+// pins Put at fsync=off.
 package diskcache
 
 import (
+	"cmp"
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -467,22 +469,13 @@ type pair struct {
 	order int64
 }
 
-// pairsByOrder sorts by insertion stamp — a named sort.Interface rather than
-// sort.Slice because compaction runs inside the serve hot path, where
-// darwinlint forbids closures.
-type pairsByOrder []pair
-
-func (p pairsByOrder) Len() int           { return len(p) }
-func (p pairsByOrder) Less(i, j int) bool { return p[i].order < p[j].order }
-func (p pairsByOrder) Swap(i, j int)      { p[i], p[j] = p[j], p[i] }
-
 // livePairsLocked snapshots the live index in insertion order.
-func (s *Store) livePairsLocked() pairsByOrder {
-	pairs := make(pairsByOrder, 0, len(s.live))
+func (s *Store) livePairsLocked() []pair {
+	pairs := make([]pair, 0, len(s.live))
 	for id, e := range s.live {
 		pairs = append(pairs, pair{id: id, size: e.size, order: e.order})
 	}
-	sort.Sort(pairs)
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.order, b.order) })
 	return pairs
 }
 

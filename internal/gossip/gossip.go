@@ -16,10 +16,11 @@
 // asymmetric partition stays alive as long as any mutually reachable peer
 // relays its rising sequence.
 //
-// The package is deterministic by construction (a darwinlint determinism
-// package): it never reads the wall clock — Config.Clock is mandatory and
-// every arrival is stamped through it — so experiments drive membership on
-// simulated time and replay bit-identically.
+// The package is deterministic by construction, and internal/lint's
+// TestRealTreeClean holds it to the determinism rule: it never reads the wall
+// clock — Config.Clock is mandatory and every arrival is stamped through it —
+// so experiments drive membership on simulated time and replay
+// bit-identically.
 package gossip
 
 import (

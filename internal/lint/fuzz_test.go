@@ -10,7 +10,7 @@ import (
 // well-formed directive with unknown rules or an empty reason).
 func FuzzParseIgnoreDirective(f *testing.F) {
 	f.Add("//lint:ignore determinism fixture demonstrates sanctioned wall-clock use")
-	f.Add("//lint:ignore lockorder,goctx shared reason")
+	f.Add("//lint:ignore lockorder,locking shared reason")
 	f.Add("//lint:ignore")
 	f.Add("//lint:ignore *")
 	f.Add("//lint:ignore * blanket reason")

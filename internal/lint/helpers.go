@@ -27,16 +27,14 @@ func pkgFuncCall(pkg *Package, call *ast.CallExpr) (path, name string, ok bool) 
 	return pn.Imported().Path(), sel.Sel.Name, true
 }
 
-// callees is the analyzers' one call-site resolver: it maps a call to the
-// declared module functions it may run. A generic function or a generic
-// type's method resolves to its declaration (Origin): the instantiated object
-// the type checker records at the call site is a different *types.Func from
-// the one the body is declared under, and a walk keyed on it would stop
-// there. An interface method call fans out through fanout (every
-// implementation, for hotpath), or is not followed when fanout is nil, and
-// neither is the built-in error's Error. A call through a func-typed value is
-// dynamically dispatched and resolves to nothing.
-func callees(pkg *Package, call *ast.CallExpr, fanout func(iface types.Type, name string) []*types.Func) []*types.Func {
+// callees is lockorder's call-site resolver: it maps a call to the declared
+// module functions it may run. A generic function or a generic type's method
+// resolves to its declaration (Origin): the instantiated object the type
+// checker records at the call site is a different *types.Func from the one
+// the body is declared under, and a walk keyed on it would stop there. An
+// interface method call is not followed, and neither is a call through a
+// func-typed value: both are dynamically dispatched and resolve to nothing.
+func callees(pkg *Package, call *ast.CallExpr) []*types.Func {
 	fun := ast.Unparen(call.Fun)
 	switch inst := fun.(type) { // explicit instantiation: f[T](...)
 	case *ast.IndexExpr:
@@ -56,10 +54,7 @@ func callees(pkg *Package, call *ast.CallExpr, fanout func(iface types.Type, nam
 				return nil // func-typed field: dynamically dispatched
 			}
 			if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				if fanout == nil || f.Pkg() == nil {
-					return nil
-				}
-				return fanout(recv.Type(), f.Name())
+				return nil
 			}
 			return []*types.Func{f.Origin()}
 		}
@@ -113,22 +108,6 @@ func funcDecls(pkg *Package) []*ast.FuncDecl {
 		}
 	}
 	return out
-}
-
-// isErrorType reports whether t is the built-in error interface.
-func isErrorType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
-}
-
-// isContextType reports whether t is context.Context.
-func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
 }
 
 // namedOf unwraps pointers to the named type underneath, if any.

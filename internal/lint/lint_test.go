@@ -29,30 +29,21 @@ func loader(t *testing.T) *Loader {
 // pattern is matched against the diagnostic's "[rule] message" rendering.
 var wantRe = regexp.MustCompile(`want "((?:[^"\\]|\\.)*)"`)
 
+// fixturePrefix is the import-path prefix fixture packages are loaded under,
+// so the determinism rule can be scoped to them.
+const fixturePrefix = "darwin/internal/lint/testdata/"
+
 // TestFixtures golden-checks every analyzer against its testdata package:
 // each annotated line must produce a matching diagnostic and no unannotated
-// diagnostics may appear.
+// diagnostics may appear. Every rule runs on every fixture, with the
+// determinism rule scoped to the fixture's own path.
 func TestFixtures(t *testing.T) {
-	fixtures := []string{
-		"determinism", "hotpath", "locking", "errcheck", "ctxfirst", "suppress", "sharding",
-		"lockorder", "atomicmix", "persistio", "goctx",
-	}
+	fixtures := []string{"determinism", "locking", "suppress", "sharding", "lockorder"}
 	for _, name := range fixtures {
 		t.Run(name, func(t *testing.T) {
-			l := loader(t)
-			pkg, err := l.LoadDirAs(filepath.Join("testdata", name), FixturePrefix+name)
-			if err != nil {
-				t.Fatalf("loading fixture: %v", err)
-			}
-			prog := &Program{Fset: l.Fset(), Pkgs: []*Package{pkg}}
-			diags := Run(prog, FixtureConfig(name))
-
-			if name != "suppress" {
-				// Fixtures seed at least one violation, so the gate must fail
-				// on them (the CLI exits non-zero on any diagnostic).
-				if len(diags) == 0 {
-					t.Fatalf("fixture produced no diagnostics; the rule is dead")
-				}
+			pkg, diags := runFixture(t, name)
+			if len(diags) == 0 {
+				t.Fatalf("fixture produced no diagnostics; the rule is dead")
 			}
 
 			got := map[int][]string{}
@@ -92,6 +83,18 @@ func TestFixtures(t *testing.T) {
 	}
 }
 
+// runFixture loads one testdata package and runs every rule over it.
+func runFixture(t *testing.T, name string) (*Package, []Diagnostic) {
+	t.Helper()
+	l := loader(t)
+	pkg, err := l.LoadDirAs(filepath.Join("testdata", name), fixturePrefix+name)
+	if err != nil {
+		t.Fatalf("loading fixture: %v", err)
+	}
+	prog := &Program{Fset: l.Fset(), Pkgs: []*Package{pkg}}
+	return pkg, Run(prog, Config{DeterminismPkgs: []string{fixturePrefix + name}})
+}
+
 // fixtureWants scans a fixture directory for want annotations by line.
 func fixtureWants(t *testing.T, dir string) map[int][]string {
 	t.Helper()
@@ -117,10 +120,10 @@ func fixtureWants(t *testing.T, dir string) map[int][]string {
 	return wants
 }
 
-// TestRealTreeClean is the verification gate in test form: the shipped tree
-// must type-check and produce zero diagnostics under the default config, and
-// the hot-path roots must actually resolve (a rename must not silently
-// disable the rule).
+// TestRealTreeClean is the gate: the shipped tree must type-check and
+// produce zero diagnostics, stale suppressions included, and every
+// determinism package must exist (a rename must not silently drop a package
+// from the rule).
 func TestRealTreeClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is slow; run without -short")
@@ -131,49 +134,35 @@ func TestRealTreeClean(t *testing.T) {
 		t.Fatalf("LoadAll: %v", err)
 	}
 	cfg := DefaultConfig()
-
-	g := newCallGraph(prog)
-	roots := resolveRoots(prog, g, cfg.HotPathRoots)
-	if len(roots) < 2 {
-		t.Fatalf("hot-path roots resolved to %d functions; config out of date: %v", len(roots), cfg.HotPathRoots)
+	loaded := map[string]bool{}
+	for _, pkg := range prog.Pkgs {
+		loaded[pkg.ImportPath] = true
 	}
-
-	// RunAudit is strictly harsher than Run: it also flags suppressions
-	// that stopped suppressing anything, so stale //lint:ignore directives
-	// fail the gate the same way live violations do.
-	for _, d := range RunAudit(prog, cfg) {
+	for _, p := range cfg.DeterminismPkgs {
+		if !loaded[p] {
+			t.Errorf("determinism package %s is not in the module; config out of date", p)
+		}
+	}
+	for _, d := range Run(prog, cfg) {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
 }
 
 // TestSuppressionAudit pins the audit pass: the suppress fixture carries one
-// well-formed directive that suppresses nothing ("hotpath" on a line with no
-// hotpath diagnostic), which must surface in audit mode and only there.
+// well-formed directive that suppresses nothing ("lockorder" on a line with
+// no lockorder diagnostic), which must be reported, and nothing else may be.
 func TestSuppressionAudit(t *testing.T) {
-	l := loader(t)
-	pkg, err := l.LoadDirAs(filepath.Join("testdata", "suppress"), FixturePrefix+"suppress")
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
-	}
-	prog := &Program{Fset: l.Fset(), Pkgs: []*Package{pkg}}
-	cfg := FixtureConfig("suppress")
-
-	base := Run(prog, cfg)
-	audited := RunAudit(prog, cfg)
-
-	var extra []Diagnostic
-	for _, d := range audited {
+	_, diags := runFixture(t, "suppress")
+	var unused []Diagnostic
+	for _, d := range diags {
 		if d.Rule == "directive" && strings.Contains(d.Msg, "unused //lint:ignore") {
-			extra = append(extra, d)
+			unused = append(unused, d)
 		}
 	}
-	if len(extra) != 1 {
-		t.Fatalf("audit found %d unused-suppression diagnostics, want exactly 1: %v", len(extra), audited)
+	if len(unused) != 1 {
+		t.Fatalf("found %d unused-suppression diagnostics, want exactly 1: %v", len(unused), diags)
 	}
-	if !strings.Contains(extra[0].Msg, "hotpath") {
-		t.Errorf("unused-suppression diagnostic names the wrong rule: %s", extra[0])
-	}
-	if len(audited) != len(base)+1 {
-		t.Errorf("audit must add exactly the unused-directive finding: base %d, audited %d", len(base), len(audited))
+	if !strings.Contains(unused[0].Msg, "lockorder") {
+		t.Errorf("unused-suppression diagnostic names the wrong rule: %s", unused[0])
 	}
 }

@@ -26,16 +26,10 @@ import (
 // expanded, so a blocking implementation reached solely through an interface
 // seam must be caught (and justified) at the implementation's own lock
 // sites.
-func runLockOrder(cfg *Config, prog *Program) []Diagnostic {
-	if len(cfg.LockOrderPkgs) == 0 {
-		return nil
-	}
+func runLockOrder(_ *Config, prog *Program) []Diagnostic {
 	lo := newLockOrder(prog)
 	var diags []Diagnostic
 	for _, pkg := range prog.Pkgs {
-		if !hasPrefixPath(pkg.ImportPath, cfg.LockOrderPkgs) {
-			continue
-		}
 		for _, body := range funcBodies(pkg) {
 			w := &loWalker{lo: lo, pkg: pkg}
 			w.walkStmts(body.List, map[string]heldLock{})
@@ -172,7 +166,7 @@ func (lo *lockOrder) blockingReason(f *types.Func) string {
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			for _, callee := range callees(db.pkg, call, nil) {
+			for _, callee := range callees(db.pkg, call) {
 				if r := lo.blockingReason(callee); r != "" {
 					reason = fmt.Sprintf("call to %s (%s)", callee.Name(), r)
 					return false
@@ -480,7 +474,7 @@ func (w *loWalker) scanBlocking(node ast.Node, held map[string]heldLock) {
 			return true
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
-			for _, callee := range callees(w.pkg, call, nil) {
+			for _, callee := range callees(w.pkg, call) {
 				if r := w.lo.blockingReason(callee); r != "" {
 					w.report(call.Pos(), "%s held across call to %s, which blocks (%s)", heldNames(held), callee.Name(), r)
 				}
@@ -529,7 +523,7 @@ func (lo *lockOrder) acquiresOf(f *types.Func) map[types.Object]bool {
 				return true
 			}
 		}
-		for _, callee := range callees(db.pkg, call, nil) {
+		for _, callee := range callees(db.pkg, call) {
 			for class := range lo.acquiresOf(callee) {
 				acq[class] = true
 			}

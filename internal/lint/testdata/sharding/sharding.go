@@ -1,13 +1,9 @@
 // Package sharding is a darwinlint golden fixture for the sharded cache
 // data plane: per-shard guarded-by annotations must hold under local shard
-// aliases, and the shard-routing Serve path is a hot-path root, so routing
-// must stay free of fmt and allocation.
+// aliases.
 package sharding
 
-import (
-	"fmt"
-	"sync"
-)
+import "sync"
 
 // shard is one partition of the engine.
 type shard struct {
@@ -21,20 +17,14 @@ type ShardedCache struct {
 	shards []shard
 }
 
-// Serve is the configured hot-path root: route, lock the owning shard, count.
+// Serve routes, locks the owning shard through a local alias, and counts.
 func (s *ShardedCache) Serve(id uint64) int64 {
-	sh := &s.shards[s.route(id)]
+	sh := &s.shards[int(id)%len(s.shards)]
 	sh.mu.Lock()
 	sh.n++
 	v := sh.n
 	sh.mu.Unlock()
 	return v
-}
-
-// route is on the hot path through Serve; the fmt call must be reported.
-func (s *ShardedCache) route(id uint64) int {
-	_ = fmt.Sprintf("routing %d", id) /* want "fmt.Sprintf allocates" */
-	return int(id) % len(s.shards)
 }
 
 // skipLock reads a guarded shard field without taking the shard mutex.

@@ -1,6 +1,7 @@
 // Package suppress is a darwinlint golden fixture for //lint:ignore
 // directive handling: well-formed directives on the same or preceding line
-// suppress their rule, wrong rules and malformed directives do not.
+// suppress their rule; wrong rules and malformed directives do not, and a
+// directive that suppresses nothing is itself reported.
 package suppress
 
 import "time"
@@ -15,8 +16,7 @@ func suppressedSameLine() int64 {
 }
 
 func wrongRule() int64 {
-	//lint:ignore hotpath a directive for another rule does not suppress
-	return time.Now().Unix() /* want "wall-clock time.Now" */
+	return time.Now().Unix() /* want "wall-clock time.Now" */ /* want "unused //lint:ignore lockorder suppression" */ //lint:ignore lockorder a directive for another rule does not suppress
 }
 
 func malformed() int64 {

@@ -9,9 +9,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -150,9 +153,11 @@ func TestKilledNodeRecovers(t *testing.T) {
 // the race detector.) Run must still hand the state to the ring successor,
 // write the final checkpoint and close the journal — and only then report
 // the drain error. At the parent commit main exited on that error: no push,
-// no checkpoint.
+// no checkpoint. Every goroutine the node started must be gone afterwards.
 func TestRunClosesNodeWhenDrainOverruns(t *testing.T) {
-	origin := testOrigin(t)
+	originSrv := httptest.NewServer(&server.Origin{})
+	defer originSrv.Close()
+	origin := originSrv.URL
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -176,6 +181,12 @@ func TestRunClosesNodeWhenDrainOverruns(t *testing.T) {
 	}
 	heirSrv.Config.Handler = heir.Handler()
 	heirSrv.Start()
+	// Run's signal.NotifyContext starts os/signal's one process-wide watcher
+	// on first use: start it before counting.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGUSR1)
+	signal.Stop(sig)
+	goroutines := runtime.NumGoroutine()
 
 	dir := t.TempDir()
 	cfg.Peer.Self = urls[0]
@@ -226,6 +237,21 @@ func TestRunClosesNodeWhenDrainOverruns(t *testing.T) {
 	}
 	if err := donor.dur.store.Sync(); err == nil {
 		t.Fatal("the journal still accepts a Sync: it was not closed")
+	}
+
+	// The test's own connections go first: the hung client, this process's
+	// keep-alive clients, and the servers' ends of the donor's pooled
+	// connections. What is left over the count is the node's.
+	hung.Close()
+	http.DefaultClient.CloseIdleConnections()
+	originSrv.CloseClientConnections()
+	heirSrv.CloseClientConnections()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines before the node started, %d after Run returned: the node left one running", goroutines, n)
 	}
 }
 

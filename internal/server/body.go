@@ -17,8 +17,8 @@ import (
 // reads), and pre-serialized hot response headers (X-Cache values and
 // Content-Length strings for recently served sizes). Together
 // they make the hit-serving path — request parse → decider → body written —
-// 0 allocs/op above net/http's own internals; the darwinlint hotpath
-// analyzer roots Proxy.ServeHTTP and writeBody to keep it that way.
+// 0 allocs/op above net/http's own internals, which TestServeHitZeroAllocs
+// pins.
 
 // pattern is the repeated content block served for every object: one static
 // read-only 64 KiB slice shared by every response. writeBody slices it,

@@ -31,8 +31,8 @@ package server
 //     candidate within the same request.
 //
 // The routing step (pick) is serialized under one mutex — the ring's window
-// state is deliberately single-writer — and is allocation-free, a darwinlint
-// hotpath root. Relaying goes through the backend's upstream client
+// state is deliberately single-writer — and is allocation-free inside a
+// window (TestFrontPickZeroAllocs). Relaying goes through the backend's upstream client
 // (upstream.go): the handler's own goroutine writes the request, parses the
 // head and streams the body through a pooled copy buffer.
 
@@ -331,7 +331,7 @@ func (f *Front) poll(ctx context.Context, backend int, method, url string, diges
 // pick routes one request: the ring's bounded-loads choice over the object's
 // current replica set, with the replicator observing every request and
 // rebalancing at window boundaries. Serialized under mu; allocation-free
-// outside window boundaries (a darwinlint hotpath root).
+// outside window boundaries (TestFrontPickZeroAllocs).
 func (f *Front) pick(id uint64) (server int, replicas int) {
 	f.mu.Lock()
 	replicas = f.rep.Factor(id)

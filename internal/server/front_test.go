@@ -424,3 +424,30 @@ func TestFrontRelayMatchesDirectFetch(t *testing.T) {
 		t.Fatalf("stats %+v, want every request relayed by the one backend", st)
 	}
 }
+
+// TestFrontPickZeroAllocs pins the front's routing step away from a window
+// boundary at zero allocations, once the replicator has counted every id in
+// the window. The ids are large so that boxing one would allocate.
+func TestFrontPickZeroAllocs(t *testing.T) {
+	f, err := NewFront(FrontConfig{
+		Backends:       []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"},
+		RebalanceEvery: 1 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 1 << 40
+	for id := uint64(base); id < base+64; id++ {
+		f.pick(id)
+	}
+	if got := testing.AllocsPerRun(1, func() {
+		for i := uint64(0); i < 1000; i++ {
+			f.pick(base + i%64)
+		}
+	}); got != 0 {
+		t.Fatalf("1000 picks inside a window made %v allocations, want 0", got)
+	}
+	if f.Window() != 0 {
+		t.Fatal("the timed picks crossed a window boundary")
+	}
+}

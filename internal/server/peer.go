@@ -200,10 +200,9 @@ func isPeerProbe(r *http.Request) bool {
 // servePeerProbe answers a sibling's probe: a residency hit commits through
 // the decider (the served request enters this node's books and traffic mix,
 // exactly like client traffic) and streams from memory; anything else is an
-// immediate 404 — no origin fetch, no further peer hops. This is the
-// cluster's serving fast path (on the darwinlint hotpath, under the
-// ServeHTTP root): a probe costs a
-// residency check plus the zero-allocation local serve. Probes also gossip:
+// immediate 404 — no origin fetch, no further peer hops. A probe costs a
+// residency check plus the local serve-hit path, which TestServeHitZeroAllocs
+// pins at zero allocations. Probes also gossip:
 // the sibling's piggybacked digest merges in, and the answer — hit or 404 —
 // carries this node's fresh digest back.
 func (p *Proxy) servePeerProbe(w http.ResponseWriter, r *http.Request, req trace.Request) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -340,4 +341,38 @@ func TestPeerFillProbesFrontDesignatedHolders(t *testing.T) {
 	if st := f.Stats(); st.Replicated == 0 {
 		t.Fatalf("front stats %+v: no replicated request", st)
 	}
+}
+
+// TestFetchPeerAllocs pins what a peer fill that hits on a kept-alive
+// connection allocates, the sibling's digest merged from the answer: the
+// probe's deadline context and timer (4), the exchange's context.AfterFunc
+// registration on it (5), this node's digest rendered for the request (4),
+// and the sibling's decoded from the answer (2). Any further allocation on
+// the fill path changes the count.
+func TestFetchPeerAllocs(t *testing.T) {
+	nodes := []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}
+	peer := func(self int) *Proxy {
+		p := NewOverloadProxy(staticDecider(t, 2), "http://127.0.0.1:3", 0, fastResilience(), Overload{})
+		if err := p.SetPeers(PeerConfig{Self: nodes[self], Nodes: nodes}); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p, sibling := peer(0), peer(1)
+	p.peers.ups[1].dial = pipeBackend("HTTP/1.1 200 OK\r\nContent-Length: 5\r\n" +
+		GossipHeader + ": " + sibling.peers.gossipValue() + "\r\n\r\nhello")
+	id := peerObjectID(t, 2, 1, 1<<40) // large, so that boxing it would allocate
+	fill := func() {
+		if !p.fetchPeer(context.Background(), id, 5, 1) {
+			t.Fatal("the sibling's 200 was not a fill")
+		}
+	}
+	fill() // dial
+	if got := testing.AllocsPerRun(200, fill); got != 15 {
+		t.Errorf("a peer fill made %v allocations, want 15", got)
+	}
+	if fills := p.Stats().PeerFills; fills != 202 {
+		t.Errorf("PeerFills = %d, want 202", fills)
+	}
+	closeConns(p.peers.ups[1].idle)
 }
