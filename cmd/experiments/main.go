@@ -32,7 +32,7 @@ import (
 // experiment is one -only id: it returns its reports in print order.
 type experiment struct {
 	id  string
-	run func(sc exp.Scale, shards int) ([]*exp.Report, error)
+	run func(sc exp.Scale) ([]*exp.Report, error)
 }
 
 // one adapts a single-report function's results to experiment.run's.
@@ -44,8 +44,8 @@ func one(r *exp.Report, err error) ([]*exp.Report, error) {
 }
 
 // onCorpus adapts an experiment over the scale's OHR-trained corpus.
-func onCorpus(f func(c *exp.Corpus) ([]*exp.Report, error)) func(exp.Scale, int) ([]*exp.Report, error) {
-	return func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+func onCorpus(f func(c *exp.Corpus) ([]*exp.Report, error)) func(exp.Scale) ([]*exp.Report, error) {
+	return func(sc exp.Scale) ([]*exp.Report, error) {
 		c, err := exp.CachedCorpus(sc, "ohr")
 		if err != nil {
 			return nil, err
@@ -55,9 +55,8 @@ func onCorpus(f func(c *exp.Corpus) ([]*exp.Report, error)) func(exp.Scale, int)
 }
 
 // prototype builds the corpus, config and replay trace fig4c and fig7 share.
-func prototype(sc exp.Scale, shards int) (*exp.Corpus, exp.PrototypeConfig, *trace.Trace, error) {
+func prototype(sc exp.Scale) (*exp.Corpus, exp.PrototypeConfig, *trace.Trace, error) {
 	pc := exp.DefaultPrototypeConfig()
-	pc.Shards = shards
 	c, err := exp.CachedCorpus(exp.PrototypeScale(sc), "ohr")
 	if err != nil {
 		return nil, pc, nil, err
@@ -68,8 +67,8 @@ func prototype(sc exp.Scale, shards int) (*exp.Corpus, exp.PrototypeConfig, *tra
 
 // experiments is every experiment in run order.
 var experiments = []experiment{
-	{"table1", func(exp.Scale, int) ([]*exp.Report, error) { return []*exp.Report{exp.Table1()}, nil }},
-	{"fig2", func(sc exp.Scale, _ int) ([]*exp.Report, error) { return exp.Fig2Suite(sc) }},
+	{"table1", func(exp.Scale) ([]*exp.Report, error) { return []*exp.Report{exp.Table1()}, nil }},
+	{"fig2", func(sc exp.Scale) ([]*exp.Report, error) { return exp.Fig2Suite(sc) }},
 	{"fig4a", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
 		rep, _, diags, err := exp.Fig4Compare(c, "Figure 4a: Darwin vs baselines (simulation)")
 		if err != nil {
@@ -77,7 +76,7 @@ var experiments = []experiment{
 		}
 		return []*exp.Report{rep, exp.Fig5dBanditRounds(diags)}, nil
 	})},
-	{"fig4b", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+	{"fig4b", func(sc exp.Scale) ([]*exp.Report, error) {
 		c, err := exp.ScaledCorpus(sc, 5)
 		if err != nil {
 			return nil, err
@@ -85,14 +84,14 @@ var experiments = []experiment{
 		rep, _, _, err := exp.Fig4Compare(c, "Figure 4b: Darwin vs baselines (5x scaled cache)")
 		return one(rep, err)
 	}},
-	{"fig4c", func(sc exp.Scale, shards int) ([]*exp.Report, error) {
-		c, pc, tr, err := prototype(sc, shards)
+	{"fig4c", func(sc exp.Scale) ([]*exp.Report, error) {
+		c, _, tr, err := prototype(sc)
 		if err != nil {
 			return nil, err
 		}
-		return one(exp.Fig4cPrototypeOHR(c, pc, tr))
+		return one(exp.Fig4cPrototypeOHR(c, tr))
 	}},
-	{"fig5a", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+	{"fig5a", func(sc exp.Scale) ([]*exp.Report, error) {
 		train, _, err := exp.BuildTraces(sc)
 		if err != nil {
 			return nil, err
@@ -109,14 +108,14 @@ var experiments = []experiment{
 	{"fig10", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
 		return one(exp.Fig10OutOfDistribution(c, []float64{1, 2, 5}))
 	})},
-	{"fig6a", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+	{"fig6a", func(sc exp.Scale) ([]*exp.Report, error) {
 		return one(exp.Fig6Objective(sc, "bmr", "Figure 6a: HOC byte miss ratio objective"))
 	}},
-	{"fig6b", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+	{"fig6b", func(sc exp.Scale) ([]*exp.Report, error) {
 		return one(exp.Fig6Objective(sc, "combined", "Figure 6b: OHR - disk-write objective"))
 	}},
-	{"fig7", func(sc exp.Scale, shards int) ([]*exp.Report, error) {
-		c, pc, tr, err := prototype(sc, shards)
+	{"fig7", func(sc exp.Scale) ([]*exp.Report, error) {
+		c, pc, tr, err := prototype(sc)
 		if err != nil {
 			return nil, err
 		}
@@ -131,35 +130,30 @@ var experiments = []experiment{
 		return []*exp.Report{lat, tput}, nil
 	}},
 	{"table2", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) { return one(exp.Table2(c)) })},
-	{"fig11", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+	{"fig11", func(sc exp.Scale) ([]*exp.Report, error) {
 		return one(exp.Fig11ThreeKnob(sc, []float64{1, 5}))
 	}},
 	{"overhead", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
 		return one(exp.OverheadReport(c, c.Test[0]))
 	})},
-	{"chaos", func(_ exp.Scale, shards int) ([]*exp.Report, error) {
-		cc := exp.DefaultChaosConfig()
-		cc.Prototype.Shards = shards
-		return one(exp.ChaosReport(cc))
+	{"chaos", func(exp.Scale) ([]*exp.Report, error) {
+		return one(exp.ChaosReport(exp.DefaultChaosConfig()))
 	}},
-	{"crash", func(sc exp.Scale, shards int) ([]*exp.Report, error) {
+	{"crash", func(sc exp.Scale) ([]*exp.Report, error) {
 		cc := exp.DefaultCrashConfig()
 		cc.Scale = sc
-		cc.Shards = shards
 		return one(exp.CrashRecoveryReport(cc))
 	}},
-	{"cluster", func(exp.Scale, int) ([]*exp.Report, error) {
+	{"cluster", func(exp.Scale) ([]*exp.Report, error) {
 		return one(exp.ClusterReport(exp.DefaultClusterConfig()))
 	}},
-	{"flap", func(exp.Scale, int) ([]*exp.Report, error) {
+	{"flap", func(exp.Scale) ([]*exp.Report, error) {
 		return one(exp.FlapReport(exp.DefaultFlapConfig()))
 	}},
-	{"overload", func(_ exp.Scale, shards int) ([]*exp.Report, error) {
-		oc := exp.DefaultOverloadConfig()
-		oc.Prototype.Shards = shards
-		return one(exp.OverloadReport(oc))
+	{"overload", func(exp.Scale) ([]*exp.Report, error) {
+		return one(exp.OverloadReport(exp.DefaultOverloadConfig()))
 	}},
-	{"ablations", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+	{"ablations", func(sc exp.Scale) ([]*exp.Report, error) {
 		var reps []*exp.Report
 		for _, f := range []func() (*exp.Report, error){
 			func() (*exp.Report, error) { return exp.AblationSideInfo(sc) },
@@ -179,7 +173,7 @@ var experiments = []experiment{
 		}
 		return reps, nil
 	}},
-	{"future", func(sc exp.Scale, _ int) ([]*exp.Report, error) {
+	{"future", func(sc exp.Scale) ([]*exp.Report, error) {
 		return one(exp.FutureEvictionSelection(sc))
 	}},
 }
@@ -219,7 +213,6 @@ func main() {
 		scaleName   = flag.String("scale", "small", "small | default")
 		only        = flag.String("only", "", "comma-separated experiment ids (e.g. fig2,fig4a,table2); empty runs all")
 		parallelism = flag.Int("parallelism", runtime.NumCPU(), "worker count for sweep evaluation; 1 forces the serial path")
-		shards      = flag.Int("shards", 1, "cache engine shard count for the prototype/chaos proxies (1 = serial)")
 	)
 	flag.Parse()
 	par.SetDefault(*parallelism)
@@ -240,7 +233,7 @@ func main() {
 
 	for _, e := range selected {
 		start := time.Now()
-		if err := e.print(os.Stdout, sc, *shards); err != nil {
+		if err := e.print(os.Stdout, sc); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("--- %s done in %v ---\n\n", e.id, time.Since(start).Round(time.Millisecond))
@@ -248,9 +241,9 @@ func main() {
 }
 
 // print runs e and writes its header line and reports to w.
-func (e experiment) print(w io.Writer, sc exp.Scale, shards int) error {
+func (e experiment) print(w io.Writer, sc exp.Scale) error {
 	fmt.Fprintf(w, "--- running %s ---\n", e.id)
-	reps, err := e.run(sc, shards)
+	reps, err := e.run(sc)
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.id, err)
 	}

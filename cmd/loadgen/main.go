@@ -28,7 +28,6 @@ func main() {
 		n           = flag.Int("n", 50000, "synthetic trace length")
 		seed        = flag.Int64("seed", 1, "synthetic trace seed")
 		concurrency = flag.Int("concurrency", 8, "closed-loop client workers")
-		clientLat   = flag.Duration("client-latency", 0, "injected client->proxy delay per request")
 	)
 	flag.Parse()
 
@@ -54,9 +53,8 @@ func main() {
 	}
 
 	res, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
-		ProxyURL:      *url,
-		Concurrency:   *concurrency,
-		ClientLatency: *clientLat,
+		ProxyURL:    *url,
+		Concurrency: *concurrency,
 	})
 	if err != nil {
 		fatal(err)

@@ -137,6 +137,7 @@ var goneIdents = []string{
 	"HotPathRoots", "HotPathCold", "ErrcheckPkgs", "CtxFirstPkgs", "LockOrderPkgs",
 	"AtomicMixPkgs", "PersistIOPkgs", "PersistIOExempt", "DecoderPkgs", "GoCtxPkgs",
 	"FixtureConfig", "RunAudit", "RenderJSON", "RenderSARIF",
+	"PeerConfig.Clock", "ClientLatency", "-client-latency",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

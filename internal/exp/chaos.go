@@ -3,10 +3,8 @@ package exp
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"time"
 
-	"darwin/internal/baselines"
 	"darwin/internal/cache"
 	"darwin/internal/faults"
 	"darwin/internal/server"
@@ -61,34 +59,31 @@ func DefaultChaosConfig() ChaosConfig {
 	}
 }
 
-// chaosRun replays the trace through a fresh origin+injector+proxy stack and
-// returns the client-side result plus the proxy/injector counters.
+// chaosRun deploys a node with the static expert and the resilience stages
+// res (overload stages absent) over the fault-injected origin, replays the
+// trace through it, and returns the client-side result plus the proxy and
+// injector counters.
 func chaosRun(cc ChaosConfig, res server.Resilience, tr *trace.Trace) (server.LoadResult, server.ProxyStats, faults.Stats, error) {
-	dec, err := baselines.NewStaticSharded(cc.Expert, cc.Eval, cc.Prototype.shards())
+	injector := faults.New(cc.Faults)
+	r := newRig(injector.Wrap(&server.Origin{Latency: cc.Prototype.OriginLatency}))
+	defer r.close()
+	cfg := r.config(cc.Eval, res, server.Overload{})
+	cfg.Expert, cfg.DCLatency = cc.Expert, cc.Prototype.DCLatency
+	n, err := r.startNode(cfg)
 	if err != nil {
 		return server.LoadResult{}, server.ProxyStats{}, faults.Stats{}, err
 	}
-	origin := &server.Origin{Latency: cc.Prototype.OriginLatency}
-	injector := faults.New(cc.Faults)
-	originSrv := httptest.NewServer(injector.Wrap(origin))
-	defer originSrv.Close()
-	proxy := server.NewOverloadProxy(dec, originSrv.URL, cc.Prototype.DCLatency, res, server.Overload{})
-	proxySrv := httptest.NewServer(proxy)
-	defer proxySrv.Close()
 
-	// The chaos experiment exercises the real HTTP prototype, not the
-	// simulator: outage windows are anchored to the physical clock of the
-	// live origin server, which is exactly the wall-clock boundary the
-	// determinism rule carves out for internal/server.
+	// The chaos experiment is a wall-clock measurement, not a replay: outage
+	// windows are anchored to the physical clock of the live origin server.
 	//lint:ignore determinism prototype testbed runs on the physical clock; simulator replays never reach this path
 	injector.Restart(time.Now()) // align outage windows with the replay
 	lr, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
-		ProxyURL:       proxySrv.URL,
+		ProxyURL:       n.url,
 		Concurrency:    cc.Prototype.Concurrency,
-		ClientLatency:  cc.Prototype.ClientLatency,
 		RequestTimeout: 30 * time.Second,
 	})
-	return lr, proxy.Stats(), injector.Stats(), err
+	return lr, n.Proxy.Stats(), injector.Stats(), err
 }
 
 // ChaosReport runs the chaos experiment twice under an identical fault
@@ -104,7 +99,7 @@ func ChaosReport(cc ChaosConfig) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{
-		Title: fmt.Sprintf("Chaos: proxy under origin faults (resilient vs control, shards=%d)", cc.Prototype.shards()),
+		Title: "Chaos: proxy under origin faults (resilient vs control)",
 		Header: []string{"scheme", "ok", "errors", "errrate", "timeout", "5xx", "trunc",
 			"stale", "ohr", "p99ms", "origin-fetches", "retries", "coalesced"},
 	}

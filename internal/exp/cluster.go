@@ -20,6 +20,7 @@ import (
 
 	"darwin/internal/cache"
 	"darwin/internal/gossip"
+	"darwin/internal/server"
 )
 
 // ClusterConfig sizes the cluster chaos experiment.
@@ -113,7 +114,8 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := newRig()
+	origin := &server.Origin{}
+	r := newRig(origin)
 	defer r.close()
 	nodes, err := r.startNodes(cc.Nodes, r.nodeConfig(cc.Expert, cc.Eval), true)
 	if err != nil {
@@ -134,7 +136,7 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 		if cw == nil {
 			return
 		}
-		originReqs, _ := r.origin.Stats()
+		originReqs, _ := origin.Stats()
 		cw.origin, lastOrigin = originReqs-lastOrigin, originReqs
 		fs := r.front.Stats()
 		cw.failovers = (fs.Failovers - lastFront.Failovers) + (fs.BreakerRejects - lastFront.BreakerRejects)

@@ -7,6 +7,7 @@ import (
 
 	"darwin/internal/cache"
 	"darwin/internal/diskcache"
+	"darwin/internal/server"
 )
 
 // CrashConfig sizes the crash-recovery experiment: a deployed node (rig.go)
@@ -17,8 +18,6 @@ import (
 type CrashConfig struct {
 	// Scale fixes the trace and cache sizes.
 	Scale Scale
-	// Shards is the engine shard count.
-	Shards int
 	// CrashFrac is the fraction of the trace served before the crash.
 	CrashFrac float64
 	// Window is the OHR trajectory window in requests.
@@ -36,7 +35,6 @@ type CrashConfig struct {
 func DefaultCrashConfig() CrashConfig {
 	return CrashConfig{
 		Scale:     Small(),
-		Shards:    1,
 		CrashFrac: 0.5,
 		Window:    2_000,
 		CkptEvery: 6_000,
@@ -45,8 +43,8 @@ func DefaultCrashConfig() CrashConfig {
 }
 
 // crashExpert is the nodes' static admission expert: darwin-proxy's -f / -s
-// defaults. The learner stays out so that ServeHTTP's wall-clock request
-// timestamps never reach a cell.
+// defaults. The arm is about the journal; the learner's recovery (bandit
+// posteriors, round restarts) is pinned in internal/node.
 var crashExpert = cache.Expert{Freq: 2, MaxSize: 10 << 10}
 
 // crashArm is one post-crash contender.
@@ -76,10 +74,9 @@ func CrashRecoveryReport(cc CrashConfig) (*Report, error) {
 	}
 	defer os.RemoveAll(dir)
 
-	r := newRig()
+	r := newRig(&server.Origin{})
 	defer r.close()
 	cold := r.nodeConfig(crashExpert, cc.Scale.Eval)
-	cold.Shards = cc.Shards
 	durable := cold
 	durable.Store = diskcache.Config{Dir: dir, Sync: cc.Sync}
 	victim, err := r.startNode(durable)

@@ -25,6 +25,7 @@ import (
 
 	"darwin/internal/cache"
 	"darwin/internal/gossip"
+	"darwin/internal/server"
 	"darwin/internal/trace"
 )
 
@@ -128,7 +129,7 @@ var noHysteresis = gossip.Config{PhiSuspect: 0.5, PhiDead: 0.5, MinDwell: 1}
 // fixed duty cycle, graded by the front's detector under the given tuning.
 func runFlapArm(fc FlapConfig, detector gossip.Config) (FlapDetectorOutcome, error) {
 	var out FlapDetectorOutcome
-	r := newRig()
+	r := newRig(&server.Origin{})
 	defer r.close()
 	nodes, err := r.startNodes(flapNodes, r.nodeConfig(fc.Expert, fc.Eval), true)
 	if err != nil {
@@ -175,7 +176,7 @@ func runPartitionArm(fc FlapConfig, peered bool) (PartitionOutcome, error) {
 		return out, err
 	}
 	stride := rigProbeStride()
-	r := newRig()
+	r := newRig(&server.Origin{})
 	defer r.close()
 	nodes, err := r.startNodes(flapNodes, r.nodeConfig(fc.Expert, fc.Eval), peered)
 	if err != nil {
@@ -243,7 +244,7 @@ func runPartitionArm(fc FlapConfig, peered bool) (PartitionOutcome, error) {
 // node 1, its ring successor, replays the remaining windows. Returns the
 // donor's and the inheritor's per-window hit ratios.
 func runHandoff(fc FlapConfig, tr *trace.Trace, warm bool) (donor, heir []float64, err error) {
-	r := newRig()
+	r := newRig(&server.Origin{})
 	defer r.close()
 	nodes, err := r.startNodes(2, r.nodeConfig(fc.Expert, fc.Eval), true)
 	if err != nil {

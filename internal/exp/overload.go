@@ -3,10 +3,8 @@ package exp
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
 	"time"
 
-	"darwin/internal/baselines"
 	"darwin/internal/breaker"
 	"darwin/internal/cache"
 	"darwin/internal/faults"
@@ -81,37 +79,34 @@ func DefaultOverloadConfig() OverloadConfig {
 	}
 }
 
-// overloadRun replays the flash-crowd trace through a fresh
-// origin+injector+proxy stack and returns the client-side result plus the
+// overloadRun deploys a node with the static expert, the shared resilience
+// stages and the overload stages ov over the browned-out origin, replays the
+// flash-crowd trace through it, and returns the client-side result plus the
 // proxy counters and the breaker snapshot (zero for the retry-only arm).
 func overloadRun(oc OverloadConfig, ov server.Overload, tr *trace.Trace) (server.LoadResult, server.ProxyStats, breaker.Snapshot, error) {
-	dec, err := baselines.NewStaticSharded(oc.Expert, oc.Eval, oc.Prototype.shards())
+	injector := faults.New(oc.Faults)
+	r := newRig(injector.Wrap(&server.Origin{Latency: oc.Prototype.OriginLatency}))
+	defer r.close()
+	cfg := r.config(oc.Eval, oc.Resilience, ov)
+	cfg.Expert, cfg.DCLatency = oc.Expert, oc.Prototype.DCLatency
+	n, err := r.startNode(cfg)
 	if err != nil {
 		return server.LoadResult{}, server.ProxyStats{}, breaker.Snapshot{}, err
 	}
-	origin := &server.Origin{Latency: oc.Prototype.OriginLatency}
-	injector := faults.New(oc.Faults)
-	originSrv := httptest.NewServer(injector.Wrap(origin))
-	defer originSrv.Close()
-	proxy := server.NewOverloadProxy(dec, originSrv.URL, oc.Prototype.DCLatency, oc.Resilience, ov)
-	proxySrv := httptest.NewServer(proxy)
-	defer proxySrv.Close()
 
-	// Like the chaos experiment, outage windows anchor to the physical clock
-	// of the live origin server — the wall-clock boundary the determinism
-	// rule carves out for internal/server.
+	// Like the chaos experiment, a wall-clock measurement: the brownout
+	// windows anchor to the physical clock of the live origin server.
 	//lint:ignore determinism prototype testbed runs on the physical clock; simulator replays never reach this path
 	injector.Restart(time.Now()) // align the brownout windows with the replay
 	lr, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
-		ProxyURL:       proxySrv.URL,
+		ProxyURL:       n.url,
 		Concurrency:    oc.Prototype.Concurrency,
-		ClientLatency:  oc.Prototype.ClientLatency,
 		RequestTimeout: 30 * time.Second,
 		Deadline:       oc.Deadline,
 		Burst:          &oc.Burst,
 	})
-	snap, _ := proxy.BreakerSnapshot()
-	return lr, proxy.Stats(), snap, err
+	snap, _ := n.Proxy.BreakerSnapshot()
+	return lr, n.Proxy.Stats(), snap, err
 }
 
 // OverloadReport runs the flash-crowd brownout twice under an identical
@@ -127,7 +122,7 @@ func OverloadReport(oc OverloadConfig) (*Report, error) {
 		return nil, err
 	}
 	rep := &Report{
-		Title: fmt.Sprintf("Overload: flash crowd vs origin brownout (protected vs retry-only, shards=%d)", oc.Prototype.shards()),
+		Title: "Overload: flash crowd vs origin brownout (protected vs retry-only)",
 		Header: []string{"scheme", "ok", "ontime", "goodput", "errors", "shed", "stale",
 			"p99ms", "fetches", "retries", "hedges", "hwins", "bropen", "brdeny"},
 	}

@@ -3,52 +3,38 @@ package exp
 import (
 	"context"
 	"fmt"
-	"net/http/httptest"
+	"net/http"
 	"time"
 
-	"darwin/internal/baselines"
 	"darwin/internal/cache"
 	"darwin/internal/core"
+	"darwin/internal/node"
 	"darwin/internal/server"
 	"darwin/internal/trace"
 )
 
-// PrototypeConfig sizes the HTTP testbed experiments. The injected latencies
-// preserve the paper's ordering (client↔proxy ≪ disk ≪ proxy↔origin) at a
-// scale that keeps benchmark runs short.
+// PrototypeConfig sizes the wall-clock HTTP testbed measurements (fig7,
+// chaos, overload). The injected latencies preserve the paper's ordering
+// (disk ≪ proxy↔origin) at a scale that keeps benchmark runs short.
 type PrototypeConfig struct {
 	// OriginLatency is the injected proxy→origin delay (paper: 100 ms).
 	OriginLatency time.Duration
 	// DCLatency is the injected disk-read delay.
 	DCLatency time.Duration
-	// ClientLatency is the injected client→proxy delay (paper: 10 ms).
-	ClientLatency time.Duration
 	// Concurrency is the client worker count for latency runs.
 	Concurrency int
 	// ConcurrencySweep lists the worker counts for the throughput experiment.
 	ConcurrencySweep []int
 	// TraceLen is the request count per prototype run.
 	TraceLen int
-	// Shards is the cache-engine shard count for every proxy decider in the
-	// run (<= 0 selects 1, the serial/global-lock arrangement).
-	Shards int
-}
-
-// shards returns the effective shard count.
-func (pc PrototypeConfig) shards() int {
-	if pc.Shards <= 0 {
-		return 1
-	}
-	return pc.Shards
 }
 
 // DefaultPrototypeConfig returns benchmark-friendly latencies (2 ms origin,
-// 500 µs disk, no client delay).
+// 500 µs disk).
 func DefaultPrototypeConfig() PrototypeConfig {
 	return PrototypeConfig{
 		OriginLatency:    2 * time.Millisecond,
 		DCLatency:        500 * time.Microsecond,
-		ClientLatency:    0,
 		Concurrency:      8,
 		ConcurrencySweep: []int{1, 4, 16, 64},
 		TraceLen:         8000,
@@ -68,81 +54,89 @@ func PrototypeScale(sc Scale) Scale {
 	return sc
 }
 
-// startProxy spins up an origin+proxy pair around the given decider and
-// returns the proxy URL and a shutdown func. The paper's testbed never faults
-// its origin, so the proxy is the bare pipeline: every resilience and
-// overload stage absent.
-func startProxy(dec server.Decider, pc PrototypeConfig) (string, func()) {
-	origin := &server.Origin{Latency: pc.OriginLatency}
-	originSrv := httptest.NewServer(origin)
-	proxy := server.NewOverloadProxy(dec, originSrv.URL, pc.DCLatency, server.Resilience{}, server.Overload{})
-	proxySrv := httptest.NewServer(proxy)
-	return proxySrv.URL, func() {
-		proxySrv.Close()
-		originSrv.Close()
-	}
+// protoArm is one contender of the prototype figures: Darwin's controller
+// over the corpus model, or a static expert (model nil).
+type protoArm struct {
+	name   string
+	model  *core.Model
+	expert cache.Expert
 }
 
-// darwinDecider builds a Darwin controller decider for the prototype over a
-// sharded cache engine (shards=1 reproduces the serial hierarchy exactly).
-func darwinDecider(c *Corpus, shards int) (server.Decider, error) {
-	eng, err := cache.NewSharded(cache.Config{
-		HOCBytes: c.Scale.Eval.HOCBytes,
-		DCBytes:  c.Scale.Eval.DCBytes,
-	}, shards)
-	if err != nil {
-		return nil, err
+// protoArms returns Darwin followed by the static experts of c's grid at the
+// given indices.
+func protoArms(c *Corpus, experts ...int) []protoArm {
+	arms := []protoArm{{name: "darwin", model: c.Model}}
+	for _, i := range experts {
+		e := c.Scale.Experts[i]
+		arms = append(arms, protoArm{name: e.String(), expert: e})
 	}
-	// The prototype trace is short; shrink the online knobs to fit.
-	oc := c.Scale.Online
-	return core.NewController(c.Model, eng, oc)
+	return arms
 }
 
-// Fig4cPrototypeOHR reproduces Figure 4c: Darwin vs a subset of static
-// experts on the HTTP prototype at low concurrency.
-func Fig4cPrototypeOHR(c *Corpus, pc PrototypeConfig, tr *trace.Trace) (*Report, error) {
+// on sets cfg's decider to a's.
+func (a protoArm) on(cfg node.Config, c *Corpus) node.Config {
+	cfg.Expert, cfg.Model, cfg.Online = a.expert, a.model, c.Scale.Online
+	return cfg
+}
+
+// Fig4cPrototypeOHR reproduces Figure 4c: Darwin vs a spread of static
+// experts, each deployed as a node on its own rig (no injected latency) and
+// replayed serially with every request at its trace time on the rig clock.
+// The replay is then a pure function of the trace, so each row is the
+// simulator's: the darwin row is what Controller.Serve gives on tr.
+func Fig4cPrototypeOHR(c *Corpus, tr *trace.Trace) (*Report, error) {
 	rep := &Report{
-		Title:  fmt.Sprintf("Figure 4c: prototype OHR (low concurrency, shards=%d)", pc.shards()),
+		Title:  "Figure 4c: prototype OHR (deployed nodes, serial replay at trace time)",
 		Header: []string{"scheme", "OHR", "requests", "errors"},
 	}
-	runOne := func(name string, dec server.Decider) error {
-		url, stop := startProxy(dec, pc)
-		defer stop()
-		res, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
-			ProxyURL:    url,
-			Concurrency: pc.Concurrency,
-		})
-		if err != nil {
-			return err
-		}
-		ohr := 0.0
-		if res.Requests > 0 {
-			ohr = float64(res.HOCHits) / float64(res.Requests)
-		}
-		rep.AddRow(name, f4(ohr), fmt.Sprint(res.Requests), fmt.Sprint(res.Errors))
-		return nil
-	}
-
-	dd, err := darwinDecider(c, pc.shards())
-	if err != nil {
-		return nil, err
-	}
-	if err := runOne("darwin", dd); err != nil {
-		return nil, err
-	}
-	// A spread of static experts, as in the paper's prototype comparison.
-	picks := []int{0, len(c.Scale.Experts) / 2, len(c.Scale.Experts) - 1}
-	for _, ei := range picks {
-		e := c.Scale.Experts[ei]
-		st, err := baselines.NewStaticSharded(e, c.Scale.Eval, pc.shards())
+	n := len(c.Scale.Experts)
+	for _, a := range protoArms(c, 0, n/2, n-1) {
+		hoc, errs, err := replayAtTraceTime(c, a, tr)
 		if err != nil {
 			return nil, err
 		}
-		if err := runOne(e.String(), st); err != nil {
-			return nil, err
-		}
+		rep.AddRow(a.name, f4(float64(hoc)/float64(tr.Len())), fmt.Sprint(tr.Len()-errs), fmt.Sprint(errs))
 	}
 	return rep, nil
+}
+
+// replayAtTraceTime deploys a on a fresh rig and replays tr through it with
+// getAt, returning the HOC hits and the non-200 answers the client saw.
+func replayAtTraceTime(c *Corpus, a protoArm, tr *trace.Trace) (hoc, errs int, err error) {
+	r := newRig(&server.Origin{})
+	defer r.close()
+	n, err := r.startNode(a.on(r.nodeConfig(a.expert, c.Scale.Eval), c))
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, req := range tr.Requests {
+		s, err := r.getAt(n.url, req)
+		if err != nil {
+			return 0, 0, err
+		}
+		if s.hoc {
+			hoc++
+		}
+		if s.status != http.StatusOK {
+			errs++
+		}
+	}
+	return hoc, errs, nil
+}
+
+// loadArm deploys a on a fresh rig over an origin of pc's latency and drives
+// it with server.RunLoad at the given concurrency, on the wall clock. The
+// node is the bare pipeline: the paper's testbed never faults its origin.
+func loadArm(c *Corpus, pc PrototypeConfig, a protoArm, tr *trace.Trace, conc int) (server.LoadResult, error) {
+	r := newRig(&server.Origin{Latency: pc.OriginLatency})
+	defer r.close()
+	cfg := a.on(r.config(c.Scale.Eval, server.Resilience{}, server.Overload{}), c)
+	cfg.DCLatency = pc.DCLatency
+	n, err := r.startNode(cfg)
+	if err != nil {
+		return server.LoadResult{}, err
+	}
+	return server.RunLoad(context.Background(), tr, server.LoadConfig{ProxyURL: n.url, Concurrency: conc})
 }
 
 // Fig7aLatency reproduces Figure 7a: the first-byte latency distribution for
@@ -150,40 +144,18 @@ func Fig4cPrototypeOHR(c *Corpus, pc PrototypeConfig, tr *trace.Trace) (*Report,
 // different best experts.
 func Fig7aLatency(c *Corpus, pc PrototypeConfig, tr *trace.Trace) (*Report, error) {
 	rep := &Report{
-		Title:  fmt.Sprintf("Figure 7a: first-byte latency (percentiles, ms, shards=%d)", pc.shards()),
+		Title:  "Figure 7a: first-byte latency (percentiles, ms)",
 		Header: []string{"scheme", "p10", "p50", "p90", "p99"},
 	}
-	runOne := func(name string, dec server.Decider) error {
-		url, stop := startProxy(dec, pc)
-		defer stop()
-		res, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
-			ProxyURL:      url,
-			Concurrency:   pc.Concurrency,
-			ClientLatency: pc.ClientLatency,
-		})
+	for _, a := range protoArms(c, len(c.Scale.Experts)/2) {
+		res, err := loadArm(c, pc, a, tr, pc.Concurrency)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		ms := func(p float64) string {
 			return fmt.Sprintf("%.2f", float64(res.LatencyPercentile(p).Microseconds())/1000)
 		}
-		rep.AddRow(name, ms(10), ms(50), ms(90), ms(99))
-		return nil
-	}
-	dd, err := darwinDecider(c, pc.shards())
-	if err != nil {
-		return nil, err
-	}
-	if err := runOne("darwin", dd); err != nil {
-		return nil, err
-	}
-	mid := c.Scale.Experts[len(c.Scale.Experts)/2]
-	st, err := baselines.NewStaticSharded(mid, c.Scale.Eval, pc.shards())
-	if err != nil {
-		return nil, err
-	}
-	if err := runOne(mid.String(), st); err != nil {
-		return nil, err
+		rep.AddRow(a.name, ms(10), ms(50), ms(90), ms(99))
 	}
 	rep.AddNote("paper: Darwin lowers first-byte latency by avoiding origin round trips (higher OHR)")
 	return rep, nil
@@ -193,37 +165,20 @@ func Fig7aLatency(c *Corpus, pc PrototypeConfig, tr *trace.Trace) (*Report, erro
 // concurrency for Darwin and a static expert.
 func Fig7bThroughput(c *Corpus, pc PrototypeConfig, tr *trace.Trace) (*Report, error) {
 	rep := &Report{
-		Title:  fmt.Sprintf("Figure 7b: throughput vs concurrency (Mbps, shards=%d)", pc.shards()),
+		Title:  "Figure 7b: throughput vs concurrency (Mbps)",
 		Header: []string{"concurrency", "darwin", "static"},
 	}
-	static := c.Scale.Experts[len(c.Scale.Experts)/2]
+	arms := protoArms(c, len(c.Scale.Experts)/2)
 	for _, conc := range pc.ConcurrencySweep {
-		run := func(dec server.Decider) (float64, error) {
-			url, stop := startProxy(dec, pc)
-			defer stop()
-			res, err := server.RunLoad(context.Background(), tr, server.LoadConfig{ProxyURL: url, Concurrency: conc})
+		row := []string{intStr(conc)}
+		for _, a := range arms {
+			res, err := loadArm(c, pc, a, tr, conc)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			return res.ThroughputBps() / 1e6, nil
+			row = append(row, f2(res.ThroughputBps()/1e6))
 		}
-		dd, err := darwinDecider(c, pc.shards())
-		if err != nil {
-			return nil, err
-		}
-		dv, err := run(dd)
-		if err != nil {
-			return nil, err
-		}
-		st, err := baselines.NewStaticSharded(static, c.Scale.Eval, pc.shards())
-		if err != nil {
-			return nil, err
-		}
-		sv, err := run(st)
-		if err != nil {
-			return nil, err
-		}
-		rep.AddRow(intStr(conc), f2(dv), f2(sv))
+		rep.AddRow(row...)
 	}
 	rep.AddNote("paper: Darwin reaches 10.4 Gbps at 200 threads vs 9.3 Gbps static; shapes, not absolutes, carry over")
 	return rep, nil

@@ -1,22 +1,27 @@
 package exp
 
-// The rig is the cluster harness the crash, cluster and flap experiments run
-// on: deployed nodes (node.Node — the constructor cmd/darwin-proxy calls) and
-// a deployed front tier (server.Front) on loopback listeners over one origin,
-// driven by one serial closed-loop client. Nothing in it models a node or the
-// front; an experiment is a schedule of requests, probes and lifecycle events
-// over the real handlers, and every outcome is read from a surface the
-// deployment has — X-Cache and X-Darwin-Peer response headers, Proxy.Stats,
-// Proxy.Metrics, Front.Stats / Weights, Origin.Stats, /metrics.
+// The rig is the testbed every HTTP experiment runs on: deployed nodes
+// (node.Node — the constructor cmd/darwin-proxy calls) and, for the cluster
+// experiments, a deployed front tier (server.Front) on loopback listeners over
+// one origin handler the experiment supplies (an Origin with injected latency,
+// or one wrapped in a fault injector). A node runs a static expert or
+// Darwin's learner. Nothing in the rig models a node or the front; an
+// experiment is a schedule of requests, probes and lifecycle events over the
+// real handlers, and every outcome is read from a surface the deployment has —
+// X-Cache and X-Darwin-Peer response headers, Proxy.Stats, Proxy.Metrics,
+// Front.Stats / Weights, Origin.Stats, /metrics.
 //
-// Reports stay deterministic per seed because nothing that reaches a cell
-// depends on the wall clock: the driver is serial, the nodes run static
-// experts (ServeHTTP's wall-clock Request.Time is never read), membership and
-// every breaker are graded on the rig's simulated clock, the front is probed
-// by the schedule (Front.ProbeOnce) rather than by its ticker, and the
-// real-time deadlines that remain (fetch, peer-probe and poll timeouts) are
-// set far beyond any loopback exchange, with hedging — the one stage whose
-// timer fires on a healthy fetch — off.
+// Two kinds of experiment share it. The replays (fig4c, crash, cluster, flap)
+// drive a serial client on the rig's simulated clock, and their reports are
+// deterministic per seed because nothing that reaches a cell depends on the
+// wall clock: request times come from the rig clock (a node's pipeline clock,
+// which stamps Request.Time and grades every breaker and membership view), the
+// front is probed by the schedule (Front.ProbeOnce) rather than by its ticker,
+// and the real-time deadlines that remain (fetch, peer-probe and poll
+// timeouts) are set far beyond any loopback exchange, with hedging — the one
+// stage whose timer fires on a healthy fetch — off. The measurements (fig7,
+// chaos, overload) leave their nodes on the wall clock and drive them with
+// server.RunLoad's concurrent client.
 
 import (
 	"context"
@@ -53,11 +58,11 @@ type simClock struct{ ns atomic.Int64 }
 
 func (c *simClock) Now() time.Time          { return time.Unix(0, c.ns.Load()) }
 func (c *simClock) Advance(d time.Duration) { c.ns.Add(int64(d)) }
+func (c *simClock) Set(d time.Duration)     { c.ns.Store(int64(d)) }
 
 // rig is one experiment's deployment.
 type rig struct {
 	clk       simClock
-	origin    *server.Origin
 	originSrv *httptest.Server
 	nodes     []*rigNode
 	front     *server.Front
@@ -77,10 +82,9 @@ type rigNode struct {
 	url string
 }
 
-func newRig() *rig {
-	r := &rig{origin: &server.Origin{}, client: &http.Client{Transport: &http.Transport{}}}
-	r.originSrv = httptest.NewServer(r.origin)
-	return r
+// newRig starts a rig whose nodes fetch their misses from origin.
+func newRig(origin http.Handler) *rig {
+	return &rig{originSrv: httptest.NewServer(origin), client: &http.Client{Transport: &http.Transport{}}}
 }
 
 // close stops every listener the rig still has open.
@@ -95,23 +99,33 @@ func (r *rig) close() {
 	r.client.CloseIdleConnections()
 }
 
-// nodeConfig is what the rig deploys: darwin-proxy's defaults for a static
-// expert on one shard, with the rig's clock behind every breaker and the two
-// changes the file comment names (deadlines out of reach, hedging off).
+// nodeConfig is what the replays deploy: darwin-proxy's defaults for a
+// static expert on one shard, with the rig's clock as the pipeline clock and
+// the two changes the file comment names (deadlines out of reach, hedging
+// off). A caller that sets Model deploys the learner instead.
 func (r *rig) nodeConfig(e cache.Expert, eval cache.EvalConfig) node.Config {
-	cfg := node.Config{
-		Expert:     e,
+	res, ov := server.DefaultResilience(), server.DefaultOverload()
+	res.FetchTimeout = rigDeadline
+	ov.Hedge = 0
+	ov.Breaker.Clock = r.clk.Now
+	cfg := r.config(eval, res, ov)
+	cfg.Expert = e
+	return cfg
+}
+
+// config is a one-shard node over the rig's origin with eval's cache sizes
+// and the pipeline stages res and ov; the caller picks the decider (Expert,
+// or Model for the learner). A nil ov.Breaker.Clock leaves the node on the
+// wall clock.
+func (r *rig) config(eval cache.EvalConfig, res server.Resilience, ov server.Overload) node.Config {
+	return node.Config{
 		HOCBytes:   eval.HOCBytes,
 		DCBytes:    eval.DCBytes,
 		Shards:     1,
 		Origin:     r.originSrv.URL,
-		Resilience: server.DefaultResilience(),
-		Overload:   server.DefaultOverload(),
+		Resilience: res,
+		Overload:   ov,
 	}
-	cfg.Resilience.FetchTimeout = rigDeadline
-	cfg.Overload.Hedge = 0
-	cfg.Overload.Breaker.Clock = r.clk.Now
-	return cfg
 }
 
 // startNode deploys one node on a fresh listener and waits for its recovery
@@ -142,7 +156,6 @@ func (r *rig) startNodes(n int, cfg node.Config, peered bool) ([]*rigNode, error
 				Self:         urls[i],
 				Nodes:        urls,
 				FetchTimeout: rigDeadline,
-				Clock:        r.clk.Now,
 			}
 		}
 		var err error
@@ -239,6 +252,19 @@ func (s served) local() bool { return s.hoc || s.dc }
 // (the front, or one node directly), reading the whole body.
 func (r *rig) get(base string, req trace.Request) (served, error) {
 	r.clk.Advance(rigPerRequest)
+	return r.issue(base, req)
+}
+
+// getAt is get at req's own trace time: the clock is set to req.Time
+// microseconds past the rig's zero, so a node built before the first request
+// stamps req with exactly its trace time.
+func (r *rig) getAt(base string, req trace.Request) (served, error) {
+	r.clk.Set(time.Duration(req.Time) * time.Microsecond)
+	return r.issue(base, req)
+}
+
+// issue requests req from base at the clock's current reading.
+func (r *rig) issue(base string, req trace.Request) (served, error) {
 	resp, err := r.client.Get(base + "/obj/" + strconv.FormatUint(req.ID, 10) + "?size=" + strconv.FormatInt(req.Size, 10))
 	if err != nil {
 		return served{}, err

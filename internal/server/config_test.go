@@ -43,7 +43,6 @@ var configSurface = []string{
 	"server.PeerConfig.Self",
 	"server.PeerConfig.Nodes",
 	"server.PeerConfig.FetchTimeout",
-	"server.PeerConfig.Clock",
 
 	"server.FrontConfig.Backends",
 	"server.FrontConfig.RebalanceEvery",
@@ -84,6 +83,7 @@ var goneFields = []string{
 	"server.PeerConfig.Replication",
 	"server.PeerConfig.RebalanceEvery",
 	"server.PeerConfig.VirtualNodes",
+	"server.PeerConfig.Clock",
 	"server.FrontConfig.Breaker",
 	"server.FrontConfig.VirtualNodes",
 	"server.FrontConfig.LoadFactor",

@@ -108,9 +108,6 @@ type LoadConfig struct {
 	ProxyURL string
 	// Concurrency is the number of closed-loop client workers.
 	Concurrency int
-	// ClientLatency is an injected client→proxy delay added to each request
-	// (the paper injects 10 ms; tests use 0).
-	ClientLatency time.Duration
 	// RequestTimeout bounds each client request end to end (default 60 s).
 	RequestTimeout time.Duration
 	// Deadline, when > 0, is the client's per-request freshness deadline: it
@@ -260,9 +257,6 @@ func RunLoad(ctx context.Context, tr *trace.Trace, cfg LoadConfig) (LoadResult, 
 			Host:       base.Host,
 		}
 		for i := range work {
-			if cfg.ClientLatency > 0 {
-				time.Sleep(cfg.ClientLatency)
-			}
 			u.Path = parts[i].path
 			u.RawQuery = parts[i].query
 			start := time.Now()

@@ -56,7 +56,7 @@ func TestMetricsExposition(t *testing.T) {
 	srv := httptest.NewUnstartedServer(nil)
 	defer srv.Close()
 	self := "http://" + srv.Listener.Addr().String()
-	cfg.Peer = server.PeerConfig{Self: self, Nodes: []string{self, deadPeer}, Clock: clock}
+	cfg.Peer = server.PeerConfig{Self: self, Nodes: []string{self, deadPeer}}
 	n, err := node.New(cfg)
 	if err != nil {
 		t.Fatal(err)

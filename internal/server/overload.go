@@ -36,7 +36,9 @@ type Overload struct {
 	Enabled bool
 	// Breaker parameterises the origin circuit breaker; the zero value
 	// selects breaker defaults (1s window, 50% threshold, 250ms cool-off,
-	// 3 half-open probes).
+	// 3 half-open probes). Its Clock is the whole pipeline's clock, breaker
+	// or not: it also stamps Request.Time and runs the retry budget and, in
+	// a cluster, the sibling breakers and gossip.
 	Breaker breaker.Config
 	// MaxInFlight bounds concurrently admitted requests; a request over the
 	// budget is shed immediately (stale or 503+Retry-After) instead of

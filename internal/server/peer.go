@@ -66,9 +66,6 @@ type PeerConfig struct {
 	// FetchTimeout bounds each probe (default 150 ms: a peer hop is only
 	// worth taking when it is much cheaper than the origin).
 	FetchTimeout time.Duration
-	// Clock drives the sibling breakers and the gossip failure detector
-	// (default time.Now); experiments pass a simulated clock.
-	Clock func() time.Time
 }
 
 // defaultPeerBreaker is the breaker configuration for every sibling (and
@@ -122,7 +119,8 @@ type peerSet struct {
 }
 
 // SetPeers wires the proxy into a peer cluster. Call once before serving
-// traffic (darwin-proxy's -peers flag does).
+// traffic (darwin-proxy's -peers flag does). The sibling breakers and the
+// gossip failure detector run on the pipeline's clock.
 func (p *Proxy) SetPeers(cfg PeerConfig) error {
 	if len(cfg.Nodes) < 2 {
 		return fmt.Errorf("server: peer cluster needs >= 2 nodes, got %d", len(cfg.Nodes))
@@ -136,9 +134,6 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 	}
 	if cfg.FetchTimeout <= 0 {
 		cfg.FetchTimeout = 150 * time.Millisecond
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = time.Now
 	}
 	ring, err := lb.NewRing(lb.Config{Servers: len(cfg.Nodes)})
 	if err != nil {
@@ -154,13 +149,13 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 	brks := make([]*breaker.Breaker, len(cfg.Nodes))
 	ups := make([]*upstream, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
-		brks[i] = breaker.New(defaultPeerBreaker(cfg.Clock))
+		brks[i] = breaker.New(defaultPeerBreaker(p.ov.Breaker.Clock))
 		ups[i] = newUpstream(n, GossipHeader)
 		if err := ups[i].err; err != nil {
 			return err
 		}
 	}
-	memb, err := gossip.New(gossip.Config{Nodes: len(cfg.Nodes), Self: self, Clock: cfg.Clock})
+	memb, err := gossip.New(gossip.Config{Nodes: len(cfg.Nodes), Self: self, Clock: p.ov.Breaker.Clock})
 	if err != nil {
 		return err
 	}

@@ -330,6 +330,8 @@ type Proxy struct {
 	// snapshots are coherent without a global lock.
 	stats *counters[ProxyStats]
 
+	// start is the pipeline clock's reading at construction: Request.Time is
+	// measured from it.
 	start time.Time
 }
 
@@ -359,8 +361,8 @@ func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration
 		ov:        ov,
 		rng:       rand.New(rand.NewSource(jitterSeed)),
 		stats:     newCounters[ProxyStats](),
-		start:     time.Now(),
 	}
+	p.start = p.now()
 	if ov.Enabled {
 		// The retry budget is the breaker's half-open probe budget per
 		// breaker window: the backoff path never probes a sick origin harder
@@ -383,6 +385,11 @@ func (ov Overload) withDefaults() Overload {
 	return ov
 }
 
+// now reads the pipeline's one clock, Overload.Breaker.Clock (the wall clock
+// unless injected): it stamps every request's Time and drives the origin breaker,
+// the retry budget and, in a cluster, the sibling breakers and gossip.
+func (p *Proxy) now() time.Time { return p.ov.Breaker.Clock() }
+
 // Metrics returns the decider's cache metrics, exact as of the call.
 func (p *Proxy) Metrics() cache.Metrics { return p.decider.Metrics() }
 
@@ -401,7 +408,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	req := trace.Request{ID: id, Size: size, Time: time.Since(p.start).Microseconds()}
+	req := trace.Request{ID: id, Size: size, Time: p.now().Sub(p.start).Microseconds()}
 	if p.peers != nil {
 		if isPeerProbe(r) {
 			// A sibling's probe: answered from memory or 404, before
