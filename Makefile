@@ -34,14 +34,14 @@ lint:
 	$(GO) test ./internal/lint
 
 race:
-	$(GO) test -race ./internal/server ./internal/node ./internal/lb ./internal/cluster ./internal/cache ./internal/par ./internal/core ./internal/exp ./internal/bloom ./internal/bandit ./internal/breaker ./internal/diskcache ./internal/persist ./internal/gossip
+	$(GO) test -race ./internal/server ./internal/node ./internal/lb ./internal/cluster ./internal/cache ./internal/par ./internal/core ./internal/exp ./internal/bandit ./internal/breaker ./internal/diskcache ./internal/persist ./internal/gossip
 
 # fuzz runs each fuzz target briefly: URL parsing on the proxy/origin seam,
 # the upstream client's response-head parser (a backend's bytes are outside
 # input),
-# the Bloom filter against its string-keyed oracle, the engine's id table
-# against the built-in map it replaced, the hierarchy's per-object records
-# against both levels' contents and the filter under random op sequences, the
+# the engine's id table against the built-in map it replaced, the
+# hierarchy's per-object records against both levels' contents and an exact
+# "missed before" set under random op sequences, the
 # controller's batched replay against per-request serving, the durability
 # decoders (persist frames, journal records/segments, checkpoint and
 # neural-weight payloads) — corrupted on-disk bytes must produce typed
@@ -52,8 +52,6 @@ race:
 fuzz:
 	$(GO) test ./internal/server -fuzz FuzzParseObjectURL -fuzztime 10s
 	$(GO) test ./internal/server -fuzz FuzzUpstreamHead -fuzztime 10s
-	$(GO) test ./internal/bloom -fuzz FuzzHashIdentity -fuzztime 10s
-	$(GO) test ./internal/bloom -fuzz FuzzFilterMatchesStringOracle -fuzztime 10s
 	$(GO) test ./internal/cache -fuzz FuzzIDTable -fuzztime 10s
 	$(GO) test ./internal/cache -fuzz FuzzHierarchy -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzControllerPlay -fuzztime 10s
@@ -74,9 +72,9 @@ bench:
 	bash benchmark/run.sh
 
 # microbench prices single functions: every package-level Benchmark* (engine
-# serve per eviction policy, controller serve and play, id table, feature
-# observe, Bloom, ring route, gossip digest codec, journal put and recovery,
-# proxy serve-hit), with allocs/op.
+# serve per eviction policy, controller serve and play, offline training's
+# dataset build, id table, feature observe, ring route, gossip digest codec,
+# journal put and recovery, proxy serve-hit), with allocs/op.
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/...
 

@@ -58,8 +58,8 @@ func TestCrashRecoveryProcess(t *testing.T) {
 	proc := startProxy(t, bin, args)
 	waitReady(t, base)
 
-	// Populate: two requests per id — the first registers the object in the
-	// bloom filter, the second admits it to the DC.
+	// Populate: two requests per id — the first miss marks the object's
+	// record, the second admits it to the DC.
 	const objects = 200
 	for pass := 0; pass < 2; pass++ {
 		for id := 1; id <= objects; id++ {

@@ -138,6 +138,7 @@ var goneIdents = []string{
 	"AtomicMixPkgs", "PersistIOPkgs", "PersistIOExempt", "DecoderPkgs", "GoCtxPkgs",
 	"FixtureConfig", "RunAudit", "RenderJSON", "RenderSARIF",
 	"PeerConfig.Clock", "ClientLatency", "-client-latency",
+	"internal/bloom", "bloomObjects", "TestAndAddU64", "ContainsU64", "FilterState",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

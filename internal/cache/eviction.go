@@ -2,8 +2,8 @@
 // paper (§2.2): a small, fast Hot Object Cache (HOC) in front of a large Disk
 // Cache (DC). Admission into the HOC is governed by pluggable experts — the
 // (frequency, size[, recency]) threshold tuples Darwin selects among — while
-// the DC admits objects on their second request using a Bloom filter to shed
-// one-hit wonders. Eviction at both levels defaults to LRU, the policy used
+// the DC admits objects on their second request, which each object's record
+// answers exactly, to shed one-hit wonders. Eviction at both levels defaults to LRU, the policy used
 // throughout the paper's evaluation; FIFO and LFU variants are provided for
 // ablations.
 package cache

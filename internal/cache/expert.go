@@ -8,7 +8,7 @@ import (
 // Expert is a HOC admission policy parameterised by decision knobs (§4 of the
 // paper): an object is promoted into the HOC when it has been requested more
 // than Freq times (i.e. upon its (1+Freq)-th request, matching the paper's
-// bloom-filter footnote), its size is at most MaxSize bytes, and — when the
+// footnote on the DC's second-request rule), its size is at most MaxSize bytes, and — when the
 // optional third recency knob is enabled — it was last requested at most
 // MaxAge requests ago.
 type Expert struct {

@@ -3,7 +3,6 @@ package cache
 import (
 	"fmt"
 
-	"darwin/internal/bloom"
 	"darwin/internal/trace"
 )
 
@@ -121,10 +120,6 @@ type Config struct {
 	HOCEviction, DCEviction string
 	// Expert is the initial HOC admission expert.
 	Expert Expert
-	// bloomObjects sizes the DC one-hit-wonder filter; 0 selects a default
-	// of one million expected objects. Only NewSharded's per-shard split and
-	// the package's tests set it.
-	bloomObjects int
 	// DCLog, when non-nil, receives every DC admission and eviction so a
 	// durable store can rebuild the DC after a crash. Nil (the default)
 	// keeps the hierarchy fully in-memory with an unchanged hot path.
@@ -134,18 +129,17 @@ type Config struct {
 // Hierarchy is the two-level HOC+DC cache server model (Figure 1 of the
 // paper). Requests flow HOC → DC → origin; a DC hit may promote the object
 // into the HOC subject to the current admission expert; a miss admits the
-// object into the DC only on its second request (Bloom filter).
+// object into the DC only on its second request, which its record answers.
 type Hierarchy struct {
 	// objs is the one per-object index: every object served since the last
-	// ResetCounts (or restored with a count), and every resident one, has
-	// exactly one record.
+	// ResetCounts (or restored with a count), every one that has ever
+	// missed, and every resident one, has exactly one record.
 	objs            idTable
 	hoc, dc         Eviction
 	hocCap, dcCap   int64
 	hocName, dcName string
 	expert          Expert
 	admission       AdmissionFunc
-	seen            *bloom.Filter
 	dclog           DCLog
 	admitOnMiss     bool
 	reqIdx          int64
@@ -154,23 +148,21 @@ type Hierarchy struct {
 }
 
 // objRec is everything the hierarchy knows about one object: the frequency
-// and recency knobs' inputs, where it is resident, and whether its id is in
-// the one-hit-wonder filter. count 0 means "no request seen" (a record kept
-// only for residency); hoc and dc are the levels' Eviction handles, noHandle
-// when not resident there. It is also the id table's slot: key and used are
-// the table's.
+// and recency knobs' inputs, where it is resident, and whether it has missed
+// before. count 0 means "no request seen since the last ResetCounts" (a
+// record kept for residency or its mark); hoc and dc are the levels'
+// Eviction handles, noHandle when not resident there. It is also the id
+// table's slot: key and used are the table's.
 type objRec struct {
 	key      uint64
 	count    int
 	lastSeen int64 // request index of the latest request; meaningful when count > 0
 	hoc, dc  int32
 	used     bool
-	// inFilter is set once the id has gone through TestAndAddU64 on h.seen.
-	// No filter bit is ever cleared, so a later miss is answered "present"
-	// without the probes. It is transient: a checkpoint does not carry it,
-	// and every table a restore or ResetCounts builds starts without it,
-	// which is always exact (the miss just probes again).
-	inFilter bool
+	// missed is set on every miss and cleared nowhere: it is the exact
+	// answer to the one-hit-wonder rule's question, "has this id missed
+	// before?". ResetCounts and checkpoints keep it.
+	missed bool
 }
 
 // AdmissionFunc is a custom HOC admission predicate. It receives the
@@ -194,10 +186,6 @@ func New(cfg Config) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	nBloom := cfg.bloomObjects
-	if nBloom <= 0 {
-		nBloom = 1 << 20
-	}
 	return &Hierarchy{
 		hoc:     hoc,
 		dc:      dc,
@@ -206,7 +194,6 @@ func New(cfg Config) (*Hierarchy, error) {
 		hocName: cfg.HOCEviction,
 		dcName:  cfg.DCEviction,
 		expert:  cfg.Expert,
-		seen:    bloom.New(nBloom, 0.01),
 		dclog:   cfg.DCLog,
 	}, nil
 }
@@ -301,13 +288,12 @@ func (h *Hierarchy) Serve(r trace.Request) Result {
 	}
 
 	// Full miss: fetch from origin. DC admission sheds one-hit wonders by
-	// admitting only objects previously recorded in the Bloom filter (§2.2).
-	// A record that has been through the filter skips its probes.
+	// admitting only objects that have missed before (§2.2).
 	h.m.Misses++
 	h.m.MissBytes += r.Size
-	known := rec.inFilter
-	rec.inFilter = true
-	if h.seen.TestAndAddU64(r.ID, known) && h.admitDC(rec, r.ID, r.Size) {
+	again := rec.missed
+	rec.missed = true
+	if again && h.admitDC(rec, r.ID, r.Size) {
 		h.m.DCWrites++
 		h.m.DCWriteBytes += r.Size
 	}
@@ -372,15 +358,15 @@ func (h *Hierarchy) Count(id uint64) int {
 }
 
 // ResetCounts forgets every object's request history — TinyLFU's window
-// aging. Records survive only for resident objects, with count 0, which
-// the next Serve reads exactly as a first request: count 1, age -1. The
-// filter is kept, and the records' inFilter marks are dropped.
+// aging. Records survive only for resident or missed objects, with count 0,
+// which the next Serve reads exactly as a first request: count 1, age -1.
+// The missed marks are kept: the one-hit-wonder rule is not windowed.
 func (h *Hierarchy) ResetCounts() {
 	var objs idTable
 	h.objs.each(func(id uint64, rec *objRec) {
-		if rec.hoc != noHandle || rec.dc != noHandle {
+		if rec.hoc != noHandle || rec.dc != noHandle || rec.missed {
 			r, _ := objs.upsert(id)
-			r.hoc, r.dc = rec.hoc, rec.dc
+			r.hoc, r.dc, r.missed = rec.hoc, rec.dc, rec.missed
 		}
 	})
 	h.objs = objs

@@ -2,23 +2,25 @@ package cache
 
 import (
 	"encoding/json"
+	"sort"
 	"testing"
 
 	"darwin/internal/trace"
 )
 
-// checkRecords asserts the record table's contract with the two levels and
-// the filter: every handle a record holds names that record's id, each
-// level holds exactly the objects whose records hold a handle for it, no
-// resident object lacks a record, neither level is over capacity, and every
-// record marked inFilter has its id in the filter (else a miss skipping the
-// probes would answer differently from one that probed).
-func checkRecords(t testing.TB, h *Hierarchy) {
+// checkRecords asserts the record table's contract with the two levels:
+// every handle a record holds names that record's id, each level holds
+// exactly the objects whose records hold a handle for it, no resident
+// object lacks a record, neither level is over capacity, and a marked
+// record has a count or was aged by ResetCounts — aged says whether h's
+// history (or that of a snapshot it restored) includes one. A mark is set
+// only by a miss, which counts.
+func checkRecords(t testing.TB, h *Hierarchy, aged bool) {
 	t.Helper()
 	var inHOC, inDC int
 	h.objs.each(func(id uint64, rec *objRec) {
-		if rec.inFilter && !h.seen.ContainsU64(id) {
-			t.Fatalf("record %d is marked inFilter, but the filter does not hold it", id)
+		if rec.missed && rec.count == 0 && !aged {
+			t.Fatalf("record %d is marked but has no count, and no ResetCounts ran", id)
 		}
 		if rec.hoc != noHandle {
 			inHOC++
@@ -70,8 +72,12 @@ func fuzzSize(id uint64, b byte) int64 { return int64(id*37+uint64(b)) % 521 }
 // and argument — against a small hierarchy under each of the five policies,
 // and checks the record invariants after every step. The ops are Serve,
 // Lookup, SetHOCEviction, RestoreDC, MergeDC, ResetCounts and a JSON state
-// round trip, through the decode-side validate, into a fresh hierarchy. Beside the f.Add seeds below, inputs a
-// fuzzing session found are in testdata/fuzz/FuzzHierarchy.
+// round trip, through the decode-side validate, into a fresh hierarchy. An
+// exact "missed before" set is the oracle for DC admission: a Serve that
+// misses writes to the DC if and only if the set holds its id and its size
+// fits the DC, and no other op changes the set, because the mark persists.
+// Beside the f.Add seeds below, inputs a fuzzing session found are in
+// testdata/fuzz/FuzzHierarchy.
 func FuzzHierarchy(f *testing.F) {
 	// Serves only: admissions, promotions and evictions at both levels.
 	f.Add([]byte{0, 3, 0, 3, 0, 3, 1, 3, 0, 40, 0, 40, 0, 40, 2, 77, 2, 77, 2, 77, 0, 3, 0, 200})
@@ -82,17 +88,27 @@ func FuzzHierarchy(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, policy := range evictionPolicies {
 			cfg := Config{HOCBytes: 400, DCBytes: 1600, HOCEviction: policy, DCEviction: policy,
-				Expert: Expert{Freq: 1, MaxSize: 300}, bloomObjects: 256}
+				Expert: Expert{Freq: 1, MaxSize: 300}}
 			h, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			missed, aged := map[uint64]bool{}, false
 			for i := 0; i+1 < len(data); i += 2 {
 				arg := data[i+1]
 				switch data[i] % 9 {
 				case 0, 1, 2:
 					id := uint64(arg % 24)
-					h.Serve(trace.Request{ID: id, Size: fuzzSize(id, arg/24)})
+					size := fuzzSize(id, arg/24)
+					writes := h.Metrics().DCWrites
+					res := h.Serve(trace.Request{ID: id, Size: size})
+					wrote := h.Metrics().DCWrites != writes
+					if want := res == Miss && missed[id] && size <= cfg.DCBytes; wrote != want {
+						t.Fatalf("%v of id %d (size %d, missed before: %v) wrote to the DC: %v", res, id, size, missed[id], wrote)
+					}
+					if res == Miss {
+						missed[id] = true
+					}
 				case 3:
 					want := Miss
 					switch rec := h.objs.get(uint64(arg % 24)); {
@@ -121,6 +137,7 @@ func FuzzHierarchy(f *testing.F) {
 					}
 				case 7:
 					h.ResetCounts()
+					aged = true
 				case 8:
 					blob, err := json.Marshal(h.State())
 					if err != nil {
@@ -142,23 +159,31 @@ func FuzzHierarchy(f *testing.F) {
 						t.Fatal(err)
 					}
 					again, _ := json.Marshal(h.State())
-					if roundTripIsFixedPoint(&st) && string(again) != string(blob) {
+					if string(canonicalState(t, again, &st)) != string(canonicalState(t, blob, &st)) {
 						t.Fatal("state round trip changed the snapshot")
 					}
 				}
-				checkRecords(t, h)
+				checkRecords(t, h, aged)
+				h.objs.each(func(id uint64, rec *objRec) {
+					if rec.missed != missed[id] {
+						t.Fatalf("record %d is marked %v, the oracle says %v", id, rec.missed, missed[id])
+					}
+				})
+				for id := range missed {
+					if rec := h.objs.get(id); rec == nil {
+						t.Fatalf("id %d missed before but has no record", id)
+					}
+				}
 			}
 		}
 	})
 }
 
-// filterTestHierarchy has a DC of ten 100-byte objects, admits nothing to
-// the HOC (the zero expert's size threshold is 0), and sizes its filter so
-// that a false positive among the few dozen ids a test serves is out of the
-// question.
-func filterTestHierarchy(t *testing.T) *Hierarchy {
+// dcTestHierarchy has a DC of ten 100-byte objects and admits nothing
+// to the HOC (the zero expert's size threshold is 0).
+func dcTestHierarchy(t *testing.T) *Hierarchy {
 	t.Helper()
-	h, err := New(Config{HOCBytes: 1000, DCBytes: 1000, bloomObjects: 1 << 16})
+	h, err := New(Config{HOCBytes: 1000, DCBytes: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,13 +200,12 @@ func evictFromDC(h *Hierarchy, id uint64, next *uint64) {
 	}
 }
 
-// TestPlacedRecordMissProbesFilter: an object placed in the DC by RestoreDC
-// or MergeDC never went through the filter. Hit once, evicted and missed,
-// it has count 2 — yet the filter does not hold it, so that miss must probe
-// and not admit, exactly as before misses could skip the probes. (A rule
-// of "count > 1 means already in the filter" admits it here.) Its next miss
-// is its second trip through the filter and admits it.
-func TestPlacedRecordMissProbesFilter(t *testing.T) {
+// TestPlacedRecordMissAdmitsOnSecond: an object placed in the DC by
+// RestoreDC or MergeDC has never missed. Hit once, evicted and missed, it
+// has count 2 — yet this is its first miss, so it must not be admitted. (A
+// rule of "count > 1 means missed before" admits it here.) Its next miss
+// is its second and admits it.
+func TestPlacedRecordMissAdmitsOnSecond(t *testing.T) {
 	const id = 7
 	for _, tc := range []struct {
 		name  string
@@ -191,9 +215,12 @@ func TestPlacedRecordMissProbesFilter(t *testing.T) {
 		{"MergeDC", func(h *Hierarchy, e []ResidentObject) error { _, err := h.MergeDC(e); return err }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := filterTestHierarchy(t)
+			h := dcTestHierarchy(t)
 			if err := tc.place(h, []ResidentObject{{ID: id, Size: 100}}); err != nil {
 				t.Fatal(err)
+			}
+			if rec := h.objs.get(id); rec == nil || rec.missed {
+				t.Fatalf("placed record = %+v, want one without a mark", rec)
 			}
 			if got := h.Serve(req(id, 100)); got != DCHit {
 				t.Fatalf("first request of a placed object = %v, want DCHit", got)
@@ -205,9 +232,9 @@ func TestPlacedRecordMissProbesFilter(t *testing.T) {
 				t.Fatalf("after eviction: %v at count %d, want a miss at count 2", got, h.Count(id))
 			}
 			if h.Lookup(id) != Seen || h.Metrics().DCWrites != writes {
-				t.Fatal("admitted to the DC on its first trip through the filter")
+				t.Fatal("admitted to the DC on its first miss")
 			}
-			checkRecords(t, h)
+			checkRecords(t, h, false)
 			h.Serve(req(id, 100))
 			if h.Lookup(id) != DCHit {
 				t.Fatalf("second miss left %v, want DC admission", h.Lookup(id))
@@ -216,50 +243,92 @@ func TestPlacedRecordMissProbesFilter(t *testing.T) {
 	}
 }
 
-// TestRestoreStateMissProbesFilter: RestoreState installs the snapshot's
-// filter and builds every record unmarked, so a restored object's first
-// miss probes the filter it restored. The snapshot here holds a counted id
-// its filter lacks (built by clearing the image; a RestoreDC'd object hit
-// once and checkpointed is the same situation): the miss must not admit it,
-// and must insert it.
-func TestRestoreStateMissProbesFilter(t *testing.T) {
-	const id = 7
-	h := filterTestHierarchy(t)
-	h.Serve(req(id, 2000)) // larger than the DC: never resident
-	h.Serve(req(id, 2000)) // counted twice, through the filter twice
-	if rec := h.objs.get(id); rec == nil || !rec.inFilter {
-		t.Fatal("a missed record is not marked inFilter")
-	}
-	st := h.State()
-	clear(st.Seen.Bits)
-	r := filterTestHierarchy(t)
-	if err := r.RestoreState(st); err != nil {
+// TestRestoreStateKeepsMissedMark: a checkpoint carries the mark, so a
+// record that missed once before the snapshot — then was aged by
+// ResetCounts, so it has no count either — round-trips marked, and its
+// first miss after restore is its second and admits it. A record that was
+// only placed round-trips unmarked and is not admitted on its first miss.
+func TestRestoreStateKeepsMissedMark(t *testing.T) {
+	const missedID, placedID = 7, 8
+	h := dcTestHierarchy(t)
+	h.Serve(req(missedID, 100)) // first miss: marked, not admitted
+	if err := h.RestoreDC([]ResidentObject{{ID: placedID, Size: 100}}); err != nil {
 		t.Fatal(err)
 	}
-	if rec := r.objs.get(id); rec == nil || rec.count != 2 || rec.inFilter {
-		t.Fatalf("restored record = %+v, want count 2 and no inFilter mark", rec)
+	h.Serve(req(placedID, 100)) // a DC hit: counted, not marked
+	h.ResetCounts()
+	blob, err := json.Marshal(h.State())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := r.Serve(req(id, 100)); got != Miss || r.Lookup(id) != Seen {
-		t.Fatalf("first miss after restore: %v, then %v; want a miss that does not admit", got, r.Lookup(id))
+	var st HierarchyState
+	if err := json.Unmarshal(blob, &st); err != nil {
+		t.Fatal(err)
 	}
-	if !r.seen.ContainsU64(id) {
-		t.Fatal("the first miss after restore did not insert into the filter")
+	if err := st.validate(); err != nil {
+		t.Fatal(err)
 	}
-	checkRecords(t, r)
+	if tr := st.Tracker; len(tr.IDs) != 1 || tr.IDs[0] != missedID || tr.Counts[0] != 0 || !tr.Missed[0] {
+		t.Fatalf("tracker = %+v, want only id %d, uncounted and marked", tr, missedID)
+	}
+	r := dcTestHierarchy(t)
+	if err := r.RestoreState(&st); err != nil {
+		t.Fatal(err)
+	}
+	if rec := r.objs.get(missedID); rec == nil || rec.count != 0 || !rec.missed {
+		t.Fatalf("restored record = %+v, want count 0 and the mark", rec)
+	}
+	checkRecords(t, r, true)
+	if again, _ := json.Marshal(r.State()); string(again) != string(blob) {
+		t.Fatal("State → RestoreState → State is not byte-identical")
+	}
+	if got := r.Serve(req(missedID, 100)); got != Miss || r.Lookup(missedID) != DCHit {
+		t.Fatalf("first miss after restore: %v, then %v; want a miss that admits", got, r.Lookup(missedID))
+	}
+	next := uint64(1000)
+	evictFromDC(r, placedID, &next)
+	writes := r.Metrics().DCWrites
+	if got := r.Serve(req(placedID, 100)); got != Miss || r.Lookup(placedID) != Seen || r.Metrics().DCWrites != writes {
+		t.Fatalf("placed object's first miss after restore: %v, then %v; want a miss that does not admit", got, r.Lookup(placedID))
+	}
+	checkRecords(t, r, true)
 }
 
-// roundTripIsFixedPoint reports whether restoring st and snapshotting again
-// must give st back. Not under GDSF: a level's checkpoint is its entries in
-// heap order, and re-inserting them recomputes priorities from frequency 1
-// and inflation 0, which can reorder the heap.
-func roundTripIsFixedPoint(st *HierarchyState) bool {
-	return st.HOCEviction != "gdsf" && st.DCEviction != "gdsf"
+// canonicalState returns blob, a snapshot of a hierarchy configured as st,
+// in the form a round trip must leave byte-identical: the snapshot itself,
+// marks and all, except that a GDSF level lists its entries sorted by id.
+// A level's checkpoint is its entries in heap order, and re-inserting them
+// into GDSF recomputes priorities from frequency 1 and inflation 0, which
+// can reorder the heap but not change its set.
+func canonicalState(t testing.TB, blob []byte, st *HierarchyState) []byte {
+	t.Helper()
+	if st.HOCEviction != "gdsf" && st.DCEviction != "gdsf" {
+		return blob
+	}
+	var c HierarchyState
+	if err := json.Unmarshal(blob, &c); err != nil {
+		t.Fatal(err)
+	}
+	for _, level := range []struct {
+		policy string
+		objs   []ResidentObject
+	}{{c.HOCEviction, c.HOC}, {c.DCEviction, c.DC}} {
+		if level.policy == "gdsf" {
+			sort.Slice(level.objs, func(i, j int) bool { return level.objs[i].ID < level.objs[j].ID })
+		}
+	}
+	out, err := json.Marshal(&c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestStateRoundTripResidencyOnlyRecords: records that hold residency but no
 // count — left by RestoreDC and MergeDC for never-served ids, and by
-// ResetCounts for every resident — survive State → RestoreState → State
-// byte for byte, and under the policies whose checkpoint is their whole
+// ResetCounts for every resident — and records that hold only a mark — left
+// by ResetCounts for every id that missed — survive State → RestoreState →
+// State byte for byte, and under the policies whose checkpoint is their whole
 // state (LRU and FIFO: an order, no hit history) the restored hierarchy
 // serves exactly like the original.
 func TestStateRoundTripResidencyOnlyRecords(t *testing.T) {
@@ -287,16 +356,20 @@ func TestStateRoundTripResidencyOnlyRecords(t *testing.T) {
 		}
 		h.ResetCounts()
 		serveSynthetic(t, h, 300, 0x77) // some records counted again, most not
-		countless := 0
+		var residentOnly, markedOnly int
 		h.objs.each(func(_ uint64, rec *objRec) {
-			if rec.count == 0 {
-				countless++
+			switch {
+			case rec.count > 0:
+			case rec.missed && rec.hoc == noHandle && rec.dc == noHandle:
+				markedOnly++
+			case !rec.missed && (rec.hoc != noHandle || rec.dc != noHandle):
+				residentOnly++
 			}
 		})
-		if countless == 0 {
-			t.Fatalf("%s: no residency-only record to round-trip", policy)
+		if residentOnly == 0 || markedOnly == 0 {
+			t.Fatalf("%s: %d residency-only and %d mark-only records to round-trip, want some of each", policy, residentOnly, markedOnly)
 		}
-		checkRecords(t, h)
+		checkRecords(t, h, true)
 
 		blob, err := json.Marshal(h.State())
 		if err != nil {
@@ -313,7 +386,7 @@ func TestStateRoundTripResidencyOnlyRecords(t *testing.T) {
 		if err := restored.RestoreState(&st); err != nil {
 			t.Fatal(err)
 		}
-		checkRecords(t, restored)
+		checkRecords(t, restored, true)
 		if again, _ := json.Marshal(restored.State()); string(again) != string(blob) {
 			t.Fatalf("%s: State → RestoreState → State is not byte-identical", policy)
 		}

@@ -9,8 +9,8 @@ import (
 )
 
 // Sharded is the concurrent cache engine: N independent Hierarchy shards,
-// each owning 1/N of the capacity, Bloom filter budget, per-object records,
-// and metrics, with requests routed to their owning shard by an id hash.
+// each owning 1/N of the capacity, and the per-object records and metrics
+// of its ids, with requests routed to their owning shard by an id hash.
 // Admission, eviction, and frequency tracking are all keyed on object id, so
 // shards never need to coordinate on the request path — two requests for
 // objects on different shards proceed fully in parallel, each under its own
@@ -36,15 +36,15 @@ type Sharded struct {
 // padded so neighbouring shards' mutexes do not false-share a cache line.
 type engineShard struct {
 	mu sync.Mutex
-	// h is the shard's serial hierarchy — its capacities, Bloom filter,
-	// record table, and metrics cover only this shard's ids; guarded by mu.
+	// h is the shard's serial hierarchy — its capacities, record table, and
+	// metrics cover only this shard's ids; guarded by mu.
 	h *Hierarchy
 	_ [48]byte
 }
 
 // NewSharded builds a sharded engine from cfg, splitting the HOC and DC
-// capacities and the Bloom filter budget evenly across shards. shards <= 0
-// selects 1, which reproduces the serial Hierarchy exactly.
+// capacities evenly across shards. shards <= 0 selects 1, which reproduces
+// the serial Hierarchy exactly.
 func NewSharded(cfg Config, shards int) (*Sharded, error) {
 	if shards <= 0 {
 		shards = 1
@@ -55,11 +55,6 @@ func NewSharded(cfg Config, shards int) (*Sharded, error) {
 	per := cfg
 	per.HOCBytes = cfg.HOCBytes / int64(shards)
 	per.DCBytes = cfg.DCBytes / int64(shards)
-	nb := cfg.bloomObjects
-	if nb <= 0 {
-		nb = 1 << 20 // the Hierarchy default, split across shards below
-	}
-	per.bloomObjects = (nb + shards - 1) / shards
 	s := &Sharded{shards: make([]engineShard, shards)}
 	if shards > 1 && shards&(shards-1) == 0 {
 		s.mask = uint64(shards - 1)

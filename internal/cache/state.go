@@ -4,39 +4,39 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"darwin/internal/bloom"
 )
 
 // This file is the cache engine's checkpoint/restore seam: every piece of
 // per-shard learned and resident state — HOC/DC contents in eviction order,
-// the one-hit-wonder Bloom filter, the request counts, metrics, and the
-// deployed expert — exports to a plain serialisable struct. A decoded
-// snapshot's shape is checked once, by ShardedState.Validate; restore checks
-// only that it fits the engine, and builds everything before any live field
-// is mutated (never half-apply).
+// the request counts and missed marks, metrics, and the deployed expert —
+// exports to a plain serialisable struct. A decoded snapshot's shape is
+// checked once, by ShardedState.Validate; restore checks only that it fits
+// the engine, and builds everything before any live field is mutated (never
+// half-apply).
 
-// TrackerState is the serialisable form of the request counts: parallel
-// IDs/Counts/LastSeen arrays over every record with count > 0, sorted by
-// id. Kind is always "exact".
+// TrackerState is the serialisable form of the request counts and missed
+// marks: parallel IDs/Counts/LastSeen/Missed arrays over every record with
+// a count or a mark, sorted by id. A record with count 0 is one ResetCounts
+// kept for its mark; its LastSeen is 0. Kind is always "exact".
 type TrackerState struct {
 	Kind     string   `json:"kind"`
 	IDs      []uint64 `json:"ids,omitempty"`
 	Counts   []int    `json:"counts,omitempty"`
 	LastSeen []int64  `json:"last_seen,omitempty"`
+	Missed   []bool   `json:"missed,omitempty"`
 }
 
 // trackerExact is the one tracker kind the checkpoint format carries.
 const trackerExact = "exact"
 
-// trackerState snapshots the request counts, sorted by id for deterministic
-// output (the table's slot order is an artefact of its seed and growth
-// history). Records with count 0 hold residency only and are not exported:
-// HOC and DC carry them.
+// trackerState snapshots the request counts and missed marks, sorted by id
+// for deterministic output (the table's slot order is an artefact of its
+// seed and growth history). Records with neither a count nor a mark hold
+// residency only and are not exported: HOC and DC carry them.
 func (h *Hierarchy) trackerState() *TrackerState {
 	ids := make([]uint64, 0, h.objs.len())
 	h.objs.each(func(id uint64, rec *objRec) {
-		if rec.count > 0 {
+		if rec.count > 0 || rec.missed {
 			ids = append(ids, id)
 		}
 	})
@@ -46,18 +46,21 @@ func (h *Hierarchy) trackerState() *TrackerState {
 		IDs:      ids,
 		Counts:   make([]int, len(ids)),
 		LastSeen: make([]int64, len(ids)),
+		Missed:   make([]bool, len(ids)),
 	}
 	for i, id := range ids {
 		rec := h.objs.get(id)
 		st.Counts[i] = rec.count
 		st.LastSeen[i] = rec.lastSeen
+		st.Missed[i] = rec.missed
 	}
 	return st
 }
 
 // validate checks a tracker snapshot taken at request index reqIdx: one
-// count per id, ids strictly increasing, every count positive and every
-// request it counts in the past.
+// count and mark per id, ids strictly increasing, no count negative, a
+// count of 0 only on a marked record with LastSeen 0, and every request a
+// positive count counts in the past.
 func (st *TrackerState) validate(reqIdx int64) error {
 	if st == nil {
 		return fmt.Errorf("cache: nil tracker state")
@@ -65,18 +68,22 @@ func (st *TrackerState) validate(reqIdx int64) error {
 	if st.Kind != trackerExact {
 		return fmt.Errorf("cache: unknown tracker kind %q", st.Kind)
 	}
-	if len(st.IDs) != len(st.Counts) || len(st.IDs) != len(st.LastSeen) {
-		return fmt.Errorf("cache: exact tracker state arrays disagree (%d/%d/%d)",
-			len(st.IDs), len(st.Counts), len(st.LastSeen))
+	if len(st.IDs) != len(st.Counts) || len(st.IDs) != len(st.LastSeen) || len(st.IDs) != len(st.Missed) {
+		return fmt.Errorf("cache: exact tracker state arrays disagree (%d/%d/%d/%d)",
+			len(st.IDs), len(st.Counts), len(st.LastSeen), len(st.Missed))
 	}
 	for i, id := range st.IDs {
 		if i > 0 && id <= st.IDs[i-1] {
 			return fmt.Errorf("cache: exact tracker state lists id %d after %d", id, st.IDs[i-1])
 		}
-		if st.Counts[i] <= 0 {
+		switch {
+		case st.Counts[i] < 0:
 			return fmt.Errorf("cache: exact tracker state has count %d for id %d", st.Counts[i], id)
-		}
-		if st.LastSeen[i] < 0 || st.LastSeen[i] >= reqIdx {
+		case st.Counts[i] == 0 && !st.Missed[i]:
+			return fmt.Errorf("cache: exact tracker state lists id %d with neither a count nor a mark", id)
+		case st.Counts[i] == 0 && st.LastSeen[i] != 0:
+			return fmt.Errorf("cache: uncounted id %d last seen at request %d", id, st.LastSeen[i])
+		case st.Counts[i] > 0 && (st.LastSeen[i] < 0 || st.LastSeen[i] >= reqIdx):
 			return fmt.Errorf("cache: id %d last seen at request %d of %d", id, st.LastSeen[i], reqIdx)
 		}
 	}
@@ -87,18 +94,17 @@ func (st *TrackerState) validate(reqIdx int64) error {
 // and DC list resident objects in the eviction policy's victim-first order,
 // so re-inserting them in order reproduces the protection order.
 type HierarchyState struct {
-	HOCBytes    int64             `json:"hoc_bytes"`
-	DCBytes     int64             `json:"dc_bytes"`
-	HOCEviction string            `json:"hoc_eviction,omitempty"`
-	DCEviction  string            `json:"dc_eviction,omitempty"`
-	HOC         []ResidentObject  `json:"hoc"`
-	DC          []ResidentObject  `json:"dc"`
-	Seen        bloom.FilterState `json:"seen"`
-	Tracker     *TrackerState     `json:"tracker"`
-	Expert      Expert            `json:"expert"`
-	ReqIdx      int64             `json:"req_idx"`
-	Metrics     Metrics           `json:"metrics"`
-	Switches    int64             `json:"expert_switches"`
+	HOCBytes    int64            `json:"hoc_bytes"`
+	DCBytes     int64            `json:"dc_bytes"`
+	HOCEviction string           `json:"hoc_eviction,omitempty"`
+	DCEviction  string           `json:"dc_eviction,omitempty"`
+	HOC         []ResidentObject `json:"hoc"`
+	DC          []ResidentObject `json:"dc"`
+	Tracker     *TrackerState    `json:"tracker"`
+	Expert      Expert           `json:"expert"`
+	ReqIdx      int64            `json:"req_idx"`
+	Metrics     Metrics          `json:"metrics"`
+	Switches    int64            `json:"expert_switches"`
 }
 
 // State snapshots the hierarchy for checkpointing.
@@ -110,7 +116,6 @@ func (h *Hierarchy) State() *HierarchyState {
 		DCEviction:  h.dcName,
 		HOC:         h.hoc.Entries(),
 		DC:          h.dc.Entries(),
-		Seen:        h.seen.State(),
 		Tracker:     h.trackerState(),
 		Expert:      h.expert,
 		ReqIdx:      h.reqIdx,
@@ -170,9 +175,6 @@ func (st *HierarchyState) validate() error {
 	if err := checkLevel(st.DC, st.DCBytes); err != nil {
 		return fmt.Errorf("cache: DC: %w", err)
 	}
-	if err := st.Seen.Validate(); err != nil {
-		return err
-	}
 	if st.ReqIdx < 0 || st.Switches < 0 {
 		return fmt.Errorf("cache: negative request index %d or expert switches %d", st.ReqIdx, st.Switches)
 	}
@@ -187,7 +189,6 @@ func (st *HierarchyState) validate() error {
 type restoredParts struct {
 	objs    idTable
 	hoc, dc Eviction
-	seen    *bloom.Filter
 }
 
 // prepareRestoreState checks that a validated st fits this hierarchy and
@@ -205,13 +206,11 @@ func (h *Hierarchy) prepareRestoreState(st *HierarchyState) (restoredParts, erro
 	}
 	for i, id := range st.Tracker.IDs {
 		rec, _ := parts.objs.upsert(id)
-		rec.count, rec.lastSeen = st.Tracker.Counts[i], st.Tracker.LastSeen[i]
+		rec.count, rec.lastSeen, rec.missed = st.Tracker.Counts[i], st.Tracker.LastSeen[i], st.Tracker.Missed[i]
 	}
 	parts.hoc = rebuildLevel(&parts.objs, h.hocName, h.hocCap, st.HOC, false)
 	parts.dc = rebuildLevel(&parts.objs, h.dcName, h.dcCap, st.DC, true)
-	var err error
-	parts.seen, err = bloom.FilterFromState(st.Seen)
-	return parts, err
+	return parts, nil
 }
 
 // commitRestoreState installs a prepared restore.
@@ -219,7 +218,6 @@ func (h *Hierarchy) commitRestoreState(st *HierarchyState, parts restoredParts) 
 	h.objs = parts.objs
 	h.hoc = parts.hoc
 	h.dc = parts.dc
-	h.seen = parts.seen
 	h.expert = st.Expert
 	h.reqIdx = st.ReqIdx
 	h.m = st.Metrics

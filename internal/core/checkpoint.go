@@ -16,7 +16,7 @@ import (
 // is its frame format version.
 const (
 	CheckpointMagic         = "DRWNCKPT"
-	CheckpointFormatVersion = 1
+	CheckpointFormatVersion = 2
 )
 
 // ControllerState is a JSON-serialisable snapshot of the online controller's

@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"darwin/internal/bandit"
-	"darwin/internal/bloom"
 	"darwin/internal/cache"
 	"darwin/internal/persist"
 	"darwin/internal/trace"
@@ -345,6 +344,36 @@ func TestSaveLoadCheckpointFile(t *testing.T) {
 	}
 }
 
+// TestV1CheckpointRejected: a version-1 checkpoint — its engine state held
+// a Bloom filter image and no missed marks — is refused with
+// persist.ErrVersion, as a /state body and as a file.
+func TestV1CheckpointRejected(t *testing.T) {
+	m := trainedModel(t)
+	c, eng := newShardedController(t, m)
+	tr := testTraces(t)[1]
+	for i := 0; i < 1000; i++ {
+		c.Serve(tr.Requests[i])
+	}
+	payload, err := EncodeCheckpoint(checkpointOf(t, c, eng, m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 bytes.Buffer
+	if err := persist.EncodeFrame(&v1, CheckpointMagic, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeCheckpointFrame(v1.Bytes()); !errors.Is(err, persist.ErrVersion) {
+		t.Fatalf("v1 frame: %v, want persist.ErrVersion", err)
+	}
+	path := filepath.Join(t.TempDir(), "darwin.ckpt")
+	if err := persist.SaveFrame(path, CheckpointMagic, 1, payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ck, err := LoadCheckpoint(path); ck != nil || !errors.Is(err, persist.ErrVersion) {
+		t.Fatalf("v1 file: %v, %v; want nil, persist.ErrVersion", ck, err)
+	}
+}
+
 func TestFramedModelRejectsBitFlip(t *testing.T) {
 	m := trainedModel(t)
 	var buf bytes.Buffer
@@ -532,7 +561,7 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 		fields      map[string]string // live field → snapshot fields, or "derived: …" / "transient: …"
 	}{
 		{reflect.TypeOf((*cache.Hierarchy)(nil)).Elem(), reflect.TypeOf(cache.HierarchyState{}), map[string]string{
-			"objs":           "Tracker,HOC,DC", // counts and recency; residency
+			"objs":           "Tracker,HOC,DC", // counts, recency and missed marks; residency
 			"hoc":            "HOC",
 			"dc":             "DC",
 			"hocCap":         "HOCBytes",
@@ -541,7 +570,6 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 			"dcName":         "DCEviction",
 			"expert":         "Expert",
 			"admission":      "transient: a baseline's admission override, installed by its constructor, not learned",
-			"seen":           "Seen",
 			"dclog":          "transient: the journal the node wires in, which persists itself",
 			"admitOnMiss":    "transient: a baseline's wiring, set by its constructor",
 			"reqIdx":         "ReqIdx",
@@ -581,12 +609,6 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 			"last":   "Last",
 			"done":   "Done",
 			"reason": "Reason",
-		}},
-		{reflect.TypeOf((*bloom.Filter)(nil)).Elem(), reflect.TypeOf(bloom.FilterState{}), map[string]string{
-			"bits":  "Bits",
-			"m":     "M",
-			"k":     "K",
-			"count": "Count",
 		}},
 	} {
 		carried := map[string]bool{}

@@ -83,8 +83,8 @@ var learnerSurface = []string{
 }
 
 // goneLearnerFields were knobs no caller outside tests ever set twice; each
-// is a constant, a derived value, or (cache.Config.BloomObjects) an
-// unexported field now.
+// is a constant or a derived value now, or went with what it sized
+// (cache.Config.BloomObjects, with the Bloom filter).
 var goneLearnerFields = []string{
 	"core.OnlineConfig.Delta",
 	"core.OnlineConfig.MaxRounds",

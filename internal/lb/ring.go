@@ -12,8 +12,8 @@ package lb
 // remain in it.
 //
 // Routing is allocation-free: the FNV-1a hash of the request id is computed
-// inline (bit-identical to hash/fnv over the id's 8 little-endian bytes, the
-// same identity internal/bloom proves for its u64 path), the ring lookup is
+// inline (bit-identical to hash/fnv over the id's 8 little-endian bytes,
+// pinned by TestHashGoldenIdentity in ring_test.go), the ring lookup is
 // a hand-rolled binary search, and window state lives in buffers allocated
 // once at construction. TestRouteZeroAllocs pins Route, RouteReplicated and
 // Successors at zero allocations.

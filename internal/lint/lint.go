@@ -63,7 +63,6 @@ func DefaultConfig() Config {
 		DeterminismPkgs: []string{
 			"darwin/internal/bandit",
 			"darwin/internal/baselines",
-			"darwin/internal/bloom",
 			"darwin/internal/cache",
 			"darwin/internal/cluster",
 			"darwin/internal/core",

@@ -21,7 +21,7 @@ const checkpointFile = "darwin.ckpt"
 // Recovery model: the journal is written synchronously on every DC admission
 // and eviction, so after a crash it is always fresher than the last periodic
 // checkpoint. Restore therefore applies the checkpoint first (HOC contents,
-// bloom filter, frequency tracker, bandit posteriors, controller phase) and
+// request counts and missed marks, bandit posteriors, controller phase) and
 // then reconciles the DC against the journal's live set, which wins.
 type durability struct {
 	store    *diskcache.Store

@@ -19,7 +19,9 @@ import (
 	"time"
 
 	"darwin/internal/cache"
+	"darwin/internal/core"
 	"darwin/internal/diskcache"
+	"darwin/internal/persist"
 	"darwin/internal/server"
 	"darwin/internal/tracegen"
 )
@@ -74,8 +76,8 @@ func TestKilledNodeRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(first.Handler())
-	// twice(lo, hi) requests each id twice: the first request registers the
-	// object in the one-hit-wonder filter, the second admits it to the DC.
+	// twice(lo, hi) requests each id twice: the first request's miss marks
+	// the object's record, the second admits it to the DC.
 	twice := func(lo, hi uint64) {
 		for pass := 0; pass < 2; pass++ {
 			for id := lo; id < hi; id++ {
@@ -143,6 +145,67 @@ func TestKilledNodeRecovers(t *testing.T) {
 	}
 	if st := second.ctrl.CheckpointState(); !reflect.DeepEqual(st.Bandit, atCheckpoint.Bandit) || st.Epoch != atCheckpoint.Epoch || st.EpochReqs != atCheckpoint.EpochReqs {
 		t.Fatalf("recovered controller is not the checkpoint's:\n got %+v\nwant %+v", st, atCheckpoint)
+	}
+}
+
+// TestV1CheckpointRecoversFromJournal: a checkpoint file of format version
+// 1 is unreadable to this build, so a node that finds one takes the
+// corrupt-checkpoint path: it logs, restores nothing from the file, and
+// rebuilds its DC from the journal alone.
+func TestV1CheckpointRecoversFromJournal(t *testing.T) {
+	cfg := Config{
+		HOCBytes: 256 << 10,
+		DCBytes:  32 << 20,
+		Shards:   2,
+		Store:    diskcache.Config{Dir: t.TempDir(), Sync: diskcache.SyncAlways},
+		Origin:   testOrigin(t),
+	}
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(first.Handler())
+	for pass := 0; pass < 2; pass++ {
+		for id := uint64(1); id <= 40; id++ {
+			fetch(t, srv.URL, id, 4096)
+		}
+	}
+	if err := first.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	journaled := first.dur.store.Live()
+	srv.Close() // the kill: no Close on the node
+	path := filepath.Join(cfg.Store.Dir, checkpointFile)
+	payload, err := persist.LoadFrame(path, core.CheckpointMagic, core.CheckpointFormatVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := persist.SaveFrame(path, core.CheckpointMagic, 1, payload, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.dur.loaded != nil {
+		t.Fatal("a version-1 checkpoint was loaded")
+	}
+	second.dur.start()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if code, _ := readyz(t, second); code == http.StatusOK {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("recovery gate never opened")
+		}
+	}
+	defer second.Close(context.Background())
+	if len(journaled) != 40 || second.eng.DCLen() != len(journaled) {
+		t.Fatalf("recovered DC holds %d objects, the journal %d; want 40", second.eng.DCLen(), len(journaled))
+	}
+	if m := second.eng.Metrics(); m.Requests != 0 {
+		t.Fatalf("recovered engine counts %d requests: the checkpoint's metrics were restored", m.Requests)
 	}
 }
 

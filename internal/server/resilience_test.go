@@ -242,7 +242,7 @@ func TestProxyServesStaleWhenOriginDown(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "miss" {
 		t.Fatalf("warm request: status %d, X-Cache %q", resp.StatusCode, resp.Header.Get("X-Cache"))
 	}
-	// Origin dies; the object is not yet DC-resident (Bloom admits on the
+	// Origin dies; the object is not yet DC-resident (the DC admits on the
 	// second miss), so the miss path runs, retries fail, and degraded mode
 	// serves the remembered object stale.
 	sw.broken.Store(true)
