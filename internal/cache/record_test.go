@@ -200,12 +200,13 @@ func evictFromDC(h *Hierarchy, id uint64, next *uint64) {
 	}
 }
 
-// TestPlacedRecordMissAdmitsOnSecond: an object placed in the DC by
-// RestoreDC or MergeDC has never missed. Hit once, evicted and missed, it
+// TestPlacedRecordMissProbesFilter: the DC's admission filter is the
+// record's missed mark. An object placed in the DC by RestoreDC or MergeDC
+// has never missed. Hit once, evicted and missed, it
 // has count 2 — yet this is its first miss, so it must not be admitted. (A
 // rule of "count > 1 means missed before" admits it here.) Its next miss
 // is its second and admits it.
-func TestPlacedRecordMissAdmitsOnSecond(t *testing.T) {
+func TestPlacedRecordMissProbesFilter(t *testing.T) {
 	const id = 7
 	for _, tc := range []struct {
 		name  string
@@ -243,12 +244,13 @@ func TestPlacedRecordMissAdmitsOnSecond(t *testing.T) {
 	}
 }
 
-// TestRestoreStateKeepsMissedMark: a checkpoint carries the mark, so a
+// TestRestoreStateMissProbesFilter: the DC's admission filter is the
+// record's missed mark, and a checkpoint carries the mark, so a
 // record that missed once before the snapshot — then was aged by
 // ResetCounts, so it has no count either — round-trips marked, and its
 // first miss after restore is its second and admits it. A record that was
 // only placed round-trips unmarked and is not admitted on its first miss.
-func TestRestoreStateKeepsMissedMark(t *testing.T) {
+func TestRestoreStateMissProbesFilter(t *testing.T) {
 	const missedID, placedID = 7, 8
 	h := dcTestHierarchy(t)
 	h.Serve(req(missedID, 100)) // first miss: marked, not admitted
