@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"darwin/internal/breaker"
 	"darwin/internal/diskcache"
 	"darwin/internal/server"
 )
@@ -29,12 +28,12 @@ func TestFlagsDocumentedAndDefaultsDeclaredOnce(t *testing.T) {
 		}
 	})
 
-	res, brk := server.DefaultResilience(), breaker.Config{}.WithDefaults()
+	res, ov := server.DefaultResilience(), server.DefaultOverload()
 	for name, want := range map[string]any{
 		"retries":       res.MaxAttempts,
 		"backoff":       res.BackoffBase,
-		"brk-threshold": brk.FailureThreshold,
-		"brk-open-for":  brk.OpenFor,
+		"brk-threshold": ov.BreakerThreshold,
+		"brk-open-for":  ov.BreakerOpenFor,
 		"fsync":         diskcache.Config{}.Sync,
 	} {
 		f := fs.Lookup(name)

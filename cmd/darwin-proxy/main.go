@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"darwin/internal/breaker"
 	"darwin/internal/core"
 	"darwin/internal/exp"
 	"darwin/internal/node"
@@ -48,7 +47,6 @@ func registerFlags(fs *flag.FlagSet) *options {
 		Overload:   server.DefaultOverload(),
 	}}
 	n := &o.node
-	n.Overload.Breaker = breaker.Config{}.WithDefaults()
 
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&n.Origin, "origin", "http://127.0.0.1:9000", "origin base URL")
@@ -80,8 +78,8 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&n.Peer.Self, "self", "", "this node's own entry in -peers")
 
 	fs.BoolVar(&o.overload, "overload", true, "enable the overload-protection layer (breaker, admission, deadlines, hedging; server.DefaultOverload)")
-	fs.Float64Var(&n.Overload.Breaker.FailureThreshold, "brk-threshold", n.Overload.Breaker.FailureThreshold, "circuit breaker failure-ratio trip threshold")
-	fs.DurationVar(&n.Overload.Breaker.OpenFor, "brk-open-for", n.Overload.Breaker.OpenFor, "circuit breaker cool-off before half-open")
+	fs.Float64Var(&n.Overload.BreakerThreshold, "brk-threshold", n.Overload.BreakerThreshold, "circuit breaker failure-ratio trip threshold")
+	fs.DurationVar(&n.Overload.BreakerOpenFor, "brk-open-for", n.Overload.BreakerOpenFor, "circuit breaker cool-off before half-open")
 	return o
 }
 

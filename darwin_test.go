@@ -139,6 +139,7 @@ var goneIdents = []string{
 	"FixtureConfig", "RunAudit", "RenderJSON", "RenderSARIF",
 	"PeerConfig.Clock", "ClientLatency", "-client-latency",
 	"internal/bloom", "bloomObjects", "TestAndAddU64", "ContainsU64", "FilterState",
+	"NewStaticSharded", "PropagateDeadline", "Overload.Enabled", "Overload.Breaker",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

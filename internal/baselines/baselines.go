@@ -1,7 +1,9 @@
 // Package baselines implements every cache-management scheme the Darwin
 // paper compares against (§6 "Baselines"):
 //
-//   - StaticExpert — a fixed (f, s) admission threshold pair;
+//   - StaticExpert — a fixed (f, s) admission threshold pair, which is
+//     the cache engine itself (cache.Evaluate, or a cache.Sharded as a
+//     static node's decider);
 //   - Percentile — deploys the expert nearest the 60th/90th percentiles of
 //     the empirical frequency/size distributions, re-estimated every N
 //     requests;
@@ -14,8 +16,8 @@
 //   - DirectMapping — a neural classifier from warm-up traffic features
 //     straight to the predicted best expert (§4's rejected design).
 //
-// All baselines implement the Server interface so the experiment harness can
-// drive them interchangeably with Darwin's controller.
+// The adaptive baselines implement the Server interface so the experiment
+// harness can drive them interchangeably with Darwin's controller.
 package baselines
 
 import (
@@ -60,65 +62,3 @@ func newHierarchy(cfg cache.EvalConfig, e cache.Expert) (*cache.Hierarchy, error
 		DCLog:       cfg.DCLog,
 	})
 }
-
-// Static is the fixed-expert baseline. It runs over any cache.Engine: the
-// serial Hierarchy for trace replay (NewStatic) or a Sharded engine for the
-// concurrent proxy data plane (NewStaticSharded; one shard is the paper's
-// original one-lock-per-HOC arrangement). The other baselines keep their
-// serial single-hierarchy form and run in the simulator only.
-type Static struct {
-	eng  cache.Engine
-	name string
-}
-
-// NewStatic builds a static-expert server over a serial hierarchy.
-func NewStatic(e cache.Expert, cfg cache.EvalConfig) (*Static, error) {
-	h, err := newHierarchy(cfg, e)
-	if err != nil {
-		return nil, err
-	}
-	return &Static{eng: h, name: e.String()}, nil
-}
-
-// NewStaticSharded builds a static-expert server over a sharded engine with
-// the given shard count — safe for concurrent callers, for the proxy data
-// plane. shards <= 1 still builds a (single-shard) Sharded engine so the
-// result always advertises Concurrent() == true.
-func NewStaticSharded(e cache.Expert, cfg cache.EvalConfig, shards int) (*Static, error) {
-	s, err := cache.NewSharded(cache.Config{
-		HOCBytes:    cfg.HOCBytes,
-		DCBytes:     cfg.DCBytes,
-		HOCEviction: cfg.HOCEviction,
-		DCEviction:  cfg.DCEviction,
-		Expert:      e,
-		DCLog:       cfg.DCLog,
-	}, shards)
-	if err != nil {
-		return nil, err
-	}
-	return &Static{eng: s, name: e.String()}, nil
-}
-
-// Name implements Server.
-func (s *Static) Name() string { return s.name }
-
-// Serve implements Server.
-func (s *Static) Serve(r trace.Request) cache.Result { return s.eng.Serve(r) }
-
-// Lookup probes residency without mutating cache state (server.Decider).
-func (s *Static) Lookup(id uint64) cache.Result { return s.eng.Lookup(id) }
-
-// Metrics implements Server.
-func (s *Static) Metrics() cache.Metrics { return s.eng.Metrics() }
-
-// ResetMetrics implements Server.
-func (s *Static) ResetMetrics() { s.eng.ResetMetrics() }
-
-// Engine exposes the underlying cache engine (occupancy inspection in tests
-// and reports).
-func (s *Static) Engine() cache.Engine { return s.eng }
-
-// Concurrent reports whether this server may be driven from multiple
-// goroutines at once — true exactly when the underlying engine is
-// concurrency-safe (built by NewStaticSharded).
-func (s *Static) Concurrent() bool { return s.eng.Concurrent() }

@@ -28,26 +28,6 @@ func mixTrace(t *testing.T, pct, n int, seed int64) *trace.Trace {
 	return tr
 }
 
-func TestStaticMatchesEvaluate(t *testing.T) {
-	tr := mixTrace(t, 50, 10000, 31)
-	e := cache.Expert{Freq: 3, MaxSize: 20 << 10}
-	s, err := NewStatic(e, evalCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := Play(s, tr, evalCfg().WarmupFrac)
-	want, err := cache.Evaluate(tr, e, evalCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("Static metrics %+v != Evaluate %+v", got, want)
-	}
-	if s.Name() != e.String() {
-		t.Fatalf("Name = %q", s.Name())
-	}
-}
-
 func TestPercentileValidation(t *testing.T) {
 	if _, err := NewPercentile(PercentileConfig{Window: 100, Eval: evalCfg()}); err == nil {
 		t.Error("no experts accepted")

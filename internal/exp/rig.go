@@ -105,9 +105,9 @@ func (r *rig) close() {
 // off). A caller that sets Model deploys the learner instead.
 func (r *rig) nodeConfig(e cache.Expert, eval cache.EvalConfig) node.Config {
 	res, ov := server.DefaultResilience(), server.DefaultOverload()
-	res.FetchTimeout = rigDeadline
+	res.FetchTimeout = 0 // only the pipeline's 30 s origin backstop
 	ov.Hedge = 0
-	ov.Breaker.Clock = r.clk.Now
+	ov.Clock = r.clk.Now
 	cfg := r.config(eval, res, ov)
 	cfg.Expert = e
 	return cfg
@@ -115,7 +115,7 @@ func (r *rig) nodeConfig(e cache.Expert, eval cache.EvalConfig) node.Config {
 
 // config is a one-shard node over the rig's origin with eval's cache sizes
 // and the pipeline stages res and ov; the caller picks the decider (Expert,
-// or Model for the learner). A nil ov.Breaker.Clock leaves the node on the
+// or Model for the learner). A nil ov.Clock leaves the node on the
 // wall clock.
 func (r *rig) config(eval cache.EvalConfig, res server.Resilience, ov server.Overload) node.Config {
 	return node.Config{

@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"darwin/internal/baselines"
 	"darwin/internal/cache"
 	"darwin/internal/core"
 	"darwin/internal/diskcache"
@@ -119,26 +118,26 @@ func build(cfg Config) (*Node, error) {
 			}
 		}
 	}
+	// A static node's decider is its engine; a learning node's is the
+	// controller over it.
+	ccfg := cache.Config{HOCBytes: cfg.HOCBytes, DCBytes: cfg.DCBytes, DCLog: dclog}
 	if model == nil {
-		st, err := baselines.NewStaticSharded(cfg.Expert,
-			cache.EvalConfig{HOCBytes: cfg.HOCBytes, DCBytes: cfg.DCBytes, DCLog: dclog}, cfg.Shards)
-		if err != nil {
-			return nil, n.abandon(err)
-		}
-		dec, n.eng = st, st.Engine().(*cache.Sharded)
-	} else {
+		ccfg.Expert = cfg.Expert
+	}
+	eng, err := cache.NewSharded(ccfg, cfg.Shards)
+	if err != nil {
+		return nil, n.abandon(err)
+	}
+	dec, n.eng = eng, eng
+	if model != nil {
 		if model.FeatureWindow > 0 {
 			cfg.Online.Warmup = model.FeatureWindow
-		}
-		eng, err := cache.NewSharded(cache.Config{HOCBytes: cfg.HOCBytes, DCBytes: cfg.DCBytes, DCLog: dclog}, cfg.Shards)
-		if err != nil {
-			return nil, n.abandon(err)
 		}
 		ctrl, err := core.NewController(model, eng, cfg.Online)
 		if err != nil {
 			return nil, n.abandon(err)
 		}
-		dec, n.eng, n.ctrl = ctrl, eng, ctrl
+		dec, n.ctrl = ctrl, ctrl
 	}
 	if n.dur != nil {
 		n.dur.attach(n.eng, n.ctrl, model)

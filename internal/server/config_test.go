@@ -4,9 +4,12 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -27,16 +30,10 @@ var configSurface = []string{
 	"server.Resilience.Coalesce",
 	"server.Resilience.ServeStale",
 
-	"server.Overload.Enabled",
-	"server.Overload.Breaker.Window",
-	"server.Overload.Breaker.Buckets",
-	"server.Overload.Breaker.FailureThreshold",
-	"server.Overload.Breaker.MinRequests",
-	"server.Overload.Breaker.OpenFor",
-	"server.Overload.Breaker.HalfOpenProbes",
-	"server.Overload.Breaker.Clock",
+	"server.Overload.Clock",
+	"server.Overload.BreakerThreshold",
+	"server.Overload.BreakerOpenFor",
 	"server.Overload.MaxInFlight",
-	"server.Overload.PropagateDeadline",
 	"server.Overload.MinFetchBudget",
 	"server.Overload.Hedge",
 
@@ -69,7 +66,8 @@ var configSurface = []string{
 }
 
 // goneFields were knobs no caller outside tests ever set twice; each is a
-// constant or a derived value now.
+// constant or a derived value now. A gone struct-typed field takes its nested
+// fields with it.
 var goneFields = []string{
 	"server.Resilience.Seed",
 	"server.Resilience.BackoffMax",
@@ -77,6 +75,9 @@ var goneFields = []string{
 	"server.Overload.RetryBudget",
 	"server.Overload.RetryBudgetWindow",
 	"server.Overload.RetryAfter",
+	"server.Overload.Enabled",
+	"server.Overload.PropagateDeadline",
+	"server.Overload.Breaker",
 	"server.PeerConfig.Breaker",
 	"server.PeerConfig.Gossip",
 	"server.PeerConfig.Fanout",
@@ -102,11 +103,16 @@ var goneFields = []string{
 // goneDecls are the declarations that carried the gone knobs, by package
 // directory ("Type.Method" for a method).
 var goneDecls = map[string][]string{
-	".":            {"DefaultPeerBreaker", "PeerConfig.WithDefaults"},
+	".":            {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults"},
+	"../baselines": {"Static", "NewStatic", "NewStaticSharded"},
 	"../lb":        {"ReplicationConfig", "ReplicationConfig.WithDefaults"},
 	"../breaker":   {"BudgetSnapshot", "Budget.SnapshotNow"},
 	"../diskcache": {"Config.WithDefaults"},
 }
+
+// servingCount matches the documents' statement of the serving tier's
+// settable values, whitespace collapsed.
+var servingCount = regexp.MustCompile(`serving-tier (?:config )?structs went from 77 settable values to (\d+)`)
 
 // TestConfigSurface pins the serving tier's settable surface: adding a knob
 // is a visible diff to configSurface, as adding a flag is to
@@ -130,8 +136,21 @@ func TestConfigSurface(t *testing.T) {
 		}
 	}
 	for _, f := range goneFields {
-		if slices.Contains(got, f) {
+		if slices.ContainsFunc(got, func(g string) bool { return g == f || strings.HasPrefix(g, f+".") }) {
 			t.Errorf("deleted config field %s is back", f)
+		}
+	}
+	// Both documents state the count: every listed field but the two
+	// Gossip.Nodes/Self that NewFront overwrites.
+	want := strconv.Itoa(len(configSurface) - 2)
+	for _, doc := range []string{"../../README.md", "../../DESIGN.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := servingCount.FindAllStringSubmatch(strings.Join(strings.Fields(string(b)), " "), -1)
+		if len(m) != 1 || m[0][1] != want {
+			t.Errorf("%s: serving-tier count %v, want one statement of %s settable values", doc, m, want)
 		}
 	}
 	for dir, names := range goneDecls {

@@ -132,7 +132,7 @@ func TestReadMetricsRefusesDuplicatesAndMalformedLines(t *testing.T) {
 // a failing, stalling origin retry and hedge, and the poller checks every
 // read. (Run under -race by `make race`.)
 func TestStatsInvariantsHoldOnEveryRead(t *testing.T) {
-	ov := Overload{PropagateDeadline: true, MinFetchBudget: 50 * time.Millisecond, Hedge: 2 * time.Millisecond}
+	ov := Overload{MinFetchBudget: 50 * time.Millisecond, Hedge: 2 * time.Millisecond}
 	_, proxy := overloadTestbed(t, fastResilience(), ov, func(h http.Handler) http.Handler {
 		return faults.New(faults.Config{Seed: 7, ErrorRate: 0.3, StallRate: 0.2, Stall: 10 * time.Millisecond}).Wrap(h)
 	})

@@ -327,28 +327,19 @@ func RunLoad(ctx context.Context, tr *trace.Trace, cfg LoadConfig) (LoadResult, 
 		gaps = cfg.Burst.Gaps(tr.Len())
 	}
 	var dispatchErr error
-	if done := ctx.Done(); done == nil && gaps == nil {
-		// Uncancellable unpaced dispatch (the benchmark path): a plain send
-		// per request instead of a two-case select keeps the dispatcher's
-		// scheduler cost off the measured loop.
-		for i := range tr.Requests {
-			work <- i
-		}
-	} else {
-	dispatch:
-		for i := range tr.Requests {
-			if gaps != nil && gaps[i] > 0 {
-				if err := sleepCtx(ctx, gaps[i]); err != nil {
-					dispatchErr = err
-					break dispatch
-				}
-			}
-			select {
-			case work <- i:
-			case <-ctx.Done():
-				dispatchErr = ctx.Err()
+dispatch:
+	for i := range tr.Requests {
+		if gaps != nil && gaps[i] > 0 {
+			if err := sleepCtx(ctx, gaps[i]); err != nil {
+				dispatchErr = err
 				break dispatch
 			}
+		}
+		select {
+		case work <- i:
+		case <-ctx.Done():
+			dispatchErr = ctx.Err()
+			break dispatch
 		}
 	}
 	close(work)

@@ -37,7 +37,7 @@ func TestMetricsExposition(t *testing.T) {
 		Origin:   origin.URL,
 		Overload: server.DefaultOverload(),
 	}
-	cfg.Overload.Breaker.Clock = clock
+	cfg.Overload.Clock = clock
 
 	// A first node journals DC admissions and departs; the node under test
 	// recovers them, so the recovery lines carry values.

@@ -14,7 +14,7 @@ import (
 
 // DeadlineHeader carries the client's end-to-end deadline in milliseconds.
 // The load generator sets it from LoadConfig.Deadline; the proxy (with
-// PropagateDeadline on) converts it into a request context deadline that
+// MinFetchBudget set) converts it into a request context deadline that
 // bounds every origin fetch attempt, so work the client has already given up
 // on is cancelled instead of finished into the void.
 const DeadlineHeader = "X-Darwin-Deadline-Ms"
@@ -25,31 +25,30 @@ const DeadlineHeader = "X-Darwin-Deadline-Ms"
 const ShedHeader = "X-Darwin-Shed"
 
 // Overload configures the pipeline's overload-protection stages: circuit
-// breaking on the origin path, bounded-in-flight admission control,
-// client-deadline propagation with doomed-work shedding, hedged fetches, and
-// a rolling-window retry budget. Each field gates its own stage; the zero
-// value leaves none of them in the pipeline.
+// breaking with a retry budget on the origin path, bounded-in-flight
+// admission control, client-deadline propagation with doomed-work shedding,
+// and hedged fetches. A stage is present exactly when its field is non-zero;
+// the zero value leaves none of them in the pipeline.
 type Overload struct {
-	// Enabled puts the origin circuit breaker and the retry budget in the
-	// pipeline. It is the one presence bit: Breaker's zero value already
-	// means "breaker defaults", so it cannot also mean "no breaker".
-	Enabled bool
-	// Breaker parameterises the origin circuit breaker; the zero value
-	// selects breaker defaults (1s window, 50% threshold, 250ms cool-off,
-	// 3 half-open probes). Its Clock is the whole pipeline's clock, breaker
-	// or not: it also stamps Request.Time and runs the retry budget and, in
-	// a cluster, the sibling breakers and gossip.
-	Breaker breaker.Config
-	// MaxInFlight bounds concurrently admitted requests; a request over the
-	// budget is shed immediately (stale or 503+Retry-After) instead of
-	// queueing. 0 means unlimited.
+	// Clock is the pipeline's one clock (nil = time.Now): it stamps
+	// Request.Time and runs the origin breaker, the retry budget and, in a
+	// cluster, the sibling breakers and gossip.
+	Clock func() time.Time
+	// BreakerThreshold, when > 0, puts the origin circuit breaker and the
+	// retry budget in the pipeline; the breaker trips at this windowed
+	// failure ratio. Its window, volume floor and half-open probes run at
+	// breaker.Config defaults.
+	BreakerThreshold float64
+	// BreakerOpenFor is the breaker's cool-off before half-open.
+	BreakerOpenFor time.Duration
+	// MaxInFlight, when > 0, bounds concurrently admitted requests; a request
+	// over the budget is shed immediately (stale or 503+Retry-After) instead
+	// of queueing.
 	MaxInFlight int64
-	// PropagateDeadline honors the client's DeadlineHeader, deriving the
-	// context deadline every fetch attempt of a miss inherits.
-	PropagateDeadline bool
-	// MinFetchBudget is the remaining-deadline floor below which a miss is
-	// shed rather than fetched: a fetch that cannot possibly finish in time
-	// is doomed work (default 50ms).
+	// MinFetchBudget, when > 0, honors the client's DeadlineHeader — every
+	// fetch attempt of a miss inherits it as a context deadline — and is the
+	// remaining-deadline floor below which a miss is shed rather than
+	// fetched: a fetch that cannot possibly finish in time is doomed work.
 	MinFetchBudget time.Duration
 	// Hedge, when > 0, launches a second origin fetch if the first has not
 	// answered after this delay; the first result wins and the loser is
@@ -62,24 +61,25 @@ type Overload struct {
 const retryAfterSeconds = "1"
 
 // DefaultOverload returns the hardened defaults used by cmd/darwin-proxy and
-// the overload chaos experiment: breaker defaults, 512 in-flight requests,
-// deadline propagation with a 50ms fetch floor and a 25ms hedge. Enabled
-// also caps retries at the breaker's half-open probe budget per window.
+// the overload chaos experiment: a breaker tripping at a 50% failure ratio
+// with a 250ms cool-off (its half-open probe budget per window also caps
+// retries), 512 in-flight requests, deadline propagation with a 50ms fetch
+// floor and a 25ms hedge.
 func DefaultOverload() Overload {
 	return Overload{
-		Enabled:           true,
-		MaxInFlight:       512,
-		PropagateDeadline: true,
-		MinFetchBudget:    50 * time.Millisecond,
-		Hedge:             25 * time.Millisecond,
+		BreakerThreshold: 0.5,
+		BreakerOpenFor:   250 * time.Millisecond,
+		MaxInFlight:      512,
+		MinFetchBudget:   50 * time.Millisecond,
+		Hedge:            25 * time.Millisecond,
 	}
 }
 
 // Validate checks an Overload assembled from outside input and names the
-// first value no operator can have meant. Zero keeps each field's documented
-// meaning (stage absent, or the default).
+// first value no operator can have meant. Code may leave a field zero to
+// mean "stage absent"; an operator switches the breaker off with the whole
+// layer, not with its threshold, so the breaker fields must be in range.
 func (ov Overload) Validate() error {
-	b := ov.Breaker
 	switch {
 	case ov.MaxInFlight < 0:
 		return fmt.Errorf("server: negative MaxInFlight %d", ov.MaxInFlight)
@@ -87,10 +87,10 @@ func (ov Overload) Validate() error {
 		return fmt.Errorf("server: negative MinFetchBudget %v", ov.MinFetchBudget)
 	case ov.Hedge < 0:
 		return fmt.Errorf("server: negative Hedge %v", ov.Hedge)
-	case b.FailureThreshold < 0 || b.FailureThreshold > 1:
-		return fmt.Errorf("server: breaker FailureThreshold %v, want in (0,1] (0 = default)", b.FailureThreshold)
-	case b.Window < 0 || b.OpenFor < 0:
-		return fmt.Errorf("server: negative breaker Window %v or OpenFor %v", b.Window, b.OpenFor)
+	case !(ov.BreakerThreshold > 0 && ov.BreakerThreshold <= 1): // NaN too
+		return fmt.Errorf("server: BreakerThreshold %v, want in (0,1]", ov.BreakerThreshold)
+	case ov.BreakerOpenFor <= 0:
+		return fmt.Errorf("server: BreakerOpenFor %v, want > 0", ov.BreakerOpenFor)
 	}
 	return nil
 }
@@ -117,7 +117,7 @@ func (p *Proxy) BreakerSnapshot() (breaker.Snapshot, bool) {
 // malformed, or too large for a time.Duration (the header is outside input:
 // a value that would wrap must not turn into a tiny or negative deadline).
 func (p *Proxy) clientDeadline(r *http.Request) time.Duration {
-	if !p.ov.PropagateDeadline {
+	if p.ov.MinFetchBudget <= 0 {
 		return 0
 	}
 	ms, err := strconv.ParseInt(r.Header.Get(DeadlineHeader), 10, 64)

@@ -63,9 +63,8 @@ func TestDeadlineShedNotRetry(t *testing.T) {
 	// that stopped nothing would let through, so Retries == 0 below is the
 	// deadline's doing.
 	ov := Overload{
-		Enabled:           true,
-		PropagateDeadline: true,
-		MinFetchBudget:    5 * time.Millisecond,
+		BreakerThreshold: 0.5,
+		MinFetchBudget:   5 * time.Millisecond,
 	}
 	proxySrv, proxy := overloadTestbed(t, res, ov, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -104,7 +103,7 @@ func TestDeadlineShedNotRetry(t *testing.T) {
 // never queued behind the slow work that is hogging the budget.
 func TestAdmissionShedsOverBudget(t *testing.T) {
 	res := fastResilience()
-	ov := Overload{Enabled: true, MaxInFlight: 1}
+	ov := Overload{BreakerThreshold: 0.5, MaxInFlight: 1}
 	var slow atomic.Bool
 	proxySrv, proxy := overloadTestbed(t, res, ov, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -165,7 +164,7 @@ func TestAdmissionShedsOverBudget(t *testing.T) {
 // overtaken by the hedged second, and the client sees a fast success.
 func TestHedgeRescuesStalledFetch(t *testing.T) {
 	res := fastResilience()
-	ov := Overload{Enabled: true, Hedge: 10 * time.Millisecond}
+	ov := Overload{BreakerThreshold: 0.5, Hedge: 10 * time.Millisecond}
 	var n atomic.Int64
 	proxySrv, proxy := overloadTestbed(t, res, ov, func(h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -193,10 +192,7 @@ func TestHedgeRescuesStalledFetch(t *testing.T) {
 // TestBreakerGatesReadiness wires the proxy's breaker into the Health
 // readiness surface: tripping it flips /readyz to 503 naming the gate.
 func TestBreakerGatesReadiness(t *testing.T) {
-	ov := Overload{
-		Enabled: true,
-		Breaker: breaker.Config{MinRequests: 2, OpenFor: time.Hour},
-	}
+	ov := Overload{BreakerThreshold: 0.5, BreakerOpenFor: time.Hour}
 	_, proxy := overloadTestbed(t, fastResilience(), ov, nil)
 	health := NewHealth(Gate{Name: "breaker", Ready: proxy.Ready})
 
@@ -212,7 +208,9 @@ func TestBreakerGatesReadiness(t *testing.T) {
 		}
 	}
 	check(http.StatusOK, "")
-	for i := 0; i < 2; i++ { // trip the breaker directly
+	// Trip the breaker directly, with as many failures as its volume floor.
+	floor := breaker.Config{}.WithDefaults().MinRequests
+	for i := int64(0); i < floor; i++ {
 		if proxy.brk.Allow() {
 			proxy.brk.Record(false)
 		}
@@ -337,7 +335,7 @@ func TestOverloadSheddingStress(t *testing.T) {
 // and too-large values set none: a millisecond count whose product with
 // time.Millisecond wraps must not become a tiny or negative deadline.
 func TestClientDeadlineRejectsWrappingValues(t *testing.T) {
-	ov := Overload{PropagateDeadline: true, MinFetchBudget: time.Hour}
+	ov := Overload{MinFetchBudget: time.Hour}
 	_, proxy := overloadTestbed(t, Resilience{}, ov, nil)
 	for i, tc := range []struct {
 		header string

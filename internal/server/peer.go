@@ -149,13 +149,13 @@ func (p *Proxy) SetPeers(cfg PeerConfig) error {
 	brks := make([]*breaker.Breaker, len(cfg.Nodes))
 	ups := make([]*upstream, len(cfg.Nodes))
 	for i, n := range cfg.Nodes {
-		brks[i] = breaker.New(defaultPeerBreaker(p.ov.Breaker.Clock))
+		brks[i] = breaker.New(defaultPeerBreaker(p.ov.Clock))
 		ups[i] = newUpstream(n, GossipHeader)
 		if err := ups[i].err; err != nil {
 			return err
 		}
 	}
-	memb, err := gossip.New(gossip.Config{Nodes: len(cfg.Nodes), Self: self, Clock: p.ov.Breaker.Clock})
+	memb, err := gossip.New(gossip.Config{Nodes: len(cfg.Nodes), Self: self, Clock: p.ov.Clock})
 	if err != nil {
 		return err
 	}

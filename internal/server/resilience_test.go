@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -13,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"darwin/internal/baselines"
 	"darwin/internal/cache"
 	"darwin/internal/trace"
 )
@@ -28,7 +28,7 @@ func fastResilience() Resilience {
 
 // resilientTestbed builds origin (behind optional middleware), a resilient
 // proxy, and returns both servers plus the proxy and decider.
-func resilientTestbed(t *testing.T, res Resilience, wrap func(http.Handler) http.Handler) (*Origin, *httptest.Server, *Proxy, *baselines.Static) {
+func resilientTestbed(t *testing.T, res Resilience, wrap func(http.Handler) http.Handler) (*Origin, *httptest.Server, *Proxy, *cache.Sharded) {
 	t.Helper()
 	origin := &Origin{}
 	var h http.Handler = origin
@@ -100,18 +100,27 @@ func TestValidateRejectsOutsideGarbage(t *testing.T) {
 			t.Errorf("bad %s: Validate() = %v, want an error naming it", field, err)
 		}
 	}
-	badOv := map[string]func(*Overload){
-		"MaxInFlight":      func(o *Overload) { o.MaxInFlight = -1 },
-		"MinFetchBudget":   func(o *Overload) { o.MinFetchBudget = -1 },
-		"Hedge":            func(o *Overload) { o.Hedge = -1 },
-		"FailureThreshold": func(o *Overload) { o.Breaker.FailureThreshold = 1.5 },
-		"Window":           func(o *Overload) { o.Breaker.Window = -1 },
+	// A zero breaker field means "stage absent" to code, but an operator
+	// switches the breaker off with the whole layer: the breaker stays closed
+	// forever at a NaN threshold, and zero is no silent fix-up to a default.
+	badOv := []struct {
+		field  string
+		mutate func(*Overload)
+	}{
+		{"MaxInFlight", func(o *Overload) { o.MaxInFlight = -1 }},
+		{"MinFetchBudget", func(o *Overload) { o.MinFetchBudget = -1 }},
+		{"Hedge", func(o *Overload) { o.Hedge = -1 }},
+		{"BreakerThreshold", func(o *Overload) { o.BreakerThreshold = 1.5 }},
+		{"BreakerThreshold", func(o *Overload) { o.BreakerThreshold = math.NaN() }},
+		{"BreakerThreshold", func(o *Overload) { o.BreakerThreshold = 0 }},
+		{"BreakerOpenFor", func(o *Overload) { o.BreakerOpenFor = -1 }},
+		{"BreakerOpenFor", func(o *Overload) { o.BreakerOpenFor = 0 }},
 	}
-	for field, mutate := range badOv {
+	for i, tc := range badOv {
 		o := DefaultOverload()
-		mutate(&o)
-		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), field) {
-			t.Errorf("bad %s: Validate() = %v, want an error naming it", field, err)
+		tc.mutate(&o)
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("case %d, bad %s: Validate() = %v, want an error naming it", i, tc.field, err)
 		}
 	}
 }

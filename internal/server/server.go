@@ -17,19 +17,20 @@
 // are coherent.
 //
 // Proxy is one request pipeline. Every request crosses the same stages in
-// the same order; a stage whose own configuration value is zero is absent,
-// it does not select another path:
+// the same order; a stage is present exactly when its own configuration value
+// is non-zero, and an absent stage does not select another path:
 //
 //  1. parse /obj/<id>?size=<n>;
 //  2. peer-probe guard — a sibling's probe is answered from memory or 404
 //     and goes no further (SetPeers);
 //  3. admit — bounded in-flight budget (Overload.MaxInFlight);
 //  4. Lookup — a residency probe that mutates nothing; a hit commits;
-//  5. on a miss: client deadline (Overload.PropagateDeadline) and the
-//     doomed-work shed, then peer fill (SetPeers), then the origin fetch —
-//     coalesce (Resilience.Coalesce) → retry with backoff (MaxAttempts > 1)
-//     → circuit breaker and retry budget (Overload.Enabled) → hedge
-//     (Overload.Hedge), each attempt validated against the full body;
+//  5. on a miss: client deadline and the doomed-work shed
+//     (Overload.MinFetchBudget), then peer fill (SetPeers), then the origin
+//     fetch — coalesce (Resilience.Coalesce) → retry with backoff
+//     (MaxAttempts > 1) → circuit breaker and retry budget
+//     (Overload.BreakerThreshold) → hedge (Overload.Hedge), each attempt
+//     validated against the full body;
 //  6. commit through the decider's Serve, only now that the bytes are known
 //     good — a failed fetch is a proxy error (shed, stale serve under
 //     Resilience.ServeStale, or 502), never a cache admission, so origin
@@ -152,8 +153,9 @@ func sizeParam(rawQuery string) string {
 	return ""
 }
 
-// Decider is the cache-management brain plugged into the proxy: a static
-// expert or Darwin's online controller, over a concurrency-safe cache engine.
+// Decider is the cache-management brain plugged into the proxy: a
+// concurrency-safe cache engine running a static expert (*cache.Sharded), or
+// Darwin's online controller (*core.Controller) over one.
 type Decider interface {
 	Lookuper
 	// Serve accounts one request and decides where it is served from.
@@ -161,8 +163,6 @@ type Decider interface {
 	// Metrics exposes accumulated cache metrics, exact as of the call (any
 	// batched counter publication is flushed first).
 	Metrics() cache.Metrics
-	// Name labels the scheme.
-	Name() string
 	// Concurrent reports whether the decider may be driven from multiple
 	// goroutines at once. NewOverloadProxy refuses one that answers false.
 	Concurrent() bool
@@ -299,15 +299,15 @@ type Proxy struct {
 	// origin fetches misses from the origin base URL the proxy was built
 	// with (e.g. http://127.0.0.1:9000).
 	origin *upstream
-	// DCLatency is the injected disk-read delay for DC hits.
-	DCLatency time.Duration
+	// dcLatency is the injected disk-read delay for DC hits.
+	dcLatency time.Duration
 
 	res     Resilience
 	ov      Overload
 	flights flightGroup
 
 	// brk gates origin fetch attempts and retryBudget caps the backoff path;
-	// both are nil unless ov.Enabled. Readiness and stats reads take their
+	// both are nil unless ov.BreakerThreshold > 0. Readiness and stats reads take their
 	// mutexes for a copy, a few times a second at most.
 	brk         *breaker.Breaker
 	retryBudget *breaker.Budget
@@ -345,50 +345,40 @@ type Proxy struct {
 // signature has no error): every origin fetch fails with the reason.
 //
 // It panics if decider.Concurrent() is false: handlers call the decider from
-// many goroutines. A single-lock data plane is cache.NewSharded(cfg, 1) or
-// baselines.NewStaticSharded(e, cfg, 1), bit-identical to the serial
-// Hierarchy.
+// many goroutines. A single-lock data plane is cache.NewSharded(cfg, 1),
+// bit-identical to the serial Hierarchy.
 func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration, res Resilience, ov Overload) *Proxy {
 	if !decider.Concurrent() {
-		panic(fmt.Sprintf("server: decider %q is not safe for concurrent callers; build it over cache.NewSharded(cfg, 1) or baselines.NewStaticSharded(e, cfg, 1)", decider.Name()))
+		panic(fmt.Sprintf("server: decider %T is not safe for concurrent callers; build it over cache.NewSharded(cfg, 1)", decider))
 	}
-	ov = ov.withDefaults()
+	if ov.Clock == nil {
+		ov.Clock = time.Now
+	}
 	p := &Proxy{
 		decider:   decider,
 		origin:    newUpstream(originURL),
-		DCLatency: dcLatency,
+		dcLatency: dcLatency,
 		res:       res,
 		ov:        ov,
 		rng:       rand.New(rand.NewSource(jitterSeed)),
 		stats:     newCounters[ProxyStats](),
 	}
 	p.start = p.now()
-	if ov.Enabled {
+	if ov.BreakerThreshold > 0 {
 		// The retry budget is the breaker's half-open probe budget per
 		// breaker window: the backoff path never probes a sick origin harder
 		// than the breaker itself would.
-		b := ov.Breaker
+		b := breaker.Config{FailureThreshold: ov.BreakerThreshold, OpenFor: ov.BreakerOpenFor, Clock: ov.Clock}.WithDefaults()
 		p.brk = breaker.New(b)
 		p.retryBudget = breaker.NewBudget(b.HalfOpenProbes, b.Window, b.Clock)
 	}
 	return p
 }
 
-// withDefaults is the one place a zero field is read as "the default" rather
-// than "stage absent" (no Resilience field is): the doomed-fetch floor and
-// the breaker's tuning, which the retry budget derives from.
-func (ov Overload) withDefaults() Overload {
-	if ov.MinFetchBudget <= 0 {
-		ov.MinFetchBudget = 50 * time.Millisecond
-	}
-	ov.Breaker = ov.Breaker.WithDefaults()
-	return ov
-}
-
-// now reads the pipeline's one clock, Overload.Breaker.Clock (the wall clock
-// unless injected): it stamps every request's Time and drives the origin breaker,
+// now reads the pipeline's one clock, Overload.Clock (the wall clock unless
+// injected): it stamps every request's Time and drives the origin breaker,
 // the retry budget and, in a cluster, the sibling breakers and gossip.
-func (p *Proxy) now() time.Time { return p.ov.Breaker.Clock() }
+func (p *Proxy) now() time.Time { return p.ov.Clock() }
 
 // Metrics returns the decider's cache metrics, exact as of the call.
 func (p *Proxy) Metrics() cache.Metrics { return p.decider.Metrics() }
@@ -458,8 +448,8 @@ func (p *Proxy) commit(w http.ResponseWriter, req trace.Request, routed cache.Re
 // shared static body chunk keep it at zero allocations per request above
 // net/http's own internals.
 func (p *Proxy) serveLocal(w http.ResponseWriter, res cache.Result, size int64) {
-	if res == cache.DCHit && p.DCLatency > 0 {
-		time.Sleep(p.DCLatency)
+	if res == cache.DCHit && p.dcLatency > 0 {
+		time.Sleep(p.dcLatency)
 	}
 	h := w.Header()
 	setContentType(h)

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"darwin/internal/baselines"
 	"darwin/internal/cache"
 	"darwin/internal/trace"
 	"darwin/internal/tracegen"
@@ -20,10 +19,10 @@ import (
 // staticDecider builds the static-expert decider the package's tests share,
 // over a sharded engine with the given shard count (1 = one lock, the serial
 // hierarchy's behaviour).
-func staticDecider(t testing.TB, shards int) *baselines.Static {
+func staticDecider(t testing.TB, shards int) *cache.Sharded {
 	t.Helper()
-	dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20}, shards)
+	dec, err := cache.NewSharded(cache.Config{HOCBytes: 256 << 10, DCBytes: 32 << 20,
+		Expert: cache.Expert{Freq: 1, MaxSize: 1 << 20}}, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,14 +141,14 @@ func TestProxyLatencyOrdering(t *testing.T) {
 // goroutines, so a decider over a bare Hierarchy is refused at construction
 // with a message naming the one-shard replacement.
 func TestConstructorRefusesSerialDecider(t *testing.T) {
-	dec, err := baselines.NewStatic(cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20})
+	dec, err := cache.New(cache.Config{HOCBytes: 256 << 10, DCBytes: 32 << 20,
+		Expert: cache.Expert{Freq: 1, MaxSize: 1 << 20}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
 		msg := fmt.Sprint(recover())
-		for _, want := range []string{"not safe for concurrent callers", "NewSharded(cfg, 1)", "NewStaticSharded(e, cfg, 1)"} {
+		for _, want := range []string{"not safe for concurrent callers", "NewSharded(cfg, 1)"} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("panic %q does not mention %q", msg, want)
 			}
@@ -304,7 +303,7 @@ func TestLoadResultZero(t *testing.T) {
 }
 
 func TestProxyBadGatewayOnOriginFailure(t *testing.T) {
-	dec, err := baselines.NewStaticSharded(cache.Expert{Freq: 1, MaxSize: 1 << 20}, cache.EvalConfig{HOCBytes: 1 << 20, DCBytes: 1 << 24}, 1)
+	dec, err := cache.NewSharded(cache.Config{HOCBytes: 1 << 20, DCBytes: 1 << 24, Expert: cache.Expert{Freq: 1, MaxSize: 1 << 20}}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +345,6 @@ type racingDecider struct{ lookup, serve cache.Result }
 func (d racingDecider) Lookup(uint64) cache.Result       { return d.lookup }
 func (d racingDecider) Serve(trace.Request) cache.Result { return d.serve }
 func (d racingDecider) Metrics() cache.Metrics           { return cache.Metrics{} }
-func (d racingDecider) Name() string                     { return "racing" }
 func (d racingDecider) Concurrent() bool                 { return true }
 
 // TestCommitRaced: a commit whose Serve disagrees with the residency the

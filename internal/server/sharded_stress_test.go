@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"darwin/internal/cache"
 	"darwin/internal/faults"
 	"darwin/internal/tracegen"
 )
@@ -82,9 +81,8 @@ func TestShardedProxyStress(t *testing.T) {
 			m.Requests, res.Requests, res.StaleServes)
 	}
 	// Every shard of the engine should have taken traffic.
-	eng := dec.Engine().(*cache.Sharded)
-	for i := 0; i < eng.Shards(); i++ {
-		if eng.ShardMetrics(i).Requests == 0 {
+	for i := 0; i < dec.Shards(); i++ {
+		if dec.ShardMetrics(i).Requests == 0 {
 			t.Errorf("shard %d saw no traffic", i)
 		}
 	}
