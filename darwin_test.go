@@ -140,6 +140,7 @@ var goneIdents = []string{
 	"PeerConfig.Clock", "ClientLatency", "-client-latency",
 	"internal/bloom", "bloomObjects", "TestAndAddU64", "ContainsU64", "FilterState",
 	"NewStaticSharded", "PropagateDeadline", "Overload.Enabled", "Overload.Breaker",
+	"WeightSchedule", "LoadFactor", "Config.Readiness", "EvaluateAllParallel", "TaskError",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

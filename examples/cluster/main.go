@@ -54,12 +54,11 @@ func main() {
 	subs, err := darwin.SplitTrace(global, darwin.LoadBalancerConfig{
 		Servers:        4,
 		RebalanceEvery: 20_000,
-		LoadFactor:     0.15,
-		WeightSchedule: func(window int) []float64 {
-			if window < 4 {
-				return []float64{1, 1, 1, 1}
+		Weight: func(window, server int) float64 {
+			if window >= 4 && server >= 2 {
+				return 0.05 // servers 2 and 3 drain
 			}
-			return []float64{1, 1, 0.05, 0.05} // servers 2 and 3 drain
+			return 1
 		},
 	})
 	if err != nil {

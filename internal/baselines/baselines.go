@@ -59,6 +59,5 @@ func newHierarchy(cfg cache.EvalConfig, e cache.Expert) (*cache.Hierarchy, error
 		HOCEviction: cfg.HOCEviction,
 		DCEviction:  cfg.DCEviction,
 		Expert:      e,
-		DCLog:       cfg.DCLog,
 	})
 }

@@ -16,9 +16,6 @@ type EvalConfig struct {
 	WarmupFrac float64
 	// HOCEviction and DCEviction name eviction policies; empty means LRU.
 	HOCEviction, DCEviction string
-	// DCLog optionally journals DC admissions and evictions to a durable
-	// write-ahead log (nil = no journaling; simulation default).
-	DCLog DCLog
 }
 
 // DefaultEvalConfig returns the scaled simulator defaults (DESIGN.md §5):
@@ -60,14 +57,8 @@ func Evaluate(tr *trace.Trace, e Expert, cfg EvalConfig) (Metrics, error) {
 // bit-identical to the serial loop. Failures are aggregated: the returned
 // error names every expert that failed, not just the first.
 func EvaluateAll(tr *trace.Trace, experts []Expert, cfg EvalConfig) ([]Metrics, error) {
-	return EvaluateAllParallel(tr, experts, cfg, 0)
-}
-
-// EvaluateAllParallel is EvaluateAll with an explicit worker-pool width;
-// parallelism <= 0 selects par.Default(), 1 runs the reference serial path.
-func EvaluateAllParallel(tr *trace.Trace, experts []Expert, cfg EvalConfig, parallelism int) ([]Metrics, error) {
 	out := make([]Metrics, len(experts))
-	err := par.ForEach(len(experts), parallelism, func(i int) error {
+	err := par.ForEach(len(experts), func(i int) error {
 		m, err := Evaluate(tr, experts[i], cfg)
 		if err != nil {
 			return fmt.Errorf("expert %s: %w", experts[i], err)

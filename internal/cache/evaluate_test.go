@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"darwin/internal/par"
 	"darwin/internal/trace"
 	"darwin/internal/tracegen"
 )
@@ -126,12 +127,17 @@ func TestEvaluateAllSerialParallelIdentical(t *testing.T) {
 	experts := Grid([]int{1, 2, 3}, []int64{2 << 10, 50 << 10, 1 << 20})
 	cfg := EvalConfig{HOCBytes: 128 << 10, DCBytes: 8 << 20, WarmupFrac: 0.1}
 
-	serial, err := EvaluateAllParallel(tr, experts, cfg, 1)
+	evaluate := func(p int) ([]Metrics, error) {
+		prev := par.SetDefault(p)
+		defer par.SetDefault(prev)
+		return EvaluateAll(tr, experts, cfg)
+	}
+	serial, err := evaluate(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []int{2, 4, 16} {
-		got, err := EvaluateAllParallel(tr, experts, cfg, p)
+		got, err := evaluate(p)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", p, err)
 		}

@@ -92,7 +92,7 @@ func BuildDataset(traces []*trace.Trace, cfg DatasetConfig) (*Dataset, error) {
 	// Fan out over the shared engine: one task per trace, results written to
 	// Records[ti] so ordering matches the input; failures are aggregated with
 	// trace identity rather than fail-fast.
-	err := par.ForEach(len(traces), 0, func(ti int) error {
+	err := par.ForEach(len(traces), func(ti int) error {
 		rec, err := evaluateTrace(traces[ti], cfg, ds.FeatureCfg)
 		if err != nil {
 			return fmt.Errorf("core: trace %s: %w", traces[ti].Name, err)

@@ -40,7 +40,7 @@ func BuildTraces(sc Scale) (train, test []*trace.Trace, err error) {
 			jobs = append(jobs, job{pct: pct, n: sc.OnlineTraceLen, seed: sc.Seed + int64(1000*pct+500+s), test: true})
 		}
 	}
-	traces, err := par.Map(jobs, 0, func(i int, j job) (*trace.Trace, error) {
+	traces, err := par.Map(jobs, func(i int, j job) (*trace.Trace, error) {
 		return tracegen.ImageDownloadMix(j.pct, j.n, j.seed)
 	})
 	if err != nil {

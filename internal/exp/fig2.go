@@ -119,7 +119,7 @@ func Fig2Suite(sc Scale) ([]*Report, error) {
 	}
 	// Panels are independent (trace generation + grid evaluation), so they
 	// fan out over the engine; out[i] keeps paper order deterministic.
-	out, err := par.Map(panels, 0, func(i int, p panel) (*Report, error) {
+	out, err := par.Map(panels, func(i int, p panel) (*Report, error) {
 		tr, err := mk(p.pct, p.seed)
 		if err != nil {
 			return nil, fmt.Errorf("panel %s: %w", p.title, err)

@@ -135,7 +135,7 @@ func resetHindsightCache() {
 func EnsembleSet(c *Corpus) ([]*trace.Trace, error) {
 	// Warm the hindsight memo for every test trace in parallel; the serial
 	// grouping below then reads cached grids only.
-	if err := par.ForEach(len(c.Test), 0, func(i int) error {
+	if err := par.ForEach(len(c.Test), func(i int) error {
 		_, err := Hindsight(c, c.Test[i])
 		return err
 	}); err != nil {
@@ -226,7 +226,7 @@ func compareFresh(c *Corpus) (*compareOut, error) {
 		ohr   float64
 		diags []core.EpochDiag
 	}
-	darwinRuns, err := par.Map(ensemble, 0, func(i int, tr *trace.Trace) (darwinOut, error) {
+	darwinRuns, err := par.Map(ensemble, func(i int, tr *trace.Trace) (darwinOut, error) {
 		m, diags, err := RunDarwin(c, tr)
 		if err != nil {
 			return darwinOut{}, fmt.Errorf("darwin on %s: %w", tr.Name, err)
@@ -271,7 +271,7 @@ func compareFresh(c *Corpus) (*compareOut, error) {
 			pairs = append(pairs, pair{name: name, tr: tr})
 		}
 	}
-	ohrs, err := par.Map(pairs, 0, func(i int, p pair) (float64, error) {
+	ohrs, err := par.Map(pairs, func(i int, p pair) (float64, error) {
 		srv, err := NewBaseline(p.name, c)
 		if err != nil {
 			return 0, fmt.Errorf("baseline %s: %w", p.name, err)
@@ -313,7 +313,7 @@ func Fig4Compare(c *Corpus, title string) (*Report, []ComparisonResult, []core.E
 	rep.AddNote("darwin mean OHR %.4f over %d ensemble traces", stats.Mean(darwin.OHR), len(darwin.OHR))
 	// R1 reference point: the clairvoyant (Belady-style) HOC bound.
 	if ensemble, err := EnsembleSet(c); err == nil && len(ensemble) > 0 {
-		bounds, _ := par.Map(ensemble, 0, func(i int, tr *trace.Trace) (float64, error) {
+		bounds, _ := par.Map(ensemble, func(i int, tr *trace.Trace) (float64, error) {
 			return cache.OfflineOptimalOHR(tr, c.Scale.Eval.HOCBytes, c.Scale.Eval.WarmupFrac), nil
 		})
 		if mb := stats.Mean(bounds); mb > 0 {

@@ -29,7 +29,7 @@ func Fig6Objective(sc Scale, objective string, title string) (*Report, error) {
 
 	// Darwin under the retrained objective: one run per ensemble trace,
 	// fanned out over the engine in trace order.
-	darwinVals, err := par.Map(ensemble, 0, func(i int, tr *trace.Trace) (float64, error) {
+	darwinVals, err := par.Map(ensemble, func(i int, tr *trace.Trace) (float64, error) {
 		m, _, err := RunDarwin(c, tr)
 		if err != nil {
 			return 0, fmt.Errorf("darwin on %s: %w", tr.Name, err)
@@ -89,7 +89,7 @@ func runDarwinEnsemble(c *Corpus, ensemble []*trace.Trace) (ohrs, rounds []float
 		ohr    float64
 		rounds []float64
 	}
-	outs, err := par.Map(ensemble, 0, func(i int, tr *trace.Trace) (runOut, error) {
+	outs, err := par.Map(ensemble, func(i int, tr *trace.Trace) (runOut, error) {
 		m, diags, err := RunDarwin(c, tr)
 		if err != nil {
 			return runOut{}, fmt.Errorf("darwin on %s: %w", tr.Name, err)

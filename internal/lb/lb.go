@@ -6,8 +6,8 @@
 // the balancer spills traffic between servers, so the request sub-stream any
 // one server sees changes composition over time — even when the global
 // workload is stable. Online, the same Ring routes live HTTP traffic in the
-// front tier (server.Front), where the Readiness hook is fed from backend
-// /readyz probes and a Replicator widens hot objects over ring successors.
+// front tier (server.Front), where the Weight hook is fed from backend health
+// probes and a Replicator widens hot objects over ring successors.
 package lb
 
 import (
@@ -21,26 +21,17 @@ import (
 type Config struct {
 	// Servers is the cluster size.
 	Servers int
-	// LoadFactor is the bounded-loads ε: within one rebalance window a
-	// server accepts at most (1+ε)·(window requests / servers)·weight
-	// requests before spilling to its ring successor (default 0.25).
-	LoadFactor float64
 	// RebalanceEvery is the window length in requests between load resets —
 	// the small-TTL DNS re-evaluation of §2.1 (default 10_000).
 	RebalanceEvery int
-	// WeightSchedule, when non-nil, returns the capacity weights for a given
-	// rebalance window — modelling drains, flash crowds, and capacity
-	// changes that shift traffic mixes between servers (static weights are
-	// a schedule that ignores its argument). nil means uniform.
-	WeightSchedule func(window int) []float64
-	// Readiness, when non-nil, scales each server's effective weight by its
-	// health at every rebalance boundary: 1 for a fully ready server, 0 for
-	// one that must receive no new traffic (draining, or its origin circuit
-	// breaker is open), fractions for partial capacity. This is how the
-	// serving tier's /readyz surface feeds back into routing — an unready
-	// edge sheds its ring weight and the bounded-loads spill redistributes
-	// its share to ring successors until it recovers.
-	Readiness func(window, server int) float64
+	// Weight, when non-nil, returns a server's capacity weight for a
+	// rebalance window; nil, or a negative answer, means 1. It is consulted
+	// for every server at each window boundary, so it models drains, flash
+	// crowds and capacity changes offline, and online it is how the serving
+	// tier's health feeds back into routing: an unready edge answers 0 and
+	// the bounded-loads spill redistributes its share to ring successors
+	// until it recovers.
+	Weight func(window, server int) float64
 }
 
 func (c Config) validate() error {
@@ -53,13 +44,15 @@ func (c Config) validate() error {
 // virtualNodes is the number of ring entries per server.
 const virtualNodes = 64
 
-// WithDefaults returns c with every unset (<= 0) tuning field replaced by
-// its documented default. NewRing applies it; server.FrontConfig takes its
+// loadFactor is the bounded-loads ε: within one rebalance window a server
+// accepts at most (1+ε)·(window requests)·weight/(total weight) requests
+// before spilling to its ring successor.
+const loadFactor = 0.25
+
+// WithDefaults returns c with an unset (<= 0) RebalanceEvery replaced by its
+// documented default. NewRing applies it; server.FrontConfig takes its
 // RebalanceEvery default from it.
 func (c Config) WithDefaults() Config {
-	if c.LoadFactor <= 0 {
-		c.LoadFactor = 0.25
-	}
 	if c.RebalanceEvery <= 0 {
 		c.RebalanceEvery = 10_000
 	}
@@ -81,8 +74,8 @@ func sortRingEntries(ring []ringEntry) {
 // rebalance boundaries — from one global workload. Because the trace length
 // is known up front, Split begins each window with its exact request count:
 // the final window of a trace that does not divide RebalanceEvery gets
-// budgets scaled to the requests actually remaining, so a readiness or
-// weight change in that window still bites (a full-window budget would
+// budgets scaled to the requests actually remaining, so a weight change in
+// that window still bites (a full-window budget would
 // otherwise dwarf the partial window's traffic and the re-weighting would be
 // silently dropped).
 func Split(tr *trace.Trace, cfg Config) ([]*trace.Trace, error) {

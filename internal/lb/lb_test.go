@@ -31,7 +31,7 @@ func TestRouteDeterministicByObject(t *testing.T) {
 }
 
 func TestRouteBalancesLoad(t *testing.T) {
-	b, err := NewRing(Config{Servers: 4, LoadFactor: 0.25, RebalanceEvery: 8000})
+	b, err := NewRing(Config{Servers: 4, RebalanceEvery: 8000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestWeightsShiftTraffic(t *testing.T) {
 	cfg := Config{
 		Servers:        3,
 		RebalanceEvery: 10000,
-		WeightSchedule: func(window int) []float64 {
-			if window == 0 {
-				return []float64{1, 1, 1}
+		Weight: func(window, server int) float64 {
+			if window >= 1 && server == 0 {
+				return 0.1
 			}
-			return []float64{0.1, 1, 1}
+			return 1
 		},
 	}
 	b, err := NewRing(cfg)
@@ -127,14 +127,13 @@ func TestSplitShiftsPerServerMix(t *testing.T) {
 	cfg := Config{
 		Servers:        4,
 		RebalanceEvery: 10000,
-		LoadFactor:     0.1,
-		WeightSchedule: func(window int) []float64 {
-			if window < 2 {
-				return []float64{1, 1, 1, 1}
+		Weight: func(window, server int) float64 {
+			// From window 2 two servers drain: survivors absorb spilled
+			// traffic, changing their mixes.
+			if window >= 2 && server >= 2 {
+				return 0.05
 			}
-			// Two servers drain: survivors absorb spilled traffic, changing
-			// their mixes.
-			return []float64{1, 1, 0.05, 0.05}
+			return 1
 		},
 	}
 	subs, err := Split(tr, cfg)
@@ -164,7 +163,7 @@ func TestSplitShiftsPerServerMix(t *testing.T) {
 }
 
 // TestReadinessShedsRingWeight wires a real circuit breaker into the
-// balancer's readiness hook: while server 1's origin breaker is open, the
+// balancer's Weight hook, as the front tier's readiness does: while server 1's origin breaker is open, the
 // next rebalance boundary strips its ring weight and bounded-loads spill
 // redistributes its share — the lb half of health-gated routing.
 func TestReadinessShedsRingWeight(t *testing.T) {
@@ -181,8 +180,7 @@ func TestReadinessShedsRingWeight(t *testing.T) {
 	cfg := Config{
 		Servers:        3,
 		RebalanceEvery: 5000,
-		LoadFactor:     0.1,
-		Readiness: func(window, server int) float64 {
+		Weight: func(window, server int) float64 {
 			if server == 1 && brk.State() == breaker.Open {
 				return 0
 			}

@@ -10,17 +10,12 @@ package lb
 // routes them over R ring successors (Ring.RouteReplicated) and the peer-fill
 // path warms the successors on first touch.
 //
-// Concurrency: Observe and Rebalance serialize on an internal mutex (the
-// routing tier calls them under its own routing lock, so the mutex is
-// uncontended there); Factor is lock-free on an atomically swapped read-only
-// snapshot so data-plane readers never block; the last window's aggregate
-// row sits beside the counts under the same mutex for /metrics and reports.
+// Concurrency: as with Ring, the caller serializes every call — the front
+// tier makes them all under the routing lock it already holds for the ring.
 
 import (
 	"cmp"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
 // The replicator's tuning, which no deployment has varied.
@@ -47,45 +42,36 @@ type ReplicationStats struct {
 }
 
 // Replicator tracks per-object popularity per rebalance window and derives
-// replication factors for the next window.
+// replication factors for the next window. It is not safe for concurrent
+// use.
 type Replicator struct {
-	mu     sync.Mutex
-	counts map[uint64]int64 // guarded by mu: current window's per-object hits
-	total  int64            // guarded by mu: current window's request count
-	last   ReplicationStats // guarded by mu: the window Rebalance last closed
-
-	factors atomic.Value // map[uint64]int: read-only snapshot, swapped whole
+	counts  map[uint64]int64 // current window's per-object hits
+	total   int64            // current window's request count
+	factors map[uint64]int   // hot objects' factors, from the last window
+	last    ReplicationStats // the window Rebalance last closed
 }
 
 // NewReplicator builds a tracker with no hot objects.
 func NewReplicator() *Replicator {
-	r := &Replicator{counts: make(map[uint64]int64)}
-	r.factors.Store(map[uint64]int{})
-	return r
+	return &Replicator{counts: make(map[uint64]int64)}
 }
 
 // Observe records one request for id in the current window.
 func (r *Replicator) Observe(id uint64) {
-	r.mu.Lock()
 	r.counts[id]++
 	r.total++
-	r.mu.Unlock()
 }
 
-// Factor returns id's current replication factor (>= 1). Lock-free.
+// Factor returns id's current replication factor (>= 1).
 func (r *Replicator) Factor(id uint64) int {
-	if f, ok := r.factors.Load().(map[uint64]int)[id]; ok {
+	if f, ok := r.factors[id]; ok {
 		return f
 	}
 	return 1
 }
 
 // Stats returns the last completed window's replication row.
-func (r *Replicator) Stats() ReplicationStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.last
-}
+func (r *Replicator) Stats() ReplicationStats { return r.last }
 
 // hotCandidate pairs an object with its window hit count for top-K sorting.
 type hotCandidate struct {
@@ -94,14 +80,11 @@ type hotCandidate struct {
 }
 
 // Rebalance closes the current observation window: the top-K objects by hit
-// count are granted factors from their request share, the snapshot read by
-// Factor is swapped, the window's stats row is kept, and counting restarts.
-// Call at every rebalance boundary (typically right after
-// Ring.BeginWindow). Returns the new hot set (read-only).
-func (r *Replicator) Rebalance() map[uint64]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-
+// count are granted factors from their request share, which Factor answers
+// until the next Rebalance, the window's stats row is kept, and counting
+// restarts. Call at every rebalance boundary (typically right after
+// Ring.BeginWindow).
+func (r *Replicator) Rebalance() {
 	cand := make([]hotCandidate, 0, len(r.counts))
 	for id, n := range r.counts {
 		cand = append(cand, hotCandidate{id: id, count: n})
@@ -133,10 +116,9 @@ func (r *Replicator) Rebalance() map[uint64]int {
 			last.MaxFactor = int64(f)
 		}
 	}
-	r.factors.Store(hot)
+	r.factors = hot
 	r.last = last
 
 	r.counts = make(map[uint64]int64)
 	r.total = 0
-	return hot
 }

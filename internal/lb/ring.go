@@ -4,12 +4,11 @@ package lb
 // consistent-hash ring with bounded loads that both the offline trace
 // splitter (Split) and the online HTTP front tier (server.Front) route
 // through. The ring owns the §2.1 mechanics — vnode placement, per-window
-// capacity re-weighting (weight schedules and the readiness hook), and the
-// bounded-loads spill — while callers own window cadence: an open-ended
-// stream advances windows lazily every RebalanceEvery requests, and a caller
-// that knows the workload length (Split) begins each window explicitly so
-// the final partial window's budgets scale to the requests that actually
-// remain in it.
+// capacity re-weighting (the Weight hook), and the bounded-loads spill —
+// while callers own window cadence: an open-ended stream advances windows
+// lazily every RebalanceEvery requests, and a caller that knows the workload
+// length (Split) begins each window explicitly so the final partial window's
+// budgets scale to the requests that actually remain in it.
 //
 // Routing is allocation-free: the FNV-1a hash of the request id is computed
 // inline (bit-identical to hash/fnv over the id's 8 little-endian bytes,
@@ -124,29 +123,19 @@ func NewRing(cfg Config) (*Ring, error) {
 	return r, nil
 }
 
-// Servers returns the cluster size.
-func (r *Ring) Servers() int { return r.cfg.Servers }
-
 // Window returns the current rebalance window index.
 func (r *Ring) Window() int { return r.window }
 
-// Weights returns a copy of the current window's effective weights (after
-// the weight schedule and readiness scaling).
+// Weights returns a copy of the current window's weights, as the Weight hook
+// answered them.
 func (r *Ring) Weights() []float64 {
 	out := make([]float64, len(r.weights))
 	copy(out, r.weights)
 	return out
 }
 
-// Loads returns a copy of the current window's per-server load counts.
-func (r *Ring) Loads() []int64 {
-	out := make([]int64, len(r.loads))
-	copy(out, r.loads)
-	return out
-}
-
-// BeginWindow starts the given rebalance window: loads reset, the weight
-// schedule and readiness hook are consulted for this window, and
+// BeginWindow starts the given rebalance window: loads reset, the Weight
+// hook is consulted for every server in this window, and
 // bounded-loads budgets are derived from expect — the number of requests the
 // caller will route in this window. An open-ended stream passes
 // RebalanceEvery; a trace splitter passes the exact (possibly partial) window
@@ -161,19 +150,12 @@ func (r *Ring) BeginWindow(window, expect int) {
 	for i := range r.loads {
 		r.loads[i] = 0
 	}
-	var w []float64
-	if r.cfg.WeightSchedule != nil {
-		w = r.cfg.WeightSchedule(window)
-	}
 	total := 0.0
 	for i := range r.weights {
 		r.weights[i] = 1
-		if i < len(w) && w[i] >= 0 {
-			r.weights[i] = w[i]
-		}
-		if r.cfg.Readiness != nil {
-			if v := r.cfg.Readiness(window, i); v >= 0 && v < 1 {
-				r.weights[i] *= v
+		if r.cfg.Weight != nil {
+			if w := r.cfg.Weight(window, i); w >= 0 {
+				r.weights[i] = w
 			}
 		}
 		total += r.weights[i]
@@ -182,7 +164,7 @@ func (r *Ring) BeginWindow(window, expect int) {
 		if total > 0 {
 			// Expression order matches the legacy per-request computation so
 			// precomputing budgets is bit-identical to the old balancer.
-			r.budgets[s] = (1 + r.cfg.LoadFactor) * float64(expect) * r.weights[s] / total
+			r.budgets[s] = (1 + loadFactor) * float64(expect) * r.weights[s] / total
 		} else {
 			r.budgets[s] = 1
 		}

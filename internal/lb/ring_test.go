@@ -69,19 +69,12 @@ func newLegacy(cfg Config) *legacyBalancer {
 }
 
 func (b *legacyBalancer) windowWeights(window int) []float64 {
-	var w []float64
-	if b.cfg.WeightSchedule != nil {
-		w = b.cfg.WeightSchedule(window)
-	}
 	out := make([]float64, b.cfg.Servers)
 	for i := range out {
 		out[i] = 1
-		if i < len(w) && w[i] >= 0 {
-			out[i] = w[i]
-		}
-		if b.cfg.Readiness != nil {
-			if r := b.cfg.Readiness(window, i); r >= 0 && r < 1 {
-				out[i] *= r
+		if b.cfg.Weight != nil {
+			if w := b.cfg.Weight(window, i); w >= 0 {
+				out[i] = w
 			}
 		}
 	}
@@ -119,7 +112,7 @@ func (b *legacyBalancer) route(id uint64) int {
 		s := (target + probe) % b.cfg.Servers
 		budget := 1.0
 		if totalWeight > 0 {
-			budget = (1 + b.cfg.LoadFactor) * float64(b.cfg.RebalanceEvery) * b.weights[s] / totalWeight
+			budget = (1 + loadFactor) * float64(b.cfg.RebalanceEvery) * b.weights[s] / totalWeight
 		}
 		if float64(b.loads[s]) < budget {
 			b.loads[s]++
@@ -131,29 +124,23 @@ func (b *legacyBalancer) route(id uint64) int {
 }
 
 // TestRouteBitIdenticalToLegacy drives the Ring and the
-// golden legacy implementation over the same skewed stream — weight
-// schedule, readiness scaling, multiple windows, and a partial final window
-// — and requires identical routing decisions at every step.
+// golden legacy implementation over the same skewed stream — per-window
+// weights, multiple windows, and a partial final window — and requires
+// identical routing decisions at every step.
 func TestRouteBitIdenticalToLegacy(t *testing.T) {
 	cfg := Config{
 		Servers:        5,
-		LoadFactor:     0.2,
 		RebalanceEvery: 1000,
-		WeightSchedule: func(window int) []float64 {
-			switch window % 3 {
-			case 0:
-				return []float64{1, 1, 1, 1, 1}
-			case 1:
-				return []float64{2, 1, 0.5, 1, 1}
-			default:
-				return []float64{1, 0, 1, 1, 0.25}
-			}
-		},
-		Readiness: func(window, server int) float64 {
+		Weight: func(window, server int) float64 {
+			w := [3][5]float64{
+				{1, 1, 1, 1, 1},
+				{2, 1, 0.5, 1, 1},
+				{1, 0, 1, 1, 0.25},
+			}[window%3][server]
 			if window >= 2 && server == 3 {
-				return 0.5
+				w *= 0.5
 			}
-			return 1
+			return w
 		},
 	}
 	b, err := NewRing(cfg)
@@ -228,65 +215,62 @@ func BenchmarkRouteReplicated(b *testing.B) {
 }
 
 // TestBoundedLoadsProperty is the invariant behind the whole layer: in every
-// window — full or partial, under any weight schedule — no server's load
+// window — full or partial, under any Weight hook — no server's load
 // exceeds its (1+ε)-scaled budget (load ≤ ⌊budget⌋+1, since admission checks
 // load < budget). The hot-object pressure (every 3rd request is one id)
 // forces constant spilling, and the final window is deliberately partial.
 func TestBoundedLoadsProperty(t *testing.T) {
-	schedules := map[string]func(window int) []float64{
+	weights := map[string]func(window, server int) float64{
 		"uniform": nil,
-		"drain":   func(int) []float64 { return []float64{1, 1, 1, 0} },
-		"skew":    func(int) []float64 { return []float64{4, 2, 1, 1} },
-		"rotate": func(w int) []float64 {
-			out := []float64{1, 1, 1, 1}
-			out[w%4] = 0.1
-			return out
+		"drain":   func(_, s int) float64 { return []float64{1, 1, 1, 0}[s] },
+		"skew":    func(_, s int) float64 { return []float64{4, 2, 1, 1}[s] },
+		"rotate": func(w, s int) float64 {
+			if s == w%4 {
+				return 0.1
+			}
+			return 1
 		},
 	}
-	for name, sched := range schedules {
-		for _, eps := range []float64{0.1, 0.25, 0.5} {
-			r, err := NewRing(Config{
-				Servers:        4,
-				LoadFactor:     eps,
-				RebalanceEvery: 5000,
-				WeightSchedule: sched,
-			})
-			if err != nil {
-				t.Fatal(err)
+	for name, weight := range weights {
+		r, err := NewRing(Config{
+			Servers:        4,
+			RebalanceEvery: 5000,
+			Weight:         weight,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := uint64(0)
+		for window, expect := range []int{5000, 5000, 1234} {
+			r.BeginWindow(window, expect)
+			for i := 0; i < expect; i++ {
+				rid := id * 11400714819323198485
+				if i%3 == 0 {
+					rid = 99 // hot object: one id takes a third of traffic
+				}
+				r.Route(rid)
+				id++
 			}
-			id := uint64(0)
-			for window, expect := range []int{5000, 5000, 1234} {
-				r.BeginWindow(window, expect)
-				for i := 0; i < expect; i++ {
-					rid := id * 11400714819323198485
-					if i%3 == 0 {
-						rid = 99 // hot object: one id takes a third of traffic
-					}
-					r.Route(rid)
-					id++
-				}
-				weights := r.Weights()
-				var total float64
-				for _, w := range weights {
-					total += w
-				}
-				for s, load := range r.Loads() {
-					budget := (1 + eps) * float64(expect) * weights[s] / total
-					if float64(load) >= budget+1 {
-						t.Fatalf("%s ε=%.2f window %d: server %d load %d exceeds budget %.1f",
-							name, eps, window, s, load, budget)
-					}
+			var total float64
+			for _, w := range r.weights {
+				total += w
+			}
+			for s, load := range r.loads {
+				budget := (1 + loadFactor) * float64(expect) * r.weights[s] / total
+				if float64(load) >= budget+1 {
+					t.Fatalf("%s window %d: server %d load %d exceeds budget %.1f",
+						name, window, s, load, budget)
 				}
 			}
 		}
 	}
 }
 
-// TestSplitExactFinalWindow is the satellite fix: a readiness change landing
+// TestSplitExactFinalWindow is the satellite fix: a weight change landing
 // in a trace's final *partial* window must still shed load. Before the fix,
 // Split budgeted the partial window as if it were a full RebalanceEvery
 // window, so a down-weighted server's budget dwarfed the window's actual
-// traffic and the readiness update was silently dropped.
+// traffic and the weight update was silently dropped.
 func TestSplitExactFinalWindow(t *testing.T) {
 	const (
 		every   = 10_000
@@ -301,7 +285,7 @@ func TestSplitExactFinalWindow(t *testing.T) {
 	cfg := Config{
 		Servers:        servers,
 		RebalanceEvery: every,
-		Readiness: func(window, server int) float64 {
+		Weight: func(window, server int) float64 {
 			if window == 2 && server == 0 {
 				return 0.1 // server 0 degrades for the final partial window
 			}
@@ -329,7 +313,7 @@ func TestSplitExactFinalWindow(t *testing.T) {
 		t.Fatalf("degraded server kept %d of the partial window, budget %.1f", w2, budget)
 	}
 	if w2 == 0 {
-		t.Fatal("degraded server fully starved: readiness 0.1 should leave a trickle")
+		t.Fatal("degraded server fully starved: weight 0.1 should leave a trickle")
 	}
 	// The healthy servers absorb the remainder.
 	if got := subs[0].Len() + subs[1].Len() + subs[2].Len(); got != total {
@@ -358,7 +342,7 @@ func TestReplicatorFactors(t *testing.T) {
 	if f := rep.Factor(1); f != 1 {
 		t.Fatalf("factor before rebalance = %d, want 1", f)
 	}
-	hot := rep.Rebalance()
+	rep.Rebalance()
 	if f := rep.Factor(1); f != 3 {
 		t.Fatalf("50%%-share object factor = %d, want 3 (the factor cap)", f)
 	}
@@ -370,9 +354,6 @@ func TestReplicatorFactors(t *testing.T) {
 	}
 	if f := rep.Factor(1000); f != 1 {
 		t.Fatalf("cold object factor = %d, want 1", f)
-	}
-	if len(hot) != 2 {
-		t.Fatalf("hot set size %d, want 2", len(hot))
 	}
 	if stats, want := rep.Stats(), (ReplicationStats{Observed: 1000, HotObjects: 2, ExtraReplicas: 3, MaxFactor: 3}); stats != want {
 		t.Fatalf("stats row %+v, want %+v", stats, want)
@@ -393,13 +374,13 @@ func TestReplicatorTopK(t *testing.T) {
 			rep.Observe(id)
 		}
 	}
-	hot := rep.Rebalance()
-	if len(hot) != replTopK {
-		t.Fatalf("hot set size %d, want %d", len(hot), replTopK)
+	rep.Rebalance()
+	if n := rep.Stats().HotObjects; n != replTopK {
+		t.Fatalf("hot set size %d, want %d", n, replTopK)
 	}
-	for id := uint64(0); id < replTopK; id++ {
-		if hot[id] <= 1 {
-			t.Fatalf("top object %d not replicated: %v", id, hot)
+	for id := uint64(0); id < 20; id++ {
+		if f, top := rep.Factor(id), id < replTopK; (f > 1) != top {
+			t.Fatalf("object %d: factor %d, in top %d: %v", id, f, replTopK, top)
 		}
 	}
 }

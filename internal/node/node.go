@@ -219,7 +219,7 @@ func (n *Node) Run(ctx context.Context, addr string, lameDuck, drain time.Durati
 func (n *Node) Close(ctx context.Context) {
 	n.Health.StartDrain()
 	if n.clustered {
-		if succ, err := n.Proxy.PushStateToSuccessor(ctx, nil); err != nil {
+		if succ, err := n.Proxy.PushStateToSuccessor(ctx); err != nil {
 			logf("state handoff skipped: %v", err)
 		} else {
 			logf("state handed off to ring successor %d", succ)

@@ -4,36 +4,32 @@
 // every task is an independent, deterministic replay over an immutable trace.
 // This package turns that shape into a small contract:
 //
-//   - bounded concurrency (a worker pool of at most P goroutines);
+//   - bounded concurrency (a worker pool of Default() goroutines);
 //   - deterministic result ordering (callers write results into slot i, so
 //     output is bit-identical to the serial loop regardless of scheduling);
 //   - aggregated errors (every failing task is reported with its index, not
-//     just the first — a 200-task sweep tells you all 7 failures at once);
-//   - context cancellation (undispatched tasks are skipped once ctx fires).
+//     just the first — a 200-task sweep tells you all 7 failures at once).
 //
-// The process-wide default parallelism is runtime.NumCPU() and is plumbed to
-// the `-parallelism` flag of cmd/experiments and cmd/darwin-sim via
-// SetDefault. Parallelism 1 runs tasks inline on the calling goroutine, which
-// is the reference serial path the golden equivalence tests compare against.
+// The process-wide width defaults to runtime.NumCPU() and is plumbed to the
+// `-parallelism` flag of cmd/experiments and cmd/darwin-sim via SetDefault.
+// Width 1 runs tasks inline on the calling goroutine, which is the reference
+// serial path the golden equivalence tests compare against.
 package par
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
 
-// defaultParallelism is the process-wide worker-pool width used when a call
-// site passes parallelism <= 0.
+// defaultParallelism is the process-wide worker-pool width.
 var defaultParallelism atomic.Int64
 
 func init() { defaultParallelism.Store(int64(runtime.NumCPU())) }
 
-// SetDefault sets the process-wide default parallelism; n <= 0 restores
+// SetDefault sets the process-wide parallelism; n <= 0 restores
 // runtime.NumCPU(). It returns the previous value so tests can restore it.
 func SetDefault(n int) int {
 	if n <= 0 {
@@ -42,108 +38,42 @@ func SetDefault(n int) int {
 	return int(defaultParallelism.Swap(int64(n)))
 }
 
-// Default returns the process-wide default parallelism.
+// Default returns the process-wide parallelism.
 func Default() int { return int(defaultParallelism.Load()) }
 
-// TaskError records one failed task of a sweep.
-type TaskError struct {
-	// Index is the task's position in the sweep.
-	Index int
-	// Err is the task's error.
-	Err error
-}
-
-// Error implements error.
-func (e *TaskError) Error() string { return fmt.Sprintf("task %d: %v", e.Index, e.Err) }
-
-// Unwrap exposes the underlying error to errors.Is/As.
-func (e *TaskError) Unwrap() error { return e.Err }
-
-// Errors aggregates every failed task of a sweep, ordered by task index.
-type Errors struct {
-	// Tasks holds one entry per failed task, sorted by Index.
-	Tasks []*TaskError
-}
-
-// Error implements error, listing every failure.
-func (e *Errors) Error() string {
-	if len(e.Tasks) == 1 {
-		return e.Tasks[0].Error()
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d tasks failed:", len(e.Tasks))
-	for _, t := range e.Tasks {
-		b.WriteString("\n\t")
-		b.WriteString(t.Error())
-	}
-	return b.String()
-}
-
-// Unwrap exposes the task errors to errors.Is/As (multi-error form).
-func (e *Errors) Unwrap() []error {
-	out := make([]error, len(e.Tasks))
-	for i, t := range e.Tasks {
-		out[i] = t
-	}
-	return out
-}
-
-// Do runs fn(ctx, i) for every i in [0, n) with at most parallelism
-// concurrent invocations (parallelism <= 0 selects Default()). All tasks run
-// even if some fail; the returned error is nil or an *Errors aggregating
-// every failure in index order. When ctx is cancelled, tasks not yet started
-// fail with ctx.Err(); already-running tasks are left to finish.
+// ForEach runs fn(i) for every i in [0, n) with at most Default() concurrent
+// invocations. All tasks run even if some fail; the returned error is nil or
+// joins every failure, each as "task <i>: <err>", in index order.
 //
-// fn must confine its writes to per-index state (e.g. out[i]) — Do provides
-// the memory barrier (all task effects happen-before Do returns).
-func Do(ctx context.Context, n, parallelism int, fn func(ctx context.Context, i int) error) error {
+// fn must confine its writes to per-index state (e.g. out[i]) — ForEach
+// provides the memory barrier (all task effects happen-before it returns).
+func ForEach(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	if parallelism <= 0 {
-		parallelism = Default()
-	}
-	if parallelism > n {
-		parallelism = n
-	}
-
-	var (
-		mu    sync.Mutex
-		fails []*TaskError
-	)
-	record := func(i int, err error) {
-		if err == nil {
-			return
+	errs := make([]error, n)
+	run := func(i int) {
+		if err := fn(i); err != nil {
+			errs[i] = fmt.Errorf("task %d: %w", i, err)
 		}
-		mu.Lock()
-		fails = append(fails, &TaskError{Index: i, Err: err})
-		mu.Unlock()
 	}
-
-	if parallelism == 1 {
+	workers := min(Default(), n)
+	if workers == 1 {
 		// Reference serial path: inline, in order, on the calling goroutine.
 		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				record(i, err)
-				continue
-			}
-			record(i, fn(ctx, i))
+			run(i)
 		}
-		return collect(fails)
+		return errors.Join(errs...)
 	}
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				if err := ctx.Err(); err != nil {
-					record(i, err)
-					continue
-				}
-				record(i, fn(ctx, i))
+				run(i)
 			}
 		}()
 	}
@@ -152,23 +82,15 @@ func Do(ctx context.Context, n, parallelism int, fn func(ctx context.Context, i 
 	}
 	close(idx)
 	wg.Wait()
-	return collect(fails)
+	return errors.Join(errs...)
 }
 
-// ForEach is Do without cancellation: fn(i) for every i in [0, n) under the
-// given parallelism (<= 0 selects Default()).
-func ForEach(n, parallelism int, fn func(i int) error) error {
-	return Do(context.Background(), n, parallelism, func(_ context.Context, i int) error {
-		return fn(i)
-	})
-}
-
-// Map applies fn to every element of in under the given parallelism and
-// returns the results in input order. A failing element leaves the zero value
-// in its slot; the error aggregates every failure.
-func Map[S, T any](in []S, parallelism int, fn func(i int, v S) (T, error)) ([]T, error) {
+// Map applies fn to every element of in under ForEach and returns the
+// results in input order. A failing element leaves the zero value in its
+// slot; the error joins every failure.
+func Map[S, T any](in []S, fn func(i int, v S) (T, error)) ([]T, error) {
 	out := make([]T, len(in))
-	err := ForEach(len(in), parallelism, func(i int) error {
+	err := ForEach(len(in), func(i int) error {
 		v, err := fn(i, in[i])
 		if err != nil {
 			return err
@@ -177,14 +99,4 @@ func Map[S, T any](in []S, parallelism int, fn func(i int, v S) (T, error)) ([]T
 		return nil
 	})
 	return out, err
-}
-
-// collect sorts the failures by index and boxes them, returning untyped nil
-// for a clean sweep.
-func collect(fails []*TaskError) error {
-	if len(fails) == 0 {
-		return nil
-	}
-	sort.Slice(fails, func(a, b int) bool { return fails[a].Index < fails[b].Index })
-	return &Errors{Tasks: fails}
 }

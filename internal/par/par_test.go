@@ -1,22 +1,34 @@
 package par
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// withWidth runs f with the process-wide width pinned to p, restoring the
+// previous width afterwards.
+func withWidth(p int, f func()) {
+	prev := SetDefault(p)
+	defer SetDefault(prev)
+	f()
+}
+
 func TestForEachFillsAllSlotsInOrder(t *testing.T) {
 	for _, p := range []int{1, 2, 4, 16} {
 		out := make([]int, 1000)
-		if err := ForEach(len(out), p, func(i int) error {
-			out[i] = i * i
-			return nil
-		}); err != nil {
+		var err error
+		withWidth(p, func() {
+			err = ForEach(len(out), func(i int) error {
+				out[i] = i * i
+				return nil
+			})
+		})
+		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
 		for i, v := range out {
@@ -29,46 +41,42 @@ func TestForEachFillsAllSlotsInOrder(t *testing.T) {
 
 func TestDoAggregatesAllErrors(t *testing.T) {
 	wantFail := map[int]bool{3: true, 7: true, 42: true}
-	err := ForEach(100, 8, func(i int) error {
-		if wantFail[i] {
-			return fmt.Errorf("boom %d", i)
-		}
-		return nil
+	boom := errors.New("boom")
+	var err error
+	withWidth(8, func() {
+		err = ForEach(100, func(i int) error {
+			if wantFail[i] {
+				return fmt.Errorf("%w %d", boom, i)
+			}
+			return nil
+		})
 	})
-	var errs *Errors
-	if !errors.As(err, &errs) {
-		t.Fatalf("error type %T, want *Errors", err)
+	// Every failure, each with its index, in index order.
+	if want := "task 3: boom 3\ntask 7: boom 7\ntask 42: boom 42"; err == nil || err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
 	}
-	if len(errs.Tasks) != len(wantFail) {
-		t.Fatalf("got %d failures, want %d: %v", len(errs.Tasks), len(wantFail), err)
-	}
-	// Sorted by index.
-	for k := 1; k < len(errs.Tasks); k++ {
-		if errs.Tasks[k-1].Index >= errs.Tasks[k].Index {
-			t.Fatalf("failures not sorted: %v", err)
-		}
-	}
-	for _, te := range errs.Tasks {
-		if !wantFail[te.Index] {
-			t.Fatalf("unexpected failing index %d", te.Index)
-		}
+	if !errors.Is(err, boom) {
+		t.Fatalf("errors.Is(err, boom) = false: %v", err)
 	}
 }
 
 func TestDoBoundsConcurrency(t *testing.T) {
 	const p = 3
 	var cur, max atomic.Int64
-	err := ForEach(50, p, func(i int) error {
-		c := cur.Add(1)
-		for {
-			m := max.Load()
-			if c <= m || max.CompareAndSwap(m, c) {
-				break
+	var err error
+	withWidth(p, func() {
+		err = ForEach(50, func(i int) error {
+			c := cur.Add(1)
+			for {
+				m := max.Load()
+				if c <= m || max.CompareAndSwap(m, c) {
+					break
+				}
 			}
-		}
-		time.Sleep(time.Millisecond)
-		cur.Add(-1)
-		return nil
+			time.Sleep(time.Millisecond)
+			cur.Add(-1)
+			return nil
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,35 +86,17 @@ func TestDoBoundsConcurrency(t *testing.T) {
 	}
 }
 
-func TestDoCancellationSkipsUndispatched(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int64
-	err := Do(ctx, 100, 2, func(ctx context.Context, i int) error {
-		if i == 0 {
-			cancel()
-			return nil
-		}
-		ran.Add(1)
-		return nil
-	})
-	if err == nil {
-		t.Fatal("want aggregated context errors, got nil")
-	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("errors.Is(err, context.Canceled) = false: %v", err)
-	}
-	if ran.Load() == 99 {
-		t.Fatal("cancellation had no effect: every task ran")
-	}
-}
-
 func TestSerialPathRunsInline(t *testing.T) {
-	// With parallelism 1 tasks run on the calling goroutine in index order.
+	// At width 1 tasks run on the calling goroutine in index order.
 	var order []int
-	if err := ForEach(10, 1, func(i int) error {
-		order = append(order, i) // safe only if inline
-		return nil
-	}); err != nil {
+	var err error
+	withWidth(1, func() {
+		err = ForEach(10, func(i int) error {
+			order = append(order, i) // safe only if inline
+			return nil
+		})
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range order {
@@ -121,8 +111,12 @@ func TestMapPreservesOrder(t *testing.T) {
 	for i := range in {
 		in[i] = i
 	}
-	out, err := Map(in, 8, func(i, v int) (string, error) {
-		return fmt.Sprintf("v%d", v), nil
+	var out []string
+	var err error
+	withWidth(8, func() {
+		out, err = Map(in, func(i, v int) (string, error) {
+			return fmt.Sprintf("v%d", v), nil
+		})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -135,14 +129,17 @@ func TestMapPreservesOrder(t *testing.T) {
 }
 
 func TestMapError(t *testing.T) {
-	_, err := Map([]int{1, 2, 3}, 2, func(i, v int) (int, error) {
-		if v == 2 {
-			return 0, errors.New("nope")
-		}
-		return v, nil
+	var err error
+	withWidth(2, func() {
+		_, err = Map([]int{1, 2, 3}, func(i, v int) (int, error) {
+			if v == 2 {
+				return 0, errors.New("nope")
+			}
+			return v, nil
+		})
 	})
-	if err == nil {
-		t.Fatal("want error")
+	if err == nil || !strings.Contains(err.Error(), "task 1: nope") {
+		t.Fatalf("error %v, want task 1's", err)
 	}
 }
 
@@ -159,7 +156,7 @@ func TestSetDefault(t *testing.T) {
 }
 
 func TestZeroTasks(t *testing.T) {
-	if err := ForEach(0, 4, func(i int) error { return errors.New("never") }); err != nil {
+	if err := ForEach(0, func(i int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
 }

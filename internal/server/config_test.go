@@ -56,10 +56,8 @@ var configSurface = []string{
 	"server.FrontConfig.Gossip.OnChange",
 
 	"lb.Config.Servers",
-	"lb.Config.LoadFactor",
 	"lb.Config.RebalanceEvery",
-	"lb.Config.WeightSchedule",
-	"lb.Config.Readiness",
+	"lb.Config.Weight",
 
 	"diskcache.Config.Dir",
 	"diskcache.Config.Sync",
@@ -95,19 +93,26 @@ var goneFields = []string{
 	"server.FrontConfig.Gossip.MinSamples",
 	"lb.Config.VirtualNodes",
 	"lb.Config.Weights",
+	"lb.Config.LoadFactor",
+	"lb.Config.WeightSchedule",
+	"lb.Config.Readiness",
 	"diskcache.Config.SegmentBytes",
 	"diskcache.Config.BatchEvery",
 	"diskcache.Config.GCFraction",
 }
 
-// goneDecls are the declarations that carried the gone knobs, by package
-// directory ("Type.Method" for a method).
+// goneDecls are deleted declarations, by package directory ("Type.Method"
+// for a method): those that carried the gone knobs, and capabilities no
+// caller outside tests used.
 var goneDecls = map[string][]string{
 	".":            {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults"},
 	"../baselines": {"Static", "NewStatic", "NewStaticSharded"},
-	"../lb":        {"ReplicationConfig", "ReplicationConfig.WithDefaults"},
+	"../lb":        {"ReplicationConfig", "ReplicationConfig.WithDefaults", "Ring.Loads", "Ring.Servers"},
 	"../breaker":   {"BudgetSnapshot", "Budget.SnapshotNow"},
 	"../diskcache": {"Config.WithDefaults"},
+	"../par":       {"Do", "TaskError", "Errors"},
+	"../cache":     {"EvaluateAllParallel"},
+	"../stats":     {"Variance", "StdDev", "Welford", "Clamp"},
 }
 
 // servingCount matches the documents' statement of the serving tier's

@@ -117,17 +117,19 @@ type Front struct {
 	nodes []string
 
 	// mu serializes the routing step (pick): the ring's window state and the
-	// replicator's observation window advance together under it. The ring
-	// pointer itself is immutable after NewFront, and Successors reads only
-	// construction-time state, so the failover loop walks it lock-free.
+	// replicator's observation window advance together under it, and every
+	// read of either (Window, Weights, ReplicationStats) takes it too — neither
+	// has a lock of its own. The ring pointer itself is immutable after
+	// NewFront, and Successors reads only construction-time state, so the
+	// failover loop walks it lock-free.
 	mu   sync.Mutex
 	ring *lb.Ring
 	rep  *lb.Replicator
 
 	// memb is the graded membership view, the one health source: the prober
-	// feeds it, the readiness hook reads its weights. declined marks a
-	// backend whose last answer was an explicit non-200, or that has never
-	// answered at all (see the package comment).
+	// feeds it, the ring's Weight hook (readiness) reads its weights.
+	// declined marks a backend whose last answer was an explicit non-200, or
+	// that has never answered at all (see the package comment).
 	memb     *gossip.Membership
 	declined []atomic.Bool
 
@@ -194,7 +196,7 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 	ring, err := lb.NewRing(lb.Config{
 		Servers:        len(cfg.Backends),
 		RebalanceEvery: cfg.RebalanceEvery,
-		Readiness:      f.readiness,
+		Weight:         f.readiness,
 	})
 	if err != nil {
 		return nil, err
@@ -367,7 +369,11 @@ func (f *Front) Weights() []float64 {
 func (f *Front) Stats() FrontStats { return f.stats.snapshot() }
 
 // ReplicationStats returns the replicator's last completed window row.
-func (f *Front) ReplicationStats() lb.ReplicationStats { return f.rep.Stats() }
+func (f *Front) ReplicationStats() lb.ReplicationStats {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.rep.Stats()
+}
 
 // Membership exposes the front's graded view of the cluster.
 func (f *Front) Membership() *gossip.Membership { return f.memb }

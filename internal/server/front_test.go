@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -338,6 +339,67 @@ func TestFrontReplicatesHotObject(t *testing.T) {
 	}
 	if len(servers) < 2 {
 		t.Fatalf("replicated hot object stayed on %d server(s)", len(servers))
+	}
+}
+
+// TestFrontMetricsScrapeWhileRouting scrapes /metrics while eight clients
+// route through the front. The ring and the replicator have no lock of their
+// own — every read and write of either goes through the front's routing lock
+// — so under -race this fails if any /metrics line reads them without it.
+func TestFrontMetricsScrapeWhileRouting(t *testing.T) {
+	urls := make([]string, 3)
+	for i := range urls {
+		srv := httptest.NewServer(&Origin{})
+		t.Cleanup(srv.Close)
+		urls[i] = srv.URL
+	}
+	f, err := NewFront(FrontConfig{Backends: urls, RebalanceEvery: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clients, perClient = 8, 250 // 2,000 requests
+	done := make(chan struct{})
+	var scrapes int
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			f.ServeMetrics(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/metrics", nil))
+			scrapes++
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	var routers sync.WaitGroup
+	routers.Add(clients)
+	for c := 0; c < clients; c++ {
+		go func() {
+			defer routers.Done()
+			for i := 0; i < perClient; i++ {
+				// Every other request is one of three hot objects, so every
+				// 64-request window grants some of them extra replicas.
+				id := uint64(1 + i%3)
+				if i%2 == 1 {
+					id = uint64(1000 + c*perClient + i)
+				}
+				rec := httptest.NewRecorder()
+				f.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/obj/%d?size=1000", id), nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("object %d: status %d", id, rec.Code)
+					return
+				}
+			}
+		}()
+	}
+	routers.Wait()
+	close(done)
+	scraper.Wait()
+	if rs := f.ReplicationStats(); rs.Observed != 64 || rs.HotObjects == 0 {
+		t.Fatalf("replication row %+v after %d scrapes, want 64 observed and a hot object", rs, scrapes)
 	}
 }
 

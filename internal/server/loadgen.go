@@ -55,10 +55,6 @@ type LoadResult struct {
 	FirstByte []time.Duration
 	// HOCHits/DCHits/Misses are derived from the X-Cache response header.
 	HOCHits, DCHits, Misses int
-	// PeerFills counts responses carrying the peer-fill marker: misses a
-	// cluster node answered from a ring sibling instead of the origin (a
-	// subset of Misses).
-	PeerFills int
 }
 
 // ThroughputBps returns the application throughput in bits per second.
@@ -309,9 +305,6 @@ func RunLoad(ctx context.Context, tr *trace.Trace, cfg LoadConfig) (LoadResult, 
 					res.Misses++
 				case "stale":
 					res.StaleServes++
-				}
-				if len(resp.Header[PeerHeader]) > 0 {
-					res.PeerFills++
 				}
 			}
 			mu.Unlock()

@@ -325,7 +325,10 @@ func TestPeerFillProbesFrontDesignatedHolders(t *testing.T) {
 	// Window 1 opens with an object whose primary is x's primary, so the
 	// least-loaded holder of x, in ring order, is its second.
 	mustGet(t, objURL(frontSrv.URL, peerObjectID(t, n, primary, 1000)), nil)
-	if got := f.rep.Factor(x); got != n {
+	f.mu.Lock()
+	got := f.rep.Factor(x)
+	f.mu.Unlock()
+	if got != n {
 		t.Fatalf("front replication factor of x = %d, want %d", got, n)
 	}
 

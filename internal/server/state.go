@@ -89,7 +89,7 @@ func (p *Proxy) ServeState(w http.ResponseWriter, r *http.Request) {
 // cluster, without handoff wiring, or whose push is refused reports an
 // error; drains treat that as best-effort (the successor simply starts
 // cold, exactly as before handoff existed).
-func (p *Proxy) PushStateToSuccessor(ctx context.Context, client *http.Client) (int, error) {
+func (p *Proxy) PushStateToSuccessor(ctx context.Context) (int, error) {
 	ps := p.peers
 	if ps == nil {
 		return -1, fmt.Errorf("state: no peer cluster configured")
@@ -111,12 +111,9 @@ func (p *Proxy) PushStateToSuccessor(ctx context.Context, client *http.Client) (
 		return succ, err
 	}
 	setContentType(hreq.Header)
-	if client == nil {
-		// Not the probe client: a state frame is far larger than a probe and
-		// deserves the context's deadline, not the 150 ms probe timeout.
-		client = &http.Client{}
-	}
-	resp, err := client.Do(hreq)
+	// Not the probe client: a state frame is far larger than a probe and
+	// deserves the context's deadline, not the 150 ms probe timeout.
+	resp, err := http.DefaultClient.Do(hreq)
 	if err != nil {
 		return succ, fmt.Errorf("state: pushing to %s: %w", ps.nodes[succ], err)
 	}

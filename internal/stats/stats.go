@@ -1,7 +1,6 @@
 // Package stats provides small numeric helpers shared across the Darwin
-// reproduction: percentiles, CDF construction, online moment tracking,
-// histograms, and a Fenwick (binary indexed) tree used by the stack-distance
-// extractor.
+// reproduction: means, percentiles, CDF construction, histograms, and a
+// Fenwick (binary indexed) tree used by the stack-distance extractor.
 package stats
 
 import (
@@ -21,24 +20,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Variance returns the population variance of xs, or 0 when fewer than two
-// samples are present.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var sum float64
-	for _, x := range xs {
-		d := x - m
-		sum += d * d
-	}
-	return sum / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It copies and sorts its input.
@@ -95,46 +76,6 @@ func CDF(xs []float64) []CDFPoint {
 		out = append(out, CDFPoint{Value: v, Fraction: float64(i+1) / n})
 	}
 	return out
-}
-
-// Welford tracks a running mean and variance without storing samples.
-type Welford struct {
-	n    int
-	mean float64
-	m2   float64
-}
-
-// Add incorporates one sample.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// Count returns the number of samples added.
-func (w *Welford) Count() int { return w.n }
-
-// Mean returns the running mean.
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the running population variance.
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n)
-}
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }
 
 // Histogram is a fixed-bucket histogram over [Min, Max) with uniform buckets;
