@@ -141,6 +141,7 @@ var goneIdents = []string{
 	"internal/bloom", "bloomObjects", "TestAndAddU64", "ContainsU64", "FilterState",
 	"NewStaticSharded", "PropagateDeadline", "Overload.Enabled", "Overload.Breaker",
 	"WeightSchedule", "LoadFactor", "Config.Readiness", "EvaluateAllParallel", "TaskError",
+	"evaluateTrace",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

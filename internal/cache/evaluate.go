@@ -31,6 +31,14 @@ func DefaultEvalConfig() EvalConfig {
 // Evaluate plays tr through a fresh Hierarchy running expert e and returns
 // the post-warm-up metrics.
 func Evaluate(tr *trace.Trace, e Expert, cfg EvalConfig) (Metrics, error) {
+	m, _, err := EvaluateHits(tr, e, cfg)
+	return m, err
+}
+
+// EvaluateHits is Evaluate that also records which requests hit the HOC
+// after warm-up: bit i of hits (hits[i/64]>>(i%64)&1) is set when request i
+// is one of them. The bitset has (tr.Len()+63)/64 words.
+func EvaluateHits(tr *trace.Trace, e Expert, cfg EvalConfig) (m Metrics, hits []uint64, err error) {
 	h, err := New(Config{
 		HOCBytes:    cfg.HOCBytes,
 		DCBytes:     cfg.DCBytes,
@@ -39,16 +47,19 @@ func Evaluate(tr *trace.Trace, e Expert, cfg EvalConfig) (Metrics, error) {
 		Expert:      e,
 	})
 	if err != nil {
-		return Metrics{}, err
+		return Metrics{}, nil, err
 	}
+	hits = make([]uint64, (tr.Len()+63)/64)
 	warm := int(float64(tr.Len()) * cfg.WarmupFrac)
 	for i, r := range tr.Requests {
 		if i == warm {
 			h.ResetMetrics()
 		}
-		h.Serve(r)
+		if h.Serve(r) == HOCHit && i >= warm {
+			hits[i>>6] |= 1 << (i & 63)
+		}
 	}
-	return h.Metrics(), nil
+	return h.Metrics(), hits, nil
 }
 
 // EvaluateAll evaluates every expert on tr and returns the metrics in expert

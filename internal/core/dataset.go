@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"darwin/internal/cache"
 	"darwin/internal/features"
@@ -71,8 +72,10 @@ func (c DatasetConfig) withDefaults() DatasetConfig {
 
 // BuildDataset evaluates every expert on every trace (with pairwise joint
 // statistics) and extracts the paper's features (features.DefaultConfig).
-// This is the expensive offline step; it parallelises across traces, as
-// wide as par.Default().
+// This is the expensive offline step. It runs one task per (trace, expert)
+// replay plus one feature-extraction task per trace, as wide as
+// par.Default(), so a worker keeps one hierarchy hot for a whole trace and a
+// single trace spreads over every worker.
 func BuildDataset(traces []*trace.Trace, cfg DatasetConfig) (*Dataset, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("core: no traces")
@@ -89,112 +92,96 @@ func BuildDataset(traces []*trace.Trace, cfg DatasetConfig) (*Dataset, error) {
 		FeatureWindow: cfg.FeatureWindow,
 		Records:       make([]*TraceRecord, len(traces)),
 	}
-	// Fan out over the shared engine: one task per trace, results written to
-	// Records[ti] so ordering matches the input; failures are aggregated with
-	// trace identity rather than fail-fast.
-	err := par.ForEach(len(traces), func(ti int) error {
-		rec, err := evaluateTrace(traces[ti], cfg, ds.FeatureCfg)
-		if err != nil {
-			return fmt.Errorf("core: trace %s: %w", traces[ti].Name, err)
+	// Task t < n*k replays trace t/k under expert t%k into metrics[t] and
+	// hits[t]; task n*k+ti extracts trace ti's features into Records[ti].
+	// Failures are aggregated with trace identity rather than fail-fast.
+	n, k := len(traces), len(cfg.Experts)
+	metrics := make([]cache.Metrics, n*k)
+	hits := make([][]uint64, n*k)
+	err := par.ForEach(n*k+n, func(t int) error {
+		if t >= n*k {
+			ti := t - n*k
+			rec, err := extractFeatures(traces[ti], cfg.FeatureWindow, ds.FeatureCfg)
+			if err != nil {
+				return fmt.Errorf("core: trace %s: %w", traces[ti].Name, err)
+			}
+			ds.Records[ti] = rec
+			return nil
 		}
-		ds.Records[ti] = rec
+		tr, e := traces[t/k], cfg.Experts[t%k]
+		m, set, err := cache.EvaluateHits(tr, e, cfg.Eval)
+		if err != nil {
+			return fmt.Errorf("core: trace %s: expert %s: %w", tr.Name, e, err)
+		}
+		metrics[t], hits[t] = m, set
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	for ti, rec := range ds.Records {
+		lo, hi := ti*k, ti*k+k
+		rec.Metrics = metrics[lo:hi:hi]
+		rec.CondHit, rec.CondMiss = condStats(rec.Metrics, hits[lo:hi])
+	}
 	return ds, nil
 }
 
-// evaluateTrace runs all experts over one trace in lockstep, accumulating
-// marginal and pairwise hit counts after warm-up, and extracts features.
-func evaluateTrace(tr *trace.Trace, cfg DatasetConfig, fc features.Config) (*TraceRecord, error) {
-	k := len(cfg.Experts)
-	hier := make([]*cache.Hierarchy, k)
-	for i, e := range cfg.Experts {
-		h, err := cache.New(cache.Config{
-			HOCBytes:    cfg.Eval.HOCBytes,
-			DCBytes:     cfg.Eval.DCBytes,
-			HOCEviction: cfg.Eval.HOCEviction,
-			DCEviction:  cfg.Eval.DCEviction,
-			Expert:      e,
-		})
-		if err != nil {
-			return nil, err
-		}
-		hier[i] = h
-	}
+// extractFeatures builds a record's feature vectors and size profile from
+// the first window requests of tr (0 = the whole trace).
+func extractFeatures(tr *trace.Trace, window int, fc features.Config) (*TraceRecord, error) {
 	ex, err := features.NewExtractor(fc)
 	if err != nil {
 		return nil, err
 	}
-
-	warm := int(float64(tr.Len()) * cfg.Eval.WarmupFrac)
-	hits := make([]int64, k)
-	joint := make([][]int64, k) // joint[i][j] = both i and j hit
-	for i := range joint {
-		joint[i] = make([]int64, k)
+	if window <= 0 || window > tr.Len() {
+		window = tr.Len()
 	}
-	hitSet := make([]int, 0, k)
-	var counted int64
-
-	featureWindow := cfg.FeatureWindow
-	if featureWindow <= 0 || featureWindow > tr.Len() {
-		featureWindow = tr.Len()
+	for _, r := range tr.Requests[:window] {
+		ex.Observe(r)
 	}
-	for ri, r := range tr.Requests {
-		if ri < featureWindow {
-			ex.Observe(r)
-		}
-		if ri == warm {
-			for _, h := range hier {
-				h.ResetMetrics()
-			}
-		}
-		hitSet = hitSet[:0]
-		for i, h := range hier {
-			if h.Serve(r) == cache.HOCHit && ri >= warm {
-				hitSet = append(hitSet, i)
-			}
-		}
-		if ri < warm {
-			continue
-		}
-		counted++
-		for _, i := range hitSet {
-			hits[i]++
-			for _, j := range hitSet {
-				joint[i][j]++
-			}
-		}
-	}
-
-	rec := &TraceRecord{
+	return &TraceRecord{
 		Name:     tr.Name,
 		Features: ex.Vector(),
 		Extended: ex.Extended(),
 		Profile:  NewSizeProfile(ex.SizeDistribution(), fc.MinSize, fc.MaxSize),
-		Metrics:  make([]cache.Metrics, k),
-		CondHit:  make([][]float64, k),
-		CondMiss: make([][]float64, k),
+	}, nil
+}
+
+// condStats computes CondHit and CondMiss from each expert's post-warm-up
+// metrics and HOC hit bitset (cache.EvaluateHits): expert i's hits are
+// popcount(sets[i]), the joint hits of i and j popcount(sets[i] & sets[j]), and
+// m[i].Requests the post-warm-up request count.
+func condStats(m []cache.Metrics, sets [][]uint64) (condHit, condMiss [][]float64) {
+	k := len(sets)
+	hits := make([]int64, k)
+	for i, b := range sets {
+		hits[i] = popcountAnd(b, b)
 	}
-	for i, h := range hier {
-		rec.Metrics[i] = h.Metrics()
-	}
-	for i := 0; i < k; i++ {
-		rec.CondHit[i] = make([]float64, k)
-		rec.CondMiss[i] = make([]float64, k)
-		misses := counted - hits[i]
-		for j := 0; j < k; j++ {
+	condHit, condMiss = make([][]float64, k), make([][]float64, k)
+	for i := range sets {
+		condHit[i], condMiss[i] = make([]float64, k), make([]float64, k)
+		misses := m[i].Requests - hits[i]
+		for j := range sets {
+			joint := popcountAnd(sets[i], sets[j])
 			if hits[i] > 0 {
-				rec.CondHit[i][j] = float64(joint[i][j]) / float64(hits[i])
+				condHit[i][j] = float64(joint) / float64(hits[i])
 			}
 			if misses > 0 {
-				rec.CondMiss[i][j] = float64(hits[j]-joint[i][j]) / float64(misses)
+				condMiss[i][j] = float64(hits[j]-joint) / float64(misses)
 			}
 		}
 	}
-	return rec, nil
+	return condHit, condMiss
+}
+
+// popcountAnd counts the bits set in both a and b.
+func popcountAnd(a, b []uint64) int64 {
+	var n int
+	for w := range a {
+		n += bits.OnesCount64(a[w] & b[w])
+	}
+	return int64(n)
 }
 
 // Rewards returns the per-expert rewards of record r under obj.

@@ -9,10 +9,12 @@ import (
 	"darwin/internal/tracegen"
 )
 
-// BenchmarkBuildDataset prices offline training's replay layer, one trace
-// per op: exp.Small()'s 25-expert grid and eval config over a 20k-request
-// trace, with BuildCorpus's warm-up feature window. Every benchmark
-// repetition and every training node pays this once per training trace.
+// BenchmarkBuildDataset prices offline training's replay layer for one
+// trace per op: exp.Small()'s 25-expert grid and eval config over a
+// 20k-request trace, with BuildCorpus's warm-up feature window. The op fans
+// out into 26 par tasks (25 replays and the feature extraction), so it uses
+// every worker. Every benchmark repetition and every training node pays this
+// once per training trace.
 func BenchmarkBuildDataset(b *testing.B) {
 	sc := exp.Small()
 	tr, err := tracegen.ImageDownloadMix(50, sc.OfflineTraceLen, 1)

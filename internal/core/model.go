@@ -9,6 +9,7 @@ import (
 	"darwin/internal/cluster"
 	"darwin/internal/features"
 	"darwin/internal/neural"
+	"darwin/internal/par"
 )
 
 // TrainConfig configures offline training (steps 1a and 1b of Figure 3).
@@ -227,29 +228,35 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 	for ri, rec := range ds.Records {
 		xs[ri] = m.scale(rec.Extended)
 	}
+	// Each predictor is built from its own seed and trained with its own
+	// seeded rng over the shared read-only inputs, so training them in
+	// parallel yields the serial loop's weights bit for bit.
 	trainer := neural.Trainer{Epochs: predictorEpochs, Seed: cfg.Seed}
-	for i := 0; i < k; i++ {
-		for j := 0; j < k; j++ {
-			if !need[i][j] {
-				continue
-			}
-			ys := make([][]float64, len(ds.Records))
-			for ri, rec := range ds.Records {
-				ys[ri] = []float64{rec.CondHit[i][j], rec.CondMiss[i][j]}
-			}
-			net, err := neural.New(neural.Config{
-				Inputs:  inDim,
-				Outputs: 2,
-				Seed:    cfg.Seed + int64(i)*1000 + int64(j),
-			})
-			if err != nil {
-				return nil, err
-			}
-			if _, err := trainer.Train(net, xs, ys); err != nil {
-				return nil, err
-			}
-			m.Predictors[i][j] = net
+	err = par.ForEach(k*k, func(p int) error {
+		i, j := p/k, p%k
+		if !need[i][j] {
+			return nil
 		}
+		ys := make([][]float64, len(ds.Records))
+		for ri, rec := range ds.Records {
+			ys[ri] = []float64{rec.CondHit[i][j], rec.CondMiss[i][j]}
+		}
+		net, err := neural.New(neural.Config{
+			Inputs:  inDim,
+			Outputs: 2,
+			Seed:    cfg.Seed + int64(i)*1000 + int64(j),
+		})
+		if err != nil {
+			return err
+		}
+		if _, err := trainer.Train(net, xs, ys); err != nil {
+			return err
+		}
+		m.Predictors[i][j] = net
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
 }

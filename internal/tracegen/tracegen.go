@@ -21,7 +21,8 @@ import (
 type Class struct {
 	// Name labels the class in trace names and reports.
 	Name string
-	// Objects is the catalog size (number of distinct objects).
+	// Objects is the catalog size (number of distinct objects). Generation
+	// keeps 8 bytes per catalog object (16 once the class has churned).
 	Objects int
 	// ZipfS and ZipfV parameterise the popularity distribution
 	// P(rank k) ∝ (ZipfV + k)^(-ZipfS); ZipfS must be > 1, ZipfV >= 1.
@@ -168,12 +169,15 @@ func ByName(name string) (Class, error) {
 type classState struct {
 	class Class
 	zipf  *rand.Zipf
-	sizes map[uint64]int64 // lazily assigned per-object sizes
-	base  uint64           // ID namespace offset
+	// sizes[o] is object o's size, drawn on its first request; 0 means not
+	// drawn yet (sizes are at least MinSize >= 1).
+	sizes []int64
+	base  uint64 // ID namespace offset
 	rng   *rand.Rand
-	// perm maps popularity rank → object index, lazily materialised; churn
-	// swaps entries so popularity migrates across the catalog over time.
-	perm map[uint64]uint64
+	// perm maps popularity rank → object index. It is nil (the identity)
+	// until the first churn, which materialises it; churn swaps entries so
+	// popularity migrates across the catalog over time.
+	perm []uint64
 }
 
 func newClassState(c Class, index int, seed int64) *classState {
@@ -181,20 +185,19 @@ func newClassState(c Class, index int, seed int64) *classState {
 	return &classState{
 		class: c,
 		zipf:  rand.NewZipf(rng, c.ZipfS, c.ZipfV, uint64(c.Objects-1)),
-		sizes: make(map[uint64]int64),
+		sizes: make([]int64, c.Objects),
 		base:  uint64(index) << 40,
 		rng:   rng,
-		perm:  make(map[uint64]uint64),
 	}
 }
 
-// object resolves a popularity rank to an object index through the (mostly
-// identity) churned permutation.
+// object resolves a popularity rank to an object index through the churned
+// permutation.
 func (s *classState) object(rank uint64) uint64 {
-	if o, ok := s.perm[rank]; ok {
-		return o
+	if s.perm == nil {
+		return rank
 	}
-	return rank
+	return s.perm[rank]
 }
 
 // churn performs one popularity swap between a (likely hot) Zipf-drawn rank
@@ -202,8 +205,13 @@ func (s *classState) object(rank uint64) uint64 {
 func (s *classState) churn() {
 	a := s.zipf.Uint64()
 	b := uint64(s.rng.Intn(s.class.Objects))
-	oa, ob := s.object(a), s.object(b)
-	s.perm[a], s.perm[b] = ob, oa
+	if s.perm == nil {
+		s.perm = make([]uint64, s.class.Objects)
+		for i := range s.perm {
+			s.perm[i] = uint64(i)
+		}
+	}
+	s.perm[a], s.perm[b] = s.perm[b], s.perm[a]
 }
 
 // next draws one request (without a timestamp) from the class.
@@ -217,14 +225,13 @@ func (s *classState) next() trace.Request {
 			s.churn()
 		}
 	}
-	rank := s.zipf.Uint64()
-	id := s.base + s.object(rank)
-	size, ok := s.sizes[id]
-	if !ok {
+	o := s.object(s.zipf.Uint64())
+	size := s.sizes[o]
+	if size == 0 {
 		size = sampleLogNormal(s.rng, s.class.MeanLogSize, s.class.SigmaLogSize, s.class.MinSize, s.class.MaxSize)
-		s.sizes[id] = size
+		s.sizes[o] = size
 	}
-	return trace.Request{ID: id, Size: size}
+	return trace.Request{ID: s.base + o, Size: size}
 }
 
 func sampleLogNormal(rng *rand.Rand, mu, sigma float64, min, max int64) int64 {

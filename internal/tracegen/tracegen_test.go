@@ -1,6 +1,8 @@
 package tracegen
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"sort"
 	"testing"
 
@@ -215,13 +217,57 @@ func TestScanClassNearlyOnePass(t *testing.T) {
 
 var sinkTrace *trace.Trace
 
+// BenchmarkGenerate prices the generator per request: one Image:Download
+// 50:50 trace of the length the sim-shift benchmark draws per segment
+// (500k timed requests plus its 249k-request window span).
 func BenchmarkGenerate(b *testing.B) {
+	const requests = 749_000
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		tr, err := ImageDownloadMix(50, 10000, int64(i))
+		tr, err := ImageDownloadMix(50, requests, 11)
 		if err != nil {
 			b.Fatal(err)
 		}
 		sinkTrace = tr
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*requests), "ns/req")
+}
+
+// TestGenerateGolden pins every generated (ID, Size, Time) by an FNV-64a
+// digest, so a rewrite of the sampler must reproduce the traces the
+// experiments, goldens and benchmark were built on, request for request.
+func TestGenerateGolden(t *testing.T) {
+	scan, video := Scan(), Video()
+	scan.ChurnRate = 0.05
+	video.ChurnRate = 1.5
+	cases := []struct {
+		name string
+		gen  func() (*trace.Trace, error)
+		want uint64
+	}{
+		{"image0", func() (*trace.Trace, error) { return ImageDownloadMix(0, 50_000, 7) }, 0xdcad837ad0cdd3af},
+		{"image50", func() (*trace.Trace, error) { return ImageDownloadMix(50, 50_000, 7) }, 0xf4aaf8a86f40a8ae},
+		{"image100", func() (*trace.Trace, error) { return ImageDownloadMix(100, 50_000, 7) }, 0xc87baa12f5296b26},
+		{"scan-video-churn", func() (*trace.Trace, error) {
+			return Generate(MixConfig{Classes: []Class{scan, video}, Weights: []float64{70, 30}, Requests: 50_000, Seed: 7})
+		}, 0x96c95ecb143fd207},
+	}
+	for _, c := range cases {
+		tr, err := c.gen()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [24]byte
+		for _, r := range tr.Requests {
+			binary.LittleEndian.PutUint64(buf[0:], r.ID)
+			binary.LittleEndian.PutUint64(buf[8:], uint64(r.Size))
+			binary.LittleEndian.PutUint64(buf[16:], uint64(r.Time))
+			h.Write(buf[:])
+		}
+		if got := h.Sum64(); got != c.want {
+			t.Errorf("%s: digest %#016x, pinned %#016x", c.name, got, c.want)
+		}
 	}
 }
 
