@@ -34,12 +34,13 @@ lint:
 	$(GO) test ./internal/lint
 
 race:
-	$(GO) test -race ./internal/server ./internal/node ./internal/lb ./internal/cluster ./internal/cache ./internal/par ./internal/core ./internal/exp ./internal/bandit ./internal/breaker ./internal/diskcache ./internal/persist ./internal/gossip
+	$(GO) test -race ./internal/server ./internal/node ./internal/lb ./internal/cluster ./internal/cache ./internal/par ./internal/core ./internal/exp ./internal/bandit ./internal/breaker ./internal/diskcache ./internal/persist ./internal/gossip ./internal/tracegen
 
 # fuzz runs each fuzz target briefly: URL parsing on the proxy/origin seam,
 # the upstream client's response-head parser (a backend's bytes are outside
 # input),
-# the engine's id table against the built-in map it replaced, the
+# the engine's id table against the built-in map it replaced, the trace
+# generator's Zipf sampler against math/rand's rand.Zipf, the
 # hierarchy's per-object records against both levels' contents and an exact
 # "missed before" set under random op sequences, the
 # controller's batched replay against per-request serving, the durability
@@ -53,6 +54,7 @@ fuzz:
 	$(GO) test ./internal/server -fuzz FuzzParseObjectURL -fuzztime 10s
 	$(GO) test ./internal/server -fuzz FuzzUpstreamHead -fuzztime 10s
 	$(GO) test ./internal/cache -fuzz FuzzIDTable -fuzztime 10s
+	$(GO) test ./internal/tracegen -fuzz FuzzZipfMatchesRand -fuzztime 10s
 	$(GO) test ./internal/cache -fuzz FuzzHierarchy -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzControllerPlay -fuzztime 10s
 	$(GO) test ./internal/persist -fuzz FuzzDecodeFrame -fuzztime 10s

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"darwin/internal/trace"
 )
@@ -22,7 +23,10 @@ type Class struct {
 	// Name labels the class in trace names and reports.
 	Name string
 	// Objects is the catalog size (number of distinct objects). Generation
-	// keeps 8 bytes per catalog object (16 once the class has churned).
+	// keeps 8 bytes per catalog object (16 once the class has churned), plus
+	// 32 bytes of sampler table per rank the trace expects to draw at least
+	// once (at most the catalog, and about 16k ranks of Image in a
+	// 375k-request share).
 	Objects int
 	// ZipfS and ZipfV parameterise the popularity distribution
 	// P(rank k) ∝ (ZipfV + k)^(-ZipfS); ZipfS must be > 1, ZipfV >= 1.
@@ -47,17 +51,24 @@ func (c Class) Validate() error {
 	switch {
 	case c.Objects <= 0:
 		return fmt.Errorf("tracegen: class %s: Objects must be > 0", c.Name)
-	case c.ZipfS <= 1:
-		return fmt.Errorf("tracegen: class %s: ZipfS must be > 1", c.Name)
-	case c.ZipfV < 1:
-		return fmt.Errorf("tracegen: class %s: ZipfV must be >= 1", c.Name)
+	case !finite(c.ZipfS) || c.ZipfS <= 1:
+		return fmt.Errorf("tracegen: class %s: ZipfS must be finite and > 1", c.Name)
+	case !finite(c.ZipfV) || c.ZipfV < 1:
+		return fmt.Errorf("tracegen: class %s: ZipfV must be finite and >= 1", c.Name)
+	case !finite(c.MeanLogSize) || !finite(c.SigmaLogSize):
+		return fmt.Errorf("tracegen: class %s: size parameters must be finite", c.Name)
 	case c.MinSize < 1 || c.MaxSize < c.MinSize:
 		return fmt.Errorf("tracegen: class %s: bad size bounds [%d,%d]", c.Name, c.MinSize, c.MaxSize)
-	case c.RatePerSec <= 0:
-		return fmt.Errorf("tracegen: class %s: RatePerSec must be > 0", c.Name)
+	case !finite(c.RatePerSec) || c.RatePerSec <= 0:
+		return fmt.Errorf("tracegen: class %s: RatePerSec must be finite and > 0", c.Name)
+	case !finite(c.ChurnRate) || c.ChurnRate < 0:
+		return fmt.Errorf("tracegen: class %s: ChurnRate must be finite and >= 0", c.Name)
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // The predefined classes are scaled ~10x down from the paper's production
 // numbers (DESIGN.md §5) so that the default 2 MB HOC plays the role of the
@@ -168,7 +179,7 @@ func ByName(name string) (Class, error) {
 // classState holds the per-class sampling state during generation.
 type classState struct {
 	class Class
-	zipf  *rand.Zipf
+	zipf  *zipf
 	// sizes[o] is object o's size, drawn on its first request; 0 means not
 	// drawn yet (sizes are at least MinSize >= 1).
 	sizes []int64
@@ -180,11 +191,13 @@ type classState struct {
 	perm []uint64
 }
 
-func newClassState(c Class, index int, seed int64) *classState {
+// newClassState seeds class index's generator; draws is the number of Zipf
+// draws it is expected to make, which sizes the sampler's table.
+func newClassState(c Class, index int, seed int64, draws float64) *classState {
 	rng := rand.New(rand.NewSource(seed + int64(index)*7919))
 	return &classState{
 		class: c,
-		zipf:  rand.NewZipf(rng, c.ZipfS, c.ZipfV, uint64(c.Objects-1)),
+		zipf:  newZipf(rng, c.ZipfS, c.ZipfV, uint64(c.Objects-1), draws),
 		sizes: make([]int64, c.Objects),
 		base:  uint64(index) << 40,
 		rng:   rng,
@@ -214,8 +227,8 @@ func (s *classState) churn() {
 	s.perm[a], s.perm[b] = s.perm[b], s.perm[a]
 }
 
-// next draws one request (without a timestamp) from the class.
-func (s *classState) next() trace.Request {
+// next draws one request's object ID and size from the class.
+func (s *classState) next() (id uint64, size int64) {
 	if s.class.ChurnRate > 0 {
 		n := int(s.class.ChurnRate)
 		if s.rng.Float64() < s.class.ChurnRate-float64(n) {
@@ -226,12 +239,12 @@ func (s *classState) next() trace.Request {
 		}
 	}
 	o := s.object(s.zipf.Uint64())
-	size := s.sizes[o]
+	size = s.sizes[o]
 	if size == 0 {
 		size = sampleLogNormal(s.rng, s.class.MeanLogSize, s.class.SigmaLogSize, s.class.MinSize, s.class.MaxSize)
 		s.sizes[o] = size
 	}
-	return trace.Request{ID: s.base + o, Size: size}
+	return s.base + o, size
 }
 
 func sampleLogNormal(rng *rand.Rand, mu, sigma float64, min, max int64) int64 {
@@ -247,11 +260,12 @@ func sampleLogNormal(rng *rand.Rand, mu, sigma float64, min, max int64) int64 {
 
 // MixConfig configures a mixed-class trace.
 type MixConfig struct {
-	// Classes to interleave.
+	// Classes to interleave, at most 256.
 	Classes []Class
-	// Weights give each class's share of the total request rate. They are
-	// normalised internally; a zero-weight class is excluded. If nil, the
-	// classes' RatePerSec values are used.
+	// Weights give each class's share of the total request rate. They must
+	// be finite and non-negative, and are normalised internally; a
+	// zero-weight class is never drawn. If nil, the classes' RatePerSec
+	// values are used.
 	Weights []float64
 	// Requests is the total trace length.
 	Requests int
@@ -261,15 +275,32 @@ type MixConfig struct {
 	Name string
 }
 
+// maxClasses is the most classes one mix may hold: Generate tags each
+// request with its class index in a byte.
+const maxClasses = 256
+
+// chunk is the number of requests the mixer hands to the class workers at a
+// time.
+const chunk = 1 << 12
+
 // Generate produces a mixed trace: each request's class is drawn according to
 // the weights, and timestamps follow a Poisson process at the summed request
 // rate of the participating classes.
+//
+// The mixer (class choice and arrival times) and each class (object and
+// size) draw from separate generators, so they run concurrently: the calling
+// goroutine mixes, tagging every request with its class a chunk at a time,
+// and one goroutine per participating class follows a chunk behind, filling
+// in its requests in trace order. The result does not depend on scheduling.
 func Generate(cfg MixConfig) (*trace.Trace, error) {
 	if cfg.Requests <= 0 {
 		return nil, fmt.Errorf("tracegen: Requests must be > 0, got %d", cfg.Requests)
 	}
 	if len(cfg.Classes) == 0 {
 		return nil, fmt.Errorf("tracegen: no classes")
+	}
+	if len(cfg.Classes) > maxClasses {
+		return nil, fmt.Errorf("tracegen: %d classes, at most %d", len(cfg.Classes), maxClasses)
 	}
 	weights := cfg.Weights
 	if weights == nil {
@@ -286,8 +317,8 @@ func Generate(cfg MixConfig) (*trace.Trace, error) {
 		if err := c.Validate(); err != nil {
 			return nil, err
 		}
-		if weights[i] < 0 {
-			return nil, fmt.Errorf("tracegen: negative weight %v", weights[i])
+		if !finite(weights[i]) || weights[i] < 0 {
+			return nil, fmt.Errorf("tracegen: weight %v, want finite and >= 0", weights[i])
 		}
 		totalW += weights[i]
 		totalRate += c.RatePerSec * weights[i]
@@ -297,41 +328,99 @@ func Generate(cfg MixConfig) (*trace.Trace, error) {
 	}
 	totalRate /= totalW
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	states := make([]*classState, len(cfg.Classes))
-	for i, c := range cfg.Classes {
-		states[i] = newClassState(c, i, cfg.Seed)
-	}
-	// Cumulative weights for class selection.
-	cum := make([]float64, len(weights))
+	// Cumulative weights of the participating classes, for class selection.
+	// A zero-weight class adds nothing to the running sum, so these are the
+	// cumulative weights over all classes, with the zero-weight ones left out.
+	var active []uint8
+	var cum []float64
 	var acc float64
 	for i, w := range weights {
-		acc += w / totalW
-		cum[i] = acc
+		if w > 0 {
+			acc += w / totalW
+			active = append(active, uint8(i))
+			cum = append(cum, acc)
+		}
 	}
 
 	name := cfg.Name
 	if name == "" {
 		name = mixName(cfg.Classes, weights, cfg.Seed)
 	}
-	out := &trace.Trace{Name: name, Requests: make([]trace.Request, 0, cfg.Requests)}
+	reqs := make([]trace.Request, cfg.Requests)
+	// order holds, chunk by chunk, the offsets of the chunk's requests
+	// grouped by class: a class worker is handed its own requests only.
+	order := make([]uint16, cfg.Requests)
+	type batch struct {
+		part []trace.Request // one chunk of reqs
+		offs []uint16        // the class's requests in part, in trace order
+	}
+	// Each class's channel holds every chunk, so the mixer never waits on a
+	// worker.
+	ready := make([]chan batch, len(active))
+	chunks := (cfg.Requests + chunk - 1) / chunk
+	var wg sync.WaitGroup
+	for j, ci := range active {
+		c := cfg.Classes[ci]
+		draws := float64(cfg.Requests) * weights[ci] / totalW * (1 + c.ChurnRate)
+		ready[j] = make(chan batch, chunks)
+		wg.Add(1)
+		go func(ch <-chan batch) {
+			defer wg.Done()
+			st := newClassState(c, int(ci), cfg.Seed, draws)
+			for b := range ch {
+				for _, off := range b.offs {
+					r := &b.part[off]
+					r.ID, r.Size = st.next()
+				}
+			}
+		}(ready[j])
+	}
+
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	var now float64 // microseconds
 	usPerReq := 1e6 / totalRate
-	for n := 0; n < cfg.Requests; n++ {
-		u := rng.Float64()
-		ci := len(cum) - 1
-		for i, c := range cum {
-			if u <= c {
-				ci = i
-				break
+	var tags [chunk]uint8 // each request's index into active
+	start := make([]int, len(active)+1)
+	next := make([]int, len(active))
+	for lo := 0; lo < len(reqs); lo += chunk {
+		part := reqs[lo:min(lo+chunk, len(reqs))]
+		for n := range part {
+			// The first class whose cumulative weight reaches u, or the
+			// last class if rounding left every one below it.
+			u := rng.Float64()
+			j := 0
+			for _, c := range cum[:len(cum)-1] {
+				if c < u {
+					j++
+				}
 			}
+			tags[n] = uint8(j)
+			now += rng.ExpFloat64() * usPerReq
+			part[n].Time = int64(now)
 		}
-		r := states[ci].next()
-		now += rng.ExpFloat64() * usPerReq
-		r.Time = int64(now)
-		out.Requests = append(out.Requests, r)
+		// Counting sort of the chunk's offsets by class.
+		clear(start)
+		for _, t := range tags[:len(part)] {
+			start[int(t)+1]++
+		}
+		for j := range next {
+			start[j+1] += start[j]
+			next[j] = start[j]
+		}
+		offs := order[lo : lo+len(part)]
+		for n, t := range tags[:len(part)] {
+			offs[next[t]] = uint16(n)
+			next[t]++
+		}
+		for j, ch := range ready {
+			ch <- batch{part, offs[start[j]:start[j+1]]}
+		}
 	}
-	return out, nil
+	for _, ch := range ready {
+		close(ch)
+	}
+	wg.Wait()
+	return &trace.Trace{Name: name, Requests: reqs}, nil
 }
 
 func mixName(classes []Class, weights []float64, seed int64) string {

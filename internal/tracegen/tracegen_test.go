@@ -3,9 +3,13 @@ package tracegen
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"math"
+	"runtime"
 	"sort"
 	"testing"
+	"time"
 
+	"darwin/internal/par"
 	"darwin/internal/trace"
 )
 
@@ -233,6 +237,19 @@ func BenchmarkGenerate(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*requests), "ns/req")
 }
 
+// digest is the FNV-64a hash of every request's (ID, Size, Time).
+func digest(tr *trace.Trace) uint64 {
+	h := fnv.New64a()
+	var buf [24]byte
+	for _, r := range tr.Requests {
+		binary.LittleEndian.PutUint64(buf[0:], r.ID)
+		binary.LittleEndian.PutUint64(buf[8:], uint64(r.Size))
+		binary.LittleEndian.PutUint64(buf[16:], uint64(r.Time))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
 // TestGenerateGolden pins every generated (ID, Size, Time) by an FNV-64a
 // digest, so a rewrite of the sampler must reproduce the traces the
 // experiments, goldens and benchmark were built on, request for request.
@@ -251,21 +268,20 @@ func TestGenerateGolden(t *testing.T) {
 		{"scan-video-churn", func() (*trace.Trace, error) {
 			return Generate(MixConfig{Classes: []Class{scan, video}, Weights: []float64{70, 30}, Requests: 50_000, Seed: 7})
 		}, 0x96c95ecb143fd207},
+		// A zero-weight class between two others, and a length one past a
+		// multiple of the mixer's chunk.
+		{"web-scan0-download-churn", func() (*trace.Trace, error) {
+			dl := Download()
+			dl.ChurnRate = 0.3
+			return Generate(MixConfig{Classes: []Class{Web(), Scan(), dl}, Weights: []float64{40, 0, 60}, Requests: 10*chunk + 1, Seed: 7})
+		}, 0xbddd543460b4bbcf},
 	}
 	for _, c := range cases {
 		tr, err := c.gen()
 		if err != nil {
 			t.Fatal(err)
 		}
-		h := fnv.New64a()
-		var buf [24]byte
-		for _, r := range tr.Requests {
-			binary.LittleEndian.PutUint64(buf[0:], r.ID)
-			binary.LittleEndian.PutUint64(buf[8:], uint64(r.Size))
-			binary.LittleEndian.PutUint64(buf[16:], uint64(r.Time))
-			h.Write(buf[:])
-		}
-		if got := h.Sum64(); got != c.want {
+		if got := digest(tr); got != c.want {
 			t.Errorf("%s: digest %#016x, pinned %#016x", c.name, got, c.want)
 		}
 	}
@@ -335,6 +351,141 @@ func TestChurnDeterministic(t *testing.T) {
 	for i := range a.Requests {
 		if a.Requests[i] != b.Requests[i] {
 			t.Fatal("churned generation not deterministic")
+		}
+	}
+}
+
+// TestGenerateRejectsNonFinite: a NaN or infinite class parameter or weight,
+// or a negative churn rate, is an error. Before Validate checked them, a
+// non-finite ZipfS or ZipfV made Generate loop forever, so every case runs
+// under a deadline.
+func TestGenerateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name    string
+		mut     func(*Class)
+		weights []float64
+	}{
+		{"ZipfS-NaN", func(c *Class) { c.ZipfS = nan }, nil},
+		{"ZipfS-Inf", func(c *Class) { c.ZipfS = inf }, nil},
+		{"ZipfV-NaN", func(c *Class) { c.ZipfV = nan }, nil},
+		{"ZipfV-Inf", func(c *Class) { c.ZipfV = inf }, nil},
+		{"RatePerSec-NaN", func(c *Class) { c.RatePerSec = nan }, nil},
+		{"RatePerSec-Inf", func(c *Class) { c.RatePerSec = inf }, nil},
+		{"MeanLogSize-NaN", func(c *Class) { c.MeanLogSize = nan }, nil},
+		{"MeanLogSize-Inf", func(c *Class) { c.MeanLogSize = inf }, nil},
+		{"MeanLogSize-negInf", func(c *Class) { c.MeanLogSize = -inf }, nil},
+		{"SigmaLogSize-NaN", func(c *Class) { c.SigmaLogSize = nan }, nil},
+		{"SigmaLogSize-Inf", func(c *Class) { c.SigmaLogSize = inf }, nil},
+		{"ChurnRate-negative", func(c *Class) { c.ChurnRate = -1 }, nil},
+		{"ChurnRate-NaN", func(c *Class) { c.ChurnRate = nan }, nil},
+		{"ChurnRate-Inf", func(c *Class) { c.ChurnRate = inf }, nil},
+		{"weight-NaN", nil, []float64{nan, 1}},
+		{"weight-Inf", nil, []float64{inf, 1}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Download()
+			if tc.mut != nil {
+				tc.mut(&c)
+				if c.Validate() == nil {
+					t.Error("Validate accepted the class")
+				}
+			}
+			done := make(chan error, 1)
+			go func() {
+				_, err := Generate(MixConfig{Classes: []Class{c, Image()}, Weights: tc.weights, Requests: 1000, Seed: 1})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Error("Generate accepted the mix")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Generate did not return within 10s")
+			}
+		})
+	}
+}
+
+// TestGenerateClassLimit: a request's class is tagged in a byte, so a mix
+// holds at most 256 classes.
+func TestGenerateClassLimit(t *testing.T) {
+	classes := make([]Class, maxClasses+1)
+	for i := range classes {
+		classes[i] = Download()
+	}
+	if _, err := Generate(MixConfig{Classes: classes, Requests: 10}); err == nil {
+		t.Fatalf("%d classes accepted", len(classes))
+	}
+	tr, err := Generate(MixConfig{Classes: classes[:maxClasses], Requests: 4 * maxClasses, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := tr.Requests[tr.Len()-1].ID >> 40; last >= maxClasses {
+		t.Fatalf("ID namespace %d out of range", last)
+	}
+}
+
+// TestGenerateLeavesNoGoroutines: Generate's class workers are gone when it
+// returns, whether it succeeds or fails.
+func TestGenerateLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfgs := []MixConfig{
+		{Classes: []Class{Image(), Download()}, Requests: 3*chunk + 5, Seed: 1},
+		{Classes: []Class{Image(), Scan(), Download()}, Weights: []float64{1, 0, 1}, Requests: 100, Seed: 2},
+		{Classes: []Class{Image()}, Requests: 0},
+		{Classes: []Class{Image(), Download()}, Weights: []float64{1, math.NaN()}, Requests: 100},
+		{Classes: []Class{Image(), Download()}, Weights: []float64{0, 0}, Requests: 100},
+		{Classes: []Class{Image(), {Name: "bad"}}, Requests: 100},
+	}
+	for _, cfg := range cfgs {
+		_, _ = Generate(cfg) // successes and failures alike
+	}
+	// A worker's deferred Done runs just before it exits, so allow it the
+	// moment between the two.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before Generate, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestGenerateIndependentOfParWidth: traces generated inside par.ForEach
+// tasks, at width 1 (inline, in order) and at width 4, equal the ones
+// generated on their own.
+func TestGenerateIndependentOfParWidth(t *testing.T) {
+	const n = 4
+	want := make([]uint64, n)
+	for i := range want {
+		tr, err := ImageDownloadMix(25*i, 2*chunk+3, int64(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = digest(tr)
+	}
+	for _, width := range []int{1, 4} {
+		prev := par.SetDefault(width)
+		got := make([]uint64, n)
+		err := par.ForEach(n, func(i int) error {
+			tr, err := ImageDownloadMix(25*i, 2*chunk+3, int64(i))
+			if err != nil {
+				return err
+			}
+			got[i] = digest(tr)
+			return nil
+		})
+		par.SetDefault(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("width %d: trace %d differs", width, i)
+			}
 		}
 	}
 }
