@@ -35,8 +35,9 @@ func TestSmallReportsGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
+	r := newSession(exp.Small())
 	for _, e := range sel {
-		if err := e.print(&got, exp.Small()); err != nil {
+		if err := e.print(&got, r); err != nil {
 			t.Fatal(err)
 		}
 	}

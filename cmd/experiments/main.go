@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"time"
 
 	"darwin/internal/exp"
@@ -32,7 +33,40 @@ import (
 // experiment is one -only id: it returns its reports in print order.
 type experiment struct {
 	id  string
-	run func(sc exp.Scale) ([]*exp.Report, error)
+	run func(r *session) ([]*exp.Report, error)
+}
+
+// session is one serial run at one scale. Each corpus the experiments share
+// is built at most once, on first use: the OHR corpus, the prototype corpus
+// and the 5x-scaled corpus (Figure 4b).
+type session struct {
+	sc                 exp.Scale
+	ohr, proto, scaled func() (*exp.Corpus, error)
+}
+
+func newSession(sc exp.Scale) *session {
+	s := &session{sc: sc}
+	s.ohr = sync.OnceValues(func() (*exp.Corpus, error) { return exp.BuildCorpus(sc, "ohr") })
+	s.proto = sync.OnceValues(func() (*exp.Corpus, error) { return exp.BuildCorpus(exp.PrototypeScale(sc), "ohr") })
+	s.scaled = sync.OnceValues(func() (*exp.Corpus, error) {
+		base, err := s.ohr()
+		if err != nil {
+			return nil, err
+		}
+		return exp.ScaledCorpus(base, 5)
+	})
+	return s
+}
+
+// prototype returns the corpus, config and replay trace fig4c and fig7 share.
+func (s *session) prototype() (*exp.Corpus, exp.PrototypeConfig, *trace.Trace, error) {
+	pc := exp.DefaultPrototypeConfig()
+	c, err := s.proto()
+	if err != nil {
+		return nil, pc, nil, err
+	}
+	tr, err := exp.PrototypeTrace(c, pc.TraceLen)
+	return c, pc, tr, err
 }
 
 // one adapts a single-report function's results to experiment.run's.
@@ -43,10 +77,10 @@ func one(r *exp.Report, err error) ([]*exp.Report, error) {
 	return []*exp.Report{r}, nil
 }
 
-// onCorpus adapts an experiment over the scale's OHR-trained corpus.
-func onCorpus(f func(c *exp.Corpus) ([]*exp.Report, error)) func(exp.Scale) ([]*exp.Report, error) {
-	return func(sc exp.Scale) ([]*exp.Report, error) {
-		c, err := exp.CachedCorpus(sc, "ohr")
+// onCorpus adapts an experiment over the session's OHR-trained corpus.
+func onCorpus(f func(c *exp.Corpus) ([]*exp.Report, error)) func(*session) ([]*exp.Report, error) {
+	return func(r *session) ([]*exp.Report, error) {
+		c, err := r.ohr()
 		if err != nil {
 			return nil, err
 		}
@@ -54,21 +88,10 @@ func onCorpus(f func(c *exp.Corpus) ([]*exp.Report, error)) func(exp.Scale) ([]*
 	}
 }
 
-// prototype builds the corpus, config and replay trace fig4c and fig7 share.
-func prototype(sc exp.Scale) (*exp.Corpus, exp.PrototypeConfig, *trace.Trace, error) {
-	pc := exp.DefaultPrototypeConfig()
-	c, err := exp.CachedCorpus(exp.PrototypeScale(sc), "ohr")
-	if err != nil {
-		return nil, pc, nil, err
-	}
-	tr, err := exp.PrototypeTrace(c, pc.TraceLen)
-	return c, pc, tr, err
-}
-
 // experiments is every experiment in run order.
 var experiments = []experiment{
-	{"table1", func(exp.Scale) ([]*exp.Report, error) { return []*exp.Report{exp.Table1()}, nil }},
-	{"fig2", func(sc exp.Scale) ([]*exp.Report, error) { return exp.Fig2Suite(sc) }},
+	{"table1", func(*session) ([]*exp.Report, error) { return []*exp.Report{exp.Table1()}, nil }},
+	{"fig2", func(r *session) ([]*exp.Report, error) { return exp.Fig2Suite(r.sc) }},
 	{"fig4a", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
 		rep, _, diags, err := exp.Fig4Compare(c, "Figure 4a: Darwin vs baselines (simulation)")
 		if err != nil {
@@ -76,23 +99,23 @@ var experiments = []experiment{
 		}
 		return []*exp.Report{rep, exp.Fig5dBanditRounds(diags)}, nil
 	})},
-	{"fig4b", func(sc exp.Scale) ([]*exp.Report, error) {
-		c, err := exp.ScaledCorpus(sc, 5)
+	{"fig4b", func(r *session) ([]*exp.Report, error) {
+		c, err := r.scaled()
 		if err != nil {
 			return nil, err
 		}
 		rep, _, _, err := exp.Fig4Compare(c, "Figure 4b: Darwin vs baselines (5x scaled cache)")
 		return one(rep, err)
 	}},
-	{"fig4c", func(sc exp.Scale) ([]*exp.Report, error) {
-		c, _, tr, err := prototype(sc)
+	{"fig4c", func(r *session) ([]*exp.Report, error) {
+		c, _, tr, err := r.prototype()
 		if err != nil {
 			return nil, err
 		}
 		return one(exp.Fig4cPrototypeOHR(c, tr))
 	}},
-	{"fig5a", func(sc exp.Scale) ([]*exp.Report, error) {
-		train, _, err := exp.BuildTraces(sc)
+	{"fig5a", func(r *session) ([]*exp.Report, error) {
+		train, _, err := exp.BuildTraces(r.sc)
 		if err != nil {
 			return nil, err
 		}
@@ -108,14 +131,14 @@ var experiments = []experiment{
 	{"fig10", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
 		return one(exp.Fig10OutOfDistribution(c, []float64{1, 2, 5}))
 	})},
-	{"fig6a", func(sc exp.Scale) ([]*exp.Report, error) {
-		return one(exp.Fig6Objective(sc, "bmr", "Figure 6a: HOC byte miss ratio objective"))
-	}},
-	{"fig6b", func(sc exp.Scale) ([]*exp.Report, error) {
-		return one(exp.Fig6Objective(sc, "combined", "Figure 6b: OHR - disk-write objective"))
-	}},
-	{"fig7", func(sc exp.Scale) ([]*exp.Report, error) {
-		c, pc, tr, err := prototype(sc)
+	{"fig6a", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
+		return one(exp.Fig6Objective(c, "bmr", "Figure 6a: HOC byte miss ratio objective"))
+	})},
+	{"fig6b", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
+		return one(exp.Fig6Objective(c, "combined", "Figure 6b: OHR - disk-write objective"))
+	})},
+	{"fig7", func(r *session) ([]*exp.Report, error) {
+		c, pc, tr, err := r.prototype()
 		if err != nil {
 			return nil, err
 		}
@@ -130,40 +153,39 @@ var experiments = []experiment{
 		return []*exp.Report{lat, tput}, nil
 	}},
 	{"table2", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) { return one(exp.Table2(c)) })},
-	{"fig11", func(sc exp.Scale) ([]*exp.Report, error) {
-		return one(exp.Fig11ThreeKnob(sc, []float64{1, 5}))
+	{"fig11", func(r *session) ([]*exp.Report, error) {
+		return one(exp.Fig11ThreeKnob(r.sc, []float64{1, 5}))
 	}},
 	{"overhead", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
 		return one(exp.OverheadReport(c, c.Test[0]))
 	})},
-	{"chaos", func(exp.Scale) ([]*exp.Report, error) {
+	{"chaos", func(*session) ([]*exp.Report, error) {
 		return one(exp.ChaosReport(exp.DefaultChaosConfig()))
 	}},
-	{"crash", func(sc exp.Scale) ([]*exp.Report, error) {
+	{"crash", func(r *session) ([]*exp.Report, error) {
 		cc := exp.DefaultCrashConfig()
-		cc.Scale = sc
+		cc.Scale = r.sc
 		return one(exp.CrashRecoveryReport(cc))
 	}},
-	{"cluster", func(exp.Scale) ([]*exp.Report, error) {
+	{"cluster", func(*session) ([]*exp.Report, error) {
 		return one(exp.ClusterReport(exp.DefaultClusterConfig()))
 	}},
-	{"flap", func(exp.Scale) ([]*exp.Report, error) {
+	{"flap", func(*session) ([]*exp.Report, error) {
 		return one(exp.FlapReport(exp.DefaultFlapConfig()))
 	}},
-	{"overload", func(exp.Scale) ([]*exp.Report, error) {
+	{"overload", func(*session) ([]*exp.Report, error) {
 		return one(exp.OverloadReport(exp.DefaultOverloadConfig()))
 	}},
-	{"ablations", func(sc exp.Scale) ([]*exp.Report, error) {
+	{"ablations", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
+		n := c.Scale.Online.Round
 		var reps []*exp.Report
 		for _, f := range []func() (*exp.Report, error){
-			func() (*exp.Report, error) { return exp.AblationSideInfo(sc) },
+			func() (*exp.Report, error) { return exp.AblationSideInfo(c) },
 			func() (*exp.Report, error) { return exp.AblationRoundsVsK([]int{4, 8, 16}) },
-			func() (*exp.Report, error) { return exp.AblationStopping(sc) },
-			func() (*exp.Report, error) {
-				return exp.AblationRoundLength(sc, []int{sc.Online.Round / 2, sc.Online.Round, sc.Online.Round * 2})
-			},
-			func() (*exp.Report, error) { return exp.AblationPredictorFeatures(sc) },
-			func() (*exp.Report, error) { return exp.AblationEviction(sc) },
+			func() (*exp.Report, error) { return exp.AblationStopping(c) },
+			func() (*exp.Report, error) { return exp.AblationRoundLength(c, []int{n / 2, n, n * 2}) },
+			func() (*exp.Report, error) { return exp.AblationPredictorFeatures(c) },
+			func() (*exp.Report, error) { return exp.AblationEviction(c.Scale) },
 		} {
 			rep, err := f()
 			if err != nil {
@@ -172,9 +194,9 @@ var experiments = []experiment{
 			reps = append(reps, rep)
 		}
 		return reps, nil
-	}},
-	{"future", func(sc exp.Scale) ([]*exp.Report, error) {
-		return one(exp.FutureEvictionSelection(sc))
+	})},
+	{"future", func(r *session) ([]*exp.Report, error) {
+		return one(exp.FutureEvictionSelection(r.sc))
 	}},
 }
 
@@ -231,19 +253,20 @@ func main() {
 		fatal(err)
 	}
 
+	r := newSession(sc)
 	for _, e := range selected {
 		start := time.Now()
-		if err := e.print(os.Stdout, sc); err != nil {
+		if err := e.print(os.Stdout, r); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("--- %s done in %v ---\n\n", e.id, time.Since(start).Round(time.Millisecond))
 	}
 }
 
-// print runs e and writes its header line and reports to w.
-func (e experiment) print(w io.Writer, sc exp.Scale) error {
+// print runs e in session r and writes its header line and reports to w.
+func (e experiment) print(w io.Writer, r *session) error {
 	fmt.Fprintf(w, "--- running %s ---\n", e.id)
-	reps, err := e.run(sc)
+	reps, err := e.run(r)
 	if err != nil {
 		return fmt.Errorf("%s: %w", e.id, err)
 	}

@@ -141,7 +141,7 @@ var goneIdents = []string{
 	"internal/bloom", "bloomObjects", "TestAndAddU64", "ContainsU64", "FilterState",
 	"NewStaticSharded", "PropagateDeadline", "Overload.Enabled", "Overload.Breaker",
 	"WeightSchedule", "LoadFactor", "Config.Readiness", "EvaluateAllParallel", "TaskError",
-	"evaluateTrace",
+	"evaluateTrace", "CachedCorpus", "HindsightTrace", "resetHindsightCache",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

@@ -372,13 +372,6 @@ func (h *Hierarchy) ResetCounts() {
 	h.objs = objs
 }
 
-// Play serves every request in tr.
-func (h *Hierarchy) Play(tr *trace.Trace) {
-	for _, r := range tr.Requests {
-		h.Serve(r)
-	}
-}
-
 // Metrics returns a snapshot of the accumulated counters.
 func (h *Hierarchy) Metrics() Metrics { return h.m }
 

@@ -1,10 +1,12 @@
 package exp
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
 	"darwin/internal/cache"
+	"darwin/internal/core"
 )
 
 // cacheGrid3 returns a small three-knob expert grid for the extension test.
@@ -13,7 +15,7 @@ func cacheGrid3() []cache.Expert {
 }
 
 func TestFig6ObjectiveBMR(t *testing.T) {
-	rep, err := Fig6Objective(tiny(), "bmr", "fig6a test")
+	rep, err := Fig6Objective(tinyCorpus(t), "bmr", "fig6a test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +28,7 @@ func TestFig6ObjectiveBMR(t *testing.T) {
 }
 
 func TestFig6ObjectiveCombined(t *testing.T) {
-	rep, err := Fig6Objective(tiny(), "combined", "fig6b test")
+	rep, err := Fig6Objective(tinyCorpus(t), "combined", "fig6b test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,13 +38,69 @@ func TestFig6ObjectiveCombined(t *testing.T) {
 }
 
 func TestFig6ObjectiveUnknown(t *testing.T) {
-	if _, err := Fig6Objective(tiny(), "latency", "x"); err == nil {
+	if _, err := Fig6Objective(tinyCorpus(t), "latency", "x"); err == nil {
 		t.Fatal("unknown objective accepted")
 	}
 }
 
+// TestFig6RetrainMatchesObjectiveCorpus: retraining the OHR corpus's dataset
+// for an objective gives the model a corpus built for that objective has,
+// byte for byte — the dataset does not depend on the objective.
+func TestFig6RetrainMatchesObjectiveCorpus(t *testing.T) {
+	c := tinyCorpus(t)
+	for _, name := range []string{"bmr", "combined"} {
+		obj, err := core.ObjectiveByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		retrained, err := c.Scale.train(c.Dataset, obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built, err := BuildCorpus(tiny(), name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var a, b bytes.Buffer
+		if err := core.WriteModel(&a, retrained); err != nil {
+			t.Fatal(err)
+		}
+		if err := core.WriteModel(&b, built.Model); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			t.Fatalf("%s: retrained model (%d bytes) differs from the %s corpus's (%d bytes)", name, a.Len(), name, b.Len())
+		}
+	}
+}
+
+// TestEmptyEnsembleRejected: every experiment that runs Darwin over the
+// ensemble returns the one empty-ensemble error on a corpus without test
+// traces, instead of panicking or averaging nothing.
+func TestEmptyEnsembleRejected(t *testing.T) {
+	c := tinyCorpus(t)
+	noTest := &Corpus{Scale: c.Scale, Train: c.Train, Dataset: c.Dataset, Model: c.Model}
+	for _, tc := range []struct {
+		name string
+		run  func(*Corpus) error
+	}{
+		{"Fig4Compare", func(c *Corpus) error { _, _, _, err := Fig4Compare(c, "x"); return err }},
+		{"Table2", func(c *Corpus) error { _, err := Table2(c); return err }},
+		{"Fig6Objective", func(c *Corpus) error { _, err := Fig6Objective(c, "bmr", "x"); return err }},
+		{"AblationSideInfo", func(c *Corpus) error { _, err := AblationSideInfo(c); return err }},
+		{"AblationStopping", func(c *Corpus) error { _, err := AblationStopping(c); return err }},
+		{"AblationRoundLength", func(c *Corpus) error { _, err := AblationRoundLength(c, []int{300}); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(noTest); err == nil || err.Error() != "exp: empty ensemble" {
+				t.Fatalf("err = %v, want exp: empty ensemble", err)
+			}
+		})
+	}
+}
+
 func TestAblationStoppingRuns(t *testing.T) {
-	rep, err := AblationStopping(tiny())
+	rep, err := AblationStopping(tinyCorpus(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,8 +110,7 @@ func TestAblationStoppingRuns(t *testing.T) {
 }
 
 func TestAblationRoundLength(t *testing.T) {
-	sc := tiny()
-	rep, err := AblationRoundLength(sc, []int{200, 400, 1 << 30})
+	rep, err := AblationRoundLength(tinyCorpus(t), []int{200, 400, 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +121,7 @@ func TestAblationRoundLength(t *testing.T) {
 }
 
 func TestAblationPredictorFeatures(t *testing.T) {
-	rep := sameTwice(t, func() (*Report, error) { return AblationPredictorFeatures(tiny()) })
+	rep := sameTwice(t, func() (*Report, error) { return AblationPredictorFeatures(tinyCorpus(t)) })
 	if len(rep.Rows) != 2 {
 		t.Fatalf("rows = %d", len(rep.Rows))
 	}
@@ -142,11 +199,11 @@ func TestFig11ThreeKnob(t *testing.T) {
 }
 
 func TestScaledCorpus(t *testing.T) {
-	c, err := ScaledCorpus(tiny(), 2)
+	base := tinyCorpus(t)
+	c, err := ScaledCorpus(base, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := tinyCorpus(t)
 	if c.Scale.Eval.HOCBytes != 2*base.Scale.Eval.HOCBytes {
 		t.Fatal("cache not scaled")
 	}
@@ -159,21 +216,6 @@ func TestScaledCorpus(t *testing.T) {
 	ratio := s1.MeanSize / s0.MeanSize
 	if ratio < 1.7 || ratio > 2.3 {
 		t.Fatalf("mean size ratio %.2f, want ~2 (±20%% perturbation)", ratio)
-	}
-}
-
-func TestHindsightTrace(t *testing.T) {
-	sc := tiny()
-	tr, err := SyntheticMix(50, 4000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := HindsightTrace(tr, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != len(sc.Experts) {
-		t.Fatalf("metrics = %d", len(ms))
 	}
 }
 
@@ -200,7 +242,7 @@ func TestFig4aIncludesBeladyNote(t *testing.T) {
 func TestThreeKnobEndToEnd(t *testing.T) {
 	sc := tiny()
 	sc.Experts = cacheGrid3()
-	c, err := CachedCorpus(sc, "ohr")
+	c, err := BuildCorpus(sc, "ohr")
 	if err != nil {
 		t.Fatal(err)
 	}

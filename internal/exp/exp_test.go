@@ -4,7 +4,9 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"darwin/internal/cache"
@@ -35,13 +37,22 @@ func tiny() Scale {
 	}
 }
 
+// tinyOHR is the tiny scale's OHR corpus, built once for the package's tests.
+var tinyOHR = sync.OnceValues(func() (*Corpus, error) { return BuildCorpus(tiny(), "ohr") })
+
 func tinyCorpus(t *testing.T) *Corpus {
 	t.Helper()
-	c, err := CachedCorpus(tiny(), "ohr")
+	c, err := tinyOHR()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// fresh returns a corpus over c's traces, dataset and model that has computed
+// nothing yet.
+func fresh(c *Corpus) *Corpus {
+	return &Corpus{Scale: c.Scale, Train: c.Train, Test: c.Test, Dataset: c.Dataset, Model: c.Model}
 }
 
 func TestReportRendering(t *testing.T) {
@@ -81,14 +92,54 @@ func TestBuildTracesCounts(t *testing.T) {
 	}
 }
 
-func TestCachedCorpusMemoises(t *testing.T) {
-	a := tinyCorpus(t)
-	b := tinyCorpus(t)
-	if a != b {
-		t.Fatal("CachedCorpus did not memoise")
+// TestHeldOutDatasetBuiltOnce: goroutines that race to a fresh corpus's
+// held-out dataset all get the one dataset it built.
+func TestHeldOutDatasetBuiltOnce(t *testing.T) {
+	c := fresh(tinyCorpus(t))
+	got := make([]*core.Dataset, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = c.heldOutDataset()
+		}()
 	}
-	if a.Model == nil || a.Dataset == nil {
-		t.Fatal("corpus incomplete")
+	wg.Wait()
+	for i, ds := range got {
+		if ds == nil || ds != got[0] {
+			t.Fatalf("goroutine %d got held-out dataset %p, goroutine 0 got %p", i, ds, got[0])
+		}
+	}
+	if len(got[0].Records) != len(c.Test) {
+		t.Fatalf("%d held-out records for %d test traces", len(got[0].Records), len(c.Test))
+	}
+}
+
+// TestHindsightGridPerCorpus: two corpora that share trace names, HOC bytes
+// and expert count but not expert thresholds each get their own hindsight
+// grid, cache.EvaluateAll of their own experts on each test trace.
+func TestHindsightGridPerCorpus(t *testing.T) {
+	a := tinyCorpus(t)
+	b := fresh(a)
+	b.Scale.Experts = make([]cache.Expert, len(a.Scale.Experts))
+	for i, e := range a.Scale.Experts {
+		b.Scale.Experts[i] = cache.Expert{Freq: e.Freq + 1, MaxSize: 2 * e.MaxSize}
+	}
+	for _, c := range []*Corpus{a, b} {
+		ds, err := c.heldOutDataset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, tr := range c.Test {
+			want, err := cache.EvaluateAll(tr, c.Scale.Experts, c.Scale.Eval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ds.Records[i].Metrics; !reflect.DeepEqual(got, want) {
+				t.Fatalf("experts %v, trace %s: grid\n %v\nwant\n %v", c.Scale.Experts, tr.Name, got, want)
+			}
+		}
 	}
 }
 
@@ -122,7 +173,7 @@ func TestFig2DiskWriteLowerIsBetter(t *testing.T) {
 
 func TestEnsembleSetDiverse(t *testing.T) {
 	c := tinyCorpus(t)
-	ens, err := EnsembleSet(c)
+	ens, err := c.ensembleSet()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +181,11 @@ func TestEnsembleSetDiverse(t *testing.T) {
 		t.Fatal("empty ensemble")
 	}
 	seen := map[string]bool{}
-	for _, tr := range ens {
-		if seen[tr.Name] {
+	for _, m := range ens {
+		if seen[m.tr.Name] {
 			t.Fatal("duplicate trace in ensemble")
 		}
-		seen[tr.Name] = true
+		seen[m.tr.Name] = true
 	}
 }
 

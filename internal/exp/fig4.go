@@ -2,8 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"darwin/internal/baselines"
 	"darwin/internal/cache"
@@ -16,6 +14,11 @@ import (
 // RunDarwin plays tr through a fresh Darwin controller and returns its
 // post-warm-up metrics and the per-epoch diagnostics.
 func RunDarwin(c *Corpus, tr *trace.Trace) (cache.Metrics, []core.EpochDiag, error) {
+	return runDarwin(c, c.Model, c.Scale.Online, tr)
+}
+
+// runDarwin is RunDarwin over model with online configuration oc.
+func runDarwin(c *Corpus, model *core.Model, oc core.OnlineConfig, tr *trace.Trace) (cache.Metrics, []core.EpochDiag, error) {
 	hier, err := cache.New(cache.Config{
 		HOCBytes:    c.Scale.Eval.HOCBytes,
 		DCBytes:     c.Scale.Eval.DCBytes,
@@ -25,7 +28,7 @@ func RunDarwin(c *Corpus, tr *trace.Trace) (cache.Metrics, []core.EpochDiag, err
 	if err != nil {
 		return cache.Metrics{}, nil, err
 	}
-	ctrl, err := core.NewController(c.Model, hier, c.Scale.Online)
+	ctrl, err := core.NewController(model, hier, oc)
 	if err != nil {
 		return cache.Metrics{}, nil, err
 	}
@@ -33,7 +36,37 @@ func RunDarwin(c *Corpus, tr *trace.Trace) (cache.Metrics, []core.EpochDiag, err
 	return m, ctrl.Diags(), nil
 }
 
-// BaselineNames lists the adaptive baselines CompareBaselines runs: the
+// darwinRun is Darwin's result on one ensemble trace.
+type darwinRun struct {
+	m     cache.Metrics
+	diags []core.EpochDiag
+}
+
+// runEnsemble runs Darwin over model with online configuration oc on every
+// ensemble trace, one task per trace, results in ensemble order. It is the
+// one place an empty ensemble is rejected.
+func (c *Corpus) runEnsemble(model *core.Model, oc core.OnlineConfig) ([]member, []darwinRun, error) {
+	ensemble, err := c.ensembleSet()
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(ensemble) == 0 {
+		return nil, nil, fmt.Errorf("exp: empty ensemble")
+	}
+	runs, err := par.Map(ensemble, func(i int, e member) (darwinRun, error) {
+		m, diags, err := runDarwin(c, model, oc, e.tr)
+		if err != nil {
+			return darwinRun{}, fmt.Errorf("darwin on %s: %w", e.tr.Name, err)
+		}
+		return darwinRun{m: m, diags: diags}, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return ensemble, runs, nil
+}
+
+// BaselineNames lists the adaptive baselines the comparison runs: the
 // paper's Figure-4 legend (P, HC-Δs, Direct, AS) plus TinyLFU as an extra
 // frequency-admission baseline from the paper's related work [17].
 func BaselineNames() []string {
@@ -95,78 +128,6 @@ func NewBaseline(name string, c *Corpus) (baselines.Server, error) {
 	return nil, fmt.Errorf("exp: unknown baseline %q", name)
 }
 
-// hindsight memoises full-grid evaluations of test traces. Guarded by
-// hindsightMu: Hindsight is called from the engine's worker goroutines.
-var (
-	hindsightMu    sync.Mutex
-	hindsightCache = map[string][]cache.Metrics{}
-)
-
-// Hindsight evaluates every grid expert on tr (memoised per trace name).
-func Hindsight(c *Corpus, tr *trace.Trace) ([]cache.Metrics, error) {
-	key := fmt.Sprintf("%s|%d|%d", tr.Name, c.Scale.Eval.HOCBytes, len(c.Scale.Experts))
-	hindsightMu.Lock()
-	ms, ok := hindsightCache[key]
-	hindsightMu.Unlock()
-	if ok {
-		return ms, nil
-	}
-	ms, err := cache.EvaluateAll(tr, c.Scale.Experts, c.Scale.Eval)
-	if err != nil {
-		return nil, err
-	}
-	hindsightMu.Lock()
-	hindsightCache[key] = ms
-	hindsightMu.Unlock()
-	return ms, nil
-}
-
-// resetHindsightCache clears the memo (golden serial/parallel tests use it to
-// force both runs through the full evaluation path).
-func resetHindsightCache() {
-	hindsightMu.Lock()
-	hindsightCache = map[string][]cache.Metrics{}
-	hindsightMu.Unlock()
-}
-
-// EnsembleSet groups the corpus's test traces by their hindsight-best static
-// expert and picks one trace per group (§6.1 "Comparison with static
-// baselines").
-func EnsembleSet(c *Corpus) ([]*trace.Trace, error) {
-	// Warm the hindsight memo for every test trace in parallel; the serial
-	// grouping below then reads cached grids only.
-	if err := par.ForEach(len(c.Test), func(i int) error {
-		_, err := Hindsight(c, c.Test[i])
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	byBest := map[int]*trace.Trace{}
-	var order []int
-	for _, tr := range c.Test {
-		ms, err := Hindsight(c, tr)
-		if err != nil {
-			return nil, err
-		}
-		best := 0
-		for i, m := range ms {
-			if m.OHR() > ms[best].OHR() {
-				best = i
-			}
-		}
-		if _, ok := byBest[best]; !ok {
-			byBest[best] = tr
-			order = append(order, best)
-		}
-	}
-	sort.Ints(order)
-	out := make([]*trace.Trace, 0, len(order))
-	for _, b := range order {
-		out = append(out, byBest[b])
-	}
-	return out, nil
-}
-
 // ComparisonResult holds one scheme's OHR per ensemble trace.
 type ComparisonResult struct {
 	// Scheme names the policy.
@@ -175,128 +136,85 @@ type ComparisonResult struct {
 	OHR []float64
 }
 
-// compareCache memoises the expensive ensemble comparison per corpus.
-// Guarded by compareMu.
-var (
-	compareMu    sync.Mutex
-	compareCache = map[*Corpus]*compareOut{}
-)
-
+// compareOut is a corpus's comparison: one result per scheme, Darwin first,
+// then the static experts and the adaptive baselines, and Darwin's epoch
+// diagnostics in ensemble order.
 type compareOut struct {
 	results []ComparisonResult
 	diags   []core.EpochDiag
 }
 
-// compare runs Darwin and every baseline over the corpus's ensemble set
-// (memoised per corpus so Figure 4 and Table 2 share one run).
-func compare(c *Corpus) (*compareOut, error) {
-	compareMu.Lock()
-	out, ok := compareCache[c]
-	compareMu.Unlock()
-	if ok {
-		return out, nil
-	}
-	out, err := compareFresh(c)
-	if err != nil {
-		return nil, err
-	}
-	compareMu.Lock()
-	compareCache[c] = out
-	compareMu.Unlock()
-	return out, nil
-}
-
-// compareFresh performs the full comparison without memoisation. Every leg —
-// Darwin per ensemble trace, the static-expert grids, and each (baseline,
-// trace) pair — is an independent deterministic replay, so all of them fan
-// out over the engine; results are assembled in fixed scheme/trace order, so
-// the output is bit-identical to the serial path.
-func compareFresh(c *Corpus) (*compareOut, error) {
-	ensemble, err := EnsembleSet(c)
-	if err != nil {
-		return nil, err
-	}
-	if len(ensemble) == 0 {
-		return nil, fmt.Errorf("exp: empty ensemble")
-	}
-
-	// Darwin: one online run per ensemble trace, diagnostics kept per trace
-	// so the flattened order matches the serial loop.
-	type darwinOut struct {
-		ohr   float64
-		diags []core.EpochDiag
-	}
-	darwinRuns, err := par.Map(ensemble, func(i int, tr *trace.Trace) (darwinOut, error) {
-		m, diags, err := RunDarwin(c, tr)
+// compare runs Darwin and every baseline over the corpus's ensemble set, once
+// per corpus, so Figure 4 and Table 2 share one run. Every leg — Darwin per
+// ensemble trace and each (baseline, trace) pair — is an independent
+// deterministic replay, so all of them fan out over the engine; the static
+// experts' rows are the ensemble's hindsight grids. Results are assembled in
+// fixed scheme/trace order, so the output is bit-identical to the serial path.
+func (c *Corpus) compare() (*compareOut, error) {
+	return c.comparison.get(func() (*compareOut, error) {
+		ensemble, runs, err := c.runEnsemble(c.Model, c.Scale.Online)
 		if err != nil {
-			return darwinOut{}, fmt.Errorf("darwin on %s: %w", tr.Name, err)
+			return nil, err
 		}
-		return darwinOut{ohr: m.OHR(), diags: diags}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	darwin := ComparisonResult{Scheme: "darwin"}
-	var allDiags []core.EpochDiag
-	for _, d := range darwinRuns {
-		darwin.OHR = append(darwin.OHR, d.ohr)
-		allDiags = append(allDiags, d.diags...)
-	}
-	results := []ComparisonResult{darwin}
-
-	// Static experts (full grid; EnsembleSet already warmed the hindsight
-	// memo for every ensemble trace).
-	for ei, e := range c.Scale.Experts {
-		r := ComparisonResult{Scheme: e.String()}
-		for _, tr := range ensemble {
-			ms, err := Hindsight(c, tr)
-			if err != nil {
-				return nil, err
+		darwin := ComparisonResult{Scheme: "darwin"}
+		var allDiags []core.EpochDiag
+		for _, r := range runs {
+			darwin.OHR = append(darwin.OHR, r.m.OHR())
+			allDiags = append(allDiags, r.diags...)
+		}
+		results := []ComparisonResult{darwin}
+		for ei, e := range c.Scale.Experts {
+			r := ComparisonResult{Scheme: e.String()}
+			for _, m := range ensemble {
+				r.OHR = append(r.OHR, m.grid[ei].OHR())
 			}
-			r.OHR = append(r.OHR, ms[ei].OHR())
+			results = append(results, r)
 		}
-		results = append(results, r)
-	}
 
-	// Adaptive baselines: flatten the (baseline, trace) matrix into one task
-	// list; each task constructs its own server, so no state is shared.
-	names := BaselineNames()
-	type pair struct {
-		name string
-		tr   *trace.Trace
-	}
-	pairs := make([]pair, 0, len(names)*len(ensemble))
-	for _, name := range names {
-		for _, tr := range ensemble {
-			pairs = append(pairs, pair{name: name, tr: tr})
+		// Adaptive baselines: flatten the (baseline, trace) matrix into one
+		// task list; each task constructs its own server, so no state is
+		// shared.
+		names := BaselineNames()
+		type pair struct {
+			name string
+			tr   *trace.Trace
 		}
-	}
-	ohrs, err := par.Map(pairs, func(i int, p pair) (float64, error) {
-		srv, err := NewBaseline(p.name, c)
-		if err != nil {
-			return 0, fmt.Errorf("baseline %s: %w", p.name, err)
+		pairs := make([]pair, 0, len(names)*len(ensemble))
+		for _, name := range names {
+			for _, m := range ensemble {
+				pairs = append(pairs, pair{name: name, tr: m.tr})
+			}
 		}
-		m := baselines.Play(srv, p.tr, c.Scale.Eval.WarmupFrac)
-		return m.OHR(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for ni, name := range names {
-		results = append(results, ComparisonResult{
-			Scheme: name,
-			OHR:    ohrs[ni*len(ensemble) : (ni+1)*len(ensemble)],
+		ohrs, err := par.Map(pairs, func(i int, p pair) (float64, error) {
+			srv, err := NewBaseline(p.name, c)
+			if err != nil {
+				return 0, fmt.Errorf("baseline %s: %w", p.name, err)
+			}
+			m := baselines.Play(srv, p.tr, c.Scale.Eval.WarmupFrac)
+			return m.OHR(), nil
 		})
-	}
-
-	return &compareOut{results: results, diags: allDiags}, nil
+		if err != nil {
+			return nil, err
+		}
+		for ni, name := range names {
+			results = append(results, ComparisonResult{
+				Scheme: name,
+				OHR:    ohrs[ni*len(ensemble) : (ni+1)*len(ensemble)],
+			})
+		}
+		return &compareOut{results: results, diags: allDiags}, nil
+	})
 }
 
 // Fig4Compare reproduces Figure 4a/4b: Darwin vs static and adaptive
 // baselines over the ensemble set. It returns the report, the raw
 // comparison, and Darwin's epoch diagnostics (reused by Figure 5d).
 func Fig4Compare(c *Corpus, title string) (*Report, []ComparisonResult, []core.EpochDiag, error) {
-	out, err := compare(c)
+	out, err := c.compare()
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ensemble, err := c.ensembleSet()
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -312,14 +230,12 @@ func Fig4Compare(c *Corpus, title string) (*Report, []ComparisonResult, []core.E
 	}
 	rep.AddNote("darwin mean OHR %.4f over %d ensemble traces", stats.Mean(darwin.OHR), len(darwin.OHR))
 	// R1 reference point: the clairvoyant (Belady-style) HOC bound.
-	if ensemble, err := EnsembleSet(c); err == nil && len(ensemble) > 0 {
-		bounds, _ := par.Map(ensemble, func(i int, tr *trace.Trace) (float64, error) {
-			return cache.OfflineOptimalOHR(tr, c.Scale.Eval.HOCBytes, c.Scale.Eval.WarmupFrac), nil
-		})
-		if mb := stats.Mean(bounds); mb > 0 {
-			rep.AddNote("clairvoyant HOC bound (Belady): mean OHR %.4f; darwin reaches %.1f%% of it",
-				mb, 100*stats.Mean(darwin.OHR)/mb)
-		}
+	bounds, _ := par.Map(ensemble, func(i int, m member) (float64, error) {
+		return cache.OfflineOptimalOHR(m.tr, c.Scale.Eval.HOCBytes, c.Scale.Eval.WarmupFrac), nil
+	})
+	if mb := stats.Mean(bounds); mb > 0 {
+		rep.AddNote("clairvoyant HOC bound (Belady): mean OHR %.4f; darwin reaches %.1f%% of it",
+			mb, 100*stats.Mean(darwin.OHR)/mb)
 	}
 	return rep, out.results, out.diags, nil
 }
@@ -327,7 +243,7 @@ func Fig4Compare(c *Corpus, title string) (*Report, []ComparisonResult, []core.E
 // Table2 reproduces Appendix Table 2: Darwin's average improvement rate
 // against every baseline.
 func Table2(c *Corpus) (*Report, error) {
-	res, err := compare(c)
+	res, err := c.compare()
 	if err != nil {
 		return nil, err
 	}
@@ -374,9 +290,4 @@ func maxOf(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// HindsightTrace evaluates the scale's grid on one trace without a corpus.
-func HindsightTrace(tr *trace.Trace, sc Scale) ([]cache.Metrics, error) {
-	return cache.EvaluateAll(tr, sc.Experts, sc.Eval)
 }

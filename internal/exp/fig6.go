@@ -7,51 +7,40 @@ import (
 	"darwin/internal/bandit"
 	"darwin/internal/cache"
 	"darwin/internal/core"
-	"darwin/internal/par"
 	"darwin/internal/stats"
-	"darwin/internal/trace"
 )
 
 // Fig6Objective reproduces Figures 6a and 6b: Darwin retrained for a
 // different objective ("bmr" or "combined") against the static expert grid
-// on the ensemble set. The report shows the objective value per scheme and
-// Darwin's improvement range.
-func Fig6Objective(sc Scale, objective string, title string) (*Report, error) {
-	c, err := CachedCorpus(sc, objective)
+// on the ensemble set. The model is retrained from the corpus's dataset,
+// which does not depend on the objective. The report shows the objective
+// value per scheme and Darwin's improvement range.
+func Fig6Objective(c *Corpus, objective string, title string) (*Report, error) {
+	obj, err := core.ObjectiveByName(objective)
 	if err != nil {
 		return nil, err
 	}
-	obj := c.Model.Objective
-	ensemble, err := EnsembleSet(c)
+	model, err := c.Scale.train(c.Dataset, obj)
 	if err != nil {
 		return nil, err
 	}
-
-	// Darwin under the retrained objective: one run per ensemble trace,
-	// fanned out over the engine in trace order.
-	darwinVals, err := par.Map(ensemble, func(i int, tr *trace.Trace) (float64, error) {
-		m, _, err := RunDarwin(c, tr)
-		if err != nil {
-			return 0, fmt.Errorf("darwin on %s: %w", tr.Name, err)
-		}
-		return obj.Reward(m), nil
-	})
+	ensemble, runs, err := c.runEnsemble(model, c.Scale.Online)
 	if err != nil {
 		return nil, err
+	}
+	darwinVals := make([]float64, len(runs))
+	for i, r := range runs {
+		darwinVals[i] = obj.Reward(r.m)
 	}
 
 	rep := &Report{
 		Title:  title,
 		Header: []string{"scheme", "mean objective", "min impr%", "median impr%", "max impr%"},
 	}
-	for ei, e := range sc.Experts {
-		var vals []float64
-		for _, tr := range ensemble {
-			ms, err := Hindsight(c, tr)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, obj.Reward(ms[ei]))
+	for ei, e := range c.Scale.Experts {
+		vals := make([]float64, len(ensemble))
+		for i, m := range ensemble {
+			vals[i] = obj.Reward(m.grid[ei])
 		}
 		imps := objImprovements(darwinVals, vals)
 		rep.AddRow(e.String(), f4(stats.Mean(vals)),
@@ -81,49 +70,33 @@ func objImprovements(darwin, baseline []float64) []float64 {
 	return out
 }
 
-// runDarwinEnsemble runs Darwin over every ensemble trace (fanned out over
-// the engine, results in trace order) and returns the per-trace OHRs plus the
-// bandit round counts of every multi-expert epoch.
-func runDarwinEnsemble(c *Corpus, ensemble []*trace.Trace) (ohrs, rounds []float64, err error) {
-	type runOut struct {
-		ohr    float64
-		rounds []float64
+// ablate runs Darwin over the ensemble with online configuration oc and
+// returns its mean OHR and the mean bandit rounds of every multi-expert epoch
+// (0 if there were none).
+func (c *Corpus) ablate(oc core.OnlineConfig) (ohr, rounds float64, err error) {
+	_, runs, err := c.runEnsemble(c.Model, oc)
+	if err != nil {
+		return 0, 0, err
 	}
-	outs, err := par.Map(ensemble, func(i int, tr *trace.Trace) (runOut, error) {
-		m, diags, err := RunDarwin(c, tr)
-		if err != nil {
-			return runOut{}, fmt.Errorf("darwin on %s: %w", tr.Name, err)
-		}
-		o := runOut{ohr: m.OHR()}
-		for _, d := range diags {
+	var ohrs, rs []float64
+	for _, r := range runs {
+		ohrs = append(ohrs, r.m.OHR())
+		for _, d := range r.diags {
 			if d.SetSize >= 2 {
-				o.rounds = append(o.rounds, float64(d.Rounds))
+				rs = append(rs, float64(d.Rounds))
 			}
 		}
-		return o, nil
-	})
-	if err != nil {
-		return nil, nil, err
 	}
-	for _, o := range outs {
-		ohrs = append(ohrs, o.ohr)
-		rounds = append(rounds, o.rounds...)
+	if len(rs) > 0 {
+		rounds = stats.Mean(rs)
 	}
-	return ohrs, rounds, nil
+	return stats.Mean(ohrs), rounds, nil
 }
 
 // AblationSideInfo compares Darwin's identification speed and quality with
 // side information enabled vs. classical bandit feedback (DESIGN.md §4.1):
 // the ablation the theory (Theorem 2) predicts.
-func AblationSideInfo(sc Scale) (*Report, error) {
-	c, err := CachedCorpus(sc, "ohr")
-	if err != nil {
-		return nil, err
-	}
-	ensemble, err := EnsembleSet(c)
-	if err != nil {
-		return nil, err
-	}
+func AblationSideInfo(c *Corpus) (*Report, error) {
 	rep := &Report{
 		Title:  "Ablation: side information vs standard bandit feedback",
 		Header: []string{"variant", "mean OHR", "mean rounds"},
@@ -132,18 +105,13 @@ func AblationSideInfo(sc Scale) (*Report, error) {
 		name    string
 		disable bool
 	}{{"with side info", false}, {"standard feedback", true}} {
-		scv := sc
-		scv.Online.DisableSideInfo = variant.disable
-		cv := &Corpus{Scale: scv, Train: c.Train, Test: c.Test, Dataset: c.Dataset, Model: c.Model}
-		ohrs, rounds, err := runDarwinEnsemble(cv, ensemble)
+		oc := c.Scale.Online
+		oc.DisableSideInfo = variant.disable
+		ohr, rounds, err := c.ablate(oc)
 		if err != nil {
 			return nil, err
 		}
-		mr := 0.0
-		if len(rounds) > 0 {
-			mr = stats.Mean(rounds)
-		}
-		rep.AddRow(variant.name, f4(stats.Mean(ohrs)), f2(mr))
+		rep.AddRow(variant.name, f4(ohr), f2(rounds))
 	}
 	rep.AddNote("Theorem 2: side-information rounds do not scale with K; standard feedback scales linearly")
 	return rep, nil
@@ -229,15 +197,7 @@ func AblationEviction(sc Scale) (*Report, error) {
 
 // AblationStopping compares the practical stability stop against the
 // Theorem-1 threshold-only stop.
-func AblationStopping(sc Scale) (*Report, error) {
-	c, err := CachedCorpus(sc, "ohr")
-	if err != nil {
-		return nil, err
-	}
-	ensemble, err := EnsembleSet(c)
-	if err != nil {
-		return nil, err
-	}
+func AblationStopping(c *Corpus) (*Report, error) {
 	rep := &Report{
 		Title:  "Ablation: stability stop vs threshold-only stop",
 		Header: []string{"variant", "mean OHR", "mean rounds"},
@@ -246,48 +206,34 @@ func AblationStopping(sc Scale) (*Report, error) {
 		name      string
 		stability int
 	}{{"stability-5", 5}, {"threshold-only", 0}} {
-		scv := sc
-		scv.Online.StabilityRounds = variant.stability
-		cv := &Corpus{Scale: scv, Train: c.Train, Test: c.Test, Dataset: c.Dataset, Model: c.Model}
-		ohrs, rounds, err := runDarwinEnsemble(cv, ensemble)
+		oc := c.Scale.Online
+		oc.StabilityRounds = variant.stability
+		ohr, rounds, err := c.ablate(oc)
 		if err != nil {
 			return nil, err
 		}
-		mr := 0.0
-		if len(rounds) > 0 {
-			mr = stats.Mean(rounds)
-		}
-		rep.AddRow(variant.name, f4(stats.Mean(ohrs)), f2(mr))
+		rep.AddRow(variant.name, f4(ohr), f2(rounds))
 	}
 	return rep, nil
 }
 
 // AblationRoundLength sweeps N_round, the de-correlation knob of §4.2.
-func AblationRoundLength(sc Scale, lengths []int) (*Report, error) {
-	c, err := CachedCorpus(sc, "ohr")
-	if err != nil {
-		return nil, err
-	}
-	ensemble, err := EnsembleSet(c)
-	if err != nil {
-		return nil, err
-	}
+func AblationRoundLength(c *Corpus, lengths []int) (*Report, error) {
 	rep := &Report{
 		Title:  "Ablation: bandit round length N_round",
 		Header: []string{"N_round", "mean OHR"},
 	}
 	for _, n := range lengths {
-		scv := sc
-		scv.Online.Round = n
-		if scv.Online.Warmup+2*n > scv.Online.Epoch {
+		oc := c.Scale.Online
+		oc.Round = n
+		if oc.Warmup+2*n > oc.Epoch {
 			continue
 		}
-		cv := &Corpus{Scale: scv, Train: c.Train, Test: c.Test, Dataset: c.Dataset, Model: c.Model}
-		ohrs, _, err := runDarwinEnsemble(cv, ensemble)
+		ohr, _, err := c.ablate(oc)
 		if err != nil {
 			return nil, err
 		}
-		rep.AddRow(intStr(n), f4(stats.Mean(ohrs)))
+		rep.AddRow(intStr(n), f4(ohr))
 	}
 	return rep, nil
 }
@@ -298,12 +244,8 @@ func intStr(n int) string { return strconv.Itoa(n) }
 // predictors trained with the bucketised size distribution appended to the
 // base features vs. base features only, compared by mean order-prediction
 // accuracy (1% proximity) on the held-out test traces.
-func AblationPredictorFeatures(sc Scale) (*Report, error) {
-	c, err := CachedCorpus(sc, "ohr")
-	if err != nil {
-		return nil, err
-	}
-	test, err := heldOutRecords(c)
+func AblationPredictorFeatures(c *Corpus) (*Report, error) {
+	test, err := c.heldOutDataset()
 	if err != nil {
 		return nil, err
 	}
@@ -316,15 +258,15 @@ func AblationPredictorFeatures(sc Scale) (*Report, error) {
 		noSD bool
 	}{{"base + size distribution", false}, {"base only", true}} {
 		m, err := core.Train(c.Dataset, core.TrainConfig{
-			NumClusters:        sc.NumClusters,
-			ThetaPct:           sc.ThetaPct,
-			Seed:               sc.Seed,
+			NumClusters:        c.Scale.NumClusters,
+			ThetaPct:           c.Scale.ThetaPct,
+			Seed:               c.Scale.Seed,
 			NoSizeDistribution: variant.noSD,
 		})
 		if err != nil {
 			return nil, err
 		}
-		acc, err := meanOrderAccuracy(m, test, 1)
+		acc, err := meanOrderAccuracy(m, test.Records, 1)
 		if err != nil {
 			return nil, err
 		}

@@ -39,7 +39,7 @@ func Table1() *Report {
 // when experts carry a third recency knob. The grid mirrors the paper's 36
 // three-knob experts (6 frequencies × 2 sizes × 3 recencies).
 func Fig11ThreeKnob(sc Scale, thetas []float64) (*Report, error) {
-	experts := cache.Grid3(
+	sc.Experts = cache.Grid3(
 		[]int{2, 3, 4, 5, 6, 7},
 		[]int64{2 << 10, 50 << 10},
 		[]int64{2000, 10000, 50000},
@@ -48,7 +48,7 @@ func Fig11ThreeKnob(sc Scale, thetas []float64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	ds, err := core.BuildDataset(train, core.DatasetConfig{Experts: experts, Eval: sc.Eval, FeatureWindow: sc.Online.Warmup})
+	ds, err := sc.dataset(train)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,7 @@ func Fig11ThreeKnob(sc Scale, thetas []float64) (*Report, error) {
 			continue
 		}
 		avg := stats.Mean(sizes)
-		rep.AddRow(fmt.Sprintf("%.0f", theta), f2(avg), f2((1-avg/float64(len(experts)))*100))
+		rep.AddRow(fmt.Sprintf("%.0f", theta), f2(avg), f2((1-avg/float64(len(sc.Experts)))*100))
 	}
 	rep.AddNote("paper: 90%% reduction at theta=1%% over 36 three-knob experts")
 	return rep, nil
@@ -98,33 +98,25 @@ func LargeCacheScale(sc Scale, factor float64) Scale {
 	return out
 }
 
-// ScaledCorpus builds the Figure-4b corpus: the base corpus's traces with
-// object sizes scaled by factor and perturbed ±20%, evaluated under the
-// scaled cache, with a model retrained on the scaled training set.
-func ScaledCorpus(sc Scale, factor float64) (*Corpus, error) {
-	scaled := LargeCacheScale(sc, factor)
-	base, err := CachedCorpus(sc, "ohr")
-	if err != nil {
-		return nil, err
-	}
+// ScaledCorpus builds the Figure-4b corpus: base's traces with object sizes
+// scaled by factor and perturbed ±20%, evaluated under the scaled cache, with
+// a model retrained on the scaled training set.
+func ScaledCorpus(base *Corpus, factor float64) (*Corpus, error) {
+	scaled := LargeCacheScale(base.Scale, factor)
 	scaleAll := func(in []*trace.Trace) []*trace.Trace {
 		out := make([]*trace.Trace, len(in))
 		for i, tr := range in {
-			out[i] = tr.Scale(factor, 0.2, sc.Seed+int64(i))
+			out[i] = tr.Scale(factor, 0.2, base.Scale.Seed+int64(i))
 		}
 		return out
 	}
 	train := scaleAll(base.Train)
 	test := scaleAll(base.Test)
-	ds, err := core.BuildDataset(train, core.DatasetConfig{Experts: scaled.Experts, Eval: scaled.Eval, FeatureWindow: scaled.Online.Warmup})
+	ds, err := scaled.dataset(train)
 	if err != nil {
 		return nil, err
 	}
-	model, err := core.Train(ds, core.TrainConfig{
-		NumClusters: scaled.NumClusters,
-		ThetaPct:    scaled.ThetaPct,
-		Seed:        scaled.Seed,
-	})
+	model, err := scaled.train(ds, core.OHRObjective{})
 	if err != nil {
 		return nil, err
 	}

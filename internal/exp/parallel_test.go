@@ -46,13 +46,14 @@ func TestFig2SuiteSerialParallelIdentical(t *testing.T) {
 
 // TestFig4CompareSerialParallelIdentical verifies the heaviest driver — the
 // Darwin-vs-baselines ensemble comparison — produces identical results and
-// epoch diagnostics on the serial and parallel paths. The hindsight memo is
-// reset between runs so both actually evaluate the full grids.
+// epoch diagnostics on the serial and parallel paths. Each width runs on its
+// own fresh corpus over the same traces, dataset and model, so both compute
+// the held-out grid, the ensemble and the comparison from scratch.
 func TestFig4CompareSerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full ensemble comparison in -short mode")
 	}
-	c, err := CachedCorpus(Small(), "ohr")
+	base, err := BuildCorpus(Small(), "ohr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,9 +61,8 @@ func TestFig4CompareSerialParallelIdentical(t *testing.T) {
 	run := func(p int) *compareOut {
 		var out *compareOut
 		withParallelism(p, func() {
-			resetHindsightCache()
 			var err error
-			out, err = compareFresh(c)
+			out, err = fresh(base).compare()
 			if err != nil {
 				t.Fatalf("parallelism %d: %v", p, err)
 			}

@@ -44,8 +44,8 @@ func DefaultPrototypeConfig() PrototypeConfig {
 // PrototypeScale shrinks a scale's online knobs so Darwin's full
 // warm-up → identify → exploit cycle fits the short traces HTTP prototype
 // runs can afford: one epoch per 2000 requests with a 600-request warm-up.
-// The returned scale trains its own (cached) corpus whose FeatureWindow
-// matches the shrunken warm-up.
+// The returned scale trains its own corpus whose FeatureWindow matches the
+// shrunken warm-up.
 func PrototypeScale(sc Scale) Scale {
 	sc.Online.Epoch = 2000
 	sc.Online.Warmup = 600

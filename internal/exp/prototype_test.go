@@ -178,7 +178,7 @@ func TestOverheadReport(t *testing.T) {
 }
 
 func TestAblationSideInfoRuns(t *testing.T) {
-	rep, err := AblationSideInfo(tiny())
+	rep, err := AblationSideInfo(tinyCorpus(t))
 	if err != nil {
 		t.Fatal(err)
 	}

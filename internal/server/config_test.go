@@ -102,8 +102,8 @@ var goneFields = []string{
 }
 
 // goneDecls are deleted declarations, by package directory ("Type.Method"
-// for a method): those that carried the gone knobs, and capabilities no
-// caller outside tests used.
+// for a method): those that carried the gone knobs, capabilities no caller
+// outside tests used, and internal/exp's process-wide memos.
 var goneDecls = map[string][]string{
 	".":            {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults"},
 	"../baselines": {"Static", "NewStatic", "NewStaticSharded"},
@@ -111,7 +111,8 @@ var goneDecls = map[string][]string{
 	"../breaker":   {"BudgetSnapshot", "Budget.SnapshotNow"},
 	"../diskcache": {"Config.WithDefaults"},
 	"../par":       {"Do", "TaskError", "Errors"},
-	"../cache":     {"EvaluateAllParallel"},
+	"../cache":     {"EvaluateAllParallel", "Hierarchy.Play"},
+	"../exp":       {"CachedCorpus", "Hindsight", "HindsightTrace", "EnsembleSet", "corpusCache", "hindsightCache", "compareCache"},
 	"../stats":     {"Variance", "StdDev", "Welford", "Clamp"},
 }
 
