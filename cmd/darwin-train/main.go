@@ -23,97 +23,52 @@ import (
 	"darwin/internal/trace"
 )
 
-func main() {
-	var (
-		out       = flag.String("o", "model.json", "output model file")
-		globArg   = flag.String("traces", "", "glob of training trace files; empty generates a synthetic corpus")
-		objective = flag.String("objective", "ohr", "objective: ohr | bmr | combined")
-		clusters  = flag.Int("clusters", 8, "number of K-means clusters")
-		theta     = flag.Float64("theta", 1, "expert-set threshold percent")
-		hoc       = flag.Int64("hoc", 2<<20, "HOC bytes")
-		dc        = flag.Int64("dc", 200<<20, "DC bytes")
-		warmup    = flag.Int("warmup", 6000, "online warm-up length the model will be used with (aligns training features)")
-		scaleName = flag.String("scale", "default", "synthetic corpus scale: small | default")
-		seed      = flag.Int64("seed", 1, "training seed")
-	)
-	flag.Parse()
+// options are the command's flags.
+type options struct {
+	out, traces, objective, scale string
+	clusters, warmup              int
+	theta                         float64
+	hoc, dc, seed                 int64
+}
 
-	obj, err := core.ObjectiveByName(*objective)
-	if err != nil {
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{}
+	fs.StringVar(&o.out, "o", "model.json", "output model file")
+	fs.StringVar(&o.traces, "traces", "", "glob of training trace files; empty generates a synthetic corpus")
+	fs.StringVar(&o.objective, "objective", "ohr", "objective: ohr | bmr | combined")
+	fs.IntVar(&o.clusters, "clusters", 8, "number of K-means clusters")
+	fs.Float64Var(&o.theta, "theta", 1, "expert-set threshold percent")
+	fs.Int64Var(&o.hoc, "hoc", 2<<20, "HOC bytes")
+	fs.Int64Var(&o.dc, "dc", 200<<20, "DC bytes")
+	fs.IntVar(&o.warmup, "warmup", exp.Default().Online.Warmup, "online warm-up length the model will be used with (aligns training features)")
+	fs.StringVar(&o.scale, "scale", "default", "synthetic corpus scale: small | default")
+	fs.Int64Var(&o.seed, "seed", 1, "training seed")
+	return o
+}
+
+func main() {
+	o := registerFlags(flag.CommandLine)
+	flag.Parse()
+	if err := o.run(); err != nil {
 		fatal(err)
 	}
+}
 
+// run trains the model the options describe and writes it to o.out.
+func (o *options) run() error {
 	start := time.Now()
-	var model *core.Model
-	if *globArg == "" {
-		var sc exp.Scale
-		switch *scaleName {
-		case "small":
-			sc = exp.Small()
-		case "default":
-			sc = exp.Default()
-		default:
-			fatal(fmt.Errorf("unknown scale %q", *scaleName))
-		}
-		sc.Eval.HOCBytes, sc.Eval.DCBytes = *hoc, *dc
-		sc.NumClusters = *clusters
-		sc.ThetaPct = *theta
-		sc.Seed = *seed
-		fmt.Fprintf(os.Stderr, "darwin-train: building synthetic corpus (%s scale)...\n", *scaleName)
-		c, err := exp.BuildCorpus(sc, *objective)
-		if err != nil {
-			fatal(err)
-		}
-		model = c.Model
-	} else {
-		paths, err := filepath.Glob(*globArg)
-		if err != nil {
-			fatal(err)
-		}
-		if len(paths) == 0 {
-			fatal(fmt.Errorf("no traces match %q", *globArg))
-		}
-		var traces []*trace.Trace
-		for _, p := range paths {
-			fd, err := os.Open(p)
-			if err != nil {
-				fatal(err)
-			}
-			tr, err := trace.Read(fd, filepath.Base(p))
-			fd.Close()
-			if err != nil {
-				fatal(err)
-			}
-			traces = append(traces, tr)
-		}
-		fmt.Fprintf(os.Stderr, "darwin-train: evaluating %d traces x %d experts...\n",
-			len(traces), len(cache.DefaultGrid()))
-		ds, err := core.BuildDataset(traces, core.DatasetConfig{
-			Eval:          cache.EvalConfig{HOCBytes: *hoc, DCBytes: *dc, WarmupFrac: 0.1},
-			FeatureWindow: *warmup,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		model, err = core.Train(ds, core.TrainConfig{
-			Objective:   obj,
-			NumClusters: *clusters,
-			ThetaPct:    *theta,
-			Seed:        *seed,
-		})
-		if err != nil {
-			fatal(err)
-		}
+	model, err := o.train()
+	if err != nil {
+		return err
 	}
-
 	// Buffer the model and land it atomically: a crash or full disk mid-write
 	// must never leave a torn model file where a good one stood.
 	var buf bytes.Buffer
 	if err := core.WriteModel(&buf, model); err != nil {
-		fatal(err)
+		return err
 	}
-	if err := persist.WriteFileAtomic(*out, buf.Bytes(), 0o644); err != nil {
-		fatal(err)
+	if err := persist.WriteFileAtomic(o.out, buf.Bytes(), 0o644); err != nil {
+		return err
 	}
 	trained := 0
 	for _, row := range model.Predictors {
@@ -124,7 +79,75 @@ func main() {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "darwin-train: wrote %s (%d clusters, %d predictors) in %v\n",
-		*out, model.Clusters.K(), trained, time.Since(start).Round(time.Millisecond))
+		o.out, model.Clusters.K(), trained, time.Since(start).Round(time.Millisecond))
+	return nil
+}
+
+// train runs the offline phase on the synthetic corpus, or on the trace
+// files o.traces names. Both extract training features over -warmup
+// requests.
+func (o *options) train() (*core.Model, error) {
+	if o.traces == "" {
+		var sc exp.Scale
+		switch o.scale {
+		case "small":
+			sc = exp.Small()
+		case "default":
+			sc = exp.Default()
+		default:
+			return nil, fmt.Errorf("unknown scale %q", o.scale)
+		}
+		sc.Eval.HOCBytes, sc.Eval.DCBytes = o.hoc, o.dc
+		sc.Online.Warmup = o.warmup
+		sc.NumClusters = o.clusters
+		sc.ThetaPct = o.theta
+		sc.Seed = o.seed
+		fmt.Fprintf(os.Stderr, "darwin-train: building synthetic corpus (%s scale)...\n", o.scale)
+		c, err := exp.BuildCorpus(sc, o.objective)
+		if err != nil {
+			return nil, err
+		}
+		return c.Model, nil
+	}
+	obj, err := core.ObjectiveByName(o.objective)
+	if err != nil {
+		return nil, err
+	}
+	paths, err := filepath.Glob(o.traces)
+	if err != nil {
+		return nil, err
+	}
+	if len(paths) == 0 {
+		return nil, fmt.Errorf("no traces match %q", o.traces)
+	}
+	var traces []*trace.Trace
+	for _, p := range paths {
+		fd, err := os.Open(p)
+		if err != nil {
+			return nil, err
+		}
+		tr, err := trace.Read(fd, filepath.Base(p))
+		fd.Close()
+		if err != nil {
+			return nil, err
+		}
+		traces = append(traces, tr)
+	}
+	fmt.Fprintf(os.Stderr, "darwin-train: evaluating %d traces x %d experts...\n",
+		len(traces), len(cache.DefaultGrid()))
+	ds, err := core.BuildDataset(traces, core.DatasetConfig{
+		Eval:          cache.EvalConfig{HOCBytes: o.hoc, DCBytes: o.dc, WarmupFrac: 0.1},
+		FeatureWindow: o.warmup,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return core.Train(ds, core.TrainConfig{
+		Objective:   obj,
+		NumClusters: o.clusters,
+		ThetaPct:    o.theta,
+		Seed:        o.seed,
+	})
 }
 
 func fatal(err error) {

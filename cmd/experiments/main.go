@@ -114,14 +114,10 @@ var experiments = []experiment{
 		}
 		return one(exp.Fig4cPrototypeOHR(c, tr))
 	}},
-	{"fig5a", func(r *session) ([]*exp.Report, error) {
-		train, _, err := exp.BuildTraces(r.sc)
-		if err != nil {
-			return nil, err
-		}
-		return one(exp.Fig5aFeatureConvergence(train, features.DefaultConfig(),
+	{"fig5a", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
+		return one(exp.Fig5aFeatureConvergence(c.Train, features.DefaultConfig(),
 			[]float64{0.01, 0.03, 0.1, 0.3, 0.5, 0.9}))
-	}},
+	})},
 	{"fig5b", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
 		return one(exp.Fig5bClusterReduction(c.Dataset, c.Scale.NumClusters, []float64{1, 2, 5}, c.Scale.Seed))
 	})},
@@ -153,9 +149,9 @@ var experiments = []experiment{
 		return []*exp.Report{lat, tput}, nil
 	}},
 	{"table2", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) { return one(exp.Table2(c)) })},
-	{"fig11", func(r *session) ([]*exp.Report, error) {
-		return one(exp.Fig11ThreeKnob(r.sc, []float64{1, 5}))
-	}},
+	{"fig11", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
+		return one(exp.Fig11ThreeKnob(c, []float64{1, 5}))
+	})},
 	{"overhead", onCorpus(func(c *exp.Corpus) ([]*exp.Report, error) {
 		return one(exp.OverheadReport(c, c.Test[0]))
 	})},

@@ -142,6 +142,7 @@ var goneIdents = []string{
 	"NewStaticSharded", "PropagateDeadline", "Overload.Enabled", "Overload.Breaker",
 	"WeightSchedule", "LoadFactor", "Config.Readiness", "EvaluateAllParallel", "TaskError",
 	"evaluateTrace", "CachedCorpus", "HindsightTrace", "resetHindsightCache",
+	"SaveCheckpoint", "LoadCheckpoint", "EncodeCheckpoint", "DecodeCheckpoint", "SaveFrame", "LoadFrame",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

@@ -101,17 +101,8 @@ func New(cfg Config) (*Algorithm, error) {
 	}, nil
 }
 
-// K returns the number of arms.
-func (a *Algorithm) K() int { return a.k }
-
 // Rounds returns the number of completed rounds.
 func (a *Algorithm) Rounds() int { return a.t }
-
-// Plays returns a copy of the per-arm deployment counts.
-func (a *Algorithm) Plays() []int { return append([]int(nil), a.plays...) }
-
-// Estimates returns a copy of the current mean-reward estimates.
-func (a *Algorithm) Estimates() []float64 { return append([]float64(nil), a.mu...) }
 
 // NextArm returns the arm to deploy next (Line 2 and Line 5 of Algorithm 1).
 func (a *Algorithm) NextArm() int {

@@ -94,7 +94,7 @@ func TestEstimatorWeighting(t *testing.T) {
 	if err := alg.Update(1, []float64{0.5, 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	mu := alg.Estimates()
+	mu := alg.State().Mu
 	// Weighted: (1.0/1 + 0.2/0.01)/(1/1 + 1/0.01) = 21/101 ≈ 0.208.
 	want := (1.0/1 + 0.2/0.01) / (1/1.0 + 1/0.01)
 	if math.Abs(mu[1]-want) > 1e-9 {

@@ -112,7 +112,7 @@ func TestEstimatorOrderInvariance(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			return alg.Estimates()
+			return alg.State().Mu
 		}
 		fwd := make([]int, len(observations))
 		rev := make([]int, len(observations))

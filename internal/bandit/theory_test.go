@@ -154,7 +154,7 @@ func TestEstimatorConsistency(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i, est := range alg.Estimates() {
+	for i, est := range alg.State().Mu {
 		if math.Abs(est-mu[i]) > 0.02 {
 			t.Fatalf("estimate %d = %.4f, true %.4f", i, est, mu[i])
 		}

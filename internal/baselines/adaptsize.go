@@ -59,7 +59,7 @@ func NewAdaptSize(cfg AdaptSizeConfig) (*AdaptSize, error) {
 	}
 	// The expert thresholds are irrelevant once the admission override is
 	// installed; use a permissive placeholder.
-	h, err := newHierarchy(cfg.Eval, cache.Expert{Freq: 0, MaxSize: math.MaxInt64})
+	h, err := cfg.Eval.New(cache.Expert{Freq: 0, MaxSize: math.MaxInt64})
 	if err != nil {
 		return nil, err
 	}
@@ -80,9 +80,6 @@ func NewAdaptSize(cfg AdaptSizeConfig) (*AdaptSize, error) {
 	h.SetAdmitOnMiss(true)
 	return as, nil
 }
-
-// Name implements Server.
-func (as *AdaptSize) Name() string { return "adaptsize" }
 
 // Serve implements Server.
 func (as *AdaptSize) Serve(r trace.Request) cache.Result {
@@ -171,11 +168,5 @@ func hitRate(objs []cheObj, c, T float64) float64 {
 	return hit / total
 }
 
-// C returns the current size parameter (for tests).
-func (as *AdaptSize) C() float64 { return as.c }
-
 // Metrics implements Server.
 func (as *AdaptSize) Metrics() cache.Metrics { return as.hier.Metrics() }
-
-// ResetMetrics implements Server.
-func (as *AdaptSize) ResetMetrics() { as.hier.ResetMetrics() }

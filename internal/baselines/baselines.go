@@ -27,37 +27,25 @@ import (
 
 // Server is a cache server fed one request at a time.
 type Server interface {
-	// Name identifies the scheme in reports.
-	Name() string
 	// Serve processes one request.
 	Serve(r trace.Request) cache.Result
 	// Metrics returns accumulated cache metrics.
 	Metrics() cache.Metrics
-	// ResetMetrics clears counters without disturbing cache state (warm-up
-	// exclusion).
-	ResetMetrics()
 }
 
-// Play drives a full trace through a server, resetting metrics after the
-// leading warmupFrac of requests, and returns the post-warm-up metrics.
+// Play drives a full trace through a server and returns the metrics of the
+// requests after the leading warmupFrac: the counters at the warm-up mark
+// are subtracted from the final ones. Nothing is reset, so what a scheme
+// learns from its own counters (Darwin's round rewards, HillClimbing's
+// window comparison) is the same at any warmupFrac.
 func Play(s Server, tr *trace.Trace, warmupFrac float64) cache.Metrics {
 	warm := int(float64(tr.Len()) * warmupFrac)
+	var atWarm cache.Metrics
 	for i, r := range tr.Requests {
 		if i == warm {
-			s.ResetMetrics()
+			atWarm = s.Metrics()
 		}
 		s.Serve(r)
 	}
-	return s.Metrics()
-}
-
-// newHierarchy builds a hierarchy from an eval config and initial expert.
-func newHierarchy(cfg cache.EvalConfig, e cache.Expert) (*cache.Hierarchy, error) {
-	return cache.New(cache.Config{
-		HOCBytes:    cfg.HOCBytes,
-		DCBytes:     cfg.DCBytes,
-		HOCEviction: cfg.HOCEviction,
-		DCEviction:  cfg.DCEviction,
-		Expert:      e,
-	})
+	return s.Metrics().Sub(atWarm)
 }

@@ -1,12 +1,12 @@
 package baselines
 
 import (
-	"math"
 	"testing"
 
 	"darwin/internal/cache"
 	"darwin/internal/core"
 	"darwin/internal/features"
+	"darwin/internal/stats"
 	"darwin/internal/trace"
 	"darwin/internal/tracegen"
 )
@@ -43,9 +43,9 @@ func TestPercentileRedeploys(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := mixTrace(t, 0, 6000, 32) // pure download: big objects, popular
-	initial := p.Expert()
+	initial := p.hier.Expert()
 	Play(p, tr, 0)
-	after := p.Expert()
+	after := p.hier.Expert()
 	// Download traffic has large sizes; the 90th size percentile should pull
 	// the deployed size threshold to the top of the grid.
 	if after.MaxSize < initial.MaxSize {
@@ -86,7 +86,7 @@ func TestHillClimbingMoves(t *testing.T) {
 	}
 	tr := mixTrace(t, 0, 20000, 34) // download: wants lower f, larger s
 	Play(hc, tr, 0)
-	got := hc.Expert()
+	got := hc.main.Expert()
 	start := cache.Expert{Freq: 5, MaxSize: 2 << 10}
 	if got == start {
 		t.Fatalf("hill climbing never moved from %v", start)
@@ -107,7 +107,7 @@ func TestHillClimbingFloors(t *testing.T) {
 	}
 	tr := mixTrace(t, 100, 5000, 35)
 	Play(hc, tr, 0)
-	e := hc.Expert()
+	e := hc.main.Expert()
 	if e.Freq < 1 || e.MaxSize < 1<<10 {
 		t.Fatalf("thresholds fell below floors: %v", e)
 	}
@@ -124,14 +124,14 @@ func TestAdaptSizeRetunes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	initial := as.C()
+	initial := as.c
 	tr := mixTrace(t, 100, 10000, 36) // image: tiny objects
 	Play(as, tr, 0)
-	if as.C() == initial {
+	if as.c == initial {
 		t.Log("c unchanged — model considered the initial c optimal (acceptable)")
 	}
-	if as.C() <= 0 {
-		t.Fatalf("invalid c %v", as.C())
+	if as.c <= 0 {
+		t.Fatalf("invalid c %v", as.c)
 	}
 	if m := as.Metrics(); m.Requests == 0 {
 		t.Fatal("no requests recorded")
@@ -209,7 +209,7 @@ func buildDirect(t *testing.T) (*DirectMapping, *core.Dataset) {
 func TestDirectMappingTrainsAndDeploys(t *testing.T) {
 	dm, _ := buildDirect(t)
 	tr := mixTrace(t, 100, 6000, 500)
-	initial := dm.Expert()
+	initial := dm.hier.Expert()
 	Play(dm, tr, 0)
 	if dm.Metrics().Requests != int64(tr.Len()) {
 		t.Fatal("requests not counted")
@@ -225,7 +225,7 @@ func TestDirectMappingInSampleAccuracy(t *testing.T) {
 	dm, ds := buildDirect(t)
 	correct := 0
 	for _, rec := range ds.Records {
-		idx := dm.net.Classify(scaleVec(rec.Extended, dm.mean, dm.std))
+		idx := dm.net.Classify(stats.Standardize(rec.Extended, dm.mean, dm.std))
 		if idx == ds.BestExpert(rec, core.OHRObjective{}) {
 			correct++
 		}
@@ -250,13 +250,6 @@ func TestDirectMappingValidation(t *testing.T) {
 	}
 	if _, _, _, err := TrainDirectMapping(&core.Dataset{}, core.OHRObjective{}, 1); err == nil {
 		t.Error("empty dataset accepted")
-	}
-}
-
-func TestScaleVec(t *testing.T) {
-	got := scaleVec([]float64{10, 20}, []float64{10, 10}, []float64{1, 5})
-	if got[0] != 0 || math.Abs(got[1]-2) > 1e-12 {
-		t.Fatalf("scaleVec = %v", got)
 	}
 }
 

@@ -2,12 +2,12 @@ package baselines
 
 import (
 	"fmt"
-	"math"
 
 	"darwin/internal/cache"
 	"darwin/internal/core"
 	"darwin/internal/features"
 	"darwin/internal/neural"
+	"darwin/internal/stats"
 	"darwin/internal/trace"
 )
 
@@ -47,33 +47,15 @@ func TrainDirectMapping(ds *core.Dataset, obj core.Objective, seed int64) (*neur
 	}
 	k := len(ds.Experts)
 	dim := len(ds.Records[0].Extended)
-	mean := make([]float64, dim)
-	std := make([]float64, dim)
-	for _, rec := range ds.Records {
-		for d, v := range rec.Extended {
-			mean[d] += v
-		}
-	}
-	for d := range mean {
-		mean[d] /= float64(len(ds.Records))
-	}
-	for _, rec := range ds.Records {
-		for d, v := range rec.Extended {
-			dv := v - mean[d]
-			std[d] += dv * dv
-		}
-	}
-	for d := range std {
-		std[d] = sqrt(std[d] / float64(len(ds.Records)))
-		if std[d] == 0 {
-			std[d] = 1
-		}
-	}
 	xs := make([][]float64, len(ds.Records))
 	ys := make([][]float64, len(ds.Records))
 	for ri, rec := range ds.Records {
-		xs[ri] = scaleVec(rec.Extended, mean, std)
+		xs[ri] = rec.Extended
 		ys[ri] = neural.OneHot(k, ds.BestExpert(rec, obj))
+	}
+	mean, std := stats.MeanStd(xs, dim)
+	for ri, x := range xs {
+		xs[ri] = stats.Standardize(x, mean, std)
 	}
 	net, err := neural.New(neural.Config{
 		Inputs:    dim,
@@ -99,7 +81,7 @@ func NewDirectMapping(net *neural.Net, mean, std []float64, experts []cache.Expe
 	if len(experts) == 0 {
 		return nil, fmt.Errorf("baselines: no experts")
 	}
-	h, err := newHierarchy(cfg.Eval, experts[0])
+	h, err := cfg.Eval.New(experts[0])
 	if err != nil {
 		return nil, err
 	}
@@ -120,9 +102,6 @@ func NewDirectMapping(net *neural.Net, mean, std []float64, experts []cache.Expe
 	}, nil
 }
 
-// Name implements Server.
-func (d *DirectMapping) Name() string { return "directmapping" }
-
 // Serve implements Server.
 func (d *DirectMapping) Serve(r trace.Request) cache.Result {
 	res := d.hier.Serve(r)
@@ -130,7 +109,7 @@ func (d *DirectMapping) Serve(r trace.Request) cache.Result {
 	if !d.deployed {
 		d.extractor.Observe(r)
 		if d.n >= d.warmup {
-			idx := d.net.Classify(scaleVec(d.extractor.Extended(), d.mean, d.std))
+			idx := d.net.Classify(stats.Standardize(d.extractor.Extended(), d.mean, d.std))
 			if idx >= len(d.experts) {
 				idx = 0
 			}
@@ -148,23 +127,3 @@ func (d *DirectMapping) Serve(r trace.Request) cache.Result {
 
 // Metrics implements Server.
 func (d *DirectMapping) Metrics() cache.Metrics { return d.hier.Metrics() }
-
-// ResetMetrics implements Server.
-func (d *DirectMapping) ResetMetrics() { d.hier.ResetMetrics() }
-
-// Expert returns the current expert (for tests).
-func (d *DirectMapping) Expert() cache.Expert { return d.hier.Expert() }
-
-func scaleVec(x, mean, std []float64) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		if i < len(mean) {
-			out[i] = (v - mean[i]) / std[i]
-		} else {
-			out[i] = v
-		}
-	}
-	return out
-}
-
-func sqrt(x float64) float64 { return math.Sqrt(x) }

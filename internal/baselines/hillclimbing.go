@@ -56,7 +56,7 @@ func NewHillClimbing(cfg HillClimbingConfig) (*HillClimbing, error) {
 	if cfg.DeltaS <= 0 {
 		cfg.DeltaS = 1 << 10
 	}
-	main, err := newHierarchy(cfg.Eval, cfg.Initial)
+	main, err := cfg.Eval.New(cfg.Initial)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +91,7 @@ func (hc *HillClimbing) probeExperts() [2]cache.Expert {
 func (hc *HillClimbing) rebuildShadows() error {
 	hc.current = hc.probeExperts()
 	for i, e := range hc.current {
-		h, err := newHierarchy(hc.cfg.Eval, e)
+		h, err := hc.cfg.Eval.New(e)
 		if err != nil {
 			return err
 		}
@@ -101,11 +101,6 @@ func (hc *HillClimbing) rebuildShadows() error {
 	hc.mark = hc.main.Metrics()
 	hc.n = 0
 	return nil
-}
-
-// Name implements Server.
-func (hc *HillClimbing) Name() string {
-	return fmt.Sprintf("hillclimbing-ds%d", hc.cfg.DeltaS>>10)
 }
 
 // Serve implements Server.
@@ -148,12 +143,3 @@ func (hc *HillClimbing) step() {
 
 // Metrics implements Server.
 func (hc *HillClimbing) Metrics() cache.Metrics { return hc.main.Metrics() }
-
-// ResetMetrics implements Server.
-func (hc *HillClimbing) ResetMetrics() {
-	hc.main.ResetMetrics()
-	hc.mark = cache.Metrics{}
-}
-
-// Expert returns the main cache's current expert (for tests).
-func (hc *HillClimbing) Expert() cache.Expert { return hc.main.Expert() }

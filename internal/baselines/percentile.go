@@ -49,7 +49,7 @@ func NewPercentile(cfg PercentileConfig) (*Percentile, error) {
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("baselines: percentile window must be > 0")
 	}
-	h, err := newHierarchy(cfg.Eval, cfg.Experts[0])
+	h, err := cfg.Eval.New(cfg.Experts[0])
 	if err != nil {
 		return nil, err
 	}
@@ -60,9 +60,6 @@ func NewPercentile(cfg PercentileConfig) (*Percentile, error) {
 		counts:  make(map[uint64]int),
 	}, nil
 }
-
-// Name implements Server.
-func (p *Percentile) Name() string { return "percentile" }
 
 // Serve implements Server.
 func (p *Percentile) Serve(r trace.Request) cache.Result {
@@ -92,9 +89,3 @@ func (p *Percentile) redeploy() {
 
 // Metrics implements Server.
 func (p *Percentile) Metrics() cache.Metrics { return p.hier.Metrics() }
-
-// ResetMetrics implements Server.
-func (p *Percentile) ResetMetrics() { p.hier.ResetMetrics() }
-
-// Expert returns the currently deployed expert (for tests).
-func (p *Percentile) Expert() cache.Expert { return p.hier.Expert() }

@@ -34,12 +34,7 @@ func NewTinyLFU(cfg TinyLFUConfig) (*TinyLFU, error) {
 	if cfg.Window <= 0 {
 		return nil, fmt.Errorf("baselines: tinylfu window must be > 0")
 	}
-	h, err := cache.New(cache.Config{
-		HOCBytes:    cfg.Eval.HOCBytes,
-		DCBytes:     cfg.Eval.DCBytes,
-		HOCEviction: cfg.Eval.HOCEviction,
-		DCEviction:  cfg.Eval.DCEviction,
-	})
+	h, err := cfg.Eval.New(cache.Expert{})
 	if err != nil {
 		return nil, err
 	}
@@ -56,9 +51,6 @@ func NewTinyLFU(cfg TinyLFUConfig) (*TinyLFU, error) {
 	return &TinyLFU{hier: h, window: cfg.Window}, nil
 }
 
-// Name implements Server.
-func (t *TinyLFU) Name() string { return "tinylfu" }
-
 // Serve implements Server.
 func (t *TinyLFU) Serve(r trace.Request) cache.Result {
 	res := t.hier.Serve(r)
@@ -73,6 +65,3 @@ func (t *TinyLFU) Serve(r trace.Request) cache.Result {
 
 // Metrics implements Server.
 func (t *TinyLFU) Metrics() cache.Metrics { return t.hier.Metrics() }
-
-// ResetMetrics implements Server.
-func (t *TinyLFU) ResetMetrics() { t.hier.ResetMetrics() }

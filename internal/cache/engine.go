@@ -20,13 +20,9 @@ type Engine interface {
 	// (hits+misses == requests) and covering every request served before
 	// the call.
 	Metrics() Metrics
-	// ResetMetrics zeroes the counters without disturbing cache contents.
-	ResetMetrics()
 	// SetExpert swaps the HOC admission expert (broadcast to every shard in
 	// sharded engines).
 	SetExpert(e Expert)
-	// Expert returns the currently deployed admission expert.
-	Expert() Expert
 	// Concurrent reports whether the engine may be driven from multiple
 	// goroutines at once without external locking: true for Sharded
 	// (per-shard mutexes), false for the bare Hierarchy. The HTTP proxy

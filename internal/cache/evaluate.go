@@ -28,6 +28,18 @@ func DefaultEvalConfig() EvalConfig {
 	}
 }
 
+// New builds the empty hierarchy this configuration sizes, running expert
+// e: the one place a simulated scheme's cache is built from an EvalConfig.
+func (cfg EvalConfig) New(e Expert) (*Hierarchy, error) {
+	return New(Config{
+		HOCBytes:    cfg.HOCBytes,
+		DCBytes:     cfg.DCBytes,
+		HOCEviction: cfg.HOCEviction,
+		DCEviction:  cfg.DCEviction,
+		Expert:      e,
+	})
+}
+
 // Evaluate plays tr through a fresh Hierarchy running expert e and returns
 // the post-warm-up metrics.
 func Evaluate(tr *trace.Trace, e Expert, cfg EvalConfig) (Metrics, error) {
@@ -37,29 +49,26 @@ func Evaluate(tr *trace.Trace, e Expert, cfg EvalConfig) (Metrics, error) {
 
 // EvaluateHits is Evaluate that also records which requests hit the HOC
 // after warm-up: bit i of hits (hits[i/64]>>(i%64)&1) is set when request i
-// is one of them. The bitset has (tr.Len()+63)/64 words.
+// is one of them. The bitset has (tr.Len()+63)/64 words. Warm-up is
+// excluded as baselines.Play excludes it: the counters at the warm-up mark
+// are subtracted from the final ones.
 func EvaluateHits(tr *trace.Trace, e Expert, cfg EvalConfig) (m Metrics, hits []uint64, err error) {
-	h, err := New(Config{
-		HOCBytes:    cfg.HOCBytes,
-		DCBytes:     cfg.DCBytes,
-		HOCEviction: cfg.HOCEviction,
-		DCEviction:  cfg.DCEviction,
-		Expert:      e,
-	})
+	h, err := cfg.New(e)
 	if err != nil {
 		return Metrics{}, nil, err
 	}
 	hits = make([]uint64, (tr.Len()+63)/64)
 	warm := int(float64(tr.Len()) * cfg.WarmupFrac)
+	var atWarm Metrics
 	for i, r := range tr.Requests {
 		if i == warm {
-			h.ResetMetrics()
+			atWarm = h.Metrics()
 		}
 		if h.Serve(r) == HOCHit && i >= warm {
 			hits[i>>6] |= 1 << (i & 63)
 		}
 	}
-	return h.Metrics(), hits, nil
+	return h.Metrics().Sub(atWarm), hits, nil
 }
 
 // EvaluateAll evaluates every expert on tr and returns the metrics in expert

@@ -96,16 +96,6 @@ func DefaultGrid() []Expert {
 	)
 }
 
-// Index returns the position of e in experts, or -1.
-func Index(experts []Expert, e Expert) int {
-	for i, x := range experts {
-		if x == e {
-			return i
-		}
-	}
-	return -1
-}
-
 // Nearest returns the expert in experts whose (Freq, MaxSize) is closest to
 // the requested thresholds — used by the Percentile baseline to map empirical
 // percentiles onto the available expert grid. Distance is measured in rank

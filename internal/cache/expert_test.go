@@ -70,18 +70,6 @@ func TestGrid3(t *testing.T) {
 	}
 }
 
-func TestIndex(t *testing.T) {
-	g := DefaultGrid()
-	for i, e := range g {
-		if Index(g, e) != i {
-			t.Fatalf("Index(%v) != %d", e, i)
-		}
-	}
-	if Index(g, Expert{Freq: 99, MaxSize: 1}) != -1 {
-		t.Fatal("Index of absent expert should be -1")
-	}
-}
-
 func TestNearestExact(t *testing.T) {
 	g := DefaultGrid()
 	for _, e := range g {

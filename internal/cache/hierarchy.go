@@ -378,9 +378,9 @@ func (h *Hierarchy) Metrics() Metrics { return h.m }
 // Concurrent implements Engine: a Hierarchy is single-goroutine only.
 func (h *Hierarchy) Concurrent() bool { return false }
 
-// ResetMetrics zeroes the counters without disturbing cache contents — used
-// to exclude warm-up requests from reported results, as the paper does with
-// the first 1M requests of every trace.
+// ResetMetrics zeroes the counters without disturbing cache contents. The
+// simulator never calls it: warm-up is excluded by subtracting the counters
+// at the warm-up mark (baselines.Play, EvaluateHits).
 func (h *Hierarchy) ResetMetrics() { h.m = Metrics{} }
 
 // HOCBytes returns resident HOC bytes (for occupancy assertions in tests).

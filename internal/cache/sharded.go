@@ -166,7 +166,7 @@ func (s *Sharded) ShardMetrics(i int) Metrics {
 }
 
 // ResetMetrics zeroes every shard's counters without disturbing cache
-// contents (warm-up exclusion).
+// contents.
 func (s *Sharded) ResetMetrics() {
 	s.each(func(_ int, h *Hierarchy) { h.ResetMetrics() })
 }
@@ -197,38 +197,6 @@ func (s *Sharded) ExpertSwitches() int64 {
 	n := sh.h.ExpertSwitches()
 	sh.mu.Unlock()
 	return n
-}
-
-// SetAdmission broadcasts a custom HOC admission predicate (nil restores
-// expert-based admission) to every shard.
-func (s *Sharded) SetAdmission(f AdmissionFunc) {
-	s.each(func(_ int, h *Hierarchy) { h.SetAdmission(f) })
-}
-
-// HOCBytes returns resident HOC bytes summed across shards.
-func (s *Sharded) HOCBytes() int64 {
-	return s.sumLevel(func(h *Hierarchy) int64 { return h.HOCBytes() })
-}
-
-// DCBytes returns resident DC bytes summed across shards.
-func (s *Sharded) DCBytes() int64 { return s.sumLevel(func(h *Hierarchy) int64 { return h.DCBytes() }) }
-
-// HOCLen returns the number of HOC-resident objects summed across shards.
-func (s *Sharded) HOCLen() int {
-	return int(s.sumLevel(func(h *Hierarchy) int64 { return int64(h.HOCLen()) }))
-}
-
-// DCLen returns the number of DC-resident objects summed across shards.
-func (s *Sharded) DCLen() int {
-	return int(s.sumLevel(func(h *Hierarchy) int64 { return int64(h.DCLen()) }))
-}
-
-// sumLevel folds a per-shard occupancy reader over every shard under its
-// mutex (occupancy reads are off the hot path).
-func (s *Sharded) sumLevel(f func(*Hierarchy) int64) int64 {
-	var total int64
-	s.each(func(_ int, h *Hierarchy) { total += f(h) })
-	return total
 }
 
 // each runs f on every shard's hierarchy in shard order, each under its

@@ -1,6 +1,7 @@
 package cache_test
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -51,9 +52,8 @@ func TestShardedOneShardBitIdentical(t *testing.T) {
 		if got, want := sharded.ExpertSwitches(), serial.ExpertSwitches(); got != want {
 			t.Fatalf("expert %v: sharded switches %d, serial %d", e, got, want)
 		}
-		if sharded.HOCBytes() != serial.HOCBytes() || sharded.DCBytes() != serial.DCBytes() ||
-			sharded.HOCLen() != serial.HOCLen() || sharded.DCLen() != serial.DCLen() {
-			t.Fatalf("expert %v: occupancy diverged", e)
+		if got, want := sharded.State().Shards[0], serial.State(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("expert %v: state diverged", e)
 		}
 	}
 }

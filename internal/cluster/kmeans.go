@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"darwin/internal/stats"
 )
 
 // Model is a fitted K-means clustering over standardised features.
@@ -57,10 +59,10 @@ func Fit(points [][]float64, cfg Config) (*Model, error) {
 		cfg.K = len(points)
 	}
 
-	mean, std := standardiseParams(points)
+	mean, std := stats.MeanStd(points, dim)
 	z := make([][]float64, len(points))
 	for i, p := range points {
-		z[i] = standardise(p, mean, std)
+		z[i] = stats.Standardize(p, mean, std)
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -104,43 +106,8 @@ func (m *Model) K() int { return len(m.Centroids) }
 // Assign returns the nearest cluster for a raw (unstandardised) feature
 // vector.
 func (m *Model) Assign(p []float64) int {
-	ci, _ := nearest(m.Centroids, standardise(p, m.Mean, m.Std))
+	ci, _ := nearest(m.Centroids, stats.Standardize(p, m.Mean, m.Std))
 	return ci
-}
-
-func standardiseParams(points [][]float64) (mean, std []float64) {
-	dim := len(points[0])
-	mean = make([]float64, dim)
-	std = make([]float64, dim)
-	for _, p := range points {
-		for j, v := range p {
-			mean[j] += v
-		}
-	}
-	for j := range mean {
-		mean[j] /= float64(len(points))
-	}
-	for _, p := range points {
-		for j, v := range p {
-			d := v - mean[j]
-			std[j] += d * d
-		}
-	}
-	for j := range std {
-		std[j] = math.Sqrt(std[j] / float64(len(points)))
-		if std[j] == 0 {
-			std[j] = 1 // constant dimension: leave centred values at 0
-		}
-	}
-	return mean, std
-}
-
-func standardise(p, mean, std []float64) []float64 {
-	out := make([]float64, len(p))
-	for j, v := range p {
-		out[j] = (v - mean[j]) / std[j]
-	}
-	return out
 }
 
 func sqDist(a, b []float64) float64 {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 
 	"darwin/internal/bandit"
 	"darwin/internal/cache"
@@ -165,7 +164,7 @@ func (c *Controller) fitLocked(st *ControllerState) (*bandit.Algorithm, error) {
 }
 
 // RestoreState restores a snapshot taken by CheckpointState, decoded by
-// DecodeCheckpoint, onto a controller whose engine was restored from the
+// DecodeCheckpointFrame, onto a controller whose engine was restored from the
 // same checkpoint: an open identification round continues from the
 // snapshot's baseline. It checks only that the snapshot fits the model and
 // config; on error the controller is unchanged.
@@ -240,8 +239,8 @@ type checkpointJSON struct {
 	Controller *ControllerState    `json:"controller,omitempty"`
 }
 
-// EncodeCheckpoint serialises a checkpoint to its frame payload.
-func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
+// encodeCheckpoint serialises a checkpoint to its frame payload.
+func encodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("core: nil checkpoint")
 	}
@@ -256,11 +255,11 @@ func EncodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	return json.Marshal(cj)
 }
 
-// DecodeCheckpoint parses a frame payload produced by EncodeCheckpoint and
+// decodeCheckpoint parses a frame payload produced by encodeCheckpoint and
 // validates each part's shape — the model, ShardedState.Validate and the
 // controller state's validate — rejecting the checkpoint whole if any part
 // is malformed. Restore then only checks that a part fits.
-func DecodeCheckpoint(payload []byte) (*Checkpoint, error) {
+func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 	var cj checkpointJSON
 	if err := json.Unmarshal(payload, &cj); err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
@@ -286,35 +285,12 @@ func DecodeCheckpoint(payload []byte) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// SaveCheckpoint atomically writes a framed, checksummed checkpoint file.
-func SaveCheckpoint(path string, ck *Checkpoint) error {
-	payload, err := EncodeCheckpoint(ck)
-	if err != nil {
-		return err
-	}
-	return persist.SaveFrame(path, CheckpointMagic, CheckpointFormatVersion, payload, 0o644)
-}
-
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint. A missing file
-// returns (nil, nil) — cold start; a present-but-corrupt file returns a typed
-// error (*persist.FormatError for framing damage).
-func LoadCheckpoint(path string) (*Checkpoint, error) {
-	payload, err := persist.LoadFrame(path, CheckpointMagic, CheckpointFormatVersion)
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return DecodeCheckpoint(payload)
-}
-
-// EncodeCheckpointFrame serialises a checkpoint into the same framed,
-// checksummed byte stream SaveCheckpoint writes to disk — the wire format of
-// the /state drain handoff: a DRWNCKPT frame whose CRC lets the receiving
-// node validate the whole transfer before touching any live state.
+// EncodeCheckpointFrame serialises a checkpoint into its framed, checksummed
+// byte stream: the bytes of a node's checkpoint file and the wire format of
+// the /state drain handoff, a DRWNCKPT frame whose CRC lets the reader
+// validate the whole checkpoint before touching any live state.
 func EncodeCheckpointFrame(ck *Checkpoint) ([]byte, error) {
-	payload, err := EncodeCheckpoint(ck)
+	payload, err := encodeCheckpoint(ck)
 	if err != nil {
 		return nil, err
 	}
@@ -326,12 +302,12 @@ func EncodeCheckpointFrame(ck *Checkpoint) ([]byte, error) {
 }
 
 // DecodeCheckpointFrame parses a framed checkpoint produced by
-// EncodeCheckpointFrame (or read from a SaveCheckpoint file). Framing damage
-// returns a typed *persist.FormatError; nothing panics.
+// EncodeCheckpointFrame. Framing damage returns a typed *persist.FormatError;
+// nothing panics.
 func DecodeCheckpointFrame(data []byte) (*Checkpoint, error) {
 	payload, err := persist.DecodeFrame(bytes.NewReader(data), CheckpointMagic, CheckpointFormatVersion)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeCheckpoint(payload)
+	return decodeCheckpoint(payload)
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -82,11 +80,11 @@ func TestCheckpointResumeMidIdentify(t *testing.T) {
 	}
 
 	ck := checkpointOf(t, c, eng, m)
-	payload, err := EncodeCheckpoint(ck)
+	payload, err := encodeCheckpoint(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeCheckpoint(payload)
+	decoded, err := decodeCheckpoint(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +104,7 @@ func TestCheckpointResumeMidIdentify(t *testing.T) {
 		if a != b {
 			t.Fatalf("request %d: results diverge (%v vs %v)", i, a, b)
 		}
-		if c.Engine().Expert() != r.Engine().Expert() {
+		if eng.Expert() != r.Engine().(*cache.Sharded).Expert() {
 			t.Fatalf("request %d: deployed experts diverge", i)
 		}
 	}
@@ -153,11 +151,11 @@ func TestCheckpointResumeMidExploit(t *testing.T) {
 	if ck.Controller.Phase != "exploit" || ck.Controller.EpochReqs != i {
 		t.Fatalf("snapshot after %d serves says %s at %d", i, ck.Controller.Phase, ck.Controller.EpochReqs)
 	}
-	payload, err := EncodeCheckpoint(ck)
+	payload, err := encodeCheckpoint(ck)
 	if err != nil {
 		t.Fatal(err)
 	}
-	decoded, err := DecodeCheckpoint(payload)
+	decoded, err := decodeCheckpoint(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +214,7 @@ func TestCheckpointResumeWarmup(t *testing.T) {
 }
 
 // TestControllerRestoreRejectsInvalid: each malformed controller snapshot is
-// rejected by the check that owns it — a shape error by DecodeCheckpoint,
+// rejected by the check that owns it — a shape error by decodeCheckpoint,
 // and a snapshot that does not fit the model or config by RestoreState,
 // which then leaves the controller unchanged.
 func TestControllerRestoreRejectsInvalid(t *testing.T) {
@@ -261,12 +259,12 @@ func TestControllerRestoreRejectsInvalid(t *testing.T) {
 			if tc.mut != nil {
 				bad = decodeController(t, good)
 				tc.mut(bad)
-				payload, err := EncodeCheckpoint(&Checkpoint{Controller: bad})
+				payload, err := encodeCheckpoint(&Checkpoint{Controller: bad})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := DecodeCheckpoint(payload); (err != nil) != tc.atDecode {
-					t.Fatalf("DecodeCheckpoint: %v, want an error: %v", err, tc.atDecode)
+				if _, err := decodeCheckpoint(payload); (err != nil) != tc.atDecode {
+					t.Fatalf("decodeCheckpoint: %v, want an error: %v", err, tc.atDecode)
 				}
 			}
 			if tc.atDecode {
@@ -275,8 +273,8 @@ func TestControllerRestoreRejectsInvalid(t *testing.T) {
 			if err := c.RestoreState(bad); err == nil {
 				t.Fatal("invalid controller state accepted")
 			}
-			afterBlob, _ := EncodeCheckpoint(&Checkpoint{Controller: c.CheckpointState()})
-			beforeBlob, _ := EncodeCheckpoint(&Checkpoint{Controller: before})
+			afterBlob, _ := encodeCheckpoint(&Checkpoint{Controller: c.CheckpointState()})
+			beforeBlob, _ := encodeCheckpoint(&Checkpoint{Controller: before})
 			if !bytes.Equal(afterBlob, beforeBlob) {
 				t.Fatal("failed restore mutated the controller")
 			}
@@ -287,66 +285,20 @@ func TestControllerRestoreRejectsInvalid(t *testing.T) {
 // decodeController deep-copies st through the checkpoint codec.
 func decodeController(t *testing.T, st *ControllerState) *ControllerState {
 	t.Helper()
-	payload, err := EncodeCheckpoint(&Checkpoint{Controller: st})
+	payload, err := encodeCheckpoint(&Checkpoint{Controller: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck, err := DecodeCheckpoint(payload)
+	ck, err := decodeCheckpoint(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return ck.Controller
 }
 
-func TestSaveLoadCheckpointFile(t *testing.T) {
-	m := trainedModel(t)
-	c, eng := newShardedController(t, m)
-	tr := testTraces(t)[1]
-	for i := 0; i < 3000; i++ {
-		c.Serve(tr.Requests[i])
-	}
-	path := filepath.Join(t.TempDir(), "darwin.ckpt")
-	ck := checkpointOf(t, c, eng, m)
-	if err := SaveCheckpoint(path, ck); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Model == nil || got.Engine == nil || got.Controller == nil {
-		t.Fatal("checkpoint parts lost in file round trip")
-	}
-	r := resume(t, got)
-	if r.Metrics() != c.Metrics() {
-		t.Fatal("file round trip lost engine state")
-	}
-
-	// Missing file is a cold start, not an error.
-	absent, err := LoadCheckpoint(filepath.Join(t.TempDir(), "nope.ckpt"))
-	if err != nil || absent != nil {
-		t.Fatalf("missing checkpoint: got %v, %v; want nil, nil", absent, err)
-	}
-
-	// A flipped bit anywhere fails loudly with a typed framing error.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x01
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadCheckpoint(path)
-	var fe *persist.FormatError
-	if !errors.As(err, &fe) {
-		t.Fatalf("corrupt checkpoint error = %v, want *persist.FormatError", err)
-	}
-}
-
-// TestV1CheckpointRejected: a version-1 checkpoint — its engine state held
-// a Bloom filter image and no missed marks — is refused with
-// persist.ErrVersion, as a /state body and as a file.
+// TestV1CheckpointRejected: a version-1 checkpoint frame — its engine state
+// held a Bloom filter image and no missed marks — is refused with
+// persist.ErrVersion (internal/node tests the file).
 func TestV1CheckpointRejected(t *testing.T) {
 	m := trainedModel(t)
 	c, eng := newShardedController(t, m)
@@ -354,7 +306,7 @@ func TestV1CheckpointRejected(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Serve(tr.Requests[i])
 	}
-	payload, err := EncodeCheckpoint(checkpointOf(t, c, eng, m))
+	payload, err := encodeCheckpoint(checkpointOf(t, c, eng, m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,13 +316,6 @@ func TestV1CheckpointRejected(t *testing.T) {
 	}
 	if _, err := DecodeCheckpointFrame(v1.Bytes()); !errors.Is(err, persist.ErrVersion) {
 		t.Fatalf("v1 frame: %v, want persist.ErrVersion", err)
-	}
-	path := filepath.Join(t.TempDir(), "darwin.ckpt")
-	if err := persist.SaveFrame(path, CheckpointMagic, 1, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if ck, err := LoadCheckpoint(path); ck != nil || !errors.Is(err, persist.ErrVersion) {
-		t.Fatalf("v1 file: %v, %v; want nil, persist.ErrVersion", ck, err)
 	}
 }
 
@@ -394,11 +339,11 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte(`{"controller":{"phase":"warmup"}}`))
 	f.Add([]byte(`{"model":{"version":1}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := DecodeCheckpoint(data)
+		ck, err := decodeCheckpoint(data)
 		if err != nil {
 			return
 		}
-		if _, err := EncodeCheckpoint(ck); err != nil {
+		if _, err := encodeCheckpoint(ck); err != nil {
 			t.Fatalf("accepted checkpoint fails to re-encode: %v", err)
 		}
 	})
@@ -457,7 +402,7 @@ func mutate(v any, op uint8, at uint16, val int16) {
 	}
 }
 
-// FuzzCheckpointRuns: a checkpoint DecodeCheckpoint accepts is one a
+// FuzzCheckpointRuns: a checkpoint decodeCheckpoint accepts is one a
 // controller can run. The seeds are valid payloads taken in warm-up,
 // identification and exploit; the fuzz input picks one and one mutate edit
 // (a small signed delta: counters a request away from wrapping int64 are
@@ -493,7 +438,7 @@ func FuzzCheckpointRuns(f *testing.F) {
 			}
 			c.Serve(reqs[i])
 		}
-		payload, err := EncodeCheckpoint(&Checkpoint{Engine: eng.State(), Controller: c.CheckpointState()})
+		payload, err := encodeCheckpoint(&Checkpoint{Engine: eng.State(), Controller: c.CheckpointState()})
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -517,7 +462,7 @@ func FuzzCheckpointRuns(f *testing.F) {
 			t.Fatal(err)
 		}
 		c, eng := rig(t)
-		ck, err := DecodeCheckpoint(payload)
+		ck, err := decodeCheckpoint(payload)
 		if err == nil {
 			err = eng.RestoreState(ck.Engine)
 		}
@@ -534,15 +479,15 @@ func FuzzCheckpointRuns(f *testing.F) {
 		if mt := eng.Metrics(); mt.HOCHits+mt.DCHits+mt.Misses != mt.Requests {
 			t.Fatalf("after play: %d hits and misses for %d requests", mt.HOCHits+mt.DCHits+mt.Misses, mt.Requests)
 		}
-		again, err := EncodeCheckpoint(&Checkpoint{Engine: eng.State(), Controller: c.CheckpointState()})
+		again, err := encodeCheckpoint(&Checkpoint{Engine: eng.State(), Controller: c.CheckpointState()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck, err = DecodeCheckpoint(again)
+		ck, err = decodeCheckpoint(again)
 		if err != nil {
 			t.Fatalf("the controller's own checkpoint does not decode: %v", err)
 		}
-		if twice, err := EncodeCheckpoint(ck); err != nil || !bytes.Equal(twice, again) {
+		if twice, err := encodeCheckpoint(ck); err != nil || !bytes.Equal(twice, again) {
 			t.Fatalf("the checkpoint does not round-trip its bytes (%v)", err)
 		}
 	})

@@ -30,7 +30,6 @@ type EvictionSelector struct {
 	roundReqs  int
 	roundStart cache.Metrics
 	exploiting bool
-	choices    []string
 }
 
 // EvictionSelectorConfig parameterises the selector.
@@ -101,7 +100,6 @@ func (s *EvictionSelector) Serve(r trace.Request) cache.Result {
 		}
 	}
 	if s.epochReqs >= s.cfg.Epoch {
-		s.choices = append(s.choices, s.Deployed())
 		_ = s.startEpoch() // the arms are valid policy names; cannot fail
 	}
 	return res
@@ -133,13 +131,6 @@ func (s *EvictionSelector) finishRound() {
 
 // Deployed returns the currently deployed eviction policy name.
 func (s *EvictionSelector) Deployed() string { return evictionArms[s.curArm] }
-
-// Exploiting reports whether identification has finished for this epoch.
-func (s *EvictionSelector) Exploiting() bool { return s.exploiting }
-
-// Choices returns the policy committed to at the end of each completed
-// epoch.
-func (s *EvictionSelector) Choices() []string { return append([]string(nil), s.choices...) }
 
 // Metrics returns the hierarchy's metrics.
 func (s *EvictionSelector) Metrics() cache.Metrics { return s.hier.Metrics() }

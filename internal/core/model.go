@@ -10,6 +10,7 @@ import (
 	"darwin/internal/features"
 	"darwin/internal/neural"
 	"darwin/internal/par"
+	"darwin/internal/stats"
 )
 
 // TrainConfig configures offline training (steps 1a and 1b of Figure 3).
@@ -98,11 +99,7 @@ type Model struct {
 // decoder's shape check, guarantee PredictorInputs scaler entries and an
 // extended vector at least that long.
 func (m *Model) scale(extended []float64) []float64 {
-	out := make([]float64, m.PredictorInputs)
-	for i := range out {
-		out[i] = (extended[i] - m.ScalerMean[i]) / m.ScalerStd[i]
-	}
-	return out
+	return stats.Standardize(extended, m.ScalerMean, m.ScalerStd)
 }
 
 // Train runs offline steps 1a (clustering and expert-set association) and 1b
@@ -202,31 +199,13 @@ func Train(ds *Dataset, cfg TrainConfig) (*Model, error) {
 		inDim = ds.FeatureCfg.VectorLen()
 	}
 	m.PredictorInputs = inDim
-	m.ScalerMean = make([]float64, inDim)
-	m.ScalerStd = make([]float64, inDim)
-	for _, rec := range ds.Records {
-		for d, v := range rec.Extended[:inDim] {
-			m.ScalerMean[d] += v
-		}
-	}
-	for d := range m.ScalerMean {
-		m.ScalerMean[d] /= float64(len(ds.Records))
-	}
-	for _, rec := range ds.Records {
-		for d, v := range rec.Extended[:inDim] {
-			dv := v - m.ScalerMean[d]
-			m.ScalerStd[d] += dv * dv
-		}
-	}
-	for d := range m.ScalerStd {
-		m.ScalerStd[d] = math.Sqrt(m.ScalerStd[d] / float64(len(ds.Records)))
-		if m.ScalerStd[d] == 0 {
-			m.ScalerStd[d] = 1
-		}
-	}
 	xs := make([][]float64, len(ds.Records))
 	for ri, rec := range ds.Records {
-		xs[ri] = m.scale(rec.Extended)
+		xs[ri] = rec.Extended
+	}
+	m.ScalerMean, m.ScalerStd = stats.MeanStd(xs, inDim)
+	for ri, x := range xs {
+		xs[ri] = m.scale(x)
 	}
 	// Each predictor is built from its own seed and trained with its own
 	// seeded rng over the shared read-only inputs, so training them in

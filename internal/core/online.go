@@ -219,14 +219,11 @@ func (c *Controller) Engine() cache.Engine { return c.eng }
 // (the state machine itself is: an atomic count in exploit, mu elsewhere).
 func (c *Controller) Concurrent() bool { return c.eng.Concurrent() }
 
-// Name implements the baselines.Server naming convention.
+// Name identifies the scheme ("darwin").
 func (c *Controller) Name() string { return "darwin" }
 
 // Metrics returns the engine's accumulated metrics.
 func (c *Controller) Metrics() cache.Metrics { return c.eng.Metrics() }
-
-// ResetMetrics clears the engine's counters (warm-up exclusion).
-func (c *Controller) ResetMetrics() { c.eng.ResetMetrics() }
 
 // Lookup probes residency without mutating cache or controller state
 // (server.Decider): the controller's state machine advances only on

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -154,7 +155,7 @@ func TestControllerPicksGoodExpert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chosenIdx := cache.Index(m.Experts, chosen)
+	chosenIdx := slices.Index(m.Experts, chosen)
 	if chosenIdx < 0 {
 		t.Fatalf("chosen expert %v not in grid", chosen)
 	}

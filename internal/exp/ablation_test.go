@@ -189,7 +189,11 @@ func TestFutureEvictionSelection(t *testing.T) {
 func TestFig11ThreeKnob(t *testing.T) {
 	sc := tiny()
 	sc.TrainSeeds = 1 // keep the 3-knob dataset build fast
-	rep, err := Fig11ThreeKnob(sc, []float64{1})
+	train, _, err := BuildTraces(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Fig11ThreeKnob(&Corpus{Scale: sc, Train: train}, []float64{1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,12 +19,7 @@ func RunDarwin(c *Corpus, tr *trace.Trace) (cache.Metrics, []core.EpochDiag, err
 
 // runDarwin is RunDarwin over model with online configuration oc.
 func runDarwin(c *Corpus, model *core.Model, oc core.OnlineConfig, tr *trace.Trace) (cache.Metrics, []core.EpochDiag, error) {
-	hier, err := cache.New(cache.Config{
-		HOCBytes:    c.Scale.Eval.HOCBytes,
-		DCBytes:     c.Scale.Eval.DCBytes,
-		HOCEviction: c.Scale.Eval.HOCEviction,
-		DCEviction:  c.Scale.Eval.DCEviction,
-	})
+	hier, err := c.Scale.Eval.New(cache.Expert{})
 	if err != nil {
 		return cache.Metrics{}, nil, err
 	}

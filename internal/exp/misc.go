@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"time"
 
+	"darwin/internal/baselines"
 	"darwin/internal/cache"
 	"darwin/internal/core"
 	"darwin/internal/stats"
@@ -37,18 +38,16 @@ func Table1() *Report {
 
 // Fig11ThreeKnob reproduces Figure 11: expert reduction after clustering
 // when experts carry a third recency knob. The grid mirrors the paper's 36
-// three-knob experts (6 frequencies × 2 sizes × 3 recencies).
-func Fig11ThreeKnob(sc Scale, thetas []float64) (*Report, error) {
+// three-knob experts (6 frequencies × 2 sizes × 3 recencies), evaluated on
+// c's training traces.
+func Fig11ThreeKnob(c *Corpus, thetas []float64) (*Report, error) {
+	sc := c.Scale
 	sc.Experts = cache.Grid3(
 		[]int{2, 3, 4, 5, 6, 7},
 		[]int64{2 << 10, 50 << 10},
 		[]int64{2000, 10000, 50000},
 	)
-	train, _, err := BuildTraces(sc)
-	if err != nil {
-		return nil, err
-	}
-	ds, err := sc.dataset(train)
+	ds, err := sc.dataset(c.Train)
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +145,7 @@ func FutureEvictionSelection(sc Scale) (*Report, error) {
 		}
 		rep.AddRow("fixed "+name, f4(m.OHR()))
 	}
-	h, err := cache.New(cache.Config{HOCBytes: sc.Eval.HOCBytes, DCBytes: sc.Eval.DCBytes, Expert: e})
+	h, err := sc.Eval.New(e)
 	if err != nil {
 		return nil, err
 	}
@@ -158,14 +157,8 @@ func FutureEvictionSelection(sc Scale) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	warm := int(float64(tr.Len()) * sc.Eval.WarmupFrac)
-	for i, r := range tr.Requests {
-		if i == warm {
-			h.ResetMetrics()
-		}
-		sel.Serve(r)
-	}
-	rep.AddRow("darwin-selected ("+sel.Deployed()+")", f4(sel.Metrics().OHR()))
+	m := baselines.Play(sel, tr, sc.Eval.WarmupFrac)
+	rep.AddRow("darwin-selected ("+sel.Deployed()+")", f4(m.OHR()))
 	rep.AddNote("the selector converges onto a competitive policy online, with exploration cost")
 	return rep, nil
 }
@@ -173,10 +166,7 @@ func FutureEvictionSelection(sc Scale) (*Report, error) {
 // OverheadReport summarises the §6.4 resource accounting of one Darwin run:
 // expert switches, feature memory, and predictor counts.
 func OverheadReport(c *Corpus, tr *trace.Trace) (*Report, error) {
-	hier, err := cache.New(cache.Config{
-		HOCBytes: c.Scale.Eval.HOCBytes,
-		DCBytes:  c.Scale.Eval.DCBytes,
-	})
+	hier, err := c.Scale.Eval.New(cache.Expert{})
 	if err != nil {
 		return nil, err
 	}

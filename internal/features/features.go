@@ -167,9 +167,6 @@ func (e *Extractor) grow() {
 	e.raw = nraw
 }
 
-// Requests returns how many requests have been observed.
-func (e *Extractor) Requests() int64 { return e.requests }
-
 // Vector returns the base feature vector
 // [avgSize, iat_1..iat_n, sd_1..sd_m]; entries with no observations are 0.
 func (e *Extractor) Vector() []float64 {

@@ -45,8 +45,8 @@ func TestAvgSize(t *testing.T) {
 	if v[0] != 200 {
 		t.Fatalf("avg size = %v, want 200", v[0])
 	}
-	if e.Requests() != 2 {
-		t.Fatalf("Requests = %d", e.Requests())
+	if e.requests != 2 {
+		t.Fatalf("requests = %d", e.requests)
 	}
 }
 
@@ -143,7 +143,7 @@ func TestSizeDistributionSumsToOne(t *testing.T) {
 func TestZeroSizeRequestHandled(t *testing.T) {
 	e := mk(t, DefaultConfig())
 	e.Observe(trace.Request{ID: 1, Size: 0, Time: 0}) // must not panic on log2(0)
-	if e.Requests() != 1 {
+	if e.requests != 1 {
 		t.Fatal("request not counted")
 	}
 }
@@ -220,7 +220,7 @@ func TestReset(t *testing.T) {
 		e.Observe(trace.Request{ID: uint64(i % 5), Size: 100, Time: int64(i)})
 	}
 	e.Reset()
-	if e.Requests() != 0 {
+	if e.requests != 0 {
 		t.Fatal("Reset did not clear request count")
 	}
 	v := e.Vector()

@@ -2,6 +2,7 @@ package node
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync/atomic"
 	"time"
@@ -9,6 +10,7 @@ import (
 	"darwin/internal/cache"
 	"darwin/internal/core"
 	"darwin/internal/diskcache"
+	"darwin/internal/persist"
 )
 
 // checkpointFile is the checkpoint's name inside the data directory.
@@ -53,12 +55,25 @@ func openDurability(cfg diskcache.Config, interval time.Duration) (*durability, 
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	ck, err := core.LoadCheckpoint(d.ckptPath)
+	d.loaded = loadCheckpoint(d.ckptPath)
+	return d, nil
+}
+
+// loadCheckpoint reads the checkpoint file at path. A missing file is a
+// cold start and an unreadable one is logged; both return nil.
+func loadCheckpoint(path string) *core.Checkpoint {
+	data, err := os.ReadFile(path)
+	if os.IsNotExist(err) {
+		return nil
+	}
+	var ck *core.Checkpoint
+	if err == nil {
+		ck, err = core.DecodeCheckpointFrame(data)
+	}
 	if err != nil {
 		logf("checkpoint unreadable (%v); recovering from journal only", err)
 	}
-	d.loaded = ck
-	return d, nil
+	return ck
 }
 
 // attach binds the engine (and, in darwin mode, the controller and model)
@@ -111,7 +126,11 @@ func (d *durability) recover() {
 
 // checkpoint captures and atomically persists the full learned state.
 func (d *durability) checkpoint() error {
-	if err := core.SaveCheckpoint(d.ckptPath, snapshot(d.eng, d.ctrl, d.model)); err != nil {
+	frame, err := core.EncodeCheckpointFrame(snapshot(d.eng, d.ctrl, d.model))
+	if err != nil {
+		return err
+	}
+	if err := persist.WriteFileAtomic(d.ckptPath, frame, 0o644); err != nil {
 		return err
 	}
 	return d.store.Sync()

@@ -49,6 +49,15 @@ func fetch(t *testing.T, base string, id uint64, size int64) {
 	}
 }
 
+// dcLen counts the DC residents across eng's shards.
+func dcLen(eng *cache.Sharded) int {
+	n := 0
+	for _, sh := range eng.State().Shards {
+		n += len(sh.DC)
+	}
+	return n
+}
+
 func readyz(t *testing.T, n *Node) (int, string) {
 	t.Helper()
 	w := httptest.NewRecorder()
@@ -134,7 +143,7 @@ func TestKilledNodeRecovers(t *testing.T) {
 			t.Fatalf("journaled object %d is not resident after recovery", obj.ID)
 		}
 	}
-	if got := second.eng.DCLen(); got != len(journaled) {
+	if got := dcLen(second.eng); got != len(journaled) {
 		t.Fatalf("recovered DC holds %d objects, the journal %d", got, len(journaled))
 	}
 	got := second.eng.State()
@@ -176,11 +185,19 @@ func TestV1CheckpointRecoversFromJournal(t *testing.T) {
 	journaled := first.dur.store.Live()
 	srv.Close() // the kill: no Close on the node
 	path := filepath.Join(cfg.Store.Dir, checkpointFile)
-	payload, err := persist.LoadFrame(path, core.CheckpointMagic, core.CheckpointFormatVersion)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := persist.SaveFrame(path, core.CheckpointMagic, 1, payload, 0o644); err != nil {
+	payload, err := persist.DecodeFrame(bytes.NewReader(data), core.CheckpointMagic, core.CheckpointFormatVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1 bytes.Buffer
+	if err := persist.EncodeFrame(&v1, core.CheckpointMagic, 1, payload); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -201,11 +218,106 @@ func TestV1CheckpointRecoversFromJournal(t *testing.T) {
 		}
 	}
 	defer second.Close(context.Background())
-	if len(journaled) != 40 || second.eng.DCLen() != len(journaled) {
-		t.Fatalf("recovered DC holds %d objects, the journal %d; want 40", second.eng.DCLen(), len(journaled))
+	if len(journaled) != 40 || dcLen(second.eng) != len(journaled) {
+		t.Fatalf("recovered DC holds %d objects, the journal %d; want 40", dcLen(second.eng), len(journaled))
 	}
 	if m := second.eng.Metrics(); m.Requests != 0 {
 		t.Fatalf("recovered engine counts %d requests: the checkpoint's metrics were restored", m.Requests)
+	}
+}
+
+// stderrOf returns what f writes to os.Stderr, where the node logs.
+func stderrOf(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(chan string, 1)
+	go func() {
+		b, _ := io.ReadAll(r)
+		r.Close()
+		out <- string(b)
+	}()
+	orig := os.Stderr
+	os.Stderr = w
+	func() {
+		defer func() {
+			os.Stderr = orig
+			w.Close()
+		}()
+		f()
+	}()
+	return <-out
+}
+
+// TestCheckpointFile: the checkpoint file holds exactly
+// core.EncodeCheckpointFrame of the node's snapshot, and a node built on the
+// directory loads it. A missing file is a silent cold start; a corrupt file
+// is logged and loads nothing, so the node recovers from the journal alone
+// (TestV1CheckpointRecoversFromJournal drives a version-1 file).
+func TestCheckpointFile(t *testing.T) {
+	cfg := Config{
+		HOCBytes: 256 << 10,
+		DCBytes:  32 << 20,
+		Shards:   2,
+		Expert:   cache.Expert{Freq: 1, MaxSize: 1 << 20},
+		Store:    diskcache.Config{Dir: t.TempDir(), Sync: diskcache.SyncAlways},
+		Origin:   testOrigin(t),
+	}
+	reopen := func() (*Node, string) {
+		var n *Node
+		logged := stderrOf(t, func() {
+			var err error
+			if n, err = build(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Cleanup(func() { n.dur.store.Close() })
+		return n, logged
+	}
+	if n, logged := reopen(); n.dur.loaded != nil || strings.Contains(logged, "checkpoint") {
+		t.Fatalf("missing checkpoint: loaded %v, logged %q", n.dur.loaded, logged)
+	}
+
+	first, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close(context.Background())
+	srv := httptest.NewServer(first.Handler())
+	defer srv.Close()
+	for pass := 0; pass < 2; pass++ {
+		for id := uint64(1); id <= 40; id++ {
+			fetch(t, srv.URL, id, 4096)
+		}
+	}
+	if err := first.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(cfg.Store.Dir, checkpointFile)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := core.EncodeCheckpointFrame(snapshot(first.eng, first.ctrl, first.dur.model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Fatal("checkpoint file differs from EncodeCheckpointFrame of the snapshot")
+	}
+	if n, _ := reopen(); n.dur.loaded == nil || !reflect.DeepEqual(n.dur.loaded.Engine, first.eng.State()) {
+		t.Fatal("checkpoint file did not load the engine state it holds")
+	}
+
+	corrupt := append([]byte(nil), data...)
+	corrupt[len(corrupt)/2] ^= 0x01
+	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, logged := reopen(); n.dur.loaded != nil || !strings.Contains(logged, "checkpoint unreadable") {
+		t.Fatalf("corrupt checkpoint: loaded %v, logged %q", n.dur.loaded, logged)
 	}
 }
 
@@ -438,7 +550,7 @@ func TestZeroByteObjectSurvivesRestartAndHandoff(t *testing.T) {
 	if got := restarted.eng.Metrics(); got != metrics {
 		t.Fatalf("restarted engine counts %+v, the checkpoint %+v: its engine was not restored", got, metrics)
 	}
-	if got := restarted.eng.DCLen(); got != len(journaled) {
+	if got := dcLen(restarted.eng); got != len(journaled) {
 		t.Fatalf("restarted DC holds %d objects, the journal %d", got, len(journaled))
 	}
 	if r := restarted.eng.Lookup(7); r != cache.DCHit {

@@ -56,35 +56,3 @@ func WriteFileAtomic(path string, data []byte, perm fs.FileMode) error {
 	}
 	return nil
 }
-
-// SaveFrame atomically writes a single-frame artifact file: payload wrapped
-// in the magic/version/checksum frame, installed with WriteFileAtomic.
-func SaveFrame(path, magic string, version uint32, payload []byte, perm fs.FileMode) error {
-	buf := make([]byte, 0, headerLen+len(payload))
-	w := &appendWriter{buf: buf}
-	if err := EncodeFrame(w, magic, version, payload); err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, w.buf, perm)
-}
-
-// LoadFrame reads a single-frame artifact file written by SaveFrame,
-// returning the verified payload. A missing file returns the os.Open error
-// (matchable with os.IsNotExist); a present-but-invalid file returns a
-// *FormatError.
-func LoadFrame(path, magic string, version uint32) ([]byte, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return DecodeFrame(f, magic, version)
-}
-
-// appendWriter is an error-free in-memory io.Writer over an append slice.
-type appendWriter struct{ buf []byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	w.buf = append(w.buf, p...)
-	return len(p), nil
-}

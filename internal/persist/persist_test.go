@@ -125,24 +125,3 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatalf("directory has %d entries, want 1 (temp files left behind?)", len(ents))
 	}
 }
-
-func TestSaveLoadFrame(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "model.bin")
-	payload := []byte(`{"hello":"world"}`)
-	if err := SaveFrame(path, testMagic, 7, payload, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFrame(path, testMagic, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload mismatch: %q", got)
-	}
-	if _, err := LoadFrame(path, "WRONGMAG", 7); !errors.Is(err, ErrBadMagic) {
-		t.Fatalf("got %v, want ErrBadMagic", err)
-	}
-	if _, err := LoadFrame(filepath.Join(t.TempDir(), "absent"), testMagic, 7); !os.IsNotExist(err) {
-		t.Fatalf("got %v, want not-exist", err)
-	}
-}

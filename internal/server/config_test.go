@@ -103,17 +103,28 @@ var goneFields = []string{
 
 // goneDecls are deleted declarations, by package directory ("Type.Method"
 // for a method): those that carried the gone knobs, capabilities no caller
-// outside tests used, and internal/exp's process-wide memos.
+// outside tests used, internal/exp's process-wide memos, the simulator's
+// warm-up reset and the duplicate standardisers and checkpoint file codecs.
 var goneDecls = map[string][]string{
-	".":            {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults"},
-	"../baselines": {"Static", "NewStatic", "NewStaticSharded"},
+	".": {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults"},
+	"../baselines": {"Static", "NewStatic", "NewStaticSharded", "newHierarchy", "scaleVec",
+		"Percentile.ResetMetrics", "HillClimbing.ResetMetrics", "AdaptSize.ResetMetrics",
+		"DirectMapping.ResetMetrics", "TinyLFU.ResetMetrics", "Percentile.Expert",
+		"HillClimbing.Expert", "DirectMapping.Expert", "AdaptSize.C"},
 	"../lb":        {"ReplicationConfig", "ReplicationConfig.WithDefaults", "Ring.Loads", "Ring.Servers"},
 	"../breaker":   {"BudgetSnapshot", "Budget.SnapshotNow"},
 	"../diskcache": {"Config.WithDefaults"},
 	"../par":       {"Do", "TaskError", "Errors"},
-	"../cache":     {"EvaluateAllParallel", "Hierarchy.Play"},
-	"../exp":       {"CachedCorpus", "Hindsight", "HindsightTrace", "EnsembleSet", "corpusCache", "hindsightCache", "compareCache"},
-	"../stats":     {"Variance", "StdDev", "Welford", "Clamp"},
+	"../cache": {"EvaluateAllParallel", "Hierarchy.Play", "Index", "Sharded.SetAdmission",
+		"Sharded.HOCBytes", "Sharded.DCBytes", "Sharded.HOCLen", "Sharded.DCLen"},
+	"../core": {"Controller.ResetMetrics", "EvictionSelector.Choices", "EvictionSelector.Exploiting",
+		"EncodeCheckpoint", "DecodeCheckpoint", "SaveCheckpoint", "LoadCheckpoint"},
+	"../exp":      {"CachedCorpus", "Hindsight", "HindsightTrace", "EnsembleSet", "corpusCache", "hindsightCache", "compareCache"},
+	"../stats":    {"Variance", "StdDev", "Welford", "Clamp", "Histogram.Total"},
+	"../persist":  {"SaveFrame", "LoadFrame", "appendWriter"},
+	"../bandit":   {"Algorithm.K", "Algorithm.Plays", "Algorithm.Estimates"},
+	"../features": {"Extractor.Requests"},
+	"../cluster":  {"standardiseParams", "standardise"},
 }
 
 // servingCount matches the documents' statement of the serving tier's

@@ -1,6 +1,6 @@
 // Package stats provides small numeric helpers shared across the Darwin
-// reproduction: means, percentiles, CDF construction, histograms, and a
-// Fenwick (binary indexed) tree used by the stack-distance extractor.
+// reproduction: means, z-scores, percentiles, CDF construction, histograms,
+// and a Fenwick (binary indexed) tree used by the stack-distance extractor.
 package stats
 
 import (
@@ -19,6 +19,47 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
+}
+
+// MeanStd returns the per-column mean and population standard deviation of
+// the first dim entries of every row (there must be at least one row). A
+// constant column's std is 1, so standardising it gives 0. Sums run over
+// the rows in order, so the moments, and a model trained on them, are
+// bit-reproducible.
+func MeanStd(rows [][]float64, dim int) (mean, std []float64) {
+	mean = make([]float64, dim)
+	std = make([]float64, dim)
+	for _, r := range rows {
+		for j, v := range r[:dim] {
+			mean[j] += v
+		}
+	}
+	for j := range mean {
+		mean[j] /= float64(len(rows))
+	}
+	for _, r := range rows {
+		for j, v := range r[:dim] {
+			d := v - mean[j]
+			std[j] += d * d
+		}
+	}
+	for j := range std {
+		std[j] = math.Sqrt(std[j] / float64(len(rows)))
+		if std[j] == 0 {
+			std[j] = 1
+		}
+	}
+	return mean, std
+}
+
+// Standardize returns the z-scores (x[j] − mean[j]) / std[j] of x's first
+// len(mean) entries; x may be longer, and the rest is dropped.
+func Standardize(x, mean, std []float64) []float64 {
+	out := make([]float64, len(mean))
+	for j := range out {
+		out[j] = (x[j] - mean[j]) / std[j]
+	}
+	return out
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
@@ -107,9 +148,6 @@ func (h *Histogram) Add(x float64) {
 	h.Counts[i]++
 	h.total++
 }
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() uint64 { return h.total }
 
 // Fractions returns per-bucket fractions of the total (all zeros when empty).
 func (h *Histogram) Fractions() []float64 {

@@ -20,6 +20,27 @@ func TestMeanEmpty(t *testing.T) {
 	}
 }
 
+func TestStandardize(t *testing.T) {
+	got := Standardize([]float64{10, 20}, []float64{10, 10}, []float64{1, 5})
+	if got[0] != 0 || math.Abs(got[1]-2) > 1e-12 {
+		t.Fatalf("Standardize = %v", got)
+	}
+	// Column 0 is {1, 3}: mean 2, std 1. Column 1 is constant: its std is 1,
+	// so its z-scores are 0. Column 2 is past dim and ignored.
+	mean, std := MeanStd([][]float64{{1, 7, 100}, {3, 7, -100}}, 2)
+	if len(mean) != 2 || mean[0] != 2 || mean[1] != 7 || std[0] != 1 || std[1] != 1 {
+		t.Fatalf("MeanStd = %v, %v", mean, std)
+	}
+	if z := Standardize([]float64{3, 7, 100}, mean, std); len(z) != 2 || z[0] != 1 || z[1] != 0 {
+		t.Fatalf("Standardize = %v", z)
+	}
+	// A single row: every column is constant.
+	mean, std = MeanStd([][]float64{{4, -2}}, 2)
+	if mean[0] != 4 || mean[1] != -2 || std[0] != 1 || std[1] != 1 {
+		t.Fatalf("single-row MeanStd = %v, %v", mean, std)
+	}
+}
+
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	cases := []struct{ p, want float64 }{
@@ -93,8 +114,8 @@ func TestHistogram(t *testing.T) {
 	for _, x := range []float64{0, 1.9, 2, 9.99, 10, 100, -3} {
 		h.Add(x)
 	}
-	if h.Total() != 7 {
-		t.Fatalf("Total = %d", h.Total())
+	if h.total != 7 {
+		t.Fatalf("total = %d", h.total)
 	}
 	// buckets: [0,2) [2,4) [4,6) [6,8) [8,10)
 	want := []uint64{3, 1, 0, 0, 3}
