@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"darwin/internal/cache"
 	"darwin/internal/diskcache"
 	"darwin/internal/server"
 )
@@ -28,8 +29,10 @@ func TestFlagsDocumentedAndDefaultsDeclaredOnce(t *testing.T) {
 		}
 	})
 
-	res, ov := server.DefaultResilience(), server.DefaultOverload()
+	res, ov, eval := server.DefaultResilience(), server.DefaultOverload(), cache.DefaultEvalConfig()
 	for name, want := range map[string]any{
+		"hoc":           eval.HOCBytes,
+		"dc":            eval.DCBytes,
 		"retries":       res.MaxAttempts,
 		"backoff":       res.BackoffBase,
 		"brk-threshold": ov.BreakerThreshold,
@@ -41,6 +44,12 @@ func TestFlagsDocumentedAndDefaultsDeclaredOnce(t *testing.T) {
 			t.Errorf("flag -%s is not registered", name)
 		} else if f.DefValue != fmt.Sprint(want) {
 			t.Errorf("flag -%s defaults to %s, its config struct to %v", name, f.DefValue, want)
+		}
+	}
+	// The cache sizes this binary has always defaulted to.
+	for name, want := range map[string]string{"hoc": "2097152", "dc": "209715200"} {
+		if f := fs.Lookup(name); f != nil && f.DefValue != want {
+			t.Errorf("flag -%s defaults to %s, want %s", name, f.DefValue, want)
 		}
 	}
 	// Removed flags stay removed. -gossip / -handoff: membership and handoff

@@ -21,6 +21,7 @@ import (
 	"strings"
 	"time"
 
+	"darwin/internal/cache"
 	"darwin/internal/core"
 	"darwin/internal/exp"
 	"darwin/internal/node"
@@ -54,8 +55,8 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.mode, "mode", "darwin", "darwin | static")
 	fs.IntVar(&n.Expert.Freq, "f", 2, "static expert frequency threshold")
 	fs.Int64Var(&n.Expert.MaxSize, "s", 10<<10, "static expert size threshold (bytes)")
-	fs.Int64Var(&n.HOCBytes, "hoc", 2<<20, "HOC bytes")
-	fs.Int64Var(&n.DCBytes, "dc", 200<<20, "DC bytes")
+	fs.Int64Var(&n.HOCBytes, "hoc", cache.DefaultEvalConfig().HOCBytes, "HOC bytes")
+	fs.Int64Var(&n.DCBytes, "dc", cache.DefaultEvalConfig().DCBytes, "DC bytes")
 	fs.StringVar(&o.objective, "objective", "ohr", "darwin objective: ohr | bmr | combined")
 	fs.IntVar(&n.Shards, "shards", 0, "cache engine shard count (0 = auto from GOMAXPROCS, 1 = serial/global-lock data plane)")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "pprof listen address (e.g. localhost:6060; empty = disabled)")

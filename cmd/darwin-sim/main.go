@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -23,42 +24,68 @@ import (
 	"darwin/internal/trace"
 )
 
+// options are the command's flags.
+type options struct {
+	tracePath, policy, objective, modelPath string
+	f, n, parallelism                       int
+	s, seed                                 int64
+	eval                                    cache.EvalConfig
+}
+
+// registerFlags declares darwin-sim's flags on fs, with the defaults of
+// cache.DefaultEvalConfig() and exp.Default().
+func registerFlags(fs *flag.FlagSet) *options {
+	o := &options{eval: cache.DefaultEvalConfig()}
+	fs.StringVar(&o.tracePath, "trace", "", "trace file (id size time per line); empty generates a synthetic 50:50 mix")
+	fs.StringVar(&o.policy, "policy", "darwin", "static | darwin | percentile | hillclimbing-1k | hillclimbing-10k | adaptsize | directmapping | tinylfu")
+	fs.IntVar(&o.f, "f", 2, "static expert frequency threshold")
+	fs.Int64Var(&o.s, "s", 10<<10, "static expert size threshold (bytes)")
+	fs.Int64Var(&o.eval.HOCBytes, "hoc", o.eval.HOCBytes, "HOC bytes")
+	fs.Int64Var(&o.eval.DCBytes, "dc", o.eval.DCBytes, "DC bytes")
+	fs.Float64Var(&o.eval.WarmupFrac, "warmup", o.eval.WarmupFrac, "warm-up fraction excluded from metrics")
+	fs.StringVar(&o.objective, "objective", "ohr", "darwin objective: ohr | bmr | combined")
+	fs.IntVar(&o.n, "n", exp.Default().OnlineTraceLen, "synthetic trace length when -trace is empty")
+	fs.Int64Var(&o.seed, "seed", 7, "synthetic trace seed")
+	fs.StringVar(&o.modelPath, "model", "", "pre-trained model from darwin-train (darwin policy only; skips offline training)")
+	fs.IntVar(&o.parallelism, "parallelism", runtime.NumCPU(), "worker count for offline training sweeps; 1 forces the serial path")
+	return o
+}
+
 func main() {
-	var (
-		tracePath   = flag.String("trace", "", "trace file (id size time per line); empty generates a synthetic 50:50 mix")
-		policy      = flag.String("policy", "darwin", "static | darwin | percentile | hillclimbing-1k | hillclimbing-10k | adaptsize | directmapping | tinylfu")
-		f           = flag.Int("f", 2, "static expert frequency threshold")
-		s           = flag.Int64("s", 10<<10, "static expert size threshold (bytes)")
-		hoc         = flag.Int64("hoc", 2<<20, "HOC bytes")
-		dc          = flag.Int64("dc", 200<<20, "DC bytes")
-		warmup      = flag.Float64("warmup", 0.1, "warm-up fraction excluded from metrics")
-		objective   = flag.String("objective", "ohr", "darwin objective: ohr | bmr | combined")
-		n           = flag.Int("n", 200000, "synthetic trace length when -trace is empty")
-		seed        = flag.Int64("seed", 7, "synthetic trace seed")
-		modelPath   = flag.String("model", "", "pre-trained model from darwin-train (darwin policy only; skips offline training)")
-		parallelism = flag.Int("parallelism", runtime.NumCPU(), "worker count for offline training sweeps; 1 forces the serial path")
-	)
+	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	par.SetDefault(*parallelism)
-
-	tr, err := loadTrace(*tracePath, *n, *seed)
-	if err != nil {
-		fatal(err)
+	if err := o.run(os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "darwin-sim:", err)
+		os.Exit(1)
 	}
+}
 
+// buildCorpus is the offline phase; a variable so a test can see the scale
+// darwin-sim trains on.
+var buildCorpus = exp.BuildCorpus
+
+// run replays the trace the options name under o.policy and writes the
+// metrics to w. Training uses exp.Default()'s corpus shape with the flags'
+// cache, whatever the trace's length: the replayed trace sizes only the
+// adaptive baselines' windows.
+func (o *options) run(w io.Writer) error {
+	par.SetDefault(o.parallelism)
+	tr, err := loadTrace(o.tracePath, o.n, o.seed)
+	if err != nil {
+		return err
+	}
 	sc := exp.Default()
-	sc.Eval = cache.EvalConfig{HOCBytes: *hoc, DCBytes: *dc, WarmupFrac: *warmup}
-	sc.OnlineTraceLen = tr.Len()
+	sc.Eval = o.eval
 
 	var m cache.Metrics
-	switch *policy {
+	switch o.policy {
 	case "static":
-		m, err = cache.Evaluate(tr, cache.Expert{Freq: *f, MaxSize: *s}, sc.Eval)
+		m, err = cache.Evaluate(tr, cache.Expert{Freq: o.f, MaxSize: o.s}, sc.Eval)
 	case "darwin":
 		var model *core.Model
-		if *modelPath != "" {
+		if o.modelPath != "" {
 			var fd *os.File
-			fd, err = os.Open(*modelPath)
+			fd, err = os.Open(o.modelPath)
 			if err == nil {
 				model, err = core.ReadModel(fd)
 				fd.Close()
@@ -66,19 +93,16 @@ func main() {
 		} else {
 			fmt.Fprintln(os.Stderr, "darwin-sim: training Darwin on a synthetic corpus (this runs the full offline phase)...")
 			var c *exp.Corpus
-			c, err = exp.BuildCorpus(sc, *objective)
+			c, err = buildCorpus(sc, o.objective)
 			if err == nil {
 				model = c.Model
-				sc.Experts = c.Scale.Experts
 			}
 		}
 		if err == nil {
 			c := &exp.Corpus{Scale: sc, Model: model}
-			if model != nil {
-				c.Scale.Experts = model.Experts
-				if model.FeatureWindow > 0 {
-					c.Scale.Online.Warmup = model.FeatureWindow
-				}
+			c.Scale.Experts = model.Experts
+			if model.FeatureWindow > 0 {
+				c.Scale.Online.Warmup = model.FeatureWindow
 			}
 			var diags []core.EpochDiag
 			m, diags, err = exp.RunDarwin(c, tr)
@@ -90,27 +114,29 @@ func main() {
 	default:
 		fmt.Fprintln(os.Stderr, "darwin-sim: training offline corpus for baseline construction...")
 		var c *exp.Corpus
-		c, err = exp.BuildCorpus(sc, *objective)
+		c, err = buildCorpus(sc, o.objective)
 		if err == nil {
+			c.Scale.OnlineTraceLen = tr.Len()
 			var srv baselines.Server
-			srv, err = exp.NewBaseline(*policy, c)
+			srv, err = exp.NewBaseline(o.policy, c)
 			if err == nil {
 				m = baselines.Play(srv, tr, sc.Eval.WarmupFrac)
 			}
 		}
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
 
-	fmt.Printf("trace:              %s (%d requests)\n", tr.Name, tr.Len())
-	fmt.Printf("policy:             %s\n", *policy)
-	fmt.Printf("HOC OHR:            %.4f\n", m.OHR())
-	fmt.Printf("total OHR (HOC+DC): %.4f\n", m.TotalOHR())
-	fmt.Printf("HOC BMR:            %.4f\n", m.BMR())
-	fmt.Printf("disk writes:        %d objects, %.1f MB (%.1f B/request)\n",
+	fmt.Fprintf(w, "trace:              %s (%d requests)\n", tr.Name, tr.Len())
+	fmt.Fprintf(w, "policy:             %s\n", o.policy)
+	fmt.Fprintf(w, "HOC OHR:            %.4f\n", m.OHR())
+	fmt.Fprintf(w, "total OHR (HOC+DC): %.4f\n", m.TotalOHR())
+	fmt.Fprintf(w, "HOC BMR:            %.4f\n", m.BMR())
+	fmt.Fprintf(w, "disk writes:        %d objects, %.1f MB (%.1f B/request)\n",
 		m.DCWrites, float64(m.DCWriteBytes)/(1<<20), m.DiskWritesPerRequest())
-	fmt.Printf("origin fetches:     %d (%.1f MB midgress)\n", m.Misses, float64(m.MissBytes)/(1<<20))
+	fmt.Fprintf(w, "origin fetches:     %d (%.1f MB midgress)\n", m.Misses, float64(m.MissBytes)/(1<<20))
+	return nil
 }
 
 func loadTrace(path string, n int, seed int64) (*trace.Trace, error) {
@@ -123,9 +149,4 @@ func loadTrace(path string, n int, seed int64) (*trace.Trace, error) {
 	}
 	defer fd.Close()
 	return trace.Read(fd, path)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "darwin-sim:", err)
-	os.Exit(1)
 }

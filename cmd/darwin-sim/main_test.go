@@ -1,0 +1,82 @@
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"reflect"
+	"testing"
+
+	"darwin/internal/cache"
+	"darwin/internal/exp"
+)
+
+// TestTrainingScaleIgnoresReplayedTrace: the corpus darwin-sim trains on has
+// exp.Default()'s shape whatever the replayed trace's length. Sizing it from
+// the replayed trace made the offline phase generate one test trace per mix,
+// each as long as that trace, which nothing reads.
+func TestTrainingScaleIgnoresReplayedTrace(t *testing.T) {
+	var trained []exp.Scale
+	buildCorpus = func(sc exp.Scale, _ string) (*exp.Corpus, error) {
+		trained = append(trained, sc)
+		return &exp.Corpus{Scale: sc}, nil // enough for a baseline that learns online
+	}
+	defer func() { buildCorpus = exp.BuildCorpus }()
+
+	for _, n := range []string{"3000", "6000"} {
+		fs := flag.NewFlagSet("darwin-sim", flag.ContinueOnError)
+		o := registerFlags(fs)
+		if err := fs.Parse([]string{"-policy", "percentile", "-n", n, "-parallelism", "1"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.run(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := exp.Default()
+	if len(trained) != 2 {
+		t.Fatalf("trained %d times, want 2", len(trained))
+	}
+	for _, sc := range trained {
+		if !reflect.DeepEqual(sc, want) {
+			t.Errorf("trained on a scale other than exp.Default() (OnlineTraceLen %d, want %d)", sc.OnlineTraceLen, want.OnlineTraceLen)
+		}
+	}
+}
+
+// TestFlagDefaultsDeclaredOnce: every flag bound to a setting another
+// package owns shows that package's default, and every default is pinned.
+func TestFlagDefaultsDeclaredOnce(t *testing.T) {
+	fs := flag.NewFlagSet("darwin-sim", flag.ContinueOnError)
+	registerFlags(fs)
+	eval := cache.DefaultEvalConfig()
+	owned := map[string]any{
+		"hoc":    eval.HOCBytes,
+		"dc":     eval.DCBytes,
+		"warmup": eval.WarmupFrac,
+		"n":      exp.Default().OnlineTraceLen,
+	}
+	pinned := map[string]string{
+		"trace": "", "policy": "darwin", "f": "2", "s": "10240",
+		"hoc": "2097152", "dc": "209715200", "warmup": "0.1",
+		"objective": "ohr", "n": "200000", "seed": "7", "model": "",
+	}
+	for name, want := range owned {
+		if f := fs.Lookup(name); f == nil || f.DefValue != fmt.Sprint(want) {
+			t.Errorf("flag -%s: %+v, want its owning package's default %v", name, f, want)
+		}
+	}
+	// -parallelism defaults to the host's CPU count.
+	fs.VisitAll(func(f *flag.Flag) {
+		if want, ok := pinned[f.Name]; !ok && f.Name != "parallelism" {
+			t.Errorf("flag -%s has no pinned default", f.Name)
+		} else if ok && f.DefValue != want {
+			t.Errorf("flag -%s defaults to %q, want %q", f.Name, f.DefValue, want)
+		}
+	})
+	for name := range pinned {
+		if fs.Lookup(name) == nil {
+			t.Errorf("flag -%s is not registered", name)
+		}
+	}
+}

@@ -28,21 +28,25 @@ type options struct {
 	out, traces, objective, scale string
 	clusters, warmup              int
 	theta                         float64
-	hoc, dc, seed                 int64
+	seed                          int64
+	eval                          cache.EvalConfig
 }
 
+// registerFlags declares darwin-train's flags on fs, with the defaults of
+// cache.DefaultEvalConfig() and exp.Default().
 func registerFlags(fs *flag.FlagSet) *options {
-	o := &options{}
+	o := &options{eval: cache.DefaultEvalConfig()}
+	def := exp.Default()
 	fs.StringVar(&o.out, "o", "model.json", "output model file")
 	fs.StringVar(&o.traces, "traces", "", "glob of training trace files; empty generates a synthetic corpus")
 	fs.StringVar(&o.objective, "objective", "ohr", "objective: ohr | bmr | combined")
-	fs.IntVar(&o.clusters, "clusters", 8, "number of K-means clusters")
-	fs.Float64Var(&o.theta, "theta", 1, "expert-set threshold percent")
-	fs.Int64Var(&o.hoc, "hoc", 2<<20, "HOC bytes")
-	fs.Int64Var(&o.dc, "dc", 200<<20, "DC bytes")
-	fs.IntVar(&o.warmup, "warmup", exp.Default().Online.Warmup, "online warm-up length the model will be used with (aligns training features)")
+	fs.IntVar(&o.clusters, "clusters", def.NumClusters, "number of K-means clusters")
+	fs.Float64Var(&o.theta, "theta", def.ThetaPct, "expert-set threshold percent")
+	fs.Int64Var(&o.eval.HOCBytes, "hoc", o.eval.HOCBytes, "HOC bytes")
+	fs.Int64Var(&o.eval.DCBytes, "dc", o.eval.DCBytes, "DC bytes")
+	fs.IntVar(&o.warmup, "warmup", def.Online.Warmup, "online warm-up length the model will be used with (aligns training features)")
 	fs.StringVar(&o.scale, "scale", "default", "synthetic corpus scale: small | default")
-	fs.Int64Var(&o.seed, "seed", 1, "training seed")
+	fs.Int64Var(&o.seed, "seed", def.Seed, "training seed")
 	return o
 }
 
@@ -97,7 +101,7 @@ func (o *options) train() (*core.Model, error) {
 		default:
 			return nil, fmt.Errorf("unknown scale %q", o.scale)
 		}
-		sc.Eval.HOCBytes, sc.Eval.DCBytes = o.hoc, o.dc
+		sc.Eval = o.eval
 		sc.Online.Warmup = o.warmup
 		sc.NumClusters = o.clusters
 		sc.ThetaPct = o.theta
@@ -136,7 +140,7 @@ func (o *options) train() (*core.Model, error) {
 	fmt.Fprintf(os.Stderr, "darwin-train: evaluating %d traces x %d experts...\n",
 		len(traces), len(cache.DefaultGrid()))
 	ds, err := core.BuildDataset(traces, core.DatasetConfig{
-		Eval:          cache.EvalConfig{HOCBytes: o.hoc, DCBytes: o.dc, WarmupFrac: 0.1},
+		Eval:          o.eval,
 		FeatureWindow: o.warmup,
 	})
 	if err != nil {

@@ -143,6 +143,7 @@ var goneIdents = []string{
 	"WeightSchedule", "LoadFactor", "Config.Readiness", "EvaluateAllParallel", "TaskError",
 	"evaluateTrace", "CachedCorpus", "HindsightTrace", "resetHindsightCache",
 	"SaveCheckpoint", "LoadCheckpoint", "EncodeCheckpoint", "DecodeCheckpoint", "SaveFrame", "LoadFrame",
+	"FlapUp", "FlapDown", "CrashFrac",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

@@ -383,18 +383,6 @@ func (h *Hierarchy) Concurrent() bool { return false }
 // at the warm-up mark (baselines.Play, EvaluateHits).
 func (h *Hierarchy) ResetMetrics() { h.m = Metrics{} }
 
-// HOCBytes returns resident HOC bytes (for occupancy assertions in tests).
-func (h *Hierarchy) HOCBytes() int64 { return h.hoc.Bytes() }
-
-// DCBytes returns resident DC bytes.
-func (h *Hierarchy) DCBytes() int64 { return h.dc.Bytes() }
-
-// HOCLen returns the number of HOC-resident objects.
-func (h *Hierarchy) HOCLen() int { return h.hoc.Len() }
-
-// DCLen returns the number of DC-resident objects.
-func (h *Hierarchy) DCLen() int { return h.dc.Len() }
-
 // HOCVictim returns the object the HOC eviction policy would evict next —
 // used by admission filters (e.g. TinyLFU) that compare a candidate against
 // the incumbent victim.

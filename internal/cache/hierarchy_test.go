@@ -97,8 +97,8 @@ func TestHOCEvictsLRUUnderPressure(t *testing.T) {
 	}
 	warm(1)
 	warm(2) // HOC: {1,2} = 200 bytes
-	if h.HOCLen() != 2 {
-		t.Fatalf("HOCLen = %d, want 2", h.HOCLen())
+	if h.hoc.Len() != 2 {
+		t.Fatalf("HOCLen = %d, want 2", h.hoc.Len())
 	}
 	h.Serve(req(1, 100)) // HOC hit, 1 now MRU
 	warm(3)              // needs 100 bytes → evicts LRU = 2
@@ -106,8 +106,8 @@ func TestHOCEvictsLRUUnderPressure(t *testing.T) {
 		t.Fatalf("HOC contents wrong: 1=%v 2=%v 3=%v",
 			h.Lookup(1) == HOCHit, h.Lookup(2) == HOCHit, h.Lookup(3) == HOCHit)
 	}
-	if h.HOCBytes() > 250 {
-		t.Fatalf("HOC over capacity: %d", h.HOCBytes())
+	if h.hoc.Bytes() > 250 {
+		t.Fatalf("HOC over capacity: %d", h.hoc.Bytes())
 	}
 }
 
@@ -116,7 +116,7 @@ func TestObjectLargerThanHOCNeverAdmitted(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Serve(req(1, 500))
 	}
-	if h.HOCLen() != 0 {
+	if h.hoc.Len() != 0 {
 		t.Fatal("object larger than HOC capacity was admitted")
 	}
 	if m := h.Metrics(); m.DCHits == 0 {
@@ -156,12 +156,12 @@ func TestSetExpertTakesEffect(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Serve(req(1, 100))
 	}
-	if h.HOCLen() != 0 {
+	if h.hoc.Len() != 0 {
 		t.Fatal("expert f=100 should not admit")
 	}
 	h.SetExpert(Expert{Freq: 1, MaxSize: 500})
 	h.Serve(req(1, 100)) // DC hit, count=6 > 1 → promote
-	if h.HOCLen() != 1 {
+	if h.hoc.Len() != 1 {
 		t.Fatal("new expert did not take effect")
 	}
 	if h.ExpertSwitches() != 1 {
@@ -225,11 +225,11 @@ func TestCapacityInvariantUnderLoad(t *testing.T) {
 	h := mustHierarchy(t, 64<<10, 1<<20, Expert{Freq: 2, MaxSize: 10 << 10})
 	for _, r := range tr.Requests {
 		h.Serve(r)
-		if h.HOCBytes() > 64<<10 {
-			t.Fatalf("HOC over capacity: %d", h.HOCBytes())
+		if h.hoc.Bytes() > 64<<10 {
+			t.Fatalf("HOC over capacity: %d", h.hoc.Bytes())
 		}
-		if h.DCBytes() > 1<<20 {
-			t.Fatalf("DC over capacity: %d", h.DCBytes())
+		if h.dc.Bytes() > 1<<20 {
+			t.Fatalf("DC over capacity: %d", h.dc.Bytes())
 		}
 	}
 	if m := h.Metrics(); m.Requests != int64(tr.Len()) {

@@ -48,8 +48,8 @@ func checkRecords(t testing.TB, h *Hierarchy, aged bool) {
 			t.Fatalf("DC-resident %d has no record pointing at it", e.ID)
 		}
 	}
-	if h.HOCBytes() > h.hocCap || h.DCBytes() > h.dcCap {
-		t.Fatalf("over capacity: HOC %d/%d DC %d/%d", h.HOCBytes(), h.hocCap, h.DCBytes(), h.dcCap)
+	if h.hoc.Bytes() > h.hocCap || h.dc.Bytes() > h.dcCap {
+		t.Fatalf("over capacity: HOC %d/%d DC %d/%d", h.hoc.Bytes(), h.hocCap, h.dc.Bytes(), h.dcCap)
 	}
 }
 

@@ -139,8 +139,8 @@ func TestHierarchyWithS4LRU(t *testing.T) {
 	}
 	for _, r := range tr.Requests[:5000] {
 		h.Serve(r)
-		if h.HOCBytes() > 64<<10 {
-			t.Fatalf("HOC over capacity under s4lru: %d", h.HOCBytes())
+		if h.hoc.Bytes() > 64<<10 {
+			t.Fatalf("HOC over capacity under s4lru: %d", h.hoc.Bytes())
 		}
 	}
 }

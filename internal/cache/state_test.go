@@ -66,8 +66,8 @@ func TestHierarchyStateRoundTrip(t *testing.T) {
 	if restored.Metrics() != orig.Metrics() {
 		t.Fatalf("metrics diverge:\n restored %+v\n original %+v", restored.Metrics(), orig.Metrics())
 	}
-	if restored.HOCBytes() != orig.HOCBytes() || restored.DCBytes() != orig.DCBytes() ||
-		restored.HOCLen() != orig.HOCLen() || restored.DCLen() != orig.DCLen() {
+	if restored.hoc.Bytes() != orig.hoc.Bytes() || restored.dc.Bytes() != orig.dc.Bytes() ||
+		restored.hoc.Len() != orig.hoc.Len() || restored.dc.Len() != orig.dc.Len() {
 		t.Fatal("occupancy diverges after restore")
 	}
 	if restored.Expert() != orig.Expert() {
@@ -280,8 +280,8 @@ func TestRestoreDCKeepsNewestSuffix(t *testing.T) {
 	if h.Lookup(2) != DCHit || h.Lookup(3) != DCHit {
 		t.Fatal("newest entries should be DC-resident")
 	}
-	if h.DCBytes() != 1000 {
-		t.Fatalf("DCBytes = %d, want 1000", h.DCBytes())
+	if h.dc.Bytes() != 1000 {
+		t.Fatalf("DCBytes = %d, want 1000", h.dc.Bytes())
 	}
 	if err := h.RestoreDC([]ResidentObject{{ID: 9, Size: -1}}); err == nil {
 		t.Fatal("negative-size journal entry accepted")
@@ -366,12 +366,12 @@ func TestMergeDC(t *testing.T) {
 	}
 
 	// An invalid entry must reject the whole merge without touching state.
-	preBytes, preLen := inheritor.DCBytes(), inheritor.DCLen()
+	preBytes, preLen := inheritor.dc.Bytes(), inheritor.dc.Len()
 	bad := append(append([]ResidentObject{}, st.DC...), ResidentObject{ID: 999999, Size: -1})
 	if _, err := inheritor.MergeDC(bad); err == nil {
 		t.Fatal("negative-size merge entry accepted")
 	}
-	if inheritor.DCBytes() != preBytes || inheritor.DCLen() != preLen {
+	if inheritor.dc.Bytes() != preBytes || inheritor.dc.Len() != preLen {
 		t.Fatal("rejected merge mutated the inheritor")
 	}
 
@@ -392,8 +392,8 @@ func TestMergeDC(t *testing.T) {
 			t.Fatalf("most-protected donor object %d not resident after merge", st.DC[n-1].ID)
 		}
 	}
-	if inheritor.DCBytes() > cfg.DCBytes {
-		t.Fatalf("merge overflowed DC: %d > %d", inheritor.DCBytes(), cfg.DCBytes)
+	if inheritor.dc.Bytes() > cfg.DCBytes {
+		t.Fatalf("merge overflowed DC: %d > %d", inheritor.dc.Bytes(), cfg.DCBytes)
 	}
 	// A merge that fits entirely is idempotent: re-merging admits nothing.
 	cold, err := New(cfg)

@@ -1,14 +1,11 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"darwin/internal/cache"
 	"darwin/internal/faults"
 	"darwin/internal/server"
-	"darwin/internal/trace"
 )
 
 // ChaosConfig sizes the fault-injection experiment: a trace replayed through
@@ -23,17 +20,12 @@ type ChaosConfig struct {
 	Faults faults.Config
 	// Resilience is the hardened proxy's configuration; the control row
 	// always runs with the zero Resilience (the same pipeline, stages absent).
+	// Both rows run the rig workload (rig.go), so they differ only in the
+	// data plane.
 	Resilience server.Resilience
-	// Expert and Eval fix the static decider driving both rows, so the two
-	// arms differ only in the data plane.
-	Expert cache.Expert
-	Eval   cache.EvalConfig
-	// Mix and Seed generate the replayed trace.
-	Mix  int
-	Seed int64
 }
 
-// DefaultChaosConfig returns the benchmark-scale chaos schedule: 10% hard
+// DefaultChaosConfig returns the reported chaos schedule: 10% hard
 // origin errors, 5% latency spikes, 5% mid-stream truncations, and one
 // 150 ms hard outage window starting 150 ms into the run.
 func DefaultChaosConfig() ChaosConfig {
@@ -52,38 +44,7 @@ func DefaultChaosConfig() ChaosConfig {
 			Outages:      []faults.Window{{Start: 150 * time.Millisecond, End: 300 * time.Millisecond}},
 		},
 		Resilience: server.DefaultResilience(),
-		Expert:     cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		Eval:       cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20},
-		Mix:        50,
-		Seed:       7,
 	}
-}
-
-// chaosRun deploys a node with the static expert and the resilience stages
-// res (overload stages absent) over the fault-injected origin, replays the
-// trace through it, and returns the client-side result plus the proxy and
-// injector counters.
-func chaosRun(cc ChaosConfig, res server.Resilience, tr *trace.Trace) (server.LoadResult, server.ProxyStats, faults.Stats, error) {
-	injector := faults.New(cc.Faults)
-	r := newRig(injector.Wrap(&server.Origin{Latency: cc.Prototype.OriginLatency}))
-	defer r.close()
-	cfg := r.config(cc.Eval, res, server.Overload{})
-	cfg.Expert, cfg.DCLatency = cc.Expert, cc.Prototype.DCLatency
-	n, err := r.startNode(cfg)
-	if err != nil {
-		return server.LoadResult{}, server.ProxyStats{}, faults.Stats{}, err
-	}
-
-	// The chaos experiment is a wall-clock measurement, not a replay: outage
-	// windows are anchored to the physical clock of the live origin server.
-	//lint:ignore determinism prototype testbed runs on the physical clock; simulator replays never reach this path
-	injector.Restart(time.Now()) // align outage windows with the replay
-	lr, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
-		ProxyURL:       n.url,
-		Concurrency:    cc.Prototype.Concurrency,
-		RequestTimeout: 30 * time.Second,
-	})
-	return lr, n.Proxy.Stats(), injector.Stats(), err
 }
 
 // ChaosReport runs the chaos experiment twice under an identical fault
@@ -94,10 +55,6 @@ func chaosRun(cc ChaosConfig, res server.Resilience, tr *trace.Trace) (server.Lo
 // injected fault rate: retries absorb transient errors, coalescing shrinks
 // the origin's blast radius, and serve-stale covers outage windows.
 func ChaosReport(cc ChaosConfig) (*Report, error) {
-	tr, err := SyntheticMix(cc.Mix, cc.Prototype.TraceLen, cc.Seed)
-	if err != nil {
-		return nil, err
-	}
 	rep := &Report{
 		Title: "Chaos: proxy under origin faults (resilient vs control)",
 		Header: []string{"scheme", "ok", "errors", "errrate", "timeout", "5xx", "trunc",
@@ -112,10 +69,12 @@ func ChaosReport(cc ChaosConfig) (*Report, error) {
 	}
 	var injected float64
 	for _, arm := range arms {
-		lr, ps, fs, err := chaosRun(cc, arm.res, tr)
+		inj := faults.New(cc.Faults)
+		lr, p, err := faultedRun(cc.Prototype, inj, arm.res, server.Overload{}, server.LoadConfig{})
 		if err != nil {
 			return nil, err
 		}
+		ps, fs := p.Stats(), inj.Stats()
 		ohr := 0.0
 		if lr.Requests > 0 {
 			ohr = float64(lr.HOCHits) / float64(lr.Requests)

@@ -23,10 +23,9 @@ import (
 	"darwin/internal/server"
 )
 
-// ClusterConfig sizes the cluster chaos experiment.
+// ClusterConfig sizes the cluster chaos experiment: clusterNodes nodes
+// serving the rig workload (rig.go).
 type ClusterConfig struct {
-	// Nodes is the cluster size (default 3).
-	Nodes int
 	// WindowLen is the rebalance window length in requests: the front's
 	// weights, budgets and replication factors refresh at each boundary.
 	WindowLen int
@@ -34,27 +33,20 @@ type ClusterConfig struct {
 	// tail of that window shows in-request failover before the boundary
 	// strips the node's weight.
 	DrainAt int
-	// Expert and Eval fix each node's admission expert and level capacities.
-	Expert cache.Expert
-	Eval   cache.EvalConfig
-	// Mix, TraceLen, and Seed generate the replayed trace.
-	Mix      int
+	// TraceLen is the replayed trace's length.
 	TraceLen int
-	Seed     int64
 }
 
-// DefaultClusterConfig returns the benchmark-scale cluster schedule: 3 nodes,
-// 12 windows of 2000 requests, node 0 draining mid-window 5.
+// clusterNodes is the cluster size.
+const clusterNodes = 3
+
+// DefaultClusterConfig returns the reported cluster schedule: 12 windows of
+// 2000 requests, node 0 draining mid-window 5.
 func DefaultClusterConfig() ClusterConfig {
 	return ClusterConfig{
-		Nodes:     3,
 		WindowLen: 2000,
 		DrainAt:   11_000,
-		Expert:    cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		Eval:      cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20},
-		Mix:       50,
 		TraceLen:  24_000,
-		Seed:      7,
 	}
 }
 
@@ -71,8 +63,8 @@ type clusterWindow struct {
 	drainWeight float64
 	// nodeReqs / nodeHits are each node's own books (client requests plus the
 	// sibling probes it answered with a hit).
-	nodeReqs []int64
-	nodeHits []int64
+	nodeReqs [clusterNodes]int64
+	nodeHits [clusterNodes]int64
 
 	hotObjects int // the front's replication stats at the window's close
 	maxFactor  int
@@ -110,14 +102,14 @@ func (r *ClusterResult) Recovery() float64 {
 // RunCluster replays the seeded trace through the deployed cluster and
 // returns the windowed trajectory.
 func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
-	tr, err := SyntheticMix(cc.Mix, cc.TraceLen, cc.Seed)
+	tr, err := SyntheticMix(rigMix, cc.TraceLen, rigSeed)
 	if err != nil {
 		return nil, err
 	}
 	origin := &server.Origin{}
 	r := newRig(origin)
 	defer r.close()
-	nodes, err := r.startNodes(cc.Nodes, r.nodeConfig(cc.Expert, cc.Eval), true)
+	nodes, err := r.startNodes(clusterNodes, r.nodeConfig(rigExpert, rigEval), true)
 	if err != nil {
 		return nil, err
 	}
@@ -131,7 +123,7 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 	var cw *clusterWindow
 	var lastOrigin int64
 	lastFront := r.front.Stats()
-	lastNode := make([]cache.Metrics, cc.Nodes)
+	var lastNode [clusterNodes]cache.Metrics
 	closeWindow := func() {
 		if cw == nil {
 			return
@@ -163,7 +155,7 @@ func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
 		}
 		if i%cc.WindowLen == 0 {
 			closeWindow()
-			cw = &clusterWindow{nodeReqs: make([]int64, cc.Nodes), nodeHits: make([]int64, cc.Nodes)}
+			cw = &clusterWindow{}
 		}
 		s, err := r.get(r.frontSrv.URL, req)
 		if err != nil {
@@ -208,16 +200,16 @@ func ClusterReport(cc ClusterConfig) (*Report, error) {
 	}
 	rep := &Report{
 		Title: fmt.Sprintf("Cluster chaos: %d-node edge behind the front tier, node 0 drains at request %d (window %d)",
-			cc.Nodes, cc.DrainAt, cr.DrainWindow),
+			clusterNodes, cc.DrainAt, cr.DrainWindow),
 	}
 	rep.Header = []string{"window"}
-	for n := 0; n < cc.Nodes; n++ {
+	for n := 0; n < clusterNodes; n++ {
 		rep.Header = append(rep.Header, fmt.Sprintf("n%d-ohr", n))
 	}
 	rep.Header = append(rep.Header, "ohr", "peerfill", "origin", "failover", "errors", "n0-wt", "hot", "maxR")
 	for w, cw := range cr.Windows {
 		row := []string{fmt.Sprint(w)}
-		for n := 0; n < cc.Nodes; n++ {
+		for n := 0; n < clusterNodes; n++ {
 			if cw.nodeReqs[n] == 0 {
 				row = append(row, "-")
 				continue

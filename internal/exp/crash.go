@@ -18,8 +18,6 @@ import (
 type CrashConfig struct {
 	// Scale fixes the trace and cache sizes.
 	Scale Scale
-	// CrashFrac is the fraction of the trace served before the crash.
-	CrashFrac float64
 	// Window is the OHR trajectory window in requests.
 	Window int
 	// CkptEvery is the checkpoint cadence in requests — the crash loses the
@@ -29,13 +27,12 @@ type CrashConfig struct {
 	Sync diskcache.SyncPolicy
 }
 
-// DefaultCrashConfig returns the benchmark-scale crash schedule: crash at
-// half-trace, 2k-request windows, checkpoint every 6k requests (so the crash
-// loses a 2k-request tail the journal must make good).
+// DefaultCrashConfig returns the reported crash schedule: 2k-request
+// windows, checkpoint every 6k requests (so the crash at half-trace loses a
+// 2k-request tail the journal must make good).
 func DefaultCrashConfig() CrashConfig {
 	return CrashConfig{
 		Scale:     Small(),
-		CrashFrac: 0.5,
 		Window:    2_000,
 		CkptEvery: 6_000,
 		Sync:      diskcache.SyncBatch,
@@ -60,14 +57,15 @@ type crashArm struct {
 // regain the pre-crash hit rate. The recovered arm should be back in its
 // first window; the cold arm must re-earn the whole cache.
 func CrashRecoveryReport(cc CrashConfig) (*Report, error) {
-	if cc.Window <= 0 || cc.CrashFrac <= 0 || cc.CrashFrac >= 1 {
+	if cc.Window <= 0 {
 		return nil, fmt.Errorf("exp: bad crash config %+v", cc)
 	}
-	_, test, err := BuildTraces(cc.Scale)
+	// The scale's first test trace (BuildTraces' 0:100 mix, first seed),
+	// generated alone.
+	tr, err := SyntheticMix(0, cc.Scale.OnlineTraceLen, cc.Scale.Seed+500)
 	if err != nil {
 		return nil, err
 	}
-	tr := test[0]
 	dir, err := os.MkdirTemp("", "darwin-crash-*")
 	if err != nil {
 		return nil, err
@@ -85,7 +83,7 @@ func CrashRecoveryReport(cc CrashConfig) (*Report, error) {
 	}
 
 	// Phase 1: flood until the crash point, checkpointing on cadence.
-	crashAt := int(float64(tr.Len()) * cc.CrashFrac)
+	crashAt := tr.Len() / 2
 	var preHOC, preAny int
 	for i := 0; i < crashAt; i++ {
 		s, err := r.get(victim.url, tr.Requests[i])

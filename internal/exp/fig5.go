@@ -48,7 +48,22 @@ func Fig5bClusterReduction(ds *core.Dataset, numClusters int, thetas []float64, 
 		Title:  "Figure 5b/9: expert reduction after clustering",
 		Header: []string{"theta%", "avg set size", "median", "p90", "avg reduction %"},
 	}
-	k := float64(len(ds.Experts))
+	err := thetaSweep(ds, numClusters, thetas, seed, func(theta float64, sizes []float64, avg, reduction float64) {
+		rep.AddRow(fmt.Sprintf("%.0f", theta), f2(avg),
+			f2(stats.Percentile(sizes, 50)), f2(stats.Percentile(sizes, 90)), f2(reduction))
+	})
+	if err != nil {
+		return nil, err
+	}
+	rep.AddNote("grid size %d experts; paper reports 82%% reduction at theta=1, 35%% at theta=5", len(ds.Experts))
+	return rep, nil
+}
+
+// thetaSweep clusters ds (predictors skipped) once per θ and, for each θ
+// that leaves some expert set non-empty, calls row with the non-empty sets'
+// sizes, their mean, and the mean's reduction from the full grid in percent:
+// the rows Figures 5b, 9 and 11 tabulate.
+func thetaSweep(ds *core.Dataset, numClusters int, thetas []float64, seed int64, row func(theta float64, sizes []float64, avg, reduction float64)) error {
 	for _, theta := range thetas {
 		m, err := core.Train(ds, core.TrainConfig{
 			NumClusters:    numClusters,
@@ -57,7 +72,7 @@ func Fig5bClusterReduction(ds *core.Dataset, numClusters int, thetas []float64, 
 			SkipPredictors: true,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		var sizes []float64
 		for _, set := range m.ExpertSets {
@@ -65,20 +80,12 @@ func Fig5bClusterReduction(ds *core.Dataset, numClusters int, thetas []float64, 
 				sizes = append(sizes, float64(len(set)))
 			}
 		}
-		if len(sizes) == 0 {
-			continue
+		if len(sizes) > 0 {
+			avg := stats.Mean(sizes)
+			row(theta, sizes, avg, (1-avg/float64(len(ds.Experts)))*100)
 		}
-		avg := stats.Mean(sizes)
-		rep.AddRow(
-			fmt.Sprintf("%.0f", theta),
-			f2(avg),
-			f2(stats.Percentile(sizes, 50)),
-			f2(stats.Percentile(sizes, 90)),
-			f2((1-avg/k)*100),
-		)
 	}
-	rep.AddNote("grid size %d experts; paper reports 82%% reduction at theta=1, 35%% at theta=5", len(ds.Experts))
-	return rep, nil
+	return nil
 }
 
 // Fig5cPredictorAccuracy reproduces Figure 5c (and the out-of-distribution

@@ -23,18 +23,16 @@ import (
 	"fmt"
 	"time"
 
-	"darwin/internal/cache"
 	"darwin/internal/gossip"
 	"darwin/internal/server"
 	"darwin/internal/trace"
 )
 
-// FlapConfig sizes the three arms.
+// FlapConfig sizes the three arms, each serving the rig workload (rig.go).
 type FlapConfig struct {
-	// Arm 1: the probe path to node 0 cycles FlapUp up then FlapDown down,
-	// for FlapCycles cycles (defaults 1 s / 1 s / 15).
-	FlapUp, FlapDown time.Duration
-	FlapCycles       int
+	// Arm 1: the probe path to node 0 cycles flapPhase up then flapPhase
+	// down, for FlapCycles cycles (default 15).
+	FlapCycles int
 
 	// Arm 2: the front's probe path to the last of the flapNodes nodes is
 	// severed after PrefaultReqs requests and stays severed for FaultReqs
@@ -47,34 +45,24 @@ type FlapConfig struct {
 	WindowLen     int
 	WarmWindows   int
 	ReplayWindows int
-
-	// Expert and Eval fix each node's admission expert and level capacities.
-	Expert cache.Expert
-	Eval   cache.EvalConfig
-	// Mix and Seed generate the seeded traces.
-	Mix  int
-	Seed int64
 }
 
 // flapNodes is the cluster size of arms 1 and 2 (arm 3 is a donor and its
 // successor).
 const flapNodes = 3
 
-// DefaultFlapConfig returns the benchmark-scale flap schedule.
+// flapPhase is how long arm 1's probe path stays up, then down, per cycle.
+const flapPhase = 1 * time.Second
+
+// DefaultFlapConfig returns the reported flap schedule.
 func DefaultFlapConfig() FlapConfig {
 	return FlapConfig{
-		FlapUp:        1 * time.Second,
-		FlapDown:      1 * time.Second,
 		FlapCycles:    15,
 		PrefaultReqs:  12_000,
 		FaultReqs:     12_000,
 		WindowLen:     2000,
 		WarmWindows:   6,
 		ReplayWindows: 8,
-		Expert:        cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		Eval:          cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20},
-		Mix:           50,
-		Seed:          7,
 	}
 }
 
@@ -131,7 +119,7 @@ func runFlapArm(fc FlapConfig, detector gossip.Config) (FlapDetectorOutcome, err
 	var out FlapDetectorOutcome
 	r := newRig(&server.Origin{})
 	defer r.close()
-	nodes, err := r.startNodes(flapNodes, r.nodeConfig(fc.Expert, fc.Eval), true)
+	nodes, err := r.startNodes(flapNodes, r.nodeConfig(rigExpert, rigEval), true)
 	if err != nil {
 		return out, err
 	}
@@ -150,10 +138,10 @@ func runFlapArm(fc FlapConfig, detector gossip.Config) (FlapDetectorOutcome, err
 		return out, err
 	}
 	tick := time.Duration(rigProbeStride()) * rigPerRequest
-	period := fc.FlapUp + fc.FlapDown
+	period := 2 * flapPhase
 	for t := time.Duration(0); t < time.Duration(fc.FlapCycles)*period; t += tick {
 		r.severed = ""
-		if t%period >= fc.FlapUp {
+		if t%period >= flapPhase {
 			r.severed = nodes[0].url
 		}
 		r.probe() // every probe round also grades every backend
@@ -171,14 +159,14 @@ func runFlapArm(fc FlapConfig, detector gossip.Config) (FlapDetectorOutcome, err
 // node stands alone and the front can only poll its /readyz.
 func runPartitionArm(fc FlapConfig, peered bool) (PartitionOutcome, error) {
 	var out PartitionOutcome
-	tr, err := SyntheticMix(fc.Mix, fc.PrefaultReqs+fc.FaultReqs, fc.Seed)
+	tr, err := SyntheticMix(rigMix, fc.PrefaultReqs+fc.FaultReqs, rigSeed)
 	if err != nil {
 		return out, err
 	}
 	stride := rigProbeStride()
 	r := newRig(&server.Origin{})
 	defer r.close()
-	nodes, err := r.startNodes(flapNodes, r.nodeConfig(fc.Expert, fc.Eval), peered)
+	nodes, err := r.startNodes(flapNodes, r.nodeConfig(rigExpert, rigEval), peered)
 	if err != nil {
 		return out, err
 	}
@@ -246,7 +234,7 @@ func runPartitionArm(fc FlapConfig, peered bool) (PartitionOutcome, error) {
 func runHandoff(fc FlapConfig, tr *trace.Trace, warm bool) (donor, heir []float64, err error) {
 	r := newRig(&server.Origin{})
 	defer r.close()
-	nodes, err := r.startNodes(2, r.nodeConfig(fc.Expert, fc.Eval), true)
+	nodes, err := r.startNodes(2, r.nodeConfig(rigExpert, rigEval), true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -269,7 +257,7 @@ func runHandoff(fc FlapConfig, tr *trace.Trace, warm bool) (donor, heir []float6
 // inheritor of a donor that never served.
 func runHandoffArm(fc FlapConfig) (HandoffOutcome, error) {
 	var out HandoffOutcome
-	tr, err := SyntheticMix(fc.Mix, (fc.WarmWindows+fc.ReplayWindows)*fc.WindowLen, fc.Seed+1)
+	tr, err := SyntheticMix(rigMix, (fc.WarmWindows+fc.ReplayWindows)*fc.WindowLen, rigSeed+1)
 	if err != nil {
 		return out, err
 	}
@@ -337,7 +325,7 @@ func FlapReport(fc FlapConfig) (*Report, error) {
 	rep.AddRow("handoff/cold", "windows to 95%", fmt.Sprint(res.Handoff.ColdWindows), ">= 4 (or never)")
 	rep.AddRow("handoff/cold", "first-window ohr", f4(res.Handoff.ColdFirstOHR), "-")
 	rep.AddNote("flap: the front's probe path to node 0 cycles %v up / %v down for %d cycles; no-hysteresis is the same front with PhiSuspect = PhiDead = %g and a %v dwell",
-		fc.FlapUp, fc.FlapDown, fc.FlapCycles, noHysteresis.PhiDead, noHysteresis.MinDwell)
+		flapPhase, flapPhase, fc.FlapCycles, noHysteresis.PhiDead, noHysteresis.MinDwell)
 	rep.AddNote("partition: the front cannot probe node %d for %d requests; gossip nodes relay its heartbeats on their peer probes, readyz nodes run without -peers",
 		flapNodes-1, fc.FaultReqs)
 	rep.AddNote("handoff: the donor's DRWNCKPT frame goes through its ring successor's /state (DC then HOC, hot core most protected) before replay; cold is a donor that never served")

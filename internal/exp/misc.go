@@ -8,7 +8,6 @@ import (
 	"darwin/internal/baselines"
 	"darwin/internal/cache"
 	"darwin/internal/core"
-	"darwin/internal/stats"
 	"darwin/internal/trace"
 	"darwin/internal/tracegen"
 )
@@ -55,27 +54,11 @@ func Fig11ThreeKnob(c *Corpus, thetas []float64) (*Report, error) {
 		Title:  "Figure 11: expert reduction with three knobs (f, s, recency)",
 		Header: []string{"theta%", "avg set size", "avg reduction %"},
 	}
-	for _, theta := range thetas {
-		m, err := core.Train(ds, core.TrainConfig{
-			NumClusters:    sc.NumClusters,
-			ThetaPct:       theta,
-			Seed:           sc.Seed,
-			SkipPredictors: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		var sizes []float64
-		for _, set := range m.ExpertSets {
-			if len(set) > 0 {
-				sizes = append(sizes, float64(len(set)))
-			}
-		}
-		if len(sizes) == 0 {
-			continue
-		}
-		avg := stats.Mean(sizes)
-		rep.AddRow(fmt.Sprintf("%.0f", theta), f2(avg), f2((1-avg/float64(len(sc.Experts)))*100))
+	err = thetaSweep(ds, sc.NumClusters, thetas, sc.Seed, func(theta float64, _ []float64, avg, reduction float64) {
+		rep.AddRow(fmt.Sprintf("%.0f", theta), f2(avg), f2(reduction))
+	})
+	if err != nil {
+		return nil, err
 	}
 	rep.AddNote("paper: 90%% reduction at theta=1%% over 36 three-knob experts")
 	return rep, nil

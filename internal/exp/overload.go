@@ -1,23 +1,21 @@
 package exp
 
 import (
-	"context"
 	"fmt"
 	"time"
 
-	"darwin/internal/breaker"
-	"darwin/internal/cache"
 	"darwin/internal/faults"
 	"darwin/internal/server"
-	"darwin/internal/trace"
 )
 
 // OverloadConfig sizes the overload chaos experiment: a flash-crowd arrival
 // schedule replayed against a browned-out origin (stalls + errors + one hard
 // outage), comparing the retry-only pipeline (server.Overload{}: the overload
 // stages absent) with the full overload-protection stack (circuit breaker,
-// admission control, deadline propagation, hedging, retry budget). The regime the paper's §6.4 testbed never enters —
-// and the one where retries alone make things worse, not better.
+// admission control, deadline propagation, hedging, retry budget), both
+// serving the rig workload (rig.go). The regime the paper's §6.4 testbed
+// never enters — and the one where retries alone make things worse, not
+// better.
 type OverloadConfig struct {
 	// Prototype carries the testbed latencies and client concurrency.
 	Prototype PrototypeConfig
@@ -36,18 +34,12 @@ type OverloadConfig struct {
 	Deadline time.Duration
 	// Burst is the seeded flash-crowd arrival schedule driving dispatch.
 	Burst server.Burst
-	// Expert and Eval fix the static decider driving both arms.
-	Expert cache.Expert
-	Eval   cache.EvalConfig
-	// Mix and Seed generate the replayed trace.
-	Mix  int
-	Seed int64
 }
 
-// DefaultOverloadConfig returns the benchmark-scale overload schedule: a
+// DefaultOverloadConfig returns the reported overload schedule: a
 // 300 ms client deadline against an origin that stalls 12% of responses for
 // 900 ms (slow enough to blow the deadline, fast enough that the retry-only
-// proxy happily waits it out), errors 10%, and goes hard-down for one 400 ms
+// proxy happily waits it out), errors 10%, and goes hard-down for one 1 s
 // window — while the client dispatches in seeded flash crowds.
 func DefaultOverloadConfig() OverloadConfig {
 	pc := DefaultPrototypeConfig()
@@ -72,41 +64,7 @@ func DefaultOverloadConfig() OverloadConfig {
 			Every: 500,
 			Len:   125,
 		},
-		Expert: cache.Expert{Freq: 1, MaxSize: 1 << 20},
-		Eval:   cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20},
-		Mix:    50,
-		Seed:   7,
 	}
-}
-
-// overloadRun deploys a node with the static expert, the shared resilience
-// stages and the overload stages ov over the browned-out origin, replays the
-// flash-crowd trace through it, and returns the client-side result plus the
-// proxy counters and the breaker snapshot (zero for the retry-only arm).
-func overloadRun(oc OverloadConfig, ov server.Overload, tr *trace.Trace) (server.LoadResult, server.ProxyStats, breaker.Snapshot, error) {
-	injector := faults.New(oc.Faults)
-	r := newRig(injector.Wrap(&server.Origin{Latency: oc.Prototype.OriginLatency}))
-	defer r.close()
-	cfg := r.config(oc.Eval, oc.Resilience, ov)
-	cfg.Expert, cfg.DCLatency = oc.Expert, oc.Prototype.DCLatency
-	n, err := r.startNode(cfg)
-	if err != nil {
-		return server.LoadResult{}, server.ProxyStats{}, breaker.Snapshot{}, err
-	}
-
-	// Like the chaos experiment, a wall-clock measurement: the brownout
-	// windows anchor to the physical clock of the live origin server.
-	//lint:ignore determinism prototype testbed runs on the physical clock; simulator replays never reach this path
-	injector.Restart(time.Now()) // align the brownout windows with the replay
-	lr, err := server.RunLoad(context.Background(), tr, server.LoadConfig{
-		ProxyURL:       n.url,
-		Concurrency:    oc.Prototype.Concurrency,
-		RequestTimeout: 30 * time.Second,
-		Deadline:       oc.Deadline,
-		Burst:          &oc.Burst,
-	})
-	snap, _ := n.Proxy.BreakerSnapshot()
-	return lr, n.Proxy.Stats(), snap, err
 }
 
 // OverloadReport runs the flash-crowd brownout twice under an identical
@@ -117,10 +75,6 @@ func overloadRun(oc OverloadConfig, ov server.Overload, tr *trace.Trace) (server
 // fast answers instead of slow ones, and the breaker converts the outage
 // window into cheap stale serves instead of doomed fetches.
 func OverloadReport(oc OverloadConfig) (*Report, error) {
-	tr, err := SyntheticMix(oc.Mix, oc.Prototype.TraceLen, oc.Seed)
-	if err != nil {
-		return nil, err
-	}
 	rep := &Report{
 		Title: "Overload: flash crowd vs origin brownout (protected vs retry-only)",
 		Header: []string{"scheme", "ok", "ontime", "goodput", "errors", "shed", "stale",
@@ -134,10 +88,13 @@ func OverloadReport(oc OverloadConfig) (*Report, error) {
 		{"protected", oc.Overload},
 	}
 	for _, arm := range arms {
-		lr, ps, bs, err := overloadRun(oc, arm.ov, tr)
+		lr, p, err := faultedRun(oc.Prototype, faults.New(oc.Faults), oc.Resilience, arm.ov,
+			server.LoadConfig{Deadline: oc.Deadline, Burst: &oc.Burst})
 		if err != nil {
 			return nil, err
 		}
+		ps := p.Stats()
+		bs, _ := p.BreakerSnapshot() // zero for the retry-only arm
 		rep.AddRow(arm.name,
 			fmt.Sprint(lr.Requests), fmt.Sprint(lr.OnTime), f4(lr.GoodputRate()),
 			fmt.Sprint(lr.Errors), fmt.Sprint(lr.Shed), fmt.Sprint(lr.StaleServes),
@@ -147,14 +104,11 @@ func OverloadReport(oc OverloadConfig) (*Report, error) {
 			fmt.Sprint(bs.Opens), fmt.Sprint(bs.Denied))
 	}
 	rep.AddNote("client deadline %v; goodput = on-time completions / issued requests", oc.Deadline)
-	if len(oc.Faults.Outages) > 0 {
-		rep.AddNote("brownout: %.0f%% stalls of %v, %.0f%% errors, outage %v-%v",
-			oc.Faults.StallRate*100, oc.Faults.Stall, oc.Faults.ErrorRate*100,
-			oc.Faults.Outages[0].Start, oc.Faults.Outages[0].End)
-	} else {
-		rep.AddNote("brownout: %.0f%% stalls of %v, %.0f%% errors",
-			oc.Faults.StallRate*100, oc.Faults.Stall, oc.Faults.ErrorRate*100)
+	brownout := fmt.Sprintf("brownout: %.0f%% stalls of %v, %.0f%% errors", oc.Faults.StallRate*100, oc.Faults.Stall, oc.Faults.ErrorRate*100)
+	if o := oc.Faults.Outages; len(o) > 0 {
+		brownout += fmt.Sprintf(", outage %v-%v", o[0].Start, o[0].End)
 	}
+	rep.AddNote("%s", brownout)
 	rep.AddNote("protected arm: deadline-bounded hedged fetches + breaker (opens=bropen) shed doomed work; retry-only waits out every stall")
 	return rep, nil
 }

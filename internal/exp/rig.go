@@ -35,6 +35,7 @@ import (
 	"time"
 
 	"darwin/internal/cache"
+	"darwin/internal/faults"
 	"darwin/internal/gossip"
 	"darwin/internal/node"
 	"darwin/internal/server"
@@ -50,6 +51,19 @@ const (
 	// rigDeadline replaces every real-time deadline in the rig; none is
 	// expected to fire.
 	rigDeadline = 30 * time.Second
+)
+
+// The rig workload: what every rig experiment but the crash replay serves —
+// a static expert admitting anything up to 1 MiB on its first request, a
+// 256 KiB HOC over a 32 MiB DC, and a seeded 50:50 Image:Download mix.
+var (
+	rigExpert = cache.Expert{Freq: 1, MaxSize: 1 << 20}
+	rigEval   = cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20}
+)
+
+const (
+	rigMix  = 50
+	rigSeed = 7
 )
 
 // simClock is the injected time source: it only moves when the schedule
@@ -126,6 +140,35 @@ func (r *rig) config(eval cache.EvalConfig, res server.Resilience, ov server.Ove
 		Resilience: res,
 		Overload:   ov,
 	}
+}
+
+// faultedRun is the measurement chaos and overload share: one node running
+// the rig expert with the pipeline stages res and ov (on the wall clock),
+// over an origin with pc's latency behind inj, driven with pc.TraceLen
+// requests of the rig workload by server.RunLoad's concurrent client. lc
+// carries the client's deadline and arrival schedule; the proxy URL,
+// concurrency and request timeout are set here. The proxy comes back for its
+// counters.
+func faultedRun(pc PrototypeConfig, inj *faults.Injector, res server.Resilience, ov server.Overload, lc server.LoadConfig) (server.LoadResult, *server.Proxy, error) {
+	tr, err := SyntheticMix(rigMix, pc.TraceLen, rigSeed)
+	if err != nil {
+		return server.LoadResult{}, nil, err
+	}
+	r := newRig(inj.Wrap(&server.Origin{Latency: pc.OriginLatency}))
+	defer r.close()
+	cfg := r.config(rigEval, res, ov)
+	cfg.Expert, cfg.DCLatency = rigExpert, pc.DCLatency
+	n, err := r.startNode(cfg)
+	if err != nil {
+		return server.LoadResult{}, nil, err
+	}
+	// A wall-clock measurement, not a replay: the outage windows anchor to
+	// the physical clock of the live origin server.
+	//lint:ignore determinism prototype testbed runs on the physical clock; simulator replays never reach this path
+	inj.Restart(time.Now())
+	lc.ProxyURL, lc.Concurrency, lc.RequestTimeout = n.url, pc.Concurrency, rigDeadline
+	lr, err := server.RunLoad(context.Background(), tr, lc)
+	return lr, n.Proxy, err
 }
 
 // startNode deploys one node on a fresh listener and waits for its recovery

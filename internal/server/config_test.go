@@ -104,7 +104,8 @@ var goneFields = []string{
 // goneDecls are deleted declarations, by package directory ("Type.Method"
 // for a method): those that carried the gone knobs, capabilities no caller
 // outside tests used, internal/exp's process-wide memos, the simulator's
-// warm-up reset and the duplicate standardisers and checkpoint file codecs.
+// warm-up reset, the duplicate standardisers and checkpoint file codecs, and
+// the two faulted-origin runs internal/exp's faultedRun replaced.
 var goneDecls = map[string][]string{
 	".": {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults"},
 	"../baselines": {"Static", "NewStatic", "NewStaticSharded", "newHierarchy", "scaleVec",
@@ -116,10 +117,12 @@ var goneDecls = map[string][]string{
 	"../diskcache": {"Config.WithDefaults"},
 	"../par":       {"Do", "TaskError", "Errors"},
 	"../cache": {"EvaluateAllParallel", "Hierarchy.Play", "Index", "Sharded.SetAdmission",
-		"Sharded.HOCBytes", "Sharded.DCBytes", "Sharded.HOCLen", "Sharded.DCLen"},
+		"Sharded.HOCBytes", "Sharded.DCBytes", "Sharded.HOCLen", "Sharded.DCLen",
+		"Hierarchy.HOCBytes", "Hierarchy.DCBytes", "Hierarchy.HOCLen", "Hierarchy.DCLen"},
 	"../core": {"Controller.ResetMetrics", "EvictionSelector.Choices", "EvictionSelector.Exploiting",
 		"EncodeCheckpoint", "DecodeCheckpoint", "SaveCheckpoint", "LoadCheckpoint"},
-	"../exp":      {"CachedCorpus", "Hindsight", "HindsightTrace", "EnsembleSet", "corpusCache", "hindsightCache", "compareCache"},
+	"../exp": {"CachedCorpus", "Hindsight", "HindsightTrace", "EnsembleSet", "corpusCache", "hindsightCache", "compareCache",
+		"chaosRun", "overloadRun"},
 	"../stats":    {"Variance", "StdDev", "Welford", "Clamp", "Histogram.Total"},
 	"../persist":  {"SaveFrame", "LoadFrame", "appendWriter"},
 	"../bandit":   {"Algorithm.K", "Algorithm.Plays", "Algorithm.Estimates"},
