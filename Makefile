@@ -42,7 +42,8 @@ race:
 # the engine's id table against the built-in map it replaced, the trace
 # generator's Zipf sampler against math/rand's rand.Zipf, the
 # hierarchy's per-object records against both levels' contents and an exact
-# "missed before" set under random op sequences, the
+# "missed before" set under random op sequences, an offline replay over a
+# pre-laid record table against the plain serve loop, the
 # controller's batched replay against per-request serving, the durability
 # decoders (persist frames, journal records/segments, checkpoint and
 # neural-weight payloads) — corrupted on-disk bytes must produce typed
@@ -56,6 +57,7 @@ fuzz:
 	$(GO) test ./internal/cache -fuzz FuzzIDTable -fuzztime 10s
 	$(GO) test ./internal/tracegen -fuzz FuzzZipfMatchesRand -fuzztime 10s
 	$(GO) test ./internal/cache -fuzz FuzzHierarchy -fuzztime 10s
+	$(GO) test ./internal/cache -fuzz FuzzReplayMatchesServe -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzControllerPlay -fuzztime 10s
 	$(GO) test ./internal/persist -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzDecodeRecord -fuzztime 10s

@@ -70,6 +70,11 @@ var buildCorpus = exp.BuildCorpus
 // adaptive baselines' windows.
 func (o *options) run(w io.Writer) error {
 	par.SetDefault(o.parallelism)
+	// A cache flag out of range (-warmup 1, say) is an error before any
+	// training, not after it.
+	if _, err := o.eval.New(cache.Expert{}); err != nil {
+		return err
+	}
 	tr, err := loadTrace(o.tracePath, o.n, o.seed)
 	if err != nil {
 		return err

@@ -80,3 +80,26 @@ func TestFlagDefaultsDeclaredOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestBadWarmupRejected: a -warmup outside [0, 1) is an error under every
+// policy, before any training; at 1 the static policy used to print
+// whole-trace metrics, cold start included.
+func TestBadWarmupRejected(t *testing.T) {
+	buildCorpus = func(exp.Scale, string) (*exp.Corpus, error) {
+		t.Fatal("trained before rejecting -warmup")
+		return nil, nil
+	}
+	defer func() { buildCorpus = exp.BuildCorpus }()
+	for _, policy := range []string{"static", "darwin", "percentile"} {
+		for _, warmup := range []string{"1.0", "1.5", "-0.1", "NaN"} {
+			fs := flag.NewFlagSet("darwin-sim", flag.ContinueOnError)
+			o := registerFlags(fs)
+			if err := fs.Parse([]string{"-policy", policy, "-warmup", warmup, "-n", "2000"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := o.run(io.Discard); err == nil {
+				t.Errorf("-policy %s -warmup %s: run succeeded, want an error", policy, warmup)
+			}
+		}
+	}
+}

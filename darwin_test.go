@@ -140,7 +140,7 @@ var goneIdents = []string{
 	"PeerConfig.Clock", "ClientLatency", "-client-latency",
 	"internal/bloom", "bloomObjects", "TestAndAddU64", "ContainsU64", "FilterState",
 	"NewStaticSharded", "PropagateDeadline", "Overload.Enabled", "Overload.Breaker",
-	"WeightSchedule", "LoadFactor", "Config.Readiness", "EvaluateAllParallel", "TaskError",
+	"WeightSchedule", "LoadFactor", "Config.Readiness", "EvaluateAllParallel", "EvaluateHits", "TaskError",
 	"evaluateTrace", "CachedCorpus", "HindsightTrace", "resetHindsightCache",
 	"SaveCheckpoint", "LoadCheckpoint", "EncodeCheckpoint", "DecodeCheckpoint", "SaveFrame", "LoadFrame",
 	"FlapUp", "FlapDown", "CrashFrac",

@@ -246,13 +246,21 @@ func (h *Hierarchy) Lookup(id uint64) Result {
 // Serve processes one request and returns where it was served from. Its
 // one table probe is the upsert of the object's record: count, age and both
 // levels' residency come from it.
-func (h *Hierarchy) Serve(r trace.Request) Result {
+func (h *Hierarchy) Serve(r trace.Request) Result { return h.serve(nil, r) }
+
+// serve is Serve's body. rec is r's record in h.objs, or nil for Serve's
+// case, where serve upserts it; a Replay, which lays the records out before
+// it starts, passes each request's. The upsert is here rather than in Serve
+// so that Serve inlines: an online request pays one call into the body and
+// one into upsert. rec stays valid for the whole call: nothing below inserts into h.objs (an
+// evicted victim's record is found with get and cleared in place), so the
+// slot array does not move under it.
+func (h *Hierarchy) serve(rec *objRec, r trace.Request) Result {
+	if rec == nil {
+		rec, _ = h.objs.upsert(r.ID)
+	}
 	idx := h.reqIdx
 	h.reqIdx++
-	// rec stays valid for the whole call: nothing below inserts into h.objs
-	// (an evicted victim's record is found with get and cleared in place),
-	// so the slot array does not move under it.
-	rec, _ := h.objs.upsert(r.ID)
 	age := int64(-1)
 	if rec.count > 0 {
 		age = idx - rec.lastSeen
@@ -380,7 +388,7 @@ func (h *Hierarchy) Concurrent() bool { return false }
 
 // ResetMetrics zeroes the counters without disturbing cache contents. The
 // simulator never calls it: warm-up is excluded by subtracting the counters
-// at the warm-up mark (baselines.Play, EvaluateHits).
+// at the warm-up mark (baselines.Play, Replay.Hits).
 func (h *Hierarchy) ResetMetrics() { h.m = Metrics{} }
 
 // HOCVictim returns the object the HOC eviction policy would evict next —

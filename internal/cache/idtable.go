@@ -57,21 +57,31 @@ func (t *idTable) home(id uint64) uint64 { return Mix64(id^idSeed) >> t.shift }
 // len returns the number of entries.
 func (t *idTable) len() int { return t.n }
 
+// find returns id's slot index and true when id is present, or the empty
+// slot where its probe stops and false when it is absent. The table must
+// have slots.
+func (t *idTable) find(id uint64) (i uint64, ok bool) {
+	mask := uint64(len(t.slots) - 1)
+	for i = t.home(id); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if !s.used {
+			return i, false
+		}
+		if s.key == id {
+			return i, true
+		}
+	}
+}
+
 // get returns a pointer to id's record, or nil when id is absent.
 func (t *idTable) get(id uint64) *objRec {
 	if t.n == 0 {
 		return nil
 	}
-	mask := uint64(len(t.slots) - 1)
-	for i := t.home(id); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if !s.used {
-			return nil
-		}
-		if s.key == id {
-			return s
-		}
+	if i, ok := t.find(id); ok {
+		return &t.slots[i]
 	}
+	return nil
 }
 
 // upsert finds id or inserts a zero record for it, in one probe, and reports
@@ -81,18 +91,13 @@ func (t *idTable) upsert(id uint64) (rec *objRec, existed bool) {
 	if t.n >= len(t.slots)/4*3 {
 		t.grow()
 	}
-	mask := uint64(len(t.slots) - 1)
-	for i := t.home(id); ; i = (i + 1) & mask {
-		s := &t.slots[i]
-		if !s.used {
-			s.key, s.used = id, true
-			t.n++
-			return s, false
-		}
-		if s.key == id {
-			return s, true
-		}
+	i, existed := t.find(id)
+	s := &t.slots[i]
+	if !existed {
+		s.key, s.used = id, true
+		t.n++
 	}
+	return s, existed
 }
 
 // grow doubles the slot array and re-places every entry.

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"darwin/internal/cache"
 	"darwin/internal/features"
@@ -75,7 +77,10 @@ func (c DatasetConfig) withDefaults() DatasetConfig {
 // This is the expensive offline step. It runs one task per (trace, expert)
 // replay plus one feature-extraction task per trace, as wide as
 // par.Default(), so a worker keeps one hierarchy hot for a whole trace and a
-// single trace spreads over every worker.
+// single trace spreads over every worker. A trace's replays share one
+// cache.Replay, built by the first of them to run and dropped by the last,
+// so the layouts alive at once are those of the traces in flight, not the
+// corpus's.
 func BuildDataset(traces []*trace.Trace, cfg DatasetConfig) (*Dataset, error) {
 	if len(traces) == 0 {
 		return nil, fmt.Errorf("core: no traces")
@@ -98,6 +103,7 @@ func BuildDataset(traces []*trace.Trace, cfg DatasetConfig) (*Dataset, error) {
 	n, k := len(traces), len(cfg.Experts)
 	metrics := make([]cache.Metrics, n*k)
 	hits := make([][]uint64, n*k)
+	replays := make([]sharedReplay, n)
 	err := par.ForEach(n*k+n, func(t int) error {
 		if t >= n*k {
 			ti := t - n*k
@@ -109,7 +115,7 @@ func BuildDataset(traces []*trace.Trace, cfg DatasetConfig) (*Dataset, error) {
 			return nil
 		}
 		tr, e := traces[t/k], cfg.Experts[t%k]
-		m, set, err := cache.EvaluateHits(tr, e, cfg.Eval)
+		m, set, err := replays[t/k].take(tr, k).Hits(e, cfg.Eval)
 		if err != nil {
 			return fmt.Errorf("core: trace %s: expert %s: %w", tr.Name, e, err)
 		}
@@ -125,6 +131,25 @@ func BuildDataset(traces []*trace.Trace, cfg DatasetConfig) (*Dataset, error) {
 		rec.CondHit, rec.CondMiss = condStats(rec.Metrics, hits[lo:hi])
 	}
 	return ds, nil
+}
+
+// sharedReplay is one trace's cache.Replay, shared by the trace's k replay
+// tasks: the first to take it lays the trace out, and the last to take it
+// drops the shared reference, so the Replay is freed when that task ends.
+type sharedReplay struct {
+	once  sync.Once
+	rp    *cache.Replay
+	taken atomic.Int32
+}
+
+// take returns tr's Replay to one of its k replay tasks.
+func (s *sharedReplay) take(tr *trace.Trace, k int) *cache.Replay {
+	s.once.Do(func() { s.rp = cache.NewReplay(tr) })
+	rp := s.rp
+	if int(s.taken.Add(1)) == k {
+		s.rp = nil
+	}
+	return rp
 }
 
 // extractFeatures builds a record's feature vectors and size profile from
@@ -149,7 +174,7 @@ func extractFeatures(tr *trace.Trace, window int, fc features.Config) (*TraceRec
 }
 
 // condStats computes CondHit and CondMiss from each expert's post-warm-up
-// metrics and HOC hit bitset (cache.EvaluateHits): expert i's hits are
+// metrics and HOC hit bitset (cache.Replay.Hits): expert i's hits are
 // popcount(sets[i]), the joint hits of i and j popcount(sets[i] & sets[j]), and
 // m[i].Requests the post-warm-up request count.
 func condStats(m []cache.Metrics, sets [][]uint64) (condHit, condMiss [][]float64) {

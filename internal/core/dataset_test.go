@@ -118,8 +118,10 @@ func TestBuildDatasetMatchesLockstep(t *testing.T) {
 	lru := testEval()
 	noWarmup := lru
 	noWarmup.WarmupFrac = 0
-	allWarmup := lru
-	allWarmup.WarmupFrac = 1
+	// The largest warm-up a config may ask for leaves the last two or three
+	// requests of each trace counted (a fraction of 1 is an error).
+	lateWarmup := lru
+	lateWarmup.WarmupFrac = 0.9995
 	s4 := lru
 	s4.HOCEviction, s4.DCEviction = "s4lru", "gdsf"
 	cases := []struct {
@@ -128,7 +130,7 @@ func TestBuildDatasetMatchesLockstep(t *testing.T) {
 	}{
 		{"window", DatasetConfig{Experts: testExperts(), Eval: lru, FeatureWindow: 2000}},
 		{"no-warmup", DatasetConfig{Experts: testExperts(), Eval: noWarmup}},
-		{"all-warmup", DatasetConfig{Experts: testExperts(), Eval: allWarmup}},
+		{"late-warmup", DatasetConfig{Experts: testExperts(), Eval: lateWarmup}},
 		{"window-past-end", DatasetConfig{Experts: testExperts(), Eval: lru, FeatureWindow: 1 << 20}},
 		{"s4lru-gdsf", DatasetConfig{Experts: testExperts()[:4], Eval: s4, FeatureWindow: 3000}},
 	}
@@ -148,5 +150,26 @@ func TestBuildDatasetMatchesLockstep(t *testing.T) {
 			}
 		}
 		par.SetDefault(prev)
+	}
+}
+
+// TestSharedReplayDroppedByLastTake: a trace's k replay tasks get one
+// Replay, and the last of them leaves no reference to it behind, so a
+// corpus's layouts do not outlive their traces' replays.
+func TestSharedReplayDroppedByLastTake(t *testing.T) {
+	tr, err := tracegen.ImageDownloadMix(50, 500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var s sharedReplay
+	first := s.take(tr, 3)
+	if first == nil {
+		t.Fatal("first take returned no Replay")
+	}
+	if second := s.take(tr, 3); second != first || s.rp == nil {
+		t.Fatalf("second take: got %p (shared %p), want %p, still shared", second, s.rp, first)
+	}
+	if last := s.take(tr, 3); last != first || s.rp != nil {
+		t.Fatalf("last take: got %p (shared %p), want %p and nothing shared", last, s.rp, first)
 	}
 }

@@ -183,10 +183,11 @@ func AblationEviction(sc Scale) (*Report, error) {
 		Header: []string{"eviction", "OHR", "BMR"},
 	}
 	e := cache.Expert{Freq: 2, MaxSize: 50 << 10}
+	rp := cache.NewReplay(tr)
 	for _, name := range []string{"lru", "s4lru", "lfu", "fifo"} {
 		cfg := sc.Eval
 		cfg.HOCEviction = name
-		m, err := cache.Evaluate(tr, e, cfg)
+		m, _, err := rp.Hits(e, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -119,10 +119,11 @@ func FutureEvictionSelection(sc Scale) (*Report, error) {
 		Header: []string{"policy", "OHR"},
 	}
 	e := cache.Expert{Freq: 2, MaxSize: 50 << 10}
+	rp := cache.NewReplay(tr)
 	for _, name := range []string{"lru", "s4lru", "lfu", "gdsf"} {
 		cfg := sc.Eval
 		cfg.HOCEviction = name
-		m, err := cache.Evaluate(tr, e, cfg)
+		m, _, err := rp.Hits(e, cfg)
 		if err != nil {
 			return nil, err
 		}

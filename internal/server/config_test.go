@@ -104,8 +104,9 @@ var goneFields = []string{
 // goneDecls are deleted declarations, by package directory ("Type.Method"
 // for a method): those that carried the gone knobs, capabilities no caller
 // outside tests used, internal/exp's process-wide memos, the simulator's
-// warm-up reset, the duplicate standardisers and checkpoint file codecs, and
-// the two faulted-origin runs internal/exp's faultedRun replaced.
+// warm-up reset, the duplicate standardisers and checkpoint file codecs, the
+// two faulted-origin runs internal/exp's faultedRun replaced, and the replay
+// loop cache.Replay replaced.
 var goneDecls = map[string][]string{
 	".": {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults"},
 	"../baselines": {"Static", "NewStatic", "NewStaticSharded", "newHierarchy", "scaleVec",
@@ -116,7 +117,7 @@ var goneDecls = map[string][]string{
 	"../breaker":   {"BudgetSnapshot", "Budget.SnapshotNow"},
 	"../diskcache": {"Config.WithDefaults"},
 	"../par":       {"Do", "TaskError", "Errors"},
-	"../cache": {"EvaluateAllParallel", "Hierarchy.Play", "Index", "Sharded.SetAdmission",
+	"../cache": {"EvaluateAllParallel", "EvaluateHits", "Hierarchy.Play", "Index", "Sharded.SetAdmission",
 		"Sharded.HOCBytes", "Sharded.DCBytes", "Sharded.HOCLen", "Sharded.DCLen",
 		"Hierarchy.HOCBytes", "Hierarchy.DCBytes", "Hierarchy.HOCLen", "Hierarchy.DCLen"},
 	"../core": {"Controller.ResetMetrics", "EvictionSelector.Choices", "EvictionSelector.Exploiting",
