@@ -144,6 +144,7 @@ var goneIdents = []string{
 	"evaluateTrace", "CachedCorpus", "HindsightTrace", "resetHindsightCache",
 	"SaveCheckpoint", "LoadCheckpoint", "EncodeCheckpoint", "DecodeCheckpoint", "SaveFrame", "LoadFrame",
 	"FlapUp", "FlapDown", "CrashFrac",
+	"DCEviction", "StateHandoff", "SetAdmitOnMiss",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

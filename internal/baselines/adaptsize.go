@@ -71,13 +71,12 @@ func NewAdaptSize(cfg AdaptSizeConfig) (*AdaptSize, error) {
 		counts: make(map[uint64]int),
 		osize:  make(map[uint64]int64),
 	}
-	h.SetAdmission(func(_ int, size int64, _ int64) bool {
-		return as.rng.Float64() < math.Exp(-float64(size)/as.c)
-	})
 	// AdaptSize decides admission for every requested object, including on
 	// the miss path after an origin fetch — this is how objects with low
 	// popularity can pollute its HOC (§3.2.1).
-	h.SetAdmitOnMiss(true)
+	h.SetAdmission(func(_ int, size int64, _ int64) bool {
+		return as.rng.Float64() < math.Exp(-float64(size)/as.c)
+	})
 	return as, nil
 }
 

@@ -47,7 +47,6 @@ func NewTinyLFU(cfg TinyLFUConfig) (*TinyLFU, error) {
 		// incumbent victim — TinyLFU's core comparison.
 		return count > h.Count(vid)
 	})
-	h.SetAdmitOnMiss(true)
 	return &TinyLFU{hier: h, window: cfg.Window}, nil
 }
 

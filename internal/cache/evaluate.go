@@ -15,8 +15,9 @@ type EvalConfig struct {
 	// WarmupFrac is the leading fraction of requests excluded from metrics
 	// (the paper excludes the first 1M of every 10M-request trace → 0.1).
 	WarmupFrac float64
-	// HOCEviction and DCEviction name eviction policies; empty means LRU.
-	HOCEviction, DCEviction string
+	// HOCEviction names the HOC's eviction policy; empty means LRU. The DC
+	// is always LRU.
+	HOCEviction string
 }
 
 // DefaultEvalConfig returns the scaled simulator defaults (DESIGN.md §5):
@@ -41,7 +42,6 @@ func (cfg EvalConfig) New(e Expert) (*Hierarchy, error) {
 		HOCBytes:    cfg.HOCBytes,
 		DCBytes:     cfg.DCBytes,
 		HOCEviction: cfg.HOCEviction,
-		DCEviction:  cfg.DCEviction,
 		Expert:      e,
 	})
 }

@@ -3,9 +3,10 @@
 // Cache (DC). Admission into the HOC is governed by pluggable experts — the
 // (frequency, size[, recency]) threshold tuples Darwin selects among — while
 // the DC admits objects on their second request, which each object's record
-// answers exactly, to shed one-hit wonders. Eviction at both levels defaults to LRU, the policy used
-// throughout the paper's evaluation; FIFO and LFU variants are provided for
-// ablations.
+// answers exactly, to shed one-hit wonders. The DC evicts LRU, the policy
+// used throughout the paper's evaluation; the HOC defaults to it, and FIFO,
+// LFU, S4LRU and GDSF are its alternatives for the eviction ablations and
+// the §7 eviction selector.
 package cache
 
 import "fmt"

@@ -116,8 +116,10 @@ func (m *Metrics) add(o Metrics) {
 type Config struct {
 	// HOCBytes and DCBytes are the level capacities.
 	HOCBytes, DCBytes int64
-	// HOCEviction and DCEviction name the eviction policies ("lru" default).
-	HOCEviction, DCEviction string
+	// HOCEviction names the HOC's eviction policy ("lru" default). The DC
+	// is LRU: its journal records admissions and evictions only, and an
+	// oldest-first replay of those rebuilds an LRU and nothing else.
+	HOCEviction string
 	// Expert is the initial HOC admission expert.
 	Expert Expert
 	// DCLog, when non-nil, receives every DC admission and eviction so a
@@ -134,17 +136,16 @@ type Hierarchy struct {
 	// objs is the one per-object index: every object served since the last
 	// ResetCounts (or restored with a count), every one that has ever
 	// missed, and every resident one, has exactly one record.
-	objs            idTable
-	hoc, dc         Eviction
-	hocCap, dcCap   int64
-	hocName, dcName string
-	expert          Expert
-	admission       AdmissionFunc
-	dclog           DCLog
-	admitOnMiss     bool
-	reqIdx          int64
-	m               Metrics
-	expertSwitches  int64
+	objs           idTable
+	hoc, dc        Eviction
+	hocCap, dcCap  int64
+	hocName        string
+	expert         Expert
+	admission      AdmissionFunc
+	dclog          DCLog
+	reqIdx         int64
+	m              Metrics
+	expertSwitches int64
 }
 
 // objRec is everything the hierarchy knows about one object: the frequency
@@ -170,7 +171,8 @@ type objRec struct {
 // and its age in requests since the previous request (-1 when first seen).
 // Baselines with non-threshold admission rules (e.g. AdaptSize's
 // probabilistic size filter) install one via SetAdmission. It runs inside
-// Serve and may read the hierarchy (Count, HOCVictim) but not change it.
+// Serve, on a DC hit and on a full miss (after the origin fetch), and may
+// read the hierarchy (Count, HOCVictim) but not change it.
 type AdmissionFunc func(count int, size int64, age int64) bool
 
 // New builds a Hierarchy from cfg.
@@ -182,17 +184,12 @@ func New(cfg Config) (*Hierarchy, error) {
 	if err != nil {
 		return nil, err
 	}
-	dc, err := NewEvictionWithCapacity(cfg.DCEviction, cfg.DCBytes)
-	if err != nil {
-		return nil, err
-	}
 	return &Hierarchy{
 		hoc:     hoc,
-		dc:      dc,
+		dc:      NewLRU(),
 		hocCap:  cfg.HOCBytes,
 		dcCap:   cfg.DCBytes,
 		hocName: cfg.HOCEviction,
-		dcName:  cfg.DCEviction,
 		expert:  cfg.Expert,
 		dclog:   cfg.DCLog,
 	}, nil
@@ -211,15 +208,12 @@ func (h *Hierarchy) SetExpert(e Expert) {
 func (h *Hierarchy) Expert() Expert { return h.expert }
 
 // SetAdmission installs a custom HOC admission predicate that overrides the
-// expert thresholds; passing nil restores expert-based admission.
-func (h *Hierarchy) SetAdmission(f AdmissionFunc) { h.admission = f }
-
-// SetAdmitOnMiss also evaluates HOC admission on full misses (after the
-// origin fetch), not only on DC hits. Darwin's experts promote only on DC
-// hits (Figure 1), but AdaptSize-style per-request admission decides for
-// every fetched object — which is how one-hit wonders can pollute its HOC
+// expert thresholds; passing nil restores expert-based admission. Darwin's
+// experts promote only on DC hits (Figure 1), but a custom predicate also
+// decides on every full miss: AdaptSize-style per-request admission admits
+// fetched objects too, which is how one-hit wonders can pollute its HOC
 // (§3.2.1).
-func (h *Hierarchy) SetAdmitOnMiss(v bool) { h.admitOnMiss = v }
+func (h *Hierarchy) SetAdmission(f AdmissionFunc) { h.admission = f }
 
 // ExpertSwitches returns how many times the deployed expert changed.
 func (h *Hierarchy) ExpertSwitches() int64 { return h.expertSwitches }
@@ -305,7 +299,7 @@ func (h *Hierarchy) serve(rec *objRec, r trace.Request) Result {
 		h.m.DCWrites++
 		h.m.DCWriteBytes += r.Size
 	}
-	if h.admitOnMiss && h.admission != nil && h.admission(count, r.Size, age) {
+	if h.admission != nil && h.admission(count, r.Size, age) {
 		h.admitHOC(rec, r.ID, r.Size)
 	}
 	return Miss

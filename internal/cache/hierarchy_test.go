@@ -258,8 +258,8 @@ func TestServeCountAndAge(t *testing.T) {
 	h := mustHierarchy(t, 1000, 10000, Expert{})
 	var count int
 	var age int64
+	// A custom admission sees every request, misses too: nothing reaches the HOC.
 	h.SetAdmission(func(c int, _ int64, a int64) bool { count, age = c, a; return false })
-	h.SetAdmitOnMiss(true) // admission sees every request: nothing reaches the HOC
 	serve := func(id uint64, wantCount int, wantAge int64) Result {
 		t.Helper()
 		res := h.Serve(req(id, 100))
@@ -293,7 +293,7 @@ func TestServeCountAndAge(t *testing.T) {
 	serve(1, 2, 2)
 	// Id 2 is listed for its mark alone.
 	tr := h.State().Tracker
-	if want := (TrackerState{Kind: trackerExact, IDs: []uint64{1, 2, 9}, Counts: []int{2, 0, 1},
+	if want := (TrackerState{IDs: []uint64{1, 2, 9}, Counts: []int{2, 0, 1},
 		LastSeen: []int64{8, 0, 7}, Missed: []bool{true, true, true}}); !reflect.DeepEqual(*tr, want) {
 		t.Fatalf("tracker state after ResetCounts = %+v, want %+v", *tr, want)
 	}
@@ -344,7 +344,7 @@ func TestServeZeroAllocs(t *testing.T) {
 	}
 	for _, policy := range evictionPolicies {
 		t.Run(policy, func(t *testing.T) {
-			cfg := Config{HOCBytes: 256 << 10, DCBytes: 8 << 20, HOCEviction: policy, DCEviction: policy,
+			cfg := Config{HOCBytes: 256 << 10, DCBytes: 8 << 20, HOCEviction: policy,
 				Expert: Expert{Freq: 2, MaxSize: 10 << 10}}
 			h, err := New(cfg)
 			if err != nil {
@@ -371,8 +371,8 @@ func TestServeZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkServe prices one Hierarchy.Serve on the 50:50 mix, per policy
-// (both levels run the same one).
+// BenchmarkServe prices one Hierarchy.Serve on the 50:50 mix, per HOC
+// policy (the DC is LRU).
 func BenchmarkServe(b *testing.B) {
 	tr, err := tracegen.ImageDownloadMix(50, 100000, 1)
 	if err != nil {
@@ -380,7 +380,7 @@ func BenchmarkServe(b *testing.B) {
 	}
 	for _, policy := range evictionPolicies {
 		b.Run(policy, func(b *testing.B) {
-			h, err := New(Config{HOCBytes: 2 << 20, DCBytes: 200 << 20, HOCEviction: policy, DCEviction: policy,
+			h, err := New(Config{HOCBytes: 2 << 20, DCBytes: 200 << 20, HOCEviction: policy,
 				Expert: Expert{Freq: 2, MaxSize: 10 << 10}})
 			if err != nil {
 				b.Fatal(err)

@@ -87,7 +87,7 @@ func FuzzHierarchy(f *testing.F) {
 	f.Add([]byte{0, 9, 0, 9, 0, 9, 0, 9, 7, 1, 0, 9, 4, 1, 8, 1, 0, 9, 6, 250, 8, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, policy := range evictionPolicies {
-			cfg := Config{HOCBytes: 400, DCBytes: 1600, HOCEviction: policy, DCEviction: policy,
+			cfg := Config{HOCBytes: 400, DCBytes: 1600, HOCEviction: policy,
 				Expert: Expert{Freq: 1, MaxSize: 300}}
 			h, err := New(cfg)
 			if err != nil {
@@ -298,27 +298,20 @@ func TestRestoreStateMissProbesFilter(t *testing.T) {
 
 // canonicalState returns blob, a snapshot of a hierarchy configured as st,
 // in the form a round trip must leave byte-identical: the snapshot itself,
-// marks and all, except that a GDSF level lists its entries sorted by id.
+// marks and all, except that a GDSF HOC lists its entries sorted by id.
 // A level's checkpoint is its entries in heap order, and re-inserting them
 // into GDSF recomputes priorities from frequency 1 and inflation 0, which
 // can reorder the heap but not change its set.
 func canonicalState(t testing.TB, blob []byte, st *HierarchyState) []byte {
 	t.Helper()
-	if st.HOCEviction != "gdsf" && st.DCEviction != "gdsf" {
+	if st.HOCEviction != "gdsf" {
 		return blob
 	}
 	var c HierarchyState
 	if err := json.Unmarshal(blob, &c); err != nil {
 		t.Fatal(err)
 	}
-	for _, level := range []struct {
-		policy string
-		objs   []ResidentObject
-	}{{c.HOCEviction, c.HOC}, {c.DCEviction, c.DC}} {
-		if level.policy == "gdsf" {
-			sort.Slice(level.objs, func(i, j int) bool { return level.objs[i].ID < level.objs[j].ID })
-		}
-	}
+	sort.Slice(c.HOC, func(i, j int) bool { return c.HOC[i].ID < c.HOC[j].ID })
 	out, err := json.Marshal(&c)
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +329,7 @@ func canonicalState(t testing.TB, blob []byte, st *HierarchyState) []byte {
 func TestStateRoundTripResidencyOnlyRecords(t *testing.T) {
 	for _, policy := range []string{"lru", "fifo", "lfu", "s4lru"} {
 		cfg := newStateTestConfig()
-		cfg.HOCEviction, cfg.DCEviction = policy, policy
+		cfg.HOCEviction = policy
 		h, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -52,7 +52,7 @@ func replayDiff(p *Replay, tr *trace.Trace, e Expert, cfg EvalConfig) error {
 }
 
 // TestReplayMatchesServe holds Replay.Hits to the plain Serve loop under
-// every eviction policy, on an empty trace, a single id and three class
+// every HOC eviction policy, on an empty trace, a single id and three class
 // mixes, with every expert's replay of a trace running concurrently on one
 // Replay (twice over, so pooled record tables are reused mid-run).
 func TestReplayMatchesServe(t *testing.T) {
@@ -72,7 +72,7 @@ func TestReplayMatchesServe(t *testing.T) {
 	for _, policy := range evictionPolicies {
 		// Small levels, so both evict throughout.
 		cfg := EvalConfig{HOCBytes: 96 << 10, DCBytes: 2 << 20, WarmupFrac: 0.1,
-			HOCEviction: policy, DCEviction: policy}
+			HOCEviction: policy}
 		for _, tr := range traces {
 			p := NewReplay(tr)
 			var wg sync.WaitGroup
@@ -94,7 +94,7 @@ func TestReplayMatchesServe(t *testing.T) {
 
 // FuzzReplayMatchesServe decodes a trace — two bytes per request, the id and
 // a size byte — and holds Replay.Hits to the plain Serve loop on it under
-// every eviction policy, for a permissive and a second-hit expert.
+// every HOC eviction policy, for a permissive and a second-hit expert.
 func FuzzReplayMatchesServe(f *testing.F) {
 	f.Add([]byte{3, 0, 3, 0, 3, 0, 40, 9, 40, 9, 40, 9, 77, 2, 3, 0, 77, 2, 77, 2, 5, 200})
 	f.Add([]byte{1, 250, 2, 250, 3, 250, 1, 250, 2, 250, 3, 250, 4, 1, 1, 250})
@@ -107,7 +107,7 @@ func FuzzReplayMatchesServe(f *testing.F) {
 		p := NewReplay(tr)
 		for _, policy := range evictionPolicies {
 			cfg := EvalConfig{HOCBytes: 400, DCBytes: 1600, WarmupFrac: 0.25,
-				HOCEviction: policy, DCEviction: policy}
+				HOCEviction: policy}
 			for _, e := range []Expert{{Freq: 1, MaxSize: 300}, {Freq: 2, MaxSize: 300}} {
 				if err := replayDiff(p, tr, e, cfg); err != nil {
 					t.Fatal(err)
@@ -134,10 +134,10 @@ func TestReplayHitsAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewReplay(tr)
-	want := map[string]float64{"lru": 8, "fifo": 8, "lfu": 31, "s4lru": 12, "gdsf": 32}
+	want := map[string]float64{"lru": 8, "fifo": 8, "lfu": 17, "s4lru": 9, "gdsf": 19}
 	for _, policy := range evictionPolicies {
 		cfg := EvalConfig{HOCBytes: 96 << 10, DCBytes: 2 << 20, WarmupFrac: 0.1,
-			HOCEviction: policy, DCEviction: policy}
+			HOCEviction: policy}
 		e := Expert{Freq: 2, MaxSize: 50 << 10}
 		if _, _, err := p.Hits(e, cfg); err != nil {
 			t.Fatal(err)

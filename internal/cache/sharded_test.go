@@ -26,7 +26,6 @@ func TestShardedOneShardBitIdentical(t *testing.T) {
 			DCBytes:     1 << 20,
 			Expert:      e,
 			HOCEviction: "lru",
-			DCEviction:  "lru",
 		}
 		serial, err := cache.New(cfg)
 		if err != nil {

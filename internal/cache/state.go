@@ -17,17 +17,13 @@ import (
 // TrackerState is the serialisable form of the request counts and missed
 // marks: parallel IDs/Counts/LastSeen/Missed arrays over every record with
 // a count or a mark, sorted by id. A record with count 0 is one ResetCounts
-// kept for its mark; its LastSeen is 0. Kind is always "exact".
+// kept for its mark; its LastSeen is 0.
 type TrackerState struct {
-	Kind     string   `json:"kind"`
 	IDs      []uint64 `json:"ids,omitempty"`
 	Counts   []int    `json:"counts,omitempty"`
 	LastSeen []int64  `json:"last_seen,omitempty"`
 	Missed   []bool   `json:"missed,omitempty"`
 }
-
-// trackerExact is the one tracker kind the checkpoint format carries.
-const trackerExact = "exact"
 
 // trackerState snapshots the request counts and missed marks, sorted by id
 // for deterministic output (the table's slot order is an artefact of its
@@ -42,7 +38,6 @@ func (h *Hierarchy) trackerState() *TrackerState {
 	})
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	st := &TrackerState{
-		Kind:     trackerExact,
 		IDs:      ids,
 		Counts:   make([]int, len(ids)),
 		LastSeen: make([]int64, len(ids)),
@@ -64,9 +59,6 @@ func (h *Hierarchy) trackerState() *TrackerState {
 func (st *TrackerState) validate(reqIdx int64) error {
 	if st == nil {
 		return fmt.Errorf("cache: nil tracker state")
-	}
-	if st.Kind != trackerExact {
-		return fmt.Errorf("cache: unknown tracker kind %q", st.Kind)
 	}
 	if len(st.IDs) != len(st.Counts) || len(st.IDs) != len(st.LastSeen) || len(st.IDs) != len(st.Missed) {
 		return fmt.Errorf("cache: exact tracker state arrays disagree (%d/%d/%d/%d)",
@@ -91,13 +83,13 @@ func (st *TrackerState) validate(reqIdx int64) error {
 }
 
 // HierarchyState is the serialisable form of one Hierarchy (one shard). HOC
-// and DC list resident objects in the eviction policy's victim-first order,
-// so re-inserting them in order reproduces the protection order.
+// and DC list resident objects in their eviction policy's victim-first
+// order (the DC's is LRU), so re-inserting them in order reproduces the
+// protection order.
 type HierarchyState struct {
 	HOCBytes    int64            `json:"hoc_bytes"`
 	DCBytes     int64            `json:"dc_bytes"`
 	HOCEviction string           `json:"hoc_eviction,omitempty"`
-	DCEviction  string           `json:"dc_eviction,omitempty"`
 	HOC         []ResidentObject `json:"hoc"`
 	DC          []ResidentObject `json:"dc"`
 	Tracker     *TrackerState    `json:"tracker"`
@@ -113,7 +105,6 @@ func (h *Hierarchy) State() *HierarchyState {
 		HOCBytes:    h.hocCap,
 		DCBytes:     h.dcCap,
 		HOCEviction: h.hocName,
-		DCEviction:  h.dcName,
 		HOC:         h.hoc.Entries(),
 		DC:          h.dc.Entries(),
 		Tracker:     h.trackerState(),
@@ -200,16 +191,16 @@ func (h *Hierarchy) prepareRestoreState(st *HierarchyState) (restoredParts, erro
 		return parts, fmt.Errorf("cache: snapshot capacities (hoc=%d dc=%d) do not match engine (hoc=%d dc=%d)",
 			st.HOCBytes, st.DCBytes, h.hocCap, h.dcCap)
 	}
-	if st.HOCEviction != h.hocName || st.DCEviction != h.dcName {
-		return parts, fmt.Errorf("cache: snapshot eviction policies (%q/%q) do not match engine (%q/%q)",
-			st.HOCEviction, st.DCEviction, h.hocName, h.dcName)
+	if st.HOCEviction != h.hocName {
+		return parts, fmt.Errorf("cache: snapshot HOC eviction policy %q does not match engine's %q",
+			st.HOCEviction, h.hocName)
 	}
 	for i, id := range st.Tracker.IDs {
 		rec, _ := parts.objs.upsert(id)
 		rec.count, rec.lastSeen, rec.missed = st.Tracker.Counts[i], st.Tracker.LastSeen[i], st.Tracker.Missed[i]
 	}
 	parts.hoc = rebuildLevel(&parts.objs, h.hocName, h.hocCap, st.HOC, false)
-	parts.dc = rebuildLevel(&parts.objs, h.dcName, h.dcCap, st.DC, true)
+	parts.dc = rebuildLevel(&parts.objs, "lru", h.dcCap, st.DC, true)
 	return parts, nil
 }
 
@@ -238,9 +229,9 @@ func (h *Hierarchy) RestoreState(st *HierarchyState) error {
 	return nil
 }
 
-// rebuildLevel reconstructs one eviction policy, the hierarchy's own, from a
-// checked victim-first entry list, pointing each entry's record in objs (the
-// DC's handle when dc is set, else the HOC's) at it.
+// rebuildLevel reconstructs one level's eviction policy, the hierarchy's
+// own, from a checked victim-first entry list, pointing each entry's record
+// in objs (the DC's handle when dc is set, else the HOC's) at it.
 func rebuildLevel(objs *idTable, name string, capBytes int64, entries []ResidentObject, dc bool) Eviction {
 	ev, _ := NewEvictionWithCapacity(name, capBytes) // name is the hierarchy's own policy
 	for _, e := range entries {
@@ -273,7 +264,7 @@ func (h *Hierarchy) RestoreDC(entries []ResidentObject) error {
 		start = i
 	}
 	h.objs.each(func(_ uint64, rec *objRec) { rec.dc = noHandle })
-	h.dc = rebuildLevel(&h.objs, h.dcName, h.dcCap, entries[start:], true)
+	h.dc = rebuildLevel(&h.objs, "lru", h.dcCap, entries[start:], true)
 	return nil
 }
 

@@ -121,7 +121,7 @@ func TestHierarchyRestoreRejectsCorruptState(t *testing.T) {
 		mut      func(st *HierarchyState)
 	}{
 		{"capacity-mismatch", false, func(st *HierarchyState) { st.HOCBytes++ }},
-		{"eviction-mismatch", false, func(st *HierarchyState) { st.DCEviction = "lfu" }},
+		{"eviction-mismatch", false, func(st *HierarchyState) { st.HOCEviction = "lfu" }},
 		{"negative-size", true, func(st *HierarchyState) { st.DC[0].Size = -5 }},
 		{"duplicate-entry", true, func(st *HierarchyState) { st.DC[1] = st.DC[0] }},
 		{"overflow", true, func(st *HierarchyState) { st.HOC[0].Size = st.HOCBytes + 1 }},
@@ -134,12 +134,11 @@ func TestHierarchyRestoreRejectsCorruptState(t *testing.T) {
 		}},
 		{"tracker-negative-count", true, func(st *HierarchyState) { st.Tracker.Counts[0] = -1 }},
 		{"tracker-nil", true, func(st *HierarchyState) { st.Tracker = nil }},
-		{"tracker-kind", true, func(st *HierarchyState) { st.Tracker.Kind = "quantum" }},
 		{"tracker-arrays", true, func(st *HierarchyState) { st.Tracker.Counts = st.Tracker.Counts[:1] }},
 		{"tracker-duplicate-id", true, func(st *HierarchyState) { st.Tracker.IDs[1] = st.Tracker.IDs[0] }},
 		{"tracker-seen-later", true, func(st *HierarchyState) { st.Tracker.LastSeen[0] = st.ReqIdx }},
 		{"tracker-seen-negative", true, func(st *HierarchyState) { st.Tracker.LastSeen[0] = -1 }},
-		{"negative-req-idx", true, func(st *HierarchyState) { st.ReqIdx, st.Tracker = -1, &TrackerState{Kind: trackerExact} }},
+		{"negative-req-idx", true, func(st *HierarchyState) { st.ReqIdx, st.Tracker = -1, &TrackerState{} }},
 		{"negative-switches", true, func(st *HierarchyState) { st.Switches = -1 }},
 		{"negative-counter", true, func(st *HierarchyState) { st.Metrics.DCWriteBytes = -1 }},
 		{"unbalanced-metrics", true, func(st *HierarchyState) { st.Metrics.Misses++ }},
@@ -451,26 +450,26 @@ func TestShardedMergeDC(t *testing.T) {
 	}
 }
 
-// statePins are the SHA-256 digests of the JSON checkpoint state, per
+// statePins are the SHA-256 digests of the JSON checkpoint state, per HOC
 // eviction policy. Same history, same bytes: the snapshot must not start
-// depending on how the index lays its entries out. They were regenerated
-// when the Bloom filter was deleted, for two reasons. The format changed:
-// the filter image went and the tracker carries the missed marks. And the
-// history changed: this config's filter (2,048 ids per shard) answered
-// false positives on this trace's long tail, which the exact rule does not
-// (LRU: 19,600 DC writes, where the filter let through 20,247).
+// depending on how the index lays its entries out. They were last
+// regenerated when the DC became LRU-only. The format changed: the tracker
+// lost its kind tag and the snapshot its DC policy name, and the "lru" pin
+// moved by that alone. The other four also moved because their DC, which
+// ran the HOC's policy, is now LRU: with an LFU HOC this config writes
+// 19,579 objects to the DC, where an LFU DC wrote 19,516.
 var statePins = map[string]string{
-	"lru":   "2eb758ebdada33e53d73cad8e4d93f18f589a0020d7272c5ecf83c8a7ceed0ef",
-	"fifo":  "fc3b0666600f3cc84c6913954ad2f9f0eacf9e6442cb00d7458ce08fb6774891",
-	"lfu":   "c586c57db6d489800f8d9150ee7fac84888cc414951b18f4bd5510893094f0ba",
-	"s4lru": "26f718d7a3c5b438b0efef96214535fb7a00ea01d2540a803c1d89bd4ba29cc2",
-	"gdsf":  "a79d6fe43cd92d3cb42131ee3b8743b88826c00dbaab56d72bd6d01c9d009cce",
+	"lru":   "1cbf41bf53df0a0659328a1a4fc88f3106cd61584bac04744ce1fea46144f7e5",
+	"fifo":  "d8a26e74e0920977eb205dbd2ef2e802bb50af0bcf57d78aa52e4a9237f874d0",
+	"lfu":   "266c02f2dc7cc3a774cacf61c4800c8674c4edc12fc898f5471451291f3cea64",
+	"s4lru": "785fca14ece5fccc569a7c72fad370a290fad3b4e4da3a78876fe91b08e41932",
+	"gdsf":  "c1cfb1fe4ed8693db69a3dddcd6643693056d02e64ba7a2eff3d26b250265339",
 }
 
 func TestStateBytesPinned(t *testing.T) {
 	for _, policy := range evictionPolicies {
 		cfg := newStateTestConfig()
-		cfg.HOCEviction, cfg.DCEviction = policy, policy
+		cfg.HOCEviction = policy
 		eng, err := NewSharded(cfg, 2)
 		if err != nil {
 			t.Fatal(err)

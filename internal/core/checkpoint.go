@@ -96,6 +96,9 @@ func (st *ControllerState) validate() error {
 	if st.LearningNS < 0 {
 		return fmt.Errorf("core: negative learning time %d", st.LearningNS)
 	}
+	if len(st.Diags) > maxDiags {
+		return fmt.Errorf("core: %d epoch diagnostics, more than the %d a controller keeps", len(st.Diags), maxDiags)
+	}
 	if len(st.Prof.Fractions) != len(st.Prof.Sizes) {
 		return fmt.Errorf("core: size profile has %d fractions but %d sizes",
 			len(st.Prof.Fractions), len(st.Prof.Sizes))

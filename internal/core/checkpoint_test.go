@@ -512,11 +512,9 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 			"hocCap":         "HOCBytes",
 			"dcCap":          "DCBytes",
 			"hocName":        "HOCEviction",
-			"dcName":         "DCEviction",
 			"expert":         "Expert",
 			"admission":      "transient: a baseline's admission override, installed by its constructor, not learned",
 			"dclog":          "transient: the journal the node wires in, which persists itself",
-			"admitOnMiss":    "transient: a baseline's wiring, set by its constructor",
 			"reqIdx":         "ReqIdx",
 			"m":              "Metrics",
 			"expertSwitches": "Switches",

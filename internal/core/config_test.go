@@ -1,8 +1,12 @@
 package core_test
 
 import (
+	"os"
 	"reflect"
+	"regexp"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"darwin/internal/bandit"
@@ -77,14 +81,14 @@ var learnerSurface = []string{
 	"cache.Config.HOCBytes",
 	"cache.Config.DCBytes",
 	"cache.Config.HOCEviction",
-	"cache.Config.DCEviction",
 	"cache.Config.Expert",
 	"cache.Config.DCLog",
 }
 
 // goneLearnerFields were knobs no caller outside tests ever set twice; each
 // is a constant or a derived value now, or went with what it sized
-// (cache.Config.BloomObjects, with the Bloom filter).
+// (cache.Config.BloomObjects, with the Bloom filter). cache.Config.DCEviction
+// went because the DC's journal can rebuild an LRU and nothing else.
 var goneLearnerFields = []string{
 	"core.OnlineConfig.Delta",
 	"core.OnlineConfig.MaxRounds",
@@ -121,7 +125,12 @@ var goneLearnerFields = []string{
 	"faults.Config.ErrorStatus",
 	"faults.Config.TruncateFrac",
 	"cache.Config.BloomObjects",
+	"cache.Config.DCEviction",
 }
+
+// learnerCount matches DESIGN.md's statement of the learner tier's settable
+// values, whitespace collapsed.
+var learnerCount = regexp.MustCompile(`twelve config structs from 83 settable values to (\d+)`)
 
 // TestConfigSurface pins the learner tier's settable surface: adding a knob
 // is a visible diff to learnerSurface, and a deleted knob cannot come back
@@ -155,5 +164,13 @@ func TestConfigSurface(t *testing.T) {
 		if slices.Contains(got, f) {
 			t.Errorf("deleted config field %s is back", f)
 		}
+	}
+	b, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := learnerCount.FindAllStringSubmatch(strings.Join(strings.Fields(string(b)), " "), -1)
+	if want := strconv.Itoa(len(learnerSurface)); len(m) != 1 || m[0][1] != want {
+		t.Errorf("DESIGN.md: learner-tier count %v, want one statement of %s settable values", m, want)
 	}
 }

@@ -23,7 +23,6 @@ func lockstepRecord(t *testing.T, tr *trace.Trace, cfg DatasetConfig, fc feature
 			HOCBytes:    cfg.Eval.HOCBytes,
 			DCBytes:     cfg.Eval.DCBytes,
 			HOCEviction: cfg.Eval.HOCEviction,
-			DCEviction:  cfg.Eval.DCEviction,
 			Expert:      e,
 		})
 		if err != nil {
@@ -123,7 +122,7 @@ func TestBuildDatasetMatchesLockstep(t *testing.T) {
 	lateWarmup := lru
 	lateWarmup.WarmupFrac = 0.9995
 	s4 := lru
-	s4.HOCEviction, s4.DCEviction = "s4lru", "gdsf"
+	s4.HOCEviction = "s4lru"
 	cases := []struct {
 		name string
 		cfg  DatasetConfig
@@ -132,7 +131,7 @@ func TestBuildDatasetMatchesLockstep(t *testing.T) {
 		{"no-warmup", DatasetConfig{Experts: testExperts(), Eval: noWarmup}},
 		{"late-warmup", DatasetConfig{Experts: testExperts(), Eval: lateWarmup}},
 		{"window-past-end", DatasetConfig{Experts: testExperts(), Eval: lru, FeatureWindow: 1 << 20}},
-		{"s4lru-gdsf", DatasetConfig{Experts: testExperts()[:4], Eval: s4, FeatureWindow: 3000}},
+		{"s4lru", DatasetConfig{Experts: testExperts()[:4], Eval: s4, FeatureWindow: 3000}},
 	}
 	for _, width := range []int{1, 2} {
 		prev := par.SetDefault(width)

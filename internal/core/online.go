@@ -92,6 +92,12 @@ func (c OnlineConfig) validate() error {
 	return nil
 }
 
+// maxDiags bounds the controller's epoch log: it keeps the newest maxDiags
+// epochs' decisions. Every checkpoint and /state frame carries the log, at
+// about 120 B an epoch, and a node runs thousands of epochs a day. No
+// report, example or test reads more than a few dozen epochs of one run.
+const maxDiags = 256
+
 // EpochDiag records one epoch's online decisions for the component studies
 // (Figures 5b–5d).
 type EpochDiag struct {
@@ -157,7 +163,7 @@ type Controller struct {
 	extended  []float64   // guarded by mu
 	prof      SizeProfile // guarded by mu
 	clusterID int         // guarded by mu
-	diags     []EpochDiag // per-epoch decision log; guarded by mu
+	diags     []EpochDiag // the newest maxDiags epochs' decisions; guarded by mu
 	// learningNS is cumulative boundary learning time; guarded by mu.
 	learningNS int64
 }
@@ -193,8 +199,9 @@ func (c *Controller) Phase() Phase {
 	return c.phase
 }
 
-// Diags returns per-epoch diagnostics recorded so far (including the current
-// epoch once identification has finished).
+// Diags returns the per-epoch diagnostics of the newest maxDiags epochs,
+// oldest first (including the current epoch once identification has
+// finished).
 func (c *Controller) Diags() []EpochDiag {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -380,7 +387,7 @@ func (c *Controller) finishWarmupLocked() {
 		chosen := c.model.Experts[c.set[0]]
 		c.eng.SetExpert(chosen)
 		c.phase = PhaseExploit
-		c.diags = append(c.diags, EpochDiag{
+		c.logDiagLocked(EpochDiag{
 			Epoch: c.epoch, Cluster: c.clusterID, SetSize: len(c.set),
 			StopReason: "singleton", Chosen: chosen,
 		})
@@ -400,7 +407,7 @@ func (c *Controller) finishWarmupLocked() {
 		chosen := c.model.Experts[best]
 		c.eng.SetExpert(chosen)
 		c.phase = PhaseExploit
-		c.diags = append(c.diags, EpochDiag{
+		c.logDiagLocked(EpochDiag{
 			Epoch: c.epoch, Cluster: c.clusterID, SetSize: len(c.set),
 			StopReason: "degenerate-sigma", Chosen: chosen,
 		})
@@ -499,10 +506,19 @@ func (c *Controller) deployRecommendationLocked(reason string) {
 	chosen := c.model.Experts[c.set[c.alg.Recommendation()]]
 	c.eng.SetExpert(chosen)
 	c.phase = PhaseExploit
-	c.diags = append(c.diags, EpochDiag{
+	c.logDiagLocked(EpochDiag{
 		Epoch: c.epoch, Cluster: c.clusterID, SetSize: len(c.set),
 		Rounds: c.alg.Rounds(), StopReason: reason, Chosen: chosen,
 	})
+}
+
+// logDiagLocked appends d to the epoch log, dropping the oldest entry once
+// the log holds maxDiags.
+func (c *Controller) logDiagLocked(d EpochDiag) {
+	if len(c.diags) == maxDiags {
+		c.diags = c.diags[1:]
+	}
+	c.diags = append(c.diags, d)
 }
 
 // finishEpochLocked rolls over to the next epoch's warm-up, keeping the currently

@@ -130,6 +130,63 @@ func TestControllerEpochRollover(t *testing.T) {
 	}
 }
 
+// TestControllerKeepsNewestDiags: the epoch log, which every checkpoint and
+// /state frame carries, holds the newest maxDiags epochs and no more, so the
+// encoded controller state stops growing once the log is full; a snapshot
+// with a longer log does not decode.
+func TestControllerKeepsNewestDiags(t *testing.T) {
+	m := trainedModel(t)
+	cfg := OnlineConfig{Epoch: 60, Warmup: 20, Round: 10, StabilityRounds: 1}
+	c, err := NewController(m, newHier(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	encoded := func() int {
+		b, err := json.Marshal(c.CheckpointState())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b)
+	}
+	play := func(epochs int, seed int64) {
+		tr, err := tracegen.ImageDownloadMix(50, epochs*cfg.Epoch, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Play(tr)
+	}
+	play(maxDiags, 301)
+	full := encoded()
+	play(maxDiags/2, 302)
+	diags := c.Diags()
+	if len(diags) != maxDiags {
+		t.Fatalf("%d epochs played, %d diagnostics kept, want %d", maxDiags*3/2, len(diags), maxDiags)
+	}
+	for i, d := range diags {
+		if want := maxDiags/2 + i; d.Epoch != want {
+			t.Fatalf("diagnostic %d is for epoch %d, want %d (the newest %d)", i, d.Epoch, want, maxDiags)
+		}
+	}
+	if grown := encoded(); grown > full+full/20 {
+		t.Fatalf("encoded controller state grew from %d B to %d B after its log was full", full, grown)
+	}
+
+	st := c.CheckpointState()
+	for n, ok := range map[int]bool{maxDiags: true, maxDiags + 1: false} {
+		st.Diags = make([]EpochDiag, n)
+		for i := range st.Diags {
+			st.Diags[i] = diags[i%len(diags)]
+		}
+		frame, err := EncodeCheckpointFrame(&Checkpoint{Controller: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeCheckpointFrame(frame); (err == nil) != ok {
+			t.Fatalf("a snapshot with %d diagnostics: decode error %v, want one: %v", n, err, !ok)
+		}
+	}
+}
+
 func TestControllerPicksGoodExpert(t *testing.T) {
 	// End-to-end sanity: Darwin's chosen expert should be within the top
 	// half of the grid for the served trace (hindsight evaluation).

@@ -158,10 +158,7 @@ func build(cfg Config) (*Node, error) {
 		if err := n.Proxy.SetPeers(cfg.Peer); err != nil {
 			return nil, n.abandon(err)
 		}
-		n.Proxy.EnableStateHandoff(server.StateHandoff{
-			Provide: handoffProvider(n.eng, n.ctrl, model),
-			Accept:  handoffAcceptor(n.eng, n.ctrl),
-		})
+		n.Proxy.EnableStateHandoff(handoffAcceptor(n.eng, n.ctrl))
 		// /gossip answers from the same verdict as /readyz: a draining or
 		// gated node's 503 is what the front tier reads as an explicit "stop
 		// routing here" — immediate weight shed, no waiting for phi to accrue.
@@ -219,7 +216,13 @@ func (n *Node) Run(ctx context.Context, addr string, lameDuck, drain time.Durati
 func (n *Node) Close(ctx context.Context) {
 	n.Health.StartDrain()
 	if n.clustered {
-		if succ, err := n.Proxy.PushStateToSuccessor(ctx); err != nil {
+		// The frame carries no model: the successor runs its own.
+		frame, err := core.EncodeCheckpointFrame(snapshot(n.eng, n.ctrl, nil))
+		succ := -1
+		if err == nil {
+			succ, err = n.Proxy.PushStateToSuccessor(ctx, frame)
+		}
+		if err != nil {
 			logf("state handoff skipped: %v", err)
 		} else {
 			logf("state handed off to ring successor %d", succ)

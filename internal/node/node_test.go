@@ -226,6 +226,95 @@ func TestV1CheckpointRecoversFromJournal(t *testing.T) {
 	}
 }
 
+// TestRestartWithOtherShardCount: cache.AutoShards follows GOMAXPROCS, so a
+// node restarted on a host with another CPU count finds a checkpoint whose
+// engine state has another shard count. Recovery refuses that part and says
+// so, adopts the controller state onto the cold engine — epoch, phase and
+// posteriors kept, the open round restarted — and rebuilds the DC from the
+// journal. A controller state that does not fit either (its open round is
+// past the restarted node's round length) is refused too, and the
+// controller re-warms.
+func TestRestartWithOtherShardCount(t *testing.T) {
+	cfg := Config{
+		Model:    handoffModel(t),
+		Online:   handoffOnlineCfg(),
+		HOCBytes: 256 << 10,
+		DCBytes:  32 << 20,
+		Shards:   2,
+		Store:    diskcache.Config{Dir: t.TempDir(), Sync: diskcache.SyncAlways},
+		Origin:   testOrigin(t),
+	}
+	first, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tracegen.ImageDownloadMix(50, 2000, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := tr.Requests
+	for st := first.ctrl.CheckpointState(); st.Phase != "identify" || st.RoundReqs != cfg.Online.Round/2; st = first.ctrl.CheckpointState() {
+		if st.Epoch > 0 {
+			t.Fatal("the node never reached the middle of an identification round")
+		}
+		first.ctrl.Serve(reqs[0])
+		reqs = reqs[1:]
+	}
+	if err := first.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	atCheckpoint, journaled := first.ctrl.CheckpointState(), first.dur.store.Live()
+	if err := first.dur.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(journaled) == 0 {
+		t.Fatal("the journal holds no DC objects; the test would not exercise the replay")
+	}
+
+	reopen := func() (*Node, string) {
+		n, err := build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { n.dur.store.Close() })
+		return n, stderrOf(t, n.dur.recover)
+	}
+	cfg.Shards = 4
+	second, logged := reopen()
+	if !strings.Contains(logged, "engine state not restored (cache: snapshot has 2 shards, engine has 4)") ||
+		strings.Contains(logged, "controller state not restored") {
+		t.Fatalf("recovery logged %q, want the refused engine state and nothing about the controller", logged)
+	}
+	if code, body := readyz(t, second); code != http.StatusOK {
+		t.Fatalf("/readyz after recovery: %d %q", code, body)
+	}
+	if got := dcLen(second.eng); got != len(journaled) {
+		t.Fatalf("recovered DC holds %d objects, the journal %d", got, len(journaled))
+	}
+	for _, obj := range journaled {
+		if r := second.eng.Lookup(obj.ID); r != cache.DCHit {
+			t.Fatalf("journaled object %d is %v after recovery, want a DC hit", obj.ID, r)
+		}
+	}
+	st := second.ctrl.CheckpointState()
+	if st.Phase != atCheckpoint.Phase || st.Epoch != atCheckpoint.Epoch || st.EpochReqs != atCheckpoint.EpochReqs ||
+		!reflect.DeepEqual(st.Bandit, atCheckpoint.Bandit) {
+		t.Fatalf("controller not adopted:\n got %+v\nwant %+v", st, atCheckpoint)
+	}
+	if st.RoundReqs != 0 || st.RoundStart != (cache.Metrics{}) {
+		t.Fatalf("the open round resumed at request %d from %+v; adopted onto a cold engine it must restart", st.RoundReqs, st.RoundStart)
+	}
+
+	cfg.Online.Round = atCheckpoint.RoundReqs
+	third, logged := reopen()
+	if !strings.Contains(logged, "controller state not restored") {
+		t.Fatalf("recovery logged %q, want the refused controller state", logged)
+	}
+	if st := third.ctrl.CheckpointState(); st.Phase != "warmup" || st.Epoch != 0 || st.EpochReqs != 0 {
+		t.Fatalf("a refused controller is in %s at epoch %d, request %d; want a fresh warm-up", st.Phase, st.Epoch, st.EpochReqs)
+	}
+}
+
 // stderrOf returns what f writes to os.Stderr, where the node logs.
 func stderrOf(t *testing.T, f func()) string {
 	t.Helper()

@@ -2,24 +2,27 @@ package node
 
 // Property test for the drain-time state handoff: a donor controller's
 // learned state — bandit posteriors above all — must round-trip through the
-// real HTTP path (provider → DRWNCKPT frame → POST /state → acceptor →
+// real HTTP path (snapshot → DRWNCKPT frame → POST /state → acceptor →
 // inheritor restore) bit-identically, across many seeds. And the dual: a
 // corrupt frame must be rejected by the CRC/validation layers without
 // mutating the inheritor at all.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"darwin/internal/cache"
 	"darwin/internal/core"
+	"darwin/internal/persist"
 	"darwin/internal/server"
 	"darwin/internal/trace"
 	"darwin/internal/tracegen"
@@ -109,7 +112,7 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 		if donorState.Bandit != nil {
 			banditsSeen++
 		}
-		frame, err := handoffProvider(donorEng, donorCtrl, model)()
+		frame, err := core.EncodeCheckpointFrame(snapshot(donorEng, donorCtrl, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,10 +120,7 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 		// Inheritor: a fresh proxy serving the real /state endpoint.
 		inhCtrl, inhEng := newHandoffController(t, model)
 		proxy := server.NewOverloadProxy(inhCtrl, "http://127.0.0.1:9", 0, server.Resilience{}, server.Overload{})
-		proxy.EnableStateHandoff(server.StateHandoff{
-			Provide: handoffProvider(inhEng, inhCtrl, model),
-			Accept:  handoffAcceptor(inhEng, inhCtrl),
-		})
+		proxy.EnableStateHandoff(handoffAcceptor(inhEng, inhCtrl))
 		srv := httptest.NewServer(http.HandlerFunc(proxy.ServeState))
 
 		resp, err := http.Post(srv.URL+"/state", "application/octet-stream", bytes.NewReader(frame))
@@ -142,9 +142,9 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 			t.Fatalf("seed %d: epoch position %d/%d, want %d/%d", seed, got.Epoch, got.EpochReqs, donorState.Epoch, donorState.EpochReqs)
 		}
 
-		// And the donor's residency arrived: the inheritor can now re-serve
-		// it through its own provider, still bit-identical.
-		reframe, err := handoffProvider(inhEng, inhCtrl, model)()
+		// And the donor's learned state carries on: the inheritor's own
+		// frame holds it, still bit-identical.
+		reframe, err := core.EncodeCheckpointFrame(snapshot(inhEng, inhCtrl, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(reck.Controller.Bandit, donorState.Bandit) {
-			t.Fatalf("seed %d: posteriors drifted through the inheritor's own provider", seed)
+			t.Fatalf("seed %d: posteriors drifted through the inheritor's own frame", seed)
 		}
 
 		// Corruption: flipping any byte must yield a 400 and zero mutation.
@@ -189,6 +189,152 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDrainPushCarriesNoModel: the frame a darwin-mode node's Close POSTs to
+// its ring successor carries the engine and the controller state, which the
+// successor merges, and no model: the successor runs its own. /state answers
+// a GET with 405.
+func TestDrainPushCarriesNoModel(t *testing.T) {
+	model := handoffModel(t)
+	heirSrv := httptest.NewUnstartedServer(nil)
+	defer heirSrv.Close()
+	donorSrv := httptest.NewUnstartedServer(nil)
+	defer donorSrv.Close()
+	urls := []string{"http://" + donorSrv.Listener.Addr().String(), "http://" + heirSrv.Listener.Addr().String()}
+	cfg := Config{
+		Model:    model,
+		Online:   handoffOnlineCfg(),
+		HOCBytes: 256 << 10,
+		DCBytes:  32 << 20,
+		Shards:   2,
+		Origin:   testOrigin(t),
+		Peer:     server.PeerConfig{Self: urls[1], Nodes: urls},
+	}
+	heir, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer heir.Close(context.Background())
+	pushed := make(chan []byte, 1)
+	heirSrv.Config.Handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/state" {
+			body, _ := io.ReadAll(r.Body)
+			pushed <- body
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		heir.Handler().ServeHTTP(w, r)
+	})
+	heirSrv.Start()
+
+	cfg.Peer.Self = urls[0]
+	donor, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donorSrv.Config.Handler = donor.Handler()
+	donorSrv.Start()
+	tr, err := tracegen.ImageDownloadMix(50, 250, 1001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range tr.Requests {
+		fetch(t, urls[0], req.ID, req.Size)
+	}
+	resp, err := http.Get(urls[0] + "/state")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /state answered %d, want 405", resp.StatusCode)
+	}
+	want := donor.ctrl.CheckpointState()
+	withModel, err := core.EncodeCheckpointFrame(snapshot(donor.eng, donor.ctrl, model))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	donor.Close(context.Background())
+	frame := <-pushed
+	ck, err := core.DecodeCheckpointFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.Model != nil || ck.Engine == nil || !reflect.DeepEqual(ck.Controller, want) {
+		t.Fatalf("pushed frame: model %v, engine %v, controller %+v; want no model, the engine, and %+v",
+			ck.Model != nil, ck.Engine != nil, ck.Controller, want)
+	}
+	if st := heir.Proxy.Stats(); st.StateMerges != 1 || st.StateRejects != 0 {
+		t.Fatalf("successor merged %d frames and rejected %d, want 1 and 0", st.StateMerges, st.StateRejects)
+	}
+	t.Logf("pushed frame %d B; with the model it would be %d B", len(frame), len(withModel))
+}
+
+// TestKindTaggedFrameRestores: a frame as it was written before the tracker
+// lost its kind tag — each shard's tracker tagged "exact", and the model
+// inside, as every checkpoint file and darwin-mode /state body then carried
+// it — still decodes, and restores an engine and a controller equal to its
+// source.
+func TestKindTaggedFrameRestores(t *testing.T) {
+	model := handoffModel(t)
+	ctrl, eng := newHandoffController(t, model)
+	tr, err := tracegen.ImageDownloadMix(50, 250, 1001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range tr.Requests {
+		ctrl.Serve(req)
+	}
+	frame, err := core.EncodeCheckpointFrame(snapshot(eng, ctrl, model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := persist.DecodeFrame(bytes.NewReader(frame), core.CheckpointMagic, core.CheckpointFormatVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(payload))
+	dec.UseNumber() // ids above 2^53 must survive the edit
+	var doc map[string]any
+	if err := dec.Decode(&doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range doc["engine"].(map[string]any)["shards"].([]any) {
+		sh.(map[string]any)["tracker"].(map[string]any)["kind"] = "exact"
+	}
+	tagged, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(tagged), `"kind":"exact"`); n != eng.Shards() {
+		t.Fatalf("%d tagged trackers in a %d-shard frame", n, eng.Shards())
+	}
+	var old bytes.Buffer
+	if err := persist.EncodeFrame(&old, core.CheckpointMagic, core.CheckpointFormatVersion, tagged); err != nil {
+		t.Fatal(err)
+	}
+
+	ck, err := core.DecodeCheckpointFrame(old.Bytes())
+	if err != nil {
+		t.Fatalf("a kind-tagged frame does not decode: %v", err)
+	}
+	if ck.Model == nil {
+		t.Fatal("the frame's model did not decode")
+	}
+	restoredCtrl, restoredEng := newHandoffController(t, model)
+	if err := restoredEng.RestoreState(ck.Engine); err != nil {
+		t.Fatal(err)
+	}
+	if err := restoredCtrl.RestoreState(ck.Controller); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(restoredEng.State(), eng.State()) {
+		t.Fatal("the restored engine differs from the source")
+	}
+	if got, want := restoredCtrl.CheckpointState(), ctrl.CheckpointState(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the restored controller differs from the source:\n got %+v\nwant %+v", got, want)
+	}
+}
+
 // TestHandoffRestartsAdoptedRound: a donor handed off in the middle of an
 // identification round carries that round's baseline — its own engine's
 // counters — and its position in the round. The inheritor adopts the
@@ -211,7 +357,7 @@ func TestHandoffRestartsAdoptedRound(t *testing.T) {
 		donorCtrl.Serve(reqs[0])
 		reqs = reqs[1:]
 	}
-	frame, err := handoffProvider(donorEng, donorCtrl, model)()
+	frame, err := core.EncodeCheckpointFrame(snapshot(donorEng, donorCtrl, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +510,7 @@ func FuzzHandoffAccept(f *testing.F) {
 		if m := eng.Metrics(); m.HOCHits+m.DCHits+m.Misses != m.Requests {
 			t.Fatalf("after play: %d hits and misses for %d requests", m.HOCHits+m.DCHits+m.Misses, m.Requests)
 		}
-		again, err := handoffProvider(eng, ctrl, nil)()
+		again, err := core.EncodeCheckpointFrame(snapshot(eng, ctrl, nil))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,10 +105,12 @@ var goneFields = []string{
 // for a method): those that carried the gone knobs, capabilities no caller
 // outside tests used, internal/exp's process-wide memos, the simulator's
 // warm-up reset, the duplicate standardisers and checkpoint file codecs, the
-// two faulted-origin runs internal/exp's faultedRun replaced, and the replay
-// loop cache.Replay replaced.
+// two faulted-origin runs internal/exp's faultedRun replaced, the replay
+// loop cache.Replay replaced, and the /state GET side with the tracker's
+// kind tag and the miss-admission switch, none of which a reader used.
 var goneDecls = map[string][]string{
-	".": {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults"},
+	".":       {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults", "StateHandoff"},
+	"../node": {"handoffProvider"},
 	"../baselines": {"Static", "NewStatic", "NewStaticSharded", "newHierarchy", "scaleVec",
 		"Percentile.ResetMetrics", "HillClimbing.ResetMetrics", "AdaptSize.ResetMetrics",
 		"DirectMapping.ResetMetrics", "TinyLFU.ResetMetrics", "Percentile.Expert",
@@ -119,7 +121,8 @@ var goneDecls = map[string][]string{
 	"../par":       {"Do", "TaskError", "Errors"},
 	"../cache": {"EvaluateAllParallel", "EvaluateHits", "Hierarchy.Play", "Index", "Sharded.SetAdmission",
 		"Sharded.HOCBytes", "Sharded.DCBytes", "Sharded.HOCLen", "Sharded.DCLen",
-		"Hierarchy.HOCBytes", "Hierarchy.DCBytes", "Hierarchy.HOCLen", "Hierarchy.DCLen"},
+		"Hierarchy.HOCBytes", "Hierarchy.DCBytes", "Hierarchy.HOCLen", "Hierarchy.DCLen",
+		"trackerExact", "Hierarchy.SetAdmitOnMiss"},
 	"../core": {"Controller.ResetMetrics", "EvictionSelector.Choices", "EvictionSelector.Exploiting",
 		"EncodeCheckpoint", "DecodeCheckpoint", "SaveCheckpoint", "LoadCheckpoint"},
 	"../exp": {"CachedCorpus", "Hindsight", "HindsightTrace", "EnsembleSet", "corpusCache", "hindsightCache", "compareCache",

@@ -318,9 +318,9 @@ type Proxy struct {
 	// cluster. Immutable after SetPeers.
 	peers *peerSet
 
-	// handoff wires /state to the binary's checkpoint codec (zero when the
-	// drain-time handoff is not enabled).
-	handoff StateHandoff
+	// acceptState merges a POST /state frame through the binary's
+	// checkpoint codec (nil when the drain-time handoff is not enabled).
+	acceptState func(frame []byte) error
 
 	rngMu sync.Mutex
 	rng   *rand.Rand // guarded by rngMu; retry jitter only
