@@ -4,12 +4,12 @@
 # runs short fuzzing sessions over the parsing, hashing and indexing seams.
 # Numbers come from three places only: `go run ./cmd/experiments` regenerates
 # the paper's tables, `make bench` prices the system, `make microbench` prices
-# a function; the `chaos*` targets run one fault experiment plus its
-# real-process test.
+# a function; `make smoke` drives origin, proxy and loadgen as real processes,
+# and the `chaos*` targets run one fault experiment plus its real-process test.
 
 GO ?= go
 
-.PHONY: tier1 vet fmt build test lint race fuzz bench microbench chaos chaos-crash chaos-cluster chaos-flap
+.PHONY: tier1 vet fmt build test lint race fuzz bench microbench smoke chaos chaos-crash chaos-cluster chaos-flap
 
 tier1: build vet fmt lint test
 
@@ -81,6 +81,14 @@ bench:
 # journal put and recovery, proxy serve-hit), with allocs/op.
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/...
+
+# smoke drives the three prototype binaries as separate processes: origin
+# (10% injected 5xx, 5% truncated bodies), a static-mode darwin-proxy and
+# loadgen, once with the proxy's resilience and overload stages on (the client
+# error rate must stay far under the injected rate) and once with both off
+# (the faults reach the client, every one a clean 5xx).
+smoke:
+	DARWIN_SMOKE_PROC=1 $(GO) test ./cmd/loadgen -run TestSmokeProcess -v
 
 chaos:
 	$(GO) run ./cmd/experiments -only chaos

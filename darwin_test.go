@@ -1,120 +1,42 @@
 package darwin_test
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
-
-	"darwin"
 )
 
-// TestEndToEndPublicAPI exercises the documented quick-start flow through
-// the public façade only.
-func TestEndToEndPublicAPI(t *testing.T) {
-	experts := darwin.ExpertGrid([]int{1, 3, 5}, []int64{2 << 10, 20 << 10, 200 << 10})
-	eval := darwin.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20, WarmupFrac: 0.1}
-
-	// Offline: historical traces → dataset → model.
-	var train []*darwin.Trace
-	for _, pct := range []int{0, 50, 100} {
-		for seed := int64(0); seed < 2; seed++ {
-			tr, err := darwin.ImageDownloadMix(pct, 8000, 600+seed+int64(pct))
-			if err != nil {
-				t.Fatal(err)
-			}
-			train = append(train, tr)
-		}
-	}
-	ds, err := darwin.BuildDataset(train, darwin.DatasetConfig{
-		Experts:       experts,
-		Eval:          eval,
-		FeatureWindow: 800,
-	})
+// TestQuickStartIsExample keeps the README's quick start the code that
+// Example_quickstart runs and checks: its Go block must be a verbatim excerpt
+// of the Example's body, dedented by one tab.
+func TestQuickStartIsExample(t *testing.T) {
+	readme, err := os.ReadFile("README.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := darwin.Train(ds, darwin.TrainConfig{NumClusters: 3, Seed: 1})
+	src, err := os.ReadFile("example_test.go")
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Online: controller over a fresh cache.
-	hier, err := darwin.NewCache(darwin.CacheConfig{HOCBytes: eval.HOCBytes, DCBytes: eval.DCBytes})
-	if err != nil {
-		t.Fatal(err)
+	block := regexp.MustCompile("(?s)\n## Quick start\n.*?```go\n(.*?)```").FindSubmatch(readme)
+	body := regexp.MustCompile(`(?s)\nfunc Example_quickstart\(\) \{\n(.*?)\n\}\n`).FindSubmatch(src)
+	if block == nil || body == nil {
+		t.Fatalf("README.md's quick-start Go block found: %v; example_test.go's Example_quickstart found: %v", block != nil, body != nil)
 	}
-	ctrl, err := darwin.NewController(model, hier, darwin.OnlineConfig{
-		Epoch: 12000, Warmup: 800, Round: 300, StabilityRounds: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
+	if !bytes.Contains(block[1], []byte("darwin.NewController(")) {
+		t.Fatalf("README.md's quick start no longer runs the controller:\n%s", block[1])
 	}
-	live, err := darwin.ImageDownloadMix(100, 12000, 999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range live.Requests {
-		ctrl.Serve(r)
-	}
-	m := ctrl.Metrics()
-	if m.Requests != int64(live.Len()) {
-		t.Fatalf("requests = %d", m.Requests)
-	}
-	if len(ctrl.Diags()) == 0 {
-		t.Fatal("no epochs recorded")
-	}
-	if m.OHR() <= 0 {
-		t.Fatal("no hits at all")
+	if dedented := regexp.MustCompile(`(?m)^\t`).ReplaceAll(body[1], nil); !bytes.Contains(dedented, block[1]) {
+		t.Errorf("README.md's quick start is not an excerpt of Example_quickstart; copy it from example_test.go")
 	}
 }
 
-func TestPublicObjectives(t *testing.T) {
-	for _, name := range []string{"ohr", "bmr", "combined"} {
-		if _, err := darwin.ObjectiveByName(name); err != nil {
-			t.Fatalf("ObjectiveByName(%q): %v", name, err)
-		}
-	}
-	var m darwin.CacheMetrics
-	m.Requests, m.HOCHits = 10, 5
-	if (darwin.OHRObjective{}).Reward(m) != 0.5 {
-		t.Fatal("OHR objective broken through façade")
-	}
-}
-
-func TestPublicTraceHelpers(t *testing.T) {
-	a, err := darwin.ImageDownloadMix(50, 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := darwin.ImageDownloadMix(50, 100, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := darwin.ConcatTraces("j", a, b)
-	if joined.Len() != 200 {
-		t.Fatalf("Concat len = %d", joined.Len())
-	}
-	s := joined.Summarize()
-	if s.Requests != 200 {
-		t.Fatalf("stats = %+v", s)
-	}
-}
-
-func TestPublicExpertGrid(t *testing.T) {
-	if len(darwin.DefaultExpertGrid()) != 36 {
-		t.Fatal("default grid should have 36 experts")
-	}
-	g3 := darwin.ExpertGrid3([]int{1}, []int64{10}, []int64{5, 6})
-	if len(g3) != 2 {
-		t.Fatal("3-knob grid wrong")
-	}
-}
-
-// goneIdents are deleted config fields, flags, make targets and their
-// helpers: the documents may not name them as if they were settable. An entry
-// may start with "-", for a flag.
+// goneIdents are deleted config fields, flags, make targets, facade names and
+// their helpers: the documents may not name them as if they were settable or
+// callable. An entry may start with "-", for a flag.
 var goneIdents = []string{
 	"Resilience.Seed", "BackoffMax", "StaleCap",
 	"RetryBudget", "RetryBudgetWindow", "RetryAfter", "BudgetSnapshot",
@@ -145,6 +67,18 @@ var goneIdents = []string{
 	"SaveCheckpoint", "LoadCheckpoint", "EncodeCheckpoint", "DecodeCheckpoint", "SaveFrame", "LoadFrame",
 	"FlapUp", "FlapDown", "CrashFrac",
 	"DCEviction", "StateHandoff", "SetAdmitOnMiss",
+	"darwin.Request", "darwin.TraceStats", "darwin.ReadTrace", "darwin.ExpertGrid3", "darwin.DefaultExpertGrid",
+	"darwin.Cache", "darwin.CacheResult", "darwin.HOCHit", "darwin.DCHit", "darwin.Miss", "darwin.Seen",
+	"darwin.CacheEngine", "darwin.ShardedCache", "darwin.NewShardedCache", "darwin.AutoShards", "darwin.EvaluateAll",
+	"darwin.FeatureConfig", "darwin.DefaultFeatureConfig", "darwin.FeatureExtractor", "darwin.NewFeatureExtractor",
+	"darwin.Dataset", "darwin.Model", "darwin.BMRObjective", "darwin.ObjectiveByName", "darwin.DefaultOnlineConfig",
+	"darwin.Controller", "darwin.EpochDiag", "darwin.WriteModel", "darwin.ReadModel", "darwin.OfflineOptimalOHR",
+	"darwin.EvictionSelectorConfig", "darwin.EvictionSelector", "darwin.NewEvictionSelector",
+	"darwin.BanditConfig", "darwin.Bandit", "darwin.NewBandit",
+	"darwin.TrafficClass", "darwin.ImageClass", "darwin.DownloadClass", "darwin.WebClass", "darwin.VideoClass",
+	"darwin.ScanClass", "darwin.MixConfig", "darwin.GenerateTrace", "darwin.LoadBalancer", "darwin.NewLoadBalancer",
+	"darwin.Origin", "darwin.Proxy", "darwin.NewProxy", "darwin.DefaultResilience", "darwin.DefaultOverload",
+	"darwin.LoadConfig", "darwin.LoadResult", "darwin.RunLoad", "tracegen.ByName",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

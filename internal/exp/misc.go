@@ -13,7 +13,7 @@ import (
 )
 
 // SyntheticMix generates an Image:Download mix: the one trace source of the
-// experiments, the CLI tools and the examples.
+// experiments and the CLI tools.
 func SyntheticMix(imagePct, n int, seed int64) (*trace.Trace, error) {
 	return tracegen.ImageDownloadMix(imagePct, n, seed)
 }

@@ -142,21 +142,11 @@ func (t *Trace) Summarize() Stats {
 	return s
 }
 
-// Write encodes t in the on-disk format: one "id size time" line per request.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range t.Requests {
-		if _, err := fmt.Fprintf(bw, "%d %d %d\n", r.ID, r.Size, r.Time); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ErrBadRecord reports a malformed trace line.
 var ErrBadRecord = errors.New("trace: malformed record")
 
-// Read decodes a trace in the "id size time" line format produced by Write.
+// Read decodes a trace in the "id size time" line format: one request per
+// line, with blank lines and "#" comments skipped.
 func Read(r io.Reader, name string) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -138,16 +137,12 @@ func TestSummarizeEmpty(t *testing.T) {
 
 func TestRoundTrip(t *testing.T) {
 	tr := sample()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Read(&buf, "sample")
+	got, err := Read(strings.NewReader("1 100 0\n2 200 10\n1 100 20\n3 50 30\n"), "sample")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("round-trip length %d != %d", got.Len(), tr.Len())
+	if got.Name != tr.Name || got.Len() != tr.Len() {
+		t.Fatalf("read %q with %d requests, want %q with %d", got.Name, got.Len(), tr.Name, tr.Len())
 	}
 	for i := range tr.Requests {
 		if got.Requests[i] != tr.Requests[i] {

@@ -159,23 +159,6 @@ func Scan() Class {
 	}
 }
 
-// ByName returns a predefined class by name.
-func ByName(name string) (Class, error) {
-	switch name {
-	case "image":
-		return Image(), nil
-	case "download":
-		return Download(), nil
-	case "web":
-		return Web(), nil
-	case "video":
-		return Video(), nil
-	case "scan":
-		return Scan(), nil
-	}
-	return Class{}, fmt.Errorf("tracegen: unknown class %q", name)
-}
-
 // classState holds the per-class sampling state during generation.
 type classState struct {
 	class Class

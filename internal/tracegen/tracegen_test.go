@@ -21,18 +21,6 @@ func TestPredefinedClassesValid(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, name := range []string{"image", "download", "web", "video", "scan"} {
-		c, err := ByName(name)
-		if err != nil || c.Name != name {
-			t.Errorf("ByName(%q) = %v, %v", name, c.Name, err)
-		}
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("ByName should reject unknown classes")
-	}
-}
-
 func TestValidateRejectsBadParams(t *testing.T) {
 	base := Image()
 	cases := []func(*Class){
