@@ -45,7 +45,7 @@ race:
 # "missed before" set under random op sequences, an offline replay over a
 # pre-laid record table against the plain serve loop, the
 # controller's batched replay against per-request serving, the durability
-# decoders (persist frames, journal records/segments, checkpoint and
+# decoders (persist frames, journal records and logs, checkpoint and
 # neural-weight payloads) — corrupted on-disk bytes must produce typed
 # errors, never panics — a checkpoint or /state frame with one edited slice
 # or number (what decodes must restore and run), and internal/lint's own
@@ -61,7 +61,7 @@ fuzz:
 	$(GO) test ./internal/core -fuzz FuzzControllerPlay -fuzztime 10s
 	$(GO) test ./internal/persist -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzDecodeRecord -fuzztime 10s
-	$(GO) test ./internal/diskcache -fuzz FuzzOpenSegment -fuzztime 10s
+	$(GO) test ./internal/diskcache -fuzz FuzzOpenLog -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzDecodeCheckpoint -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzCheckpointRuns -fuzztime 10s
 	$(GO) test ./internal/node -fuzz FuzzHandoffAccept -fuzztime 10s
@@ -82,13 +82,18 @@ bench:
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/...
 
+# The real-process tests below build the binaries they run with `go build`,
+# which go test's result cache does not see: -count=1 reruns them on every
+# call. (A main package's test binary can be byte-identical across an edit to
+# main, so the cache would replay the old run.)
+#
 # smoke drives the three prototype binaries as separate processes: origin
 # (10% injected 5xx, 5% truncated bodies), a static-mode darwin-proxy and
 # loadgen, once with the proxy's resilience and overload stages on (the client
 # error rate must stay far under the injected rate) and once with both off
 # (the faults reach the client, every one a clean 5xx).
 smoke:
-	DARWIN_SMOKE_PROC=1 $(GO) test ./cmd/loadgen -run TestSmokeProcess -v
+	DARWIN_SMOKE_PROC=1 $(GO) test -count=1 ./cmd/loadgen -run TestSmokeProcess -v
 
 chaos:
 	$(GO) run ./cmd/experiments -only chaos
@@ -100,7 +105,7 @@ chaos:
 # recovers the DC from the journal.
 chaos-crash:
 	$(GO) run ./cmd/experiments -only crash
-	DARWIN_CRASH_PROC=1 $(GO) test ./cmd/darwin-proxy -run TestCrashRecoveryProcess -v
+	DARWIN_CRASH_PROC=1 $(GO) test -count=1 ./cmd/darwin-proxy -run TestCrashRecoveryProcess -v
 
 # chaos-cluster is the distributed-edge suite: the deterministic in-process
 # drain experiment on the deployed front and nodes, then the real-process
@@ -109,7 +114,7 @@ chaos-crash:
 # and asserts zero client-visible failures while the survivors absorb the load.
 chaos-cluster:
 	$(GO) run ./cmd/experiments -only cluster
-	DARWIN_CLUSTER_PROC=1 $(GO) test ./cmd/darwin-front -run TestClusterDrainProcess -v
+	DARWIN_CLUSTER_PROC=1 $(GO) test -count=1 ./cmd/darwin-front -run TestClusterDrainProcess -v
 
 # chaos-flap is the self-healing membership suite: the deterministic flap /
 # asymmetric-partition / drain-handoff experiment on the deployed front and
@@ -118,4 +123,4 @@ chaos-cluster:
 # asserts its ring successor inherits the working set through POST /state.
 chaos-flap:
 	$(GO) run ./cmd/experiments -only flap
-	DARWIN_FLAP_PROC=1 $(GO) test ./cmd/darwin-proxy -run TestDrainHandoffProcess -v
+	DARWIN_FLAP_PROC=1 $(GO) test -count=1 ./cmd/darwin-proxy -run TestDrainHandoffProcess -v

@@ -66,7 +66,7 @@ func main() {
 			res.Timeouts, res.Status5xx, res.Truncated, res.OtherErrors)
 	}
 	if res.StaleServes > 0 {
-		fmt.Printf("degraded:    %d stale serves (origin down, served from proxy memory)\n", res.StaleServes)
+		fmt.Printf("degraded:    %d stale serves (X-Cache: stale: answered without a successful origin fetch)\n", res.StaleServes)
 	}
 	fmt.Printf("wall time:   %v\n", res.Wall.Round(time.Millisecond))
 	fmt.Printf("throughput:  %.1f Mbps\n", res.ThroughputBps()/1e6)

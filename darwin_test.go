@@ -44,6 +44,7 @@ var goneIdents = []string{
 	"SuspectWeight", "MinSamples",
 	"VirtualNodes", "ReplicationConfig",
 	"SegmentBytes", "BatchEvery", "GCFraction",
+	"FuzzOpenSegment", "journal_segments", "journal_rotations", "journal_truncated_segments",
 	"OnlineConfig.Delta", "OnlineConfig.MaxRounds", "Neff", "VarFloor", "InitialExpert", "UniformBandit",
 	"bandit.Config.M", "bandit.Config.C", "bandit.Config.Uniform",
 	"EvictionSelectorConfig.Policies", "EvictionSelectorConfig.Delta",

@@ -1,6 +1,7 @@
 package diskcache
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 func open(t *testing.T, dir string, mut ...func(*Config)) *Store {
 	t.Helper()
-	cfg := Config{Dir: dir, segmentBytes: 1 << 20, Sync: SyncOff}
+	cfg := Config{Dir: dir, checkBytes: 1 << 20, Sync: SyncOff}
 	for _, m := range mut {
 		m(&cfg)
 	}
@@ -61,14 +62,14 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, segmentName(1))
-	data, err := os.ReadFile(seg)
+	path := filepath.Join(dir, logName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Tear the last record in half, as a crash mid-write would.
 	torn := data[:len(data)-10]
-	if err := os.WriteFile(seg, torn, 0o644); err != nil {
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -78,8 +79,8 @@ func TestRecoveryTruncatesTornTail(t *testing.T) {
 		t.Fatalf("recovered %d objects, want 9 (torn 10th dropped)", len(live))
 	}
 	st := r.Stats()
-	if st.TruncatedSegments != 1 || st.TruncatedBytes != putRecord-10 {
-		t.Fatalf("truncation stats = %d segments / %d bytes, want 1 / %d", st.TruncatedSegments, st.TruncatedBytes, putRecord-10)
+	if st.TruncatedBytes != putRecord-10 {
+		t.Fatalf("TruncatedBytes = %d, want %d", st.TruncatedBytes, putRecord-10)
 	}
 	// The store keeps appending after the truncation point.
 	r.Put(99, 1)
@@ -102,15 +103,15 @@ func TestRecoveryStopsAtBitFlip(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, segmentName(1))
-	data, err := os.ReadFile(seg)
+	path := filepath.Join(dir, logName)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Flip one payload bit in the third record: it and everything after it
 	// are discarded — corruption is never fatal, never silently accepted.
 	data[2*putRecord+recordHeader+3] ^= 0x01
-	if err := os.WriteFile(seg, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r := open(t, dir)
@@ -120,10 +121,13 @@ func TestRecoveryStopsAtBitFlip(t *testing.T) {
 	}
 }
 
+// TestRotationAndCompaction: compaction checks every 10 records rewrite a
+// mostly dead log down to its live set, in place, and the rewritten log
+// replays to the same live set in the same order.
 func TestRotationAndCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, func(c *Config) {
-		c.segmentBytes = 10 * putRecord
+		c.checkBytes = 10 * putRecord
 		c.gcFraction = 0.3
 	})
 	// Churn one hot id so almost all records are dead.
@@ -132,9 +136,6 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 	s.Put(8, 50)
 	st := s.Stats()
-	if st.Rotations == 0 {
-		t.Fatalf("no rotations after 101 appends with 10-record segments")
-	}
 	if st.Compactions == 0 {
 		t.Fatalf("no compactions despite 99%% dead bytes")
 	}
@@ -143,6 +144,9 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 1 || ents[0].Name() != logName {
+		t.Fatalf("directory after compaction = %v (%v), want only %s", ents, err, logName)
 	}
 	r := open(t, dir)
 	defer r.Close()
@@ -209,14 +213,11 @@ func TestClosedStoreDropsWrites(t *testing.T) {
 	if st := s.Stats(); st.DroppedOps != 2 {
 		t.Fatalf("DroppedOps = %d, want 2", st.DroppedOps)
 	}
-	if err := s.Err(); err != nil {
-		t.Fatalf("Err after clean close = %v, want nil", err)
-	}
 }
 
 func TestOpenCleansTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	tmp := filepath.Join(dir, segmentTempName(3))
+	tmp := filepath.Join(dir, logName+".tmp-123")
 	if err := os.WriteFile(tmp, []byte("partial compaction"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -224,6 +225,35 @@ func TestOpenCleansTempFiles(t *testing.T) {
 	defer s.Close()
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("stale temp file survived Open: %v", err)
+	}
+}
+
+// TestSegmentDirectoryStartsCold: a directory written by the segmented
+// journal this log replaced (seg-<16-digit seq>.log files of the same
+// records) opens with an empty live set, and the segment is left as it was:
+// the DC starts cold, and the checkpoint still restores the rest.
+func TestSegmentDirectoryStartsCold(t *testing.T) {
+	dir := t.TempDir()
+	var rec [recordMax]byte
+	var data []byte
+	for id := uint64(1); id <= 3; id++ {
+		n := encodePut(rec[:], id, 4096)
+		data = append(data, rec[:n]...)
+	}
+	seg := filepath.Join(dir, "seg-0000000000000001.log")
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := open(t, dir)
+	if live := s.Live(); len(live) != 0 {
+		t.Fatalf("live = %v from a segment directory, want empty", live)
+	}
+	s.Put(9, 1)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(seg); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("segment after Open/Put/Close: %d bytes (%v), want its %d bytes untouched", len(got), err, len(data))
 	}
 }
 

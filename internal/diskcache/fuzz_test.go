@@ -45,23 +45,27 @@ func FuzzDecodeRecord(f *testing.F) {
 	})
 }
 
-// FuzzOpenSegment feeds arbitrary bytes to Open as a segment file: recovery
-// must never panic and never fail on content corruption — it recovers the
-// valid record prefix and truncates the rest.
-func FuzzOpenSegment(f *testing.F) {
+// FuzzOpenLog feeds arbitrary bytes to Open as the journal: recovery must
+// never panic and never fail on content corruption — it recovers the valid
+// record prefix and truncates the rest. The seeds include a log a
+// compaction wrote and a torn one.
+func FuzzOpenLog(f *testing.F) {
 	var rec [recordMax]byte
 	n := encodePut(rec[:], 7, 100)
 	f.Add(append(append([]byte{}, rec[:n]...), 0xde, 0xad))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat(rec[:n], 3))
+	compacted := compactedLog(f)
+	f.Add(compacted)
+	f.Add(compacted[:len(compacted)-putRecord/2])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, err := Open(Config{Dir: dir, Sync: SyncOff})
 		if err != nil {
-			t.Fatalf("Open failed on corrupt segment content: %v", err)
+			t.Fatalf("Open failed on corrupt log content: %v", err)
 		}
 		// The surviving store must accept appends and reopen cleanly.
 		s.Put(1, 1)
@@ -80,4 +84,33 @@ func FuzzOpenSegment(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// compactedLog returns the bytes of a journal a compaction rewrote: three
+// live objects, then churn on a fourth, on a log checked every four records.
+func compactedLog(f *testing.F) []byte {
+	dir := f.TempDir()
+	s, err := Open(Config{Dir: dir, Sync: SyncOff, checkBytes: 4 * putRecord})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for id := uint64(1); id <= 3; id++ {
+		s.Put(id, 4096)
+	}
+	for i := int64(0); i < 12; i++ {
+		s.Put(9, 100+i)
+	}
+	s.Remove(9)
+	st := s.Stats()
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	if st.Compactions == 0 {
+		f.Fatal("no compaction ran")
+	}
+	data, err := os.ReadFile(filepath.Join(dir, logName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
 }

@@ -40,8 +40,9 @@ type durability struct {
 	done      chan struct{}
 }
 
-// openDurability opens (or creates) the data directory's journal and reads
-// any checkpoint. A corrupt checkpoint is never fatal: the proxy logs it and
+// openDurability opens (or creates) the data directory's journal, removes
+// the temp file of a checkpoint write a crash interrupted, and reads any
+// checkpoint. A corrupt checkpoint is never fatal: the proxy logs it and
 // recovers from the journal alone.
 func openDurability(cfg diskcache.Config, interval time.Duration) (*durability, error) {
 	store, err := diskcache.Open(cfg)
@@ -54,6 +55,10 @@ func openDurability(cfg diskcache.Config, interval time.Duration) (*durability, 
 		interval: interval,
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
+	}
+	if err := persist.RemoveTemps(d.ckptPath); err != nil {
+		_ = store.Close() // already failing; the journal holds nothing new
+		return nil, fmt.Errorf("removing checkpoint temp files: %w", err)
 	}
 	d.loaded = loadCheckpoint(d.ckptPath)
 	return d, nil
@@ -120,8 +125,8 @@ func (d *durability) recover() {
 	}
 	d.recovered.Store(true)
 	st := d.store.Stats()
-	logf("recovered %d DC objects (%d B) from %d segments in %s (checkpoint=%v, truncated=%dB)",
-		len(live), st.LiveBytes, st.Segments, time.Since(start).Round(time.Millisecond), d.loaded != nil, st.TruncatedBytes)
+	logf("recovered %d DC objects (%d B) from a %d B journal in %s (checkpoint=%v, truncated=%dB)",
+		len(live), st.LiveBytes, st.LogBytes, time.Since(start).Round(time.Millisecond), d.loaded != nil, st.TruncatedBytes)
 }
 
 // checkpoint captures and atomically persists the full learned state.

@@ -410,6 +410,39 @@ func TestCheckpointFile(t *testing.T) {
 	}
 }
 
+// TestNewRemovesLeftoverTempFiles: a crash inside persist.WriteFileAtomic
+// leaves its "<name>.tmp-<random>" file beside the checkpoint or the
+// journal. A node opening the directory removes both kinds and nothing else.
+func TestNewRemovesLeftoverTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	temps := []string{checkpointFile + ".tmp-1", "journal.log.tmp-2"}
+	for _, name := range append(temps, "unrelated") {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("left behind"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n, err := New(Config{
+		HOCBytes: 256 << 10,
+		DCBytes:  32 << 20,
+		Shards:   1,
+		Expert:   cache.Expert{Freq: 1, MaxSize: 1 << 20},
+		Store:    diskcache.Config{Dir: dir},
+		Origin:   testOrigin(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close(context.Background())
+	for _, name := range temps {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Errorf("%s survived New: %v", name, err)
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "unrelated")); err != nil {
+		t.Errorf("an unrelated file did not survive New: %v", err)
+	}
+}
+
 // TestRunClosesNodeWhenDrainOverruns: one client that never finishes its
 // request makes the HTTP drain overrun its deadline. (2 s, well inside the
 // 5 s the server allows a request head: the same budget then bounds the

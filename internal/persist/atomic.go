@@ -5,7 +5,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 )
+
+// tempInfix joins a destination's base name to the random suffix of the
+// temp file WriteFileAtomic stages it in: "<base>.tmp-<random>".
+const tempInfix = ".tmp-"
 
 // WriteFileAtomic replaces path with data without ever exposing a partial
 // file: the bytes are written to a temporary file in the same directory,
@@ -14,11 +19,8 @@ import (
 // artifact writer in this repository (models, checkpoints, BENCH json,
 // experiment figures) relies on across crashes.
 func WriteFileAtomic(path string, data []byte, perm fs.FileMode) error {
-	dir, base := filepath.Split(path)
-	if dir == "" {
-		dir = "."
-	}
-	tmp, err := os.CreateTemp(dir, base+".tmp-*")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+tempInfix+"*")
 	if err != nil {
 		return fmt.Errorf("persist: creating temp for %s: %w", path, err)
 	}
@@ -53,6 +55,27 @@ func WriteFileAtomic(path string, data []byte, perm fs.FileMode) error {
 	if d, err := os.Open(dir); err == nil {
 		_ = d.Sync()  // best-effort; see above
 		_ = d.Close() // read-only handle; nothing to flush
+	}
+	return nil
+}
+
+// RemoveTemps deletes the temp files a crash left behind when it stopped
+// WriteFileAtomic(path, ...) before its rename; path itself still holds the
+// previous content and is untouched. Call it when opening path's owner,
+// before anything writes path: it would also delete a concurrent writer's
+// temp file.
+func RemoveTemps(path string) error {
+	dir, prefix := filepath.Dir(path), filepath.Base(path)+tempInfix
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		if !e.IsDir() && strings.HasPrefix(e.Name(), prefix) {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -123,5 +124,31 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Fatalf("directory has %d entries, want 1 (temp files left behind?)", len(ents))
+	}
+}
+
+// TestRemoveTemps: only the temp files of the named path go; the path, and
+// another path's temp file, stay.
+func TestRemoveTemps(t *testing.T) {
+	dir := t.TempDir()
+	names := []string{"a.ckpt", "a.ckpt.tmp-1", "a.ckpt.tmp-22", "b.ckpt.tmp-1"}
+	for _, name := range names {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := RemoveTemps(filepath.Join(dir, "a.ckpt")); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var left []string
+	for _, e := range ents {
+		left = append(left, e.Name())
+	}
+	if want := []string{"a.ckpt", "b.ckpt.tmp-1"}; !slices.Equal(left, want) {
+		t.Fatalf("left %v, want %v", left, want)
 	}
 }

@@ -106,8 +106,9 @@ var goneFields = []string{
 // outside tests used, internal/exp's process-wide memos, the simulator's
 // warm-up reset, the duplicate standardisers and checkpoint file codecs, the
 // two faulted-origin runs internal/exp's faultedRun replaced, the replay
-// loop cache.Replay replaced, and the /state GET side with the tracker's
-// kind tag and the miss-admission switch, none of which a reader used.
+// loop cache.Replay replaced, the /state GET side with the tracker's kind
+// tag and the miss-admission switch, none of which a reader used, and the
+// DC journal's segment naming and rotation, which one log file replaced.
 var goneDecls = map[string][]string{
 	".":       {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults", "StateHandoff"},
 	"../node": {"handoffProvider"},
@@ -115,10 +116,11 @@ var goneDecls = map[string][]string{
 		"Percentile.ResetMetrics", "HillClimbing.ResetMetrics", "AdaptSize.ResetMetrics",
 		"DirectMapping.ResetMetrics", "TinyLFU.ResetMetrics", "Percentile.Expert",
 		"HillClimbing.Expert", "DirectMapping.Expert", "AdaptSize.C"},
-	"../lb":        {"ReplicationConfig", "ReplicationConfig.WithDefaults", "Ring.Loads", "Ring.Servers"},
-	"../breaker":   {"BudgetSnapshot", "Budget.SnapshotNow"},
-	"../diskcache": {"Config.WithDefaults"},
-	"../par":       {"Do", "TaskError", "Errors"},
+	"../lb":      {"ReplicationConfig", "ReplicationConfig.WithDefaults", "Ring.Loads", "Ring.Servers"},
+	"../breaker": {"BudgetSnapshot", "Budget.SnapshotNow"},
+	"../diskcache": {"Config.WithDefaults", "segmentName", "segmentTempName", "parseSegmentName",
+		"Store.rotateLocked", "Store.openSegmentLocked", "Store.Err"},
+	"../par": {"Do", "TaskError", "Errors"},
 	"../cache": {"EvaluateAllParallel", "EvaluateHits", "Hierarchy.Play", "Index", "Sharded.SetAdmission",
 		"Sharded.HOCBytes", "Sharded.DCBytes", "Sharded.HOCLen", "Sharded.DCLen",
 		"Hierarchy.HOCBytes", "Hierarchy.DCBytes", "Hierarchy.HOCLen", "Hierarchy.DCLen",

@@ -35,8 +35,10 @@ type LoadResult struct {
 	// OtherErrors counts transport failures that fit none of the above.
 	OtherErrors int
 	// StaleServes counts degraded-mode responses (X-Cache: stale): the proxy
-	// answered stale because the origin was down. They are successes from
-	// the client's point of view and also count in Requests.
+	// answered without a successful origin fetch, because the fetch failed
+	// after its retries or the proxy shed it.
+	// They are successes from the client's point of view and also count in
+	// Requests.
 	StaleServes int
 	// OnTime counts successful requests that completed within the client
 	// deadline (== Requests when no deadline is configured) — the goodput

@@ -133,7 +133,7 @@ func TestMetricsExposition(t *testing.T) {
 	// The journal's own stats are not reachable from here: its lines must be
 	// integers that agree with the recovered 20 objects and with each other.
 	j := make(map[string]int64)
-	for _, name := range []string{"journal_live_objects", "journal_live_bytes", "journal_log_bytes", "journal_segments",
+	for _, name := range []string{"journal_live_objects", "journal_live_bytes", "journal_log_bytes",
 		"journal_syncs", "recovered_puts", "journal_puts", "journal_removes"} {
 		v, err := got.Int(name)
 		if err != nil {
@@ -142,7 +142,7 @@ func TestMetricsExposition(t *testing.T) {
 		j[name] = v
 	}
 	if j["recovered_puts"] != 20 || j["journal_live_objects"] != j["recovered_puts"]+j["journal_puts"]-j["journal_removes"] ||
-		j["journal_live_bytes"] < 20*4096 || j["journal_log_bytes"] == 0 || j["journal_segments"] < 1 || j["journal_syncs"] < j["journal_puts"] {
+		j["journal_live_bytes"] < 20*4096 || j["journal_log_bytes"] == 0 || j["journal_syncs"] < j["journal_puts"] {
 		t.Fatalf("journal lines %v disagree with the recovered 20 objects of 4096 bytes or with each other", j)
 	}
 
