@@ -64,7 +64,7 @@ func TestClusterDrainProcess(t *testing.T) {
 	for i := range procs {
 		procs[i] = start(t, proxyBin,
 			"-addr", addrs[i], "-origin", origin.URL,
-			"-mode", "static", "-f", "1", "-s", "1048576",
+			"-f", "1", "-s", "1048576",
 			"-hoc", "262144", "-dc", "33554432", "-shards", "2",
 			"-dc-latency", "0s", "-drain", "2s",
 			"-peers", peerList, "-self", bases[i],

@@ -50,7 +50,7 @@ func TestCrashRecoveryProcess(t *testing.T) {
 	// the HOC, so all residency is DC — exactly what the journal persists.
 	args := []string{
 		"-addr", addr, "-origin", origin.URL,
-		"-mode", "static", "-f", "1", "-s", "1024",
+		"-f", "1", "-s", "1024",
 		"-hoc", "262144", "-dc", "8388608", "-shards", "2",
 		"-dc-latency", "0s",
 		"-data-dir", dataDir, "-fsync", "always", "-checkpoint-interval", "0",

@@ -53,11 +53,13 @@ func TestFlagsDocumentedAndDefaultsDeclaredOnce(t *testing.T) {
 		}
 	}
 	// Removed flags stay removed. -gossip / -handoff: membership and handoff
-	// are simply on when -peers is set. The rest were flags no test, example,
-	// Makefile target or documented command line ever set to a non-default
-	// value, so they are their config struct's defaults now.
+	// are simply on when -peers is set. -mode / -objective: a node runs
+	// darwin exactly when -model is set, over the objective the model file
+	// records. The rest were flags no test, example, Makefile target or
+	// documented command line ever set to a non-default value, so they are
+	// their config struct's defaults now.
 	for _, gone := range []string{
-		"gossip", "handoff",
+		"gossip", "handoff", "mode", "objective",
 		"publish-every", "fsync-batch", "segment-bytes",
 		"fetch-timeout", "backoff-max", "coalesce", "serve-stale",
 		"peer-fanout", "peer-timeout",

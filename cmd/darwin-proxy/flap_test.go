@@ -51,7 +51,7 @@ func TestDrainHandoffProcess(t *testing.T) {
 		// level the handoff merge fills on the inheritor.
 		return []string{
 			"-addr", addrs[i], "-origin", origin.URL,
-			"-mode", "static", "-f", "1", "-s", "1024",
+			"-f", "1", "-s", "1024",
 			"-hoc", "262144", "-dc", "33554432", "-shards", "2",
 			"-dc-latency", "0s", "-drain", "2s", "-lame-duck", "50ms",
 			"-peers", peerList, "-self", bases[i],

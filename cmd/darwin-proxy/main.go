@@ -1,13 +1,13 @@
 // Command darwin-proxy runs the ATS-like CDN caching proxy (§5). The HOC
-// admission policy is either a fixed static expert or Darwin's online
-// controller; in the latter case the offline phase is trained at startup on
-// a synthetic corpus (the prototype equivalent of shipping a pre-trained
-// model to the edge).
+// admission policy is Darwin's online controller over the model file
+// darwin-train wrote (-model), or, without one, a fixed static expert. The
+// proxy never trains a model: the offline phase runs once, elsewhere, and
+// each edge server loads its result.
 //
 // Usage:
 //
-//	darwin-proxy -addr :8080 -origin http://127.0.0.1:9000 -mode darwin
-//	darwin-proxy -addr :8080 -origin http://127.0.0.1:9000 -mode static -f 2 -s 10240
+//	darwin-proxy -addr :8080 -origin http://127.0.0.1:9000 -model model.json
+//	darwin-proxy -addr :8080 -origin http://127.0.0.1:9000 -f 2 -s 10240
 package main
 
 import (
@@ -23,7 +23,6 @@ import (
 
 	"darwin/internal/cache"
 	"darwin/internal/core"
-	"darwin/internal/exp"
 	"darwin/internal/node"
 	"darwin/internal/server"
 )
@@ -31,10 +30,9 @@ import (
 // options is what the flags set: the values main consumes itself and, bound
 // in place, the node's Config.
 type options struct {
-	addr, mode, objective string
-	pprofAddr, modelPath  string
-	drain, lameDuck       time.Duration
-	resilient, overload   bool
+	addr, pprofAddr, modelPath string
+	drain, lameDuck            time.Duration
+	resilient, overload        bool
 
 	node node.Config
 }
@@ -52,15 +50,13 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&n.Origin, "origin", "http://127.0.0.1:9000", "origin base URL")
 	fs.DurationVar(&n.DCLatency, "dc-latency", 2*time.Millisecond, "injected disk-read delay")
-	fs.StringVar(&o.mode, "mode", "darwin", "darwin | static")
 	fs.IntVar(&n.Expert.Freq, "f", 2, "static expert frequency threshold")
 	fs.Int64Var(&n.Expert.MaxSize, "s", 10<<10, "static expert size threshold (bytes)")
 	fs.Int64Var(&n.HOCBytes, "hoc", cache.DefaultEvalConfig().HOCBytes, "HOC bytes")
 	fs.Int64Var(&n.DCBytes, "dc", cache.DefaultEvalConfig().DCBytes, "DC bytes")
-	fs.StringVar(&o.objective, "objective", "ohr", "darwin objective: ohr | bmr | combined")
 	fs.IntVar(&n.Shards, "shards", 0, "cache engine shard count (0 = auto from GOMAXPROCS, 1 = serial/global-lock data plane)")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "pprof listen address (e.g. localhost:6060; empty = disabled)")
-	fs.StringVar(&o.modelPath, "model", "", "pre-trained model file from darwin-train (skips startup training)")
+	fs.StringVar(&o.modelPath, "model", "", "trained model file from darwin-train; selects darwin mode (empty = the static expert -f/-s)")
 
 	fs.StringVar(&n.Store.Dir, "data-dir", "", "durable state directory: DC journal + learned-state checkpoints (empty = in-memory only)")
 	fs.Var(&n.Store.Sync, "fsync", "journal fsync `policy`: batch (default) | always | off")
@@ -87,51 +83,9 @@ func registerFlags(fs *flag.FlagSet) *options {
 func main() {
 	o := registerFlags(flag.CommandLine)
 	flag.Parse()
-	cfg := o.node
-	// Outside input is checked once, here, before a model is trained or a
-	// listener opened (-self/-peers by node.New, also before listening).
-	if err := errors.Join(cfg.Resilience.Validate(), cfg.Overload.Validate()); err != nil {
+	cfg, err := o.config()
+	if err != nil {
 		fatal(err)
-	}
-	// Switching a layer off passes its zero config: the same pipeline with
-	// those stages absent.
-	if !o.resilient {
-		cfg.Resilience = server.Resilience{}
-	}
-	if !o.overload {
-		cfg.Overload = server.Overload{}
-	}
-	switch o.mode {
-	case "static":
-	case "darwin":
-		sc := exp.Default()
-		sc.Eval.HOCBytes = cfg.HOCBytes
-		sc.Eval.DCBytes = cfg.DCBytes
-		cfg.Online = sc.Online
-		if o.modelPath != "" {
-			fd, err := os.Open(o.modelPath)
-			if err != nil {
-				fatal(err)
-			}
-			cfg.Model, err = core.ReadModel(fd)
-			fd.Close()
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			// Startup training, unless the data directory's checkpoint
-			// already carries the model (node.New decides).
-			cfg.Train = func() (*core.Model, error) {
-				fmt.Fprintln(os.Stderr, "darwin-proxy: training offline model on a synthetic corpus...")
-				c, err := exp.BuildCorpus(sc, o.objective)
-				if err != nil {
-					return nil, err
-				}
-				return c.Model, nil
-			}
-		}
-	default:
-		fatal(fmt.Errorf("unknown mode %q", o.mode))
 	}
 	n, err := node.New(cfg)
 	if err != nil {
@@ -151,7 +105,11 @@ func main() {
 			}
 		}()
 	}
-	fmt.Fprintf(os.Stderr, "darwin-proxy: %s mode, listening on %s, origin %s (shards=%d, resilient=%v, overload=%v)\n", o.mode, o.addr, cfg.Origin, n.Shards(), o.resilient, o.overload)
+	mode := "static"
+	if cfg.Model != nil {
+		mode = "darwin"
+	}
+	fmt.Fprintf(os.Stderr, "darwin-proxy: %s mode, listening on %s, origin %s (shards=%d, resilient=%v, overload=%v)\n", mode, o.addr, cfg.Origin, n.Shards(), o.resilient, o.overload)
 	// Run hands off, checkpoints and closes the journal before it returns,
 	// drain error or not; only then may the process exit non-zero.
 	err = n.Run(context.Background(), o.addr, o.lameDuck, o.drain)
@@ -161,6 +119,42 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+}
+
+// config is the node the options describe. Outside input is checked here,
+// before a listener opens (-self/-peers by node.New, also before listening):
+// the layer settings, and the model file, which is read whole.
+func (o *options) config() (node.Config, error) {
+	cfg := o.node
+	if err := errors.Join(cfg.Resilience.Validate(), cfg.Overload.Validate()); err != nil {
+		return cfg, err
+	}
+	// Switching a layer off passes its zero config: the same pipeline with
+	// those stages absent.
+	if !o.resilient {
+		cfg.Resilience = server.Resilience{}
+	}
+	if !o.overload {
+		cfg.Overload = server.Overload{}
+	}
+	if o.modelPath == "" {
+		return cfg, nil
+	}
+	fd, err := os.Open(o.modelPath)
+	if err != nil {
+		return cfg, err
+	}
+	defer fd.Close()
+	if cfg.Model, err = core.ReadModel(fd); err != nil {
+		return cfg, fmt.Errorf("%s: %w", o.modelPath, err)
+	}
+	// The controller warms up over the window the model's features were
+	// trained on.
+	cfg.Online = core.DefaultOnlineConfig()
+	if w := cfg.Model.FeatureWindow; w > 0 {
+		cfg.Online.Warmup = w
+	}
+	return cfg, nil
 }
 
 func fatal(err error) {

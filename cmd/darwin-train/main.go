@@ -1,6 +1,7 @@
 // Command darwin-train runs Darwin's offline phase (Figure 3, steps 1a/1b)
 // and writes the trained model to a JSON file that darwin-proxy and
-// darwin-sim can load, so edge servers do not retrain at startup.
+// darwin-sim load: an edge server runs only the online phase, over the
+// model it is given.
 //
 // Usage:
 //

@@ -41,7 +41,7 @@ func TestSmokeProcess(t *testing.T) {
 		defer stop(t, origin)
 		waitReady(t, "http://"+originAddr)
 		proxy := start(t, bins["darwin-proxy"], append([]string{"-addr", proxyAddr,
-			"-origin", "http://" + originAddr, "-mode", "static", "-f", "1", "-s", "1048576"}, proxyArgs...)...)
+			"-origin", "http://" + originAddr, "-f", "1", "-s", "1048576"}, proxyArgs...)...)
 		defer stop(t, proxy)
 		waitReady(t, "http://"+proxyAddr)
 

@@ -80,6 +80,8 @@ var goneIdents = []string{
 	"darwin.ScanClass", "darwin.MixConfig", "darwin.GenerateTrace", "darwin.LoadBalancer", "darwin.NewLoadBalancer",
 	"darwin.Origin", "darwin.Proxy", "darwin.NewProxy", "darwin.DefaultResilience", "darwin.DefaultOverload",
 	"darwin.LoadConfig", "darwin.LoadResult", "darwin.RunLoad", "tracegen.ByName",
+	"-mode", "node.Config.Train", "Checkpoint.Model", "checkpointJSON", "modelToJSON", "modelFromJSON",
+	"neural.ReLU", "neural.Identity", "reusing trained model from checkpoint",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

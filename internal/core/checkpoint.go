@@ -226,18 +226,12 @@ func (c *Controller) restore(st *ControllerState, sameEngine bool) error {
 	return nil
 }
 
-// Checkpoint bundles everything a restarted proxy needs to resume: the
-// trained model (skipping retraining), the engine's full cache state, and the
-// controller's state machine.
+// Checkpoint bundles what a restarted or inheriting node resumes from: the
+// engine's full cache state and the controller's state machine. The model is
+// not part of it: every node loads its own (ReadModel). A version-2 frame
+// written while checkpoints still carried the model decodes too — the
+// "model" key is ignored like any unknown one.
 type Checkpoint struct {
-	Model      *Model
-	Engine     *cache.ShardedState
-	Controller *ControllerState
-}
-
-// checkpointJSON is the serialised form; the model rides as its modelJSON.
-type checkpointJSON struct {
-	Model      *modelJSON          `json:"model,omitempty"`
 	Engine     *cache.ShardedState `json:"engine,omitempty"`
 	Controller *ControllerState    `json:"controller,omitempty"`
 }
@@ -247,27 +241,18 @@ func encodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	if ck == nil {
 		return nil, fmt.Errorf("core: nil checkpoint")
 	}
-	cj := checkpointJSON{Engine: ck.Engine, Controller: ck.Controller}
-	if ck.Model != nil {
-		mj, err := modelToJSON(ck.Model)
-		if err != nil {
-			return nil, err
-		}
-		cj.Model = &mj
-	}
-	return json.Marshal(cj)
+	return json.Marshal(ck)
 }
 
 // decodeCheckpoint parses a frame payload produced by encodeCheckpoint and
-// validates each part's shape — the model, ShardedState.Validate and the
-// controller state's validate — rejecting the checkpoint whole if any part
-// is malformed. Restore then only checks that a part fits.
+// validates each part's shape — ShardedState.Validate and the controller
+// state's validate — rejecting the checkpoint whole if either part is
+// malformed. Restore then only checks that a part fits.
 func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
-	var cj checkpointJSON
-	if err := json.Unmarshal(payload, &cj); err != nil {
+	var ck Checkpoint
+	if err := json.Unmarshal(payload, &ck); err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
 	}
-	ck := &Checkpoint{Engine: cj.Engine, Controller: cj.Controller}
 	if ck.Engine != nil {
 		if err := ck.Engine.Validate(); err != nil {
 			return nil, fmt.Errorf("core: checkpoint engine: %w", err)
@@ -278,14 +263,7 @@ func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 			return nil, fmt.Errorf("core: checkpoint controller: %w", err)
 		}
 	}
-	if cj.Model != nil {
-		m, err := modelFromJSON(*cj.Model)
-		if err != nil {
-			return nil, fmt.Errorf("core: checkpoint model: %w", err)
-		}
-		ck.Model = m
-	}
-	return ck, nil
+	return &ck, nil
 }
 
 // EncodeCheckpointFrame serialises a checkpoint into its framed, checksummed

@@ -30,16 +30,16 @@ func newShardedController(t *testing.T, m *Model) (*Controller, *cache.Sharded) 
 	return c, eng
 }
 
-// resume builds a fresh controller+engine from the checkpoint, as a restarted
-// process would.
-func resume(t *testing.T, ck *Checkpoint) *Controller {
+// resume builds a fresh controller+engine over m from the checkpoint, as a
+// restarted process would.
+func resume(t *testing.T, m *Model, ck *Checkpoint) *Controller {
 	t.Helper()
 	ec := testEval()
 	eng, err := cache.NewSharded(cache.Config{HOCBytes: ec.HOCBytes, DCBytes: ec.DCBytes}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewController(ck.Model, eng, onlineCfg())
+	c, err := NewController(m, eng, onlineCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,8 @@ func resume(t *testing.T, ck *Checkpoint) *Controller {
 	return c
 }
 
-func checkpointOf(t *testing.T, c *Controller, eng *cache.Sharded, m *Model) *Checkpoint {
-	t.Helper()
-	es := eng.State()
-	return &Checkpoint{Model: m, Engine: es, Controller: c.CheckpointState()}
+func checkpointOf(c *Controller, eng *cache.Sharded) *Checkpoint {
+	return &Checkpoint{Engine: eng.State(), Controller: c.CheckpointState()}
 }
 
 // TestCheckpointResumeMidIdentify is the core crash-recovery property: a
@@ -79,7 +77,7 @@ func TestCheckpointResumeMidIdentify(t *testing.T) {
 		}
 	}
 
-	ck := checkpointOf(t, c, eng, m)
+	ck := checkpointOf(c, eng)
 	payload, err := encodeCheckpoint(ck)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +86,7 @@ func TestCheckpointResumeMidIdentify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := resume(t, decoded)
+	r := resume(t, m, decoded)
 
 	if r.Phase() != c.Phase() {
 		t.Fatalf("resumed phase %v, want %v", r.Phase(), c.Phase())
@@ -147,7 +145,7 @@ func TestCheckpointResumeMidExploit(t *testing.T) {
 		i++
 	}
 
-	ck := checkpointOf(t, c, eng, m)
+	ck := checkpointOf(c, eng)
 	if ck.Controller.Phase != "exploit" || ck.Controller.EpochReqs != i {
 		t.Fatalf("snapshot after %d serves says %s at %d", i, ck.Controller.Phase, ck.Controller.EpochReqs)
 	}
@@ -159,7 +157,7 @@ func TestCheckpointResumeMidExploit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := resume(t, decoded)
+	r := resume(t, m, decoded)
 	if got := r.CheckpointState(); got.Phase != "exploit" || got.EpochReqs != i {
 		t.Fatalf("resumed controller is in %s at %d, want exploit at %d", got.Phase, got.EpochReqs, i)
 	}
@@ -195,8 +193,8 @@ func TestCheckpointResumeWarmup(t *testing.T) {
 	for i := 0; i < 500; i++ { // stay inside warm-up (1500)
 		c.Serve(tr.Requests[i])
 	}
-	ck := checkpointOf(t, c, eng, m)
-	r := resume(t, ck)
+	ck := checkpointOf(c, eng)
+	r := resume(t, m, ck)
 	if r.Phase() != PhaseWarmup {
 		t.Fatalf("phase = %v, want warmup", r.Phase())
 	}
@@ -306,7 +304,7 @@ func TestV1CheckpointRejected(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Serve(tr.Requests[i])
 	}
-	payload, err := encodeCheckpoint(checkpointOf(t, c, eng, m))
+	payload, err := encodeCheckpoint(checkpointOf(c, eng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +447,7 @@ func FuzzCheckpointRuns(f *testing.F) {
 	f.Add(uint8(2), uint8(1), uint16(9), int16(0))
 	f.Add(uint8(0), uint8(2), uint16(40), int16(-3))
 	f.Fuzz(func(t *testing.T, seed, op uint8, at uint16, val int16) {
-		var cj checkpointJSON
+		var cj Checkpoint
 		if err := json.Unmarshal(seeds[int(seed)%len(seeds)], &cj); err != nil {
 			t.Fatal(err)
 		}
@@ -520,7 +518,7 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 			"expertSwitches": "Switches",
 		}},
 		{reflect.TypeOf((*Controller)(nil)).Elem(), reflect.TypeOf(ControllerState{}), map[string]string{
-			"model":       "transient: the model travels beside the state (Checkpoint.Model) or is the restorer's own",
+			"model":       "transient: the restorer's own, read from its model file (ReadModel)",
 			"eng":         "transient: the engine's state is the checkpoint's Engine part",
 			"cfg":         "derived: the restorer's own config, which restore checks the state fits",
 			"exploitLeft": "derived: Epoch − EpochReqs in exploit, stored at restore",

@@ -40,80 +40,6 @@ type modelJSON struct {
 
 const modelVersion = 1
 
-// modelToJSON converts a Model to its serialisable form. It is shared by
-// WriteModel and the checkpoint encoder.
-func modelToJSON(m *Model) (modelJSON, error) {
-	mj := modelJSON{
-		Version:         modelVersion,
-		Experts:         m.Experts,
-		FeatureCfg:      m.FeatureCfg,
-		Clusters:        m.Clusters,
-		ExpertSets:      m.ExpertSets,
-		MeanReward:      m.MeanReward,
-		MeanOHR:         m.MeanOHR,
-		Predictors:      m.Predictors,
-		ScalerMean:      m.ScalerMean,
-		ScalerStd:       m.ScalerStd,
-		PredictorInputs: m.PredictorInputs,
-		FeatureWindow:   m.FeatureWindow,
-	}
-	switch obj := m.Objective.(type) {
-	case OHRObjective:
-		mj.Objective = "ohr"
-	case BMRObjective:
-		mj.Objective = "bmr"
-	case CombinedObjective:
-		mj.Objective = "combined"
-		mj.CombinedK = obj.K
-	default:
-		return modelJSON{}, fmt.Errorf("core: objective %q is not serialisable", m.Objective.Name())
-	}
-	return mj, nil
-}
-
-// modelFromJSON validates a decoded modelJSON and rebuilds the Model. Shared
-// by ReadModel and the checkpoint decoder. Every length the controller
-// indexes by is checked here, so a decoded model cannot panic it later.
-func modelFromJSON(mj modelJSON) (*Model, error) {
-	if mj.Version != modelVersion {
-		return nil, fmt.Errorf("core: model version %d, want %d", mj.Version, modelVersion)
-	}
-	if len(mj.Experts) == 0 || mj.Clusters == nil {
-		return nil, fmt.Errorf("core: model missing experts or clustering")
-	}
-	if err := mj.FeatureCfg.Validate(); err != nil {
-		return nil, fmt.Errorf("core: model feature config: %w", err)
-	}
-	if err := checkShapes(mj); err != nil {
-		return nil, err
-	}
-	var obj Objective
-	switch mj.Objective {
-	case "ohr":
-		obj = OHRObjective{}
-	case "bmr":
-		obj = BMRObjective{}
-	case "combined":
-		obj = CombinedObjective{K: mj.CombinedK}
-	default:
-		return nil, fmt.Errorf("core: unknown objective %q", mj.Objective)
-	}
-	return &Model{
-		Experts:         mj.Experts,
-		FeatureCfg:      mj.FeatureCfg,
-		Objective:       obj,
-		Clusters:        mj.Clusters,
-		ExpertSets:      mj.ExpertSets,
-		MeanReward:      mj.MeanReward,
-		MeanOHR:         mj.MeanOHR,
-		Predictors:      mj.Predictors,
-		ScalerMean:      mj.ScalerMean,
-		ScalerStd:       mj.ScalerStd,
-		PredictorInputs: mj.PredictorInputs,
-		FeatureWindow:   mj.FeatureWindow,
-	}, nil
-}
-
 // checkShapes checks the dimensions the controller relies on: the clustering
 // over the base feature vector, per-cluster rows and the predictor matrix
 // over the expert grid, and every predictor and the scaler over the
@@ -173,9 +99,30 @@ func checkShapes(mj modelJSON) error {
 // files fail ReadModel with a typed *persist.FormatError instead of decoding
 // into a half-valid model.
 func WriteModel(w io.Writer, m *Model) error {
-	mj, err := modelToJSON(m)
-	if err != nil {
-		return err
+	mj := modelJSON{
+		Version:         modelVersion,
+		Experts:         m.Experts,
+		FeatureCfg:      m.FeatureCfg,
+		Clusters:        m.Clusters,
+		ExpertSets:      m.ExpertSets,
+		MeanReward:      m.MeanReward,
+		MeanOHR:         m.MeanOHR,
+		Predictors:      m.Predictors,
+		ScalerMean:      m.ScalerMean,
+		ScalerStd:       m.ScalerStd,
+		PredictorInputs: m.PredictorInputs,
+		FeatureWindow:   m.FeatureWindow,
+	}
+	switch obj := m.Objective.(type) {
+	case OHRObjective:
+		mj.Objective = "ohr"
+	case BMRObjective:
+		mj.Objective = "bmr"
+	case CombinedObjective:
+		mj.Objective = "combined"
+		mj.CombinedK = obj.K
+	default:
+		return fmt.Errorf("core: objective %q is not serialisable", m.Objective.Name())
 	}
 	payload, err := json.Marshal(mj)
 	if err != nil {
@@ -184,7 +131,9 @@ func WriteModel(w io.Writer, m *Model) error {
 	return persist.EncodeFrame(w, ModelMagic, ModelFormatVersion, payload)
 }
 
-// ReadModel restores a model written by WriteModel.
+// ReadModel restores a model written by WriteModel. Every length the
+// controller indexes by is checked here, so a decoded model cannot panic it
+// later.
 func ReadModel(r io.Reader) (*Model, error) {
 	payload, err := persist.DecodeFrame(r, ModelMagic, ModelFormatVersion)
 	if err != nil {
@@ -194,5 +143,41 @@ func ReadModel(r io.Reader) (*Model, error) {
 	if err := json.Unmarshal(payload, &mj); err != nil {
 		return nil, fmt.Errorf("core: decoding model: %w", err)
 	}
-	return modelFromJSON(mj)
+	if mj.Version != modelVersion {
+		return nil, fmt.Errorf("core: model version %d, want %d", mj.Version, modelVersion)
+	}
+	if len(mj.Experts) == 0 || mj.Clusters == nil {
+		return nil, fmt.Errorf("core: model missing experts or clustering")
+	}
+	if err := mj.FeatureCfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: model feature config: %w", err)
+	}
+	if err := checkShapes(mj); err != nil {
+		return nil, err
+	}
+	var obj Objective
+	switch mj.Objective {
+	case "ohr":
+		obj = OHRObjective{}
+	case "bmr":
+		obj = BMRObjective{}
+	case "combined":
+		obj = CombinedObjective{K: mj.CombinedK}
+	default:
+		return nil, fmt.Errorf("core: unknown objective %q", mj.Objective)
+	}
+	return &Model{
+		Experts:         mj.Experts,
+		FeatureCfg:      mj.FeatureCfg,
+		Objective:       obj,
+		Clusters:        mj.Clusters,
+		ExpertSets:      mj.ExpertSets,
+		MeanReward:      mj.MeanReward,
+		MeanOHR:         mj.MeanOHR,
+		Predictors:      mj.Predictors,
+		ScalerMean:      mj.ScalerMean,
+		ScalerStd:       mj.ScalerStd,
+		PredictorInputs: mj.PredictorInputs,
+		FeatureWindow:   mj.FeatureWindow,
+	}, nil
 }

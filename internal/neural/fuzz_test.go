@@ -6,7 +6,9 @@ import (
 	"testing"
 )
 
-func TestUnmarshalRejectsBadShapes(t *testing.T) {
+// badShapesNet is the network TestUnmarshalRejectsBadShapes bends, as JSON.
+func badShapesNet(t testing.TB) []byte {
+	t.Helper()
 	n, err := New(Config{Inputs: 3, Hidden: []int{4}, Outputs: 2, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -15,6 +17,15 @@ func TestUnmarshalRejectsBadShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return good
+}
+
+// unknownAct names an activation no layer can apply in the config and in
+// the layer it derives, which therefore agree.
+func unknownAct(nj *netJSON) { nj.Cfg.HiddenAct, nj.Layers[0].Act = "bogus", "bogus" }
+
+func TestUnmarshalRejectsBadShapes(t *testing.T) {
+	good := badShapesNet(t)
 
 	cases := []struct {
 		name string
@@ -28,6 +39,7 @@ func TestUnmarshalRejectsBadShapes(t *testing.T) {
 		{"nan-weight", func(nj *netJSON) { nj.Layers[0].W[0][0] = math.NaN() }},
 		{"inf-bias", func(nj *netJSON) { nj.Layers[1].B[0] = math.Inf(-1) }},
 		{"bad-config", func(nj *netJSON) { nj.Cfg.Inputs = 0 }},
+		{"unknown-act", unknownAct},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -65,6 +77,16 @@ func FuzzUnmarshalNet(f *testing.F) {
 	f.Add(good)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"cfg":{"Inputs":1,"Outputs":1},"layers":[]}`))
+	var nj netJSON
+	if err := json.Unmarshal(badShapesNet(f), &nj); err != nil {
+		f.Fatal(err)
+	}
+	unknownAct(&nj)
+	bogus, err := json.Marshal(nj)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bogus)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Net
 		if err := json.Unmarshal(data, &m); err != nil {

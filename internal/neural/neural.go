@@ -19,10 +19,8 @@ type Activation string
 
 // Supported activations.
 const (
-	ReLU     Activation = "relu"
-	Tanh     Activation = "tanh"
-	Sigmoid  Activation = "sigmoid"
-	Identity Activation = "identity"
+	Tanh    Activation = "tanh"
+	Sigmoid Activation = "sigmoid"
 	// Softmax is valid only as the output activation, paired with
 	// cross-entropy loss.
 	Softmax Activation = "softmax"
@@ -31,12 +29,6 @@ const (
 func (a Activation) apply(z []float64) []float64 {
 	out := make([]float64, len(z))
 	switch a {
-	case ReLU:
-		for i, v := range z {
-			if v > 0 {
-				out[i] = v
-			}
-		}
 	case Tanh:
 		for i, v := range z {
 			out[i] = math.Tanh(v)
@@ -45,8 +37,6 @@ func (a Activation) apply(z []float64) []float64 {
 		for i, v := range z {
 			out[i] = 1 / (1 + math.Exp(-v))
 		}
-	case Identity:
-		copy(out, z)
 	case Softmax:
 		max := math.Inf(-1)
 		for _, v := range z {
@@ -72,17 +62,10 @@ func (a Activation) apply(z []float64) []float64 {
 // Softmax, whose delta is fused with cross-entropy).
 func (act Activation) derivative(a float64) float64 {
 	switch act {
-	case ReLU:
-		if a > 0 {
-			return 1
-		}
-		return 0
 	case Tanh:
 		return 1 - a*a
 	case Sigmoid:
 		return a * (1 - a)
-	case Identity:
-		return 1
 	}
 	panic(fmt.Sprintf("neural: derivative of %q", act))
 }
@@ -137,6 +120,11 @@ func New(cfg Config) (*Net, error) {
 	}
 	if cfg.HiddenAct == Softmax {
 		return nil, fmt.Errorf("neural: softmax is output-only")
+	}
+	for _, act := range []Activation{cfg.HiddenAct, cfg.OutputAct} {
+		if act != Tanh && act != Sigmoid && act != Softmax {
+			return nil, fmt.Errorf("neural: unknown activation %q", act)
+		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	dims := append([]int{cfg.Inputs}, cfg.Hidden...)

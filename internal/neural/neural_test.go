@@ -170,18 +170,18 @@ func TestTrainValidation(t *testing.T) {
 }
 
 func TestLinearModelNoHidden(t *testing.T) {
-	n, err := New(Config{Inputs: 1, Outputs: 1, OutputAct: Identity, Seed: 1})
+	n, err := New(Config{Inputs: 1, Outputs: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fit y = 2x + 1.
+	// Fit y = σ(2x + 1): one sigmoid unit over a linear map.
 	var xs, ys [][]float64
 	for i := -10; i <= 10; i++ {
 		x := float64(i) / 10
 		xs = append(xs, []float64{x})
-		ys = append(ys, []float64{2*x + 1})
+		ys = append(ys, []float64{1 / (1 + math.Exp(-(2*x + 1)))})
 	}
-	loss, err := Trainer{Epochs: 500, Seed: 1}.Train(n, xs, ys)
+	loss, err := Trainer{Epochs: 5000, Seed: 1}.Train(n, xs, ys)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,8 @@ type durability struct {
 	ckptPath string
 	interval time.Duration
 
-	model *core.Model      // nil in static mode
-	ctrl  *core.Controller // nil in static mode
-	eng   *cache.Sharded
+	ctrl *core.Controller // nil in static mode
+	eng  *cache.Sharded
 
 	loaded    *core.Checkpoint // checkpoint found at startup, nil on cold start
 	recovered atomic.Bool      // readiness gate: flips once recovery completes
@@ -81,12 +80,11 @@ func loadCheckpoint(path string) *core.Checkpoint {
 	return ck
 }
 
-// attach binds the engine (and, in darwin mode, the controller and model)
-// once they exist.
-func (d *durability) attach(eng *cache.Sharded, ctrl *core.Controller, model *core.Model) {
+// attach binds the engine (and, in darwin mode, the controller) once they
+// exist.
+func (d *durability) attach(eng *cache.Sharded, ctrl *core.Controller) {
 	d.eng = eng
 	d.ctrl = ctrl
-	d.model = model
 }
 
 // start runs recovery and then the periodic checkpointer in the background.
@@ -129,9 +127,10 @@ func (d *durability) recover() {
 		len(live), st.LiveBytes, st.LogBytes, time.Since(start).Round(time.Millisecond), d.loaded != nil, st.TruncatedBytes)
 }
 
-// checkpoint captures and atomically persists the full learned state.
+// checkpoint captures and atomically persists the learned state: the same
+// frame a drain pushes to the ring successor.
 func (d *durability) checkpoint() error {
-	frame, err := core.EncodeCheckpointFrame(snapshot(d.eng, d.ctrl, d.model))
+	frame, err := core.EncodeCheckpointFrame(snapshot(d.eng, d.ctrl))
 	if err != nil {
 		return err
 	}

@@ -2,9 +2,9 @@ package node
 
 // Drain-time state handoff: the glue between the server layer's /state
 // endpoint and the checkpoint codec. A draining node pushes its learned state
-// as one DRWNCKPT frame (what the durability layer writes to disk, less the
-// trained model, which the successor has its own of); the inheriting
-// successor merges the pieces it can use:
+// as one DRWNCKPT frame (the bytes the durability layer writes to disk; the
+// successor runs its own model); the inheriting successor merges the pieces
+// it can use:
 //
 //   - cache contents: the donor's resident HOC+DC set folds into the
 //     inheritor's DC through the normal eviction path (MergeDC) — the
@@ -26,10 +26,10 @@ import (
 	"darwin/internal/core"
 )
 
-// snapshot captures the node's learned state: a checkpoint file's, with the
-// model a restart skips training with, or a handoff frame's, with model nil.
-func snapshot(eng *cache.Sharded, ctrl *core.Controller, model *core.Model) *core.Checkpoint {
-	ck := &core.Checkpoint{Model: model, Engine: eng.State()}
+// snapshot captures the node's learned state: the checkpoint file's and the
+// handoff frame's alike.
+func snapshot(eng *cache.Sharded, ctrl *core.Controller) *core.Checkpoint {
+	ck := &core.Checkpoint{Engine: eng.State()}
 	if ctrl != nil {
 		ck.Controller = ctrl.CheckpointState()
 	}
@@ -60,10 +60,9 @@ func controllerAhead(donor, local *core.ControllerState) bool {
 // handoffAcceptor builds the /state POST side: decode (which validates the
 // frame's every part), then commit — controller first (its adoption checks
 // that the state fits before mutating anything), cache merge last (it cannot
-// fail on decoded levels). It reads the engine and controller parts only: a
-// frame from an older donor also carries its model, which is decoded and
-// ignored. The donor's round baseline counts the donor's engine, so an
-// adopted identification round restarts on ours.
+// fail on decoded levels). A frame from an older donor also carries its
+// model, which the decoder skips. The donor's round baseline counts the
+// donor's engine, so an adopted identification round restarts on ours.
 func handoffAcceptor(eng *cache.Sharded, ctrl *core.Controller) func([]byte) error {
 	return func(data []byte) error {
 		ck, err := core.DecodeCheckpointFrame(data)

@@ -25,17 +25,14 @@ import (
 
 // Config is everything that distinguishes one node from another.
 type Config struct {
-	// Expert is the static HOC admission expert, deployed when neither Model
-	// nor Train is set.
+	// Expert is the static HOC admission expert, deployed when Model is nil.
 	Expert cache.Expert
-	// Model is a trained offline model: the node runs Darwin's online
-	// controller over it. When Model is nil and Train is set, the model comes
-	// from the data directory's checkpoint if it carries one (a restarted
-	// node skips retraining) and from Train otherwise.
+	// Model is a trained offline model (darwin-train's file, core.ReadModel):
+	// the node runs Darwin's online controller over it. The node never
+	// trains or persists a model; a restart loads the same file again.
 	Model *core.Model
-	Train func() (*core.Model, error)
-	// Online configures the controller; its Warmup follows the model's
-	// feature window.
+	// Online configures the controller. Its Warmup should be the model's
+	// FeatureWindow, the window the model's features were trained on.
 	Online core.OnlineConfig
 
 	// HOCBytes and DCBytes size the two cache levels; Shards stripes the
@@ -95,8 +92,7 @@ func build(cfg Config) (*Node, error) {
 		cfg.Shards = cache.AutoShards()
 	}
 	n := &Node{clustered: len(cfg.Peer.Nodes) > 0}
-	// Durable state first: the journal plugs into engine construction, and a
-	// checkpoint may carry the model.
+	// Durable state first: the journal plugs into engine construction.
 	var dclog cache.DCLog
 	if cfg.Store.Dir != "" {
 		dur, err := openDurability(cfg.Store, cfg.CheckpointEvery)
@@ -105,42 +101,27 @@ func build(cfg Config) (*Node, error) {
 		}
 		n.dur, dclog = dur, dur.store
 	}
-	var dec server.Decider
-	model := cfg.Model
-	if model == nil && cfg.Train != nil {
-		if n.dur != nil && n.dur.loaded != nil && n.dur.loaded.Model != nil {
-			logf("reusing trained model from checkpoint")
-			model = n.dur.loaded.Model
-		} else {
-			var err error
-			if model, err = cfg.Train(); err != nil {
-				return nil, n.abandon(err)
-			}
-		}
-	}
 	// A static node's decider is its engine; a learning node's is the
 	// controller over it.
 	ccfg := cache.Config{HOCBytes: cfg.HOCBytes, DCBytes: cfg.DCBytes, DCLog: dclog}
-	if model == nil {
+	if cfg.Model == nil {
 		ccfg.Expert = cfg.Expert
 	}
 	eng, err := cache.NewSharded(ccfg, cfg.Shards)
 	if err != nil {
 		return nil, n.abandon(err)
 	}
-	dec, n.eng = eng, eng
-	if model != nil {
-		if model.FeatureWindow > 0 {
-			cfg.Online.Warmup = model.FeatureWindow
-		}
-		ctrl, err := core.NewController(model, eng, cfg.Online)
+	var dec server.Decider = eng
+	n.eng = eng
+	if cfg.Model != nil {
+		ctrl, err := core.NewController(cfg.Model, eng, cfg.Online)
 		if err != nil {
 			return nil, n.abandon(err)
 		}
 		dec, n.ctrl = ctrl, ctrl
 	}
 	if n.dur != nil {
-		n.dur.attach(n.eng, n.ctrl, model)
+		n.dur.attach(n.eng, n.ctrl)
 	}
 
 	n.Proxy = server.NewOverloadProxy(dec, cfg.Origin, cfg.DCLatency, cfg.Resilience, cfg.Overload)
@@ -216,8 +197,7 @@ func (n *Node) Run(ctx context.Context, addr string, lameDuck, drain time.Durati
 func (n *Node) Close(ctx context.Context) {
 	n.Health.StartDrain()
 	if n.clustered {
-		// The frame carries no model: the successor runs its own.
-		frame, err := core.EncodeCheckpointFrame(snapshot(n.eng, n.ctrl, nil))
+		frame, err := core.EncodeCheckpointFrame(snapshot(n.eng, n.ctrl))
 		succ := -1
 		if err == nil {
 			succ, err = n.Proxy.PushStateToSuccessor(ctx, frame)

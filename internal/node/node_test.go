@@ -389,7 +389,7 @@ func TestCheckpointFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.EncodeCheckpointFrame(snapshot(first.eng, first.ctrl, first.dur.model))
+	want, err := core.EncodeCheckpointFrame(snapshot(first.eng, first.ctrl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,6 +407,63 @@ func TestCheckpointFile(t *testing.T) {
 	}
 	if n, logged := reopen(); n.dur.loaded != nil || !strings.Contains(logged, "checkpoint unreadable") {
 		t.Fatalf("corrupt checkpoint: loaded %v, logged %q", n.dur.loaded, logged)
+	}
+}
+
+// TestModelCarryingCheckpointRestores: testdata/darwin.ckpt is a checkpoint
+// file as darwin-mode nodes wrote it while checkpoints carried the model —
+// written at commit 2e76c99 by a node built with this package's
+// handoffModel, handoffOnlineCfg, 2 shards, a 256 KiB HOC, a 32 MiB DC and a
+// data directory, which served tracegen.ImageDownloadMix(50, 250, 1001) over
+// HTTP and was then closed, mid-identification. A node of this build on a
+// directory holding that file ignores the model inside, restores the
+// engine and the controller, and logs nothing unreadable or refused.
+func TestModelCarryingCheckpointRestores(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if keys := payloadKeys(t, data); !reflect.DeepEqual(keys, []string{"controller", "engine", "model"}) {
+		t.Fatalf("testdata checkpoint carries %v, want a controller, an engine and a model", keys)
+	}
+	want, err := core.DecodeCheckpointFrame(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Controller.Bandit == nil {
+		t.Fatal("testdata checkpoint carries no bandit posteriors; the test would not exercise them")
+	}
+	cfg := Config{
+		Model:    handoffModel(t),
+		Online:   handoffOnlineCfg(),
+		HOCBytes: 256 << 10,
+		DCBytes:  32 << 20,
+		Shards:   2,
+		Store:    diskcache.Config{Dir: t.TempDir()},
+		Origin:   testOrigin(t),
+	}
+	if err := os.WriteFile(filepath.Join(cfg.Store.Dir, checkpointFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var n *Node
+	logged := stderrOf(t, func() {
+		if n, err = build(cfg); err != nil {
+			t.Fatal(err)
+		}
+		n.dur.recover()
+	})
+	t.Cleanup(func() { n.dur.store.Close() })
+	if strings.Contains(logged, "unreadable") || strings.Contains(logged, "not restored") || !strings.Contains(logged, "checkpoint=true") {
+		t.Fatalf("recovery logged %q, want the checkpoint restored whole", logged)
+	}
+	for i, sh := range n.eng.State().Shards {
+		w := want.Engine.Shards[i]
+		if !reflect.DeepEqual(sh.HOC, w.HOC) || sh.Metrics != w.Metrics || sh.Expert != w.Expert || sh.ReqIdx != w.ReqIdx {
+			t.Fatalf("shard %d: the restored engine is not the checkpoint's", i)
+		}
+	}
+	if got := n.ctrl.CheckpointState(); !reflect.DeepEqual(got, want.Controller) {
+		t.Fatalf("the restored controller is not the checkpoint's:\n got %+v\nwant %+v", got, want.Controller)
 	}
 }
 

@@ -15,13 +15,18 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"darwin/internal/cache"
 	"darwin/internal/core"
+	"darwin/internal/diskcache"
 	"darwin/internal/persist"
 	"darwin/internal/server"
 	"darwin/internal/trace"
@@ -112,7 +117,7 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 		if donorState.Bandit != nil {
 			banditsSeen++
 		}
-		frame, err := core.EncodeCheckpointFrame(snapshot(donorEng, donorCtrl, nil))
+		frame, err := core.EncodeCheckpointFrame(snapshot(donorEng, donorCtrl))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +149,7 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 
 		// And the donor's learned state carries on: the inheritor's own
 		// frame holds it, still bit-identical.
-		reframe, err := core.EncodeCheckpointFrame(snapshot(inhEng, inhCtrl, nil))
+		reframe, err := core.EncodeCheckpointFrame(snapshot(inhEng, inhCtrl))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,10 +194,11 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDrainPushCarriesNoModel: the frame a darwin-mode node's Close POSTs to
-// its ring successor carries the engine and the controller state, which the
-// successor merges, and no model: the successor runs its own. /state answers
-// a GET with 405.
+// TestDrainPushCarriesNoModel: the frame a durable darwin-mode node's Close
+// POSTs to its ring successor carries the engine and the controller state,
+// which the successor merges, and no model: the successor runs its own. It
+// is byte for byte the final checkpoint file Close writes next, since both
+// are one snapshot of the quiesced node. /state answers a GET with 405.
 func TestDrainPushCarriesNoModel(t *testing.T) {
 	model := handoffModel(t)
 	heirSrv := httptest.NewUnstartedServer(nil)
@@ -226,9 +232,15 @@ func TestDrainPushCarriesNoModel(t *testing.T) {
 	heirSrv.Start()
 
 	cfg.Peer.Self = urls[0]
+	cfg.Store = diskcache.Config{Dir: t.TempDir()}
 	donor, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); !donor.dur.recovered.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("recovery never finished")
+		}
 	}
 	donorSrv.Config.Handler = donor.Handler()
 	donorSrv.Start()
@@ -248,10 +260,6 @@ func TestDrainPushCarriesNoModel(t *testing.T) {
 		t.Fatalf("GET /state answered %d, want 405", resp.StatusCode)
 	}
 	want := donor.ctrl.CheckpointState()
-	withModel, err := core.EncodeCheckpointFrame(snapshot(donor.eng, donor.ctrl, model))
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	donor.Close(context.Background())
 	frame := <-pushed
@@ -259,21 +267,65 @@ func TestDrainPushCarriesNoModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Model != nil || ck.Engine == nil || !reflect.DeepEqual(ck.Controller, want) {
-		t.Fatalf("pushed frame: model %v, engine %v, controller %+v; want no model, the engine, and %+v",
-			ck.Model != nil, ck.Engine != nil, ck.Controller, want)
+	if ck.Engine == nil || !reflect.DeepEqual(ck.Controller, want) {
+		t.Fatalf("pushed frame: engine %v, controller %+v; want the engine and %+v", ck.Engine != nil, ck.Controller, want)
+	}
+	if keys := payloadKeys(t, frame); !reflect.DeepEqual(keys, []string{"controller", "engine"}) {
+		t.Fatalf("pushed frame carries %v, want the controller and the engine only", keys)
+	}
+	file, err := os.ReadFile(filepath.Join(cfg.Store.Dir, checkpointFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(file, frame) {
+		t.Fatalf("the checkpoint file (%d B) differs from the pushed frame (%d B)", len(file), len(frame))
 	}
 	if st := heir.Proxy.Stats(); st.StateMerges != 1 || st.StateRejects != 0 {
 		t.Fatalf("successor merged %d frames and rejected %d, want 1 and 0", st.StateMerges, st.StateRejects)
 	}
-	t.Logf("pushed frame %d B; with the model it would be %d B", len(frame), len(withModel))
+	t.Logf("pushed frame and checkpoint file: %d B", len(frame))
+}
+
+// payloadKeys lists, sorted, the top-level keys of a checkpoint frame's
+// JSON payload.
+func payloadKeys(t *testing.T, frame []byte) []string {
+	t.Helper()
+	payload, err := persist.DecodeFrame(bytes.NewReader(frame), core.CheckpointMagic, core.CheckpointFormatVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(payload, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var keys []string
+	for k := range doc {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// modelPayload is m as a model file's JSON payload: what a checkpoint's
+// "model" key held while checkpoints carried the model.
+func modelPayload(t *testing.T, m *core.Model) json.RawMessage {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := core.WriteModel(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	payload, err := persist.DecodeFrame(&buf, core.ModelMagic, core.ModelFormatVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
 }
 
 // TestKindTaggedFrameRestores: a frame as it was written before the tracker
 // lost its kind tag — each shard's tracker tagged "exact", and the model
 // inside, as every checkpoint file and darwin-mode /state body then carried
-// it — still decodes, and restores an engine and a controller equal to its
-// source.
+// it — still decodes, its model ignored, and restores an engine and a
+// controller equal to its source.
 func TestKindTaggedFrameRestores(t *testing.T) {
 	model := handoffModel(t)
 	ctrl, eng := newHandoffController(t, model)
@@ -284,7 +336,7 @@ func TestKindTaggedFrameRestores(t *testing.T) {
 	for _, req := range tr.Requests {
 		ctrl.Serve(req)
 	}
-	frame, err := core.EncodeCheckpointFrame(snapshot(eng, ctrl, model))
+	frame, err := core.EncodeCheckpointFrame(snapshot(eng, ctrl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,6 +353,7 @@ func TestKindTaggedFrameRestores(t *testing.T) {
 	for _, sh := range doc["engine"].(map[string]any)["shards"].([]any) {
 		sh.(map[string]any)["tracker"].(map[string]any)["kind"] = "exact"
 	}
+	doc["model"] = modelPayload(t, model)
 	tagged, err := json.Marshal(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -316,9 +369,6 @@ func TestKindTaggedFrameRestores(t *testing.T) {
 	ck, err := core.DecodeCheckpointFrame(old.Bytes())
 	if err != nil {
 		t.Fatalf("a kind-tagged frame does not decode: %v", err)
-	}
-	if ck.Model == nil {
-		t.Fatal("the frame's model did not decode")
 	}
 	restoredCtrl, restoredEng := newHandoffController(t, model)
 	if err := restoredEng.RestoreState(ck.Engine); err != nil {
@@ -357,7 +407,7 @@ func TestHandoffRestartsAdoptedRound(t *testing.T) {
 		donorCtrl.Serve(reqs[0])
 		reqs = reqs[1:]
 	}
-	frame, err := core.EncodeCheckpointFrame(snapshot(donorEng, donorCtrl, nil))
+	frame, err := core.EncodeCheckpointFrame(snapshot(donorEng, donorCtrl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +515,7 @@ func FuzzHandoffAccept(f *testing.F) {
 	if donorCtrl.Phase() != core.PhaseIdentify {
 		f.Fatalf("the donor is in %v, want identify", donorCtrl.Phase())
 	}
-	seed, err := core.EncodeCheckpointFrame(snapshot(donorEng, donorCtrl, nil))
+	seed, err := core.EncodeCheckpointFrame(snapshot(donorEng, donorCtrl))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -490,7 +540,7 @@ func FuzzHandoffAccept(f *testing.F) {
 		ctrl, eng := newHandoffController(t, model)
 		ctrl.Play(&trace.Trace{Requests: tr.Requests[:40]}) // behind the donor
 		state := func() []byte {
-			blob, err := json.Marshal(snapshot(eng, ctrl, nil))
+			blob, err := json.Marshal(snapshot(eng, ctrl))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -510,7 +560,7 @@ func FuzzHandoffAccept(f *testing.F) {
 		if m := eng.Metrics(); m.HOCHits+m.DCHits+m.Misses != m.Requests {
 			t.Fatalf("after play: %d hits and misses for %d requests", m.HOCHits+m.DCHits+m.Misses, m.Requests)
 		}
-		again, err := core.EncodeCheckpointFrame(snapshot(eng, ctrl, nil))
+		again, err := core.EncodeCheckpointFrame(snapshot(eng, ctrl))
 		if err != nil {
 			t.Fatal(err)
 		}

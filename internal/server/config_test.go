@@ -107,8 +107,10 @@ var goneFields = []string{
 // warm-up reset, the duplicate standardisers and checkpoint file codecs, the
 // two faulted-origin runs internal/exp's faultedRun replaced, the replay
 // loop cache.Replay replaced, the /state GET side with the tracker's kind
-// tag and the miss-admission switch, none of which a reader used, and the
-// DC journal's segment naming and rotation, which one log file replaced.
+// tag and the miss-admission switch, none of which a reader used, the
+// DC journal's segment naming and rotation, which one log file replaced,
+// the checkpoint's model codec, since a node's model is only ever its
+// model file, and the two activations no network used.
 var goneDecls = map[string][]string{
 	".":       {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults", "StateHandoff"},
 	"../node": {"handoffProvider"},
@@ -126,13 +128,15 @@ var goneDecls = map[string][]string{
 		"Hierarchy.HOCBytes", "Hierarchy.DCBytes", "Hierarchy.HOCLen", "Hierarchy.DCLen",
 		"trackerExact", "Hierarchy.SetAdmitOnMiss"},
 	"../core": {"Controller.ResetMetrics", "EvictionSelector.Choices", "EvictionSelector.Exploiting",
-		"EncodeCheckpoint", "DecodeCheckpoint", "SaveCheckpoint", "LoadCheckpoint"},
+		"EncodeCheckpoint", "DecodeCheckpoint", "SaveCheckpoint", "LoadCheckpoint",
+		"checkpointJSON", "modelToJSON", "modelFromJSON"},
 	"../exp": {"CachedCorpus", "Hindsight", "HindsightTrace", "EnsembleSet", "corpusCache", "hindsightCache", "compareCache",
 		"chaosRun", "overloadRun"},
 	"../stats":    {"Variance", "StdDev", "Welford", "Clamp", "Histogram.Total"},
 	"../persist":  {"SaveFrame", "LoadFrame", "appendWriter"},
 	"../bandit":   {"Algorithm.K", "Algorithm.Plays", "Algorithm.Estimates"},
 	"../features": {"Extractor.Requests"},
+	"../neural":   {"ReLU", "Identity"},
 	"../cluster":  {"standardiseParams", "standardise"},
 }
 
