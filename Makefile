@@ -76,9 +76,10 @@ bench:
 	bash benchmark/run.sh
 
 # microbench prices single functions: every package-level Benchmark* (engine
-# serve per eviction policy, controller serve and play, offline training's
-# dataset build, id table, feature observe, ring route, gossip digest codec,
-# journal put and recovery, proxy serve-hit), with allocs/op.
+# serve per eviction policy, BenchmarkShardedServeRun's run serve, controller
+# serve and play, offline training's dataset build, id table, feature
+# observe, ring route, gossip digest codec, journal put and recovery, proxy
+# serve-hit), with allocs/op.
 microbench:
 	$(GO) test -run xxx -bench . -benchmem ./internal/...
 

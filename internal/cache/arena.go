@@ -11,7 +11,9 @@ package cache
 // index, and an empty list is one whose sentinel links to itself. Several
 // lists (e.g. S4LRU's four segments) can share one arena. A node's index is
 // the list policies' Eviction handle; the first list's sentinel takes index
-// 0, so no resident object ever has handle 0 (noHandle).
+// 0, so no resident object ever has handle 0 (noHandle). A node also carries
+// its object's record slot (Eviction.Slot), filling what would otherwise be
+// the node's padding.
 type nodeArena struct {
 	nodes []listNode
 	free  int32 // head of the free list, linked through next; nilNode = empty
@@ -22,6 +24,7 @@ type listNode struct {
 	id         uint64
 	size       int64
 	prev, next int32
+	slot       uint32
 }
 
 // nilNode marks "no node" (free-list end).
@@ -37,22 +40,22 @@ func newNodeArena(hint int) nodeArena {
 
 // newList allocates a sentinel and returns its index (the list handle).
 func (a *nodeArena) newList() int32 {
-	s := a.alloc(0, 0)
+	s := a.alloc(0, 0, 0)
 	a.nodes[s].prev = s
 	a.nodes[s].next = s
 	return s
 }
 
-// alloc returns a detached node carrying (id, size), reusing a freed node
-// when possible.
-func (a *nodeArena) alloc(id uint64, size int64) int32 {
+// alloc returns a detached node carrying (id, size, slot), reusing a freed
+// node when possible.
+func (a *nodeArena) alloc(id uint64, size int64, slot uint32) int32 {
 	if a.free != nilNode {
 		i := a.free
 		a.free = a.nodes[i].next
-		a.nodes[i] = listNode{id: id, size: size}
+		a.nodes[i] = listNode{id: id, size: size, slot: slot}
 		return i
 	}
-	a.nodes = append(a.nodes, listNode{id: id, size: size})
+	a.nodes = append(a.nodes, listNode{id: id, size: size, slot: slot})
 	return int32(len(a.nodes) - 1)
 }
 

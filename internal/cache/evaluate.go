@@ -61,7 +61,9 @@ func Evaluate(tr *trace.Trace, e Expert, cfg EvalConfig) (Metrics, error) {
 // replay then starts from a copy of the table and serves request i at its
 // slot, with no hash, probe, growth or table allocation of its own. The
 // pre-laid records change nothing: a count-0 record reads as a first
-// request, and no decision or metric depends on slot order. Hits may run
+// request, and no decision or metric depends on slot order. Nothing moves
+// them either, so the slot each admission stores in its level's handle
+// holds for the whole replay. Hits may run
 // concurrently on one Replay.
 type Replay struct {
 	tr    *trace.Trace
@@ -116,7 +118,7 @@ func (p *Replay) Hits(e Expert, cfg EvalConfig) (m Metrics, hits []uint64, err e
 		if i == warm {
 			atWarm = h.m
 		}
-		if h.serve(&h.objs.slots[p.slots[i]], r) == HOCHit && i >= warm {
+		if h.serve(p.slots[i], r) == HOCHit && i >= warm {
 			hits[i>>6] |= 1 << (i & 63)
 		}
 	}

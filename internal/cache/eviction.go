@@ -16,10 +16,14 @@ import "fmt"
 // back an int32 handle for the admitted object, and every later call names
 // the object by that handle. The caller — Hierarchy's per-object record —
 // is what maps an id to its handle. A handle is valid from its Insert until
-// its Remove, and is never noHandle.
+// its Remove, and is never noHandle. The way back, from a handle to its
+// record, is the record's slot in the hierarchy's table, which each handle
+// carries in its node or heap entry: an eviction clears its victim's record
+// through it, with no second probe of the table.
 type Eviction interface {
-	// Insert admits an object that is not resident and returns its handle.
-	Insert(id uint64, size int64) int32
+	// Insert admits an object that is not resident, whose record is at
+	// slot, and returns its handle.
+	Insert(id uint64, size int64, slot uint32) int32
 	// Hit records a request for the resident object h (the request loop's
 	// only per-hit call into the policy).
 	Hit(h int32)
@@ -30,6 +34,11 @@ type Eviction interface {
 	Remove(h int32)
 	// ID returns the object id behind handle h.
 	ID(h int32) uint64
+	// Slot returns the record slot h carries.
+	Slot(h int32) uint32
+	// SetSlot re-points h at its record's new slot, after the records
+	// moved (the table grew, or was rebuilt).
+	SetSlot(h int32, slot uint32)
 	// Size returns the resident size of h.
 	Size(h int32) int64
 	// Len returns the number of resident objects.
@@ -70,8 +79,8 @@ func newListLevel() listLevel {
 }
 
 // Insert implements Eviction.
-func (l *listLevel) Insert(id uint64, size int64) int32 {
-	i := l.arena.alloc(id, size)
+func (l *listLevel) Insert(id uint64, size int64, slot uint32) int32 {
+	i := l.arena.alloc(id, size, slot)
 	l.arena.pushFront(l.list, i)
 	l.n++
 	l.bytes += size
@@ -97,6 +106,12 @@ func (l *listLevel) ID(h int32) uint64 { return l.arena.nodes[h].id }
 
 // Size implements Eviction.
 func (l *listLevel) Size(h int32) int64 { return l.arena.nodes[h].size }
+
+// Slot implements Eviction.
+func (l *listLevel) Slot(h int32) uint32 { return l.arena.nodes[h].slot }
+
+// SetSlot implements Eviction.
+func (l *listLevel) SetSlot(h int32, slot uint32) { l.arena.nodes[h].slot = slot }
 
 // Len implements Eviction.
 func (l *listLevel) Len() int { return l.n }
@@ -135,7 +150,7 @@ type LFU struct{ pqueue }
 func NewLFU() *LFU { return &LFU{newPQueue()} }
 
 // Insert implements Eviction: a new object starts at zero hits.
-func (l *LFU) Insert(id uint64, size int64) int32 { return l.push(id, size, 0, 0) }
+func (l *LFU) Insert(id uint64, size int64, slot uint32) int32 { return l.push(id, size, slot, 0, 0) }
 
 // Hit implements Eviction.
 func (l *LFU) Hit(h int32) {
@@ -165,12 +180,13 @@ type pqEntry struct {
 	freq float64 // GDSF's frequency term
 	seq  uint64  // insertion sequence: the tie-break, older first
 	pos  int32   // index in heap
+	slot uint32  // the object's record slot
 }
 
 func newPQueue() pqueue { return pqueue{e: make([]pqEntry, 1, 64)} }
 
 // push admits a new entry and returns its handle.
-func (q *pqueue) push(id uint64, size int64, key, freq float64) int32 {
+func (q *pqueue) push(id uint64, size int64, slot uint32, key, freq float64) int32 {
 	q.seq++
 	var h int32
 	if n := len(q.free); n > 0 {
@@ -180,7 +196,7 @@ func (q *pqueue) push(id uint64, size int64, key, freq float64) int32 {
 		q.e = append(q.e, pqEntry{})
 		h = int32(len(q.e) - 1)
 	}
-	q.e[h] = pqEntry{id: id, size: size, key: key, freq: freq, seq: q.seq, pos: int32(len(q.heap))}
+	q.e[h] = pqEntry{id: id, size: size, key: key, freq: freq, seq: q.seq, pos: int32(len(q.heap)), slot: slot}
 	q.heap = append(q.heap, h)
 	q.up(len(q.heap) - 1)
 	q.bytes += size
@@ -221,6 +237,12 @@ func (q *pqueue) ID(h int32) uint64 { return q.e[h].id }
 
 // Size implements Eviction.
 func (q *pqueue) Size(h int32) int64 { return q.e[h].size }
+
+// Slot implements Eviction.
+func (q *pqueue) Slot(h int32) uint32 { return q.e[h].slot }
+
+// SetSlot implements Eviction.
+func (q *pqueue) SetSlot(h int32, slot uint32) { q.e[h].slot = slot }
 
 // Len implements Eviction.
 func (q *pqueue) Len() int { return len(q.heap) }

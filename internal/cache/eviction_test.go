@@ -27,11 +27,15 @@ type byID struct {
 func drive(p Eviction) *byID { return &byID{p, map[uint64]int32{}} }
 
 // insert admits id; a resident id is removed first, so the policy sees a
-// fresh admission at the new size.
+// fresh admission at the new size. Its record slot is slotOf(id).
 func (b *byID) insert(id uint64, size int64) {
 	b.remove(id)
-	b.h[id] = b.Insert(id, size)
+	b.h[id] = b.Insert(id, size, slotOf(id))
 }
+
+// slotOf is the record slot the tests give id: distinct per id, and unlike
+// it, so a handle that returned its id for its slot would show.
+func slotOf(id uint64) uint32 { return uint32(id*3 + 1) }
 
 // touch is a request for id: a Hit when resident, nothing otherwise.
 func (b *byID) touch(id uint64) {
@@ -65,13 +69,16 @@ func (b *byID) victim() (uint64, bool) {
 }
 
 // consistent checks the handle contract against the id map: every handle
-// names its id, no handle is noHandle, Len and Bytes agree, and Entries
-// lists exactly the resident ids.
+// names its id and carries its slot, no handle is noHandle, Len and Bytes
+// agree, and Entries lists exactly the resident ids.
 func (b *byID) consistent() error {
 	var bytes int64
 	for id, h := range b.h {
 		if h == noHandle || b.ID(h) != id {
 			return fmt.Errorf("id %d: handle %d names id %d", id, h, b.ID(h))
+		}
+		if b.Slot(h) != slotOf(id) {
+			return fmt.Errorf("id %d: handle %d carries slot %d, want %d", id, h, b.Slot(h), slotOf(id))
 		}
 		bytes += b.Size(h)
 	}
@@ -128,15 +135,19 @@ func TestEvictionCommonBehaviour(t *testing.T) {
 }
 
 // TestEvictionReinsertUpdatesSize: an object evicted and admitted again is a
-// fresh entry at its new size, and its handle names it.
+// fresh entry at its new size and slot, its handle names it, and SetSlot
+// re-points it.
 func TestEvictionReinsertUpdatesSize(t *testing.T) {
 	for name, mk := range policies() {
 		t.Run(name, func(t *testing.T) {
 			p := mk()
-			p.Remove(p.Insert(1, 100))
-			h := p.Insert(1, 150)
-			if p.Len() != 1 || p.Bytes() != 150 || p.Size(h) != 150 || p.ID(h) != 1 {
-				t.Fatalf("Len=%d Bytes=%d Size=%d ID=%d after reinsert", p.Len(), p.Bytes(), p.Size(h), p.ID(h))
+			p.Remove(p.Insert(1, 100, 3))
+			h := p.Insert(1, 150, 9)
+			if p.Len() != 1 || p.Bytes() != 150 || p.Size(h) != 150 || p.ID(h) != 1 || p.Slot(h) != 9 {
+				t.Fatalf("Len=%d Bytes=%d Size=%d ID=%d Slot=%d after reinsert", p.Len(), p.Bytes(), p.Size(h), p.ID(h), p.Slot(h))
+			}
+			if p.SetSlot(h, 4); p.Slot(h) != 4 || p.ID(h) != 1 {
+				t.Fatalf("after SetSlot(4): Slot=%d ID=%d", p.Slot(h), p.ID(h))
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math"
 
 	"darwin/internal/trace"
 )
@@ -152,8 +153,9 @@ type Hierarchy struct {
 // and recency knobs' inputs, where it is resident, and whether it has missed
 // before. count 0 means "no request seen since the last ResetCounts" (a
 // record kept for residency or its mark); hoc and dc are the levels'
-// Eviction handles, noHandle when not resident there. It is also the id
-// table's slot: key and used are the table's.
+// Eviction handles, noHandle when not resident there; each handle carries
+// this record's slot back. It is also the id table's slot: key and used are
+// the table's.
 type objRec struct {
 	key      uint64
 	count    int
@@ -240,19 +242,57 @@ func (h *Hierarchy) Lookup(id uint64) Result {
 // Serve processes one request and returns where it was served from. Its
 // one table probe is the upsert of the object's record: count, age and both
 // levels' residency come from it.
-func (h *Hierarchy) Serve(r trace.Request) Result { return h.serve(nil, r) }
+func (h *Hierarchy) Serve(r trace.Request) Result { return h.serve(unplaced, r) }
 
-// serve is Serve's body. rec is r's record in h.objs, or nil for Serve's
-// case, where serve upserts it; a Replay, which lays the records out before
-// it starts, passes each request's. The upsert is here rather than in Serve
-// so that Serve inlines: an online request pays one call into the body and
-// one into upsert. rec stays valid for the whole call: nothing below inserts into h.objs (an
-// evicted victim's record is found with get and cleared in place), so the
-// slot array does not move under it.
-func (h *Hierarchy) serve(rec *objRec, r trace.Request) Result {
-	if rec == nil {
-		rec, _ = h.objs.upsert(r.ID)
+// ServeRun serves reqs in order: exactly Serve on each.
+func (h *Hierarchy) ServeRun(reqs []trace.Request) {
+	for _, r := range reqs {
+		h.serve(unplaced, r)
 	}
+}
+
+// unplaced is serve's slot argument for a request whose record it looks up
+// itself. No table has math.MaxUint32 + 1 slots.
+const unplaced = math.MaxUint32
+
+// grow doubles the record table and re-points every resident handle at its
+// record's new slot. An upsert into h.objs runs it first when the table is
+// full (upsert would grow it without moving the handles).
+func (h *Hierarchy) grow() {
+	h.objs.grow()
+	relink(&h.objs, h.hoc, h.dc)
+}
+
+// relink points every resident object's handles at its record's slot in
+// objs: what a table that grew, or one built anew, needs.
+func relink(objs *idTable, hoc, dc Eviction) {
+	for i := range objs.slots {
+		rec := &objs.slots[i]
+		if rec.hoc != noHandle {
+			hoc.SetSlot(rec.hoc, uint32(i))
+		}
+		if rec.dc != noHandle {
+			dc.SetSlot(rec.dc, uint32(i))
+		}
+	}
+}
+
+// serve is Serve's body for the request whose record is at slot in h.objs:
+// a Replay, which lays the records out before it starts, passes each
+// request's, and Serve passes unplaced, for serve to upsert it (here rather
+// than in Serve, so that Serve inlines and an online request pays one call
+// into the body and one into upsert). The record stays put for the whole
+// call: nothing below inserts into h.objs (an evicted victim's record is
+// reached through the slot its handle carries and cleared in place), so the
+// slot array does not move under it.
+func (h *Hierarchy) serve(slot uint32, r trace.Request) Result {
+	if slot == unplaced {
+		if h.objs.full() {
+			h.grow()
+		}
+		_, slot, _ = h.objs.upsert(r.ID)
+	}
+	rec := &h.objs.slots[slot]
 	idx := h.reqIdx
 	h.reqIdx++
 	age := int64(-1)
@@ -284,7 +324,7 @@ func (h *Hierarchy) serve(rec *objRec, r trace.Request) Result {
 			admit = h.admission(count, r.Size, age)
 		}
 		if admit {
-			h.admitHOC(rec, r.ID, r.Size)
+			h.admitHOC(slot, r.ID, r.Size)
 		}
 		return DCHit
 	}
@@ -295,21 +335,21 @@ func (h *Hierarchy) serve(rec *objRec, r trace.Request) Result {
 	h.m.MissBytes += r.Size
 	again := rec.missed
 	rec.missed = true
-	if again && h.admitDC(rec, r.ID, r.Size) {
+	if again && h.admitDC(slot, r.ID, r.Size) {
 		h.m.DCWrites++
 		h.m.DCWriteBytes += r.Size
 	}
 	if h.admission != nil && h.admission(count, r.Size, age) {
-		h.admitHOC(rec, r.ID, r.Size)
+		h.admitHOC(slot, r.ID, r.Size)
 	}
 	return Miss
 }
 
-// admitHOC inserts id, whose record is rec and which is not HOC-resident,
-// evicting HOC victims until it fits. Victims' records are cleared through
-// get, never deleted: rec (and any record pointer the caller holds) stays
-// valid.
-func (h *Hierarchy) admitHOC(rec *objRec, id uint64, size int64) {
+// admitHOC inserts id, whose record is at slot and which is not
+// HOC-resident, evicting HOC victims until it fits. Each victim's record is
+// cleared through the slot its handle carries, never deleted, so no record
+// moves.
+func (h *Hierarchy) admitHOC(slot uint32, id uint64, size int64) {
 	if size > h.hocCap {
 		return
 	}
@@ -318,17 +358,17 @@ func (h *Hierarchy) admitHOC(rec *objRec, id uint64, size int64) {
 		if !ok {
 			return
 		}
-		h.objs.get(h.hoc.ID(v)).hoc = noHandle
+		h.objs.slots[h.hoc.Slot(v)].hoc = noHandle
 		h.hoc.Remove(v)
 	}
-	rec.hoc = h.hoc.Insert(id, size)
+	h.objs.slots[slot].hoc = h.hoc.Insert(id, size, slot)
 	h.m.HOCAdmits++
 }
 
 // admitDC is admitHOC for the DC, journaling every eviction and the
 // admission; it reports whether id was admitted. It charges no metrics
 // (MergeDC admits through it too).
-func (h *Hierarchy) admitDC(rec *objRec, id uint64, size int64) bool {
+func (h *Hierarchy) admitDC(slot uint32, id uint64, size int64) bool {
 	if size > h.dcCap {
 		return false
 	}
@@ -337,14 +377,13 @@ func (h *Hierarchy) admitDC(rec *objRec, id uint64, size int64) bool {
 		if !ok {
 			return false
 		}
-		vid := h.dc.ID(v)
-		h.objs.get(vid).dc = noHandle
-		h.dc.Remove(v)
+		h.objs.slots[h.dc.Slot(v)].dc = noHandle
 		if h.dclog != nil {
-			h.dclog.Remove(vid)
+			h.dclog.Remove(h.dc.ID(v))
 		}
+		h.dc.Remove(v)
 	}
-	rec.dc = h.dc.Insert(id, size)
+	h.objs.slots[slot].dc = h.dc.Insert(id, size, slot)
 	if h.dclog != nil {
 		h.dclog.Put(id, size)
 	}
@@ -367,10 +406,11 @@ func (h *Hierarchy) ResetCounts() {
 	var objs idTable
 	h.objs.each(func(id uint64, rec *objRec) {
 		if rec.hoc != noHandle || rec.dc != noHandle || rec.missed {
-			r, _ := objs.upsert(id)
+			r, _, _ := objs.upsert(id)
 			r.hoc, r.dc, r.missed = rec.hoc, rec.dc, rec.missed
 		}
 	})
+	relink(&objs, h.hoc, h.dc)
 	h.objs = objs
 }
 
@@ -410,7 +450,8 @@ func (h *Hierarchy) SetHOCEviction(name string) error {
 	// Insert most-protected objects last so list-based policies place them
 	// nearest the MRU end.
 	for _, e := range h.hoc.Entries() {
-		h.objs.get(e.ID).hoc = next.Insert(e.ID, e.Size)
+		slot, _ := h.objs.find(e.ID)
+		h.objs.slots[slot].hoc = next.Insert(e.ID, e.Size, uint32(slot))
 	}
 	h.hoc, h.hocName = next, name
 	return nil

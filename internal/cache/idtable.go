@@ -28,10 +28,11 @@ import (
 // good. The mixer costs about 8 % of the engine's throughput over a bare
 // golden-ratio multiply.
 //
-// The zero value is an empty table. Pointers returned by get and upsert are
-// into the slot array: valid until the next upsert that inserts (get never
-// moves an entry). Callers write a record's fields, never a whole objRec:
-// key and used belong to the table.
+// The zero value is an empty table. Pointers and slot indexes returned by
+// get and upsert are into the slot array: valid until the next grow, which
+// an upsert into a full table runs first (get never moves an entry).
+// Callers write a record's fields, never a whole objRec: key and used
+// belong to the table.
 type idTable struct {
 	slots []objRec
 	n     int
@@ -84,11 +85,12 @@ func (t *idTable) get(id uint64) *objRec {
 	return nil
 }
 
-// upsert finds id or inserts a zero record for it, in one probe, and reports
-// whether it was already present. The table doubles before it would pass 3/4
-// full, so a probe always meets an empty slot.
-func (t *idTable) upsert(id uint64) (rec *objRec, existed bool) {
-	if t.n >= len(t.slots)/4*3 {
+// upsert finds id or inserts a zero record for it, in one probe, and returns
+// the record, its slot index, and whether it was already present. The table
+// doubles before it would pass 3/4 full, so a probe always meets an empty
+// slot.
+func (t *idTable) upsert(id uint64) (rec *objRec, slot uint32, existed bool) {
+	if t.full() {
 		t.grow()
 	}
 	i, existed := t.find(id)
@@ -97,8 +99,12 @@ func (t *idTable) upsert(id uint64) (rec *objRec, existed bool) {
 		s.key, s.used = id, true
 		t.n++
 	}
-	return s, existed
+	return s, uint32(i), existed
 }
+
+// full reports whether an insert must grow the table first: the next entry
+// would pass 3/4 load.
+func (t *idTable) full() bool { return t.n >= len(t.slots)/4*3 }
 
 // grow doubles the slot array and re-places every entry.
 func (t *idTable) grow() {

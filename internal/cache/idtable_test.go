@@ -46,10 +46,10 @@ func runTableOps(t testing.TB, ops []tableOp, checkEvery int) *idTable {
 				t.Fatalf("op %d: get(%d) = %+v, map has (%d, %v)", n, op.id, got, want, ok)
 			}
 		} else {
-			v, existed := tab.upsert(op.id)
+			v, slot, existed := tab.upsert(op.id)
 			want, ok := ref[op.id]
 			dirty := !existed && *v != (objRec{key: op.id, used: true}) // a new record is zero but for the table's fields
-			if existed != ok || v.lastSeen != want || dirty {
+			if existed != ok || v.lastSeen != want || dirty || v != &tab.slots[slot] {
 				t.Fatalf("op %d: upsert(%d) = (%+v, %v), map has (%d, %v)", n, op.id, *v, existed, want, ok)
 			}
 			v.lastSeen = op.val
@@ -425,7 +425,7 @@ func BenchmarkIDTable(b *testing.B) {
 		var tab idTable
 		ref := make(map[uint64]int)
 		for i, id := range resident {
-			v, _ := tab.upsert(id)
+			v, _, _ := tab.upsert(id)
 			v.count = i
 			ref[id] = i
 		}
@@ -459,7 +459,7 @@ func BenchmarkIDTable(b *testing.B) {
 				}
 			})
 		arm("upsert-existing",
-			func(i int) { v, _ := tab.upsert(resident[i]); v.count++ },
+			func(i int) { v, _, _ := tab.upsert(resident[i]); v.count++ },
 			func(i int) { ref[resident[i]]++ })
 		_ = sink
 	}

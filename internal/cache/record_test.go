@@ -9,7 +9,9 @@ import (
 )
 
 // checkRecords asserts the record table's contract with the two levels:
-// every handle a record holds names that record's id, each level holds
+// every handle a record holds names that record's id and carries that
+// record's slot (so the slot an eviction clears holds the victim's id), each
+// level holds
 // exactly the objects whose records hold a handle for it, no resident
 // object lacks a record, neither level is over capacity, and a marked
 // record has a count or was aged by ResetCounts — aged says whether h's
@@ -18,7 +20,12 @@ import (
 func checkRecords(t testing.TB, h *Hierarchy, aged bool) {
 	t.Helper()
 	var inHOC, inDC int
-	h.objs.each(func(id uint64, rec *objRec) {
+	for i := range h.objs.slots {
+		rec := &h.objs.slots[i]
+		if !rec.used {
+			continue
+		}
+		id := rec.key
 		if rec.missed && rec.count == 0 && !aged {
 			t.Fatalf("record %d is marked but has no count, and no ResetCounts ran", id)
 		}
@@ -27,14 +34,20 @@ func checkRecords(t testing.TB, h *Hierarchy, aged bool) {
 			if got := h.hoc.ID(rec.hoc); got != id {
 				t.Fatalf("record %d holds HOC handle %d, which names %d", id, rec.hoc, got)
 			}
+			if got := h.hoc.Slot(rec.hoc); got != uint32(i) {
+				t.Fatalf("record %d at slot %d holds HOC handle %d, which carries slot %d", id, i, rec.hoc, got)
+			}
 		}
 		if rec.dc != noHandle {
 			inDC++
 			if got := h.dc.ID(rec.dc); got != id {
 				t.Fatalf("record %d holds DC handle %d, which names %d", id, rec.dc, got)
 			}
+			if got := h.dc.Slot(rec.dc); got != uint32(i) {
+				t.Fatalf("record %d at slot %d holds DC handle %d, which carries slot %d", id, i, rec.dc, got)
+			}
 		}
-	})
+	}
 	if h.hoc.Len() != inHOC || h.dc.Len() != inDC {
 		t.Fatalf("levels hold %d/%d objects, records hold %d/%d handles", h.hoc.Len(), h.dc.Len(), inHOC, inDC)
 	}
@@ -72,7 +85,9 @@ func fuzzSize(id uint64, b byte) int64 { return int64(id*37+uint64(b)) % 521 }
 // and argument — against a small hierarchy under each of the five policies,
 // and checks the record invariants after every step. The ops are Serve,
 // Lookup, SetHOCEviction, RestoreDC, MergeDC, ResetCounts and a JSON state
-// round trip, through the decode-side validate, into a fresh hierarchy. An
+// round trip, through the decode-side validate, into a fresh hierarchy. The
+// 24-id alphabet grows the record table from 8 to 16 and then 32 slots, each
+// time moving the records whose slots the levels' handles carry. An
 // exact "missed before" set is the oracle for DC admission: a Serve that
 // misses writes to the DC if and only if the set holds its id and its size
 // fits the DC, and no other op changes the set, because the mark persists.
@@ -85,6 +100,14 @@ func FuzzHierarchy(f *testing.F) {
 	f.Add([]byte{0, 5, 0, 5, 0, 5, 3, 5, 4, 2, 0, 5, 5, 130, 6, 99, 7, 0, 0, 5, 4, 4, 8, 0, 0, 5})
 	// Reset with residents, then a policy switch and a round trip.
 	f.Add([]byte{0, 9, 0, 9, 0, 9, 0, 9, 7, 1, 0, 9, 4, 1, 8, 1, 0, 9, 6, 250, 8, 1})
+	// Every id three times — a miss, a DC admission, a promotion — so both
+	// levels hold objects when each growth moves the records; then every
+	// op that rebuilds the table or a level.
+	var grow []byte
+	for id := byte(0); id < 24; id++ {
+		grow = append(grow, 0, id, 0, id, 0, id)
+	}
+	f.Add(append(grow, 7, 0, 4, 3, 6, 40, 5, 90, 8, 0, 0, 1, 0, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, policy := range evictionPolicies {
 			cfg := Config{HOCBytes: 400, DCBytes: 1600, HOCEviction: policy,

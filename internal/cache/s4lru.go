@@ -36,8 +36,8 @@ func NewS4LRU(capHint int64) *S4LRU {
 }
 
 // Insert implements Eviction: new objects enter segment 0.
-func (s *S4LRU) Insert(id uint64, size int64) int32 {
-	i := s.listLevel.Insert(id, size)
+func (s *S4LRU) Insert(id uint64, size int64, slot uint32) int32 {
+	i := s.listLevel.Insert(id, size, slot)
 	if int(i) == len(s.seg) {
 		s.seg = append(s.seg, 0)
 	}

@@ -136,6 +136,35 @@ func (s *Sharded) Serve(r trace.Request) Result {
 	return res
 }
 
+// runChunk is how many requests ServeRun serves per acquisition of the
+// shard mutexes: long enough that the locking is a small share of the
+// chunk, short enough that a concurrent Serve waits one chunk (≈20 µs) at
+// most.
+const runChunk = 256
+
+// ServeRun serves reqs in order, exactly as Serve on each would, taking
+// every shard's mutex once per chunk of runChunk requests instead of one
+// mutex per request: the serial replay's (core.Controller.Play's) path.
+// Lock order: shard mutexes in ascending index order, after any lock the
+// caller holds (the controller's mu comes first). A chunk holds every shard
+// at once, so a concurrent Serve, Lookup or Metrics caller waits for the
+// chunk to finish, ≈20 µs. The HTTP data plane keeps Serve.
+func (s *Sharded) ServeRun(reqs []trace.Request) {
+	for len(reqs) > 0 {
+		chunk := reqs[:min(len(reqs), runChunk)]
+		reqs = reqs[len(chunk):]
+		for i := range s.shards {
+			s.shards[i].mu.Lock()
+		}
+		for _, r := range chunk {
+			s.shards[s.route(r.ID)].h.Serve(r)
+		}
+		for i := range s.shards {
+			s.shards[i].mu.Unlock()
+		}
+	}
+}
+
 // Lookup probes residency on the owning shard without mutating any state.
 func (s *Sharded) Lookup(id uint64) Result {
 	sh := &s.shards[s.route(id)]

@@ -1,11 +1,13 @@
 package cache_test
 
 import (
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
 
 	"darwin/internal/cache"
+	"darwin/internal/trace"
 	"darwin/internal/tracegen"
 )
 
@@ -195,5 +197,108 @@ func TestMix64Bijective(t *testing.T) {
 	}
 	if cache.Mix64(0) == 0 && cache.Mix64(1) == 1 {
 		t.Fatal("Mix64 looks like identity")
+	}
+}
+
+// runEngine is what TestServeRunMatchesServe compares: an engine with
+// ServeRun, its switch count, and its state as checkpoint bytes.
+type runEngine struct {
+	cache.Engine
+	serveRun func([]trace.Request)
+	switches func() int64
+	state    func() any
+}
+
+func newRunEngine(t testing.TB, cfg cache.Config, shards int) runEngine {
+	t.Helper()
+	if shards == 0 {
+		h, err := cache.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return runEngine{h, h.ServeRun, h.ExpertSwitches, func() any { return h.State() }}
+	}
+	s, err := cache.NewSharded(cfg, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runEngine{s, s.ServeRun, s.ExpertSwitches, func() any { return s.State() }}
+}
+
+// TestServeRunMatchesServe: ServeRun over a run decides exactly what Serve
+// on each of its requests does — metrics, expert switches and the encoded
+// state — on the serial hierarchy and 1, 2, 4 and 8 shards, under every HOC
+// policy, for runs of 0, 1, 255, 256 and 257 requests (either side of a
+// whole chunk) and a 20k-request run that grows the record tables in the
+// middle of chunks. The expert changes between runs.
+func TestServeRunMatchesServe(t *testing.T) {
+	tr, err := tracegen.ImageDownloadMix(50, 40_000, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	experts := cache.DefaultGrid()
+	for _, policy := range []string{"lru", "fifo", "lfu", "s4lru", "gdsf"} {
+		for _, shards := range []int{0, 1, 2, 4, 8} {
+			cfg := cache.Config{HOCBytes: 256 << 10, DCBytes: 4 << 20, HOCEviction: policy, Expert: experts[0]}
+			run, each := newRunEngine(t, cfg, shards), newRunEngine(t, cfg, shards)
+			reqs := tr.Requests
+			for i, n := range []int{0, 1, 255, 256, 257, 20_000, 257} {
+				e := experts[(i*7)%len(experts)]
+				run.SetExpert(e)
+				each.SetExpert(e)
+				run.serveRun(reqs[:n])
+				for _, r := range reqs[:n] {
+					each.Serve(r)
+				}
+				reqs = reqs[n:]
+				if got, want := run.Metrics(), each.Metrics(); got != want {
+					t.Fatalf("%s, %d shards, run %d of %d: ServeRun metrics %+v, Serve %+v", policy, shards, i, n, got, want)
+				}
+				if got, want := run.switches(), each.switches(); got != want {
+					t.Fatalf("%s, %d shards, run %d: ServeRun switches %d, Serve %d", policy, shards, i, got, want)
+				}
+				got, err := json.Marshal(run.state())
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := json.Marshal(each.state())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != string(want) {
+					t.Fatalf("%s, %d shards, run %d of %d: ServeRun state differs from Serve's", policy, shards, i, n)
+				}
+			}
+			if m := run.Metrics(); m.HOCAdmits == 0 || m.DCWrites == 0 {
+				t.Fatalf("%s, %d shards: no admissions (%+v); the runs evict nothing", policy, shards, m)
+			}
+		}
+	}
+}
+
+// BenchmarkShardedServeRun prices one request of Sharded.ServeRun, in runs
+// of 1000 (the batch sim-shift times) on AutoShards shards, per HOC policy:
+// BenchmarkServe's engine and trace, with a chunk's worth of requests per
+// acquisition of the shard mutexes.
+func BenchmarkShardedServeRun(b *testing.B) {
+	tr, err := tracegen.ImageDownloadMix(50, 100000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, policy := range []string{"lru", "fifo", "lfu", "s4lru", "gdsf"} {
+		b.Run(policy, func(b *testing.B) {
+			s, err := cache.NewSharded(cache.Config{HOCBytes: 2 << 20, DCBytes: 200 << 20, HOCEviction: policy,
+				Expert: cache.Expert{Freq: 2, MaxSize: 10 << 10}}, cache.AutoShards())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n, i := b.N, 0; n > 0; {
+				k := min(n, 1000, tr.Len()-i)
+				s.ServeRun(tr.Requests[i : i+k])
+				n, i = n-k, (i+k)%tr.Len()
+			}
+		})
 	}
 }

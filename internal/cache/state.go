@@ -196,11 +196,12 @@ func (h *Hierarchy) prepareRestoreState(st *HierarchyState) (restoredParts, erro
 			st.HOCEviction, h.hocName)
 	}
 	for i, id := range st.Tracker.IDs {
-		rec, _ := parts.objs.upsert(id)
+		rec, _, _ := parts.objs.upsert(id)
 		rec.count, rec.lastSeen, rec.missed = st.Tracker.Counts[i], st.Tracker.LastSeen[i], st.Tracker.Missed[i]
 	}
 	parts.hoc = rebuildLevel(&parts.objs, h.hocName, h.hocCap, st.HOC, false)
 	parts.dc = rebuildLevel(&parts.objs, "lru", h.dcCap, st.DC, true)
+	relink(&parts.objs, parts.hoc, parts.dc)
 	return parts, nil
 }
 
@@ -231,15 +232,17 @@ func (h *Hierarchy) RestoreState(st *HierarchyState) error {
 
 // rebuildLevel reconstructs one level's eviction policy, the hierarchy's
 // own, from a checked victim-first entry list, pointing each entry's record
-// in objs (the DC's handle when dc is set, else the HOC's) at it.
+// in objs (the DC's handle when dc is set, else the HOC's) at it. Its
+// upserts can grow objs, which moves the records that the levels' handles
+// name: the caller relinks once both levels are built.
 func rebuildLevel(objs *idTable, name string, capBytes int64, entries []ResidentObject, dc bool) Eviction {
 	ev, _ := NewEvictionWithCapacity(name, capBytes) // name is the hierarchy's own policy
 	for _, e := range entries {
-		rec, _ := objs.upsert(e.ID)
+		rec, slot, _ := objs.upsert(e.ID)
 		if dc {
-			rec.dc = ev.Insert(e.ID, e.Size)
+			rec.dc = ev.Insert(e.ID, e.Size, slot)
 		} else {
-			rec.hoc = ev.Insert(e.ID, e.Size)
+			rec.hoc = ev.Insert(e.ID, e.Size, slot)
 		}
 	}
 	return ev
@@ -265,6 +268,7 @@ func (h *Hierarchy) RestoreDC(entries []ResidentObject) error {
 	}
 	h.objs.each(func(_ uint64, rec *objRec) { rec.dc = noHandle })
 	h.dc = rebuildLevel(&h.objs, "lru", h.dcCap, entries[start:], true)
+	relink(&h.objs, h.hoc, h.dc)
 	return nil
 }
 
@@ -286,8 +290,11 @@ func (h *Hierarchy) MergeDC(entries []ResidentObject) (int, error) {
 		if e.Size > h.dcCap {
 			continue
 		}
-		rec, _ := h.objs.upsert(e.ID)
-		if rec.hoc == noHandle && rec.dc == noHandle && h.admitDC(rec, e.ID, e.Size) {
+		if h.objs.full() {
+			h.grow()
+		}
+		rec, slot, _ := h.objs.upsert(e.ID)
+		if rec.hoc == noHandle && rec.dc == noHandle && h.admitDC(slot, e.ID, e.Size) {
 			added++
 		}
 	}

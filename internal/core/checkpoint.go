@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"darwin/internal/bandit"
 	"darwin/internal/cache"
@@ -127,8 +128,11 @@ func (st *ControllerState) validate() error {
 }
 
 // fitLocked checks that st, which has passed validate, fits the
-// controller's model and config. For an identify snapshot it rebuilds the
-// bandit run and restores its estimators; otherwise the run is nil.
+// controller's model and config. A snapshot that names a cluster's expert
+// set must name the set this model gives that cluster: any other set was
+// learned under another model, whose cluster ids, posteriors and features
+// mean nothing here. For an identify snapshot it rebuilds the bandit run and
+// restores its estimators; otherwise the run is nil.
 func (c *Controller) fitLocked(st *ControllerState) (*bandit.Algorithm, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil controller state")
@@ -140,10 +144,9 @@ func (c *Controller) fitLocked(st *ControllerState) (*bandit.Algorithm, error) {
 		if st.ClusterID < 0 || st.ClusterID >= c.model.Clusters.K() {
 			return nil, fmt.Errorf("core: cluster %d out of range", st.ClusterID)
 		}
-		for _, ei := range st.Set {
-			if ei < 0 || ei >= len(c.model.Experts) {
-				return nil, fmt.Errorf("core: snapshot references expert %d of %d", ei, len(c.model.Experts))
-			}
+		if want := c.model.expertSet(st.ClusterID); !slices.Equal(st.Set, want) {
+			return nil, fmt.Errorf("core: snapshot's cluster %d expert set %v is not the model's %v: the state was learned under another model",
+				st.ClusterID, st.Set, want)
 		}
 	}
 	if phaseNamed[st.Phase] != PhaseIdentify {

@@ -521,6 +521,7 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 			"model":       "transient: the restorer's own, read from its model file (ReadModel)",
 			"eng":         "transient: the engine's state is the checkpoint's Engine part",
 			"cfg":         "derived: the restorer's own config, which restore checks the state fits",
+			"run":         "transient: eng's ServeRun, found by NewController",
 			"exploitLeft": "derived: Epoch − EpochReqs in exploit, stored at restore",
 			"mu":          "transient: a lock",
 			"phase":       "Phase",

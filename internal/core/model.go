@@ -252,21 +252,27 @@ func withinTheta(v, best, thetaPct float64) bool {
 }
 
 // Lookup assigns a feature vector to its cluster and returns the cluster id
-// and the cluster's expert set. An empty set falls back to the cluster's
-// best-by-mean-reward expert, and, degenerately, to expert 0.
+// and the cluster's expert set (expertSet).
 func (m *Model) Lookup(feat []float64) (clusterID int, set []int) {
 	c := m.Clusters.Assign(feat)
-	set = m.ExpertSets[c]
-	if len(set) == 0 {
-		best := 0
-		for ei, v := range m.MeanReward[c] {
-			if v > m.MeanReward[c][best] {
-				best = ei
-			}
-		}
-		set = []int{best}
+	return c, m.expertSet(c)
+}
+
+// expertSet returns the experts the controller identifies among in cluster
+// c: ExpertSets[c], or, when that is empty, the cluster's
+// best-by-mean-reward expert alone (degenerately, expert 0). Warm-up's
+// lookup and restore's model check share it.
+func (m *Model) expertSet(c int) []int {
+	if set := m.ExpertSets[c]; len(set) > 0 {
+		return set
 	}
-	return c, set
+	best := 0
+	for ei, v := range m.MeanReward[c] {
+		if v > m.MeanReward[c][best] {
+			best = ei
+		}
+	}
+	return []int{best}
 }
 
 // PredictCond runs M_{i,j} on an extended feature vector, returning

@@ -125,13 +125,20 @@ type EpochDiag struct {
 // PhaseExploit — the rest of the epoch, most of it — a request is one atomic
 // decrement of exploitLeft and touches mu only if it is the one that
 // completes the epoch. Play, the serial replay, pays that once per run of
-// requests rather than once per request. Expert deployments at warm-up,
-// round, and epoch boundaries broadcast to every shard through
-// Engine.SetExpert.
+// requests rather than once per request, and hands the run to the engine
+// whole. Expert deployments at warm-up, round, and epoch boundaries
+// broadcast to every shard through Engine.SetExpert.
+//
+// Lock order: mu, then shard mutexes in ascending index order (SetExpert,
+// Metrics and playLocked's serves run under mu; Play's exploit runs hold
+// every shard mutex per chunk and no mu).
 type Controller struct {
 	model *Model
 	eng   cache.Engine
 	cfg   OnlineConfig
+	// run is eng as a runServer, or nil when eng serves request by request
+	// only; set once, by NewController.
+	run runServer
 
 	// exploitLeft is the steady state's only per-request word: how many more
 	// serves the current epoch takes while the phase is PhaseExploit. It is
@@ -183,13 +190,22 @@ func NewController(model *Model, eng cache.Engine, cfg OnlineConfig) (*Controlle
 	}
 	// The first warm-up runs under the grid's first expert.
 	eng.SetExpert(model.Experts[0])
+	run, _ := eng.(runServer)
 	return &Controller{
 		model:     model,
 		eng:       eng,
 		cfg:       cfg,
+		run:       run,
 		phase:     PhaseWarmup,
 		extractor: ex,
 	}, nil
+}
+
+// runServer is an engine that serves a run of requests in one call, as Serve
+// on each would: cache.Sharded takes its shard mutexes once per chunk of the
+// run instead of once per request, and cache.Hierarchy loops.
+type runServer interface {
+	ServeRun(reqs []trace.Request)
 }
 
 // Phase returns the current phase.
@@ -323,19 +339,29 @@ func (c *Controller) epochServesLocked() int {
 
 // Play serves an entire trace: exactly what Serve on each request in order
 // does, in runs. An exploit run reserves its serves with one
-// compare-and-swap and then calls only the engine; any other run holds mu
+// compare-and-swap and then hands them to the engine in one ServeRun call
+// (request by request on an engine without one); any other run holds mu
 // and steps the state machine per request, until the trace ends or exploit
 // is entered with more than one serve left.
 func (c *Controller) Play(tr *trace.Trace) {
 	for reqs := tr.Requests; len(reqs) > 0; {
 		if k := c.reserveExploit(len(reqs)); k > 0 {
-			for _, r := range reqs[:k] {
-				c.eng.Serve(r)
-			}
+			c.serveRun(reqs[:k])
 			reqs = reqs[k:]
 			continue
 		}
 		reqs = reqs[c.playLocked(reqs):]
+	}
+}
+
+// serveRun serves an exploit run on the engine.
+func (c *Controller) serveRun(reqs []trace.Request) {
+	if c.run != nil {
+		c.run.ServeRun(reqs)
+		return
+	}
+	for _, r := range reqs {
+		c.eng.Serve(r)
 	}
 }
 

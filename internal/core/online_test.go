@@ -560,9 +560,13 @@ func playTrace(tb testing.TB) []trace.Request {
 	return append(append([]trace.Request(nil), trs[1].Requests...), trs[8].Requests...)
 }
 
-// playEngine builds the serial hierarchy (shards 0) or a sharded engine.
+// playEngine builds the serial hierarchy (shards 0), a sharded engine, or,
+// for negative shards, a -shards engine behind serveOnly.
 func playEngine(tb testing.TB, shards int) cache.Engine {
 	tb.Helper()
+	if shards < 0 {
+		return serveOnly{playEngine(tb, -shards)}
+	}
 	ec := testEval()
 	cfg := cache.Config{HOCBytes: ec.HOCBytes, DCBytes: ec.DCBytes}
 	var eng cache.Engine
@@ -576,6 +580,14 @@ func playEngine(tb testing.TB, shards int) cache.Engine {
 		tb.Fatal(err)
 	}
 	return eng
+}
+
+// serveOnly is an engine wrapper without ServeRun, as a tracing wrapper
+// is: a controller over it plays exploit runs request by request.
+type serveOnly struct{ cache.Engine }
+
+func (e serveOnly) ExpertSwitches() int64 {
+	return e.Engine.(interface{ ExpertSwitches() int64 }).ExpertSwitches()
 }
 
 // replayOutcome is everything a replay decided, in comparable form.
@@ -638,11 +650,19 @@ func evenCuts(n, k int) []int {
 // TestPlayMatchesServe: Play, however the trace is cut into batches,
 // decides exactly what Serve on each request does — engine metrics, epoch
 // decisions, expert switches and the controller's checkpoint — over the
-// serial hierarchy and a four-shard engine.
+// serial hierarchy, a four-shard engine, and a four-shard engine behind a
+// wrapper without ServeRun (Play's request-by-request fallback).
 func TestPlayMatchesServe(t *testing.T) {
 	m := trainedModel(t)
 	reqs := playTrace(t)
-	for _, shards := range []int{0, 4} {
+	for _, shards := range []int{0, 4, -4} {
+		c, err := NewController(m, playEngine(t, shards), playCfg())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (c.run != nil) != (shards >= 0) {
+			t.Fatalf("shards %d: Play serves exploit runs through ServeRun: %v", shards, c.run != nil)
+		}
 		want := replay(t, m, playEngine(t, shards), reqs, nil)
 		identified := false
 		for _, d := range want.diags {
@@ -662,11 +682,16 @@ func TestPlayMatchesServe(t *testing.T) {
 
 // FuzzControllerPlay cuts one replay into batches at fuzzed positions — one
 // byte per batch, small bytes short batches, up to ~8k requests — and
-// requires the outcome of per-request Serve.
+// requires the outcome of per-request Serve, over the serial hierarchy and
+// over a two-shard engine behind a wrapper without ServeRun.
 func FuzzControllerPlay(f *testing.F) {
 	m := trainedModel(f)
 	reqs := playTrace(f)[:8000]
-	want := replay(f, m, playEngine(f, 0), reqs, nil)
+	engines := []int{0, -2}
+	wants := make([]replayOutcome, len(engines))
+	for i, shards := range engines {
+		wants[i] = replay(f, m, playEngine(f, shards), reqs, nil)
+	}
 	f.Add([]byte{0, 1, 2, 3, 255, 17, 90})
 	f.Add([]byte{100, 100, 100, 100, 100, 100, 100, 100})
 	f.Add([]byte{17, 0, 0, 0, 0, 0, 0, 0, 0, 200, 3})
@@ -675,8 +700,10 @@ func FuzzControllerPlay(f *testing.F) {
 		for i, b := range data {
 			cuts[i] = 1 + int(b)*int(b)/8
 		}
-		if got := replay(t, m, playEngine(t, 0), reqs, cuts); !reflect.DeepEqual(got, want) {
-			t.Fatalf("cuts %v: Play decided\n%+v\nper-request Serve\n%+v", cuts, got, want)
+		for i, shards := range engines {
+			if got := replay(t, m, playEngine(t, shards), reqs, cuts); !reflect.DeepEqual(got, wants[i]) {
+				t.Fatalf("shards %d, cuts %v: Play decided\n%+v\nper-request Serve\n%+v", shards, cuts, got, wants[i])
+			}
 		}
 	})
 }

@@ -59,8 +59,10 @@ func controllerAhead(donor, local *core.ControllerState) bool {
 
 // handoffAcceptor builds the /state POST side: decode (which validates the
 // frame's every part), then commit — controller first (its adoption checks
-// that the state fits before mutating anything), cache merge last (it cannot
-// fail on decoded levels). A frame from an older donor also carries its
+// that the state fits before mutating anything; a state that does not fit,
+// such as one learned under another model, is logged and skipped, and this
+// node keeps learning its own way), cache merge last (it cannot fail on
+// decoded levels). A frame from an older donor also carries its
 // model, which the decoder skips. The donor's round baseline counts the
 // donor's engine, so an adopted identification round restarts on ours.
 func handoffAcceptor(eng *cache.Sharded, ctrl *core.Controller) func([]byte) error {
@@ -74,7 +76,7 @@ func handoffAcceptor(eng *cache.Sharded, ctrl *core.Controller) func([]byte) err
 		}
 		if ctrl != nil && ck.Controller != nil && controllerAhead(ck.Controller, ctrl.CheckpointState()) {
 			if err := ctrl.AdoptState(ck.Controller); err != nil {
-				return fmt.Errorf("handoff: adopting controller state: %w", err)
+				logf("handoff: controller state not adopted (%v); keeping this node's", err)
 			}
 		}
 		for _, level := range donorLevels(ck.Engine) {

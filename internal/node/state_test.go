@@ -443,6 +443,121 @@ func TestHandoffRestartsAdoptedRound(t *testing.T) {
 	}
 }
 
+// otherModel trains a model of handoffModel's shape — the same grid, two
+// clusters — on other traces (30 % Image, other seeds) at θ = 5 %: both of
+// its clusters' expert set is [1 3], where handoffModel's is [0 1 2 3].
+func otherModel(t testing.TB) *core.Model {
+	t.Helper()
+	var traces []*trace.Trace
+	for seed := int64(0); seed < 4; seed++ {
+		tr, err := tracegen.ImageDownloadMix(30, 8000, 200+seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces = append(traces, tr)
+	}
+	ds, err := core.BuildDataset(traces, core.DatasetConfig{
+		Experts: cache.Grid([]int{1, 3}, []int64{2 << 10, 20 << 10}),
+		Eval:    cache.EvalConfig{HOCBytes: 256 << 10, DCBytes: 32 << 20, WarmupFrac: 0.1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := core.Train(ds, core.TrainConfig{NumClusters: 2, ThetaPct: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestStateFromAnotherModelRefused: controller state learned under one model
+// does not fit another of the same shape. A state taken mid-identification
+// over handoffModel is refused by a node that restarts with otherModel —
+// recovery restores the engine, logs both expert sets and re-warms the
+// controller — and by a node running otherModel that is handed it, which
+// logs both sets, keeps its own controller state and still merges the
+// donor's cache.
+func TestStateFromAnotherModelRefused(t *testing.T) {
+	donorCtrl, donorEng := newHandoffController(t, handoffModel(t))
+	tr, err := tracegen.ImageDownloadMix(50, 2000, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range tr.Requests {
+		if donorCtrl.Phase() == core.PhaseIdentify && donorCtrl.CheckpointState().RoundReqs > 0 {
+			break
+		}
+		donorCtrl.Serve(req)
+	}
+	st := donorCtrl.CheckpointState()
+	other := otherModel(t)
+	if st.Phase != "identify" || !reflect.DeepEqual(st.Set, []int{0, 1, 2, 3}) ||
+		!reflect.DeepEqual(other.ExpertSets[st.ClusterID], []int{1, 3}) {
+		t.Fatalf("donor in %s with cluster %d set %v, the other model's set %v: the test needs an identify state whose set the other model does not give",
+			st.Phase, st.ClusterID, st.Set, other.ExpertSets[st.ClusterID])
+	}
+	frame, err := core.EncodeCheckpointFrame(snapshot(donorEng, donorCtrl))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bothSets := "expert set [0 1 2 3] is not the model's [1 3]"
+	fresh := func(ctrl *core.Controller) bool {
+		got := ctrl.CheckpointState()
+		return got.Phase == "warmup" && got.Epoch == 0 && got.EpochReqs == 0 && got.Bandit == nil
+	}
+
+	cfg := Config{
+		Model:    other,
+		Online:   handoffOnlineCfg(),
+		HOCBytes: 256 << 10,
+		DCBytes:  32 << 20,
+		Shards:   2,
+		Store:    diskcache.Config{Dir: t.TempDir()},
+		Origin:   testOrigin(t),
+	}
+	if err := os.WriteFile(filepath.Join(cfg.Store.Dir, checkpointFile), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.dur.store.Close() })
+	logged := stderrOf(t, n.dur.recover)
+	if !strings.Contains(logged, "controller state not restored") || !strings.Contains(logged, bothSets) ||
+		strings.Contains(logged, "engine state not restored") {
+		t.Fatalf("recovery logged %q, want the engine restored and the controller refused, naming both sets", logged)
+	}
+	if !fresh(n.ctrl) {
+		t.Fatalf("the restarted controller is %+v, want a fresh warm-up", n.ctrl.CheckpointState())
+	}
+	if got, want := n.eng.Metrics(), donorEng.Metrics(); got != want {
+		t.Fatalf("the restarted engine counts %+v, the checkpoint %+v", got, want)
+	}
+
+	inhCtrl, inhEng := newHandoffController(t, other)
+	logged = stderrOf(t, func() { err = handoffAcceptor(inhEng, inhCtrl)(frame) })
+	if err != nil {
+		t.Fatalf("the handoff was refused whole: %v", err)
+	}
+	if !strings.Contains(logged, "controller state not adopted") || !strings.Contains(logged, bothSets) {
+		t.Fatalf("the handoff logged %q, want the controller state skipped, naming both sets", logged)
+	}
+	if !fresh(inhCtrl) {
+		t.Fatalf("the inheritor's controller is %+v, want its own fresh warm-up", inhCtrl.CheckpointState())
+	}
+	if dcLen(donorEng) == 0 {
+		t.Fatal("the donor's DC is empty; the test would not exercise the merge")
+	}
+	for _, sh := range donorEng.State().Shards {
+		for _, obj := range sh.DC {
+			if r := inhEng.Lookup(obj.ID); r != cache.DCHit {
+				t.Fatalf("the donor's DC object %d is %v at the inheritor, want merged", obj.ID, r)
+			}
+		}
+	}
+}
+
 // mutate makes one structure-aware edit to the value v points at, as
 // internal/core's FuzzCheckpointRuns does: it walks every slice and number
 // reachable through exported fields and pointers, and op picks the edit —
