@@ -54,7 +54,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.Int64Var(&n.Expert.MaxSize, "s", 10<<10, "static expert size threshold (bytes)")
 	fs.Int64Var(&n.HOCBytes, "hoc", cache.DefaultEvalConfig().HOCBytes, "HOC bytes")
 	fs.Int64Var(&n.DCBytes, "dc", cache.DefaultEvalConfig().DCBytes, "DC bytes")
-	fs.IntVar(&n.Shards, "shards", 0, "cache engine shard count (0 = auto from GOMAXPROCS, 1 = serial/global-lock data plane)")
+	fs.IntVar(&n.Shards, "shards", 0, "cache engine shard count, a power of two (0 = auto from GOMAXPROCS, 1 = serial/global-lock data plane)")
 	fs.StringVar(&o.pprofAddr, "pprof", "", "pprof listen address (e.g. localhost:6060; empty = disabled)")
 	fs.StringVar(&o.modelPath, "model", "", "trained model file from darwin-train; selects darwin mode (empty = the static expert -f/-s)")
 

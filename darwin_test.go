@@ -82,6 +82,7 @@ var goneIdents = []string{
 	"darwin.LoadConfig", "darwin.LoadResult", "darwin.RunLoad", "tracegen.ByName",
 	"-mode", "node.Config.Train", "Checkpoint.Model", "checkpointJSON", "modelToJSON", "modelFromJSON",
 	"neural.ReLU", "neural.Identity", "reusing trained model from checkpoint",
+	"Eviction.ID", "Eviction.Len",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

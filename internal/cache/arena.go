@@ -11,9 +11,9 @@ package cache
 // index, and an empty list is one whose sentinel links to itself. Several
 // lists (e.g. S4LRU's four segments) can share one arena. A node's index is
 // the list policies' Eviction handle; the first list's sentinel takes index
-// 0, so no resident object ever has handle 0 (noHandle). A node also carries
-// its object's record slot (Eviction.Slot), filling what would otherwise be
-// the node's padding.
+// 0, so no resident object ever has handle 0 (noHandle). A node carries its
+// object's size and record slot (Eviction.Slot), not its id: the record at
+// that slot holds the id.
 type nodeArena struct {
 	nodes []listNode
 	free  int32 // head of the free list, linked through next; nilNode = empty
@@ -21,7 +21,6 @@ type nodeArena struct {
 
 // listNode is one resident object (or a list sentinel) in the arena.
 type listNode struct {
-	id         uint64
 	size       int64
 	prev, next int32
 	slot       uint32
@@ -40,22 +39,22 @@ func newNodeArena(hint int) nodeArena {
 
 // newList allocates a sentinel and returns its index (the list handle).
 func (a *nodeArena) newList() int32 {
-	s := a.alloc(0, 0, 0)
+	s := a.alloc(0, 0)
 	a.nodes[s].prev = s
 	a.nodes[s].next = s
 	return s
 }
 
-// alloc returns a detached node carrying (id, size, slot), reusing a freed
-// node when possible.
-func (a *nodeArena) alloc(id uint64, size int64, slot uint32) int32 {
+// alloc returns a detached node carrying (size, slot), reusing a freed node
+// when possible.
+func (a *nodeArena) alloc(size int64, slot uint32) int32 {
 	if a.free != nilNode {
 		i := a.free
 		a.free = a.nodes[i].next
-		a.nodes[i] = listNode{id: id, size: size, slot: slot}
+		a.nodes[i] = listNode{size: size, slot: slot}
 		return i
 	}
-	a.nodes = append(a.nodes, listNode{id: id, size: size, slot: slot})
+	a.nodes = append(a.nodes, listNode{size: size, slot: slot})
 	return int32(len(a.nodes) - 1)
 }
 
@@ -99,10 +98,9 @@ func (a *nodeArena) back(list int32) int32 {
 	return b
 }
 
-// appendVictimFirst appends list's entries back-to-front (victim first).
-func (a *nodeArena) appendVictimFirst(list int32, out []ResidentObject) []ResidentObject {
+// victimFirst yields list's entries back-to-front (victim first).
+func (a *nodeArena) victimFirst(list int32, yield func(slot uint32, size int64)) {
 	for i := a.nodes[list].prev; i != list; i = a.nodes[i].prev {
-		out = append(out, ResidentObject{ID: a.nodes[i].id, Size: a.nodes[i].size})
+		yield(a.nodes[i].slot, a.nodes[i].size)
 	}
-	return out
 }

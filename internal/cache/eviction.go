@@ -16,14 +16,15 @@ import "fmt"
 // back an int32 handle for the admitted object, and every later call names
 // the object by that handle. The caller — Hierarchy's per-object record —
 // is what maps an id to its handle. A handle is valid from its Insert until
-// its Remove, and is never noHandle. The way back, from a handle to its
-// record, is the record's slot in the hierarchy's table, which each handle
-// carries in its node or heap entry: an eviction clears its victim's record
-// through it, with no second probe of the table.
+// its Remove, and is never noHandle. A handle's node or heap entry holds the
+// object's size and its record's slot in the hierarchy's table, and nothing
+// else: the record at that slot holds the id. An eviction clears its
+// victim's record through the slot, and reads the victim's id there, with
+// no second probe of the table.
 type Eviction interface {
 	// Insert admits an object that is not resident, whose record is at
 	// slot, and returns its handle.
-	Insert(id uint64, size int64, slot uint32) int32
+	Insert(size int64, slot uint32) int32
 	// Hit records a request for the resident object h (the request loop's
 	// only per-hit call into the policy).
 	Hit(h int32)
@@ -32,8 +33,6 @@ type Eviction interface {
 	Victim() (h int32, ok bool)
 	// Remove deletes the resident object h (evicted or invalidated).
 	Remove(h int32)
-	// ID returns the object id behind handle h.
-	ID(h int32) uint64
 	// Slot returns the record slot h carries.
 	Slot(h int32) uint32
 	// SetSlot re-points h at its record's new slot, after the records
@@ -41,26 +40,19 @@ type Eviction interface {
 	SetSlot(h int32, slot uint32)
 	// Size returns the resident size of h.
 	Size(h int32) int64
-	// Len returns the number of resident objects.
-	Len() int
 	// Bytes returns the total resident bytes.
 	Bytes() int64
-	// Entries lists resident objects in eviction order where the policy has
-	// one (victim-first for list-based policies; heap-array order for
-	// heap-based ones). Used to migrate state when the policy is swapped at
-	// runtime, and as the checkpoint's level contents.
-	Entries() []ResidentObject
+	// Entries yields every resident object's record slot and size in
+	// eviction order where the policy has one (victim-first for list-based
+	// policies; heap-array order for heap-based ones). Used to migrate
+	// state when the policy is swapped at runtime, and for the checkpoint's
+	// level contents, whose ids the hierarchy reads through the slots.
+	Entries(yield func(slot uint32, size int64))
 }
 
 // noHandle is the handle of no object: what a record holds for a level the
 // object is not resident in.
 const noHandle int32 = 0
-
-// ResidentObject is one (id, size) pair resident in an eviction policy.
-type ResidentObject struct {
-	ID   uint64
-	Size int64
-}
 
 // listLevel is the arena-backed list LRU, FIFO and S4LRU share: resident
 // objects are nodes of an intrusive list (front = most recent), the handle
@@ -68,7 +60,6 @@ type ResidentObject struct {
 type listLevel struct {
 	arena nodeArena
 	list  int32 // sentinel; index 0, so noHandle is never a resident node
-	n     int
 	bytes int64
 }
 
@@ -79,10 +70,9 @@ func newListLevel() listLevel {
 }
 
 // Insert implements Eviction.
-func (l *listLevel) Insert(id uint64, size int64, slot uint32) int32 {
-	i := l.arena.alloc(id, size, slot)
+func (l *listLevel) Insert(size int64, slot uint32) int32 {
+	i := l.arena.alloc(size, slot)
 	l.arena.pushFront(l.list, i)
-	l.n++
 	l.bytes += size
 	return i
 }
@@ -96,13 +86,9 @@ func (l *listLevel) Victim() (int32, bool) {
 // Remove implements Eviction.
 func (l *listLevel) Remove(h int32) {
 	l.bytes -= l.arena.nodes[h].size
-	l.n--
 	l.arena.unlink(h)
 	l.arena.release(h)
 }
-
-// ID implements Eviction.
-func (l *listLevel) ID(h int32) uint64 { return l.arena.nodes[h].id }
 
 // Size implements Eviction.
 func (l *listLevel) Size(h int32) int64 { return l.arena.nodes[h].size }
@@ -113,15 +99,12 @@ func (l *listLevel) Slot(h int32) uint32 { return l.arena.nodes[h].slot }
 // SetSlot implements Eviction.
 func (l *listLevel) SetSlot(h int32, slot uint32) { l.arena.nodes[h].slot = slot }
 
-// Len implements Eviction.
-func (l *listLevel) Len() int { return l.n }
-
 // Bytes implements Eviction.
 func (l *listLevel) Bytes() int64 { return l.bytes }
 
 // Entries implements Eviction (victim-first: tail first).
-func (l *listLevel) Entries() []ResidentObject {
-	return l.arena.appendVictimFirst(l.list, make([]ResidentObject, 0, l.n))
+func (l *listLevel) Entries(yield func(slot uint32, size int64)) {
+	l.arena.victimFirst(l.list, yield)
 }
 
 // LRU evicts the least recently used object.
@@ -150,7 +133,7 @@ type LFU struct{ pqueue }
 func NewLFU() *LFU { return &LFU{newPQueue()} }
 
 // Insert implements Eviction: a new object starts at zero hits.
-func (l *LFU) Insert(id uint64, size int64, slot uint32) int32 { return l.push(id, size, slot, 0, 0) }
+func (l *LFU) Insert(size int64, slot uint32) int32 { return l.push(size, slot, 0, 0) }
 
 // Hit implements Eviction.
 func (l *LFU) Hit(h int32) {
@@ -174,7 +157,6 @@ type pqueue struct {
 }
 
 type pqEntry struct {
-	id   uint64
 	size int64
 	key  float64 // LFU: hits; GDSF: priority H
 	freq float64 // GDSF's frequency term
@@ -186,7 +168,7 @@ type pqEntry struct {
 func newPQueue() pqueue { return pqueue{e: make([]pqEntry, 1, 64)} }
 
 // push admits a new entry and returns its handle.
-func (q *pqueue) push(id uint64, size int64, slot uint32, key, freq float64) int32 {
+func (q *pqueue) push(size int64, slot uint32, key, freq float64) int32 {
 	q.seq++
 	var h int32
 	if n := len(q.free); n > 0 {
@@ -196,7 +178,7 @@ func (q *pqueue) push(id uint64, size int64, slot uint32, key, freq float64) int
 		q.e = append(q.e, pqEntry{})
 		h = int32(len(q.e) - 1)
 	}
-	q.e[h] = pqEntry{id: id, size: size, key: key, freq: freq, seq: q.seq, pos: int32(len(q.heap)), slot: slot}
+	q.e[h] = pqEntry{size: size, key: key, freq: freq, seq: q.seq, pos: int32(len(q.heap)), slot: slot}
 	q.heap = append(q.heap, h)
 	q.up(len(q.heap) - 1)
 	q.bytes += size
@@ -232,9 +214,6 @@ func (q *pqueue) Remove(h int32) {
 	q.free = append(q.free, h)
 }
 
-// ID implements Eviction.
-func (q *pqueue) ID(h int32) uint64 { return q.e[h].id }
-
 // Size implements Eviction.
 func (q *pqueue) Size(h int32) int64 { return q.e[h].size }
 
@@ -244,20 +223,15 @@ func (q *pqueue) Slot(h int32) uint32 { return q.e[h].slot }
 // SetSlot implements Eviction.
 func (q *pqueue) SetSlot(h int32, slot uint32) { q.e[h].slot = slot }
 
-// Len implements Eviction.
-func (q *pqueue) Len() int { return len(q.heap) }
-
 // Bytes implements Eviction.
 func (q *pqueue) Bytes() int64 { return q.bytes }
 
 // Entries implements Eviction (heap-array order: deterministic for a given
 // history, so policy migrations and checkpoints replay identically).
-func (q *pqueue) Entries() []ResidentObject {
-	out := make([]ResidentObject, len(q.heap))
-	for i, h := range q.heap {
-		out[i] = ResidentObject{ID: q.e[h].id, Size: q.e[h].size}
+func (q *pqueue) Entries(yield func(slot uint32, size int64)) {
+	for _, h := range q.heap {
+		yield(q.e[h].slot, q.e[h].size)
 	}
-	return out
 }
 
 func (q *pqueue) less(i, j int) bool {

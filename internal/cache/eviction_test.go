@@ -18,7 +18,9 @@ func policies() map[string]func() Eviction {
 }
 
 // byID drives an Eviction by object id for the tests, keeping the
-// id → handle map that Hierarchy's records keep in the engine.
+// id → handle map that Hierarchy's records keep in the engine. Object id's
+// record slot is slotOf(id), and a handle's id is read back through the slot
+// it carries (idAt), as the engine reads it through the record.
 type byID struct {
 	Eviction
 	h map[uint64]int32
@@ -30,12 +32,24 @@ func drive(p Eviction) *byID { return &byID{p, map[uint64]int32{}} }
 // fresh admission at the new size. Its record slot is slotOf(id).
 func (b *byID) insert(id uint64, size int64) {
 	b.remove(id)
-	b.h[id] = b.Insert(id, size, slotOf(id))
+	b.h[id] = b.Insert(size, slotOf(id))
 }
 
 // slotOf is the record slot the tests give id: distinct per id, and unlike
-// it, so a handle that returned its id for its slot would show.
+// it, so a slot mixed up with an id would show.
 func slotOf(id uint64) uint32 { return uint32(id*3 + 1) }
+
+// idAt is slotOf's inverse: the id whose record is at slot.
+func idAt(slot uint32) uint64 { return uint64(slot-1) / 3 }
+
+// levelLen counts the objects level's Entries yields.
+func levelLen(level Eviction) int {
+	n := 0
+	level.Entries(func(uint32, int64) { n++ })
+	return n
+}
+
+func (b *byID) len() int { return levelLen(b.Eviction) }
 
 // touch is a request for id: a Hit when resident, nothing otherwise.
 func (b *byID) touch(id uint64) {
@@ -65,33 +79,34 @@ func (b *byID) victim() (uint64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return b.ID(h), true
+	return idAt(b.Slot(h)), true
 }
 
 // consistent checks the handle contract against the id map: every handle
-// names its id and carries its slot, no handle is noHandle, Len and Bytes
-// agree, and Entries lists exactly the resident ids.
+// carries its id's slot, no handle is noHandle, Bytes agrees, and Entries
+// yields exactly the resident objects' slots and sizes.
 func (b *byID) consistent() error {
 	var bytes int64
 	for id, h := range b.h {
-		if h == noHandle || b.ID(h) != id {
-			return fmt.Errorf("id %d: handle %d names id %d", id, h, b.ID(h))
-		}
-		if b.Slot(h) != slotOf(id) {
+		if h == noHandle || b.Slot(h) != slotOf(id) {
 			return fmt.Errorf("id %d: handle %d carries slot %d, want %d", id, h, b.Slot(h), slotOf(id))
 		}
 		bytes += b.Size(h)
 	}
-	if b.Len() != len(b.h) || b.Bytes() != bytes {
-		return fmt.Errorf("Len %d Bytes %d, want %d %d", b.Len(), b.Bytes(), len(b.h), bytes)
+	if b.Bytes() != bytes {
+		return fmt.Errorf("Bytes %d, want %d", b.Bytes(), bytes)
 	}
-	entries := b.Entries()
+	var err error
 	seen := map[uint64]bool{}
-	for _, e := range entries {
-		if !b.contains(e.ID) || seen[e.ID] || b.size(e.ID) != e.Size {
-			return fmt.Errorf("Entries lists %+v", e)
+	b.Entries(func(slot uint32, size int64) {
+		id := idAt(slot)
+		if err == nil && (slot != slotOf(id) || !b.contains(id) || seen[id] || b.size(id) != size) {
+			err = fmt.Errorf("Entries yields slot %d size %d", slot, size)
 		}
-		seen[e.ID] = true
+		seen[id] = true
+	})
+	if err != nil {
+		return err
 	}
 	if len(seen) != len(b.h) {
 		return fmt.Errorf("Entries lists %d objects, %d resident", len(seen), len(b.h))
@@ -108,26 +123,26 @@ func TestEvictionCommonBehaviour(t *testing.T) {
 			}
 			p.insert(1, 100)
 			p.insert(2, 200)
-			if p.Len() != 2 || p.Bytes() != 300 {
-				t.Fatalf("Len=%d Bytes=%d", p.Len(), p.Bytes())
+			if p.len() != 2 || p.Bytes() != 300 {
+				t.Fatalf("len=%d Bytes=%d", p.len(), p.Bytes())
 			}
 			for id, h := range p.h {
-				if h == noHandle || p.ID(h) != id {
-					t.Fatalf("handle %d of id %d names id %d", h, id, p.ID(h))
+				if h == noHandle || p.Slot(h) != slotOf(id) {
+					t.Fatalf("handle %d of id %d carries slot %d", h, id, p.Slot(h))
 				}
 			}
 			if p.size(2) != 200 {
 				t.Fatal("Size wrong")
 			}
 			p.remove(1)
-			if p.Len() != 1 || p.Bytes() != 200 {
+			if p.len() != 1 || p.Bytes() != 200 {
 				t.Fatal("Remove wrong")
 			}
 			if err := p.consistent(); err != nil {
 				t.Fatal(err)
 			}
 			p.remove(2)
-			if _, ok := p.Victim(); ok || p.Len() != 0 || p.Bytes() != 0 {
+			if _, ok := p.Victim(); ok || p.len() != 0 || p.Bytes() != 0 {
 				t.Fatal("policy not empty after removing everything")
 			}
 		})
@@ -135,19 +150,18 @@ func TestEvictionCommonBehaviour(t *testing.T) {
 }
 
 // TestEvictionReinsertUpdatesSize: an object evicted and admitted again is a
-// fresh entry at its new size and slot, its handle names it, and SetSlot
-// re-points it.
+// fresh entry at its new size and slot, and SetSlot re-points it.
 func TestEvictionReinsertUpdatesSize(t *testing.T) {
 	for name, mk := range policies() {
 		t.Run(name, func(t *testing.T) {
-			p := mk()
-			p.Remove(p.Insert(1, 100, 3))
-			h := p.Insert(1, 150, 9)
-			if p.Len() != 1 || p.Bytes() != 150 || p.Size(h) != 150 || p.ID(h) != 1 || p.Slot(h) != 9 {
-				t.Fatalf("Len=%d Bytes=%d Size=%d ID=%d Slot=%d after reinsert", p.Len(), p.Bytes(), p.Size(h), p.ID(h), p.Slot(h))
+			p := drive(mk())
+			p.Remove(p.Insert(100, 3))
+			h := p.Insert(150, 9)
+			if p.len() != 1 || p.Bytes() != 150 || p.Size(h) != 150 || p.Slot(h) != 9 {
+				t.Fatalf("len=%d Bytes=%d Size=%d Slot=%d after reinsert", p.len(), p.Bytes(), p.Size(h), p.Slot(h))
 			}
-			if p.SetSlot(h, 4); p.Slot(h) != 4 || p.ID(h) != 1 {
-				t.Fatalf("after SetSlot(4): Slot=%d ID=%d", p.Slot(h), p.ID(h))
+			if p.SetSlot(h, 4); p.Slot(h) != 4 || p.Size(h) != 150 {
+				t.Fatalf("after SetSlot(4): Slot=%d Size=%d", p.Slot(h), p.Size(h))
 			}
 		})
 	}

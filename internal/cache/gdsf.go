@@ -24,8 +24,8 @@ func (g *GDSF) priority(freq float64, size int64) float64 {
 }
 
 // Insert implements Eviction.
-func (g *GDSF) Insert(id uint64, size int64, slot uint32) int32 {
-	return g.push(id, size, slot, g.priority(1, size), 1)
+func (g *GDSF) Insert(size int64, slot uint32) int32 {
+	return g.push(size, slot, g.priority(1, size), 1)
 }
 
 // Hit implements Eviction.

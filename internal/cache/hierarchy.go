@@ -324,7 +324,7 @@ func (h *Hierarchy) serve(slot uint32, r trace.Request) Result {
 			admit = h.admission(count, r.Size, age)
 		}
 		if admit {
-			h.admitHOC(slot, r.ID, r.Size)
+			h.admitHOC(slot, r.Size)
 		}
 		return DCHit
 	}
@@ -335,21 +335,21 @@ func (h *Hierarchy) serve(slot uint32, r trace.Request) Result {
 	h.m.MissBytes += r.Size
 	again := rec.missed
 	rec.missed = true
-	if again && h.admitDC(slot, r.ID, r.Size) {
+	if again && h.admitDC(slot, r.Size) {
 		h.m.DCWrites++
 		h.m.DCWriteBytes += r.Size
 	}
 	if h.admission != nil && h.admission(count, r.Size, age) {
-		h.admitHOC(slot, r.ID, r.Size)
+		h.admitHOC(slot, r.Size)
 	}
 	return Miss
 }
 
-// admitHOC inserts id, whose record is at slot and which is not
+// admitHOC inserts the object whose record is at slot, which is not
 // HOC-resident, evicting HOC victims until it fits. Each victim's record is
 // cleared through the slot its handle carries, never deleted, so no record
 // moves.
-func (h *Hierarchy) admitHOC(slot uint32, id uint64, size int64) {
+func (h *Hierarchy) admitHOC(slot uint32, size int64) {
 	if size > h.hocCap {
 		return
 	}
@@ -361,14 +361,14 @@ func (h *Hierarchy) admitHOC(slot uint32, id uint64, size int64) {
 		h.objs.slots[h.hoc.Slot(v)].hoc = noHandle
 		h.hoc.Remove(v)
 	}
-	h.objs.slots[slot].hoc = h.hoc.Insert(id, size, slot)
+	h.objs.slots[slot].hoc = h.hoc.Insert(size, slot)
 	h.m.HOCAdmits++
 }
 
 // admitDC is admitHOC for the DC, journaling every eviction and the
-// admission; it reports whether id was admitted. It charges no metrics
-// (MergeDC admits through it too).
-func (h *Hierarchy) admitDC(slot uint32, id uint64, size int64) bool {
+// admission under the id its record holds; it reports whether the object
+// was admitted. It charges no metrics (MergeDC admits through it too).
+func (h *Hierarchy) admitDC(slot uint32, size int64) bool {
 	if size > h.dcCap {
 		return false
 	}
@@ -377,15 +377,17 @@ func (h *Hierarchy) admitDC(slot uint32, id uint64, size int64) bool {
 		if !ok {
 			return false
 		}
-		h.objs.slots[h.dc.Slot(v)].dc = noHandle
+		victim := &h.objs.slots[h.dc.Slot(v)]
+		victim.dc = noHandle
 		if h.dclog != nil {
-			h.dclog.Remove(h.dc.ID(v))
+			h.dclog.Remove(victim.key)
 		}
 		h.dc.Remove(v)
 	}
-	h.objs.slots[slot].dc = h.dc.Insert(id, size, slot)
+	rec := &h.objs.slots[slot]
+	rec.dc = h.dc.Insert(size, slot)
 	if h.dclog != nil {
-		h.dclog.Put(id, size)
+		h.dclog.Put(rec.key, size)
 	}
 	return true
 }
@@ -433,15 +435,15 @@ func (h *Hierarchy) HOCVictim() (id uint64, size int64, ok bool) {
 	if !ok {
 		return 0, 0, false
 	}
-	return h.hoc.ID(v), h.hoc.Size(v), true
+	return h.objs.slots[h.hoc.Slot(v)].key, h.hoc.Size(v), true
 }
 
 // SetHOCEviction swaps the HOC eviction policy at runtime, migrating the
 // resident objects into the new policy (in the old policy's victim-first
-// order, so relative protection is approximately preserved) and re-pointing
-// their records at the new handles. This supports the §7 future-work
-// extension — learning eviction decisions with the same expert-selection
-// machinery.
+// order, so relative protection is approximately preserved) at their
+// records' slots, and re-pointing the records at the new handles. This
+// supports the §7 future-work extension — learning eviction decisions with
+// the same expert-selection machinery.
 func (h *Hierarchy) SetHOCEviction(name string) error {
 	next, err := NewEvictionWithCapacity(name, h.hocCap)
 	if err != nil {
@@ -449,10 +451,9 @@ func (h *Hierarchy) SetHOCEviction(name string) error {
 	}
 	// Insert most-protected objects last so list-based policies place them
 	// nearest the MRU end.
-	for _, e := range h.hoc.Entries() {
-		slot, _ := h.objs.find(e.ID)
-		h.objs.slots[slot].hoc = next.Insert(e.ID, e.Size, uint32(slot))
-	}
+	h.hoc.Entries(func(slot uint32, size int64) {
+		h.objs.slots[slot].hoc = next.Insert(size, slot)
+	})
 	h.hoc, h.hocName = next, name
 	return nil
 }

@@ -97,8 +97,8 @@ func TestHOCEvictsLRUUnderPressure(t *testing.T) {
 	}
 	warm(1)
 	warm(2) // HOC: {1,2} = 200 bytes
-	if h.hoc.Len() != 2 {
-		t.Fatalf("HOCLen = %d, want 2", h.hoc.Len())
+	if levelLen(h.hoc) != 2 {
+		t.Fatalf("HOCLen = %d, want 2", levelLen(h.hoc))
 	}
 	h.Serve(req(1, 100)) // HOC hit, 1 now MRU
 	warm(3)              // needs 100 bytes → evicts LRU = 2
@@ -116,7 +116,7 @@ func TestObjectLargerThanHOCNeverAdmitted(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Serve(req(1, 500))
 	}
-	if h.hoc.Len() != 0 {
+	if levelLen(h.hoc) != 0 {
 		t.Fatal("object larger than HOC capacity was admitted")
 	}
 	if m := h.Metrics(); m.DCHits == 0 {
@@ -156,12 +156,12 @@ func TestSetExpertTakesEffect(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.Serve(req(1, 100))
 	}
-	if h.hoc.Len() != 0 {
+	if levelLen(h.hoc) != 0 {
 		t.Fatal("expert f=100 should not admit")
 	}
 	h.SetExpert(Expert{Freq: 1, MaxSize: 500})
 	h.Serve(req(1, 100)) // DC hit, count=6 > 1 → promote
-	if h.hoc.Len() != 1 {
+	if levelLen(h.hoc) != 1 {
 		t.Fatal("new expert did not take effect")
 	}
 	if h.ExpertSwitches() != 1 {

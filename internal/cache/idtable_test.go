@@ -31,6 +31,18 @@ func TestIDSlotSize(t *testing.T) {
 	}
 }
 
+// TestHandleSizes pins what a HOC/DC handle stores: a list node (24 bytes)
+// and a heap entry (40 bytes) hold the object's size and record slot, and no
+// id — the record at the slot holds it.
+func TestHandleSizes(t *testing.T) {
+	if got := unsafe.Sizeof(listNode{}); got != 24 {
+		t.Errorf("listNode is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(pqEntry{}); got != 40 {
+		t.Errorf("pqEntry is %d bytes, want 40", got)
+	}
+}
+
 // runTableOps runs ops against an idTable and a map and fails on the first
 // disagreement; every checkEvery ops (and at the end) it also compares the
 // full contents and the table's structural invariants.

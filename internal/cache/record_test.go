@@ -9,14 +9,13 @@ import (
 )
 
 // checkRecords asserts the record table's contract with the two levels:
-// every handle a record holds names that record's id and carries that
-// record's slot (so the slot an eviction clears holds the victim's id), each
-// level holds
-// exactly the objects whose records hold a handle for it, no resident
-// object lacks a record, neither level is over capacity, and a marked
-// record has a count or was aged by ResetCounts — aged says whether h's
-// history (or that of a snapshot it restored) includes one. A mark is set
-// only by a miss, which counts.
+// every handle a record holds carries that record's slot (so the slot an
+// eviction clears, and reads the victim's id from, is the victim's own),
+// each level's Entries yields exactly the slots of the records that hold a
+// handle for it, at that handle's size, neither level is over capacity, and
+// a marked record has a count or was aged by ResetCounts — aged says whether
+// h's history (or that of a snapshot it restored) includes one. A mark is
+// set only by a miss, which counts.
 func checkRecords(t testing.TB, h *Hierarchy, aged bool) {
 	t.Helper()
 	var inHOC, inDC int
@@ -31,36 +30,30 @@ func checkRecords(t testing.TB, h *Hierarchy, aged bool) {
 		}
 		if rec.hoc != noHandle {
 			inHOC++
-			if got := h.hoc.ID(rec.hoc); got != id {
-				t.Fatalf("record %d holds HOC handle %d, which names %d", id, rec.hoc, got)
-			}
 			if got := h.hoc.Slot(rec.hoc); got != uint32(i) {
 				t.Fatalf("record %d at slot %d holds HOC handle %d, which carries slot %d", id, i, rec.hoc, got)
 			}
 		}
 		if rec.dc != noHandle {
 			inDC++
-			if got := h.dc.ID(rec.dc); got != id {
-				t.Fatalf("record %d holds DC handle %d, which names %d", id, rec.dc, got)
-			}
 			if got := h.dc.Slot(rec.dc); got != uint32(i) {
 				t.Fatalf("record %d at slot %d holds DC handle %d, which carries slot %d", id, i, rec.dc, got)
 			}
 		}
 	}
-	if h.hoc.Len() != inHOC || h.dc.Len() != inDC {
-		t.Fatalf("levels hold %d/%d objects, records hold %d/%d handles", h.hoc.Len(), h.dc.Len(), inHOC, inDC)
+	if levelLen(h.hoc) != inHOC || levelLen(h.dc) != inDC {
+		t.Fatalf("levels hold %d/%d objects, records hold %d/%d handles", levelLen(h.hoc), levelLen(h.dc), inHOC, inDC)
 	}
-	for _, e := range h.hoc.Entries() {
-		if rec := h.objs.get(e.ID); rec == nil || rec.hoc == noHandle {
-			t.Fatalf("HOC-resident %d has no record pointing at it", e.ID)
+	h.hoc.Entries(func(slot uint32, size int64) {
+		if rec := &h.objs.slots[slot]; !rec.used || rec.hoc == noHandle || h.hoc.Size(rec.hoc) != size {
+			t.Fatalf("HOC-resident slot %d (size %d) has no record holding it", slot, size)
 		}
-	}
-	for _, e := range h.dc.Entries() {
-		if rec := h.objs.get(e.ID); rec == nil || rec.dc == noHandle {
-			t.Fatalf("DC-resident %d has no record pointing at it", e.ID)
+	})
+	h.dc.Entries(func(slot uint32, size int64) {
+		if rec := &h.objs.slots[slot]; !rec.used || rec.dc == noHandle || h.dc.Size(rec.dc) != size {
+			t.Fatalf("DC-resident slot %d (size %d) has no record holding it", slot, size)
 		}
-	}
+	})
 	if h.hoc.Bytes() > h.hocCap || h.dc.Bytes() > h.dcCap {
 		t.Fatalf("over capacity: HOC %d/%d DC %d/%d", h.hoc.Bytes(), h.hocCap, h.dc.Bytes(), h.dcCap)
 	}
@@ -91,6 +84,9 @@ func fuzzSize(id uint64, b byte) int64 { return int64(id*37+uint64(b)) % 521 }
 // exact "missed before" set is the oracle for DC admission: a Serve that
 // misses writes to the DC if and only if the set holds its id and its size
 // fits the DC, and no other op changes the set, because the mark persists.
+// The hierarchy journals to a recording DCLog, whose replayed puts and
+// removes must be the DC's residents after every op: the journal reads each
+// id, an evicted victim's too, through a slot the moves above rewrite.
 // Beside the f.Add seeds below, inputs a fuzzing session found are in
 // testdata/fuzz/FuzzHierarchy.
 func FuzzHierarchy(f *testing.F) {
@@ -110,8 +106,9 @@ func FuzzHierarchy(f *testing.F) {
 	f.Add(append(grow, 7, 0, 4, 3, 6, 40, 5, 90, 8, 0, 0, 1, 0, 2))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, policy := range evictionPolicies {
+			j := journal{}
 			cfg := Config{HOCBytes: 400, DCBytes: 1600, HOCEviction: policy,
-				Expert: Expert{Freq: 1, MaxSize: 300}}
+				Expert: Expert{Freq: 1, MaxSize: 300}, DCLog: j}
 			h, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -151,8 +148,17 @@ func FuzzHierarchy(f *testing.F) {
 						t.Fatal(err)
 					}
 				case 5:
-					if err := h.RestoreDC(fuzzEntries(arg)); err != nil {
+					entries := fuzzEntries(arg)
+					if err := h.RestoreDC(entries); err != nil {
 						t.Fatal(err)
+					}
+					// RestoreDC journals nothing: it is handed the journal's
+					// live set, and keeps the newest suffix of it that fits.
+					clear(j)
+					var total int64
+					for k := len(entries) - 1; k >= 0 && entries[k].Size <= cfg.DCBytes-total; k-- {
+						total += entries[k].Size
+						j[entries[k].ID] = entries[k].Size
 					}
 				case 6:
 					if _, err := h.MergeDC(fuzzEntries(arg)); err != nil {
@@ -187,6 +193,7 @@ func FuzzHierarchy(f *testing.F) {
 					}
 				}
 				checkRecords(t, h, aged)
+				checkJournal(t, h, j)
 				h.objs.each(func(id uint64, rec *objRec) {
 					if rec.missed != missed[id] {
 						t.Fatalf("record %d is marked %v, the oracle says %v", id, rec.missed, missed[id])
@@ -200,6 +207,32 @@ func FuzzHierarchy(f *testing.F) {
 			}
 		}
 	})
+}
+
+// journal is a recording DCLog: the DC's contents as a replay of its puts
+// and removes.
+type journal map[uint64]int64
+
+func (j journal) Put(id uint64, size int64) { j[id] = size }
+func (j journal) Remove(id uint64)          { delete(j, id) }
+
+// checkJournal asserts that j replays to exactly the DC's residents, read
+// id by id from the records that hold a DC handle.
+func checkJournal(t testing.TB, h *Hierarchy, j journal) {
+	t.Helper()
+	n := 0
+	h.objs.each(func(id uint64, rec *objRec) {
+		if rec.dc == noHandle {
+			return
+		}
+		n++
+		if size, ok := j[id]; !ok || size != h.dc.Size(rec.dc) {
+			t.Fatalf("DC holds %d at size %d; the journal replays %v", id, h.dc.Size(rec.dc), j)
+		}
+	})
+	if n != len(j) {
+		t.Fatalf("DC holds %d objects; the journal replays %d: %v", n, len(j), j)
+	}
 }
 
 // dcTestHierarchy has a DC of ten 100-byte objects and admits nothing

@@ -36,8 +36,8 @@ func NewS4LRU(capHint int64) *S4LRU {
 }
 
 // Insert implements Eviction: new objects enter segment 0.
-func (s *S4LRU) Insert(id uint64, size int64, slot uint32) int32 {
-	i := s.listLevel.Insert(id, size, slot)
+func (s *S4LRU) Insert(size int64, slot uint32) int32 {
+	i := s.listLevel.Insert(size, slot)
 	if int(i) == len(s.seg) {
 		s.seg = append(s.seg, 0)
 	}
@@ -102,10 +102,8 @@ func (s *S4LRU) Remove(h int32) {
 }
 
 // Entries implements Eviction (victim-first: lowest segment tails first).
-func (s *S4LRU) Entries() []ResidentObject {
-	out := make([]ResidentObject, 0, s.n)
+func (s *S4LRU) Entries(yield func(slot uint32, size int64)) {
 	for _, list := range s.segs {
-		out = s.arena.appendVictimFirst(list, out)
+		s.arena.victimFirst(list, yield)
 	}
-	return out
 }

@@ -21,19 +21,19 @@ func TestS4LRUBasics(t *testing.T) {
 	}
 	s.insert(1, 100)
 	s.insert(2, 200)
-	if s.Len() != 2 || s.Bytes() != 300 {
-		t.Fatalf("Len=%d Bytes=%d", s.Len(), s.Bytes())
+	if s.len() != 2 || s.Bytes() != 300 {
+		t.Fatalf("len=%d Bytes=%d", s.len(), s.Bytes())
 	}
 	if s.size(2) != 200 {
 		t.Fatal("lookup broken")
 	}
 	s.remove(1)
-	if s.Len() != 1 || s.Bytes() != 200 {
+	if s.len() != 1 || s.Bytes() != 200 {
 		t.Fatal("remove broken")
 	}
 	s.insert(2, 250) // re-admission at a new size
-	if s.Bytes() != 250 || s.Len() != 1 {
-		t.Fatalf("reinsert: Len=%d Bytes=%d", s.Len(), s.Bytes())
+	if s.Bytes() != 250 || s.len() != 1 {
+		t.Fatalf("reinsert: len=%d Bytes=%d", s.len(), s.Bytes())
 	}
 	if err := s.consistent(); err != nil {
 		t.Fatal(err)
@@ -76,8 +76,8 @@ func TestS4LRUBalancingDemotes(t *testing.T) {
 	if p.segBytes[1] > 10 {
 		t.Fatalf("segment 1 holds %d bytes, budget 10", p.segBytes[1])
 	}
-	if s.Bytes() != 20 || s.Len() != 4 {
-		t.Fatalf("totals wrong: %d/%d", s.Bytes(), s.Len())
+	if s.Bytes() != 20 || s.len() != 4 {
+		t.Fatalf("totals wrong: %d/%d", s.Bytes(), s.len())
 	}
 	// Every node's recorded segment is the list it sits on.
 	for seg, list := range p.segs {

@@ -26,9 +26,8 @@ import (
 // torn across fields, and a read reflects every request served before it.
 type Sharded struct {
 	shards []engineShard
-	// mask is len(shards)-1 when the shard count is a power of two, enabling
-	// single-AND routing; 0 selects the modulo fallback (or shard 0 when
-	// there is only one shard). Immutable after construction.
+	// mask is len(shards)-1, a power of two minus one: routing is a single
+	// AND. Immutable after construction.
 	mask uint64
 }
 
@@ -43,11 +42,14 @@ type engineShard struct {
 }
 
 // NewSharded builds a sharded engine from cfg, splitting the HOC and DC
-// capacities evenly across shards. shards <= 0 selects 1, which reproduces
-// the serial Hierarchy exactly.
+// capacities evenly across shards, a power of two. shards <= 0 selects 1,
+// which reproduces the serial Hierarchy exactly.
 func NewSharded(cfg Config, shards int) (*Sharded, error) {
 	if shards <= 0 {
 		shards = 1
+	}
+	if shards&(shards-1) != 0 {
+		return nil, fmt.Errorf("cache: shard count %d is not a power of two", shards)
 	}
 	if cfg.HOCBytes < int64(shards) || cfg.DCBytes < int64(shards) {
 		return nil, fmt.Errorf("cache: capacities (hoc=%d dc=%d) too small to split across %d shards", cfg.HOCBytes, cfg.DCBytes, shards)
@@ -55,10 +57,7 @@ func NewSharded(cfg Config, shards int) (*Sharded, error) {
 	per := cfg
 	per.HOCBytes = cfg.HOCBytes / int64(shards)
 	per.DCBytes = cfg.DCBytes / int64(shards)
-	s := &Sharded{shards: make([]engineShard, shards)}
-	if shards > 1 && shards&(shards-1) == 0 {
-		s.mask = uint64(shards - 1)
-	}
+	s := &Sharded{shards: make([]engineShard, shards), mask: uint64(shards - 1)}
 	for i := range s.shards {
 		h, err := New(per)
 		if err != nil {
@@ -102,18 +101,8 @@ func (s *Sharded) SyncMetrics() {}
 func (s *Sharded) Concurrent() bool { return true }
 
 // route maps an object id to its owning shard index. It is on the request
-// hot path: pure integer mixing, no allocation, no locks — and a single
-// mask when the shard count is a power of two (the AutoShards default).
-func (s *Sharded) route(id uint64) int {
-	if s.mask != 0 {
-		return int(Mix64(id) & s.mask)
-	}
-	n := len(s.shards)
-	if n == 1 {
-		return 0
-	}
-	return int(Mix64(id) % uint64(n))
-}
+// hot path: pure integer mixing and one mask, no allocation, no locks.
+func (s *Sharded) route(id uint64) int { return int(Mix64(id) & s.mask) }
 
 // Mix64 is a SplitMix64-style finalizer: a cheap, allocation-free bijective
 // mix spreading adjacent keys across the id space. Shard routing, the id

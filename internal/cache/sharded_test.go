@@ -3,6 +3,7 @@ package cache_test
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -175,6 +176,9 @@ func TestShardedConcurrent(t *testing.T) {
 func TestNewShardedRejects(t *testing.T) {
 	if _, err := cache.NewSharded(cache.Config{HOCBytes: 4, DCBytes: 1 << 20}, 8); err == nil {
 		t.Error("want error for capacity smaller than shard count")
+	}
+	if _, err := cache.NewSharded(cache.Config{HOCBytes: 1 << 20, DCBytes: 1 << 20}, 3); err == nil || !strings.Contains(err.Error(), "shard count 3") {
+		t.Errorf("3 shards: err = %v, want one naming the count", err)
 	}
 	s, err := cache.NewSharded(cache.Config{HOCBytes: 1 << 20, DCBytes: 1 << 20}, 0)
 	if err != nil {

@@ -82,6 +82,13 @@ func (st *TrackerState) validate(reqIdx int64) error {
 	return nil
 }
 
+// ResidentObject is one (id, size) pair resident in a level: the form a
+// level takes in a checkpoint, a journal's live set and a handoff.
+type ResidentObject struct {
+	ID   uint64
+	Size int64
+}
+
 // HierarchyState is the serialisable form of one Hierarchy (one shard). HOC
 // and DC list resident objects in their eviction policy's victim-first
 // order (the DC's is LRU), so re-inserting them in order reproduces the
@@ -105,14 +112,24 @@ func (h *Hierarchy) State() *HierarchyState {
 		HOCBytes:    h.hocCap,
 		DCBytes:     h.dcCap,
 		HOCEviction: h.hocName,
-		HOC:         h.hoc.Entries(),
-		DC:          h.dc.Entries(),
+		HOC:         h.residents(h.hoc),
+		DC:          h.residents(h.dc),
 		Tracker:     h.trackerState(),
 		Expert:      h.expert,
 		ReqIdx:      h.reqIdx,
 		Metrics:     h.m,
 		Switches:    h.expertSwitches,
 	}
+}
+
+// residents lists level's objects in its Entries order, reading each id
+// through the record slot its handle carries.
+func (h *Hierarchy) residents(level Eviction) []ResidentObject {
+	out := []ResidentObject{}
+	level.Entries(func(slot uint32, size int64) {
+		out = append(out, ResidentObject{ID: h.objs.slots[slot].key, Size: size})
+	})
+	return out
 }
 
 // checkLevel is the one rule for a list of resident objects — a level of a
@@ -240,9 +257,9 @@ func rebuildLevel(objs *idTable, name string, capBytes int64, entries []Resident
 	for _, e := range entries {
 		rec, slot, _ := objs.upsert(e.ID)
 		if dc {
-			rec.dc = ev.Insert(e.ID, e.Size, slot)
+			rec.dc = ev.Insert(e.Size, slot)
 		} else {
-			rec.hoc = ev.Insert(e.ID, e.Size, slot)
+			rec.hoc = ev.Insert(e.Size, slot)
 		}
 	}
 	return ev
@@ -294,7 +311,7 @@ func (h *Hierarchy) MergeDC(entries []ResidentObject) (int, error) {
 			h.grow()
 		}
 		rec, slot, _ := h.objs.upsert(e.ID)
-		if rec.hoc == noHandle && rec.dc == noHandle && h.admitDC(slot, e.ID, e.Size) {
+		if rec.hoc == noHandle && rec.dc == noHandle && h.admitDC(slot, e.Size) {
 			added++
 		}
 	}

@@ -67,7 +67,7 @@ func TestHierarchyStateRoundTrip(t *testing.T) {
 		t.Fatalf("metrics diverge:\n restored %+v\n original %+v", restored.Metrics(), orig.Metrics())
 	}
 	if restored.hoc.Bytes() != orig.hoc.Bytes() || restored.dc.Bytes() != orig.dc.Bytes() ||
-		restored.hoc.Len() != orig.hoc.Len() || restored.dc.Len() != orig.dc.Len() {
+		levelLen(restored.hoc) != levelLen(orig.hoc) || levelLen(restored.dc) != levelLen(orig.dc) {
 		t.Fatal("occupancy diverges after restore")
 	}
 	if restored.Expert() != orig.Expert() {
@@ -365,12 +365,12 @@ func TestMergeDC(t *testing.T) {
 	}
 
 	// An invalid entry must reject the whole merge without touching state.
-	preBytes, preLen := inheritor.dc.Bytes(), inheritor.dc.Len()
+	preBytes, preLen := inheritor.dc.Bytes(), levelLen(inheritor.dc)
 	bad := append(append([]ResidentObject{}, st.DC...), ResidentObject{ID: 999999, Size: -1})
 	if _, err := inheritor.MergeDC(bad); err == nil {
 		t.Fatal("negative-size merge entry accepted")
 	}
-	if inheritor.dc.Bytes() != preBytes || inheritor.dc.Len() != preLen {
+	if inheritor.dc.Bytes() != preBytes || levelLen(inheritor.dc) != preLen {
 		t.Fatal("rejected merge mutated the inheritor")
 	}
 

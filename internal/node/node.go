@@ -36,7 +36,7 @@ type Config struct {
 	Online core.OnlineConfig
 
 	// HOCBytes and DCBytes size the two cache levels; Shards stripes the
-	// engine (<= 0 means cache.AutoShards).
+	// engine into a power of two of shards (<= 0 means cache.AutoShards).
 	HOCBytes, DCBytes int64
 	Shards            int
 
