@@ -60,8 +60,9 @@ func main() {
 	}
 }
 
-// buildCorpus is the offline phase; a variable so a test can see the scale
-// darwin-sim trains on.
+// buildCorpus is the offline phase, run for darwin without -model and for
+// directmapping only; a variable so a test can see when and on what scale
+// darwin-sim trains.
 var buildCorpus = exp.BuildCorpus
 
 // run replays the trace the options name under o.policy and writes the
@@ -117,9 +118,13 @@ func (o *options) run(w io.Writer) error {
 			}
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "darwin-sim: training offline corpus for baseline construction...")
-		var c *exp.Corpus
-		c, err = buildCorpus(sc, o.objective)
+		// Only directmapping learns offline; the other baselines read the
+		// scale alone.
+		c := &exp.Corpus{Scale: sc}
+		if o.policy == "directmapping" {
+			fmt.Fprintln(os.Stderr, "darwin-sim: training offline corpus for baseline construction...")
+			c, err = buildCorpus(sc, o.objective)
+		}
 		if err == nil {
 			c.Scale.OnlineTraceLen = tr.Len()
 			var srv baselines.Server

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -11,6 +12,9 @@ import (
 	"darwin/internal/exp"
 )
 
+// errStubCorpus ends a run at its offline phase.
+var errStubCorpus = errors.New("stub corpus")
+
 // TestTrainingScaleIgnoresReplayedTrace: the corpus darwin-sim trains on has
 // exp.Default()'s shape whatever the replayed trace's length. Sizing it from
 // the replayed trace made the offline phase generate one test trace per mix,
@@ -19,18 +23,18 @@ func TestTrainingScaleIgnoresReplayedTrace(t *testing.T) {
 	var trained []exp.Scale
 	buildCorpus = func(sc exp.Scale, _ string) (*exp.Corpus, error) {
 		trained = append(trained, sc)
-		return &exp.Corpus{Scale: sc}, nil // enough for a baseline that learns online
+		return nil, errStubCorpus
 	}
 	defer func() { buildCorpus = exp.BuildCorpus }()
 
 	for _, n := range []string{"3000", "6000"} {
 		fs := flag.NewFlagSet("darwin-sim", flag.ContinueOnError)
 		o := registerFlags(fs)
-		if err := fs.Parse([]string{"-policy", "percentile", "-n", n, "-parallelism", "1"}); err != nil {
+		if err := fs.Parse([]string{"-policy", "directmapping", "-n", n, "-parallelism", "1"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := o.run(io.Discard); err != nil {
-			t.Fatal(err)
+		if err := o.run(io.Discard); !errors.Is(err, errStubCorpus) {
+			t.Fatalf("run returned %v, want the stub's error", err)
 		}
 	}
 	want := exp.Default()
@@ -41,6 +45,41 @@ func TestTrainingScaleIgnoresReplayedTrace(t *testing.T) {
 		if !reflect.DeepEqual(sc, want) {
 			t.Errorf("trained on a scale other than exp.Default() (OnlineTraceLen %d, want %d)", sc.OnlineTraceLen, want.OnlineTraceLen)
 		}
+	}
+}
+
+// TestOnlyOfflineLearnersTrain: the baselines that learn online read only
+// the scale, so they replay without the offline phase; directmapping, which
+// trains its network on the corpus's dataset, still builds one.
+func TestOnlyOfflineLearnersTrain(t *testing.T) {
+	buildCorpus = func(exp.Scale, string) (*exp.Corpus, error) {
+		t.Error("built a corpus for a baseline that does not read one")
+		return nil, errStubCorpus
+	}
+	defer func() { buildCorpus = exp.BuildCorpus }()
+	for _, policy := range []string{"percentile", "hillclimbing-1k", "hillclimbing-10k", "adaptsize", "tinylfu"} {
+		fs := flag.NewFlagSet("darwin-sim", flag.ContinueOnError)
+		o := registerFlags(fs)
+		if err := fs.Parse([]string{"-policy", policy, "-n", "3000", "-parallelism", "1"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := o.run(io.Discard); err != nil {
+			t.Errorf("-policy %s: %v", policy, err)
+		}
+	}
+
+	built := 0
+	buildCorpus = func(exp.Scale, string) (*exp.Corpus, error) {
+		built++
+		return nil, errStubCorpus
+	}
+	fs := flag.NewFlagSet("darwin-sim", flag.ContinueOnError)
+	o := registerFlags(fs)
+	if err := fs.Parse([]string{"-policy", "directmapping", "-n", "3000", "-parallelism", "1"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.run(io.Discard); !errors.Is(err, errStubCorpus) || built != 1 {
+		t.Fatalf("-policy directmapping: run returned %v after %d corpus builds, want the stub's error after 1", err, built)
 	}
 }
 

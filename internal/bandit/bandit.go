@@ -53,19 +53,12 @@ func DefaultConfig(sigma2 [][]float64) Config {
 	return Config{Sigma2: sigma2, Delta: 0.05, StabilityRounds: 5}
 }
 
-// Algorithm is the mutable state of one identification run.
+// Algorithm is one identification run: its configuration and the State
+// Update mutates, which is also what State snapshots and SetState restores.
 type Algorithm struct {
-	cfg    Config
-	k      int
-	t      int       // completed rounds
-	plays  []int     // T_i(t)
-	sumWY  []float64 // Σ_n Y_i(n) / σ²_{E_n,i}
-	rho    []float64 // Σ_n 1 / σ²_{E_n,i}
-	mu     []float64 // current estimates μ̂_i(t)
-	stable int       // consecutive post-init rounds with the same best arm
-	last   int       // empirically best arm after the previous round
-	done   bool
-	reason string
+	cfg Config
+	k   int
+	st  State
 }
 
 // New validates cfg and returns a fresh run.
@@ -90,43 +83,41 @@ func New(cfg Config) (*Algorithm, error) {
 	if cfg.Delta <= 0 || cfg.Delta >= 1 {
 		return nil, fmt.Errorf("bandit: Delta must be in (0,1), got %v", cfg.Delta)
 	}
-	return &Algorithm{
-		cfg:   cfg,
-		k:     k,
-		plays: make([]int, k),
-		sumWY: make([]float64, k),
-		rho:   make([]float64, k),
-		mu:    make([]float64, k),
-		last:  -1,
-	}, nil
+	return &Algorithm{cfg: cfg, k: k, st: State{
+		Plays: make([]int, k),
+		SumWY: make([]float64, k),
+		Rho:   make([]float64, k),
+		Mu:    make([]float64, k),
+		Last:  -1,
+	}}, nil
 }
 
 // Rounds returns the number of completed rounds.
-func (a *Algorithm) Rounds() int { return a.t }
+func (a *Algorithm) Rounds() int { return a.st.T }
 
 // NextArm returns the arm to deploy next (Line 2 and Line 5 of Algorithm 1).
 func (a *Algorithm) NextArm() int {
 	// Initialisation: play each arm once.
-	for i, p := range a.plays {
+	for i, p := range a.st.Plays {
 		if p == 0 {
 			return i
 		}
 	}
 	// Forced exploration (D-tracking): keep every arm's count above
 	// sqrt(t) - K/2 so estimates cannot starve.
-	minArm, minPlays := 0, a.plays[0]
-	for i, p := range a.plays {
+	minArm, minPlays := 0, a.st.Plays[0]
+	for i, p := range a.st.Plays {
 		if p < minPlays {
 			minArm, minPlays = i, p
 		}
 	}
-	if float64(minPlays) < math.Sqrt(float64(a.t))-float64(a.k)/2 {
+	if float64(minPlays) < math.Sqrt(float64(a.st.T))-float64(a.k)/2 {
 		return minArm
 	}
-	alpha := SolveAlpha(a.mu, a.cfg.Sigma2)
+	alpha := SolveAlpha(a.st.Mu, a.cfg.Sigma2)
 	best, bestGap := 0, math.Inf(-1)
 	for i := 0; i < a.k; i++ {
-		gap := float64(a.t)*alpha[i] - float64(a.plays[i])
+		gap := float64(a.st.T)*alpha[i] - float64(a.st.Plays[i])
 		if gap > bestGap {
 			best, bestGap = i, gap
 		}
@@ -149,55 +140,55 @@ func (a *Algorithm) Update(arm int, rewards []float64) error {
 		if math.IsInf(s2, 1) {
 			continue
 		}
-		a.sumWY[j] += rewards[j] / s2
-		a.rho[j] += 1 / s2
-		if a.rho[j] > 0 {
-			a.mu[j] = a.sumWY[j] / a.rho[j]
+		a.st.SumWY[j] += rewards[j] / s2
+		a.st.Rho[j] += 1 / s2
+		if a.st.Rho[j] > 0 {
+			a.st.Mu[j] = a.st.SumWY[j] / a.st.Rho[j]
 		}
 	}
-	a.plays[arm]++
-	a.t++
+	a.st.Plays[arm]++
+	a.st.T++
 	a.checkStop()
 	return nil
 }
 
 // checkStop evaluates both stopping rules after a completed round.
 func (a *Algorithm) checkStop() {
-	if a.done {
+	if a.st.Done {
 		return
 	}
 	// All arms must have been tried before any stop is meaningful; the
 	// initialization sweep does not count toward stability.
-	for _, p := range a.plays {
+	for _, p := range a.st.Plays {
 		if p == 0 {
-			a.last = -1
-			a.stable = 0
+			a.st.Last = -1
+			a.st.Stable = 0
 			return
 		}
 	}
 	// Practical rule (§6.2): the bandit's selected (empirically best) expert
 	// has been the same for StabilityRounds consecutive post-init rounds.
-	best := argmax(a.mu)
-	if best == a.last {
-		a.stable++
+	best := argmax(a.st.Mu)
+	if best == a.st.Last {
+		a.st.Stable++
 	} else {
-		a.stable = 1
-		a.last = best
+		a.st.Stable = 1
+		a.st.Last = best
 	}
-	if a.cfg.StabilityRounds > 0 && a.stable >= a.cfg.StabilityRounds {
-		a.done = true
-		a.reason = "stability"
+	if a.cfg.StabilityRounds > 0 && a.st.Stable >= a.cfg.StabilityRounds {
+		a.st.Done = true
+		a.st.Reason = "stability"
 		return
 	}
 	z := a.information()
 	if z >= a.Beta() {
-		a.done = true
-		a.reason = "threshold"
+		a.st.Done = true
+		a.st.Reason = "threshold"
 		return
 	}
-	if a.cfg.MaxRounds > 0 && a.t >= a.cfg.MaxRounds {
-		a.done = true
-		a.reason = "max-rounds"
+	if a.cfg.MaxRounds > 0 && a.st.T >= a.cfg.MaxRounds {
+		a.st.Done = true
+		a.st.Reason = "max-rounds"
 	}
 }
 
@@ -205,17 +196,17 @@ func (a *Algorithm) checkStop() {
 // (unnormalised) allocation; Φ is 1-homogeneous in its allocation argument.
 func (a *Algorithm) information() float64 {
 	counts := make([]float64, a.k)
-	for i, p := range a.plays {
+	for i, p := range a.st.Plays {
 		counts[i] = float64(p)
 	}
-	return Phi(a.mu, counts, a.cfg.Sigma2)
+	return Phi(a.st.Mu, counts, a.cfg.Sigma2)
 }
 
 // Beta returns the Theorem-1 threshold β_t(δ, Σ) at the current round.
 func (a *Algorithm) Beta() float64 {
 	s2min, s2max := sigmaRange(a.cfg.Sigma2)
 	kappa := s2min / s2max
-	t := float64(a.t)
+	t := float64(a.st.T)
 	k := float64(a.k)
 	return k*t/(2*kappa) +
 		k*rewardBound*rewardBound/(2*s2min*kappa*math.Sqrt(concentration))*
@@ -223,14 +214,14 @@ func (a *Algorithm) Beta() float64 {
 }
 
 // Stopped reports whether a stopping rule has fired.
-func (a *Algorithm) Stopped() bool { return a.done }
+func (a *Algorithm) Stopped() bool { return a.st.Done }
 
 // StopReason returns "stability", "threshold", "max-rounds", or "" while
 // running.
-func (a *Algorithm) StopReason() string { return a.reason }
+func (a *Algorithm) StopReason() string { return a.st.Reason }
 
 // Recommendation returns ψ(μ̂) = argmax μ̂_i, the recommended best arm.
-func (a *Algorithm) Recommendation() int { return argmax(a.mu) }
+func (a *Algorithm) Recommendation() int { return argmax(a.st.Mu) }
 
 // Phi evaluates Equation (2) in closed form for Gaussian rewards:
 //

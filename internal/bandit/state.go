@@ -5,35 +5,34 @@ import (
 	"math"
 )
 
-// State is a JSON-serialisable snapshot of an identification run. It captures
-// everything Update mutates; Config (the Σ matrix and stopping constants) is
-// deliberately excluded — the restorer reconstructs it from its own
-// configuration and SetState checks the arm count against it.
+// State is everything Update mutates in an identification run: the run's
+// live storage and, deep-copied, its JSON-serialisable snapshot. Config (the
+// Σ matrix and stopping constants) is deliberately excluded — the restorer
+// reconstructs it from its own configuration and SetState checks the arm
+// count against it.
 type State struct {
-	T      int       `json:"t"`
-	Plays  []int     `json:"plays"`
-	SumWY  []float64 `json:"sum_wy"`
-	Rho    []float64 `json:"rho"`
-	Mu     []float64 `json:"mu"`
-	Stable int       `json:"stable"`
-	Last   int       `json:"last"`
+	T      int       `json:"t"`      // completed rounds
+	Plays  []int     `json:"plays"`  // T_i(t)
+	SumWY  []float64 `json:"sum_wy"` // Σ_n Y_i(n) / σ²_{E_n,i}
+	Rho    []float64 `json:"rho"`    // Σ_n 1 / σ²_{E_n,i}
+	Mu     []float64 `json:"mu"`     // current estimates μ̂_i(t)
+	Stable int       `json:"stable"` // consecutive post-init rounds with the same best arm
+	Last   int       `json:"last"`   // empirically best arm after the previous round
 	Done   bool      `json:"done"`
 	Reason string    `json:"reason"`
 }
 
-// State returns a deep-copied snapshot of the run's mutable state.
-func (a *Algorithm) State() *State {
-	return &State{
-		T:      a.t,
-		Plays:  append([]int(nil), a.plays...),
-		SumWY:  append([]float64(nil), a.sumWY...),
-		Rho:    append([]float64(nil), a.rho...),
-		Mu:     append([]float64(nil), a.mu...),
-		Stable: a.stable,
-		Last:   a.last,
-		Done:   a.done,
-		Reason: a.reason,
-	}
+// State returns a deep copy of the run's state.
+func (a *Algorithm) State() *State { return a.st.clone() }
+
+// clone returns a copy of st that shares no slice with it.
+func (st *State) clone() *State {
+	out := *st
+	out.Plays = append([]int(nil), st.Plays...)
+	out.SumWY = append([]float64(nil), st.SumWY...)
+	out.Rho = append([]float64(nil), st.Rho...)
+	out.Mu = append([]float64(nil), st.Mu...)
+	return &out
 }
 
 // Validate is State's one shape check, run when a checkpoint is decoded:
@@ -96,14 +95,6 @@ func (a *Algorithm) SetState(st *State) error {
 	if len(st.Plays) != a.k {
 		return fmt.Errorf("bandit: state has %d arms, run has %d", len(st.Plays), a.k)
 	}
-	a.t = st.T
-	copy(a.plays, st.Plays)
-	copy(a.sumWY, st.SumWY)
-	copy(a.rho, st.Rho)
-	copy(a.mu, st.Mu)
-	a.stable = st.Stable
-	a.last = st.Last
-	a.done = st.Done
-	a.reason = st.Reason
+	a.st = *st.clone()
 	return nil
 }

@@ -140,3 +140,42 @@ func TestSetStateRejectsInvalid(t *testing.T) {
 		})
 	}
 }
+
+// TestStateSharesNothingWithTheRun: the run keeps its State as its storage,
+// so State and SetState must copy every slice. A snapshot keeps its bytes
+// while the run updates on, and editing a restored snapshot's slices
+// leaves the run's next State as it was.
+func TestStateSharesNothingWithTheRun(t *testing.T) {
+	cfg := DefaultConfig(testSigma2())
+	cfg.StabilityRounds = 0
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewards := []float64{0.3, 0.5, 0.45}
+	for r := 0; r < 4; r++ {
+		if err := a.Update(a.NextArm(), rewards); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := a.State()
+	taken, _ := json.Marshal(st)
+	for r := 0; r < 4; r++ {
+		if err := a.Update(a.NextArm(), rewards); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if later, _ := json.Marshal(st); string(later) != string(taken) {
+		t.Fatalf("a snapshot changed while its run updated on:\n%s\n%s", taken, later)
+	}
+	if err := a.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	st.Plays[0]++
+	st.SumWY[0]++
+	st.Rho[0]++
+	st.Mu[0]++
+	if got, _ := json.Marshal(a.State()); string(got) != string(taken) {
+		t.Fatalf("editing a restored snapshot changed the run:\n%s\n%s", taken, got)
+	}
+}

@@ -267,11 +267,12 @@ func rebuildLevel(objs *idTable, name string, capBytes int64, entries []Resident
 
 // RestoreDC rebuilds only the DC level from a journal's live set, given
 // oldest-first: when the set no longer fits (the capacity shrank between
-// runs), the oldest entries are dropped and the most recently admitted
+// runs), the oldest entries are dropped, each journaled as a Remove so the
+// journal again lists what the DC holds, and the most recently admitted
 // objects are kept. Used to reconcile the DC against the disk log after a
 // checkpoint restore — the log is always at least as fresh as the
-// checkpoint. No metrics are charged and nothing is journaled. A set
-// checkLevel rejects leaves the hierarchy unchanged.
+// checkpoint. No metrics are charged. A set checkLevel rejects leaves the
+// hierarchy unchanged.
 func (h *Hierarchy) RestoreDC(entries []ResidentObject) error {
 	if err := checkLevel(entries, math.MaxInt64); err != nil {
 		return fmt.Errorf("cache: journal: %w", err)
@@ -282,6 +283,11 @@ func (h *Hierarchy) RestoreDC(entries []ResidentObject) error {
 	for i := len(entries) - 1; i >= 0 && entries[i].Size <= h.dcCap-total; i-- {
 		total += entries[i].Size
 		start = i
+	}
+	if h.dclog != nil {
+		for _, e := range entries[:start] {
+			h.dclog.Remove(e.ID)
+		}
 	}
 	h.objs.each(func(_ uint64, rec *objRec) { rec.dc = noHandle })
 	h.dc = rebuildLevel(&h.objs, "lru", h.dcCap, entries[start:], true)

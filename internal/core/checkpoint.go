@@ -37,8 +37,8 @@ const (
 //   - exploit: counters resume; the deployed expert rides in the engine
 //     snapshot.
 type ControllerState struct {
-	Phase      string        `json:"phase"`
-	Epoch      int           `json:"epoch"`
+	Phase      Phase         `json:"phase"`
+	Epoch      int           `json:"epoch"` // 0-based
 	EpochReqs  int           `json:"epoch_reqs"`
 	RoundReqs  int           `json:"round_reqs"`
 	ClusterID  int           `json:"cluster_id"`
@@ -48,46 +48,44 @@ type ControllerState struct {
 	CurArm     int           `json:"cur_arm"`
 	RoundStart cache.Metrics `json:"round_start"`
 	Bandit     *bandit.State `json:"bandit,omitempty"`
-	Diags      []EpochDiag   `json:"diags,omitempty"`
-	LearningNS int64         `json:"learning_ns"`
+	Diags      []EpochDiag   `json:"diags,omitempty"` // the newest maxDiags epochs' decisions
+	LearningNS int64         `json:"learning_ns"`     // cumulative boundary learning time
 }
 
 // CheckpointState snapshots the controller's state machine.
 func (c *Controller) CheckpointState() *ControllerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := &ControllerState{
-		Phase:     c.phase.String(),
-		Epoch:     c.epoch,
-		EpochReqs: c.epochServesLocked(),
-		RoundReqs: c.roundReqs,
-		ClusterID: c.clusterID,
-		Set:       append([]int(nil), c.set...),
-		Extended:  append([]float64(nil), c.extended...),
-		Prof: SizeProfile{
-			Fractions: append([]float64(nil), c.prof.Fractions...),
-			Sizes:     append([]float64(nil), c.prof.Sizes...),
-		},
-		CurArm:     c.curArm,
-		RoundStart: c.roundStart,
-		Diags:      append([]EpochDiag(nil), c.diags...),
-		LearningNS: c.learningNS,
-	}
-	if c.phase == PhaseIdentify && c.alg != nil {
+	st := c.st.clone()
+	st.EpochReqs = c.epochServesLocked()
+	if c.st.Phase == PhaseIdentify && c.alg != nil {
 		st.Bandit = c.alg.State()
 	}
 	return st
 }
 
-// phaseNamed maps a snapshot's phase name back to its Phase.
-var phaseNamed = map[string]Phase{"warmup": PhaseWarmup, "identify": PhaseIdentify, "exploit": PhaseExploit}
+// clone returns a copy of st that shares no slice with it and has no
+// Bandit: the live controller keeps the bandit's state in its alg.
+func (st *ControllerState) clone() *ControllerState {
+	out := *st
+	out.Set = append([]int(nil), st.Set...)
+	out.Extended = append([]float64(nil), st.Extended...)
+	out.Prof = SizeProfile{
+		Fractions: append([]float64(nil), st.Prof.Fractions...),
+		Sizes:     append([]float64(nil), st.Prof.Sizes...),
+	}
+	out.Bandit = nil
+	out.Diags = append([]EpochDiag(nil), st.Diags...)
+	return &out
+}
 
 // validate is the controller snapshot's one shape check, run by the
 // checkpoint decoder: everything that can be judged without the model and
 // config the snapshot is restored into.
 func (st *ControllerState) validate() error {
-	phase, ok := phaseNamed[st.Phase]
-	if !ok {
+	switch st.Phase {
+	case PhaseWarmup, PhaseIdentify, PhaseExploit:
+	default:
 		return fmt.Errorf("core: unknown phase %q", st.Phase)
 	}
 	if st.Epoch < 0 || st.EpochReqs < 0 || st.RoundReqs < 0 {
@@ -112,7 +110,7 @@ func (st *ControllerState) validate() error {
 	if err := st.RoundStart.Validate(); err != nil {
 		return fmt.Errorf("core: round start: %w", err)
 	}
-	if phase != PhaseIdentify {
+	if st.Phase != PhaseIdentify {
 		return nil
 	}
 	if st.Bandit == nil {
@@ -149,7 +147,7 @@ func (c *Controller) fitLocked(st *ControllerState) (*bandit.Algorithm, error) {
 				st.ClusterID, st.Set, want)
 		}
 	}
-	if phaseNamed[st.Phase] != PhaseIdentify {
+	if st.Phase != PhaseIdentify {
 		return nil, nil
 	}
 	if st.RoundReqs >= c.cfg.Round {
@@ -193,37 +191,23 @@ func (c *Controller) restore(st *ControllerState, sameEngine bool) error {
 	if err != nil {
 		return err
 	}
-	c.phase = phaseNamed[st.Phase] // validated at decode
-	c.epoch = st.Epoch
-	c.epochReqs = st.EpochReqs
-	c.roundReqs = st.RoundReqs
-	c.clusterID = st.ClusterID
-	c.set = append([]int(nil), st.Set...)
-	c.extended = append([]float64(nil), st.Extended...)
-	c.prof = SizeProfile{
-		Fractions: append([]float64(nil), st.Prof.Fractions...),
-		Sizes:     append([]float64(nil), st.Prof.Sizes...),
-	}
-	c.curArm = st.CurArm
-	c.roundStart = st.RoundStart
+	c.st = *st.clone()
 	if !sameEngine {
-		c.roundStart, c.roundReqs = c.eng.Metrics(), 0
+		c.st.RoundStart, c.st.RoundReqs = c.eng.Metrics(), 0
 	}
 	c.alg = alg
-	c.diags = append([]EpochDiag(nil), st.Diags...)
-	c.learningNS = st.LearningNS
 	c.extractor.Reset()
 	left := 0 // only exploit counts lock-free
-	switch c.phase {
+	switch c.st.Phase {
 	case PhaseWarmup:
 		// Mid-warmup feature state is not recoverable: re-enter this epoch's
 		// warm-up from its start, keeping the engine's deployed expert.
-		c.epochReqs = 0
-		c.roundReqs = 0
+		c.st.EpochReqs = 0
+		c.st.RoundReqs = 0
 	case PhaseIdentify:
-		c.eng.SetExpert(c.model.Experts[c.set[c.curArm]])
+		c.eng.SetExpert(c.model.Experts[c.st.Set[c.st.CurArm]])
 	case PhaseExploit:
-		left = c.cfg.Epoch - c.epochReqs
+		left = c.cfg.Epoch - c.st.EpochReqs
 	}
 	c.exploitLeft.Store(int64(left))
 	return nil

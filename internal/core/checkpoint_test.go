@@ -524,33 +524,14 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 			"run":         "transient: eng's ServeRun, found by NewController",
 			"exploitLeft": "derived: Epoch − EpochReqs in exploit, stored at restore",
 			"mu":          "transient: a lock",
-			"phase":       "Phase",
-			"epoch":       "Epoch",
-			"epochReqs":   "EpochReqs",
-			"extractor":   "transient: the warm-up feature tree is not checkpointed (§6.4); restore re-enters warm-up",
-			"set":         "Set",
+			"st":          "Phase,Epoch,EpochReqs,RoundReqs,ClusterID,Set,Extended,Prof,CurArm,RoundStart,Diags,LearningNS",
 			"alg":         "Bandit",
-			"curArm":      "CurArm",
-			"roundStart":  "RoundStart",
-			"roundReqs":   "RoundReqs",
-			"extended":    "Extended",
-			"prof":        "Prof",
-			"clusterID":   "ClusterID",
-			"diags":       "Diags",
-			"learningNS":  "LearningNS",
+			"extractor":   "transient: the warm-up feature tree is not checkpointed (§6.4); restore re-enters warm-up",
 		}},
 		{reflect.TypeOf((*bandit.Algorithm)(nil)).Elem(), reflect.TypeOf(bandit.State{}), map[string]string{
-			"cfg":    "derived: rebuilt by the restorer from the model's Σ and its own config",
-			"k":      "derived: len(cfg.Sigma2)",
-			"t":      "T",
-			"plays":  "Plays",
-			"sumWY":  "SumWY",
-			"rho":    "Rho",
-			"mu":     "Mu",
-			"stable": "Stable",
-			"last":   "Last",
-			"done":   "Done",
-			"reason": "Reason",
+			"cfg": "derived: rebuilt by the restorer from the model's Σ and its own config",
+			"k":   "derived: len(cfg.Sigma2)",
+			"st":  "T,Plays,SumWY,Rho,Mu,Stable,Last,Done,Reason",
 		}},
 	} {
 		carried := map[string]bool{}
@@ -579,6 +560,70 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 			if f := pair.state.Field(i).Name; !carried[f] {
 				t.Errorf("%v.%s carries no field of %v", pair.state, f, pair.live)
 			}
+		}
+	}
+}
+
+// identifyMidRound serves the test traces, one epoch each, until the
+// controller is halfway through an identification round of an epoch after
+// the first, so that its state has a set, features, a size profile, a
+// bandit and an epoch log; it returns the controller and how many requests
+// it served.
+func identifyMidRound(t *testing.T, m *Model, reqs []trace.Request) (*Controller, int) {
+	t.Helper()
+	c, _ := newShardedController(t, m)
+	for i, r := range reqs {
+		c.Serve(r)
+		if st := c.CheckpointState(); st.Phase == PhaseIdentify && st.Epoch > 0 && st.RoundReqs == onlineCfg().Round/2 {
+			return c, i + 1
+		}
+	}
+	t.Fatal("no identification round after the first epoch")
+	return nil, 0
+}
+
+// TestSnapshotSharesNothingWithLiveState: the live state is the snapshot's
+// own struct, so CheckpointState and restore must copy every slice. A
+// snapshot keeps the bytes it was taken with while its controller serves
+// on, and editing a restored or adopted snapshot's slices leaves the
+// controller's next snapshot as it was.
+func TestSnapshotSharesNothingWithLiveState(t *testing.T) {
+	m := trainedModel(t)
+	var reqs []trace.Request
+	for _, tr := range testTraces(t) {
+		reqs = append(reqs, tr.Requests...)
+	}
+	c, n := identifyMidRound(t, m, reqs)
+	st := c.CheckpointState()
+	taken, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reqs[n : n+3*onlineCfg().Epoch] {
+		c.Serve(r)
+	}
+	if later, _ := json.Marshal(st); !bytes.Equal(later, taken) {
+		t.Fatalf("a snapshot changed while its controller served on:\n%s\n%s", taken, later)
+	}
+	for _, restore := range []func(*Controller, *ControllerState) error{(*Controller).RestoreState, (*Controller).AdoptState} {
+		var fresh ControllerState
+		if err := json.Unmarshal(taken, &fresh); err != nil {
+			t.Fatal(err)
+		}
+		r, _ := newShardedController(t, m)
+		if err := restore(r, &fresh); err != nil {
+			t.Fatal(err)
+		}
+		want, _ := json.Marshal(r.CheckpointState())
+		fresh.Set[0]++
+		fresh.Extended[0]++
+		fresh.Prof.Fractions[0]++
+		fresh.Prof.Sizes[0]++
+		fresh.Diags[0].Epoch++
+		fresh.Bandit.Plays[0]++
+		fresh.Bandit.Mu[0]++
+		if got, _ := json.Marshal(r.CheckpointState()); !bytes.Equal(got, want) {
+			t.Fatalf("editing a restored snapshot changed the controller:\n%s\n%s", want, got)
 		}
 	}
 }

@@ -14,31 +14,18 @@ import (
 )
 
 // Phase names the online controller's state within an epoch (Figure 3,
-// Step 2).
-type Phase int
+// Step 2); the name is what a snapshot records.
+type Phase string
 
 // Online phases.
 const (
 	// PhaseWarmup is feature estimation over the first N_warmup requests.
-	PhaseWarmup Phase = iota
+	PhaseWarmup Phase = "warmup"
 	// PhaseIdentify is bandit best-expert identification over rounds.
-	PhaseIdentify
+	PhaseIdentify Phase = "identify"
 	// PhaseExploit deploys the identified expert for the rest of the epoch.
-	PhaseExploit
+	PhaseExploit Phase = "exploit"
 )
-
-// String implements fmt.Stringer.
-func (p Phase) String() string {
-	switch p {
-	case PhaseWarmup:
-		return "warmup"
-	case PhaseIdentify:
-		return "identify"
-	case PhaseExploit:
-		return "exploit"
-	}
-	return fmt.Sprintf("Phase(%d)", int(p))
-}
 
 // OnlineConfig parameterises the online selection loop.
 type OnlineConfig struct {
@@ -150,29 +137,15 @@ type Controller struct {
 	// the next holder of mu is that last one.
 	exploitLeft atomic.Int64
 
-	// mu serializes the online state machine: everything below it.
-	mu    sync.Mutex
-	phase Phase // guarded by mu
-	epoch int   // 0-based epoch number; guarded by mu
-	// epochReqs counts this epoch's serves through warm-up and
-	// identification and stands still in exploit, where exploitLeft carries
-	// the count (epochServesLocked reads either); guarded by mu.
-	epochReqs int
+	// mu serializes the online state machine: everything below it. st is
+	// the state machine itself, the struct a snapshot is a deep copy of,
+	// with two differences: st.EpochReqs stands still in exploit, where
+	// exploitLeft carries the count (epochServesLocked reads either), and
+	// st.Bandit is always nil, since the bandit's state is alg's.
+	mu        sync.Mutex
+	st        ControllerState     // guarded by mu
+	alg       *bandit.Algorithm   // the identification run; guarded by mu
 	extractor *features.Extractor // warm-up feature estimator; guarded by mu
-	// The identification run: the cluster's expert set, the bandit over it,
-	// the deployed arm and the open round.
-	set        []int             // guarded by mu
-	alg        *bandit.Algorithm // guarded by mu
-	curArm     int               // guarded by mu
-	roundStart cache.Metrics     // guarded by mu
-	roundReqs  int               // guarded by mu
-	// What warm-up learned.
-	extended  []float64   // guarded by mu
-	prof      SizeProfile // guarded by mu
-	clusterID int         // guarded by mu
-	diags     []EpochDiag // the newest maxDiags epochs' decisions; guarded by mu
-	// learningNS is cumulative boundary learning time; guarded by mu.
-	learningNS int64
 }
 
 // NewController wires a trained model to a cache engine (a *cache.Hierarchy
@@ -196,7 +169,7 @@ func NewController(model *Model, eng cache.Engine, cfg OnlineConfig) (*Controlle
 		eng:       eng,
 		cfg:       cfg,
 		run:       run,
-		phase:     PhaseWarmup,
+		st:        ControllerState{Phase: PhaseWarmup},
 		extractor: ex,
 	}, nil
 }
@@ -212,7 +185,7 @@ type runServer interface {
 func (c *Controller) Phase() Phase {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.phase
+	return c.st.Phase
 }
 
 // Diags returns the per-epoch diagnostics of the newest maxDiags epochs,
@@ -221,7 +194,7 @@ func (c *Controller) Phase() Phase {
 func (c *Controller) Diags() []EpochDiag {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return append([]EpochDiag(nil), c.diags...)
+	return append([]EpochDiag(nil), c.st.Diags...)
 }
 
 // LearningDuration returns the cumulative wall time spent in learning
@@ -231,7 +204,7 @@ func (c *Controller) Diags() []EpochDiag {
 func (c *Controller) LearningDuration() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return time.Duration(c.learningNS)
+	return time.Duration(c.st.LearningNS)
 }
 
 // Engine returns the controlled cache engine.
@@ -286,7 +259,7 @@ func (c *Controller) serveLocked(r trace.Request) {
 // by the engine, that did not count itself lock-free: Serve's and Play's one
 // step function.
 func (c *Controller) stepLocked(r trace.Request) {
-	if c.phase == PhaseExploit {
+	if c.st.Phase == PhaseExploit {
 		// Exploit may have been entered (or restored) while this serve
 		// waited for mu: then it joins the epoch the way the lock-free path
 		// does. Otherwise the count was already spent, and this serve is the
@@ -294,36 +267,36 @@ func (c *Controller) stepLocked(r trace.Request) {
 		if c.exploitLeft.Add(-1) > 0 {
 			return
 		}
-		c.epochReqs = c.cfg.Epoch - 1
+		c.st.EpochReqs = c.cfg.Epoch - 1
 	}
-	c.epochReqs++
-	switch c.phase {
+	c.st.EpochReqs++
+	switch c.st.Phase {
 	case PhaseWarmup:
 		c.extractor.Observe(r)
-		if c.epochReqs >= c.cfg.Warmup {
+		if c.st.EpochReqs >= c.cfg.Warmup {
 			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
 			start := time.Now()
 			c.finishWarmupLocked()
 			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
-			c.learningNS += time.Since(start).Nanoseconds()
+			c.st.LearningNS += time.Since(start).Nanoseconds()
 		}
 	case PhaseIdentify:
-		c.roundReqs++
-		if c.roundReqs >= c.cfg.Round {
+		c.st.RoundReqs++
+		if c.st.RoundReqs >= c.cfg.Round {
 			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
 			start := time.Now()
 			c.finishRoundLocked()
 			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
-			c.learningNS += time.Since(start).Nanoseconds()
+			c.st.LearningNS += time.Since(start).Nanoseconds()
 		}
 	}
 	switch {
-	case c.epochReqs >= c.cfg.Epoch:
+	case c.st.EpochReqs >= c.cfg.Epoch:
 		c.finishEpochLocked()
-	case c.phase == PhaseExploit:
+	case c.st.Phase == PhaseExploit:
 		// Exploit was just entered: the rest of the epoch is counted
 		// lock-free.
-		c.exploitLeft.Store(int64(c.cfg.Epoch - c.epochReqs))
+		c.exploitLeft.Store(int64(c.cfg.Epoch - c.st.EpochReqs))
 	}
 }
 
@@ -331,8 +304,8 @@ func (c *Controller) stepLocked(r trace.Request) {
 // In exploit that is never the whole epoch: the last serve counts itself
 // under mu and rolls the epoch in the same critical section.
 func (c *Controller) epochServesLocked() int {
-	if c.phase != PhaseExploit {
-		return c.epochReqs
+	if c.st.Phase != PhaseExploit {
+		return c.st.EpochReqs
 	}
 	return c.cfg.Epoch - int(max(c.exploitLeft.Load(), 1))
 }
@@ -393,7 +366,7 @@ func (c *Controller) playLocked(reqs []trace.Request) int {
 	for i, r := range reqs {
 		c.eng.Serve(r)
 		c.stepLocked(r)
-		if c.phase == PhaseExploit && c.exploitLeft.Load() > 1 {
+		if c.st.Phase == PhaseExploit && c.exploitLeft.Load() > 1 {
 			return i + 1
 		}
 	}
@@ -403,48 +376,48 @@ func (c *Controller) playLocked(reqs []trace.Request) int {
 // finishWarmupLocked performs cluster lookup and starts identification.
 func (c *Controller) finishWarmupLocked() {
 	feat := c.extractor.Vector()
-	c.extended = c.extractor.Extended()
-	c.prof = NewSizeProfile(c.extractor.SizeDistribution(), c.model.FeatureCfg.MinSize, c.model.FeatureCfg.MaxSize)
-	c.clusterID, c.set = c.model.Lookup(feat)
+	c.st.Extended = c.extractor.Extended()
+	c.st.Prof = NewSizeProfile(c.extractor.SizeDistribution(), c.model.FeatureCfg.MinSize, c.model.FeatureCfg.MaxSize)
+	c.st.ClusterID, c.st.Set = c.model.Lookup(feat)
 	// The feature tree is deleted after the collection stage (§6.4).
 	c.extractor.Reset()
 
-	if len(c.set) < 2 {
-		chosen := c.model.Experts[c.set[0]]
+	if len(c.st.Set) < 2 {
+		chosen := c.model.Experts[c.st.Set[0]]
 		c.eng.SetExpert(chosen)
-		c.phase = PhaseExploit
+		c.st.Phase = PhaseExploit
 		c.logDiagLocked(EpochDiag{
-			Epoch: c.epoch, Cluster: c.clusterID, SetSize: len(c.set),
+			Epoch: c.st.Epoch, Cluster: c.st.ClusterID, SetSize: len(c.st.Set),
 			StopReason: "singleton", Chosen: chosen,
 		})
 		return
 	}
 
-	alg, err := bandit.New(banditConfig(c.cfg, buildSigma(c.model, c.cfg, c.set, c.clusterID, c.extended)))
+	alg, err := bandit.New(banditConfig(c.cfg, buildSigma(c.model, c.cfg, c.st.Set, c.st.ClusterID, c.st.Extended)))
 	if err != nil {
 		// Degenerate side information; fall back to the cluster's best mean
 		// expert for the epoch.
-		best := c.set[0]
-		for _, ei := range c.set {
-			if c.model.MeanReward[c.clusterID][ei] > c.model.MeanReward[c.clusterID][best] {
+		best := c.st.Set[0]
+		for _, ei := range c.st.Set {
+			if c.model.MeanReward[c.st.ClusterID][ei] > c.model.MeanReward[c.st.ClusterID][best] {
 				best = ei
 			}
 		}
 		chosen := c.model.Experts[best]
 		c.eng.SetExpert(chosen)
-		c.phase = PhaseExploit
+		c.st.Phase = PhaseExploit
 		c.logDiagLocked(EpochDiag{
-			Epoch: c.epoch, Cluster: c.clusterID, SetSize: len(c.set),
+			Epoch: c.st.Epoch, Cluster: c.st.ClusterID, SetSize: len(c.st.Set),
 			StopReason: "degenerate-sigma", Chosen: chosen,
 		})
 		return
 	}
 	c.alg = alg
-	c.curArm = alg.NextArm()
-	c.eng.SetExpert(c.model.Experts[c.set[c.curArm]])
-	c.roundStart = c.eng.Metrics()
-	c.roundReqs = 0
-	c.phase = PhaseIdentify
+	c.st.CurArm = alg.NextArm()
+	c.eng.SetExpert(c.model.Experts[c.st.Set[c.st.CurArm]])
+	c.st.RoundStart = c.eng.Metrics()
+	c.st.RoundReqs = 0
+	c.st.Phase = PhaseIdentify
 }
 
 // banditConfig derives the identification run's bandit configuration from
@@ -490,30 +463,33 @@ func buildSigma(model *Model, cfg OnlineConfig, set []int, clusterID int, extend
 	return sigma2
 }
 
-// finishRoundLocked closes a bandit round: computes the deployed arm's real reward,
-// generates fictitious samples for the other arms, and advances or stops the
-// bandit.
-func (c *Controller) finishRoundLocked() {
-	round := c.eng.Metrics().Sub(c.roundStart)
+// roundRewards is a bandit round's reward vector over st.Set, from the
+// round's metrics: the deployed arm's real reward, and each other arm's
+// fictitious sample from the cross-expert predictors (left 0 without side
+// information, whose +Inf variances make the bandit ignore it). It reads
+// only its arguments.
+func roundRewards(m *Model, cfg OnlineConfig, st *ControllerState, round cache.Metrics) []float64 {
 	obsOHR := round.OHR()
-	obsReward := c.model.Objective.Reward(round)
-	n := len(c.set)
-	rewards := make([]float64, n)
-	deployed := c.set[c.curArm]
-	for b := 0; b < n; b++ {
-		if b == c.curArm {
-			rewards[b] = obsReward
-			continue
-		}
-		if c.cfg.DisableSideInfo {
-			continue // ignored via +Inf variance
-		}
-		est, ok := c.model.EstimateReward(deployed, c.set[b], obsOHR, c.extended, c.prof)
-		if ok {
-			rewards[b] = est
+	rewards := make([]float64, len(st.Set))
+	deployed := st.Set[st.CurArm]
+	for b := range rewards {
+		switch {
+		case b == st.CurArm:
+			rewards[b] = m.Objective.Reward(round)
+		case !cfg.DisableSideInfo:
+			if est, ok := m.EstimateReward(deployed, st.Set[b], obsOHR, st.Extended, st.Prof); ok {
+				rewards[b] = est
+			}
 		}
 	}
-	if err := c.alg.Update(c.curArm, rewards); err != nil {
+	return rewards
+}
+
+// finishRoundLocked closes a bandit round: feeds the bandit the round's
+// rewards, then advances it to its next arm or deploys its recommendation.
+func (c *Controller) finishRoundLocked() {
+	rewards := roundRewards(c.model, c.cfg, &c.st, c.eng.Metrics().Sub(c.st.RoundStart))
+	if err := c.alg.Update(c.st.CurArm, rewards); err != nil {
 		// Cannot happen with a well-formed controller; deploy best-known.
 		c.deployRecommendationLocked("update-error")
 		return
@@ -522,18 +498,18 @@ func (c *Controller) finishRoundLocked() {
 		c.deployRecommendationLocked(c.alg.StopReason())
 		return
 	}
-	c.curArm = c.alg.NextArm()
-	c.eng.SetExpert(c.model.Experts[c.set[c.curArm]])
-	c.roundStart = c.eng.Metrics()
-	c.roundReqs = 0
+	c.st.CurArm = c.alg.NextArm()
+	c.eng.SetExpert(c.model.Experts[c.st.Set[c.st.CurArm]])
+	c.st.RoundStart = c.eng.Metrics()
+	c.st.RoundReqs = 0
 }
 
 func (c *Controller) deployRecommendationLocked(reason string) {
-	chosen := c.model.Experts[c.set[c.alg.Recommendation()]]
+	chosen := c.model.Experts[c.st.Set[c.alg.Recommendation()]]
 	c.eng.SetExpert(chosen)
-	c.phase = PhaseExploit
+	c.st.Phase = PhaseExploit
 	c.logDiagLocked(EpochDiag{
-		Epoch: c.epoch, Cluster: c.clusterID, SetSize: len(c.set),
+		Epoch: c.st.Epoch, Cluster: c.st.ClusterID, SetSize: len(c.st.Set),
 		Rounds: c.alg.Rounds(), StopReason: reason, Chosen: chosen,
 	})
 }
@@ -541,24 +517,24 @@ func (c *Controller) deployRecommendationLocked(reason string) {
 // logDiagLocked appends d to the epoch log, dropping the oldest entry once
 // the log holds maxDiags.
 func (c *Controller) logDiagLocked(d EpochDiag) {
-	if len(c.diags) == maxDiags {
-		c.diags = c.diags[1:]
+	if len(c.st.Diags) == maxDiags {
+		c.st.Diags = c.st.Diags[1:]
 	}
-	c.diags = append(c.diags, d)
+	c.st.Diags = append(c.st.Diags, d)
 }
 
 // finishEpochLocked rolls over to the next epoch's warm-up, keeping the currently
 // deployed expert in place for the new warm-up phase.
 func (c *Controller) finishEpochLocked() {
-	if c.phase == PhaseIdentify {
+	if c.st.Phase == PhaseIdentify {
 		// Identification ran out of epoch: deploy the current recommendation
 		// and record the truncated run.
 		c.deployRecommendationLocked("epoch-end")
 	}
-	c.epoch++
-	c.epochReqs = 0
-	c.roundReqs = 0
+	c.st.Epoch++
+	c.st.EpochReqs = 0
+	c.st.RoundReqs = 0
 	c.alg = nil
-	c.phase = PhaseWarmup
+	c.st.Phase = PhaseWarmup
 	c.extractor.Reset()
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"darwin/internal/bandit"
 	"darwin/internal/cache"
 	"darwin/internal/trace"
 	"darwin/internal/tracegen"
@@ -273,12 +274,46 @@ func TestControllerSingletonSet(t *testing.T) {
 	}
 }
 
-func TestPhaseString(t *testing.T) {
-	if PhaseWarmup.String() != "warmup" || PhaseIdentify.String() != "identify" || PhaseExploit.String() != "exploit" {
-		t.Fatal("phase strings wrong")
+// TestRoundRewardsReplaysTheBandit: roundRewards is the whole of what a
+// round feeds the bandit. A fresh bandit built from a round's opening
+// snapshot and fed roundRewards of the round's metrics holds, round after
+// round, the state the live controller's bandit holds at the round's end.
+func TestRoundRewardsReplaysTheBandit(t *testing.T) {
+	m := trainedModel(t)
+	cfg := onlineCfg()
+	c, _ := newShardedController(t, m)
+	reqs := testTraces(t)[3].Requests
+	i := 0
+	for ; c.Phase() == PhaseWarmup; i++ {
+		c.Serve(reqs[i])
 	}
-	if Phase(9).String() == "" {
-		t.Fatal("unknown phase should still render")
+	rounds := 0
+	for open := c.CheckpointState(); open.Phase == PhaseIdentify; rounds++ {
+		for n := 0; n < cfg.Round; n++ {
+			c.Serve(reqs[i])
+			i++
+		}
+		closed := c.CheckpointState()
+		alg, err := bandit.New(banditConfig(cfg, buildSigma(m, cfg, open.Set, open.ClusterID, open.Extended)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := alg.SetState(open.Bandit); err != nil {
+			t.Fatal(err)
+		}
+		if err := alg.Update(open.CurArm, roundRewards(m, cfg, open, c.Metrics().Sub(open.RoundStart))); err != nil {
+			t.Fatal(err)
+		}
+		if closed.Phase == PhaseIdentify && !reflect.DeepEqual(alg.State(), closed.Bandit) {
+			t.Fatalf("round %d: the replayed bandit is\n%+v\nthe live one\n%+v", rounds, alg.State(), closed.Bandit)
+		}
+		if closed.Phase != PhaseIdentify && closed.Diags[len(closed.Diags)-1].Chosen != m.Experts[open.Set[alg.Recommendation()]] {
+			t.Fatalf("round %d: the replayed bandit recommends another expert than the live one deployed", rounds)
+		}
+		open = closed
+	}
+	if rounds < 2 {
+		t.Fatalf("identification ran %d rounds, want at least 2", rounds)
 	}
 }
 
@@ -534,12 +569,12 @@ func TestPlayZeroAllocs(t *testing.T) {
 		}
 		// 11 runs of 30 stay inside the first 400-request round.
 		batch := &trace.Trace{Requests: reqs[:30]}
-		before := c.roundReqs
+		before := c.st.RoundReqs
 		if allocs := testing.AllocsPerRun(10, func() { c.Play(batch) }); allocs != 0 {
 			t.Fatalf("%T: Play of an identification batch made %v allocations", eng, allocs)
 		}
-		if c.Phase() != PhaseIdentify || c.roundReqs != before+11*30 {
-			t.Fatalf("%T: the batches crossed a round boundary (round at %d, was %d)", eng, c.roundReqs, before)
+		if c.Phase() != PhaseIdentify || c.st.RoundReqs != before+11*30 {
+			t.Fatalf("%T: the batches crossed a round boundary (round at %d, was %d)", eng, c.st.RoundReqs, before)
 		}
 	}
 }

@@ -28,6 +28,29 @@ func (c *counter) addLocked(d int) {
 	c.n += d // *Locked suffix: the caller holds mu
 }
 
+// machine keeps its state in one struct-valued field: a read of a field of
+// that struct is an access to the guarded field.
+type machine struct {
+	mu sync.Mutex
+	st state // guarded by mu
+}
+
+type state struct{ phase string }
+
+func (m *machine) phase() string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.st.phase
+}
+
+func (m *machine) badPhase() string {
+	return m.st.phase /* want "st is guarded by mu" */
+}
+
+func (m *machine) phaseLocked() string {
+	return m.st.phase // *Locked suffix: the caller holds mu
+}
+
 // registry memoises lookups across goroutines. Guarded by regMu.
 var (
 	regMu sync.Mutex

@@ -122,9 +122,9 @@ func (d *durability) recover() {
 		logf("DC journal not applied (%v); continuing cold", err)
 	}
 	d.recovered.Store(true)
-	st := d.store.Stats()
+	st := d.store.Stats() // after RestoreDC, which journals what no longer fits
 	logf("recovered %d DC objects (%d B) from a %d B journal in %s (checkpoint=%v, truncated=%dB)",
-		len(live), st.LiveBytes, st.LogBytes, time.Since(start).Round(time.Millisecond), d.loaded != nil, st.TruncatedBytes)
+		st.LiveObjects, st.LiveBytes, st.LogBytes, time.Since(start).Round(time.Millisecond), d.loaded != nil, st.TruncatedBytes)
 }
 
 // checkpoint captures and atomically persists the learned state: the same

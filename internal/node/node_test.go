@@ -315,6 +315,63 @@ func TestRestartWithOtherShardCount(t *testing.T) {
 	}
 }
 
+// TestRecoveryJournalsWhatNoLongerFits: a node restarted with a smaller DC
+// keeps the newest journaled objects that fit, and journals a Remove for
+// each one it drops, so the journal lists exactly the DC's residents and
+// the recovery line counts those, not the journal it started from.
+func TestRecoveryJournalsWhatNoLongerFits(t *testing.T) {
+	cfg := Config{
+		Expert:   cache.Expert{Freq: 1, MaxSize: 1 << 20},
+		HOCBytes: 256 << 10,
+		DCBytes:  32 << 20,
+		Shards:   2,
+		Store:    diskcache.Config{Dir: t.TempDir(), Sync: diskcache.SyncOff},
+		Origin:   testOrigin(t),
+	}
+	first, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tracegen.ImageDownloadMix(50, 20000, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range tr.Requests {
+		first.eng.Serve(r)
+	}
+	journaled := len(first.dur.store.Live())
+	if err := first.dur.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.DCBytes = 1 << 20
+	second, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { second.dur.store.Close() })
+	logged := stderrOf(t, second.dur.recover)
+	residents := map[uint64]int64{}
+	for _, sh := range second.eng.State().Shards {
+		for _, o := range sh.DC {
+			residents[o.ID] = o.Size
+		}
+	}
+	live := map[uint64]int64{}
+	for _, o := range second.dur.store.Live() {
+		live[o.ID] = o.Size
+	}
+	if len(residents) == 0 || len(residents) >= journaled {
+		t.Fatalf("the 1 MiB DC holds %d of %d journaled objects; the test needs some kept and some dropped", len(residents), journaled)
+	}
+	if !reflect.DeepEqual(live, residents) {
+		t.Fatalf("the journal lists %d live objects, the DC holds %d", len(live), len(residents))
+	}
+	if want := fmt.Sprintf("recovered %d DC objects", len(residents)); !strings.Contains(logged, want) {
+		t.Fatalf("recovery logged %q, want %q", logged, want)
+	}
+}
+
 // stderrOf returns what f writes to os.Stderr, where the node logs.
 func stderrOf(t *testing.T, f func()) string {
 	t.Helper()
