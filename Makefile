@@ -47,9 +47,11 @@ race:
 # controller's batched replay against per-request serving, the durability
 # decoders (persist frames, journal records and logs, checkpoint and
 # neural-weight payloads) — corrupted on-disk bytes must produce typed
-# errors, never panics — a checkpoint or /state frame with one edited slice
-# or number (what decodes must restore and run), and internal/lint's own
-# annotation parsers
+# errors, never panics — a checkpoint with one edited slice or number (what
+# decodes must restore and run), a /state frame with one (no frame may change
+# the heir's controller state; an accepted one lands the donor's residents in
+# the heir's cache, which plays on), and internal/lint's own annotation
+# parsers
 # (//lint:ignore directives and guarded-by comments).
 fuzz:
 	$(GO) test ./internal/server -fuzz FuzzParseObjectURL -fuzztime 10s

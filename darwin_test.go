@@ -83,6 +83,7 @@ var goneIdents = []string{
 	"-mode", "node.Config.Train", "Checkpoint.Model", "checkpointJSON", "modelToJSON", "modelFromJSON",
 	"neural.ReLU", "neural.Identity", "reusing trained model from checkpoint",
 	"Eviction.ID", "Eviction.Len",
+	"AdoptState", "controllerAhead", "Summarize",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

@@ -33,9 +33,13 @@ const (
 //   - identify: the bandit run resumes exactly — Σ is rebuilt from the
 //     snapshotted cluster/set/features, the bandit's estimator state is
 //     restored, and the in-flight round continues from its snapshotted
-//     metrics baseline (or, adopted onto another engine, restarts).
+//     metrics baseline.
 //   - exploit: counters resume; the deployed expert rides in the engine
 //     snapshot.
+//
+// Each phase leans on the engine the state was learned on (its deployed
+// expert, its round baseline), so a snapshot is restored only over the engine
+// state of the same checkpoint; without it the controller re-warms.
 type ControllerState struct {
 	Phase      Phase         `json:"phase"`
 	Epoch      int           `json:"epoch"` // 0-based
@@ -170,21 +174,10 @@ func (c *Controller) fitLocked(st *ControllerState) (*bandit.Algorithm, error) {
 // RestoreState restores a snapshot taken by CheckpointState, decoded by
 // DecodeCheckpointFrame, onto a controller whose engine was restored from the
 // same checkpoint: an open identification round continues from the
-// snapshot's baseline. It checks only that the snapshot fits the model and
-// config; on error the controller is unchanged.
+// snapshot's baseline, and exploit keeps the expert the engine state carries.
+// It checks only that the snapshot fits the model and config; on error the
+// controller is unchanged.
 func (c *Controller) RestoreState(st *ControllerState) error {
-	return c.restore(st, true)
-}
-
-// AdoptState is RestoreState for a snapshot whose engine state this
-// controller's engine does not hold — a drain handoff's, or a checkpoint
-// whose engine part did not restore. An open identification round restarts
-// at adoption, measured against this engine's counters.
-func (c *Controller) AdoptState(st *ControllerState) error {
-	return c.restore(st, false)
-}
-
-func (c *Controller) restore(st *ControllerState, sameEngine bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	alg, err := c.fitLocked(st)
@@ -192,9 +185,6 @@ func (c *Controller) restore(st *ControllerState, sameEngine bool) error {
 		return err
 	}
 	c.st = *st.clone()
-	if !sameEngine {
-		c.st.RoundStart, c.st.RoundReqs = c.eng.Metrics(), 0
-	}
 	c.alg = alg
 	c.extractor.Reset()
 	left := 0 // only exploit counts lock-free
@@ -213,8 +203,9 @@ func (c *Controller) restore(st *ControllerState, sameEngine bool) error {
 	return nil
 }
 
-// Checkpoint bundles what a restarted or inheriting node resumes from: the
-// engine's full cache state and the controller's state machine. The model is
+// Checkpoint bundles what a restarted node resumes from: the engine's full
+// cache state and the controller's state machine. A node that inherits a
+// checkpoint through a drain handoff merges only its cache. The model is
 // not part of it: every node loads its own (ReadModel). A version-2 frame
 // written while checkpoints still carried the model decodes too — the
 // "model" key is ignored like any unknown one.

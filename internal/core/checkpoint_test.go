@@ -585,8 +585,8 @@ func identifyMidRound(t *testing.T, m *Model, reqs []trace.Request) (*Controller
 // TestSnapshotSharesNothingWithLiveState: the live state is the snapshot's
 // own struct, so CheckpointState and restore must copy every slice. A
 // snapshot keeps the bytes it was taken with while its controller serves
-// on, and editing a restored or adopted snapshot's slices leaves the
-// controller's next snapshot as it was.
+// on, and editing a restored snapshot's slices leaves the controller's next
+// snapshot as it was.
 func TestSnapshotSharesNothingWithLiveState(t *testing.T) {
 	m := trainedModel(t)
 	var reqs []trace.Request
@@ -605,25 +605,23 @@ func TestSnapshotSharesNothingWithLiveState(t *testing.T) {
 	if later, _ := json.Marshal(st); !bytes.Equal(later, taken) {
 		t.Fatalf("a snapshot changed while its controller served on:\n%s\n%s", taken, later)
 	}
-	for _, restore := range []func(*Controller, *ControllerState) error{(*Controller).RestoreState, (*Controller).AdoptState} {
-		var fresh ControllerState
-		if err := json.Unmarshal(taken, &fresh); err != nil {
-			t.Fatal(err)
-		}
-		r, _ := newShardedController(t, m)
-		if err := restore(r, &fresh); err != nil {
-			t.Fatal(err)
-		}
-		want, _ := json.Marshal(r.CheckpointState())
-		fresh.Set[0]++
-		fresh.Extended[0]++
-		fresh.Prof.Fractions[0]++
-		fresh.Prof.Sizes[0]++
-		fresh.Diags[0].Epoch++
-		fresh.Bandit.Plays[0]++
-		fresh.Bandit.Mu[0]++
-		if got, _ := json.Marshal(r.CheckpointState()); !bytes.Equal(got, want) {
-			t.Fatalf("editing a restored snapshot changed the controller:\n%s\n%s", want, got)
-		}
+	var fresh ControllerState
+	if err := json.Unmarshal(taken, &fresh); err != nil {
+		t.Fatal(err)
+	}
+	r, _ := newShardedController(t, m)
+	if err := r.RestoreState(&fresh); err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(r.CheckpointState())
+	fresh.Set[0]++
+	fresh.Extended[0]++
+	fresh.Prof.Fractions[0]++
+	fresh.Prof.Sizes[0]++
+	fresh.Diags[0].Epoch++
+	fresh.Bandit.Plays[0]++
+	fresh.Bandit.Mu[0]++
+	if got, _ := json.Marshal(r.CheckpointState()); !bytes.Equal(got, want) {
+		t.Fatalf("editing a restored snapshot changed the controller:\n%s\n%s", want, got)
 	}
 }

@@ -214,10 +214,13 @@ func TestScaledCorpus(t *testing.T) {
 	if len(c.Test) != len(base.Test) {
 		t.Fatal("test set size changed")
 	}
-	// Object sizes roughly doubled.
-	s0 := base.Test[0].Summarize()
-	s1 := c.Test[0].Summarize()
-	ratio := s1.MeanSize / s0.MeanSize
+	// Object sizes roughly doubled: request for request, so the mean's ratio
+	// is the total's.
+	var b0, b1 int64
+	for i, r := range base.Test[0].Requests {
+		b0, b1 = b0+r.Size, b1+c.Test[0].Requests[i].Size
+	}
+	ratio := float64(b1) / float64(b0)
 	if ratio < 1.7 || ratio > 2.3 {
 		t.Fatalf("mean size ratio %.2f, want ~2 (±20%% perturbation)", ratio)
 	}

@@ -11,11 +11,15 @@ import (
 // OverloadConfig sizes the overload chaos experiment: a flash-crowd arrival
 // schedule replayed against a browned-out origin (stalls + errors + one hard
 // outage), comparing the retry-only pipeline (server.Overload{}: the overload
-// stages absent) with the full overload-protection stack (circuit breaker,
-// admission control, deadline propagation, hedging, retry budget), both
-// serving the rig workload (rig.go). The regime the paper's §6.4 testbed
-// never enters — and the one where retries alone make things worse, not
-// better.
+// stages absent) with the overload-protection stack (circuit breaker,
+// deadline propagation, hedging, retry budget), both serving the rig
+// workload (rig.go). The regime the paper's §6.4 testbed never enters — and
+// the one where retries alone make things worse, not better. The protected
+// arm is configured with admission control too, but the stage never sheds
+// here: server.RunLoad is closed-loop, so at most Prototype.Concurrency (24)
+// requests are in flight, far under DefaultOverload's MaxInFlight of 512.
+// Only server's TestAdmissionShedsOverBudget and TestOverloadSheddingStress
+// engage it.
 type OverloadConfig struct {
 	// Prototype carries the testbed latencies and client concurrency.
 	Prototype PrototypeConfig
@@ -73,7 +77,8 @@ func DefaultOverloadConfig() OverloadConfig {
 // and the error budget. The protected arm should win on both headline
 // numbers: deadline-bounded attempts and hedging turn origin stalls into
 // fast answers instead of slow ones, and the breaker converts the outage
-// window into cheap stale serves instead of doomed fetches.
+// window into cheap stale serves instead of doomed fetches. Its sheds are
+// deadline and breaker sheds; admission sheds none (see OverloadConfig).
 func OverloadReport(oc OverloadConfig) (*Report, error) {
 	rep := &Report{
 		Title: "Overload: flash crowd vs origin brownout (protected vs retry-only)",

@@ -148,18 +148,16 @@ func TestSplitShiftsPerServerMix(t *testing.T) {
 	for cut < sub.Len() && sub.Requests[cut].Time < boundary {
 		cut++
 	}
-	s1 := sub.Window(0, cut).Summarize()
-	s2 := sub.Window(cut, sub.Len()).Summarize()
-	if s1.Requests == 0 || s2.Requests == 0 {
+	before, after := cut, sub.Len()-cut
+	if before == 0 || after == 0 {
 		t.Fatal("empty window")
 	}
 	// The surviving server absorbs the drained servers' spillover: its
 	// request volume must grow substantially across the boundary.
-	if float64(s2.Requests) < 1.2*float64(s1.Requests) {
-		t.Fatalf("surviving server volume did not grow: %d -> %d", s1.Requests, s2.Requests)
+	if float64(after) < 1.2*float64(before) {
+		t.Fatalf("surviving server volume did not grow: %d -> %d", before, after)
 	}
-	t.Logf("server 0: %d -> %d requests, mean size %.0f -> %.0f",
-		s1.Requests, s2.Requests, s1.MeanSize, s2.MeanSize)
+	t.Logf("server 0: %d -> %d requests", before, after)
 }
 
 // TestReadinessShedsRingWeight wires a real circuit breaker into the

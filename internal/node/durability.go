@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -99,20 +100,20 @@ func (d *durability) start() {
 func (d *durability) recover() {
 	start := time.Now()
 	if ck := d.loaded; ck != nil {
-		// The controller's round baseline counts the checkpoint's engine: the
-		// round resumes on that engine and restarts on any other.
-		restore := d.ctrl.AdoptState
+		err := errors.New("the checkpoint holds no engine state")
 		if ck.Engine != nil {
-			if err := d.eng.RestoreState(ck.Engine); err != nil {
-				logf("engine state not restored (%v); continuing cold", err)
-			} else {
-				restore = d.ctrl.RestoreState
-			}
+			err = d.eng.RestoreState(ck.Engine)
 		}
-		if d.ctrl != nil && ck.Controller != nil {
-			if err := restore(ck.Controller); err != nil {
-				logf("controller state not restored (%v); re-warming", err)
-			}
+		if err != nil {
+			logf("engine state not restored (%v); continuing cold", err)
+		} else if d.ctrl != nil && ck.Controller != nil {
+			err = d.ctrl.RestoreState(ck.Controller)
+		}
+		// A controller state resumes only over the engine it was learned on
+		// (its deployed expert, its round baseline): without that engine the
+		// controller re-warms, as on a cold start.
+		if err != nil && d.ctrl != nil && ck.Controller != nil {
+			logf("controller state not restored (%v); re-warming", err)
 		}
 	}
 	// The journal is fresher than any checkpoint: rebuild the DC from its

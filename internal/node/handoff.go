@@ -1,18 +1,14 @@
 package node
 
 // Drain-time state handoff: the glue between the server layer's /state
-// endpoint and the checkpoint codec. A draining node pushes its learned state
-// as one DRWNCKPT frame (the bytes the durability layer writes to disk; the
-// successor runs its own model); the inheriting successor merges the pieces
-// it can use:
-//
-//   - cache contents: the donor's resident HOC+DC set folds into the
-//     inheritor's DC through the normal eviction path (MergeDC) — the
-//     successor is about to receive the donor's keyspace, so those objects
-//     are tomorrow's traffic.
-//   - learned state: bandit posteriors and the controller's epoch position
-//     are adopted only when the donor is *ahead* (later epoch, or further
-//     into the same epoch) — an inheritor with more learning keeps its own.
+// endpoint and the checkpoint codec. A draining node pushes its checkpoint
+// as one DRWNCKPT frame (the bytes the durability layer writes to disk); the
+// inheriting successor merges its cache contents only: the donor's resident
+// HOC+DC set folds into the inheritor's DC through the normal eviction path
+// (MergeDC) — the successor is about to receive the donor's keyspace, so
+// those objects are tomorrow's traffic. The frame's controller state stays
+// behind: it was learned over the donor's traffic and the donor's engine,
+// and the successor keeps learning its own way over its own model.
 //
 // Everything is validate-then-commit: the frame's CRC and the checkpoint
 // decode, which validates every part, run before the first mutation, so a
@@ -48,24 +44,11 @@ func donorLevels(es *cache.ShardedState) [][]cache.ResidentObject {
 	return append(dcs, hocs...)
 }
 
-// controllerAhead reports whether the donor's learning position is strictly
-// ahead of ours: a later epoch, or more requests into the same epoch.
-func controllerAhead(donor, local *core.ControllerState) bool {
-	if donor.Epoch != local.Epoch {
-		return donor.Epoch > local.Epoch
-	}
-	return donor.EpochReqs > local.EpochReqs
-}
-
 // handoffAcceptor builds the /state POST side: decode (which validates the
-// frame's every part), then commit — controller first (its adoption checks
-// that the state fits before mutating anything; a state that does not fit,
-// such as one learned under another model, is logged and skipped, and this
-// node keeps learning its own way), cache merge last (it cannot fail on
-// decoded levels). A frame from an older donor also carries its
-// model, which the decoder skips. The donor's round baseline counts the
-// donor's engine, so an adopted identification round restarts on ours.
-func handoffAcceptor(eng *cache.Sharded, ctrl *core.Controller) func([]byte) error {
+// frame's every part), then merge the donor's cache, which cannot fail on
+// decoded levels. A frame from an older donor also carries its model, which
+// the decoder skips.
+func handoffAcceptor(eng *cache.Sharded) func([]byte) error {
 	return func(data []byte) error {
 		ck, err := core.DecodeCheckpointFrame(data)
 		if err != nil {
@@ -73,11 +56,6 @@ func handoffAcceptor(eng *cache.Sharded, ctrl *core.Controller) func([]byte) err
 		}
 		if ck.Engine == nil {
 			return fmt.Errorf("handoff: frame carries no engine state")
-		}
-		if ctrl != nil && ck.Controller != nil && controllerAhead(ck.Controller, ctrl.CheckpointState()) {
-			if err := ctrl.AdoptState(ck.Controller); err != nil {
-				logf("handoff: controller state not adopted (%v); keeping this node's", err)
-			}
 		}
 		for _, level := range donorLevels(ck.Engine) {
 			if _, err := eng.MergeDC(level); err != nil {

@@ -139,7 +139,7 @@ func build(cfg Config) (*Node, error) {
 		if err := n.Proxy.SetPeers(cfg.Peer); err != nil {
 			return nil, n.abandon(err)
 		}
-		n.Proxy.EnableStateHandoff(handoffAcceptor(n.eng, n.ctrl))
+		n.Proxy.EnableStateHandoff(handoffAcceptor(n.eng))
 		// /gossip answers from the same verdict as /readyz: a draining or
 		// gated node's 503 is what the front tier reads as an explicit "stop
 		// routing here" — immediate weight shed, no waiting for phi to accrue.
@@ -178,8 +178,8 @@ func (n *Node) Checkpoint() error {
 // Run serves the node on addr until SIGINT/SIGTERM (or ctx ends), drains
 // (server.Run), and then closes the node. Close runs whether or not the
 // drain met its deadline — the drains that overrun are the busiest nodes',
-// whose learned state is the most worth handing on — and the drain error is
-// returned afterwards.
+// whose state is the most worth keeping and handing on — and the drain error
+// is returned afterwards.
 func (n *Node) Run(ctx context.Context, addr string, lameDuck, drain time.Duration) error {
 	err := server.Run(ctx, &http.Server{Addr: addr, Handler: n.mux}, n.Health, lameDuck, drain)
 	cctx, cancel := context.WithTimeout(context.Background(), drain)
@@ -189,10 +189,11 @@ func (n *Node) Run(ctx context.Context, addr string, lameDuck, drain time.Durati
 }
 
 // Close is a node's orderly departure, in order: the verdict flips to
-// draining; in a cluster the learned state is pushed to the ring successor
-// (the node inheriting this keyspace — best effort: a dead or refusing
-// successor just starts cold); a final checkpoint is written; the journal is
-// closed. Call it once the listener has stopped, so the state is quiesced.
+// draining; in a cluster the checkpoint frame is pushed to the ring
+// successor, which merges its cache (the node inheriting this keyspace —
+// best effort: a dead or refusing successor just starts cold); a final
+// checkpoint is written; the journal is closed. Call it once the listener
+// has stopped, so the state is quiesced.
 // A node dropped without Close is a crashed node.
 func (n *Node) Close(ctx context.Context) {
 	n.Health.StartDrain()

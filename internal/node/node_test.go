@@ -229,11 +229,11 @@ func TestV1CheckpointRecoversFromJournal(t *testing.T) {
 // TestRestartWithOtherShardCount: cache.AutoShards follows GOMAXPROCS, so a
 // node restarted on a host with another CPU count finds a checkpoint whose
 // engine state has another shard count. Recovery refuses that part and says
-// so, adopts the controller state onto the cold engine — epoch, phase and
-// posteriors kept, the open round restarted — and rebuilds the DC from the
-// journal. A controller state that does not fit either (its open round is
-// past the restarted node's round length) is refused too, and the
-// controller re-warms.
+// so, leaves the controller state learned over that engine unrestored and
+// says so — the controller re-warms — and rebuilds the DC from the journal.
+// With the shard count back, a controller state that does not fit (its open
+// round is past the restarted node's round length) is refused over the
+// restored engine, and the controller re-warms too.
 func TestRestartWithOtherShardCount(t *testing.T) {
 	cfg := Config{
 		Model:    handoffModel(t),
@@ -282,8 +282,8 @@ func TestRestartWithOtherShardCount(t *testing.T) {
 	cfg.Shards = 4
 	second, logged := reopen()
 	if !strings.Contains(logged, "engine state not restored (cache: snapshot has 2 shards, engine has 4)") ||
-		strings.Contains(logged, "controller state not restored") {
-		t.Fatalf("recovery logged %q, want the refused engine state and nothing about the controller", logged)
+		!strings.Contains(logged, "controller state not restored") {
+		t.Fatalf("recovery logged %q, want the refused engine state and the controller left unrestored", logged)
 	}
 	if code, body := readyz(t, second); code != http.StatusOK {
 		t.Fatalf("/readyz after recovery: %d %q", code, body)
@@ -296,22 +296,90 @@ func TestRestartWithOtherShardCount(t *testing.T) {
 			t.Fatalf("journaled object %d is %v after recovery, want a DC hit", obj.ID, r)
 		}
 	}
-	st := second.ctrl.CheckpointState()
-	if st.Phase != atCheckpoint.Phase || st.Epoch != atCheckpoint.Epoch || st.EpochReqs != atCheckpoint.EpochReqs ||
-		!reflect.DeepEqual(st.Bandit, atCheckpoint.Bandit) {
-		t.Fatalf("controller not adopted:\n got %+v\nwant %+v", st, atCheckpoint)
-	}
-	if st.RoundReqs != 0 || st.RoundStart != (cache.Metrics{}) {
-		t.Fatalf("the open round resumed at request %d from %+v; adopted onto a cold engine it must restart", st.RoundReqs, st.RoundStart)
+	if st := second.ctrl.CheckpointState(); st.Phase != "warmup" || st.Epoch != 0 || st.EpochReqs != 0 || st.Bandit != nil {
+		t.Fatalf("a controller without its engine is in %s at epoch %d, request %d; want a fresh warm-up", st.Phase, st.Epoch, st.EpochReqs)
 	}
 
-	cfg.Online.Round = atCheckpoint.RoundReqs
+	cfg.Shards, cfg.Online.Round = 2, atCheckpoint.RoundReqs
 	third, logged := reopen()
-	if !strings.Contains(logged, "controller state not restored") {
-		t.Fatalf("recovery logged %q, want the refused controller state", logged)
+	if !strings.Contains(logged, "controller state not restored (core: round position") ||
+		strings.Contains(logged, "engine state not restored") {
+		t.Fatalf("recovery logged %q, want the engine restored and the controller state refused", logged)
 	}
 	if st := third.ctrl.CheckpointState(); st.Phase != "warmup" || st.Epoch != 0 || st.EpochReqs != 0 {
 		t.Fatalf("a refused controller is in %s at epoch %d, request %d; want a fresh warm-up", st.Phase, st.Epoch, st.EpochReqs)
+	}
+}
+
+// TestRestartMidExploitRewarms: a controller state resumes only over the
+// engine it was learned on, whose deployed expert the exploit phase runs. A
+// node checkpointed mid-exploit, on an expert a fresh engine does not start
+// with, and restarted with another shard count restores neither part: it
+// logs that the controller was not restored and re-warms from epoch 0, and
+// it never reports exploit while its engine runs an expert other than the
+// one its epoch log last chose.
+func TestRestartMidExploitRewarms(t *testing.T) {
+	online := handoffOnlineCfg()
+	online.Epoch += online.Round / 2 // identification's last round ends before the epoch does
+	cfg := Config{
+		Model:    handoffModel(t),
+		Online:   online,
+		HOCBytes: 256 << 10,
+		DCBytes:  32 << 20,
+		Shards:   2,
+		Store:    diskcache.Config{Dir: t.TempDir(), Sync: diskcache.SyncOff},
+		Origin:   testOrigin(t),
+	}
+	first, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tracegen.ImageDownloadMix(50, 20000, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := tr.Requests
+	for first.ctrl.Phase() != core.PhaseExploit || first.eng.Expert() == cfg.Model.Experts[0] {
+		if len(reqs) == 0 {
+			t.Fatalf("the node never exploited an expert other than %v: %+v", cfg.Model.Experts[0], first.ctrl.Diags())
+		}
+		first.ctrl.Serve(reqs[0])
+		reqs = reqs[1:]
+	}
+	if err := first.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.dur.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Shards = 4
+	second, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { second.dur.store.Close() })
+	logged := stderrOf(t, second.dur.recover)
+	if !strings.Contains(logged, "engine state not restored") || !strings.Contains(logged, "controller state not restored") {
+		t.Fatalf("recovery logged %q, want the engine state and the controller state left unrestored", logged)
+	}
+	if st := second.ctrl.CheckpointState(); st.Phase != "warmup" || st.Epoch != 0 || st.EpochReqs != 0 {
+		t.Fatalf("the restarted controller is in %s at epoch %d, request %d; want a fresh warm-up", st.Phase, st.Epoch, st.EpochReqs)
+	}
+	deployed := func() {
+		t.Helper()
+		if second.ctrl.Phase() != core.PhaseExploit {
+			return
+		}
+		diags := second.ctrl.Diags()
+		if len(diags) == 0 || diags[len(diags)-1].Chosen != second.eng.Expert() {
+			t.Fatalf("the node exploits on %v; its epoch log %+v chose otherwise", second.eng.Expert(), diags)
+		}
+	}
+	deployed()
+	for _, r := range reqs[:2*cfg.Online.Epoch] {
+		second.ctrl.Serve(r)
+		deployed()
 	}
 }
 

@@ -1,11 +1,12 @@
 package server
 
 // Drain-time state handoff: when a node leaves the cluster deliberately
-// (SIGTERM drain), its learned state — bandit posteriors, cache books, the
-// controller's epoch position — does not have to die with it. The draining
-// node pushes a checkpoint frame (the DRWNCKPT format the durability layer
-// snapshots to disk, without the model the successor has its own of) to its
-// ring successor over POST /state, and the successor merges what it can use.
+// (SIGTERM drain), its cache contents do not have to die with it. The
+// draining node pushes a checkpoint frame (the DRWNCKPT format the
+// durability layer snapshots to disk) to its ring successor over POST
+// /state, and the successor merges the donor's resident objects into its
+// DC. That is all it takes from the frame: the donor's controller state was
+// learned over the donor's engine and traffic, and stays behind.
 // The successor is the right inheritor by construction: consistent hashing
 // hands a departed node's keyspace to its ring successors, so the inheritor
 // is exactly the node about to see the donor's traffic.

@@ -106,42 +106,6 @@ func (t *Trace) Scale(factor float64, perturb float64, seed int64) *Trace {
 	return out
 }
 
-// Stats summarises a trace.
-type Stats struct {
-	Requests      int
-	UniqueObjects int
-	TotalBytes    int64
-	UniqueBytes   int64
-	OneHitWonders int     // objects requested exactly once
-	MeanSize      float64 // mean requested size (per request)
-	DurationUS    int64
-}
-
-// Summarize computes summary statistics for t.
-func (t *Trace) Summarize() Stats {
-	counts := make(map[uint64]int, len(t.Requests)/2)
-	sizes := make(map[uint64]int64, len(t.Requests)/2)
-	var s Stats
-	s.Requests = len(t.Requests)
-	for _, r := range t.Requests {
-		counts[r.ID]++
-		sizes[r.ID] = r.Size
-		s.TotalBytes += r.Size
-	}
-	s.UniqueObjects = len(counts)
-	for id, c := range counts {
-		if c == 1 {
-			s.OneHitWonders++
-		}
-		s.UniqueBytes += sizes[id]
-	}
-	if s.Requests > 0 {
-		s.MeanSize = float64(s.TotalBytes) / float64(s.Requests)
-		s.DurationUS = t.Requests[len(t.Requests)-1].Time - t.Requests[0].Time
-	}
-	return s
-}
-
 // ErrBadRecord reports a malformed trace line.
 var ErrBadRecord = errors.New("trace: malformed record")
 

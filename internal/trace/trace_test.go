@@ -109,32 +109,6 @@ func TestScaleMinimumSize(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	s := sample().Summarize()
-	if s.Requests != 4 || s.UniqueObjects != 3 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.OneHitWonders != 2 { // objects 2 and 3
-		t.Fatalf("OneHitWonders = %d", s.OneHitWonders)
-	}
-	if s.TotalBytes != 450 || s.UniqueBytes != 350 {
-		t.Fatalf("bytes = %d/%d", s.TotalBytes, s.UniqueBytes)
-	}
-	if s.MeanSize != 112.5 {
-		t.Fatalf("MeanSize = %v", s.MeanSize)
-	}
-	if s.DurationUS != 30 {
-		t.Fatalf("DurationUS = %d", s.DurationUS)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := (&Trace{}).Summarize()
-	if s.Requests != 0 || s.MeanSize != 0 {
-		t.Fatalf("empty stats = %+v", s)
-	}
-}
-
 func TestRoundTrip(t *testing.T) {
 	tr := sample()
 	got, err := Read(strings.NewReader("1 100 0\n2 200 10\n1 100 20\n3 50 30\n"), "sample")

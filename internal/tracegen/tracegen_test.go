@@ -107,10 +107,10 @@ func TestClassCharacteristics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, sd := img.Summarize(), dl.Summarize()
+	si, sd := objectStatsOf(img), objectStatsOf(dl)
 	// Image: many one-hit wonders; Download: few.
-	ohwImg := float64(si.OneHitWonders) / float64(si.UniqueObjects)
-	ohwDl := float64(sd.OneHitWonders) / float64(sd.UniqueObjects)
+	ohwImg := float64(si.oneHitWonders) / float64(si.unique)
+	ohwDl := float64(sd.oneHitWonders) / float64(sd.unique)
 	if ohwImg < 0.3 {
 		t.Errorf("image one-hit-wonder fraction %.2f too low", ohwImg)
 	}
@@ -118,13 +118,36 @@ func TestClassCharacteristics(t *testing.T) {
 		t.Errorf("download OHW fraction %.2f should be below image %.2f", ohwDl, ohwImg)
 	}
 	// Download objects are much larger on average.
-	if sd.MeanSize < 4*si.MeanSize {
-		t.Errorf("download mean size %.0f not >> image mean size %.0f", sd.MeanSize, si.MeanSize)
+	if sd.meanSize < 4*si.meanSize {
+		t.Errorf("download mean size %.0f not >> image mean size %.0f", sd.meanSize, si.meanSize)
 	}
 	// Image catalog is much bigger (more unique objects in same-length trace).
-	if si.UniqueObjects < 4*sd.UniqueObjects {
-		t.Errorf("image uniques %d not >> download uniques %d", si.UniqueObjects, sd.UniqueObjects)
+	if si.unique < 4*sd.unique {
+		t.Errorf("image uniques %d not >> download uniques %d", si.unique, sd.unique)
 	}
+}
+
+// objectStats is what the class tests read of a trace.
+type objectStats struct {
+	unique        int     // distinct objects
+	oneHitWonders int     // objects requested exactly once
+	meanSize      float64 // mean requested size, per request
+}
+
+func objectStatsOf(tr *trace.Trace) objectStats {
+	counts := make(map[uint64]int)
+	var bytes int64
+	for _, r := range tr.Requests {
+		counts[r.ID]++
+		bytes += r.Size
+	}
+	s := objectStats{unique: len(counts), meanSize: float64(bytes) / float64(tr.Len())}
+	for _, c := range counts {
+		if c == 1 {
+			s.oneHitWonders++
+		}
+	}
+	return s
 }
 
 func TestImageSmallObjectShare(t *testing.T) {
@@ -201,8 +224,7 @@ func TestScanClassNearlyOnePass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := tr.Summarize()
-	if ratio := float64(s.Requests) / float64(s.UniqueObjects); ratio > 3 {
+	if ratio := float64(tr.Len()) / float64(objectStatsOf(tr).unique); ratio > 3 {
 		t.Errorf("scan reuse ratio %.2f, want near 1", ratio)
 	}
 }
