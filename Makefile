@@ -48,9 +48,12 @@ race:
 # decoders (persist frames, journal records and logs, checkpoint and
 # neural-weight payloads) — corrupted on-disk bytes must produce typed
 # errors, never panics — a checkpoint with one edited slice or number (what
-# decodes must restore and run), a /state frame with one (no frame may change
-# the heir's controller state; an accepted one lands the donor's residents in
-# the heir's cache, which plays on), and internal/lint's own annotation
+# restores must run; a controller part its restore refuses leaves the
+# restored engine playing from a fresh warm-up), a /state frame with one,
+# seeded also with a garbage controller part, a bad tracker and a null
+# shard (no frame may change the heir's controller state; a malformed
+# merged level is refused whole; an accepted frame lands the donor's
+# residents in the heir's cache, which plays on), and internal/lint's own annotation
 # parsers
 # (//lint:ignore directives and guarded-by comments).
 fuzz:

@@ -84,6 +84,7 @@ var goneIdents = []string{
 	"neural.ReLU", "neural.Identity", "reusing trained model from checkpoint",
 	"Eviction.ID", "Eviction.Len",
 	"AdoptState", "controllerAhead", "Summarize",
+	"ShardedState.Validate", "bandit.State.Validate",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

@@ -35,15 +35,19 @@ func (st *State) clone() *State {
 	return &out
 }
 
-// Validate is State's one shape check, run when a checkpoint is decoded:
-// the per-arm arrays agree, the play counts add up to the round count, the
-// estimators are finite, and the stop fields are consistent. What depends on
-// the run it is restored into — the arm count — SetState checks.
-func (st *State) Validate() error {
-	k := len(st.Plays)
-	if len(st.SumWY) != k || len(st.Rho) != k || len(st.Mu) != k {
-		return fmt.Errorf("bandit: state arrays disagree: plays=%d sumWY=%d rho=%d mu=%d",
-			k, len(st.SumWY), len(st.Rho), len(st.Mu))
+// SetState restores a snapshot onto a run created with an equivalent
+// Config, after checking it whole: the per-arm arrays have the run's arm
+// count, the play counts add up to the round count, the estimators are
+// finite, and the stop fields are consistent. On error the receiver is
+// unchanged.
+func (a *Algorithm) SetState(st *State) error {
+	if st == nil {
+		return fmt.Errorf("bandit: nil state")
+	}
+	k := a.k
+	if len(st.Plays) != k || len(st.SumWY) != k || len(st.Rho) != k || len(st.Mu) != k {
+		return fmt.Errorf("bandit: state arrays plays=%d sumWY=%d rho=%d mu=%d, run has %d arms",
+			len(st.Plays), len(st.SumWY), len(st.Rho), len(st.Mu), k)
 	}
 	if st.T < 0 {
 		return fmt.Errorf("bandit: negative round count %d", st.T)
@@ -81,19 +85,6 @@ func (st *State) Validate() error {
 	}
 	if st.Done && st.Reason == "" {
 		return fmt.Errorf("bandit: done without a stop reason")
-	}
-	return nil
-}
-
-// SetState restores a snapshot that has passed Validate onto a run created
-// with an equivalent Config. It checks that the snapshot has the run's arm
-// count; on error the receiver is unchanged.
-func (a *Algorithm) SetState(st *State) error {
-	if st == nil {
-		return fmt.Errorf("bandit: nil state")
-	}
-	if len(st.Plays) != a.k {
-		return fmt.Errorf("bandit: state has %d arms, run has %d", len(st.Plays), a.k)
 	}
 	a.st = *st.clone()
 	return nil

@@ -9,10 +9,9 @@ import (
 // This file is the cache engine's checkpoint/restore seam: every piece of
 // per-shard learned and resident state — HOC/DC contents in eviction order,
 // the request counts and missed marks, metrics, and the deployed expert —
-// exports to a plain serialisable struct. A decoded snapshot's shape is
-// checked once, by ShardedState.Validate; restore checks only that it fits
-// the engine, and builds everything before any live field is mutated (never
-// half-apply).
+// exports to a plain serialisable struct. Restore checks a snapshot's
+// shape, then that it fits the engine, and builds everything before any
+// live field is mutated (never half-apply).
 
 // TrackerState is the serialisable form of the request counts and missed
 // marks: parallel IDs/Counts/LastSeen/Missed arrays over every record with
@@ -172,7 +171,7 @@ func (m Metrics) Validate() error {
 }
 
 // validate checks everything about a shard snapshot that can be judged
-// without the hierarchy it is restored into.
+// without the hierarchy it is restored into: its shape.
 func (st *HierarchyState) validate() error {
 	if st == nil {
 		return fmt.Errorf("cache: nil hierarchy state")
@@ -199,11 +198,15 @@ type restoredParts struct {
 	hoc, dc Eviction
 }
 
-// prepareRestoreState checks that a validated st fits this hierarchy and
-// builds the replacement structures — a fresh record table from the
-// tracker, HOC and DC state, and both levels — without mutating anything.
+// prepareRestoreState checks st's shape, then that it fits this
+// hierarchy, and builds the replacement structures — a fresh record table
+// from the tracker, HOC and DC state, and both levels — without mutating
+// anything.
 func (h *Hierarchy) prepareRestoreState(st *HierarchyState) (restoredParts, error) {
 	var parts restoredParts
+	if err := st.validate(); err != nil {
+		return parts, err
+	}
 	if st.HOCBytes != h.hocCap || st.DCBytes != h.dcCap {
 		return parts, fmt.Errorf("cache: snapshot capacities (hoc=%d dc=%d) do not match engine (hoc=%d dc=%d)",
 			st.HOCBytes, st.DCBytes, h.hocCap, h.dcCap)
@@ -234,10 +237,10 @@ func (h *Hierarchy) commitRestoreState(st *HierarchyState, parts restoredParts) 
 }
 
 // RestoreState replaces the hierarchy's resident and learned state with a
-// validated snapshot (decoded, or State's own), checking only that it fits;
-// on error the hierarchy is unchanged. The DC journal is deliberately not
-// written — after a crash the disk log itself is the fresher source of DC
-// truth and is reconciled separately via RestoreDC.
+// snapshot (decoded, or State's own) once it has checked the snapshot's
+// shape and fit; on error the hierarchy is unchanged. The DC journal is
+// deliberately not written — after a crash the disk log itself is the
+// fresher source of DC truth and is reconciled separately via RestoreDC.
 func (h *Hierarchy) RestoreState(st *HierarchyState) error {
 	parts, err := h.prepareRestoreState(st)
 	if err != nil {
@@ -330,17 +333,6 @@ type ShardedState struct {
 	Shards []*HierarchyState `json:"shards"`
 }
 
-// Validate is the engine snapshot's one shape check, run by the checkpoint
-// decoder, so restore only has to check that the snapshot fits.
-func (st *ShardedState) Validate() error {
-	for i, sh := range st.Shards {
-		if err := sh.validate(); err != nil {
-			return fmt.Errorf("cache: shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
 // State snapshots every shard. Each shard is captured under its own lock;
 // the aggregate is per-shard consistent (the same consistency Metrics
 // provides), which is exactly what a restart needs.
@@ -350,10 +342,14 @@ func (s *Sharded) State() *ShardedState {
 	return st
 }
 
-// RestoreState restores every shard from a validated snapshot taken with
-// the same shard count. Every shard is checked to fit before any shard is
-// mutated, so a snapshot that does not fit leaves the engine untouched.
+// RestoreState restores every shard from a snapshot taken with the same
+// shard count. Every shard's shape and fit are checked before any shard is
+// mutated, so a snapshot that is malformed or does not fit leaves the
+// engine untouched.
 func (s *Sharded) RestoreState(st *ShardedState) error {
+	if st == nil {
+		return fmt.Errorf("cache: no engine state")
+	}
 	if len(st.Shards) != len(s.shards) {
 		return fmt.Errorf("cache: snapshot has %d shards, engine has %d", len(st.Shards), len(s.shards))
 	}
@@ -382,19 +378,24 @@ func (s *Sharded) split(objs []ResidentObject) [][]ResidentObject {
 	return perShard
 }
 
-// MergeDC folds one level of a donor node's residents into the engine — the
-// drain-handoff merge — routing each entry to its owning shard and merging
-// under the shard lock. A level checkLevel rejects is refused before any
-// shard is mutated. Returns the total entries admitted.
-func (s *Sharded) MergeDC(entries []ResidentObject) (int, error) {
-	if err := checkLevel(entries, math.MaxInt64); err != nil {
-		return 0, fmt.Errorf("cache: merge: %w", err)
+// MergeDC folds levels of a donor node's residents into the engine — the
+// drain-handoff merge — in order, routing each entry to its owning shard and
+// merging under the shard lock. If checkLevel rejects any level, none is
+// merged and no shard is mutated. Returns the total entries admitted.
+func (s *Sharded) MergeDC(levels ...[]ResidentObject) (int, error) {
+	for i, level := range levels {
+		if err := checkLevel(level, math.MaxInt64); err != nil {
+			return 0, fmt.Errorf("cache: merge: level %d: %w", i, err)
+		}
 	}
-	perShard, added := s.split(entries), 0
-	s.each(func(i int, h *Hierarchy) {
-		n, _ := h.MergeDC(perShard[i]) // a part of a checked level passes the check
-		added += n
-	})
+	added := 0
+	for _, level := range levels {
+		perShard := s.split(level)
+		s.each(func(i int, h *Hierarchy) {
+			n, _ := h.MergeDC(perShard[i]) // a part of a checked level passes the check
+			added += n
+		})
+	}
 	return added, nil
 }
 

@@ -101,11 +101,9 @@ func TestHierarchyStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHierarchyRestoreRejectsCorruptState: every malformed snapshot is
-// rejected whole by the check that owns it — a shape error by validate,
-// which the checkpoint decoder runs, and a snapshot that does not fit by
-// RestoreState, after which the target hierarchy keeps serving its own
-// state.
+// TestHierarchyRestoreRejectsCorruptState: RestoreState rejects every
+// malformed snapshot whole, whether its shape is wrong or it does not fit,
+// and the target hierarchy keeps serving its own state.
 func TestHierarchyRestoreRejectsCorruptState(t *testing.T) {
 	cfg := newStateTestConfig()
 	donor, err := New(cfg)
@@ -116,32 +114,31 @@ func TestHierarchyRestoreRejectsCorruptState(t *testing.T) {
 	good := donor.State()
 
 	corrupt := []struct {
-		name     string
-		atDecode bool
-		mut      func(st *HierarchyState)
+		name string
+		mut  func(st *HierarchyState)
 	}{
-		{"capacity-mismatch", false, func(st *HierarchyState) { st.HOCBytes++ }},
-		{"eviction-mismatch", false, func(st *HierarchyState) { st.HOCEviction = "lfu" }},
-		{"negative-size", true, func(st *HierarchyState) { st.DC[0].Size = -5 }},
-		{"duplicate-entry", true, func(st *HierarchyState) { st.DC[1] = st.DC[0] }},
-		{"overflow", true, func(st *HierarchyState) { st.HOC[0].Size = st.HOCBytes + 1 }},
-		{"mark-arrays", true, func(st *HierarchyState) { st.Tracker.Missed = st.Tracker.Missed[:1] }},
-		{"mark-uncounted-unmarked", true, func(st *HierarchyState) {
+		{"capacity-mismatch", func(st *HierarchyState) { st.HOCBytes++ }},
+		{"eviction-mismatch", func(st *HierarchyState) { st.HOCEviction = "lfu" }},
+		{"negative-size", func(st *HierarchyState) { st.DC[0].Size = -5 }},
+		{"duplicate-entry", func(st *HierarchyState) { st.DC[1] = st.DC[0] }},
+		{"overflow", func(st *HierarchyState) { st.HOC[0].Size = st.HOCBytes + 1 }},
+		{"mark-arrays", func(st *HierarchyState) { st.Tracker.Missed = st.Tracker.Missed[:1] }},
+		{"mark-uncounted-unmarked", func(st *HierarchyState) {
 			st.Tracker.Counts[0], st.Tracker.LastSeen[0], st.Tracker.Missed[0] = 0, 0, false
 		}},
-		{"mark-uncounted-seen", true, func(st *HierarchyState) {
+		{"mark-uncounted-seen", func(st *HierarchyState) {
 			st.Tracker.Counts[0], st.Tracker.LastSeen[0], st.Tracker.Missed[0] = 0, 1, true
 		}},
-		{"tracker-negative-count", true, func(st *HierarchyState) { st.Tracker.Counts[0] = -1 }},
-		{"tracker-nil", true, func(st *HierarchyState) { st.Tracker = nil }},
-		{"tracker-arrays", true, func(st *HierarchyState) { st.Tracker.Counts = st.Tracker.Counts[:1] }},
-		{"tracker-duplicate-id", true, func(st *HierarchyState) { st.Tracker.IDs[1] = st.Tracker.IDs[0] }},
-		{"tracker-seen-later", true, func(st *HierarchyState) { st.Tracker.LastSeen[0] = st.ReqIdx }},
-		{"tracker-seen-negative", true, func(st *HierarchyState) { st.Tracker.LastSeen[0] = -1 }},
-		{"negative-req-idx", true, func(st *HierarchyState) { st.ReqIdx, st.Tracker = -1, &TrackerState{} }},
-		{"negative-switches", true, func(st *HierarchyState) { st.Switches = -1 }},
-		{"negative-counter", true, func(st *HierarchyState) { st.Metrics.DCWriteBytes = -1 }},
-		{"unbalanced-metrics", true, func(st *HierarchyState) { st.Metrics.Misses++ }},
+		{"tracker-negative-count", func(st *HierarchyState) { st.Tracker.Counts[0] = -1 }},
+		{"tracker-nil", func(st *HierarchyState) { st.Tracker = nil }},
+		{"tracker-arrays", func(st *HierarchyState) { st.Tracker.Counts = st.Tracker.Counts[:1] }},
+		{"tracker-duplicate-id", func(st *HierarchyState) { st.Tracker.IDs[1] = st.Tracker.IDs[0] }},
+		{"tracker-seen-later", func(st *HierarchyState) { st.Tracker.LastSeen[0] = st.ReqIdx }},
+		{"tracker-seen-negative", func(st *HierarchyState) { st.Tracker.LastSeen[0] = -1 }},
+		{"negative-req-idx", func(st *HierarchyState) { st.ReqIdx, st.Tracker = -1, &TrackerState{} }},
+		{"negative-switches", func(st *HierarchyState) { st.Switches = -1 }},
+		{"negative-counter", func(st *HierarchyState) { st.Metrics.DCWriteBytes = -1 }},
+		{"unbalanced-metrics", func(st *HierarchyState) { st.Metrics.Misses++ }},
 	}
 	for _, tc := range corrupt {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,12 +157,6 @@ func TestHierarchyRestoreRejectsCorruptState(t *testing.T) {
 				t.Fatal(err)
 			}
 			tc.mut(&bad)
-			if err := bad.validate(); (err != nil) != tc.atDecode {
-				t.Fatalf("validate() = %v, want an error: %v", err, tc.atDecode)
-			}
-			if tc.atDecode {
-				return
-			}
 			if err := target.RestoreState(&bad); err == nil {
 				t.Fatal("corrupt state accepted")
 			}

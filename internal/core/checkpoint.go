@@ -83,9 +83,9 @@ func (st *ControllerState) clone() *ControllerState {
 	return &out
 }
 
-// validate is the controller snapshot's one shape check, run by the
-// checkpoint decoder: everything that can be judged without the model and
-// config the snapshot is restored into.
+// validate is the controller snapshot's shape check: everything that can be
+// judged without the model and config the snapshot is restored into,
+// except the bandit state, which SetState checks with its arm count.
 func (st *ControllerState) validate() error {
 	switch st.Phase {
 	case PhaseWarmup, PhaseIdentify, PhaseExploit:
@@ -126,10 +126,10 @@ func (st *ControllerState) validate() error {
 	if st.CurArm < 0 || st.CurArm >= len(st.Set) {
 		return fmt.Errorf("core: current arm %d out of range for %d-arm set", st.CurArm, len(st.Set))
 	}
-	return st.Bandit.Validate()
+	return nil
 }
 
-// fitLocked checks that st, which has passed validate, fits the
+// fitLocked checks st's shape (validate), then that it fits the
 // controller's model and config. A snapshot that names a cluster's expert
 // set must name the set this model gives that cluster: any other set was
 // learned under another model, whose cluster ids, posteriors and features
@@ -138,6 +138,9 @@ func (st *ControllerState) validate() error {
 func (c *Controller) fitLocked(st *ControllerState) (*bandit.Algorithm, error) {
 	if st == nil {
 		return nil, fmt.Errorf("core: nil controller state")
+	}
+	if err := st.validate(); err != nil {
+		return nil, err
 	}
 	if st.EpochReqs >= c.cfg.Epoch {
 		return nil, fmt.Errorf("core: epoch position %d/%d out of range", st.EpochReqs, c.cfg.Epoch)
@@ -175,8 +178,8 @@ func (c *Controller) fitLocked(st *ControllerState) (*bandit.Algorithm, error) {
 // DecodeCheckpointFrame, onto a controller whose engine was restored from the
 // same checkpoint: an open identification round continues from the
 // snapshot's baseline, and exploit keeps the expert the engine state carries.
-// It checks only that the snapshot fits the model and config; on error the
-// controller is unchanged.
+// It checks the snapshot's shape and that it fits the model and config; on
+// error the controller is unchanged.
 func (c *Controller) RestoreState(st *ControllerState) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -208,7 +211,10 @@ func (c *Controller) RestoreState(st *ControllerState) error {
 // checkpoint through a drain handoff merges only its cache. The model is
 // not part of it: every node loads its own (ReadModel). A version-2 frame
 // written while checkpoints still carried the model decodes too — the
-// "model" key is ignored like any unknown one.
+// "model" key is ignored like any unknown one. Decoding checks no part:
+// each part's reader checks what it reads (Sharded.RestoreState,
+// Controller.RestoreState, Sharded.MergeDC), so a bad part costs only
+// itself.
 type Checkpoint struct {
 	Engine     *cache.ShardedState `json:"engine,omitempty"`
 	Controller *ControllerState    `json:"controller,omitempty"`
@@ -222,24 +228,12 @@ func encodeCheckpoint(ck *Checkpoint) ([]byte, error) {
 	return json.Marshal(ck)
 }
 
-// decodeCheckpoint parses a frame payload produced by encodeCheckpoint and
-// validates each part's shape — ShardedState.Validate and the controller
-// state's validate — rejecting the checkpoint whole if either part is
-// malformed. Restore then only checks that a part fits.
+// decodeCheckpoint parses a frame payload produced by encodeCheckpoint. It
+// checks no part: restore and merge check what they read.
 func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 	var ck Checkpoint
 	if err := json.Unmarshal(payload, &ck); err != nil {
 		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
-	}
-	if ck.Engine != nil {
-		if err := ck.Engine.Validate(); err != nil {
-			return nil, fmt.Errorf("core: checkpoint engine: %w", err)
-		}
-	}
-	if ck.Controller != nil {
-		if err := ck.Controller.validate(); err != nil {
-			return nil, fmt.Errorf("core: checkpoint controller: %w", err)
-		}
 	}
 	return &ck, nil
 }
@@ -247,7 +241,7 @@ func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
 // EncodeCheckpointFrame serialises a checkpoint into its framed, checksummed
 // byte stream: the bytes of a node's checkpoint file and the wire format of
 // the /state drain handoff, a DRWNCKPT frame whose CRC lets the reader
-// validate the whole checkpoint before touching any live state.
+// refuse a damaged frame before parsing it.
 func EncodeCheckpointFrame(ck *Checkpoint) ([]byte, error) {
 	payload, err := encodeCheckpoint(ck)
 	if err != nil {
@@ -260,9 +254,9 @@ func EncodeCheckpointFrame(ck *Checkpoint) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// DecodeCheckpointFrame parses a framed checkpoint produced by
-// EncodeCheckpointFrame. Framing damage returns a typed *persist.FormatError;
-// nothing panics.
+// DecodeCheckpointFrame checks a framed checkpoint's magic, version and CRC
+// and parses its JSON; it checks no part's contents. Framing damage returns
+// a typed *persist.FormatError; nothing panics.
 func DecodeCheckpointFrame(data []byte) (*Checkpoint, error) {
 	payload, err := persist.DecodeFrame(bytes.NewReader(data), CheckpointMagic, CheckpointFormatVersion)
 	if err != nil {

@@ -211,10 +211,9 @@ func TestCheckpointResumeWarmup(t *testing.T) {
 	}
 }
 
-// TestControllerRestoreRejectsInvalid: each malformed controller snapshot is
-// rejected by the check that owns it — a shape error by decodeCheckpoint,
-// and a snapshot that does not fit the model or config by RestoreState,
-// which then leaves the controller unchanged.
+// TestControllerRestoreRejectsInvalid: RestoreState refuses every malformed
+// controller snapshot, whether its shape is wrong or it does not fit the
+// model or config, and leaves the controller unchanged.
 func TestControllerRestoreRejectsInvalid(t *testing.T) {
 	m := trainedModel(t)
 	c, _ := newShardedController(t, m)
@@ -227,25 +226,24 @@ func TestControllerRestoreRejectsInvalid(t *testing.T) {
 	identify := c.Phase() == PhaseIdentify
 
 	cases := []struct {
-		name     string
-		skip     bool
-		atDecode bool
-		mut      func(st *ControllerState)
+		name string
+		skip bool
+		mut  func(st *ControllerState)
 	}{
-		{"nil", false, false, nil},
-		{"bad-phase", false, true, func(st *ControllerState) { st.Phase = "transcend" }},
-		{"negative-epoch", false, true, func(st *ControllerState) { st.Epoch = -1 }},
-		{"epoch-overrun", false, false, func(st *ControllerState) { st.EpochReqs = onlineCfg().Epoch }},
-		{"bad-expert-ref", len(good.Set) == 0, false, func(st *ControllerState) { st.Set[0] = 999 }},
-		{"bad-cluster", len(good.Set) == 0, false, func(st *ControllerState) { st.ClusterID = 999 }},
-		{"identify-no-bandit", !identify, true, func(st *ControllerState) { st.Bandit = nil }},
-		{"identify-bad-arm", !identify, true, func(st *ControllerState) { st.CurArm = 99 }},
-		{"identify-bandit-mismatch", !identify, true, func(st *ControllerState) { st.Bandit.Plays = st.Bandit.Plays[:1] }},
-		{"identify-round-overrun", !identify, false, func(st *ControllerState) { st.RoundReqs = onlineCfg().Round }},
-		{"identify-short-features", !identify, false, func(st *ControllerState) { st.Extended = st.Extended[:3] }},
-		{"profile-mismatch", false, true, func(st *ControllerState) { st.Prof.Sizes = append(st.Prof.Sizes, 1) }},
-		{"round-start-negative", false, true, func(st *ControllerState) { st.RoundStart.MissBytes = -1 }},
-		{"round-start-unbalanced", false, true, func(st *ControllerState) { st.RoundStart.HOCHits++ }},
+		{"nil", false, nil},
+		{"bad-phase", false, func(st *ControllerState) { st.Phase = "transcend" }},
+		{"negative-epoch", false, func(st *ControllerState) { st.Epoch = -1 }},
+		{"epoch-overrun", false, func(st *ControllerState) { st.EpochReqs = onlineCfg().Epoch }},
+		{"bad-expert-ref", len(good.Set) == 0, func(st *ControllerState) { st.Set[0] = 999 }},
+		{"bad-cluster", len(good.Set) == 0, func(st *ControllerState) { st.ClusterID = 999 }},
+		{"identify-no-bandit", !identify, func(st *ControllerState) { st.Bandit = nil }},
+		{"identify-bad-arm", !identify, func(st *ControllerState) { st.CurArm = 99 }},
+		{"identify-bandit-mismatch", !identify, func(st *ControllerState) { st.Bandit.Plays = st.Bandit.Plays[:1] }},
+		{"identify-round-overrun", !identify, func(st *ControllerState) { st.RoundReqs = onlineCfg().Round }},
+		{"identify-short-features", !identify, func(st *ControllerState) { st.Extended = st.Extended[:3] }},
+		{"profile-mismatch", false, func(st *ControllerState) { st.Prof.Sizes = append(st.Prof.Sizes, 1) }},
+		{"round-start-negative", false, func(st *ControllerState) { st.RoundStart.MissBytes = -1 }},
+		{"round-start-unbalanced", false, func(st *ControllerState) { st.RoundStart.HOCHits++ }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -257,16 +255,6 @@ func TestControllerRestoreRejectsInvalid(t *testing.T) {
 			if tc.mut != nil {
 				bad = decodeController(t, good)
 				tc.mut(bad)
-				payload, err := encodeCheckpoint(&Checkpoint{Controller: bad})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := decodeCheckpoint(payload); (err != nil) != tc.atDecode {
-					t.Fatalf("decodeCheckpoint: %v, want an error: %v", err, tc.atDecode)
-				}
-			}
-			if tc.atDecode {
-				return
 			}
 			if err := c.RestoreState(bad); err == nil {
 				t.Fatal("invalid controller state accepted")
@@ -400,15 +388,17 @@ func mutate(v any, op uint8, at uint16, val int16) {
 	}
 }
 
-// FuzzCheckpointRuns: a checkpoint decodeCheckpoint accepts is one a
-// controller can run. The seeds are valid payloads taken in warm-up,
-// identification and exploit; the fuzz input picks one and one mutate edit
-// (a small signed delta: counters a request away from wrapping int64 are
-// not a state a node reaches). An accepted payload is restored into a fresh
-// controller over Sharded(2) — a part that does not fit is a clean error —
-// which then plays a trace crossing a round and an epoch boundary: no
-// panic, every request counted once, and the controller's own checkpoint
-// decodes and re-encodes to the same bytes.
+// FuzzCheckpointRuns: a checkpoint its restores accept is one a controller
+// can run. The seeds are valid payloads taken in warm-up, identification
+// and exploit; the fuzz input picks one and one mutate edit (a small signed
+// delta: counters a request away from wrapping int64 are not a state a node
+// reaches). The payload is restored into a fresh controller over
+// Sharded(2): a part that is malformed or does not fit is a clean error. An
+// engine part refused ends the case. Over a restored engine, a refused
+// controller part leaves a fresh warm-up, and either way the controller
+// plays a trace crossing a round and an epoch boundary: no panic, every
+// request counted once, and the controller's own checkpoint re-encodes to
+// the same bytes and restores into another fresh controller.
 func FuzzCheckpointRuns(f *testing.F) {
 	m := trainedModel(f)
 	cfg := OnlineConfig{Epoch: 1200, Warmup: 300, Round: 100, StabilityRounds: 3}
@@ -461,17 +451,24 @@ func FuzzCheckpointRuns(f *testing.F) {
 		}
 		c, eng := rig(t)
 		ck, err := decodeCheckpoint(payload)
-		if err == nil {
-			err = eng.RestoreState(ck.Engine)
+		if err != nil {
+			t.Fatalf("a marshalled checkpoint does not decode: %v", err)
 		}
-		if err == nil {
-			err = c.RestoreState(ck.Controller)
-		}
-		if unedited := op%3 == 2 && val == 0; err != nil {
+		unedited := op%3 == 2 && val == 0
+		if err := eng.RestoreState(ck.Engine); err != nil {
 			if unedited {
-				t.Fatalf("an unedited seed does not load: %v", err)
+				t.Fatalf("an unedited seed's engine does not restore: %v", err)
 			}
 			return
+		}
+		if err := c.RestoreState(ck.Controller); err != nil {
+			if unedited {
+				t.Fatalf("an unedited seed's controller does not restore: %v", err)
+			}
+			if st := c.CheckpointState(); st.Phase != PhaseWarmup || st.Epoch != 0 || st.EpochReqs != 0 || st.Bandit != nil {
+				t.Fatalf("a refused controller part (%v) left %s at epoch %d, request %d; want a fresh warm-up",
+					err, st.Phase, st.Epoch, st.EpochReqs)
+			}
 		}
 		c.Play(play)
 		if mt := eng.Metrics(); mt.HOCHits+mt.DCHits+mt.Misses != mt.Requests {
@@ -487,6 +484,13 @@ func FuzzCheckpointRuns(f *testing.F) {
 		}
 		if twice, err := encodeCheckpoint(ck); err != nil || !bytes.Equal(twice, again) {
 			t.Fatalf("the checkpoint does not round-trip its bytes (%v)", err)
+		}
+		c, eng = rig(t)
+		if err := eng.RestoreState(ck.Engine); err != nil {
+			t.Fatalf("the controller's own engine state does not restore: %v", err)
+		}
+		if err := c.RestoreState(ck.Controller); err != nil {
+			t.Fatalf("the controller's own state does not restore: %v", err)
 		}
 	})
 }

@@ -134,7 +134,7 @@ func TestControllerEpochRollover(t *testing.T) {
 // TestControllerKeepsNewestDiags: the epoch log, which every checkpoint and
 // /state frame carries, holds the newest maxDiags epochs and no more, so the
 // encoded controller state stops growing once the log is full; a snapshot
-// with a longer log does not decode.
+// with a longer log decodes, and RestoreState refuses it.
 func TestControllerKeepsNewestDiags(t *testing.T) {
 	m := trainedModel(t)
 	cfg := OnlineConfig{Epoch: 60, Warmup: 20, Round: 10, StabilityRounds: 1}
@@ -182,8 +182,12 @@ func TestControllerKeepsNewestDiags(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := DecodeCheckpointFrame(frame); (err == nil) != ok {
-			t.Fatalf("a snapshot with %d diagnostics: decode error %v, want one: %v", n, err, !ok)
+		ck, err := DecodeCheckpointFrame(frame)
+		if err != nil {
+			t.Fatalf("a snapshot with %d diagnostics does not decode: %v", n, err)
+		}
+		if err := c.RestoreState(ck.Controller); (err == nil) != ok {
+			t.Fatalf("a snapshot with %d diagnostics: restore error %v, want one: %v", n, err, !ok)
 		}
 	}
 }

@@ -5,11 +5,14 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 
 	"darwin/internal/neural"
+	"darwin/internal/tracegen"
 )
 
 func TestModelRoundTrip(t *testing.T) {
@@ -63,6 +66,10 @@ func TestModelRoundTrip(t *testing.T) {
 	}
 }
 
+// pinnedModelSHA256 is the SHA-256 of the model file TestModelBytesPinned
+// trains and writes, and of testdata/drwnmodl-v2.bin.
+const pinnedModelSHA256 = "ba4211946ff4554db094ae39313b8ceb4968853c8cc5427c6e7dd289ce12a31b"
+
 // TestModelBytesPinned pins the bytes of a trained model file: clustering,
 // expert sets, mean rewards, scaler and every predictor weight. Offline
 // training is deterministic per seed, so any drift in it — a changed SGD step,
@@ -80,9 +87,50 @@ func TestModelBytesPinned(t *testing.T) {
 	if err := WriteModel(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	const want = "ba4211946ff4554db094ae39313b8ceb4968853c8cc5427c6e7dd289ce12a31b"
-	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != want {
-		t.Fatalf("model bytes moved: sha256 %s, want %s", got, want)
+	if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != pinnedModelSHA256 {
+		t.Fatalf("model bytes moved: sha256 %s, want %s", got, pinnedModelSHA256)
+	}
+}
+
+// TestCommittedModelFile: testdata/drwnmodl-v2.bin is the file WriteModel
+// writes for TestModelBytesPinned's model, in DRWNMODL frame version 2, so
+// its SHA-256 is the pinned digest. On any GOARCH, ReadModel reads it,
+// WriteModel writes the same bytes back, and a controller over it plays two
+// epochs of a trace, deciding each.
+func TestCommittedModelFile(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "drwnmodl-v2.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != pinnedModelSHA256 {
+		t.Fatalf("testdata model file: sha256 %s, want %s", got, pinnedModelSHA256)
+	}
+	m, err := ReadModel(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteModel(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Fatal("WriteModel does not write the file ReadModel read")
+	}
+	cfg := OnlineConfig{Epoch: 1200, Warmup: 300, Round: 100, StabilityRounds: 3}
+	c, err := NewController(m, newHier(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tracegen.ImageDownloadMix(50, 2*cfg.Epoch, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Play(tr)
+	if mt := c.Metrics(); mt.Requests != int64(tr.Len()) || mt.HOCHits+mt.DCHits+mt.Misses != mt.Requests {
+		t.Fatalf("played %d requests, the engine counts %+v", tr.Len(), mt)
+	}
+	if d := c.Diags(); len(d) != 2 {
+		t.Fatalf("two epochs played, %d decided: %+v", len(d), d)
 	}
 }
 

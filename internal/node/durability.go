@@ -1,7 +1,6 @@
 package node
 
 import (
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -100,10 +99,9 @@ func (d *durability) start() {
 func (d *durability) recover() {
 	start := time.Now()
 	if ck := d.loaded; ck != nil {
-		err := errors.New("the checkpoint holds no engine state")
-		if ck.Engine != nil {
-			err = d.eng.RestoreState(ck.Engine)
-		}
+		// Each restore checks only the part it reads: a refused controller
+		// part leaves the restored engine serving.
+		err := d.eng.RestoreState(ck.Engine)
 		if err != nil {
 			logf("engine state not restored (%v); continuing cold", err)
 		} else if d.ctrl != nil && ck.Controller != nil {

@@ -10,10 +10,12 @@ package node
 // behind: it was learned over the donor's traffic and the donor's engine,
 // and the successor keeps learning its own way over its own model.
 //
-// Everything is validate-then-commit: the frame's CRC and the checkpoint
-// decode, which validates every part, run before the first mutation, so a
-// corrupt frame leaves the inheritor untouched (the server layer answers it
-// 400 and counts a state_reject).
+// The acceptor checks only what it merges — the frame's CRC, an engine part
+// with no null shard, every resident level — all before the first
+// mutation, so a frame that fails leaves the inheritor untouched (the
+// server layer answers it 400 and counts a state_reject), and a malformed
+// controller part, tracker or metrics, which the heir does not read, costs
+// it nothing.
 
 import (
 	"fmt"
@@ -35,33 +37,37 @@ func snapshot(eng *cache.Sharded, ctrl *core.Controller) *core.Checkpoint {
 // donorLevels lists a donor engine snapshot's resident levels in the order
 // MergeDC admits them: every shard's DC, then every shard's HOC (MergeDC
 // evicts from the DC tail under pressure, so the donor's hottest objects —
-// its HOC — are admitted last and sit most-protected).
-func donorLevels(es *cache.ShardedState) [][]cache.ResidentObject {
+// its HOC — are admitted last and sit most-protected). A missing engine
+// part or a null shard is an error.
+func donorLevels(es *cache.ShardedState) ([][]cache.ResidentObject, error) {
+	if es == nil {
+		return nil, fmt.Errorf("handoff: frame carries no engine state")
+	}
 	var dcs, hocs [][]cache.ResidentObject
-	for _, sh := range es.Shards {
+	for i, sh := range es.Shards {
+		if sh == nil {
+			return nil, fmt.Errorf("handoff: donor shard %d is null", i)
+		}
 		dcs, hocs = append(dcs, sh.DC), append(hocs, sh.HOC)
 	}
-	return append(dcs, hocs...)
+	return append(dcs, hocs...), nil
 }
 
-// handoffAcceptor builds the /state POST side: decode (which validates the
-// frame's every part), then merge the donor's cache, which cannot fail on
-// decoded levels. A frame from an older donor also carries its model, which
-// the decoder skips.
+// handoffAcceptor builds the /state POST side: decode the frame, then merge
+// the donor's resident levels, which MergeDC checks all before it merges
+// the first. A frame from an older donor also carries its model, which the
+// decoder skips.
 func handoffAcceptor(eng *cache.Sharded) func([]byte) error {
 	return func(data []byte) error {
 		ck, err := core.DecodeCheckpointFrame(data)
 		if err != nil {
 			return err
 		}
-		if ck.Engine == nil {
-			return fmt.Errorf("handoff: frame carries no engine state")
+		levels, err := donorLevels(ck.Engine)
+		if err != nil {
+			return err
 		}
-		for _, level := range donorLevels(ck.Engine) {
-			if _, err := eng.MergeDC(level); err != nil {
-				return fmt.Errorf("handoff: merging donor cache: %w", err)
-			}
-		}
-		return nil
+		_, err = eng.MergeDC(levels...)
+		return err
 	}
 }

@@ -383,6 +383,70 @@ func TestRestartMidExploitRewarms(t *testing.T) {
 	}
 }
 
+// TestRestartOverLongEpochLog: a node built before the controller kept only
+// its newest 256 epoch diagnostics wrote its whole epoch log into every
+// checkpoint. A restart over such a checkpoint restores its engine — the HOC
+// residents and the request counts — and leaves only the controller state
+// unrestored: it logs so and starts a fresh warm-up.
+func TestRestartOverLongEpochLog(t *testing.T) {
+	cfg := Config{
+		Model:    handoffModel(t),
+		Online:   handoffOnlineCfg(),
+		HOCBytes: 256 << 10,
+		DCBytes:  32 << 20,
+		Shards:   2,
+		Store:    diskcache.Config{Dir: t.TempDir(), Sync: diskcache.SyncOff},
+		Origin:   testOrigin(t),
+	}
+	first, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := tracegen.ImageDownloadMix(50, 1000, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.ctrl.Play(tr)
+	ck := snapshot(first.eng, first.ctrl)
+	ck.Controller.Diags = make([]core.EpochDiag, 257)
+	frame, err := core.EncodeCheckpointFrame(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.dur.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(cfg.Store.Dir, checkpointFile), frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { second.dur.store.Close() })
+	logged := stderrOf(t, second.dur.recover)
+	if !strings.Contains(logged, "controller state not restored") ||
+		strings.Contains(logged, "unreadable") || strings.Contains(logged, "engine state not restored") {
+		t.Fatalf("recovery logged %q, want the engine restored and the controller state refused", logged)
+	}
+	hoc := 0
+	for i, sh := range second.eng.State().Shards {
+		w := ck.Engine.Shards[i]
+		if !reflect.DeepEqual(sh.HOC, w.HOC) || !reflect.DeepEqual(sh.Tracker, w.Tracker) {
+			t.Fatalf("shard %d: the restored HOC or request counts are not the checkpoint's", i)
+		}
+		hoc += len(sh.HOC)
+	}
+	if hoc == 0 {
+		t.Fatal("the checkpoint's HOC is empty; the test would not exercise its restore")
+	}
+	if st := second.ctrl.CheckpointState(); st.Phase != "warmup" || st.Epoch != 0 || st.EpochReqs != 0 || len(st.Diags) != 0 {
+		t.Fatalf("the restarted controller is in %s at epoch %d, request %d, with %d diagnostics; want a fresh warm-up",
+			st.Phase, st.Epoch, st.EpochReqs, len(st.Diags))
+	}
+}
+
 // TestRecoveryJournalsWhatNoLongerFits: a node restarted with a smaller DC
 // keeps the newest journaled objects that fit, and journals a Remove for
 // each one it drops, so the journal lists exactly the DC's residents and

@@ -139,7 +139,7 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 		if got := controllerJSON(t, inhCtrl); !bytes.Equal(got, ctrlBefore) {
 			t.Fatalf("seed %d: the handoff changed the inheritor's controller state:\n%s\n%s", seed, ctrlBefore, got)
 		}
-		if missing := notResident(inhEng, donorEng.State()); len(missing) > 0 {
+		if missing := notResident(t, inhEng, donorEng.State()); len(missing) > 0 {
 			t.Fatalf("seed %d: donor residents %v are not resident at the inheritor", seed, missing)
 		}
 
@@ -176,6 +176,73 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHandoffChecksOnlyTheLevelsItMerges: the /state acceptor reads a
+// frame's resident levels and nothing else of it. A frame whose controller
+// part, request counts or metrics a restore would refuse is answered 204:
+// the heir holds every donor resident and its controller state is byte for
+// byte what it was. A frame with a malformed level — a negative size, an id
+// twice in one level, a null shard, no engine — is answered 400 and merges
+// nothing, though the bad level is the last one merged.
+func TestHandoffChecksOnlyTheLevelsItMerges(t *testing.T) {
+	model := handoffModel(t)
+	donorCtrl, donorEng := newHandoffController(t, model)
+	tr, err := tracegen.ImageDownloadMix(50, 1200, 1001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donorCtrl.Play(&trace.Trace{Requests: tr.Requests[:800]})
+	lastShard := func(ck *core.Checkpoint) *cache.HierarchyState { return ck.Engine.Shards[len(ck.Engine.Shards)-1] }
+	if sh := lastShard(snapshot(donorEng, donorCtrl)); len(sh.HOC) < 2 || len(sh.DC) < 2 {
+		t.Fatalf("the donor's last shard holds %d HOC and %d DC objects; the test needs two of each", len(sh.HOC), len(sh.DC))
+	}
+	for _, tc := range []struct {
+		name string
+		code int
+		edit func(ck *core.Checkpoint)
+	}{
+		{"controller-learning-time", http.StatusNoContent, func(ck *core.Checkpoint) { ck.Controller.LearningNS = -1 }},
+		{"tracker-last-seen", http.StatusNoContent, func(ck *core.Checkpoint) { ck.Engine.Shards[0].Tracker.LastSeen[0] = -1 }},
+		{"metrics-misses", http.StatusNoContent, func(ck *core.Checkpoint) { ck.Engine.Shards[0].Metrics.Misses++ }},
+		{"negative-size", http.StatusBadRequest, func(ck *core.Checkpoint) { hoc := lastShard(ck).HOC; hoc[len(hoc)-1].Size = -1 }},
+		{"duplicate-id", http.StatusBadRequest, func(ck *core.Checkpoint) { hoc := lastShard(ck).HOC; hoc[len(hoc)-1] = hoc[0] }},
+		{"null-shard", http.StatusBadRequest, func(ck *core.Checkpoint) { ck.Engine.Shards[len(ck.Engine.Shards)-1] = nil }},
+		{"no-engine", http.StatusBadRequest, func(ck *core.Checkpoint) { ck.Engine = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck := snapshot(donorEng, donorCtrl)
+			tc.edit(ck)
+			frame, err := core.EncodeCheckpointFrame(ck)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrl, eng := newHandoffController(t, model)
+			ctrl.Play(&trace.Trace{Requests: tr.Requests[:40]})
+			proxy := server.NewOverloadProxy(ctrl, "http://127.0.0.1:9", 0, server.Resilience{}, server.Overload{})
+			proxy.EnableStateHandoff(handoffAcceptor(eng))
+			blobBefore, _ := json.Marshal(snapshot(eng, ctrl))
+			ctrlBefore := controllerJSON(t, ctrl)
+
+			w := httptest.NewRecorder()
+			proxy.ServeState(w, httptest.NewRequest(http.MethodPost, "/state", bytes.NewReader(frame)))
+			if w.Code != tc.code {
+				t.Fatalf("POST /state answered %d (%s), want %d", w.Code, w.Body, tc.code)
+			}
+			if got := controllerJSON(t, ctrl); !bytes.Equal(got, ctrlBefore) {
+				t.Fatalf("the handoff changed the heir's controller state:\n%s\n%s", ctrlBefore, got)
+			}
+			if tc.code != http.StatusNoContent {
+				if blobAfter, _ := json.Marshal(snapshot(eng, ctrl)); !bytes.Equal(blobAfter, blobBefore) {
+					t.Fatal("a refused frame changed the heir")
+				}
+				return
+			}
+			if missing := notResident(t, eng, donorEng.State()); len(missing) > 0 {
+				t.Fatalf("donor residents %v are not resident at the heir", missing)
+			}
+		})
+	}
+}
+
 // controllerJSON is ctrl's snapshot as JSON: two calls return the same bytes
 // exactly when the controller's state did not change between them.
 func controllerJSON(t testing.TB, ctrl *core.Controller) []byte {
@@ -189,9 +256,14 @@ func controllerJSON(t testing.TB, ctrl *core.Controller) []byte {
 
 // notResident lists the ids of the donor snapshot's residents, DC and HOC,
 // that eng holds in neither level.
-func notResident(eng *cache.Sharded, donor *cache.ShardedState) []uint64 {
+func notResident(t testing.TB, eng *cache.Sharded, donor *cache.ShardedState) []uint64 {
+	t.Helper()
+	levels, err := donorLevels(donor)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var missing []uint64
-	for _, level := range donorLevels(donor) {
+	for _, level := range levels {
 		for _, obj := range level {
 			if r := eng.Lookup(obj.ID); r != cache.HOCHit && r != cache.DCHit {
 				missing = append(missing, obj.ID)
@@ -559,11 +631,13 @@ func mutate(v any, op uint8, at uint16, val int16) {
 
 // FuzzHandoffAccept feeds the /state acceptor frames cut from a donor
 // caught mid-identification, each with one mutate edit and a valid CRC
-// (frames the CRC rejects say nothing about the acceptor). No frame changes
-// the inheritor's controller state by a byte. A refused frame must leave its
-// engine byte-identical too; an accepted one must land every donor resident
-// in the inheritor's cache and leave an inheritor that plays on, counts every
-// request once, and snapshots a frame that decodes.
+// (frames the CRC rejects say nothing about the acceptor). Besides the
+// donor's own frame, the seeds carry a garbage controller part, a bad
+// tracker and a null shard; only the last is refused unedited. No frame
+// changes the inheritor's controller state by a byte. A refused frame must
+// leave its engine byte-identical too; an accepted one must land every
+// donor resident in the inheritor's cache and leave an inheritor that plays
+// on, counts every request once, and snapshots a frame that restores.
 func FuzzHandoffAccept(f *testing.F) {
 	model := handoffModel(f)
 	donorCtrl, donorEng := newHandoffController(f, model)
@@ -577,17 +651,34 @@ func FuzzHandoffAccept(f *testing.F) {
 	if donorCtrl.Phase() != core.PhaseIdentify {
 		f.Fatalf("the donor is in %v, want identify", donorCtrl.Phase())
 	}
-	seed, err := core.EncodeCheckpointFrame(snapshot(donorEng, donorCtrl))
-	if err != nil {
-		f.Fatal(err)
+	seeds := []struct {
+		refuse bool // the acceptor refuses the unedited frame
+		edit   func(ck *core.Checkpoint)
+	}{
+		{false, func(*core.Checkpoint) {}},
+		{false, func(ck *core.Checkpoint) {
+			ck.Controller = &core.ControllerState{Phase: "?", Epoch: -3, EpochReqs: -1, ClusterID: 1 << 20,
+				Set: []int{-1}, Extended: []float64{1}, CurArm: 7, LearningNS: -1}
+		}},
+		{false, func(ck *core.Checkpoint) { ck.Engine.Shards[0].Tracker.LastSeen[0] = -1 }},
+		{true, func(ck *core.Checkpoint) { ck.Engine.Shards[1] = nil }},
+	}
+	frames := make([][]byte, len(seeds))
+	for i, sd := range seeds {
+		ck := snapshot(donorEng, donorCtrl)
+		sd.edit(ck)
+		if frames[i], err = core.EncodeCheckpointFrame(ck); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), uint8(2), uint16(0), int16(0))
 	}
 	play := &trace.Trace{Requests: tr.Requests[250:]}
-	f.Add(uint8(2), uint16(0), int16(0))
-	f.Add(uint8(0), uint16(3), int16(1))
-	f.Add(uint8(1), uint16(30), int16(0))
-	f.Add(uint8(2), uint16(12), int16(-7))
-	f.Fuzz(func(t *testing.T, op uint8, at uint16, val int16) {
-		ck, err := core.DecodeCheckpointFrame(seed)
+	f.Add(uint8(0), uint8(0), uint16(3), int16(1))
+	f.Add(uint8(0), uint8(1), uint16(30), int16(0))
+	f.Add(uint8(0), uint8(2), uint16(12), int16(-7))
+	f.Fuzz(func(t *testing.T, seed, op uint8, at uint16, val int16) {
+		sd := int(seed) % len(seeds)
+		ck, err := core.DecodeCheckpointFrame(frames[sd])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -613,16 +704,16 @@ func FuzzHandoffAccept(f *testing.F) {
 		if got := controllerJSON(t, ctrl); !bytes.Equal(got, ctrlBefore) {
 			t.Fatalf("the handoff (error %v) changed the inheritor's controller state:\n%s\n%s", err, ctrlBefore, got)
 		}
+		if unedited := op%3 == 2 && val == 0; unedited && (err != nil) != seeds[sd].refuse {
+			t.Fatalf("unedited seed %d: acceptor error %v, want one: %v", sd, err, seeds[sd].refuse)
+		}
 		if err != nil {
-			if op%3 == 2 && val == 0 {
-				t.Fatalf("the unedited frame was refused: %v", err)
-			}
 			if !bytes.Equal(state(), before) {
 				t.Fatalf("a refused frame (%v) changed the inheritor", err)
 			}
 			return
 		}
-		if missing := notResident(eng, ck.Engine); len(missing) > 0 {
+		if missing := notResident(t, eng, ck.Engine); len(missing) > 0 {
 			t.Fatalf("donor residents %v are not resident at the inheritor", missing)
 		}
 		ctrl.Play(play)
@@ -633,8 +724,16 @@ func FuzzHandoffAccept(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := core.DecodeCheckpointFrame(again); err != nil {
+		own, err := core.DecodeCheckpointFrame(again)
+		if err != nil {
 			t.Fatalf("the inheritor's own frame does not decode: %v", err)
+		}
+		ctrl, eng = newHandoffController(t, model)
+		if err := eng.RestoreState(own.Engine); err != nil {
+			t.Fatalf("the inheritor's own engine state does not restore: %v", err)
+		}
+		if err := ctrl.RestoreState(own.Controller); err != nil {
+			t.Fatalf("the inheritor's own controller state does not restore: %v", err)
 		}
 	})
 }

@@ -81,36 +81,32 @@ func (ps *peerSet) mergeGossipValue(v string) {
 	ps.memb.Merge(sender, entries)
 }
 
-// ServeGossip is the explicit digest exchange: POST merges the caller's
-// digest (400 on a corrupt frame), and every successful answer carries this
-// node's fresh digest. GET is a pure read — the front tier's probe uses POST
-// so each poll both relays its observer view and collects the node's.
+// ServeGossip is the explicit digest exchange: a POST carries the caller's
+// digest, which is merged and answered with this node's fresh digest. Any
+// other method is a 405, and an empty or corrupt body a 400 that merges
+// nothing: the front tier's probe always POSTs its observer view, so each
+// poll both relays it and collects the node's.
 func (p *Proxy) ServeGossip(w http.ResponseWriter, r *http.Request) {
 	ps := p.peers
 	if ps == nil {
 		http.Error(w, "gossip: no cluster membership", http.StatusNotFound)
 		return
 	}
-	switch r.Method {
-	case http.MethodGet:
-	case http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxGossipBytes))
-		if err != nil {
-			http.Error(w, "gossip: reading digest: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if len(body) > 0 {
-			sender, entries, derr := gossip.DecodeDigest(body, nil)
-			if derr != nil {
-				http.Error(w, derr.Error(), http.StatusBadRequest)
-				return
-			}
-			ps.memb.Merge(sender, entries)
-		}
-	default:
-		http.Error(w, "gossip: GET or POST only", http.StatusMethodNotAllowed)
+	if r.Method != http.MethodPost {
+		http.Error(w, "gossip: POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxGossipBytes))
+	if err != nil {
+		http.Error(w, "gossip: reading digest: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	sender, entries, err := gossip.DecodeDigest(body, nil)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	ps.memb.Merge(sender, entries)
 	p.stats.add(uint64(ps.self), func(s *ProxyStats) { s.GossipExchanges++ })
 	setContentType(w.Header())
 	w.WriteHeader(http.StatusOK)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -9,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"darwin/internal/gossip"
 	"darwin/internal/lb"
 )
 
@@ -378,4 +380,59 @@ func TestFetchPeerAllocs(t *testing.T) {
 		t.Errorf("PeerFills = %d, want 202", fills)
 	}
 	closeConns(p.peers.ups[1].idle)
+}
+
+// TestServeGossip: /gossip is a POST carrying a digest. A GET is a 405, and
+// an empty or corrupt body a 400; neither merges anything. A digest is
+// merged and answered 200 with this node's own digest, and GossipExchanges
+// counts only those answers.
+func TestServeGossip(t *testing.T) {
+	nodes := []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"}
+	p := NewOverloadProxy(staticDecider(t, 1), "http://127.0.0.1:9", 0, Resilience{}, Overload{})
+	if err := p.SetPeers(PeerConfig{Self: nodes[0], Nodes: nodes}); err != nil {
+		t.Fatal(err)
+	}
+	exchange := func(method string, body []byte) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		p.ServeGossip(w, httptest.NewRequest(method, "/gossip", bytes.NewReader(body)))
+		return w
+	}
+	digest := gossip.AppendDigest(nil, 1, []gossip.Entry{{Node: 1, Seq: 5}, {Node: 2, Seq: 9}})
+	for _, tc := range []struct {
+		name   string
+		method string
+		body   []byte
+		code   int
+	}{
+		{"get", http.MethodGet, nil, http.StatusMethodNotAllowed},
+		{"get-with-digest", http.MethodGet, digest, http.StatusMethodNotAllowed},
+		{"empty", http.MethodPost, nil, http.StatusBadRequest},
+		{"truncated", http.MethodPost, digest[:len(digest)-1], http.StatusBadRequest},
+		{"bad-magic", http.MethodPost, append([]byte{'X'}, digest[1:]...), http.StatusBadRequest},
+	} {
+		if w := exchange(tc.method, tc.body); w.Code != tc.code {
+			t.Fatalf("%s: status %d (%s), want %d", tc.name, w.Code, w.Body, tc.code)
+		}
+		if memb := p.Membership(); memb.Heard(1) || memb.Heard(2) {
+			t.Fatalf("%s: a refused exchange merged the sender's entries", tc.name)
+		}
+	}
+	if n := p.Stats().GossipExchanges; n != 0 {
+		t.Fatalf("%d exchanges counted after refused requests only", n)
+	}
+
+	w := exchange(http.MethodPost, digest)
+	if w.Code != http.StatusOK {
+		t.Fatalf("a digest: status %d (%s), want 200", w.Code, w.Body)
+	}
+	sender, entries, err := gossip.DecodeDigest(w.Body.Bytes(), nil)
+	if err != nil || sender != 0 || len(entries) == 0 || entries[0].Node != 0 {
+		t.Fatalf("the answer is not this node's digest: sender %d, entries %+v, error %v", sender, entries, err)
+	}
+	if memb := p.Membership(); memb.Seq(1) != 5 || memb.Seq(2) != 9 {
+		t.Fatalf("merged sequences %d and %d, want 5 and 9", memb.Seq(1), memb.Seq(2))
+	}
+	if n := p.Stats().GossipExchanges; n != 1 {
+		t.Fatalf("%d exchanges counted, want 1", n)
+	}
 }

@@ -11,10 +11,12 @@ package server
 // hands a departed node's keyspace to its ring successors, so the inheritor
 // is exactly the node about to see the donor's traffic.
 //
-// The merge is validate-then-commit: the frame's CRC and the acceptor's own
-// validation run before anything mutates, so a corrupt or adversarial frame
-// is answered 400 and the inheritor's state is untouched (the property test
-// in state_test.go holds this line). The proxy itself stays agnostic about
+// The merge is validate-then-commit: the acceptor checks the frame's CRC
+// and everything it merges before anything mutates, so a corrupt or
+// adversarial frame is answered 400 and the inheritor's state is untouched
+// (internal/node's property tests hold this line). It checks nothing it
+// does not merge: a frame whose controller state is malformed still hands
+// over its cache. The proxy itself stays agnostic about
 // frame contents — the binary hands PushStateToSuccessor an encoded frame and
 // wires the acceptor to the checkpoint codec, keeping the server layer free
 // of controller imports.
