@@ -23,10 +23,10 @@ type State struct {
 }
 
 // State returns a deep copy of the run's state.
-func (a *Algorithm) State() *State { return a.st.clone() }
+func (a *Algorithm) State() *State { return a.st.Clone() }
 
-// clone returns a copy of st that shares no slice with it.
-func (st *State) clone() *State {
+// Clone returns a copy of st that shares no slice with it.
+func (st *State) Clone() *State {
 	out := *st
 	out.Plays = append([]int(nil), st.Plays...)
 	out.SumWY = append([]float64(nil), st.SumWY...)
@@ -86,6 +86,6 @@ func (a *Algorithm) SetState(st *State) error {
 	if st.Done && st.Reason == "" {
 		return fmt.Errorf("bandit: done without a stop reason")
 	}
-	a.st = *st.clone()
+	a.st = *st.Clone()
 	return nil
 }

@@ -19,27 +19,10 @@ const (
 	CheckpointFormatVersion = 2
 )
 
-// ControllerState is a JSON-serialisable snapshot of the online controller's
-// state machine. Together with the engine snapshot (taken from the same
-// quiesced moment) it lets a restarted process resume mid-epoch instead of
-// relearning from scratch.
-//
-// Restore semantics are phase-specific:
-//
-//   - warmup: feature estimation cannot be checkpointed mid-stream (the
-//     extractor's tree is transient by design, §6.4), so restore re-enters a
-//     fresh warm-up of the same epoch. Epoch counters, diagnostics, and the
-//     engine's deployed expert are preserved.
-//   - identify: the bandit run resumes exactly — Σ is rebuilt from the
-//     snapshotted cluster/set/features, the bandit's estimator state is
-//     restored, and the in-flight round continues from its snapshotted
-//     metrics baseline.
-//   - exploit: counters resume; the deployed expert rides in the engine
-//     snapshot.
-//
-// Each phase leans on the engine the state was learned on (its deployed
-// expert, its round baseline), so a snapshot is restored only over the engine
-// state of the same checkpoint; without it the controller re-warms.
+// ControllerState is the online controller's state: what step advances,
+// and, JSON-serialised, its snapshot. Together with the engine snapshot
+// (taken from the same quiesced moment) it lets a restarted process resume
+// mid-epoch instead of relearning from scratch (RestoreState).
 type ControllerState struct {
 	Phase      Phase         `json:"phase"`
 	Epoch      int           `json:"epoch"` // 0-based
@@ -51,45 +34,45 @@ type ControllerState struct {
 	Prof       SizeProfile   `json:"prof"`
 	CurArm     int           `json:"cur_arm"`
 	RoundStart cache.Metrics `json:"round_start"`
-	Bandit     *bandit.State `json:"bandit,omitempty"`
-	Diags      []EpochDiag   `json:"diags,omitempty"` // the newest maxDiags epochs' decisions
-	LearningNS int64         `json:"learning_ns"`     // cumulative boundary learning time
+	Bandit     *bandit.State `json:"bandit,omitempty"` // identify only
+	Diags      []EpochDiag   `json:"diags,omitempty"`  // the newest maxDiags epochs' decisions
+	LearningNS int64         `json:"learning_ns"`      // cumulative boundary learning time
+
+	// sigma is the identification run's Σ, built once per run (at warm-up's
+	// end, or by fit on restore) and never written after; not snapshotted.
+	sigma [][]float64
 }
 
-// CheckpointState snapshots the controller's state machine.
+// CheckpointState snapshots the controller's state: a copy that shares no
+// slice with it, without Σ. In exploit the epoch position is read from
+// exploitLeft, and is never the whole epoch: the last serve counts itself
+// under mu and rolls the epoch in the same critical section.
 func (c *Controller) CheckpointState() *ControllerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.st.clone()
-	st.EpochReqs = c.epochServesLocked()
-	if c.st.Phase == PhaseIdentify && c.alg != nil {
-		st.Bandit = c.alg.State()
+	st := c.st
+	if st.Phase == PhaseExploit {
+		st.EpochReqs = c.cfg.Epoch - int(max(c.exploitLeft.Load(), 1))
 	}
-	return st
-}
-
-// clone returns a copy of st that shares no slice with it and has no
-// Bandit: the live controller keeps the bandit's state in its alg.
-func (st *ControllerState) clone() *ControllerState {
-	out := *st
-	out.Set = append([]int(nil), st.Set...)
-	out.Extended = append([]float64(nil), st.Extended...)
-	out.Prof = SizeProfile{
+	st.Set = append([]int(nil), st.Set...)
+	st.Extended = append([]float64(nil), st.Extended...)
+	st.Prof = SizeProfile{
 		Fractions: append([]float64(nil), st.Prof.Fractions...),
 		Sizes:     append([]float64(nil), st.Prof.Sizes...),
 	}
-	out.Bandit = nil
-	out.Diags = append([]EpochDiag(nil), st.Diags...)
-	return &out
+	if st.Bandit != nil {
+		st.Bandit = st.Bandit.Clone()
+	}
+	st.Diags = append([]EpochDiag(nil), st.Diags...)
+	st.sigma = nil
+	return &st
 }
 
 // validate is the controller snapshot's shape check: everything that can be
 // judged without the model and config the snapshot is restored into,
 // except the bandit state, which SetState checks with its arm count.
 func (st *ControllerState) validate() error {
-	switch st.Phase {
-	case PhaseWarmup, PhaseIdentify, PhaseExploit:
-	default:
+	if !slices.Contains([]Phase{PhaseWarmup, PhaseIdentify, PhaseExploit}, st.Phase) {
 		return fmt.Errorf("core: unknown phase %q", st.Phase)
 	}
 	if st.Epoch < 0 || st.EpochReqs < 0 || st.RoundReqs < 0 {
@@ -114,136 +97,121 @@ func (st *ControllerState) validate() error {
 	if err := st.RoundStart.Validate(); err != nil {
 		return fmt.Errorf("core: round start: %w", err)
 	}
-	if st.Phase != PhaseIdentify {
-		return nil
-	}
-	if st.Bandit == nil {
-		return fmt.Errorf("core: identify snapshot missing bandit state")
-	}
-	if len(st.Set) < 2 {
-		return fmt.Errorf("core: identify snapshot has %d-expert set", len(st.Set))
-	}
-	if st.CurArm < 0 || st.CurArm >= len(st.Set) {
+	if st.Phase == PhaseIdentify && (st.CurArm < 0 || st.CurArm >= len(st.Set)) {
 		return fmt.Errorf("core: current arm %d out of range for %d-arm set", st.CurArm, len(st.Set))
 	}
 	return nil
 }
 
-// fitLocked checks st's shape (validate), then that it fits the
-// controller's model and config. A snapshot that names a cluster's expert
-// set must name the set this model gives that cluster: any other set was
-// learned under another model, whose cluster ids, posteriors and features
-// mean nothing here. For an identify snapshot it rebuilds the bandit run and
-// restores its estimators; otherwise the run is nil.
-func (c *Controller) fitLocked(st *ControllerState) (*bandit.Algorithm, error) {
-	if st == nil {
-		return nil, fmt.Errorf("core: nil controller state")
-	}
-	if err := st.validate(); err != nil {
-		return nil, err
-	}
-	if st.EpochReqs >= c.cfg.Epoch {
-		return nil, fmt.Errorf("core: epoch position %d/%d out of range", st.EpochReqs, c.cfg.Epoch)
+// fit checks that a validated st fits the model and config. A snapshot
+// that names a cluster's expert set must name the set this model gives that
+// cluster: any other set was learned under another model, whose cluster
+// ids, posteriors and features mean nothing here. For an identify snapshot
+// it builds the run's Σ into st and checks the bandit state against it.
+func fit(m *Model, cfg OnlineConfig, st *ControllerState) error {
+	if st.EpochReqs >= cfg.Epoch {
+		return fmt.Errorf("core: epoch position %d/%d out of range", st.EpochReqs, cfg.Epoch)
 	}
 	if len(st.Set) > 0 {
-		if st.ClusterID < 0 || st.ClusterID >= c.model.Clusters.K() {
-			return nil, fmt.Errorf("core: cluster %d out of range", st.ClusterID)
+		if st.ClusterID < 0 || st.ClusterID >= m.Clusters.K() {
+			return fmt.Errorf("core: cluster %d out of range", st.ClusterID)
 		}
-		if want := c.model.expertSet(st.ClusterID); !slices.Equal(st.Set, want) {
-			return nil, fmt.Errorf("core: snapshot's cluster %d expert set %v is not the model's %v: the state was learned under another model",
+		if want := m.expertSet(st.ClusterID); !slices.Equal(st.Set, want) {
+			return fmt.Errorf("core: snapshot's cluster %d expert set %v is not the model's %v: the state was learned under another model",
 				st.ClusterID, st.Set, want)
 		}
 	}
 	if st.Phase != PhaseIdentify {
-		return nil, nil
+		return nil
 	}
-	if st.RoundReqs >= c.cfg.Round {
-		return nil, fmt.Errorf("core: round position %d out of range", st.RoundReqs)
+	if st.RoundReqs >= cfg.Round {
+		return fmt.Errorf("core: round position %d out of range", st.RoundReqs)
 	}
-	if fc := c.model.FeatureCfg; len(st.Extended) != fc.VectorLen()+fc.SizeBuckets {
-		return nil, fmt.Errorf("core: identify snapshot has %d features, want %d",
+	if fc := m.FeatureCfg; len(st.Extended) != fc.VectorLen()+fc.SizeBuckets {
+		return fmt.Errorf("core: identify snapshot has %d features, want %d",
 			len(st.Extended), fc.VectorLen()+fc.SizeBuckets)
 	}
-	alg, err := bandit.New(banditConfig(c.cfg, buildSigma(c.model, c.cfg, st.Set, st.ClusterID, st.Extended)))
-	if err != nil {
-		return nil, fmt.Errorf("core: rebuilding bandit: %w", err)
-	}
-	if err := alg.SetState(st.Bandit); err != nil {
-		return nil, fmt.Errorf("core: restoring bandit: %w", err)
-	}
-	return alg, nil
+	st.sigma = buildSigma(m, cfg, st.Set, st.ClusterID, st.Extended)
+	_, err := resumeBandit(cfg, st)
+	return err
 }
 
-// RestoreState restores a snapshot taken by CheckpointState, decoded by
-// DecodeCheckpointFrame, onto a controller whose engine was restored from the
-// same checkpoint: an open identification round continues from the
-// snapshot's baseline, and exploit keeps the expert the engine state carries.
-// It checks the snapshot's shape and that it fits the model and config; on
-// error the controller is unchanged.
-func (c *Controller) RestoreState(st *ControllerState) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	alg, err := c.fitLocked(st)
-	if err != nil {
+// RestoreState restores the controller part of a checkpoint — the JSON of a
+// CheckpointState snapshot — onto a controller whose engine was restored
+// from the same checkpoint: each phase leans on the engine the state was
+// learned on, and without it the controller re-warms. It decodes the part,
+// checks its shape (validate) and that it fits the model and config (fit),
+// and only then sets it; on error the controller is unchanged. A warm-up
+// state re-enters the epoch's warm-up at its start, since the extractor's
+// tree is transient by design (§6.4); an identify state resumes its bandit
+// run over a rebuilt Σ and its open round from the snapshot's baseline; an
+// exploit state resumes its count, its expert riding in the engine state.
+func (c *Controller) RestoreState(part json.RawMessage) error {
+	var st ControllerState
+	if err := json.Unmarshal(part, &st); err != nil {
+		return fmt.Errorf("core: decoding controller state: %w", err)
+	}
+	if err := st.validate(); err != nil {
 		return err
 	}
-	c.st = *st.clone()
-	c.alg = alg
+	if err := fit(c.model, c.cfg, &st); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.st = st
 	c.extractor.Reset()
 	left := 0 // only exploit counts lock-free
-	switch c.st.Phase {
+	switch st.Phase {
 	case PhaseWarmup:
 		// Mid-warmup feature state is not recoverable: re-enter this epoch's
 		// warm-up from its start, keeping the engine's deployed expert.
-		c.st.EpochReqs = 0
-		c.st.RoundReqs = 0
+		c.st.EpochReqs, c.st.RoundReqs = 0, 0
 	case PhaseIdentify:
-		c.eng.SetExpert(c.model.Experts[c.st.Set[c.st.CurArm]])
+		c.eng.SetExpert(c.model.Experts[st.Set[st.CurArm]])
 	case PhaseExploit:
-		left = c.cfg.Epoch - c.st.EpochReqs
+		left = c.cfg.Epoch - st.EpochReqs
 	}
 	c.exploitLeft.Store(int64(left))
 	return nil
 }
 
-// Checkpoint bundles what a restarted node resumes from: the engine's full
-// cache state and the controller's state machine. A node that inherits a
-// checkpoint through a drain handoff merges only its cache. The model is
-// not part of it: every node loads its own (ReadModel). A version-2 frame
-// written while checkpoints still carried the model decodes too — the
-// "model" key is ignored like any unknown one. Decoding checks no part:
-// each part's reader checks what it reads (Sharded.RestoreState,
-// Controller.RestoreState, Sharded.MergeDC), so a bad part costs only
-// itself.
+// Checkpoint is a decoded checkpoint frame: the engine's full cache state
+// and the controller's state, each part held as raw JSON. Each reader
+// decodes and checks the part it reads (EngineState, then
+// Sharded.RestoreState or MergeDC; Controller.RestoreState), so a bad part,
+// even one of the wrong JSON type, costs only itself. The model is not part
+// of it (every node loads its own, ReadModel): the "model" key of a
+// version-2 frame written while checkpoints carried one is ignored like any
+// unknown key.
 type Checkpoint struct {
-	Engine     *cache.ShardedState `json:"engine,omitempty"`
-	Controller *ControllerState    `json:"controller,omitempty"`
+	Engine     json.RawMessage `json:"engine,omitempty"`
+	Controller json.RawMessage `json:"controller,omitempty"`
 }
 
-// encodeCheckpoint serialises a checkpoint to its frame payload.
-func encodeCheckpoint(ck *Checkpoint) ([]byte, error) {
-	if ck == nil {
-		return nil, fmt.Errorf("core: nil checkpoint")
+// EngineState decodes the checkpoint's engine part; a missing or null one
+// is an error.
+func (ck *Checkpoint) EngineState() (*cache.ShardedState, error) {
+	var es *cache.ShardedState
+	if err := json.Unmarshal(ck.Engine, &es); err != nil {
+		return nil, fmt.Errorf("core: decoding engine state: %w", err)
 	}
-	return json.Marshal(ck)
-}
-
-// decodeCheckpoint parses a frame payload produced by encodeCheckpoint. It
-// checks no part: restore and merge check what they read.
-func decodeCheckpoint(payload []byte) (*Checkpoint, error) {
-	var ck Checkpoint
-	if err := json.Unmarshal(payload, &ck); err != nil {
-		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
+	if es == nil {
+		return nil, fmt.Errorf("core: checkpoint carries no engine state")
 	}
-	return &ck, nil
+	return es, nil
 }
 
-// EncodeCheckpointFrame serialises a checkpoint into its framed, checksummed
-// byte stream: the bytes of a node's checkpoint file and the wire format of
-// the /state drain handoff, a DRWNCKPT frame whose CRC lets the reader
-// refuse a damaged frame before parsing it.
-func EncodeCheckpointFrame(ck *Checkpoint) ([]byte, error) {
-	payload, err := encodeCheckpoint(ck)
+// EncodeCheckpointFrame serialises an engine state and a controller state
+// (nil in static mode) into a checkpoint's framed, checksummed byte stream:
+// the bytes of a node's checkpoint file and the wire format of the /state
+// drain handoff, a DRWNCKPT frame whose CRC lets the reader refuse a damaged
+// frame before parsing it.
+func EncodeCheckpointFrame(eng *cache.ShardedState, ctrl *ControllerState) ([]byte, error) {
+	payload, err := json.Marshal(struct {
+		Engine     *cache.ShardedState `json:"engine,omitempty"`
+		Controller *ControllerState    `json:"controller,omitempty"`
+	}{eng, ctrl})
 	if err != nil {
 		return nil, err
 	}
@@ -255,12 +223,16 @@ func EncodeCheckpointFrame(ck *Checkpoint) ([]byte, error) {
 }
 
 // DecodeCheckpointFrame checks a framed checkpoint's magic, version and CRC
-// and parses its JSON; it checks no part's contents. Framing damage returns
-// a typed *persist.FormatError; nothing panics.
+// and splits its JSON into parts; it checks no part's contents. Framing
+// damage returns a typed *persist.FormatError; nothing panics.
 func DecodeCheckpointFrame(data []byte) (*Checkpoint, error) {
 	payload, err := persist.DecodeFrame(bytes.NewReader(data), CheckpointMagic, CheckpointFormatVersion)
 	if err != nil {
 		return nil, err
 	}
-	return decodeCheckpoint(payload)
+	var ck Checkpoint
+	if err := json.Unmarshal(payload, &ck); err != nil {
+		return nil, fmt.Errorf("core: decoding checkpoint: %w", err)
+	}
+	return &ck, nil
 }

@@ -32,7 +32,7 @@ func newShardedController(t *testing.T, m *Model) (*Controller, *cache.Sharded) 
 
 // resume builds a fresh controller+engine over m from the checkpoint, as a
 // restarted process would.
-func resume(t *testing.T, m *Model, ck *Checkpoint) *Controller {
+func resume(t *testing.T, m *Model, ck *Checkpoint) (*Controller, *cache.Sharded) {
 	t.Helper()
 	ec := testEval()
 	eng, err := cache.NewSharded(cache.Config{HOCBytes: ec.HOCBytes, DCBytes: ec.DCBytes}, 1)
@@ -43,17 +43,51 @@ func resume(t *testing.T, m *Model, ck *Checkpoint) *Controller {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.RestoreState(ck.Engine); err != nil {
+	es, err := ck.EngineState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.RestoreState(es); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.RestoreState(ck.Controller); err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c, eng
 }
 
-func checkpointOf(c *Controller, eng *cache.Sharded) *Checkpoint {
-	return &Checkpoint{Engine: eng.State(), Controller: c.CheckpointState()}
+// checkpointOf is the checkpoint frame of c over eng, as a reader decodes it.
+func checkpointOf(t *testing.T, c *Controller, eng *cache.Sharded) *Checkpoint {
+	t.Helper()
+	frame, err := EncodeCheckpointFrame(eng.State(), c.CheckpointState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := DecodeCheckpointFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ck
+}
+
+// framed wraps a checkpoint payload in a frame with a valid CRC.
+func framed(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := persist.EncodeFrame(&buf, CheckpointMagic, CheckpointFormatVersion, payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// controllerPart is st's JSON, a checkpoint's controller part.
+func controllerPart(t testing.TB, st *ControllerState) json.RawMessage {
+	t.Helper()
+	part, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return part
 }
 
 // TestCheckpointResumeMidIdentify is the core crash-recovery property: a
@@ -77,16 +111,7 @@ func TestCheckpointResumeMidIdentify(t *testing.T) {
 		}
 	}
 
-	ck := checkpointOf(c, eng)
-	payload, err := encodeCheckpoint(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := decodeCheckpoint(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := resume(t, m, decoded)
+	r, rEng := resume(t, m, checkpointOf(t, c, eng))
 
 	if r.Phase() != c.Phase() {
 		t.Fatalf("resumed phase %v, want %v", r.Phase(), c.Phase())
@@ -102,7 +127,7 @@ func TestCheckpointResumeMidIdentify(t *testing.T) {
 		if a != b {
 			t.Fatalf("request %d: results diverge (%v vs %v)", i, a, b)
 		}
-		if eng.Expert() != r.Engine().(*cache.Sharded).Expert() {
+		if eng.Expert() != rEng.Expert() {
 			t.Fatalf("request %d: deployed experts diverge", i)
 		}
 	}
@@ -145,19 +170,10 @@ func TestCheckpointResumeMidExploit(t *testing.T) {
 		i++
 	}
 
-	ck := checkpointOf(c, eng)
-	if ck.Controller.Phase != "exploit" || ck.Controller.EpochReqs != i {
-		t.Fatalf("snapshot after %d serves says %s at %d", i, ck.Controller.Phase, ck.Controller.EpochReqs)
+	if st := c.CheckpointState(); st.Phase != "exploit" || st.EpochReqs != i {
+		t.Fatalf("snapshot after %d serves says %s at %d", i, st.Phase, st.EpochReqs)
 	}
-	payload, err := encodeCheckpoint(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := decodeCheckpoint(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := resume(t, m, decoded)
+	r, _ := resume(t, m, checkpointOf(t, c, eng))
 	if got := r.CheckpointState(); got.Phase != "exploit" || got.EpochReqs != i {
 		t.Fatalf("resumed controller is in %s at %d, want exploit at %d", got.Phase, got.EpochReqs, i)
 	}
@@ -193,8 +209,7 @@ func TestCheckpointResumeWarmup(t *testing.T) {
 	for i := 0; i < 500; i++ { // stay inside warm-up (1500)
 		c.Serve(tr.Requests[i])
 	}
-	ck := checkpointOf(c, eng)
-	r := resume(t, m, ck)
+	r, _ := resume(t, m, checkpointOf(t, c, eng))
 	if r.Phase() != PhaseWarmup {
 		t.Fatalf("phase = %v, want warmup", r.Phase())
 	}
@@ -250,36 +265,31 @@ func TestControllerRestoreRejectsInvalid(t *testing.T) {
 			if tc.skip {
 				t.Skip("snapshot phase does not exercise this case")
 			}
-			before := c.CheckpointState()
-			var bad *ControllerState
+			before := controllerPart(t, c.CheckpointState())
+			var bad json.RawMessage
 			if tc.mut != nil {
-				bad = decodeController(t, good)
-				tc.mut(bad)
+				st := decodeController(t, good)
+				tc.mut(st)
+				bad = controllerPart(t, st)
 			}
 			if err := c.RestoreState(bad); err == nil {
 				t.Fatal("invalid controller state accepted")
 			}
-			afterBlob, _ := encodeCheckpoint(&Checkpoint{Controller: c.CheckpointState()})
-			beforeBlob, _ := encodeCheckpoint(&Checkpoint{Controller: before})
-			if !bytes.Equal(afterBlob, beforeBlob) {
+			if !bytes.Equal(controllerPart(t, c.CheckpointState()), before) {
 				t.Fatal("failed restore mutated the controller")
 			}
 		})
 	}
 }
 
-// decodeController deep-copies st through the checkpoint codec.
+// decodeController deep-copies st through its JSON.
 func decodeController(t *testing.T, st *ControllerState) *ControllerState {
 	t.Helper()
-	payload, err := encodeCheckpoint(&Checkpoint{Controller: st})
-	if err != nil {
+	var out ControllerState
+	if err := json.Unmarshal(controllerPart(t, st), &out); err != nil {
 		t.Fatal(err)
 	}
-	ck, err := decodeCheckpoint(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ck.Controller
+	return &out
 }
 
 // TestV1CheckpointRejected: a version-1 checkpoint frame — its engine state
@@ -292,7 +302,11 @@ func TestV1CheckpointRejected(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		c.Serve(tr.Requests[i])
 	}
-	payload, err := encodeCheckpoint(checkpointOf(c, eng))
+	frame, err := EncodeCheckpointFrame(eng.State(), c.CheckpointState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := persist.DecodeFrame(bytes.NewReader(frame), CheckpointMagic, CheckpointFormatVersion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,18 +332,18 @@ func TestFramedModelRejectsBitFlip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCheckpoint: arbitrary payload bytes must never panic and either
-// error or produce a checkpoint that re-encodes.
+// FuzzDecodeCheckpoint: arbitrary payload bytes, framed with a valid CRC,
+// must never panic and either error or produce a checkpoint that re-encodes.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"controller":{"phase":"warmup"}}`))
 	f.Add([]byte(`{"model":{"version":1}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := decodeCheckpoint(data)
+		ck, err := DecodeCheckpointFrame(framed(t, data))
 		if err != nil {
 			return
 		}
-		if _, err := encodeCheckpoint(ck); err != nil {
+		if _, err := json.Marshal(ck); err != nil {
 			t.Fatalf("accepted checkpoint fails to re-encode: %v", err)
 		}
 	})
@@ -390,9 +404,10 @@ func mutate(v any, op uint8, at uint16, val int16) {
 
 // FuzzCheckpointRuns: a checkpoint its restores accept is one a controller
 // can run. The seeds are valid payloads taken in warm-up, identification
-// and exploit; the fuzz input picks one and one mutate edit (a small signed
-// delta: counters a request away from wrapping int64 are not a state a node
-// reaches). The payload is restored into a fresh controller over
+// and exploit, and the identification one with a controller part of the
+// wrong JSON type; the fuzz input picks one and one mutate edit (a small
+// signed delta: counters a request away from wrapping int64 are not a state
+// a node reaches). The payload is restored into a fresh controller over
 // Sharded(2): a part that is malformed or does not fit is a clean error. An
 // engine part refused ends the case. Over a restored engine, a refused
 // controller part leaves a fresh warm-up, and either way the controller
@@ -426,45 +441,77 @@ func FuzzCheckpointRuns(f *testing.F) {
 			}
 			c.Serve(reqs[i])
 		}
-		payload, err := encodeCheckpoint(&Checkpoint{Engine: eng.State(), Controller: c.CheckpointState()})
+		frame, err := EncodeCheckpointFrame(eng.State(), c.CheckpointState())
 		if err != nil {
 			f.Fatal(err)
 		}
-		seeds = append(seeds, payload)
+		seeds = append(seeds, frame)
 		f.Add(uint8(len(seeds)-1), uint8(2), uint16(0), int16(0))
 	}
 	f.Add(uint8(1), uint8(0), uint16(2), int16(1))
 	f.Add(uint8(2), uint8(1), uint16(9), int16(0))
 	f.Add(uint8(0), uint8(2), uint16(40), int16(-3))
+	wrongType, err := DecodeCheckpointFrame(seeds[1])
+	if err != nil {
+		f.Fatal(err)
+	}
+	wrongType.Controller = json.RawMessage(`"garbage"`)
+	garbage, err := json.Marshal(wrongType)
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, framed(f, garbage))
+	f.Add(uint8(len(seeds)-1), uint8(2), uint16(0), int16(0))
 	f.Fuzz(func(t *testing.T, seed, op uint8, at uint16, val int16) {
-		var cj Checkpoint
-		if err := json.Unmarshal(seeds[int(seed)%len(seeds)], &cj); err != nil {
+		seed %= uint8(len(seeds))
+		cj, err := DecodeCheckpointFrame(seeds[seed])
+		if err != nil {
 			t.Fatal(err)
+		}
+		es, err := cj.EngineState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cs *ControllerState // nil for the wrong-typed part, which stays as it is
+		if err := json.Unmarshal(cj.Controller, &cs); err != nil {
+			cs = nil
 		}
 		mutate(&struct {
 			*ControllerState
 			*cache.ShardedState
-		}{cj.Controller, cj.Engine}, op, at, val)
+		}{cs, es}, op, at, val)
+		if cj.Engine, err = json.Marshal(es); err != nil {
+			t.Fatal(err)
+		}
+		if cs != nil {
+			cj.Controller = controllerPart(t, cs)
+		}
 		payload, err := json.Marshal(cj)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c, eng := rig(t)
-		ck, err := decodeCheckpoint(payload)
+		ck, err := DecodeCheckpointFrame(framed(t, payload))
 		if err != nil {
 			t.Fatalf("a marshalled checkpoint does not decode: %v", err)
 		}
 		unedited := op%3 == 2 && val == 0
-		if err := eng.RestoreState(ck.Engine); err != nil {
+		if es, err = ck.EngineState(); err == nil {
+			err = eng.RestoreState(es)
+		}
+		if err != nil {
 			if unedited {
 				t.Fatalf("an unedited seed's engine does not restore: %v", err)
 			}
 			return
 		}
-		if err := c.RestoreState(ck.Controller); err != nil {
-			if unedited {
-				t.Fatalf("an unedited seed's controller does not restore: %v", err)
-			}
+		err = c.RestoreState(ck.Controller)
+		switch {
+		case err == nil && cs == nil:
+			t.Fatal("a controller part of the wrong type restored")
+		case err != nil && unedited && cs != nil:
+			t.Fatalf("an unedited seed's controller does not restore: %v", err)
+		case err != nil:
 			if st := c.CheckpointState(); st.Phase != PhaseWarmup || st.Epoch != 0 || st.EpochReqs != 0 || st.Bandit != nil {
 				t.Fatalf("a refused controller part (%v) left %s at epoch %d, request %d; want a fresh warm-up",
 					err, st.Phase, st.Epoch, st.EpochReqs)
@@ -474,19 +521,21 @@ func FuzzCheckpointRuns(f *testing.F) {
 		if mt := eng.Metrics(); mt.HOCHits+mt.DCHits+mt.Misses != mt.Requests {
 			t.Fatalf("after play: %d hits and misses for %d requests", mt.HOCHits+mt.DCHits+mt.Misses, mt.Requests)
 		}
-		again, err := encodeCheckpoint(&Checkpoint{Engine: eng.State(), Controller: c.CheckpointState()})
+		again, err := EncodeCheckpointFrame(eng.State(), c.CheckpointState())
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck, err = decodeCheckpoint(again)
-		if err != nil {
+		if ck, err = DecodeCheckpointFrame(again); err != nil {
 			t.Fatalf("the controller's own checkpoint does not decode: %v", err)
 		}
-		if twice, err := encodeCheckpoint(ck); err != nil || !bytes.Equal(twice, again) {
+		if twice, err := json.Marshal(ck); err != nil || !bytes.Equal(framed(t, twice), again) {
 			t.Fatalf("the checkpoint does not round-trip its bytes (%v)", err)
 		}
 		c, eng = rig(t)
-		if err := eng.RestoreState(ck.Engine); err != nil {
+		if es, err = ck.EngineState(); err == nil {
+			err = eng.RestoreState(es)
+		}
+		if err != nil {
 			t.Fatalf("the controller's own engine state does not restore: %v", err)
 		}
 		if err := c.RestoreState(ck.Controller); err != nil {
@@ -528,9 +577,9 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 			"run":         "transient: eng's ServeRun, found by NewController",
 			"exploitLeft": "derived: Epoch − EpochReqs in exploit, stored at restore",
 			"mu":          "transient: a lock",
-			"st":          "Phase,Epoch,EpochReqs,RoundReqs,ClusterID,Set,Extended,Prof,CurArm,RoundStart,Diags,LearningNS",
-			"alg":         "Bandit",
-			"extractor":   "transient: the warm-up feature tree is not checkpointed (§6.4); restore re-enters warm-up",
+			// st.sigma is carried too: fit rebuilds it from Set, ClusterID and Extended.
+			"st":        "Phase,Epoch,EpochReqs,RoundReqs,ClusterID,Set,Extended,Prof,CurArm,RoundStart,Bandit,Diags,LearningNS,sigma",
+			"extractor": "transient: the warm-up feature tree is not checkpointed (§6.4); restore re-enters warm-up",
 		}},
 		{reflect.TypeOf((*bandit.Algorithm)(nil)).Elem(), reflect.TypeOf(bandit.State{}), map[string]string{
 			"cfg": "derived: rebuilt by the restorer from the model's Σ and its own config",
@@ -587,10 +636,10 @@ func identifyMidRound(t *testing.T, m *Model, reqs []trace.Request) (*Controller
 }
 
 // TestSnapshotSharesNothingWithLiveState: the live state is the snapshot's
-// own struct, so CheckpointState and restore must copy every slice. A
-// snapshot keeps the bytes it was taken with while its controller serves
-// on, and editing a restored snapshot's slices leaves the controller's next
-// snapshot as it was.
+// own struct, so CheckpointState must copy every slice. A snapshot keeps
+// the bytes it was taken with while its controller serves on, and editing
+// the slices of a restored controller's snapshot leaves its next snapshot
+// as it was. (Restore decodes its own copy of the part it is given.)
 func TestSnapshotSharesNothingWithLiveState(t *testing.T) {
 	m := trainedModel(t)
 	var reqs []trace.Request
@@ -609,15 +658,12 @@ func TestSnapshotSharesNothingWithLiveState(t *testing.T) {
 	if later, _ := json.Marshal(st); !bytes.Equal(later, taken) {
 		t.Fatalf("a snapshot changed while its controller served on:\n%s\n%s", taken, later)
 	}
-	var fresh ControllerState
-	if err := json.Unmarshal(taken, &fresh); err != nil {
-		t.Fatal(err)
-	}
 	r, _ := newShardedController(t, m)
-	if err := r.RestoreState(&fresh); err != nil {
+	if err := r.RestoreState(taken); err != nil {
 		t.Fatal(err)
 	}
-	want, _ := json.Marshal(r.CheckpointState())
+	fresh := r.CheckpointState()
+	want, _ := json.Marshal(fresh)
 	fresh.Set[0]++
 	fresh.Extended[0]++
 	fresh.Prof.Fractions[0]++

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,12 +30,9 @@ const (
 
 // OnlineConfig parameterises the online selection loop.
 type OnlineConfig struct {
-	// Epoch is N_e, the epoch length in requests.
-	Epoch int
-	// Warmup is N_warmup, the feature-estimation prefix of each epoch.
-	Warmup int
-	// Round is N_round, the requests per bandit round.
-	Round int
+	Epoch  int // N_e, the epoch length in requests
+	Warmup int // N_warmup, the feature-estimation prefix of each epoch
+	Round  int // N_round, the requests per bandit round
 	// StabilityRounds is the practical stop (same best arm this many
 	// consecutive rounds); 0 disables it.
 	StabilityRounds int
@@ -88,37 +86,32 @@ const maxDiags = 256
 // EpochDiag records one epoch's online decisions for the component studies
 // (Figures 5b–5d).
 type EpochDiag struct {
-	// Epoch is the 0-based epoch number.
-	Epoch int
-	// Cluster is the matched cluster.
-	Cluster int
-	// SetSize is the size of the cluster's expert set.
-	SetSize int
-	// Rounds is the number of bandit rounds used (0 when the set was a
-	// singleton).
-	Rounds int
+	Epoch   int // 0-based
+	Cluster int // the matched cluster
+	SetSize int // the size of the cluster's expert set
+	Rounds  int // bandit rounds used (0 when identification did not run)
 	// StopReason is the bandit's stop reason ("stability", "threshold",
-	// "max-rounds", "singleton", or "epoch-end").
+	// "max-rounds"), why identification did not run ("singleton",
+	// "degenerate-sigma"), or "epoch-end" when it ran out of epoch.
 	StopReason string
-	// Chosen is the deployed expert after identification.
-	Chosen cache.Expert
+	Chosen     cache.Expert // the expert deployed after identification
 }
 
 // Controller drives Darwin's online phase over a cache engine — the serial
 // Hierarchy in simulation, or a Sharded engine behind the concurrent proxy.
-// The cache Serve itself runs at the engine's concurrency (shard-parallel for
-// Sharded). What the controller adds per request depends on the phase: during
-// warm-up and identification the state machine advances under mu; in
-// PhaseExploit — the rest of the epoch, most of it — a request is one atomic
-// decrement of exploitLeft and touches mu only if it is the one that
-// completes the epoch. Play, the serial replay, pays that once per run of
-// requests rather than once per request, and hands the run to the engine
-// whole. Expert deployments at warm-up, round, and epoch boundaries
-// broadcast to every shard through Engine.SetExpert.
+// It is the shell around step, the pure transition function: it counts
+// serves to the next boundary — the end of warm-up, of a bandit round, of
+// the epoch — and there calls step under mu, applies its action through
+// Engine.SetExpert, and adds the call's time to LearningNS. The cache Serve
+// runs at the engine's own concurrency (shard-parallel for Sharded). In
+// PhaseExploit — the rest of the epoch, most of it — a serve is counted by
+// one atomic decrement of exploitLeft and touches mu only if it completes
+// the epoch. Play, the serial replay, hands each run between boundaries to
+// the engine whole and counts it at once.
 //
 // Lock order: mu, then shard mutexes in ascending index order (SetExpert,
-// Metrics and playLocked's serves run under mu; Play's exploit runs hold
-// every shard mutex per chunk and no mu).
+// Metrics and playLocked's runs take them under mu; Play's exploit runs
+// hold no mu).
 type Controller struct {
 	model *Model
 	eng   cache.Engine
@@ -137,14 +130,11 @@ type Controller struct {
 	// the next holder of mu is that last one.
 	exploitLeft atomic.Int64
 
-	// mu serializes the online state machine: everything below it. st is
-	// the state machine itself, the struct a snapshot is a deep copy of,
-	// with two differences: st.EpochReqs stands still in exploit, where
-	// exploitLeft carries the count (epochServesLocked reads either), and
-	// st.Bandit is always nil, since the bandit's state is alg's.
+	// mu serializes the shell. st is the state step advances and a snapshot
+	// copies, except that st.EpochReqs stands still in exploit, where
+	// exploitLeft carries the count.
 	mu        sync.Mutex
 	st        ControllerState     // guarded by mu
-	alg       *bandit.Algorithm   // the identification run; guarded by mu
 	extractor *features.Extractor // warm-up feature estimator; guarded by mu
 }
 
@@ -207,9 +197,6 @@ func (c *Controller) LearningDuration() time.Duration {
 	return time.Duration(c.st.LearningNS)
 }
 
-// Engine returns the controlled cache engine.
-func (c *Controller) Engine() cache.Engine { return c.eng }
-
 // Concurrent reports whether the controller may be driven from multiple
 // goroutines at once: true when the underlying engine is concurrency-safe
 // (the state machine itself is: an atomic count in exploit, mu elsewhere).
@@ -252,13 +239,13 @@ func (c *Controller) Serve(r trace.Request) cache.Result {
 func (c *Controller) serveLocked(r trace.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stepLocked(r)
+	c.countLocked([]trace.Request{r})
 }
 
-// stepLocked advances the state machine by one serve of r, already served
-// by the engine, that did not count itself lock-free: Serve's and Play's one
-// step function.
-func (c *Controller) stepLocked(r trace.Request) {
+// countLocked counts reqs, served by the engine but not counted lock-free,
+// into the epoch, and steps at the boundary they reach. reqs run at most to
+// the next boundary (playLocked), so in exploit they are one serve.
+func (c *Controller) countLocked(reqs []trace.Request) {
 	if c.st.Phase == PhaseExploit {
 		// Exploit may have been entered (or restored) while this serve
 		// waited for mu: then it joins the epoch the way the lock-free path
@@ -269,30 +256,25 @@ func (c *Controller) stepLocked(r trace.Request) {
 		}
 		c.st.EpochReqs = c.cfg.Epoch - 1
 	}
-	c.st.EpochReqs++
+	c.st.EpochReqs += len(reqs)
 	switch c.st.Phase {
 	case PhaseWarmup:
-		c.extractor.Observe(r)
+		for _, r := range reqs {
+			c.extractor.Observe(r)
+		}
 		if c.st.EpochReqs >= c.cfg.Warmup {
-			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
-			start := time.Now()
-			c.finishWarmupLocked()
-			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
-			c.st.LearningNS += time.Since(start).Nanoseconds()
+			c.stepLocked(event{kind: warmupDone, extended: c.extractor.Extended()})
+			c.extractor.Reset() // the feature tree is deleted after the collection stage (§6.4)
 		}
 	case PhaseIdentify:
-		c.st.RoundReqs++
+		c.st.RoundReqs += len(reqs)
 		if c.st.RoundReqs >= c.cfg.Round {
-			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
-			start := time.Now()
-			c.finishRoundLocked()
-			//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
-			c.st.LearningNS += time.Since(start).Nanoseconds()
+			c.stepLocked(event{kind: roundDone, round: c.eng.Metrics().Sub(c.st.RoundStart)})
 		}
 	}
 	switch {
 	case c.st.EpochReqs >= c.cfg.Epoch:
-		c.finishEpochLocked()
+		c.stepLocked(event{kind: epochDone})
 	case c.st.Phase == PhaseExploit:
 		// Exploit was just entered: the rest of the epoch is counted
 		// lock-free.
@@ -300,22 +282,33 @@ func (c *Controller) stepLocked(r trace.Request) {
 	}
 }
 
-// epochServesLocked returns how many serves the current epoch has counted.
-// In exploit that is never the whole epoch: the last serve counts itself
-// under mu and rolls the epoch in the same critical section.
-func (c *Controller) epochServesLocked() int {
-	if c.st.Phase != PhaseExploit {
-		return c.st.EpochReqs
+// stepLocked runs step and its action, timed into LearningNS. A round step
+// opens is measured from the engine's metrics once its arm is deployed, so
+// serves that raced the step under the previous expert do not count toward
+// it. The shell raises only events the phase expects: step never refuses.
+func (c *Controller) stepLocked(ev event) {
+	//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
+	start := time.Now()
+	next, act, err := step(c.model, c.cfg, c.st, ev)
+	if err != nil {
+		panic(err)
 	}
-	return c.cfg.Epoch - int(max(c.exploitLeft.Load(), 1))
+	if act.deploy {
+		c.eng.SetExpert(act.expert)
+	}
+	if next.Phase == PhaseIdentify {
+		next.RoundStart = c.eng.Metrics()
+	}
+	//lint:ignore determinism learning time is a measurement (LearningDuration); no decision reads it
+	next.LearningNS += time.Since(start).Nanoseconds()
+	c.st = next
 }
 
 // Play serves an entire trace: exactly what Serve on each request in order
-// does, in runs. An exploit run reserves its serves with one
-// compare-and-swap and then hands them to the engine in one ServeRun call
-// (request by request on an engine without one); any other run holds mu
-// and steps the state machine per request, until the trace ends or exploit
-// is entered with more than one serve left.
+// does, in runs that end at the state machine's boundaries. An exploit run
+// reserves its serves with one compare-and-swap and needs no mu; any other
+// run holds mu. Either way the engine serves the run in one ServeRun call
+// (request by request on an engine without one).
 func (c *Controller) Play(tr *trace.Trace) {
 	for reqs := tr.Requests; len(reqs) > 0; {
 		if k := c.reserveExploit(len(reqs)); k > 0 {
@@ -327,7 +320,7 @@ func (c *Controller) Play(tr *trace.Trace) {
 	}
 }
 
-// serveRun serves an exploit run on the engine.
+// serveRun serves a run on the engine.
 func (c *Controller) serveRun(reqs []trace.Request) {
 	if c.run != nil {
 		c.run.ServeRun(reqs)
@@ -355,76 +348,164 @@ func (c *Controller) reserveExploit(n int) int {
 	}
 }
 
-// playLocked serves reqs under mu, stepping the state machine after each,
-// and returns how many it served: at least one, and it stops early once
-// exploit is entered with more than one serve left, so mu is held for at
-// most one warm-up or identification run. The engine serves under mu,
-// which is the mu → shard-mutex order SetExpert and Metrics already take.
+// playLocked serves under mu the run from the head of reqs to the next
+// boundary (in exploit, one serve: the epoch's last, or one that joins an
+// exploit run), counts it, and returns its length. Serving under mu is the
+// mu → shard-mutex order SetExpert and Metrics already take; a warm-up run
+// is observed after it is served, since the extractor reads only requests.
 func (c *Controller) playLocked(reqs []trace.Request) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for i, r := range reqs {
-		c.eng.Serve(r)
-		c.stepLocked(r)
-		if c.st.Phase == PhaseExploit && c.exploitLeft.Load() > 1 {
-			return i + 1
-		}
+	n := 1
+	switch c.st.Phase {
+	case PhaseWarmup:
+		n = c.cfg.Warmup - c.st.EpochReqs
+	case PhaseIdentify:
+		n = min(c.cfg.Round-c.st.RoundReqs, c.cfg.Epoch-c.st.EpochReqs)
 	}
-	return len(reqs)
+	run := reqs[:min(len(reqs), n)]
+	c.serveRun(run)
+	c.countLocked(run)
+	return len(run)
 }
 
-// finishWarmupLocked performs cluster lookup and starts identification.
-func (c *Controller) finishWarmupLocked() {
-	feat := c.extractor.Vector()
-	c.st.Extended = c.extractor.Extended()
-	c.st.Prof = NewSizeProfile(c.extractor.SizeDistribution(), c.model.FeatureCfg.MinSize, c.model.FeatureCfg.MaxSize)
-	c.st.ClusterID, c.st.Set = c.model.Lookup(feat)
-	// The feature tree is deleted after the collection stage (§6.4).
-	c.extractor.Reset()
+// eventKind names the boundaries at which the controller learns (§6.4): the
+// end of warm-up, of a bandit round, and of an epoch.
+type eventKind string
 
-	if len(c.st.Set) < 2 {
-		chosen := c.model.Experts[c.st.Set[0]]
-		c.eng.SetExpert(chosen)
-		c.st.Phase = PhaseExploit
-		c.logDiagLocked(EpochDiag{
-			Epoch: c.st.Epoch, Cluster: c.st.ClusterID, SetSize: len(c.st.Set),
-			StopReason: "singleton", Chosen: chosen,
-		})
-		return
+const (
+	warmupDone eventKind = "warm-up"
+	roundDone  eventKind = "round"
+	epochDone  eventKind = "epoch"
+)
+
+// event is one boundary the controller reached. At warm-up's end, extended
+// is the warm-up's feature vector with its size distribution appended
+// (features.Extractor.Extended); at a round's end, round is the engine's
+// metrics over the round.
+type event struct {
+	kind     eventKind
+	extended []float64
+	round    cache.Metrics
+}
+
+// action is what a step asks of the engine: deploy expert, or nothing.
+type action struct {
+	deploy bool
+	expert cache.Expert
+}
+
+// step is the controller's transition function: the state st moves to when
+// ev happens, and the action that goes with it. It reads only its arguments
+// — no engine, clock or lock — and writes none of them. An event the phase
+// does not expect (a round's end outside identification, warm-up's end
+// outside warm-up), or an identify state whose Σ fit did not build, is
+// refused: st comes back unchanged with an error.
+func step(m *Model, cfg OnlineConfig, st ControllerState, ev event) (ControllerState, action, error) {
+	switch {
+	case ev.kind == warmupDone && st.Phase == PhaseWarmup:
+		return startIdentify(m, cfg, st, ev)
+	case ev.kind == roundDone && st.Phase == PhaseIdentify:
+		return closeRound(m, cfg, st, ev.round)
+	case ev.kind == epochDone:
+		next, act := st, action{}
+		if st.Phase == PhaseIdentify {
+			// Identification ran out of epoch: deploy the current
+			// recommendation and record the truncated run.
+			alg, err := resumeBandit(cfg, &st)
+			if err != nil {
+				return st, action{}, err
+			}
+			next, act, _ = exploit(m, st, st.Set[alg.Recommendation()], alg.Rounds(), "epoch-end")
+		}
+		// The deployed expert stays in place for the next warm-up.
+		next.Epoch++
+		next.EpochReqs, next.RoundReqs = 0, 0
+		next.Phase = PhaseWarmup
+		return next, act, nil
 	}
+	return st, action{}, fmt.Errorf("core: a %s event in %s", ev.kind, st.Phase)
+}
 
-	alg, err := bandit.New(banditConfig(c.cfg, buildSigma(c.model, c.cfg, c.st.Set, c.st.ClusterID, c.st.Extended)))
+// startIdentify ends warm-up: it matches the features to a cluster and opens
+// identification among the cluster's expert set — or, for a one-expert set
+// or degenerate side information, exploits one expert for the epoch.
+func startIdentify(m *Model, cfg OnlineConfig, st ControllerState, ev event) (ControllerState, action, error) {
+	fc := m.FeatureCfg
+	st.Extended = ev.extended
+	st.Prof = NewSizeProfile(ev.extended[fc.VectorLen():], fc.MinSize, fc.MaxSize)
+	st.ClusterID, st.Set = m.Lookup(ev.extended[:fc.VectorLen()])
+	if len(st.Set) < 2 {
+		return exploit(m, st, st.Set[0], 0, "singleton")
+	}
+	sigma := buildSigma(m, cfg, st.Set, st.ClusterID, st.Extended)
+	alg, err := bandit.New(banditConfig(cfg, sigma))
 	if err != nil {
-		// Degenerate side information; fall back to the cluster's best mean
-		// expert for the epoch.
-		best := c.st.Set[0]
-		for _, ei := range c.st.Set {
-			if c.model.MeanReward[c.st.ClusterID][ei] > c.model.MeanReward[c.st.ClusterID][best] {
+		// Degenerate side information: the cluster's best mean expert.
+		best := st.Set[0]
+		for _, ei := range st.Set {
+			if m.MeanReward[st.ClusterID][ei] > m.MeanReward[st.ClusterID][best] {
 				best = ei
 			}
 		}
-		chosen := c.model.Experts[best]
-		c.eng.SetExpert(chosen)
-		c.st.Phase = PhaseExploit
-		c.logDiagLocked(EpochDiag{
-			Epoch: c.st.Epoch, Cluster: c.st.ClusterID, SetSize: len(c.st.Set),
-			StopReason: "degenerate-sigma", Chosen: chosen,
-		})
-		return
+		return exploit(m, st, best, 0, "degenerate-sigma")
 	}
-	c.alg = alg
-	c.st.CurArm = alg.NextArm()
-	c.eng.SetExpert(c.model.Experts[c.st.Set[c.st.CurArm]])
-	c.st.RoundStart = c.eng.Metrics()
-	c.st.RoundReqs = 0
-	c.st.Phase = PhaseIdentify
+	st.sigma, st.Bandit = sigma, alg.State()
+	return openRound(m, st, alg)
+}
+
+// closeRound feeds the bandit the rewards of a round whose engine metrics
+// are round, then opens the next round or, once the bandit stops, exploits
+// its recommendation.
+func closeRound(m *Model, cfg OnlineConfig, st ControllerState, round cache.Metrics) (ControllerState, action, error) {
+	alg, err := resumeBandit(cfg, &st)
+	if err != nil {
+		return st, action{}, err
+	}
+	if err := alg.Update(st.CurArm, roundRewards(m, cfg, &st, round)); err != nil {
+		return st, action{}, err
+	}
+	if alg.Stopped() {
+		return exploit(m, st, st.Set[alg.Recommendation()], alg.Rounds(), alg.StopReason())
+	}
+	st.Bandit = alg.State()
+	return openRound(m, st, alg)
+}
+
+// openRound deploys alg's next arm; the shell then reads its RoundStart.
+func openRound(m *Model, st ControllerState, alg *bandit.Algorithm) (ControllerState, action, error) {
+	st.Phase = PhaseIdentify
+	st.CurArm = alg.NextArm()
+	st.RoundReqs = 0
+	return st, action{deploy: true, expert: m.Experts[st.Set[st.CurArm]]}, nil
+}
+
+// exploit deploys expert for the rest of the epoch and logs the decision,
+// dropping the oldest entry of a full log; the new log is a copy. It never
+// fails.
+func exploit(m *Model, st ControllerState, expert, rounds int, reason string) (ControllerState, action, error) {
+	chosen := m.Experts[expert]
+	st.Phase = PhaseExploit
+	st.Bandit, st.sigma = nil, nil
+	st.Diags = append(slices.Clip(st.Diags[max(0, len(st.Diags)-maxDiags+1):]), EpochDiag{
+		Epoch: st.Epoch, Cluster: st.ClusterID, SetSize: len(st.Set),
+		Rounds: rounds, StopReason: reason, Chosen: chosen,
+	})
+	return st, action{deploy: true, expert: chosen}, nil
+}
+
+// resumeBandit is st's identification run over its Σ, at its bandit state.
+func resumeBandit(cfg OnlineConfig, st *ControllerState) (*bandit.Algorithm, error) {
+	alg, err := bandit.New(banditConfig(cfg, st.sigma))
+	if err == nil {
+		err = alg.SetState(st.Bandit)
+	}
+	return alg, err
 }
 
 // banditConfig derives the identification run's bandit configuration from
 // the online config: identification starts at warm-up end, so it can run at
-// most the epoch's remaining (Epoch − Warmup) / Round rounds. Checkpoint
-// restore reuses it so a restored run is governed by exactly the constants
-// of the original.
+// most the epoch's remaining (Epoch − Warmup) / Round rounds.
 func banditConfig(cfg OnlineConfig, sigma2 [][]float64) bandit.Config {
 	return bandit.Config{
 		Sigma2:          sigma2,
@@ -436,9 +517,9 @@ func banditConfig(cfg OnlineConfig, sigma2 [][]float64) bandit.Config {
 
 // buildSigma constructs the side-information matrix over a cluster's expert
 // set using the prediction networks and the cluster's prior hit rates
-// (§4.1), scaled to round-level sample variances. Warm-up's end and
-// checkpoint restore (which rebuilds Σ from the snapshotted set, cluster and
-// features) share it.
+// (§4.1), scaled to round-level sample variances. It evaluates the
+// predictors over every pair of the set, so it runs once per identification
+// run: at warm-up's end, or in fit on restore.
 func buildSigma(model *Model, cfg OnlineConfig, set []int, clusterID int, extended []float64) [][]float64 {
 	n := len(set)
 	sigma2 := make([][]float64, n)
@@ -483,58 +564,4 @@ func roundRewards(m *Model, cfg OnlineConfig, st *ControllerState, round cache.M
 		}
 	}
 	return rewards
-}
-
-// finishRoundLocked closes a bandit round: feeds the bandit the round's
-// rewards, then advances it to its next arm or deploys its recommendation.
-func (c *Controller) finishRoundLocked() {
-	rewards := roundRewards(c.model, c.cfg, &c.st, c.eng.Metrics().Sub(c.st.RoundStart))
-	if err := c.alg.Update(c.st.CurArm, rewards); err != nil {
-		// Cannot happen with a well-formed controller; deploy best-known.
-		c.deployRecommendationLocked("update-error")
-		return
-	}
-	if c.alg.Stopped() {
-		c.deployRecommendationLocked(c.alg.StopReason())
-		return
-	}
-	c.st.CurArm = c.alg.NextArm()
-	c.eng.SetExpert(c.model.Experts[c.st.Set[c.st.CurArm]])
-	c.st.RoundStart = c.eng.Metrics()
-	c.st.RoundReqs = 0
-}
-
-func (c *Controller) deployRecommendationLocked(reason string) {
-	chosen := c.model.Experts[c.st.Set[c.alg.Recommendation()]]
-	c.eng.SetExpert(chosen)
-	c.st.Phase = PhaseExploit
-	c.logDiagLocked(EpochDiag{
-		Epoch: c.st.Epoch, Cluster: c.st.ClusterID, SetSize: len(c.st.Set),
-		Rounds: c.alg.Rounds(), StopReason: reason, Chosen: chosen,
-	})
-}
-
-// logDiagLocked appends d to the epoch log, dropping the oldest entry once
-// the log holds maxDiags.
-func (c *Controller) logDiagLocked(d EpochDiag) {
-	if len(c.st.Diags) == maxDiags {
-		c.st.Diags = c.st.Diags[1:]
-	}
-	c.st.Diags = append(c.st.Diags, d)
-}
-
-// finishEpochLocked rolls over to the next epoch's warm-up, keeping the currently
-// deployed expert in place for the new warm-up phase.
-func (c *Controller) finishEpochLocked() {
-	if c.st.Phase == PhaseIdentify {
-		// Identification ran out of epoch: deploy the current recommendation
-		// and record the truncated run.
-		c.deployRecommendationLocked("epoch-end")
-	}
-	c.st.Epoch++
-	c.st.EpochReqs = 0
-	c.st.RoundReqs = 0
-	c.alg = nil
-	c.st.Phase = PhaseWarmup
-	c.extractor.Reset()
 }

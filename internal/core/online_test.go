@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"darwin/internal/bandit"
 	"darwin/internal/cache"
 	"darwin/internal/trace"
 	"darwin/internal/tracegen"
@@ -178,7 +177,7 @@ func TestControllerKeepsNewestDiags(t *testing.T) {
 		for i := range st.Diags {
 			st.Diags[i] = diags[i%len(diags)]
 		}
-		frame, err := EncodeCheckpointFrame(&Checkpoint{Controller: st})
+		frame, err := EncodeCheckpointFrame(nil, st)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,14 +277,16 @@ func TestControllerSingletonSet(t *testing.T) {
 	}
 }
 
-// TestRoundRewardsReplaysTheBandit: roundRewards is the whole of what a
-// round feeds the bandit. A fresh bandit built from a round's opening
-// snapshot and fed roundRewards of the round's metrics holds, round after
-// round, the state the live controller's bandit holds at the round's end.
+// TestRoundRewardsReplaysTheBandit: step is the whole of what a round's end
+// changes but the next round's metrics baseline, which the shell reads once
+// the arm is deployed. Replayed from the round's opening snapshot — fit, the
+// round's serves counted, then step on the round's metrics — it gives,
+// round after round, the live controller's snapshot at the round's end and
+// the expert the engine then runs.
 func TestRoundRewardsReplaysTheBandit(t *testing.T) {
 	m := trainedModel(t)
 	cfg := onlineCfg()
-	c, _ := newShardedController(t, m)
+	c, eng := newShardedController(t, m)
 	reqs := testTraces(t)[3].Requests
 	i := 0
 	for ; c.Phase() == PhaseWarmup; i++ {
@@ -298,21 +299,24 @@ func TestRoundRewardsReplaysTheBandit(t *testing.T) {
 			i++
 		}
 		closed := c.CheckpointState()
-		alg, err := bandit.New(banditConfig(cfg, buildSigma(m, cfg, open.Set, open.ClusterID, open.Extended)))
+		if err := fit(m, cfg, open); err != nil {
+			t.Fatal(err)
+		}
+		open.EpochReqs += cfg.Round
+		open.RoundReqs += cfg.Round
+		next, act, err := step(m, cfg, *open, event{kind: roundDone, round: c.Metrics().Sub(open.RoundStart)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := alg.SetState(open.Bandit); err != nil {
-			t.Fatal(err)
+		if next.Phase == PhaseIdentify {
+			next.RoundStart = c.Metrics()
 		}
-		if err := alg.Update(open.CurArm, roundRewards(m, cfg, open, c.Metrics().Sub(open.RoundStart))); err != nil {
-			t.Fatal(err)
+		next.sigma, next.LearningNS = nil, closed.LearningNS
+		if !reflect.DeepEqual(&next, closed) {
+			t.Fatalf("round %d: the replayed step gives\n%+v\nthe live controller\n%+v", rounds, next, *closed)
 		}
-		if closed.Phase == PhaseIdentify && !reflect.DeepEqual(alg.State(), closed.Bandit) {
-			t.Fatalf("round %d: the replayed bandit is\n%+v\nthe live one\n%+v", rounds, alg.State(), closed.Bandit)
-		}
-		if closed.Phase != PhaseIdentify && closed.Diags[len(closed.Diags)-1].Chosen != m.Experts[open.Set[alg.Recommendation()]] {
-			t.Fatalf("round %d: the replayed bandit recommends another expert than the live one deployed", rounds)
+		if !act.deploy || act.expert != eng.Expert() {
+			t.Fatalf("round %d: the replayed step deploys %+v, the engine runs %v", rounds, act, eng.Expert())
 		}
 		open = closed
 	}
@@ -637,7 +641,7 @@ type replayOutcome struct {
 	checkpoint string
 }
 
-func outcomeOf(tb testing.TB, c *Controller) replayOutcome {
+func outcomeOf(tb testing.TB, c *Controller, eng cache.Engine) replayOutcome {
 	tb.Helper()
 	st := c.CheckpointState()
 	st.LearningNS = 0 // wall time: the one field two identical replays differ in
@@ -648,7 +652,7 @@ func outcomeOf(tb testing.TB, c *Controller) replayOutcome {
 	return replayOutcome{
 		metrics:    c.Metrics(),
 		diags:      c.Diags(),
-		switches:   c.Engine().(interface{ ExpertSwitches() int64 }).ExpertSwitches(),
+		switches:   eng.(interface{ ExpertSwitches() int64 }).ExpertSwitches(),
 		checkpoint: string(blob),
 	}
 }
@@ -666,7 +670,7 @@ func replay(tb testing.TB, m *Model, eng cache.Engine, reqs []trace.Request, cut
 		for _, r := range reqs {
 			c.Serve(r)
 		}
-		return outcomeOf(tb, c)
+		return outcomeOf(tb, c, eng)
 	}
 	for _, k := range cuts {
 		k = min(k, len(reqs))
@@ -674,7 +678,7 @@ func replay(tb testing.TB, m *Model, eng cache.Engine, reqs []trace.Request, cut
 		reqs = reqs[k:]
 	}
 	c.Play(&trace.Trace{Requests: reqs})
-	return outcomeOf(tb, c)
+	return outcomeOf(tb, c, eng)
 }
 
 // evenCuts cuts n requests into batches of size k.

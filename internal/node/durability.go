@@ -101,7 +101,10 @@ func (d *durability) recover() {
 	if ck := d.loaded; ck != nil {
 		// Each restore checks only the part it reads: a refused controller
 		// part leaves the restored engine serving.
-		err := d.eng.RestoreState(ck.Engine)
+		es, err := ck.EngineState()
+		if err == nil {
+			err = d.eng.RestoreState(es)
+		}
 		if err != nil {
 			logf("engine state not restored (%v); continuing cold", err)
 		} else if d.ctrl != nil && ck.Controller != nil {

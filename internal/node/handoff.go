@@ -13,9 +13,9 @@ package node
 // The acceptor checks only what it merges — the frame's CRC, an engine part
 // with no null shard, every resident level — all before the first
 // mutation, so a frame that fails leaves the inheritor untouched (the
-// server layer answers it 400 and counts a state_reject), and a malformed
-// controller part, tracker or metrics, which the heir does not read, costs
-// it nothing.
+// server layer answers it 400 and counts a state_reject), and a controller
+// part of any content or JSON type, or a tracker or metrics a restore would
+// refuse, none of which the heir reads, costs it nothing.
 
 import (
 	"fmt"
@@ -24,25 +24,21 @@ import (
 	"darwin/internal/core"
 )
 
-// snapshot captures the node's learned state: the checkpoint file's and the
-// handoff frame's alike.
-func snapshot(eng *cache.Sharded, ctrl *core.Controller) *core.Checkpoint {
-	ck := &core.Checkpoint{Engine: eng.State()}
-	if ctrl != nil {
-		ck.Controller = ctrl.CheckpointState()
+// snapshot captures the node's learned state, the parts of the checkpoint
+// file and the handoff frame alike (core.EncodeCheckpointFrame).
+func snapshot(eng *cache.Sharded, ctrl *core.Controller) (*cache.ShardedState, *core.ControllerState) {
+	if ctrl == nil {
+		return eng.State(), nil
 	}
-	return ck
+	return eng.State(), ctrl.CheckpointState()
 }
 
 // donorLevels lists a donor engine snapshot's resident levels in the order
 // MergeDC admits them: every shard's DC, then every shard's HOC (MergeDC
 // evicts from the DC tail under pressure, so the donor's hottest objects —
-// its HOC — are admitted last and sit most-protected). A missing engine
-// part or a null shard is an error.
+// its HOC — are admitted last and sit most-protected). A null shard is an
+// error.
 func donorLevels(es *cache.ShardedState) ([][]cache.ResidentObject, error) {
-	if es == nil {
-		return nil, fmt.Errorf("handoff: frame carries no engine state")
-	}
 	var dcs, hocs [][]cache.ResidentObject
 	for i, sh := range es.Shards {
 		if sh == nil {
@@ -63,7 +59,11 @@ func handoffAcceptor(eng *cache.Sharded) func([]byte) error {
 		if err != nil {
 			return err
 		}
-		levels, err := donorLevels(ck.Engine)
+		es, err := ck.EngineState()
+		if err != nil {
+			return err
+		}
+		levels, err := donorLevels(es)
 		if err != nil {
 			return err
 		}

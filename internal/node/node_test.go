@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -389,6 +390,20 @@ func TestRestartMidExploitRewarms(t *testing.T) {
 // residents and the request counts — and leaves only the controller state
 // unrestored: it logs so and starts a fresh warm-up.
 func TestRestartOverLongEpochLog(t *testing.T) {
+	restartOverControllerPart(t, func(ck *parts) { ck.ctrl.Diags = make([]core.EpochDiag, 257) })
+}
+
+// TestRestartOverWrongTypedControllerPart: a checkpoint file whose
+// controller part is not a JSON object still restores its engine, and the
+// controller re-warms; the file is not unreadable.
+func TestRestartOverWrongTypedControllerPart(t *testing.T) {
+	restartOverControllerPart(t, func(ck *parts) { ck.ctrl, ck.rawCtrl = nil, json.RawMessage(`"garbage"`) })
+}
+
+// restartOverControllerPart restarts a node over its own checkpoint file
+// with the controller part edited into one restore refuses: the engine part
+// restores, the controller state is logged as not restored and re-warms.
+func restartOverControllerPart(t *testing.T, edit func(ck *parts)) {
 	cfg := Config{
 		Model:    handoffModel(t),
 		Online:   handoffOnlineCfg(),
@@ -407,12 +422,9 @@ func TestRestartOverLongEpochLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	first.ctrl.Play(tr)
-	ck := snapshot(first.eng, first.ctrl)
-	ck.Controller.Diags = make([]core.EpochDiag, 257)
-	frame, err := core.EncodeCheckpointFrame(ck)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ck := partsOf(first.eng, first.ctrl)
+	edit(ck)
+	frame := ck.frame(t)
 	if err := first.dur.store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -420,19 +432,21 @@ func TestRestartOverLongEpochLog(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	second, err := build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var second *Node
+	logged := stderrOf(t, func() { // the checkpoint file is read by build
+		if second, err = build(cfg); err != nil {
+			t.Fatal(err)
+		}
+		second.dur.recover()
+	})
 	t.Cleanup(func() { second.dur.store.Close() })
-	logged := stderrOf(t, second.dur.recover)
 	if !strings.Contains(logged, "controller state not restored") ||
 		strings.Contains(logged, "unreadable") || strings.Contains(logged, "engine state not restored") {
 		t.Fatalf("recovery logged %q, want the engine restored and the controller state refused", logged)
 	}
 	hoc := 0
 	for i, sh := range second.eng.State().Shards {
-		w := ck.Engine.Shards[i]
+		w := ck.eng.Shards[i]
 		if !reflect.DeepEqual(sh.HOC, w.HOC) || !reflect.DeepEqual(sh.Tracker, w.Tracker) {
 			t.Fatalf("shard %d: the restored HOC or request counts are not the checkpoint's", i)
 		}
@@ -585,8 +599,10 @@ func TestCheckpointFile(t *testing.T) {
 	if !bytes.Equal(data, want) {
 		t.Fatal("checkpoint file differs from EncodeCheckpointFrame of the snapshot")
 	}
-	if n, _ := reopen(); n.dur.loaded == nil || !reflect.DeepEqual(n.dur.loaded.Engine, first.eng.State()) {
-		t.Fatal("checkpoint file did not load the engine state it holds")
+	if n, _ := reopen(); n.dur.loaded == nil {
+		t.Fatal("checkpoint file did not load")
+	} else if es, err := n.dur.loaded.EngineState(); err != nil || !reflect.DeepEqual(es, first.eng.State()) {
+		t.Fatalf("checkpoint file did not load the engine state it holds (%v)", err)
 	}
 
 	corrupt := append([]byte(nil), data...)
@@ -615,11 +631,8 @@ func TestModelCarryingCheckpointRestores(t *testing.T) {
 	if keys := payloadKeys(t, data); !reflect.DeepEqual(keys, []string{"controller", "engine", "model"}) {
 		t.Fatalf("testdata checkpoint carries %v, want a controller, an engine and a model", keys)
 	}
-	want, err := core.DecodeCheckpointFrame(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Controller.Bandit == nil {
+	want := decodeParts(t, data)
+	if want.ctrl.Bandit == nil {
 		t.Fatal("testdata checkpoint carries no bandit posteriors; the test would not exercise them")
 	}
 	cfg := Config{
@@ -646,13 +659,13 @@ func TestModelCarryingCheckpointRestores(t *testing.T) {
 		t.Fatalf("recovery logged %q, want the checkpoint restored whole", logged)
 	}
 	for i, sh := range n.eng.State().Shards {
-		w := want.Engine.Shards[i]
+		w := want.eng.Shards[i]
 		if !reflect.DeepEqual(sh.HOC, w.HOC) || sh.Metrics != w.Metrics || sh.Expert != w.Expert || sh.ReqIdx != w.ReqIdx {
 			t.Fatalf("shard %d: the restored engine is not the checkpoint's", i)
 		}
 	}
-	if got := n.ctrl.CheckpointState(); !reflect.DeepEqual(got, want.Controller) {
-		t.Fatalf("the restored controller is not the checkpoint's:\n got %+v\nwant %+v", got, want.Controller)
+	if got := n.ctrl.CheckpointState(); !reflect.DeepEqual(got, want.ctrl) {
+		t.Fatalf("the restored controller is not the checkpoint's:\n got %+v\nwant %+v", got, want.ctrl)
 	}
 }
 
@@ -686,6 +699,37 @@ func TestNewRemovesLeftoverTempFiles(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "unrelated")); err != nil {
 		t.Errorf("an unrelated file did not survive New: %v", err)
+	}
+}
+
+// TestNewClosesJournalWhenAssemblyFails: a node whose assembly fails after
+// it opened its journal — here the controller refuses an epoch of 0 — returns
+// that error and closes the journal (Node.abandon): New leaves no file
+// descriptor open.
+func TestNewClosesJournalWhenAssemblyFails(t *testing.T) {
+	openFDs := func() int {
+		ents, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("cannot count open descriptors: %v", err)
+		}
+		return len(ents)
+	}
+	cfg := Config{
+		Model:    handoffModel(t),
+		Online:   core.OnlineConfig{Epoch: 0, Warmup: 1, Round: 1},
+		HOCBytes: 256 << 10,
+		DCBytes:  32 << 20,
+		Shards:   1,
+		Store:    diskcache.Config{Dir: t.TempDir()},
+		Origin:   testOrigin(t),
+	}
+	before := openFDs()
+	n, err := New(cfg)
+	if n != nil || err == nil || !strings.Contains(err.Error(), "epoch/warmup/round must be positive") {
+		t.Fatalf("New with epoch 0: node %v, error %v; want the controller's refusal", n, err)
+	}
+	if after := openFDs(); after != before {
+		t.Fatalf("%d descriptors open before New, %d after: the journal was not closed", before, after)
 	}
 }
 

@@ -178,7 +178,8 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 
 // TestHandoffChecksOnlyTheLevelsItMerges: the /state acceptor reads a
 // frame's resident levels and nothing else of it. A frame whose controller
-// part, request counts or metrics a restore would refuse is answered 204:
+// part (even one of the wrong JSON type), request counts or metrics a
+// restore would refuse is answered 204:
 // the heir holds every donor resident and its controller state is byte for
 // byte what it was. A frame with a malformed level — a negative size, an id
 // twice in one level, a null shard, no engine — is answered 400 and merges
@@ -191,35 +192,33 @@ func TestHandoffChecksOnlyTheLevelsItMerges(t *testing.T) {
 		t.Fatal(err)
 	}
 	donorCtrl.Play(&trace.Trace{Requests: tr.Requests[:800]})
-	lastShard := func(ck *core.Checkpoint) *cache.HierarchyState { return ck.Engine.Shards[len(ck.Engine.Shards)-1] }
-	if sh := lastShard(snapshot(donorEng, donorCtrl)); len(sh.HOC) < 2 || len(sh.DC) < 2 {
+	lastShard := func(ck *parts) *cache.HierarchyState { return ck.eng.Shards[len(ck.eng.Shards)-1] }
+	if sh := lastShard(partsOf(donorEng, donorCtrl)); len(sh.HOC) < 2 || len(sh.DC) < 2 {
 		t.Fatalf("the donor's last shard holds %d HOC and %d DC objects; the test needs two of each", len(sh.HOC), len(sh.DC))
 	}
 	for _, tc := range []struct {
 		name string
 		code int
-		edit func(ck *core.Checkpoint)
+		edit func(ck *parts)
 	}{
-		{"controller-learning-time", http.StatusNoContent, func(ck *core.Checkpoint) { ck.Controller.LearningNS = -1 }},
-		{"tracker-last-seen", http.StatusNoContent, func(ck *core.Checkpoint) { ck.Engine.Shards[0].Tracker.LastSeen[0] = -1 }},
-		{"metrics-misses", http.StatusNoContent, func(ck *core.Checkpoint) { ck.Engine.Shards[0].Metrics.Misses++ }},
-		{"negative-size", http.StatusBadRequest, func(ck *core.Checkpoint) { hoc := lastShard(ck).HOC; hoc[len(hoc)-1].Size = -1 }},
-		{"duplicate-id", http.StatusBadRequest, func(ck *core.Checkpoint) { hoc := lastShard(ck).HOC; hoc[len(hoc)-1] = hoc[0] }},
-		{"null-shard", http.StatusBadRequest, func(ck *core.Checkpoint) { ck.Engine.Shards[len(ck.Engine.Shards)-1] = nil }},
-		{"no-engine", http.StatusBadRequest, func(ck *core.Checkpoint) { ck.Engine = nil }},
+		{"controller-learning-time", http.StatusNoContent, func(ck *parts) { ck.ctrl.LearningNS = -1 }},
+		{"controller-wrong-type", http.StatusNoContent, func(ck *parts) { ck.ctrl, ck.rawCtrl = nil, json.RawMessage(`"garbage"`) }},
+		{"tracker-last-seen", http.StatusNoContent, func(ck *parts) { ck.eng.Shards[0].Tracker.LastSeen[0] = -1 }},
+		{"metrics-misses", http.StatusNoContent, func(ck *parts) { ck.eng.Shards[0].Metrics.Misses++ }},
+		{"negative-size", http.StatusBadRequest, func(ck *parts) { hoc := lastShard(ck).HOC; hoc[len(hoc)-1].Size = -1 }},
+		{"duplicate-id", http.StatusBadRequest, func(ck *parts) { hoc := lastShard(ck).HOC; hoc[len(hoc)-1] = hoc[0] }},
+		{"null-shard", http.StatusBadRequest, func(ck *parts) { ck.eng.Shards[len(ck.eng.Shards)-1] = nil }},
+		{"no-engine", http.StatusBadRequest, func(ck *parts) { ck.eng = nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ck := snapshot(donorEng, donorCtrl)
+			ck := partsOf(donorEng, donorCtrl)
 			tc.edit(ck)
-			frame, err := core.EncodeCheckpointFrame(ck)
-			if err != nil {
-				t.Fatal(err)
-			}
+			frame := ck.frame(t)
 			ctrl, eng := newHandoffController(t, model)
 			ctrl.Play(&trace.Trace{Requests: tr.Requests[:40]})
 			proxy := server.NewOverloadProxy(ctrl, "http://127.0.0.1:9", 0, server.Resilience{}, server.Overload{})
 			proxy.EnableStateHandoff(handoffAcceptor(eng))
-			blobBefore, _ := json.Marshal(snapshot(eng, ctrl))
+			blobBefore := partsOf(eng, ctrl).frame(t)
 			ctrlBefore := controllerJSON(t, ctrl)
 
 			w := httptest.NewRecorder()
@@ -231,7 +230,7 @@ func TestHandoffChecksOnlyTheLevelsItMerges(t *testing.T) {
 				t.Fatalf("the handoff changed the heir's controller state:\n%s\n%s", ctrlBefore, got)
 			}
 			if tc.code != http.StatusNoContent {
-				if blobAfter, _ := json.Marshal(snapshot(eng, ctrl)); !bytes.Equal(blobAfter, blobBefore) {
+				if blobAfter := partsOf(eng, ctrl).frame(t); !bytes.Equal(blobAfter, blobBefore) {
 					t.Fatal("a refused frame changed the heir")
 				}
 				return
@@ -241,6 +240,62 @@ func TestHandoffChecksOnlyTheLevelsItMerges(t *testing.T) {
 			}
 		})
 	}
+}
+
+// parts is a checkpoint's engine and controller parts, decoded for a test to
+// edit. rawCtrl is a controller part that is not a controller state; it
+// stands in for ctrl when ctrl is nil.
+type parts struct {
+	eng     *cache.ShardedState
+	ctrl    *core.ControllerState
+	rawCtrl json.RawMessage
+}
+
+// partsOf is the node snapshot of eng and ctrl.
+func partsOf(eng *cache.Sharded, ctrl *core.Controller) *parts {
+	es, cs := snapshot(eng, ctrl)
+	return &parts{eng: es, ctrl: cs}
+}
+
+// decodeParts decodes a checkpoint frame's parts.
+func decodeParts(t testing.TB, frame []byte) *parts {
+	t.Helper()
+	ck, err := core.DecodeCheckpointFrame(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &parts{rawCtrl: ck.Controller}
+	if p.eng, err = ck.EngineState(); err != nil {
+		t.Fatal(err)
+	}
+	if json.Unmarshal(ck.Controller, &p.ctrl) != nil {
+		p.ctrl = nil
+	}
+	return p
+}
+
+// frame encodes the parts as a checkpoint frame with a valid CRC.
+func (p *parts) frame(t testing.TB) []byte {
+	t.Helper()
+	ck := struct {
+		Engine     *cache.ShardedState `json:"engine,omitempty"`
+		Controller any                 `json:"controller,omitempty"`
+	}{Engine: p.eng}
+	switch {
+	case p.ctrl != nil:
+		ck.Controller = p.ctrl
+	case p.rawCtrl != nil:
+		ck.Controller = p.rawCtrl
+	}
+	payload, err := json.Marshal(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := persist.EncodeFrame(&buf, core.CheckpointMagic, core.CheckpointFormatVersion, payload); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 // controllerJSON is ctrl's snapshot as JSON: two calls return the same bytes
@@ -343,12 +398,8 @@ func TestDrainPushCarriesNoModel(t *testing.T) {
 
 	donor.Close(context.Background())
 	frame := <-pushed
-	ck, err := core.DecodeCheckpointFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Engine == nil || !reflect.DeepEqual(ck.Controller, want) {
-		t.Fatalf("pushed frame: engine %v, controller %+v; want the engine and %+v", ck.Engine != nil, ck.Controller, want)
+	if ck := decodeParts(t, frame); ck.eng == nil || !reflect.DeepEqual(ck.ctrl, want) {
+		t.Fatalf("pushed frame: engine %v, controller %+v; want the engine and %+v", ck.eng != nil, ck.ctrl, want)
 	}
 	if keys := payloadKeys(t, frame); !reflect.DeepEqual(keys, []string{"controller", "engine"}) {
 		t.Fatalf("pushed frame carries %v, want the controller and the engine only", keys)
@@ -451,7 +502,11 @@ func TestKindTaggedFrameRestores(t *testing.T) {
 		t.Fatalf("a kind-tagged frame does not decode: %v", err)
 	}
 	restoredCtrl, restoredEng := newHandoffController(t, model)
-	if err := restoredEng.RestoreState(ck.Engine); err != nil {
+	es, err := ck.EngineState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restoredEng.RestoreState(es); err != nil {
 		t.Fatal(err)
 	}
 	if err := restoredCtrl.RestoreState(ck.Controller); err != nil {
@@ -633,7 +688,8 @@ func mutate(v any, op uint8, at uint16, val int16) {
 // caught mid-identification, each with one mutate edit and a valid CRC
 // (frames the CRC rejects say nothing about the acceptor). Besides the
 // donor's own frame, the seeds carry a garbage controller part, a bad
-// tracker and a null shard; only the last is refused unedited. No frame
+// tracker, a null shard and a controller part of the wrong JSON type; only
+// the null shard is refused unedited. No frame
 // changes the inheritor's controller state by a byte. A refused frame must
 // leave its engine byte-identical too; an accepted one must land every
 // donor resident in the inheritor's cache and leave an inheritor that plays
@@ -653,52 +709,42 @@ func FuzzHandoffAccept(f *testing.F) {
 	}
 	seeds := []struct {
 		refuse bool // the acceptor refuses the unedited frame
-		edit   func(ck *core.Checkpoint)
+		edit   func(ck *parts)
 	}{
-		{false, func(*core.Checkpoint) {}},
-		{false, func(ck *core.Checkpoint) {
-			ck.Controller = &core.ControllerState{Phase: "?", Epoch: -3, EpochReqs: -1, ClusterID: 1 << 20,
+		{false, func(*parts) {}},
+		{false, func(ck *parts) {
+			ck.ctrl = &core.ControllerState{Phase: "?", Epoch: -3, EpochReqs: -1, ClusterID: 1 << 20,
 				Set: []int{-1}, Extended: []float64{1}, CurArm: 7, LearningNS: -1}
 		}},
-		{false, func(ck *core.Checkpoint) { ck.Engine.Shards[0].Tracker.LastSeen[0] = -1 }},
-		{true, func(ck *core.Checkpoint) { ck.Engine.Shards[1] = nil }},
+		{false, func(ck *parts) { ck.eng.Shards[0].Tracker.LastSeen[0] = -1 }},
+		{true, func(ck *parts) { ck.eng.Shards[1] = nil }},
+		{false, func(ck *parts) { ck.ctrl, ck.rawCtrl = nil, json.RawMessage(`"garbage"`) }},
 	}
 	frames := make([][]byte, len(seeds))
 	for i, sd := range seeds {
-		ck := snapshot(donorEng, donorCtrl)
+		ck := partsOf(donorEng, donorCtrl)
 		sd.edit(ck)
-		if frames[i], err = core.EncodeCheckpointFrame(ck); err != nil {
-			f.Fatal(err)
+		frames[i] = ck.frame(f)
+		if i < 4 {
+			f.Add(uint8(i), uint8(2), uint16(0), int16(0))
 		}
-		f.Add(uint8(i), uint8(2), uint16(0), int16(0))
 	}
 	play := &trace.Trace{Requests: tr.Requests[250:]}
 	f.Add(uint8(0), uint8(0), uint16(3), int16(1))
 	f.Add(uint8(0), uint8(1), uint16(30), int16(0))
 	f.Add(uint8(0), uint8(2), uint16(12), int16(-7))
+	f.Add(uint8(4), uint8(2), uint16(0), int16(0)) // added last, so the seeds above keep their corpus names
 	f.Fuzz(func(t *testing.T, seed, op uint8, at uint16, val int16) {
 		sd := int(seed) % len(seeds)
-		ck, err := core.DecodeCheckpointFrame(frames[sd])
-		if err != nil {
-			t.Fatal(err)
-		}
+		ck := decodeParts(t, frames[sd])
 		mutate(&struct {
 			*core.ControllerState
 			*cache.ShardedState
-		}{ck.Controller, ck.Engine}, op, at, val)
-		frame, err := core.EncodeCheckpointFrame(ck)
-		if err != nil {
-			t.Fatal(err)
-		}
+		}{ck.ctrl, ck.eng}, op, at, val)
+		frame := ck.frame(t)
 		ctrl, eng := newHandoffController(t, model)
 		ctrl.Play(&trace.Trace{Requests: tr.Requests[:40]}) // behind the donor
-		state := func() []byte {
-			blob, err := json.Marshal(snapshot(eng, ctrl))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return blob
-		}
+		state := func() []byte { return partsOf(eng, ctrl).frame(t) }
 		before, ctrlBefore := state(), controllerJSON(t, ctrl)
 		err = handoffAcceptor(eng)(frame)
 		if got := controllerJSON(t, ctrl); !bytes.Equal(got, ctrlBefore) {
@@ -713,7 +759,7 @@ func FuzzHandoffAccept(f *testing.F) {
 			}
 			return
 		}
-		if missing := notResident(t, eng, ck.Engine); len(missing) > 0 {
+		if missing := notResident(t, eng, ck.eng); len(missing) > 0 {
 			t.Fatalf("donor residents %v are not resident at the inheritor", missing)
 		}
 		ctrl.Play(play)
@@ -729,7 +775,11 @@ func FuzzHandoffAccept(f *testing.F) {
 			t.Fatalf("the inheritor's own frame does not decode: %v", err)
 		}
 		ctrl, eng = newHandoffController(t, model)
-		if err := eng.RestoreState(own.Engine); err != nil {
+		es, err := own.EngineState()
+		if err == nil {
+			err = eng.RestoreState(es)
+		}
+		if err != nil {
 			t.Fatalf("the inheritor's own engine state does not restore: %v", err)
 		}
 		if err := ctrl.RestoreState(own.Controller); err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -124,6 +125,34 @@ func TestWriteFileAtomic(t *testing.T) {
 	}
 	if len(ents) != 1 {
 		t.Fatalf("directory has %d entries, want 1 (temp files left behind?)", len(ents))
+	}
+}
+
+// TestWriteFileAtomicCleansUpFailedRename: a write over an existing
+// directory fails at the rename, as it does for root too. The error names the
+// path, the temp file is removed, and the directory is left as it was.
+func TestWriteFileAtomicCleansUpFailedRename(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "artifact.json")
+	if err := os.Mkdir(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	inside := filepath.Join(path, "kept")
+	if err := os.WriteFile(inside, []byte("kept"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := WriteFileAtomic(path, []byte("v1"), 0o644)
+	if err == nil || !strings.Contains(err.Error(), path) {
+		t.Fatalf("writing over a directory: error %v, want one naming %s", err, path)
+	}
+	if temps, _ := filepath.Glob(filepath.Join(dir, "*"+tempInfix+"*")); len(temps) > 0 {
+		t.Fatalf("temp files left behind: %v", temps)
+	}
+	if fi, err := os.Stat(path); err != nil || !fi.IsDir() {
+		t.Fatalf("the directory is gone or replaced: %v", err)
+	}
+	if got, err := os.ReadFile(inside); err != nil || string(got) != "kept" {
+		t.Fatalf("the directory's content changed: %q, %v", got, err)
 	}
 }
 
