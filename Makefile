@@ -44,18 +44,21 @@ race:
 # hierarchy's per-object records against both levels' contents and an exact
 # "missed before" set under random op sequences, an offline replay over a
 # pre-laid record table against the plain serve loop, the
-# controller's batched replay against per-request serving, the durability
-# decoders (persist frames, journal records and logs, checkpoint and
+# controller's batched replay against per-request serving, the bandit's
+# step (Next picks an arm in range, Update refuses a round or returns a
+# state CheckState accepts, neither writes the state it is given), the
+# durability decoders (persist frames, journal records and logs,
 # neural-weight payloads) — corrupted on-disk bytes must produce typed
-# errors, never panics — a checkpoint with one edited slice or number (what
-# restores must run; a controller part its restore refuses leaves the
-# restored engine playing from a fresh warm-up), a /state frame with one,
-# seeded also with a garbage controller part, a bad tracker and a null
-# shard (no frame may change the heir's controller state; a malformed
-# merged level is refused whole; an accepted frame lands the donor's
-# residents in the heir's cache, which plays on), and internal/lint's own annotation
-# parsers
-# (//lint:ignore directives and guarded-by comments).
+# errors, never panics — a checkpoint frame with one edited slice or number,
+# seeded also with payloads that carry no engine part (what restores must
+# run; a controller part its restore refuses leaves the restored engine
+# playing from a fresh warm-up), a /state frame with one, seeded also with a
+# garbage controller part, a bad tracker, a null shard and a tracker of the
+# wrong JSON type (no frame may change the heir's controller state; a
+# malformed merged level is refused whole; an accepted frame lands the
+# donor's residents in the heir's cache, which plays on), and
+# internal/lint's own annotation parsers (//lint:ignore directives and
+# guarded-by comments).
 fuzz:
 	$(GO) test ./internal/server -fuzz FuzzParseObjectURL -fuzztime 10s
 	$(GO) test ./internal/server -fuzz FuzzUpstreamHead -fuzztime 10s
@@ -64,10 +67,10 @@ fuzz:
 	$(GO) test ./internal/cache -fuzz FuzzHierarchy -fuzztime 10s
 	$(GO) test ./internal/cache -fuzz FuzzReplayMatchesServe -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzControllerPlay -fuzztime 10s
+	$(GO) test ./internal/bandit -fuzz FuzzBanditStep -fuzztime 10s
 	$(GO) test ./internal/persist -fuzz FuzzDecodeFrame -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzDecodeRecord -fuzztime 10s
 	$(GO) test ./internal/diskcache -fuzz FuzzOpenLog -fuzztime 10s
-	$(GO) test ./internal/core -fuzz FuzzDecodeCheckpoint -fuzztime 10s
 	$(GO) test ./internal/core -fuzz FuzzCheckpointRuns -fuzztime 10s
 	$(GO) test ./internal/node -fuzz FuzzHandoffAccept -fuzztime 10s
 	$(GO) test ./internal/gossip -fuzz FuzzDecodeDigest -fuzztime 10s

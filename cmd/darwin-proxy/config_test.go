@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 
 	"darwin/internal/cache"
 	"darwin/internal/core"
+	"darwin/internal/diskcache"
 	"darwin/internal/trace"
 	"darwin/internal/tracegen"
 )
@@ -17,7 +19,8 @@ import (
 // the node runs the static expert; with a file core.WriteModel wrote it runs
 // the controller over that model, at core.DefaultOnlineConfig() warmed up
 // over the model's feature window; a missing or corrupt file is an error
-// before anything listens.
+// before anything listens. -fsync sets the journal's fsync policy, and a
+// policy it does not name is a flag error.
 func TestConfigFromFlags(t *testing.T) {
 	var traces []*trace.Trace
 	for seed := int64(0); seed < 3; seed++ {
@@ -63,22 +66,33 @@ func TestConfigFromFlags(t *testing.T) {
 	wantOnline := core.DefaultOnlineConfig()
 	wantOnline.Warmup = 1500
 
+	static := []string{"-f", "1", "-s", "1024"}
 	for _, tc := range []struct {
-		name    string
-		args    []string
-		wantErr bool
-		model   bool
+		name     string
+		args     []string
+		parseErr bool // the flags do not parse
+		wantErr  bool
+		model    bool
+		sync     diskcache.SyncPolicy
 	}{
-		{"static", []string{"-f", "1", "-s", "1024"}, false, false},
-		{"model", []string{"-model", good}, false, true},
-		{"missing model", []string{"-model", filepath.Join(dir, "absent.json")}, true, false},
-		{"corrupt model", []string{"-model", corrupt}, true, false},
+		{name: "static", args: static},
+		{name: "model", args: []string{"-model", good}, model: true},
+		{name: "missing model", args: []string{"-model", filepath.Join(dir, "absent.json")}, wantErr: true},
+		{name: "corrupt model", args: []string{"-model", corrupt}, wantErr: true},
+		{name: "fsync always", args: append([]string{"-fsync", "always"}, static...), sync: diskcache.SyncAlways},
+		{name: "fsync off", args: append([]string{"-fsync", "off"}, static...), sync: diskcache.SyncOff},
+		// batch is the default: the later flag must overwrite the earlier.
+		{name: "fsync batch", args: append([]string{"-fsync", "off", "-fsync", "batch"}, static...), sync: diskcache.SyncBatch},
+		{name: "fsync sometimes", args: []string{"-fsync", "sometimes"}, parseErr: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := flag.NewFlagSet("darwin-proxy", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
 			o := registerFlags(fs)
-			if err := fs.Parse(tc.args); err != nil {
-				t.Fatal(err)
+			if err := fs.Parse(tc.args); (err != nil) != tc.parseErr {
+				t.Fatalf("parse: %v, want an error: %v", err, tc.parseErr)
+			} else if tc.parseErr {
+				return
 			}
 			cfg, err := o.config()
 			if (err != nil) != tc.wantErr {
@@ -86,6 +100,9 @@ func TestConfigFromFlags(t *testing.T) {
 			}
 			if tc.wantErr {
 				return
+			}
+			if cfg.Store.Sync != tc.sync {
+				t.Fatalf("journal fsync policy %v, want %v", cfg.Store.Sync, tc.sync)
 			}
 			if !tc.model {
 				if cfg.Model != nil || cfg.Online != (core.OnlineConfig{}) || cfg.Expert != (cache.Expert{Freq: 1, MaxSize: 1024}) {

@@ -85,6 +85,7 @@ var goneIdents = []string{
 	"Eviction.ID", "Eviction.Len",
 	"AdoptState", "controllerAhead", "Summarize",
 	"ShardedState.Validate", "bandit.State.Validate",
+	"bandit.Algorithm", "bandit.New", "Algorithm.SetState",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

@@ -17,6 +17,10 @@
 // β_t(δ, Σ) of Theorem 1 — or, as in the paper's evaluation (§6.2), when the
 // empirically best arm has been stable for a configurable number of
 // consecutive rounds.
+//
+// A run is a State and pure functions over it: Start returns the first
+// state, Next the arm to deploy, Update the state after a round, and
+// Config.CheckState checks a stored state against the configuration.
 package bandit
 
 import (
@@ -53,71 +57,72 @@ func DefaultConfig(sigma2 [][]float64) Config {
 	return Config{Sigma2: sigma2, Delta: 0.05, StabilityRounds: 5}
 }
 
-// Algorithm is one identification run: its configuration and the State
-// Update mutates, which is also what State snapshots and SetState restores.
-type Algorithm struct {
-	cfg Config
-	k   int
-	st  State
-}
-
-// New validates cfg and returns a fresh run.
-func New(cfg Config) (*Algorithm, error) {
+// Validate checks cfg: at least two arms, a square Σ whose entries are all
+// positive and whose own-arm variances are finite, and δ in (0,1).
+func (cfg Config) Validate() error {
 	k := len(cfg.Sigma2)
 	if k < 2 {
-		return nil, fmt.Errorf("bandit: need at least 2 arms, got %d", k)
+		return fmt.Errorf("bandit: need at least 2 arms, got %d", k)
 	}
 	for i, row := range cfg.Sigma2 {
 		if len(row) != k {
-			return nil, fmt.Errorf("bandit: Sigma2 row %d has %d entries, want %d", i, len(row), k)
+			return fmt.Errorf("bandit: Sigma2 row %d has %d entries, want %d", i, len(row), k)
 		}
 		if !(row[i] > 0) || math.IsInf(row[i], 1) {
-			return nil, fmt.Errorf("bandit: own-arm variance Sigma2[%d][%d] must be positive and finite", i, i)
+			return fmt.Errorf("bandit: own-arm variance Sigma2[%d][%d] must be positive and finite", i, i)
 		}
 		for j, v := range row {
 			if !(v > 0) {
-				return nil, fmt.Errorf("bandit: Sigma2[%d][%d] = %v must be > 0", i, j, v)
+				return fmt.Errorf("bandit: Sigma2[%d][%d] = %v must be > 0", i, j, v)
 			}
 		}
 	}
 	if cfg.Delta <= 0 || cfg.Delta >= 1 {
-		return nil, fmt.Errorf("bandit: Delta must be in (0,1), got %v", cfg.Delta)
+		return fmt.Errorf("bandit: Delta must be in (0,1), got %v", cfg.Delta)
 	}
-	return &Algorithm{cfg: cfg, k: k, st: State{
+	return nil
+}
+
+// Start validates cfg and returns the state an identification run over it
+// starts from: no rounds played, no estimates.
+func Start(cfg Config) (*State, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	k := len(cfg.Sigma2)
+	return &State{
 		Plays: make([]int, k),
 		SumWY: make([]float64, k),
 		Rho:   make([]float64, k),
 		Mu:    make([]float64, k),
 		Last:  -1,
-	}}, nil
+	}, nil
 }
 
-// Rounds returns the number of completed rounds.
-func (a *Algorithm) Rounds() int { return a.st.T }
-
-// NextArm returns the arm to deploy next (Line 2 and Line 5 of Algorithm 1).
-func (a *Algorithm) NextArm() int {
+// Next returns the arm to deploy after st (Line 2 and Line 5 of Algorithm
+// 1). st must fit cfg (CheckState); Next writes neither.
+func Next(cfg Config, st *State) int {
 	// Initialisation: play each arm once.
-	for i, p := range a.st.Plays {
+	for i, p := range st.Plays {
 		if p == 0 {
 			return i
 		}
 	}
 	// Forced exploration (D-tracking): keep every arm's count above
 	// sqrt(t) - K/2 so estimates cannot starve.
-	minArm, minPlays := 0, a.st.Plays[0]
-	for i, p := range a.st.Plays {
+	minArm, minPlays := 0, st.Plays[0]
+	for i, p := range st.Plays {
 		if p < minPlays {
 			minArm, minPlays = i, p
 		}
 	}
-	if float64(minPlays) < math.Sqrt(float64(a.st.T))-float64(a.k)/2 {
+	if float64(minPlays) < math.Sqrt(float64(st.T))-float64(len(st.Plays))/2 {
 		return minArm
 	}
-	alpha := SolveAlpha(a.st.Mu, a.cfg.Sigma2)
+	alpha := SolveAlpha(st.Mu, cfg.Sigma2)
 	best, bestGap := 0, math.Inf(-1)
-	for i := 0; i < a.k; i++ {
-		gap := float64(a.st.T)*alpha[i] - float64(a.st.Plays[i])
+	for i, p := range st.Plays {
+		gap := float64(st.T)*alpha[i] - float64(p)
 		if gap > bestGap {
 			best, bestGap = i, gap
 		}
@@ -125,103 +130,99 @@ func (a *Algorithm) NextArm() int {
 	return best
 }
 
-// Update ingests the reward vector of one round in which arm was deployed.
-// rewards[j] is the (real or fictitious) sample Y_j(t); entries whose
-// Sigma2[arm][j] is +Inf are ignored.
-func (a *Algorithm) Update(arm int, rewards []float64) error {
-	if arm < 0 || arm >= a.k {
-		return fmt.Errorf("bandit: arm %d out of range", arm)
+// Update returns the state after st of a round in which arm was deployed,
+// and writes none of its arguments. rewards[j] is the (real or fictitious)
+// sample Y_j(t); entries whose Sigma2[arm][j] is +Inf are ignored. st must
+// fit cfg (CheckState). An arm out of range, a reward vector of the wrong
+// length, or a reward that leaves an estimate non-finite is refused.
+func Update(cfg Config, st *State, arm int, rewards []float64) (*State, error) {
+	k := len(cfg.Sigma2)
+	if arm < 0 || arm >= k {
+		return nil, fmt.Errorf("bandit: arm %d out of range", arm)
 	}
-	if len(rewards) != a.k {
-		return fmt.Errorf("bandit: got %d rewards, want %d", len(rewards), a.k)
+	if len(rewards) != k {
+		return nil, fmt.Errorf("bandit: got %d rewards, want %d", len(rewards), k)
 	}
-	for j := 0; j < a.k; j++ {
-		s2 := a.cfg.Sigma2[arm][j]
+	next := st.Clone()
+	for j, s2 := range cfg.Sigma2[arm] {
 		if math.IsInf(s2, 1) {
 			continue
 		}
-		a.st.SumWY[j] += rewards[j] / s2
-		a.st.Rho[j] += 1 / s2
-		if a.st.Rho[j] > 0 {
-			a.st.Mu[j] = a.st.SumWY[j] / a.st.Rho[j]
+		next.SumWY[j] += rewards[j] / s2
+		next.Rho[j] += 1 / s2
+		if next.Rho[j] > 0 {
+			next.Mu[j] = next.SumWY[j] / next.Rho[j]
+		}
+		if !finite(next.SumWY[j]) || !finite(next.Rho[j]) || !finite(next.Mu[j]) {
+			return nil, fmt.Errorf("bandit: reward %v for arm %d leaves its estimate non-finite", rewards[j], j)
 		}
 	}
-	a.st.Plays[arm]++
-	a.st.T++
-	a.checkStop()
-	return nil
+	next.Plays[arm]++
+	next.T++
+	checkStop(cfg, next)
+	return next, nil
 }
 
-// checkStop evaluates both stopping rules after a completed round.
-func (a *Algorithm) checkStop() {
-	if a.st.Done {
+// checkStop evaluates both stopping rules on st, the state after a
+// completed round, and records in it whether one fired.
+func checkStop(cfg Config, st *State) {
+	if st.Done {
 		return
 	}
 	// All arms must have been tried before any stop is meaningful; the
 	// initialization sweep does not count toward stability.
-	for _, p := range a.st.Plays {
+	for _, p := range st.Plays {
 		if p == 0 {
-			a.st.Last = -1
-			a.st.Stable = 0
+			st.Last = -1
+			st.Stable = 0
 			return
 		}
 	}
 	// Practical rule (§6.2): the bandit's selected (empirically best) expert
 	// has been the same for StabilityRounds consecutive post-init rounds.
-	best := argmax(a.st.Mu)
-	if best == a.st.Last {
-		a.st.Stable++
+	best := argmax(st.Mu)
+	if best == st.Last {
+		st.Stable++
 	} else {
-		a.st.Stable = 1
-		a.st.Last = best
+		st.Stable = 1
+		st.Last = best
 	}
-	if a.cfg.StabilityRounds > 0 && a.st.Stable >= a.cfg.StabilityRounds {
-		a.st.Done = true
-		a.st.Reason = "stability"
+	if cfg.StabilityRounds > 0 && st.Stable >= cfg.StabilityRounds {
+		st.Done = true
+		st.Reason = "stability"
 		return
 	}
-	z := a.information()
-	if z >= a.Beta() {
-		a.st.Done = true
-		a.st.Reason = "threshold"
+	if information(cfg, st) >= Beta(cfg, st.T) {
+		st.Done = true
+		st.Reason = "threshold"
 		return
 	}
-	if a.cfg.MaxRounds > 0 && a.st.T >= a.cfg.MaxRounds {
-		a.st.Done = true
-		a.st.Reason = "max-rounds"
+	if cfg.MaxRounds > 0 && st.T >= cfg.MaxRounds {
+		st.Done = true
+		st.Reason = "max-rounds"
 	}
 }
 
 // information computes Z_t = Φ(μ̂_t, T(t)) using the deployment counts as the
 // (unnormalised) allocation; Φ is 1-homogeneous in its allocation argument.
-func (a *Algorithm) information() float64 {
-	counts := make([]float64, a.k)
-	for i, p := range a.st.Plays {
+func information(cfg Config, st *State) float64 {
+	counts := make([]float64, len(st.Plays))
+	for i, p := range st.Plays {
 		counts[i] = float64(p)
 	}
-	return Phi(a.st.Mu, counts, a.cfg.Sigma2)
+	return Phi(st.Mu, counts, cfg.Sigma2)
 }
 
-// Beta returns the Theorem-1 threshold β_t(δ, Σ) at the current round.
-func (a *Algorithm) Beta() float64 {
-	s2min, s2max := sigmaRange(a.cfg.Sigma2)
+// Beta returns the Theorem-1 threshold β_t(δ, Σ) after t rounds.
+func Beta(cfg Config, t int) float64 {
+	s2min, s2max := sigmaRange(cfg.Sigma2)
 	kappa := s2min / s2max
-	t := float64(a.st.T)
-	k := float64(a.k)
-	return k*t/(2*kappa) +
+	tf := float64(t)
+	k := float64(len(cfg.Sigma2))
+	return k*tf/(2*kappa) +
 		k*rewardBound*rewardBound/(2*s2min*kappa*math.Sqrt(concentration))*
-			math.Sqrt(t*math.Log(2/a.cfg.Delta))
+			math.Sqrt(tf*math.Log(2/cfg.Delta))
 }
-
-// Stopped reports whether a stopping rule has fired.
-func (a *Algorithm) Stopped() bool { return a.st.Done }
-
-// StopReason returns "stability", "threshold", "max-rounds", or "" while
-// running.
-func (a *Algorithm) StopReason() string { return a.st.Reason }
-
-// Recommendation returns ψ(μ̂) = argmax μ̂_i, the recommended best arm.
-func (a *Algorithm) Recommendation() int { return argmax(a.st.Mu) }
 
 // Phi evaluates Equation (2) in closed form for Gaussian rewards:
 //
@@ -379,6 +380,8 @@ func StandardSigma2(own []float64) [][]float64 {
 	}
 	return out
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func argmax(xs []float64) int {
 	best, bi := math.Inf(-1), 0

@@ -17,46 +17,48 @@ func uniformSigma(k int, v float64) [][]float64 {
 	return out
 }
 
+// TestNewValidation: Start refuses every malformed configuration.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(DefaultConfig(uniformSigma(1, 0.1))); err == nil {
+	if _, err := Start(DefaultConfig(uniformSigma(1, 0.1))); err == nil {
 		t.Error("single arm accepted")
 	}
 	bad := uniformSigma(3, 0.1)
 	bad[1] = bad[1][:2]
-	if _, err := New(DefaultConfig(bad)); err == nil {
+	if _, err := Start(DefaultConfig(bad)); err == nil {
 		t.Error("ragged matrix accepted")
 	}
 	neg := uniformSigma(2, 0.1)
 	neg[0][1] = -1
-	if _, err := New(DefaultConfig(neg)); err == nil {
+	if _, err := Start(DefaultConfig(neg)); err == nil {
 		t.Error("negative variance accepted")
 	}
 	inf := uniformSigma(2, 0.1)
 	inf[0][0] = math.Inf(1)
-	if _, err := New(DefaultConfig(inf)); err == nil {
+	if _, err := Start(DefaultConfig(inf)); err == nil {
 		t.Error("infinite own-arm variance accepted")
 	}
 	cfg := DefaultConfig(uniformSigma(2, 0.1))
 	cfg.Delta = 0
-	if _, err := New(cfg); err == nil {
+	if _, err := Start(cfg); err == nil {
 		t.Error("delta=0 accepted")
 	}
 }
 
 func TestInitialisationPlaysEachArmOnce(t *testing.T) {
-	alg, err := New(DefaultConfig(uniformSigma(4, 0.05)))
+	cfg := DefaultConfig(uniformSigma(4, 0.05))
+	st, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := map[int]bool{}
 	for r := 0; r < 4; r++ {
-		arm := alg.NextArm()
+		arm := Next(cfg, st)
 		if seen[arm] {
 			t.Fatalf("arm %d played twice during initialisation", arm)
 		}
 		seen[arm] = true
 		rw := make([]float64, 4)
-		if err := alg.Update(arm, rw); err != nil {
+		if st, err = Update(cfg, st, arm, rw); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,12 +68,19 @@ func TestInitialisationPlaysEachArmOnce(t *testing.T) {
 }
 
 func TestUpdateValidation(t *testing.T) {
-	alg, _ := New(DefaultConfig(uniformSigma(2, 0.1)))
-	if err := alg.Update(5, []float64{0, 0}); err == nil {
+	cfg := DefaultConfig(uniformSigma(2, 0.1))
+	st, _ := Start(cfg)
+	if _, err := Update(cfg, st, 5, []float64{0, 0}); err == nil {
 		t.Error("out-of-range arm accepted")
 	}
-	if err := alg.Update(0, []float64{0}); err == nil {
+	if _, err := Update(cfg, st, 0, []float64{0}); err == nil {
 		t.Error("short reward vector accepted")
+	}
+	if _, err := Update(cfg, st, 0, []float64{math.NaN(), 0}); err == nil {
+		t.Error("NaN reward accepted")
+	}
+	if _, err := Update(cfg, st, 0, []float64{0, math.MaxFloat64}); err == nil {
+		t.Error("a reward whose estimate overflows accepted")
 	}
 }
 
@@ -82,19 +91,19 @@ func TestEstimatorWeighting(t *testing.T) {
 	sigma2 := [][]float64{{0.01, 1.0}, {1.0, 0.01}}
 	cfg := DefaultConfig(sigma2)
 	cfg.StabilityRounds = 0 // don't stop during this test
-	alg, err := New(cfg)
+	st, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Play arm 0: noisy sample says arm 1 has reward 1.0.
-	if err := alg.Update(0, []float64{0.5, 1.0}); err != nil {
+	if st, err = Update(cfg, st, 0, []float64{0.5, 1.0}); err != nil {
 		t.Fatal(err)
 	}
 	// Play arm 1: precise sample says arm 1 has reward 0.2.
-	if err := alg.Update(1, []float64{0.5, 0.2}); err != nil {
+	if st, err = Update(cfg, st, 1, []float64{0.5, 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	mu := alg.State().Mu
+	mu := st.Mu
 	// Weighted: (1.0/1 + 0.2/0.01)/(1/1 + 1/0.01) = 21/101 ≈ 0.208.
 	want := (1.0/1 + 0.2/0.01) / (1/1.0 + 1/0.01)
 	if math.Abs(mu[1]-want) > 1e-9 {
@@ -244,16 +253,12 @@ func TestIdentifiesBestArmWithSideInfo(t *testing.T) {
 	const trials = 30
 	for trial := 0; trial < trials; trial++ {
 		env.rng.Seed(int64(1000 + trial))
-		alg, err := New(DefaultConfig(sigma2))
+		st, err := Run(DefaultConfig(sigma2), env, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, rounds, err := Run(alg, env, 500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalRounds += rounds
-		if best == 1 {
+		totalRounds += st.T
+		if st.Recommendation() == 1 {
 			correct++
 		}
 	}
@@ -286,15 +291,11 @@ func TestSideInfoFasterThanStandard(t *testing.T) {
 			}
 			cfg := DefaultConfig(sigma2)
 			cfg.StabilityRounds = 5
-			alg, err := New(cfg)
+			st, err := Run(cfg, env, 2000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, rounds, err := Run(alg, env, 2000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += rounds
+			total += st.T
 		}
 		return float64(total) / trials
 	}
@@ -314,22 +315,18 @@ func TestStabilityStopReason(t *testing.T) {
 	}
 	cfg := DefaultConfig(sigma2)
 	cfg.StabilityRounds = 5
-	alg, err := New(cfg)
+	st, err := Run(cfg, env, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	best, _, err := Run(alg, env, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !alg.Stopped() {
+	if !st.Done {
 		t.Fatal("did not stop")
 	}
-	if best != 0 {
+	if best := st.Recommendation(); best != 0 {
 		t.Fatalf("recommended arm %d, want 0", best)
 	}
-	if alg.StopReason() != "stability" {
-		t.Fatalf("reason = %q", alg.StopReason())
+	if st.Reason != "stability" {
+		t.Fatalf("reason = %q", st.Reason)
 	}
 }
 
@@ -342,17 +339,15 @@ func TestMaxRoundsStop(t *testing.T) {
 	cfg := DefaultConfig(sigma2)
 	cfg.StabilityRounds = 0
 	cfg.MaxRounds = 30
-	alg, err := New(cfg)
+	st, err := Run(cfg, env, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, rounds, err := Run(alg, env, 10000); err != nil {
-		t.Fatal(err)
-	} else if rounds != 30 {
-		t.Fatalf("rounds = %d, want 30", rounds)
+	if st.T != 30 {
+		t.Fatalf("rounds = %d, want 30", st.T)
 	}
-	if alg.StopReason() != "max-rounds" {
-		t.Fatalf("reason = %q", alg.StopReason())
+	if st.Reason != "max-rounds" {
+		t.Fatalf("reason = %q", st.Reason)
 	}
 }
 
@@ -367,15 +362,10 @@ func TestStandardSigma2Shape(t *testing.T) {
 }
 
 func TestBetaGrowsWithT(t *testing.T) {
-	alg, err := New(DefaultConfig(uniformSigma(3, 0.1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rewards := []float64{0, 0, 0}
+	cfg := DefaultConfig(uniformSigma(3, 0.1))
 	var prev float64
-	for r := 0; r < 5; r++ {
-		alg.Update(alg.NextArm(), rewards)
-		b := alg.Beta()
+	for r := 1; r <= 5; r++ {
+		b := Beta(cfg, r)
 		if b <= prev {
 			t.Fatalf("beta not increasing at round %d: %v <= %v", r, b, prev)
 		}

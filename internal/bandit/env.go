@@ -25,8 +25,8 @@ func NewEnv(mu []float64, sigma2 [][]float64, seed int64) (*Env, error) {
 }
 
 // Sample draws the reward vector observed when arm is deployed. Entries with
-// infinite variance are NaN (and ignored by Algorithm.Update through the
-// matching Sigma2).
+// infinite variance are NaN (and ignored by Update through the matching
+// Sigma2).
 func (e *Env) Sample(arm int) []float64 {
 	out := make([]float64, len(e.Mu))
 	for j := range out {
@@ -40,14 +40,13 @@ func (e *Env) Sample(arm int) []float64 {
 	return out
 }
 
-// Run drives alg against env until it stops or maxRounds elapse, returning
-// the recommendation and the number of rounds used.
-func Run(alg *Algorithm, env *Env, maxRounds int) (best, rounds int, err error) {
-	for !alg.Stopped() && alg.Rounds() < maxRounds {
-		arm := alg.NextArm()
-		if err := alg.Update(arm, env.Sample(arm)); err != nil {
-			return 0, alg.Rounds(), err
-		}
+// Run starts an identification run over cfg and drives it against env until
+// it stops or maxRounds elapse, returning its final state.
+func Run(cfg Config, env *Env, maxRounds int) (*State, error) {
+	st, err := Start(cfg)
+	for err == nil && !st.Done && st.T < maxRounds {
+		arm := Next(cfg, st)
+		st, err = Update(cfg, st, arm, env.Sample(arm))
 	}
-	return alg.Recommendation(), alg.Rounds(), nil
+	return st, err
 }

@@ -103,16 +103,16 @@ func TestEstimatorOrderInvariance(t *testing.T) {
 		run := func(order []int) []float64 {
 			cfg := DefaultConfig(sigma2)
 			cfg.StabilityRounds = 0
-			alg, err := New(cfg)
+			st, err := Start(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, i := range order {
-				if err := alg.Update(observations[i].arm, observations[i].y); err != nil {
+				if st, err = Update(cfg, st, observations[i].arm, observations[i].y); err != nil {
 					t.Fatal(err)
 				}
 			}
-			return alg.State().Mu
+			return st.Mu
 		}
 		fwd := make([]int, len(observations))
 		rev := make([]int, len(observations))

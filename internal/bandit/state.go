@@ -1,15 +1,11 @@
 package bandit
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// State is everything Update mutates in an identification run: the run's
-// live storage and, deep-copied, its JSON-serialisable snapshot. Config (the
-// Σ matrix and stopping constants) is deliberately excluded — the restorer
-// reconstructs it from its own configuration and SetState checks the arm
-// count against it.
+// State is an identification run's learned state: what Update maps to its
+// successor and, JSON-serialised, its snapshot. Config (the Σ matrix and
+// stopping constants) is deliberately excluded — the restorer rebuilds it
+// from its own configuration and CheckState checks the state against it.
 type State struct {
 	T      int       `json:"t"`      // completed rounds
 	Plays  []int     `json:"plays"`  // T_i(t)
@@ -22,9 +18,6 @@ type State struct {
 	Reason string    `json:"reason"`
 }
 
-// State returns a deep copy of the run's state.
-func (a *Algorithm) State() *State { return a.st.Clone() }
-
 // Clone returns a copy of st that shares no slice with it.
 func (st *State) Clone() *State {
 	out := *st
@@ -35,16 +28,18 @@ func (st *State) Clone() *State {
 	return &out
 }
 
-// SetState restores a snapshot onto a run created with an equivalent
-// Config, after checking it whole: the per-arm arrays have the run's arm
+// Recommendation returns ψ(μ̂) = argmax μ̂_i, the recommended best arm.
+func (st *State) Recommendation() int { return argmax(st.Mu) }
+
+// CheckState checks st whole against cfg: the per-arm arrays have cfg's arm
 // count, the play counts add up to the round count, the estimators are
-// finite, and the stop fields are consistent. On error the receiver is
-// unchanged.
-func (a *Algorithm) SetState(st *State) error {
+// finite, and the stop fields are consistent. A state that passes is one
+// Next and Update accept.
+func (cfg Config) CheckState(st *State) error {
 	if st == nil {
 		return fmt.Errorf("bandit: nil state")
 	}
-	k := a.k
+	k := len(cfg.Sigma2)
 	if len(st.Plays) != k || len(st.SumWY) != k || len(st.Rho) != k || len(st.Mu) != k {
 		return fmt.Errorf("bandit: state arrays plays=%d sumWY=%d rho=%d mu=%d, run has %d arms",
 			len(st.Plays), len(st.SumWY), len(st.Rho), len(st.Mu), k)
@@ -63,9 +58,7 @@ func (a *Algorithm) SetState(st *State) error {
 		return fmt.Errorf("bandit: play counts sum to %d, want t=%d", total, st.T)
 	}
 	for i := 0; i < k; i++ {
-		if math.IsNaN(st.SumWY[i]) || math.IsInf(st.SumWY[i], 0) ||
-			math.IsNaN(st.Rho[i]) || math.IsInf(st.Rho[i], 0) ||
-			math.IsNaN(st.Mu[i]) || math.IsInf(st.Mu[i], 0) {
+		if !finite(st.SumWY[i]) || !finite(st.Rho[i]) || !finite(st.Mu[i]) {
 			return fmt.Errorf("bandit: non-finite estimator state for arm %d", i)
 		}
 		if st.Rho[i] < 0 {
@@ -86,6 +79,5 @@ func (a *Algorithm) SetState(st *State) error {
 	if st.Done && st.Reason == "" {
 		return fmt.Errorf("bandit: done without a stop reason")
 	}
-	a.st = *st.Clone()
 	return nil
 }

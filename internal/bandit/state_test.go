@@ -1,6 +1,8 @@
 package bandit
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"reflect"
@@ -18,14 +20,14 @@ func testSigma2() [][]float64 {
 func TestStateRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(testSigma2())
 	cfg.StabilityRounds = 0 // keep it running so we snapshot mid-flight
-	a, err := New(cfg)
+	a, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	mus := []float64{0.3, 0.5, 0.45}
 	x := uint64(1)
 	for r := 0; r < 25; r++ {
-		arm := a.NextArm()
+		arm := Next(cfg, a)
 		rewards := make([]float64, 3)
 		for j := range rewards {
 			x ^= x << 13
@@ -34,63 +36,60 @@ func TestStateRoundTrip(t *testing.T) {
 			noise := (float64(x%1000)/1000 - 0.5) * 0.1
 			rewards[j] = mus[j] + noise
 		}
-		if err := a.Update(arm, rewards); err != nil {
+		if a, err = Update(cfg, a, arm, rewards); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	st := a.State()
-	blob, err := json.Marshal(st)
+	blob, err := json.Marshal(a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var decoded State
-	if err := json.Unmarshal(blob, &decoded); err != nil {
+	b := &State{}
+	if err := json.Unmarshal(blob, b); err != nil {
 		t.Fatal(err)
 	}
-
-	b, err := New(cfg)
-	if err != nil {
+	if err := cfg.CheckState(b); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.SetState(&decoded); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("state diverges after round trip:\n a=%+v\n b=%+v", a, b)
 	}
-	if !reflect.DeepEqual(a.State(), b.State()) {
-		t.Fatalf("state diverges after round trip:\n a=%+v\n b=%+v", a.State(), b.State())
-	}
-	// The restored run must make identical decisions forever after.
+	// The restored state must make identical decisions forever after.
 	for r := 0; r < 10; r++ {
-		armA, armB := a.NextArm(), b.NextArm()
+		armA, armB := Next(cfg, a), Next(cfg, b)
 		if armA != armB {
 			t.Fatalf("round %d: arms diverge (%d vs %d)", r, armA, armB)
 		}
 		rewards := []float64{0.3, 0.5, 0.45}
-		if err := a.Update(armA, rewards); err != nil {
+		if a, err = Update(cfg, a, armA, rewards); err != nil {
 			t.Fatal(err)
 		}
-		if err := b.Update(armB, rewards); err != nil {
+		if b, err = Update(cfg, b, armB, rewards); err != nil {
 			t.Fatal(err)
 		}
-		if a.Stopped() != b.Stopped() || a.Recommendation() != b.Recommendation() {
+		if a.Done != b.Done || a.Recommendation() != b.Recommendation() {
 			t.Fatalf("round %d: stop/recommendation diverge", r)
 		}
 	}
 }
 
-// TestSetStateRejectsInvalid: SetState refuses every malformed snapshot,
-// whether its shape is wrong or it does not fit the run (its arm count), and
-// leaves the run unchanged.
+// TestSetStateRejectsInvalid: CheckState refuses every malformed state,
+// whether its shape is wrong or it does not fit the configuration (its arm
+// count), and writes none of it.
 func TestSetStateRejectsInvalid(t *testing.T) {
-	a, err := New(DefaultConfig(testSigma2()))
+	cfg := DefaultConfig(testSigma2())
+	st, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Update(a.NextArm(), []float64{1, 1, 1}); err != nil {
+	good, err := Update(cfg, st, Next(cfg, st), []float64{1, 1, 1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := a.State()
-	good := a.State()
+	if err := cfg.CheckState(good); err != nil {
+		t.Fatalf("a state Update returned is refused: %v", err)
+	}
 
 	cases := []struct {
 		name string
@@ -116,58 +115,132 @@ func TestSetStateRejectsInvalid(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var bad *State
 			if tc.mut != nil {
-				blob, _ := json.Marshal(good)
-				bad = &State{}
-				if err := json.Unmarshal(blob, bad); err != nil {
-					t.Fatal(err)
-				}
+				bad = good.Clone()
 				tc.mut(bad)
 			}
-			if err := a.SetState(bad); err == nil {
+			given, _ := json.Marshal(bad)
+			if err := cfg.CheckState(bad); err == nil {
 				t.Fatal("invalid state accepted")
 			}
-			if !reflect.DeepEqual(a.State(), before) {
-				t.Fatal("failed SetState mutated the algorithm")
+			if again, _ := json.Marshal(bad); string(again) != string(given) {
+				t.Fatal("CheckState wrote the state it checked")
 			}
 		})
 	}
 }
 
-// TestStateSharesNothingWithTheRun: the run keeps its State as its storage,
-// so State and SetState must copy every slice. A snapshot keeps its bytes
-// while the run updates on, and editing a restored snapshot's slices
-// leaves the run's next State as it was.
+// TestStateSharesNothingWithTheRun: Update writes none of its arguments, and
+// the state it returns shares no slice with the one it was given. A state
+// keeps its bytes while the run updates on from it, and editing the next
+// state's slices leaves it as it was.
 func TestStateSharesNothingWithTheRun(t *testing.T) {
 	cfg := DefaultConfig(testSigma2())
 	cfg.StabilityRounds = 0
-	a, err := New(cfg)
+	st, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rewards := []float64{0.3, 0.5, 0.45}
 	for r := 0; r < 4; r++ {
-		if err := a.Update(a.NextArm(), rewards); err != nil {
+		if st, err = Update(cfg, st, Next(cfg, st), rewards); err != nil {
 			t.Fatal(err)
 		}
 	}
-	st := a.State()
 	taken, _ := json.Marshal(st)
+	next := st
 	for r := 0; r < 4; r++ {
-		if err := a.Update(a.NextArm(), rewards); err != nil {
+		if next, err = Update(cfg, next, Next(cfg, next), rewards); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if later, _ := json.Marshal(st); string(later) != string(taken) {
-		t.Fatalf("a snapshot changed while its run updated on:\n%s\n%s", taken, later)
+		t.Fatalf("a state changed while its run updated on:\n%s\n%s", taken, later)
 	}
-	if err := a.SetState(st); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(rewards, []float64{0.3, 0.5, 0.45}) {
+		t.Fatalf("Update wrote its reward vector: %v", rewards)
 	}
-	st.Plays[0]++
-	st.SumWY[0]++
-	st.Rho[0]++
-	st.Mu[0]++
-	if got, _ := json.Marshal(a.State()); string(got) != string(taken) {
-		t.Fatalf("editing a restored snapshot changed the run:\n%s\n%s", taken, got)
+	next.Plays[0]++
+	next.SumWY[0]++
+	next.Rho[0]++
+	next.Mu[0]++
+	if got, _ := json.Marshal(st); string(got) != string(taken) {
+		t.Fatalf("editing the next state changed the one it came from:\n%s\n%s", taken, got)
 	}
+}
+
+// FuzzBanditStep: from any configuration Validate accepts and any state
+// CheckState accepts, both built from the fuzz input, Next picks an arm in
+// range and Update either refuses the round or returns a state CheckState
+// accepts. Neither writes the state it is given. The input is read as
+// 8-byte words: a float is a word's bits, so Σ, the estimators and the
+// rewards range over every value (a non-finite reward is read as 0), and a
+// count is a word's low byte, so no count is near overflow.
+func FuzzBanditStep(f *testing.F) {
+	words := func(n int, w uint64) []byte {
+		return bytes.Repeat(binary.BigEndian.AppendUint64(nil, w), n)
+	}
+	f.Add(uint8(0), []byte{})
+	f.Add(uint8(1), words(40, math.Float64bits(0.01)))
+	f.Add(uint8(6), words(120, math.Float64bits(2)))
+	f.Add(uint8(2), append(words(4, math.Float64bits(1e-300)), words(20, math.Float64bits(1e300))...))
+	f.Fuzz(func(t *testing.T, arms uint8, data []byte) {
+		word := func() uint64 {
+			var w [8]byte
+			data = data[copy(w[:], data):]
+			return binary.BigEndian.Uint64(w[:])
+		}
+		float := func() float64 { return math.Float64frombits(word()) }
+		count := func() int { return int(word() % 256) }
+		k := 2 + int(arms)%7
+		cfg := Config{Sigma2: make([][]float64, k), Delta: 0.05}
+		for i := range cfg.Sigma2 {
+			cfg.Sigma2[i] = make([]float64, k)
+			for j := range cfg.Sigma2[i] {
+				cfg.Sigma2[i][j] = float()
+			}
+		}
+		cfg.StabilityRounds, cfg.MaxRounds = count()%8, count()
+		if cfg.Validate() != nil {
+			return
+		}
+		st := &State{Plays: make([]int, k), SumWY: make([]float64, k), Rho: make([]float64, k), Mu: make([]float64, k)}
+		for i := 0; i < k; i++ {
+			st.Plays[i] = count()
+			st.T += st.Plays[i]
+			st.SumWY[i], st.Rho[i], st.Mu[i] = float(), float(), float()
+		}
+		st.Stable, st.Last = count(), count()%(k+1)-1
+		st.Reason = []string{"", "stability", "threshold", "max-rounds"}[count()%4]
+		st.Done = st.Reason != "" && count()%2 == 1
+		if cfg.CheckState(st) != nil {
+			return
+		}
+		arm := count() % (k + 1) // k is out of range
+		rewards := make([]float64, k)
+		for j := range rewards {
+			if rewards[j] = float(); !finite(rewards[j]) {
+				rewards[j] = 0
+			}
+		}
+		given := st.Clone()
+		if a := Next(cfg, st); a < 0 || a >= k {
+			t.Fatalf("Next picked arm %d of %d", a, k)
+		}
+		if !reflect.DeepEqual(st, given) {
+			t.Fatalf("Next wrote its state:\n%+v\n%+v", given, st)
+		}
+		out, err := Update(cfg, st, arm, rewards)
+		if !reflect.DeepEqual(st, given) {
+			t.Fatalf("Update wrote its state:\n%+v\n%+v", given, st)
+		}
+		if err != nil {
+			return
+		}
+		if arm == k {
+			t.Fatalf("Update accepted arm %d of %d", arm, k)
+		}
+		if err := cfg.CheckState(out); err != nil {
+			t.Fatalf("Update returned a state CheckState refuses: %v\n%+v", err, out)
+		}
+	})
 }

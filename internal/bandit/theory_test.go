@@ -33,21 +33,17 @@ func TestTheorem1Soundness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		alg, err := New(Config{
+		st, err := Run(Config{
 			Sigma2: sigma2, Delta: delta,
 			StabilityRounds: 0, MaxRounds: 500,
-		})
+		}, env, 500)
 		if err != nil {
 			t.Fatal(err)
 		}
-		best, _, err := Run(alg, env, 500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if alg.StopReason() == "threshold" {
+		if st.Reason == "threshold" {
 			stoppedByThreshold++
 		}
-		if best != 0 {
+		if st.Recommendation() != 0 {
 			wrong++
 		}
 	}
@@ -97,15 +93,11 @@ func TestTheorem2KIndependence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			alg, err := New(DefaultConfig(sigma2))
+			st, err := Run(DefaultConfig(sigma2), env, 5000)
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, rounds, err := Run(alg, env, 5000)
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += rounds - k // exclude the mandatory init sweep
+			total += st.T - k // exclude the mandatory init sweep
 		}
 		return float64(total) / trials
 	}
@@ -144,17 +136,17 @@ func TestEstimatorConsistency(t *testing.T) {
 	cfg := DefaultConfig(sigma2)
 	cfg.StabilityRounds = 0
 	cfg.MaxRounds = 0
-	alg, err := New(cfg)
+	st, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < 3000; r++ {
 		arm := r % k
-		if err := alg.Update(arm, env.Sample(arm)); err != nil {
+		if st, err = Update(cfg, st, arm, env.Sample(arm)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i, est := range alg.State().Mu {
+	for i, est := range st.Mu {
 		if math.Abs(est-mu[i]) > 0.02 {
 			t.Fatalf("estimate %d = %.4f, true %.4f", i, est, mu[i])
 		}

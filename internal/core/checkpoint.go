@@ -70,7 +70,7 @@ func (c *Controller) CheckpointState() *ControllerState {
 
 // validate is the controller snapshot's shape check: everything that can be
 // judged without the model and config the snapshot is restored into,
-// except the bandit state, which SetState checks with its arm count.
+// except the bandit state, which fit checks against the run's Σ.
 func (st *ControllerState) validate() error {
 	if !slices.Contains([]Phase{PhaseWarmup, PhaseIdentify, PhaseExploit}, st.Phase) {
 		return fmt.Errorf("core: unknown phase %q", st.Phase)
@@ -132,8 +132,11 @@ func fit(m *Model, cfg OnlineConfig, st *ControllerState) error {
 			len(st.Extended), fc.VectorLen()+fc.SizeBuckets)
 	}
 	st.sigma = buildSigma(m, cfg, st.Set, st.ClusterID, st.Extended)
-	_, err := resumeBandit(cfg, st)
-	return err
+	bc := banditConfig(cfg, st.sigma)
+	if err := bc.Validate(); err != nil {
+		return err
+	}
+	return bc.CheckState(st.Bandit)
 }
 
 // RestoreState restores the controller part of a checkpoint — the JSON of a
@@ -179,8 +182,9 @@ func (c *Controller) RestoreState(part json.RawMessage) error {
 // Checkpoint is a decoded checkpoint frame: the engine's full cache state
 // and the controller's state, each part held as raw JSON. Each reader
 // decodes and checks the part it reads (EngineState, then
-// Sharded.RestoreState or MergeDC; Controller.RestoreState), so a bad part,
-// even one of the wrong JSON type, costs only itself. The model is not part
+// Sharded.RestoreState; a /state heir only the resident levels it hands to
+// MergeDC; Controller.RestoreState), so a bad part, even one of the wrong
+// JSON type, costs only itself. The model is not part
 // of it (every node loads its own, ReadModel): the "model" key of a
 // version-2 frame written while checkpoints carried one is ignored like any
 // unknown key.

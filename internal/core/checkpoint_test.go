@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"darwin/internal/bandit"
 	"darwin/internal/cache"
 	"darwin/internal/persist"
 	"darwin/internal/trace"
@@ -332,23 +331,6 @@ func TestFramedModelRejectsBitFlip(t *testing.T) {
 	}
 }
 
-// FuzzDecodeCheckpoint: arbitrary payload bytes, framed with a valid CRC,
-// must never panic and either error or produce a checkpoint that re-encodes.
-func FuzzDecodeCheckpoint(f *testing.F) {
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`{"controller":{"phase":"warmup"}}`))
-	f.Add([]byte(`{"model":{"version":1}}`))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		ck, err := DecodeCheckpointFrame(framed(t, data))
-		if err != nil {
-			return
-		}
-		if _, err := json.Marshal(ck); err != nil {
-			t.Fatalf("accepted checkpoint fails to re-encode: %v", err)
-		}
-	})
-}
-
 // mutate makes one structure-aware edit to the value v points at. It walks
 // every slice and number reachable through v's exported fields and
 // pointers, and op picks the edit: cut slice at to val elements, extend it
@@ -404,8 +386,10 @@ func mutate(v any, op uint8, at uint16, val int16) {
 
 // FuzzCheckpointRuns: a checkpoint its restores accept is one a controller
 // can run. The seeds are valid payloads taken in warm-up, identification
-// and exploit, and the identification one with a controller part of the
-// wrong JSON type; the fuzz input picks one and one mutate edit (a small
+// and exploit, the identification one with a controller part of the wrong
+// JSON type, and three payloads without an engine part (an empty object, a
+// bare controller part, an old frame's model); every seed goes through
+// DecodeCheckpointFrame. The fuzz input picks one and one mutate edit (a small
 // signed delta: counters a request away from wrapping int64 are not a state
 // a node reaches). The payload is restored into a fresh controller over
 // Sharded(2): a part that is malformed or does not fit is a clean error. An
@@ -462,17 +446,18 @@ func FuzzCheckpointRuns(f *testing.F) {
 	}
 	seeds = append(seeds, framed(f, garbage))
 	f.Add(uint8(len(seeds)-1), uint8(2), uint16(0), int16(0))
+	for _, payload := range []string{`{}`, `{"controller":{"phase":"warmup"}}`, `{"model":{"version":1}}`} {
+		seeds = append(seeds, framed(f, []byte(payload)))
+		f.Add(uint8(len(seeds)-1), uint8(2), uint16(0), int16(0))
+	}
 	f.Fuzz(func(t *testing.T, seed, op uint8, at uint16, val int16) {
 		seed %= uint8(len(seeds))
 		cj, err := DecodeCheckpointFrame(seeds[seed])
 		if err != nil {
 			t.Fatal(err)
 		}
-		es, err := cj.EngineState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cs *ControllerState // nil for the wrong-typed part, which stays as it is
+		es, _ := cj.EngineState() // nil for a seed without one, whose part stays as it is
+		var cs *ControllerState   // nil for the wrong-typed part, which stays as it is
 		if err := json.Unmarshal(cj.Controller, &cs); err != nil {
 			cs = nil
 		}
@@ -480,8 +465,10 @@ func FuzzCheckpointRuns(f *testing.F) {
 			*ControllerState
 			*cache.ShardedState
 		}{cs, es}, op, at, val)
-		if cj.Engine, err = json.Marshal(es); err != nil {
-			t.Fatal(err)
+		if es != nil {
+			if cj.Engine, err = json.Marshal(es); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if cs != nil {
 			cj.Controller = controllerPart(t, cs)
@@ -496,11 +483,12 @@ func FuzzCheckpointRuns(f *testing.F) {
 			t.Fatalf("a marshalled checkpoint does not decode: %v", err)
 		}
 		unedited := op%3 == 2 && val == 0
+		hasEngine := es != nil
 		if es, err = ck.EngineState(); err == nil {
 			err = eng.RestoreState(es)
 		}
 		if err != nil {
-			if unedited {
+			if unedited && hasEngine {
 				t.Fatalf("an unedited seed's engine does not restore: %v", err)
 			}
 			return
@@ -580,11 +568,6 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 			// st.sigma is carried too: fit rebuilds it from Set, ClusterID and Extended.
 			"st":        "Phase,Epoch,EpochReqs,RoundReqs,ClusterID,Set,Extended,Prof,CurArm,RoundStart,Bandit,Diags,LearningNS,sigma",
 			"extractor": "transient: the warm-up feature tree is not checkpointed (§6.4); restore re-enters warm-up",
-		}},
-		{reflect.TypeOf((*bandit.Algorithm)(nil)).Elem(), reflect.TypeOf(bandit.State{}), map[string]string{
-			"cfg": "derived: rebuilt by the restorer from the model's Σ and its own config",
-			"k":   "derived: len(cfg.Sigma2)",
-			"st":  "T,Plays,SumWY,Rho,Mu,Stable,Last,Done,Reason",
 		}},
 	} {
 		carried := map[string]bool{}

@@ -24,7 +24,8 @@ type EvictionSelector struct {
 	hier *cache.Hierarchy
 	cfg  EvictionSelectorConfig
 
-	alg        *bandit.Algorithm
+	bc         bandit.Config
+	st         *bandit.State
 	curArm     int
 	epochReqs  int
 	roundReqs  int
@@ -55,33 +56,33 @@ func NewEvictionSelector(hier *cache.Hierarchy, cfg EvictionSelectorConfig) (*Ev
 		return nil, fmt.Errorf("core: epoch %d too short for %d policies at round %d",
 			cfg.Epoch, len(evictionArms), cfg.Round)
 	}
-	s := &EvictionSelector{hier: hier, cfg: cfg}
+	own := make([]float64, len(evictionArms))
+	for i := range own {
+		own[i] = evictionRewardVariance
+	}
+	s := &EvictionSelector{hier: hier, cfg: cfg, bc: bandit.Config{
+		Sigma2:          bandit.StandardSigma2(own),
+		Delta:           delta,
+		StabilityRounds: stabilityRounds,
+		MaxRounds:       cfg.Epoch/cfg.Round - 1,
+	}}
 	if err := s.startEpoch(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// startEpoch (re)initialises the bandit with standard feedback.
+// startEpoch (re)starts the bandit, which runs with standard feedback.
 func (s *EvictionSelector) startEpoch() error {
-	own := make([]float64, len(evictionArms))
-	for i := range own {
-		own[i] = evictionRewardVariance
-	}
-	alg, err := bandit.New(bandit.Config{
-		Sigma2:          bandit.StandardSigma2(own),
-		Delta:           delta,
-		StabilityRounds: stabilityRounds,
-		MaxRounds:       s.cfg.Epoch/s.cfg.Round - 1,
-	})
+	st, err := bandit.Start(s.bc)
 	if err != nil {
 		return err
 	}
-	s.alg = alg
+	s.st = st
 	s.exploiting = false
 	s.epochReqs = 0
 	s.roundReqs = 0
-	s.curArm = alg.NextArm()
+	s.curArm = bandit.Next(s.bc, st)
 	if err := s.hier.SetHOCEviction(evictionArms[s.curArm]); err != nil {
 		return err
 	}
@@ -109,18 +110,20 @@ func (s *EvictionSelector) finishRound() {
 	round := s.hier.Metrics().Sub(s.roundStart)
 	rewards := make([]float64, len(evictionArms))
 	rewards[s.curArm] = OHRObjective{}.Reward(round)
-	if err := s.alg.Update(s.curArm, rewards); err != nil {
+	st, err := bandit.Update(s.bc, s.st, s.curArm, rewards)
+	if err != nil {
 		s.exploiting = true
 		return
 	}
-	if s.alg.Stopped() {
-		best := s.alg.Recommendation()
+	s.st = st
+	if st.Done {
+		best := st.Recommendation()
 		_ = s.hier.SetHOCEviction(evictionArms[best])
 		s.curArm = best
 		s.exploiting = true
 		return
 	}
-	next := s.alg.NextArm()
+	next := bandit.Next(s.bc, st)
 	if next != s.curArm {
 		_ = s.hier.SetHOCEviction(evictionArms[next])
 		s.curArm = next

@@ -397,10 +397,12 @@ type action struct {
 
 // step is the controller's transition function: the state st moves to when
 // ev happens, and the action that goes with it. It reads only its arguments
-// — no engine, clock or lock — and writes none of them. An event the phase
-// does not expect (a round's end outside identification, warm-up's end
-// outside warm-up), or an identify state whose Σ fit did not build, is
-// refused: st comes back unchanged with an error.
+// — no engine, clock or lock — and writes none of them. An identify state
+// carries its run's Σ and a bandit state that fits it: startIdentify puts
+// them there, or fit on restore, and nothing else checks them. An event the
+// phase does not expect (a round's end outside identification, warm-up's
+// end outside warm-up), or a round the bandit refuses, is refused: st comes
+// back unchanged with an error.
 func step(m *Model, cfg OnlineConfig, st ControllerState, ev event) (ControllerState, action, error) {
 	switch {
 	case ev.kind == warmupDone && st.Phase == PhaseWarmup:
@@ -412,11 +414,7 @@ func step(m *Model, cfg OnlineConfig, st ControllerState, ev event) (ControllerS
 		if st.Phase == PhaseIdentify {
 			// Identification ran out of epoch: deploy the current
 			// recommendation and record the truncated run.
-			alg, err := resumeBandit(cfg, &st)
-			if err != nil {
-				return st, action{}, err
-			}
-			next, act, _ = exploit(m, st, st.Set[alg.Recommendation()], alg.Rounds(), "epoch-end")
+			next, act, _ = exploit(m, st, st.Set[st.Bandit.Recommendation()], st.Bandit.T, "epoch-end")
 		}
 		// The deployed expert stays in place for the next warm-up.
 		next.Epoch++
@@ -439,7 +437,8 @@ func startIdentify(m *Model, cfg OnlineConfig, st ControllerState, ev event) (Co
 		return exploit(m, st, st.Set[0], 0, "singleton")
 	}
 	sigma := buildSigma(m, cfg, st.Set, st.ClusterID, st.Extended)
-	alg, err := bandit.New(banditConfig(cfg, sigma))
+	bc := banditConfig(cfg, sigma)
+	b, err := bandit.Start(bc)
 	if err != nil {
 		// Degenerate side information: the cluster's best mean expert.
 		best := st.Set[0]
@@ -450,32 +449,31 @@ func startIdentify(m *Model, cfg OnlineConfig, st ControllerState, ev event) (Co
 		}
 		return exploit(m, st, best, 0, "degenerate-sigma")
 	}
-	st.sigma, st.Bandit = sigma, alg.State()
-	return openRound(m, st, alg)
+	st.sigma, st.Bandit = sigma, b
+	return openRound(m, bc, st)
 }
 
 // closeRound feeds the bandit the rewards of a round whose engine metrics
 // are round, then opens the next round or, once the bandit stops, exploits
 // its recommendation.
 func closeRound(m *Model, cfg OnlineConfig, st ControllerState, round cache.Metrics) (ControllerState, action, error) {
-	alg, err := resumeBandit(cfg, &st)
+	bc := banditConfig(cfg, st.sigma)
+	b, err := bandit.Update(bc, st.Bandit, st.CurArm, roundRewards(m, cfg, &st, round))
 	if err != nil {
 		return st, action{}, err
 	}
-	if err := alg.Update(st.CurArm, roundRewards(m, cfg, &st, round)); err != nil {
-		return st, action{}, err
+	if b.Done {
+		return exploit(m, st, st.Set[b.Recommendation()], b.T, b.Reason)
 	}
-	if alg.Stopped() {
-		return exploit(m, st, st.Set[alg.Recommendation()], alg.Rounds(), alg.StopReason())
-	}
-	st.Bandit = alg.State()
-	return openRound(m, st, alg)
+	st.Bandit = b
+	return openRound(m, bc, st)
 }
 
-// openRound deploys alg's next arm; the shell then reads its RoundStart.
-func openRound(m *Model, st ControllerState, alg *bandit.Algorithm) (ControllerState, action, error) {
+// openRound deploys the bandit's next arm; the shell then reads its
+// RoundStart.
+func openRound(m *Model, bc bandit.Config, st ControllerState) (ControllerState, action, error) {
 	st.Phase = PhaseIdentify
-	st.CurArm = alg.NextArm()
+	st.CurArm = bandit.Next(bc, st.Bandit)
 	st.RoundReqs = 0
 	return st, action{deploy: true, expert: m.Experts[st.Set[st.CurArm]]}, nil
 }
@@ -492,15 +490,6 @@ func exploit(m *Model, st ControllerState, expert, rounds int, reason string) (C
 		Rounds: rounds, StopReason: reason, Chosen: chosen,
 	})
 	return st, action{deploy: true, expert: chosen}, nil
-}
-
-// resumeBandit is st's identification run over its Σ, at its bandit state.
-func resumeBandit(cfg OnlineConfig, st *ControllerState) (*bandit.Algorithm, error) {
-	alg, err := bandit.New(banditConfig(cfg, st.sigma))
-	if err == nil {
-		err = alg.SetState(st.Bandit)
-	}
-	return alg, err
 }
 
 // banditConfig derives the identification run's bandit configuration from

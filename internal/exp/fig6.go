@@ -148,16 +148,12 @@ func AblationRoundsVsK(ks []int) (*Report, error) {
 				if err != nil {
 					return nil, err
 				}
-				alg, err := bandit.New(bandit.DefaultConfig(sigma2))
+				st, err := bandit.Run(bandit.DefaultConfig(sigma2), env, 5000)
 				if err != nil {
 					return nil, err
 				}
-				best, rounds, err := bandit.Run(alg, env, 5000)
-				if err != nil {
-					return nil, err
-				}
-				total += rounds
-				if best == 0 {
+				total += st.T
+				if st.Recommendation() == 0 {
 					correct++
 				}
 			}

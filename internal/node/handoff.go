@@ -14,10 +14,11 @@ package node
 // with no null shard, every resident level — all before the first
 // mutation, so a frame that fails leaves the inheritor untouched (the
 // server layer answers it 400 and counts a state_reject), and a controller
-// part of any content or JSON type, or a tracker or metrics a restore would
-// refuse, none of which the heir reads, costs it nothing.
+// part, or a shard's tracker, counts or metrics, of any content or JSON
+// type, none of which the heir reads, costs it nothing.
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"darwin/internal/cache"
@@ -33,12 +34,29 @@ func snapshot(eng *cache.Sharded, ctrl *core.Controller) (*cache.ShardedState, *
 	return eng.State(), ctrl.CheckpointState()
 }
 
-// donorLevels lists a donor engine snapshot's resident levels in the order
-// MergeDC admits them: every shard's DC, then every shard's HOC (MergeDC
-// evicts from the DC tail under pressure, so the donor's hottest objects —
-// its HOC — are admitted last and sit most-protected). A null shard is an
-// error.
-func donorLevels(es *cache.ShardedState) ([][]cache.ResidentObject, error) {
+// donorEngine is the part of a donor's engine state the heir merges: each
+// shard's resident levels. Decoding into it skips every other field of a
+// shard (tracker, counts, metrics) unread, whatever its JSON type.
+type donorEngine struct {
+	Shards []*struct {
+		HOC []cache.ResidentObject `json:"hoc"`
+		DC  []cache.ResidentObject `json:"dc"`
+	} `json:"shards"`
+}
+
+// donorLevels decodes a donor's engine part and lists its resident levels in
+// the order MergeDC admits them: every shard's DC, then every shard's HOC
+// (MergeDC evicts from the DC tail under pressure, so the donor's hottest
+// objects — its HOC — are admitted last and sit most-protected). A missing
+// or null engine part, or a null shard, is an error.
+func donorLevels(part json.RawMessage) ([][]cache.ResidentObject, error) {
+	var es *donorEngine
+	if err := json.Unmarshal(part, &es); err != nil {
+		return nil, fmt.Errorf("handoff: decoding the donor's engine state: %w", err)
+	}
+	if es == nil {
+		return nil, fmt.Errorf("handoff: the frame carries no engine state")
+	}
 	var dcs, hocs [][]cache.ResidentObject
 	for i, sh := range es.Shards {
 		if sh == nil {
@@ -59,11 +77,7 @@ func handoffAcceptor(eng *cache.Sharded) func([]byte) error {
 		if err != nil {
 			return err
 		}
-		es, err := ck.EngineState()
-		if err != nil {
-			return err
-		}
-		levels, err := donorLevels(es)
+		levels, err := donorLevels(ck.Engine)
 		if err != nil {
 			return err
 		}

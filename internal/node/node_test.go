@@ -282,6 +282,9 @@ func TestRestartWithOtherShardCount(t *testing.T) {
 	}
 	cfg.Shards = 4
 	second, logged := reopen()
+	if got := second.Shards(); got != 4 {
+		t.Fatalf("the reopened node runs %d shards, want 4", got)
+	}
 	if !strings.Contains(logged, "engine state not restored (cache: snapshot has 2 shards, engine has 4)") ||
 		!strings.Contains(logged, "controller state not restored") {
 		t.Fatalf("recovery logged %q, want the refused engine state and the controller left unrestored", logged)
@@ -672,6 +675,8 @@ func TestModelCarryingCheckpointRestores(t *testing.T) {
 // TestNewRemovesLeftoverTempFiles: a crash inside persist.WriteFileAtomic
 // leaves its "<name>.tmp-<random>" file beside the checkpoint or the
 // journal. A node opening the directory removes both kinds and nothing else.
+// The node is built with Shards 0, so Shards reports the engine's resolved
+// count, cache.AutoShards().
 func TestNewRemovesLeftoverTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	temps := []string{checkpointFile + ".tmp-1", "journal.log.tmp-2"}
@@ -683,7 +688,6 @@ func TestNewRemovesLeftoverTempFiles(t *testing.T) {
 	n, err := New(Config{
 		HOCBytes: 256 << 10,
 		DCBytes:  32 << 20,
-		Shards:   1,
 		Expert:   cache.Expert{Freq: 1, MaxSize: 1 << 20},
 		Store:    diskcache.Config{Dir: dir},
 		Origin:   testOrigin(t),
@@ -692,6 +696,9 @@ func TestNewRemovesLeftoverTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Close(context.Background())
+	if got, want := n.Shards(), cache.AutoShards(); got != want {
+		t.Errorf("a node built with Shards 0 runs %d shards, want cache.AutoShards() = %d", got, want)
+	}
 	for _, name := range temps {
 		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
 			t.Errorf("%s survived New: %v", name, err)

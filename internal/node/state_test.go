@@ -139,7 +139,7 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 		if got := controllerJSON(t, inhCtrl); !bytes.Equal(got, ctrlBefore) {
 			t.Fatalf("seed %d: the handoff changed the inheritor's controller state:\n%s\n%s", seed, ctrlBefore, got)
 		}
-		if missing := notResident(t, inhEng, donorEng.State()); len(missing) > 0 {
+		if missing := notResident(inhEng, donorEng.State()); len(missing) > 0 {
 			t.Fatalf("seed %d: donor residents %v are not resident at the inheritor", seed, missing)
 		}
 
@@ -178,8 +178,8 @@ func TestStateHandoffRoundTrip(t *testing.T) {
 
 // TestHandoffChecksOnlyTheLevelsItMerges: the /state acceptor reads a
 // frame's resident levels and nothing else of it. A frame whose controller
-// part (even one of the wrong JSON type), request counts or metrics a
-// restore would refuse is answered 204:
+// part, tracker or metrics a restore would refuse, even one of the wrong
+// JSON type, is answered 204:
 // the heir holds every donor resident and its controller state is byte for
 // byte what it was. A frame with a malformed level — a negative size, an id
 // twice in one level, a null shard, no engine — is answered 400 and merges
@@ -205,6 +205,8 @@ func TestHandoffChecksOnlyTheLevelsItMerges(t *testing.T) {
 		{"controller-wrong-type", http.StatusNoContent, func(ck *parts) { ck.ctrl, ck.rawCtrl = nil, json.RawMessage(`"garbage"`) }},
 		{"tracker-last-seen", http.StatusNoContent, func(ck *parts) { ck.eng.Shards[0].Tracker.LastSeen[0] = -1 }},
 		{"metrics-misses", http.StatusNoContent, func(ck *parts) { ck.eng.Shards[0].Metrics.Misses++ }},
+		{"tracker-wrong-type", http.StatusNoContent, func(ck *parts) { ck.wrongType = "tracker" }},
+		{"metrics-wrong-type", http.StatusNoContent, func(ck *parts) { ck.wrongType = "metrics" }},
 		{"negative-size", http.StatusBadRequest, func(ck *parts) { hoc := lastShard(ck).HOC; hoc[len(hoc)-1].Size = -1 }},
 		{"duplicate-id", http.StatusBadRequest, func(ck *parts) { hoc := lastShard(ck).HOC; hoc[len(hoc)-1] = hoc[0] }},
 		{"null-shard", http.StatusBadRequest, func(ck *parts) { ck.eng.Shards[len(ck.eng.Shards)-1] = nil }},
@@ -235,7 +237,7 @@ func TestHandoffChecksOnlyTheLevelsItMerges(t *testing.T) {
 				}
 				return
 			}
-			if missing := notResident(t, eng, donorEng.State()); len(missing) > 0 {
+			if missing := notResident(eng, donorEng.State()); len(missing) > 0 {
 				t.Fatalf("donor residents %v are not resident at the heir", missing)
 			}
 		})
@@ -244,11 +246,13 @@ func TestHandoffChecksOnlyTheLevelsItMerges(t *testing.T) {
 
 // parts is a checkpoint's engine and controller parts, decoded for a test to
 // edit. rawCtrl is a controller part that is not a controller state; it
-// stands in for ctrl when ctrl is nil.
+// stands in for ctrl when ctrl is nil. wrongType names a field of eng's
+// shard 0 that frame writes as the string "garbage".
 type parts struct {
-	eng     *cache.ShardedState
-	ctrl    *core.ControllerState
-	rawCtrl json.RawMessage
+	eng       *cache.ShardedState
+	ctrl      *core.ControllerState
+	rawCtrl   json.RawMessage
+	wrongType string
 }
 
 // partsOf is the node snapshot of eng and ctrl.
@@ -278,9 +282,28 @@ func decodeParts(t testing.TB, frame []byte) *parts {
 func (p *parts) frame(t testing.TB) []byte {
 	t.Helper()
 	ck := struct {
-		Engine     *cache.ShardedState `json:"engine,omitempty"`
-		Controller any                 `json:"controller,omitempty"`
-	}{Engine: p.eng}
+		Engine     any `json:"engine,omitempty"`
+		Controller any `json:"controller,omitempty"`
+	}{}
+	switch {
+	case p.wrongType != "":
+		blob, err := json.Marshal(p.eng)
+		var es struct {
+			Shards []map[string]json.RawMessage `json:"shards"`
+		}
+		if err == nil {
+			err = json.Unmarshal(blob, &es)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(es.Shards) > 0 && es.Shards[0] != nil { // a mutate edit may cut every shard
+			es.Shards[0][p.wrongType] = json.RawMessage(`"garbage"`)
+		}
+		ck.Engine = es
+	case p.eng != nil:
+		ck.Engine = p.eng
+	}
 	switch {
 	case p.ctrl != nil:
 		ck.Controller = p.ctrl
@@ -311,17 +334,14 @@ func controllerJSON(t testing.TB, ctrl *core.Controller) []byte {
 
 // notResident lists the ids of the donor snapshot's residents, DC and HOC,
 // that eng holds in neither level.
-func notResident(t testing.TB, eng *cache.Sharded, donor *cache.ShardedState) []uint64 {
-	t.Helper()
-	levels, err := donorLevels(donor)
-	if err != nil {
-		t.Fatal(err)
-	}
+func notResident(eng *cache.Sharded, donor *cache.ShardedState) []uint64 {
 	var missing []uint64
-	for _, level := range levels {
-		for _, obj := range level {
-			if r := eng.Lookup(obj.ID); r != cache.HOCHit && r != cache.DCHit {
-				missing = append(missing, obj.ID)
+	for _, sh := range donor.Shards {
+		for _, level := range [][]cache.ResidentObject{sh.DC, sh.HOC} {
+			for _, obj := range level {
+				if r := eng.Lookup(obj.ID); r != cache.HOCHit && r != cache.DCHit {
+					missing = append(missing, obj.ID)
+				}
 			}
 		}
 	}
@@ -688,8 +708,9 @@ func mutate(v any, op uint8, at uint16, val int16) {
 // caught mid-identification, each with one mutate edit and a valid CRC
 // (frames the CRC rejects say nothing about the acceptor). Besides the
 // donor's own frame, the seeds carry a garbage controller part, a bad
-// tracker, a null shard and a controller part of the wrong JSON type; only
-// the null shard is refused unedited. No frame
+// tracker, a null shard, a controller part of the wrong JSON type and a
+// tracker of the wrong JSON type; only the null shard is refused unedited.
+// No frame
 // changes the inheritor's controller state by a byte. A refused frame must
 // leave its engine byte-identical too; an accepted one must land every
 // donor resident in the inheritor's cache and leave an inheritor that plays
@@ -719,24 +740,22 @@ func FuzzHandoffAccept(f *testing.F) {
 		{false, func(ck *parts) { ck.eng.Shards[0].Tracker.LastSeen[0] = -1 }},
 		{true, func(ck *parts) { ck.eng.Shards[1] = nil }},
 		{false, func(ck *parts) { ck.ctrl, ck.rawCtrl = nil, json.RawMessage(`"garbage"`) }},
+		{false, func(ck *parts) { ck.wrongType = "tracker" }},
 	}
-	frames := make([][]byte, len(seeds))
-	for i, sd := range seeds {
-		ck := partsOf(donorEng, donorCtrl)
-		sd.edit(ck)
-		frames[i] = ck.frame(f)
-		if i < 4 {
-			f.Add(uint8(i), uint8(2), uint16(0), int16(0))
-		}
+	for i := range 4 {
+		f.Add(uint8(i), uint8(2), uint16(0), int16(0))
 	}
 	play := &trace.Trace{Requests: tr.Requests[250:]}
 	f.Add(uint8(0), uint8(0), uint16(3), int16(1))
 	f.Add(uint8(0), uint8(1), uint16(30), int16(0))
 	f.Add(uint8(0), uint8(2), uint16(12), int16(-7))
-	f.Add(uint8(4), uint8(2), uint16(0), int16(0)) // added last, so the seeds above keep their corpus names
+	// Added last, so the seeds above keep their corpus names.
+	f.Add(uint8(4), uint8(2), uint16(0), int16(0))
+	f.Add(uint8(5), uint8(2), uint16(0), int16(0))
 	f.Fuzz(func(t *testing.T, seed, op uint8, at uint16, val int16) {
 		sd := int(seed) % len(seeds)
-		ck := decodeParts(t, frames[sd])
+		ck := partsOf(donorEng, donorCtrl)
+		seeds[sd].edit(ck)
 		mutate(&struct {
 			*core.ControllerState
 			*cache.ShardedState
@@ -759,7 +778,7 @@ func FuzzHandoffAccept(f *testing.F) {
 			}
 			return
 		}
-		if missing := notResident(t, eng, ck.eng); len(missing) > 0 {
+		if missing := notResident(eng, ck.eng); len(missing) > 0 {
 			t.Fatalf("donor residents %v are not resident at the inheritor", missing)
 		}
 		ctrl.Play(play)

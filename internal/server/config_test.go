@@ -110,7 +110,8 @@ var goneFields = []string{
 // tag and the miss-admission switch, none of which a reader used, the
 // DC journal's segment naming and rotation, which one log file replaced,
 // the checkpoint's model codec, since a node's model is only ever its
-// model file, and the two activations no network used.
+// model file, the two activations no network used, and the bandit's run
+// wrapper, whose state its one caller already held.
 var goneDecls = map[string][]string{
 	".":       {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults", "StateHandoff"},
 	"../node": {"handoffProvider"},
@@ -129,12 +130,14 @@ var goneDecls = map[string][]string{
 		"trackerExact", "Hierarchy.SetAdmitOnMiss"},
 	"../core": {"Controller.ResetMetrics", "EvictionSelector.Choices", "EvictionSelector.Exploiting",
 		"EncodeCheckpoint", "DecodeCheckpoint", "SaveCheckpoint", "LoadCheckpoint",
-		"checkpointJSON", "modelToJSON", "modelFromJSON"},
+		"checkpointJSON", "modelToJSON", "modelFromJSON", "resumeBandit"},
 	"../exp": {"CachedCorpus", "Hindsight", "HindsightTrace", "EnsembleSet", "corpusCache", "hindsightCache", "compareCache",
 		"chaosRun", "overloadRun"},
-	"../stats":    {"Variance", "StdDev", "Welford", "Clamp", "Histogram.Total"},
-	"../persist":  {"SaveFrame", "LoadFrame", "appendWriter"},
-	"../bandit":   {"Algorithm.K", "Algorithm.Plays", "Algorithm.Estimates"},
+	"../stats":   {"Variance", "StdDev", "Welford", "Clamp", "Histogram.Total"},
+	"../persist": {"SaveFrame", "LoadFrame", "appendWriter"},
+	"../bandit": {"Algorithm.K", "Algorithm.Plays", "Algorithm.Estimates", "Algorithm", "New",
+		"Algorithm.SetState", "Algorithm.State", "Algorithm.Rounds", "Algorithm.Stopped", "Algorithm.StopReason",
+		"Algorithm.NextArm"},
 	"../features": {"Extractor.Requests"},
 	"../neural":   {"ReLU", "Identity"},
 	"../cluster":  {"standardiseParams", "standardise"},

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -511,5 +512,34 @@ func TestFrontPickZeroAllocs(t *testing.T) {
 	}
 	if f.Window() != 0 {
 		t.Fatal("the timed picks crossed a window boundary")
+	}
+}
+
+// TestFrontStartProbes: Start polls the backends on the ProbeEvery period
+// without any ProbeOnce call, so the front hears a live backend, and its
+// prober goroutine exits once ctx is cancelled.
+func TestFrontStartProbes(t *testing.T) {
+	_, urls := frontBackend(t, "readyz", 1)
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	f, err := NewFront(FrontConfig{Backends: urls, ProbeEvery: 10 * time.Millisecond, Client: client})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	f.Start(ctx)
+	deadline := time.Now().Add(2 * time.Second)
+	for !f.Membership().Heard(0) {
+		if time.Now().After(deadline) {
+			cancel()
+			t.Fatal("the front did not hear its backend within 2 s of Start")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cancel()
+	for deadline = time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines 2 s after cancel, %d before Start: the prober did not exit", runtime.NumGoroutine(), before)
+		}
 	}
 }
