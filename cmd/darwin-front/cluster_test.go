@@ -22,7 +22,8 @@ import (
 // darwin-proxy and darwin-front, runs a 3-node peer-filled cluster behind the
 // front tier, SIGTERM-drains one node mid-flood, and asserts that the client
 // never sees a failure — the drained node's weight drops to zero at a window
-// boundary and the survivors absorb its share. Run via `make chaos-cluster`;
+// boundary and the survivors absorb its share, and every survivor has
+// answered the front's polls as gossip exchanges. Run via `make chaos-cluster`;
 // env-gated because it builds binaries and binds TCP ports.
 func TestClusterDrainProcess(t *testing.T) {
 	if os.Getenv("DARWIN_CLUSTER_PROC") != "1" {
@@ -134,8 +135,13 @@ func TestClusterDrainProcess(t *testing.T) {
 		t.Fatalf("requests=%d relayed=%d: some requests were dropped", reqs, relayed)
 	}
 	fills := 0
-	for _, b := range bases[1:] {
+	for i, b := range bases[1:] {
 		fills += metric(t, b, "peer_fills")
+		// The front's health polls reach each survivor as digest exchanges
+		// on /readyz, not as plain readiness checks.
+		if ex := metric(t, b, "gossip_exchanges"); ex == 0 {
+			t.Fatalf("survivor node %d answered no gossip exchange to the front's polls", i+1)
+		}
 	}
 	t.Logf("cluster drained node 0 cleanly: %d requests all relayed, %d survivor peer fills, failovers=%d",
 		reqs, fills, metric(t, frontBase, "failovers"))

@@ -1,8 +1,9 @@
 // Command darwin-front runs the cluster's content-aware front tier (§2.1's
 // balancer, live): a consistent-hash ring with bounded loads over N
 // darwin-proxy backends, with weight shedding driven by one graded
-// membership view (/gossip digests; /readyz answers feed the same detector
-// for backends that do not serve /gossip), per-backend circuit breakers with
+// membership view (one /readyz poll per backend, carrying gossip digests
+// both ways; a backend without membership answers a plain 200 that feeds the
+// same detector), per-backend circuit breakers with
 // in-request failover, and popularity-adaptive replication of hot objects
 // over ring successors.
 //
@@ -45,7 +46,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 		return nil
 	})
 	fs.IntVar(&c.RebalanceEvery, "rebalance-every", c.RebalanceEvery, "requests per rebalance window (weights, budgets, replication factors refresh at boundaries)")
-	fs.DurationVar(&c.ProbeEvery, "probe-every", c.ProbeEvery, "health poll period (/gossip digest exchange; /readyz for backends that do not serve it)")
+	fs.DurationVar(&c.ProbeEvery, "probe-every", c.ProbeEvery, "health poll period (one /readyz per backend, carrying the gossip digest exchange)")
 	return o
 }
 

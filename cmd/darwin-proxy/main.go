@@ -66,7 +66,7 @@ func registerFlags(fs *flag.FlagSet) *options {
 	fs.IntVar(&n.Resilience.MaxAttempts, "retries", n.Resilience.MaxAttempts, "total origin fetch attempts per miss (1 = no retry)")
 	fs.DurationVar(&n.Resilience.BackoffBase, "backoff", n.Resilience.BackoffBase, "base retry backoff (doubles per retry, jittered)")
 	fs.DurationVar(&o.drain, "drain", 10*time.Second, "graceful shutdown drain deadline")
-	fs.DurationVar(&o.lameDuck, "lame-duck", 300*time.Millisecond, "keep serving after readyz/gossip flip to 503 so probers observe the drain verdict before the listener closes")
+	fs.DurationVar(&o.lameDuck, "lame-duck", 300*time.Millisecond, "keep serving after /readyz flips to 503 so probers observe the drain verdict before the listener closes")
 
 	fs.Func("peers", "comma-separated cluster node base `URLs` (enables peer cache fill, gossip membership and drain handoff; must include -self)", func(s string) error {
 		n.Peer.Nodes = strings.Split(s, ",")

@@ -86,6 +86,7 @@ var goneIdents = []string{
 	"AdoptState", "controllerAhead", "Summarize",
 	"ShardedState.Validate", "bandit.State.Validate",
 	"bandit.Algorithm", "bandit.New", "Algorithm.SetState",
+	"ServeGossip", "maxGossipBytes", "TestServeGossip",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

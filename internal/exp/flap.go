@@ -13,8 +13,8 @@ package exp
 //     while the node keeps serving and keeps gossiping with its peers over
 //     the peer-probe path. Whatever heartbeats the peers relay are all the
 //     front hears of it. The contrast arm deploys the same nodes without
-//     -peers: no /gossip, no relay, the front polls /readyz and the detector
-//     walks the silent node to dead.
+//     -peers: no membership, no relay, plain /readyz answers, and the
+//     detector walks the silent node to dead.
 //  3. Drain handoff: a warmed node drains and pushes its DRWNCKPT frame
 //     through its ring successor's /state; the successor then replays the
 //     donor's traffic. The contrast arm drains a donor that never served.
@@ -155,8 +155,8 @@ func runFlapArm(fc FlapConfig, detector gossip.Config) (FlapDetectorOutcome, err
 
 // runPartitionArm drives arm 2 once: a cluster under an asymmetric partition
 // of the front's probe path to one node. peered deploys the nodes as one
-// cluster (-peers: /gossip, peer fill, relayed heartbeats); otherwise each
-// node stands alone and the front can only poll its /readyz.
+// cluster (-peers: digests on /readyz, peer fill, relayed heartbeats);
+// otherwise each node stands alone and answers the front's polls plainly.
 func runPartitionArm(fc FlapConfig, peered bool) (PartitionOutcome, error) {
 	var out PartitionOutcome
 	tr, err := SyntheticMix(rigMix, fc.PrefaultReqs+fc.FaultReqs, rigSeed)

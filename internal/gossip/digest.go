@@ -1,7 +1,8 @@
 package gossip
 
-// The heartbeat digest wire format: the compact byte string nodes piggyback
-// on peer probes (X-Darwin-Gossip, base64) and exchange on /gossip. Layout
+// The heartbeat digest wire format: the compact byte string nodes and the
+// front tier carry base64-encoded in X-Darwin-Gossip, on peer probes and on
+// the front's /readyz polls alike, in both directions. Layout
 // (little-endian):
 //
 //	[0]   magic 'G'

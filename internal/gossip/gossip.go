@@ -1,7 +1,7 @@
 // Package gossip is the cluster's SWIM-style membership layer: a
-// phi-accrual failure detector over heartbeat digests that nodes piggyback
-// on the peer-probe HTTP path (and exchange on /gossip). It replaces the
-// front tier's binary /readyz verdict with a graded one:
+// phi-accrual failure detector over heartbeat digests that ride requests
+// already flowing (nodes' peer probes and the front tier's /readyz polls).
+// It turns the front tier's binary /readyz verdict into a graded one:
 //
 //   - alive:   heartbeats arrive on cadence — full ring weight.
 //   - suspect: the inter-arrival gap is statistically unusual (phi above

@@ -386,7 +386,7 @@ func FuzzDecodeDigest(f *testing.F) {
 
 // benchEntries is a 16-node digest with live sequences: the size the three
 // benchmarks below price, since one digest rides every peer probe and
-// /gossip answer.
+// digest-carrying /readyz answer.
 func benchEntries() []Entry {
 	entries := make([]Entry, 16)
 	for i := range entries {

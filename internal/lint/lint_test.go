@@ -2,6 +2,7 @@ package lint
 
 import (
 	"fmt"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -164,5 +165,19 @@ func TestSuppressionAudit(t *testing.T) {
 	}
 	if !strings.Contains(unused[0].Msg, "lockorder") {
 		t.Errorf("unused-suppression diagnostic names the wrong rule: %s", unused[0])
+	}
+}
+
+// TestDiagnosticString pins the file:line:col: [rule] message rendering a
+// failing TestRealTreeClean prints, the form editors jump to.
+func TestDiagnosticString(t *testing.T) {
+	d := Diagnostic{
+		Pos:  token.Position{Filename: "internal/server/front.go", Line: 12, Column: 3},
+		Rule: "locking",
+		Msg:  "ring is guarded by mu, but Weights never locks it",
+	}
+	const want = "internal/server/front.go:12:3: [locking] ring is guarded by mu, but Weights never locks it"
+	if got := d.String(); got != want {
+		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }

@@ -216,7 +216,8 @@ func skippedIdents(fd *ast.FuncDecl) map[*ast.Ident]bool {
 }
 
 // lockedMutexes returns the set of mutex objects the function body locks
-// (Lock or RLock on a field or package-level mutex).
+// (Lock or RLock on a field or package-level mutex, resolved as lockorder
+// resolves a lock's class).
 func lockedMutexes(pkg *Package, body ast.Node) map[types.Object]bool {
 	locked := make(map[types.Object]bool)
 	ast.Inspect(body, func(n ast.Node) bool {
@@ -228,15 +229,8 @@ func lockedMutexes(pkg *Package, body ast.Node) map[types.Object]bool {
 		if !ok || (sel.Sel.Name != "Lock" && sel.Sel.Name != "RLock") {
 			return true
 		}
-		switch recv := ast.Unparen(sel.X).(type) {
-		case *ast.SelectorExpr:
-			if fs, ok := pkg.Info.Selections[recv]; ok && fs.Kind() == types.FieldVal {
-				locked[fs.Obj()] = true
-			}
-		case *ast.Ident:
-			if obj := pkg.Info.Uses[recv]; obj != nil {
-				locked[obj] = true
-			}
+		if mu := mutexClass(pkg, sel.X); mu != nil {
+			locked[mu] = true
 		}
 		return true
 	})

@@ -54,7 +54,7 @@ type Config struct {
 	Resilience server.Resilience
 	Overload   server.Overload
 	// Peer wires the node into a cluster — peer fill, gossip membership,
-	// /gossip, /state and the drain-time handoff — when Peer.Nodes is set.
+	// /state and the drain-time handoff — when Peer.Nodes is set.
 	Peer server.PeerConfig
 }
 
@@ -134,16 +134,14 @@ func build(cfg Config) (*Node, error) {
 	n.mux = http.NewServeMux()
 	n.mux.Handle("/obj/", n.Proxy)
 	n.mux.HandleFunc("/healthz", n.Health.Healthz)
-	n.mux.HandleFunc("/readyz", n.Health.Readyz)
+	// A draining or gated node's 503 is the front tier's explicit "stop
+	// routing here"; only a poll the verdict passes exchanges gossip digests.
+	n.mux.HandleFunc("/readyz", n.Health.Gated(n.Proxy.ServeReadyz))
 	if n.clustered {
 		if err := n.Proxy.SetPeers(cfg.Peer); err != nil {
 			return nil, n.abandon(err)
 		}
 		n.Proxy.EnableStateHandoff(handoffAcceptor(n.eng))
-		// /gossip answers from the same verdict as /readyz: a draining or
-		// gated node's 503 is what the front tier reads as an explicit "stop
-		// routing here" — immediate weight shed, no waiting for phi to accrue.
-		n.mux.HandleFunc("/gossip", n.Health.Gated(n.Proxy.ServeGossip))
 		n.mux.HandleFunc("/state", n.Proxy.ServeState)
 	}
 	n.mux.HandleFunc("/metrics", n.serveMetrics)
@@ -159,8 +157,8 @@ func (n *Node) abandon(err error) error {
 	return err
 }
 
-// Handler serves the node's routes: /obj/, /healthz, /readyz, /metrics and,
-// in a cluster, /gossip (behind the health verdict) and /state.
+// Handler serves the node's routes: /obj/, /healthz, /readyz (in a cluster,
+// also the gossip exchange), /metrics and, in a cluster, /state.
 func (n *Node) Handler() http.Handler { return n.mux }
 
 // Shards returns the engine's shard count.

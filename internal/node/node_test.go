@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"context"
+	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -22,6 +23,7 @@ import (
 	"darwin/internal/cache"
 	"darwin/internal/core"
 	"darwin/internal/diskcache"
+	"darwin/internal/gossip"
 	"darwin/internal/persist"
 	"darwin/internal/server"
 	"darwin/internal/tracegen"
@@ -846,6 +848,70 @@ func TestRunClosesNodeWhenDrainOverruns(t *testing.T) {
 	}
 	if n := runtime.NumGoroutine(); n > goroutines {
 		t.Errorf("%d goroutines before the node started, %d after Run returned: the node left one running", goroutines, n)
+	}
+}
+
+// TestReadyzIsTheGossipExchange: a node has one health poll. No node serves
+// /gossip (a POST there is a 404, which an older front answers by falling
+// back to /readyz); a clustered node's /readyz carrying a digest answers with
+// its own, while a plain /readyz (a balancer's start-up wait) neither beats
+// nor counts, a node without -peers answers every poll plainly, and a
+// draining node's 503 exchanges nothing.
+func TestReadyzIsTheGossipExchange(t *testing.T) {
+	cfg := Config{
+		Expert:   cache.Expert{Freq: 1, MaxSize: 1 << 20},
+		HOCBytes: 256 << 10,
+		DCBytes:  1 << 20,
+		Shards:   1,
+		Origin:   "http://127.0.0.1:9",
+	}
+	lone, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Peer = server.PeerConfig{Self: "http://127.0.0.1:1", Nodes: []string{"http://127.0.0.1:1", "http://127.0.0.1:2"}}
+	peered, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	poll := func(n *Node, method, path string, digest bool) *httptest.ResponseRecorder {
+		w := httptest.NewRecorder()
+		r := httptest.NewRequest(method, path, nil)
+		if digest {
+			// An observer's empty digest, as a front that has heard nothing sends.
+			r.Header.Set(server.GossipHeader, base64.StdEncoding.EncodeToString(gossip.AppendDigest(nil, -1, nil)))
+		}
+		n.Handler().ServeHTTP(w, r)
+		return w
+	}
+	for _, n := range []*Node{lone, peered} {
+		if w := poll(n, http.MethodPost, "/gossip", true); w.Code != http.StatusNotFound {
+			t.Fatalf("POST /gossip: status %d, want 404", w.Code)
+		}
+	}
+	if w := poll(lone, http.MethodGet, "/readyz", true); w.Code != http.StatusOK || w.Header().Get(server.GossipHeader) != "" {
+		t.Fatalf("node without -peers: status %d, digest %q; want a plain 200", w.Code, w.Header().Get(server.GossipHeader))
+	}
+
+	memb := peered.Proxy.Membership()
+	if w := poll(peered, http.MethodGet, "/readyz", false); w.Code != http.StatusOK || w.Header().Get(server.GossipHeader) != "" {
+		t.Fatalf("plain /readyz: status %d, digest %q; want a plain 200", w.Code, w.Header().Get(server.GossipHeader))
+	}
+	if seq, n := memb.Seq(0), peered.Proxy.Stats().GossipExchanges; seq != 0 || n != 0 {
+		t.Fatalf("a plain /readyz moved own seq to %d and exchanges to %d, want 0 and 0", seq, n)
+	}
+	if w := poll(peered, http.MethodGet, "/readyz", true); w.Code != http.StatusOK || w.Header().Get(server.GossipHeader) == "" {
+		t.Fatalf("digest-carrying /readyz: status %d, no digest back", w.Code)
+	}
+	if seq, n := memb.Seq(0), peered.Proxy.Stats().GossipExchanges; seq != 1 || n != 1 {
+		t.Fatalf("one exchange: own seq %d and %d exchanges, want 1 and 1", seq, n)
+	}
+	peered.Health.StartDrain()
+	if w := poll(peered, http.MethodGet, "/readyz", true); w.Code != http.StatusServiceUnavailable || w.Header().Get(server.GossipHeader) != "" {
+		t.Fatalf("draining: status %d, digest %q; want a 503 without one", w.Code, w.Header().Get(server.GossipHeader))
+	}
+	if seq, n := memb.Seq(0), peered.Proxy.Stats().GossipExchanges; seq != 1 || n != 1 {
+		t.Fatalf("a refused poll moved own seq to %d and exchanges to %d", seq, n)
 	}
 }
 

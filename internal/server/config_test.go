@@ -110,10 +110,11 @@ var goneFields = []string{
 // tag and the miss-admission switch, none of which a reader used, the
 // DC journal's segment naming and rotation, which one log file replaced,
 // the checkpoint's model codec, since a node's model is only ever its
-// model file, the two activations no network used, and the bandit's run
-// wrapper, whose state its one caller already held.
+// model file, the two activations no network used, the bandit's run
+// wrapper, whose state its one caller already held, and the /gossip
+// endpoint, whose exchange a node's /readyz carries.
 var goneDecls = map[string][]string{
-	".":       {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults", "StateHandoff"},
+	".":       {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults", "StateHandoff", "Proxy.ServeGossip"},
 	"../node": {"handoffProvider"},
 	"../baselines": {"Static", "NewStatic", "NewStaticSharded", "newHierarchy", "scaleVec",
 		"Percentile.ResetMetrics", "HillClimbing.ResetMetrics", "AdaptSize.ResetMetrics",

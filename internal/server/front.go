@@ -6,19 +6,19 @@ package server
 // (§2.1's DNS-TTL balancer, re-evaluated every RebalanceEvery requests).
 // Three feedback loops close over the ring each window:
 //
-//   - health: one source, the gossip.Membership view. A prober exchanges
-//     digests with each backend's /gossip; a backend that does not serve it
-//     (404/405) is polled on /readyz instead and its 200 is fed into the
-//     same detector as a heartbeat the front numbers itself — a one-member
-//     digest. Either endpoint's poll has one of three outcomes, applied in
-//     one place (ProbeOnce): answered OK (proof of life, verdict cleared),
-//     declined (an explicit non-200: a drain or a failing gate said "stop" —
-//     weight 0 at the next window boundary), or silent (the phi-accrual
-//     detector grades the gap: alive 1, suspect ½, dead 0). Two rules cover
-//     the detector's blind spots: a Front that has never probed keeps every
-//     weight at 1, and a backend that has never been heard — no heartbeat
-//     history for phi to accrue on — is declined by its first silent probe
-//     until its first OK. A zero weight's share spills to ring successors
+//   - health: one source, the gossip.Membership view, fed by one poll per
+//     backend per round: GET /readyz carrying the front's digest. A
+//     clustered backend answers with its own digest; a backend without
+//     membership answers a plain 200, fed into the same detector as a
+//     heartbeat the front numbers itself — a one-member digest. A poll has
+//     one of three outcomes, applied in one place (ProbeOnce): answered OK
+//     (proof of life, verdict cleared), declined (an explicit non-200: a
+//     drain or a failing gate said "stop" — weight 0 at the next window
+//     boundary), or silent (the phi-accrual detector grades the gap: alive
+//     1, suspect ½, dead 0). Two rules cover the detector's blind spots: a
+//     Front that has never probed keeps every weight at 1, and a backend
+//     that has never been heard — no heartbeat history for phi to accrue
+//     on — is declined by its first silent probe until its first OK. A zero weight's share spills to ring successors
 //     under bounded loads.
 //   - replication: an lb.Replicator observes per-object request share and
 //     widens hot objects over ring successors, so a viral object's traffic
@@ -37,8 +37,8 @@ package server
 // head and streams the body through a pooled copy buffer.
 
 import (
-	"bytes"
 	"context"
+	"encoding/base64"
 	"errors"
 	"fmt"
 	"io"
@@ -68,7 +68,7 @@ type FrontConfig struct {
 	ProbeEvery time.Duration
 	// ProbeTimeout bounds each health poll (default ProbeEvery).
 	ProbeTimeout time.Duration
-	// Client issues the health polls (/gossip, /readyz) and nothing else —
+	// Client issues the health polls (/readyz) and nothing else —
 	// requests are relayed through each backend's upstream client; nil
 	// builds a default.
 	Client *http.Client
@@ -255,7 +255,7 @@ func (f *Front) ProbeOnce(ctx context.Context) {
 	}
 }
 
-// probeVerdict is one health poll's outcome, whichever endpoint answered.
+// probeVerdict is one health poll's outcome.
 type probeVerdict int
 
 const (
@@ -268,57 +268,52 @@ const (
 	probeSilent
 )
 
-// probe polls one backend's health. The exchange is /gossip: POST the
-// front's observer digest (relaying everything it has heard — the
-// indirect-heartbeat path that keeps partitioned-but-alive nodes alive in
-// everyone's view) and merge the backend's digest from the answer. A backend
-// that answers 404/405 does not serve /gossip; its /readyz is polled
-// instead, and a 200 there is the same proof of life — a heartbeat for that
-// one backend, numbered by the front.
+// probe polls one backend's /readyz, carrying the front's observer digest
+// (relaying everything it has heard — the indirect-heartbeat path that keeps
+// partitioned-but-alive nodes alive in everyone's view). A 200 with the
+// backend's digest is merged; a 200 without one comes from a backend with no
+// membership (no -peers, an older build, a foreign server) and is the same
+// proof of life — a heartbeat for that one backend, numbered by the front.
 func (f *Front) probe(ctx context.Context, backend int, node string) probeVerdict {
 	ctx, cancel := context.WithTimeout(ctx, f.cfg.ProbeTimeout)
 	defer cancel()
-	out := gossip.AppendDigest(nil, -1, f.memb.Digest(nil))
-	status, body := f.poll(ctx, backend, http.MethodPost, node+"/gossip", out)
-	switch status {
-	case http.StatusOK:
-		sender, entries, err := gossip.DecodeDigest(body, nil)
-		if err != nil {
-			// Answered garbage: no proof of life, but not a refusal either —
-			// let the detector's phi make the call.
-			return probeSilent
-		}
-		f.memb.Merge(sender, entries)
+	out := base64.StdEncoding.EncodeToString(gossip.AppendDigest(nil, -1, f.memb.Digest(nil)))
+	status, digest := f.poll(ctx, backend, node+"/readyz", out)
+	switch {
+	case status == 0:
+		return probeSilent
+	case status != http.StatusOK:
+		return probeDeclined
+	case len(digest) == 0:
+		f.memb.Heartbeat(backend, f.memb.Seq(backend)+1)
 		return probeOK
-	case http.StatusNotFound, http.StatusMethodNotAllowed:
-		status, _ = f.poll(ctx, backend, http.MethodGet, node+"/readyz", nil)
-		if status == http.StatusOK {
-			f.memb.Heartbeat(backend, f.memb.Seq(backend)+1)
-			return probeOK
-		}
-	}
-	if status == 0 {
+	case !mergeDigest(f.memb, digest[0]):
+		// Answered garbage: no proof of life, but not a refusal either — let
+		// the detector's phi make the call.
 		return probeSilent
 	}
-	return probeDeclined
+	return probeOK
 }
 
-// poll issues one health request and returns the answer's status and
-// (bounded) body. Status 0 means no answer, sorted into the backend's
-// failure counters: deadline-style failures mean the backend exists but is
-// slow or wedged; anything else (connection refused, reset, DNS) is counted
-// as a refusal.
-func (f *Front) poll(ctx context.Context, backend int, method, url string, digest []byte) (int, []byte) {
-	hreq, err := http.NewRequestWithContext(ctx, method, url, bytes.NewReader(digest))
+// poll issues one readiness poll carrying digest and returns the answer's
+// status and GossipHeader values. Status 0 means no answer, sorted into the
+// backend's failure counters: deadline-style failures mean the backend
+// exists but is slow or wedged; anything else (connection refused, reset,
+// DNS) is counted as a refusal.
+func (f *Front) poll(ctx context.Context, backend int, url, digest string) (int, []string) {
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return 0, nil
 	}
+	hreq.Header[GossipHeader] = []string{digest}
 	resp, err := f.client.Do(hreq)
 	if err == nil {
-		defer resp.Body.Close()
-		var body []byte
-		if body, err = io.ReadAll(io.LimitReader(resp.Body, maxGossipBytes)); err == nil {
-			return resp.StatusCode, body
+		// The status and header are the answer; reading the body to its end
+		// (the probe timeout bounds it) lets the connection be reused.
+		_, err = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close() // read to the end; nothing left to fail
+		if err == nil {
+			return resp.StatusCode, resp.Header[GossipHeader]
 		}
 	}
 	var ne net.Error

@@ -19,17 +19,20 @@ import (
 	"darwin/internal/gossip"
 )
 
-// backendKinds are the two ways a backend presents its health to the front
-// tier: the deployed darwin-proxy serves /gossip behind its health verdict;
-// anything else (an older build, a foreign server) has only /readyz. The
-// front must grade both through the same membership view.
+// backendKinds are the two ways a backend answers the front tier's /readyz
+// poll: a clustered darwin-proxy exchanges gossip digests behind its health
+// verdict; anything else (no -peers, an older build, a foreign server)
+// answers a plain verdict. The front must grade both through the same
+// membership view.
 var backendKinds = []string{"gossip", "readyz"}
 
 // frontNode is one cluster node as the front tier sees it: the caching proxy
-// at /obj/ plus its health surface, with a "recovery" gate the test can shut.
+// at /obj/ plus its health surface, with a "recovery" gate the test can shut
+// and a count of the HTTP requests it received.
 type frontNode struct {
 	health    *Health
 	recovered atomic.Bool
+	requests  atomic.Int64
 	srv       *httptest.Server
 }
 
@@ -51,11 +54,15 @@ func frontBackend(t *testing.T, kind string, n int) ([]*frontNode, []string) {
 		proxies[i] = NewOverloadProxy(staticDecider(t, 2), originSrv.URL, 0, fastResilience(), Overload{})
 		mux := http.NewServeMux()
 		mux.Handle("/obj/", proxies[i])
-		mux.HandleFunc("/readyz", node.health.Readyz)
 		if kind == "gossip" {
-			mux.HandleFunc("/gossip", node.health.Gated(proxies[i].ServeGossip))
+			mux.HandleFunc("/readyz", node.health.Gated(proxies[i].ServeReadyz))
+		} else {
+			mux.HandleFunc("/readyz", node.health.Readyz)
 		}
-		node.srv = httptest.NewUnstartedServer(mux)
+		node.srv = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			node.requests.Add(1)
+			mux.ServeHTTP(w, r)
+		}))
 		t.Cleanup(node.srv.Close)
 		nodes[i], urls[i] = node, "http://"+node.srv.Listener.Addr().String()
 	}
@@ -271,10 +278,10 @@ func TestFrontSilenceIsGraded(t *testing.T) {
 }
 
 // TestFrontGateShedsGossipBackend: a gossip-speaking node whose readiness
-// gate is shut (journal recovery, origin breaker open) answers /gossip 503
-// just as it answers /readyz 503, and the front declines it at the next
-// window; the gate opening restores it. (At the parent commit only a drain
-// gated /gossip, so such a node kept its full weight.)
+// gate is shut (journal recovery, origin breaker open) answers the front's
+// digest-carrying /readyz 503, and the front declines it at the next window;
+// the gate opening restores it. (Before the gossip exchange was gated, only
+// a drain refused it, so such a node kept its full weight.)
 func TestFrontGateShedsGossipBackend(t *testing.T) {
 	nodes, urls := frontBackend(t, "gossip", 2)
 	f, _ := simFront(t, urls)
@@ -292,6 +299,27 @@ func TestFrontGateShedsGossipBackend(t *testing.T) {
 	nodes[0].recovered.Store(true)
 	f.ProbeOnce(ctx)
 	wantWeights(t, "recovery gate open", weightsAfterWindow(f), 1, 1)
+}
+
+// TestFrontPollsEachBackendOnce: a probe round is one HTTP request per
+// backend, whichever kind it is — the digest exchange is the readiness poll,
+// and a backend without membership costs no second request.
+func TestFrontPollsEachBackendOnce(t *testing.T) {
+	for _, kind := range backendKinds {
+		t.Run(kind, func(t *testing.T) {
+			nodes, urls := frontBackend(t, kind, 2)
+			f, _ := simFront(t, urls)
+			for round := 1; round <= 3; round++ {
+				f.ProbeOnce(context.Background())
+				for i, n := range nodes {
+					if got := n.requests.Load(); got != int64(round) {
+						t.Fatalf("backend %d received %d requests after %d probe rounds, want %d", i, got, round, round)
+					}
+				}
+			}
+			wantWeights(t, "after three rounds", weightsAfterWindow(f), 1, 1)
+		})
+	}
 }
 
 // TestFrontNeverHeardAndNeverProbed pins the two rules that cover the

@@ -1,40 +1,36 @@
 package server
 
 // Gossip glue: how the membership layer (internal/gossip) rides the cluster's
-// existing HTTP fabric. There is no dedicated gossip transport — digests
-// piggyback where bytes already flow:
+// existing HTTP fabric. There is no dedicated gossip transport and no gossip
+// endpoint — digests travel base64-encoded in X-Darwin-Gossip on requests
+// that flow anyway, in both directions:
 //
-//   - peer probes carry X-Darwin-Gossip both ways: the prober attaches its
-//     fresh digest to the request, the probed sibling merges it and attaches
-//     its own to the response (even a 404 answer gossips).
-//   - /gossip is the explicit exchange endpoint: POST a digest, get the
-//     node's digest back. Mount it behind Health.Gated, so it answers 503
-//     whenever /readyz would. The front tier polls it and —
-//     because its observer digest carries everything it has heard from every
-//     backend — acts as a relay hub, so a node unreachable on one cluster
-//     edge stays alive in everyone's view as long as the front can reach it
-//     (the asymmetric-partition case).
+//   - peer probes: the prober attaches its fresh digest to the request, the
+//     probed sibling merges it and attaches its own to the response (even a
+//     404 answer gossips).
+//   - readiness polls: the front tier's GET /readyz carries its observer
+//     digest; a clustered node whose health verdict passes merges it and
+//     answers 200 with its own (ServeReadyz, mounted behind Health.Gated). A
+//     refused poll is the verdict's 503 and merges nothing. Because the
+//     front's observer digest carries everything it has heard from every
+//     backend, it acts as a relay hub: a node unreachable on one cluster edge
+//     stays alive in everyone's view as long as the front can reach it (the
+//     asymmetric-partition case).
 //
 // Every emission calls Beat first, so each digest leaving the process is a
-// fresh proof of life. Malformed digests are dropped silently on the
-// piggyback path (they are advisory) and answered 400 on /gossip (the caller
-// asked for an exchange and should learn its frame was garbage).
+// fresh proof of life. A malformed digest is dropped silently: the
+// piggyback is advisory, and the request it rode on is answered as usual.
 
 import (
 	"encoding/base64"
-	"io"
 	"net/http"
 
 	"darwin/internal/gossip"
 )
 
-// GossipHeader carries a base64-encoded heartbeat digest piggybacked on peer
-// probes, in both the request and the response direction.
+// GossipHeader carries a base64-encoded heartbeat digest on peer probes and
+// readiness polls, in both the request and the response direction.
 const GossipHeader = "X-Darwin-Gossip"
-
-// maxGossipBytes bounds a /gossip request body read — comfortably above the
-// largest legal digest (gossip.MaxDigestEntries entries).
-const maxGossipBytes = 64 << 10
 
 // Membership exposes the proxy's gossip view of its cluster (nil before
 // SetPeers).
@@ -45,70 +41,42 @@ func (p *Proxy) Membership() *gossip.Membership {
 	return p.peers.memb
 }
 
-// digestBytes encodes this node's current digest, beating first so the
-// emission is a proof of life.
-func (ps *peerSet) digestBytes() []byte {
+// gossipValue encodes this node's current digest for GossipHeader, beating
+// first so the emission is a proof of life.
+func (ps *peerSet) gossipValue() string {
 	ps.memb.Beat()
 	entries := ps.memb.Digest(make([]gossip.Entry, 0, len(ps.nodes)))
-	return gossip.AppendDigest(make([]byte, 0, 8+12*len(entries)), ps.self, entries)
+	return base64.StdEncoding.EncodeToString(gossip.AppendDigest(make([]byte, 0, 8+12*len(entries)), ps.self, entries))
 }
 
-// gossipValue encodes this node's digest for the piggyback header.
-func (ps *peerSet) gossipValue() string {
-	return base64.StdEncoding.EncodeToString(ps.digestBytes())
-}
-
-// mergeGossip folds a piggybacked digest from h into the membership view.
-// Absent or malformed headers are ignored: the piggyback is advisory, and a
-// sibling with a corrupt frame still answered HTTP — its liveness is judged
-// by the probe outcome, not the trimming.
-func (ps *peerSet) mergeGossip(h http.Header) {
-	if v := h[GossipHeader]; len(v) > 0 {
-		ps.mergeGossipValue(v[0])
-	}
-}
-
-// mergeGossipValue is mergeGossip for one header value.
-func (ps *peerSet) mergeGossipValue(v string) {
+// mergeDigest folds one GossipHeader value into m and reports whether it
+// decoded. A malformed value merges nothing: the piggyback is advisory, and
+// a sender with a corrupt frame still answered HTTP — its liveness is judged
+// by the request's outcome, not the trimming.
+func mergeDigest(m *gossip.Membership, v string) bool {
 	raw, err := base64.StdEncoding.DecodeString(v)
 	if err != nil {
-		return
+		return false
 	}
 	sender, entries, err := gossip.DecodeDigest(raw, nil)
 	if err != nil {
-		return
+		return false
 	}
-	ps.memb.Merge(sender, entries)
+	m.Merge(sender, entries)
+	return true
 }
 
-// ServeGossip is the explicit digest exchange: a POST carries the caller's
-// digest, which is merged and answered with this node's fresh digest. Any
-// other method is a 405, and an empty or corrupt body a 400 that merges
-// nothing: the front tier's probe always POSTs its observer view, so each
-// poll both relays it and collects the node's.
-func (p *Proxy) ServeGossip(w http.ResponseWriter, r *http.Request) {
-	ps := p.peers
-	if ps == nil {
-		http.Error(w, "gossip: no cluster membership", http.StatusNotFound)
-		return
+// ServeReadyz answers a readiness poll that passed the node's verdict: mount
+// it behind Health.Gated, so what the verdict refuses is a 503 that merges
+// nothing. A poll carrying a digest (the front tier's) is the exchange: the
+// digest is merged and the 200 carries this node's fresh one back, counted
+// in GossipExchanges. A poll without one, or a node without membership,
+// gets a plain 200 that neither beats nor counts.
+func (p *Proxy) ServeReadyz(w http.ResponseWriter, r *http.Request) {
+	if v, ps := r.Header[GossipHeader], p.peers; len(v) > 0 && ps != nil {
+		mergeDigest(ps.memb, v[0])
+		w.Header()[GossipHeader] = []string{ps.gossipValue()}
+		p.stats.add(uint64(ps.self), func(s *ProxyStats) { s.GossipExchanges++ })
 	}
-	if r.Method != http.MethodPost {
-		http.Error(w, "gossip: POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxGossipBytes))
-	if err != nil {
-		http.Error(w, "gossip: reading digest: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	sender, entries, err := gossip.DecodeDigest(body, nil)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ps.memb.Merge(sender, entries)
-	p.stats.add(uint64(ps.self), func(s *ProxyStats) { s.GossipExchanges++ })
-	setContentType(w.Header())
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(ps.digestBytes())
+	ready(w, r)
 }

@@ -30,11 +30,11 @@ type Gate struct {
 //
 //   - /healthz (Healthz) answers 200 while the process is alive — it only
 //     says "don't restart me", never "send me traffic";
-//   - every endpoint a balancer reads — /readyz (Readyz) and, wrapped in
-//     Gated, the proxy's /gossip — answers 200 only while the server is not
-//     draining and every gate passes; otherwise 503 with the failing reason
-//     in the body. There is no second opinion: what /readyz refuses, /gossip
-//     refuses.
+//   - /readyz, the one endpoint a balancer reads, answers 200 only while the
+//     server is not draining and every gate passes; otherwise 503 with the
+//     failing reason in the body. Readyz is that endpoint; an edge node
+//     mounts Gated(Proxy.ServeReadyz) instead, the same verdict in front of
+//     the gossip exchange the front tier's poll carries.
 //
 // On SIGTERM Run calls StartDrain before http.Server.Shutdown: the verdict
 // flips to 503 first, the balancer stops routing new work here, and only
@@ -90,10 +90,13 @@ func (h *Health) Gated(next http.HandlerFunc) http.HandlerFunc {
 
 // Readyz implements the readiness endpoint: the verdict and nothing else.
 func (h *Health) Readyz(w http.ResponseWriter, r *http.Request) {
-	h.Gated(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = fmt.Fprintln(w, "ready") // client went away; nothing useful to do with the error
-	})(w, r)
+	h.Gated(ready)(w, r)
+}
+
+// ready is a readiness endpoint's answer once the verdict passed.
+func ready(w http.ResponseWriter, _ *http.Request) {
+	w.WriteHeader(http.StatusOK)
+	_, _ = fmt.Fprintln(w, "ready") // client went away; nothing useful to do with the error
 }
 
 // Run serves srv until SIGINT/SIGTERM (or ctx ends), then runs the

@@ -201,7 +201,9 @@ func isPeerProbe(r *http.Request) bool {
 // the sibling's piggybacked digest merges in, and the answer — hit or 404 —
 // carries this node's fresh digest back.
 func (p *Proxy) servePeerProbe(w http.ResponseWriter, r *http.Request, req trace.Request) {
-	p.peers.mergeGossip(r.Header)
+	if v := r.Header[GossipHeader]; len(v) > 0 {
+		mergeDigest(p.peers.memb, v[0])
+	}
 	w.Header()[GossipHeader] = []string{p.peers.gossipValue()}
 	if res := p.decider.Lookup(req.ID); res == cache.HOCHit || res == cache.DCHit {
 		p.stats.add(req.ID, func(s *ProxyStats) { s.PeerServed++ })
@@ -272,7 +274,7 @@ func (ps *peerSet) probe(ctx context.Context, node int, id uint64, size int64) (
 	}
 	defer c.release()
 	if v, ok := c.header(0); ok {
-		ps.mergeGossipValue(string(v))
+		mergeDigest(ps.memb, string(v))
 	}
 	switch c.head.status {
 	case http.StatusOK:

@@ -1,13 +1,14 @@
 package server
 
 import (
-	"bytes"
 	"context"
+	"encoding/base64"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"darwin/internal/gossip"
@@ -382,57 +383,87 @@ func TestFetchPeerAllocs(t *testing.T) {
 	closeConns(p.peers.ups[1].idle)
 }
 
-// TestServeGossip: /gossip is a POST carrying a digest. A GET is a 405, and
-// an empty or corrupt body a 400; neither merges anything. A digest is
-// merged and answered 200 with this node's own digest, and GossipExchanges
-// counts only those answers.
-func TestServeGossip(t *testing.T) {
+// TestServeReadyzGossip: a readiness poll carrying a digest is the gossip
+// exchange. The digest is merged and the 200 carries this node's own digest
+// back, counted in GossipExchanges; a malformed digest merges nothing but is
+// still answered with one, as on peer probes. A poll without a digest is a
+// plain 200 that neither beats nor counts, and a poll the verdict refuses is
+// a 503 that merges nothing.
+func TestServeReadyzGossip(t *testing.T) {
 	nodes := []string{"http://127.0.0.1:1", "http://127.0.0.1:2", "http://127.0.0.1:3"}
 	p := NewOverloadProxy(staticDecider(t, 1), "http://127.0.0.1:9", 0, Resilience{}, Overload{})
 	if err := p.SetPeers(PeerConfig{Self: nodes[0], Nodes: nodes}); err != nil {
 		t.Fatal(err)
 	}
-	exchange := func(method string, body []byte) *httptest.ResponseRecorder {
+	var open atomic.Bool
+	readyz := NewHealth(Gate{Name: "recovery", Ready: open.Load}).Gated(p.ServeReadyz)
+	poll := func(digest ...string) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
-		p.ServeGossip(w, httptest.NewRequest(method, "/gossip", bytes.NewReader(body)))
+		r := httptest.NewRequest(http.MethodGet, "/readyz", nil)
+		if len(digest) > 0 {
+			r.Header[GossipHeader] = digest
+		}
+		readyz(w, r)
 		return w
 	}
-	digest := gossip.AppendDigest(nil, 1, []gossip.Entry{{Node: 1, Seq: 5}, {Node: 2, Seq: 9}})
-	for _, tc := range []struct {
-		name   string
-		method string
-		body   []byte
-		code   int
-	}{
-		{"get", http.MethodGet, nil, http.StatusMethodNotAllowed},
-		{"get-with-digest", http.MethodGet, digest, http.StatusMethodNotAllowed},
-		{"empty", http.MethodPost, nil, http.StatusBadRequest},
-		{"truncated", http.MethodPost, digest[:len(digest)-1], http.StatusBadRequest},
-		{"bad-magic", http.MethodPost, append([]byte{'X'}, digest[1:]...), http.StatusBadRequest},
-	} {
-		if w := exchange(tc.method, tc.body); w.Code != tc.code {
-			t.Fatalf("%s: status %d (%s), want %d", tc.name, w.Code, w.Body, tc.code)
-		}
-		if memb := p.Membership(); memb.Heard(1) || memb.Heard(2) {
-			t.Fatalf("%s: a refused exchange merged the sender's entries", tc.name)
-		}
+	raw := gossip.AppendDigest(nil, 1, []gossip.Entry{{Node: 1, Seq: 5}, {Node: 2, Seq: 9}})
+	digest := base64.StdEncoding.EncodeToString(raw)
+	memb := p.Membership()
+
+	if w := poll(digest); w.Code != http.StatusServiceUnavailable || len(w.Result().Header[GossipHeader]) > 0 {
+		t.Fatalf("gated: status %d, digest %q; want a 503 without one", w.Code, w.Result().Header[GossipHeader])
 	}
-	if n := p.Stats().GossipExchanges; n != 0 {
-		t.Fatalf("%d exchanges counted after refused requests only", n)
+	if memb.Heard(1) || memb.Seq(0) != 0 || p.Stats().GossipExchanges != 0 {
+		t.Fatal("a refused poll merged, beat or counted")
+	}
+	open.Store(true)
+
+	if w := poll(); w.Code != http.StatusOK || w.Body.String() != "ready\n" || len(w.Result().Header[GossipHeader]) > 0 {
+		t.Fatalf("no digest: status %d, body %q, digest %q; want a plain 200", w.Code, w.Body, w.Result().Header[GossipHeader])
+	}
+	if memb.Seq(0) != 0 || p.Stats().GossipExchanges != 0 {
+		t.Fatalf("a poll without a digest beat (seq %d) or counted (%d)", memb.Seq(0), p.Stats().GossipExchanges)
 	}
 
-	w := exchange(http.MethodPost, digest)
-	if w.Code != http.StatusOK {
-		t.Fatalf("a digest: status %d (%s), want 200", w.Code, w.Body)
+	answered := func(name string, w *httptest.ResponseRecorder) {
+		t.Helper()
+		v := w.Result().Header[GossipHeader]
+		if w.Code != http.StatusOK || len(v) != 1 {
+			t.Fatalf("%s: status %d, digest %q; want 200 with one", name, w.Code, v)
+		}
+		b, err := base64.StdEncoding.DecodeString(v[0])
+		if err != nil {
+			t.Fatalf("%s: answer digest %q: %v", name, v[0], err)
+		}
+		sender, entries, err := gossip.DecodeDigest(b, nil)
+		if err != nil || sender != 0 || len(entries) == 0 || entries[0].Node != 0 || entries[0].Seq != memb.Seq(0) {
+			t.Fatalf("%s: the answer is not this node's fresh digest: sender %d, entries %+v, error %v", name, sender, entries, err)
+		}
 	}
-	sender, entries, err := gossip.DecodeDigest(w.Body.Bytes(), nil)
-	if err != nil || sender != 0 || len(entries) == 0 || entries[0].Node != 0 {
-		t.Fatalf("the answer is not this node's digest: sender %d, entries %+v, error %v", sender, entries, err)
+	for i, bad := range []string{
+		"not base64!",
+		base64.StdEncoding.EncodeToString(raw[:len(raw)-1]),
+		base64.StdEncoding.EncodeToString(append([]byte{'X'}, raw[1:]...)),
+	} {
+		answered(fmt.Sprintf("malformed #%d", i), poll(bad))
+		if memb.Heard(1) || memb.Heard(2) {
+			t.Fatalf("malformed #%d: merged the sender's entries", i)
+		}
 	}
-	if memb := p.Membership(); memb.Seq(1) != 5 || memb.Seq(2) != 9 {
+	answered("a digest", poll(digest))
+	if memb.Seq(1) != 5 || memb.Seq(2) != 9 {
 		t.Fatalf("merged sequences %d and %d, want 5 and 9", memb.Seq(1), memb.Seq(2))
 	}
-	if n := p.Stats().GossipExchanges; n != 1 {
-		t.Fatalf("%d exchanges counted, want 1", n)
+	if seq, n := memb.Seq(0), p.Stats().GossipExchanges; seq != 4 || n != 4 {
+		t.Fatalf("own seq %d and %d exchanges after four digest-carrying polls, want 4 and 4", seq, n)
+	}
+
+	lone := NewOverloadProxy(staticDecider(t, 1), "http://127.0.0.1:9", 0, Resilience{}, Overload{})
+	w := httptest.NewRecorder()
+	r := httptest.NewRequest(http.MethodGet, "/readyz", nil)
+	r.Header[GossipHeader] = []string{digest}
+	lone.ServeReadyz(w, r)
+	if w.Code != http.StatusOK || len(w.Result().Header[GossipHeader]) > 0 || lone.Stats().GossipExchanges != 0 {
+		t.Fatalf("no membership: status %d, digest %q; want a plain 200", w.Code, w.Result().Header[GossipHeader])
 	}
 }

@@ -275,7 +275,8 @@ type ProxyStats struct {
 	// PeerSkipsDead counts probes suppressed because the gossip layer
 	// graded the designated holder Dead.
 	PeerSkipsDead int64
-	// GossipExchanges counts /gossip requests answered.
+	// GossipExchanges counts /readyz answers that carried a gossip digest
+	// back (the front tier's digest-carrying polls).
 	GossipExchanges int64
 	// StateMerges counts donor checkpoint frames accepted on /state;
 	// StateRejects counts frames refused by validation (the inheritor's

@@ -13,8 +13,8 @@ package server
 // TLS, redirects, proxies, request bodies, 1xx interim responses, and reuse
 // of a connection after a chunked or close-delimited answer (both are framed
 // correctly; the connection is closed afterwards). The control plane
-// (/gossip and /readyz polls, the /state push: POSTs with bodies, a few per
-// second) is a different job and stays on *http.Client.
+// (the front's /readyz polls, a few per second, and the /state push, a POST
+// with a body) is a different job and stays on *http.Client.
 //
 // Cancellation reaches a connection one way only: context.AfterFunc poisons
 // its deadline when the caller's context ends. The context's deadline is never
