@@ -22,6 +22,7 @@ import (
 	"darwin/internal/exp"
 	"darwin/internal/par"
 	"darwin/internal/trace"
+	"darwin/internal/tracegen"
 )
 
 // options are the command's flags.
@@ -151,7 +152,7 @@ func (o *options) run(w io.Writer) error {
 
 func loadTrace(path string, n int, seed int64) (*trace.Trace, error) {
 	if path == "" {
-		return exp.SyntheticMix(50, n, seed)
+		return tracegen.ImageDownloadMix(50, n, seed)
 	}
 	fd, err := os.Open(path)
 	if err != nil {

@@ -1,7 +1,10 @@
 // Command darwin-train runs Darwin's offline phase (Figure 3, steps 1a/1b)
-// and writes the trained model to a JSON file that darwin-proxy and
-// darwin-sim load: an edge server runs only the online phase, over the
-// model it is given.
+// and writes the trained model to a file that darwin-proxy and darwin-sim
+// load: an edge server runs only the online phase, over the model it is
+// given. The file is a DRWNMODL frame (core.WriteModel): the model's JSON
+// wrapped in a magic number, a format version and a CRC, so a truncated or
+// foreign file is refused on load. The file is not plain JSON, although
+// -o's default name is still model.json.
 //
 // Usage:
 //

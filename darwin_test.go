@@ -87,6 +87,7 @@ var goneIdents = []string{
 	"ShardedState.Validate", "bandit.State.Validate",
 	"bandit.Algorithm", "bandit.New", "Algorithm.SetState",
 	"ServeGossip", "maxGossipBytes", "TestServeGossip",
+	"exploitLeft", "reserveExploit", "serveLocked", "statStripes", "statStripe", "newCounters", "SyntheticMix",
 }
 
 // TestDocsNameLiveCommands keeps a deletion from orphaning the documents: a

@@ -44,16 +44,11 @@ type ControllerState struct {
 }
 
 // CheckpointState snapshots the controller's state: a copy that shares no
-// slice with it, without Σ. In exploit the epoch position is read from
-// exploitLeft, and is never the whole epoch: the last serve counts itself
-// under mu and rolls the epoch in the same critical section.
+// slice with it, without Σ.
 func (c *Controller) CheckpointState() *ControllerState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.st
-	if st.Phase == PhaseExploit {
-		st.EpochReqs = c.cfg.Epoch - int(max(c.exploitLeft.Load(), 1))
-	}
 	st.Set = append([]int(nil), st.Set...)
 	st.Extended = append([]float64(nil), st.Extended...)
 	st.Prof = SizeProfile{
@@ -164,7 +159,6 @@ func (c *Controller) RestoreState(part json.RawMessage) error {
 	defer c.mu.Unlock()
 	c.st = st
 	c.extractor.Reset()
-	left := 0 // only exploit counts lock-free
 	switch st.Phase {
 	case PhaseWarmup:
 		// Mid-warmup feature state is not recoverable: re-enter this epoch's
@@ -172,10 +166,7 @@ func (c *Controller) RestoreState(part json.RawMessage) error {
 		c.st.EpochReqs, c.st.RoundReqs = 0, 0
 	case PhaseIdentify:
 		c.eng.SetExpert(c.model.Experts[st.Set[st.CurArm]])
-	case PhaseExploit:
-		left = c.cfg.Epoch - st.EpochReqs
 	}
-	c.exploitLeft.Store(int64(left))
 	return nil
 }
 

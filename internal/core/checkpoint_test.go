@@ -145,9 +145,8 @@ func TestCheckpointResumeMidIdentify(t *testing.T) {
 	}
 }
 
-// TestCheckpointResumeMidExploit: in exploit the epoch position lives in the
-// lock-free countdown, not in epochReqs — a counter that froze at exploit
-// entry passes the identify and warm-up tests. A snapshot taken k requests
+// TestCheckpointResumeMidExploit: a position counter that froze at exploit
+// entry would pass the identify and warm-up tests. A snapshot taken k requests
 // into exploit must carry the exact position, and the resumed controller must
 // roll the epoch on the same request as the uninterrupted one.
 func TestCheckpointResumeMidExploit(t *testing.T) {
@@ -559,12 +558,11 @@ func TestCheckpointCoversEveryField(t *testing.T) {
 			"expertSwitches": "Switches",
 		}},
 		{reflect.TypeOf((*Controller)(nil)).Elem(), reflect.TypeOf(ControllerState{}), map[string]string{
-			"model":       "transient: the restorer's own, read from its model file (ReadModel)",
-			"eng":         "transient: the engine's state is the checkpoint's Engine part",
-			"cfg":         "derived: the restorer's own config, which restore checks the state fits",
-			"run":         "transient: eng's ServeRun, found by NewController",
-			"exploitLeft": "derived: Epoch − EpochReqs in exploit, stored at restore",
-			"mu":          "transient: a lock",
+			"model": "transient: the restorer's own, read from its model file (ReadModel)",
+			"eng":   "transient: the engine's state is the checkpoint's Engine part",
+			"cfg":   "derived: the restorer's own config, which restore checks the state fits",
+			"run":   "transient: eng's ServeRun, found by NewController",
+			"mu":    "transient: a lock",
 			// st.sigma is carried too: fit rebuilds it from Set, ClusterID and Extended.
 			"st":        "Phase,Epoch,EpochReqs,RoundReqs,ClusterID,Set,Extended,Prof,CurArm,RoundStart,Bandit,Diags,LearningNS,sigma",
 			"extractor": "transient: the warm-up feature tree is not checkpointed (§6.4); restore re-enters warm-up",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"darwin/internal/cache"
 	"darwin/internal/features"
@@ -137,16 +136,20 @@ func BuildDataset(traces []*trace.Trace, cfg DatasetConfig) (*Dataset, error) {
 // tasks: the first to take it lays the trace out, and the last to take it
 // drops the shared reference, so the Replay is freed when that task ends.
 type sharedReplay struct {
-	once  sync.Once
-	rp    *cache.Replay
-	taken atomic.Int32
+	mu    sync.Mutex
+	rp    *cache.Replay // guarded by mu
+	taken int           // guarded by mu
 }
 
 // take returns tr's Replay to one of its k replay tasks.
 func (s *sharedReplay) take(tr *trace.Trace, k int) *cache.Replay {
-	s.once.Do(func() { s.rp = cache.NewReplay(tr) })
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.taken == 0 {
+		s.rp = cache.NewReplay(tr)
+	}
 	rp := s.rp
-	if int(s.taken.Add(1)) == k {
+	if s.taken++; s.taken == k {
 		s.rp = nil
 	}
 	return rp

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"darwin/internal/bandit"
@@ -103,15 +102,12 @@ type EpochDiag struct {
 // serves to the next boundary — the end of warm-up, of a bandit round, of
 // the epoch — and there calls step under mu, applies its action through
 // Engine.SetExpert, and adds the call's time to LearningNS. The cache Serve
-// runs at the engine's own concurrency (shard-parallel for Sharded). In
-// PhaseExploit — the rest of the epoch, most of it — a serve is counted by
-// one atomic decrement of exploitLeft and touches mu only if it completes
-// the epoch. Play, the serial replay, hands each run between boundaries to
-// the engine whole and counts it at once.
+// runs at the engine's own concurrency (shard-parallel for Sharded) outside
+// mu; only the count is under it. Play, the serial replay, hands each run
+// between boundaries to the engine whole under mu and counts it at once.
 //
 // Lock order: mu, then shard mutexes in ascending index order (SetExpert,
-// Metrics and playLocked's runs take them under mu; Play's exploit runs
-// hold no mu).
+// Metrics and playLocked's runs take them under mu).
 type Controller struct {
 	model *Model
 	eng   cache.Engine
@@ -120,19 +116,8 @@ type Controller struct {
 	// only; set once, by NewController.
 	run runServer
 
-	// exploitLeft is the steady state's only per-request word: how many more
-	// serves the current epoch takes while the phase is PhaseExploit. It is
-	// stored (positive) under mu when exploit is entered or restored, and
-	// decremented without mu by Serve (and by Play, a run at a time); a
-	// decrement that leaves it positive has counted that serve into the
-	// epoch and is done. Zero or less means "take mu": either the phase is
-	// not exploit, or every serve of the epoch but its last is counted and
-	// the next holder of mu is that last one.
-	exploitLeft atomic.Int64
-
 	// mu serializes the shell. st is the state step advances and a snapshot
-	// copies, except that st.EpochReqs stands still in exploit, where
-	// exploitLeft carries the count.
+	// copies.
 	mu        sync.Mutex
 	st        ControllerState     // guarded by mu
 	extractor *features.Extractor // warm-up feature estimator; guarded by mu
@@ -199,7 +184,7 @@ func (c *Controller) LearningDuration() time.Duration {
 
 // Concurrent reports whether the controller may be driven from multiple
 // goroutines at once: true when the underlying engine is concurrency-safe
-// (the state machine itself is: an atomic count in exploit, mu elsewhere).
+// (the state machine itself is: it counts under mu).
 func (c *Controller) Concurrent() bool { return c.eng.Concurrent() }
 
 // Name identifies the scheme ("darwin").
@@ -215,47 +200,22 @@ func (c *Controller) Metrics() cache.Metrics { return c.eng.Metrics() }
 func (c *Controller) Lookup(id uint64) cache.Result { return c.eng.Lookup(id) }
 
 // Serve processes one request through the cache and advances the controller
-// state machine. The cache access runs at the engine's own concurrency. In
-// PhaseExploit the bookkeeping is the single atomic decrement below; every
-// other request — warm-up, identification, and the one that completes an
-// epoch — goes through serveLocked.
-//
-// Under any interleaving every Serve is counted into exactly one epoch and
-// an epoch is exactly cfg.Epoch serves: exploit is entered with exploitLeft =
-// cfg.Epoch − serves so far, all but one of that many decrements come back
-// positive, and each of those is a serve of this epoch; any other decrement
-// counted nothing, and its serve is counted under mu — the first of them as
-// the epoch's last (exploit does not look at the request, so which serve
-// that is does not matter), the rest into the next epoch.
+// state machine. The cache access runs at the engine's own concurrency,
+// outside mu; the count, and the step at a boundary it reaches, run under
+// mu. Every Serve is counted into exactly one epoch, and an epoch is exactly
+// cfg.Epoch serves, whatever the interleaving: each count is one serve.
 func (c *Controller) Serve(r trace.Request) cache.Result {
 	res := c.eng.Serve(r)
-	if c.exploitLeft.Add(-1) <= 0 {
-		c.serveLocked(r)
-	}
-	return res
-}
-
-// serveLocked is every Serve that is not a steady-state exploit serve.
-func (c *Controller) serveLocked(r trace.Request) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.countLocked([]trace.Request{r})
+	return res
 }
 
-// countLocked counts reqs, served by the engine but not counted lock-free,
-// into the epoch, and steps at the boundary they reach. reqs run at most to
-// the next boundary (playLocked), so in exploit they are one serve.
+// countLocked counts reqs, served by the engine, into the epoch, and steps
+// at the boundary they reach. reqs run at most to the next boundary
+// (playLocked).
 func (c *Controller) countLocked(reqs []trace.Request) {
-	if c.st.Phase == PhaseExploit {
-		// Exploit may have been entered (or restored) while this serve
-		// waited for mu: then it joins the epoch the way the lock-free path
-		// does. Otherwise the count was already spent, and this serve is the
-		// one the epoch is waiting for.
-		if c.exploitLeft.Add(-1) > 0 {
-			return
-		}
-		c.st.EpochReqs = c.cfg.Epoch - 1
-	}
 	c.st.EpochReqs += len(reqs)
 	switch c.st.Phase {
 	case PhaseWarmup:
@@ -272,13 +232,8 @@ func (c *Controller) countLocked(reqs []trace.Request) {
 			c.stepLocked(event{kind: roundDone, round: c.eng.Metrics().Sub(c.st.RoundStart)})
 		}
 	}
-	switch {
-	case c.st.EpochReqs >= c.cfg.Epoch:
+	if c.st.EpochReqs >= c.cfg.Epoch {
 		c.stepLocked(event{kind: epochDone})
-	case c.st.Phase == PhaseExploit:
-		// Exploit was just entered: the rest of the epoch is counted
-		// lock-free.
-		c.exploitLeft.Store(int64(c.cfg.Epoch - c.st.EpochReqs))
 	}
 }
 
@@ -305,66 +260,38 @@ func (c *Controller) stepLocked(ev event) {
 }
 
 // Play serves an entire trace: exactly what Serve on each request in order
-// does, in runs that end at the state machine's boundaries. An exploit run
-// reserves its serves with one compare-and-swap and needs no mu; any other
-// run holds mu. Either way the engine serves the run in one ServeRun call
-// (request by request on an engine without one).
+// does, in runs that end at the state machine's boundaries, one mu critical
+// section a run. The engine serves each run in one ServeRun call (request by
+// request on an engine without one).
 func (c *Controller) Play(tr *trace.Trace) {
 	for reqs := tr.Requests; len(reqs) > 0; {
-		if k := c.reserveExploit(len(reqs)); k > 0 {
-			c.serveRun(reqs[:k])
-			reqs = reqs[k:]
-			continue
-		}
 		reqs = reqs[c.playLocked(reqs):]
 	}
 }
 
-// serveRun serves a run on the engine.
-func (c *Controller) serveRun(reqs []trace.Request) {
-	if c.run != nil {
-		c.run.ServeRun(reqs)
-		return
-	}
-	for _, r := range reqs {
-		c.eng.Serve(r)
-	}
-}
-
-// reserveExploit counts up to n serves into the current exploit epoch at
-// once, and returns how many. It is Serve's decrement taken k times in one
-// step: all k come back positive, and the epoch's last serve is never among
-// them, so that one still rolls the epoch under mu. 0 means "take mu".
-func (c *Controller) reserveExploit(n int) int {
-	for {
-		left := c.exploitLeft.Load()
-		k := min(int64(n), left-1)
-		if k <= 0 {
-			return 0
-		}
-		if c.exploitLeft.CompareAndSwap(left, left-k) {
-			return int(k)
-		}
-	}
-}
-
 // playLocked serves under mu the run from the head of reqs to the next
-// boundary (in exploit, one serve: the epoch's last, or one that joins an
-// exploit run), counts it, and returns its length. Serving under mu is the
-// mu → shard-mutex order SetExpert and Metrics already take; a warm-up run
-// is observed after it is served, since the extractor reads only requests.
+// boundary (in exploit, the epoch's end), counts it, and returns its length.
+// Serving under mu is the mu → shard-mutex order SetExpert and Metrics
+// already take; a warm-up run is observed after it is served, since the
+// extractor reads only requests.
 func (c *Controller) playLocked(reqs []trace.Request) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := 1
+	n := c.cfg.Epoch - c.st.EpochReqs // exploit runs to the epoch's end
 	switch c.st.Phase {
 	case PhaseWarmup:
 		n = c.cfg.Warmup - c.st.EpochReqs
 	case PhaseIdentify:
-		n = min(c.cfg.Round-c.st.RoundReqs, c.cfg.Epoch-c.st.EpochReqs)
+		n = min(n, c.cfg.Round-c.st.RoundReqs)
 	}
 	run := reqs[:min(len(reqs), n)]
-	c.serveRun(run)
+	if c.run != nil {
+		c.run.ServeRun(run)
+	} else {
+		for _, r := range run {
+			c.eng.Serve(r)
+		}
+	}
 	c.countLocked(run)
 	return len(run)
 }

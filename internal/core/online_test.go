@@ -447,7 +447,7 @@ func TestControllerConcurrentEpochs(t *testing.T) {
 	close(stop)
 	<-polled
 	if !sawExploit {
-		t.Fatal("no wave ended in exploit: the lock-free path never ran")
+		t.Fatal("no wave ended in exploit: exploit counting never ran")
 	}
 	if got, want := len(c.Diags()), total/cfg.Epoch; got < want {
 		t.Fatalf("%d epoch decisions recorded over %d complete epochs", got, want)

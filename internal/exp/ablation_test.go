@@ -7,6 +7,7 @@ import (
 
 	"darwin/internal/cache"
 	"darwin/internal/core"
+	"darwin/internal/tracegen"
 )
 
 // cacheGrid3 returns a small three-knob expert grid for the extension test.
@@ -156,7 +157,7 @@ func TestAblationEviction(t *testing.T) {
 	}
 	// LRU is the paper's (and EvalConfig's) default HOC eviction: the lru row
 	// is the unablated evaluation.
-	tr, err := SyntheticMix(50, sc.OnlineTraceLen, sc.Seed+77)
+	tr, err := tracegen.ImageDownloadMix(50, sc.OnlineTraceLen, sc.Seed+77)
 	if err != nil {
 		t.Fatal(err)
 	}

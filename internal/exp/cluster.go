@@ -21,6 +21,7 @@ import (
 	"darwin/internal/cache"
 	"darwin/internal/gossip"
 	"darwin/internal/server"
+	"darwin/internal/tracegen"
 )
 
 // ClusterConfig sizes the cluster chaos experiment: clusterNodes nodes
@@ -102,7 +103,7 @@ func (r *ClusterResult) Recovery() float64 {
 // RunCluster replays the seeded trace through the deployed cluster and
 // returns the windowed trajectory.
 func RunCluster(cc ClusterConfig) (*ClusterResult, error) {
-	tr, err := SyntheticMix(rigMix, cc.TraceLen, rigSeed)
+	tr, err := tracegen.ImageDownloadMix(rigMix, cc.TraceLen, rigSeed)
 	if err != nil {
 		return nil, err
 	}

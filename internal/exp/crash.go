@@ -8,6 +8,7 @@ import (
 	"darwin/internal/cache"
 	"darwin/internal/diskcache"
 	"darwin/internal/server"
+	"darwin/internal/tracegen"
 )
 
 // CrashConfig sizes the crash-recovery experiment: a deployed node (rig.go)
@@ -62,7 +63,7 @@ func CrashRecoveryReport(cc CrashConfig) (*Report, error) {
 	}
 	// The scale's first test trace (BuildTraces' 0:100 mix, first seed),
 	// generated alone.
-	tr, err := SyntheticMix(0, cc.Scale.OnlineTraceLen, cc.Scale.Seed+500)
+	tr, err := tracegen.ImageDownloadMix(0, cc.Scale.OnlineTraceLen, cc.Scale.Seed+500)
 	if err != nil {
 		return nil, err
 	}

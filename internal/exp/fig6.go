@@ -8,6 +8,7 @@ import (
 	"darwin/internal/cache"
 	"darwin/internal/core"
 	"darwin/internal/stats"
+	"darwin/internal/tracegen"
 )
 
 // Fig6Objective reproduces Figures 6a and 6b: Darwin retrained for a
@@ -170,7 +171,7 @@ func AblationRoundsVsK(ks []int) (*Report, error) {
 // evaluates with LRU at both levels; how much does the HOC eviction policy
 // matter under the best static expert on a 50:50 mix?
 func AblationEviction(sc Scale) (*Report, error) {
-	tr, err := SyntheticMix(50, sc.OnlineTraceLen, sc.Seed+77)
+	tr, err := tracegen.ImageDownloadMix(50, sc.OnlineTraceLen, sc.Seed+77)
 	if err != nil {
 		return nil, err
 	}

@@ -26,6 +26,7 @@ import (
 	"darwin/internal/gossip"
 	"darwin/internal/server"
 	"darwin/internal/trace"
+	"darwin/internal/tracegen"
 )
 
 // FlapConfig sizes the three arms, each serving the rig workload (rig.go).
@@ -159,7 +160,7 @@ func runFlapArm(fc FlapConfig, detector gossip.Config) (FlapDetectorOutcome, err
 // otherwise each node stands alone and answers the front's polls plainly.
 func runPartitionArm(fc FlapConfig, peered bool) (PartitionOutcome, error) {
 	var out PartitionOutcome
-	tr, err := SyntheticMix(rigMix, fc.PrefaultReqs+fc.FaultReqs, rigSeed)
+	tr, err := tracegen.ImageDownloadMix(rigMix, fc.PrefaultReqs+fc.FaultReqs, rigSeed)
 	if err != nil {
 		return out, err
 	}
@@ -257,7 +258,7 @@ func runHandoff(fc FlapConfig, tr *trace.Trace, warm bool) (donor, heir []float6
 // inheritor of a donor that never served.
 func runHandoffArm(fc FlapConfig) (HandoffOutcome, error) {
 	var out HandoffOutcome
-	tr, err := SyntheticMix(rigMix, (fc.WarmWindows+fc.ReplayWindows)*fc.WindowLen, rigSeed+1)
+	tr, err := tracegen.ImageDownloadMix(rigMix, (fc.WarmWindows+fc.ReplayWindows)*fc.WindowLen, rigSeed+1)
 	if err != nil {
 		return out, err
 	}

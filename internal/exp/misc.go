@@ -12,12 +12,6 @@ import (
 	"darwin/internal/tracegen"
 )
 
-// SyntheticMix generates an Image:Download mix: the one trace source of the
-// experiments and the CLI tools.
-func SyntheticMix(imagePct, n int, seed int64) (*trace.Trace, error) {
-	return tracegen.ImageDownloadMix(imagePct, n, seed)
-}
-
 // Table1 renders the qualitative capability matrix of Table 1. The rows are
 // fixed facts from the paper; the table is included so the harness emits
 // every table the evaluation contains.
@@ -110,7 +104,7 @@ func ScaledCorpus(base *Corpus, factor float64) (*Corpus, error) {
 // online selector against each fixed eviction policy on the same 50:50
 // trace, under the best static admission expert.
 func FutureEvictionSelection(sc Scale) (*Report, error) {
-	tr, err := SyntheticMix(50, sc.OnlineTraceLen, sc.Seed+88)
+	tr, err := tracegen.ImageDownloadMix(50, sc.OnlineTraceLen, sc.Seed+88)
 	if err != nil {
 		return nil, err
 	}

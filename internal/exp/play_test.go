@@ -10,6 +10,7 @@ import (
 	"darwin/internal/cache"
 	"darwin/internal/core"
 	"darwin/internal/trace"
+	"darwin/internal/tracegen"
 )
 
 // recorder is a baselines.Server that logs where each request was served
@@ -60,7 +61,7 @@ func TestWarmupExclusionLeavesServesAlone(t *testing.T) {
 	// The eviction-policy selector plays FutureEvictionSelection's trace,
 	// with rounds that do not divide the warm-up.
 	selector := func() (baselines.Server, *trace.Trace, error) {
-		tr, err := SyntheticMix(50, sc.OnlineTraceLen, sc.Seed+88)
+		tr, err := tracegen.ImageDownloadMix(50, sc.OnlineTraceLen, sc.Seed+88)
 		if err != nil {
 			return nil, nil, err
 		}

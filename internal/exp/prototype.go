@@ -11,6 +11,7 @@ import (
 	"darwin/internal/node"
 	"darwin/internal/server"
 	"darwin/internal/trace"
+	"darwin/internal/tracegen"
 )
 
 // PrototypeConfig sizes the wall-clock HTTP testbed measurements (fig7,
@@ -190,7 +191,7 @@ func PrototypeTrace(c *Corpus, totalLen int) (*trace.Trace, error) {
 	segLen := totalLen / 4
 	var segs []*trace.Trace
 	for i, pct := range []int{100, 0, 75, 25} {
-		tr, err := SyntheticMix(pct, segLen, c.Scale.Seed+int64(900+i))
+		tr, err := tracegen.ImageDownloadMix(pct, segLen, c.Scale.Seed+int64(900+i))
 		if err != nil {
 			return nil, err
 		}

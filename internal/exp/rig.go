@@ -40,6 +40,7 @@ import (
 	"darwin/internal/node"
 	"darwin/internal/server"
 	"darwin/internal/trace"
+	"darwin/internal/tracegen"
 )
 
 const (
@@ -150,7 +151,7 @@ func (r *rig) config(eval cache.EvalConfig, res server.Resilience, ov server.Ove
 // concurrency and request timeout are set here. The proxy comes back for its
 // counters.
 func faultedRun(pc PrototypeConfig, inj *faults.Injector, res server.Resilience, ov server.Overload, lc server.LoadConfig) (server.LoadResult, *server.Proxy, error) {
-	tr, err := SyntheticMix(rigMix, pc.TraceLen, rigSeed)
+	tr, err := tracegen.ImageDownloadMix(rigMix, pc.TraceLen, rigSeed)
 	if err != nil {
 		return server.LoadResult{}, nil, err
 	}

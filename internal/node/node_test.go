@@ -620,6 +620,68 @@ func TestCheckpointFile(t *testing.T) {
 	}
 }
 
+// TestPeriodicCheckpointerWrites: with CheckpointEvery set, the background
+// loop writes the checkpoint file while the node runs, so a crash loses at
+// most one period of learned state. The file must appear, decode, and hold
+// the served objects as residents before any Close writes its final one.
+func TestPeriodicCheckpointerWrites(t *testing.T) {
+	cfg := Config{
+		HOCBytes:        256 << 10,
+		DCBytes:         32 << 20,
+		Shards:          2,
+		Expert:          cache.Expert{Freq: 1, MaxSize: 1 << 20},
+		Store:           diskcache.Config{Dir: t.TempDir(), Sync: diskcache.SyncAlways},
+		CheckpointEvery: 10 * time.Millisecond,
+		Origin:          testOrigin(t),
+	}
+	n, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close(context.Background())
+	srv := httptest.NewServer(n.Handler())
+	defer srv.Close()
+	const objects = 8
+	for pass := 0; pass < 2; pass++ {
+		for id := uint64(1); id <= objects; id++ {
+			fetch(t, srv.URL, id, 4096)
+		}
+	}
+	// residents reads the checkpoint file's resident ids; an absent or
+	// undecodable file holds none.
+	residents := func() map[uint64]bool {
+		ck := loadCheckpoint(filepath.Join(cfg.Store.Dir, checkpointFile))
+		if ck == nil {
+			return nil
+		}
+		es, err := ck.EngineState()
+		if err != nil {
+			return nil
+		}
+		ids := map[uint64]bool{}
+		for _, sh := range es.Shards {
+			for _, o := range append(sh.HOC, sh.DC...) {
+				ids[o.ID] = true
+			}
+		}
+		return ids
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		ids, missing := residents(), 0
+		for id := uint64(1); id <= objects; id++ {
+			if !ids[id] {
+				missing++
+			}
+		}
+		if missing == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("2 s after serving, the checkpoint file holds %d of %d served objects (%d residents)", objects-missing, objects, len(ids))
+		}
+	}
+}
+
 // TestModelCarryingCheckpointRestores: testdata/darwin.ckpt is a checkpoint
 // file as darwin-mode nodes wrote it while checkpoints carried the model —
 // written at commit 2e76c99 by a node built with this package's

@@ -111,10 +111,13 @@ var goneFields = []string{
 // DC journal's segment naming and rotation, which one log file replaced,
 // the checkpoint's model codec, since a node's model is only ever its
 // model file, the two activations no network used, the bandit's run
-// wrapper, whose state its one caller already held, and the /gossip
-// endpoint, whose exchange a node's /readyz carries.
+// wrapper, whose state its one caller already held, the /gossip
+// endpoint, whose exchange a node's /readyz carries, the controller's
+// lock-free exploit countdown and the counters' stripes, which one mutex
+// each replaced, and the trace helper that only forwarded to tracegen.
 var goneDecls = map[string][]string{
-	".":       {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults", "StateHandoff", "Proxy.ServeGossip"},
+	".": {"DefaultPeerBreaker", "PeerConfig.WithDefaults", "Overload.withDefaults", "StateHandoff", "Proxy.ServeGossip",
+		"statStripes", "statStripe", "newCounters"},
 	"../node": {"handoffProvider"},
 	"../baselines": {"Static", "NewStatic", "NewStaticSharded", "newHierarchy", "scaleVec",
 		"Percentile.ResetMetrics", "HillClimbing.ResetMetrics", "AdaptSize.ResetMetrics",
@@ -131,9 +134,10 @@ var goneDecls = map[string][]string{
 		"trackerExact", "Hierarchy.SetAdmitOnMiss"},
 	"../core": {"Controller.ResetMetrics", "EvictionSelector.Choices", "EvictionSelector.Exploiting",
 		"EncodeCheckpoint", "DecodeCheckpoint", "SaveCheckpoint", "LoadCheckpoint",
-		"checkpointJSON", "modelToJSON", "modelFromJSON", "resumeBandit"},
+		"checkpointJSON", "modelToJSON", "modelFromJSON", "resumeBandit",
+		"Controller.reserveExploit", "Controller.serveLocked"},
 	"../exp": {"CachedCorpus", "Hindsight", "HindsightTrace", "EnsembleSet", "corpusCache", "hindsightCache", "compareCache",
-		"chaosRun", "overloadRun"},
+		"chaosRun", "overloadRun", "SyntheticMix"},
 	"../stats":   {"Variance", "StdDev", "Welford", "Clamp", "Histogram.Total"},
 	"../persist": {"SaveFrame", "LoadFrame", "appendWriter"},
 	"../bandit": {"Algorithm.K", "Algorithm.Plays", "Algorithm.Estimates", "Algorithm", "New",

@@ -96,8 +96,8 @@ func (c FrontConfig) WithDefaults() FrontConfig {
 // request may try (fewer in a smaller cluster).
 const frontAttempts = 3
 
-// FrontStats is the front tier's counters: the striped storage, the snapshot
-// Stats returns, and (by field name) the front's /metrics lines.
+// FrontStats is the front tier's counters: the storage, the snapshot Stats
+// returns, and (by field name) the front's /metrics lines.
 type FrontStats struct {
 	// Requests counts routed requests; Relayed counts responses streamed
 	// back (Requests - Relayed - NoBackend requests are in flight).
@@ -145,7 +145,7 @@ type Front struct {
 	// ups relays to each backend; client only polls their health.
 	ups    []*upstream
 	client *http.Client
-	stats  *counters[FrontStats]
+	stats  counters[FrontStats]
 }
 
 // NewFront builds a front tier over the given backends. Call Start to run
@@ -184,7 +184,6 @@ func NewFront(cfg FrontConfig) (*Front, error) {
 		probeRefused:  make([]atomic.Int64, len(cfg.Backends)),
 		brks:          make([]*breaker.Breaker, len(cfg.Backends)),
 		ups:           make([]*upstream, len(cfg.Backends)),
-		stats:         newCounters[FrontStats](),
 	}
 	for i, b := range cfg.Backends {
 		f.brks[i] = breaker.New(defaultPeerBreaker(gcfg.Clock))
@@ -360,7 +359,7 @@ func (f *Front) Weights() []float64 {
 	return f.ring.Weights()
 }
 
-// Stats returns a coherent snapshot of the front tier's counters.
+// Stats returns a copy of the front tier's counters taken at one instant.
 func (f *Front) Stats() FrontStats { return f.stats.snapshot() }
 
 // ReplicationStats returns the replicator's last completed window row.
@@ -428,9 +427,9 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	primary, replicas := f.pick(id)
 	if replicas > 1 {
-		f.stats.add(id, func(s *FrontStats) { s.Requests++; s.Replicated++ })
+		f.stats.add(func(s *FrontStats) { s.Requests++; s.Replicated++ })
 	} else {
-		f.stats.add(id, func(s *FrontStats) { s.Requests++ })
+		f.stats.add(func(s *FrontStats) { s.Requests++ })
 	}
 
 	// Failover order: the routed backend first, then the object's remaining
@@ -450,19 +449,19 @@ func (f *Front) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if !f.brks[node].Allow() {
-			f.stats.add(id, func(s *FrontStats) { s.BreakerRejects++ })
+			f.stats.add(func(s *FrontStats) { s.BreakerRejects++ })
 			continue
 		}
 		if tried > 0 {
-			f.stats.add(id, func(s *FrontStats) { s.Failovers++ })
+			f.stats.add(func(s *FrontStats) { s.Failovers++ })
 		}
 		tried++
 		if f.relay(w, r, node, id, size, replicas) {
-			f.stats.add(id, func(s *FrontStats) { s.Relayed++ })
+			f.stats.add(func(s *FrontStats) { s.Relayed++ })
 			return
 		}
 	}
-	f.stats.add(id, func(s *FrontStats) { s.NoBackend++ })
+	f.stats.add(func(s *FrontStats) { s.NoBackend++ })
 	http.Error(w, "front: no backend available", http.StatusBadGateway)
 }
 

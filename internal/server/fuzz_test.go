@@ -63,6 +63,7 @@ func FuzzUpstreamHead(f *testing.F) {
 	f.Add([]byte("HTTP/1.1 200 OK\r\nX-Cache miss\r\n\r\n"))
 	f.Add([]byte("HTTP/1.1 200"))
 	f.Add([]byte("\r\n\r\n"))
+	f.Add([]byte("HTTP/1.1 200 OK\r\nX-Cache: hoc\r\n hit\r\nContent-Length: 5\r\n\r\nhello"))
 	want := []string{"X-Cache", "Retry-After"}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := bytes.NewReader(data)

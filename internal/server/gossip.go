@@ -76,7 +76,7 @@ func (p *Proxy) ServeReadyz(w http.ResponseWriter, r *http.Request) {
 	if v, ps := r.Header[GossipHeader], p.peers; len(v) > 0 && ps != nil {
 		mergeDigest(ps.memb, v[0])
 		w.Header()[GossipHeader] = []string{ps.gossipValue()}
-		p.stats.add(uint64(ps.self), func(s *ProxyStats) { s.GossipExchanges++ })
+		p.stats.add(func(s *ProxyStats) { s.GossipExchanges++ })
 	}
 	ready(w, r)
 }

@@ -1,7 +1,7 @@
 package server
 
-// A counter is declared once, as an int64 field of a stats struct: the struct
-// is the striped storage, the snapshot and, by field name, the /metrics line.
+// A counter is declared once, as a field of a stats struct: the struct is the
+// storage, the snapshot and, by field name, the /metrics line.
 
 import (
 	"bufio"
@@ -11,76 +11,32 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"darwin/internal/cache"
 )
 
-// statStripes is the stripe count (a power of two) for the proxy's and the
-// front's counters: enough to keep unrelated objects off each other's mutex
-// at high concurrency, small enough that a snapshot stays cheap.
-const statStripes = 32
-
-// counters is a set of key-striped copies of the stats struct T, every field
-// of which is an int64. An update hashes its key to a stripe and runs under
-// that stripe's mutex, so unrelated keys never contend; snapshot takes the
-// same mutexes, one stripe at a time, for the length of a copy.
-//
-// Coherence: each stripe is read at one instant, so fields changed in one add
-// are never seen torn, and an ordering between two updates under one key (a
-// hedge launched before it wins) holds in every snapshot. The sum keeps any
-// per-stripe inequality (DeadlineSheds <= Shed); stripes may be read at
-// slightly different instants relative to each other.
+// counters is one stats struct T under one mutex. An update runs inside the
+// critical section, so the fields one event changes are changed together,
+// and a snapshot is a copy taken at one instant: no read sees an update
+// torn, and an ordering between two updates (a hedge launched before it
+// wins) holds in every snapshot.
 type counters[T any] struct {
-	stripes [statStripes]statStripe[T]
-}
-
-// statStripe pads each stripe past a cache line so the tail of one stripe's
-// counters never false-shares with the next stripe's mutex.
-type statStripe[T any] struct {
 	mu sync.Mutex
 	v  T // guarded by mu
-	_  [64]byte
 }
 
-// newCounters builds zeroed counters. It panics unless T is a struct of int64
-// fields: snapshot sums them.
-func newCounters[T any]() *counters[T] {
-	t := reflect.TypeFor[T]()
-	for i := 0; i < t.NumField(); i++ {
-		if f := t.Field(i); f.Type.Kind() != reflect.Int64 {
-			panic(fmt.Sprintf("server: counters of %v: field %s is %v, want int64", t, f.Name, f.Type))
-		}
-	}
-	return new(counters[T])
+// add runs update on the counters inside their critical section. update must
+// only increment fields of *T; a function literal that captures nothing also
+// keeps the call free of allocations.
+func (c *counters[T]) add(update func(*T)) {
+	c.mu.Lock()
+	update(&c.v)
+	c.mu.Unlock()
 }
 
-// add runs update on the stripe owning key, inside its critical section: the
-// fields one event changes are changed together. update runs under the
-// stripe's mutex, so it must only increment fields of *T; a function literal
-// that captures nothing also keeps the call free of allocations.
-func (c *counters[T]) add(key uint64, update func(*T)) {
-	s := &c.stripes[cache.Mix64(key)&(statStripes-1)]
-	s.mu.Lock()
-	update(&s.v)
-	s.mu.Unlock()
-}
-
-// snapshot returns the field-wise sum of every stripe, each copied under its
-// mutex.
+// snapshot returns a copy of the counters taken under their mutex.
 func (c *counters[T]) snapshot() T {
-	var sum T
-	dst := reflect.ValueOf(&sum).Elem()
-	for i := range c.stripes {
-		s := &c.stripes[i]
-		s.mu.Lock()
-		v := s.v
-		s.mu.Unlock()
-		src := reflect.ValueOf(&v).Elem()
-		for f := 0; f < dst.NumField(); f++ {
-			dst.Field(f).SetInt(dst.Field(f).Int() + src.Field(f).Int())
-		}
-	}
-	return sum
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.v
 }
 
 // WriteMetrics writes one "name value" line per field of the struct stats,

@@ -136,13 +136,13 @@ func (p *Proxy) shed(w http.ResponseWriter, req trace.Request, reason string) {
 	stale := p.servedBefore(req.ID)
 	switch deadline := reason == "deadline"; {
 	case deadline && stale:
-		p.stats.add(req.ID, func(s *ProxyStats) { s.Shed++; s.DeadlineSheds++; s.StaleServes++ })
+		p.stats.add(func(s *ProxyStats) { s.Shed++; s.DeadlineSheds++; s.StaleServes++ })
 	case deadline:
-		p.stats.add(req.ID, func(s *ProxyStats) { s.Shed++; s.DeadlineSheds++; s.Errors++ })
+		p.stats.add(func(s *ProxyStats) { s.Shed++; s.DeadlineSheds++; s.Errors++ })
 	case stale:
-		p.stats.add(req.ID, func(s *ProxyStats) { s.Shed++; s.StaleServes++ })
+		p.stats.add(func(s *ProxyStats) { s.Shed++; s.StaleServes++ })
 	default:
-		p.stats.add(req.ID, func(s *ProxyStats) { s.Shed++; s.Errors++ })
+		p.stats.add(func(s *ProxyStats) { s.Shed++; s.Errors++ })
 	}
 	if stale {
 		p.serveStale(w, req.Size, reason)
@@ -182,7 +182,7 @@ func (p *Proxy) fetchMaybeHedged(ctx context.Context, id uint64, size int64) err
 	hedge := func() {
 		hedgeFired = true
 		outstanding++
-		p.stats.add(id, func(s *ProxyStats) { s.Hedges++; s.OriginFetches++ })
+		p.stats.add(func(s *ProxyStats) { s.Hedges++; s.OriginFetches++ })
 		go launch(true)
 	}
 	var firstErr error
@@ -192,7 +192,7 @@ func (p *Proxy) fetchMaybeHedged(ctx context.Context, id uint64, size int64) err
 			outstanding--
 			if res.err == nil {
 				if res.hedged {
-					p.stats.add(id, func(s *ProxyStats) { s.HedgeWins++ })
+					p.stats.add(func(s *ProxyStats) { s.HedgeWins++ })
 				}
 				return nil // deferred cancel reaps the loser
 			}

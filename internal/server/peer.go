@@ -206,7 +206,7 @@ func (p *Proxy) servePeerProbe(w http.ResponseWriter, r *http.Request, req trace
 	}
 	w.Header()[GossipHeader] = []string{p.peers.gossipValue()}
 	if res := p.decider.Lookup(req.ID); res == cache.HOCHit || res == cache.DCHit {
-		p.stats.add(req.ID, func(s *ProxyStats) { s.PeerServed++ })
+		p.stats.add(func(s *ProxyStats) { s.PeerServed++ })
 		p.commit(w, req, res)
 		return
 	}
@@ -234,23 +234,23 @@ func (p *Proxy) fetchPeer(ctx context.Context, id uint64, size int64, holders in
 			continue
 		}
 		if ps.memb.Dead(node) {
-			p.stats.add(id, func(s *ProxyStats) { s.PeerSkipsDead++ })
+			p.stats.add(func(s *ProxyStats) { s.PeerSkipsDead++ })
 			continue
 		}
 		tried++
 		brk := ps.brks[node]
 		if !brk.Allow() {
-			p.stats.add(id, func(s *ProxyStats) { s.PeerRejects++ })
+			p.stats.add(func(s *ProxyStats) { s.PeerRejects++ })
 			continue
 		}
-		p.stats.add(id, func(s *ProxyStats) { s.PeerProbes++ })
+		p.stats.add(func(s *ProxyStats) { s.PeerProbes++ })
 		hit, healthy := ps.probe(ctx, node, id, size)
 		brk.Record(healthy)
 		if !healthy {
-			p.stats.add(id, func(s *ProxyStats) { s.PeerErrors++ })
+			p.stats.add(func(s *ProxyStats) { s.PeerErrors++ })
 		}
 		if hit {
-			p.stats.add(id, func(s *ProxyStats) { s.PeerFills++ })
+			p.stats.add(func(s *ProxyStats) { s.PeerFills++ })
 			return true
 		}
 	}

@@ -12,9 +12,9 @@
 // cache engine stripes the object space across per-shard mutexes; one shard
 // is the single HOC lock whose contention the paper observes). The critical
 // sections cover only decider calls, never body writes or origin I/O, and
-// the proxy's own data-plane counters are lock-striped (counters[ProxyStats],
-// metrics.go) so handlers for unrelated objects never contend and Stats reads
-// are coherent.
+// the proxy's own data-plane counters are one struct under one mutex
+// (counters[ProxyStats], metrics.go), held for an increment or a copy, so
+// Stats reads are coherent.
 //
 // Proxy is one request pipeline. Every request crosses the same stages in
 // the same order; a stage is present exactly when its own configuration value
@@ -235,8 +235,8 @@ func (r Resilience) Validate() error {
 	return nil
 }
 
-// ProxyStats is the proxy's data-plane counters: the striped storage, the
-// snapshot Stats returns, and (by field name) the node's /metrics lines.
+// ProxyStats is the proxy's data-plane counters: the storage, the snapshot
+// Stats returns, and (by field name) the node's /metrics lines.
 type ProxyStats struct {
 	// OriginFetches counts fetch attempts sent to the origin.
 	OriginFetches int64
@@ -326,10 +326,8 @@ type Proxy struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand // guarded by rngMu; retry jitter only
 
-	// stats holds the data-plane counters, striped by object id so
-	// concurrent handlers never contend on one counter line and Stats
-	// snapshots are coherent without a global lock.
-	stats *counters[ProxyStats]
+	// stats holds the data-plane counters.
+	stats counters[ProxyStats]
 
 	// start is the pipeline clock's reading at construction: Request.Time is
 	// measured from it.
@@ -362,7 +360,6 @@ func NewOverloadProxy(decider Decider, originURL string, dcLatency time.Duration
 		res:       res,
 		ov:        ov,
 		rng:       rand.New(rand.NewSource(jitterSeed)),
-		stats:     newCounters[ProxyStats](),
 	}
 	p.start = p.now()
 	if ov.BreakerThreshold > 0 {
@@ -384,10 +381,9 @@ func (p *Proxy) now() time.Time { return p.ov.Clock() }
 // Metrics returns the decider's cache metrics, exact as of the call.
 func (p *Proxy) Metrics() cache.Metrics { return p.decider.Metrics() }
 
-// Stats returns a coherent snapshot of the proxy's data-plane counters:
-// every stripe is observed at one consistent instant, so counters bumped in
-// one update (a deadline shed and its shed, a hedge and its origin fetch) are
-// never seen torn. The read holds one stripe mutex at a time, for a copy.
+// Stats returns a copy of the proxy's data-plane counters taken at one
+// instant, under their mutex, so counters bumped in one update (a deadline
+// shed and its shed, a hedge and its origin fetch) are never seen torn.
 func (p *Proxy) Stats() ProxyStats { return p.stats.snapshot() }
 
 // ServeHTTP implements http.Handler for GET /obj/<id>?size=<n>: the pipeline
@@ -438,7 +434,7 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (p *Proxy) commit(w http.ResponseWriter, req trace.Request, routed cache.Result) {
 	res := p.decider.Serve(req)
 	if (res == cache.Miss) != (routed == cache.Miss) {
-		p.stats.add(req.ID, func(s *ProxyStats) { s.CommitRaced++ })
+		p.stats.add(func(s *ProxyStats) { s.CommitRaced++ })
 	}
 	setXCache(w.Header(), res)
 	p.serveLocal(w, res, req.Size)
@@ -508,11 +504,11 @@ func (p *Proxy) serveMiss(w http.ResponseWriter, r *http.Request, req trace.Requ
 	// Degraded mode: the origin is down and retries are exhausted. Serve the
 	// object stale if the engine holds its record, else surface the 502.
 	if p.servedBefore(req.ID) {
-		p.stats.add(req.ID, func(s *ProxyStats) { s.StaleServes++ })
+		p.stats.add(func(s *ProxyStats) { s.StaleServes++ })
 		p.serveStale(w, req.Size, "")
 		return
 	}
-	p.stats.add(req.ID, func(s *ProxyStats) { s.Errors++ })
+	p.stats.add(func(s *ProxyStats) { s.Errors++ })
 	http.Error(w, fmt.Sprintf("server: origin unavailable: %v", err), http.StatusBadGateway)
 }
 
@@ -558,7 +554,7 @@ func (p *Proxy) fetchOrigin(ctx context.Context, id uint64, size int64) error {
 		return p.fetchRetry(fctx, id, size)
 	})
 	if shared {
-		p.stats.add(id, func(s *ProxyStats) { s.Coalesced++ })
+		p.stats.add(func(s *ProxyStats) { s.Coalesced++ })
 	}
 	return err
 }
@@ -573,11 +569,11 @@ func (p *Proxy) fetchRetry(ctx context.Context, id uint64, size int64) error {
 	var lastErr error
 	for attempt := 1; ; attempt++ {
 		if p.brk != nil && !p.brk.Allow() {
-			p.stats.add(id, func(s *ProxyStats) { s.BreakerRejects++ })
+			p.stats.add(func(s *ProxyStats) { s.BreakerRejects++ })
 			lastErr = breaker.ErrOpen
 			break
 		}
-		p.stats.add(id, func(s *ProxyStats) { s.OriginFetches++ })
+		p.stats.add(func(s *ProxyStats) { s.OriginFetches++ })
 		err := p.fetchMaybeHedged(ctx, id, size)
 		if p.brk != nil {
 			p.brk.Record(err == nil)
@@ -590,15 +586,15 @@ func (p *Proxy) fetchRetry(ctx context.Context, id uint64, size int64) error {
 			break
 		}
 		if p.retryBudget != nil && !p.retryBudget.Allow() {
-			p.stats.add(id, func(s *ProxyStats) { s.RetryBudgetDenied++ })
+			p.stats.add(func(s *ProxyStats) { s.RetryBudgetDenied++ })
 			break
 		}
-		p.stats.add(id, func(s *ProxyStats) { s.Retries++ })
+		p.stats.add(func(s *ProxyStats) { s.Retries++ })
 		if sleepCtx(ctx, p.backoff(attempt)) != nil {
 			break
 		}
 	}
-	p.stats.add(id, func(s *ProxyStats) { s.FetchFailures++ })
+	p.stats.add(func(s *ProxyStats) { s.FetchFailures++ })
 	return lastErr
 }
 

@@ -59,11 +59,11 @@ func (p *Proxy) ServeState(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := p.acceptState(data); err != nil {
-		p.stats.add(0, func(s *ProxyStats) { s.StateRejects++ })
+		p.stats.add(func(s *ProxyStats) { s.StateRejects++ })
 		http.Error(w, "state: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	p.stats.add(0, func(s *ProxyStats) { s.StateMerges++ })
+	p.stats.add(func(s *ProxyStats) { s.StateMerges++ })
 	w.WriteHeader(http.StatusNoContent)
 }
 
@@ -99,6 +99,6 @@ func (p *Proxy) PushStateToSuccessor(ctx context.Context, frame []byte) (int, er
 		return succ, fmt.Errorf("state: successor %s answered %d: %s", ps.nodes[succ], resp.StatusCode, bytes.TrimSpace(body))
 	}
 	_, _ = io.CopyN(io.Discard, resp.Body, 1<<10) // best-effort drain so the connection can be reused
-	p.stats.add(0, func(s *ProxyStats) { s.StatePushes++ })
+	p.stats.add(func(s *ProxyStats) { s.StatePushes++ })
 	return succ, nil
 }
